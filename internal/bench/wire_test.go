@@ -1,10 +1,19 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
+	"runtime"
+	"sync"
 	"testing"
+	"time"
+
+	"dedisys/internal/constraint"
+	"dedisys/internal/transport"
+	"dedisys/internal/wiretransport"
 )
 
 // TestWireExperiment runs the wire-vs-simulation commit latency comparison
@@ -41,16 +50,21 @@ func TestWireExperiment(t *testing.T) {
 		simP95, _ := res.Cell("simulated hop", "p95_us")
 		simMean, _ := res.Cell("simulated hop", "mean_us")
 		report := map[string]any{
-			"n":            wireBenchSize,
-			"iters":        wireBenchIters(cfg),
-			"transport":    "gob over unix sockets, length-prefixed frames",
-			"wire_p50_us":  wireP50,
-			"wire_p95_us":  wireP95,
-			"wire_mean_us": wireMean,
-			"sim_p50_us":   simP50,
-			"sim_p95_us":   simP95,
-			"sim_mean_us":  simMean,
-			"notes":        res.Notes,
+			"go":                  runtime.Version(),
+			"num_cpu":             runtime.NumCPU(),
+			"gomaxprocs":          runtime.GOMAXPROCS(0),
+			"n":                   wireBenchSize,
+			"iters":               wireBenchIters(cfg),
+			"transport":           "gob over unix sockets: length-prefixed frames, one gob stream per link",
+			"wire_p50_us":         wireP50,
+			"wire_p95_us":         wireP95,
+			"wire_mean_us":        wireMean,
+			"sim_p50_us":          simP50,
+			"sim_p95_us":          simP95,
+			"sim_mean_us":         simMean,
+			"notes":               res.Notes,
+			"send_allocs":         wireSendAllocs(t),
+			"send_allocs_ceiling": wireSendAllocCeiling,
 			"benchfmt": []string{
 				fmt.Sprintf("BenchmarkCommitWire/backend=wire/N=%d/p50 1 %d ns/op", wireBenchSize, int64(wireP50*1e3)),
 				fmt.Sprintf("BenchmarkCommitWire/backend=sim/N=%d/p50 1 %d ns/op", wireBenchSize, int64(simP50*1e3)),
@@ -63,5 +77,92 @@ func TestWireExperiment(t *testing.T) {
 		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 			t.Fatalf("write %s: %v", path, err)
 		}
+	}
+}
+
+// wireSendAllocCeiling bounds the allocations of one request/response round
+// trip over an idle link, both endpoints counted. A long-lived gob stream per
+// link measures 42; a codec rebuilt per frame (type descriptors re-sent and
+// re-compiled for every message) measured 683.
+const wireSendAllocCeiling = 80
+
+// recordedBatch returns a repl.batch request as the replication layer ships
+// it for a single-object commit, captured from a simulated two-node cluster.
+func recordedBatch(t *testing.T) any {
+	t.Helper()
+	c, err := newBenchCluster(QuickConfig(), clusterOpts{size: 2, disableCCM: true}, constraint.HardInvariant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	var mu sync.Mutex
+	var batch any
+	err = c.Net.Handle(c.IDs()[1], "repl.batch", func(_ transport.NodeID, p any) (any, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		batch = p
+		return "ack", nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := commitSamples(c.Node(0), c.IDs(), 1); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if batch == nil {
+		t.Fatal("the commit shipped no repl.batch")
+	}
+	return batch
+}
+
+// wireSendAllocs measures the allocations of one acknowledged Wire.Send of
+// a recorded repl.batch payload over a warmed unix-socket pair.
+func wireSendAllocs(t *testing.T) float64 {
+	t.Helper()
+	batch := recordedBatch(t)
+	dir := t.TempDir()
+	peers := map[transport.NodeID]string{
+		"a": "unix:" + filepath.Join(dir, "a.sock"),
+		"b": "unix:" + filepath.Join(dir, "b.sock"),
+	}
+	var wires []*wiretransport.Wire
+	for _, id := range []transport.NodeID{"a", "b"} {
+		w, err := wiretransport.New(id, peers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		wires = append(wires, w)
+	}
+	// The peer answers as handleBatch does, with a short ack string.
+	if err := wires[1].Handle("b", "echo", func(transport.NodeID, any) (any, error) { return "ack", nil }); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	send := func() {
+		if _, err := wires[0].Send(ctx, "a", "b", "echo", batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// AllocsPerRun's own warm-up call dials the link and carries the type
+	// descriptors of both directions; the measured runs are steady state.
+	return testing.AllocsPerRun(200, send)
+}
+
+// TestWireSendAllocCeiling is the deterministic half of the wire gate: no
+// timing ratio is asserted (see TestWireExperiment), but the allocation count
+// of a round trip does not depend on the host, and it is what a per-frame
+// codec inflates by an order of magnitude.
+func TestWireSendAllocCeiling(t *testing.T) {
+	got := wireSendAllocs(t)
+	t.Logf("one acknowledged Wire.Send of a repl.batch = %.0f allocs (ceiling %d)", got, wireSendAllocCeiling)
+	if got > wireSendAllocCeiling {
+		t.Fatalf("%.0f allocs exceed the ceiling of %d", got, wireSendAllocCeiling)
 	}
 }

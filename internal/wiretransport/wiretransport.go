@@ -16,16 +16,30 @@
 //
 // # Framing
 //
-// Every frame is a 4-byte big-endian length prefix followed by one
-// self-contained gob stream holding a single wireFrame. Encoding goes
-// through a scratch buffer first, so a payload that fails to encode (an
-// unregistered type) never corrupts the connection — the send fails, the
-// link survives. A fresh gob encoder/decoder per frame trades the one-time
-// type-descriptor cost for frame isolation: a reconnected peer can resume
-// mid-conversation without the shared-stream state a long-lived gob
-// encoder/decoder pair would lose. Payload types must be registered with
-// encoding/gob; every package that puts a payload on the wire owns a wire.go
-// whose init does exactly that (see the codec round-trip tests).
+// Every frame is a 4-byte big-endian length prefix followed by the gob
+// messages of one wireFrame. Each direction of a link is one long-lived gob
+// stream: one encoder, used under the link's write mutex, and one decoder,
+// owned by the link's reader goroutine, so type descriptors cross once per
+// connection instead of once per frame. The stream lives and dies with the
+// link — a link is exactly one connection, a reconnect is a new link, and
+// codec state therefore never outlives or straddles a connection.
+//
+// The top bit of the length prefix is the stream-open marker: the frame
+// starts a new gob stream and the reader must decode it (and what follows)
+// with a fresh decoder. The first frame of every connection carries it; a
+// first frame without it, a body that fails to decode, and bytes left over
+// after the decoded value each kill the link. The remaining 31 bits carry the
+// body length, capped at maxFrame on both sides: the sender refuses to emit
+// what the receiver would reject.
+//
+// Encoding goes through a per-link scratch buffer before anything touches
+// the connection, so a payload that cannot be framed (an unregistered type,
+// or a frame over the cap) fails only its caller and the link survives. A
+// failed Encode has already marked descriptors as sent that never left, so
+// the link then discards its encoder and the next frame re-opens the stream
+// under the marker. Payload types must be registered with encoding/gob; every
+// package that puts a payload on the wire owns a wire.go whose init does
+// exactly that (see the codec round-trip tests).
 //
 // # Links and reconnection
 //
@@ -73,13 +87,18 @@ import (
 // itself (WaitPeers); it never reaches registered handlers.
 const kindPing = "wire.ping"
 
-// maxFrame bounds one frame's payload size (a corrupt length prefix must
-// not allocate gigabytes).
+// maxFrame bounds one frame's body size (a corrupt length prefix must not
+// allocate gigabytes); it leaves the prefix's top bit free for streamOpen.
 const maxFrame = 64 << 20
 
-// errEncode marks a payload that could not be gob-encoded: a permanent,
-// caller-side error that must neither kill the link nor be retried.
-var errEncode = errors.New("wiretransport: payload not gob-encodable")
+// streamOpen is the length-prefix bit marking a frame that starts a new gob
+// stream (see "Framing").
+const streamOpen = 1 << 31
+
+// errEncode marks a payload that could not be framed — not gob-encodable,
+// or larger than maxFrame once encoded: a permanent, caller-side error that
+// must neither kill the link nor be retried.
+var errEncode = errors.New("wiretransport: payload cannot be framed")
 
 // wireFrame is the unit of exchange. Req distinguishes requests from
 // responses; responses echo the request's ID. ErrKind spreads a handler
@@ -536,7 +555,12 @@ type link struct {
 	conn net.Conn
 	peer transport.NodeID // set on outbound links; "" for accepted ones
 
+	// writeMu guards the outbound gob stream: enc encodes into wbuf, which is
+	// flushed to conn one frame at a time. enc is nil until the first frame
+	// and after a failed encode; the next frame then opens a new stream.
 	writeMu sync.Mutex
+	enc     *gob.Encoder
+	wbuf    bytes.Buffer
 
 	mu      sync.Mutex
 	pending map[uint64]chan wireFrame
@@ -595,20 +619,34 @@ func (l *link) fail() {
 	}
 }
 
-// write frames and sends one message. Encoding goes through a scratch
-// buffer so an unencodable payload fails cleanly without touching the
-// connection; the length prefix is patched in afterwards.
+// write frames and sends one message on the link's gob stream. Encoding goes
+// into the scratch buffer first, so a payload that cannot be framed fails
+// cleanly without touching the connection; the length prefix is patched in
+// afterwards. Such a failure leaves the encoder believing it sent type
+// descriptors that never left, so the encoder is dropped and the next frame
+// opens a new stream.
 func (l *link) write(ctx context.Context, f wireFrame) error {
-	var buf bytes.Buffer
-	buf.Write([]byte{0, 0, 0, 0})
-	if err := gob.NewEncoder(&buf).Encode(&f); err != nil {
-		return fmt.Errorf("%w: kind %s: %v", errEncode, f.Kind, err)
-	}
-	b := buf.Bytes()
-	binary.BigEndian.PutUint32(b[:4], uint32(len(b)-4))
-
 	l.writeMu.Lock()
 	defer l.writeMu.Unlock()
+	var marker uint32
+	if l.enc == nil {
+		l.enc = gob.NewEncoder(&l.wbuf)
+		marker = streamOpen
+	}
+	l.wbuf.Reset()
+	l.wbuf.Write([]byte{0, 0, 0, 0})
+	if err := l.enc.Encode(&f); err != nil {
+		l.enc = nil
+		return fmt.Errorf("%w: kind %s: %v", errEncode, f.Kind, err)
+	}
+	b := l.wbuf.Bytes()
+	n := len(b) - 4
+	if n > maxFrame {
+		l.enc, l.wbuf = nil, bytes.Buffer{} // do not pin an oversized scratch buffer
+		return fmt.Errorf("%w: kind %s: frame of %d bytes exceeds the %d-byte limit", errEncode, f.Kind, n, maxFrame)
+	}
+	binary.BigEndian.PutUint32(b[:4], marker|uint32(n))
+
 	if deadline, ok := ctx.Deadline(); ok {
 		l.conn.SetWriteDeadline(deadline)
 	} else {
@@ -618,12 +656,13 @@ func (l *link) write(ctx context.Context, f wireFrame) error {
 	return err
 }
 
-// RoundTrip encodes one payload inside a wire frame and decodes it back,
-// exactly as a Send would. Every package that owns wire payload types uses
-// it in tests to prove its gob registrations are complete and lossless —
-// gob silently drops unexported fields and refuses unregistered concrete
-// types in interface slots, both of which must surface before the wire
-// backend ever runs.
+// RoundTrip encodes one payload inside a wire frame on a fresh gob stream
+// and decodes it back — what the first frame of a link goes through, type
+// descriptors included. Every package that owns wire payload types uses it
+// in tests to prove its gob registrations are complete and lossless — gob
+// silently drops unexported fields and refuses unregistered concrete types
+// in interface slots, both of which must surface before the wire backend
+// ever runs.
 func RoundTrip(payload any) (any, error) {
 	var buf bytes.Buffer
 	f := wireFrame{ID: 1, Req: true, From: "codec-check", Kind: "codec.check", Payload: payload}
@@ -637,23 +676,47 @@ func RoundTrip(payload any) (any, error) {
 	return out.Payload, nil
 }
 
-// readFrame reads one length-prefixed frame.
-func readFrame(r io.Reader) (wireFrame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// frameReader is the inbound half of a link's gob stream: one decoder over
+// a body buffer that is refilled frame by frame.
+type frameReader struct {
+	r    io.Reader
+	hdr  [4]byte
+	body []byte
+	src  bytes.Reader
+	dec  *gob.Decoder
+}
+
+// next reads one length-prefixed frame. A frame carrying streamOpen gets a
+// fresh decoder; every other frame continues the stream of the one before.
+func (fr *frameReader) next() (wireFrame, error) {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return wireFrame{}, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	prefix := binary.BigEndian.Uint32(fr.hdr[:])
+	open, n := prefix&streamOpen != 0, prefix&^streamOpen
 	if n > maxFrame {
 		return wireFrame{}, fmt.Errorf("wiretransport: frame of %d bytes exceeds limit", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	if !open && fr.dec == nil {
+		return wireFrame{}, errors.New("wiretransport: first frame does not open a gob stream")
+	}
+	if uint32(cap(fr.body)) < n {
+		fr.body = make([]byte, n)
+	}
+	body := fr.body[:n]
+	if _, err := io.ReadFull(fr.r, body); err != nil {
 		return wireFrame{}, err
 	}
+	fr.src.Reset(body)
+	if open {
+		fr.dec = gob.NewDecoder(&fr.src)
+	}
 	var f wireFrame
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&f); err != nil {
+	if err := fr.dec.Decode(&f); err != nil {
 		return wireFrame{}, fmt.Errorf("wiretransport: decode frame: %w", err)
+	}
+	if fr.src.Len() != 0 {
+		return wireFrame{}, fmt.Errorf("wiretransport: %d trailing bytes in frame", fr.src.Len())
 	}
 	return f, nil
 }
@@ -661,8 +724,9 @@ func readFrame(r io.Reader) (wireFrame, error) {
 // readLoop routes inbound frames until the connection dies, then fails the
 // link and forgets it.
 func (l *link) readLoop() {
+	fr := frameReader{r: l.conn}
 	for {
-		f, err := readFrame(l.conn)
+		f, err := fr.next()
 		if err != nil {
 			l.fail()
 			l.w.unlink(l)

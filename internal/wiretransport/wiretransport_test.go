@@ -2,9 +2,11 @@ package wiretransport
 
 import (
 	"context"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -192,26 +194,56 @@ func TestRetryMasksTransientFailure(t *testing.T) {
 	}
 }
 
+// corrMsg is a struct payload of TestConcurrentCorrelation.
+type corrMsg struct {
+	N    int
+	Tags []string
+}
+
+func init() { gob.Register(corrMsg{}) }
+
+// corrPayload spreads the senders over several payload types, so that the
+// link's shared gob stream first meets each of them under concurrency.
+func corrPayload(i int) any {
+	switch i % 5 {
+	case 0:
+		return i
+	case 1:
+		return fmt.Sprint(i)
+	case 2:
+		return corrMsg{N: i, Tags: []string{"t", fmt.Sprint(i)}}
+	case 3:
+		return []byte{byte(i)}
+	default:
+		return float64(i)
+	}
+}
+
 func TestConcurrentCorrelation(t *testing.T) {
 	wa, wb := pair(t)
 	wb.Handle("b", "echo", func(_ transport.NodeID, p any) (any, error) {
-		time.Sleep(time.Duration(p.(int)%7) * time.Millisecond)
+		// Replies overtake one another: the delay varies with the payload.
+		delay := 0
+		for _, c := range fmt.Sprint(p) {
+			delay += int(c)
+		}
+		time.Sleep(time.Duration(delay%7) * time.Millisecond)
 		return p, nil
 	})
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for i := 0; i < 64; i++ {
-		i := i
+		want := corrPayload(i)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := wa.Send(context.Background(), "a", "b", "echo", i)
+			resp, err := wa.Send(context.Background(), "a", "b", "echo", want)
 			if err != nil {
 				errs <- err
 				return
 			}
-			if resp != i {
-				errs <- fmt.Errorf("send %d got %v", i, resp)
+			if !reflect.DeepEqual(resp, want) {
+				errs <- fmt.Errorf("sent %#v, got %#v", want, resp)
 			}
 		}()
 	}
