@@ -6,6 +6,7 @@ import (
 
 	"dedisys/internal/constraint"
 	"dedisys/internal/object"
+	"dedisys/internal/replication"
 )
 
 // Hot-path allocation measurement: allocs/op of one read invocation and one
@@ -60,6 +61,36 @@ func measureHotPathAllocs(cfg Config) (HotPathAllocs, error) {
 		return out, fmt.Errorf("commit path: %w", err)
 	}
 	return out, nil
+}
+
+// measureReplicatedCommitAllocs counts the mallocs of one single-object
+// quorum write on the gate cluster (8 nodes, G=4, R=3): commit staging, the
+// threshold multicast, both remote applies and every store write. The
+// background straggler send is joined inside the operation, so all of one
+// write's garbage — and nothing of the next — lands in the window.
+func measureReplicatedCommitAllocs(cfg Config) (float64, error) {
+	cfg.NetCost = 0
+	cfg.StoreCost = 0
+	c, err := newBenchCluster(cfg, clusterOpts{
+		size:     loadClusterSize,
+		groups:   loadGroups,
+		rf:       loadRF,
+		protocol: replication.Quorum{},
+	}, constraint.AsyncInvariant)
+	if err != nil {
+		return 0, err
+	}
+	defer c.Stop()
+	const oid = object.ID("hot000")
+	home := shardHome(c, oid)
+	if err := home.Create(beanClass, oid, object.State{"value": int64(0)}, c.AllReplicas(home.ID)); err != nil {
+		return 0, fmt.Errorf("create %s: %w", oid, err)
+	}
+	return allocsPerOp(hotPathOps, func(i int) error {
+		_, err := home.Invoke(oid, "SetValue", int64(i))
+		home.Repl.WaitPropagation()
+		return err
+	})
 }
 
 // allocsPerOp measures the mean number of heap allocations per call of op.

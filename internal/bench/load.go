@@ -41,6 +41,18 @@ const (
 	allocReductionFloor  = 0.30
 )
 
+// The replicated quorum write — measureReplicatedCommitAllocs — at the commit
+// before its allocation rework (Go 1.24; EXPERIMENTS.md, "Hot-path
+// allocations"). TestReplicatedCommitAllocCeiling holds the current count at
+// least allocReductionFloor below it, with headroom over the 41.9 measured
+// now for CI's Go 1.22, whose maps allocate differently.
+const baselineReplicatedCommitAllocs = 80.90
+
+// replicatedCommitAllocCeiling is the gate threshold of the replicated write.
+func replicatedCommitAllocCeiling() float64 {
+	return baselineReplicatedCommitAllocs * (1 - allocReductionFloor)
+}
+
 // loadAllocCeilings returns the gate thresholds derived from the baselines.
 func loadAllocCeilings() (invoke, commit float64) {
 	return baselineInvokeAllocs * (1 - allocReductionFloor),

@@ -98,6 +98,11 @@ func TestLoadGate(t *testing.T) {
 			allocs.InvokeAllocs, invCeil, allocs.CommitAllocs, comCeil)
 	}
 
+	replicated, err := measureReplicatedCommitAllocs(QuickConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	if path := os.Getenv("BENCH_LOAD_JSON"); path != "" {
 		report := map[string]any{
 			"n":                      loadClusterSize,
@@ -125,12 +130,17 @@ func TestLoadGate(t *testing.T) {
 			"commit_allocs_per_op":   allocs.CommitAllocs,
 			"invoke_allocs_baseline": baselineInvokeAllocs,
 			"commit_allocs_baseline": baselineCommitAllocs,
+
+			"replicated_commit_allocs_per_op":   replicated,
+			"replicated_commit_allocs_baseline": baselineReplicatedCommitAllocs,
+			"replicated_commit_allocs_ceiling":  replicatedCommitAllocCeiling(),
 			"benchfmt": []string{
 				fmt.Sprintf("BenchmarkLoadOpenLoop/N=%d/G=%d/R=%d/p50 1 %d ns/op", loadClusterSize, loadGroups, loadRF, p50.Nanoseconds()),
 				fmt.Sprintf("BenchmarkLoadOpenLoop/N=%d/G=%d/R=%d/p99 1 %d ns/op", loadClusterSize, loadGroups, loadRF, p99.Nanoseconds()),
 				fmt.Sprintf("BenchmarkLoadOpenLoop/N=%d/G=%d/R=%d/throughput 1 %.0f ops/s", loadClusterSize, loadGroups, loadRF, sum.Throughput),
 				fmt.Sprintf("BenchmarkHotPathInvoke 1 %.2f allocs/op", allocs.InvokeAllocs),
 				fmt.Sprintf("BenchmarkHotPathCommit 1 %.2f allocs/op", allocs.CommitAllocs),
+				fmt.Sprintf("BenchmarkReplicatedCommit/N=%d/G=%d/R=%d 1 %.2f allocs/op", loadClusterSize, loadGroups, loadRF, replicated),
 			},
 		}
 		data, err := json.MarshalIndent(report, "", "  ")
@@ -140,6 +150,31 @@ func TestLoadGate(t *testing.T) {
 		if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
 			t.Fatalf("write %s: %v", path, err)
 		}
+	}
+}
+
+// TestReplicatedCommitAllocCeiling is the allocation gate of the replicated
+// write path: one single-object quorum write on the 8-node G=4 R=3 simulator
+// cluster — commit staging, threshold multicast, two remote applies, every
+// store write, the straggler joined — must stay at least 30% below the count
+// measured before that path's rework. The count does not depend on the host;
+// it moves when a slice is grown by append again, a closure is allocated per
+// send, or a record goes back through reflection. Skipped under -race, whose
+// runtime allocates on paths the production build does not. TestLoadGate
+// records the same measurement in BENCH_load.json.
+func TestReplicatedCommitAllocCeiling(t *testing.T) {
+	got, err := measureReplicatedCommitAllocs(QuickConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ceiling := replicatedCommitAllocCeiling()
+	t.Logf("replicated quorum commit = %.2f allocs/op (ceiling %.2f, baseline %.2f)", got, ceiling, baselineReplicatedCommitAllocs)
+	if raceEnabled {
+		t.Skip("race build: allocation gate skipped")
+	}
+	if got > ceiling {
+		t.Fatalf("replicated quorum commit = %.2f allocs/op, ceiling %.2f (baseline %.2f, floor -%.0f%%)",
+			got, ceiling, baselineReplicatedCommitAllocs, allocReductionFloor*100)
 	}
 }
 

@@ -246,14 +246,33 @@ func (m *Membership) PartitionWeight(id transport.NodeID) float64 {
 // epoch with the intersection of its members and the set, preserving the
 // view's sorted order. Detector-driven views filter exactly the same way, so
 // group-local decisions compose unchanged with lagging or wrong views.
+//
+// When the view covers the whole set (the healthy steady state) and the set
+// is sorted and duplicate-free, as every replica list is, the result shares
+// the caller's slice, cap-clamped so that an append reallocates; both are
+// read-only from then on.
 func (m *Membership) FilteredView(id transport.NodeID, members []transport.NodeID) View {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	v := m.views[id]
 	out := View{Epoch: v.Epoch}
-	for _, n := range v.Members {
-		if containsNode(members, n) {
-			out.Members = append(out.Members, n)
+	hit, ordered := 0, true
+	for i, n := range members {
+		if v.Contains(n) {
+			hit++
+		}
+		if i > 0 && members[i-1] >= n {
+			ordered = false
+		}
+	}
+	if hit == len(members) && ordered {
+		out.Members = members[:hit:hit]
+	} else if hit > 0 {
+		out.Members = make([]transport.NodeID, 0, hit)
+		for _, n := range v.Members {
+			if containsNode(members, n) {
+				out.Members = append(out.Members, n)
+			}
 		}
 	}
 	return out
@@ -310,6 +329,21 @@ func containsNode(list []transport.NodeID, id transport.NodeID) bool {
 		}
 	}
 	return false
+}
+
+// excluding returns to without from: to itself, not a copy, when from is not
+// in it.
+func excluding(to []transport.NodeID, from transport.NodeID) []transport.NodeID {
+	if !containsNode(to, from) {
+		return to
+	}
+	out := make([]transport.NodeID, 0, len(to)-1)
+	for _, dst := range to {
+		if dst != from {
+			out = append(out, dst)
+		}
+	}
+	return out
 }
 
 func (m *Membership) weightLocked(id transport.NodeID) float64 {
@@ -472,12 +506,7 @@ func (c *Comm) MulticastEach(ctx context.Context, from transport.NodeID, to []tr
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	dests := make([]transport.NodeID, 0, len(to))
-	for _, dst := range to {
-		if dst != from {
-			dests = append(dests, dst)
-		}
-	}
+	dests := excluding(to, from)
 	results := make([]Result, len(dests))
 	if len(dests) == 0 {
 		return results
@@ -555,6 +584,11 @@ type ThresholdCall struct {
 
 	results []Result
 	done    chan struct{}
+	cursor  atomic.Int32 // next destination index a send goroutine claims
+
+	mu       sync.Mutex
+	finished int            // sends that have written their result slot
+	onDone   func([]Result) // set by OnComplete while sends are in flight
 }
 
 // Wait blocks until every send of the round has completed — stragglers
@@ -563,6 +597,19 @@ type ThresholdCall struct {
 func (tc *ThresholdCall) Wait() []Result {
 	<-tc.done
 	return tc.results
+}
+
+// OnComplete runs fn with the full results once every send has completed: on
+// the last send's goroutine, or at once when the round has already drained.
+// It is Wait without a goroutine parked on it; one fn per call.
+func (tc *ThresholdCall) OnComplete(fn func([]Result)) {
+	tc.mu.Lock()
+	tc.onDone = fn
+	drained := tc.finished == len(tc.results)
+	tc.mu.Unlock()
+	if drained {
+		fn(tc.results)
+	}
 }
 
 // ErrThresholdShort reports a threshold multicast whose round completed with
@@ -579,16 +626,14 @@ var ErrThresholdShort = errors.New("group: threshold multicast fell short")
 // 0 the call still issues every send but returns immediately. A dead
 // context aborts destinations that have not been attempted yet, and the
 // call returns early with the context error once no outcome can change.
+//
+// to is not copied unless it contains from: the background sends read it
+// until Wait returns, so the caller must not modify it before then.
 func (c *Comm) MulticastThreshold(ctx context.Context, from transport.NodeID, to []transport.NodeID, kind string, payloadFor func(transport.NodeID) any, need int) *ThresholdCall {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	dests := make([]transport.NodeID, 0, len(to))
-	for _, dst := range to {
-		if dst != from {
-			dests = append(dests, dst)
-		}
-	}
+	dests := excluding(to, from)
 	tc := &ThresholdCall{
 		results: make([]Result, len(dests)),
 		done:    make(chan struct{}),
@@ -605,30 +650,39 @@ func (c *Comm) MulticastThreshold(ctx context.Context, from transport.NodeID, to
 	}
 	start := time.Now()
 	c.thresholdRounds.Inc()
-	// One goroutine per destination: each writes its own result slot and
-	// reports the outcome index on the completion channel. The foreground
-	// loop below is the only reader of result slots before tc.done closes,
-	// and it only reads slots whose index it received — the channel send
-	// orders the slot write before the read.
+	// One goroutine per destination, all running the round's one closure:
+	// each claims an index, writes that result slot and reports the index on
+	// the completion channel (buffered for every send, so none blocks). The
+	// foreground loop below is the only reader of result slots before tc.done
+	// closes, and it only reads slots whose index it received — the channel
+	// send orders the slot write before the read.
 	completions := make(chan int, len(dests))
-	var wg sync.WaitGroup
-	wg.Add(len(dests))
-	for i, dst := range dests {
-		go func(i int, dst transport.NodeID) {
-			defer wg.Done()
-			if err := ctx.Err(); err != nil {
-				tc.results[i] = Result{Node: dst, Err: fmt.Errorf("group: multicast to %s aborted: %w", dst, err)}
-			} else {
-				resp, err := c.net.Send(ctx, from, dst, kind, payloadFor(dst))
-				tc.results[i] = Result{Node: dst, Response: resp, Err: err}
+	send := func() {
+		i := int(tc.cursor.Add(1)) - 1
+		dst := dests[i]
+		if err := ctx.Err(); err != nil {
+			tc.results[i] = Result{Node: dst, Err: fmt.Errorf("group: multicast to %s aborted: %w", dst, err)}
+		} else {
+			resp, err := c.net.Send(ctx, from, dst, kind, payloadFor(dst))
+			tc.results[i] = Result{Node: dst, Response: resp, Err: err}
+		}
+		completions <- i
+		// The last send closes done; the mutex orders every result-slot write
+		// before that.
+		tc.mu.Lock()
+		tc.finished++
+		last, fn := tc.finished == len(dests), tc.onDone
+		tc.mu.Unlock()
+		if last {
+			close(tc.done)
+			if fn != nil {
+				fn(tc.results)
 			}
-			completions <- i
-		}(i, dst)
+		}
 	}
-	go func() {
-		wg.Wait()
-		close(tc.done)
-	}()
+	for range dests {
+		go send()
+	}
 
 	for tc.Completed < len(dests) {
 		// The threshold is reached, or can no longer be reached even if every

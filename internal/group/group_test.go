@@ -712,3 +712,181 @@ func TestMulticastThresholdCancelled(t *testing.T) {
 		t.Fatal("cancelled threshold multicast did not return")
 	}
 }
+
+// TestFilteredViewSharedSliceIsGuarded covers the fast path's aliasing rules:
+// a view that covers a sorted, duplicate-free set hands the caller's slice
+// back, cap-clamped, so appending to the result reallocates instead of
+// writing past the set; an unsorted or duplicated set, or a view that misses a
+// member, still gets the view-ordered intersection in a slice of its own.
+func TestFilteredViewSharedSliceIsGuarded(t *testing.T) {
+	net, gms := threeNodes(t)
+	backing := []transport.NodeID{"n1", "n3", "zz"}
+	set := backing[:2] // a spare element behind the set, as inside a larger array
+	v := gms.FilteredView("n1", set)
+	if len(v.Members) != 2 || cap(v.Members) != 2 || &v.Members[0] != &set[0] {
+		t.Fatalf("fast path: len %d cap %d shared %v, want the caller's slice with cap 2",
+			len(v.Members), cap(v.Members), &v.Members[0] == &set[0])
+	}
+	grown := append(v.Members, "n9")
+	grown[0] = "changed"
+	if backing[0] != "n1" || backing[1] != "n3" || backing[2] != "zz" {
+		t.Fatalf("append to a filtered view wrote into the caller's array: %v", backing)
+	}
+
+	for name, in := range map[string][]transport.NodeID{
+		"unsorted":   {"n3", "n1"},
+		"duplicated": {"n1", "n1", "n3"},
+	} {
+		got := gms.FilteredView("n1", in)
+		if want := (View{Members: []transport.NodeID{"n1", "n3"}}); !got.Equal(want) {
+			t.Errorf("%s set: %v, want members %v", name, got, want.Members)
+		}
+		if &got.Members[0] == &in[0] {
+			t.Errorf("%s set: result shares the caller's slice", name)
+		}
+	}
+	if got := gms.FilteredView("n1", nil); got.Members != nil {
+		t.Errorf("nil set: members %v, want nil", got.Members)
+	}
+
+	net.Partition([]transport.NodeID{"n1", "n2"}, []transport.NodeID{"n3"})
+	got := gms.FilteredView("n1", set)
+	if got.Size() != 1 || got.Members[0] != "n1" || &got.Members[0] == &set[0] {
+		t.Fatalf("degraded filtered view = %v (shared %v), want [n1] in its own slice", got, &got.Members[0] == &set[0])
+	}
+	if got := gms.FilteredView("n3", []transport.NodeID{"n1", "n2"}); got.Members != nil {
+		t.Errorf("empty intersection: members %v, want nil", got.Members)
+	}
+}
+
+// TestMulticastThresholdRoundTable drives one round per row — the sender
+// inside the destination list, every need from 0 to a full round, a failing
+// destination, a dead context — and checks what every row shares: results in
+// destination order without the sender, the caller's list untouched, Wait
+// returning only once every handler that was entered has returned, and the
+// OnComplete function running exactly once with the same results, whether it
+// is registered while sends are in flight or after the round drained.
+func TestMulticastThresholdRoundTable(t *testing.T) {
+	rows := []struct {
+		name      string
+		to        []transport.NodeID
+		need      int
+		cut       transport.NodeID // unreachable destination, "" for none
+		cancelled bool
+		wantAcks  int // successful results after Wait
+		wantErr   error
+	}{
+		{name: "sender inside to", to: []transport.NodeID{"n1", "n2", "n3", "n4"}, need: 2, wantAcks: 3},
+		{name: "sender last in to", to: []transport.NodeID{"n2", "n3", "n1"}, need: 2, wantAcks: 2},
+		{name: "need 0", to: []transport.NodeID{"n2", "n3", "n4"}, need: 0, wantAcks: 3},
+		{name: "need 1", to: []transport.NodeID{"n2", "n3", "n4"}, need: 1, wantAcks: 3},
+		{name: "need len", to: []transport.NodeID{"n2", "n3", "n4"}, need: 3, wantAcks: 3},
+		{name: "failing destination, quorum holds", to: []transport.NodeID{"n2", "n3", "n4"}, need: 2, cut: "n3", wantAcks: 2},
+		{name: "failing destination, full round short", to: []transport.NodeID{"n2", "n3", "n4"}, need: 3, cut: "n3", wantAcks: 2, wantErr: ErrThresholdShort},
+		{name: "cancelled context", to: []transport.NodeID{"n1", "n2", "n3", "n4"}, need: 2, cancelled: true, wantAcks: 0, wantErr: context.Canceled},
+	}
+	for _, row := range rows {
+		for _, late := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/late=%v", row.name, late), func(t *testing.T) {
+				net := fourNodes(t)
+				var entered, returned atomic.Int32
+				for _, id := range []transport.NodeID{"n2", "n3", "n4"} {
+					id := id
+					if err := net.Handle(id, "update", func(transport.NodeID, any) (any, error) {
+						entered.Add(1)
+						time.Sleep(time.Duration(id[1]-'0') * time.Millisecond) // n4 is the straggler
+						returned.Add(1)
+						return string(id) + "-ack", nil
+					}); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if row.cut != "" {
+					net.Crash(row.cut)
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				if row.cancelled {
+					cancel()
+				}
+				to := append([]transport.NodeID(nil), row.to...)
+				var want []transport.NodeID
+				for _, id := range row.to {
+					if id != "n1" {
+						want = append(want, id)
+					}
+				}
+
+				call := NewComm(net).MulticastThreshold(ctx, "n1", to, "update",
+					func(dst transport.NodeID) any { return "for-" + string(dst) }, row.need)
+				if !errors.Is(call.Err, row.wantErr) {
+					t.Fatalf("Err = %v, want %v", call.Err, row.wantErr)
+				}
+				if row.wantErr == nil && call.Acked < row.need {
+					t.Fatalf("returned with %d acks, need %d", call.Acked, row.need)
+				}
+				var calls atomic.Int32
+				notified := make(chan []Result, 2)
+				register := func() {
+					call.OnComplete(func(rs []Result) {
+						calls.Add(1)
+						if e, r := entered.Load(), returned.Load(); e != r {
+							t.Errorf("OnComplete ran with %d handlers entered, %d returned", e, r)
+						}
+						notified <- rs
+					})
+				}
+				if !late {
+					register()
+				}
+				results := call.Wait()
+				if e, r := entered.Load(), returned.Load(); e != r {
+					t.Fatalf("Wait returned with %d handlers entered, %d returned", e, r)
+				}
+				if late {
+					register()
+				}
+				select {
+				case rs := <-notified:
+					if len(rs) != len(results) || (len(rs) > 0 && &rs[0] != &results[0]) {
+						t.Fatalf("OnComplete results differ from Wait's")
+					}
+				case <-time.After(time.Second):
+					t.Fatal("OnComplete function never ran")
+				}
+				if len(results) != len(want) {
+					t.Fatalf("results = %d, want %d", len(results), len(want))
+				}
+				acks := 0
+				for i, r := range results {
+					if r.Node != want[i] {
+						t.Fatalf("results[%d] = %s, want %s (destination order)", i, r.Node, want[i])
+					}
+					switch {
+					case r.Err == nil:
+						acks++
+						if r.Response != string(r.Node)+"-ack" {
+							t.Errorf("response for %s = %v", r.Node, r.Response)
+						}
+					case row.cancelled && !errors.Is(r.Err, context.Canceled):
+						t.Errorf("result for %s: %v, want the context error", r.Node, r.Err)
+					case !row.cancelled && r.Node != row.cut:
+						t.Errorf("result for %s: %v", r.Node, r.Err)
+					}
+				}
+				if acks != row.wantAcks {
+					t.Fatalf("acks after Wait = %d, want %d", acks, row.wantAcks)
+				}
+				for i := range row.to {
+					if to[i] != row.to[i] {
+						t.Fatalf("destination list modified: %v, want %v", to, row.to)
+					}
+				}
+				time.Sleep(2 * time.Millisecond)
+				if n := calls.Load(); n != 1 {
+					t.Fatalf("OnComplete function ran %d times, want 1", n)
+				}
+			})
+		}
+	}
+}

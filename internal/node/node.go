@@ -191,7 +191,9 @@ func (c *cmpResource) Commit(t *tx.Tx) error {
 		if err != nil {
 			continue // deleted concurrently; nothing to persist
 		}
-		if err := c.store.Put(cmpTable, string(id), e.Snapshot()); err != nil && firstErr == nil {
+		// The entity encodes its own attributes: the transaction still holds
+		// its lock, so no snapshot is needed just to feed the encoder.
+		if err := c.store.Put(cmpTable, string(id), e); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}

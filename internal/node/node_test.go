@@ -1,6 +1,7 @@
 package node
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"testing"
@@ -548,5 +549,54 @@ func TestCaptureAffectedStateWithThreat(t *testing.T) {
 	// The snapshot records the state at threat time (77 sold).
 	if st["sold"].(int64) != 77 {
 		t.Fatalf("captured sold = %v", st["sold"])
+	}
+}
+
+// TestCommitStoresEntityAndVectorBytes reads back what one replicated write
+// leaves in the store. The entities record is written from the live entity and
+// the replica-meta record by the version vector's own encoder; both must hold
+// exactly the bytes json.Marshal produces for a snapshot and for the plain
+// map, HTML escaping included, and must still decode.
+func TestCommitStoresEntityAndVectorBytes(t *testing.T) {
+	c := newFlightCluster(t, 3)
+	n1 := c.Node(0)
+	state := object.State{"seats": int64(80), "sold": int64(0), "route": "VIE<->GRZ & back", "crew": []string{"a", "b"}}
+	if err := n1.Create("Flight", "f1", state, c.AllReplicas(n1.ID)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n1.Invoke("f1", "SellTickets", int64(3)); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range c.Nodes {
+		e, err := n.Registry.Get("f1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		vv, err := n.Repl.VersionVector("f1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantMeta, _ := json.Marshal(map[transport.NodeID]int64(vv))
+		var raw json.RawMessage
+		if err := n.Store.Get("replica-meta", "f1", &raw); err != nil {
+			t.Fatal(err)
+		}
+		if string(raw) != string(wantMeta) {
+			t.Errorf("%s replica-meta/f1 = %s, want %s", n.ID, raw, wantMeta)
+		}
+		if n != n1 {
+			continue // CMP persists at the coordinator
+		}
+		wantEntity, _ := json.Marshal(e.Snapshot())
+		if err := n.Store.Get(cmpTable, "f1", &raw); err != nil {
+			t.Fatal(err)
+		}
+		if string(raw) != string(wantEntity) {
+			t.Errorf("entities/f1 = %s, want %s", raw, wantEntity)
+		}
+		var back object.State
+		if err := n.Store.Get(cmpTable, "f1", &back); err != nil || back["sold"] != float64(3) {
+			t.Errorf("decoded entity = %v, %v", back, err)
+		}
 	}
 }

@@ -74,9 +74,18 @@ func NewStore(opts ...Option) *Store {
 	return s
 }
 
-// Put stores the JSON encoding of v under (table, key).
+// Put stores the JSON encoding of v under (table, key). A record type that
+// encodes itself (json.Marshaler) is stored as it returns, skipping
+// json.Marshal's reflection and its re-scan of the result, so its MarshalJSON
+// must return exactly what json.Marshal would store: compact and HTML-escaped.
 func (s *Store) Put(table, key string, v any) error {
-	data, err := json.Marshal(v)
+	var data []byte
+	var err error
+	if m, ok := v.(json.Marshaler); ok {
+		data, err = m.MarshalJSON()
+	} else {
+		data, err = json.Marshal(v)
+	}
 	if err != nil {
 		return fmt.Errorf("persistence: encode %s/%s: %w", table, key, err)
 	}

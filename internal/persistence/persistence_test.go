@@ -1,6 +1,7 @@
 package persistence
 
 import (
+	"encoding/json"
 	"errors"
 	"sync"
 	"testing"
@@ -139,5 +140,39 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// selfEncoded is a record type that encodes itself.
+type selfEncoded struct {
+	json string
+	err  error
+}
+
+func (s selfEncoded) MarshalJSON() ([]byte, error) { return []byte(s.json), s.err }
+
+// TestPutStoresSelfEncodedRecordsAsReturned covers the store's fast path: a
+// json.Marshaler's bytes are stored as they are, and its error fails the Put
+// without writing or counting anything.
+func TestPutStoresSelfEncodedRecordsAsReturned(t *testing.T) {
+	s := NewStore()
+	if err := s.Put("t", "k", selfEncoded{json: `{"name":"n","count":2}`}); err != nil {
+		t.Fatal(err)
+	}
+	var raw json.RawMessage
+	if err := s.Get("t", "k", &raw); err != nil || string(raw) != `{"name":"n","count":2}` {
+		t.Fatalf("stored %s, %v", raw, err)
+	}
+	var out record
+	if err := s.Get("t", "k", &out); err != nil || out != (record{Name: "n", Count: 2}) {
+		t.Fatalf("decoded %+v, %v", out, err)
+	}
+	boom := errors.New("boom")
+	writes := s.Stats().Writes
+	if err := s.Put("t", "bad", selfEncoded{err: boom}); !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want it to wrap %v", err, boom)
+	}
+	if s.Has("t", "bad") || s.Stats().Writes != writes {
+		t.Fatal("failed Put left a record or counted a write")
 	}
 }

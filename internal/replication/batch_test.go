@@ -2,6 +2,7 @@ package replication
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -379,5 +380,114 @@ func TestPropagationErrorMetricCountsSendFailures(t *testing.T) {
 		if e, _ := h.node("n3").reg.Get("f1"); e.GetInt("sold") != 0 {
 			t.Fatalf("sequential=%v: dropped replica = %d, want 0", sequential, e.GetInt("sold"))
 		}
+	}
+}
+
+// dump renders everything handleBatch can change on a node — the replica
+// table, the tombstones and the raw stored bytes of every replica-meta
+// record — in a fixed order, for comparison against a recorded text.
+func (env *nodeEnv) dump(t *testing.T) string {
+	t.Helper()
+	var b strings.Builder
+	for _, rec := range env.mgr.Records() {
+		st, _ := json.Marshal(rec.State)
+		vv, _ := json.Marshal(map[transport.NodeID]int64(rec.VV))
+		fmt.Fprintf(&b, "replica %s %s v%d %s %s home=%s %v registry=%v\n",
+			rec.ID, rec.Class, rec.Version, st, vv, rec.Info.Home, rec.Info.Replicas, env.reg.Has(rec.ID))
+	}
+	env.mgr.mu.Lock()
+	var dead []string
+	for id, vv := range env.mgr.tombstones {
+		enc, _ := json.Marshal(map[transport.NodeID]int64(vv))
+		dead = append(dead, fmt.Sprintf("tombstone %s %s\n", id, enc))
+	}
+	env.mgr.mu.Unlock()
+	sort.Strings(dead)
+	b.WriteString(strings.Join(dead, ""))
+	for _, key := range env.store.Keys(tableReplicaMeta) {
+		var raw json.RawMessage
+		if err := env.store.Get(tableReplicaMeta, key, &raw); err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&b, "store %s %s\n", key, raw)
+	}
+	return b.String()
+}
+
+// TestBatchMixedEffectsMatchRecorded delivers one batch holding every effect
+// handleBatch knows — create of a new object, create of a known one (merge),
+// an accepted apply, an apply for an unknown object and a stale one (both
+// skipped), a delete of a known and of an unknown object — and, before it, a
+// batch with a malformed kind. The replica table, tombstones, stored bytes,
+// ack and error texts are the ones recorded from the closure-based handler
+// before the effects became value records.
+func TestBatchMixedEffectsMatchRecorded(t *testing.T) {
+	h := newHarness(t, 2, PrimaryPerPartition{})
+	dst := h.node("n2")
+	info := Info{Home: "n1", Replicas: h.ids}
+	create := func(id object.ID, sold, version int64, vv VersionVector) batchOp {
+		return batchOp{Kind: msgCreate, Create: createMsg{ID: id, Class: "Flight", State: object.State{"sold": sold}, Version: version, VV: vv, Info: info}}
+	}
+	apply := func(id object.ID, sold, version int64, vv VersionVector) batchOp {
+		return batchOp{Kind: msgApply, Apply: applyMsg{ID: id, State: object.State{"sold": sold, "tag": "x<y"}, Version: version, VV: vv}}
+	}
+	setup := batchMsg{Ops: []batchOp{
+		create("a", 1, 1, VersionVector{"n1": 1}),
+		create("b", 2, 1, VersionVector{"n1": 1}),
+		create("c", 3, 4, VersionVector{"n1": 2, "n2": 2}),
+		create("outside", 4, 1, VersionVector{"n1": 1}),
+	}}
+	setup.Ops[3].Create.Info = Info{Home: "n1", Replicas: []transport.NodeID{"n1"}}
+	if resp, err := dst.mgr.handleBatch("n1", setup); err != nil || resp != "ack 4 applied 0 skipped" {
+		t.Fatalf("setup: %v, %v", resp, err)
+	}
+	before := dst.dump(t)
+
+	bad := batchMsg{Ops: []batchOp{
+		apply("b", 9, 9, VersionVector{"n1": 9}),
+		{Kind: "repl.bogus", Delete: deleteMsg{ID: "zz"}},
+	}}
+	_, err := dst.mgr.handleBatch("n1", bad)
+	if err == nil || err.Error() != `replication: bad batch op kind "repl.bogus" for zz` {
+		t.Fatalf("malformed batch: %v", err)
+	}
+	if after := dst.dump(t); after != before {
+		t.Fatalf("malformed batch changed state:\n%s\nwas:\n%s", after, before)
+	}
+
+	mixed := batchMsg{Ops: []batchOp{
+		create("d", 5, 1, VersionVector{"n1": 1}),
+		create("a", 11, 3, VersionVector{"n1": 2, "n3": 1}),
+		apply("b", 12, 2, VersionVector{"n1": 2}),
+		apply("ghost", 13, 2, VersionVector{"n1": 2}),
+		apply("c", 14, 5, VersionVector{"n1": 2, "n2": 2}),
+		{Kind: msgDelete, Delete: deleteMsg{ID: "c", VV: VersionVector{"n1": 3, "n2": 2}}},
+		{Kind: msgDelete, Delete: deleteMsg{ID: "never", VV: VersionVector{"n1": 1}}},
+		apply("outside", 15, 2, VersionVector{"n1": 2}),
+	}}
+	resp, err := dst.mgr.handleBatch("n1", mixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp != "ack 6 applied 2 skipped" {
+		t.Errorf("ack = %q", resp)
+	}
+	const recorded = `replica a Flight v3 {"sold":11} {"n1":2,"n3":1} home=n1 [n1 n2] registry=true
+replica b Flight v2 {"sold":12,"tag":"x\u003cy"} {"n1":2} home=n1 [n1 n2] registry=true
+replica d Flight v1 {"sold":5} {"n1":1} home=n1 [n1 n2] registry=true
+replica outside  v0 null {"n1":2} home=n1 [n1] registry=false
+tombstone c {"n1":3,"n2":2}
+tombstone never {"n1":1}
+store a {"n1":1}
+store b {"n1":2}
+store d {"n1":1}
+store outside {"n1":2}
+`
+	if got := dst.dump(t); got != recorded {
+		t.Errorf("state after the mixed batch:\n%s\nrecorded:\n%s", got, recorded)
+	}
+	// The payload is shared with the sender's other destinations: read-only.
+	if mixed.Ops[2].Apply.State["sold"] != int64(12) || len(mixed.Ops[1].Create.VV) != 2 {
+		t.Error("handleBatch modified its payload")
 	}
 }

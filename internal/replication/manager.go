@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 
 	"dedisys/internal/constraint"
@@ -784,37 +786,49 @@ func (m *Manager) commitBatched(ctx context.Context, ch *txChanges, view group.V
 	if len(staged) == 0 {
 		return errors.Join(errs...)
 	}
-	// The per-destination replica sets are computed once: each destination
-	// receives one message holding only the ops whose objects it replicates
-	// (deletes address every view member under full replication, the
-	// ring-derived replica group under sharded placement). The map is
-	// allocated only when a remote destination exists — a commit whose
-	// replicas are all local (single-node, or the coordinator is the only
-	// reachable replica) skips the multicast machinery entirely.
-	var perDest map[transport.NodeID][]batchOp
+	// Each remote destination receives one message holding only the ops whose
+	// objects it replicates (deletes address every view member under full
+	// replication, the ring-derived replica group under sharded placement).
+	// The batches are contiguous runs of one backing array, in sorted
+	// destination order; nothing writes to either after this block. A commit
+	// whose replicas are all local (single-node, or the coordinator is the
+	// only reachable replica) skips the multicast machinery entirely.
 	var dests []transport.NodeID
+	total := 0
 	for _, s := range staged {
 		for _, d := range s.dests {
 			if d == m.self {
 				continue
 			}
-			if perDest == nil {
-				perDest = make(map[transport.NodeID][]batchOp)
-			}
-			if _, seen := perDest[d]; !seen {
+			total++
+			if !slices.Contains(dests, d) {
+				if dests == nil {
+					dests = make([]transport.NodeID, 0, len(s.dests))
+				}
 				dests = append(dests, d)
 			}
-			perDest[d] = append(perDest[d], s.op)
 		}
 	}
-	if perDest == nil {
+	if dests == nil {
 		return errors.Join(errs...)
 	}
-	sort.Slice(dests, func(i, j int) bool { return dests[i] < dests[j] })
+	slices.Sort(dests)
+	batches := make([]batchMsg, len(dests))
+	ops := make([]batchOp, 0, total)
+	for i, d := range dests {
+		first := len(ops)
+		for _, s := range staged {
+			if slices.Contains(s.dests, d) {
+				ops = append(ops, s.op)
+			}
+		}
+		batches[i].Ops = ops[first:len(ops):len(ops)]
+	}
 	m.batchRounds.Inc()
 	m.batchSize.Add(int64(len(staged)))
 	payloadFor := func(dst transport.NodeID) any {
-		return batchMsg{Ops: perDest[dst]}
+		i, _ := slices.BinarySearch(dests, dst)
+		return batches[i]
 	}
 	if tp, isThreshold := m.protocol.(ThresholdPolicy); isThreshold {
 		// Threshold commit: the round returns once the strictest quorum over
@@ -840,12 +854,13 @@ func (m *Manager) commitBatched(ctx context.Context, ch *txChanges, view group.V
 			errs = append(errs, fmt.Errorf("replication: quorum commit: %w", call.Err))
 		}
 		// Straggler sends complete in the background; their failures stay
-		// visible through the metric once the round fully drains.
+		// visible through the metric once the round fully drains. The last
+		// send to finish does the joining, so no goroutine parks on the round.
 		m.propagation.Add(1)
-		go func() {
-			defer m.propagation.Done()
-			m.countSendFailures(call.Wait())
-		}()
+		call.OnComplete(func(results []group.Result) {
+			m.countSendFailures(results)
+			m.propagation.Done()
+		})
 		return errors.Join(errs...)
 	}
 	for _, res := range m.comm.MulticastEach(ctx, m.self, dests, msgBatch, payloadFor) {
@@ -1076,7 +1091,7 @@ func (m *Manager) recordHistory(id object.ID, st object.State, version int64, vv
 		rs.history = append(rs.history, entry)
 	}
 	m.mu.Unlock()
-	_ = m.store.Put(tableHistory, fmt.Sprintf("%s#%d", id, version), entry)
+	_ = m.store.Put(tableHistory, string(id)+"#"+strconv.FormatInt(version, 10), entry)
 }
 
 // PropagateState force-propagates the current local replica state to all
@@ -1203,86 +1218,108 @@ func (m *Manager) handleBatch(from transport.NodeID, payload any) (any, error) {
 	if !ok {
 		return nil, fmt.Errorf("replication: bad batch payload %T", payload)
 	}
-	for _, op := range b.Ops {
-		switch op.Kind {
+	for i := range b.Ops {
+		switch op := &b.Ops[i]; op.Kind {
 		case msgCreate, msgApply, msgDelete:
 		default:
 			return nil, fmt.Errorf("replication: bad batch op kind %q for %s", op.Kind, op.id())
 		}
 	}
-	var effects []func() error
+	// One deferred-effect code per op, decided under the lock and run after
+	// it; a write's batch fits the stack-backed array.
+	var buf [8]uint8
+	effects := buf[:0]
 	applied, skipped := 0, 0
 	m.mu.Lock()
-	for _, op := range b.Ops {
-		switch op.Kind {
+	for i := range b.Ops {
+		do := fxNone
+		switch op := &b.Ops[i]; op.Kind {
 		case msgCreate:
-			msg := op.Create
+			msg := &op.Create
 			if existing, known := m.meta[msg.ID]; known {
 				existing.vv.Merge(msg.VV)
-				effects = append(effects, func() error {
-					m.applyState(msg.ID, msg.State, msg.Version)
-					return nil
-				})
+				do = fxMerge
 			} else {
 				m.meta[msg.ID] = &replicaState{info: msg.Info, vv: msg.VV.Clone()}
 				delete(m.tombstones, msg.ID)
-				effects = append(effects, func() error {
-					if msg.Info.HasReplica(m.self) {
-						e := object.New(msg.Class, msg.ID, nil)
-						e.Restore(msg.State, msg.Version)
-						if err := m.registry.Add(e); err != nil {
-							return fmt.Errorf("replication: batch create: %w", err)
-						}
-					}
-					return m.store.Put(tableReplicaMeta, string(msg.ID), msg.VV)
-				})
+				do = fxCreate
 			}
 			applied++
 		case msgApply:
-			msg := op.Apply
+			msg := &op.Apply
 			rs, known := m.meta[msg.ID]
 			if !known {
 				skipped++ // missed the create; reconciliation catches up
-				continue
+				break
 			}
 			cmp, comparable := msg.VV.Compare(rs.vv)
 			if !comparable || cmp <= 0 {
 				skipped++ // duplicate, older or concurrent: ignore (idempotence)
-				continue
+				break
 			}
 			rs.vv = msg.VV.Clone()
-			effects = append(effects, func() error {
-				m.applyState(msg.ID, msg.State, msg.Version)
-				m.observe(msg.ID)
-				return m.store.Put(tableReplicaMeta, string(msg.ID), msg.VV)
-			})
+			do = fxApply
 			applied++
 		case msgDelete:
-			msg := op.Delete
-			_, known := m.meta[msg.ID]
+			msg := &op.Delete
+			if _, known := m.meta[msg.ID]; known {
+				do = fxDelete
+			}
 			delete(m.meta, msg.ID)
 			m.tombstones[msg.ID] = msg.VV.Clone()
-			if known {
-				effects = append(effects, func() error {
-					_ = m.registry.Remove(msg.ID)
-					m.store.Delete(tableReplicaMeta, string(msg.ID))
-					return nil
-				})
-			}
 			applied++
 		}
+		effects = append(effects, do)
 	}
 	m.mu.Unlock()
 	var errs []error
-	for _, fx := range effects {
-		if err := fx(); err != nil {
+	for i, do := range effects {
+		if err := m.runEffect(do, &b.Ops[i]); err != nil {
 			errs = append(errs, err)
 		}
 	}
 	if err := errors.Join(errs...); err != nil {
 		return nil, err
 	}
-	return fmt.Sprintf("ack %d applied %d skipped", applied, skipped), nil
+	return "ack " + strconv.Itoa(applied) + " applied " + strconv.Itoa(skipped) + " skipped", nil
+}
+
+// The deferred effects of handleBatch.
+const (
+	fxNone   uint8 = iota
+	fxMerge        // create of a known object: install the shipped state
+	fxCreate       // create of a new object: add the entity, persist its vector
+	fxApply        // accepted apply: install the state, persist its vector
+	fxDelete       // delete of a known object: drop entity and metadata
+)
+
+// runEffect performs the entity-state and persistence part of one batch op,
+// outside the replica lock. The op is shared with the sender's other
+// destinations and only read.
+func (m *Manager) runEffect(do uint8, op *batchOp) error {
+	switch do {
+	case fxMerge:
+		m.applyState(op.Create.ID, op.Create.State, op.Create.Version)
+	case fxCreate:
+		msg := &op.Create
+		if msg.Info.HasReplica(m.self) {
+			e := object.New(msg.Class, msg.ID, nil)
+			e.Restore(msg.State, msg.Version)
+			if err := m.registry.Add(e); err != nil {
+				return fmt.Errorf("replication: batch create: %w", err)
+			}
+		}
+		return m.store.Put(tableReplicaMeta, string(msg.ID), msg.VV)
+	case fxApply:
+		msg := &op.Apply
+		m.applyState(msg.ID, msg.State, msg.Version)
+		m.observe(msg.ID)
+		return m.store.Put(tableReplicaMeta, string(msg.ID), msg.VV)
+	case fxDelete:
+		_ = m.registry.Remove(op.Delete.ID)
+		m.store.Delete(tableReplicaMeta, string(op.Delete.ID))
+	}
+	return nil
 }
 
 func (m *Manager) handleFetch(from transport.NodeID, payload any) (any, error) {

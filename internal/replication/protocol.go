@@ -24,9 +24,13 @@
 package replication
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	"dedisys/internal/group"
 	"dedisys/internal/object"
@@ -107,6 +111,9 @@ func (i Info) reachableReplicas(view group.View) []transport.NodeID {
 	var out []transport.NodeID
 	for _, r := range i.Replicas {
 		if view.Contains(r) {
+			if out == nil {
+				out = make([]transport.NodeID, 0, len(i.Replicas)-1)
+			}
 			out = append(out, r)
 		}
 	}
@@ -388,6 +395,42 @@ func (v VersionVector) Clone() VersionVector {
 		out[k] = n
 	}
 	return out
+}
+
+// MarshalJSON encodes the vector byte for byte as encoding/json encodes the
+// underlying map (keys in byte order, its string escaping) without the
+// reflection: replica metadata is three of the four store writes of a
+// replicated commit.
+func (v VersionVector) MarshalJSON() ([]byte, error) {
+	if v == nil {
+		return []byte("null"), nil
+	}
+	keys := make([]transport.NodeID, 0, 8)
+	for k := range v {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	out := append(make([]byte, 0, 2+32*len(keys)), '{')
+	for i, k := range keys {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		if strings.IndexFunc(string(k), jsonEscapes) < 0 {
+			out = append(append(append(out, '"'), k...), '"')
+		} else if q, err := json.Marshal(string(k)); err == nil {
+			out = append(out, q...) // rare: escaped the way map keys are
+		} else {
+			return nil, err
+		}
+		out = strconv.AppendInt(append(out, ':'), v[k], 10)
+	}
+	return append(out, '}'), nil
+}
+
+// jsonEscapes reports a rune encoding/json does not copy into a string as is:
+// anything but printable ASCII, the quote, the backslash, and <, >, &.
+func jsonEscapes(r rune) bool {
+	return r < 0x20 || r >= 0x7f || strings.ContainsRune(`"\<>&`, r)
 }
 
 // Bump increments the component of the coordinating node.

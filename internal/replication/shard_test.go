@@ -306,3 +306,68 @@ func TestShardedReconcileFiltersByGroup(t *testing.T) {
 		t.Fatalf("foreign peer registry changed: %d -> %d", before, after)
 	}
 }
+
+// TestSharedReplicaSlicesAreGuarded pins the sharing rules of the write path:
+// in the healthy steady state viewFor and reachableReplicas hand out the
+// object's own replica slice, so whatever a caller does to the result — append
+// to it, overwrite the appended copy — must leave Info.Replicas as recorded,
+// and a commit after the abuse must still reach the whole group.
+func TestSharedReplicaSlicesAreGuarded(t *testing.T) {
+	ring, _ := shardRing(t, 6, 2, 3)
+	h := newHarness(t, 6, PrimaryPerPartition{}, func(cfg *Config) { cfg.Placement = ring })
+	oid := idInGroup(t, ring, 0)
+	_, replicas := ring.Place(oid)
+	home := replicas[0]
+	h.create(t, home, "Flight", oid, object.State{"sold": int64(1)})
+	mgr := h.node(home).mgr
+	info, err := mgr.Info(oid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]transport.NodeID(nil), info.Replicas...)
+
+	view := mgr.viewFor(info)
+	if len(view.Members) != len(want) || cap(view.Members) != len(want) {
+		t.Fatalf("filtered view members len %d cap %d, want both %d", len(view.Members), cap(view.Members), len(want))
+	}
+	reach := info.reachableReplicas(view)
+	if cap(reach) != len(want) {
+		t.Fatalf("reachable replicas cap %d, want %d", cap(reach), len(want))
+	}
+	for _, shared := range [][]transport.NodeID{view.Members, reach} {
+		grown := append(shared, "intruder")
+		grown[0] = "overwritten"
+	}
+	again, _ := mgr.Info(oid)
+	if !reflect.DeepEqual(again.Replicas, want) {
+		t.Fatalf("replicas after appending to shared views = %v, want %v", again.Replicas, want)
+	}
+
+	h.write(t, home, oid, "sold", int64(2))
+	for _, r := range want {
+		e, err := h.node(r).reg.Get(oid)
+		if err != nil {
+			t.Fatalf("%s: %v", r, err)
+		}
+		if e.GetInt("sold") != 2 {
+			t.Fatalf("%s: sold = %d, want 2", r, e.GetInt("sold"))
+		}
+	}
+
+	// Degraded: the slow paths build their own slices, sized for the result.
+	var rest []transport.NodeID
+	for _, id := range h.ids {
+		if id != want[len(want)-1] {
+			rest = append(rest, id)
+		}
+	}
+	h.net.Partition(rest, want[len(want)-1:])
+	view = mgr.viewFor(info)
+	reach = info.reachableReplicas(view)
+	if !reflect.DeepEqual(reach, want[:len(want)-1]) || !reflect.DeepEqual(view.Members, reach) {
+		t.Fatalf("degraded view %v, reachable %v, want %v", view.Members, reach, want[:len(want)-1])
+	}
+	if &reach[0] == &info.Replicas[0] || &view.Members[0] == &info.Replicas[0] {
+		t.Fatal("degraded result shares the replica slice")
+	}
+}

@@ -1,11 +1,16 @@
 package replication
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 	"testing/quick"
 
+	"dedisys/internal/persistence"
 	"dedisys/internal/transport"
 )
 
@@ -121,5 +126,67 @@ func TestQuickCompareConsistentWithTotals(t *testing.T) {
 	}
 	if err := quick.Check(f, vvConfig()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestVersionVectorJSONMatchesEncodingJSON holds the hand-written encoder to
+// encoding/json's output for the underlying map, byte for byte — the stored
+// replica-meta records must not change — directly, through the store's
+// self-encoding path, and embedded in a struct; and the store must decode
+// what it stored.
+func TestVersionVectorJSONMatchesEncodingJSON(t *testing.T) {
+	nine := VersionVector{}
+	for i := 0; i < 9; i++ {
+		nine[transport.NodeID(fmt.Sprintf("n%d", 9-i))] = int64(i) * 1_000_000_007
+	}
+	cases := map[string]VersionVector{
+		"nil":      nil,
+		"empty":    {},
+		"one":      {"n1": 1},
+		"three":    {"n3": 3, "n1": -1, "n2": math.MaxInt64},
+		"nine":     nine,
+		"escaping": {`q"uote`: 1, `back\slash`: 2, "<lt": 3, "gt>": 4, "a&b": 5, "ünï": 6, "\x00\x1f\n\t\b\f\r": 7, "  ": 8, "bad\xffutf8": 9, "\x7f": 10, "": 11},
+	}
+	store := persistence.NewStore()
+	for name, vv := range cases {
+		want, err := json.Marshal(map[transport.NodeID]int64(vv))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := vv.MarshalJSON()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: MarshalJSON\n got %s\nwant %s", name, got, want)
+		}
+		if err := store.Put("t", name, vv); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var raw json.RawMessage
+		if err := store.Get("t", name, &raw); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(raw, want) {
+			t.Errorf("%s: stored\n got %s\nwant %s", name, raw, want)
+		}
+		var back VersionVector
+		if err := store.Get("t", name, &back); err != nil {
+			t.Fatalf("%s: decode: %v", name, err)
+		}
+		// Invalid UTF-8 in a key does not survive any JSON round trip.
+		if name != "escaping" && !reflect.DeepEqual(back, vv) {
+			t.Errorf("%s: decoded %v, want %v", name, back, vv)
+		}
+		if name == "escaping" && len(back) != len(vv) {
+			t.Errorf("%s: decoded %d entries, want %d", name, len(back), len(vv))
+		}
+		entry, err := json.Marshal(HistoryEntry{Version: 7, VV: vv})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantEntry := fmt.Sprintf(`{"state":null,"version":7,"vv":%s}`, want); string(entry) != wantEntry {
+			t.Errorf("%s: embedded\n got %s\nwant %s", name, entry, wantEntry)
+		}
 	}
 }
