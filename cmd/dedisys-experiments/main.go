@@ -42,7 +42,6 @@ func run(args []string) error {
 		storeCost      = fs.Duration("storecost", -1, "simulated per-write database cost (default 80µs)")
 		hbInterval     = fs.Duration("heartbeat-interval", 0, "exp-detect: failure detector heartbeat period (default 5ms)")
 		suspectTimeout = fs.Duration("suspect-timeout", 0, "exp-detect: fixed-timeout silence tolerance (default 5 intervals)")
-		batchProp      = fs.Bool("batch-propagation", true, "batch commit propagation into one multicast round per transaction (false: one round per object)")
 		protocol       = fs.String("protocol", "", "replica-control protocol for every experiment cluster: P4, primary-backup, primary-partition, adaptive-voting or quorum")
 		quorumK        = fs.Int("quorum-threshold", 0, "acks (incl. the coordinator) a quorum commit waits for; 0 = strict majority (requires -protocol=quorum)")
 		groups         = fs.Int("groups", 0, "exp-shard: replica-group count for the sharded cases (0 = its defaults, G=2 and G=4)")
@@ -95,7 +94,6 @@ func run(args []string) error {
 	if *suspectTimeout > 0 {
 		cfg.SuspectTimeout = *suspectTimeout
 	}
-	cfg.SequentialPropagation = !*batchProp
 	if *protocol != "" || *quorumK != 0 {
 		if *quorumK != 0 && *protocol != "quorum" && *protocol != "q" {
 			return fmt.Errorf("-quorum-threshold requires -protocol=quorum")

@@ -62,7 +62,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	detector := fs.String("detector", "", "drive membership from heartbeat failure detection: fixed or phi")
 	hbInterval := fs.Duration("heartbeat-interval", 0, "failure detector heartbeat period (default 10ms)")
 	suspectTimeout := fs.Duration("suspect-timeout", 0, "silence tolerance before suspecting a peer (default 5 intervals)")
-	batchProp := fs.Bool("batch-propagation", true, "batch commit propagation into one multicast round per transaction (false: one round per object)")
 	protocol := fs.String("protocol", "", "default replica-control protocol for 'cluster' commands: P4, primary-backup, primary-partition, adaptive-voting or quorum")
 	quorumThreshold := fs.Int("quorum-threshold", 0, "acks (incl. the coordinator) a quorum commit waits for; 0 = strict majority (requires -protocol=quorum)")
 	groups := fs.Int("groups", 0, "shard the object space across this many replica groups (0 = full replication)")
@@ -111,7 +110,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 	eng := script.New(stdout)
 	eng.Detect = detectCfg
-	eng.SequentialPropagation = !*batchProp
 	eng.Protocol = proto
 	eng.Groups = *groups
 	eng.ReplicationFactor = *rf

@@ -39,7 +39,6 @@ func runAblProtocols(cfg Config) (*Result, error) {
 			o.Protocol = proto
 			o.ThreatPolicy = threat.IdenticalOnce
 			o.StoreCost = persistence.CostModel{PerWrite: cfg.StoreCost}
-			o.SequentialPropagation = cfg.SequentialPropagation
 			o.Obs = cfg.Obs
 		})
 		if err != nil {
@@ -103,7 +102,6 @@ func runAblIntra(cfg Config) (*Result, error) {
 			o.RepoCache = true
 			o.ThreatPolicy = threat.FullHistory
 			o.StoreCost = persistence.CostModel{PerWrite: cfg.StoreCost}
-			o.SequentialPropagation = cfg.SequentialPropagation
 			o.Obs = cfg.Obs
 		})
 		if err != nil {

@@ -34,9 +34,6 @@ type Config struct {
 	// SuspectTimeout is the fixed-timeout silence tolerance for the detector
 	// experiment (0 uses the detector default of 5 intervals).
 	SuspectTimeout time.Duration
-	// SequentialPropagation disables transaction-batched commit propagation
-	// in every cluster the experiments build (-batch-propagation=false).
-	SequentialPropagation bool
 	// Protocol selects the replica-control protocol for every cluster the
 	// experiments build ("" keeps the P4 default; experiments that compare
 	// protocols override it per case). See replication.ProtocolByName.

@@ -120,7 +120,6 @@ func newBenchCluster(cfg Config, o clusterOpts, threatType constraint.Type) (*no
 		opt.KeepHistory = o.keepHistory
 		opt.ThreatPolicy = o.threatPolicy
 		opt.StoreCost = persistence.CostModel{PerWrite: cfg.StoreCost}
-		opt.SequentialPropagation = cfg.SequentialPropagation
 		opt.Obs = cfg.Obs
 		opt.Gossip = o.gossip
 		if o.lockTimeout > 0 {

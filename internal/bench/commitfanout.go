@@ -11,13 +11,13 @@ import (
 	"dedisys/internal/obs"
 )
 
-// Commit fan-out experiment: a transaction that dirtied K objects pays K
-// multicast rounds of simulated network time with per-object propagation,
-// but only one round when the commit ships a single batch per destination.
-// This experiment measures both modes over the same workload and reports
-// the wall-clock per commit, the commit-time multicast rounds (the
-// deterministic cost-model view, independent of host jitter) and the
-// resulting speedup.
+// Commit fan-out experiment: a commit ships one batch per destination in one
+// multicast round however many objects the transaction dirtied, so writing K
+// objects in one transaction pays one round of simulated network time where
+// K one-object transactions pay K. This experiment runs both shapes of the
+// same K writes through the one commit path and reports the wall-clock spent
+// committing, the commit-time multicast rounds (the deterministic cost-model
+// view, independent of host jitter) and the resulting speedup.
 
 // fanOutID names the i-th object of the fan-out workload.
 func fanOutID(i int) object.ID { return object.ID(fmt.Sprintf("fan%04d", i)) }
@@ -59,20 +59,34 @@ func fanOutCommit(n *node.Node, ids []object.ID, round int) (time.Duration, erro
 	return time.Since(start), nil
 }
 
-// fanOutMeasurement is one mode's aggregate over iters commits.
+// fanOutWrite writes every object once, txSize objects per transaction, and
+// returns the wall-clock spent committing.
+func fanOutWrite(n *node.Node, ids []object.ID, round, txSize int) (time.Duration, error) {
+	var total time.Duration
+	for i := 0; i < len(ids); i += txSize {
+		d, err := fanOutCommit(n, ids[i:min(i+txSize, len(ids))], round)
+		if err != nil {
+			return 0, err
+		}
+		total += d
+	}
+	return total, nil
+}
+
+// fanOutMeasurement is one arm's aggregate over iters writes of all k objects.
 type fanOutMeasurement struct {
-	PerCommit time.Duration // mean wall-clock per commit
-	Rounds    int64         // commit-time multicast rounds over all commits
+	PerCommit time.Duration // mean wall-clock committing one write of all k objects
+	Rounds    int64         // commit-time multicast rounds over all writes
 	BatchSize int64         // total ops shipped through batch rounds
 }
 
-// measureCommitFanOut times iters commits of k dirty objects on a size-node
-// cluster in the given propagation mode. The rounds count comes from the
-// replication.batch.rounds counters and is deterministic: sequential mode
-// pays k rounds per commit, batched mode pays one.
-func measureCommitFanOut(cfg Config, size, k, iters int, sequential bool) (fanOutMeasurement, error) {
+// measureCommitFanOut times iters writes of k objects on a size-node cluster,
+// each write split into transactions of txSize objects: k for the batched
+// arm, 1 for the per-object arm. The rounds count comes from the
+// replication.batch.rounds counters and is deterministic: one per commit, so
+// one per write in the batched arm and k in the per-object arm.
+func measureCommitFanOut(cfg Config, size, k, iters, txSize int) (fanOutMeasurement, error) {
 	var m fanOutMeasurement
-	cfg.SequentialPropagation = sequential
 	// A private observer isolates the round counters from other experiments
 	// sharing cfg.Obs.
 	cfg.Obs = obs.New()
@@ -86,7 +100,7 @@ func measureCommitFanOut(cfg Config, size, k, iters int, sequential bool) (fanOu
 	sizeBefore := sumCounters(cfg.Obs, ".replication.batch.size")
 	var total time.Duration
 	for i := 0; i < iters; i++ {
-		d, err := fanOutCommit(n, ids, i)
+		d, err := fanOutWrite(n, ids, i, txSize)
 		if err != nil {
 			return m, err
 		}
@@ -109,38 +123,38 @@ func sumCounters(o *obs.Observer, suffix string) int64 {
 	return total
 }
 
-// runCommitFanOut regenerates the batched-vs-sequential commit propagation
-// comparison: one row per transaction size K on a 4-node cluster.
+// runCommitFanOut regenerates the one-transaction-vs-K-transactions commit
+// propagation comparison: one row per write size K on a 4-node cluster.
 func runCommitFanOut(cfg Config) (*Result, error) {
 	cfg = cfg.normalize()
 	const size = 4
-	res := &Result{ID: "exp-batch", Title: "commit fan-out: batched vs per-object propagation",
-		Columns: []string{"batched_us", "sequential_us", "speedup", "rounds_batched", "rounds_sequential"}}
+	res := &Result{ID: "exp-batch", Title: "commit fan-out: one K-object transaction vs K one-object transactions",
+		Columns: []string{"batched_us", "per_object_us", "speedup", "rounds_batched", "rounds_per_object"}}
 	iters := cfg.Runs
 	if iters < 2 {
 		iters = 2
 	}
 	for _, k := range []int{1, 2, 4, 8} {
-		batched, err := measureCommitFanOut(cfg, size, k, iters, false)
+		batched, err := measureCommitFanOut(cfg, size, k, iters, k)
 		if err != nil {
 			return nil, fmt.Errorf("batched K=%d: %w", k, err)
 		}
-		sequential, err := measureCommitFanOut(cfg, size, k, iters, true)
+		perObject, err := measureCommitFanOut(cfg, size, k, iters, 1)
 		if err != nil {
-			return nil, fmt.Errorf("sequential K=%d: %w", k, err)
+			return nil, fmt.Errorf("per-object K=%d: %w", k, err)
 		}
 		speedup := 0.0
 		if batched.PerCommit > 0 {
-			speedup = float64(sequential.PerCommit) / float64(batched.PerCommit)
+			speedup = float64(perObject.PerCommit) / float64(batched.PerCommit)
 		}
 		res.AddRow(fmt.Sprintf("K=%d dirty objects", k),
 			float64(batched.PerCommit.Nanoseconds())/1e3,
-			float64(sequential.PerCommit.Nanoseconds())/1e3,
+			float64(perObject.PerCommit.Nanoseconds())/1e3,
 			speedup,
 			float64(batched.Rounds),
-			float64(sequential.Rounds))
+			float64(perObject.Rounds))
 	}
-	res.AddNote("%d nodes, %d commits per case, simulated per-message cost %s", size, iters, cfg.NetCost)
-	res.AddNote("rounds are commit-time multicast rounds: sequential pays K per commit, batched pays 1")
+	res.AddNote("%d nodes, %d writes of K objects per case, simulated per-message cost %s", size, iters, cfg.NetCost)
+	res.AddNote("rounds are commit-time multicast rounds, one per commit: K one-object transactions pay K, one K-object transaction pays 1")
 	return res, nil
 }

@@ -8,21 +8,21 @@ import (
 	"time"
 )
 
-// BenchmarkCommitFanOut measures one K=8 commit on a 4-node cluster in both
-// propagation modes. The simulated per-message cost makes the round count
-// visible in ns/op: sequential pays K rounds, batched pays one.
+// BenchmarkCommitFanOut measures one write of K=8 objects on a 4-node cluster
+// as one transaction and as K one-object transactions. The simulated
+// per-message cost makes the round count visible in ns/op: K commits pay K
+// rounds, one commit pays one.
 func BenchmarkCommitFanOut(b *testing.B) {
 	for _, mode := range []struct {
-		name       string
-		sequential bool
+		name   string
+		txSize int
 	}{
-		{"mode=batched", false},
-		{"mode=sequential", true},
+		{"mode=batched", 8},
+		{"mode=per-object", 1},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			cfg := QuickConfig()
 			cfg.NetCost = 200 * time.Microsecond
-			cfg.SequentialPropagation = mode.sequential
 			c, n, ids, err := newFanOutCluster(cfg, 4, 8)
 			if err != nil {
 				b.Fatal(err)
@@ -31,7 +31,7 @@ func BenchmarkCommitFanOut(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := fanOutCommit(n, ids, i); err != nil {
+				if _, err := fanOutWrite(n, ids, i, mode.txSize); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -40,11 +40,13 @@ func BenchmarkCommitFanOut(b *testing.B) {
 }
 
 // TestCommitFanOutSpeedup is the CI gate for the batching optimisation at
-// K=8 dirty objects on a 4-node cluster. The primary assertion is on the
-// deterministic cost model — commit-time multicast rounds — so it cannot
-// flake; the wall-clock assertion uses a network cost large enough that
-// sleep-based simulated time dominates host jitter. When BENCH_COMMIT_JSON
-// names a file, the measurements are written there for the CI artifact.
+// K=8 dirty objects on a 4-node cluster: one 8-object transaction against 8
+// one-object transactions, both through the one commit path. The primary
+// assertion is on the deterministic cost model — commit-time multicast rounds
+// — so it cannot flake; the wall-clock assertion uses a network cost large
+// enough that sleep-based simulated time dominates host jitter. When
+// BENCH_COMMIT_JSON names a file, the measurements are written there for the
+// CI artifact.
 func TestCommitFanOutSpeedup(t *testing.T) {
 	const (
 		size  = 4
@@ -54,33 +56,33 @@ func TestCommitFanOutSpeedup(t *testing.T) {
 	cfg := QuickConfig()
 	cfg.NetCost = 5 * time.Millisecond
 
-	batched, err := measureCommitFanOut(cfg, size, k, iters, false)
+	batched, err := measureCommitFanOut(cfg, size, k, iters, k)
 	if err != nil {
 		t.Fatalf("batched: %v", err)
 	}
-	sequential, err := measureCommitFanOut(cfg, size, k, iters, true)
+	perObject, err := measureCommitFanOut(cfg, size, k, iters, 1)
 	if err != nil {
-		t.Fatalf("sequential: %v", err)
+		t.Fatalf("per-object: %v", err)
 	}
 
 	// Deterministic gate: batched must pay strictly fewer simulated rounds.
-	if batched.Rounds >= sequential.Rounds {
-		t.Fatalf("batched rounds %d >= sequential rounds %d", batched.Rounds, sequential.Rounds)
+	if batched.Rounds >= perObject.Rounds {
+		t.Fatalf("batched rounds %d >= per-object rounds %d", batched.Rounds, perObject.Rounds)
 	}
 	if batched.Rounds != iters {
 		t.Errorf("batched rounds = %d, want %d (one per commit)", batched.Rounds, iters)
 	}
-	if sequential.Rounds != k*iters {
-		t.Errorf("sequential rounds = %d, want %d (one per dirty object)", sequential.Rounds, k*iters)
+	if perObject.Rounds != k*iters {
+		t.Errorf("per-object rounds = %d, want %d (one per dirty object)", perObject.Rounds, k*iters)
 	}
 	if batched.BatchSize != k*iters {
 		t.Errorf("batched ops shipped = %d, want %d", batched.BatchSize, k*iters)
 	}
 
-	speedup := float64(sequential.PerCommit) / float64(batched.PerCommit)
+	speedup := float64(perObject.PerCommit) / float64(batched.PerCommit)
 	if speedup < 4 {
-		t.Errorf("commit speedup = %.2fx, want >= 4x (batched %v, sequential %v)",
-			speedup, batched.PerCommit, sequential.PerCommit)
+		t.Errorf("commit speedup = %.2fx, want >= 4x (batched %v, per-object %v)",
+			speedup, batched.PerCommit, perObject.PerCommit)
 	}
 
 	if path := os.Getenv("BENCH_COMMIT_JSON"); path != "" {
@@ -89,13 +91,14 @@ func TestCommitFanOutSpeedup(t *testing.T) {
 			"n":                 size,
 			"iters":             iters,
 			"batched_ns":        batched.PerCommit.Nanoseconds(),
-			"sequential_ns":     sequential.PerCommit.Nanoseconds(),
+			"sequential_ns":     perObject.PerCommit.Nanoseconds(),
 			"speedup":           speedup,
 			"rounds_batched":    batched.Rounds,
-			"rounds_sequential": sequential.Rounds,
+			"rounds_sequential": perObject.Rounds,
+			"note":              "since issue 15 the sequential_* arm is K one-object transactions through the one commit path; before, it was the seed's per-object propagation mode inside one commit (same K rounds)",
 			"benchfmt": []string{
 				fmt.Sprintf("BenchmarkCommitFanOut/mode=batched/K=%d 1 %d ns/op", k, batched.PerCommit.Nanoseconds()),
-				fmt.Sprintf("BenchmarkCommitFanOut/mode=sequential/K=%d 1 %d ns/op", k, sequential.PerCommit.Nanoseconds()),
+				fmt.Sprintf("BenchmarkCommitFanOut/mode=per-object/K=%d 1 %d ns/op", k, perObject.PerCommit.Nanoseconds()),
 			},
 		}
 		data, err := json.MarshalIndent(report, "", "  ")

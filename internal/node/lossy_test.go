@@ -16,11 +16,9 @@ import (
 	"dedisys/internal/transport"
 )
 
-// isCommitPropagation matches commit-time update propagation in either wire
-// format: per-object applies (sequential mode) or transaction batches.
-func isCommitPropagation(kind string) bool {
-	return kind == "repl.apply" || kind == "repl.batch"
-}
+// isCommitPropagation matches commit-time update propagation: the
+// transaction batch, the only wire format of a replica write.
+func isCommitPropagation(kind string) bool { return kind == "repl.batch" }
 
 func TestLostPropagationRepairedByReconciliation(t *testing.T) {
 	c, err := node.NewCluster(3, nil)

@@ -65,10 +65,6 @@ type Options struct {
 	DisableCCM bool
 	// DisableReplication runs the node without the replication service.
 	DisableReplication bool
-	// SequentialPropagation disables transaction-batched commit propagation
-	// and falls back to one multicast round per dirty object (the pre-batch
-	// behaviour, kept for A/B comparisons via -batch-propagation=false).
-	SequentialPropagation bool
 	// Groups shards the object space across this many replica groups
 	// (consistent-hash placement). 0 keeps the seed's full replication;
 	// Groups=1 with ReplicationFactor 0 reproduces it through the ring.
@@ -279,7 +275,6 @@ func New(opts Options) (*Node, error) {
 			Store:       n.Store,
 			Protocol:    opts.Protocol,
 			KeepHistory: opts.KeepHistory,
-			Sequential:  opts.SequentialPropagation,
 			Placement:   ring,
 			Obs:         scoped,
 		})

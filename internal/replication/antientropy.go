@@ -74,14 +74,7 @@ func (m *Manager) RecordsByID(ids []object.ID) []Record {
 		if !ok {
 			continue
 		}
-		rec := Record{ID: id, VV: rs.vv.Clone(), Info: rs.info}
-		rec.History = append(rec.History, rs.history...)
-		if e, err := m.registry.Get(id); err == nil {
-			rec.Class = e.Class()
-			rec.State = e.Snapshot()
-			rec.Version = e.Version()
-		}
-		recs = append(recs, rec)
+		recs = append(recs, m.recordLocked(id, rs))
 	}
 	return recs
 }
@@ -103,25 +96,13 @@ func (m *Manager) MergeRecords(ctx context.Context, peer transport.NodeID, recor
 	return report, err
 }
 
-// AdoptTombstone applies a remotely learned deletion locally. The tombstone
-// wins over any live replica state — the same deterministic rule
-// mergeRecords applies when a record meets a local tombstone — and vectors
-// of concurrent deletions merge, so tombstone sets converge regardless of
-// exchange order.
+// AdoptTombstone applies a remotely learned deletion locally, as the delete
+// op of a batch would: the tombstone wins over any live replica state — the
+// same deterministic rule mergeRecords applies when a record meets a local
+// tombstone — and vectors of concurrent deletions merge, so tombstone sets
+// converge regardless of exchange order.
 func (m *Manager) AdoptTombstone(id object.ID, vv VersionVector) {
-	m.mu.Lock()
-	_, known := m.meta[id]
-	delete(m.meta, id)
-	if old, ok := m.tombstones[id]; ok {
-		old.Merge(vv)
-	} else {
-		m.tombstones[id] = vv.Clone()
-	}
-	m.mu.Unlock()
-	if known {
-		_ = m.registry.Remove(id)
-		m.store.Delete(tableReplicaMeta, string(id))
-	}
+	_, _, _ = m.applyOps([]batchOp{{Kind: msgDelete, Delete: deleteMsg{ID: id, VV: vv}}})
 }
 
 // TombstoneCount reports how many deletions the node remembers — the chaos

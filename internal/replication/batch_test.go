@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -12,10 +13,6 @@ import (
 	"dedisys/internal/object"
 	"dedisys/internal/transport"
 )
-
-// sequentialMode puts a harness's managers in the seed's one-round-per-object
-// propagation mode.
-func sequentialMode(c *Config) { c.Sequential = true }
 
 // writeMany updates several objects inside one transaction on the
 // coordinator, in sorted object order.
@@ -72,34 +69,6 @@ func TestBatchedCommitSingleRound(t *testing.T) {
 			}
 			if e.GetInt("sold") != want {
 				t.Fatalf("node %s %s = %d, want %d", nid, id, e.GetInt("sold"), want)
-			}
-		}
-	}
-}
-
-// TestSequentialModeRoundsPerObject checks the A/B flag: Config.Sequential
-// reproduces the seed's one multicast round per dirty object with an
-// identical converged state.
-func TestSequentialModeRoundsPerObject(t *testing.T) {
-	h := newHarness(t, 3, PrimaryPerPartition{}, sequentialMode)
-	const k = 3
-	vals := make(map[object.ID]int64, k)
-	for i := 0; i < k; i++ {
-		id := object.ID(fmt.Sprintf("f%d", i))
-		h.create(t, "n1", "Flight", id, object.State{"sold": int64(0)})
-		vals[id] = int64(200 + i)
-	}
-	mgr := h.node("n1").mgr
-	rounds := mgr.batchRounds.Load()
-	h.writeMany(t, "n1", "sold", vals)
-	if got := mgr.batchRounds.Load() - rounds; got != k {
-		t.Fatalf("sequential commit rounds = %d, want %d", got, k)
-	}
-	for _, nid := range h.ids {
-		for id, want := range vals {
-			e, err := h.node(nid).reg.Get(id)
-			if err != nil || e.GetInt("sold") != want {
-				t.Fatalf("node %s %s = %v, %v (want %d)", nid, id, e, err, want)
 			}
 		}
 	}
@@ -354,32 +323,26 @@ func TestConcurrentBatchedCommits(t *testing.T) {
 // TestPropagationErrorMetricCountsSendFailures checks the commit error
 // accounting satellite: a replica that the view still includes but the link
 // drops does not fail the commit, yet the lost send is counted in
-// replication.propagation_errors — in both propagation modes — and the
-// reachable replica still applies the update.
+// replication.propagation_errors, and the reachable replica still applies the
+// update.
 func TestPropagationErrorMetricCountsSendFailures(t *testing.T) {
-	for _, sequential := range []bool{false, true} {
-		mods := []func(*Config){}
-		if sequential {
-			mods = append(mods, sequentialMode)
-		}
-		h := newHarness(t, 3, PrimaryPerPartition{}, mods...)
-		h.create(t, "n1", "Flight", "f1", object.State{"sold": int64(0)})
-		// Lossy link to n3: the view keeps n3 as a destination, the send fails.
-		h.net.SetDrop(func(from, to transport.NodeID, kind string) bool { return to == "n3" })
-		mgr := h.node("n1").mgr
-		before := mgr.propErrors.Load()
-		if err := h.tryWrite("n1", "f1", "sold", int64(1)); err != nil {
-			t.Fatalf("sequential=%v: commit must tolerate lost sends: %v", sequential, err)
-		}
-		if got := mgr.propErrors.Load() - before; got != 1 {
-			t.Fatalf("sequential=%v: propagation_errors delta = %d, want 1", sequential, got)
-		}
-		if e, _ := h.node("n2").reg.Get("f1"); e.GetInt("sold") != 1 {
-			t.Fatalf("sequential=%v: reachable replica = %d, want 1", sequential, e.GetInt("sold"))
-		}
-		if e, _ := h.node("n3").reg.Get("f1"); e.GetInt("sold") != 0 {
-			t.Fatalf("sequential=%v: dropped replica = %d, want 0", sequential, e.GetInt("sold"))
-		}
+	h := newHarness(t, 3, PrimaryPerPartition{})
+	h.create(t, "n1", "Flight", "f1", object.State{"sold": int64(0)})
+	// Lossy link to n3: the view keeps n3 as a destination, the send fails.
+	h.net.SetDrop(func(from, to transport.NodeID, kind string) bool { return to == "n3" })
+	mgr := h.node("n1").mgr
+	before := mgr.propErrors.Load()
+	if err := h.tryWrite("n1", "f1", "sold", int64(1)); err != nil {
+		t.Fatalf("commit must tolerate lost sends: %v", err)
+	}
+	if got := mgr.propErrors.Load() - before; got != 1 {
+		t.Fatalf("propagation_errors delta = %d, want 1", got)
+	}
+	if e, _ := h.node("n2").reg.Get("f1"); e.GetInt("sold") != 1 {
+		t.Fatalf("reachable replica = %d, want 1", e.GetInt("sold"))
+	}
+	if e, _ := h.node("n3").reg.Get("f1"); e.GetInt("sold") != 0 {
+		t.Fatalf("dropped replica = %d, want 0", e.GetInt("sold"))
 	}
 }
 
@@ -489,5 +452,117 @@ store outside {"n1":2}
 	// The payload is shared with the sender's other destinations: read-only.
 	if mixed.Ops[2].Apply.State["sold"] != int64(12) || len(mixed.Ops[1].Create.VV) != 2 {
 		t.Error("handleBatch modified its payload")
+	}
+}
+
+// delta renders what changed between two dumps as "-line"/"+line" rows.
+func delta(before, after string) string {
+	old := strings.Split(strings.TrimSuffix(before, "\n"), "\n")
+	now := strings.Split(strings.TrimSuffix(after, "\n"), "\n")
+	var b strings.Builder
+	for _, l := range old {
+		if !slices.Contains(now, l) {
+			b.WriteString("-" + l + "\n")
+		}
+	}
+	for _, l := range now {
+		if !slices.Contains(old, l) {
+			b.WriteString("+" + l + "\n")
+		}
+	}
+	return b.String()
+}
+
+// TestBatchOneOpCasesMatchRecorded delivers, as one-op batches, every case
+// the retired per-kind handlers used to serve — what a reconcile push, a
+// forced state install or a re-propagated delete now sends. Ack text and the
+// change to replica table, registry, tombstones and stored bytes are the ones
+// recorded from handleBatch at the parent of the commit that retired those
+// handlers, with one named exception: a delete meeting an existing tombstone
+// merges the two vectors where it used to overwrite (recorded there:
+// `+tombstone gone {"n3":1}`).
+func TestBatchOneOpCasesMatchRecorded(t *testing.T) {
+	info := Info{Home: "n1", Replicas: []transport.NodeID{"n1", "n2"}}
+	create := func(id object.ID, sold, version int64, vv VersionVector, in Info) batchOp {
+		return batchOp{Kind: msgCreate, Create: createMsg{ID: id, Class: "Flight", State: object.State{"sold": sold}, Version: version, VV: vv, Info: in}}
+	}
+	apply := func(id object.ID, sold, version int64, vv VersionVector) batchOp {
+		return batchOp{Kind: msgApply, Apply: applyMsg{ID: id, State: object.State{"sold": sold}, Version: version, VV: vv}}
+	}
+	del := func(id object.ID, vv VersionVector) batchOp {
+		return batchOp{Kind: msgDelete, Delete: deleteMsg{ID: id, VV: vv}}
+	}
+	const applied, skipped = "ack 1 applied 0 skipped", "ack 0 applied 1 skipped"
+	cases := []struct {
+		name  string
+		op    batchOp
+		ack   string
+		delta string
+	}{
+		{"create unknown", create("d", 5, 1, VersionVector{"n1": 1}, info), applied,
+			`+replica d Flight v1 {"sold":5} {"n1":1} home=n1 [n1 n2] registry=true
++store d {"n1":1}
+`},
+		{"create known", create("a", 11, 3, VersionVector{"n1": 2, "n3": 1}, info), applied,
+			`-replica a Flight v1 {"sold":1} {"n1":1} home=n1 [n1 n2] registry=true
++replica a Flight v3 {"sold":11} {"n1":2,"n3":1} home=n1 [n1 n2] registry=true
+`},
+		{"create non-replica", create("out", 4, 1, VersionVector{"n1": 1}, Info{Home: "n1", Replicas: []transport.NodeID{"n1"}}), applied,
+			`+replica out  v0 null {"n1":1} home=n1 [n1] registry=false
++store out {"n1":1}
+`},
+		{"create tombstoned", create("gone", 6, 2, VersionVector{"n1": 3}, info), applied,
+			`-tombstone gone {"n1":2}
++replica gone Flight v2 {"sold":6} {"n1":3} home=n1 [n1 n2] registry=true
++store gone {"n1":3}
+`},
+		{"apply newer", apply("b", 12, 2, VersionVector{"n1": 2}), applied,
+			`-replica b Flight v1 {"sold":2} {"n1":1} home=n1 [n1 n2] registry=true
+-store b {"n1":1}
++replica b Flight v2 {"sold":12} {"n1":2} home=n1 [n1 n2] registry=true
++store b {"n1":2}
+`},
+		{"apply equal", apply("b", 13, 2, VersionVector{"n1": 1}), skipped, ""},
+		{"apply older", apply("c", 14, 5, VersionVector{"n1": 1, "n2": 2}), skipped, ""},
+		{"apply concurrent", apply("c", 15, 5, VersionVector{"n1": 3, "n2": 1}), skipped, ""},
+		{"apply unknown", apply("ghost", 16, 2, VersionVector{"n1": 2}), skipped, ""},
+		{"delete known", del("c", VersionVector{"n1": 3, "n2": 2}), applied,
+			`-replica c Flight v4 {"sold":3} {"n1":2,"n2":2} home=n1 [n1 n2] registry=true
+-store c {"n1":2,"n2":2}
++tombstone c {"n1":3,"n2":2}
+`},
+		{"delete unknown", del("never", VersionVector{"n1": 1}), applied,
+			`+tombstone never {"n1":1}
+`},
+		{"delete tombstoned", del("gone", VersionVector{"n3": 1}), applied,
+			`-tombstone gone {"n1":2}
++tombstone gone {"n1":2,"n3":1}
+`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			h := newHarness(t, 2, PrimaryPerPartition{})
+			dst := h.node("n2")
+			setup := batchMsg{Ops: []batchOp{
+				create("a", 1, 1, VersionVector{"n1": 1}, info),
+				create("b", 2, 1, VersionVector{"n1": 1}, info),
+				create("c", 3, 4, VersionVector{"n1": 2, "n2": 2}, info),
+				del("gone", VersionVector{"n1": 2}),
+			}}
+			if _, err := dst.mgr.handleBatch("n1", setup); err != nil {
+				t.Fatal(err)
+			}
+			before := dst.dump(t)
+			resp, err := dst.mgr.handleBatch("n1", batchMsg{Ops: []batchOp{tc.op}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp != tc.ack {
+				t.Errorf("ack = %q, recorded %q", resp, tc.ack)
+			}
+			if got := delta(before, dst.dump(t)); got != tc.delta {
+				t.Errorf("state change:\n%s\nrecorded:\n%s", got, tc.delta)
+			}
+		})
 	}
 }

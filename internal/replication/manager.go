@@ -120,10 +120,6 @@ type Config struct {
 	// KeepHistory records intermediate states during degraded mode for
 	// rollback-based reconciliation (§4.3). Costly; see Figure 5.6.
 	KeepHistory bool
-	// Sequential disables transaction-batched commit propagation and
-	// reproduces the seed behaviour: one multicast round per dirty object.
-	// Kept for A/B runs (-batch-propagation=false); batching is the default.
-	Sequential bool
 	// Placement, when non-nil, shards the object space: replica metadata is
 	// derived from the ring instead of caller-provided Infos, commit batches
 	// ship only to an object's replica group, and degraded-mode/quorum
@@ -147,7 +143,6 @@ type Manager struct {
 	store       *persistence.Store
 	protocol    Protocol
 	keepHistory bool
-	sequential  bool
 	placement   *placement.Ring // nil = full replication
 	obs         *obs.Observer
 
@@ -249,7 +244,6 @@ func NewManager(cfg Config) (*Manager, error) {
 		store:       cfg.Store,
 		protocol:    cfg.Protocol,
 		keepHistory: cfg.KeepHistory,
-		sequential:  cfg.Sequential,
 		placement:   cfg.Placement,
 		obs:         cfg.Obs,
 		meta:        make(map[object.ID]*replicaState),
@@ -272,12 +266,9 @@ func NewManager(cfg Config) (*Manager, error) {
 	m.quorumRounds = m.obs.Counter("replication.quorum.rounds")
 	m.quorumShort = m.obs.Counter("replication.quorum.short")
 	for kind, h := range map[string]transport.Handler{
-		msgCreate: m.handleCreate,
-		msgApply:  m.handleApply,
-		msgDelete: m.handleDelete,
-		msgFetch:  m.handleFetch,
-		msgPull:   m.handlePull,
-		msgBatch:  m.handleBatch,
+		msgBatch: m.handleBatch,
+		msgFetch: m.handleFetch,
+		msgPull:  m.handlePull,
 	} {
 		if err := cfg.Net.Handle(cfg.Self, kind, h); err != nil {
 			return nil, fmt.Errorf("replication: register %s: %w", kind, err)
@@ -386,10 +377,12 @@ func (m *Manager) placedInfo(id object.ID, preferred transport.NodeID) Info {
 	return NewInfo(home, replicas)
 }
 
-// infoFor resolves the replica placement of an object for routing: recorded
-// metadata first, the placement ring as fallback. Under full replication
-// there is no fallback — metadata is the only source.
-func (m *Manager) infoFor(id object.ID) (Info, error) {
+// RouteInfo resolves the replica placement of an object for routing: recorded
+// metadata first, the placement ring as fallback, so a node outside the
+// object's group (which never received the create metadata) derives the
+// placement instead of failing. Under full replication there is no fallback —
+// like Info, metadata is the only source.
+func (m *Manager) RouteInfo(id object.ID) (Info, error) {
 	m.mu.Lock()
 	rs, ok := m.meta[id]
 	m.mu.Unlock()
@@ -401,12 +394,6 @@ func (m *Manager) infoFor(id object.ID) (Info, error) {
 	}
 	return Info{}, fmt.Errorf("%w: %s", ErrUnknownObject, id)
 }
-
-// RouteInfo returns the replica placement to route an invocation on the
-// object: like Info, but under sharded placement a node outside the object's
-// group (which never received the create metadata) derives the placement
-// from the ring instead of failing.
-func (m *Manager) RouteInfo(id object.ID) (Info, error) { return m.infoFor(id) }
 
 // Info returns the replica placement of an object.
 func (m *Manager) Info(id object.ID) (Info, error) {
@@ -456,7 +443,7 @@ func (m *Manager) ClearHistory() {
 // Coordinator returns the node that must coordinate a write on the object in
 // this node's current view (group-local under sharded placement).
 func (m *Manager) Coordinator(id object.ID) (transport.NodeID, error) {
-	info, err := m.infoFor(id)
+	info, err := m.RouteInfo(id)
 	if err != nil {
 		return "", err
 	}
@@ -468,7 +455,7 @@ func (m *Manager) Coordinator(id object.ID) (transport.NodeID, error) {
 // partition weight are group-local: a quorum protocol, for example, demands
 // a quorum of the object's replica group, not of the whole cluster.
 func (m *Manager) CheckWrite(id object.ID) error {
-	info, err := m.infoFor(id)
+	info, err := m.RouteInfo(id)
 	if err != nil {
 		return err
 	}
@@ -680,12 +667,11 @@ func (m *Manager) Prepare(t *tx.Tx) error { return nil }
 
 // Commit implements tx.Resource: synchronous update propagation from the
 // coordinator to all reachable replicas, persistence of replica metadata,
-// and degraded-mode history recording. By default the transaction's whole
-// change set ships as one batch per destination in a single concurrent
-// multicast round; Config.Sequential restores the seed's one-round-per-object
-// behaviour for A/B comparison. Per-object preparation failures are joined
-// into the returned error and counted, together with per-destination send
-// failures, in replication.propagation_errors.
+// and degraded-mode history recording. The transaction's whole change set
+// ships as one batch per destination in a single concurrent multicast round.
+// Per-object preparation failures are joined into the returned error and
+// counted, together with per-destination send failures, in
+// replication.propagation_errors.
 func (m *Manager) Commit(t *tx.Tx) error {
 	m.mu.Lock()
 	ch, ok := m.dirty[t.ID()]
@@ -700,49 +686,19 @@ func (m *Manager) Commit(t *tx.Tx) error {
 	degraded := m.Degraded()
 	view := m.view()
 	m.propagations.Add(int64(len(ch.order)))
-	var err error
-	if m.sequential {
-		err = m.commitSequential(ctx, ch, view, degraded)
-	} else {
-		err = m.commitBatched(ctx, ch, view, degraded)
-	}
+	err := m.commitBatched(ctx, ch, view, degraded)
 	// Propagation has fully staged (background straggler sends hold only the
 	// per-destination batches, not the change set), so the set can be reused.
 	ch.release()
 	return err
 }
 
-// commitSequential is the seed propagation path: one multicast round per
-// dirty object, in change order.
-func (m *Manager) commitSequential(ctx context.Context, ch *txChanges, view group.View, degraded bool) error {
-	var errs []error
-	for _, id := range ch.order {
-		m.batchRounds.Inc()
-		var err error
-		if _, isDelete := ch.deleted[id]; isDelete {
-			err = m.propagateDelete(ctx, id, view)
-		} else if info, isCreate := ch.created[id]; isCreate {
-			err = m.propagateCreate(ctx, id, info, view, degraded)
-		} else if rc, isRemote := ch.remote[id]; isRemote {
-			op, dests := m.stageCreateRemote(rc, view)
-			m.countSendFailures(m.comm.Multicast(ctx, m.self, dests, msgCreate, op.Create))
-		} else {
-			err = m.propagateUpdate(ctx, id, view, degraded)
-		}
-		if err != nil {
-			m.propErrors.Inc()
-			errs = append(errs, fmt.Errorf("%s: %w", id, err))
-		}
-	}
-	return errors.Join(errs...)
-}
-
 // commitBatched assembles the transaction's creates, updates and deletes
 // (in change order) into per-destination batches and ships them in a single
 // concurrent multicast round: a K-object commit costs ~1 simulated network
 // hop instead of ~K. Sender-side bookkeeping — version-vector bumps, replica
-// metadata persistence, degraded-mode history, estimator observation — is
-// identical to the per-object path; only the wire format changes.
+// metadata persistence, degraded-mode history, estimator observation —
+// happens per object while staging.
 func (m *Manager) commitBatched(ctx context.Context, ch *txChanges, view group.View, degraded bool) error {
 	sp := stagedPool.Get().(*[]stagedOp)
 	staged := (*sp)[:0]
@@ -863,18 +819,14 @@ func (m *Manager) commitBatched(ctx context.Context, ch *txChanges, view group.V
 		})
 		return errors.Join(errs...)
 	}
-	for _, res := range m.comm.MulticastEach(ctx, m.self, dests, msgBatch, payloadFor) {
-		if res.Err != nil {
-			// Unreachable replicas catch up during reconciliation; the
-			// failure stays visible through the metric.
-			m.propErrors.Inc()
-		}
-	}
+	m.countSendFailures(m.comm.MulticastEach(ctx, m.self, dests, msgBatch, payloadFor))
 	return errors.Join(errs...)
 }
 
-// stageCreate performs the sender-side bookkeeping of propagateCreate and
-// returns the batch op instead of multicasting it.
+// stageCreate does the coordinator's bookkeeping for a created object —
+// first version-vector event, persisted replica descriptor (JNDI name, primary
+// key and the serialized creation request in the prototype, §5.1), degraded-
+// mode history — and returns the batch op with its destinations.
 func (m *Manager) stageCreate(id object.ID, info Info, view group.View, degraded bool) (batchOp, []transport.NodeID, bool, error) {
 	e, err := m.registry.Get(id)
 	if err != nil {
@@ -914,10 +866,11 @@ func (m *Manager) stageCreateRemote(rc remoteCreate, view group.View) (batchOp, 
 	return batchOp{Kind: msgCreate, Create: msg}, rc.info.reachableReplicas(view)
 }
 
-// stageUpdate performs the sender-side bookkeeping of propagateUpdate and
-// returns the batch op — plus the object's placement, whose replica count is
-// the quorum denominator under a threshold protocol — instead of
-// multicasting it.
+// stageUpdate does the coordinator's bookkeeping for an updated object —
+// version-vector bump, persisted vector, degraded-mode history, estimator
+// observation — and returns the batch op with its destinations, plus the
+// object's placement, whose replica count is the quorum denominator under a
+// threshold protocol.
 func (m *Manager) stageUpdate(id object.ID, view group.View, degraded bool) (batchOp, Info, []transport.NodeID, bool, error) {
 	e, err := m.registry.Get(id)
 	if err != nil {
@@ -971,8 +924,9 @@ func (m *Manager) deleteDests(id object.ID, view group.View) ([]transport.NodeID
 	return info.reachableReplicas(view), len(info.Replicas)
 }
 
-// stageDelete performs the sender-side bookkeeping of propagateDelete; ship
-// is false when the tombstone is already gone (nothing to send).
+// stageDelete drops the deleted object's persisted metadata and returns the
+// batch op carrying its tombstone vector; ship is false when the tombstone is
+// already gone (nothing to send).
 func (m *Manager) stageDelete(id object.ID, view group.View) (batchOp, []transport.NodeID, int, bool) {
 	m.mu.Lock()
 	vv, ok := m.tombstones[id]
@@ -1003,69 +957,6 @@ func (m *Manager) Rollback(t *tx.Tx) error {
 	if ok {
 		ch.release()
 	}
-	return nil
-}
-
-func (m *Manager) propagateCreate(ctx context.Context, id object.ID, info Info, view group.View, degraded bool) error {
-	e, err := m.registry.Get(id)
-	if err != nil {
-		return fmt.Errorf("replication: propagate create %s: %w", id, err)
-	}
-	m.mu.Lock()
-	rs, ok := m.meta[id]
-	if !ok {
-		m.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrUnknownObject, id)
-	}
-	rs.vv.Bump(m.self)
-	msg := createMsg{ID: id, Class: e.Class(), State: e.Snapshot(), Version: e.Version(), VV: rs.vv.Clone(), Info: info}
-	m.mu.Unlock()
-	// Persist replica metadata: JNDI name, primary key and the serialized
-	// creation request in the prototype (§5.1); here the descriptor itself.
-	if err := m.store.Put(tableReplicaMeta, string(id), msg); err != nil {
-		return err
-	}
-	m.recordHistory(id, msg.State, msg.Version, msg.VV, m.effectiveDegraded(info, degraded))
-	// Unreachable replicas catch up during reconciliation.
-	m.countSendFailures(m.comm.Multicast(ctx, m.self, info.reachableReplicas(view), msgCreate, msg))
-	return nil
-}
-
-func (m *Manager) propagateUpdate(ctx context.Context, id object.ID, view group.View, degraded bool) error {
-	e, err := m.registry.Get(id)
-	if err != nil {
-		return fmt.Errorf("replication: propagate update %s: %w", id, err)
-	}
-	m.mu.Lock()
-	rs, ok := m.meta[id]
-	if !ok {
-		m.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrUnknownObject, id)
-	}
-	rs.vv.Bump(m.self)
-	msg := applyMsg{ID: id, State: e.Snapshot(), Version: e.Version(), VV: rs.vv.Clone()}
-	info := rs.info
-	m.mu.Unlock()
-	if err := m.store.Put(tableReplicaMeta, string(id), msg.VV); err != nil {
-		return err
-	}
-	m.recordHistory(id, msg.State, msg.Version, msg.VV, m.effectiveDegraded(info, degraded))
-	m.observe(id)
-	m.countSendFailures(m.comm.Multicast(ctx, m.self, info.reachableReplicas(view), msgApply, msg))
-	return nil
-}
-
-func (m *Manager) propagateDelete(ctx context.Context, id object.ID, view group.View) error {
-	m.mu.Lock()
-	vv, ok := m.tombstones[id]
-	m.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	m.store.Delete(tableReplicaMeta, string(id))
-	dests, _ := m.deleteDests(id, view)
-	msg := deleteMsg{ID: id, VV: vv.Clone()}
-	m.countSendFailures(m.comm.Multicast(ctx, m.self, dests, msgDelete, msg))
 	return nil
 }
 
@@ -1116,124 +1007,55 @@ func (m *Manager) PropagateState(ctx context.Context, id object.ID) error {
 	if err := m.store.Put(tableReplicaMeta, string(id), msg.VV); err != nil {
 		return err
 	}
-	m.countSendFailures(m.comm.Multicast(ctx, m.self, info.reachableReplicas(m.view()), msgApply, msg))
+	// A one-op batch: repl.batch is the only wire format of a replica write.
+	batch := batchMsg{Ops: []batchOp{{Kind: msgApply, Apply: msg}}}
+	m.countSendFailures(m.comm.Multicast(ctx, m.self, info.reachableReplicas(m.view()), msgBatch, batch))
 	return nil
 }
 
 // --- message handlers (executed on the receiving node) ---
 
-func (m *Manager) handleCreate(from transport.NodeID, payload any) (any, error) {
-	msg, ok := payload.(createMsg)
-	if !ok {
-		return nil, fmt.Errorf("replication: bad create payload %T", payload)
-	}
-	m.mu.Lock()
-	if existing, known := m.meta[msg.ID]; known {
-		existing.vv.Merge(msg.VV)
-		m.mu.Unlock()
-		m.applyState(msg.ID, msg.State, msg.Version)
-		return "ack", nil
-	}
-	m.meta[msg.ID] = &replicaState{info: msg.Info, vv: msg.VV.Clone()}
-	delete(m.tombstones, msg.ID)
-	m.mu.Unlock()
-	if msg.Info.HasReplica(m.self) {
-		e := object.New(msg.Class, msg.ID, nil)
-		e.Restore(msg.State, msg.Version)
-		if err := m.registry.Add(e); err != nil {
-			return nil, fmt.Errorf("replication: backup create: %w", err)
-		}
-	}
-	// Backups persist replica details too (update applied within the
-	// primary's transaction in the prototype, §4.3).
-	if err := m.store.Put(tableReplicaMeta, string(msg.ID), msg.VV); err != nil {
-		return nil, err
-	}
-	return "ack", nil
-}
-
-func (m *Manager) handleApply(from transport.NodeID, payload any) (any, error) {
-	msg, ok := payload.(applyMsg)
-	if !ok {
-		return nil, fmt.Errorf("replication: bad apply payload %T", payload)
-	}
-	m.mu.Lock()
-	rs, known := m.meta[msg.ID]
-	if !known {
-		m.mu.Unlock()
-		return nil, fmt.Errorf("%w: %s", ErrUnknownObject, msg.ID)
-	}
-	cmp, comparable := msg.VV.Compare(rs.vv)
-	if !comparable || cmp <= 0 {
-		// Concurrent or older: ignore; reconciliation resolves conflicts.
-		m.mu.Unlock()
-		return "stale", nil
-	}
-	rs.vv = msg.VV.Clone()
-	m.mu.Unlock()
-	m.applyState(msg.ID, msg.State, msg.Version)
-	m.observe(msg.ID)
-	if err := m.store.Put(tableReplicaMeta, string(msg.ID), msg.VV); err != nil {
-		return nil, err
-	}
-	return "ack", nil
-}
-
-func (m *Manager) applyState(id object.ID, st object.State, version int64) {
-	if e, err := m.registry.Get(id); err == nil {
-		e.ApplyState(st, version)
-	}
-}
-
-func (m *Manager) handleDelete(from transport.NodeID, payload any) (any, error) {
-	msg, ok := payload.(deleteMsg)
-	if !ok {
-		return nil, fmt.Errorf("replication: bad delete payload %T", payload)
-	}
-	m.mu.Lock()
-	_, known := m.meta[msg.ID]
-	delete(m.meta, msg.ID)
-	m.tombstones[msg.ID] = msg.VV.Clone()
-	m.mu.Unlock()
-	if known {
-		_ = m.registry.Remove(msg.ID)
-		m.store.Delete(tableReplicaMeta, string(msg.ID))
-	}
-	return "ack", nil
-}
-
-// handleBatch applies one transaction batch. The batch is validated before
-// anything mutates (a malformed op rejects the whole message with no state
-// change), and every op's version-vector decision is taken and installed
-// under a single hold of the replica lock, so concurrent readers observe the
-// batch's metadata all-or-nothing. Entity-state and persistence effects then
-// run in batch order. Each op is idempotent — duplicate deliveries are
-// skipped by version-vector comparison, duplicate creates merge, duplicate
-// deletes re-tombstone — so a redelivered batch is harmless. Per-object
-// staleness semantics (PossiblyStale, degraded-mode history on the
-// coordinator) are untouched: the batch is a wire format, not a protocol
-// change.
+// handleBatch applies one transaction batch and acks with its counts.
 func (m *Manager) handleBatch(from transport.NodeID, payload any) (any, error) {
 	b, ok := payload.(batchMsg)
 	if !ok {
 		return nil, fmt.Errorf("replication: bad batch payload %T", payload)
 	}
-	for i := range b.Ops {
-		switch op := &b.Ops[i]; op.Kind {
+	applied, skipped, err := m.applyOps(b.Ops)
+	if err != nil {
+		return nil, err
+	}
+	return "ack " + strconv.Itoa(applied) + " applied " + strconv.Itoa(skipped) + " skipped", nil
+}
+
+// applyOps is the one place a replica decides what a shipped operation does:
+// create, merge into a known object, apply, skip, or tombstone. The ops are
+// validated before anything mutates (a malformed op rejects them all with no
+// state change), and every op's version-vector decision is taken and
+// installed under a single hold of the replica lock, so concurrent readers
+// observe the batch's metadata all-or-nothing. Entity-state and persistence
+// effects then run in batch order. Each op is idempotent — duplicate
+// deliveries are skipped by version-vector comparison, duplicate creates
+// merge, duplicate deletes merge into the tombstone — so a redelivered batch
+// is harmless. Per-object staleness semantics (PossiblyStale, degraded-mode
+// history on the coordinator) are untouched: the batch is a wire format, not
+// a protocol change.
+func (m *Manager) applyOps(ops []batchOp) (applied, skipped int, err error) {
+	for i := range ops {
+		switch op := &ops[i]; op.Kind {
 		case msgCreate, msgApply, msgDelete:
 		default:
-			return nil, fmt.Errorf("replication: bad batch op kind %q for %s", op.Kind, op.id())
+			return 0, 0, fmt.Errorf("replication: bad batch op kind %q for %s", op.Kind, op.id())
 		}
 	}
 	// One deferred-effect code per op, decided under the lock and run after
 	// it; a write's batch fits the stack-backed array.
 	var buf [8]uint8
 	effects := buf[:0]
-	applied, skipped := 0, 0
 	m.mu.Lock()
-	for i := range b.Ops {
+	for i := range ops {
 		do := fxNone
-		switch op := &b.Ops[i]; op.Kind {
+		switch op := &ops[i]; op.Kind {
 		case msgCreate:
 			msg := &op.Create
 			if existing, known := m.meta[msg.ID]; known {
@@ -1261,12 +1083,9 @@ func (m *Manager) handleBatch(from transport.NodeID, payload any) (any, error) {
 			do = fxApply
 			applied++
 		case msgDelete:
-			msg := &op.Delete
-			if _, known := m.meta[msg.ID]; known {
+			if m.tombstone(op.Delete.ID, op.Delete.VV) {
 				do = fxDelete
 			}
-			delete(m.meta, msg.ID)
-			m.tombstones[msg.ID] = msg.VV.Clone()
 			applied++
 		}
 		effects = append(effects, do)
@@ -1274,17 +1093,29 @@ func (m *Manager) handleBatch(from transport.NodeID, payload any) (any, error) {
 	m.mu.Unlock()
 	var errs []error
 	for i, do := range effects {
-		if err := m.runEffect(do, &b.Ops[i]); err != nil {
+		if err := m.runEffect(do, &ops[i]); err != nil {
 			errs = append(errs, err)
 		}
 	}
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	return "ack " + strconv.Itoa(applied) + " applied " + strconv.Itoa(skipped) + " skipped", nil
+	return applied, skipped, errors.Join(errs...)
 }
 
-// The deferred effects of handleBatch.
+// tombstone records a deletion learned from a peer and reports whether a
+// live replica was dropped for it; callers hold m.mu. The tombstone wins over
+// any live replica state, and vectors of concurrent deletions merge, so
+// tombstone sets converge regardless of delivery order.
+func (m *Manager) tombstone(id object.ID, vv VersionVector) (known bool) {
+	_, known = m.meta[id]
+	delete(m.meta, id)
+	if old, ok := m.tombstones[id]; ok {
+		old.Merge(vv)
+	} else {
+		m.tombstones[id] = vv.Clone()
+	}
+	return known
+}
+
+// The deferred effects of applyOps.
 const (
 	fxNone   uint8 = iota
 	fxMerge        // create of a known object: install the shipped state
@@ -1309,6 +1140,8 @@ func (m *Manager) runEffect(do uint8, op *batchOp) error {
 				return fmt.Errorf("replication: batch create: %w", err)
 			}
 		}
+		// Backups persist replica details too (update applied within the
+		// primary's transaction in the prototype, §4.3).
 		return m.store.Put(tableReplicaMeta, string(msg.ID), msg.VV)
 	case fxApply:
 		msg := &op.Apply
@@ -1320,6 +1153,12 @@ func (m *Manager) runEffect(do uint8, op *batchOp) error {
 		m.store.Delete(tableReplicaMeta, string(op.Delete.ID))
 	}
 	return nil
+}
+
+func (m *Manager) applyState(id object.ID, st object.State, version int64) {
+	if e, err := m.registry.Get(id); err == nil {
+		e.ApplyState(st, version)
+	}
 }
 
 func (m *Manager) handleFetch(from transport.NodeID, payload any) (any, error) {
@@ -1374,16 +1213,22 @@ func (m *Manager) records(keep func(Info) bool) []Record {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	recs := make([]Record, 0, len(ids))
 	for _, id := range ids {
-		rs := m.meta[id]
-		rec := Record{ID: id, VV: rs.vv.Clone(), Info: rs.info}
-		rec.History = append(rec.History, rs.history...)
-		if e, err := m.registry.Get(id); err == nil {
-			rec.Class = e.Class()
-			rec.State = e.Snapshot()
-			rec.Version = e.Version()
-		}
-		recs = append(recs, rec)
+		recs = append(recs, m.recordLocked(id, m.meta[id]))
 	}
 	m.mu.Unlock()
 	return recs
+}
+
+// recordLocked builds the reconciliation record of one replica; callers hold
+// m.mu. A replica without a local entity (a non-hosting metadata holder)
+// exports metadata only.
+func (m *Manager) recordLocked(id object.ID, rs *replicaState) Record {
+	rec := Record{ID: id, VV: rs.vv.Clone(), Info: rs.info}
+	rec.History = append(rec.History, rs.history...)
+	if e, err := m.registry.Get(id); err == nil {
+		rec.Class = e.Class()
+		rec.State = e.Snapshot()
+		rec.Version = e.Version()
+	}
+	return rec
 }

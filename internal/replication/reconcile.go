@@ -101,11 +101,15 @@ func (m *Manager) ReconcileWith(ctx context.Context, peers []transport.NodeID, r
 func (m *Manager) mergeRecords(ctx context.Context, peer transport.NodeID, records []Record, resolve ConflictResolver, report *ReconcileReport) error {
 	for _, rec := range records {
 		m.mu.Lock()
-		if _, dead := m.tombstones[rec.ID]; dead {
+		if tomb, dead := m.tombstones[rec.ID]; dead {
+			// We deleted the object; re-propagate the deletion. The tombstone
+			// absorbs the peer's live vector first, so both sides end up
+			// holding the same one.
+			tomb.Merge(rec.VV)
+			op := batchOp{Kind: msgDelete, Delete: deleteMsg{ID: rec.ID, VV: tomb.Clone()}}
 			m.mu.Unlock()
-			// We deleted the object; re-propagate the deletion.
-			if _, err := m.comm.Send(ctx, m.self, peer, msgDelete, deleteMsg{ID: rec.ID, VV: rec.VV}); err != nil {
-				return fmt.Errorf("replication: re-propagate delete of %s: %w", rec.ID, err)
+			if err := m.sendOp(ctx, peer, op); err != nil {
+				return err
 			}
 			continue
 		}
@@ -114,7 +118,7 @@ func (m *Manager) mergeRecords(ctx context.Context, peer transport.NodeID, recor
 
 		if !known {
 			// Object created in the other partition: adopt it.
-			if _, err := m.handleCreate(peer, createFromRecord(rec)); err != nil {
+			if _, _, err := m.applyOps([]batchOp{{Kind: msgCreate, Create: createFromRecord(rec)}}); err != nil {
 				return err
 			}
 			report.Created++
@@ -172,7 +176,20 @@ func (m *Manager) adopt(rec Record) {
 	_ = m.store.Put(tableReplicaMeta, string(rec.ID), rec.VV)
 }
 
-// pushState sends the local replica state of the object to one peer.
+// sendOp ships one replica operation to the reconciling peer as a one-op
+// batch: repl.batch is the only wire format of a replica write, so the peer
+// decides a repair exactly as it decides a commit's op. A lost send fails the
+// pass; the next one retries.
+func (m *Manager) sendOp(ctx context.Context, peer transport.NodeID, op batchOp) error {
+	if _, err := m.comm.Send(ctx, m.self, peer, msgBatch, batchMsg{Ops: []batchOp{op}}); err != nil {
+		return fmt.Errorf("replication: push %s of %s to %s: %w", op.Kind, op.id(), peer, err)
+	}
+	return nil
+}
+
+// pushState sends the local replica state of the object to one peer. A peer
+// that dropped the object in the meantime skips the op, as it would a
+// commit-time apply.
 func (m *Manager) pushState(ctx context.Context, peer transport.NodeID, id object.ID) error {
 	e, err := m.registry.Get(id)
 	if err != nil {
@@ -184,12 +201,9 @@ func (m *Manager) pushState(ctx context.Context, peer transport.NodeID, id objec
 		m.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrUnknownObject, id)
 	}
-	msg := applyMsg{ID: id, State: e.Snapshot(), Version: e.Version(), VV: rs.vv.Clone()}
+	op := batchOp{Kind: msgApply, Apply: applyMsg{ID: id, State: e.Snapshot(), Version: e.Version(), VV: rs.vv.Clone()}}
 	m.mu.Unlock()
-	if _, err := m.comm.Send(ctx, m.self, peer, msgApply, msg); err != nil {
-		return fmt.Errorf("replication: push %s to %s: %w", id, peer, err)
-	}
-	return nil
+	return m.sendOp(ctx, peer, op)
 }
 
 // resolveConflict lets the application (or the generic rule) choose a state,
@@ -217,7 +231,6 @@ func (m *Manager) resolveConflict(ctx context.Context, rec Record, resolve Confl
 		LocalHistory:  append([]HistoryEntry(nil), rs.history...),
 		RemoteHistory: rec.History,
 	}
-	info := rs.info
 	m.mu.Unlock()
 
 	chosen, err := resolve(conflict)
@@ -225,19 +238,14 @@ func (m *Manager) resolveConflict(ctx context.Context, rec Record, resolve Confl
 		chosen, _ = MostUpdatesResolver(conflict)
 	}
 
+	// Install the choice locally, one version past both lines and over their
+	// merged vectors; PropagateState's bump then dominates both, so the
+	// resolution propagates.
 	m.mu.Lock()
 	rs.vv.Merge(rec.VV)
-	rs.vv.Bump(m.self) // dominate both lines so the resolution propagates
-	version := maxInt64(conflict.LocalVersion, conflict.RemoteVersion) + 1
-	msg := applyMsg{ID: rec.ID, State: chosen.Clone(), Version: version, VV: rs.vv.Clone()}
 	m.mu.Unlock()
-
-	m.applyState(rec.ID, msg.State, msg.Version)
-	if err := m.store.Put(tableReplicaMeta, string(rec.ID), msg.VV); err != nil {
-		return err
-	}
-	m.countSendFailures(m.comm.Multicast(ctx, m.self, info.reachableReplicas(m.view()), msgApply, msg))
-	return nil
+	m.applyState(rec.ID, chosen, max(conflict.LocalVersion, conflict.RemoteVersion)+1)
+	return m.PropagateState(ctx, rec.ID)
 }
 
 // pushMissing creates, on the peer, objects it has never seen (created in
@@ -272,19 +280,12 @@ func (m *Manager) pushMissing(ctx context.Context, peer transport.NodeID, peerRe
 			m.mu.Unlock()
 			continue
 		}
-		msg := createMsg{ID: id, Class: e.Class(), State: e.Snapshot(), Version: e.Version(), VV: rs.vv.Clone(), Info: rs.info}
+		op := batchOp{Kind: msgCreate, Create: createMsg{ID: id, Class: e.Class(), State: e.Snapshot(), Version: e.Version(), VV: rs.vv.Clone(), Info: rs.info}}
 		m.mu.Unlock()
-		if _, err := m.comm.Send(ctx, m.self, peer, msgCreate, msg); err != nil {
-			return fmt.Errorf("replication: push create %s to %s: %w", id, peer, err)
+		if err := m.sendOp(ctx, peer, op); err != nil {
+			return err
 		}
 		report.Pushed++
 	}
 	return nil
-}
-
-func maxInt64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

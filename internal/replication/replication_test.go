@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 
 	"dedisys/internal/group"
@@ -438,9 +440,13 @@ func TestReconciliationAdoptsObjectsCreatedElsewhere(t *testing.T) {
 	}
 }
 
+// TestReconciliationRePropagatesDeletes deletes an object in one partition
+// while the other keeps writing it. One pass after the heal the deletion has
+// won on both sides, and both hold the same tombstone vector — the deleter's
+// merged with the peer's live one — so a gossip digest finds them in sync.
 func TestReconciliationRePropagatesDeletes(t *testing.T) {
 	h := newHarness(t, 2, PrimaryPerPartition{})
-	h.create(t, "n1", "Flight", "f1", nil)
+	h.create(t, "n1", "Flight", "f1", object.State{"sold": int64(0)})
 	h.net.Partition([]transport.NodeID{"n1"}, []transport.NodeID{"n2"})
 	env := h.node("n1")
 	txn := env.txm.Begin()
@@ -450,12 +456,135 @@ func TestReconciliationRePropagatesDeletes(t *testing.T) {
 	if err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
+	h.write(t, "n2", "f1", "sold", int64(1))
 	h.net.Heal()
 	if _, err := h.node("n1").mgr.ReconcileWith(context.Background(), []transport.NodeID{"n2"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if h.node("n2").reg.Has("f1") {
 		t.Fatal("delete not re-propagated during reconciliation")
+	}
+	d1, d2 := h.node("n1").mgr.Digest("n2")["f1"], h.node("n2").mgr.Digest("n1")["f1"]
+	if !d1.Deleted || !d2.Deleted {
+		t.Fatalf("tombstones: n1 %+v, n2 %+v", d1, d2)
+	}
+	if cmp, ok := d1.VV.Compare(d2.VV); !ok || cmp != 0 {
+		t.Fatalf("tombstone vectors differ after one pass: n1 %v, n2 %v", d1.VV, d2.VV)
+	}
+	if want := (VersionVector{"n1": 1, "n2": 1}); !reflect.DeepEqual(d1.VV, want) {
+		t.Fatalf("tombstone vector = %v, want %v", d1.VV, want)
+	}
+}
+
+// TestReconciliationPushToDroppedObjectSkipped merges a peer's records after
+// the peer dropped one of the objects in the meantime: the push of the
+// dominating local state is skipped there, as a commit-time apply for an
+// unknown object is, instead of failing the pass midway — the records after
+// it still merge.
+func TestReconciliationPushToDroppedObjectSkipped(t *testing.T) {
+	h := newHarness(t, 2, PrimaryPerPartition{})
+	h.create(t, "n1", "Flight", "f1", object.State{"sold": int64(1)})
+	h.create(t, "n1", "Flight", "f2", object.State{"sold": int64(2)})
+	h.net.Partition([]transport.NodeID{"n1"}, []transport.NodeID{"n2"})
+	h.write(t, "n1", "f1", "sold", int64(11)) // n1 dominates on f1
+	h.write(t, "n2", "f2", "sold", int64(22)) // n2 dominates on f2
+	pulled := h.node("n2").mgr.Records()
+	// n2 drops f1 after answering the pull.
+	env := h.node("n2")
+	txn := env.txm.Begin()
+	if err := env.mgr.Delete(txn, "f1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	h.net.Heal()
+
+	report, err := h.node("n1").mgr.MergeRecords(context.Background(), "n2", pulled, nil)
+	if err != nil {
+		t.Fatalf("pass aborted: %v", err)
+	}
+	if report.Pushed != 1 || report.Adopted != 1 {
+		t.Fatalf("report = %+v, want 1 pushed, 1 adopted", report)
+	}
+	if h.node("n2").reg.Has("f1") {
+		t.Fatal("skipped push resurrected the dropped object")
+	}
+	if e, _ := h.node("n1").reg.Get("f2"); e.GetInt("sold") != 22 {
+		t.Fatalf("record after the skipped push not merged: f2 = %d, want 22", e.GetInt("sold"))
+	}
+}
+
+// TestReplicaWritesCrossOnlyAsBatches records every message kind the
+// replication service sends through a P4 commit, a quorum commit, a forced
+// state install and a heal that meets a conflict, a missed create and a
+// tombstone: replica writes cross as repl.batch only, and the retired
+// per-kind messages have no handler left to receive them.
+func TestReplicaWritesCrossOnlyAsBatches(t *testing.T) {
+	var mu sync.Mutex
+	seen := make(map[string]int)
+	record := func(_, _ transport.NodeID, kind string) bool {
+		mu.Lock()
+		seen[kind]++
+		mu.Unlock()
+		return false
+	}
+	ctx := context.Background()
+
+	h := newHarness(t, 3, PrimaryPerPartition{})
+	h.net.SetDrop(record)
+	for _, id := range []object.ID{"f1", "f2"} {
+		h.create(t, "n1", "Flight", id, object.State{"sold": int64(0)})
+	}
+	if err := h.node("n1").mgr.PropagateState(ctx, "f1"); err != nil {
+		t.Fatal(err)
+	}
+	h.net.Partition([]transport.NodeID{"n1"}, []transport.NodeID{"n2", "n3"})
+	h.write(t, "n1", "f1", "sold", int64(1))
+	h.write(t, "n2", "f1", "sold", int64(2)) // conflict
+	h.create(t, "n1", "Flight", "f9", nil)   // create n2 and n3 miss
+	env := h.node("n1")
+	txn := env.txm.Begin()
+	if err := env.mgr.Delete(txn, "f2"); err != nil { // tombstone over their live f2
+		t.Fatal(err)
+	}
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	h.net.Heal()
+	report, err := env.mgr.ReconcileWith(ctx, []transport.NodeID{"n2", "n3"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Conflicts == 0 || report.Pushed == 0 {
+		t.Fatalf("heal exercised too little: %+v", report)
+	}
+	for _, id := range h.ids {
+		if n := h.node(id); !n.reg.Has("f9") || n.reg.Has("f2") {
+			t.Fatalf("node %s after heal: f9 %v, f2 %v", id, n.reg.Has("f9"), n.reg.Has("f2"))
+		}
+	}
+
+	q := newHarness(t, 3, Quorum{})
+	q.net.SetDrop(record)
+	q.create(t, "n1", "Flight", "f1", object.State{"sold": int64(0)})
+	q.write(t, "n1", "f1", "sold", int64(1))
+	q.node("n1").mgr.WaitPropagation()
+
+	mu.Lock()
+	if seen[msgBatch] == 0 || seen[msgPull] == 0 {
+		t.Errorf("kinds seen = %v", seen)
+	}
+	for kind := range seen {
+		if kind != msgBatch && kind != msgFetch && kind != msgPull {
+			t.Errorf("unexpected kind %q on the wire (%v)", kind, seen)
+		}
+	}
+	mu.Unlock()
+	for _, kind := range []string{msgCreate, msgApply, msgDelete} {
+		if _, err := h.net.Send(ctx, "n1", "n2", kind, nil); !errors.Is(err, transport.ErrNoHandler) {
+			t.Errorf("%s still has a handler: %v", kind, err)
+		}
 	}
 }
 

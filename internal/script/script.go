@@ -108,10 +108,6 @@ type Engine struct {
 	// membership with this configuration even without a 'detector' token
 	// (the CLI's -detector/-heartbeat-interval/-suspect-timeout flags).
 	Detect *detect.Config
-	// SequentialPropagation, when set before Run, makes 'cluster' build nodes
-	// with per-object commit propagation instead of transaction batching
-	// (the CLI's -batch-propagation=false).
-	SequentialPropagation bool
 	// Protocol, when set before Run, is the replica-control protocol
 	// 'cluster' defaults to when the script names none (the CLI's
 	// -protocol/-quorum-threshold flags). Script tokens still win.
@@ -358,7 +354,6 @@ func (e *Engine) cmdCluster(args []string) error {
 		o.ThreatPolicy = threat.IdenticalOnce
 		o.Obs = e.Obs
 		o.Detect = detectCfg
-		o.SequentialPropagation = e.SequentialPropagation
 		o.Groups = groups
 		o.ReplicationFactor = rf
 		o.Gossip = gossipCfg
