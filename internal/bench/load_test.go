@@ -133,7 +133,7 @@ func TestLoadGate(t *testing.T) {
 
 			"replicated_commit_allocs_per_op":   replicated,
 			"replicated_commit_allocs_baseline": baselineReplicatedCommitAllocs,
-			"replicated_commit_allocs_ceiling":  replicatedCommitAllocCeiling(),
+			"replicated_commit_allocs_ceiling":  replicatedCommitAllocCeiling,
 			"benchfmt": []string{
 				fmt.Sprintf("BenchmarkLoadOpenLoop/N=%d/G=%d/R=%d/p50 1 %d ns/op", loadClusterSize, loadGroups, loadRF, p50.Nanoseconds()),
 				fmt.Sprintf("BenchmarkLoadOpenLoop/N=%d/G=%d/R=%d/p99 1 %d ns/op", loadClusterSize, loadGroups, loadRF, p99.Nanoseconds()),
@@ -156,25 +156,26 @@ func TestLoadGate(t *testing.T) {
 // TestReplicatedCommitAllocCeiling is the allocation gate of the replicated
 // write path: one single-object quorum write on the 8-node G=4 R=3 simulator
 // cluster — commit staging, threshold multicast, two remote applies, every
-// store write, the straggler joined — must stay at least 30% below the count
-// measured before that path's rework. The count does not depend on the host;
-// it moves when a slice is grown by append again, a closure is allocated per
-// send, or a record goes back through reflection. Skipped under -race, whose
-// runtime allocates on paths the production build does not. TestLoadGate
-// records the same measurement in BENCH_load.json.
+// store write, the straggler joined — must stay under the ceiling set when
+// the state and vector copies came out of it. The count does not depend on
+// the host; it moves when the replicas copy the state and the vector they are
+// handed again (+8 over the two of them, 39.9), a slice is grown by append
+// again, a closure is allocated per send, or a record goes back through
+// reflection. Skipped under -race, whose runtime allocates on paths the
+// production build does not. TestLoadGate records the same measurement in
+// BENCH_load.json.
 func TestReplicatedCommitAllocCeiling(t *testing.T) {
 	got, err := measureReplicatedCommitAllocs(QuickConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ceiling := replicatedCommitAllocCeiling()
-	t.Logf("replicated quorum commit = %.2f allocs/op (ceiling %.2f, baseline %.2f)", got, ceiling, baselineReplicatedCommitAllocs)
+	t.Logf("replicated quorum commit = %.2f allocs/op (ceiling %.2f, baseline %.2f)", got, replicatedCommitAllocCeiling, baselineReplicatedCommitAllocs)
 	if raceEnabled {
 		t.Skip("race build: allocation gate skipped")
 	}
-	if got > ceiling {
-		t.Fatalf("replicated quorum commit = %.2f allocs/op, ceiling %.2f (baseline %.2f, floor -%.0f%%)",
-			got, ceiling, baselineReplicatedCommitAllocs, allocReductionFloor*100)
+	if got > replicatedCommitAllocCeiling {
+		t.Fatalf("replicated quorum commit = %.2f allocs/op, ceiling %.2f (baseline %.2f)",
+			got, replicatedCommitAllocCeiling, baselineReplicatedCommitAllocs)
 	}
 }
 

@@ -38,6 +38,13 @@ var (
 // State is a snapshot of an entity's attributes. Values are restricted to
 // JSON-representable scalars plus []ID references so that snapshots can be
 // serialized for replication and persistence.
+//
+// A State is written only by the code that built it, and only until it is
+// published: once it has been handed to an entity (Restore, ApplyState), taken
+// from one (Share), or put in an undo record, a message, a record or a history
+// entry, nobody writes it again — nested slices included — so all holders
+// share the one map. Whoever needs to change a published State copies it
+// first (Clone); Entity.Set does that by itself.
 type State map[string]any
 
 // Clone returns a deep copy of the state. Reference slices are copied.
@@ -66,11 +73,18 @@ func (s State) Clone() State {
 // Entity is one replica of a logical object. An Entity is not safe for
 // concurrent use by itself; the transaction layer serialises access through
 // object locks.
+//
+// The attribute map is copy-on-write. While shared is false the map is the
+// entity's own and Set writes it in place. Share, Restore and ApplyState set
+// the mark: from then on the same map is also held by an undo record, a
+// message in flight, another node's replica or a history entry, which read it
+// without any lock, so the next Set copies the map first and writes the copy.
 type Entity struct {
 	id      ID
 	class   string
 	version int64
 	attrs   State
+	shared  bool // attrs is published (see State): Set must copy before writing
 }
 
 // New creates an entity of the given class with initial attributes.
@@ -135,8 +149,13 @@ func (e *Entity) GetRef(name string) ID {
 	}
 }
 
-// Set updates one attribute and bumps the version.
+// Set updates one attribute and bumps the version. On an entity whose
+// attributes are shared it first replaces them with a private deep copy — the
+// one copy a write makes — so the published map is left as it was.
 func (e *Entity) Set(name string, value any) {
+	if e.shared {
+		e.attrs, e.shared = e.attrs.Clone(), false
+	}
 	e.attrs[name] = value
 	e.version++
 }
@@ -152,8 +171,19 @@ func (e *Entity) AttrNames() []string {
 	return names
 }
 
-// Snapshot returns a deep copy of the entity's attributes.
+// Snapshot returns a deep copy of the entity's attributes, private to the
+// caller: the form for code that runs without the entity's object lock or
+// hands the state to application code.
 func (e *Entity) Snapshot() State { return e.attrs.Clone() }
+
+// Share returns the entity's attributes without copying them and marks the
+// entity shared, so the returned State stays as it is now: the entity's next
+// Set writes a copy. The result is published (see State) — read it, never
+// write it. Like Set it needs the entity's object lock.
+func (e *Entity) Share() State {
+	e.shared = true
+	return e.attrs
+}
 
 // MarshalJSON encodes the entity as its attribute state, exactly as
 // json.Marshal(e.Snapshot()) would, without the copy. Like every other
@@ -161,17 +191,20 @@ func (e *Entity) Snapshot() State { return e.attrs.Clone() }
 func (e *Entity) MarshalJSON() ([]byte, error) { return json.Marshal(e.attrs) }
 
 // Restore replaces the entity's attributes and version, used by undo logging
-// and replica state transfer.
+// and replica state transfer. The entity adopts s by reference and marks
+// itself shared: s is published by this call (see State), the caller may keep
+// reading it and must not write it afterwards.
 func (e *Entity) Restore(s State, version int64) {
-	e.attrs = s.Clone()
+	e.attrs, e.shared = s, true
 	e.version = version
 }
 
 // ApplyState overwrites attributes with s but, unlike Restore, keeps the
 // larger of the current and supplied version. Used when applying propagated
-// updates that may arrive out of order during reconciliation.
+// updates that may arrive out of order during reconciliation. Like Restore it
+// adopts s by reference and marks the entity shared.
 func (e *Entity) ApplyState(s State, version int64) {
-	e.attrs = s.Clone()
+	e.attrs, e.shared = s, true
 	if version > e.version {
 		e.version = version
 	}

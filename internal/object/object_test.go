@@ -2,6 +2,7 @@ package object
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -77,6 +78,65 @@ func TestSnapshotRestoreIsolation(t *testing.T) {
 	e.Restore(snap, 7)
 	if e.GetString("name") != "Ann" || e.Version() != 7 {
 		t.Fatalf("restore failed: %s v%d", e.GetString("name"), e.Version())
+	}
+}
+
+// TestShareSetIsolation is the mirror of TestSnapshotRestoreIsolation for the
+// uncopied accessor: the State Share hands out is the entity's own map, and
+// the entity's next Set leaves it — nested slices included — as it was.
+func TestShareSetIsolation(t *testing.T) {
+	e := New("Person", "p1", State{"name": "Ann", "tags": []string{"a"}, "refs": []ID{"r1"}})
+	shared := e.Share()
+	if !sameMap(shared, e.attrs) {
+		t.Fatal("Share copied the attributes")
+	}
+	want := shared.Clone()
+	e.Set("name", "Bob")
+	e.Set("extra", int64(1))
+	// After the copy the entity owns its slices too.
+	e.MustGet("tags").([]string)[0] = "z"
+	e.MustGet("refs").([]ID)[0] = "r9"
+	if !reflect.DeepEqual(shared, want) {
+		t.Fatalf("Set after Share wrote the shared state: %v, want %v", shared, want)
+	}
+	if e.GetString("name") != "Bob" || e.GetInt("extra") != 1 || e.Version() != 3 {
+		t.Fatalf("entity lost its writes: %v v%d", e.Snapshot(), e.Version())
+	}
+	// One copy per sharing, not one per Set: the second Set wrote in place.
+	private := e.attrs
+	e.Set("name", "Cy")
+	if sameMap(private, shared) || !sameMap(private, e.attrs) {
+		t.Fatal("Set must copy a shared state once and then write its copy in place")
+	}
+}
+
+// sameMap reports whether two states are one map, not merely equal ones.
+func sameMap(a, b State) bool {
+	return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
+}
+
+// TestAdoptedStateIsCopiedOnWrite pins what Restore and ApplyState take
+// ownership of: the given map itself, marked shared, so that a Set on the
+// entity — inside a transaction or not — never reaches the other holders.
+func TestAdoptedStateIsCopiedOnWrite(t *testing.T) {
+	for name, adopt := range map[string]func(*Entity, State){
+		"Restore":    func(e *Entity, s State) { e.Restore(s, 4) },
+		"ApplyState": func(e *Entity, s State) { e.ApplyState(s, 4) },
+	} {
+		given := State{"a": int64(1), "refs": []ID{"x"}}
+		want := given.Clone()
+		e := New("X", "x1", nil)
+		adopt(e, given)
+		if !sameMap(e.attrs, given) {
+			t.Fatalf("%s copied the state", name)
+		}
+		e.Set("a", int64(2))
+		if !reflect.DeepEqual(given, want) {
+			t.Fatalf("%s: Set reached the adopted state: %v", name, given)
+		}
+		if e.GetInt("a") != 2 || e.Version() != 5 {
+			t.Fatalf("%s: entity = %v v%d", name, e.Snapshot(), e.Version())
+		}
 	}
 }
 

@@ -35,13 +35,13 @@ func (m *Manager) Digest(peer transport.NodeID) map[object.ID]DigestEntry {
 		if m.placement != nil && !rs.info.HasReplica(peer) {
 			continue
 		}
-		out[id] = DigestEntry{VV: rs.vv.Clone()}
+		out[id] = DigestEntry{VV: rs.vv}
 	}
 	for id, vv := range m.tombstones {
 		if m.placement != nil && !m.hostsLocked(id, peer) {
 			continue
 		}
-		out[id] = DigestEntry{VV: vv.Clone(), Deleted: true}
+		out[id] = DigestEntry{VV: vv, Deleted: true}
 	}
 	return out
 }

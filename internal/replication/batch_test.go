@@ -217,7 +217,7 @@ func TestBatchUnknownApplySkipped(t *testing.T) {
 	h.create(t, "n1", "Flight", "f1", object.State{"sold": int64(1)})
 	e1, _ := h.node("n1").reg.Get("f1")
 	vv1, _ := h.node("n1").mgr.VersionVector("f1")
-	vv1.Bump("n1")
+	vv1 = vv1.Bumped("n1")
 	batch := batchMsg{Ops: []batchOp{
 		{Kind: msgApply, Apply: applyMsg{ID: "ghost", State: object.State{"sold": int64(9)}, Version: 9, VV: VersionVector{"n1": 9}}},
 		{Kind: msgApply, Apply: applyMsg{ID: "f1", State: object.State{"sold": int64(8)}, Version: e1.Version() + 1, VV: vv1}},

@@ -406,7 +406,9 @@ func (m *Manager) Info(id object.ID) (Info, error) {
 	return rs.info, nil
 }
 
-// VersionVector returns a copy of the local replica's version vector.
+// VersionVector returns a copy of the local replica's version vector: the
+// caller is outside the package's never-written rule and may keep or change
+// what it gets.
 func (m *Manager) VersionVector(id object.ID) (VersionVector, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -511,7 +513,7 @@ func (m *Manager) Lookup(ctx context.Context, id object.ID) (*object.Entity, con
 		if !ok {
 			continue
 		}
-		e := object.New(fr.Class, id, fr.State)
+		e := object.New(fr.Class, id, nil)
 		e.Restore(fr.State, fr.Version)
 		st := constraint.Staleness{PossiblyStale: stale || fr.Stale, Version: fr.Version, EstimatedLatest: fr.Version}
 		if st.PossiblyStale {
@@ -606,7 +608,7 @@ func (m *Manager) Delete(t *tx.Tx, id object.ID) error {
 		return fmt.Errorf("%w: %s", ErrUnknownObject, id)
 	}
 	info := rs.info
-	vv := rs.vv.Clone()
+	vv := rs.vv
 	delete(m.meta, id)
 	m.tombstones[id] = vv
 	ch := m.changes(t)
@@ -838,8 +840,8 @@ func (m *Manager) stageCreate(id object.ID, info Info, view group.View, degraded
 		m.mu.Unlock()
 		return batchOp{}, nil, false, fmt.Errorf("%w: %s", ErrUnknownObject, id)
 	}
-	rs.vv.Bump(m.self)
-	msg := createMsg{ID: id, Class: e.Class(), State: e.Snapshot(), Version: e.Version(), VV: rs.vv.Clone(), Info: info}
+	rs.vv = rs.vv.Bumped(m.self)
+	msg := createMsg{ID: id, Class: e.Class(), State: e.Snapshot(), Version: e.Version(), VV: rs.vv, Info: info}
 	m.mu.Unlock()
 	if err := m.store.Put(tableReplicaMeta, string(id), msg); err != nil {
 		return batchOp{}, nil, false, err
@@ -882,16 +884,17 @@ func (m *Manager) stageUpdate(id object.ID, view group.View, degraded bool) (bat
 		m.mu.Unlock()
 		return batchOp{}, Info{}, nil, false, fmt.Errorf("%w: %s", ErrUnknownObject, id)
 	}
-	rs.vv.Bump(m.self)
-	vv := rs.vv.Clone()
+	rs.vv = rs.vv.Bumped(m.self)
+	vv := rs.vv
 	info := rs.info
 	m.mu.Unlock()
 	dests := info.reachableReplicas(view)
 	deg := m.effectiveDegraded(info, degraded)
-	// The state snapshot exists to ride the wire and the history log; when
-	// no remote replica is reachable and no history is recorded, copying the
-	// object per commit buys nothing — the local registry entity is already
-	// the latest state.
+	// The state exists to ride the wire and the history log; when no remote
+	// replica is reachable and no history is recorded there is nothing to
+	// share it with. The transaction still holds the object's lock, so the
+	// entity's map is shipped as it is: the remote applies and the history
+	// entry read it after the lock is gone, and the entity's next Set copies.
 	needState := deg && m.keepHistory
 	for _, d := range dests {
 		if d != m.self {
@@ -901,7 +904,7 @@ func (m *Manager) stageUpdate(id object.ID, view group.View, degraded bool) (bat
 	}
 	var state object.State
 	if needState {
-		state = e.Snapshot()
+		state = e.Share()
 	}
 	msg := applyMsg{ID: id, State: state, Version: e.Version(), VV: vv}
 	if err := m.store.Put(tableReplicaMeta, string(id), msg.VV); err != nil {
@@ -936,7 +939,7 @@ func (m *Manager) stageDelete(id object.ID, view group.View) (batchOp, []transpo
 	}
 	m.store.Delete(tableReplicaMeta, string(id))
 	dests, replicas := m.deleteDests(id, view)
-	return batchOp{Kind: msgDelete, Delete: deleteMsg{ID: id, VV: vv.Clone()}}, dests, replicas, true
+	return batchOp{Kind: msgDelete, Delete: deleteMsg{ID: id, VV: vv}}, dests, replicas, true
 }
 
 // WaitPropagation blocks until every background straggler send of earlier
@@ -976,7 +979,7 @@ func (m *Manager) recordHistory(id object.ID, st object.State, version int64, vv
 	if !degraded || !m.keepHistory {
 		return
 	}
-	entry := HistoryEntry{State: st, Version: version, VV: vv.Clone()}
+	entry := HistoryEntry{State: st, Version: version, VV: vv}
 	m.mu.Lock()
 	if rs, ok := m.meta[id]; ok {
 		rs.history = append(rs.history, entry)
@@ -1000,8 +1003,8 @@ func (m *Manager) PropagateState(ctx context.Context, id object.ID) error {
 		m.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrUnknownObject, id)
 	}
-	rs.vv.Bump(m.self)
-	msg := applyMsg{ID: id, State: e.Snapshot(), Version: e.Version(), VV: rs.vv.Clone()}
+	rs.vv = rs.vv.Bumped(m.self)
+	msg := applyMsg{ID: id, State: e.Snapshot(), Version: e.Version(), VV: rs.vv}
 	info := rs.info
 	m.mu.Unlock()
 	if err := m.store.Put(tableReplicaMeta, string(id), msg.VV); err != nil {
@@ -1059,10 +1062,10 @@ func (m *Manager) applyOps(ops []batchOp) (applied, skipped int, err error) {
 		case msgCreate:
 			msg := &op.Create
 			if existing, known := m.meta[msg.ID]; known {
-				existing.vv.Merge(msg.VV)
+				existing.vv = existing.vv.Merged(msg.VV)
 				do = fxMerge
 			} else {
-				m.meta[msg.ID] = &replicaState{info: msg.Info, vv: msg.VV.Clone()}
+				m.meta[msg.ID] = &replicaState{info: msg.Info, vv: msg.VV}
 				delete(m.tombstones, msg.ID)
 				do = fxCreate
 			}
@@ -1079,7 +1082,7 @@ func (m *Manager) applyOps(ops []batchOp) (applied, skipped int, err error) {
 				skipped++ // duplicate, older or concurrent: ignore (idempotence)
 				break
 			}
-			rs.vv = msg.VV.Clone()
+			rs.vv = msg.VV
 			do = fxApply
 			applied++
 		case msgDelete:
@@ -1108,9 +1111,9 @@ func (m *Manager) tombstone(id object.ID, vv VersionVector) (known bool) {
 	_, known = m.meta[id]
 	delete(m.meta, id)
 	if old, ok := m.tombstones[id]; ok {
-		old.Merge(vv)
+		m.tombstones[id] = old.Merged(vv)
 	} else {
-		m.tombstones[id] = vv.Clone()
+		m.tombstones[id] = vv
 	}
 	return known
 }
@@ -1223,7 +1226,7 @@ func (m *Manager) records(keep func(Info) bool) []Record {
 // m.mu. A replica without a local entity (a non-hosting metadata holder)
 // exports metadata only.
 func (m *Manager) recordLocked(id object.ID, rs *replicaState) Record {
-	rec := Record{ID: id, VV: rs.vv.Clone(), Info: rs.info}
+	rec := Record{ID: id, VV: rs.vv, Info: rs.info}
 	rec.History = append(rec.History, rs.history...)
 	if e, err := m.registry.Get(id); err == nil {
 		rec.Class = e.Class()

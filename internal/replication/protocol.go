@@ -386,11 +386,22 @@ func ProtocolByName(name string, quorumThreshold int) (Protocol, error) {
 // VersionVector counts, per coordinating node, how many committed updates an
 // object replica has absorbed. Vectors detect missed updates and write-write
 // conflicts across partitions.
+//
+// A vector is never written after it is built: no method writes its receiver
+// or its argument, Bumped and Merged return the successor as a new map, and
+// the manager advances a replica by reassigning it under its lock. The
+// replica table, tombstones, messages, records, digests and history entries
+// therefore share vectors by reference, across goroutines and (on the
+// simulator) across nodes; Clone is for a vector handed to code outside that
+// rule.
 type VersionVector map[transport.NodeID]int64
 
 // Clone copies the vector.
-func (v VersionVector) Clone() VersionVector {
-	out := make(VersionVector, len(v))
+func (v VersionVector) Clone() VersionVector { return v.grown(0) }
+
+// grown returns a copy of the vector with room for extra more components.
+func (v VersionVector) grown(extra int) VersionVector {
+	out := make(VersionVector, len(v)+extra)
 	for k, n := range v {
 		out[k] = n
 	}
@@ -433,8 +444,13 @@ func jsonEscapes(r rune) bool {
 	return r < 0x20 || r >= 0x7f || strings.ContainsRune(`"\<>&`, r)
 }
 
-// Bump increments the component of the coordinating node.
-func (v VersionVector) Bump(n transport.NodeID) { v[n]++ }
+// Bumped returns a copy of the vector with the component of the coordinating
+// node incremented.
+func (v VersionVector) Bumped(n transport.NodeID) VersionVector {
+	out := v.grown(1)
+	out[n]++
+	return out
+}
 
 // Compare returns the ordering of two vectors:
 //
@@ -464,13 +480,19 @@ func (v VersionVector) Compare(o VersionVector) (cmp int, ok bool) {
 	}
 }
 
-// Merge takes the component-wise maximum.
-func (v VersionVector) Merge(o VersionVector) {
+// Merged returns the component-wise maximum of the two vectors: v itself when
+// o adds nothing to it, a new vector otherwise.
+func (v VersionVector) Merged(o VersionVector) VersionVector {
+	out, own := v, false
 	for k, n := range o {
-		if n > v[k] {
-			v[k] = n
+		if n > out[k] {
+			if !own {
+				out, own = v.grown(0), true
+			}
+			out[k] = n
 		}
 	}
+	return out
 }
 
 // Total returns the sum of all components (the total update count).

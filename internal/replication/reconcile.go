@@ -105,8 +105,9 @@ func (m *Manager) mergeRecords(ctx context.Context, peer transport.NodeID, recor
 			// We deleted the object; re-propagate the deletion. The tombstone
 			// absorbs the peer's live vector first, so both sides end up
 			// holding the same one.
-			tomb.Merge(rec.VV)
-			op := batchOp{Kind: msgDelete, Delete: deleteMsg{ID: rec.ID, VV: tomb.Clone()}}
+			tomb = tomb.Merged(rec.VV)
+			m.tombstones[rec.ID] = tomb
+			op := batchOp{Kind: msgDelete, Delete: deleteMsg{ID: rec.ID, VV: tomb}}
 			m.mu.Unlock()
 			if err := m.sendOp(ctx, peer, op); err != nil {
 				return err
@@ -114,6 +115,10 @@ func (m *Manager) mergeRecords(ctx context.Context, peer transport.NodeID, recor
 			continue
 		}
 		rs, known := m.meta[rec.ID]
+		var local VersionVector
+		if known {
+			local = rs.vv
+		}
 		m.mu.Unlock()
 
 		if !known {
@@ -125,7 +130,7 @@ func (m *Manager) mergeRecords(ctx context.Context, peer transport.NodeID, recor
 			continue
 		}
 
-		cmp, comparable := rec.VV.Compare(m.cloneVV(rs))
+		cmp, comparable := rec.VV.Compare(local)
 		switch {
 		case comparable && cmp > 0:
 			// Peer dominates: adopt its state.
@@ -155,12 +160,6 @@ func (m *Manager) mergeRecords(ctx context.Context, peer transport.NodeID, recor
 	return nil
 }
 
-func (m *Manager) cloneVV(rs *replicaState) VersionVector {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return rs.vv.Clone()
-}
-
 func createFromRecord(rec Record) createMsg {
 	return createMsg{ID: rec.ID, Class: rec.Class, State: rec.State, Version: rec.Version, VV: rec.VV, Info: rec.Info}
 }
@@ -169,7 +168,7 @@ func createFromRecord(rec Record) createMsg {
 func (m *Manager) adopt(rec Record) {
 	m.mu.Lock()
 	if rs, ok := m.meta[rec.ID]; ok {
-		rs.vv.Merge(rec.VV)
+		rs.vv = rs.vv.Merged(rec.VV)
 	}
 	m.mu.Unlock()
 	m.applyState(rec.ID, rec.State, rec.Version)
@@ -201,7 +200,7 @@ func (m *Manager) pushState(ctx context.Context, peer transport.NodeID, id objec
 		m.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrUnknownObject, id)
 	}
-	op := batchOp{Kind: msgApply, Apply: applyMsg{ID: id, State: e.Snapshot(), Version: e.Version(), VV: rs.vv.Clone()}}
+	op := batchOp{Kind: msgApply, Apply: applyMsg{ID: id, State: e.Snapshot(), Version: e.Version(), VV: rs.vv}}
 	m.mu.Unlock()
 	return m.sendOp(ctx, peer, op)
 }
@@ -219,6 +218,8 @@ func (m *Manager) resolveConflict(ctx context.Context, rec Record, resolve Confl
 		m.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrUnknownObject, rec.ID)
 	}
+	// The Conflict goes to application code, which is outside the sharing
+	// rules: it gets its own copy of the local state and of both vectors.
 	conflict := Conflict{
 		ID:            rec.ID,
 		Class:         e.Class(),
@@ -242,7 +243,7 @@ func (m *Manager) resolveConflict(ctx context.Context, rec Record, resolve Confl
 	// merged vectors; PropagateState's bump then dominates both, so the
 	// resolution propagates.
 	m.mu.Lock()
-	rs.vv.Merge(rec.VV)
+	rs.vv = rs.vv.Merged(rec.VV)
 	m.mu.Unlock()
 	m.applyState(rec.ID, chosen, max(conflict.LocalVersion, conflict.RemoteVersion)+1)
 	return m.PropagateState(ctx, rec.ID)
@@ -280,7 +281,7 @@ func (m *Manager) pushMissing(ctx context.Context, peer transport.NodeID, peerRe
 			m.mu.Unlock()
 			continue
 		}
-		op := batchOp{Kind: msgCreate, Create: createMsg{ID: id, Class: e.Class(), State: e.Snapshot(), Version: e.Version(), VV: rs.vv.Clone(), Info: rs.info}}
+		op := batchOp{Kind: msgCreate, Create: createMsg{ID: id, Class: e.Class(), State: e.Snapshot(), Version: e.Version(), VV: rs.vv, Info: rs.info}}
 		m.mu.Unlock()
 		if err := m.sendOp(ctx, peer, op); err != nil {
 			return err

@@ -620,18 +620,18 @@ func TestVersionVectorCompare(t *testing.T) {
 	if cmp, ok := a.Compare(b); !ok || cmp != 0 {
 		t.Fatalf("equal compare = %d, %v", cmp, ok)
 	}
-	b.Bump("n2")
+	b = b.Bumped("n2")
 	if cmp, ok := a.Compare(b); !ok || cmp != -1 {
 		t.Fatalf("dominated compare = %d, %v", cmp, ok)
 	}
 	if cmp, ok := b.Compare(a); !ok || cmp != 1 {
 		t.Fatalf("dominating compare = %d, %v", cmp, ok)
 	}
-	a.Bump("n1")
+	a = a.Bumped("n1")
 	if _, ok := a.Compare(b); ok {
 		t.Fatal("concurrent vectors reported comparable")
 	}
-	a.Merge(b)
+	a = a.Merged(b)
 	if cmp, ok := a.Compare(b); !ok || cmp != 1 {
 		t.Fatalf("after merge compare = %d, %v", cmp, ok)
 	}
@@ -639,7 +639,7 @@ func TestVersionVectorCompare(t *testing.T) {
 		t.Fatalf("total = %d", a.Total())
 	}
 	c := a.Clone()
-	c.Bump("n9")
+	c["n9"]++
 	if _, ok := a["n9"]; ok {
 		t.Fatal("clone aliased original")
 	}

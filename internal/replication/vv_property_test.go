@@ -69,8 +69,7 @@ func TestQuickCompareReflexive(t *testing.T) {
 
 func TestQuickMergeDominatesBoth(t *testing.T) {
 	f := func(a, b VersionVector) bool {
-		m := a.Clone()
-		m.Merge(b)
+		m := a.Merged(b)
 		cmpA, okA := m.Compare(a)
 		cmpB, okB := m.Compare(b)
 		return okA && okB && cmpA >= 0 && cmpB >= 0
@@ -80,24 +79,27 @@ func TestQuickMergeDominatesBoth(t *testing.T) {
 	}
 }
 
-func TestQuickMergeCommutativeIdempotent(t *testing.T) {
-	comm := func(a, b VersionVector) bool {
-		x := a.Clone()
-		x.Merge(b)
-		y := b.Clone()
-		y.Merge(a)
-		cmp, ok := x.Compare(y)
-		return ok && cmp == 0
+// vvEqual reports component-wise equality (an absent component is zero).
+func vvEqual(a, b VersionVector) bool {
+	cmp, ok := a.Compare(b)
+	return ok && cmp == 0
+}
+
+func TestQuickMergeAssociative(t *testing.T) {
+	f := func(a, b, c VersionVector) bool {
+		return vvEqual(a.Merged(b).Merged(c), a.Merged(b.Merged(c)))
 	}
+	if err := quick.Check(f, vvConfig()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestQuickMergeCommutativeIdempotent(t *testing.T) {
+	comm := func(a, b VersionVector) bool { return vvEqual(a.Merged(b), b.Merged(a)) }
 	if err := quick.Check(comm, vvConfig()); err != nil {
 		t.Fatalf("commutativity: %v", err)
 	}
-	idem := func(a VersionVector) bool {
-		x := a.Clone()
-		x.Merge(a)
-		cmp, ok := x.Compare(a)
-		return ok && cmp == 0
-	}
+	idem := func(a VersionVector) bool { return vvEqual(a.Merged(a), a) }
 	if err := quick.Check(idem, vvConfig()); err != nil {
 		t.Fatalf("idempotence: %v", err)
 	}
@@ -105,13 +107,61 @@ func TestQuickMergeCommutativeIdempotent(t *testing.T) {
 
 func TestQuickBumpStrictlyDominates(t *testing.T) {
 	f := func(a VersionVector) bool {
-		b := a.Clone()
-		b.Bump("a")
+		b := a.Bumped("a")
 		cmp, ok := b.Compare(a)
 		return ok && cmp == 1 && b.Total() == a.Total()+1
 	}
 	if err := quick.Check(f, vvConfig()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestQuickVectorMethodsWriteNothing is the never-written rule as a property:
+// no method writes its receiver or its argument, the result of Bumped is a
+// map of its own, and Merged returns the receiver itself exactly when the
+// argument adds nothing to it. reflect.DeepEqual against copies taken before
+// the call also catches a zero component added to either map.
+func TestQuickVectorMethodsWriteNothing(t *testing.T) {
+	f := func(a, b VersionVector) bool {
+		a0, b0 := a.Clone(), b.Clone()
+		bumped := a.Bumped("b")
+		merged := a.Merged(b)
+		a.Compare(b)
+		a.Total()
+		if _, err := a.MarshalJSON(); err != nil {
+			return false
+		}
+		if !reflect.DeepEqual(a, a0) || !reflect.DeepEqual(b, b0) {
+			return false
+		}
+		if sameMap(bumped, a) {
+			return false
+		}
+		cmp, ok := b.Compare(a)
+		adds := !ok || cmp > 0
+		if sameMap(merged, a) == adds || sameMap(merged, b) {
+			return false
+		}
+		// The results are as free of their operands as the operands are of
+		// them: writing a result leaves both operands alone.
+		bumped["c"] += 7
+		if adds {
+			merged["c"] += 7
+		}
+		return reflect.DeepEqual(a, a0) && reflect.DeepEqual(b, b0)
+	}
+	if err := quick.Check(f, vvConfig()); err != nil {
+		t.Fatal(err)
+	}
+	var none VersionVector
+	if got := none.Bumped("a"); !reflect.DeepEqual(got, VersionVector{"a": 1}) {
+		t.Fatalf("nil.Bumped = %v", got)
+	}
+	if got := none.Merged(VersionVector{"a": 2}); !reflect.DeepEqual(got, VersionVector{"a": 2}) {
+		t.Fatalf("nil.Merged = %v", got)
+	}
+	if got := none.Merged(nil); got != nil {
+		t.Fatalf("nil.Merged(nil) = %v", got)
 	}
 }
 

@@ -186,7 +186,7 @@ type Tx struct {
 // undo slice without allocating a closure per mutation.
 type undoRecord struct {
 	entity  *object.Entity // restore target (undo of an update)
-	state   object.State   // pre-state for restore
+	state   object.State   // pre-state for restore, shared with the entity (never written)
 	version int64          // pre-version for restore
 	reg     *object.Registry
 	id      object.ID // remove target (undo of a create)
@@ -295,13 +295,22 @@ func (t *Tx) HoldsLock(id object.ID) bool {
 	return ok
 }
 
-// RecordUpdate saves the entity's pre-state for rollback. Call before the
-// first mutation of the entity within this transaction; later calls for the
-// same entity are cheap no-ops handled by the caller keeping first-write
-// semantics (the undo log replays in reverse, so duplicates are harmless but
-// wasteful).
+// RecordUpdate saves the entity's pre-state for rollback. Call before a
+// mutation of the entity within this transaction, holding its object lock.
+// The record shares the entity's attribute map instead of copying it
+// (object.Entity.Share): the first Set that follows makes the one copy, and
+// rollback hands the shared pre-image back. A call whose entity the newest
+// undo record already restores is a no-op — K consecutive writes to one
+// object keep the first pre-image and copy the state once. A record for
+// another entity in between makes the next call record again; the undo log
+// replays in reverse, so that duplicate is harmless.
 func (t *Tx) RecordUpdate(e *object.Entity) {
-	t.undo = append(t.undo, undoRecord{entity: e, state: e.Snapshot(), version: e.Version()})
+	if n := len(t.undo); n > 0 {
+		if last := &t.undo[n-1]; last.entity == e && last.reg == nil && last.fn == nil {
+			return
+		}
+	}
+	t.undo = append(t.undo, undoRecord{entity: e, state: e.Share(), version: e.Version()})
 }
 
 // RecordCreate registers an undo that removes a created entity again.

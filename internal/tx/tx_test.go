@@ -2,6 +2,7 @@ package tx
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -303,5 +304,116 @@ func TestConcurrentTransactionsOnDistinctObjects(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// sameMap reports whether two states are one map, not merely equal ones.
+func sameMap(a, b object.State) bool {
+	return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
+}
+
+// TestAliasRollback covers the undo record's side of the copy-on-write rule:
+// the record holds the entity's own pre-image map (no copy), the writes that
+// follow land in a copy, rollback hands the same map back, and a later write —
+// in a transaction or bare — still leaves it alone, because a restored entity
+// is a shared one.
+func TestAliasRollback(t *testing.T) {
+	m := NewManager()
+	e := object.New("Flight", "f1", object.State{"sold": int64(70), "tags": []string{"a"}})
+	want := e.Snapshot()
+
+	for _, writes := range []int{1, 3} {
+		txn := m.Begin()
+		if err := txn.Lock("f1"); err != nil {
+			t.Fatal(err)
+		}
+		txn.RecordUpdate(e)
+		pre := txn.undo[0].state
+		for i := 0; i < writes; i++ {
+			e.Set("sold", int64(71+i))
+			e.Set("tags", []string{"b"})
+		}
+		if !reflect.DeepEqual(pre, want) {
+			t.Fatalf("%d writes reached the undo record's pre-image: %v", writes, pre)
+		}
+		if err := txn.Rollback(); err != nil {
+			t.Fatal(err)
+		}
+		if !sameMap(e.Share(), pre) || !reflect.DeepEqual(pre, want) || e.Version() != 1 {
+			t.Fatalf("rollback after %d writes: entity %v v%d, pre-image %v", writes, e.Snapshot(), e.Version(), pre)
+		}
+
+		// The restored map is still the earlier record's: neither a
+		// transactional nor a bare write may disturb it.
+		next := m.Begin()
+		if err := next.Lock("f1"); err != nil {
+			t.Fatal(err)
+		}
+		next.RecordUpdate(e)
+		e.Set("sold", int64(99))
+		if err := next.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(pre, want) || e.GetInt("sold") != 99 {
+			t.Fatalf("write after rollback: pre-image %v, entity %v", pre, e.Snapshot())
+		}
+		e.Restore(pre, 1)
+		e.Set("sold", int64(98))
+		if !reflect.DeepEqual(pre, want) {
+			t.Fatalf("bare write after restore reached the pre-image: %v", pre)
+		}
+		e.Restore(pre, 1)
+	}
+}
+
+// TestRecordUpdateConsecutiveIsNoOp: node.dispatch records before every
+// write invocation, so K writes to one object must cost what one write costs
+// — one undo record, one copy of the state — and roll back to the first
+// pre-image. A record for another entity in between is not looked past.
+func TestRecordUpdateConsecutiveIsNoOp(t *testing.T) {
+	m := NewManager()
+	e := object.New("Flight", "f1", object.State{"sold": int64(0), "seats": int64(80)})
+	other := object.New("Flight", "f2", object.State{"sold": int64(0)})
+
+	txn := m.Begin()
+	for i := 1; i <= 8; i++ {
+		txn.RecordUpdate(e)
+		e.Set("sold", int64(i))
+	}
+	if len(txn.undo) != 1 {
+		t.Fatalf("8 writes to one object left %d undo records, want 1", len(txn.undo))
+	}
+	txn.RecordUpdate(other)
+	other.Set("sold", int64(1))
+	txn.RecordUpdate(e)
+	e.Set("sold", int64(9))
+	if len(txn.undo) != 3 {
+		t.Fatalf("interleaved writes left %d undo records, want 3", len(txn.undo))
+	}
+	if err := txn.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if e.GetInt("sold") != 0 || e.Version() != 1 || other.GetInt("sold") != 0 || other.Version() != 1 {
+		t.Fatalf("rollback: f1 %v v%d, f2 %v v%d", e.Snapshot(), e.Version(), other.Snapshot(), other.Version())
+	}
+
+	run := func(writes int) func() {
+		return func() {
+			txn := m.Begin()
+			if err := txn.Lock("f1"); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < writes; i++ {
+				txn.RecordUpdate(e)
+				e.Set("sold", int64(i)) // small values box without allocating
+			}
+			if err := txn.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	one, eight := testing.AllocsPerRun(200, run(1)), testing.AllocsPerRun(200, run(8))
+	if eight != one {
+		t.Fatalf("a transaction of 8 writes to one object allocates %.1f, one write %.1f: the state is copied more than once", eight, one)
 	}
 }
