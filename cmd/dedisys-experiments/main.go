@@ -4,7 +4,7 @@
 // Usage:
 //
 //	dedisys-experiments [-quick] [-ops N] [-runs N] [-netcost D] [-storecost D]
-//	                    [-load-ops N] [-load-rate R] [-cpuprofile F] [-memprofile F] [id ...]
+//	                    [-cpuprofile F] [-memprofile F] [id ...]
 //
 // Without arguments all experiments run at the calibrated default scale; one
 // or more experiment IDs (e.g. fig5.2 exp-psc) restrict the run.
@@ -47,12 +47,6 @@ func run(args []string) error {
 		groups         = fs.Int("groups", 0, "exp-shard: replica-group count for the sharded cases (0 = its defaults, G=2 and G=4)")
 		rf             = fs.Int("replication-factor", 0, "exp-shard: nodes replicating each group (0 = its default of 3)")
 		gossipFanout   = fs.Int("gossip-fanout", 0, "exp-gossip: peers contacted per anti-entropy round (0 = the gossip default of 2)")
-		loadOps        = fs.Int("load-ops", 0, "exp-load: total operations (0 = 1000x -ops, a million at default scale)")
-		loadRate       = fs.Float64("load-rate", 0, "exp-load: mean open-loop arrival rate in ops/s (0 = 250000)")
-		loadReadRatio  = fs.Float64("load-read-ratio", 0, "exp-load: read fraction of the mix (0 = 0.9)")
-		loadPoisson    = fs.Bool("load-poisson", true, "exp-load: Poisson inter-arrivals (false: fixed rate)")
-		loadSeed       = fs.Int64("load-seed", 0, "exp-load: schedule seed for replayable runs (0 = 42)")
-		loadWorkers    = fs.Int("load-workers", 0, "exp-load: executor pool size (0 = 4x GOMAXPROCS)")
 
 		csvDir     = fs.String("csv", "", "also write each result as CSV into this directory")
 		metrics    = fs.Bool("metrics", false, "dump the shared metrics registry after each experiment")
@@ -108,12 +102,6 @@ func run(args []string) error {
 	cfg.Groups = *groups
 	cfg.ReplicationFactor = *rf
 	cfg.GossipFanout = *gossipFanout
-	cfg.LoadOps = *loadOps
-	cfg.LoadRate = *loadRate
-	cfg.LoadReadRatio = *loadReadRatio
-	cfg.LoadFixedRate = !*loadPoisson
-	cfg.LoadSeed = *loadSeed
-	cfg.LoadWorkers = *loadWorkers
 	var observer *obs.Observer
 	if *metrics || *trace {
 		observer = obs.New()

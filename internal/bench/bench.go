@@ -53,24 +53,6 @@ type Config struct {
 	// GossipFanout is the peers-per-round for the anti-entropy experiment,
 	// exp-gossip (-gossip-fanout; 0 = the gossip default of 2).
 	GossipFanout int
-	// LoadOps is the total operation count for the load engine experiment,
-	// exp-load (-load-ops; 0 derives 1000x Ops — a million at the default
-	// scale).
-	LoadOps int
-	// LoadRate is exp-load's mean open-loop arrival rate in operations per
-	// second (-load-rate; 0 = 250000).
-	LoadRate float64
-	// LoadReadRatio is exp-load's read fraction (-load-read-ratio;
-	// 0 = the loadgen default of 0.9).
-	LoadReadRatio float64
-	// LoadFixedRate switches exp-load from Poisson to fixed-rate arrivals
-	// (-load-poisson=false).
-	LoadFixedRate bool
-	// LoadSeed seeds exp-load's replayable schedule (-load-seed; 0 = 42).
-	LoadSeed int64
-	// LoadWorkers is exp-load's executor pool size (-load-workers;
-	// 0 = 4x GOMAXPROCS).
-	LoadWorkers int
 	// Obs, when set, is shared by every cluster the experiments build so one
 	// registry/trace dump covers the whole run (--metrics/--trace).
 	Obs *obs.Observer
@@ -250,7 +232,7 @@ func Registry() []Experiment {
 		{ID: "exp-shard", Title: "Sharded placement: per-node replica footprint and commit fan-out vs full replication", Run: runShard},
 		{ID: "exp-wire", Title: "Real-wire backend: commit latency over unix sockets vs the simulated hop", Run: runWire},
 		{ID: "exp-gossip", Title: "Anti-entropy gossip vs heal reconciliation: rounds and bytes to converge a heal storm", Run: runGossip},
-		{ID: "exp-load", Title: "Open-loop sustained load: throughput and queue-delay-inclusive latency on the sharded quorum cluster", Run: runLoad},
+		{ID: "exp-allocs", Title: "Hot-path allocations per operation: invoke, single-node commit, replicated quorum commit", Run: runAllocs},
 	}
 }
 

@@ -3,6 +3,7 @@
 package bench
 
 // raceEnabled reports whether the race detector instruments this build.
-// Gates that drive millions of operations scale down under -race, where
-// every atomic and channel operation pays instrumentation cost.
+// The stress test scales down under -race, where every memory access pays
+// instrumentation cost, and the allocation gates skip their assertions: the
+// race runtime allocates on paths the production build does not.
 const raceEnabled = false

@@ -124,14 +124,14 @@ func TestLossyLinkCausesFalseSuspicion(t *testing.T) {
 	})
 	ds := startDetectors(t, net, ids, Config{Interval: 2 * time.Millisecond})
 
-	waitFor(t, 5*time.Second, func() bool { return ds[0].Stats().FalseSuspicions >= 1 },
-		"n1 falsely suspects n2 under full heartbeat loss")
-	_, v := ds[0].Current()
-	if contains(v, "n2") {
-		t.Fatalf("n1's view %v still contains n2 despite suspicion", v)
-	}
-	if !contains(v, "n3") {
-		t.Fatalf("n1's view %v lost n3, whose heartbeats were not dropped", v)
+	// Wait on the view, not on the node-wide counter: on a busy box a late n3
+	// heartbeat can trip the counter before n2's silence runs out.
+	waitFor(t, 5*time.Second, func() bool {
+		_, v := ds[0].Current()
+		return !contains(v, "n2") && contains(v, "n3")
+	}, "n1 drops n2 under full heartbeat loss and keeps n3, whose heartbeats were not dropped")
+	if s := ds[0].Stats(); s.FalseSuspicions < 1 {
+		t.Fatalf("false suspicions = %d, want n2's counted: the topology still reaches it", s.FalseSuspicions)
 	}
 
 	// The link recovers: the false suspicion must heal into a re-admission.

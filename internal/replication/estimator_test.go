@@ -80,3 +80,45 @@ func TestRateEstimatorAttachedToManager(t *testing.T) {
 	est2.Now = est.Now
 	_ = est2 // backup estimator wiring is analogous; primary-side suffices here
 }
+
+// TestAdoptionIsAnObservedApply heals a partition in which n2 alone wrote:
+// n1's reconcile pass adopts n2's dominating record. The adoption goes
+// through applyOps like any other apply, so a RateEstimator attached to n1
+// sees exactly one update of the object (the retired adopt() notified
+// nobody), while replica table, entity and persisted replica-meta row change
+// exactly as recorded from adopt() at the parent of the commit that retired
+// it.
+func TestAdoptionIsAnObservedApply(t *testing.T) {
+	h := newHarness(t, 2, PrimaryPerPartition{})
+	h.create(t, "n1", "Flight", "f1", object.State{"sold": int64(70)})
+	h.net.Partition([]transport.NodeID{"n1"}, []transport.NodeID{"n2"})
+	h.write(t, "n2", "f1", "sold", int64(77))
+	h.write(t, "n2", "f1", "sold", int64(78))
+	h.net.Heal()
+
+	n1 := h.node("n1")
+	// Observe reads the clock once per call; nothing below calls Estimate.
+	observes := 0
+	est := NewRateEstimator()
+	est.Now = func() time.Time { observes++; return time.Unix(int64(observes), 0) }
+	est.Attach(n1.mgr)
+	before := n1.dump(t)
+	report, err := n1.mgr.ReconcileWith(context.Background(), []transport.NodeID{"n2"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Adopted != 1 || report.Pushed != 0 || report.Conflicts != 0 || report.Created != 0 {
+		t.Fatalf("report = %+v, want one adoption", report)
+	}
+	if _, ok := est.stats["f1"]; !ok || len(est.stats) != 1 || observes != 1 {
+		t.Errorf("estimator saw %d updates of %d objects, want exactly one, of f1", observes, len(est.stats))
+	}
+	const recorded = `-replica f1 Flight v1 {"sold":70} {"n1":1} home=n1 [n1 n2] registry=true
+-store f1 {"ID":"f1","Class":"Flight","State":{"sold":70},"Version":1,"VV":{"n1":1},"Info":{"home":"n1","replicas":["n1","n2"]}}
++replica f1 Flight v3 {"sold":78} {"n1":1,"n2":2} home=n1 [n1 n2] registry=true
++store f1 {"n1":1,"n2":2}
+`
+	if got := delta(before, n1.dump(t)); got != recorded {
+		t.Errorf("state change:\n%s\nrecorded:\n%s", got, recorded)
+	}
+}

@@ -135,6 +135,34 @@ type Protocol interface {
 	PossiblyStale(info Info, view group.View) bool
 }
 
+// homeOrFirstReachable is the coordinator rule of every protocol but
+// PrimaryBackup: the designated home while it is in view; otherwise the
+// smallest reachable replica node takes over as temporary primary (Replicas
+// are sorted, so every node of a partition elects the same one); with no
+// replica in view there is nobody to coordinate.
+func homeOrFirstReachable(info Info, view group.View) (transport.NodeID, error) {
+	if view.Contains(info.Home) {
+		return info.Home, nil
+	}
+	reachable := info.reachableReplicas(view)
+	if len(reachable) == 0 {
+		return "", fmt.Errorf("%w: object home %s", ErrNoReplica, info.Home)
+	}
+	return reachable[0], nil
+}
+
+// replicaUnreachable is the staleness rule of the primary-based protocols: a
+// view that misses any replica may miss that replica's writes.
+func replicaUnreachable(info Info, view group.View) bool {
+	return len(info.reachableReplicas(view)) < len(info.Replicas)
+}
+
+// majorityUnreachable is the staleness rule of the voting protocols: reads
+// are reliable only with a strict majority of the replicas in view.
+func majorityUnreachable(info Info, view group.View) bool {
+	return 2*len(info.reachableReplicas(view)) <= len(info.Replicas)
+}
+
 // PrimaryBackup is the traditional protocol: the designated primary
 // coordinates all writes; if it is unreachable, writes block.
 type PrimaryBackup struct{}
@@ -178,14 +206,7 @@ func (PrimaryPerPartition) Name() string { return "P4" }
 
 // Coordinator implements Protocol.
 func (PrimaryPerPartition) Coordinator(info Info, view group.View) (transport.NodeID, error) {
-	if view.Contains(info.Home) {
-		return info.Home, nil
-	}
-	reachable := info.reachableReplicas(view)
-	if len(reachable) == 0 {
-		return "", fmt.Errorf("%w: object home %s", ErrNoReplica, info.Home)
-	}
-	return reachable[0], nil
+	return homeOrFirstReachable(info, view)
 }
 
 // WriteAllowed implements Protocol: writes are allowed wherever a replica is
@@ -199,7 +220,7 @@ func (p PrimaryPerPartition) WriteAllowed(info Info, view group.View, _ float64)
 // every partition that does not see the full replica set, because another
 // partition may have a temporary primary of its own (§3.1).
 func (PrimaryPerPartition) PossiblyStale(info Info, view group.View) bool {
-	return len(info.reachableReplicas(view)) < len(info.Replicas)
+	return replicaUnreachable(info, view)
 }
 
 // PrimaryPartition is the conventional availability baseline [RSB93]: only
@@ -214,14 +235,7 @@ func (PrimaryPartition) Name() string { return "primary-partition" }
 
 // Coordinator implements Protocol.
 func (p PrimaryPartition) Coordinator(info Info, view group.View) (transport.NodeID, error) {
-	if view.Contains(info.Home) {
-		return info.Home, nil
-	}
-	reachable := info.reachableReplicas(view)
-	if len(reachable) == 0 {
-		return "", fmt.Errorf("%w: object home %s", ErrNoReplica, info.Home)
-	}
-	return reachable[0], nil
+	return homeOrFirstReachable(info, view)
 }
 
 // WriteAllowed implements Protocol.
@@ -235,7 +249,7 @@ func (PrimaryPartition) WriteAllowed(info Info, view group.View, weight float64)
 // PossiblyStale implements Protocol: the primary partition is never stale;
 // minority partitions read possibly stale data.
 func (PrimaryPartition) PossiblyStale(info Info, view group.View) bool {
-	return len(info.reachableReplicas(view)) < len(info.Replicas)
+	return replicaUnreachable(info, view)
 }
 
 // AdaptiveVoting is the quorum protocol whose write quorum adapts to the
@@ -250,17 +264,11 @@ var _ Protocol = AdaptiveVoting{}
 // Name implements Protocol.
 func (AdaptiveVoting) Name() string { return "adaptive-voting" }
 
-// Coordinator implements Protocol: the smallest reachable replica node
-// coordinates, regardless of the designated home.
+// Coordinator implements Protocol: the designated home coordinates while
+// reachable; otherwise the smallest reachable replica node takes over, as
+// under P4.
 func (AdaptiveVoting) Coordinator(info Info, view group.View) (transport.NodeID, error) {
-	if view.Contains(info.Home) {
-		return info.Home, nil
-	}
-	reachable := info.reachableReplicas(view)
-	if len(reachable) == 0 {
-		return "", fmt.Errorf("%w: object home %s", ErrNoReplica, info.Home)
-	}
-	return reachable[0], nil
+	return homeOrFirstReachable(info, view)
 }
 
 // WriteAllowed implements Protocol: some replica must be reachable; the
@@ -275,7 +283,7 @@ func (AdaptiveVoting) WriteAllowed(info Info, view group.View, _ float64) error 
 // PossiblyStale implements Protocol: reads are reliable only with a strict
 // majority read quorum of replicas reachable.
 func (AdaptiveVoting) PossiblyStale(info Info, view group.View) bool {
-	return 2*len(info.reachableReplicas(view)) <= len(info.Replicas)
+	return majorityUnreachable(info, view)
 }
 
 // ThresholdPolicy is implemented by protocols whose commit propagation may
@@ -333,14 +341,7 @@ func (q Quorum) CommitAcks(replicas int) int {
 // reachable; otherwise the smallest reachable replica node takes over, as
 // under P4.
 func (Quorum) Coordinator(info Info, view group.View) (transport.NodeID, error) {
-	if view.Contains(info.Home) {
-		return info.Home, nil
-	}
-	reachable := info.reachableReplicas(view)
-	if len(reachable) == 0 {
-		return "", fmt.Errorf("%w: object home %s", ErrNoReplica, info.Home)
-	}
-	return reachable[0], nil
+	return homeOrFirstReachable(info, view)
 }
 
 // WriteAllowed implements Protocol: the commit quorum must be reachable —
@@ -361,7 +362,7 @@ func (q Quorum) WriteAllowed(info Info, view group.View, _ float64) error {
 // quorum commit gathered elsewhere, and even within the write partition a
 // replica may be a straggler the threshold round did not wait for.
 func (Quorum) PossiblyStale(info Info, view group.View) bool {
-	return 2*len(info.reachableReplicas(view)) <= len(info.Replicas)
+	return majorityUnreachable(info, view)
 }
 
 // ProtocolByName resolves a protocol identifier as accepted by the CLI

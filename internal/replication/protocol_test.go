@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"errors"
 	"testing"
 
 	"dedisys/internal/group"
@@ -55,15 +56,36 @@ func TestPrimaryPartitionStalenessAndCoordinator(t *testing.T) {
 	if !p.PossiblyStale(info, view("n2", "n3")) {
 		t.Error("partial view not stale")
 	}
-	c, err := p.Coordinator(info, view("n2", "n3"))
-	if err != nil || c != "n2" {
-		t.Errorf("coordinator = %s, %v", c, err)
-	}
-	if _, err := p.Coordinator(info, view("n9")); err == nil {
-		t.Error("coordinator without replicas")
-	}
+	// The minority partition has a coordinator (TestCoordinatorRule) and
+	// still may not write.
 	if err := p.WriteAllowed(info, view("n2", "n3"), 0.5); err == nil {
 		t.Error("non-majority write allowed")
+	}
+}
+
+// TestCoordinatorRule pins the coordinator rule the four protocols share:
+// the designated home while it is in view — also when a smaller replica node
+// is — otherwise the smallest reachable replica, and ErrNoReplica for a view
+// without replicas.
+func TestCoordinatorRule(t *testing.T) {
+	info := Info{Home: "n2", Replicas: []transport.NodeID{"n1", "n2", "n3"}}
+	views := []struct {
+		name string
+		view group.View
+		want transport.NodeID
+		err  error
+	}{
+		{"home in view", view("n1", "n2", "n3"), "n2", nil},
+		{"home out of view", view("n1", "n3"), "n1", nil},
+		{"no replica in view", view("n9"), "", ErrNoReplica},
+	}
+	for _, p := range []Protocol{PrimaryPerPartition{}, PrimaryPartition{}, AdaptiveVoting{}, Quorum{}} {
+		for _, v := range views {
+			got, err := p.Coordinator(info, v.view)
+			if got != v.want || !errors.Is(err, v.err) {
+				t.Errorf("%s, %s: coordinator = %q, %v; want %q, %v", p.Name(), v.name, got, err, v.want, v.err)
+			}
+		}
 	}
 }
 
@@ -78,15 +100,8 @@ func TestAdaptiveVotingEdges(t *testing.T) {
 	if !p.PossiblyStale(info, view("n3")) {
 		t.Error("minority view not stale")
 	}
-	if _, err := p.Coordinator(info, view("n9")); err == nil {
-		t.Error("coordinator without replicas")
-	}
 	if err := p.WriteAllowed(info, view("n9"), 1); err == nil {
 		t.Error("write without replicas allowed")
-	}
-	c, err := p.Coordinator(info, view("n2", "n3"))
-	if err != nil || c != "n2" {
-		t.Errorf("coordinator = %s, %v", c, err)
 	}
 }
 

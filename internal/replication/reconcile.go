@@ -133,9 +133,15 @@ func (m *Manager) mergeRecords(ctx context.Context, peer transport.NodeID, recor
 		cmp, comparable := rec.VV.Compare(local)
 		switch {
 		case comparable && cmp > 0:
-			// Peer dominates: adopt its state.
-			m.adopt(rec)
-			report.Adopted++
+			// Peer dominates: adopt its state — an apply like any other,
+			// decided again under the replica lock, so a local commit that
+			// landed since the comparison above is not overwritten.
+			adopted, _, err := m.applyOps([]batchOp{{Kind: msgApply,
+				Apply: applyMsg{ID: rec.ID, State: rec.State, Version: rec.Version, VV: rec.VV}}})
+			if err != nil {
+				return err
+			}
+			report.Adopted += adopted
 		case comparable && cmp < 0:
 			// We dominate: push our state to the peer.
 			if err := m.pushState(ctx, peer, rec.ID); err != nil {
@@ -162,17 +168,6 @@ func (m *Manager) mergeRecords(ctx context.Context, peer transport.NodeID, recor
 
 func createFromRecord(rec Record) createMsg {
 	return createMsg{ID: rec.ID, Class: rec.Class, State: rec.State, Version: rec.Version, VV: rec.VV, Info: rec.Info}
-}
-
-// adopt overwrites the local replica with the dominating remote record.
-func (m *Manager) adopt(rec Record) {
-	m.mu.Lock()
-	if rs, ok := m.meta[rec.ID]; ok {
-		rs.vv = rs.vv.Merged(rec.VV)
-	}
-	m.mu.Unlock()
-	m.applyState(rec.ID, rec.State, rec.Version)
-	_ = m.store.Put(tableReplicaMeta, string(rec.ID), rec.VV)
 }
 
 // sendOp ships one replica operation to the reconciling peer as a one-op
