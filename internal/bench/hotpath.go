@@ -27,14 +27,18 @@ const (
 	gateRF          = 3
 )
 
-// Hot-path allocation baselines, measured by measureHotPathAllocs on the
-// revision before the allocation-lean rework (see EXPERIMENTS.md, "Hot-path
-// allocations"). TestHotPathAllocGate enforces that the current numbers sit
-// at least allocReductionFloor below these.
+// The single-node counts. The baselines are what measureHotPathAllocs read on
+// the revision before the allocation-lean rework (see EXPERIMENTS.md,
+// "Hot-path allocations"). TestHotPathAllocGate holds the current counts —
+// 2.00 and 13.88 on Go 1.24 — under the ceilings: the measured count plus
+// headroom for CI's Go 1.22, whose maps allocate differently — one
+// allocation on a read, three on a commit — so that the gate fails long
+// before either count has doubled.
 const (
 	baselineInvokeAllocs = 8.00
 	baselineCommitAllocs = 44.88
-	allocReductionFloor  = 0.30
+	invokeAllocCeiling   = 3.0
+	commitAllocCeiling   = 17.0
 )
 
 // The replicated quorum write — measureReplicatedCommitAllocs — at the commit
@@ -48,13 +52,6 @@ const (
 	baselineReplicatedCommitAllocs = 41.88
 	replicatedCommitAllocCeiling   = 38.0
 )
-
-// hotPathAllocCeilings returns the single-node gate thresholds derived from
-// the baselines.
-func hotPathAllocCeilings() (invoke, commit float64) {
-	return baselineInvokeAllocs * (1 - allocReductionFloor),
-		baselineCommitAllocs * (1 - allocReductionFloor)
-}
 
 // hotPathOps is the iteration count per measurement; large enough that
 // one-time warmup noise (map growth, persistence table creation) amortises
@@ -151,11 +148,10 @@ func runAllocs(cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	invokeCeiling, commitCeiling := hotPathAllocCeilings()
 	res := &Result{ID: "exp-allocs", Title: "hot-path allocations per operation against their baselines and CI ceilings",
 		Columns: []string{"allocs/op", "baseline", "ceiling"}}
-	res.AddRow(allocRowInvoke, allocs.InvokeAllocs, baselineInvokeAllocs, invokeCeiling)
-	res.AddRow(allocRowCommit, allocs.CommitAllocs, baselineCommitAllocs, commitCeiling)
+	res.AddRow(allocRowInvoke, allocs.InvokeAllocs, baselineInvokeAllocs, invokeAllocCeiling)
+	res.AddRow(allocRowCommit, allocs.CommitAllocs, baselineCommitAllocs, commitAllocCeiling)
 	res.AddRow(allocRowReplicated, replicated, baselineReplicatedCommitAllocs, replicatedCommitAllocCeiling)
 	res.AddNote("mallocs over %d operations each at GOMAXPROCS=1, simulated hardware costs zeroed; the replicated write joins its straggler send inside the operation", hotPathOps)
 	return res, nil

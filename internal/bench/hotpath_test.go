@@ -12,14 +12,14 @@ import (
 )
 
 // TestHotPathAllocGate is the CI gate of the allocation-lean hot paths. It
-// runs exp-allocs and holds the two single-node counts at least
-// allocReductionFloor below their pre-rework baselines: one read invocation
-// (2.00, ceiling 5.60) and one single-object write commit (13.88, ceiling
-// 31.42). The replicated write's ceiling is TestReplicatedCommitAllocCeiling's;
-// its count is measured and recorded here. Under -race the assertions are
-// skipped — the race runtime allocates on paths the production build does
-// not. When BENCH_ALLOCS_JSON names a file, the three rows are written there
-// with the machine shape for the CI artifact.
+// runs exp-allocs and holds the two single-node counts under ceilings set
+// just above what is measured: one read invocation (2.00, ceiling 3) and one
+// single-object write commit (13.88, ceiling 17). The replicated write's
+// ceiling is TestReplicatedCommitAllocCeiling's; its count is measured and
+// recorded here. Under -race the assertions are skipped — the race runtime
+// allocates on paths the production build does not. When BENCH_ALLOCS_JSON
+// names a file, the three rows are written there with the machine shape for
+// the CI artifact.
 func TestHotPathAllocGate(t *testing.T) {
 	res, err := runAllocs(QuickConfig())
 	if err != nil {
@@ -49,8 +49,7 @@ func TestHotPathAllocGate(t *testing.T) {
 		ceiling, _ := res.Cell(r.label, "ceiling")
 		t.Logf("%s = %.2f allocs/op (ceiling %.2f, baseline %.2f)", r.label, got, ceiling, baseline)
 		if r.enforced && !raceEnabled && got > ceiling {
-			t.Errorf("%s = %.2f allocs/op, ceiling %.2f (baseline %.2f, floor -%.0f%%)",
-				r.label, got, ceiling, baseline, allocReductionFloor*100)
+			t.Errorf("%s = %.2f allocs/op, ceiling %.2f (baseline %.2f)", r.label, got, ceiling, baseline)
 		}
 		report[r.key+"_allocs_per_op"] = got
 		report[r.key+"_allocs_baseline"] = baseline

@@ -60,7 +60,7 @@ func measureShard(cfg Config, size, groups, rf, entities, ops int) (shardMeasure
 	}
 	m.ObjectsPerNode = float64(total) / float64(size)
 
-	c.Net.ResetStats()
+	sent := c.Net.Stats().Messages
 	start := time.Now()
 	for i := 0; i < ops; i++ {
 		id := beanID(i % entities)
@@ -69,7 +69,7 @@ func measureShard(cfg Config, size, groups, rf, entities, ops int) (shardMeasure
 		}
 	}
 	m.PerCommit = time.Since(start) / time.Duration(ops)
-	m.MsgsPerCommit = float64(c.Net.Stats().Messages) / float64(ops)
+	m.MsgsPerCommit = float64(c.Net.Stats().Messages-sent) / float64(ops)
 	return m, nil
 }
 

@@ -238,17 +238,6 @@ func (m *Manager) Stats() Stats {
 	}
 }
 
-// ResetStats zeroes the counters.
-func (m *Manager) ResetStats() {
-	m.validations.Reset()
-	m.violations.Reset()
-	m.threatsDetected.Reset()
-	m.threatsAccepted.Reset()
-	m.threatsRejected.Reset()
-	m.asyncShortcuts.Reset()
-	m.intraObjectSaves.Reset()
-}
-
 // RegisterNegotiationHandler binds a dynamic negotiation handler to the
 // transaction (§3.2.1): it is consulted for every threat the transaction
 // produces, in preference to the static declarative configuration.

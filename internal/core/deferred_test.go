@@ -44,7 +44,6 @@ func runDeferredOp(t *testing.T, decision threat.Decision, delay time.Duration) 
 	chain := invocation.NewChain(func(inv *invocation.Invocation) (any, error) {
 		txn.RecordUpdate(ent)
 		ent.Set("sold", inv.Args[0])
-		env.repl.MarkDirty(txn, "f1")
 		return nil, nil
 	}, env.ccm.Interceptor())
 

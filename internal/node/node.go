@@ -9,7 +9,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"dedisys/internal/constraint"
@@ -113,106 +112,49 @@ type Node struct {
 	net   transport.Transport
 	gms   *group.Membership
 	chain *invocation.Chain
-	cmp   *cmpResource
 }
 
 // cmpResource is the container-managed-persistence analogue: entity state
 // touched by a transaction is written to the node's persistent store at
 // commit, the way the prototype's entity beans were persisted through
-// CMP/BMP into MySQL (Figure 4.1).
+// CMP/BMP into MySQL (Figure 4.1). It keeps no per-transaction state: what
+// was touched is the transaction's own write set.
 type cmpResource struct {
 	store *persistence.Store
 	reg   *object.Registry
-
-	mu    sync.Mutex
-	dirty map[int64]*cmpChanges
-}
-
-type cmpChanges struct {
-	updated map[object.ID]struct{}
-	deleted map[object.ID]struct{}
-}
-
-// cmpChangesPool recycles CMP change sets across transactions (struct plus
-// two maps per write commit otherwise).
-var cmpChangesPool = sync.Pool{New: func() any {
-	return &cmpChanges{updated: make(map[object.ID]struct{}), deleted: make(map[object.ID]struct{})}
-}}
-
-func (ch *cmpChanges) release() {
-	clear(ch.updated)
-	clear(ch.deleted)
-	cmpChangesPool.Put(ch)
 }
 
 // cmpTable is the persistence table holding entity state.
 const cmpTable = "entities"
 
-func newCMPResource(store *persistence.Store, reg *object.Registry) *cmpResource {
-	return &cmpResource{store: store, reg: reg, dirty: make(map[int64]*cmpChanges)}
-}
-
-func (c *cmpResource) mark(t *tx.Tx, id object.ID, deleted bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	ch, ok := c.dirty[t.ID()]
-	if !ok {
-		ch = cmpChangesPool.Get().(*cmpChanges)
-		c.dirty[t.ID()] = ch
-	}
-	if deleted {
-		delete(ch.updated, id)
-		ch.deleted[id] = struct{}{}
-	} else {
-		delete(ch.deleted, id)
-		ch.updated[id] = struct{}{}
-	}
-}
-
 // Prepare implements tx.Resource.
 func (c *cmpResource) Prepare(t *tx.Tx) error { return nil }
 
-// Commit implements tx.Resource: persist dirty entity states.
+// Commit implements tx.Resource: persist what the transaction wrote, one
+// store operation per object.
 func (c *cmpResource) Commit(t *tx.Tx) error {
-	c.mu.Lock()
-	ch, ok := c.dirty[t.ID()]
-	delete(c.dirty, t.ID())
-	c.mu.Unlock()
-	if !ok {
-		return nil
-	}
 	var firstErr error
-	for id := range ch.updated {
-		e, err := c.reg.Get(id)
+	t.Writes(func(w tx.Write) {
+		if w.Kind == tx.Deleted {
+			c.store.Delete(cmpTable, string(w.ID))
+			return
+		}
+		e, err := c.reg.Get(w.ID)
 		if err != nil {
-			continue // deleted concurrently; nothing to persist
+			return // coordinated for a replica group this node is outside of: no local state
 		}
 		// The entity encodes its own attributes: the transaction still holds
 		// its lock, so no snapshot is needed just to feed the encoder.
-		if err := c.store.Put(cmpTable, string(id), e); err != nil && firstErr == nil {
+		if err := c.store.Put(cmpTable, string(w.ID), e); err != nil && firstErr == nil {
 			firstErr = err
 		}
-	}
-	for id := range ch.deleted {
-		c.store.Delete(cmpTable, string(id))
-	}
-	ch.release()
+	})
 	return firstErr
 }
 
-// Rollback implements tx.Resource: discard the change set.
-func (c *cmpResource) Rollback(t *tx.Tx) error {
-	c.mu.Lock()
-	ch, ok := c.dirty[t.ID()]
-	if ok {
-		delete(c.dirty, t.ID())
-	}
-	c.mu.Unlock()
-	if ok {
-		ch.release()
-	}
-	return nil
-}
+// Rollback implements tx.Resource: the undo log restored memory and nothing
+// was persisted.
+func (c *cmpResource) Rollback(t *tx.Tx) error { return nil }
 
 var _ tx.Resource = (*cmpResource)(nil)
 
@@ -247,8 +189,7 @@ func New(opts Options) (*Node, error) {
 	n.Repo = repository.New(repoOpts...)
 	n.Threats = threat.NewStore(n.Store, opts.ThreatPolicy, threat.WithObserver(scoped))
 	n.Threats.SetOwner(string(opts.ID))
-	n.cmp = newCMPResource(n.Store, n.Registry)
-	n.TxMgr.RegisterResource(n.cmp)
+	n.TxMgr.RegisterResource(&cmpResource{store: n.Store, reg: n.Registry})
 
 	ring := opts.Placement
 	if ring == nil && opts.Groups > 0 {
@@ -374,7 +315,11 @@ func (n *Node) Stop() {
 }
 
 // dispatch is the terminal interceptor: it executes the business method on
-// the local entity under the transaction's object lock.
+// the local entity under the transaction's object lock. The undo record taken
+// before a write method runs is the write mark: persistence and replication
+// read the transaction's undo log at commit and ship what memory then holds,
+// so a method that mutates and then fails inside a transaction its caller
+// commits anyway still leaves memory, store and replicas in agreement.
 func (n *Node) dispatch(inv *invocation.Invocation) (any, error) {
 	e, err := n.Registry.Get(inv.Target)
 	if err != nil {
@@ -394,12 +339,6 @@ func (n *Node) dispatch(inv *invocation.Invocation) (any, error) {
 	res, err := spec.Fn(e, inv.Args)
 	if err != nil {
 		return nil, err
-	}
-	if spec.Kind == object.Write && inv.Tx != nil {
-		n.cmp.mark(inv.Tx, inv.Target, false)
-		if n.Repl != nil {
-			n.Repl.MarkDirty(inv.Tx, inv.Target)
-		}
 	}
 	return res, nil
 }
@@ -619,7 +558,6 @@ func (n *Node) CreateTx(t *tx.Tx, class string, id object.ID, attrs object.State
 			return err
 		}
 	}
-	n.cmp.mark(t, id, false)
 	return nil
 }
 
@@ -655,7 +593,6 @@ func (n *Node) DeleteTx(t *tx.Tx, id object.ID) error {
 	if err := t.Lock(id); err != nil {
 		return err
 	}
-	n.cmp.mark(t, id, true)
 	if n.Repl != nil {
 		return n.Repl.Delete(t, id)
 	}

@@ -32,18 +32,6 @@ func New() *Observer {
 	return &Observer{reg: NewRegistry(), tracer: NewTracer(0)}
 }
 
-// NewWith creates an observer over an existing registry and tracer. Nil
-// arguments get fresh instances.
-func NewWith(reg *Registry, tracer *Tracer) *Observer {
-	if reg == nil {
-		reg = NewRegistry()
-	}
-	if tracer == nil {
-		tracer = NewTracer(0)
-	}
-	return &Observer{reg: reg, tracer: tracer}
-}
-
 // Named derives a scope sharing this observer's registry and tracer: metric
 // names gain the "node." prefix and events carry the node ID.
 func (o *Observer) Named(node string) *Observer {

@@ -172,9 +172,3 @@ func (s *Store) DropTable(table string) {
 func (s *Store) Stats() Stats {
 	return Stats{Reads: s.reads.Load(), Writes: s.writes.Load()}
 }
-
-// ResetStats zeroes the operation counters.
-func (s *Store) ResetStats() {
-	s.reads.Reset()
-	s.writes.Reset()
-}

@@ -84,9 +84,12 @@ func TestStats(t *testing.T) {
 	if st.Writes != 2 || st.Reads != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
-	s.ResetStats()
-	if st := s.Stats(); st.Writes != 0 || st.Reads != 0 {
-		t.Fatalf("stats after reset = %+v", st)
+	if err := s.Put("t", "k", 2); err != nil {
+		t.Fatal(err)
+	}
+	_ = s.Get("t", "k", &v)
+	if after := s.Stats(); after.Writes-st.Writes != 1 || after.Reads-st.Reads != 1 {
+		t.Fatalf("stats before = %+v, after one more put and get = %+v", st, after)
 	}
 }
 

@@ -33,7 +33,6 @@ func (h *harness) writeMany(t *testing.T, coord transport.NodeID, attr string, v
 		}
 		txn.RecordUpdate(e)
 		e.Set(attr, vals[id])
-		env.mgr.MarkDirty(txn, id)
 	}
 	if err := txn.Commit(); err != nil {
 		t.Fatal(err)
@@ -93,7 +92,6 @@ func TestBatchedMixedOpsOneTransaction(t *testing.T) {
 	}
 	txn.RecordUpdate(e1)
 	e1.Set("sold", int64(11))
-	env.mgr.MarkDirty(txn, "f1")
 	if err := env.mgr.Delete(txn, "f2"); err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +288,6 @@ func TestConcurrentBatchedCommits(t *testing.T) {
 					}
 					txn.RecordUpdate(e)
 					e.Set("sold", int64(it))
-					env.mgr.MarkDirty(txn, oid(g, i))
 				}
 				if err := txn.Commit(); err != nil {
 					errs[g] = err

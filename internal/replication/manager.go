@@ -132,8 +132,9 @@ type Config struct {
 }
 
 // Manager is the per-node replication service. It participates in
-// transactions as a tx.Resource: writes marked dirty during a transaction
-// are propagated synchronously to all reachable replicas at commit.
+// transactions as a tx.Resource: at commit it reads the transaction's write
+// set and propagates it synchronously to all reachable replicas. It keeps no
+// per-transaction state of its own.
 type Manager struct {
 	self        transport.NodeID
 	net         transport.Transport
@@ -162,7 +163,6 @@ type Manager struct {
 	mu         sync.Mutex
 	meta       map[object.ID]*replicaState
 	tombstones map[object.ID]VersionVector
-	dirty      map[int64]*txChanges
 	estimator  Estimator
 	observer   func(object.ID)
 }
@@ -171,41 +171,6 @@ type replicaState struct {
 	info    Info
 	vv      VersionVector
 	history []HistoryEntry
-}
-
-type txChanges struct {
-	created map[object.ID]Info
-	remote  map[object.ID]remoteCreate
-	deleted map[object.ID]struct{}
-	updated map[object.ID]struct{}
-	order   []object.ID // deterministic propagation order
-}
-
-// txChangesPool recycles change sets across transactions: a write commit
-// otherwise allocates the struct plus four maps every time. Entries are
-// cleared before reuse; the map buckets and order slice survive.
-var txChangesPool = sync.Pool{New: func() any {
-	return &txChanges{
-		created: make(map[object.ID]Info),
-		remote:  make(map[object.ID]remoteCreate),
-		deleted: make(map[object.ID]struct{}),
-		updated: make(map[object.ID]struct{}),
-	}
-}}
-
-func (ch *txChanges) reset() {
-	clear(ch.created)
-	clear(ch.remote)
-	clear(ch.deleted)
-	clear(ch.updated)
-	ch.order = ch.order[:0]
-}
-
-// release returns the change set to the pool after a commit or rollback. The
-// caller must not touch ch afterwards.
-func (ch *txChanges) release() {
-	ch.reset()
-	txChangesPool.Put(ch)
 }
 
 // stagedOp is one staged batch operation awaiting the commit multicast.
@@ -222,7 +187,8 @@ var stagedPool = sync.Pool{New: func() any { return new([]stagedOp) }}
 
 // remoteCreate is a creation coordinated by a node outside the object's
 // replica group: the entity never enters the local registry or replica
-// table, it only rides the commit batch to the group's members.
+// table, it rides the transaction's write record (tx.Write.Payload) and then
+// the commit batch to the group's members.
 type remoteCreate struct {
 	entity *object.Entity
 	info   Info
@@ -248,7 +214,6 @@ func NewManager(cfg Config) (*Manager, error) {
 		obs:         cfg.Obs,
 		meta:        make(map[object.ID]*replicaState),
 		tombstones:  make(map[object.ID]VersionVector),
-		dirty:       make(map[int64]*txChanges),
 		estimator:   func(_ object.ID, v int64) int64 { return v },
 	}
 	if m.obs == nil {
@@ -551,22 +516,20 @@ func (m *Manager) Objects() []object.ID {
 // the object's replica group); otherwise the caller's Info is normalized and
 // recorded as-is.
 func (m *Manager) Create(t *tx.Tx, e *object.Entity, info Info) error {
+	id := e.ID()
 	if m.placement != nil {
 		preferred := info.Home
 		if preferred == "" {
 			preferred = m.self
 		}
-		info = m.placedInfo(e.ID(), preferred)
+		info = m.placedInfo(id, preferred)
 		if !info.HasReplica(m.self) {
 			// A node outside the object's replica group coordinates the
-			// creation but keeps no replica state: the entity ships to the
-			// group at commit and this node forgets it. Later reads route
-			// through the ring, which derives the same placement.
-			m.mu.Lock()
-			ch := m.changes(t)
-			ch.remote[e.ID()] = remoteCreate{entity: e, info: info}
-			ch.order = append(ch.order, e.ID())
-			m.mu.Unlock()
+			// creation but keeps no replica state: the entity rides the write
+			// record to the commit, ships to the group, and this node forgets
+			// it. Later reads route through the ring, which derives the same
+			// placement.
+			t.RecordWrite(tx.Created, id, remoteCreate{entity: e, info: info})
 			return nil
 		}
 	} else {
@@ -580,20 +543,30 @@ func (m *Manager) Create(t *tx.Tx, e *object.Entity, info Info) error {
 	}
 	if info.HasReplica(m.self) {
 		if err := m.registry.Add(e); err != nil {
-			return fmt.Errorf("replication: create %s: %w", e.ID(), err)
+			return fmt.Errorf("replication: create %s: %w", id, err)
 		}
-		t.RecordCreate(m.registry, e.ID())
+		t.RecordCreate(m.registry, id)
+	} else {
+		t.RecordWrite(tx.Created, id, nil)
 	}
 	m.mu.Lock()
-	m.meta[e.ID()] = &replicaState{info: info, vv: VersionVector{m.self: 0}}
-	delete(m.tombstones, e.ID())
-	ch := m.changes(t)
-	ch.created[e.ID()] = info
-	ch.order = append(ch.order, e.ID())
+	// Re-creating a deleted ID continues its history: a vector restarted at
+	// zero would sit under the one the other replicas still hold, and the
+	// next reconciliation would revert the creation.
+	tomb, recreated := m.tombstones[id]
+	vv := VersionVector{m.self: 0}
+	if recreated {
+		vv = tomb
+		delete(m.tombstones, id)
+	}
+	m.meta[id] = &replicaState{info: info, vv: vv}
 	m.mu.Unlock()
 	t.RecordUndo(func() {
 		m.mu.Lock()
-		delete(m.meta, e.ID())
+		delete(m.meta, id)
+		if recreated {
+			m.tombstones[id] = tomb
+		}
 		m.mu.Unlock()
 	})
 	return nil
@@ -611,9 +584,6 @@ func (m *Manager) Delete(t *tx.Tx, id object.ID) error {
 	vv := rs.vv
 	delete(m.meta, id)
 	m.tombstones[id] = vv
-	ch := m.changes(t)
-	ch.deleted[id] = struct{}{}
-	ch.order = append(ch.order, id)
 	m.mu.Unlock()
 
 	if info.HasReplica(m.self) {
@@ -625,6 +595,8 @@ func (m *Manager) Delete(t *tx.Tx, id object.ID) error {
 			return fmt.Errorf("replication: delete %s: %w", id, err)
 		}
 		t.RecordDelete(m.registry, e)
+	} else {
+		t.RecordWrite(tx.Deleted, id, nil)
 	}
 	t.RecordUndo(func() {
 		m.mu.Lock()
@@ -635,115 +607,83 @@ func (m *Manager) Delete(t *tx.Tx, id object.ID) error {
 	return nil
 }
 
-// MarkDirty records that the transaction updated the object so that the new
-// state is propagated at commit.
-func (m *Manager) MarkDirty(t *tx.Tx, id object.ID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ch := m.changes(t)
-	if _, created := ch.created[id]; created {
-		return // creation already ships the final state
-	}
-	if _, created := ch.remote[id]; created {
-		return // remote creation snapshots the entity at commit
-	}
-	if _, seen := ch.updated[id]; seen {
-		return
-	}
-	ch.updated[id] = struct{}{}
-	ch.order = append(ch.order, id)
-}
-
-// changes returns the per-transaction change set; callers hold m.mu.
-func (m *Manager) changes(t *tx.Tx) *txChanges {
-	ch, ok := m.dirty[t.ID()]
-	if !ok {
-		ch = txChangesPool.Get().(*txChanges)
-		m.dirty[t.ID()] = ch
-	}
-	return ch
-}
-
 // Prepare implements tx.Resource; propagation happens at commit.
 func (m *Manager) Prepare(t *tx.Tx) error { return nil }
 
 // Commit implements tx.Resource: synchronous update propagation from the
 // coordinator to all reachable replicas, persistence of replica metadata,
-// and degraded-mode history recording. The transaction's whole change set
-// ships as one batch per destination in a single concurrent multicast round.
-// Per-object preparation failures are joined into the returned error and
-// counted, together with per-destination send failures, in
-// replication.propagation_errors.
-func (m *Manager) Commit(t *tx.Tx) error {
-	m.mu.Lock()
-	ch, ok := m.dirty[t.ID()]
-	if ok {
-		delete(m.dirty, t.ID())
-	}
-	m.mu.Unlock()
-	if !ok {
-		return nil
-	}
-	ctx := t.Context()
-	degraded := m.Degraded()
-	view := m.view()
-	m.propagations.Add(int64(len(ch.order)))
-	err := m.commitBatched(ctx, ch, view, degraded)
-	// Propagation has fully staged (background straggler sends hold only the
-	// per-destination batches, not the change set), so the set can be reused.
-	ch.release()
-	return err
-}
-
-// commitBatched assembles the transaction's creates, updates and deletes
-// (in change order) into per-destination batches and ships them in a single
+// and degraded-mode history recording. The transaction's write set (in
+// first-touch order) becomes one batch per destination, shipped in a single
 // concurrent multicast round: a K-object commit costs ~1 simulated network
 // hop instead of ~K. Sender-side bookkeeping — version-vector bumps, replica
 // metadata persistence, degraded-mode history, estimator observation —
-// happens per object while staging.
-func (m *Manager) commitBatched(ctx context.Context, ch *txChanges, view group.View, degraded bool) error {
-	sp := stagedPool.Get().(*[]stagedOp)
-	staged := (*sp)[:0]
-	defer func() {
-		clear(staged) // drop op payload references before pooling
-		*sp = staged[:0]
-		stagedPool.Put(sp)
-	}()
-	var errs []error
-	for _, id := range ch.order {
-		var (
-			op    batchOp
-			dests []transport.NodeID
-			ship  bool
-			err   error
-		)
-		var replicas int
-		if _, isDelete := ch.deleted[id]; isDelete {
-			op, dests, replicas, ship = m.stageDelete(id, view)
-		} else if info, isCreate := ch.created[id]; isCreate {
-			op, dests, ship, err = m.stageCreate(id, info, view, degraded)
-			replicas = len(info.Replicas)
-		} else if rc, isRemote := ch.remote[id]; isRemote {
-			op, dests = m.stageCreateRemote(rc, view)
-			replicas = len(rc.info.Replicas)
-			ship = true
-		} else {
-			var info Info
-			op, info, dests, ship, err = m.stageUpdate(id, view, degraded)
-			replicas = len(info.Replicas)
+// happens per object while staging. Per-object preparation failures are
+// joined into the returned error and counted, together with per-destination
+// send failures, in replication.propagation_errors. A transaction that wrote
+// nothing takes no lock and reads no view.
+func (m *Manager) Commit(t *tx.Tx) error {
+	var (
+		sp       *[]stagedOp
+		staged   []stagedOp
+		view     group.View
+		degraded bool
+		writes   int64
+		errs     []error
+	)
+	t.Writes(func(w tx.Write) {
+		if sp == nil {
+			sp = stagedPool.Get().(*[]stagedOp)
+			staged = (*sp)[:0]
+			view, degraded = m.view(), m.Degraded()
 		}
+		writes++
+		s, ship, err := m.stage(w, view, degraded)
 		if err != nil {
 			m.propErrors.Inc()
-			errs = append(errs, fmt.Errorf("%s: %w", id, err))
-			continue
+			errs = append(errs, fmt.Errorf("%s: %w", w.ID, err))
 		}
 		if ship {
-			staged = append(staged, stagedOp{op: op, dests: dests, replicas: replicas})
+			staged = append(staged, s)
+		}
+	})
+	if sp == nil {
+		return nil
+	}
+	m.propagations.Add(writes)
+	if len(staged) > 0 {
+		if err := m.commitBatched(t.Context(), staged); err != nil {
+			errs = append(errs, err)
 		}
 	}
-	if len(staged) == 0 {
-		return errors.Join(errs...)
+	// The staging buffer never escapes the commit (background straggler sends
+	// hold the per-destination batches), so it can be reused.
+	clear(staged) // drop op payload references before pooling
+	*sp = staged[:0]
+	stagedPool.Put(sp)
+	return errors.Join(errs...)
+}
+
+// stage does the coordinator's bookkeeping for one entry of the write set and
+// returns the operation to ship; ship is false when there is none.
+func (m *Manager) stage(w tx.Write, view group.View, degraded bool) (s stagedOp, ship bool, err error) {
+	switch w.Kind {
+	case tx.Deleted:
+		s, ship = m.stageDelete(w.ID, view)
+		return s, ship, nil
+	case tx.Created:
+		if rc, remote := w.Payload.(remoteCreate); remote {
+			return m.stageCreateRemote(rc, view), true, nil
+		}
+		s, err = m.stageCreate(w.ID, view, degraded)
+	default:
+		s, err = m.stageUpdate(w.ID, view, degraded)
 	}
+	return s, err == nil, err
+}
+
+// commitBatched assembles the staged operations into per-destination batches
+// and ships them in a single concurrent multicast round.
+func (m *Manager) commitBatched(ctx context.Context, staged []stagedOp) error {
 	// Each remote destination receives one message holding only the ops whose
 	// objects it replicates (deletes address every view member under full
 	// replication, the ring-derived replica group under sharded placement).
@@ -768,7 +708,7 @@ func (m *Manager) commitBatched(ctx context.Context, ch *txChanges, view group.V
 		}
 	}
 	if dests == nil {
-		return errors.Join(errs...)
+		return nil
 	}
 	slices.Sort(dests)
 	batches := make([]batchMsg, len(dests))
@@ -806,10 +746,11 @@ func (m *Manager) commitBatched(ctx context.Context, ch *txChanges, view group.V
 		}
 		m.quorumRounds.Inc()
 		call := m.comm.MulticastThreshold(ctx, m.self, dests, msgBatch, payloadFor, need)
+		var err error
 		if call.Err != nil {
 			m.quorumShort.Inc()
 			m.propErrors.Inc()
-			errs = append(errs, fmt.Errorf("replication: quorum commit: %w", call.Err))
+			err = fmt.Errorf("replication: quorum commit: %w", call.Err)
 		}
 		// Straggler sends complete in the background; their failures stay
 		// visible through the metric once the round fully drains. The last
@@ -819,44 +760,45 @@ func (m *Manager) commitBatched(ctx context.Context, ch *txChanges, view group.V
 			m.countSendFailures(results)
 			m.propagation.Done()
 		})
-		return errors.Join(errs...)
+		return err
 	}
 	m.countSendFailures(m.comm.MulticastEach(ctx, m.self, dests, msgBatch, payloadFor))
-	return errors.Join(errs...)
+	return nil
 }
 
 // stageCreate does the coordinator's bookkeeping for a created object —
 // first version-vector event, persisted replica descriptor (JNDI name, primary
 // key and the serialized creation request in the prototype, §5.1), degraded-
-// mode history — and returns the batch op with its destinations.
-func (m *Manager) stageCreate(id object.ID, info Info, view group.View, degraded bool) (batchOp, []transport.NodeID, bool, error) {
+// mode history — and returns the staged create.
+func (m *Manager) stageCreate(id object.ID, view group.View, degraded bool) (stagedOp, error) {
 	e, err := m.registry.Get(id)
 	if err != nil {
-		return batchOp{}, nil, false, fmt.Errorf("replication: propagate create %s: %w", id, err)
+		return stagedOp{}, fmt.Errorf("replication: propagate create %s: %w", id, err)
 	}
 	m.mu.Lock()
 	rs, ok := m.meta[id]
 	if !ok {
 		m.mu.Unlock()
-		return batchOp{}, nil, false, fmt.Errorf("%w: %s", ErrUnknownObject, id)
+		return stagedOp{}, fmt.Errorf("%w: %s", ErrUnknownObject, id)
 	}
 	rs.vv = rs.vv.Bumped(m.self)
+	info := rs.info
 	msg := createMsg{ID: id, Class: e.Class(), State: e.Snapshot(), Version: e.Version(), VV: rs.vv, Info: info}
 	m.mu.Unlock()
 	if err := m.store.Put(tableReplicaMeta, string(id), msg); err != nil {
-		return batchOp{}, nil, false, err
+		return stagedOp{}, err
 	}
 	m.recordHistory(id, msg.State, msg.Version, msg.VV, m.effectiveDegraded(info, degraded))
-	return batchOp{Kind: msgCreate, Create: msg}, info.reachableReplicas(view), true, nil
+	return stagedOp{op: batchOp{Kind: msgCreate, Create: msg}, dests: info.reachableReplicas(view), replicas: len(info.Replicas)}, nil
 }
 
-// stageCreateRemote builds the create batch op for an object this node does
+// stageCreateRemote builds the staged create for an object this node does
 // not replicate: the entity never touched the registry or replica table, so
-// the staged message carries the transaction's entity directly and no local
+// the message carries the transaction's entity directly and no local
 // bookkeeping (metadata, persistence, history) takes place. The version
 // vector starts at one creation event from the coordinator, matching what a
 // member creator's bumped vector would carry.
-func (m *Manager) stageCreateRemote(rc remoteCreate, view group.View) (batchOp, []transport.NodeID) {
+func (m *Manager) stageCreateRemote(rc remoteCreate, view group.View) stagedOp {
 	msg := createMsg{
 		ID:      rc.entity.ID(),
 		Class:   rc.entity.Class(),
@@ -865,24 +807,22 @@ func (m *Manager) stageCreateRemote(rc remoteCreate, view group.View) (batchOp, 
 		VV:      VersionVector{m.self: 1},
 		Info:    rc.info,
 	}
-	return batchOp{Kind: msgCreate, Create: msg}, rc.info.reachableReplicas(view)
+	return stagedOp{op: batchOp{Kind: msgCreate, Create: msg}, dests: rc.info.reachableReplicas(view), replicas: len(rc.info.Replicas)}
 }
 
 // stageUpdate does the coordinator's bookkeeping for an updated object —
 // version-vector bump, persisted vector, degraded-mode history, estimator
-// observation — and returns the batch op with its destinations, plus the
-// object's placement, whose replica count is the quorum denominator under a
-// threshold protocol.
-func (m *Manager) stageUpdate(id object.ID, view group.View, degraded bool) (batchOp, Info, []transport.NodeID, bool, error) {
+// observation — and returns the staged apply.
+func (m *Manager) stageUpdate(id object.ID, view group.View, degraded bool) (stagedOp, error) {
 	e, err := m.registry.Get(id)
 	if err != nil {
-		return batchOp{}, Info{}, nil, false, fmt.Errorf("replication: propagate update %s: %w", id, err)
+		return stagedOp{}, fmt.Errorf("replication: propagate update %s: %w", id, err)
 	}
 	m.mu.Lock()
 	rs, ok := m.meta[id]
 	if !ok {
 		m.mu.Unlock()
-		return batchOp{}, Info{}, nil, false, fmt.Errorf("%w: %s", ErrUnknownObject, id)
+		return stagedOp{}, fmt.Errorf("%w: %s", ErrUnknownObject, id)
 	}
 	rs.vv = rs.vv.Bumped(m.self)
 	vv := rs.vv
@@ -908,11 +848,11 @@ func (m *Manager) stageUpdate(id object.ID, view group.View, degraded bool) (bat
 	}
 	msg := applyMsg{ID: id, State: state, Version: e.Version(), VV: vv}
 	if err := m.store.Put(tableReplicaMeta, string(id), msg.VV); err != nil {
-		return batchOp{}, Info{}, nil, false, err
+		return stagedOp{}, err
 	}
 	m.recordHistory(id, msg.State, msg.Version, msg.VV, deg)
 	m.observe(id)
-	return batchOp{Kind: msgApply, Apply: msg}, info, dests, true, nil
+	return stagedOp{op: batchOp{Kind: msgApply, Apply: msg}, dests: dests, replicas: len(info.Replicas)}, nil
 }
 
 // deleteDests computes the destinations and replica count of a delete, whose
@@ -928,18 +868,18 @@ func (m *Manager) deleteDests(id object.ID, view group.View) ([]transport.NodeID
 }
 
 // stageDelete drops the deleted object's persisted metadata and returns the
-// batch op carrying its tombstone vector; ship is false when the tombstone is
-// already gone (nothing to send).
-func (m *Manager) stageDelete(id object.ID, view group.View) (batchOp, []transport.NodeID, int, bool) {
+// staged delete carrying its tombstone vector; ship is false when the
+// tombstone is already gone (nothing to send).
+func (m *Manager) stageDelete(id object.ID, view group.View) (s stagedOp, ship bool) {
 	m.mu.Lock()
 	vv, ok := m.tombstones[id]
 	m.mu.Unlock()
 	if !ok {
-		return batchOp{}, nil, 0, false
+		return stagedOp{}, false
 	}
 	m.store.Delete(tableReplicaMeta, string(id))
 	dests, replicas := m.deleteDests(id, view)
-	return batchOp{Kind: msgDelete, Delete: deleteMsg{ID: id, VV: vv}}, dests, replicas, true
+	return stagedOp{op: batchOp{Kind: msgDelete, Delete: deleteMsg{ID: id, VV: vv}}, dests: dests, replicas: replicas}, true
 }
 
 // WaitPropagation blocks until every background straggler send of earlier
@@ -949,19 +889,9 @@ func (m *Manager) stageDelete(id object.ID, view group.View) (batchOp, []transpo
 // guarantees the quorum, the remaining replicas are still being written.
 func (m *Manager) WaitPropagation() { m.propagation.Wait() }
 
-// Rollback implements tx.Resource: discard the change set.
-func (m *Manager) Rollback(t *tx.Tx) error {
-	m.mu.Lock()
-	ch, ok := m.dirty[t.ID()]
-	if ok {
-		delete(m.dirty, t.ID())
-	}
-	m.mu.Unlock()
-	if ok {
-		ch.release()
-	}
-	return nil
-}
+// Rollback implements tx.Resource: Create and Delete registered their own
+// compensations in the undo log, and nothing else is kept per transaction.
+func (m *Manager) Rollback(t *tx.Tx) error { return nil }
 
 // countSendFailures records per-destination propagation failures in the
 // replication.propagation_errors metric. The failures are non-fatal —

@@ -112,7 +112,6 @@ func (h *harness) tryWrite(coord transport.NodeID, oid object.ID, attr string, v
 	}
 	txn.RecordUpdate(e)
 	e.Set(attr, v)
-	env.mgr.MarkDirty(txn, oid)
 	return txn.Commit()
 }
 
@@ -153,7 +152,6 @@ func TestRollbackDoesNotPropagate(t *testing.T) {
 	e, _ := env.reg.Get("f1")
 	txn.RecordUpdate(e)
 	e.Set("sold", int64(99))
-	env.mgr.MarkDirty(txn, "f1")
 	if err := txn.Rollback(); err != nil {
 		t.Fatal(err)
 	}

@@ -302,13 +302,6 @@ func (r *Repository) Stats() Stats {
 	}
 }
 
-// ResetStats zeroes the operation counters.
-func (r *Repository) ResetStats() {
-	r.searches.Reset()
-	r.cacheHits.Reset()
-	r.scanned.Reset()
-}
-
 func (r *Repository) invalidateLocked() {
 	if len(r.cache) > 0 {
 		r.cache = make(map[lookupKey]*cacheEntry)

@@ -79,9 +79,13 @@ func TestRegisterLookup(t *testing.T) {
 			if !cached && st.CacheHits != 0 {
 				t.Fatalf("cache hits = %d, want 0", st.CacheHits)
 			}
-			r.ResetStats()
-			if s := r.Stats(); s.Searches != 0 || s.CacheHits != 0 || s.Scanned != 0 {
-				t.Fatalf("reset stats = %+v", s)
+			r.LookupAffected("Flight", "SellTickets", constraint.HardInvariant)
+			after := r.Stats()
+			if after.Searches-st.Searches != 1 {
+				t.Fatalf("searches before = %d, after one more lookup = %d", st.Searches, after.Searches)
+			}
+			if hits := after.CacheHits - st.CacheHits; cached && hits != 1 || !cached && hits != 0 {
+				t.Fatalf("cache hits before = %d, after one more lookup = %d", st.CacheHits, after.CacheHits)
 			}
 		})
 	}

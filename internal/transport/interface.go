@@ -60,8 +60,6 @@ type Transport interface {
 	Observer() *obs.Observer
 	// Stats returns delivery counters.
 	Stats() Stats
-	// ResetStats zeroes the delivery counters.
-	ResetStats()
 }
 
 // Oracle is the simulation-only ground-truth topology surface. Only the

@@ -133,11 +133,6 @@ func WithRetry(p RetryPolicy) Option {
 	return func(n *Network) { n.retry = p }
 }
 
-// WithLatency installs a per-link latency injector.
-func WithLatency(l LatencyFunc) Option {
-	return func(n *Network) { n.latency = l }
-}
-
 // WithObserver attaches the fabric to a shared observability scope; without
 // it the network observes into a private registry.
 func WithObserver(o *obs.Observer) Option {
@@ -469,12 +464,4 @@ func (n *Network) Stats() Stats {
 		Dropped:  n.dropped.Load(),
 		Retries:  n.retries.Load(),
 	}
-}
-
-// ResetStats zeroes the delivery counters.
-func (n *Network) ResetStats() {
-	n.messages.Reset()
-	n.failures.Reset()
-	n.dropped.Reset()
-	n.retries.Reset()
 }

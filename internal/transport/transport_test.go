@@ -373,9 +373,10 @@ func TestRetryDoesNotMaskPersistentPartition(t *testing.T) {
 	}
 }
 
-// TestResetStatsZeroesDropped is the regression test for the ResetStats bug:
-// it previously reset messages and failures but left the dropped counter.
-func TestResetStatsZeroesDropped(t *testing.T) {
+// TestStatsDifferenceCountsDropped: the counters only grow, so a reader
+// measures an interval as a difference of two Stats — every field, the dropped
+// counter included, moves by exactly what happened in between.
+func TestStatsDifferenceCountsDropped(t *testing.T) {
 	n := newThreeNodeNet(t)
 	if err := n.Handle("n2", "k", func(NodeID, any) (any, error) { return nil, nil }); err != nil {
 		t.Fatal(err)
@@ -384,16 +385,20 @@ func TestResetStatsZeroesDropped(t *testing.T) {
 	if _, err := n.Send(context.Background(), "n1", "n2", "k", nil); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("dropped send err = %v", err)
 	}
-	if n.Stats().Dropped != 1 {
-		t.Fatalf("dropped = %d, want 1", n.Stats().Dropped)
+	before := n.Stats()
+	if before.Dropped != 1 {
+		t.Fatalf("dropped = %d, want 1", before.Dropped)
 	}
-	n.ResetStats()
-	if s := n.Stats(); s != (Stats{}) {
-		t.Fatalf("stats after reset = %+v, want all zero", s)
+	if _, err := n.Send(context.Background(), "n1", "n2", "k", nil); !errors.Is(err, ErrUnreachable) {
+		t.Fatalf("dropped send err = %v", err)
+	}
+	after := n.Stats()
+	if after.Dropped-before.Dropped != 1 || after.Failures-before.Failures != 1 || after.Messages != before.Messages || after.Retries != before.Retries {
+		t.Fatalf("stats before = %+v, after one more dropped send = %+v", before, after)
 	}
 }
 
-func TestResetStats(t *testing.T) {
+func TestStatsDifference(t *testing.T) {
 	n := newThreeNodeNet(t)
 	if err := n.Handle("n2", "k", func(NodeID, any) (any, error) { return nil, nil }); err != nil {
 		t.Fatal(err)
@@ -401,9 +406,12 @@ func TestResetStats(t *testing.T) {
 	if _, err := n.Send(context.Background(), "n1", "n2", "k", nil); err != nil {
 		t.Fatal(err)
 	}
-	n.ResetStats()
-	if s := n.Stats(); s.Messages != 0 || s.Failures != 0 {
-		t.Fatalf("stats after reset = %+v", s)
+	before := n.Stats()
+	if _, err := n.Send(context.Background(), "n1", "n2", "k", nil); err != nil {
+		t.Fatal(err)
+	}
+	if after := n.Stats(); after.Messages-before.Messages != 1 || after.Failures != before.Failures {
+		t.Fatalf("stats before = %+v, after one more send = %+v", before, after)
 	}
 }
 

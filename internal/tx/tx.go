@@ -1,8 +1,9 @@
 // Package tx provides the transaction substrate of the middleware
 // (the TxMgr of Figure 4.1): transactions with a two-phase commit over
 // enlisted resources, per-object locks for concurrency consistency
-// (isolation), an undo log for rollback, and the rollback-only flag used by
-// the constraint consistency manager to veto commits (§4.2.3).
+// (isolation), an undo log for rollback that is also the transaction's write
+// set, and the rollback-only flag used by the constraint consistency manager
+// to veto commits (§4.2.3).
 package tx
 
 import (
@@ -178,31 +179,65 @@ type Tx struct {
 	held0    object.ID
 	hasHeld0 bool
 	held     map[object.ID]struct{} // locks beyond the first
-	undo     []undoRecord
+	// undo is the rollback log and, read through Writes, the write set. Tx
+	// keeps nothing else about what it wrote: every read allocates one Tx, and
+	// a field more would push it out of its 160-byte size class.
+	undo []undoRecord
 }
 
-// undoRecord is one rollback action. Typed fields instead of a captured
-// closure: recording an update on the write hot path stores a value in the
-// undo slice without allocating a closure per mutation.
+// WriteKind says what a transaction did to one object.
+type WriteKind uint8
+
+// The kinds of a write-set entry.
+const (
+	Updated WriteKind = iota + 1
+	Created
+	Deleted
+)
+
+// Write is one entry of a transaction's write set (Writes).
+type Write struct {
+	Kind WriteKind
+	ID   object.ID
+	// Payload is what RecordWrite attached to the record that decided Kind:
+	// the state of an object this node coordinates but does not hold. Nil for
+	// a write recorded with its undo.
+	Payload any
+}
+
+// undoRecord is one rollback action and, unless kind is zero, one mark in the
+// write set: the undo log is the only record of what the transaction wrote.
+// Typed fields instead of a captured closure: recording an update on the
+// write hot path stores a value in the undo slice without allocating a
+// closure per mutation. What differs by kind shares the aux word (a state, a
+// registry and a func are pointer-shaped, so storing them allocates nothing),
+// which keeps the record at 56 bytes: a 4-object transaction grows the log
+// through 1, 2 and 4 records, and eight bytes more on the record are 48 more
+// on that transaction.
 type undoRecord struct {
-	entity  *object.Entity // restore target (undo of an update)
-	state   object.State   // pre-state for restore, shared with the entity (never written)
-	version int64          // pre-version for restore
-	reg     *object.Registry
-	id      object.ID // remove target (undo of a create)
-	fn      func()    // arbitrary compensation; wins when set
+	kind    WriteKind      // zero: a bare compensation, not a write
+	local   bool           // the write changed this node's registry or entity and apply undoes it
+	id      object.ID      // the object written
+	entity  *object.Entity // update: restore target; delete: the entity to re-add
+	version int64          // update: pre-version
+	// aux is the object.State an update restores (shared with the entity,
+	// never written), the *object.Registry a local create or delete is undone
+	// in, the func() of a compensation, or the payload of a RecordWrite.
+	aux any
 }
 
 func (u *undoRecord) apply() {
 	switch {
-	case u.fn != nil:
-		u.fn()
-	case u.entity != nil && u.reg != nil:
-		_ = u.reg.Add(u.entity) // undo of a delete
-	case u.entity != nil:
-		u.entity.Restore(u.state, u.version)
-	case u.reg != nil:
-		_ = u.reg.Remove(u.id) // undo of a create
+	case u.kind == 0:
+		u.aux.(func())()
+	case !u.local:
+		// RecordWrite: nothing on this node to undo.
+	case u.kind == Updated:
+		u.entity.Restore(u.aux.(object.State), u.version)
+	case u.kind == Created:
+		_ = u.aux.(*object.Registry).Remove(u.id)
+	case u.kind == Deleted:
+		_ = u.aux.(*object.Registry).Add(u.entity)
 	}
 }
 
@@ -295,37 +330,91 @@ func (t *Tx) HoldsLock(id object.ID) bool {
 	return ok
 }
 
-// RecordUpdate saves the entity's pre-state for rollback. Call before a
-// mutation of the entity within this transaction, holding its object lock.
-// The record shares the entity's attribute map instead of copying it
-// (object.Entity.Share): the first Set that follows makes the one copy, and
-// rollback hands the shared pre-image back. A call whose entity the newest
-// undo record already restores is a no-op — K consecutive writes to one
-// object keep the first pre-image and copy the state once. A record for
-// another entity in between makes the next call record again; the undo log
-// replays in reverse, so that duplicate is harmless.
+// RecordUpdate saves the entity's pre-state for rollback and marks the
+// object written. Call before a mutation of the entity within this
+// transaction, holding its object lock. The record shares the entity's
+// attribute map instead of copying it (object.Entity.Share): the first Set
+// that follows makes the one copy, and rollback hands the shared pre-image
+// back. A call whose entity the log already restores, or whose object this
+// transaction created, is a no-op wherever in the log that record lies — K
+// writes to one object keep the first pre-image and copy the state once,
+// whatever else the transaction wrote in between.
 func (t *Tx) RecordUpdate(e *object.Entity) {
-	if n := len(t.undo); n > 0 {
-		if last := &t.undo[n-1]; last.entity == e && last.reg == nil && last.fn == nil {
-			return
+	for i := range t.undo {
+		switch u := &t.undo[i]; u.kind {
+		case Updated:
+			if u.entity == e {
+				return
+			}
+		case Created:
+			if u.id == e.ID() {
+				return // undone by removing the entity, whatever state it holds
+			}
 		}
 	}
-	t.undo = append(t.undo, undoRecord{entity: e, state: e.Share(), version: e.Version()})
+	t.undo = append(t.undo, undoRecord{kind: Updated, local: true, id: e.ID(), entity: e, version: e.Version(), aux: e.Share()})
 }
 
-// RecordCreate registers an undo that removes a created entity again.
+// RecordCreate marks the object created and registers an undo that removes
+// the entity again.
 func (t *Tx) RecordCreate(reg *object.Registry, id object.ID) {
-	t.undo = append(t.undo, undoRecord{reg: reg, id: id})
+	t.undo = append(t.undo, undoRecord{kind: Created, local: true, id: id, aux: reg})
 }
 
-// RecordDelete registers an undo that re-adds a deleted entity.
+// RecordDelete marks the object deleted and registers an undo that re-adds
+// the entity.
 func (t *Tx) RecordDelete(reg *object.Registry, e *object.Entity) {
-	t.undo = append(t.undo, undoRecord{reg: reg, entity: e})
+	t.undo = append(t.undo, undoRecord{kind: Deleted, local: true, id: e.ID(), entity: e, aux: reg})
 }
 
-// RecordUndo registers an arbitrary compensation to run on rollback.
+// RecordWrite marks an object created or deleted by a node that holds no copy
+// of it: there is nothing local to undo, but the write still belongs to the
+// write set, and payload rides on it to the resource that ships it at commit.
+func (t *Tx) RecordWrite(kind WriteKind, id object.ID, payload any) {
+	t.undo = append(t.undo, undoRecord{kind: kind, id: id, aux: payload})
+}
+
+// RecordUndo registers an arbitrary compensation to run on rollback. It is
+// not a write.
 func (t *Tx) RecordUndo(fn func()) {
-	t.undo = append(t.undo, undoRecord{fn: fn})
+	t.undo = append(t.undo, undoRecord{aux: fn})
+}
+
+// Writes calls fn once per object the transaction wrote, in the order the
+// objects were first touched. It reads the undo log in place — resources call
+// it from Commit, while the log still stands — and merges the records of one
+// object under one rule: its last create or delete decides the kind, and
+// without either it is an update (a create absorbs the updates that follow
+// it). After the transaction finished the set is empty.
+func (t *Tx) Writes(fn func(Write)) {
+	for i := range t.undo {
+		u := &t.undo[i]
+		if u.kind == 0 || t.wroteBefore(i, u.id) {
+			continue
+		}
+		last := u
+		for j := i + 1; j < len(t.undo); j++ {
+			if v := &t.undo[j]; (v.kind == Created || v.kind == Deleted) && v.id == u.id {
+				last = v
+			}
+		}
+		w := Write{Kind: last.kind, ID: u.id}
+		if !last.local {
+			w.Payload = last.aux
+		}
+		fn(w)
+	}
+}
+
+// wroteBefore reports whether a record before index i already put the object
+// in the write set.
+func (t *Tx) wroteBefore(i int, id object.ID) bool {
+	for j := 0; j < i; j++ {
+		if u := &t.undo[j]; u.kind != 0 && u.id == id {
+			return true
+		}
+	}
+	return false
 }
 
 // Commit runs the two-phase commit: prepare all resources, then commit them.

@@ -129,22 +129,15 @@ func WithObserver(o *obs.Observer) Option {
 	return func(w *Wire) { w.obs = o }
 }
 
-// WithDialTimeout bounds each connection attempt (default 2s).
-func WithDialTimeout(d time.Duration) Option {
-	return func(w *Wire) {
-		if d > 0 {
-			w.dialTimeout = d
-		}
-	}
-}
+// dialTimeout bounds each connection attempt and each WaitPeers probe.
+const dialTimeout = 2 * time.Second
 
 // Wire is one process's endpoint of the real-wire transport. It is safe for
 // concurrent use.
 type Wire struct {
-	self        transport.NodeID
-	addrs       map[transport.NodeID]string
-	obs         *obs.Observer
-	dialTimeout time.Duration
+	self  transport.NodeID
+	addrs map[transport.NodeID]string
+	obs   *obs.Observer
 
 	nextID atomic.Uint64
 
@@ -172,12 +165,11 @@ func New(self transport.NodeID, peers map[transport.NodeID]string, opts ...Optio
 		return nil, fmt.Errorf("wiretransport: peer list does not contain self (%s)", self)
 	}
 	w := &Wire{
-		self:        self,
-		addrs:       make(map[transport.NodeID]string, len(peers)),
-		dialTimeout: 2 * time.Second,
-		handlers:    make(map[string]transport.Handler),
-		out:         make(map[transport.NodeID]*link),
-		inbound:     make(map[*link]struct{}),
+		self:     self,
+		addrs:    make(map[transport.NodeID]string, len(peers)),
+		handlers: make(map[string]transport.Handler),
+		out:      make(map[transport.NodeID]*link),
+		inbound:  make(map[*link]struct{}),
 	}
 	for id, addr := range peers {
 		if id == "" || addr == "" {
@@ -351,13 +343,6 @@ func (w *Wire) Stats() transport.Stats {
 	}
 }
 
-// ResetStats zeroes the delivery counters.
-func (w *Wire) ResetStats() {
-	w.messages.Reset()
-	w.failures.Reset()
-	w.retries.Reset()
-}
-
 // Send delivers a request and returns the response, bounded by ctx. Failed
 // dials, broken links and context expiry surface as ErrUnreachable; the
 // installed retry policy re-tries exactly those, sleeping its Backoff in
@@ -475,7 +460,7 @@ func (w *Wire) link(ctx context.Context, to transport.NodeID) (*link, error) {
 	w.mu.Unlock()
 
 	network, addr := splitAddr(w.addrs[to])
-	d := net.Dialer{Timeout: w.dialTimeout}
+	d := net.Dialer{Timeout: dialTimeout}
 	conn, err := d.DialContext(ctx, network, addr)
 	if err != nil {
 		return nil, err
@@ -533,7 +518,7 @@ func (w *Wire) WaitPeers(ctx context.Context) error {
 			continue
 		}
 		for {
-			probe, cancel := context.WithTimeout(ctx, w.dialTimeout)
+			probe, cancel := context.WithTimeout(ctx, dialTimeout)
 			_, err := w.Send(probe, w.self, id, kindPing, "ping")
 			cancel()
 			if err == nil {
