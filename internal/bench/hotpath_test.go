@@ -9,12 +9,14 @@ import (
 
 	"dedisys/internal/constraint"
 	"dedisys/internal/object"
+	"dedisys/internal/persistence"
+	"dedisys/internal/replication"
 )
 
 // TestHotPathAllocGate is the CI gate of the allocation-lean hot paths. It
 // runs exp-allocs and holds the two single-node counts under ceilings set
 // just above what is measured: one read invocation (2.00, ceiling 3) and one
-// single-object write commit (13.88, ceiling 17). The replicated write's
+// single-object write commit (8.9, ceiling 12). The replicated write's
 // ceiling is TestReplicatedCommitAllocCeiling's; its count is measured and
 // recorded here. Under -race the assertions are skipped — the race runtime
 // allocates on paths the production build does not. When BENCH_ALLOCS_JSON
@@ -73,11 +75,12 @@ func TestHotPathAllocGate(t *testing.T) {
 // write path: one single-object quorum write on the 8-node G=4 R=3 simulator
 // cluster — commit staging, threshold multicast, two remote applies, every
 // store write, the straggler joined — must stay under the ceiling set when
-// the state and vector copies came out of it. The count does not depend on
-// the host; it moves when the replicas copy the state and the vector they are
-// handed again (+8 over the two of them, 39.9), a slice is grown by append
-// again, a closure is allocated per send, or a record goes back through
-// reflection. Skipped under -race, whose runtime allocates on paths the
+// the store writes stopped allocating. The count does not depend on the
+// host; it moves when a store write allocates its record again (+1 each, four
+// a write), the entity record goes back through reflection (+4), the replicas
+// copy the state and the vector they are handed again (+8 over the two of
+// them), a slice is grown by append again, or a closure is allocated per
+// send. Skipped under -race, whose runtime allocates on paths the
 // production build does not. TestHotPathAllocGate records the same
 // measurement in BENCH_allocs.json.
 func TestReplicatedCommitAllocCeiling(t *testing.T) {
@@ -92,6 +95,35 @@ func TestReplicatedCommitAllocCeiling(t *testing.T) {
 	if got > replicatedCommitAllocCeiling {
 		t.Fatalf("replicated quorum commit = %.2f allocs/op, ceiling %.2f (baseline %.2f)",
 			got, replicatedCommitAllocCeiling, baselineReplicatedCommitAllocs)
+	}
+}
+
+// TestStorePutAllocatesNothing: rewriting a live key with a record that
+// encodes itself — the version vector of three of a quorum write's four store
+// writes, the entity of the fourth, a bare state as the benchmark's probe puts
+// it — allocates nothing: the record is appended into a recycled buffer and
+// copied over the bytes the key already holds. One allocation here is one per
+// store write on every write path. Skipped under -race, where sync.Pool drops
+// a share of what it is handed.
+func TestStorePutAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race build: allocation count skipped")
+	}
+	store := persistence.NewStore()
+	e := object.New(beanClass, "hot000", object.State{"value": int64(42), "owner": object.ID("acct-1"), "tag": "plain"})
+	for name, rec := range map[string]any{
+		"VersionVector": replication.VersionVector{"n1": 1 << 40, "n2": 1, "n3": 12},
+		"*Entity":       e,
+		"State":         e.Snapshot(),
+	} {
+		got := testing.AllocsPerRun(1000, func() {
+			if err := store.Put("t", name, rec); err != nil {
+				t.Error(err)
+			}
+		})
+		if got != 0 {
+			t.Errorf("steady-state Put of a %s = %v allocs, want 0", name, got)
+		}
 	}
 }
 

@@ -337,6 +337,9 @@ func (m *Manager) computeDegree(meta constraint.Meta, ctx *valContext, ok bool, 
 // business operation satisfies it reliably. Removal is undone if the
 // transaction rolls back (the satisfying operation never became effective).
 func (m *Manager) clearSatisfiedThreats(t *tx.Tx, meta constraint.Meta, ctx *valContext) {
+	if m.threats.Len() == 0 {
+		return // every healthy write: no identity to build, nothing to look up
+	}
 	th := threat.Threat{Constraint: meta.Name}
 	if meta.NeedsContext {
 		if ctx.contextObj == nil {

@@ -587,7 +587,7 @@ func TestCommitStoresEntityAndVectorBytes(t *testing.T) {
 		if n != n1 {
 			continue // CMP persists at the coordinator
 		}
-		wantEntity, _ := json.Marshal(e.Snapshot())
+		wantEntity, _ := json.Marshal(map[string]any(e.Snapshot()))
 		if err := n.Store.Get(cmpTable, "f1", &raw); err != nil {
 			t.Fatal(err)
 		}

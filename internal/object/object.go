@@ -13,8 +13,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
+
+	"dedisys/internal/persistence"
 )
 
 // ID uniquely identifies a logical object across the whole system. All
@@ -68,6 +72,79 @@ func (s State) Clone() State {
 		}
 	}
 	return out
+}
+
+// AppendJSON appends the state's JSON encoding to dst, byte for byte what
+// encoding/json writes for the same data held as a plain map[string]any (keys
+// in byte order, its string escaping), without the reflection or the boxing
+// of every key and value: entity state is one of the four store writes of a
+// replicated commit. The value kinds State documents are written directly;
+// any other value goes through json.Marshal by itself. On error dst is
+// returned as it came.
+func (s State) AppendJSON(dst []byte) ([]byte, error) {
+	if s == nil {
+		return append(dst, "null"...), nil
+	}
+	var buf [8]string
+	keys := buf[:0]
+	for k := range s {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	out := append(dst, '{')
+	for i, k := range keys {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		out = append(persistence.AppendString(out, k), ':')
+		switch v := s[k].(type) {
+		case nil:
+			out = append(out, "null"...)
+		case bool:
+			out = strconv.AppendBool(out, v)
+		case string:
+			out = persistence.AppendString(out, v)
+		case int:
+			out = strconv.AppendInt(out, int64(v), 10)
+		case int64:
+			out = strconv.AppendInt(out, v, 10)
+		case ID:
+			out = persistence.AppendString(out, string(v))
+		case []ID:
+			out = appendStrings(out, v)
+		case []string:
+			out = appendStrings(out, v)
+		default: // float64 after a JSON round trip, nested values
+			b, err := json.Marshal(v)
+			if err != nil {
+				return dst, err
+			}
+			out = append(out, b...)
+		}
+	}
+	return append(out, '}'), nil
+}
+
+// appendStrings appends a reference or string list as a JSON array, null for
+// a nil one as encoding/json has it.
+func appendStrings[S ~string](dst []byte, list []S) []byte {
+	if list == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, s := range list {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = persistence.AppendString(dst, string(s))
+	}
+	return append(dst, ']')
+}
+
+// MarshalJSON is AppendJSON for encoding/json, which needs it where a State
+// nests in a message or record that json.Marshal encodes.
+func (s State) MarshalJSON() ([]byte, error) {
+	return s.AppendJSON(make([]byte, 0, 2+32*len(s)))
 }
 
 // Entity is one replica of a logical object. An Entity is not safe for
@@ -185,10 +262,13 @@ func (e *Entity) Share() State {
 	return e.attrs
 }
 
-// MarshalJSON encodes the entity as its attribute state, exactly as
+// AppendJSON encodes the entity as its attribute state, exactly as
 // json.Marshal(e.Snapshot()) would, without the copy. Like every other
 // access it needs the entity's object lock.
-func (e *Entity) MarshalJSON() ([]byte, error) { return json.Marshal(e.attrs) }
+func (e *Entity) AppendJSON(dst []byte) ([]byte, error) { return e.attrs.AppendJSON(dst) }
+
+// MarshalJSON is AppendJSON for encoding/json.
+func (e *Entity) MarshalJSON() ([]byte, error) { return e.attrs.MarshalJSON() }
 
 // Restore replaces the entity's attributes and version, used by undo logging
 // and replica state transfer. The entity adopts s by reference and marks

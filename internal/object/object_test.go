@@ -1,7 +1,10 @@
 package object
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 	"testing/quick"
@@ -371,5 +374,85 @@ func TestAttrAndMethodNames(t *testing.T) {
 	mn := s.MethodNames()
 	if len(mn) != 2 || mn[0] != "GetX" || mn[1] != "SetX" {
 		t.Fatalf("MethodNames = %v", mn)
+	}
+}
+
+// TestStateJSONMatchesEncodingJSON holds the hand-written state encoder to
+// encoding/json's output for the same data held as a plain map[string]any,
+// byte for byte — the stored entity records must not change — appended to
+// nothing and after a prefix, through State's and Entity's MarshalJSON, and
+// nested in a struct json.Marshal encodes.
+func TestStateJSONMatchesEncodingJSON(t *testing.T) {
+	var roundTripped map[string]any
+	if err := json.Unmarshal([]byte(`{"sold":70,"price":12.5,"tags":["a","b"],"nested":{"k":null}}`), &roundTripped); err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string]State{
+		"nil":   nil,
+		"empty": {},
+		"one":   {"value": int64(42)},
+		"ten keys": {"k9": 9, "k0": 0, "k5": 5, "k2": 2, "k7": 7, "k1": 1, "k8": 8, "k3": 3, "k6": 6, "k4": 4,
+			"K": "upper sorts first", "": "empty key"},
+		"escaped keys": {`q"uote`: 1, `back\slash`: 2, "<lt": 3, "gt>": 4, "a&b": 5, "ünï": 6,
+			"\x00\x1f\n\t\b\f\r": 7, "line\u2028sep\u2029": 8, "bad\xffutf8": 9, "\x7f": 10},
+		"escaped strings": {"a": `q"uote`, "b": `back\slash`, "c": "VIE<->GRZ & back", "d": "ünï",
+			"e": "\x00\x1f\n\t\b\f\r", "f": "line\u2028sep\u2029", "g": "bad\xffutf8", "h": "\x7f", "i": ""},
+		"ints":   {"min": math.MinInt, "max": math.MaxInt, "min64": int64(math.MinInt64), "max64": int64(math.MaxInt64), "zero": 0},
+		"floats": {"zero": 0.0, "negzero": math.Copysign(0, -1), "big": 1e21, "small": 1e-7, "whole": float64(70), "frac": 12.5},
+		"scalars": {"nil": nil, "yes": true, "no": false, "ref": ID("f<1>"), "refs": []ID{"a", `b"c`, ""},
+			"names": []string{"x", "y&z"}, "no refs": []ID(nil), "zero refs": []ID{}, "no names": []string(nil), "zero names": []string{}},
+		"other kinds": {"i32": int32(-3), "u8": uint8(200), "bytes": []byte("raw"), "list": []any{1, "two", nil, []ID{"r"}},
+			"map": map[string]any{"z": 1, "a": []string{"<"}}, "ptr": &struct{ A int }{7}},
+		"from a json round trip": roundTripped,
+	}
+	const prefix = `{"state":`
+	for name, st := range cases {
+		want, err := json.Marshal(map[string]any(st))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := New("C", "id", nil)
+		e.Restore(st, 1)
+		wantNested, err := json.Marshal(struct{ S map[string]any }{st})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for form, encode := range map[string]func() ([]byte, error){
+			"State.AppendJSON(nil)": func() ([]byte, error) { return st.AppendJSON(nil) },
+			"State.MarshalJSON":     st.MarshalJSON,
+			"Entity.AppendJSON":     func() ([]byte, error) { return e.AppendJSON(nil) },
+			"Entity.MarshalJSON":    e.MarshalJSON,
+		} {
+			if got, err := encode(); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("%s: %s\n got %s, %v\nwant %s", name, form, got, err, want)
+			}
+		}
+		if got, err := st.AppendJSON([]byte(prefix)); err != nil || string(got) != prefix+string(want) {
+			t.Errorf("%s: AppendJSON after %s\n got %s, %v\nwant %s%s", name, prefix, got, err, prefix, want)
+		}
+		if got, err := json.Marshal(struct{ S State }{st}); err != nil || !bytes.Equal(got, wantNested) {
+			t.Errorf("%s: nested in a struct\n got %s, %v\nwant %s", name, got, err, wantNested)
+		}
+	}
+}
+
+// TestStateJSONUnencodableValue: a value encoding/json rejects fails the
+// whole state, and the caller gets its buffer back as it handed it in.
+func TestStateJSONUnencodableValue(t *testing.T) {
+	st := State{"a": int64(1), "ch": make(chan int), "z": "after"}
+	const prefix = `{"state":`
+	got, err := st.AppendJSON([]byte(prefix))
+	if err == nil || string(got) != prefix {
+		t.Fatalf("AppendJSON = %q, %v; want the prefix back and an error", got, err)
+	}
+	if _, err := st.MarshalJSON(); err == nil {
+		t.Fatal("MarshalJSON encoded a channel")
+	}
+	e := New("C", "id", st)
+	if _, err := e.MarshalJSON(); err == nil {
+		t.Fatal("Entity.MarshalJSON encoded a channel")
+	}
+	if _, err := json.Marshal(struct{ S State }{st}); err == nil {
+		t.Fatal("json.Marshal encoded a state holding a channel")
 	}
 }

@@ -3,6 +3,12 @@
 // in named tables and charges a configurable synchronous write cost so that
 // the evaluation reproduces the shape of database-bound operations
 // (persisting consistency threats, replica metadata, and state history).
+//
+// A record's bytes are the store's own. Put copies the encoding into the
+// buffer the key already holds, so rewriting a live key allocates nothing
+// and the record written last time is overwritten, not left as garbage;
+// Get copies the record out before it decodes. No byte of a stored buffer is
+// ever handed to a caller, which is what makes writing it in place safe.
 package persistence
 
 import (
@@ -74,15 +80,53 @@ func NewStore(opts ...Option) *Store {
 	return s
 }
 
-// Put stores the JSON encoding of v under (table, key). A record type that
-// encodes itself (json.Marshaler) is stored as it returns, skipping
-// json.Marshal's reflection and its re-scan of the result, so its MarshalJSON
-// must return exactly what json.Marshal would store: compact and HTML-escaped.
+// appender is a record type that encodes itself: AppendJSON appends the
+// record's JSON to dst and returns the extended slice, or an error, in which
+// case what it returns is not used. It must append exactly what json.Marshal
+// would store — compact, HTML-escaped, object keys in byte order — and must
+// not keep dst.
+type appender interface {
+	AppendJSON(dst []byte) ([]byte, error)
+}
+
+// scratch holds the buffers a record is encoded into on its way in and copied
+// into on its way out: encoding and decoding run outside the store lock, on
+// any number of goroutines at once, so the buffer cannot be a field of the
+// Store, and a fresh one per call is the allocation Put exists to avoid.
+var scratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// AppendString appends s to dst as the JSON string encoding/json writes for
+// it, object keys included. Self-encoding record types quote through it so
+// that the escaping rule of the stored format has one copy.
+func AppendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		// Anything but printable ASCII other than the quote, the backslash
+		// and <, >, & may need escaping; such strings are rare in records.
+		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always encodes
+			return append(dst, q...)
+		}
+	}
+	return append(append(append(dst, '"'), s...), '"')
+}
+
+// Put stores the JSON encoding of v under (table, key). A record type with an
+// AppendJSON method (see appender) encodes itself into a recycled buffer,
+// skipping json.Marshal's reflection, its re-scan of the result and its fresh
+// result slice; anything else goes through json.Marshal. Either way the
+// encoding happens before the lock is taken, a failed one leaves the store
+// and its counters as they were, and the bytes are then copied over the
+// record the key already holds: the store keeps its own buffer per key and
+// the caller's value is not referenced after Put returns.
 func (s *Store) Put(table, key string, v any) error {
 	var data []byte
 	var err error
-	if m, ok := v.(json.Marshaler); ok {
-		data, err = m.MarshalJSON()
+	if a, ok := v.(appender); ok {
+		buf := scratch.Get().(*[]byte)
+		defer scratch.Put(buf)
+		if data, err = a.AppendJSON((*buf)[:0]); err == nil {
+			*buf = data // keep what the encoder grew
+		}
 	} else {
 		data, err = json.Marshal(v)
 	}
@@ -98,21 +142,31 @@ func (s *Store) Put(table, key string, v any) error {
 		t = make(map[string][]byte)
 		s.tables[table] = t
 	}
-	t[key] = data
+	t[key] = append(t[key][:0], data...)
 	return nil
 }
 
-// Get decodes the record at (table, key) into out.
+// Get decodes the record at (table, key) into out. The record is copied out
+// under the read lock and the copy is decoded after it: a concurrent Put
+// rewrites the stored buffer in place, so decoding it directly would read a
+// torn record. The copy lives in a recycled buffer; encoding/json copies
+// whatever the target keeps (strings, json.RawMessage), so nothing decoded
+// points into it.
 func (s *Store) Get(table, key string, out any) error {
 	simtime.Charge(s.cost.PerRead)
 	s.reads.Add(1)
+	buf := scratch.Get().(*[]byte)
+	defer scratch.Put(buf)
 	s.mu.RLock()
 	data, ok := s.tables[table][key]
+	if ok {
+		*buf = append((*buf)[:0], data...)
+	}
 	s.mu.RUnlock()
 	if !ok {
 		return fmt.Errorf("%w: %s/%s", ErrNotFound, table, key)
 	}
-	if err := json.Unmarshal(data, out); err != nil {
+	if err := json.Unmarshal(*buf, out); err != nil {
 		return fmt.Errorf("persistence: decode %s/%s: %w", table, key, err)
 	}
 	return nil

@@ -3,6 +3,8 @@ package persistence
 import (
 	"encoding/json"
 	"errors"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -146,25 +148,42 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 }
 
-// selfEncoded is a record type that encodes itself.
+// selfEncoded is a record type that encodes itself; with err set it writes
+// half of its record into the buffer and then fails.
 type selfEncoded struct {
 	json string
 	err  error
 }
 
-func (s selfEncoded) MarshalJSON() ([]byte, error) { return []byte(s.json), s.err }
+func (s selfEncoded) AppendJSON(dst []byte) ([]byte, error) {
+	if s.err != nil {
+		return append(dst, s.json[:len(s.json)/2]...), s.err
+	}
+	return append(dst, s.json...), nil
+}
 
-// TestPutStoresSelfEncodedRecordsAsReturned covers the store's fast path: a
-// json.Marshaler's bytes are stored as they are, and its error fails the Put
-// without writing or counting anything.
+// rawAt reads the stored bytes of a record.
+func rawAt(t *testing.T, s *Store, table, key string) string {
+	t.Helper()
+	var raw json.RawMessage
+	if err := s.Get(table, key, &raw); err != nil {
+		t.Fatalf("get %s/%s: %v", table, key, err)
+	}
+	return string(raw)
+}
+
+// TestPutStoresSelfEncodedRecordsAsReturned covers the store's fast path: what
+// an AppendJSON method appends is stored as it is, and an encoder that fails
+// half way through its record fails the Put without writing or counting
+// anything, on a new key and on a live one.
 func TestPutStoresSelfEncodedRecordsAsReturned(t *testing.T) {
 	s := NewStore()
-	if err := s.Put("t", "k", selfEncoded{json: `{"name":"n","count":2}`}); err != nil {
+	const first = `{"name":"n","count":2}`
+	if err := s.Put("t", "k", selfEncoded{json: first}); err != nil {
 		t.Fatal(err)
 	}
-	var raw json.RawMessage
-	if err := s.Get("t", "k", &raw); err != nil || string(raw) != `{"name":"n","count":2}` {
-		t.Fatalf("stored %s, %v", raw, err)
+	if got := rawAt(t, s, "t", "k"); got != first {
+		t.Fatalf("stored %s", got)
 	}
 	var out record
 	if err := s.Get("t", "k", &out); err != nil || out != (record{Name: "n", Count: 2}) {
@@ -172,10 +191,164 @@ func TestPutStoresSelfEncodedRecordsAsReturned(t *testing.T) {
 	}
 	boom := errors.New("boom")
 	writes := s.Stats().Writes
-	if err := s.Put("t", "bad", selfEncoded{err: boom}); !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want it to wrap %v", err, boom)
+	for _, key := range []string{"bad", "k"} {
+		if err := s.Put("t", key, selfEncoded{json: `{"name":"other","count":3}`, err: boom}); !errors.Is(err, boom) {
+			t.Fatalf("%s: err = %v, want it to wrap %v", key, err, boom)
+		}
 	}
 	if s.Has("t", "bad") || s.Stats().Writes != writes {
 		t.Fatal("failed Put left a record or counted a write")
+	}
+	if got := rawAt(t, s, "t", "k"); got != first {
+		t.Fatalf("failed Put changed the live record to %s", got)
+	}
+	// The buffer the failed encoder scribbled into is reused by the next Put.
+	if err := s.Put("t", "k2", selfEncoded{json: `[1]`}); err != nil || rawAt(t, s, "t", "k2") != `[1]` {
+		t.Fatalf("put after a failed one stored %s, %v", rawAt(t, s, "t", "k2"), err)
+	}
+}
+
+// TestOverwriteShorterThenLonger rewrites one key in place with a shorter and
+// then a longer record, through both encoding paths: Get returns exactly the
+// last one each time, with nothing left over from its predecessor.
+func TestOverwriteShorterThenLonger(t *testing.T) {
+	s := NewStore()
+	long := record{Name: strings.Repeat("x", 300), Count: 1}
+	longJSON, _ := json.Marshal(long)
+	for i, v := range []any{
+		selfEncoded{json: `{"name":"medium","count":22}`}, selfEncoded{json: `{}`}, selfEncoded{json: string(longJSON)},
+		record{Name: "s"}, long, record{},
+	} {
+		if err := s.Put("t", "k", v); err != nil {
+			t.Fatal(err)
+		}
+		var want string
+		if enc, ok := v.(selfEncoded); ok {
+			want = enc.json
+		} else {
+			data, _ := json.Marshal(v)
+			want = string(data)
+		}
+		if got := rawAt(t, s, "t", "k"); got != want {
+			t.Fatalf("write %d: stored %s, want %s", i, got, want)
+		}
+		var wantRec, out record
+		_ = json.Unmarshal([]byte(want), &wantRec)
+		if err := s.Get("t", "k", &out); err != nil || out != wantRec {
+			t.Fatalf("write %d: decoded %+v, %v, want %+v", i, out, err, wantRec)
+		}
+	}
+	if s.Len("t") != 1 {
+		t.Fatalf("len = %d", s.Len("t"))
+	}
+}
+
+// TestGetResultIsTheCallersOwn: bytes a Get handed out stay as they were when
+// the key is rewritten, and when it is deleted and other records are written
+// through the buffers the store recycles.
+func TestGetResultIsTheCallersOwn(t *testing.T) {
+	s := NewStore()
+	const first = `{"name":"first","count":1}`
+	if err := s.Put("t", "k", selfEncoded{json: first}); err != nil {
+		t.Fatal(err)
+	}
+	var raw json.RawMessage
+	if err := s.Get("t", "k", &raw); err != nil {
+		t.Fatal(err)
+	}
+	var name struct{ Name string }
+	if err := s.Get("t", "k", &name); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("t", "k", selfEncoded{json: `{"name":"SECOND","count":2}`}); err != nil {
+		t.Fatal(err)
+	}
+	if string(raw) != first || name.Name != "first" {
+		t.Fatalf("after the rewrite the earlier Get reads %s / %q", raw, name.Name)
+	}
+	s.Delete("t", "k")
+	for _, key := range []string{"other", "k"} {
+		if err := s.Put("t", key, selfEncoded{json: `{"name":"THIRD!","count":3}`}); err != nil {
+			t.Fatal(err)
+		}
+		var sink json.RawMessage
+		if err := s.Get("t", key, &sink); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if string(raw) != first || name.Name != "first" {
+		t.Fatalf("after delete and reuse the earlier Get reads %s / %q", raw, name.Name)
+	}
+}
+
+// filled is a self-describing record: Fill is determined by Writer and Seq,
+// so a reader can tell a record some Put wrote in full from a torn one or a
+// mix of two.
+type filled struct {
+	Writer int    `json:"writer"`
+	Seq    int    `json:"seq"`
+	Fill   string `json:"fill"`
+}
+
+func newFilled(writer, seq int) filled {
+	return filled{Writer: writer, Seq: seq, Fill: strings.Repeat(string(rune('a'+writer)), 1+(seq*7+writer*13)%90)}
+}
+
+// selfFilled is filled encoding itself.
+type selfFilled filled
+
+func (f selfFilled) AppendJSON(dst []byte) ([]byte, error) {
+	dst = strconv.AppendInt(append(dst, `{"writer":`...), int64(f.Writer), 10)
+	dst = strconv.AppendInt(append(dst, `,"seq":`...), int64(f.Seq), 10)
+	return append(AppendString(append(dst, `,"fill":`...), f.Fill), '}'), nil
+}
+
+// TestConcurrentPutGetOneKey has eight goroutines rewrite and read one key,
+// half of them through the self-encoding path, with records of differing
+// lengths: every Get must decode to a record one Put wrote in full. Run with
+// -race it also checks that no decode reads a buffer a Put is writing.
+func TestConcurrentPutGetOneKey(t *testing.T) {
+	s := NewStore()
+	if err := s.Put("t", "k", newFilled(0, 0)); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 1; i <= 200; i++ {
+				var v any = newFilled(w, i)
+				if w%2 == 0 {
+					v = selfFilled(newFilled(w, i))
+				}
+				if err := s.Put("t", "k", v); err != nil {
+					t.Error(err)
+					return
+				}
+				var got filled
+				if err := s.Get("t", "k", &got); err != nil {
+					t.Errorf("writer %d seq %d: %v", w, i, err)
+					return
+				}
+				if got != newFilled(got.Writer, got.Seq) {
+					t.Errorf("writer %d seq %d read a record nobody wrote: %+v", w, i, got)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestAppendStringMatchesEncodingJSON holds the string rule self-encoding
+// records share to encoding/json's, byte for byte, after a prefix.
+func TestAppendStringMatchesEncodingJSON(t *testing.T) {
+	for _, s := range []string{"", "plain", "sp ace~", `q"uote`, `back\slash`, "<", ">", "&", "\x00", "\x1f", "\n\t\b\f\r",
+		"\x7f", "\x80", "ünï", "\u2028\u2029", "bad\xffutf8", "\xc3", "日本語", "tail\\"} {
+		want, _ := json.Marshal(s)
+		if got := AppendString([]byte("k:"), s); string(got) != "k:"+string(want) {
+			t.Errorf("%q: got %s, want k:%s", s, got, want)
+		}
 	}
 }

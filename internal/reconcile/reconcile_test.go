@@ -167,6 +167,21 @@ func TestReconciliationDeferredWhenHandlerDeclines(t *testing.T) {
 	if n1.Threats.Len() == 0 {
 		t.Fatal("deferred threat removed prematurely")
 	}
+	// A satisfying operation that rolls back never became effective: the
+	// threat it cleared is stored again.
+	txn := n1.Begin()
+	if _, err := n1.InvokeTx(txn, "f1", "Rebook", int64(5)); err != nil {
+		t.Fatal(err)
+	}
+	if n1.Threats.Len() != 0 {
+		t.Fatalf("threats inside the satisfying tx = %d", n1.Threats.Len())
+	}
+	if err := txn.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if n1.Threats.Len() != 1 {
+		t.Fatalf("threats after rollback of the satisfying tx = %d, want 1", n1.Threats.Len())
+	}
 	// The operator rebooks 5 passengers through a business operation; the
 	// CCMgr detects that the constraint is satisfied by the operation and
 	// removes the deferred threat from persistent storage (§4.4).

@@ -183,8 +183,8 @@ func TestBatchDuplicateDeliveryIdempotent(t *testing.T) {
 		if err != nil {
 			t.Fatalf("delivery %d: %v", round, err)
 		}
-		if s, ok := resp.(string); !ok || !strings.HasPrefix(s, "ack") {
-			t.Fatalf("delivery %d response = %v", round, resp)
+		if resp != (batchAck{Applied: 1, Skipped: 1}) { // the create merges, the apply is a duplicate
+			t.Fatalf("delivery %d response = %#v", round, resp)
 		}
 		if e, _ := h.node("n2").reg.Get("f1"); e.GetInt("sold") != 5 || e.Version() != e1.Version() {
 			t.Fatalf("delivery %d state = %d v%d", round, e.GetInt("sold"), e.Version())
@@ -224,8 +224,8 @@ func TestBatchUnknownApplySkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp != "ack 1 applied 1 skipped" {
-		t.Fatalf("response = %v", resp)
+	if resp != (batchAck{Applied: 1, Skipped: 1}) {
+		t.Fatalf("response = %#v", resp)
 	}
 	if h.node("n2").reg.Has("ghost") {
 		t.Fatal("unknown object installed")
@@ -398,7 +398,7 @@ func TestBatchMixedEffectsMatchRecorded(t *testing.T) {
 		create("outside", 4, 1, VersionVector{"n1": 1}),
 	}}
 	setup.Ops[3].Create.Info = Info{Home: "n1", Replicas: []transport.NodeID{"n1"}}
-	if resp, err := dst.mgr.handleBatch("n1", setup); err != nil || resp != "ack 4 applied 0 skipped" {
+	if resp, err := dst.mgr.handleBatch("n1", setup); err != nil || resp != (batchAck{Applied: 4}) {
 		t.Fatalf("setup: %v, %v", resp, err)
 	}
 	before := dst.dump(t)
@@ -429,8 +429,8 @@ func TestBatchMixedEffectsMatchRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp != "ack 6 applied 2 skipped" {
-		t.Errorf("ack = %q", resp)
+	if resp != (batchAck{Applied: 6, Skipped: 2}) {
+		t.Errorf("ack = %#v", resp)
 	}
 	const recorded = `replica a Flight v3 {"sold":11} {"n1":2,"n3":1} home=n1 [n1 n2] registry=true
 replica b Flight v2 {"sold":12,"tag":"x\u003cy"} {"n1":2} home=n1 [n1 n2] registry=true
@@ -489,11 +489,11 @@ func TestBatchOneOpCasesMatchRecorded(t *testing.T) {
 	del := func(id object.ID, vv VersionVector) batchOp {
 		return batchOp{Kind: msgDelete, Delete: deleteMsg{ID: id, VV: vv}}
 	}
-	const applied, skipped = "ack 1 applied 0 skipped", "ack 0 applied 1 skipped"
+	applied, skipped := batchAck{Applied: 1}, batchAck{Skipped: 1}
 	cases := []struct {
 		name  string
 		op    batchOp
-		ack   string
+		ack   batchAck
 		delta string
 	}{
 		{"create unknown", create("d", 5, 1, VersionVector{"n1": 1}, info), applied,
@@ -555,7 +555,7 @@ func TestBatchOneOpCasesMatchRecorded(t *testing.T) {
 				t.Fatal(err)
 			}
 			if resp != tc.ack {
-				t.Errorf("ack = %q, recorded %q", resp, tc.ack)
+				t.Errorf("ack = %#v, recorded %#v", resp, tc.ack)
 			}
 			if got := delta(before, dst.dump(t)); got != tc.delta {
 				t.Errorf("state change:\n%s\nrecorded:\n%s", got, tc.delta)

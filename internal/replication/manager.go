@@ -85,6 +85,13 @@ type batchMsg struct {
 	Ops []batchOp
 }
 
+// batchAck is the reply to a batchMsg: how many of its ops the replica
+// applied (creates, accepted applies, deletes) and how many it skipped as
+// duplicate, older, concurrent or for an object it does not know.
+type batchAck struct {
+	Applied, Skipped int
+}
+
 type fetchReply struct {
 	Class   string
 	State   object.State
@@ -958,7 +965,7 @@ func (m *Manager) handleBatch(from transport.NodeID, payload any) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return "ack " + strconv.Itoa(applied) + " applied " + strconv.Itoa(skipped) + " skipped", nil
+	return batchAck{Applied: applied, Skipped: skipped}, nil
 }
 
 // applyOps is the one place a replica decides what a shipped operation does:

@@ -24,16 +24,15 @@
 package replication
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 
 	"dedisys/internal/group"
 	"dedisys/internal/object"
+	"dedisys/internal/persistence"
 	"dedisys/internal/transport"
 )
 
@@ -409,40 +408,34 @@ func (v VersionVector) grown(extra int) VersionVector {
 	return out
 }
 
-// MarshalJSON encodes the vector byte for byte as encoding/json encodes the
-// underlying map (keys in byte order, its string escaping) without the
-// reflection: replica metadata is three of the four store writes of a
-// replicated commit.
-func (v VersionVector) MarshalJSON() ([]byte, error) {
+// AppendJSON appends the vector's JSON encoding to dst, byte for byte what
+// encoding/json writes for the underlying map (keys in byte order, its string
+// escaping), without the reflection: replica metadata is three of the four
+// store writes of a replicated commit.
+func (v VersionVector) AppendJSON(dst []byte) ([]byte, error) {
 	if v == nil {
-		return []byte("null"), nil
+		return append(dst, "null"...), nil
 	}
-	keys := make([]transport.NodeID, 0, 8)
+	var buf [8]transport.NodeID
+	keys := buf[:0]
 	for k := range v {
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)
-	out := append(make([]byte, 0, 2+32*len(keys)), '{')
+	dst = append(dst, '{')
 	for i, k := range keys {
 		if i > 0 {
-			out = append(out, ',')
+			dst = append(dst, ',')
 		}
-		if strings.IndexFunc(string(k), jsonEscapes) < 0 {
-			out = append(append(append(out, '"'), k...), '"')
-		} else if q, err := json.Marshal(string(k)); err == nil {
-			out = append(out, q...) // rare: escaped the way map keys are
-		} else {
-			return nil, err
-		}
-		out = strconv.AppendInt(append(out, ':'), v[k], 10)
+		dst = strconv.AppendInt(append(persistence.AppendString(dst, string(k)), ':'), v[k], 10)
 	}
-	return append(out, '}'), nil
+	return append(dst, '}'), nil
 }
 
-// jsonEscapes reports a rune encoding/json does not copy into a string as is:
-// anything but printable ASCII, the quote, the backslash, and <, >, &.
-func jsonEscapes(r rune) bool {
-	return r < 0x20 || r >= 0x7f || strings.ContainsRune(`"\<>&`, r)
+// MarshalJSON is AppendJSON for encoding/json, which needs it where a vector
+// nests in a message or record that json.Marshal encodes.
+func (v VersionVector) MarshalJSON() ([]byte, error) {
+	return v.AppendJSON(make([]byte, 0, 2+32*len(v)))
 }
 
 // Bumped returns a copy of the vector with the component of the coordinating

@@ -181,9 +181,9 @@ func TestQuickCompareConsistentWithTotals(t *testing.T) {
 
 // TestVersionVectorJSONMatchesEncodingJSON holds the hand-written encoder to
 // encoding/json's output for the underlying map, byte for byte — the stored
-// replica-meta records must not change — directly, through the store's
-// self-encoding path, and embedded in a struct; and the store must decode
-// what it stored.
+// replica-meta records must not change — directly, appended after a prefix,
+// through the store's self-encoding path, and embedded in a struct; and the
+// store must decode what it stored.
 func TestVersionVectorJSONMatchesEncodingJSON(t *testing.T) {
 	nine := VersionVector{}
 	for i := 0; i < 9; i++ {
@@ -209,6 +209,10 @@ func TestVersionVectorJSONMatchesEncodingJSON(t *testing.T) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: MarshalJSON\n got %s\nwant %s", name, got, want)
+		}
+		const prefix = `{"vv":`
+		if got, err := vv.AppendJSON([]byte(prefix)); err != nil || string(got) != prefix+string(want) {
+			t.Errorf("%s: AppendJSON after %s\n got %s, %v\nwant %s%s", name, prefix, got, err, prefix, want)
 		}
 		if err := store.Put("t", name, vv); err != nil {
 			t.Fatalf("%s: %v", name, err)

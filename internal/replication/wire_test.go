@@ -50,5 +50,6 @@ func TestWireCodecReplicationPayloads(t *testing.T) {
 	// 2PC-style request payloads that ride on bare IDs (repl.fetch).
 	roundTrip(t, object.ID("acct-1"))
 	// Handler acks that cross back as responses.
-	roundTrip(t, "ack 1 applied 0 skipped")
+	roundTrip(t, batchAck{Applied: 1})
+	roundTrip(t, batchAck{}) // all-zero: gob sends no field, the type must still arrive
 }
