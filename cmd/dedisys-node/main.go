@@ -1,5 +1,5 @@
 // Command dedisys-node runs one DeDiSys middleware node as its own OS
-// process over the real-wire transport (length-prefixed gob frames on TCP
+// process over the real-wire transport (length-prefixed frames on TCP
 // or unix-domain sockets). Every process of a deployment is started with
 // the same -peers list; membership is static and derived from it, so all
 // processes agree on the node universe and the placement ring.

@@ -236,7 +236,7 @@ func runWire(cfg Config) (*Result, error) {
 	if sim.P50 > 0 {
 		res.AddNote("wire/sim p50 ratio = %.1fx over %d commits per backend", float64(wire.P50)/float64(sim.P50), iters)
 	}
-	res.AddNote("simulated per-message cost %s; wire coordinator shipped %d frames (gob, length-prefixed)",
+	res.AddNote("simulated per-message cost %s; wire coordinator shipped %d frames (length-prefixed; replica writes self-encoded, the rest gob)",
 		cfg.NetCost, wire.Messages)
 	return res, nil
 }

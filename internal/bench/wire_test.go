@@ -55,7 +55,7 @@ func TestWireExperiment(t *testing.T) {
 			"gomaxprocs":          runtime.GOMAXPROCS(0),
 			"n":                   wireBenchSize,
 			"iters":               wireBenchIters(cfg),
-			"transport":           "gob over unix sockets: length-prefixed frames, one gob stream per link",
+			"transport":           "unix sockets, length-prefixed frames: repl.batch and its ack self-encoded, every other kind on one gob stream per link",
 			"wire_p50_us":         wireP50,
 			"wire_p95_us":         wireP95,
 			"wire_mean_us":        wireMean,
@@ -81,32 +81,40 @@ func TestWireExperiment(t *testing.T) {
 }
 
 // wireSendAllocCeiling bounds the allocations of one request/response round
-// trip over an idle link, both endpoints counted. A long-lived gob stream per
-// link measures 42; a codec rebuilt per frame (type descriptors re-sent and
-// re-compiled for every message) measured 683.
-const wireSendAllocCeiling = 80
+// trip of a replica write over an idle link, both endpoints counted. Request
+// and ack encode themselves (transport.WirePayload) and measure 11: the reply
+// channel 2, the handler goroutine 1, the batch decoded into fresh memory 7
+// (op slice, object ID, state map 2, vector map 2, the batch's box; the
+// recorded value is a small integer, which boxes for free — a larger one is
+// +1) and the ack's box 1. The headroom of 3 is for the two maps under CI's
+// Go 1.22. What it catches: either direction back on gob is +6 or more (a
+// string ack over gob measured 17, both directions on gob 42, a codec rebuilt
+// per frame 683), and a reader that stops interning names is +6.
+const wireSendAllocCeiling = 14
 
 // recordedBatch returns a repl.batch request as the replication layer ships
-// it for a single-object commit, captured from a simulated two-node cluster.
-func recordedBatch(t *testing.T) any {
+// it for a single-object commit, captured on its way to one replica of a
+// simulated three-node cluster, and the ack the other replica's own handler
+// gives to the same batch.
+func recordedBatch(t *testing.T) (batch, ack any) {
 	t.Helper()
-	c, err := newBenchCluster(QuickConfig(), clusterOpts{size: 2, disableCCM: true}, constraint.HardInvariant)
+	c, err := newBenchCluster(QuickConfig(), clusterOpts{size: 3, disableCCM: true}, constraint.HardInvariant)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Stop()
+	ids := c.IDs()
 	var mu sync.Mutex
-	var batch any
-	err = c.Net.Handle(c.IDs()[1], "repl.batch", func(_ transport.NodeID, p any) (any, error) {
+	err = c.Net.Handle(ids[2], "repl.batch", func(_ transport.NodeID, p any) (any, error) {
 		mu.Lock()
 		defer mu.Unlock()
 		batch = p
-		return "ack", nil
+		return nil, nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := commitSamples(c.Node(0), c.IDs(), 1); err != nil {
+	if _, err := commitSamples(c.Node(0), ids, 1); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()
@@ -114,14 +122,17 @@ func recordedBatch(t *testing.T) any {
 	if batch == nil {
 		t.Fatal("the commit shipped no repl.batch")
 	}
-	return batch
+	if ack, err = c.Net.Send(context.Background(), ids[0], ids[1], "repl.batch", batch); err != nil {
+		t.Fatal(err)
+	}
+	return batch, ack
 }
 
 // wireSendAllocs measures the allocations of one acknowledged Wire.Send of
 // a recorded repl.batch payload over a warmed unix-socket pair.
 func wireSendAllocs(t *testing.T) float64 {
 	t.Helper()
-	batch := recordedBatch(t)
+	batch, ack := recordedBatch(t)
 	dir := t.TempDir()
 	peers := map[transport.NodeID]string{
 		"a": "unix:" + filepath.Join(dir, "a.sock"),
@@ -139,8 +150,8 @@ func wireSendAllocs(t *testing.T) float64 {
 		defer w.Close()
 		wires = append(wires, w)
 	}
-	// The peer answers as handleBatch does, with a short ack string.
-	if err := wires[1].Handle("b", "echo", func(transport.NodeID, any) (any, error) { return "ack", nil }); err != nil {
+	// The peer answers as handleBatch does: with the recorded ack.
+	if err := wires[1].Handle("b", "echo", func(transport.NodeID, any) (any, error) { return ack, nil }); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -150,8 +161,8 @@ func wireSendAllocs(t *testing.T) float64 {
 			t.Fatal(err)
 		}
 	}
-	// AllocsPerRun's own warm-up call dials the link and carries the type
-	// descriptors of both directions; the measured runs are steady state.
+	// AllocsPerRun's own warm-up call dials the link and fills the name table
+	// of both directions; the measured runs are steady state.
 	return testing.AllocsPerRun(200, send)
 }
 

@@ -10,15 +10,18 @@
 package object
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 	"strconv"
 	"sync"
 
 	"dedisys/internal/persistence"
+	"dedisys/internal/transport"
 )
 
 // ID uniquely identifies a logical object across the whole system. All
@@ -86,13 +89,8 @@ func (s State) AppendJSON(dst []byte) ([]byte, error) {
 		return append(dst, "null"...), nil
 	}
 	var buf [8]string
-	keys := buf[:0]
-	for k := range s {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
 	out := append(dst, '{')
-	for i, k := range keys {
+	for i, k := range s.sortedKeys(buf[:0]) {
 		if i > 0 {
 			out = append(out, ',')
 		}
@@ -125,6 +123,17 @@ func (s State) AppendJSON(dst []byte) ([]byte, error) {
 	return append(out, '}'), nil
 }
 
+// sortedKeys appends the attribute names to buf in byte order, the order both
+// encoders write them in so that equal states give equal bytes. buf is the
+// caller's stack space for the usual handful of attributes.
+func (s State) sortedKeys(buf []string) []string {
+	for k := range s {
+		buf = append(buf, k)
+	}
+	slices.Sort(buf)
+	return buf
+}
+
 // appendStrings appends a reference or string list as a JSON array, null for
 // a nil one as encoding/json has it.
 func appendStrings[S ~string](dst []byte, list []S) []byte {
@@ -145,6 +154,125 @@ func appendStrings[S ~string](dst []byte, list []S) []byte {
 // nests in a message or record that json.Marshal encodes.
 func (s State) MarshalJSON() ([]byte, error) {
 	return s.AppendJSON(make([]byte, 0, 2+32*len(s)))
+}
+
+// Value kinds of a State's wire form: one byte in front of every attribute
+// value, naming its exact dynamic type so that it comes back as what it was
+// (an int stays an int, an ID an ID).
+const (
+	wireNil byte = iota
+	wireFalse
+	wireTrue
+	wireString
+	wireInt
+	wireInt64
+	wireFloat64
+	wireID
+	wireIDs
+	wireStrings
+)
+
+// AppendWire appends the state's form on the real wire (see
+// transport.WirePayload; a State travels inside the replication messages, it
+// is no payload of its own): a map header (nil and empty stay apart), then
+// name, kind byte and value per attribute in sortedKeys order. It
+// carries exactly the kinds AppendJSON names; for a state holding anything
+// else it reports false and returns dst as it came, and the message goes
+// through gob. ReadStateWire is its inverse.
+func (s State) AppendWire(dst []byte) ([]byte, bool) {
+	var buf [8]string
+	out := transport.AppendWireMapLen(dst, len(s), s == nil)
+	for _, k := range s.sortedKeys(buf[:0]) {
+		out = transport.AppendWireString(out, k)
+		switch v := s[k].(type) {
+		case nil:
+			out = append(out, wireNil)
+		case bool:
+			if v {
+				out = append(out, wireTrue)
+			} else {
+				out = append(out, wireFalse)
+			}
+		case string:
+			out = transport.AppendWireString(append(out, wireString), v)
+		case int:
+			out = binary.AppendVarint(append(out, wireInt), int64(v))
+		case int64:
+			out = binary.AppendVarint(append(out, wireInt64), v)
+		case float64:
+			out = binary.BigEndian.AppendUint64(append(out, wireFloat64), math.Float64bits(v))
+		case ID:
+			out = transport.AppendWireString(append(out, wireID), string(v))
+		case []ID:
+			out = appendWireStrings(append(out, wireIDs), v)
+		case []string:
+			out = appendWireStrings(append(out, wireStrings), v)
+		default:
+			return dst, false
+		}
+	}
+	return out, true
+}
+
+func appendWireStrings[S ~string](dst []byte, list []S) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(list)))
+	for _, s := range list {
+		dst = transport.AppendWireString(dst, string(s))
+	}
+	return dst
+}
+
+// ReadStateWire decodes what AppendWire wrote into a State of its own: the
+// receiver installs it by reference, so nothing is shared with the reader or
+// with any other message. Attribute names go through the link's name table,
+// values never do. Malformed input fails the reader. It installs what gob
+// would have: an empty map stays empty, an empty list comes back nil.
+func ReadStateWire(r *transport.WireReader) State {
+	n, isNil := r.MapLen(2) // an attribute is at least a name length and a kind
+	if isNil {
+		return nil
+	}
+	s := make(State, n)
+	for ; n > 0 && r.Err() == nil; n-- {
+		k := r.Name()
+		switch kind := r.Byte(); kind {
+		case wireNil:
+			s[k] = nil
+		case wireFalse:
+			s[k] = false
+		case wireTrue:
+			s[k] = true
+		case wireString:
+			s[k] = r.String()
+		case wireInt:
+			s[k] = int(r.Varint())
+		case wireInt64:
+			s[k] = r.Varint()
+		case wireFloat64:
+			s[k] = math.Float64frombits(r.Uint64())
+		case wireID:
+			s[k] = ID(r.String())
+		case wireIDs:
+			s[k] = readWireStrings[ID](r)
+		case wireStrings:
+			s[k] = readWireStrings[string](r)
+		default:
+			r.Fail("object: unknown state value kind %d", kind)
+		}
+	}
+	return s
+}
+
+func readWireStrings[S ~string](r *transport.WireReader) []S {
+	n := r.Count(1)
+	if n == 0 {
+		return nil
+	}
+	list := make([]S, n)
+	for i := range list {
+		list[i] = S(r.String())
+	}
+	return list
 }
 
 // Entity is one replica of a logical object. An Entity is not safe for

@@ -178,6 +178,7 @@ func TestBatchDuplicateDeliveryIdempotent(t *testing.T) {
 	}}
 
 	dst := h.node("n2").mgr
+	skippedBefore := dst.batchSkipped.Load()
 	for round := 1; round <= 2; round++ {
 		resp, err := dst.handleBatch("n1", batch)
 		if err != nil {
@@ -193,6 +194,9 @@ func TestBatchDuplicateDeliveryIdempotent(t *testing.T) {
 		if cmp, ok := vvGot.Compare(vv1); !ok || cmp != 0 {
 			t.Fatalf("delivery %d vv = %v, want %v", round, vvGot, vv1)
 		}
+	}
+	if got := dst.batchSkipped.Load() - skippedBefore; got != 2 {
+		t.Fatalf("replication.batch.skipped delta = %d, want 2 (one duplicate apply per delivery)", got)
 	}
 
 	// A redelivered delete keeps the object tombstoned.
@@ -220,12 +224,17 @@ func TestBatchUnknownApplySkipped(t *testing.T) {
 		{Kind: msgApply, Apply: applyMsg{ID: "ghost", State: object.State{"sold": int64(9)}, Version: 9, VV: VersionVector{"n1": 9}}},
 		{Kind: msgApply, Apply: applyMsg{ID: "f1", State: object.State{"sold": int64(8)}, Version: e1.Version() + 1, VV: vv1}},
 	}}
-	resp, err := h.node("n2").mgr.handleBatch("n1", batch)
+	dst := h.node("n2").mgr
+	skippedBefore := dst.batchSkipped.Load()
+	resp, err := dst.handleBatch("n1", batch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if resp != (batchAck{Applied: 1, Skipped: 1}) {
 		t.Fatalf("response = %#v", resp)
+	}
+	if got := dst.batchSkipped.Load() - skippedBefore; got != 1 {
+		t.Fatalf("replication.batch.skipped delta = %d, want 1", got)
 	}
 	if h.node("n2").reg.Has("ghost") {
 		t.Fatal("unknown object installed")

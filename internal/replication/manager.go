@@ -158,6 +158,7 @@ type Manager struct {
 	conflicts    *obs.Counter
 	batchSize    *obs.Counter // objects shipped through batched rounds
 	batchRounds  *obs.Counter // commit-time multicast rounds issued
+	batchSkipped *obs.Counter // shipped ops a replica skipped (duplicate, older, concurrent, unknown object)
 	propErrors   *obs.Counter // per-object/per-destination propagation failures
 	pullParallel *obs.Counter // reconciliation passes that pulled >1 peer concurrently
 	quorumRounds *obs.Counter // commit rounds shipped with threshold-return semantics
@@ -233,6 +234,7 @@ func NewManager(cfg Config) (*Manager, error) {
 	m.conflicts = m.obs.Counter("replication.conflicts")
 	m.batchSize = m.obs.Counter("replication.batch.size")
 	m.batchRounds = m.obs.Counter("replication.batch.rounds")
+	m.batchSkipped = m.obs.Counter("replication.batch.skipped")
 	m.propErrors = m.obs.Counter("replication.propagation_errors")
 	m.pullParallel = m.obs.Counter("reconcile.pull.concurrent")
 	m.quorumRounds = m.obs.Counter("replication.quorum.rounds")
@@ -1031,6 +1033,7 @@ func (m *Manager) applyOps(ops []batchOp) (applied, skipped int, err error) {
 		effects = append(effects, do)
 	}
 	m.mu.Unlock()
+	m.batchSkipped.Add(int64(skipped))
 	var errs []error
 	for i, do := range effects {
 		if err := m.runEffect(do, &ops[i]); err != nil {

@@ -417,19 +417,24 @@ func (v VersionVector) AppendJSON(dst []byte) ([]byte, error) {
 		return append(dst, "null"...), nil
 	}
 	var buf [8]transport.NodeID
-	keys := buf[:0]
-	for k := range v {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
 	dst = append(dst, '{')
-	for i, k := range keys {
+	for i, k := range v.sortedNodes(buf[:0]) {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
 		dst = strconv.AppendInt(append(persistence.AppendString(dst, string(k)), ':'), v[k], 10)
 	}
 	return append(dst, '}'), nil
+}
+
+// sortedNodes appends the vector's node IDs to buf (the caller's stack space)
+// in byte order, the order both encoders write them in.
+func (v VersionVector) sortedNodes(buf []transport.NodeID) []transport.NodeID {
+	for k := range v {
+		buf = append(buf, k)
+	}
+	slices.Sort(buf)
+	return buf
 }
 
 // MarshalJSON is AppendJSON for encoding/json, which needs it where a vector

@@ -1,6 +1,12 @@
 package replication
 
-import "encoding/gob"
+import (
+	"encoding/binary"
+	"encoding/gob"
+
+	"dedisys/internal/object"
+	"dedisys/internal/transport"
+)
 
 // Wire payload registration: every value the replication service puts into an
 // interface-typed transport payload slot — the batch request and its ack, the
@@ -13,10 +19,158 @@ import "encoding/gob"
 // message, so under the default (import path and type name, 36 bytes) the
 // two-integer reply would weigh more on the wire and on the heap than the
 // text it replaces.
+//
+// The batch and its ack are every frame of a replicated write, so they also
+// encode themselves (transport.WirePayload, the forms below) and a frame that
+// carries one bare skips gob altogether. Their gob registration stays: it is
+// how they travel nested in another payload or with an error, how a batch
+// whose state the form cannot carry travels, and the reference the forms are
+// tested against.
 func init() {
 	gob.Register(batchMsg{})
 	gob.RegisterName("repl.ack", batchAck{})
 	gob.Register(fetchReply{})
 	gob.Register(Record{})
 	gob.Register([]Record(nil))
+	transport.RegisterWire(wireTagBatch, readBatchWire)
+	transport.RegisterWire(wireTagAck, readAckWire)
+}
+
+// Payload tags of the self-encoded forms.
+const (
+	wireTagBatch byte = 1 + iota
+	wireTagAck
+)
+
+// Op kinds of a batch's wire form, one byte for batchOp.Kind.
+const (
+	wireOpCreate byte = 1 + iota
+	wireOpApply
+	wireOpDelete
+)
+
+func (batchMsg) WireTag() byte { return wireTagBatch }
+
+// AppendWire writes the op count, then per op its kind byte and the fields of
+// the one message that kind selects: ID, state, version and vector for create
+// and apply, then class and placement for create; ID and vector for delete.
+// It declines a state the State form declines and an op kind it does not
+// know, which then reaches applyOps' own rejection through gob as before.
+func (b batchMsg) AppendWire(dst []byte) ([]byte, bool) {
+	out := binary.AppendUvarint(dst, uint64(len(b.Ops)))
+	for i := range b.Ops {
+		ok := true
+		switch op := &b.Ops[i]; op.Kind {
+		case msgCreate:
+			m := &op.Create
+			out = transport.AppendWireString(append(out, wireOpCreate), string(m.ID))
+			if out, ok = m.State.AppendWire(out); ok {
+				out = m.VV.appendWire(binary.AppendVarint(out, m.Version))
+				out = transport.AppendWireString(out, m.Class)
+				out = transport.AppendWireString(out, string(m.Info.Home))
+				out = binary.AppendUvarint(out, uint64(len(m.Info.Replicas)))
+				for _, r := range m.Info.Replicas {
+					out = transport.AppendWireString(out, string(r))
+				}
+			}
+		case msgApply:
+			m := &op.Apply
+			out = transport.AppendWireString(append(out, wireOpApply), string(m.ID))
+			if out, ok = m.State.AppendWire(out); ok {
+				out = m.VV.appendWire(binary.AppendVarint(out, m.Version))
+			}
+		case msgDelete:
+			out = transport.AppendWireString(append(out, wireOpDelete), string(op.Delete.ID))
+			out = op.Delete.VV.appendWire(out)
+		default:
+			ok = false
+		}
+		if !ok {
+			return dst, false
+		}
+	}
+	return out, true
+}
+
+// readBatchWire is batchMsg.AppendWire's inverse. Object IDs and attribute
+// values are fresh strings; class names and node IDs come out of the link's
+// name table. Like gob it leaves an empty op or replica list nil.
+func readBatchWire(r *transport.WireReader) any {
+	var ops []batchOp
+	if n := r.Count(3); n > 0 { // the smallest op, a delete: kind, ID length, vector count
+		ops = make([]batchOp, n)
+	}
+	for i := range ops {
+		switch op, kind := &ops[i], r.Byte(); kind {
+		case wireOpCreate:
+			m := &op.Create
+			op.Kind = msgCreate
+			m.ID = object.ID(r.String())
+			m.State = object.ReadStateWire(r)
+			m.Version = r.Varint()
+			m.VV = readVectorWire(r)
+			m.Class = r.Name()
+			m.Info.Home = transport.NodeID(r.Name())
+			if n := r.Count(1); n > 0 {
+				m.Info.Replicas = make([]transport.NodeID, n)
+			}
+			for j := range m.Info.Replicas {
+				m.Info.Replicas[j] = transport.NodeID(r.Name())
+			}
+		case wireOpApply:
+			m := &op.Apply
+			op.Kind = msgApply
+			m.ID = object.ID(r.String())
+			m.State = object.ReadStateWire(r)
+			m.Version = r.Varint()
+			m.VV = readVectorWire(r)
+		case wireOpDelete:
+			op.Kind = msgDelete
+			op.Delete.ID = object.ID(r.String())
+			op.Delete.VV = readVectorWire(r)
+		default:
+			r.Fail("replication: unknown batch op kind %d", kind)
+		}
+		if r.Err() != nil {
+			return nil
+		}
+	}
+	return batchMsg{Ops: ops}
+}
+
+func (batchAck) WireTag() byte { return wireTagAck }
+
+func (a batchAck) AppendWire(dst []byte) ([]byte, bool) {
+	return binary.AppendVarint(binary.AppendVarint(dst, int64(a.Applied)), int64(a.Skipped)), true
+}
+
+func readAckWire(r *transport.WireReader) any {
+	applied := r.Varint()
+	return batchAck{Applied: int(applied), Skipped: int(r.Varint())}
+}
+
+// appendWire writes a map header (nil and empty stay apart), then node ID and
+// counter per component in sortedNodes order.
+func (v VersionVector) appendWire(dst []byte) []byte {
+	var buf [8]transport.NodeID
+	dst = transport.AppendWireMapLen(dst, len(v), v == nil)
+	for _, k := range v.sortedNodes(buf[:0]) {
+		dst = binary.AppendVarint(transport.AppendWireString(dst, string(k)), v[k])
+	}
+	return dst
+}
+
+// readVectorWire decodes a vector of its own: the replica installs it by
+// reference (see VersionVector).
+func readVectorWire(r *transport.WireReader) VersionVector {
+	n, isNil := r.MapLen(2) // a component is at least an ID length and a counter
+	if isNil {
+		return nil
+	}
+	v := make(VersionVector, n)
+	for ; n > 0 && r.Err() == nil; n-- {
+		k := transport.NodeID(r.Name())
+		v[k] = r.Varint()
+	}
+	return v
 }

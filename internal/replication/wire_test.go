@@ -1,55 +1,278 @@
 package replication
 
 import (
+	"bytes"
+	"context"
+	"encoding/gob"
+	"encoding/hex"
+	"fmt"
+	"math"
+	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"dedisys/internal/object"
 	"dedisys/internal/transport"
 	"dedisys/internal/wiretransport"
 )
 
-// roundTrip pushes one payload through the wire codec and requires a
-// lossless copy back — the guard against unexported fields (gob drops them
-// silently) and unregistered concrete types in interface slots.
-func roundTrip(t *testing.T, payload any) {
-	t.Helper()
-	out, err := wiretransport.RoundTrip(payload)
-	if err != nil {
-		t.Fatalf("round trip %T: %v", payload, err)
-	}
-	if !reflect.DeepEqual(out, payload) {
-		t.Fatalf("round trip %T:\n sent %#v\n got  %#v", payload, payload, out)
-	}
+// Nested values a State may hold although its wire form declines them; gob
+// carries them once their types are registered, which only this test does.
+func init() {
+	gob.Register(map[string]any(nil))
+	gob.Register([]any(nil))
 }
 
-func TestWireCodecReplicationPayloads(t *testing.T) {
-	st := object.State{"name": "alice", "balance": 42.5, "visits": 7, "vip": true}
+// wireCase is one payload the replication service puts on the wire. gob is
+// the reference: every case must survive wiretransport.RoundTrip, and a batch
+// or ack must come out of the self-encoded path as exactly the value gob
+// delivers — a replica installs what arrives, so a difference (an int64 for
+// an int, nil for an empty map) would make its state depend on the path.
+type wireCase struct {
+	name    string
+	payload any
+	self    bool // the frame is self-encoded; false: it is declined or has no form, and rides gob
+	lossy   bool // gob itself returns something else than was sent (it drops empty slices to nil)
+}
+
+func wireCases() []wireCase {
+	st := object.State{
+		"name": "alice", "balance": 42.5, "visits": 7, "vip": true,
+		"refs": []object.ID{"acct-2", "acct-3"}, "tags": []string{"a", ""}, "owner": object.ID("cust-1"), "closed": nil,
+	}
 	vv := VersionVector{"a": 3, "b": 1}
 	info := NewInfo("a", []transport.NodeID{"a", "b", "c"})
-
 	create := createMsg{ID: "acct-1", Class: "Account", State: st, Version: 4, VV: vv, Info: info}
 	apply := applyMsg{ID: "acct-1", State: st, Version: 5, VV: vv}
 	del := deleteMsg{ID: "acct-1", VV: vv}
+	applyOf := func(st object.State) batchMsg {
+		return batchMsg{Ops: []batchOp{{Kind: msgApply, Apply: applyMsg{ID: "x", State: st, Version: 2, VV: vv}}}}
+	}
 
-	roundTrip(t, batchMsg{Ops: []batchOp{
-		{Kind: msgCreate, Create: create},
-		{Kind: msgApply, Apply: apply},
-		{Kind: msgDelete, Delete: del},
-	}})
-	roundTrip(t, fetchReply{Class: "Account", State: st, Version: 6, Stale: true})
-	roundTrip(t, []Record{{
-		ID:      "acct-1",
-		Class:   "Account",
-		State:   st,
-		Version: 6,
-		VV:      vv,
-		Info:    info,
-		History: []HistoryEntry{{State: st, Version: 5, VV: vv}},
-	}})
-	// 2PC-style request payloads that ride on bare IDs (repl.fetch).
-	roundTrip(t, object.ID("acct-1"))
-	// Handler acks that cross back as responses.
-	roundTrip(t, batchAck{Applied: 1})
-	roundTrip(t, batchAck{}) // all-zero: gob sends no field, the type must still arrive
+	var four []batchOp
+	wide := object.State{}
+	for i := 0; i < 12; i++ {
+		wide[fmt.Sprintf("attr%02d", i)] = int64(i)
+		if i < 4 {
+			four = append(four, batchOp{Kind: msgApply, Apply: applyMsg{
+				ID: object.ID(fmt.Sprintf("o%d", i)), State: object.State{"value": int64(i)}, Version: int64(i + 2), VV: VersionVector{"a": int64(i + 1)},
+			}})
+		}
+	}
+	return []wireCase{
+		{name: "create, apply and delete in one batch", self: true, payload: batchMsg{Ops: []batchOp{
+			{Kind: msgCreate, Create: create},
+			{Kind: msgApply, Apply: apply},
+			{Kind: msgDelete, Delete: del},
+		}}},
+		{name: "four applies", self: true, payload: batchMsg{Ops: four}},
+		{name: "nil state, vector and replicas", self: true, payload: batchMsg{Ops: []batchOp{
+			{Kind: msgCreate, Create: createMsg{ID: "n"}},
+			{Kind: msgApply, Apply: applyMsg{ID: "n"}},
+			{Kind: msgDelete, Delete: deleteMsg{ID: "n"}},
+		}}},
+		{name: "empty state, vector, replicas and lists", self: true, lossy: true, payload: batchMsg{Ops: []batchOp{
+			{Kind: msgCreate, Create: createMsg{ID: "e", State: object.State{}, VV: VersionVector{}, Info: Info{Replicas: []transport.NodeID{}}}},
+			{Kind: msgApply, Apply: applyMsg{ID: "e", State: object.State{"refs": []object.ID{}, "tags": []string{}}, VV: VersionVector{}}},
+			{Kind: msgDelete, Delete: deleteMsg{ID: "e", VV: VersionVector{}}},
+		}}},
+		{name: "no ops", self: true, payload: batchMsg{}},
+		{name: "empty op list", self: true, lossy: true, payload: batchMsg{Ops: []batchOp{}}},
+		{name: "more than eight attributes", self: true, payload: applyOf(wide)},
+		{name: "int, int64 and float64 stay apart", self: true, payload: applyOf(object.State{
+			"int": 7, "int64": int64(7), "float": 7.0, "negzero": math.Copysign(0, -1), "big": 1e21, "inf": math.Inf(-1),
+			"maxint": math.MaxInt, "minint": math.MinInt, "max64": int64(math.MaxInt64), "min64": int64(math.MinInt64),
+		})},
+		{name: "empty and non-UTF-8 strings", self: true, payload: batchMsg{Ops: []batchOp{{Kind: msgApply, Apply: applyMsg{
+			ID: "\xff\x00id", State: object.State{"": "", "\xfe": "\xff\xfe\x00", "id": object.ID(""), "ids": []object.ID{"", "\x80"}},
+			Version: math.MinInt64, VV: VersionVector{"": math.MaxInt64, "\xff": -1},
+		}}}}},
+		{name: "nested map declines", payload: applyOf(object.State{"v": int64(1), "nested": map[string]any{"k": "v"}})},
+		{name: "nested list declines", payload: applyOf(object.State{"list": []any{"a", int64(1)}})},
+		{name: "bad op kind declines", payload: batchMsg{Ops: []batchOp{{Kind: msgApply, Apply: apply}, {Kind: "repl.bogus"}}}},
+		// Handler acks that cross back as responses.
+		{name: "ack", self: true, payload: batchAck{Applied: 1}},
+		{name: "all-zero ack", self: true, payload: batchAck{}}, // gob sends no field, the type must still arrive
+		{name: "ack extremes", self: true, payload: batchAck{Applied: math.MaxInt, Skipped: math.MinInt}},
+		// The kinds that have no form of their own and stay on gob.
+		{name: "fetch reply", payload: fetchReply{Class: "Account", State: st, Version: 6, Stale: true}},
+		{name: "records", payload: []Record{{
+			ID: "acct-1", Class: "Account", State: st, Version: 6, VV: vv, Info: info,
+			History: []HistoryEntry{{State: st, Version: 5, VV: vv}},
+		}}},
+		{name: "bare ID (repl.fetch request)", payload: object.ID("acct-1")},
+	}
+}
+
+// TestWireCodecReplicationPayloads pushes every case through both frame
+// bodies, and through a real link whose far end echoes it back: whichever body
+// a frame gets, the value arrives and the link stays up.
+func TestWireCodecReplicationPayloads(t *testing.T) {
+	dir := t.TempDir()
+	peers := map[transport.NodeID]string{
+		"a": "unix:" + filepath.Join(dir, "a.sock"),
+		"b": "unix:" + filepath.Join(dir, "b.sock"),
+	}
+	wires := map[transport.NodeID]*wiretransport.Wire{}
+	for id := range peers {
+		w, err := wiretransport.New(id, peers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		wires[id] = w
+	}
+	if err := wires["b"].Handle("b", "echo", func(_ transport.NodeID, p any) (any, error) { return p, nil }); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	for _, tc := range wireCases() {
+		t.Run(tc.name, func(t *testing.T) {
+			want, err := wiretransport.RoundTrip(tc.payload)
+			if err != nil {
+				t.Fatalf("gob round trip: %v", err)
+			}
+			// The guard against unexported fields (gob drops them silently) and
+			// unregistered concrete types in interface slots.
+			if !tc.lossy && !reflect.DeepEqual(want, tc.payload) {
+				t.Fatalf("gob round trip:\n sent %#v\n got  %#v", tc.payload, want)
+			}
+			got, self, err := wiretransport.RoundTripFrame(tc.payload)
+			if err != nil {
+				t.Fatalf("frame round trip: %v", err)
+			}
+			if self != tc.self {
+				t.Fatalf("self-encoded = %v, want %v", self, tc.self)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("the two frame bodies deliver different values:\n gob  %#v\n self %#v", want, got)
+			}
+			echoed, err := wires["a"].Send(ctx, "a", "b", "echo", tc.payload)
+			if err != nil {
+				t.Fatalf("over a link: %v", err)
+			}
+			if !reflect.DeepEqual(echoed, want) {
+				t.Fatalf("over a link and back:\n want %#v\n got  %#v", want, echoed)
+			}
+		})
+	}
+	if s := wires["a"].Stats(); s.Failures != 0 {
+		t.Fatalf("failures = %d: a payload killed the link", s.Failures)
+	}
+}
+
+// TestBadOpKindCrossesWireToApplyOps pins who rejects a batch with an op kind
+// nobody knows: not the codec, which declines it and lets gob carry it, but
+// applyOps on the receiving replica, atomically, as on the simulator.
+func TestBadOpKindCrossesWireToApplyOps(t *testing.T) {
+	h := newHarness(t, 1, PrimaryPerPartition{})
+	sent := batchMsg{Ops: []batchOp{{Kind: "repl.bogus"}}}
+	got, self, err := wiretransport.RoundTripFrame(sent)
+	if err != nil || self {
+		t.Fatalf("frame round trip: self-encoded = %v, err = %v", self, err)
+	}
+	if _, err := h.node("n1").mgr.handleBatch("n2", got); err == nil {
+		t.Fatal("a batch with a bad op kind was accepted")
+	}
+}
+
+// TestBatchWireGolden pins the layout of the self-encoded forms: op count;
+// per op a kind byte, the ID, the state (count+1, then name, value kind and
+// value in byte order of the names), the version as a signed varint, the
+// vector (count+1, then node ID and counter in byte order), and for a create
+// the class, home and replica list; strings as length and bytes.
+func TestBatchWireGolden(t *testing.T) {
+	batch := batchMsg{Ops: []batchOp{
+		{Kind: msgCreate, Create: createMsg{ID: "o1", Class: "C", State: object.State{"n": int64(-2), "b": true, "a": "x"}, Version: 3,
+			VV: VersionVector{"n2": 1, "n1": 2}, Info: NewInfo("n1", []transport.NodeID{"n2", "n1"})}},
+		{Kind: msgApply, Apply: applyMsg{ID: "o1", State: object.State{"f": 1.5, "r": []object.ID{"o2"}}, Version: 4, VV: VersionVector{"n1": 3}}},
+		{Kind: msgDelete, Delete: deleteMsg{ID: "o1"}},
+	}}
+	const want = "03" + // three ops
+		"01" + "026f31" + // create o1
+		"04" + "0161" + "03" + "0178" + "0162" + "02" + "016e" + "05" + "03" + // a="x" b=true n=int64(-2)
+		"06" + // version 3
+		"03" + "026e31" + "04" + "026e32" + "02" + // n1:2 n2:1
+		"0143" + "026e31" + "02" + "026e31" + "026e32" + // class C, home n1, replicas n1 n2
+		"02" + "026f31" + // apply o1
+		"03" + "0166" + "06" + "3ff8000000000000" + "0172" + "08" + "01" + "026f32" + // f=1.5 r=[o2]
+		"08" + // version 4
+		"02" + "026e31" + "06" + // n1:3
+		"03" + "026f31" + "00" // delete o1, nil vector
+	got, ok := batch.AppendWire(nil)
+	if !ok || hex.EncodeToString(got) != want {
+		t.Fatalf("batch wire form (accepted %v):\n got  %x\n want %s", ok, got, want)
+	}
+	ack, _ := batchAck{Applied: 2, Skipped: -1}.AppendWire(nil)
+	if hex.EncodeToString(ack) != "0401" {
+		t.Fatalf("ack wire form = %x, want 0401", ack)
+	}
+}
+
+// TestBatchDecodeAllocs bounds what decoding the batch of a single-object
+// write allocates: the op slice, the object ID, the state map and its boxed
+// value, the vector map and the box around the batch — 7 or 8 depending on
+// the runtime's maps. A decoder that went back to reflection, or stopped
+// interning attribute and node names, would show here first.
+func TestBatchDecodeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on paths the production build does not")
+	}
+	batch := batchMsg{Ops: []batchOp{{Kind: msgApply, Apply: applyMsg{
+		ID: "bean000001", State: object.State{"value": int64(1 << 40)}, Version: 9, VV: VersionVector{"n1": 8},
+	}}}}
+	data, _ := batch.AppendWire(nil)
+	var r transport.WireReader
+	var got any
+	allocs := testing.AllocsPerRun(200, func() {
+		r.Reset(data)
+		got = readBatchWire(&r)
+	})
+	if r.Err() != nil || !reflect.DeepEqual(got, batch) {
+		t.Fatalf("decoded %#v, %v", got, r.Err())
+	}
+	t.Logf("decoding a one-apply batch = %.0f allocs", allocs)
+	if allocs > 9 {
+		t.Fatalf("decoding a one-apply batch = %.0f allocs, want <= 9", allocs)
+	}
+}
+
+// FuzzDecodeBatch feeds arbitrary bytes to the batch decoder, seeded with the
+// table's encodings. It must fail the reader or return — never panic — and
+// whatever it accepts must be a fixed point: it re-encodes (never declining)
+// to bytes that decode to the same batch. The comparison is on the canonical
+// bytes, not DeepEqual, because a NaN attribute is not equal to itself.
+func FuzzDecodeBatch(f *testing.F) {
+	for _, tc := range wireCases() {
+		if b, ok := tc.payload.(batchMsg); ok && tc.self {
+			data, _ := b.AppendWire(nil)
+			f.Add(data)
+		}
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var r transport.WireReader
+		r.Reset(data)
+		got := readBatchWire(&r)
+		if r.Err() != nil {
+			return
+		}
+		again, ok := got.(batchMsg).AppendWire(nil)
+		if !ok {
+			t.Fatalf("decoded batch %#v declines to encode", got)
+		}
+		r.Reset(again)
+		back := readBatchWire(&r)
+		if r.Err() != nil || r.Len() != 0 {
+			t.Fatalf("re-encoded batch does not decode: %v, %d bytes left", r.Err(), r.Len())
+		}
+		if final, _ := back.(batchMsg).AppendWire(nil); !bytes.Equal(final, again) {
+			t.Fatalf("not a fixed point:\n first  %x\n second %x", again, final)
+		}
+	})
 }

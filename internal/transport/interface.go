@@ -17,8 +17,8 @@ import (
 // SetDrop/SetLatency and the cost model), which deliberately stays OFF this
 // interface — protocol code must not be able to consult or manipulate the
 // simulated topology. The real-wire backend (internal/wiretransport) speaks
-// length-prefixed gob over TCP or unix sockets between OS processes launched
-// by cmd/dedisys-node.
+// length-prefixed frames — gob, or the payload's own bytes for a WirePayload —
+// over TCP or unix sockets between OS processes launched by cmd/dedisys-node.
 //
 // Semantics every implementation must provide:
 //

@@ -41,14 +41,32 @@ func clearMarker(b []byte) []byte {
 	return b
 }
 
+// selfFrame builds a self-encoded reply frame by hand: the header link.write
+// puts in front of a transport.WirePayload's bytes, then payload as given.
+func selfFrame(flags byte, tag byte, payload ...byte) func([]byte) []byte {
+	return func([]byte) []byte {
+		body := binary.AppendUvarint([]byte{flags}, 7)
+		body = transport.AppendWireString(body, "b")
+		body = transport.AppendWireString(body, "echo")
+		body = append(append(body, tag), payload...)
+		return append(binary.BigEndian.AppendUint32(nil, selfEncoded|uint32(len(body))), body...)
+	}
+}
+
+// replBatchTag is replication's payload tag for a batch (its golden test
+// pins the layout the cases below break).
+const replBatchTag = 1
+
 // frameCases are reply streams a peer may put on a connection. The peer
 // answers request k with a well-formed fresh-stream frame for k < at and
-// with mangle(frame) for k == at; wantErr is the reader's error for that
-// last frame ("" when it must decode).
+// with mangle(frame) for k == at — one frame, or frames of them when set, of
+// which all but the last decode; wantErr is the reader's error for that last
+// frame ("" when it must decode, to the peer's reply).
 var frameCases = []struct {
 	name    string
 	at      int
 	mangle  func(good []byte) []byte
+	frames  int
 	wantErr string
 }{
 	{
@@ -77,6 +95,74 @@ var frameCases = []struct {
 		wantErr: "does not open a gob stream",
 	},
 	{
+		name: "gob after self-encoded, still no marker",
+		mangle: func(good []byte) []byte {
+			return append(selfFrame(0, isoSelfTag, 2, 0)(nil), clearMarker(good)...)
+		},
+		frames:  2,
+		wantErr: "does not open a gob stream",
+	},
+	{
+		name:   "self-encoded ahead of the stream opener",
+		mangle: func(good []byte) []byte { return append(selfFrame(0, isoSelfTag, 2, 0)(nil), good...) },
+		frames: 2,
+	},
+	{
+		name: "prefix with both flag bits",
+		mangle: func(good []byte) []byte {
+			good[0] |= selfEncoded >> 24
+			return good
+		},
+		wantErr: "both flag bits",
+	},
+	{
+		name: "self: header cut short",
+		mangle: func([]byte) []byte {
+			return append(binary.BigEndian.AppendUint32(nil, selfEncoded|2), 0, 0x80)
+		},
+		wantErr: "header",
+	},
+	{
+		name:    "self: unknown header flag",
+		mangle:  selfFrame(0x82, isoSelfTag, 2, 0),
+		wantErr: "flags 0x82",
+	},
+	{
+		name:    "self: unknown payload tag",
+		mangle:  selfFrame(0, 0xef),
+		wantErr: "payload tag 239",
+	},
+	{
+		name:    "self: payload cut short",
+		mangle:  selfFrame(0, isoSelfTag, 2, 5, 'a'),
+		wantErr: "truncated",
+	},
+	{
+		name:    "self: trailing bytes",
+		mangle:  selfFrame(0, isoSelfTag, 2, 0, 0),
+		wantErr: "trailing bytes",
+	},
+	{
+		name:    "self: op count beyond the frame",
+		mangle:  selfFrame(0, replBatchTag, 0xff, 0xff, 0xff, 0x7f),
+		wantErr: "count 268435455",
+	},
+	{
+		name:    "self: unknown batch op kind",
+		mangle:  selfFrame(0, replBatchTag, 1, 9, 0, 0),
+		wantErr: "unknown batch op kind 9",
+	},
+	{
+		name:    "self: unknown state value kind",
+		mangle:  selfFrame(0, replBatchTag, 1, 2, 1, 'x', 2, 1, 'a', 0x63, 0, 0),
+		wantErr: "unknown state value kind 99",
+	},
+	{
+		name:    "self: attribute count beyond the frame",
+		mangle:  selfFrame(0, replBatchTag, 1, 2, 1, 'x', 0xff, 0x7f, 0, 0),
+		wantErr: "bytes that remain",
+	},
+	{
 		name:    "new stream mid-connection without the marker",
 		at:      1,
 		mangle:  clearMarker,
@@ -101,7 +187,7 @@ func TestFrameReader(t *testing.T) {
 			stream = append(stream, tc.mangle(freshFrame(t, reply))...)
 
 			fr := frameReader{r: bytes.NewReader(stream)}
-			for k := 0; k < tc.at; k++ {
+			for k := 0; k < tc.at+max(tc.frames, 1)-1; k++ {
 				if _, err := fr.next(); err != nil {
 					t.Fatalf("frame %d: %v", k, err)
 				}
@@ -271,12 +357,28 @@ func TestOversizedSendFailsOnlyItsCaller(t *testing.T) {
 		inFlight <- result{resp, err}
 	}()
 
-	_, err := wa.Send(ctx, "a", "b", "echo", make([]byte, maxFrame+1))
-	if err == nil || !strings.Contains(err.Error(), "exceeds") {
-		t.Fatalf("oversized send: err = %v, want a frame-limit error", err)
-	}
-	if errors.Is(err, transport.ErrUnreachable) {
-		t.Fatalf("oversized send: %v — must be permanent, not unreachable", err)
+	// The cap holds on both frame bodies, and neither leaves the link holding
+	// a scratch buffer of the refused size.
+	for _, oversized := range []any{
+		make([]byte, maxFrame+1),
+		isoSelf{Text: strings.Repeat("x", maxFrame+1)},
+	} {
+		_, err := wa.Send(ctx, "a", "b", "echo", oversized)
+		if err == nil || !strings.Contains(err.Error(), "exceeds") {
+			t.Fatalf("oversized %T send: err = %v, want a frame-limit error", oversized, err)
+		}
+		if errors.Is(err, transport.ErrUnreachable) {
+			t.Fatalf("oversized %T send: %v — must be permanent, not unreachable", oversized, err)
+		}
+		wa.mu.Lock()
+		l := wa.out["b"]
+		wa.mu.Unlock()
+		l.writeMu.Lock()
+		pinned := cap(l.fw.buf)
+		l.writeMu.Unlock()
+		if pinned > maxFrame {
+			t.Fatalf("oversized %T send left a %d-byte scratch on the link", oversized, pinned)
+		}
 	}
 	close(release)
 	if r := <-inFlight; r.err != nil || r.resp != "bystander" {
@@ -414,53 +516,58 @@ func recordStreams(t testing.TB) [][]byte {
 
 // TestRecordedStreams checks the fuzz seeds against the reader they seed:
 // both directions of a real link decode to the end, carry the kinds the
-// middleware puts on the wire, and open their gob stream exactly once — only
-// the first frame of a healthy connection carries type descriptors.
+// middleware puts on the wire, each in the frame body it should have, and open
+// their gob stream exactly once — only the first gob frame of a healthy
+// connection carries type descriptors.
 func TestRecordedStreams(t *testing.T) {
-	kinds := map[string]int{}
+	// Frames per kind and body; a reply carries its request's kind.
+	self, viaGob := map[string]int{}, map[string]int{}
 	for dir, stream := range recordStreams(t) {
 		fr := frameReader{r: bytes.NewReader(stream)}
-		frames := 0
-		for {
+		frames, opens := 0, 0
+		for off := 0; off < len(stream); frames++ {
+			prefix := binary.BigEndian.Uint32(stream[off:])
+			off += 4 + int(prefix&^prefixFlags)
 			f, err := fr.next()
-			if err == io.EOF {
-				break
-			}
 			if err != nil {
 				t.Fatalf("stream %d, frame %d: %v", dir, frames, err)
 			}
-			if f.Req {
-				kinds[f.Kind]++
-			}
-			frames++
-		}
-		opens := 0
-		for off := 0; off < len(stream); {
-			prefix := binary.BigEndian.Uint32(stream[off:])
 			if prefix&streamOpen != 0 {
 				opens++
 			}
-			off += 4 + int(prefix&^streamOpen)
+			if prefix&selfEncoded != 0 {
+				self[f.Kind]++
+			} else {
+				viaGob[f.Kind]++
+			}
+		}
+		if _, err := fr.next(); err != io.EOF {
+			t.Fatalf("stream %d: after its %d frames: %v, want EOF", dir, frames, err)
 		}
 		if frames < 8 || opens != 1 {
 			t.Fatalf("stream %d: %d frames, %d stream-open markers; want >= 8 frames and 1 marker", dir, frames, opens)
 		}
 	}
-	for _, kind := range []string{kindPing, "repl.batch", "node.invoke", "gossip.digest"} {
-		if kinds[kind] == 0 {
-			t.Fatalf("recorded requests %v lack kind %s", kinds, kind)
+	// A replica write and its ack are self-encoded, both directions; every
+	// other kind still rides gob.
+	if self["repl.batch"] < 2 || viaGob["repl.batch"] != 0 {
+		t.Fatalf("repl.batch: %d self-encoded frames, %d gob frames; want requests and acks all self-encoded", self["repl.batch"], viaGob["repl.batch"])
+	}
+	for _, kind := range []string{kindPing, "node.invoke", "gossip.digest"} {
+		if viaGob[kind] == 0 || self[kind] != 0 {
+			t.Fatalf("%s: %d gob frames, %d self-encoded; want all on gob", kind, viaGob[kind], self[kind])
 		}
 	}
 }
 
 // FuzzReadFrame feeds arbitrary byte streams to the frame reader, seeded
-// with both directions of a recorded link (whole, and cut to their first
-// frame). The reader must return or fail — never panic — and must never
+// with both directions of a recorded link (whole, gob and self-encoded frames
+// interleaved, and cut to their first frame). The reader must return or fail — never panic — and must never
 // hold a body buffer beyond maxFrame, whatever the length prefixes claim.
 func FuzzReadFrame(f *testing.F) {
 	for _, stream := range recordStreams(f) {
 		f.Add(stream)
-		f.Add(stream[:4+int(binary.BigEndian.Uint32(stream)&^streamOpen)])
+		f.Add(stream[:4+int(binary.BigEndian.Uint32(stream)&^prefixFlags)])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr := frameReader{r: bytes.NewReader(data)}

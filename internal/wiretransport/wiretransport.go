@@ -1,6 +1,7 @@
 // Package wiretransport is the real-wire implementation of
-// transport.Transport: length-prefixed gob frames over TCP or unix-domain
-// sockets between OS processes. It is the production counterpart of the
+// transport.Transport: length-prefixed frames over TCP or unix-domain sockets
+// between OS processes, self-encoded for the payloads of a replicated write
+// and gob for everything else. It is the production counterpart of the
 // in-process simulated Network — cmd/dedisys-node assembles one middleware
 // node per process over it — while the simulation remains the default for
 // tests, experiments and the script engine.
@@ -16,30 +17,57 @@
 //
 // # Framing
 //
-// Every frame is a 4-byte big-endian length prefix followed by the gob
-// messages of one wireFrame. Each direction of a link is one long-lived gob
-// stream: one encoder, used under the link's write mutex, and one decoder,
-// owned by the link's reader goroutine, so type descriptors cross once per
-// connection instead of once per frame. The stream lives and dies with the
-// link — a link is exactly one connection, a reconnect is a new link, and
-// codec state therefore never outlives or straddles a connection.
+// Every frame is a 4-byte big-endian length prefix followed by a body. The
+// low bits of the prefix carry the body length, capped at maxFrame on both
+// sides — the sender refuses to emit what the receiver would reject — and its
+// two top bits say what the body is; a prefix with both set, or with any bit
+// between them and the length, kills the link.
 //
-// The top bit of the length prefix is the stream-open marker: the frame
-// starts a new gob stream and the reader must decode it (and what follows)
-// with a fresh decoder. The first frame of every connection carries it; a
-// first frame without it, a body that fails to decode, and bytes left over
-// after the decoded value each kill the link. The remaining 31 bits carry the
-// body length, capped at maxFrame on both sides: the sender refuses to emit
-// what the receiver would reject.
+// A frame without the selfEncoded bit (1<<30) holds the gob messages of one
+// wireFrame. Each direction of a link is one long-lived gob stream: one
+// encoder, used under the link's write mutex, and one decoder, owned by the
+// link's reader goroutine, so type descriptors cross once per connection
+// instead of once per frame. The stream lives and dies with the link — a link
+// is exactly one connection, a reconnect is a new link, and codec state
+// therefore never outlives or straddles a connection. The top bit (1<<31) is
+// the stream-open marker: the frame starts a new gob stream and the reader
+// must decode it (and the gob frames that follow) with a fresh decoder. The
+// first gob frame of every connection carries it; a first gob frame without
+// it, a body that fails to decode, and bytes left over after the decoded
+// value each kill the link. Payload types must be registered with
+// encoding/gob; every package that puts a payload on the wire owns a wire.go
+// whose init does exactly that (see the codec round-trip tests).
 //
-// Encoding goes through a per-link scratch buffer before anything touches
-// the connection, so a payload that cannot be framed (an unregistered type,
-// or a frame over the cap) fails only its caller and the link survives. A
-// failed Encode has already marked descriptors as sent that never left, so
-// the link then discards its encoder and the next frame re-opens the stream
-// under the marker. Payload types must be registered with encoding/gob; every
-// package that puts a payload on the wire owns a wire.go whose init does
-// exactly that (see the codec round-trip tests).
+// A frame with the selfEncoded bit holds no gob at all: a hand-written header
+// (a flags byte whose low bit is "request", the correlation ID as a varint,
+// From, Kind, a payload tag) and then the bytes the payload wrote for itself.
+// A frame is sent this way iff it carries no error and its payload implements
+// transport.WirePayload and accepts — replication's batch and its ack, which
+// are every frame of a replicated write; that one rule, in frameWriter.frame,
+// is the whole choice, and nothing configures it. The reader interns From,
+// Kind and whatever names the payload's decoder (transport.RegisterWire, in
+// the same wire.go) asks for — node IDs, class and attribute names, never
+// object IDs or values — in a bounded per-link table, and everything else a
+// decoder returns is fresh memory: replicas install decoded state and vectors
+// by reference, and a handler outlives the frame it arrived in, so nothing of
+// a decoded message is recycled. Every count is checked against the bytes
+// that remain before it sizes an allocation; a truncated header, an unknown
+// tag, flag, op or value kind, and bytes left over after the payload each
+// kill the link. Self-encoded frames touch neither gob stream, so the two
+// kinds interleave freely on one link. gob stays for every other kind — the
+// cost it has is paid per frame, and no other kind is on a write's path — for
+// errors, for payloads nested in other payloads, and for a payload that
+// declines: a batch whose state holds a value outside the kinds
+// object.State's form names goes through gob exactly as before.
+//
+// Either body is built in the link's one scratch buffer before anything
+// touches the connection, and leaves in one Write. A payload that cannot be
+// framed (an unregistered type, or a frame over the cap — on either path)
+// therefore fails only its caller and the link survives; a payload that
+// declines has touched neither the connection nor the encoder. A failed gob
+// Encode has already marked descriptors as sent that never left, so the link
+// then discards its encoder and the next gob frame re-opens the stream under
+// the marker.
 //
 // # Links and reconnection
 //
@@ -88,12 +116,21 @@ import (
 const kindPing = "wire.ping"
 
 // maxFrame bounds one frame's body size (a corrupt length prefix must not
-// allocate gigabytes); it leaves the prefix's top bit free for streamOpen.
+// allocate gigabytes); it leaves the prefix's top bits free for the flags.
 const maxFrame = 64 << 20
 
-// streamOpen is the length-prefix bit marking a frame that starts a new gob
-// stream (see "Framing").
-const streamOpen = 1 << 31
+// Flag bits of the length prefix (see "Framing"): streamOpen marks a gob
+// frame that starts a new gob stream, selfEncoded a frame whose body is not
+// gob at all. No frame carries both, and the bits between them and the length
+// stay zero.
+const (
+	streamOpen  = 1 << 31
+	selfEncoded = 1 << 30
+	prefixFlags = streamOpen | selfEncoded
+)
+
+// reqFlag is the one bit in use of a self-encoded body's first byte.
+const reqFlag = 1
 
 // errEncode marks a payload that could not be framed — not gob-encodable,
 // or larger than maxFrame once encoded: a permanent, caller-side error that
@@ -418,8 +455,7 @@ func (w *Wire) sendOnce(ctx context.Context, to transport.NodeID, kind string, p
 		if errors.Is(werr, errEncode) {
 			return nil, werr // permanent, link intact
 		}
-		l.fail()
-		w.unlink(l)
+		l.drop()
 		w.failures.Inc()
 		return nil, fmt.Errorf("%w: %s -> %s: %v", transport.ErrUnreachable, w.self, to, werr)
 	}
@@ -540,12 +576,10 @@ type link struct {
 	conn net.Conn
 	peer transport.NodeID // set on outbound links; "" for accepted ones
 
-	// writeMu guards the outbound gob stream: enc encodes into wbuf, which is
-	// flushed to conn one frame at a time. enc is nil until the first frame
-	// and after a failed encode; the next frame then opens a new stream.
+	// writeMu guards the outbound half of the codec and serialises frames on
+	// conn, one Write per frame.
 	writeMu sync.Mutex
-	enc     *gob.Encoder
-	wbuf    bytes.Buffer
+	fw      frameWriter
 
 	mu      sync.Mutex
 	pending map[uint64]chan wireFrame
@@ -554,6 +588,13 @@ type link struct {
 
 func newLink(w *Wire, conn net.Conn) *link {
 	return &link{w: w, conn: conn, pending: make(map[uint64]chan wireFrame)}
+}
+
+// drop forgets the link and then kills it — in that order, so that a sender
+// woken by the failure finds no dead link in its way and dials anew.
+func (l *link) drop() {
+	l.w.unlink(l)
+	l.fail()
 }
 
 // register records a pending request; reports false when the link is
@@ -604,41 +645,102 @@ func (l *link) fail() {
 	}
 }
 
-// write frames and sends one message on the link's gob stream. Encoding goes
-// into the scratch buffer first, so a payload that cannot be framed fails
-// cleanly without touching the connection; the length prefix is patched in
-// afterwards. Such a failure leaves the encoder believing it sent type
-// descriptors that never left, so the encoder is dropped and the next frame
-// opens a new stream.
+// write frames one message into the link's scratch and sends it. Nothing
+// touches the connection before the frame is complete, so a payload that
+// cannot be framed fails cleanly (errEncode) and the link survives.
 func (l *link) write(ctx context.Context, f wireFrame) error {
 	l.writeMu.Lock()
 	defer l.writeMu.Unlock()
-	var marker uint32
-	if l.enc == nil {
-		l.enc = gob.NewEncoder(&l.wbuf)
-		marker = streamOpen
+	b, err := l.fw.frame(f)
+	if err != nil {
+		return err
 	}
-	l.wbuf.Reset()
-	l.wbuf.Write([]byte{0, 0, 0, 0})
-	if err := l.enc.Encode(&f); err != nil {
-		l.enc = nil
-		return fmt.Errorf("%w: kind %s: %v", errEncode, f.Kind, err)
-	}
-	b := l.wbuf.Bytes()
-	n := len(b) - 4
-	if n > maxFrame {
-		l.enc, l.wbuf = nil, bytes.Buffer{} // do not pin an oversized scratch buffer
-		return fmt.Errorf("%w: kind %s: frame of %d bytes exceeds the %d-byte limit", errEncode, f.Kind, n, maxFrame)
-	}
-	binary.BigEndian.PutUint32(b[:4], marker|uint32(n))
-
 	if deadline, ok := ctx.Deadline(); ok {
 		l.conn.SetWriteDeadline(deadline)
 	} else {
 		l.conn.SetWriteDeadline(time.Time{})
 	}
-	_, err := l.conn.Write(b)
+	_, err = l.conn.Write(b)
 	return err
+}
+
+// scratch is the append-only buffer frames are built in. It is a Writer so
+// that the gob encoder and the self-encoding payloads fill the same slice.
+type scratch []byte
+
+func (s *scratch) Write(p []byte) (int, error) {
+	*s = append(*s, p...)
+	return len(p), nil
+}
+
+// frameWriter is the outbound half of a link's codec: the scratch every frame
+// is built in, length prefix first, and the gob stream's encoder. enc is nil
+// until the first gob frame and after a failed encode; the next gob frame
+// then opens a new stream. Self-encoded frames never touch it.
+type frameWriter struct {
+	buf scratch
+	enc *gob.Encoder
+}
+
+// frame returns the bytes of one frame, valid until the next call. The choice
+// of body is made here and nowhere else: a frame is self-encoded iff it
+// carries no error and its payload implements transport.WirePayload and
+// accepts; every other frame is gob.
+func (fw *frameWriter) frame(f wireFrame) ([]byte, error) {
+	if p, ok := f.Payload.(transport.WirePayload); ok && f.ErrKind == errKindNone {
+		b := append(fw.buf[:0], 0, 0, 0, 0)
+		if f.Req {
+			b = append(b, reqFlag)
+		} else {
+			b = append(b, 0)
+		}
+		b = binary.AppendUvarint(b, f.ID)
+		b = transport.AppendWireString(b, string(f.From))
+		b = transport.AppendWireString(b, f.Kind)
+		b = append(b, p.WireTag())
+		if b, accepted := p.AppendWire(b); accepted {
+			fw.buf = b
+			return fw.finish(selfEncoded, f.Kind)
+		}
+		// Declined: the bytes above are overwritten below, and neither the
+		// connection nor the gob stream has seen any of them.
+	}
+	return fw.gobFrame(f)
+}
+
+// gobFrame encodes f on the link's gob stream. It is a function of its own so
+// that the frame, whose address Encode takes, moves to the heap on this path
+// only. A failed Encode has already marked type descriptors as sent that never
+// left, so the encoder is dropped and the next gob frame opens a new stream.
+func (fw *frameWriter) gobFrame(f wireFrame) ([]byte, error) {
+	var marker uint32
+	if fw.enc == nil {
+		fw.enc = gob.NewEncoder(&fw.buf)
+		marker = streamOpen
+	}
+	fw.buf = append(fw.buf[:0], 0, 0, 0, 0)
+	if err := fw.enc.Encode(&f); err != nil {
+		fw.enc = nil
+		return nil, fmt.Errorf("%w: kind %s: %v", errEncode, f.Kind, err)
+	}
+	b, err := fw.finish(marker, f.Kind)
+	if err != nil {
+		fw.enc = nil // its descriptors, if any, went with the frame
+	}
+	return b, err
+}
+
+// finish patches the length prefix in front of the body in buf. A frame over
+// the cap is refused here, on either path, and its oversized scratch is
+// dropped rather than pinned by the link.
+func (fw *frameWriter) finish(flags uint32, kind string) ([]byte, error) {
+	n := len(fw.buf) - 4
+	if n > maxFrame {
+		fw.buf = nil
+		return nil, fmt.Errorf("%w: kind %s: frame of %d bytes exceeds the %d-byte limit", errEncode, kind, n, maxFrame)
+	}
+	binary.BigEndian.PutUint32(fw.buf[:4], flags|uint32(n))
+	return fw.buf, nil
 }
 
 // RoundTrip encodes one payload inside a wire frame on a fresh gob stream
@@ -661,29 +763,52 @@ func RoundTrip(payload any) (any, error) {
 	return out.Payload, nil
 }
 
-// frameReader is the inbound half of a link's gob stream: one decoder over
-// a body buffer that is refilled frame by frame.
+// RoundTripFrame frames one payload as a link's writer does — self-encoded
+// when the payload offers and accepts, else as the first gob frame of a
+// stream — and decodes the bytes with a link's reader. self reports which body
+// the frame had. Packages that give a payload a self-encoded form test it
+// against RoundTrip with this: both must return the same value.
+func RoundTripFrame(payload any) (out any, self bool, err error) {
+	var fw frameWriter
+	b, err := fw.frame(wireFrame{ID: 1, Req: true, From: "codec-check", Kind: "codec.check", Payload: payload})
+	if err != nil {
+		return nil, false, fmt.Errorf("encode: %w", err)
+	}
+	fr := frameReader{r: bytes.NewReader(b)}
+	f, err := fr.next()
+	if err != nil {
+		return nil, false, fmt.Errorf("decode: %w", err)
+	}
+	return f.Payload, binary.BigEndian.Uint32(b)&selfEncoded != 0, nil
+}
+
+// frameReader is the inbound half of a link's codec: a body buffer that is
+// refilled frame by frame, the gob stream's decoder over it, and the cursor
+// and name table self-encoded frames are read with.
 type frameReader struct {
 	r    io.Reader
 	hdr  [4]byte
 	body []byte
 	src  bytes.Reader
 	dec  *gob.Decoder
+	wr   transport.WireReader
 }
 
-// next reads one length-prefixed frame. A frame carrying streamOpen gets a
-// fresh decoder; every other frame continues the stream of the one before.
+// next reads one length-prefixed frame and decodes it as its prefix says.
 func (fr *frameReader) next() (wireFrame, error) {
 	if _, err := io.ReadFull(fr.r, fr.hdr[:]); err != nil {
 		return wireFrame{}, err
 	}
 	prefix := binary.BigEndian.Uint32(fr.hdr[:])
-	open, n := prefix&streamOpen != 0, prefix&^streamOpen
+	open, self, n := prefix&streamOpen != 0, prefix&selfEncoded != 0, prefix&^prefixFlags
 	if n > maxFrame {
 		return wireFrame{}, fmt.Errorf("wiretransport: frame of %d bytes exceeds limit", n)
 	}
-	if !open && fr.dec == nil {
-		return wireFrame{}, errors.New("wiretransport: first frame does not open a gob stream")
+	switch {
+	case open && self:
+		return wireFrame{}, errors.New("wiretransport: frame prefix carries both flag bits")
+	case !open && !self && fr.dec == nil:
+		return wireFrame{}, errors.New("wiretransport: first gob frame does not open a gob stream")
 	}
 	if uint32(cap(fr.body)) < n {
 		fr.body = make([]byte, n)
@@ -692,6 +817,16 @@ func (fr *frameReader) next() (wireFrame, error) {
 	if _, err := io.ReadFull(fr.r, body); err != nil {
 		return wireFrame{}, err
 	}
+	if self {
+		return fr.selfFrame(body)
+	}
+	return fr.gobFrame(body, open)
+}
+
+// gobFrame decodes a gob body: with a fresh decoder when the frame opens a
+// stream, otherwise continuing the stream of the gob frame before. Like the
+// writer's gobFrame it is apart so that the frame escapes on this path only.
+func (fr *frameReader) gobFrame(body []byte, open bool) (wireFrame, error) {
 	fr.src.Reset(body)
 	if open {
 		fr.dec = gob.NewDecoder(&fr.src)
@@ -706,15 +841,42 @@ func (fr *frameReader) next() (wireFrame, error) {
 	return f, nil
 }
 
-// readLoop routes inbound frames until the connection dies, then fails the
-// link and forgets it.
+// selfFrame decodes a self-encoded body: the header frameWriter.frame wrote,
+// then the payload by the decoder registered for its tag. From and Kind come
+// out of the link's name table; nothing in the result aliases body.
+func (fr *frameReader) selfFrame(body []byte) (wireFrame, error) {
+	r := &fr.wr
+	r.Reset(body)
+	flags := r.Byte()
+	f := wireFrame{ID: r.Uvarint(), Req: flags&reqFlag != 0}
+	f.From = transport.NodeID(r.Name())
+	f.Kind = r.Name()
+	tag := r.Byte()
+	if err := r.Err(); err != nil {
+		return wireFrame{}, fmt.Errorf("wiretransport: self-encoded frame header: %w", err)
+	}
+	dec := transport.WireDecoderFor(tag)
+	if flags&^reqFlag != 0 || dec == nil {
+		return wireFrame{}, fmt.Errorf("wiretransport: self-encoded frame: unknown flags %#x or payload tag %d", flags, tag)
+	}
+	f.Payload = dec(r)
+	if err := r.Err(); err != nil {
+		return wireFrame{}, fmt.Errorf("wiretransport: decode %s payload: %w", f.Kind, err)
+	}
+	if r.Len() != 0 {
+		return wireFrame{}, fmt.Errorf("wiretransport: %d trailing bytes in frame", r.Len())
+	}
+	return f, nil
+}
+
+// readLoop routes inbound frames until the connection dies or sends a frame
+// that does not decode, then drops the link.
 func (l *link) readLoop() {
 	fr := frameReader{r: l.conn}
 	for {
 		f, err := fr.next()
 		if err != nil {
-			l.fail()
-			l.w.unlink(l)
+			l.drop()
 			return
 		}
 		if f.Req {
@@ -749,7 +911,6 @@ func (l *link) serve(f wireFrame) {
 				return
 			}
 		}
-		l.fail()
-		l.w.unlink(l)
+		l.drop()
 	}
 }
