@@ -18,10 +18,12 @@ import (
 // over 2048 objects, so several clients write the same object and
 // replica-local reads meet remote applies. Every operation must return nil.
 // It asserts nothing about time: load and latency are the benchmark's
-// (benchmark/README.md). 200 000 operations, 20 000 under -short. Under
-// -race it runs 150 000 — 60 000 met the window in only 8 runs of 10 — and
-// reproduces the unsynchronised ApplyState of ROADMAP item 1
-// (Entity.ApplyState ← applyOps against Entity.MustGet ← dispatch).
+// (benchmark/README.md). 200 000 operations, 20 000 under -short, 150 000
+// under -race, where it guards what orders a replica-local read
+// (Entity.MustGet ← dispatch, under the node's object lock) against a remote
+// install (Entity.ApplyState ← applyOps, under the replication manager's):
+// the entity's own lock, nothing else. The small, millisecond form is
+// internal/node's TestReplicaReadsDuringRemoteInstalls.
 func TestShardedQuorumStress(t *testing.T) {
 	const (
 		objects   = 2048

@@ -71,7 +71,8 @@ func (ctx *valContext) recordLocal(e *object.Entity) {
 	if ctx.recorded(e.ID()) {
 		return
 	}
-	st := constraint.Staleness{Version: e.Version(), EstimatedLatest: e.Version()}
+	v := e.Version()
+	st := constraint.Staleness{Version: v, EstimatedLatest: v}
 	if ctx.ccm.repl != nil {
 		if _, s, err := ctx.ccm.repl.Lookup(ctx.callCtx, e.ID()); err == nil {
 			st = s

@@ -295,7 +295,8 @@ func (m *Manager) lookup(callCtx context.Context, id object.ID) (*object.Entity,
 	if err != nil {
 		return nil, constraint.Staleness{}, err
 	}
-	return e, constraint.Staleness{Version: e.Version(), EstimatedLatest: e.Version()}, nil
+	v := e.Version()
+	return e, constraint.Staleness{Version: v, EstimatedLatest: v}, nil
 }
 
 // partitionWeight returns the current partition's weight fraction.

@@ -310,7 +310,7 @@ func (m *Manager) tryRollback(callCtx context.Context, th threat.Threat, meta co
 	if err != nil {
 		return false
 	}
-	current, currentVersion := e.Snapshot(), e.Version()
+	current, currentVersion := e.Share()
 	for i := len(history) - 1; i >= 0; i-- {
 		entry := history[i]
 		e.Restore(entry.State, entry.Version)

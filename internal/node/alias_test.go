@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -192,6 +193,55 @@ func TestRepeatedWritesInOneTxRollBackToFirstPreImage(t *testing.T) {
 		}
 		if re.GetInt("sold") != 18 || re.Version() != wantVersion+8 {
 			t.Fatalf("%s holds %v v%d after the commit of 8 writes", r.ID, re.Snapshot(), re.Version())
+		}
+	}
+}
+
+// TestReplicaReadsDuringRemoteInstalls is the small form of what
+// internal/bench's TestShardedQuorumStress meets at scale: replica-local reads
+// on the backups while the home's commits install remote states there. The
+// reader holds its node's object lock and the install holds the replication
+// manager's, so only the entity's own lock orders the two; under -race this
+// fails within milliseconds without it. One writer and synchronous P4
+// commits: what a backup reads never goes backwards.
+func TestReplicaReadsDuringRemoteInstalls(t *testing.T) {
+	const writes, reads = 400, 800
+	c := newFlightCluster(t, 3)
+	defer c.Stop()
+	home := c.Node(0)
+	if err := home.Create("Flight", "f1", object.State{"sold": int64(0), "seats": int64(80)}, c.AllReplicas(home.ID)); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for _, backup := range c.Nodes[1:] {
+		wg.Add(1)
+		go func(n *Node) {
+			defer wg.Done()
+			last := int64(0)
+			for i := 0; i < reads; i++ {
+				got, err := n.Invoke("f1", "Sold")
+				if err != nil {
+					t.Errorf("%s: read %d: %v", n.ID, i, err)
+					return
+				}
+				sold := got.(int64)
+				if sold < last {
+					t.Errorf("%s: read %d went back from %d to %d", n.ID, i, last, sold)
+					return
+				}
+				last = sold
+			}
+		}(backup)
+	}
+	for i := 0; i < writes; i++ {
+		if _, err := home.Invoke("f1", "SellTickets", int64(1)); err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	wg.Wait()
+	for _, n := range c.Nodes {
+		if got, err := n.Invoke("f1", "Sold"); err != nil || got != int64(writes) {
+			t.Fatalf("%s ends on sold=%v (%v), want %d", n.ID, got, err, writes)
 		}
 	}
 }

@@ -275,9 +275,16 @@ func readWireStrings[S ~string](r *transport.WireReader) []S {
 	return list
 }
 
-// Entity is one replica of a logical object. An Entity is not safe for
-// concurrent use by itself; the transaction layer serialises access through
-// object locks.
+// Entity is one replica of a logical object, and its own lock: mu covers
+// version, attrs and shared and is taken inside every accessor, so one call —
+// a read, a Set, a remote install (ApplyState), a table export (Share) — is
+// atomic against every other, whichever goroutine makes it. That is all it
+// guarantees. A sequence of calls that must not interleave with another
+// transaction of the node still needs the transaction layer's object lock
+// (isolation), and a remote install is ordered against other installs by the
+// replication manager's lock, not by this one. mu is a leaf: nothing outside
+// this package is called while it is held, so it nests under any other lock.
+// id and class never change and are read without it.
 //
 // The attribute map is copy-on-write. While shared is false the map is the
 // entity's own and Set writes it in place. Share, Restore and ApplyState set
@@ -285,8 +292,10 @@ func readWireStrings[S ~string](r *transport.WireReader) []S {
 // message in flight, another node's replica or a history entry, which read it
 // without any lock, so the next Set copies the map first and writes the copy.
 type Entity struct {
-	id      ID
-	class   string
+	id    ID
+	class string
+
+	mu      sync.Mutex
 	version int64
 	attrs   State
 	shared  bool // attrs is published (see State): Set must copy before writing
@@ -306,11 +315,17 @@ func (e *Entity) Class() string { return e.class }
 
 // Version returns the entity's update counter. Every successful attribute
 // mutation increments it by one.
-func (e *Entity) Version() int64 { return e.version }
+func (e *Entity) Version() int64 {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.version
+}
 
 // Get returns the named attribute value.
 func (e *Entity) Get(name string) (any, error) {
+	e.mu.Lock()
 	v, ok := e.attrs[name]
+	e.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s.%s", ErrNoSuchAttribute, e.class, name)
 	}
@@ -319,18 +334,22 @@ func (e *Entity) Get(name string) (any, error) {
 
 // MustGet returns the named attribute or nil if absent. It is a convenience
 // for constraint code that treats missing attributes as zero values.
-func (e *Entity) MustGet(name string) any { return e.attrs[name] }
+func (e *Entity) MustGet(name string) any {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.attrs[name]
+}
 
 // GetString returns a string attribute, or "" if absent or non-string.
 func (e *Entity) GetString(name string) string {
-	s, _ := e.attrs[name].(string)
+	s, _ := e.MustGet(name).(string)
 	return s
 }
 
 // GetInt returns an integer attribute, accepting int, int64 and float64
 // representations (the latter appears after JSON round trips).
 func (e *Entity) GetInt(name string) int64 {
-	switch v := e.attrs[name].(type) {
+	switch v := e.MustGet(name).(type) {
 	case int:
 		return int64(v)
 	case int64:
@@ -344,7 +363,7 @@ func (e *Entity) GetInt(name string) int64 {
 
 // GetRef returns an object reference attribute, or "" if absent.
 func (e *Entity) GetRef(name string) ID {
-	switch v := e.attrs[name].(type) {
+	switch v := e.MustGet(name).(type) {
 	case ID:
 		return v
 	case string:
@@ -358,6 +377,8 @@ func (e *Entity) GetRef(name string) ID {
 // attributes are shared it first replaces them with a private deep copy — the
 // one copy a write makes — so the published map is left as it was.
 func (e *Entity) Set(name string, value any) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.shared {
 		e.attrs, e.shared = e.attrs.Clone(), false
 	}
@@ -368,41 +389,58 @@ func (e *Entity) Set(name string, value any) {
 // AttrNames returns the sorted attribute names, mainly for deterministic
 // iteration in tests and diagnostics.
 func (e *Entity) AttrNames() []string {
+	e.mu.Lock()
 	names := make([]string, 0, len(e.attrs))
 	for k := range e.attrs {
 		names = append(names, k)
 	}
+	e.mu.Unlock()
 	sort.Strings(names)
 	return names
 }
 
 // Snapshot returns a deep copy of the entity's attributes, private to the
-// caller: the form for code that runs without the entity's object lock or
-// hands the state to application code.
-func (e *Entity) Snapshot() State { return e.attrs.Clone() }
+// caller: the form for state that leaves for code outside the sharing rules
+// (see State), such as application code.
+func (e *Entity) Snapshot() State {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.attrs.Clone()
+}
 
-// Share returns the entity's attributes without copying them and marks the
-// entity shared, so the returned State stays as it is now: the entity's next
-// Set writes a copy. The result is published (see State) — read it, never
-// write it. Like Set it needs the entity's object lock.
-func (e *Entity) Share() State {
+// Share returns the entity's attributes without copying them, and the version
+// they belong to, and marks the entity shared, so the returned State stays as
+// it is now: the entity's next Set writes a copy. The result is published
+// (see State) — read it, never write it. State and version leave in one call
+// so that no install or Set can come between the two.
+func (e *Entity) Share() (State, int64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.shared = true
-	return e.attrs
+	return e.attrs, e.version
 }
 
 // AppendJSON encodes the entity as its attribute state, exactly as
-// json.Marshal(e.Snapshot()) would, without the copy. Like every other
-// access it needs the entity's object lock.
-func (e *Entity) AppendJSON(dst []byte) ([]byte, error) { return e.attrs.AppendJSON(dst) }
+// json.Marshal(e.Snapshot()) would, without the copy: the encoder runs after
+// the entity's lock is released, on a map that Share has made read-only.
+func (e *Entity) AppendJSON(dst []byte) ([]byte, error) {
+	st, _ := e.Share()
+	return st.AppendJSON(dst)
+}
 
 // MarshalJSON is AppendJSON for encoding/json.
-func (e *Entity) MarshalJSON() ([]byte, error) { return e.attrs.MarshalJSON() }
+func (e *Entity) MarshalJSON() ([]byte, error) {
+	st, _ := e.Share()
+	return st.MarshalJSON()
+}
 
 // Restore replaces the entity's attributes and version, used by undo logging
 // and replica state transfer. The entity adopts s by reference and marks
 // itself shared: s is published by this call (see State), the caller may keep
 // reading it and must not write it afterwards.
 func (e *Entity) Restore(s State, version int64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.attrs, e.shared = s, true
 	e.version = version
 }
@@ -412,14 +450,19 @@ func (e *Entity) Restore(s State, version int64) {
 // updates that may arrive out of order during reconciliation. Like Restore it
 // adopts s by reference and marks the entity shared.
 func (e *Entity) ApplyState(s State, version int64) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.attrs, e.shared = s, true
 	if version > e.version {
 		e.version = version
 	}
 }
 
-// Clone returns an independent copy of the entity (same ID and class).
+// Clone returns an independent copy of the entity (same ID and class), built
+// field by field: an Entity holds a lock and is never copied by value.
 func (e *Entity) Clone() *Entity {
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	return &Entity{id: e.id, class: e.class, version: e.version, attrs: e.attrs.Clone()}
 }
 

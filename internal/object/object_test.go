@@ -6,6 +6,8 @@ import (
 	"errors"
 	"math"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -89,9 +91,9 @@ func TestSnapshotRestoreIsolation(t *testing.T) {
 // the entity's next Set leaves it — nested slices included — as it was.
 func TestShareSetIsolation(t *testing.T) {
 	e := New("Person", "p1", State{"name": "Ann", "tags": []string{"a"}, "refs": []ID{"r1"}})
-	shared := e.Share()
-	if !sameMap(shared, e.attrs) {
-		t.Fatal("Share copied the attributes")
+	shared, version := e.Share()
+	if !sameMap(shared, e.attrs) || version != 1 {
+		t.Fatalf("Share copied the attributes or lost the version (v%d)", version)
 	}
 	want := shared.Clone()
 	e.Set("name", "Bob")
@@ -455,4 +457,57 @@ func TestStateJSONUnencodableValue(t *testing.T) {
 	if _, err := json.Marshal(struct{ S State }{st}); err == nil {
 		t.Fatal("json.Marshal encoded a state holding a channel")
 	}
+}
+
+// TestConcurrentAccess hammers one entity from goroutines that share no other
+// lock — the shape of a replica-local read, a local write, a remote install
+// and a table export meeting on a backup. The entity's own lock must keep
+// every call whole (run with -race), and a State that Share handed out must
+// stay as it was whatever Set, ApplyState and Restore do afterwards.
+func TestConcurrentAccess(t *testing.T) {
+	const rounds = 2000
+	e := New("Flight", "f1", State{"n": int64(1)})
+	var wg sync.WaitGroup
+	run := func(step func(i int64)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int64(1); i <= rounds && !t.Failed(); i++ {
+				step(i)
+			}
+		}()
+	}
+	run(func(i int64) { e.Set("n", i) })
+	run(func(i int64) { e.ApplyState(State{"n": i}, i) })
+	run(func(i int64) { e.Restore(State{"n": i}, i) })
+	run(func(int64) {
+		st, version := e.Share()
+		n, ok := st["n"].(int64)
+		runtime.Gosched()
+		if !ok || n < 1 || version < 1 || len(st) != 1 || st["n"] != n {
+			t.Errorf("shared state was n=%d v%d and is now %v", n, version, st)
+		}
+	})
+	run(func(int64) {
+		snap := e.Snapshot()
+		snap["n"] = int64(-1) // private to the caller
+		if c := e.Clone(); c.GetInt("n") < 1 || c.Version() < 1 {
+			t.Errorf("clone holds n=%d v%d", c.GetInt("n"), c.Version())
+		}
+	})
+	run(func(int64) {
+		for _, encode := range []func() ([]byte, error){func() ([]byte, error) { return e.AppendJSON(nil) }, e.MarshalJSON} {
+			var got struct{ N int64 }
+			if b, err := encode(); err != nil || json.Unmarshal(b, &got) != nil || got.N < 1 {
+				t.Errorf("encoded %s, %v", b, err)
+			}
+		}
+	})
+	run(func(int64) {
+		v, err := e.Get("n")
+		if names := e.AttrNames(); err != nil || v.(int64) < 1 || e.GetInt("n") < 1 || len(names) != 1 || e.Version() < 1 {
+			t.Errorf("Get %v, %v, attributes %v", v, err, names)
+		}
+	})
+	wg.Wait()
 }

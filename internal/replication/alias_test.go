@@ -40,9 +40,9 @@ func (h *harness) entityOf(t *testing.T, node transport.NodeID, id object.ID) *o
 // control object written the same way as the one they then assert on.
 func (h *harness) requireShared(t *testing.T, id object.ID, nodes ...transport.NodeID) object.State {
 	t.Helper()
-	first := h.entityOf(t, nodes[0], id).Share()
+	first, _ := h.entityOf(t, nodes[0], id).Share()
 	for _, n := range nodes[1:] {
-		if !sameMap(first, h.entityOf(t, n, id).Share()) {
+		if other, _ := h.entityOf(t, n, id).Share(); !sameMap(first, other) {
 			t.Fatalf("%s and %s hold different maps of %s: the commit copied the state", nodes[0], n, id)
 		}
 	}
@@ -167,6 +167,34 @@ func TestAliasBareSet(t *testing.T) {
 	}
 	if !reflect.DeepEqual(history[0].State, want) {
 		t.Fatalf("bare Sets changed the history entry: %v, want %v", history[0].State, want)
+	}
+}
+
+// TestAliasRecordsExport (guards the shared mark Share leaves when a record is
+// built): a reconcile pull or gossip delta exports the entity's own map, not
+// a copy, and the local writes that follow — a bare Set, then a transaction —
+// leave the exported record as it was.
+func TestAliasRecordsExport(t *testing.T) {
+	h := newHarness(t, 2, PrimaryPerPartition{})
+	for _, id := range []object.ID{"control", "f1"} {
+		h.create(t, "n1", "Flight", id, object.State{"sold": int64(1), "refs": []object.ID{"r1"}})
+		// The map is the entity's own again: only the export marks it.
+		h.entityOf(t, "n1", id).Set("sold", int64(2))
+	}
+	recs := h.node("n1").mgr.Records()
+	if state, version := h.entityOf(t, "n1", "control").Share(); !sameMap(recs[0].State, state) || recs[0].Version != version {
+		t.Fatalf("the export copied the state: %v v%d, entity %v v%d", recs[0].State, recs[0].Version, state, version)
+	}
+	rec, e := recs[1], h.entityOf(t, "n1", "f1")
+	want := rec.State.Clone()
+	e.Set("sold", int64(3))
+	e.Set("refs", []object.ID{"r2"})
+	h.write(t, "n1", "f1", "sold", int64(4))
+	if !reflect.DeepEqual(rec.State, want) {
+		t.Fatalf("local writes changed the exported record: %v, want %v", rec.State, want)
+	}
+	if got := e.GetInt("sold"); got != 4 {
+		t.Fatalf("entity lost its writes: sold = %d", got)
 	}
 }
 

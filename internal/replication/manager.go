@@ -471,9 +471,10 @@ func (m *Manager) Lookup(ctx context.Context, id object.ID) (*object.Entity, con
 		if err != nil {
 			return nil, constraint.Staleness{}, fmt.Errorf("replication: local replica of %s: %w", id, err)
 		}
-		st := constraint.Staleness{PossiblyStale: stale, Version: e.Version(), EstimatedLatest: e.Version()}
+		v := e.Version()
+		st := constraint.Staleness{PossiblyStale: stale, Version: v, EstimatedLatest: v}
 		if stale {
-			st.EstimatedLatest = est(id, e.Version())
+			st.EstimatedLatest = est(id, v)
 		}
 		return e, st, nil
 	}
@@ -792,7 +793,8 @@ func (m *Manager) stageCreate(id object.ID, view group.View, degraded bool) (sta
 	}
 	rs.vv = rs.vv.Bumped(m.self)
 	info := rs.info
-	msg := createMsg{ID: id, Class: e.Class(), State: e.Snapshot(), Version: e.Version(), VV: rs.vv, Info: info}
+	msg := createMsg{ID: id, Class: e.Class(), VV: rs.vv, Info: info}
+	msg.State, msg.Version = e.Share()
 	m.mu.Unlock()
 	if err := m.store.Put(tableReplicaMeta, string(id), msg); err != nil {
 		return stagedOp{}, err
@@ -808,14 +810,8 @@ func (m *Manager) stageCreate(id object.ID, view group.View, degraded bool) (sta
 // vector starts at one creation event from the coordinator, matching what a
 // member creator's bumped vector would carry.
 func (m *Manager) stageCreateRemote(rc remoteCreate, view group.View) stagedOp {
-	msg := createMsg{
-		ID:      rc.entity.ID(),
-		Class:   rc.entity.Class(),
-		State:   rc.entity.Snapshot(),
-		Version: rc.entity.Version(),
-		VV:      VersionVector{m.self: 1},
-		Info:    rc.info,
-	}
+	msg := createMsg{ID: rc.entity.ID(), Class: rc.entity.Class(), VV: VersionVector{m.self: 1}, Info: rc.info}
+	msg.State, msg.Version = rc.entity.Share()
 	return stagedOp{op: batchOp{Kind: msgCreate, Create: msg}, dests: rc.info.reachableReplicas(view), replicas: len(rc.info.Replicas)}
 }
 
@@ -834,34 +830,19 @@ func (m *Manager) stageUpdate(id object.ID, view group.View, degraded bool) (sta
 		return stagedOp{}, fmt.Errorf("%w: %s", ErrUnknownObject, id)
 	}
 	rs.vv = rs.vv.Bumped(m.self)
-	vv := rs.vv
+	// The entity's map is shipped as it is: the remote applies and the history
+	// entry read it after the transaction's lock is gone, and the entity's next
+	// Set copies.
+	msg := applyMsg{ID: id, VV: rs.vv}
+	msg.State, msg.Version = e.Share()
 	info := rs.info
 	m.mu.Unlock()
-	dests := info.reachableReplicas(view)
-	deg := m.effectiveDegraded(info, degraded)
-	// The state exists to ride the wire and the history log; when no remote
-	// replica is reachable and no history is recorded there is nothing to
-	// share it with. The transaction still holds the object's lock, so the
-	// entity's map is shipped as it is: the remote applies and the history
-	// entry read it after the lock is gone, and the entity's next Set copies.
-	needState := deg && m.keepHistory
-	for _, d := range dests {
-		if d != m.self {
-			needState = true
-			break
-		}
-	}
-	var state object.State
-	if needState {
-		state = e.Share()
-	}
-	msg := applyMsg{ID: id, State: state, Version: e.Version(), VV: vv}
 	if err := m.store.Put(tableReplicaMeta, string(id), msg.VV); err != nil {
 		return stagedOp{}, err
 	}
-	m.recordHistory(id, msg.State, msg.Version, msg.VV, deg)
+	m.recordHistory(id, msg.State, msg.Version, msg.VV, m.effectiveDegraded(info, degraded))
 	m.observe(id)
-	return stagedOp{op: batchOp{Kind: msgApply, Apply: msg}, dests: dests, replicas: len(info.Replicas)}, nil
+	return stagedOp{op: batchOp{Kind: msgApply, Apply: msg}, dests: info.reachableReplicas(view), replicas: len(info.Replicas)}, nil
 }
 
 // deleteDests computes the destinations and replica count of a delete, whose
@@ -943,7 +924,8 @@ func (m *Manager) PropagateState(ctx context.Context, id object.ID) error {
 		return fmt.Errorf("%w: %s", ErrUnknownObject, id)
 	}
 	rs.vv = rs.vv.Bumped(m.self)
-	msg := applyMsg{ID: id, State: e.Snapshot(), Version: e.Version(), VV: rs.vv}
+	msg := applyMsg{ID: id, VV: rs.vv}
+	msg.State, msg.Version = e.Share()
 	info := rs.info
 	m.mu.Unlock()
 	if err := m.store.Put(tableReplicaMeta, string(id), msg.VV); err != nil {
@@ -970,16 +952,22 @@ func (m *Manager) handleBatch(from transport.NodeID, payload any) (any, error) {
 	return batchAck{Applied: applied, Skipped: skipped}, nil
 }
 
-// applyOps is the one place a replica decides what a shipped operation does:
-// create, merge into a known object, apply, skip, or tombstone. The ops are
-// validated before anything mutates (a malformed op rejects them all with no
-// state change), and every op's version-vector decision is taken and
-// installed under a single hold of the replica lock, so concurrent readers
-// observe the batch's metadata all-or-nothing. Entity-state and persistence
-// effects then run in batch order. Each op is idempotent — duplicate
-// deliveries are skipped by version-vector comparison, duplicate creates
-// merge, duplicate deletes merge into the tombstone — so a redelivered batch
-// is harmless. Per-object staleness semantics (PossiblyStale, degraded-mode
+// applyOps is the one place a replica decides what a shipped operation does
+// — create, merge into a known object, apply, skip, or tombstone — and the one
+// place it does it: the ops are validated before anything mutates (a
+// malformed op rejects them all with no state change), and then everything a
+// reader or a reconcile pull can see changes under a single hold of the
+// replica lock — each op's version-vector decision, the entity install of an
+// accepted apply, the registry entry of a new or deleted object — so a vector
+// never says "current" over a state that is not, two batches for one object
+// install in the order of their vectors, and a pull sees a batch's states and
+// vectors all-or-nothing. What must not run under a node-wide mutex follows
+// the unlock, for the ops flagged under it: the replica-meta store write
+// (which charges simulated time) and the estimator's observe callback. Each
+// op is idempotent — duplicate deliveries are skipped by version-vector
+// comparison, a create that adds nothing to a known object installs nothing,
+// duplicate deletes merge into the tombstone — so a redelivered batch is
+// harmless. Per-object staleness semantics (PossiblyStale, degraded-mode
 // history on the coordinator) are untouched: the batch is a wire format, not
 // a protocol change.
 func (m *Manager) applyOps(ops []batchOp) (applied, skipped int, err error) {
@@ -990,23 +978,38 @@ func (m *Manager) applyOps(ops []batchOp) (applied, skipped int, err error) {
 			return 0, 0, fmt.Errorf("replication: bad batch op kind %q for %s", op.Kind, op.id())
 		}
 	}
-	// One deferred-effect code per op, decided under the lock and run after
-	// it; a write's batch fits the stack-backed array.
-	var buf [8]uint8
-	effects := buf[:0]
+	// One flag per op: it changed what the replica-meta table must hold, so
+	// its store write (and an apply's observation) is due after the unlock.
+	// A write's batch fits the stack-backed array.
+	var buf [8]bool
+	after := buf[:0]
+	var errs []error
 	m.mu.Lock()
 	for i := range ops {
-		do := fxNone
+		ok := false
 		switch op := &ops[i]; op.Kind {
 		case msgCreate:
 			msg := &op.Create
-			if existing, known := m.meta[msg.ID]; known {
-				existing.vv = existing.vv.Merged(msg.VV)
-				do = fxMerge
+			if rs, known := m.meta[msg.ID]; known {
+				// The replica has the object. A straggler create whose vector
+				// the local one already covers must not bring its state back;
+				// one that adds to it merges, and as ever stores nothing.
+				if cmp, comparable := msg.VV.Compare(rs.vv); !comparable || cmp > 0 {
+					rs.vv = rs.vv.Merged(msg.VV)
+					m.installLocked(msg.ID, msg.State, msg.Version)
+				}
 			} else {
 				m.meta[msg.ID] = &replicaState{info: msg.Info, vv: msg.VV}
 				delete(m.tombstones, msg.ID)
-				do = fxCreate
+				ok = true
+				if msg.Info.HasReplica(m.self) {
+					e := object.New(msg.Class, msg.ID, nil)
+					e.Restore(msg.State, msg.Version)
+					if err := m.registry.Add(e); err != nil {
+						errs = append(errs, fmt.Errorf("replication: batch create: %w", err))
+						ok = false
+					}
+				}
 			}
 			applied++
 		case msgApply:
@@ -1022,25 +1025,50 @@ func (m *Manager) applyOps(ops []batchOp) (applied, skipped int, err error) {
 				break
 			}
 			rs.vv = msg.VV
-			do = fxApply
+			m.installLocked(msg.ID, msg.State, msg.Version)
+			ok = true
 			applied++
 		case msgDelete:
 			if m.tombstone(op.Delete.ID, op.Delete.VV) {
-				do = fxDelete
+				_ = m.registry.Remove(op.Delete.ID)
+				ok = true
 			}
 			applied++
 		}
-		effects = append(effects, do)
+		after = append(after, ok)
 	}
 	m.mu.Unlock()
 	m.batchSkipped.Add(int64(skipped))
-	var errs []error
-	for i, do := range effects {
-		if err := m.runEffect(do, &ops[i]); err != nil {
-			errs = append(errs, err)
+	for i, ok := range after {
+		if !ok {
+			continue
+		}
+		// Backups persist replica details too (update applied within the
+		// primary's transaction in the prototype, §4.3).
+		var perr error
+		switch op := &ops[i]; op.Kind {
+		case msgCreate:
+			perr = m.store.Put(tableReplicaMeta, string(op.Create.ID), op.Create.VV)
+		case msgApply:
+			m.observe(op.Apply.ID)
+			perr = m.store.Put(tableReplicaMeta, string(op.Apply.ID), op.Apply.VV)
+		case msgDelete:
+			m.store.Delete(tableReplicaMeta, string(op.Delete.ID))
+		}
+		if perr != nil {
+			errs = append(errs, perr)
 		}
 	}
 	return applied, skipped, errors.Join(errs...)
+}
+
+// installLocked hands a shipped state to the local entity, if this node hosts
+// one (a metadata-only holder does not); callers hold m.mu, which is what
+// orders one object's installs like their vectors.
+func (m *Manager) installLocked(id object.ID, st object.State, version int64) {
+	if e, err := m.registry.Get(id); err == nil {
+		e.ApplyState(st, version)
+	}
 }
 
 // tombstone records a deletion learned from a peer and reports whether a
@@ -1058,52 +1086,6 @@ func (m *Manager) tombstone(id object.ID, vv VersionVector) (known bool) {
 	return known
 }
 
-// The deferred effects of applyOps.
-const (
-	fxNone   uint8 = iota
-	fxMerge        // create of a known object: install the shipped state
-	fxCreate       // create of a new object: add the entity, persist its vector
-	fxApply        // accepted apply: install the state, persist its vector
-	fxDelete       // delete of a known object: drop entity and metadata
-)
-
-// runEffect performs the entity-state and persistence part of one batch op,
-// outside the replica lock. The op is shared with the sender's other
-// destinations and only read.
-func (m *Manager) runEffect(do uint8, op *batchOp) error {
-	switch do {
-	case fxMerge:
-		m.applyState(op.Create.ID, op.Create.State, op.Create.Version)
-	case fxCreate:
-		msg := &op.Create
-		if msg.Info.HasReplica(m.self) {
-			e := object.New(msg.Class, msg.ID, nil)
-			e.Restore(msg.State, msg.Version)
-			if err := m.registry.Add(e); err != nil {
-				return fmt.Errorf("replication: batch create: %w", err)
-			}
-		}
-		// Backups persist replica details too (update applied within the
-		// primary's transaction in the prototype, §4.3).
-		return m.store.Put(tableReplicaMeta, string(msg.ID), msg.VV)
-	case fxApply:
-		msg := &op.Apply
-		m.applyState(msg.ID, msg.State, msg.Version)
-		m.observe(msg.ID)
-		return m.store.Put(tableReplicaMeta, string(msg.ID), msg.VV)
-	case fxDelete:
-		_ = m.registry.Remove(op.Delete.ID)
-		m.store.Delete(tableReplicaMeta, string(op.Delete.ID))
-	}
-	return nil
-}
-
-func (m *Manager) applyState(id object.ID, st object.State, version int64) {
-	if e, err := m.registry.Get(id); err == nil {
-		e.ApplyState(st, version)
-	}
-}
-
 func (m *Manager) handleFetch(from transport.NodeID, payload any) (any, error) {
 	id, ok := payload.(object.ID)
 	if !ok {
@@ -1113,15 +1095,18 @@ func (m *Manager) handleFetch(from transport.NodeID, payload any) (any, error) {
 	if err != nil {
 		return nil, fmt.Errorf("replication: fetch %s: %w", id, err)
 	}
+	// State, version and the metadata the staleness verdict comes from are
+	// read in one hold: no install comes between them.
 	m.mu.Lock()
 	rs, known := m.meta[id]
 	var info Info
 	if known {
 		info = rs.info
 	}
+	state, version := e.Share()
 	m.mu.Unlock()
 	stale := known && m.protocol.PossiblyStale(info, m.viewFor(info))
-	return fetchReply{Class: e.Class(), State: e.Snapshot(), Version: e.Version(), Stale: stale}, nil
+	return fetchReply{Class: e.Class(), State: state, Version: version, Stale: stale}, nil
 }
 
 func (m *Manager) handlePull(from transport.NodeID, payload any) (any, error) {
@@ -1170,8 +1155,7 @@ func (m *Manager) recordLocked(id object.ID, rs *replicaState) Record {
 	rec.History = append(rec.History, rs.history...)
 	if e, err := m.registry.Get(id); err == nil {
 		rec.Class = e.Class()
-		rec.State = e.Snapshot()
-		rec.Version = e.Version()
+		rec.State, rec.Version = e.Share()
 	}
 	return rec
 }

@@ -195,7 +195,8 @@ func (m *Manager) pushState(ctx context.Context, peer transport.NodeID, id objec
 		m.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrUnknownObject, id)
 	}
-	op := batchOp{Kind: msgApply, Apply: applyMsg{ID: id, State: e.Snapshot(), Version: e.Version(), VV: rs.vv}}
+	op := batchOp{Kind: msgApply, Apply: applyMsg{ID: id, VV: rs.vv}}
+	op.Apply.State, op.Apply.Version = e.Share()
 	m.mu.Unlock()
 	return m.sendOp(ctx, peer, op)
 }
@@ -215,12 +216,13 @@ func (m *Manager) resolveConflict(ctx context.Context, rec Record, resolve Confl
 	}
 	// The Conflict goes to application code, which is outside the sharing
 	// rules: it gets its own copy of the local state and of both vectors.
+	local, localVersion := e.Share()
 	conflict := Conflict{
 		ID:            rec.ID,
 		Class:         e.Class(),
-		Local:         e.Snapshot(),
+		Local:         local.Clone(),
 		Remote:        rec.State,
-		LocalVersion:  e.Version(),
+		LocalVersion:  localVersion,
 		RemoteVersion: rec.Version,
 		LocalVV:       rs.vv.Clone(),
 		RemoteVV:      rec.VV.Clone(),
@@ -235,12 +237,12 @@ func (m *Manager) resolveConflict(ctx context.Context, rec Record, resolve Confl
 	}
 
 	// Install the choice locally, one version past both lines and over their
-	// merged vectors; PropagateState's bump then dominates both, so the
-	// resolution propagates.
+	// merged vectors, in one hold like any other install; PropagateState's
+	// bump then dominates both, so the resolution propagates.
 	m.mu.Lock()
 	rs.vv = rs.vv.Merged(rec.VV)
+	e.ApplyState(chosen, max(conflict.LocalVersion, conflict.RemoteVersion)+1)
 	m.mu.Unlock()
-	m.applyState(rec.ID, chosen, max(conflict.LocalVersion, conflict.RemoteVersion)+1)
 	return m.PropagateState(ctx, rec.ID)
 }
 
@@ -276,7 +278,8 @@ func (m *Manager) pushMissing(ctx context.Context, peer transport.NodeID, peerRe
 			m.mu.Unlock()
 			continue
 		}
-		op := batchOp{Kind: msgCreate, Create: createMsg{ID: id, Class: e.Class(), State: e.Snapshot(), Version: e.Version(), VV: rs.vv, Info: rs.info}}
+		op := batchOp{Kind: msgCreate, Create: createMsg{ID: id, Class: e.Class(), VV: rs.vv, Info: rs.info}}
+		op.Create.State, op.Create.Version = e.Share()
 		m.mu.Unlock()
 		if err := m.sendOp(ctx, peer, op); err != nil {
 			return err

@@ -352,7 +352,8 @@ func (t *Tx) RecordUpdate(e *object.Entity) {
 			}
 		}
 	}
-	t.undo = append(t.undo, undoRecord{kind: Updated, local: true, id: e.ID(), entity: e, version: e.Version(), aux: e.Share()})
+	state, version := e.Share()
+	t.undo = append(t.undo, undoRecord{kind: Updated, local: true, id: e.ID(), entity: e, version: version, aux: state})
 }
 
 // RecordCreate marks the object created and registers an undo that removes

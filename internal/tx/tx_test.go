@@ -339,7 +339,7 @@ func TestAliasRollback(t *testing.T) {
 		if err := txn.Rollback(); err != nil {
 			t.Fatal(err)
 		}
-		if !sameMap(e.Share(), pre) || !reflect.DeepEqual(pre, want) || e.Version() != 1 {
+		if got, version := e.Share(); !sameMap(got, pre) || !reflect.DeepEqual(pre, want) || version != 1 {
 			t.Fatalf("rollback after %d writes: entity %v v%d, pre-image %v", writes, e.Snapshot(), e.Version(), pre)
 		}
 
