@@ -43,19 +43,39 @@ const (
 	commitAllocCeiling   = 12.0
 )
 
-// The replicated quorum write — measureReplicatedCommitAllocs — at the commit
-// before entity state and version vectors became copy-on-write (Go 1.24;
-// EXPERIMENTS.md, "Hot-path allocations"; 80.9 before the rework before
-// that). TestReplicatedCommitAllocCeiling holds the current count under the
-// ceiling: the 22.9 measured now plus six for CI's Go 1.22, whose maps
-// allocate differently. Of the write's four store writes, one allocating its
-// record again is +1 and the CMP put back on the reflective encoder +4; all
-// four undone (+7) or the state and the vector copied again on each of the
-// two replicas (+8) fail the gate on any toolchain, a single one of them only
-// where the maps have used the headroom up.
+// The replicated writes — measureReplicatedCommitAllocs on the two gate
+// clusters. The quorum write's baseline is the commit before entity state and
+// version vectors became copy-on-write (Go 1.24; EXPERIMENTS.md, "Hot-path
+// allocations"; 80.9 before the rework before that).
+// TestReplicatedCommitAllocCeiling holds the current counts under the
+// ceilings: what is measured plus six for CI's Go 1.22, whose maps allocate
+// differently.
+//
+// The quorum write's 14.9, by site: the multicast round 6 (the commitRound
+// that is round, destinations and message in one; the ops run; the engine's
+// wake-up channel; the senders' one function value; the two replicas' boxed
+// acks), the coordinator's copy-on-write of the state map 2 and of the bumped
+// vector 2, the transaction 1, its undo record 1, the invocation 1, the
+// caller's boxed argument 1.4, map growth the rest. The wait-all write's 15.9
+// has a third replica's ack box on top. A closure, a boxed message or a copy
+// of the ops per destination is +2 or more on either; of the write's store
+// writes, one allocating its record again is +1 and the CMP put back on the
+// reflective encoder +4; the state and the vector copied again on each
+// replica +2 a replica. Any two of those fail the gate on any toolchain, a
+// single small one only where the maps have used the headroom up.
 const (
 	baselineReplicatedCommitAllocs = 41.88
-	replicatedCommitAllocCeiling   = 29.0
+	replicatedCommitAllocCeiling   = 21.0
+	baselineWaitAllCommitAllocs    = 24.88 // at the commit before the fan-out engine; first counted then
+	waitAllCommitAllocCeiling      = 22.0
+)
+
+// The clusters a replicated write's allocations are counted on: the quorum
+// write of the sharded benchmark workloads, and the P4 write that waits for
+// every replica on partition-heal's 4-node full-replication shape.
+var (
+	quorumGateCluster  = clusterOpts{size: gateClusterSize, groups: gateGroups, rf: gateRF, protocol: replication.Quorum{}}
+	waitAllGateCluster = clusterOpts{size: 4, protocol: replication.PrimaryPerPartition{}}
 )
 
 // hotPathOps is the iteration count per measurement; large enough that
@@ -104,20 +124,15 @@ func measureHotPathAllocs(cfg Config) (HotPathAllocs, error) {
 	return out, nil
 }
 
-// measureReplicatedCommitAllocs counts the mallocs of one single-object
-// quorum write on the gate cluster (8 nodes, G=4, R=3): commit staging, the
-// threshold multicast, both remote applies and every store write. The
-// background straggler send is joined inside the operation, so all of one
-// write's garbage — and nothing of the next — lands in the window.
-func measureReplicatedCommitAllocs(cfg Config) (float64, error) {
+// measureReplicatedCommitAllocs counts the mallocs of one single-object write
+// on a gate cluster: commit staging, the multicast round, every remote apply
+// and every store write. A quorum write's background straggler send is joined
+// inside the operation, so all of one write's garbage — and nothing of the
+// next — lands in the window.
+func measureReplicatedCommitAllocs(cfg Config, shape clusterOpts) (float64, error) {
 	cfg.NetCost = 0
 	cfg.StoreCost = 0
-	c, err := newBenchCluster(cfg, clusterOpts{
-		size:     gateClusterSize,
-		groups:   gateGroups,
-		rf:       gateRF,
-		protocol: replication.Quorum{},
-	}, constraint.AsyncInvariant)
+	c, err := newBenchCluster(cfg, shape, constraint.AsyncInvariant)
 	if err != nil {
 		return 0, err
 	}
@@ -139,17 +154,21 @@ const (
 	allocRowInvoke     = "invoke (read, 1 node)"
 	allocRowCommit     = "commit (write, 1 node)"
 	allocRowReplicated = "replicated commit (8 nodes, G=4 R=3, quorum)"
+	allocRowWaitAll    = "replicated commit (4 nodes, full replication, P4)"
 )
 
-// runAllocs regenerates the hot-path allocation table: the three gated
-// counts beside the baseline each was cut from and the ceiling CI holds it
-// under.
+// runAllocs regenerates the hot-path allocation table: the gated counts
+// beside the baseline each was cut from and the ceiling CI holds it under.
 func runAllocs(cfg Config) (*Result, error) {
 	allocs, err := measureHotPathAllocs(cfg)
 	if err != nil {
 		return nil, err
 	}
-	replicated, err := measureReplicatedCommitAllocs(cfg)
+	replicated, err := measureReplicatedCommitAllocs(cfg, quorumGateCluster)
+	if err != nil {
+		return nil, err
+	}
+	waitAll, err := measureReplicatedCommitAllocs(cfg, waitAllGateCluster)
 	if err != nil {
 		return nil, err
 	}
@@ -158,6 +177,7 @@ func runAllocs(cfg Config) (*Result, error) {
 	res.AddRow(allocRowInvoke, allocs.InvokeAllocs, baselineInvokeAllocs, invokeAllocCeiling)
 	res.AddRow(allocRowCommit, allocs.CommitAllocs, baselineCommitAllocs, commitAllocCeiling)
 	res.AddRow(allocRowReplicated, replicated, baselineReplicatedCommitAllocs, replicatedCommitAllocCeiling)
+	res.AddRow(allocRowWaitAll, waitAll, baselineWaitAllCommitAllocs, waitAllCommitAllocCeiling)
 	res.AddNote("mallocs over %d operations each at GOMAXPROCS=1, simulated hardware costs zeroed; the replicated write joins its straggler send inside the operation", hotPathOps)
 	return res, nil
 }

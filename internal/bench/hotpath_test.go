@@ -16,11 +16,11 @@ import (
 // TestHotPathAllocGate is the CI gate of the allocation-lean hot paths. It
 // runs exp-allocs and holds the two single-node counts under ceilings set
 // just above what is measured: one read invocation (2.00, ceiling 3) and one
-// single-object write commit (8.9, ceiling 12). The replicated write's
-// ceiling is TestReplicatedCommitAllocCeiling's; its count is measured and
-// recorded here. Under -race the assertions are skipped — the race runtime
+// single-object write commit (8.9, ceiling 12). The replicated writes'
+// ceilings are TestReplicatedCommitAllocCeiling's; their counts are measured
+// and recorded here. Under -race the assertions are skipped — the race runtime
 // allocates on paths the production build does not. When BENCH_ALLOCS_JSON
-// names a file, the three rows are written there with the machine shape for
+// names a file, the four rows are written there with the machine shape for
 // the CI artifact.
 func TestHotPathAllocGate(t *testing.T) {
 	res, err := runAllocs(QuickConfig())
@@ -35,6 +35,8 @@ func TestHotPathAllocGate(t *testing.T) {
 		{allocRowCommit, "commit", "BenchmarkHotPathCommit", true},
 		{allocRowReplicated, "replicated_commit",
 			fmt.Sprintf("BenchmarkReplicatedCommit/N=%d/G=%d/R=%d", gateClusterSize, gateGroups, gateRF), false},
+		{allocRowWaitAll, "wait_all_commit",
+			fmt.Sprintf("BenchmarkReplicatedCommit/N=%d/full/P4", waitAllGateCluster.size), false},
 	}
 	report := map[string]any{
 		"go":         runtime.Version(),
@@ -72,29 +74,35 @@ func TestHotPathAllocGate(t *testing.T) {
 }
 
 // TestReplicatedCommitAllocCeiling is the allocation gate of the replicated
-// write path: one single-object quorum write on the 8-node G=4 R=3 simulator
-// cluster — commit staging, threshold multicast, two remote applies, every
-// store write, the straggler joined — must stay under the ceiling set when
-// the store writes stopped allocating. The count does not depend on the
-// host; it moves when a store write allocates its record again (+1 each, four
-// a write), the entity record goes back through reflection (+4), the replicas
-// copy the state and the vector they are handed again (+8 over the two of
-// them), a slice is grown by append again, or a closure is allocated per
-// send. Skipped under -race, whose runtime allocates on paths the
-// production build does not. TestHotPathAllocGate records the same
-// measurement in BENCH_allocs.json.
+// write path: one single-object write — commit staging, the multicast round,
+// every remote apply, every store write, the straggler joined — on the 8-node
+// G=4 R=3 quorum cluster and, waiting for every replica, on the 4-node
+// full-replication P4 cluster must stay under the ceilings set when the round
+// became one object (hotpath.go lists the count by site). The counts do not
+// depend on the host; they move when a closure, a boxed message or a copy of
+// the ops is made per destination again, a store write allocates its record
+// again (+1 each, four a quorum write), the entity record goes back through
+// reflection (+4), the replicas copy the state and the vector they are handed
+// again (+2 a replica), or a slice is grown by append again. Skipped under
+// -race, whose runtime allocates on paths the production build does not.
+// TestHotPathAllocGate records the same measurements in BENCH_allocs.json.
 func TestReplicatedCommitAllocCeiling(t *testing.T) {
-	got, err := measureReplicatedCommitAllocs(QuickConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("replicated quorum commit = %.2f allocs/op (ceiling %.2f, baseline %.2f)", got, replicatedCommitAllocCeiling, baselineReplicatedCommitAllocs)
-	if raceEnabled {
-		t.Skip("race build: allocation gate skipped")
-	}
-	if got > replicatedCommitAllocCeiling {
-		t.Fatalf("replicated quorum commit = %.2f allocs/op, ceiling %.2f (baseline %.2f)",
-			got, replicatedCommitAllocCeiling, baselineReplicatedCommitAllocs)
+	for _, row := range []struct {
+		label             string
+		shape             clusterOpts
+		baseline, ceiling float64
+	}{
+		{allocRowReplicated, quorumGateCluster, baselineReplicatedCommitAllocs, replicatedCommitAllocCeiling},
+		{allocRowWaitAll, waitAllGateCluster, baselineWaitAllCommitAllocs, waitAllCommitAllocCeiling},
+	} {
+		got, err := measureReplicatedCommitAllocs(QuickConfig(), row.shape)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s = %.2f allocs/op (ceiling %.2f, baseline %.2f)", row.label, got, row.ceiling, row.baseline)
+		if !raceEnabled && got > row.ceiling {
+			t.Errorf("%s = %.2f allocs/op, ceiling %.2f (baseline %.2f)", row.label, got, row.ceiling, row.baseline)
+		}
 	}
 }
 

@@ -57,7 +57,7 @@ type quorumTailMeasurement struct {
 // measureQuorumTail times iters single-object commits on a size-node cluster
 // under the jitter profile and returns the latency percentiles. proto nil
 // selects the full-round P4 baseline (same batch wire format, full
-// MulticastEach round); a Quorum protocol ships with threshold return.
+// wait-for-all round); a Quorum protocol ships with threshold return.
 func measureQuorumTail(cfg Config, size, iters int, proto replication.Protocol) (quorumTailMeasurement, error) {
 	var m quorumTailMeasurement
 	// A private observer isolates the round counters; the jitter profile

@@ -5,24 +5,28 @@
 // (§5.5.2), and a synchronous multicast primitive used by the replication
 // service for update propagation.
 //
-// Multicast fans out to all destinations concurrently through a bounded
-// worker pool, so propagating an update to N reachable replicas costs ~1
-// network hop of simulated time instead of N sequential hops, while the
-// per-destination results keep the deterministic destination order. The
-// caller's context bounds the whole fan-out: cancellation aborts
-// destinations that have not been attempted yet.
+// Every multicast is one round on one fan-out engine, Comm.Run: a Round value
+// the caller fills in and may embed in its own per-round struct, an Owner the
+// engine calls back on — what destination i is sent, what it answered and
+// whether that settles the round, that the last send has finished — and one
+// sender per destination, all started at once. Propagating an update to N
+// reachable replicas therefore costs ~1 network hop of simulated time instead
+// of N, on any number of cores. A round differs from another only in when its
+// caller is released: with the last send (the synchronous multicast), at the
+// owner's verdict (the quorum commit, decoupled from its slowest link while
+// the stragglers complete in the background), or at once. The caller's
+// context bounds the round: destinations not yet attempted when it dies are
+// aborted without a send.
 //
-// MulticastThreshold is the quorum-return variant used by the Quorum
-// replica-control protocol: the call returns once a configurable number of
-// destinations ack, decoupling commit latency from the slowest link, while
-// the straggler sends complete in the background.
+// Multicast (one payload, every result in destination order) and
+// MulticastThreshold (a payload function and a count of acks) are adapters
+// over the engine.
 package group
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -430,12 +434,10 @@ func (m *Membership) install(id transport.NodeID, epoch int64, members []transpo
 
 // Comm is the group communication component: synchronous multicast with
 // per-destination results, as needed for synchronous update propagation.
-// Fan-out is concurrent through a bounded worker pool; results preserve the
-// destination order regardless of completion order.
+// Every round runs on the one fan-out engine, Run.
 type Comm struct {
-	net     transport.Transport
-	workers int
-	obs     *obs.Observer
+	net transport.Transport
+	obs *obs.Observer
 
 	concurrent          *obs.Counter
 	duration            *obs.Histogram
@@ -447,15 +449,6 @@ type Comm struct {
 // CommOption configures a Comm.
 type CommOption func(*Comm)
 
-// WithWorkers bounds the multicast fan-out width (default GOMAXPROCS).
-func WithWorkers(n int) CommOption {
-	return func(c *Comm) {
-		if n > 0 {
-			c.workers = n
-		}
-	}
-}
-
 // WithCommObserver attaches the component to a shared observability scope;
 // without it the component inherits the network's scope.
 func WithCommObserver(o *obs.Observer) CommOption {
@@ -464,7 +457,7 @@ func WithCommObserver(o *obs.Observer) CommOption {
 
 // NewComm creates a group communication component over the transport.
 func NewComm(net transport.Transport, opts ...CommOption) *Comm {
-	c := &Comm{net: net, workers: runtime.GOMAXPROCS(0)}
+	c := &Comm{net: net}
 	for _, o := range opts {
 		o(c)
 	}
@@ -479,6 +472,207 @@ func NewComm(net transport.Transport, opts ...CommOption) *Comm {
 	return c
 }
 
+// Verdict is a round owner's judgement once one more destination answered.
+type Verdict uint8
+
+const (
+	Open      Verdict = iota // nothing is decided: the caller keeps waiting
+	Satisfied                // the round has what its caller waits for
+	Hopeless                 // it can no longer get it, whatever the rest answer
+)
+
+// Release says when Run lets its caller go. Sends that have not finished by
+// then — the stragglers — complete in the background.
+type Release uint8
+
+const (
+	// OnDrain releases when the last send has finished, whatever Answered
+	// said: the synchronous multicast. A dead context does not release the
+	// caller; the sends in flight fail inside the transport.
+	OnDrain Release = iota
+	// OnVerdict releases at the first Answered that does not say Open, when
+	// every destination has answered, or when the context dies.
+	OnVerdict
+	// AtOnce releases as soon as the sends are started.
+	AtOnce
+)
+
+// Owner is what a round calls back on: the value that knows what the round
+// ships and what its caller waits for. A caller that embeds the Round in its
+// own per-round struct and implements Owner on that struct pays for neither a
+// closure nor a boxed value per round.
+type Owner interface {
+	// Payload returns what destination To[i] is sent. It is called once per
+	// destination that is attempted, from that destination's sender, so
+	// concurrently with the others. What it returns is the receiver's to
+	// keep: round memory is never recycled.
+	Payload(i int) any
+	// Answered reports the outcome of the send to To[i] — a send aborted by
+	// a dead context included — and returns the round's standing after it.
+	// Calls are serialised under the round's lock and none is missed, also
+	// after the caller was released, when the verdict no longer matters. It
+	// must not block or call into the round.
+	Answered(i int, reply any, err error) Verdict
+	// Drained runs exactly once, after the last Answered: on the last
+	// sender's goroutine, or on the caller's when no send is in flight.
+	Drained()
+}
+
+// Round is one multicast round. The caller fills in the exported fields and
+// hands it to Run once; To must not contain From and is read until the round
+// has drained. The rest is the engine's (the counters are narrow because a
+// round is embedded in what every replicated write allocates).
+type Round struct {
+	From  transport.NodeID
+	To    []transport.NodeID
+	Kind  string
+	Until Release
+
+	next  atomic.Int32 // next index of To a sender claims
+	comm  *Comm
+	ctx   context.Context
+	owner Owner
+	wake  chan struct{} // carries the one wake-up of a caller that waits
+
+	mu       sync.Mutex
+	done     chan struct{} // made by a Wait that finds sends in flight
+	answered int32         // sends whose Answered has returned
+	left     int32         // sends in flight at the release
+	released bool          // the caller was let go, or never waits
+	verdict  Verdict       // Answered's, as of the release
+}
+
+// ErrThresholdShort reports an OnVerdict round that released its caller
+// without being satisfied: its owner called it hopeless, or every destination
+// answered and it was still open.
+var ErrThresholdShort = errors.New("group: threshold multicast fell short")
+
+// Run is the fan-out engine: one sender per destination, all started at once
+// — a round costs one network hop of simulated time whatever the destination
+// and core counts — each reporting to the owner as it completes, and the
+// caller released as r.Until says. The sender that completes decides under
+// the round's lock whether the caller is to be woken, so a round costs its
+// caller one channel and the senders one function value between them. The one
+// destination of an OnDrain round is sent to on the caller's goroutine: there
+// is nothing to overlap with.
+//
+// A dead context aborts every destination not yet attempted without a send.
+// The error is nil unless an OnVerdict round was left unsatisfied: then it
+// wraps the context's when the context is dead, ErrThresholdShort otherwise.
+func (c *Comm) Run(ctx context.Context, r *Round, o Owner) error {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	n := int32(len(r.To))
+	if n == 0 {
+		o.Drained()
+		return nil
+	}
+	r.comm, r.ctx, r.owner = c, ctx, o
+	start := time.Now()
+	inline := r.Until == OnDrain && n == 1
+	switch {
+	case r.Until != OnDrain:
+		c.thresholdRounds.Inc()
+	case !inline:
+		c.concurrent.Inc()
+	}
+	if r.Until == AtOnce {
+		r.left = n
+	}
+	waits := !inline && r.Until != AtOnce
+	r.released = !waits
+	if inline {
+		r.send()
+	} else {
+		if waits {
+			r.wake = make(chan struct{}, 1)
+		}
+		send := r.send
+		for range r.To {
+			go send()
+		}
+	}
+	if waits {
+		var dead <-chan struct{}
+		if r.Until == OnVerdict {
+			dead = ctx.Done()
+		}
+		select {
+		case <-r.wake:
+		case <-dead:
+			r.mu.Lock()
+			if !r.released {
+				r.released, r.left = true, n-r.answered
+			}
+			r.mu.Unlock()
+		}
+	}
+	var err error
+	if r.Until == OnVerdict && r.verdict != Satisfied {
+		if cerr := ctx.Err(); cerr != nil {
+			err = fmt.Errorf("group: threshold multicast aborted: %w", cerr)
+		} else {
+			err = fmt.Errorf("%w: %d of %d destinations had answered", ErrThresholdShort, n-r.left, n)
+		}
+	}
+	if r.Until != OnDrain && r.left > 0 {
+		c.thresholdEarly.Inc()
+		c.thresholdStragglers.Add(int64(r.left))
+	}
+	c.duration.Observe(time.Since(start))
+	return err
+}
+
+// send is one destination's sender.
+func (r *Round) send() {
+	i := int(r.next.Add(1)) - 1
+	dst := r.To[i]
+	var reply any
+	err := r.ctx.Err()
+	if err != nil {
+		err = fmt.Errorf("group: multicast to %s aborted: %w", dst, err)
+	} else {
+		reply, err = r.comm.net.Send(r.ctx, r.From, dst, r.Kind, r.owner.Payload(i))
+	}
+	r.mu.Lock()
+	v := r.owner.Answered(i, reply, err)
+	r.answered++
+	last := int(r.answered) == len(r.To)
+	wake := !r.released && (last || r.Until == OnVerdict && v != Open)
+	if wake {
+		r.released, r.verdict, r.left = true, v, int32(len(r.To))-r.answered
+	}
+	done := r.done
+	r.mu.Unlock()
+	if wake {
+		r.wake <- struct{}{}
+	}
+	if last {
+		if done != nil {
+			close(done)
+		}
+		r.owner.Drained()
+	}
+}
+
+// Wait blocks until every send of the round has completed, stragglers
+// included. It is safe to call from several goroutines; its channel is made
+// only when a call finds sends in flight.
+func (r *Round) Wait() {
+	r.mu.Lock()
+	if int(r.answered) == len(r.To) {
+		r.mu.Unlock()
+		return
+	}
+	if r.done == nil {
+		r.done = make(chan struct{})
+	}
+	done := r.done
+	r.mu.Unlock()
+	<-done
+}
+
 // Result is the outcome of one multicast destination.
 type Result struct {
 	Node     transport.NodeID
@@ -486,82 +680,43 @@ type Result struct {
 	Err      error
 }
 
+// resultRoom returns n result slots: the inline room when they fit.
+func resultRoom(room []Result, n int) []Result {
+	if n <= len(room) {
+		return room[:n:n]
+	}
+	return make([]Result, n)
+}
+
+// multicast is the round of Multicast: one payload for everybody, every
+// result kept.
+type multicast struct {
+	Round
+	payload any
+	results []Result
+	room    [3]Result
+}
+
+func (m *multicast) Payload(int) any { return m.payload }
+
+func (m *multicast) Answered(i int, reply any, err error) Verdict {
+	m.results[i] = Result{Node: m.To[i], Response: reply, Err: err}
+	return Open
+}
+
+func (m *multicast) Drained() {}
+
 // Multicast sends the message to each destination (excluding the sender if
 // present) concurrently and collects responses. Unreachable destinations
 // report errors in their result; the multicast itself always returns all
-// results, in destination order. A cancelled context aborts the fan-out
-// early: destinations not yet attempted report the context error without a
-// send; destinations in flight fail inside the transport.
+// results, in destination order. A context that is dead before the round
+// aborts every destination without a send; one that dies during it fails the
+// sends in flight inside the transport.
 func (c *Comm) Multicast(ctx context.Context, from transport.NodeID, to []transport.NodeID, kind string, payload any) []Result {
-	return c.MulticastEach(ctx, from, to, kind, func(transport.NodeID) any { return payload })
-}
-
-// MulticastEach is Multicast with a per-destination payload: payloadFor is
-// called once per destination (possibly concurrently from the worker pool)
-// and its result is sent to that destination. The replication service uses
-// it to ship transaction batches that carry, per replica node, only the
-// operations whose objects that node hosts. Fan-out, ordering and
-// cancellation semantics are identical to Multicast.
-func (c *Comm) MulticastEach(ctx context.Context, from transport.NodeID, to []transport.NodeID, kind string, payloadFor func(transport.NodeID) any) []Result {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	dests := excluding(to, from)
-	results := make([]Result, len(dests))
-	if len(dests) == 0 {
-		return results
-	}
-	start := time.Now()
-	if len(dests) == 1 {
-		// The fast path keeps the worker-pool semantics: a context that is
-		// already dead aborts the destination without invoking payloadFor or
-		// attempting a send, exactly as a pool worker would.
-		if err := ctx.Err(); err != nil {
-			results[0] = Result{Node: dests[0], Err: fmt.Errorf("group: multicast to %s aborted: %w", dests[0], err)}
-		} else {
-			resp, err := c.net.Send(ctx, from, dests[0], kind, payloadFor(dests[0]))
-			results[0] = Result{Node: dests[0], Response: resp, Err: err}
-		}
-		c.duration.Observe(time.Since(start))
-		return results
-	}
-	width := c.workers
-	if width > len(dests) {
-		width = len(dests)
-	}
-	if width < 1 {
-		width = 1
-	}
-	if width > 1 {
-		c.concurrent.Inc()
-	}
-	// Workers claim destination indices from a shared cursor; each writes its
-	// own slot of results, so the output order matches the input order no
-	// matter which destination answers first.
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(width)
-	for w := 0; w < width; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(dests) {
-					return
-				}
-				dst := dests[i]
-				if err := ctx.Err(); err != nil {
-					results[i] = Result{Node: dst, Err: fmt.Errorf("group: multicast to %s aborted: %w", dst, err)}
-					continue
-				}
-				resp, err := c.net.Send(ctx, from, dst, kind, payloadFor(dst))
-				results[i] = Result{Node: dst, Response: resp, Err: err}
-			}
-		}()
-	}
-	wg.Wait()
-	c.duration.Observe(time.Since(start))
-	return results
+	m := &multicast{Round: Round{From: from, To: excluding(to, from), Kind: kind}, payload: payload}
+	m.results = resultRoom(m.room[:], len(m.To))
+	_ = c.Run(ctx, &m.Round, m) // only an OnVerdict round reports an error
+	return m.results
 }
 
 // ThresholdCall is the synchronously-observable part of a threshold
@@ -582,140 +737,68 @@ type ThresholdCall struct {
 	// send completed without enough acks).
 	Err error
 
-	results []Result
-	done    chan struct{}
-	cursor  atomic.Int32 // next destination index a send goroutine claims
-
-	mu       sync.Mutex
-	finished int            // sends that have written their result slot
-	onDone   func([]Result) // set by OnComplete while sends are in flight
+	round      Round
+	payloadFor func(transport.NodeID) any
+	need       int
+	acked      int // successful answers so far; under round.mu, as Answered runs
+	results    []Result
+	room       [3]Result
 }
 
 // Wait blocks until every send of the round has completed — stragglers
 // included — and returns the full per-destination results in destination
 // order. It is safe to call from multiple goroutines.
 func (tc *ThresholdCall) Wait() []Result {
-	<-tc.done
+	tc.round.Wait()
 	return tc.results
 }
 
-// OnComplete runs fn with the full results once every send has completed: on
-// the last send's goroutine, or at once when the round has already drained.
-// It is Wait without a goroutine parked on it; one fn per call.
-func (tc *ThresholdCall) OnComplete(fn func([]Result)) {
-	tc.mu.Lock()
-	tc.onDone = fn
-	drained := tc.finished == len(tc.results)
-	tc.mu.Unlock()
-	if drained {
-		fn(tc.results)
+// thresholdOwner keeps the Owner methods off ThresholdCall's exported face.
+type thresholdOwner ThresholdCall
+
+func (t *thresholdOwner) Payload(i int) any { return t.payloadFor(t.round.To[i]) }
+
+func (t *thresholdOwner) Answered(i int, reply any, err error) Verdict {
+	t.results[i] = Result{Node: t.round.To[i], Response: reply, Err: err}
+	if err == nil {
+		t.acked++
 	}
+	switch inFlight := len(t.results) - int(t.round.answered) - 1; {
+	case t.acked >= t.need:
+		return Satisfied
+	case t.acked+inFlight < t.need:
+		return Hopeless
+	}
+	return Open
 }
 
-// ErrThresholdShort reports a threshold multicast whose round completed with
-// fewer acks than required.
-var ErrThresholdShort = errors.New("group: threshold multicast fell short")
+func (t *thresholdOwner) Drained() {}
 
-// MulticastThreshold is MulticastEach with quorum-return semantics: the call
-// returns as soon as `need` destinations acked (a nil send error counts as
-// an ack), while the remaining sends complete in the background and their
-// results become visible through Wait. Every destination is attempted
-// concurrently — the primitive exists to decouple the caller's latency from
-// the slowest link, so sends are not funneled through the bounded worker
-// pool. need is clamped to [0, len(destinations excluding from)]; with need
-// 0 the call still issues every send but returns immediately. A dead
-// context aborts destinations that have not been attempted yet, and the
-// call returns early with the context error once no outcome can change.
+// MulticastThreshold is the engine behind a plain count: the call returns as
+// soon as `need` destinations acked (a nil send error counts as an ack) or no
+// longer can, while the remaining sends complete in the background and their
+// results become visible through Wait. need is clamped to [0,
+// len(destinations excluding from)]; with need 0 the call still issues every
+// send but returns immediately. A dead context aborts destinations that have
+// not been attempted yet, and the call returns early with the context error.
 //
 // to is not copied unless it contains from: the background sends read it
 // until Wait returns, so the caller must not modify it before then.
 func (c *Comm) MulticastThreshold(ctx context.Context, from transport.NodeID, to []transport.NodeID, kind string, payloadFor func(transport.NodeID) any, need int) *ThresholdCall {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	dests := excluding(to, from)
 	tc := &ThresholdCall{
-		results: make([]Result, len(dests)),
-		done:    make(chan struct{}),
+		round:      Round{From: from, To: dests, Kind: kind, Until: OnVerdict},
+		payloadFor: payloadFor,
+		need:       max(0, min(need, len(dests))),
 	}
-	if need > len(dests) {
-		need = len(dests)
+	if tc.need == 0 {
+		tc.round.Until = AtOnce
 	}
-	if need < 0 {
-		need = 0
-	}
-	if len(dests) == 0 {
-		close(tc.done)
-		return tc
-	}
-	start := time.Now()
-	c.thresholdRounds.Inc()
-	// One goroutine per destination, all running the round's one closure:
-	// each claims an index, writes that result slot and reports the index on
-	// the completion channel (buffered for every send, so none blocks). The
-	// foreground loop below is the only reader of result slots before tc.done
-	// closes, and it only reads slots whose index it received — the channel
-	// send orders the slot write before the read.
-	completions := make(chan int, len(dests))
-	send := func() {
-		i := int(tc.cursor.Add(1)) - 1
-		dst := dests[i]
-		if err := ctx.Err(); err != nil {
-			tc.results[i] = Result{Node: dst, Err: fmt.Errorf("group: multicast to %s aborted: %w", dst, err)}
-		} else {
-			resp, err := c.net.Send(ctx, from, dst, kind, payloadFor(dst))
-			tc.results[i] = Result{Node: dst, Response: resp, Err: err}
-		}
-		completions <- i
-		// The last send closes done; the mutex orders every result-slot write
-		// before that.
-		tc.mu.Lock()
-		tc.finished++
-		last, fn := tc.finished == len(dests), tc.onDone
-		tc.mu.Unlock()
-		if last {
-			close(tc.done)
-			if fn != nil {
-				fn(tc.results)
-			}
-		}
-	}
-	for range dests {
-		go send()
-	}
-
-	for tc.Completed < len(dests) {
-		// The threshold is reached, or can no longer be reached even if every
-		// remaining send succeeds: the caller learns its outcome now, the
-		// stragglers keep running.
-		if tc.Acked >= need {
-			break
-		}
-		if tc.Acked+(len(dests)-tc.Completed) < need {
-			tc.Err = fmt.Errorf("%w: %d of %d acks (%d destinations)", ErrThresholdShort, tc.Acked, need, len(dests))
-			break
-		}
-		select {
-		case i := <-completions:
-			tc.Completed++
-			if tc.results[i].Err == nil {
-				tc.Acked++
-			}
-		case <-ctx.Done():
-			tc.Err = fmt.Errorf("group: threshold multicast aborted: %w", ctx.Err())
-		}
-		if tc.Err != nil {
-			break
-		}
-	}
-	if tc.Err == nil && tc.Acked < need {
-		tc.Err = fmt.Errorf("%w: %d of %d acks (%d destinations)", ErrThresholdShort, tc.Acked, need, len(dests))
-	}
-	if tc.Completed < len(dests) {
-		c.thresholdEarly.Inc()
-		c.thresholdStragglers.Add(int64(len(dests) - tc.Completed))
-	}
-	c.duration.Observe(time.Since(start))
+	tc.results = resultRoom(tc.room[:], len(dests))
+	tc.Err = c.Run(ctx, &tc.round, (*thresholdOwner)(tc))
+	tc.round.mu.Lock()
+	tc.Acked, tc.Completed = tc.acked, int(tc.round.answered)
+	tc.round.mu.Unlock()
 	return tc
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -257,7 +258,7 @@ func TestMulticastDeterministicOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	comm := NewComm(net, WithWorkers(n))
+	comm := NewComm(net)
 	results := comm.Multicast(context.Background(), "src", dests, "k", nil)
 	if len(results) != n {
 		t.Fatalf("results = %d", len(results))
@@ -272,28 +273,35 @@ func TestMulticastDeterministicOrder(t *testing.T) {
 	}
 }
 
-// TestMulticastParallelLatency checks the tentpole property: fanning out to
-// N destinations with a per-hop cost completes in ~1 hop of charged simtime,
-// not N sequential hops.
-func TestMulticastParallelLatency(t *testing.T) {
-	const hop = 20 * time.Millisecond
-	const n = 4
+// ackingPeers builds a network charging hop per message with a sender "src"
+// and n destinations that ack kind "k", and a Comm over it.
+func ackingPeers(tb testing.TB, n int, hop time.Duration) (*Comm, []transport.NodeID) {
+	tb.Helper()
 	net := transport.NewNetwork(transport.WithCost(transport.CostModel{PerMessage: hop}))
 	if err := net.Join("src"); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	var dests []transport.NodeID
 	for i := 0; i < n; i++ {
 		id := transport.NodeID(fmt.Sprintf("d%d", i))
 		dests = append(dests, id)
 		if err := net.Join(id); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		if err := net.Handle(id, "k", func(transport.NodeID, any) (any, error) { return "ack", nil }); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	comm := NewComm(net, WithWorkers(n))
+	return NewComm(net), dests
+}
+
+// TestMulticastParallelLatency checks the tentpole property: fanning out to
+// N destinations with a per-hop cost completes in ~1 hop of charged simtime,
+// not N sequential hops.
+func TestMulticastParallelLatency(t *testing.T) {
+	const hop = 20 * time.Millisecond
+	const n = 4
+	comm, dests := ackingPeers(t, n, hop)
 	start := time.Now()
 	results := comm.Multicast(context.Background(), "src", dests, "k", nil)
 	elapsed := time.Since(start)
@@ -310,48 +318,30 @@ func TestMulticastParallelLatency(t *testing.T) {
 	}
 }
 
-// TestMulticastCancelAbortsFanOut cancels the context mid-fan-out (one
-// worker, so destinations are attempted sequentially) and asserts that later
-// destinations are never attempted.
-func TestMulticastCancelAbortsFanOut(t *testing.T) {
-	net := transport.NewNetwork()
-	if err := net.Join("src"); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var handled atomic.Int64
-	var dests []transport.NodeID
-	for i := 0; i < 5; i++ {
-		id := transport.NodeID(fmt.Sprintf("d%d", i))
-		dests = append(dests, id)
-		if err := net.Join(id); err != nil {
-			t.Fatal(err)
-		}
-		if err := net.Handle(id, "k", func(transport.NodeID, any) (any, error) {
-			if handled.Add(1) == 1 {
-				cancel() // first delivery cancels the rest of the fan-out
-			}
-			return "ack", nil
-		}); err != nil {
-			t.Fatal(err)
+// TestMulticastOneHopOnOneCore: modelled network latency must not depend on
+// the host's core count. On a single core a round to four destinations at
+// 20 ms per message still costs about one hop — every destination has its own
+// sender — where a fan-out as wide as GOMAXPROCS took four.
+//
+// (TestMulticastCancelAbortsFanOut, which stood here, pinned the sequential
+// order of a one-worker pool; what survives of it without the pool — a context
+// dead before the round aborts every destination without a send — is
+// TestMulticastEachCancelledContextTable's.)
+func TestMulticastOneHopOnOneCore(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const hop = 20 * time.Millisecond
+	const n = 4
+	comm, dests := ackingPeers(t, n, hop)
+	start := time.Now()
+	results := comm.Multicast(context.Background(), "src", dests, "k", nil)
+	elapsed := time.Since(start)
+	for _, r := range results {
+		if r.Err != nil {
+			t.Fatalf("result err: %v", r.Err)
 		}
 	}
-	comm := NewComm(net, WithWorkers(1))
-	results := comm.Multicast(ctx, "src", dests, "k", nil)
-	if handled.Load() != 1 {
-		t.Fatalf("handlers ran %d times, want 1", handled.Load())
-	}
-	if results[0].Err != nil {
-		t.Fatalf("first result err: %v", results[0].Err)
-	}
-	for i, r := range results[1:] {
-		if r.Err == nil {
-			t.Fatalf("result %d succeeded after cancel", i+1)
-		}
-		if !errors.Is(r.Err, context.Canceled) {
-			t.Fatalf("result %d err = %v, want context.Canceled in chain", i+1, r.Err)
-		}
+	if elapsed >= 3*hop {
+		t.Fatalf("a round to %d destinations on one core took %v, want ~1 hop (%v)", n, elapsed, hop)
 	}
 }
 
@@ -383,41 +373,17 @@ func TestMulticastConcurrencySafe(t *testing.T) {
 }
 
 // BenchmarkMulticastFanOut measures the wall-clock (= charged simtime) of a
-// multicast to N replicas under a calibrated per-hop cost. With the
-// concurrent fan-out each op costs ~1 hop; the sequential baseline cost
-// (workers=1) is ~N hops.
+// multicast to 8 replicas under a calibrated per-hop cost: ~1 hop per op.
 func BenchmarkMulticastFanOut(b *testing.B) {
 	const hop = 2 * time.Millisecond
-	for _, cfg := range []struct {
-		name    string
-		workers int
-	}{{"sequential", 1}, {"parallel", 8}} {
-		b.Run(cfg.name, func(b *testing.B) {
-			net := transport.NewNetwork(transport.WithCost(transport.CostModel{PerMessage: hop}))
-			if err := net.Join("src"); err != nil {
-				b.Fatal(err)
+	comm, dests := ackingPeers(b, 8, hop)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, r := range comm.Multicast(context.Background(), "src", dests, "k", nil) {
+			if r.Err != nil {
+				b.Fatal(r.Err)
 			}
-			var dests []transport.NodeID
-			for i := 0; i < 8; i++ {
-				id := transport.NodeID(fmt.Sprintf("d%d", i))
-				dests = append(dests, id)
-				if err := net.Join(id); err != nil {
-					b.Fatal(err)
-				}
-				if err := net.Handle(id, "k", func(transport.NodeID, any) (any, error) { return "ack", nil }); err != nil {
-					b.Fatal(err)
-				}
-			}
-			comm := NewComm(net, WithWorkers(cfg.workers))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, r := range comm.Multicast(context.Background(), "src", dests, "k", nil) {
-					if r.Err != nil {
-						b.Fatal(r.Err)
-					}
-				}
-			}
-		})
+		}
 	}
 }
 
@@ -434,9 +400,61 @@ func TestLateJoinGetsView(t *testing.T) {
 	}
 }
 
+// recorder is a test's round and its owner in one value, as the engine's
+// callers build theirs: it ships a payload per destination, keeps every
+// result, and rules like a plain count of acks — need < 0 never rules, which
+// is a round that waits for everybody.
+type recorder struct {
+	Round
+	payloadFor func(transport.NodeID) any
+	need       int
+	acked      int // under Round.mu, as Answered runs
+	results    []Result
+	drains     atomic.Int32
+	drained    chan struct{} // closed by the first Drained
+}
+
+func newRecorder(from transport.NodeID, to []transport.NodeID, kind string, need int, payloadFor func(transport.NodeID) any) *recorder {
+	rec := &recorder{payloadFor: payloadFor, need: need, results: make([]Result, len(to)), drained: make(chan struct{})}
+	rec.From, rec.To, rec.Kind = from, to, kind
+	switch {
+	case need == 0:
+		rec.Until = AtOnce
+	case need > 0:
+		rec.Until = OnVerdict
+	}
+	return rec
+}
+
+func (rec *recorder) Payload(i int) any { return rec.payloadFor(rec.To[i]) }
+
+func (rec *recorder) Answered(i int, reply any, err error) Verdict {
+	rec.results[i] = Result{Node: rec.To[i], Response: reply, Err: err}
+	if err == nil {
+		rec.acked++
+	}
+	switch inFlight := len(rec.To) - int(rec.answered) - 1; {
+	case rec.need < 0:
+		return Open
+	case rec.acked >= rec.need:
+		return Satisfied
+	case rec.acked+inFlight < rec.need:
+		return Hopeless
+	}
+	return Open
+}
+
+func (rec *recorder) Drained() {
+	if rec.drains.Add(1) == 1 {
+		close(rec.drained)
+	}
+}
+
 // TestMulticastEachPerDestinationPayload checks that each destination
 // receives exactly the payload built for it, in deterministic result order,
-// for both the single-destination fast path and the pooled fan-out.
+// for both the single destination a waiting caller sends to itself and the
+// fan-out. (MulticastEach is gone; the engine's Payload hook is what ships a
+// payload per destination.)
 func TestMulticastEachPerDestinationPayload(t *testing.T) {
 	net := transport.NewNetwork()
 	var dests []transport.NodeID
@@ -456,15 +474,15 @@ func TestMulticastEachPerDestinationPayload(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	comm := NewComm(net, WithWorkers(n))
+	comm := NewComm(net)
 	for _, width := range []int{1, n} {
-		results := comm.MulticastEach(context.Background(), "src", dests[:width], "k", func(dst transport.NodeID) any {
+		rec := newRecorder("src", dests[:width], "k", -1, func(dst transport.NodeID) any {
 			return "payload-for-" + string(dst)
 		})
-		if len(results) != width {
-			t.Fatalf("width %d: results = %d", width, len(results))
+		if err := comm.Run(context.Background(), &rec.Round, rec); err != nil {
+			t.Fatalf("width %d: %v", width, err)
 		}
-		for i, r := range results {
+		for i, r := range rec.results {
 			if r.Err != nil {
 				t.Fatalf("width %d result %d err: %v", width, i, r.Err)
 			}
@@ -478,28 +496,29 @@ func TestMulticastEachPerDestinationPayload(t *testing.T) {
 	}
 }
 
-// TestMulticastEachExcludesSender mirrors the Multicast self-exclusion rule.
+// TestMulticastEachExcludesSender mirrors the Multicast self-exclusion rule
+// on the adapter that takes a payload function.
 func TestMulticastEachExcludesSender(t *testing.T) {
 	net, _ := threeNodes(t)
 	if err := net.Handle("n2", "k", func(transport.NodeID, any) (any, error) { return "ok", nil }); err != nil {
 		t.Fatal(err)
 	}
 	comm := NewComm(net)
-	results := comm.MulticastEach(context.Background(), "n1", []transport.NodeID{"n1", "n2"}, "k", func(dst transport.NodeID) any {
+	results := comm.MulticastThreshold(context.Background(), "n1", []transport.NodeID{"n1", "n2"}, "k", func(dst transport.NodeID) any {
 		if dst == "n1" {
 			t.Error("payloadFor called for the sender")
 		}
 		return nil
-	})
+	}, 1).Wait()
 	if len(results) != 1 || results[0].Node != "n2" || results[0].Err != nil {
 		t.Fatalf("results = %+v", results)
 	}
 }
 
-// TestMulticastEachCancelledContextTable pins the aligned fast-path
-// semantics: a context that is dead before the call starts must abort every
-// destination without invoking payloadFor or attempting a send, identically
-// at N=0, N=1 (the fast path) and N=2 (the worker pool).
+// TestMulticastEachCancelledContextTable: a context that is dead before the
+// call starts must abort every destination without attempting a send,
+// identically at N=0, N=1 (sent to on the caller's goroutine) and N=2 (the
+// fan-out). It keeps the name it had when Multicast sat on MulticastEach.
 func TestMulticastEachCancelledContextTable(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -523,11 +542,7 @@ func TestMulticastEachCancelledContextTable(t *testing.T) {
 			comm := NewComm(net)
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()
-			var payloads atomic.Int64
-			results := comm.MulticastEach(ctx, "n1", tc.dests, "update", func(transport.NodeID) any {
-				payloads.Add(1)
-				return "state"
-			})
+			results := comm.Multicast(ctx, "n1", tc.dests, "update", "state")
 			if len(results) != len(tc.dests) {
 				t.Fatalf("results = %d, want %d", len(results), len(tc.dests))
 			}
@@ -538,9 +553,6 @@ func TestMulticastEachCancelledContextTable(t *testing.T) {
 				if r.Response != nil {
 					t.Fatalf("result for %s carries a response despite dead context", r.Node)
 				}
-			}
-			if n := payloads.Load(); n != 0 {
-				t.Fatalf("payloadFor invoked %d times under a dead context", n)
 			}
 			if n := handled.Load(); n != 0 {
 				t.Fatalf("%d sends reached handlers under a dead context", n)
@@ -759,18 +771,23 @@ func TestFilteredViewSharedSliceIsGuarded(t *testing.T) {
 	}
 }
 
-// TestMulticastThresholdRoundTable drives one round per row — the sender
-// inside the destination list, every need from 0 to a full round, a failing
-// destination, a dead context — and checks what every row shares: results in
-// destination order without the sender, the caller's list untouched, Wait
-// returning only once every handler that was entered has returned, and the
-// OnComplete function running exactly once with the same results, whether it
-// is registered while sends are in flight or after the round drained.
+// TestMulticastThresholdRoundTable drives one round per row through the
+// engine — the sender inside the destination list, every need from 0 to a
+// full round, a failing destination, a dead context, and the same again for a
+// caller that waits for everybody — and checks what every row shares: results
+// in destination order without the sender, the caller's list untouched, Wait
+// returning only once every handler that was entered has returned, and
+// Drained running exactly once. A round that waits for everybody holds its
+// caller until the last handler is back, and with nothing left in flight — no
+// destination, or the one it sends to itself — has drained on the caller
+// before Run returns. Each row runs with Wait called while sends may be in
+// flight and with Wait called after the round drained, which must not make
+// its channel.
 func TestMulticastThresholdRoundTable(t *testing.T) {
 	rows := []struct {
 		name      string
 		to        []transport.NodeID
-		need      int
+		need      int              // < 0: wait for everybody
 		cut       transport.NodeID // unreachable destination, "" for none
 		cancelled bool
 		wantAcks  int // successful results after Wait
@@ -784,6 +801,11 @@ func TestMulticastThresholdRoundTable(t *testing.T) {
 		{name: "failing destination, quorum holds", to: []transport.NodeID{"n2", "n3", "n4"}, need: 2, cut: "n3", wantAcks: 2},
 		{name: "failing destination, full round short", to: []transport.NodeID{"n2", "n3", "n4"}, need: 3, cut: "n3", wantAcks: 2, wantErr: ErrThresholdShort},
 		{name: "cancelled context", to: []transport.NodeID{"n1", "n2", "n3", "n4"}, need: 2, cancelled: true, wantAcks: 0, wantErr: context.Canceled},
+		{name: "wait-all", to: []transport.NodeID{"n2", "n1", "n3", "n4"}, need: -1, wantAcks: 3},
+		{name: "wait-all, failing destination", to: []transport.NodeID{"n2", "n3", "n4"}, need: -1, cut: "n3", wantAcks: 2},
+		{name: "wait-all, one destination", to: []transport.NodeID{"n1", "n4"}, need: -1, wantAcks: 1},
+		{name: "wait-all, no destination", to: []transport.NodeID{"n1"}, need: -1, wantAcks: 0},
+		{name: "wait-all, cancelled context", to: []transport.NodeID{"n2", "n3", "n4"}, need: -1, cancelled: true, wantAcks: 0},
 	}
 	for _, row := range rows {
 		for _, late := range []bool{false, true} {
@@ -792,10 +814,13 @@ func TestMulticastThresholdRoundTable(t *testing.T) {
 				var entered, returned atomic.Int32
 				for _, id := range []transport.NodeID{"n2", "n3", "n4"} {
 					id := id
-					if err := net.Handle(id, "update", func(transport.NodeID, any) (any, error) {
+					if err := net.Handle(id, "update", func(_ transport.NodeID, payload any) (any, error) {
 						entered.Add(1)
 						time.Sleep(time.Duration(id[1]-'0') * time.Millisecond) // n4 is the straggler
 						returned.Add(1)
+						if want := "for-" + string(id); payload != want {
+							return nil, fmt.Errorf("payload %v, want %s", payload, want)
+						}
 						return string(id) + "-ack", nil
 					}); err != nil {
 						t.Fatal(err)
@@ -810,50 +835,47 @@ func TestMulticastThresholdRoundTable(t *testing.T) {
 					cancel()
 				}
 				to := append([]transport.NodeID(nil), row.to...)
-				var want []transport.NodeID
-				for _, id := range row.to {
-					if id != "n1" {
-						want = append(want, id)
+				want := excluding(to, "n1")
+
+				rec := newRecorder("n1", want, "update", row.need, func(dst transport.NodeID) any { return "for-" + string(dst) })
+				err := NewComm(net).Run(ctx, &rec.Round, rec)
+				if !errors.Is(err, row.wantErr) {
+					t.Fatalf("Run = %v, want %v", err, row.wantErr)
+				}
+				if row.need < 0 {
+					if e, r := entered.Load(), returned.Load(); e != r {
+						t.Fatalf("a caller that waits for everybody was released with %d handlers entered, %d returned", e, r)
+					}
+					if len(want) <= 1 && rec.drains.Load() != 1 {
+						t.Fatalf("nothing in flight, yet Run returned before Drained ran (%d calls)", rec.drains.Load())
 					}
 				}
-
-				call := NewComm(net).MulticastThreshold(ctx, "n1", to, "update",
-					func(dst transport.NodeID) any { return "for-" + string(dst) }, row.need)
-				if !errors.Is(call.Err, row.wantErr) {
-					t.Fatalf("Err = %v, want %v", call.Err, row.wantErr)
+				rec.mu.Lock()
+				acked := rec.acked
+				rec.mu.Unlock()
+				if row.wantErr == nil && acked < row.need {
+					t.Fatalf("returned with %d acks, need %d", acked, row.need)
 				}
-				if row.wantErr == nil && call.Acked < row.need {
-					t.Fatalf("returned with %d acks, need %d", call.Acked, row.need)
+				if late {
+					select {
+					case <-rec.drained:
+					case <-time.After(time.Second):
+						t.Fatal("Drained never ran")
+					}
 				}
-				var calls atomic.Int32
-				notified := make(chan []Result, 2)
-				register := func() {
-					call.OnComplete(func(rs []Result) {
-						calls.Add(1)
-						if e, r := entered.Load(), returned.Load(); e != r {
-							t.Errorf("OnComplete ran with %d handlers entered, %d returned", e, r)
-						}
-						notified <- rs
-					})
-				}
-				if !late {
-					register()
-				}
-				results := call.Wait()
+				rec.Wait()
 				if e, r := entered.Load(), returned.Load(); e != r {
 					t.Fatalf("Wait returned with %d handlers entered, %d returned", e, r)
 				}
-				if late {
-					register()
+				if late && rec.done != nil {
+					t.Fatal("Wait on a drained round made its channel")
 				}
 				select {
-				case rs := <-notified:
-					if len(rs) != len(results) || (len(rs) > 0 && &rs[0] != &results[0]) {
-						t.Fatalf("OnComplete results differ from Wait's")
-					}
+				case <-rec.drained:
 				case <-time.After(time.Second):
-					t.Fatal("OnComplete function never ran")
+					t.Fatal("Drained never ran")
 				}
+				results := rec.results
 				if len(results) != len(want) {
 					t.Fatalf("results = %d, want %d", len(results), len(want))
 				}
@@ -877,14 +899,17 @@ func TestMulticastThresholdRoundTable(t *testing.T) {
 				if acks != row.wantAcks {
 					t.Fatalf("acks after Wait = %d, want %d", acks, row.wantAcks)
 				}
+				if row.cancelled && entered.Load() != 0 {
+					t.Fatalf("%d sends reached handlers under a dead context", entered.Load())
+				}
 				for i := range row.to {
 					if to[i] != row.to[i] {
 						t.Fatalf("destination list modified: %v, want %v", to, row.to)
 					}
 				}
 				time.Sleep(2 * time.Millisecond)
-				if n := calls.Load(); n != 1 {
-					t.Fatalf("OnComplete function ran %d times, want 1", n)
+				if n := rec.drains.Load(); n != 1 {
+					t.Fatalf("Drained ran %d times, want 1", n)
 				}
 			})
 		}

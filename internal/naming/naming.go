@@ -218,8 +218,8 @@ type SyncResult struct {
 	Err  error // nil when the peer's bindings were merged
 }
 
-// SyncAll pulls bindings from every peer concurrently through the group
-// communication worker pool and merges the responses in peer order, so the
+// SyncAll pulls bindings from every peer concurrently — one multicast round,
+// one sender per peer — and merges the responses in peer order, so the
 // merged result is deterministic regardless of response arrival. Unreachable
 // peers report their error in the result slice and are skipped (they
 // synchronise on a later pass); the slice preserves the Multicast

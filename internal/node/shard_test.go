@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
+	"time"
 
 	"dedisys/internal/object"
 	"dedisys/internal/placement"
@@ -316,5 +318,81 @@ func TestCrossGroupTransaction(t *testing.T) {
 		if e, err := c.ByID(m).Registry.Get(ob); err != nil || e.GetInt("sold") != 4 {
 			t.Fatalf("%s: group-1 object = %v, %v", m, e, err)
 		}
+	}
+}
+
+// TestCrossGroupQuorumIsPerObject: a quorum is per object, not per batch. One
+// transaction on the bridge node writes an object of each group while the
+// links to group 1's other two replicas are 50 ms slow and group 0's answer at
+// once. The commit must wait for a group-1 backup — an ack counts toward an
+// object only from a destination whose batch carried it — where a single count
+// over the union of destinations was satisfied by group 0 alone and returned
+// with no backup holding the group-1 write.
+func TestCrossGroupQuorumIsPerObject(t *testing.T) {
+	const slow = 50 * time.Millisecond
+	c := newShardCluster(t, 6, 2, 3, func(o *Options) { o.Protocol = replication.Quorum{} })
+	ring := c.Ring
+	var bridge *Node
+	for _, n := range c.Nodes {
+		if len(ring.MemberGroups(n.ID)) == 2 {
+			bridge = n
+			break
+		}
+	}
+	if bridge == nil {
+		t.Skip("ring layout has no node serving both groups")
+	}
+	var held []transport.NodeID // group 1's replicas besides the bridge
+	for _, m := range ring.GroupReplicas(1) {
+		if m != bridge.ID {
+			held = append(held, m)
+		}
+	}
+	fast := 0
+	for _, m := range ring.GroupReplicas(0) {
+		if m != bridge.ID && !slices.Contains(held, m) {
+			fast++
+		}
+	}
+	if fast == 0 {
+		t.Skip("ring layout leaves group 0 no replica of its own")
+	}
+	oa := shardID(t, ring, 0)
+	ob := shardID(t, ring, 1)
+	for _, oid := range []object.ID{oa, ob} {
+		if err := bridge.Create("Flight", oid, object.State{"seats": int64(80), "sold": int64(0)}, c.AllReplicas(bridge.ID)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bridge.Repl.WaitPropagation()
+	c.Net.SetLatency(func(_, to transport.NodeID, _ string) time.Duration {
+		if slices.Contains(held, to) {
+			return slow
+		}
+		return 0
+	})
+	defer c.Net.SetLatency(nil)
+
+	txn := bridge.Begin()
+	if _, err := bridge.InvokeTx(txn, oa, "SellTickets", int64(3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bridge.InvokeTx(txn, ob, "SellTickets", int64(4)); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	elapsed := time.Since(start)
+	holders := 0
+	for _, m := range held {
+		if e, err := c.ByID(m).Registry.Get(ob); err == nil && e.GetInt("sold") == 4 {
+			holders++
+		}
+	}
+	bridge.Repl.WaitPropagation()
+	if elapsed < slow || holders == 0 {
+		t.Fatalf("commit returned after %v with %d group-1 backups holding %s; want >= %v and at least 1", elapsed, holders, ob, slow)
 	}
 }

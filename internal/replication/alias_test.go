@@ -224,12 +224,16 @@ func (l *vectorLog) tap(t *testing.T, h *harness) {
 	for _, id := range h.ids {
 		mgr := h.node(id).mgr
 		err := h.net.Handle(id, msgBatch, func(from transport.NodeID, payload any) (any, error) {
-			if b, ok := payload.(batchMsg); ok {
+			// A tap that records nothing must say why: a payload form it does not
+			// know would otherwise pass as "no vectors shipped".
+			if b, ok := payload.(*batchMsg); ok {
 				for i := range b.Ops {
 					l.add(b.Ops[i].Create.VV)
 					l.add(b.Ops[i].Apply.VV)
 					l.add(b.Ops[i].Delete.VV)
 				}
+			} else {
+				t.Errorf("%s payload from %s is a %T, want *batchMsg", msgBatch, from, payload)
 			}
 			return mgr.handleBatch(from, payload)
 		})
@@ -248,7 +252,7 @@ func TestAliasVectorsNeverWritten(t *testing.T) {
 	ctx := context.Background()
 	send := func(h *harness, from, to transport.NodeID, op batchOp) {
 		t.Helper()
-		if _, err := h.net.Send(ctx, from, to, msgBatch, batchMsg{Ops: []batchOp{op}}); err != nil {
+		if _, err := h.net.Send(ctx, from, to, msgBatch, &batchMsg{Ops: []batchOp{op}}); err != nil {
 			t.Fatal(err)
 		}
 	}

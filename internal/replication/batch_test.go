@@ -172,7 +172,7 @@ func TestBatchDuplicateDeliveryIdempotent(t *testing.T) {
 	vv1, _ := src.mgr.VersionVector("f1")
 	vv2, _ := src.mgr.VersionVector("f2")
 	e2, _ := src.reg.Get("f2")
-	batch := batchMsg{Ops: []batchOp{
+	batch := &batchMsg{Ops: []batchOp{
 		{Kind: msgCreate, Create: createMsg{ID: "f2", Class: "Flight", State: e2.Snapshot(), Version: e2.Version(), VV: vv2, Info: Info{Home: "n1", Replicas: h.ids}}},
 		{Kind: msgApply, Apply: applyMsg{ID: "f1", State: e1.Snapshot(), Version: e1.Version(), VV: vv1}},
 	}}
@@ -200,7 +200,7 @@ func TestBatchDuplicateDeliveryIdempotent(t *testing.T) {
 	}
 
 	// A redelivered delete keeps the object tombstoned.
-	del := batchMsg{Ops: []batchOp{{Kind: msgDelete, Delete: deleteMsg{ID: "f2", VV: vv2}}}}
+	del := &batchMsg{Ops: []batchOp{{Kind: msgDelete, Delete: deleteMsg{ID: "f2", VV: vv2}}}}
 	for round := 1; round <= 2; round++ {
 		if _, err := dst.handleBatch("n1", del); err != nil {
 			t.Fatalf("delete delivery %d: %v", round, err)
@@ -220,7 +220,7 @@ func TestBatchUnknownApplySkipped(t *testing.T) {
 	e1, _ := h.node("n1").reg.Get("f1")
 	vv1, _ := h.node("n1").mgr.VersionVector("f1")
 	vv1 = vv1.Bumped("n1")
-	batch := batchMsg{Ops: []batchOp{
+	batch := &batchMsg{Ops: []batchOp{
 		{Kind: msgApply, Apply: applyMsg{ID: "ghost", State: object.State{"sold": int64(9)}, Version: 9, VV: VersionVector{"n1": 9}}},
 		{Kind: msgApply, Apply: applyMsg{ID: "f1", State: object.State{"sold": int64(8)}, Version: e1.Version() + 1, VV: vv1}},
 	}}
@@ -248,7 +248,7 @@ func TestBatchUnknownApplySkipped(t *testing.T) {
 // bogus kind: the whole message is rejected before any op mutates state.
 func TestBatchMalformedOpRejectedAtomically(t *testing.T) {
 	h := newHarness(t, 2, PrimaryPerPartition{})
-	batch := batchMsg{Ops: []batchOp{
+	batch := &batchMsg{Ops: []batchOp{
 		{Kind: msgCreate, Create: createMsg{ID: "fx", Class: "Flight", State: object.State{"sold": int64(1)}, Version: 1, VV: VersionVector{"n1": 1}, Info: Info{Home: "n1", Replicas: h.ids}}},
 		{Kind: "repl.bogus"},
 	}}
@@ -400,7 +400,7 @@ func TestBatchMixedEffectsMatchRecorded(t *testing.T) {
 	apply := func(id object.ID, sold, version int64, vv VersionVector) batchOp {
 		return batchOp{Kind: msgApply, Apply: applyMsg{ID: id, State: object.State{"sold": sold, "tag": "x<y"}, Version: version, VV: vv}}
 	}
-	setup := batchMsg{Ops: []batchOp{
+	setup := &batchMsg{Ops: []batchOp{
 		create("a", 1, 1, VersionVector{"n1": 1}),
 		create("b", 2, 1, VersionVector{"n1": 1}),
 		create("c", 3, 4, VersionVector{"n1": 2, "n2": 2}),
@@ -412,7 +412,7 @@ func TestBatchMixedEffectsMatchRecorded(t *testing.T) {
 	}
 	before := dst.dump(t)
 
-	bad := batchMsg{Ops: []batchOp{
+	bad := &batchMsg{Ops: []batchOp{
 		apply("b", 9, 9, VersionVector{"n1": 9}),
 		{Kind: "repl.bogus", Delete: deleteMsg{ID: "zz"}},
 	}}
@@ -424,7 +424,7 @@ func TestBatchMixedEffectsMatchRecorded(t *testing.T) {
 		t.Fatalf("malformed batch changed state:\n%s\nwas:\n%s", after, before)
 	}
 
-	mixed := batchMsg{Ops: []batchOp{
+	mixed := &batchMsg{Ops: []batchOp{
 		create("d", 5, 1, VersionVector{"n1": 1}),
 		create("a", 11, 3, VersionVector{"n1": 2, "n3": 1}),
 		apply("b", 12, 2, VersionVector{"n1": 2}),
@@ -549,7 +549,7 @@ func TestBatchOneOpCasesMatchRecorded(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			h := newHarness(t, 2, PrimaryPerPartition{})
 			dst := h.node("n2")
-			setup := batchMsg{Ops: []batchOp{
+			setup := &batchMsg{Ops: []batchOp{
 				create("a", 1, 1, VersionVector{"n1": 1}, info),
 				create("b", 2, 1, VersionVector{"n1": 1}, info),
 				create("c", 3, 4, VersionVector{"n1": 2, "n2": 2}, info),
@@ -559,7 +559,7 @@ func TestBatchOneOpCasesMatchRecorded(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := dst.dump(t)
-			resp, err := dst.mgr.handleBatch("n1", batchMsg{Ops: []batchOp{tc.op}})
+			resp, err := dst.mgr.handleBatch("n1", &batchMsg{Ops: []batchOp{tc.op}})
 			if err != nil {
 				t.Fatal(err)
 			}

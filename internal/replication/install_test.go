@@ -29,7 +29,7 @@ func (h *harness) soldOp(id object.ID, n int64) batchOp {
 // deliver hands the ops to the replica as one batch.
 func (env *nodeEnv) deliver(t *testing.T, ops ...batchOp) {
 	t.Helper()
-	if _, err := env.mgr.handleBatch("n1", batchMsg{Ops: ops}); err != nil {
+	if _, err := env.mgr.handleBatch("n1", &batchMsg{Ops: ops}); err != nil {
 		t.Error(err)
 	}
 }

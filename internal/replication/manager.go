@@ -185,12 +185,13 @@ type replicaState struct {
 type stagedOp struct {
 	op       batchOp
 	dests    []transport.NodeID
-	replicas int // full replica count, the quorum denominator
+	replicas int   // full replica count, the quorum denominator
+	remote   int32 // dests without this node, counted by commitBatched
 }
 
 // stagedPool recycles the staging buffer of commitBatched; the buffer never
-// escapes the commit (background straggler sends hold the per-destination
-// batches, not the staging slice).
+// escapes the commit (background straggler sends hold the commit's round and
+// its copy of the ops, not the staging slice).
 var stagedPool = sync.Pool{New: func() any { return new([]stagedOp) }}
 
 // remoteCreate is a creation coordinated by a node outside the object's
@@ -691,90 +692,195 @@ func (m *Manager) stage(w tx.Write, view group.View, degraded bool) (s stagedOp,
 	return s, err == nil, err
 }
 
-// commitBatched assembles the staged operations into per-destination batches
-// and ships them in a single concurrent multicast round.
+// commitBatched ships the staged operations in one multicast round: each
+// remote destination receives one message holding the ops whose objects it
+// replicates (deletes address every view member under full replication, the
+// ring-derived replica group under sharded placement), in sorted destination
+// order. A commit whose replicas are all local (single-node, or the
+// coordinator is the only reachable replica) makes no round at all — the
+// round is allocated at the first remote destination found.
 func (m *Manager) commitBatched(ctx context.Context, staged []stagedOp) error {
-	// Each remote destination receives one message holding only the ops whose
-	// objects it replicates (deletes address every view member under full
-	// replication, the ring-derived replica group under sharded placement).
-	// The batches are contiguous runs of one backing array, in sorted
-	// destination order; nothing writes to either after this block. A commit
-	// whose replicas are all local (single-node, or the coordinator is the
-	// only reachable replica) skips the multicast machinery entirely.
-	var dests []transport.NodeID
+	var r *commitRound
 	total := 0
-	for _, s := range staged {
+	for k := range staged {
+		s := &staged[k]
+		s.remote = 0
 		for _, d := range s.dests {
 			if d == m.self {
 				continue
 			}
-			total++
-			if !slices.Contains(dests, d) {
-				if dests == nil {
-					dests = make([]transport.NodeID, 0, len(s.dests))
-				}
-				dests = append(dests, d)
+			s.remote++
+			if r == nil {
+				r = &commitRound{m: m}
+				r.From, r.Kind, r.To = m.self, msgBatch, r.room[:0]
+			}
+			if !slices.Contains(r.To, d) {
+				r.To = append(r.To, d)
 			}
 		}
+		total += int(s.remote)
 	}
-	if dests == nil {
+	if r == nil {
 		return nil
 	}
-	slices.Sort(dests)
-	batches := make([]batchMsg, len(dests))
-	ops := make([]batchOp, 0, total)
-	for i, d := range dests {
-		first := len(ops)
-		for _, s := range staged {
-			if slices.Contains(s.dests, d) {
-				ops = append(ops, s.op)
+	slices.Sort(r.To)
+	// When every destination replicates every object — each op has as many
+	// remote destinations as their union: every single-group commit — all of
+	// them are sent the same ops, so one run and one message serve the round.
+	// Otherwise the batches are contiguous runs of one backing array. Nothing
+	// writes to either after this block.
+	uniform := total == len(staged)*len(r.To)
+	if uniform {
+		ops := make([]batchOp, len(staged))
+		for k := range staged {
+			ops[k] = staged[k].op
+		}
+		r.shared.Ops = ops
+	} else {
+		r.batches = make([]batchMsg, len(r.To))
+		ops := make([]batchOp, 0, total)
+		for i, d := range r.To {
+			first := len(ops)
+			for k := range staged {
+				if slices.Contains(staged[k].dests, d) {
+					ops = append(ops, staged[k].op)
+				}
+			}
+			r.batches[i].Ops = ops[first:len(ops):len(ops)]
+		}
+	}
+	if tp, isThreshold := m.protocol.(ThresholdPolicy); isThreshold {
+		// Threshold commit: the round returns once every object of the batch
+		// has its own quorum. The coordinator's own apply is an object's first
+		// ack, so its remote requirement is one less; it can never exceed the
+		// object's reachable destinations (WriteAllowed gated on the quorum
+		// being reachable, and reconciliation covers races between that check
+		// and the send). A batch no object of which waits for a remote ack
+		// starts its sends and returns.
+		m.quorumRounds.Inc()
+		r.Until = group.AtOnce
+		for k := range staged {
+			s := &staged[k]
+			t := tally{missing: min(int32(tp.CommitAcks(s.replicas))-1, s.remote), open: s.remote}
+			if t.missing <= 0 {
+				continue
+			}
+			r.Until = group.OnVerdict
+			switch {
+			case !uniform:
+				if r.objects == nil {
+					r.objects = make([]objectAcks, 0, len(staged)-k)
+				}
+				r.objects = append(r.objects, objectAcks{dests: s.dests, tally: t})
+			case t.missing > r.all.missing:
+				r.all = t // shared destinations: the strictest object decides
 			}
 		}
-		batches[i].Ops = ops[first:len(ops):len(ops)]
 	}
 	m.batchRounds.Inc()
 	m.batchSize.Add(int64(len(staged)))
-	payloadFor := func(dst transport.NodeID) any {
-		i, _ := slices.BinarySearch(dests, dst)
-		return batches[i]
+	m.propagation.Add(1)
+	if err := m.comm.Run(ctx, &r.Round, r); err != nil {
+		m.quorumShort.Inc()
+		m.propErrors.Inc()
+		return fmt.Errorf("replication: quorum commit: %w", err)
 	}
-	if tp, isThreshold := m.protocol.(ThresholdPolicy); isThreshold {
-		// Threshold commit: the round returns once the strictest quorum over
-		// the batch's objects is satisfied. The coordinator's own apply is
-		// the first ack, so the remote requirement is one less; it can never
-		// exceed the reachable destinations (WriteAllowed gated on the
-		// quorum being reachable, and reconciliation covers races between
-		// that check and the send).
-		need := 0
-		for _, s := range staged {
-			if remote := tp.CommitAcks(s.replicas) - 1; remote > need {
-				need = remote
-			}
-		}
-		if need > len(dests) {
-			need = len(dests)
-		}
-		m.quorumRounds.Inc()
-		call := m.comm.MulticastThreshold(ctx, m.self, dests, msgBatch, payloadFor, need)
-		var err error
-		if call.Err != nil {
-			m.quorumShort.Inc()
-			m.propErrors.Inc()
-			err = fmt.Errorf("replication: quorum commit: %w", call.Err)
-		}
-		// Straggler sends complete in the background; their failures stay
-		// visible through the metric once the round fully drains. The last
-		// send to finish does the joining, so no goroutine parks on the round.
-		m.propagation.Add(1)
-		call.OnComplete(func(results []group.Result) {
-			m.countSendFailures(results)
-			m.propagation.Done()
-		})
-		return err
-	}
-	m.countSendFailures(m.comm.MulticastEach(ctx, m.self, dests, msgBatch, payloadFor))
 	return nil
 }
+
+// tally is the ack account of a threshold commit: of one object, or of the
+// whole batch when every destination carries every object.
+type tally struct {
+	missing int32 // acks the commit still waits for
+	open    int32 // destinations that have not answered
+}
+
+// answer books one destination's outcome and returns the standing after it.
+func (t *tally) answer(acked bool) group.Verdict {
+	t.open--
+	if acked {
+		t.missing--
+	}
+	return t.verdict()
+}
+
+func (t *tally) verdict() group.Verdict {
+	switch {
+	case t.missing <= 0:
+		return group.Satisfied
+	case t.missing > t.open:
+		return group.Hopeless
+	}
+	return group.Open
+}
+
+// objectAcks is one object's account in a mixed batch: an ack counts toward
+// the object only from a destination whose batch carried it.
+type objectAcks struct {
+	dests []transport.NodeID
+	tally
+}
+
+// commitRound is one commit's multicast round and its owner: what each
+// destination is sent, and when the commit may return. It is the commit's
+// one allocation besides the ops; the background straggler sends hold it, so
+// it is never recycled (the staging buffer, which it does not reference, is).
+type commitRound struct {
+	group.Round
+	m *Manager
+	// shared is what every destination is sent when all of them replicate
+	// every object of the batch; batches, one per destination, is set
+	// otherwise.
+	shared  batchMsg
+	batches []batchMsg
+	// all is the batch's one account when the destinations are shared — the
+	// plain count — and objects the per-object accounts of a mixed batch:
+	// the commit is satisfied when every object has its own quorum, hopeless
+	// when one no longer can. Under a protocol that waits for every replica
+	// neither is set and the verdicts go unread.
+	all     tally
+	objects []objectAcks
+	room    [3]transport.NodeID // To's backing, up to a replica group's usual remotes
+}
+
+// Payload implements group.Owner.
+func (r *commitRound) Payload(i int) any {
+	if r.batches == nil {
+		return &r.shared
+	}
+	return &r.batches[i]
+}
+
+// Answered implements group.Owner. Send failures are non-fatal — unreachable
+// replicas catch up during reconciliation — but visible: each is counted in
+// replication.propagation_errors, stragglers' included.
+func (r *commitRound) Answered(i int, _ any, err error) group.Verdict {
+	if err != nil {
+		r.m.propErrors.Inc()
+	}
+	if r.objects == nil {
+		return r.all.answer(err == nil)
+	}
+	v := group.Satisfied
+	for k := range r.objects {
+		o := &r.objects[k]
+		ov := o.verdict()
+		if slices.Contains(o.dests, r.To[i]) {
+			ov = o.answer(err == nil)
+		}
+		switch {
+		case ov == group.Hopeless:
+			v = group.Hopeless
+		case ov == group.Open && v == group.Satisfied:
+			v = group.Open
+		}
+	}
+	return v
+}
+
+// Drained implements group.Owner: the round's last send — a background
+// straggler's, after a threshold return — has finished.
+func (r *commitRound) Drained() { r.m.propagation.Done() }
 
 // stageCreate does the coordinator's bookkeeping for a created object —
 // first version-vector event, persisted replica descriptor (JNDI name, primary
@@ -883,18 +989,6 @@ func (m *Manager) WaitPropagation() { m.propagation.Wait() }
 // compensations in the undo log, and nothing else is kept per transaction.
 func (m *Manager) Rollback(t *tx.Tx) error { return nil }
 
-// countSendFailures records per-destination propagation failures in the
-// replication.propagation_errors metric. The failures are non-fatal —
-// unreachable replicas catch up during reconciliation — but no longer
-// invisible.
-func (m *Manager) countSendFailures(results []group.Result) {
-	for _, res := range results {
-		if res.Err != nil {
-			m.propErrors.Inc()
-		}
-	}
-}
-
 func (m *Manager) recordHistory(id object.ID, st object.State, version int64, vv VersionVector, degraded bool) {
 	if !degraded || !m.keepHistory {
 		return
@@ -932,8 +1026,12 @@ func (m *Manager) PropagateState(ctx context.Context, id object.ID) error {
 		return err
 	}
 	// A one-op batch: repl.batch is the only wire format of a replica write.
-	batch := batchMsg{Ops: []batchOp{{Kind: msgApply, Apply: msg}}}
-	m.countSendFailures(m.comm.Multicast(ctx, m.self, info.reachableReplicas(m.view()), msgBatch, batch))
+	batch := &batchMsg{Ops: []batchOp{{Kind: msgApply, Apply: msg}}}
+	for _, res := range m.comm.Multicast(ctx, m.self, info.reachableReplicas(m.view()), msgBatch, batch) {
+		if res.Err != nil {
+			m.propErrors.Inc() // non-fatal, as a commit's: see commitRound.Answered
+		}
+	}
 	return nil
 }
 
@@ -941,7 +1039,7 @@ func (m *Manager) PropagateState(ctx context.Context, id object.ID) error {
 
 // handleBatch applies one transaction batch and acks with its counts.
 func (m *Manager) handleBatch(from transport.NodeID, payload any) (any, error) {
-	b, ok := payload.(batchMsg)
+	b, ok := payload.(*batchMsg)
 	if !ok {
 		return nil, fmt.Errorf("replication: bad batch payload %T", payload)
 	}

@@ -287,9 +287,10 @@ func (AdaptiveVoting) PossiblyStale(info Info, view group.View) bool {
 
 // ThresholdPolicy is implemented by protocols whose commit propagation may
 // return after a threshold of replica acks instead of a full round: the
-// manager then ships batches through group.MulticastThreshold, the straggler
-// sends complete in the background, and replicas that missed the round catch
-// up through version-vector reconciliation.
+// manager then runs the commit's multicast round with release on verdict
+// (group.OnVerdict; every object of the batch needs its own CommitAcks), the
+// straggler sends complete in the background, and replicas that missed the
+// round catch up through version-vector reconciliation.
 type ThresholdPolicy interface {
 	// CommitAcks returns how many replica acks — counting the coordinator's
 	// own local apply — a commit must gather before it returns, for an

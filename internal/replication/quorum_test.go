@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"dedisys/internal/group"
 	"dedisys/internal/object"
 	"dedisys/internal/transport"
 )
@@ -211,7 +212,7 @@ func TestQuorumDuplicateBatchIdempotent(t *testing.T) {
 	src := h.node("n1")
 	e1, _ := src.reg.Get("f1")
 	vv1, _ := src.mgr.VersionVector("f1")
-	batch := batchMsg{Ops: []batchOp{
+	batch := &batchMsg{Ops: []batchOp{
 		{Kind: msgApply, Apply: applyMsg{ID: "f1", State: e1.Snapshot(), Version: e1.Version(), VV: vv1}},
 	}}
 
@@ -248,4 +249,41 @@ func TestQuorumExplicitThresholdWaitsForAll(t *testing.T) {
 			t.Fatalf("node %s = %d right after full-threshold commit, want 77", nid, e.GetInt("sold"))
 		}
 	}
+}
+
+// TestQuorumPerObjectShortfall: a batch over two replica groups is hopeless as
+// soon as one object can no longer reach its quorum, however many replicas of
+// the other acked. The staged ops are handed to commitBatched directly, past
+// WriteAllowed — the race between that check and the send is the only way a
+// commit meets an unreachable quorum. (A single count over the union of
+// destinations took the other group's acks for this one's and reported
+// success.)
+func TestQuorumPerObjectShortfall(t *testing.T) {
+	h := newHarness(t, 5, Quorum{})
+	h.net.Crash("n4")
+	h.net.Crash("n5")
+	apply := func(id object.ID) batchOp {
+		return batchOp{Kind: msgApply, Apply: applyMsg{ID: id, Version: 1, VV: VersionVector{"n1": 1}}}
+	}
+	staged := []stagedOp{
+		{op: apply("a"), dests: []transport.NodeID{"n1", "n2", "n3"}, replicas: 3},
+		{op: apply("b"), dests: []transport.NodeID{"n1", "n4", "n5"}, replicas: 3},
+	}
+	mgr := h.node("n1").mgr
+	err := mgr.commitBatched(context.Background(), staged)
+	mgr.WaitPropagation()
+	if !errors.Is(err, group.ErrThresholdShort) {
+		t.Fatalf("commit with one object's quorum unreachable = %v, want ErrThresholdShort", err)
+	}
+	if got := mgr.quorumShort.Load(); got != 1 {
+		t.Fatalf("replication.quorum.short = %d, want 1", got)
+	}
+
+	// The same two objects with one replica of each group down: both have
+	// their majority, and the commit says so.
+	h.net.Recover("n5")
+	if err := mgr.commitBatched(context.Background(), staged); err != nil {
+		t.Fatalf("commit with a majority of each group = %v", err)
+	}
+	mgr.WaitPropagation()
 }

@@ -59,9 +59,9 @@ type ReconcileReport struct {
 // after a view change re-unites partitions (§4.4). The context bounds the
 // whole pass: every pull, push and conflict broadcast inherits it.
 //
-// The per-peer state pulls fan out concurrently through the group
-// communication worker pool — re-uniting N partitions costs ~1 pull round
-// of simulated time instead of ~N — while the merge itself runs sequentially
+// The per-peer state pulls fan out concurrently as one multicast round, one
+// sender per peer — re-uniting N partitions costs ~1 pull round of
+// simulated time instead of ~N — while the merge itself runs sequentially
 // in peer order, so the outcome is deterministic and identical to the
 // sequential pass.
 func (m *Manager) ReconcileWith(ctx context.Context, peers []transport.NodeID, resolve ConflictResolver) (ReconcileReport, error) {
@@ -175,7 +175,7 @@ func createFromRecord(rec Record) createMsg {
 // decides a repair exactly as it decides a commit's op. A lost send fails the
 // pass; the next one retries.
 func (m *Manager) sendOp(ctx context.Context, peer transport.NodeID, op batchOp) error {
-	if _, err := m.comm.Send(ctx, m.self, peer, msgBatch, batchMsg{Ops: []batchOp{op}}); err != nil {
+	if _, err := m.comm.Send(ctx, m.self, peer, msgBatch, &batchMsg{Ops: []batchOp{op}}); err != nil {
 		return fmt.Errorf("replication: push %s of %s to %s: %w", op.Kind, op.id(), peer, err)
 	}
 	return nil

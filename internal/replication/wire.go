@@ -26,8 +26,14 @@ import (
 // how they travel nested in another payload or with an error, how a batch
 // whose state the form cannot carry travels, and the reference the forms are
 // tested against.
+//
+// A batch travels as *batchMsg — a commit's round hands its senders pointers
+// into its own memory — and handleBatch accepts nothing else, so both bodies
+// deliver the pointer: registered under the name gob.Register would give the
+// value type, the pointer puts the same bytes on the wire and is what a gob
+// frame decodes to.
 func init() {
-	gob.Register(batchMsg{})
+	gob.RegisterName("dedisys/internal/replication.batchMsg", &batchMsg{})
 	gob.RegisterName("repl.ack", batchAck{})
 	gob.Register(fetchReply{})
 	gob.Register(Record{})
@@ -49,14 +55,14 @@ const (
 	wireOpDelete
 )
 
-func (batchMsg) WireTag() byte { return wireTagBatch }
+func (*batchMsg) WireTag() byte { return wireTagBatch }
 
 // AppendWire writes the op count, then per op its kind byte and the fields of
 // the one message that kind selects: ID, state, version and vector for create
 // and apply, then class and placement for create; ID and vector for delete.
 // It declines a state the State form declines and an op kind it does not
 // know, which then reaches applyOps' own rejection through gob as before.
-func (b batchMsg) AppendWire(dst []byte) ([]byte, bool) {
+func (b *batchMsg) AppendWire(dst []byte) ([]byte, bool) {
 	out := binary.AppendUvarint(dst, uint64(len(b.Ops)))
 	for i := range b.Ops {
 		ok := true
@@ -92,7 +98,8 @@ func (b batchMsg) AppendWire(dst []byte) ([]byte, bool) {
 	return out, true
 }
 
-// readBatchWire is batchMsg.AppendWire's inverse. Object IDs and attribute
+// readBatchWire is batchMsg.AppendWire's inverse; like every sender it hands
+// over a *batchMsg. Object IDs and attribute
 // values are fresh strings; class names and node IDs come out of the link's
 // name table. Like gob it leaves an empty op or replica list nil.
 func readBatchWire(r *transport.WireReader) any {
@@ -135,7 +142,7 @@ func readBatchWire(r *transport.WireReader) any {
 			return nil
 		}
 	}
-	return batchMsg{Ops: ops}
+	return &batchMsg{Ops: ops}
 }
 
 func (batchAck) WireTag() byte { return wireTagAck }

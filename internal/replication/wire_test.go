@@ -46,8 +46,8 @@ func wireCases() []wireCase {
 	create := createMsg{ID: "acct-1", Class: "Account", State: st, Version: 4, VV: vv, Info: info}
 	apply := applyMsg{ID: "acct-1", State: st, Version: 5, VV: vv}
 	del := deleteMsg{ID: "acct-1", VV: vv}
-	applyOf := func(st object.State) batchMsg {
-		return batchMsg{Ops: []batchOp{{Kind: msgApply, Apply: applyMsg{ID: "x", State: st, Version: 2, VV: vv}}}}
+	applyOf := func(st object.State) *batchMsg {
+		return &batchMsg{Ops: []batchOp{{Kind: msgApply, Apply: applyMsg{ID: "x", State: st, Version: 2, VV: vv}}}}
 	}
 
 	var four []batchOp
@@ -61,36 +61,36 @@ func wireCases() []wireCase {
 		}
 	}
 	return []wireCase{
-		{name: "create, apply and delete in one batch", self: true, payload: batchMsg{Ops: []batchOp{
+		{name: "create, apply and delete in one batch", self: true, payload: &batchMsg{Ops: []batchOp{
 			{Kind: msgCreate, Create: create},
 			{Kind: msgApply, Apply: apply},
 			{Kind: msgDelete, Delete: del},
 		}}},
-		{name: "four applies", self: true, payload: batchMsg{Ops: four}},
-		{name: "nil state, vector and replicas", self: true, payload: batchMsg{Ops: []batchOp{
+		{name: "four applies", self: true, payload: &batchMsg{Ops: four}},
+		{name: "nil state, vector and replicas", self: true, payload: &batchMsg{Ops: []batchOp{
 			{Kind: msgCreate, Create: createMsg{ID: "n"}},
 			{Kind: msgApply, Apply: applyMsg{ID: "n"}},
 			{Kind: msgDelete, Delete: deleteMsg{ID: "n"}},
 		}}},
-		{name: "empty state, vector, replicas and lists", self: true, lossy: true, payload: batchMsg{Ops: []batchOp{
+		{name: "empty state, vector, replicas and lists", self: true, lossy: true, payload: &batchMsg{Ops: []batchOp{
 			{Kind: msgCreate, Create: createMsg{ID: "e", State: object.State{}, VV: VersionVector{}, Info: Info{Replicas: []transport.NodeID{}}}},
 			{Kind: msgApply, Apply: applyMsg{ID: "e", State: object.State{"refs": []object.ID{}, "tags": []string{}}, VV: VersionVector{}}},
 			{Kind: msgDelete, Delete: deleteMsg{ID: "e", VV: VersionVector{}}},
 		}}},
-		{name: "no ops", self: true, payload: batchMsg{}},
-		{name: "empty op list", self: true, lossy: true, payload: batchMsg{Ops: []batchOp{}}},
+		{name: "no ops", self: true, payload: &batchMsg{}},
+		{name: "empty op list", self: true, lossy: true, payload: &batchMsg{Ops: []batchOp{}}},
 		{name: "more than eight attributes", self: true, payload: applyOf(wide)},
 		{name: "int, int64 and float64 stay apart", self: true, payload: applyOf(object.State{
 			"int": 7, "int64": int64(7), "float": 7.0, "negzero": math.Copysign(0, -1), "big": 1e21, "inf": math.Inf(-1),
 			"maxint": math.MaxInt, "minint": math.MinInt, "max64": int64(math.MaxInt64), "min64": int64(math.MinInt64),
 		})},
-		{name: "empty and non-UTF-8 strings", self: true, payload: batchMsg{Ops: []batchOp{{Kind: msgApply, Apply: applyMsg{
+		{name: "empty and non-UTF-8 strings", self: true, payload: &batchMsg{Ops: []batchOp{{Kind: msgApply, Apply: applyMsg{
 			ID: "\xff\x00id", State: object.State{"": "", "\xfe": "\xff\xfe\x00", "id": object.ID(""), "ids": []object.ID{"", "\x80"}},
 			Version: math.MinInt64, VV: VersionVector{"": math.MaxInt64, "\xff": -1},
 		}}}}},
 		{name: "nested map declines", payload: applyOf(object.State{"v": int64(1), "nested": map[string]any{"k": "v"}})},
 		{name: "nested list declines", payload: applyOf(object.State{"list": []any{"a", int64(1)}})},
-		{name: "bad op kind declines", payload: batchMsg{Ops: []batchOp{{Kind: msgApply, Apply: apply}, {Kind: "repl.bogus"}}}},
+		{name: "bad op kind declines", payload: &batchMsg{Ops: []batchOp{{Kind: msgApply, Apply: apply}, {Kind: "repl.bogus"}}}},
 		// Handler acks that cross back as responses.
 		{name: "ack", self: true, payload: batchAck{Applied: 1}},
 		{name: "all-zero ack", self: true, payload: batchAck{}}, // gob sends no field, the type must still arrive
@@ -172,7 +172,7 @@ func TestWireCodecReplicationPayloads(t *testing.T) {
 // applyOps on the receiving replica, atomically, as on the simulator.
 func TestBadOpKindCrossesWireToApplyOps(t *testing.T) {
 	h := newHarness(t, 1, PrimaryPerPartition{})
-	sent := batchMsg{Ops: []batchOp{{Kind: "repl.bogus"}}}
+	sent := &batchMsg{Ops: []batchOp{{Kind: "repl.bogus"}}}
 	got, self, err := wiretransport.RoundTripFrame(sent)
 	if err != nil || self {
 		t.Fatalf("frame round trip: self-encoded = %v, err = %v", self, err)
@@ -188,7 +188,7 @@ func TestBadOpKindCrossesWireToApplyOps(t *testing.T) {
 // vector (count+1, then node ID and counter in byte order), and for a create
 // the class, home and replica list; strings as length and bytes.
 func TestBatchWireGolden(t *testing.T) {
-	batch := batchMsg{Ops: []batchOp{
+	batch := &batchMsg{Ops: []batchOp{
 		{Kind: msgCreate, Create: createMsg{ID: "o1", Class: "C", State: object.State{"n": int64(-2), "b": true, "a": "x"}, Version: 3,
 			VV: VersionVector{"n2": 1, "n1": 2}, Info: NewInfo("n1", []transport.NodeID{"n2", "n1"})}},
 		{Kind: msgApply, Apply: applyMsg{ID: "o1", State: object.State{"f": 1.5, "r": []object.ID{"o2"}}, Version: 4, VV: VersionVector{"n1": 3}}},
@@ -224,7 +224,7 @@ func TestBatchDecodeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race runtime allocates on paths the production build does not")
 	}
-	batch := batchMsg{Ops: []batchOp{{Kind: msgApply, Apply: applyMsg{
+	batch := &batchMsg{Ops: []batchOp{{Kind: msgApply, Apply: applyMsg{
 		ID: "bean000001", State: object.State{"value": int64(1 << 40)}, Version: 9, VV: VersionVector{"n1": 8},
 	}}}}
 	data, _ := batch.AppendWire(nil)
@@ -250,7 +250,7 @@ func TestBatchDecodeAllocs(t *testing.T) {
 // bytes, not DeepEqual, because a NaN attribute is not equal to itself.
 func FuzzDecodeBatch(f *testing.F) {
 	for _, tc := range wireCases() {
-		if b, ok := tc.payload.(batchMsg); ok && tc.self {
+		if b, ok := tc.payload.(*batchMsg); ok && tc.self {
 			data, _ := b.AppendWire(nil)
 			f.Add(data)
 		}
@@ -262,7 +262,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		if r.Err() != nil {
 			return
 		}
-		again, ok := got.(batchMsg).AppendWire(nil)
+		again, ok := got.(*batchMsg).AppendWire(nil)
 		if !ok {
 			t.Fatalf("decoded batch %#v declines to encode", got)
 		}
@@ -271,7 +271,7 @@ func FuzzDecodeBatch(f *testing.F) {
 		if r.Err() != nil || r.Len() != 0 {
 			t.Fatalf("re-encoded batch does not decode: %v, %d bytes left", r.Err(), r.Len())
 		}
-		if final, _ := back.(batchMsg).AppendWire(nil); !bytes.Equal(final, again) {
+		if final, _ := back.(*batchMsg).AppendWire(nil); !bytes.Equal(final, again) {
 			t.Fatalf("not a fixed point:\n first  %x\n second %x", again, final)
 		}
 	})
