@@ -245,15 +245,17 @@ func (m *Manager) RegisterNegotiationHandler(t *tx.Tx, h threat.Handler) {
 	t.Put(keyNegHandler, h)
 }
 
-// handleThreatAdd stores a threat replicated from a partition peer.
+// handleThreatAdd stores the threats replicated from a partition peer.
 func (m *Manager) handleThreatAdd(from transport.NodeID, payload any) (any, error) {
-	th, ok := payload.(threat.Threat)
+	ths, ok := payload.([]threat.Threat)
 	if !ok {
 		return nil, fmt.Errorf("core: bad threat payload %T", payload)
 	}
-	th.Seq = 0 // local store assigns its own sequence
-	if _, _, err := m.threats.Add(th); err != nil {
-		return nil, err
+	for _, th := range ths {
+		th.Seq = 0 // local store assigns its own sequence
+		if _, _, err := m.threats.Add(th); err != nil {
+			return nil, err
+		}
 	}
 	return "ack", nil
 }
@@ -263,26 +265,27 @@ func (m *Manager) handleThreatPull(from transport.NodeID, payload any) (any, err
 	return m.threats.All(), nil
 }
 
-// handleThreatRemove drops a threat identity removed by a reconciling peer.
+// handleThreatRemove drops the threat identities a peer removed.
 func (m *Manager) handleThreatRemove(from transport.NodeID, payload any) (any, error) {
-	ident, ok := payload.(string)
+	idents, ok := payload.([]string)
 	if !ok {
 		return nil, fmt.Errorf("core: bad threat removal payload %T", payload)
 	}
-	m.threats.RemoveIdentity(ident)
+	for _, ident := range idents {
+		m.threats.RemoveIdentity(ident)
+	}
 	return "ack", nil
 }
 
-// removeIdentityEverywhere removes a threat identity locally and on all
-// reachable view members, keeping the replicated threat stores convergent.
-func (m *Manager) removeIdentityEverywhere(callCtx context.Context, ident string) {
-	m.threats.RemoveIdentity(ident)
-	if m.comm == nil || m.gms == nil {
-		return
+// announceRemoved tells all reachable view members, in one message, to drop
+// the threat identities this node has removed, keeping the replicated threat
+// stores convergent, and empties the list; unreachable members converge at
+// their next reconciliation.
+func (m *Manager) announceRemoved(callCtx context.Context, idents *[]string) {
+	if len(*idents) > 0 && m.comm != nil && m.gms != nil {
+		m.comm.Multicast(callCtx, m.self, m.gms.ViewOf(m.self).Members, msgThreatRemove, *idents)
 	}
-	for _, res := range m.comm.Multicast(callCtx, m.self, m.gms.ViewOf(m.self).Members, msgThreatRemove, ident) {
-		_ = res // unreachable members converge at their next reconciliation
-	}
+	*idents = nil
 }
 
 // lookup resolves an object through the replication manager, which reports

@@ -388,17 +388,41 @@ func TestPartitionWeightInContext(t *testing.T) {
 	}
 }
 
+// TestHandleThreatAddBadPayload: ccm.threat.add accepts a threat list and
+// ccm.threat.remove an identity list, and nothing else — the retired
+// one-threat and one-identity payloads included.
 func TestHandleThreatAddBadPayload(t *testing.T) {
 	env := newReplEnv(t)
-	if _, err := env.net.Send(context.Background(), "n2", "n1", "ccm.threat.add", "not a threat"); err == nil {
-		t.Fatal("bad payload accepted")
-	}
+	ctx := context.Background()
 	th := threat.Threat{Constraint: "C1", ContextID: "f1", Degree: constraint.PossiblySatisfied}
-	if _, err := env.net.Send(context.Background(), "n2", "n1", "ccm.threat.add", th); err != nil {
+	for _, bad := range []struct {
+		kind    string
+		payload any
+	}{
+		{"ccm.threat.add", "not a threat"},
+		{"ccm.threat.add", th},
+		{"ccm.threat.add", []string{th.Identity()}},
+		{"ccm.threat.add", nil},
+		{"ccm.threat.remove", th.Identity()},
+		{"ccm.threat.remove", []threat.Threat{th}},
+		{"ccm.threat.remove", nil},
+	} {
+		if _, err := env.net.Send(ctx, "n2", "n1", bad.kind, bad.payload); err == nil {
+			t.Fatalf("%s accepted a %T", bad.kind, bad.payload)
+		}
+	}
+	other := threat.Threat{Constraint: "C1", ContextID: "f2", Degree: constraint.Uncheckable, Seq: 9}
+	if _, err := env.net.Send(ctx, "n2", "n1", "ccm.threat.add", []threat.Threat{th, other, th}); err != nil {
 		t.Fatal(err)
 	}
-	if env.ths.Len() != 1 {
-		t.Fatalf("threats = %d", env.ths.Len())
+	if env.ths.Len() != 2 {
+		t.Fatalf("threats = %d, want the two identities", env.ths.Len())
+	}
+	if _, err := env.net.Send(ctx, "n2", "n1", "ccm.threat.remove", []string{th.Identity(), "unknown", other.Identity()}); err != nil {
+		t.Fatal(err)
+	}
+	if env.ths.Len() != 0 {
+		t.Fatalf("threats after removal = %d", env.ths.Len())
 	}
 }
 

@@ -260,12 +260,8 @@ func (m *Manager) Commit(t *tx.Tx) error {
 	if len(accepted) == 0 {
 		return nil
 	}
-	members := m.gms.ViewOf(m.self).Members
-	for _, th := range accepted {
-		for _, res := range m.comm.Multicast(t.Context(), m.self, members, msgThreatAdd, th) {
-			_ = res // peers out of reach replicate during reconciliation
-		}
-	}
+	// Peers out of reach replicate during reconciliation.
+	m.comm.Multicast(t.Context(), m.self, m.gms.ViewOf(m.self).Members, msgThreatAdd, accepted)
 	return nil
 }
 
@@ -352,7 +348,8 @@ func (m *Manager) clearSatisfiedThreats(t *tx.Tx, meta constraint.Meta, ctx *val
 	if len(removed) == 0 {
 		return
 	}
-	m.removeIdentityEverywhere(t.Context(), ident)
+	m.threats.RemoveIdentity(ident)
+	m.announceRemoved(t.Context(), &[]string{ident})
 	t.RecordUndo(func() {
 		for _, old := range removed {
 			old.Seq = 0

@@ -60,28 +60,19 @@ func (m *Manager) NoteReplicaConflicts(ids []object.ID) {
 }
 
 // PropagateThreats ships all locally stored consistency threats to the
-// given peers. The replication service propagates missed updates "including
+// given peers, one message per peer, and returns how many threats were
+// delivered. The replication service propagates missed updates "including
 // consistency threats" when partitions re-unify (§5.2); the reconciliation
 // orchestrator calls this as part of the replica phase, which is why that
 // phase scales with the number of stored threat records (Figure 5.6).
 func (m *Manager) PropagateThreats(ctx context.Context, peers []transport.NodeID) (int, error) {
-	if m.comm == nil {
+	if m.comm == nil || m.threats.Len() == 0 {
 		return 0, nil
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	sent := 0
-	for _, th := range m.threats.All() {
-		for _, peer := range peers {
-			if peer == m.self {
-				continue
-			}
-			if _, err := m.comm.Send(ctx, m.self, peer, msgThreatAdd, th); err != nil {
-				// Peer unreachable again: it will catch up next time.
-				continue
-			}
-			sent++
+	all, sent := m.threats.All(), 0
+	for _, res := range m.comm.Multicast(ctx, m.self, peers, msgThreatAdd, all) {
+		if res.Err == nil { // else unreachable again: it will catch up next time
+			sent += len(all)
 		}
 	}
 	return sent, nil
@@ -89,26 +80,20 @@ func (m *Manager) PropagateThreats(ctx context.Context, peers []transport.NodeID
 
 // PullThreats imports the threats stored on the given peers — threats
 // recorded in other partitions during the degraded period that this node
-// has not seen yet (missed updates include threat data, §5.2).
+// has not seen yet (missed updates include threat data, §5.2). The pulls are
+// one round; the replies merge in peer order.
 func (m *Manager) PullThreats(ctx context.Context, peers []transport.NodeID) (int, error) {
 	if m.comm == nil {
 		return 0, nil
 	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	imported := 0
-	for _, peer := range peers {
-		if peer == m.self {
-			continue
-		}
-		resp, err := m.comm.Send(ctx, m.self, peer, msgThreatPull, nil)
-		if err != nil {
+	for _, res := range m.comm.Multicast(ctx, m.self, peers, msgThreatPull, nil) {
+		if res.Err != nil {
 			continue // unreachable again; next reconciliation catches up
 		}
-		remote, ok := resp.([]threat.Threat)
+		remote, ok := res.Response.([]threat.Threat)
 		if !ok {
-			return imported, fmt.Errorf("core: bad threat pull response %T from %s", resp, peer)
+			return imported, fmt.Errorf("core: bad threat pull response %T from %s", res.Response, res.Node)
 		}
 		for _, th := range remote {
 			th.Seq = 0
@@ -142,7 +127,10 @@ const maxResolveRetries = 3
 
 // ReconcileThreats re-evaluates all accepted consistency threats (§3.3,
 // §4.4). It must run after replica reconciliation has re-established replica
-// consistency. Identical threats are re-evaluated once per identity.
+// consistency. Identical threats are re-evaluated once per identity. An
+// identity that is done with is removed locally at once; the peers are told of
+// all of them together (announceRemoved) when the pass returns, and before
+// each hand-over to application code, which may take an operator's time.
 func (m *Manager) ReconcileThreats(callCtx context.Context) (ThreatReport, error) {
 	if callCtx == nil {
 		callCtx = context.Background()
@@ -159,6 +147,8 @@ func (m *Manager) ReconcileThreats(callCtx context.Context) (ThreatReport, error
 	}()
 
 	var report ThreatReport
+	var removed []string // dropped locally, not yet announced
+	defer m.announceRemoved(callCtx, &removed)
 	for _, ident := range m.threats.Identities() {
 		ths := m.threats.ByIdentity(ident)
 		if len(ths) == 0 {
@@ -169,7 +159,7 @@ func (m *Manager) ReconcileThreats(callCtx context.Context) (ThreatReport, error
 		reg, err := m.repo.Get(th.Constraint)
 		if err != nil {
 			// The constraint was unregistered: its threats are moot.
-			m.removeIdentityEverywhere(callCtx, ident)
+			m.dropIdentity(&removed, ident)
 			report.Removed++
 			continue
 		}
@@ -180,19 +170,26 @@ func (m *Manager) ReconcileThreats(callCtx context.Context) (ThreatReport, error
 		}
 		switch {
 		case degree == constraint.Satisfied:
-			m.removeIdentityEverywhere(callCtx, ident)
+			m.dropIdentity(&removed, ident)
 			report.Removed++
-			m.maybeNotifyConflict(ths, ctx, &report)
+			m.maybeNotifyConflict(callCtx, ths, ctx, &report, &removed)
 		case degree.IsThreat():
 			// Still threatened: some affected object remains unreachable or
 			// stale; postpone until further partitions re-unify (§3.3).
 			report.Postponed++
 		default: // Violated
 			report.Violations++
-			m.resolveViolation(callCtx, ident, th, reg.Meta, reg.Impl.Validate, &report)
+			m.resolveViolation(callCtx, ident, th, reg.Meta, reg.Impl.Validate, &report, &removed)
 		}
 	}
 	return report, nil
+}
+
+// dropIdentity removes a threat identity locally and notes it for the pass's
+// next announcement.
+func (m *Manager) dropIdentity(removed *[]string, ident string) {
+	m.threats.RemoveIdentity(ident)
+	*removed = append(*removed, ident)
 }
 
 type validateFunc func(ctx constraint.Context) (bool, error)
@@ -221,7 +218,7 @@ func (m *Manager) revalidate(callCtx context.Context, th threat.Threat, meta con
 
 // maybeNotifyConflict delivers replica-conflict notifications for satisfied
 // constraints whose threats requested them.
-func (m *Manager) maybeNotifyConflict(ths []threat.Threat, ctx *valContext, report *ThreatReport) {
+func (m *Manager) maybeNotifyConflict(callCtx context.Context, ths []threat.Threat, ctx *valContext, report *ThreatReport, removed *[]string) {
 	m.mu.Lock()
 	notifier := m.conflictNotifier
 	var conflicted []object.ID
@@ -238,6 +235,7 @@ func (m *Manager) maybeNotifyConflict(ths []threat.Threat, ctx *valContext, repo
 	}
 	for _, th := range ths {
 		if th.Instructions.NotifyOnReplicaConflict {
+			m.announceRemoved(callCtx, removed)
 			notifier(th, conflicted)
 			report.Notified++
 			return
@@ -248,9 +246,9 @@ func (m *Manager) maybeNotifyConflict(ths []threat.Threat, ctx *valContext, repo
 // resolveViolation handles an actual constraint violation found during
 // reconciliation: history rollback if permitted, otherwise the
 // application's reconciliation handler with immediate or deferred semantics.
-func (m *Manager) resolveViolation(callCtx context.Context, ident string, th threat.Threat, meta constraint.Meta, validate validateFunc, report *ThreatReport) {
+func (m *Manager) resolveViolation(callCtx context.Context, ident string, th threat.Threat, meta constraint.Meta, validate validateFunc, report *ThreatReport, removed *[]string) {
 	if th.Instructions.AllowRollback && m.tryRollback(callCtx, th, meta, validate) {
-		m.removeIdentityEverywhere(callCtx, ident)
+		m.dropIdentity(removed, ident)
 		report.RolledBack++
 		return
 	}
@@ -262,7 +260,7 @@ func (m *Manager) resolveViolation(callCtx context.Context, ident string, th thr
 		// §3.3 alternative: relax consistency by deactivating the violated
 		// constraint; its threats become moot.
 		if err := m.repo.SetEnabled(meta.Name, false); err == nil {
-			m.removeIdentityEverywhere(callCtx, ident)
+			m.dropIdentity(removed, ident)
 			report.Disabled++
 			return
 		}
@@ -272,6 +270,7 @@ func (m *Manager) resolveViolation(callCtx context.Context, ident string, th thr
 		return
 	}
 	for attempt := 0; attempt < maxResolveRetries; attempt++ {
+		m.announceRemoved(callCtx, removed)
 		solved := handler(th, meta)
 		if !solved {
 			// Deferred reconciliation: the application cleans up later; the
@@ -286,7 +285,7 @@ func (m *Manager) resolveViolation(callCtx context.Context, ident string, th thr
 			return
 		}
 		if degree == constraint.Satisfied {
-			m.removeIdentityEverywhere(callCtx, ident)
+			m.dropIdentity(removed, ident)
 			report.Resolved++
 			return
 		}

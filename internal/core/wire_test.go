@@ -1,0 +1,94 @@
+package core
+
+import (
+	"context"
+	"path/filepath"
+	"reflect"
+	"testing"
+	"time"
+
+	"dedisys/internal/constraint"
+	"dedisys/internal/object"
+	"dedisys/internal/threat"
+	"dedisys/internal/transport"
+	"dedisys/internal/wiretransport"
+)
+
+// TestWireCodecCorePayloads pushes what the CCM puts on the wire — the threat
+// list of ccm.threat.add (and of ccm.threat.pull's reply), the identity list
+// of ccm.threat.remove — through gob, through a frame (neither has a form of
+// its own: both ride gob) and through a real link whose far end echoes it.
+func TestWireCodecCorePayloads(t *testing.T) {
+	th := threat.Threat{
+		Seq: 7, Constraint: "TicketConstraint", ContextID: "f1", Degree: constraint.PossiblyViolated,
+		Affected: []threat.AffectedObject{{
+			ID: "f1", Class: "Flight",
+			Staleness: constraint.Staleness{PossiblyStale: true, Version: 3, EstimatedLatest: 5},
+			State:     object.State{"sold": int64(85)},
+		}},
+		AppData:      map[string]string{"ticket": "T-17"},
+		Instructions: constraint.ReconciliationInstructions{AllowRollback: true},
+		Count:        3, TxID: 99, UID: "n1#7",
+	}
+	other := threat.Threat{Constraint: "Ghost", Degree: constraint.Uncheckable, UID: "n2#1"}
+
+	dir := t.TempDir()
+	peers := map[transport.NodeID]string{
+		"a": "unix:" + filepath.Join(dir, "a.sock"),
+		"b": "unix:" + filepath.Join(dir, "b.sock"),
+	}
+	wires := map[transport.NodeID]*wiretransport.Wire{}
+	for id := range peers {
+		w, err := wiretransport.New(id, peers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		wires[id] = w
+	}
+	if err := wires["b"].Handle("b", "echo", func(_ transport.NodeID, p any) (any, error) { return p, nil }); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	for _, tc := range []struct {
+		name    string
+		payload any
+	}{
+		{"one accepted threat (a commit's)", []threat.Threat{th}},
+		{"a store (a pass's)", []threat.Threat{th, other, th}},
+		{"one identity (a satisfying business operation's)", []string{th.Identity()}},
+		{"a pass's identities", []string{th.Identity(), other.Identity(), ""}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			viaGob, err := wiretransport.RoundTrip(tc.payload)
+			if err != nil {
+				t.Fatalf("gob round trip: %v", err)
+			}
+			if !reflect.DeepEqual(viaGob, tc.payload) {
+				t.Fatalf("gob round trip:\n sent %#v\n got  %#v", tc.payload, viaGob)
+			}
+			viaFrame, self, err := wiretransport.RoundTripFrame(tc.payload)
+			if err != nil || self {
+				t.Fatalf("frame round trip: self-encoded %v, err %v", self, err)
+			}
+			if !reflect.DeepEqual(viaFrame, tc.payload) {
+				t.Fatalf("frame round trip:\n sent %#v\n got  %#v", tc.payload, viaFrame)
+			}
+			echoed, err := wires["a"].Send(ctx, "a", "b", "echo", tc.payload)
+			if err != nil {
+				t.Fatalf("over a link: %v", err)
+			}
+			if !reflect.DeepEqual(echoed, tc.payload) {
+				t.Fatalf("over a link and back:\n sent %#v\n got  %#v", tc.payload, echoed)
+			}
+		})
+	}
+	if s := wires["a"].Stats(); s.Failures != 0 {
+		t.Fatalf("failures = %d: a payload killed the link", s.Failures)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -282,5 +283,45 @@ func TestGossipBackgroundLoop(t *testing.T) {
 	c.Stop() // idempotent with the t.Cleanup stop
 	if err := converged(c, []object.ID{"bg"}); err != nil {
 		t.Fatalf("background gossip did not converge: %v", err)
+	}
+}
+
+// A delta merge's push-backs leave like a reconciliation pass's repairs: the
+// initiator pulls the K records its digest disagreed on, finds it dominates
+// all of them, and answers with one repl.batch of K ops — not K one-op ones.
+func TestGossipDeltaMergePushesBackOneBatch(t *testing.T) {
+	c := newGossipCluster(t, 2, true)
+	var ids []object.ID
+	for i := 0; i < 5; i++ {
+		id := object.ID(fmt.Sprintf("o%d", i))
+		if err := c.Node(0).Create("Reg", id, object.State{"value": int64(0)}, c.AllReplicas("n1")); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	c.Partition([]transport.NodeID{"n1"}, []transport.NodeID{"n2"})
+	for i, id := range ids {
+		if _, err := c.Node(0).Invoke(id, "SetValue", int64(100+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Heal()
+	var mu sync.Mutex
+	kinds := make(map[string]int)
+	c.Net.SetDrop(func(_, _ transport.NodeID, kind string) bool {
+		mu.Lock()
+		kinds[kind]++
+		mu.Unlock()
+		return false
+	})
+	if _, err := c.Node(0).Gossip.RunRound(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	c.Net.SetDrop(nil)
+	if err := converged(c, ids); err != nil {
+		t.Fatalf("one round from the dominating side: %v", err)
+	}
+	if kinds[gossip.MsgPull] != 1 || kinds["repl.batch"] != 1 {
+		t.Fatalf("the round sent %v, want one %s and one repl.batch for the %d records it dominated", kinds, gossip.MsgPull, len(ids))
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"dedisys/internal/constraint"
+	"dedisys/internal/node"
 	"dedisys/internal/object"
 	"dedisys/internal/threat"
 	"dedisys/internal/transport"
@@ -73,5 +74,77 @@ func TestBusinessOperationsDuringReconciliation(t *testing.T) {
 	}
 	if n1.Threats.Len() != 0 {
 		t.Fatalf("threats left = %d", n1.Threats.Len())
+	}
+}
+
+// TestRemovalsAnnouncedBeforeTheHandlerWaits: the pass tells its peers of the
+// threat identities it dropped in one message, not one each — and must not
+// sit on that message while application code runs. f0 was sold in one
+// partition only, so its threat is re-evaluated first (identities sort) and
+// found satisfied; f1 is overbooked and parks the pass in the handler. While
+// the operator takes their time, n2 has already dropped f0's threat and still
+// holds f1's.
+func TestRemovalsAnnouncedBeforeTheHandlerWaits(t *testing.T) {
+	c, err := node.NewCluster(2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range c.Nodes {
+		n.RegisterSchema(flightSchema())
+		if err := n.DeployConstraints([]constraint.Configured{ticketConstraint(constraint.ReconciliationInstructions{})}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n1, n2 := c.Node(0), c.Node(1)
+	for _, id := range []object.ID{"f0", "f1"} {
+		if err := n1.Create("Flight", id, object.State{"seats": int64(80), "sold": int64(70)}, c.AllReplicas("n1")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Partition([]transport.NodeID{"n1"}, []transport.NodeID{"n2"})
+	for _, sale := range []struct {
+		n  *node.Node
+		id object.ID
+		k  int64
+	}{{n1, "f0", 5}, {n1, "f1", 7}, {n2, "f1", 8}} {
+		if _, err := sale.n.Invoke(sale.id, "SellTickets", sale.k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Heal()
+	satisfied := threat.Threat{Constraint: "TicketConstraint", ContextID: "f0"}.Identity()
+	violated := threat.Threat{Constraint: "TicketConstraint", ContextID: "f1"}.Identity()
+
+	handlerEntered := make(chan struct{})
+	releaseHandler := make(chan struct{})
+	reconcileDone := make(chan error, 1)
+	go func() {
+		_, err := Run(context.Background(), n1, []transport.NodeID{"n2"}, Handlers{
+			ReplicaResolver: mergeSold,
+			ConstraintHandler: func(th threat.Threat, meta constraint.Meta) bool {
+				close(handlerEntered)
+				<-releaseHandler
+				return false // deferred: the operator cleans up later
+			},
+		})
+		reconcileDone <- err
+	}()
+	select {
+	case <-handlerEntered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("reconciliation never reached the handler")
+	}
+	if got := n2.Threats.Identities(); len(got) != 1 || got[0] != violated {
+		t.Errorf("n2 holds %q while the handler is parked, want only %q: %q is gone on n1 (%q)",
+			got, violated, satisfied, n1.Threats.Identities())
+	}
+	close(releaseHandler)
+	if err := <-reconcileDone; err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range c.Nodes {
+		if got := n.Threats.Identities(); len(got) != 1 || got[0] != violated {
+			t.Errorf("%s after the pass holds %q, want the deferred %q", n.ID, got, violated)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package reconcile
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"dedisys/internal/constraint"
@@ -283,15 +284,23 @@ func TestConflictNotifierInvoked(t *testing.T) {
 		// Resolve to a consistent (non-overbooked) state: keep local.
 		return cf.Local, nil
 	}
+	peerThreats := -1
 	report, err := Run(context.Background(), n1, []transport.NodeID{"n2"}, Handlers{
-		ReplicaResolver:  resolver,
-		ConflictNotifier: func(th threat.Threat, ids []object.ID) { notified = ids },
+		ReplicaResolver: resolver,
+		ConflictNotifier: func(th threat.Threat, ids []object.ID) {
+			notified = ids
+			peerThreats = c.Node(1).Threats.Len()
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if report.Constraint.Notified != 1 {
 		t.Fatalf("notified = %d", report.Constraint.Notified)
+	}
+	// The satisfied threat's removal is announced before application code runs.
+	if peerThreats != 0 {
+		t.Fatalf("n2 held %d threats when the notifier ran", peerThreats)
 	}
 	if len(notified) != 1 || notified[0] != "f1" {
 		t.Fatalf("notified ids = %v", notified)
@@ -399,5 +408,74 @@ func TestDisableViolatedConstraintsAlternative(t *testing.T) {
 	// further sales are no longer constrained.
 	if _, err := n1.Invoke("f1", "SellTickets", int64(1)); err != nil {
 		t.Fatalf("unconstrained sale: %v", err)
+	}
+}
+
+// TestReconcileMessagesDoNotGrowWithObjects splits {n1,n2}|{n3,n4}, sells
+// tickets of every flight on both sides — a conflict and a stored threat per
+// flight — heals, and counts the messages of one pass from n1: the record
+// pull, the repairs, the threats out, the threats in, the naming sync and the
+// removals, each one message per peer, whether 8 flights diverged or 64. At
+// the parent of the batched pass every flight added some ten messages: its
+// resolution to three peers and once more to the last, its threat to three,
+// its removal to three.
+func TestReconcileMessagesDoNotGrowWithObjects(t *testing.T) {
+	pass := func(flights int) int64 {
+		c, err := node.NewCluster(4, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range c.Nodes {
+			n.RegisterSchema(flightSchema())
+			if err := n.DeployConstraints([]constraint.Configured{ticketConstraint(constraint.ReconciliationInstructions{})}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		n1, n3 := c.Node(0), c.Node(2)
+		ids := make([]object.ID, flights)
+		for i := range ids {
+			ids[i] = object.ID(fmt.Sprintf("f%02d", i))
+			if err := n1.Create("Flight", ids[i], object.State{"seats": int64(80), "sold": int64(0)}, c.AllReplicas("n1")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Partition([]transport.NodeID{"n1", "n2"}, []transport.NodeID{"n3", "n4"})
+		for _, id := range ids {
+			if _, err := n1.Invoke(id, "SellTickets", int64(7)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := n3.Invoke(id, "SellTickets", int64(8)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.Heal()
+		before := c.Net.Stats()
+		report, err := Run(context.Background(), n1, []transport.NodeID{"n2", "n3", "n4"}, Handlers{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		after := c.Net.Stats()
+		if report.Replica.Conflicts != flights || report.Constraint.Removed != flights {
+			t.Fatalf("%d flights: report = %+v / %+v, want a conflict and a removed threat each", flights, report.Replica, report.Constraint)
+		}
+		for _, n := range c.Nodes {
+			if n.Threats.Len() != 0 {
+				t.Errorf("%d flights: %s still holds %d threats", flights, n.ID, n.Threats.Len())
+			}
+			for _, id := range ids {
+				if e, err := n.Registry.Get(id); err != nil || e.GetInt("sold") != 7 {
+					t.Fatalf("%d flights: %s on %s: %v, %v, want the driver's 7 sold", flights, id, n.ID, e, err)
+				}
+			}
+		}
+		if after.Failures != before.Failures {
+			t.Errorf("%d flights: %d sends failed", flights, after.Failures-before.Failures)
+		}
+		return after.Messages - before.Messages
+	}
+	few, many := pass(8), pass(64)
+	t.Logf("messages: %d and %d", few, many)
+	if few != many || many > 6*3 {
+		t.Fatalf("one pass cost %d messages over 8 diverged flights and %d over 64, want the same and at most 6 per peer", few, many)
 	}
 }

@@ -83,7 +83,8 @@ func (m *Manager) RecordsByID(ids []object.ID) []Record {
 // reconciliation merge: unknown objects are adopted, dominated states are
 // overwritten, dominating states are pushed back to the peer, concurrent
 // lines go through conflict resolution, and records of locally tombstoned
-// objects re-propagate the deletion. nil resolver uses MostUpdatesResolver.
+// objects re-propagate the deletion — what a destination is owed leaving as one
+// repl.batch before the call returns. nil resolver uses MostUpdatesResolver.
 func (m *Manager) MergeRecords(ctx context.Context, peer transport.NodeID, records []Record, resolve ConflictResolver) (ReconcileReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -92,7 +93,11 @@ func (m *Manager) MergeRecords(ctx context.Context, peer transport.NodeID, recor
 		resolve = MostUpdatesResolver
 	}
 	var report ReconcileReport
-	err := m.mergeRecords(ctx, peer, records, resolve, &report)
+	out := repairs{m: m}
+	err := m.mergeRecords(peer, records, resolve, &report, &out)
+	if ferr := out.flush(ctx); err == nil {
+		err = ferr
+	}
 	return report, err
 }
 

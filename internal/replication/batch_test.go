@@ -480,8 +480,10 @@ func delta(before, after string) string {
 }
 
 // TestBatchOneOpCasesMatchRecorded delivers, as one-op batches, every case
-// the retired per-kind handlers used to serve — what a reconcile push, a
-// forced state install or a re-propagated delete now sends. Ack text and the
+// the retired per-kind handlers used to serve — the ops a reconcile push, a
+// forced state install or a re-propagated delete puts into a pass's batch
+// (TestRepairBatchEqualsOneOpBatches: K of them in one batch do what they do
+// one by one). Ack text and the
 // change to replica table, registry, tombstones and stored bytes are the ones
 // recorded from handleBatch at the parent of the commit that retired those
 // handlers, with one named exception: a delete meeting an existing tombstone

@@ -1007,32 +1007,51 @@ func (m *Manager) recordHistory(id object.ID, st object.State, version int64, vv
 // reconciliation phase uses this to install rolled-back or repaired states
 // system-wide (§3.3).
 func (m *Manager) PropagateState(ctx context.Context, id object.ID) error {
-	e, err := m.registry.Get(id)
-	if err != nil {
-		return fmt.Errorf("replication: propagate state %s: %w", id, err)
-	}
-	m.mu.Lock()
-	rs, ok := m.meta[id]
-	if !ok {
-		m.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrUnknownObject, id)
-	}
-	rs.vv = rs.vv.Bumped(m.self)
-	msg := applyMsg{ID: id, VV: rs.vv}
-	msg.State, msg.Version = e.Share()
-	info := rs.info
-	m.mu.Unlock()
-	if err := m.store.Put(tableReplicaMeta, string(id), msg.VV); err != nil {
+	out := repairs{m: m}
+	if err := m.stageState(id, &out); err != nil {
 		return err
 	}
-	// A one-op batch: repl.batch is the only wire format of a replica write.
-	batch := &batchMsg{Ops: []batchOp{{Kind: msgApply, Apply: msg}}}
-	for _, res := range m.comm.Multicast(ctx, m.self, info.reachableReplicas(m.view()), msgBatch, batch) {
-		if res.Err != nil {
-			m.propErrors.Inc() // non-fatal, as a commit's: see commitRound.Answered
+	_ = out.flush(ctx) // non-fatal and counted, as a commit's: see commitRound.Answered
+	return nil
+}
+
+// stageState stages, for every other reachable replica, the apply that
+// installs the current local state over everything this node has seen.
+func (m *Manager) stageState(id object.ID, out *repairs) error {
+	op, info, err := m.localApply(id, true)
+	if err != nil {
+		return err
+	}
+	if err := m.store.Put(tableReplicaMeta, string(id), op.Apply.VV); err != nil {
+		return err
+	}
+	for _, d := range info.reachableReplicas(m.view()) {
+		if d != m.self {
+			out.stage(d, op)
 		}
 	}
 	return nil
+}
+
+// localApply builds the apply that carries the object's local state and
+// vector, read in one hold; bump advances the vector first.
+func (m *Manager) localApply(id object.ID, bump bool) (batchOp, Info, error) {
+	e, err := m.registry.Get(id)
+	if err != nil {
+		return batchOp{}, Info{}, fmt.Errorf("replication: local state of %s: %w", id, err)
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	rs, ok := m.meta[id]
+	if !ok {
+		return batchOp{}, Info{}, fmt.Errorf("%w: %s", ErrUnknownObject, id)
+	}
+	if bump {
+		rs.vv = rs.vv.Bumped(m.self)
+	}
+	op := batchOp{Kind: msgApply, Apply: applyMsg{ID: id, VV: rs.vv}}
+	op.Apply.State, op.Apply.Version = e.Share()
+	return op, rs.info, nil
 }
 
 // --- message handlers (executed on the receiving node) ---

@@ -3,8 +3,10 @@ package replication
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
+	"dedisys/internal/group"
 	"dedisys/internal/object"
 	"dedisys/internal/obs"
 	"dedisys/internal/transport"
@@ -43,7 +45,7 @@ func MostUpdatesResolver(c Conflict) (object.State, error) {
 // ReconcileReport summarises one replica reconciliation pass.
 type ReconcileReport struct {
 	PeersContacted int
-	Pushed         int // local states propagated to peers
+	Pushed         int // local states the pass found peers owed (a restatement of one is not counted again)
 	Adopted        int // remote states adopted locally
 	Conflicts      int // write-write conflicts resolved
 	Created        int // objects first seen through a peer
@@ -57,13 +59,16 @@ type ReconcileReport struct {
 // peers and resolves write-write conflicts through the resolver (nil uses
 // MostUpdatesResolver). It is driven by the reconciliation orchestrator
 // after a view change re-unites partitions (§4.4). The context bounds the
-// whole pass: every pull, push and conflict broadcast inherits it.
+// whole pass: the pull round and the repair round inherit it.
 //
-// The per-peer state pulls fan out concurrently as one multicast round, one
-// sender per peer — re-uniting N partitions costs ~1 pull round of
-// simulated time instead of ~N — while the merge itself runs sequentially
-// in peer order, so the outcome is deterministic and identical to the
-// sequential pass.
+// A pass is two rounds whatever the table sizes. The pulls fan out as one
+// multicast round; the merge runs sequentially in peer order, so the outcome
+// is deterministic, and sends nothing: what it finds the peers are owed is
+// staged (repairs) and leaves as one repl.batch per destination after the last
+// peer's merge, before the pass returns — the constraint phase that follows
+// sees a finished replica phase. Every destination is attempted: a failed one
+// counts in replication.propagation_errors and the pass returns an error
+// naming the first, so a dead peer does not starve the peers after it.
 func (m *Manager) ReconcileWith(ctx context.Context, peers []transport.NodeID, resolve ConflictResolver) (ReconcileReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -76,6 +81,8 @@ func (m *Manager) ReconcileWith(ctx context.Context, peers []transport.NodeID, r
 	if len(results) > 1 {
 		m.pullParallel.Inc()
 	}
+	out := repairs{m: m}
+	var err error
 	for _, res := range results {
 		if res.Err != nil {
 			// Peer unreachable again: postpone (still degraded w.r.t. it).
@@ -85,20 +92,86 @@ func (m *Manager) ReconcileWith(ctx context.Context, peers []transport.NodeID, r
 		report.PeersContacted++
 		records, ok := res.Response.([]Record)
 		if !ok {
-			return report, fmt.Errorf("replication: bad pull response %T from %s", res.Response, peer)
+			err = fmt.Errorf("replication: bad pull response %T from %s", res.Response, peer)
+			break
 		}
-		if err := m.mergeRecords(ctx, peer, records, resolve, &report); err != nil {
-			return report, err
+		if err = m.mergeRecords(peer, records, resolve, &report, &out); err != nil {
+			break
 		}
-		if err := m.pushMissing(ctx, peer, records, &report); err != nil {
-			return report, err
-		}
+		m.pushMissing(peer, records, &report, &out)
 	}
-	return report, nil
+	// What was staged before a failed merge is still owed.
+	if ferr := out.flush(ctx); err == nil {
+		err = ferr
+	}
+	return report, err
 }
 
-// mergeRecords folds one peer's replica table into the local one.
-func (m *Manager) mergeRecords(ctx context.Context, peer transport.NodeID, records []Record, resolve ConflictResolver, report *ReconcileReport) error {
+// repairs is what one pass owes its peers, and the round that delivers it: per
+// destination the ops of one repl.batch, at most one per object — a later
+// repair of an object replaces the earlier one in place. A repair overtaken by
+// a commit between staging and flush is skipped at the receiver by its vector,
+// like any duplicate.
+type repairs struct {
+	group.Round
+	m       *Manager
+	batches []batchMsg          // batches[i] is what To[i] is sent
+	at      []map[object.ID]int // at[i][id]: where the op on the object sits in batches[i].Ops
+	err     error               // the first failed send's
+}
+
+// stage owes the destination the op and reports whether the object is new to
+// its batch. It is not when a conflict against one peer's record was resolved
+// for everybody and the next peer's record, pulled before, reads "we dominate".
+func (r *repairs) stage(dst transport.NodeID, op batchOp) bool {
+	i := slices.Index(r.To, dst)
+	if i < 0 {
+		i = len(r.To)
+		r.To, r.batches, r.at = append(r.To, dst), append(r.batches, batchMsg{}), append(r.at, map[object.ID]int{})
+	}
+	b, id := &r.batches[i], op.id()
+	k, staged := r.at[i][id]
+	switch {
+	case !staged:
+		r.at[i][id] = len(b.Ops)
+		b.Ops = append(b.Ops, op)
+	case b.Ops[k].Kind == msgCreate && op.Kind == msgApply:
+		// The destination has never seen the object and would skip an apply:
+		// the create it is owed takes the newer state.
+		c := &b.Ops[k].Create
+		c.State, c.Version, c.VV = op.Apply.State, op.Apply.Version, op.Apply.VV
+	default:
+		b.Ops[k] = op
+	}
+	return !staged
+}
+
+// flush ships what was staged: one wait-for-all round, one batch per
+// destination, every destination attempted.
+func (r *repairs) flush(ctx context.Context) error {
+	r.From, r.Kind = r.m.self, msgBatch
+	_ = r.m.comm.Run(ctx, &r.Round, r) // only an OnVerdict round reports an error
+	return r.err
+}
+
+// Payload, Answered and Drained implement group.Owner.
+func (r *repairs) Payload(i int) any { return &r.batches[i] }
+
+func (r *repairs) Answered(i int, _ any, err error) group.Verdict {
+	if err != nil {
+		r.m.propErrors.Inc()
+		if r.err == nil {
+			r.err = fmt.Errorf("replication: repair batch of %d ops to %s: %w", len(r.batches[i].Ops), r.To[i], err)
+		}
+	}
+	return group.Open
+}
+
+func (r *repairs) Drained() {}
+
+// mergeRecords folds one peer's replica table into the local one and stages
+// what the merge finds the peers are owed.
+func (m *Manager) mergeRecords(peer transport.NodeID, records []Record, resolve ConflictResolver, report *ReconcileReport, out *repairs) error {
 	for _, rec := range records {
 		m.mu.Lock()
 		if tomb, dead := m.tombstones[rec.ID]; dead {
@@ -107,11 +180,8 @@ func (m *Manager) mergeRecords(ctx context.Context, peer transport.NodeID, recor
 			// holding the same one.
 			tomb = tomb.Merged(rec.VV)
 			m.tombstones[rec.ID] = tomb
-			op := batchOp{Kind: msgDelete, Delete: deleteMsg{ID: rec.ID, VV: tomb}}
 			m.mu.Unlock()
-			if err := m.sendOp(ctx, peer, op); err != nil {
-				return err
-			}
+			out.stage(peer, batchOp{Kind: msgDelete, Delete: deleteMsg{ID: rec.ID, VV: tomb}})
 			continue
 		}
 		rs, known := m.meta[rec.ID]
@@ -143,11 +213,15 @@ func (m *Manager) mergeRecords(ctx context.Context, peer transport.NodeID, recor
 			}
 			report.Adopted += adopted
 		case comparable && cmp < 0:
-			// We dominate: push our state to the peer.
-			if err := m.pushState(ctx, peer, rec.ID); err != nil {
+			// We dominate: the peer is owed our state. One that dropped the
+			// object in the meantime skips it, as it would a commit's apply.
+			op, _, err := m.localApply(rec.ID, false)
+			if err != nil {
 				return err
 			}
-			report.Pushed++
+			if out.stage(peer, op) {
+				report.Pushed++
+			}
 		case comparable:
 			// Equal: already consistent.
 		default:
@@ -158,7 +232,7 @@ func (m *Manager) mergeRecords(ctx context.Context, peer transport.NodeID, recor
 			if m.obs.Tracing() {
 				m.obs.Emit(obs.EventReplicaConflict, fmt.Sprintf("%s with %s", rec.ID, peer))
 			}
-			if err := m.resolveConflict(ctx, rec, resolve); err != nil {
+			if err := m.resolveConflict(rec, resolve, out); err != nil {
 				return err
 			}
 		}
@@ -170,40 +244,9 @@ func createFromRecord(rec Record) createMsg {
 	return createMsg{ID: rec.ID, Class: rec.Class, State: rec.State, Version: rec.Version, VV: rec.VV, Info: rec.Info}
 }
 
-// sendOp ships one replica operation to the reconciling peer as a one-op
-// batch: repl.batch is the only wire format of a replica write, so the peer
-// decides a repair exactly as it decides a commit's op. A lost send fails the
-// pass; the next one retries.
-func (m *Manager) sendOp(ctx context.Context, peer transport.NodeID, op batchOp) error {
-	if _, err := m.comm.Send(ctx, m.self, peer, msgBatch, &batchMsg{Ops: []batchOp{op}}); err != nil {
-		return fmt.Errorf("replication: push %s of %s to %s: %w", op.Kind, op.id(), peer, err)
-	}
-	return nil
-}
-
-// pushState sends the local replica state of the object to one peer. A peer
-// that dropped the object in the meantime skips the op, as it would a
-// commit-time apply.
-func (m *Manager) pushState(ctx context.Context, peer transport.NodeID, id object.ID) error {
-	e, err := m.registry.Get(id)
-	if err != nil {
-		return fmt.Errorf("replication: push %s: %w", id, err)
-	}
-	m.mu.Lock()
-	rs, ok := m.meta[id]
-	if !ok {
-		m.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrUnknownObject, id)
-	}
-	op := batchOp{Kind: msgApply, Apply: applyMsg{ID: id, VV: rs.vv}}
-	op.Apply.State, op.Apply.Version = e.Share()
-	m.mu.Unlock()
-	return m.sendOp(ctx, peer, op)
-}
-
 // resolveConflict lets the application (or the generic rule) choose a state,
 // then installs it everywhere with a vector dominating both divergent lines.
-func (m *Manager) resolveConflict(ctx context.Context, rec Record, resolve ConflictResolver) error {
+func (m *Manager) resolveConflict(rec Record, resolve ConflictResolver, out *repairs) error {
 	e, err := m.registry.Get(rec.ID)
 	if err != nil {
 		return fmt.Errorf("replication: conflict on %s: %w", rec.ID, err)
@@ -237,20 +280,20 @@ func (m *Manager) resolveConflict(ctx context.Context, rec Record, resolve Confl
 	}
 
 	// Install the choice locally, one version past both lines and over their
-	// merged vectors, in one hold like any other install; PropagateState's
-	// bump then dominates both, so the resolution propagates.
+	// merged vectors, in one hold like any other install; stageState's bump
+	// then dominates both, so the resolution propagates.
 	m.mu.Lock()
 	rs.vv = rs.vv.Merged(rec.VV)
 	e.ApplyState(chosen, max(conflict.LocalVersion, conflict.RemoteVersion)+1)
 	m.mu.Unlock()
-	return m.PropagateState(ctx, rec.ID)
+	return m.stageState(rec.ID, out)
 }
 
-// pushMissing creates, on the peer, objects it has never seen (created in
-// our partition during the split). Under sharded placement only objects the
-// peer replicates are pushed: a heal between nodes of different groups moves
-// no object state.
-func (m *Manager) pushMissing(ctx context.Context, peer transport.NodeID, peerRecords []Record, report *ReconcileReport) error {
+// pushMissing stages the creation, on the peer, of objects it has never seen
+// (created in our partition during the split). Under sharded placement only
+// objects the peer replicates are pushed: a heal between nodes of different
+// groups moves no object state.
+func (m *Manager) pushMissing(peer transport.NodeID, peerRecords []Record, report *ReconcileReport, out *repairs) {
 	seen := make(map[object.ID]struct{}, len(peerRecords))
 	for _, rec := range peerRecords {
 		seen[rec.ID] = struct{}{}
@@ -281,10 +324,8 @@ func (m *Manager) pushMissing(ctx context.Context, peer transport.NodeID, peerRe
 		op := batchOp{Kind: msgCreate, Create: createMsg{ID: id, Class: e.Class(), VV: rs.vv, Info: rs.info}}
 		op.Create.State, op.Create.Version = e.Share()
 		m.mu.Unlock()
-		if err := m.sendOp(ctx, peer, op); err != nil {
-			return err
+		if out.stage(peer, op) {
+			report.Pushed++
 		}
-		report.Pushed++
 	}
-	return nil
 }

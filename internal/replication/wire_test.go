@@ -60,7 +60,21 @@ func wireCases() []wireCase {
 			}})
 		}
 	}
+	// What a reconciliation pass owes one peer: every kind, many times over.
+	var repair []batchOp
+	for i := 0; i < 100; i++ {
+		id, vv := object.ID(fmt.Sprintf("r%03d", i)), VersionVector{"a": int64(i), "b": int64(100 - i)}
+		switch i % 3 {
+		case 0:
+			repair = append(repair, batchOp{Kind: msgApply, Apply: applyMsg{ID: id, State: st, Version: int64(i), VV: vv}})
+		case 1:
+			repair = append(repair, batchOp{Kind: msgCreate, Create: createMsg{ID: id, Class: "Account", State: object.State{"n": int64(i)}, Version: 1, VV: vv, Info: info}})
+		default:
+			repair = append(repair, batchOp{Kind: msgDelete, Delete: deleteMsg{ID: id, VV: vv}})
+		}
+	}
 	return []wireCase{
+		{name: "a pass's repairs: 100 mixed ops", self: true, payload: &batchMsg{Ops: repair}},
 		{name: "create, apply and delete in one batch", self: true, payload: &batchMsg{Ops: []batchOp{
 			{Kind: msgCreate, Create: create},
 			{Kind: msgApply, Apply: apply},

@@ -39,8 +39,9 @@ func TestWireCodecThreatPayloads(t *testing.T) {
 		UID:          "a#7",
 	}
 	roundTrip(t, th)
-	// The pull reply ships the whole store.
+	// ccm.threat.add and the pull reply ship lists.
 	roundTrip(t, []Threat{th})
-	// Threat removals broadcast the identity string.
+	// Threat removals broadcast identity strings (as a list: core's
+	// TestWireCodecCorePayloads).
 	roundTrip(t, th.Identity())
 }
