@@ -281,37 +281,37 @@ type Func func(ctx Context) (bool, error)
 // Validate implements Constraint.
 func (f Func) Validate(ctx Context) (bool, error) { return f(ctx) }
 
-// ContextPreparer extracts the constraint's context object from the called
-// object (the <preparation-class> of Listing 4.1).
+// ContextPreparer names the constraint's context object given the called
+// object (the <preparation-class> of Listing 4.1). The middleware resolves
+// the named object once, recording the access.
 type ContextPreparer interface {
-	// ContextObject resolves the context object for a triggered validation.
-	ContextObject(called *object.Entity, lookup func(object.ID) (*object.Entity, error)) (*object.Entity, error)
+	// ContextID names the context object for a triggered validation.
+	ContextID(called *object.Entity) (object.ID, error)
 }
 
 // CalledObjectIsContext uses the called object itself as context object.
 type CalledObjectIsContext struct{}
 
-// ContextObject implements ContextPreparer.
-func (CalledObjectIsContext) ContextObject(called *object.Entity, _ func(object.ID) (*object.Entity, error)) (*object.Entity, error) {
-	return called, nil
+// ContextID implements ContextPreparer.
+func (CalledObjectIsContext) ContextID(called *object.Entity) (object.ID, error) {
+	return called.ID(), nil
 }
 
-// ReferenceIsContext resolves the context object by following a reference
-// attribute of the called object (the getter-based preparation class of
-// Listing 4.1).
+// ReferenceIsContext names the object a reference attribute of the called
+// object points to (the getter-based preparation class of Listing 4.1).
 type ReferenceIsContext struct {
 	// Attr is the attribute of the called object holding the context
 	// object's ID.
 	Attr string
 }
 
-// ContextObject implements ContextPreparer.
-func (r ReferenceIsContext) ContextObject(called *object.Entity, lookup func(object.ID) (*object.Entity, error)) (*object.Entity, error) {
+// ContextID implements ContextPreparer.
+func (r ReferenceIsContext) ContextID(called *object.Entity) (object.ID, error) {
 	ref := called.GetRef(r.Attr)
 	if ref == "" {
-		return nil, fmt.Errorf("%w: reference attribute %s.%s empty", ErrUncheckable, called.Class(), r.Attr)
+		return "", fmt.Errorf("%w: reference attribute %s.%s empty", ErrUncheckable, called.Class(), r.Attr)
 	}
-	return lookup(ref)
+	return ref, nil
 }
 
 // AffectedMethod names one method whose invocation triggers validation of a

@@ -161,25 +161,19 @@ func TestStalenessMissedEstimate(t *testing.T) {
 
 func TestContextPreparers(t *testing.T) {
 	alarm := object.New("Alarm", "a1", object.State{"repairReport": object.ID("r1")})
-	report := object.New("RepairReport", "r1", nil)
-	lookup := func(id object.ID) (*object.Entity, error) {
-		if id == "r1" {
-			return report, nil
-		}
-		return nil, object.ErrNotFound
+
+	got, err := (CalledObjectIsContext{}).ContextID(alarm)
+	if err != nil || got != "a1" {
+		t.Fatalf("CalledObjectIsContext = %q, %v", got, err)
 	}
 
-	got, err := (CalledObjectIsContext{}).ContextObject(alarm, lookup)
-	if err != nil || got != alarm {
-		t.Fatalf("CalledObjectIsContext = %v, %v", got, err)
+	// A reference is named, not resolved: r1 exists nowhere.
+	got, err = (ReferenceIsContext{Attr: "repairReport"}).ContextID(alarm)
+	if err != nil || got != "r1" {
+		t.Fatalf("ReferenceIsContext = %q, %v", got, err)
 	}
 
-	got, err = (ReferenceIsContext{Attr: "repairReport"}).ContextObject(alarm, lookup)
-	if err != nil || got != report {
-		t.Fatalf("ReferenceIsContext = %v, %v", got, err)
-	}
-
-	_, err = (ReferenceIsContext{Attr: "missing"}).ContextObject(alarm, lookup)
+	_, err = (ReferenceIsContext{Attr: "missing"}).ContextID(alarm)
 	if !errors.Is(err, ErrUncheckable) {
 		t.Fatalf("empty reference err = %v, want ErrUncheckable", err)
 	}

@@ -16,20 +16,24 @@ import (
 type valContext struct {
 	ccm        *Manager
 	callCtx    context.Context // caller's deadline/cancellation for lookups
-	contextObj *object.Entity
+	contextID  object.ID       // the context object named; "" without one
+	contextObj *object.Entity  // nil without one or when unresolvable
 	called     *object.Entity
 	method     string
 	args       []any
-	result     any
+	result     *any // postconditions: the invocation's result slot
 	pre        map[string]any
 
+	// accessed starts in first: a validation touching one object allocates
+	// only the context. Whatever outlives the validation copies accessed.
 	accessed    []threat.AffectedObject
+	first       [1]threat.AffectedObject
 	unreachable bool
 }
 
 var _ constraint.Context = (*valContext)(nil)
 
-func (m *Manager) newContext(callCtx context.Context, contextObj, called *object.Entity, method string, args []any, result any) *valContext {
+func (m *Manager) newContext(callCtx context.Context, contextObj, called *object.Entity, method string, args []any, result *any) *valContext {
 	if callCtx == nil {
 		callCtx = context.Background()
 	}
@@ -42,6 +46,10 @@ func (m *Manager) newContext(callCtx context.Context, contextObj, called *object
 		args:       args,
 		result:     result,
 	}
+	ctx.accessed = ctx.first[:0]
+	if contextObj != nil {
+		ctx.contextID = contextObj.ID()
+	}
 	// The context and called objects are affected objects themselves.
 	if called != nil {
 		ctx.recordLocal(called)
@@ -50,6 +58,21 @@ func (m *Manager) newContext(callCtx context.Context, contextObj, called *object
 		ctx.recordLocal(contextObj)
 	}
 	return ctx
+}
+
+// setContext names the context object and resolves it once: the called
+// object is in hand, any other costs one recorded lookup. An object not
+// named (see contextOf) or not resolvable leaves it uncheckable under id.
+func (ctx *valContext) setContext(id object.ID, named bool) {
+	ctx.contextID = id
+	switch {
+	case !named:
+		ctx.unreachable = true
+	case ctx.called != nil && id == ctx.called.ID():
+		ctx.contextObj = ctx.called
+	default:
+		ctx.contextObj, _ = ctx.Lookup(id)
+	}
 }
 
 // recorded reports whether an access to id is already on the affected list.
@@ -94,7 +117,12 @@ func (ctx *valContext) Method() string { return ctx.method }
 func (ctx *valContext) Args() []any { return ctx.args }
 
 // Result implements constraint.Context.
-func (ctx *valContext) Result() any { return ctx.result }
+func (ctx *valContext) Result() any {
+	if ctx.result == nil {
+		return nil
+	}
+	return *ctx.result
+}
 
 // PreState implements constraint.Context. The map is allocated on first use:
 // most constraints never store pre-state, and the context is built per

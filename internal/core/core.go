@@ -37,6 +37,7 @@ const (
 const (
 	keyNegHandler = "ccm.negotiation-handler"
 	keyPending    = "ccm.pending-invariants"
+	keyCleared    = "ccm.cleared-threats"
 )
 
 // Sentinel errors of the constraint consistency manager.

@@ -65,11 +65,17 @@ func (e *localEnv) registerHard(t *testing.T, name string, impl constraint.Const
 	}
 }
 
+// invoke runs one write on target in its own transaction; SetSold sets
+// "sold", any other method changes nothing.
 func (e *localEnv) invoke(t *testing.T, target object.ID, method string, args ...any) error {
 	t.Helper()
+	class := "Flight"
+	if ent, err := e.reg.Get(target); err == nil {
+		class = ent.Class()
+	}
 	txn := e.txm.Begin()
 	inv := &invocation.Invocation{
-		Node: "n1", Target: target, Class: "Flight", Method: method,
+		Node: "n1", Target: target, Class: class, Method: method,
 		Kind: object.Write, Args: args, Tx: txn,
 	}
 	chain := invocation.NewChain(func(inv *invocation.Invocation) (any, error) {
@@ -227,6 +233,7 @@ type replEnv struct {
 	reg  *object.Registry
 	repo *repository.Repository
 	ths  *threat.Store
+	ths2 *threat.Store // n2's
 	txm  *tx.Manager
 	repl *replication.Manager
 	ccm  *Manager
@@ -275,10 +282,10 @@ func newReplEnv(t *testing.T) *replEnv {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	ths2 := threat.NewStore(persistence.NewStore(), threat.IdenticalOnce)
+	env.ths2 = threat.NewStore(persistence.NewStore(), threat.IdenticalOnce)
 	if _, err := New(Config{
 		Self: "n2", Net: net, GMS: gms, Registry: reg2,
-		Repo: repository.New(), Threats: ths2,
+		Repo: repository.New(), Threats: env.ths2,
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func (m *Manager) beforeInvocation(inv *invocation.Invocation) error {
 	if len(posts) > 0 {
 		ctxs := make(map[string]*valContext, len(posts))
 		for _, reg := range posts {
-			ctx := m.newContext(inv.Context(), nil, called, inv.Method, inv.Args, nil)
+			ctx := m.newContext(inv.Context(), nil, called, inv.Method, inv.Args, &inv.Result)
 			if bv, ok := reg.Impl.(constraint.BeforeValidator); ok {
 				bv.BeforeInvocation(ctx)
 			}
@@ -86,9 +86,7 @@ func (m *Manager) afterInvocation(inv *invocation.Invocation) error {
 	for _, reg := range m.repo.LookupAffected(inv.Class, inv.Method, constraint.Post) {
 		ctx := ctxs[reg.Meta.Name]
 		if ctx == nil {
-			ctx = m.newContext(inv.Context(), nil, called, inv.Method, inv.Args, inv.Result)
-		} else {
-			ctx.result = inv.Result
+			ctx = m.newContext(inv.Context(), nil, called, inv.Method, inv.Args, &inv.Result)
 		}
 		if err := m.validateOne(inv.Tx, reg, ctx, inv.Method); err != nil {
 			return err
@@ -109,7 +107,7 @@ func (m *Manager) afterInvocation(inv *invocation.Invocation) error {
 	// Soft and asynchronous invariants are deferred to commit (§1.6, §5.5.3).
 	for _, ctype := range [...]constraint.Type{constraint.SoftInvariant, constraint.AsyncInvariant} {
 		for _, reg := range m.repo.LookupAffected(inv.Class, inv.Method, ctype) {
-			if err := m.deferInvariant(inv.Tx, reg, called); err != nil {
+			if err := m.deferInvariant(inv.Tx, reg, called, inv.Method); err != nil {
 				return err
 			}
 		}
@@ -117,31 +115,32 @@ func (m *Manager) afterInvocation(inv *invocation.Invocation) error {
 	return nil
 }
 
-// invariantContext resolves the context object via the constraint's
-// preparation strategy and builds the validation context.
+// invariantContext builds the validation context of a triggered invariant
+// and names its context object through the constraint's preparation class.
 func (m *Manager) invariantContext(callCtx context.Context, reg *repository.Registered, called *object.Entity, method string, args []any) (*valContext, error) {
-	var ctxObj *object.Entity
+	ctx := m.newContext(callCtx, nil, called, method, args, nil)
 	if reg.Meta.NeedsContext {
-		prep := prepFor(reg, called.Class(), method)
-		if prep == nil {
-			return nil, fmt.Errorf("core: constraint %s: no context preparation for %s.%s", reg.Meta.Name, called.Class(), method)
-		}
-		obj, err := prep.ContextObject(called, func(id object.ID) (*object.Entity, error) {
-			e, _, err := m.lookup(callCtx, id)
-			return e, err
-		})
+		id, named, err := contextOf(reg, called, method)
 		if err != nil {
-			// An unreachable context object makes the constraint uncheckable.
-			ctxObj = nil
-		} else {
-			ctxObj = obj
+			return nil, err
 		}
-	}
-	ctx := m.newContext(callCtx, ctxObj, called, method, args, nil)
-	if reg.Meta.NeedsContext && ctxObj == nil {
-		ctx.unreachable = true
+		ctx.setContext(id, named)
 	}
 	return ctx, nil
+}
+
+// contextOf names the context object of an invariant that method on called
+// triggered. A preparer that names no object (an empty reference) makes the
+// validation uncheckable under the called object: named is false.
+func contextOf(reg *repository.Registered, called *object.Entity, method string) (id object.ID, named bool, err error) {
+	prep := prepFor(reg, called.Class(), method)
+	if prep == nil {
+		return "", false, fmt.Errorf("core: constraint %s: no context preparation for %s.%s", reg.Meta.Name, called.Class(), method)
+	}
+	if id, err := prep.ContextID(called); err == nil {
+		return id, true, nil
+	}
+	return called.ID(), false, nil
 }
 
 func prepFor(reg *repository.Registered, class, method string) constraint.ContextPreparer {
@@ -157,47 +156,29 @@ func prepFor(reg *repository.Registered, class, method string) constraint.Contex
 	return nil
 }
 
-// pendingInvariant is a soft/async invariant validation deferred to commit.
+// pendingInvariant is a soft/async invariant validation deferred to commit:
+// the context object is named now and resolved then.
 type pendingInvariant struct {
 	name      string
 	contextID object.ID
-	calledID  object.ID
+	named     bool // see contextOf
 }
 
-func (m *Manager) deferInvariant(t *tx.Tx, reg *repository.Registered, called *object.Entity) error {
-	contextID := object.ID("")
+func (m *Manager) deferInvariant(t *tx.Tx, reg *repository.Registered, called *object.Entity, method string) error {
+	p := pendingInvariant{name: reg.Meta.Name}
 	if reg.Meta.NeedsContext {
-		var prep constraint.ContextPreparer
-		for _, am := range reg.Meta.Affected {
-			if am.Class == called.Class() {
-				prep = am.Prep
-				break
-			}
-		}
-		if prep != nil {
-			if obj, err := prep.ContextObject(called, func(id object.ID) (*object.Entity, error) {
-				e, _, err := m.lookup(t.Context(), id)
-				return e, err
-			}); err == nil && obj != nil {
-				contextID = obj.ID()
-			} else {
-				contextID = called.ID()
-			}
-		} else {
-			contextID = called.ID()
+		var err error
+		if p.contextID, p.named, err = contextOf(reg, called, method); err != nil {
+			return err
 		}
 	}
-	var pending []pendingInvariant
-	if v, ok := t.Value(keyPending).([]pendingInvariant); ok {
-		pending = v
-	}
-	for _, p := range pending {
-		if p.name == reg.Meta.Name && p.contextID == contextID {
+	pending, _ := t.Value(keyPending).([]pendingInvariant)
+	for _, q := range pending {
+		if q == p {
 			return nil // deduplicate per transaction
 		}
 	}
-	pending = append(pending, pendingInvariant{name: reg.Meta.Name, contextID: contextID, calledID: called.ID()})
-	t.Put(keyPending, pending)
+	t.Put(keyPending, append(pending, p))
 	return nil
 }
 
@@ -228,18 +209,10 @@ func (m *Manager) Prepare(t *tx.Tx) error {
 			}
 			continue
 		}
-		var ctxObj *object.Entity
-		unreachable := false
+		ctx := m.newContext(t.Context(), nil, nil, "", nil, nil)
 		if reg.Meta.NeedsContext {
-			e, _, err := m.lookup(t.Context(), p.contextID)
-			if err != nil {
-				unreachable = true
-			} else {
-				ctxObj = e
-			}
+			ctx.setContext(p.contextID, p.named)
 		}
-		ctx := m.newContext(t.Context(), ctxObj, nil, "", nil, nil)
-		ctx.unreachable = unreachable
 		if err := m.validateOne(t, reg, ctx, "commit"); err != nil {
 			return err
 		}
@@ -249,10 +222,14 @@ func (m *Manager) Prepare(t *tx.Tx) error {
 	return m.awaitDeferredNegotiations(t)
 }
 
-// Commit implements tx.Resource: accepted threats collected during the
-// transaction are replicated to the partition members (§5.1: threat data is
-// replicated too).
+// Commit implements tx.Resource: the threat identities the transaction's
+// operations cleared are announced to the peers, and accepted threats
+// collected during the transaction are replicated to the partition members
+// (§5.1: threat data is replicated too). A rolled-back transaction announces
+// nothing; its undo restored the local records.
 func (m *Manager) Commit(t *tx.Tx) error {
+	cleared, _ := t.Value(keyCleared).([]string)
+	m.announceRemoved(t.Context(), &cleared)
 	if !m.replicateThreats || m.comm == nil {
 		return nil
 	}
@@ -331,7 +308,8 @@ func (m *Manager) computeDegree(meta constraint.Meta, ctx *valContext, ok bool, 
 
 // clearSatisfiedThreats removes stored threats of a constraint once a
 // business operation satisfies it reliably. Removal is undone if the
-// transaction rolls back (the satisfying operation never became effective).
+// transaction rolls back (the satisfying operation never became effective);
+// the peers learn of it when the transaction commits.
 func (m *Manager) clearSatisfiedThreats(t *tx.Tx, meta constraint.Meta, ctx *valContext) {
 	if m.threats.Len() == 0 {
 		return // every healthy write: no identity to build, nothing to look up
@@ -349,7 +327,8 @@ func (m *Manager) clearSatisfiedThreats(t *tx.Tx, meta constraint.Meta, ctx *val
 		return
 	}
 	m.threats.RemoveIdentity(ident)
-	m.announceRemoved(t.Context(), &[]string{ident})
+	cleared, _ := t.Value(keyCleared).([]string)
+	t.Put(keyCleared, append(cleared, ident))
 	t.RecordUndo(func() {
 		for _, old := range removed {
 			old.Seq = 0
@@ -365,26 +344,25 @@ func (m *Manager) negotiateThreat(t *tx.Tx, reg *repository.Registered, ctx *val
 	if m.obs.Tracing() {
 		m.obs.Emit(obs.EventThreatDetected, fmt.Sprintf("%s (%s)", reg.Meta.Name, degree))
 	}
-	nc := &threat.NegotiationContext{
-		Constraint:      reg.Meta,
-		Degree:          degree,
-		Affected:        ctx.accessed,
-		PartitionWeight: m.partitionWeight(),
-	}
-	if ctx.contextObj != nil {
-		nc.ContextID = ctx.contextObj.ID()
-	} else if ctx.called != nil {
-		nc.ContextID = ctx.called.ID()
-	}
-	affected := ctx.accessed
+	// The negotiation context, the stored threat and the commit's multicast
+	// outlive the validation context, so the accessed list is copied once.
+	affected := append([]threat.AffectedObject(nil), ctx.accessed...)
 	if reg.Meta.CaptureAffectedState {
-		affected = make([]threat.AffectedObject, len(ctx.accessed))
-		copy(affected, ctx.accessed)
 		for i := range affected {
 			if e, err := m.registry.Get(affected[i].ID); err == nil {
 				affected[i].State = e.Snapshot()
 			}
 		}
+	}
+	nc := &threat.NegotiationContext{
+		Constraint:      reg.Meta,
+		Degree:          degree,
+		ContextID:       ctx.contextID,
+		Affected:        affected,
+		PartitionWeight: m.partitionWeight(),
+	}
+	if nc.ContextID == "" && ctx.called != nil {
+		nc.ContextID = ctx.called.ID()
 	}
 	th := threat.Threat{
 		Constraint:   reg.Meta.Name,

@@ -197,21 +197,13 @@ type validateFunc func(ctx constraint.Context) (bool, error)
 // revalidate runs one constraint validation for reconciliation, returning
 // the observed degree and the context (for affected-object inspection).
 func (m *Manager) revalidate(callCtx context.Context, th threat.Threat, meta constraint.Meta, validate validateFunc) (constraint.Degree, *valContext, error) {
-	var ctxObj *object.Entity
-	unreachable := false
+	ctx := m.newContext(callCtx, nil, nil, "", nil, nil)
 	if meta.NeedsContext {
 		if th.ContextID == "" {
 			return constraint.Violated, nil, fmt.Errorf("core: threat on %s lacks context object", th.Constraint)
 		}
-		e, _, err := m.lookup(callCtx, th.ContextID)
-		if err != nil {
-			unreachable = true
-		} else {
-			ctxObj = e
-		}
+		ctx.setContext(th.ContextID, true)
 	}
-	ctx := m.newContext(callCtx, ctxObj, nil, "", nil, nil)
-	ctx.unreachable = unreachable
 	ok, verr := validate(ctx)
 	return m.computeDegree(meta, ctx, ok, verr), ctx, nil
 }

@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"dedisys/internal/constraint"
 	"dedisys/internal/object"
 	"dedisys/internal/placement"
 	"dedisys/internal/replication"
@@ -394,5 +396,72 @@ func TestCrossGroupQuorumIsPerObject(t *testing.T) {
 	bridge.Repl.WaitPropagation()
 	if elapsed < slow || holders == 0 {
 		t.Fatalf("commit returned after %v with %d group-1 backups holding %s; want >= %v and at least 1", elapsed, holders, ob, slow)
+	}
+}
+
+// TestReferenceContextCostsOneFetch: a hard invariant whose context object is
+// a reference into the other replica group costs one repl.fetch per
+// validation — the preparer names the object and the CCMgr resolves it once.
+// Resolved through a lookup closure and again to record the access, it cost
+// two.
+func TestReferenceContextCostsOneFetch(t *testing.T) {
+	c := newShardCluster(t, 6, 2, 3)
+	ring := c.Ring
+	group1 := ring.GroupReplicas(1)
+	var flight object.ID
+	var home transport.NodeID // serves group 0 only: the report is remote to it
+	for i := 0; i < 10_000 && flight == ""; i++ {
+		id := object.ID(fmt.Sprintf("flight-%d", i))
+		if g, replicas := ring.Place(id); g == 0 && !slices.Contains(group1, replicas[0]) {
+			flight, home = id, replicas[0]
+		}
+	}
+	if flight == "" {
+		t.Skip("ring layout has no group-0 home outside group 1")
+	}
+	report := shardID(t, ring, 1)
+	_, reportReplicas := ring.Place(report)
+
+	deployTicket(t, c, constraint.Configured{
+		Meta: constraint.Meta{
+			Name: "ReportOnFile", Type: constraint.HardInvariant,
+			Priority: constraint.Tradeable, MinDegree: constraint.Uncheckable,
+			NeedsContext: true, ContextClass: "Flight", SkipOnCreate: true,
+			Affected: []constraint.AffectedMethod{
+				{Class: "Flight", Method: "SellTickets", Prep: constraint.ReferenceIsContext{Attr: "report"}},
+			},
+		},
+		Impl: constraint.Func(func(ctx constraint.Context) (bool, error) {
+			return ctx.ContextObject() != nil && ctx.ContextObject().ID() == report, nil
+		}),
+	})
+	reportHome := c.ByID(reportReplicas[0])
+	if err := reportHome.Create("Flight", report, object.State{"seats": int64(80), "sold": int64(0)}, c.AllReplicas(reportHome.ID)); err != nil {
+		t.Fatal(err)
+	}
+	n := c.ByID(home)
+	if err := n.Create("Flight", flight, object.State{"seats": int64(80), "sold": int64(0), "report": report}, c.AllReplicas(home)); err != nil {
+		t.Fatal(err)
+	}
+	reportHome.Repl.WaitPropagation()
+	n.Repl.WaitPropagation()
+
+	var fetches atomic.Int32
+	c.Net.SetDrop(func(_, _ transport.NodeID, kind string) bool {
+		if kind == "repl.fetch" {
+			fetches.Add(1)
+		}
+		return false
+	})
+	defer c.Net.SetDrop(nil)
+	before := n.CCM.Stats().Validations
+	if _, err := n.Invoke(flight, "SellTickets", int64(1)); err != nil {
+		t.Fatal(err)
+	}
+	if v := n.CCM.Stats().Validations - before; v != 1 {
+		t.Fatalf("validations = %d, want 1", v)
+	}
+	if got := fetches.Load(); got != 1 {
+		t.Fatalf("one validation sent %d repl.fetch, want 1", got)
 	}
 }
