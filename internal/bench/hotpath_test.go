@@ -16,7 +16,7 @@ import (
 // TestHotPathAllocGate is the CI gate of the allocation-lean hot paths. It
 // runs exp-allocs and holds the two single-node counts under ceilings set
 // just above what is measured: one read invocation (2.00, ceiling 3) and one
-// single-object write commit (8.9, ceiling 12). The replicated writes'
+// single-object write commit (7.9, ceiling 11). The replicated writes'
 // ceilings are TestReplicatedCommitAllocCeiling's; their counts are measured
 // and recorded here. Under -race the assertions are skipped — the race runtime
 // allocates on paths the production build does not. When BENCH_ALLOCS_JSON
@@ -120,7 +120,7 @@ func TestStorePutAllocatesNothing(t *testing.T) {
 	store := persistence.NewStore()
 	e := object.New(beanClass, "hot000", object.State{"value": int64(42), "owner": object.ID("acct-1"), "tag": "plain"})
 	for name, rec := range map[string]any{
-		"VersionVector": replication.VersionVector{"n1": 1 << 40, "n2": 1, "n3": 12},
+		"VersionVector": replication.VersionVector{{Node: "n1", Count: 1 << 40}, {Node: "n2", Count: 1}, {Node: "n3", Count: 12}},
 		"*Entity":       e,
 		"State":         e.Snapshot(),
 	} {

@@ -2,11 +2,9 @@ package gossip
 
 import (
 	"encoding/binary"
-	"sort"
 
 	"dedisys/internal/object"
 	"dedisys/internal/replication"
-	"dedisys/internal/transport"
 )
 
 // The digest machinery turns a replica table summary into three nested
@@ -92,17 +90,13 @@ func fingerprint(salt uint64, id object.ID, e replication.DigestEntry) uint64 {
 		}
 	}
 	hashBytes([]byte(id))
-	keys := make([]transport.NodeID, 0, len(e.VV))
-	for k := range e.VV {
-		if e.VV[k] != 0 {
-			keys = append(keys, k)
-		}
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	var buf [8]byte
-	for _, k := range keys {
-		hashBytes([]byte(k))
-		binary.LittleEndian.PutUint64(buf[:], uint64(e.VV[k]))
+	for _, c := range e.VV { // in node order; a zero component is an absent one
+		if c.Count == 0 {
+			continue
+		}
+		hashBytes([]byte(c.Node))
+		binary.LittleEndian.PutUint64(buf[:], uint64(c.Count))
 		hashBytes(buf[:])
 	}
 	if e.Deleted {

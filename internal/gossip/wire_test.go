@@ -14,7 +14,7 @@ import (
 // fields intact — gob silently drops unexported fields, so these tests pin
 // the payload shapes.
 func TestWireCodecGossipKinds(t *testing.T) {
-	vv := replication.VersionVector{"n1": 3, "n2": 7}
+	vv := replication.VersionVector{{Node: "n1", Count: 3}, {Node: "n2", Count: 7}}
 	rec := replication.Record{
 		ID:      "o1",
 		Class:   "Reg",
@@ -42,7 +42,7 @@ func TestWireCodecGossipKinds(t *testing.T) {
 			Bloom:   bloom,
 			Delta: map[object.ID]replication.DigestEntry{
 				"o1": {VV: vv.Clone()},
-				"o2": {VV: replication.VersionVector{"n3": 1}, Deleted: true},
+				"o2": {VV: replication.VersionVector{{Node: "n3", Count: 1}}, Deleted: true},
 			},
 		}},
 		{"pullMsg", pullMsg{IDs: []object.ID{"o1", "o2"}}},
@@ -71,7 +71,7 @@ func TestWireSizePositive(t *testing.T) {
 		t.Fatalf("in-sync reply measured %d bytes", insync)
 	}
 	withDelta := wireSize(digestReply{Delta: map[object.ID]replication.DigestEntry{
-		"o1": {VV: replication.VersionVector{"n1": 1}},
+		"o1": {VV: replication.VersionVector{{Node: "n1", Count: 1}}},
 	}})
 	if withDelta <= insync {
 		t.Fatalf("delta reply %d bytes <= in-sync reply %d bytes", withDelta, insync)

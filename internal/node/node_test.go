@@ -576,7 +576,11 @@ func TestCommitStoresEntityAndVectorBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantMeta, _ := json.Marshal(map[transport.NodeID]int64(vv))
+		plain := map[transport.NodeID]int64{}
+		for _, c := range vv {
+			plain[c.Node] = c.Count
+		}
+		wantMeta, _ := json.Marshal(plain)
 		var raw json.RawMessage
 		if err := n.Store.Get("replica-meta", "f1", &raw); err != nil {
 			t.Fatal(err)

@@ -101,7 +101,7 @@ func TestAliasStragglerSim(t *testing.T) {
 		if e.GetInt("sold") != 2 || !reflect.DeepEqual(e.MustGet("tags"), []string{"b"}) {
 			t.Fatalf("%s holds %v, want the last write's state", id, e.Snapshot())
 		}
-		if vv, _ := h.node(id).mgr.VersionVector("f1"); !reflect.DeepEqual(vv, lastVV) || lastVV["n1"] != firstVV["n1"]+2 {
+		if vv, _ := h.node(id).mgr.VersionVector("f1"); !reflect.DeepEqual(vv, lastVV) || lastVV.Get("n1") != firstVV.Get("n1")+2 {
 			t.Fatalf("%s holds vector %v, coordinator %v, first write %v", id, vv, lastVV, firstVV)
 		}
 	}
@@ -268,7 +268,7 @@ func TestAliasVectorsNeverWritten(t *testing.T) {
 	}
 	// Create over a known object: n2 merges a foreign line into the vector it
 	// installed from the last apply.
-	send(h, "n3", "n2", batchOp{Kind: msgCreate, Create: createMsg{ID: "f1", Class: "Flight", State: object.State{"sold": int64(20)}, Version: 20, VV: VersionVector{"n9": 4}}})
+	send(h, "n3", "n2", batchOp{Kind: msgCreate, Create: createMsg{ID: "f1", Class: "Flight", State: object.State{"sold": int64(20)}, Version: 20, VV: VersionVector{{Node: "n9", Count: 4}}}})
 	h.write(t, "n2", "f1", "sold", int64(21))
 
 	// Delete, then a second delete over the tombstone with a foreign line.
@@ -280,8 +280,8 @@ func TestAliasVectorsNeverWritten(t *testing.T) {
 	if err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	send(h, "n3", "n2", batchOp{Kind: msgDelete, Delete: deleteMsg{ID: "f3", VV: VersionVector{"n9": 2}}})
-	send(h, "n3", "n1", batchOp{Kind: msgDelete, Delete: deleteMsg{ID: "f3", VV: VersionVector{"n8": 1}}})
+	send(h, "n3", "n2", batchOp{Kind: msgDelete, Delete: deleteMsg{ID: "f3", VV: VersionVector{{Node: "n9", Count: 2}}}})
+	send(h, "n3", "n1", batchOp{Kind: msgDelete, Delete: deleteMsg{ID: "f3", VV: VersionVector{{Node: "n8", Count: 1}}}})
 
 	// A split with a write-write conflict, a missed create and a deletion of
 	// an object the other side keeps writing; then the heal, both ways.

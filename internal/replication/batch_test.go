@@ -221,7 +221,7 @@ func TestBatchUnknownApplySkipped(t *testing.T) {
 	vv1, _ := h.node("n1").mgr.VersionVector("f1")
 	vv1 = vv1.Bumped("n1")
 	batch := &batchMsg{Ops: []batchOp{
-		{Kind: msgApply, Apply: applyMsg{ID: "ghost", State: object.State{"sold": int64(9)}, Version: 9, VV: VersionVector{"n1": 9}}},
+		{Kind: msgApply, Apply: applyMsg{ID: "ghost", State: object.State{"sold": int64(9)}, Version: 9, VV: VersionVector{{Node: "n1", Count: 9}}}},
 		{Kind: msgApply, Apply: applyMsg{ID: "f1", State: object.State{"sold": int64(8)}, Version: e1.Version() + 1, VV: vv1}},
 	}}
 	dst := h.node("n2").mgr
@@ -249,7 +249,7 @@ func TestBatchUnknownApplySkipped(t *testing.T) {
 func TestBatchMalformedOpRejectedAtomically(t *testing.T) {
 	h := newHarness(t, 2, PrimaryPerPartition{})
 	batch := &batchMsg{Ops: []batchOp{
-		{Kind: msgCreate, Create: createMsg{ID: "fx", Class: "Flight", State: object.State{"sold": int64(1)}, Version: 1, VV: VersionVector{"n1": 1}, Info: Info{Home: "n1", Replicas: h.ids}}},
+		{Kind: msgCreate, Create: createMsg{ID: "fx", Class: "Flight", State: object.State{"sold": int64(1)}, Version: 1, VV: VersionVector{{Node: "n1", Count: 1}}, Info: Info{Home: "n1", Replicas: h.ids}}},
 		{Kind: "repl.bogus"},
 	}}
 	if _, err := h.node("n2").mgr.handleBatch("n1", batch); err == nil {
@@ -360,14 +360,14 @@ func (env *nodeEnv) dump(t *testing.T) string {
 	var b strings.Builder
 	for _, rec := range env.mgr.Records() {
 		st, _ := json.Marshal(rec.State)
-		vv, _ := json.Marshal(map[transport.NodeID]int64(rec.VV))
+		vv, _ := json.Marshal(vvMap(rec.VV))
 		fmt.Fprintf(&b, "replica %s %s v%d %s %s home=%s %v registry=%v\n",
 			rec.ID, rec.Class, rec.Version, st, vv, rec.Info.Home, rec.Info.Replicas, env.reg.Has(rec.ID))
 	}
 	env.mgr.mu.Lock()
 	var dead []string
 	for id, vv := range env.mgr.tombstones {
-		enc, _ := json.Marshal(map[transport.NodeID]int64(vv))
+		enc, _ := json.Marshal(vvMap(vv))
 		dead = append(dead, fmt.Sprintf("tombstone %s %s\n", id, enc))
 	}
 	env.mgr.mu.Unlock()
@@ -401,10 +401,10 @@ func TestBatchMixedEffectsMatchRecorded(t *testing.T) {
 		return batchOp{Kind: msgApply, Apply: applyMsg{ID: id, State: object.State{"sold": sold, "tag": "x<y"}, Version: version, VV: vv}}
 	}
 	setup := &batchMsg{Ops: []batchOp{
-		create("a", 1, 1, VersionVector{"n1": 1}),
-		create("b", 2, 1, VersionVector{"n1": 1}),
-		create("c", 3, 4, VersionVector{"n1": 2, "n2": 2}),
-		create("outside", 4, 1, VersionVector{"n1": 1}),
+		create("a", 1, 1, VersionVector{{Node: "n1", Count: 1}}),
+		create("b", 2, 1, VersionVector{{Node: "n1", Count: 1}}),
+		create("c", 3, 4, VersionVector{{Node: "n1", Count: 2}, {Node: "n2", Count: 2}}),
+		create("outside", 4, 1, VersionVector{{Node: "n1", Count: 1}}),
 	}}
 	setup.Ops[3].Create.Info = Info{Home: "n1", Replicas: []transport.NodeID{"n1"}}
 	if resp, err := dst.mgr.handleBatch("n1", setup); err != nil || resp != (batchAck{Applied: 4}) {
@@ -413,7 +413,7 @@ func TestBatchMixedEffectsMatchRecorded(t *testing.T) {
 	before := dst.dump(t)
 
 	bad := &batchMsg{Ops: []batchOp{
-		apply("b", 9, 9, VersionVector{"n1": 9}),
+		apply("b", 9, 9, VersionVector{{Node: "n1", Count: 9}}),
 		{Kind: "repl.bogus", Delete: deleteMsg{ID: "zz"}},
 	}}
 	_, err := dst.mgr.handleBatch("n1", bad)
@@ -425,14 +425,14 @@ func TestBatchMixedEffectsMatchRecorded(t *testing.T) {
 	}
 
 	mixed := &batchMsg{Ops: []batchOp{
-		create("d", 5, 1, VersionVector{"n1": 1}),
-		create("a", 11, 3, VersionVector{"n1": 2, "n3": 1}),
-		apply("b", 12, 2, VersionVector{"n1": 2}),
-		apply("ghost", 13, 2, VersionVector{"n1": 2}),
-		apply("c", 14, 5, VersionVector{"n1": 2, "n2": 2}),
-		{Kind: msgDelete, Delete: deleteMsg{ID: "c", VV: VersionVector{"n1": 3, "n2": 2}}},
-		{Kind: msgDelete, Delete: deleteMsg{ID: "never", VV: VersionVector{"n1": 1}}},
-		apply("outside", 15, 2, VersionVector{"n1": 2}),
+		create("d", 5, 1, VersionVector{{Node: "n1", Count: 1}}),
+		create("a", 11, 3, VersionVector{{Node: "n1", Count: 2}, {Node: "n3", Count: 1}}),
+		apply("b", 12, 2, VersionVector{{Node: "n1", Count: 2}}),
+		apply("ghost", 13, 2, VersionVector{{Node: "n1", Count: 2}}),
+		apply("c", 14, 5, VersionVector{{Node: "n1", Count: 2}, {Node: "n2", Count: 2}}),
+		{Kind: msgDelete, Delete: deleteMsg{ID: "c", VV: VersionVector{{Node: "n1", Count: 3}, {Node: "n2", Count: 2}}}},
+		{Kind: msgDelete, Delete: deleteMsg{ID: "never", VV: VersionVector{{Node: "n1", Count: 1}}}},
+		apply("outside", 15, 2, VersionVector{{Node: "n1", Count: 2}}),
 	}}
 	resp, err := dst.mgr.handleBatch("n1", mixed)
 	if err != nil {
@@ -507,42 +507,42 @@ func TestBatchOneOpCasesMatchRecorded(t *testing.T) {
 		ack   batchAck
 		delta string
 	}{
-		{"create unknown", create("d", 5, 1, VersionVector{"n1": 1}, info), applied,
+		{"create unknown", create("d", 5, 1, VersionVector{{Node: "n1", Count: 1}}, info), applied,
 			`+replica d Flight v1 {"sold":5} {"n1":1} home=n1 [n1 n2] registry=true
 +store d {"n1":1}
 `},
-		{"create known", create("a", 11, 3, VersionVector{"n1": 2, "n3": 1}, info), applied,
+		{"create known", create("a", 11, 3, VersionVector{{Node: "n1", Count: 2}, {Node: "n3", Count: 1}}, info), applied,
 			`-replica a Flight v1 {"sold":1} {"n1":1} home=n1 [n1 n2] registry=true
 +replica a Flight v3 {"sold":11} {"n1":2,"n3":1} home=n1 [n1 n2] registry=true
 `},
-		{"create non-replica", create("out", 4, 1, VersionVector{"n1": 1}, Info{Home: "n1", Replicas: []transport.NodeID{"n1"}}), applied,
+		{"create non-replica", create("out", 4, 1, VersionVector{{Node: "n1", Count: 1}}, Info{Home: "n1", Replicas: []transport.NodeID{"n1"}}), applied,
 			`+replica out  v0 null {"n1":1} home=n1 [n1] registry=false
 +store out {"n1":1}
 `},
-		{"create tombstoned", create("gone", 6, 2, VersionVector{"n1": 3}, info), applied,
+		{"create tombstoned", create("gone", 6, 2, VersionVector{{Node: "n1", Count: 3}}, info), applied,
 			`-tombstone gone {"n1":2}
 +replica gone Flight v2 {"sold":6} {"n1":3} home=n1 [n1 n2] registry=true
 +store gone {"n1":3}
 `},
-		{"apply newer", apply("b", 12, 2, VersionVector{"n1": 2}), applied,
+		{"apply newer", apply("b", 12, 2, VersionVector{{Node: "n1", Count: 2}}), applied,
 			`-replica b Flight v1 {"sold":2} {"n1":1} home=n1 [n1 n2] registry=true
 -store b {"n1":1}
 +replica b Flight v2 {"sold":12} {"n1":2} home=n1 [n1 n2] registry=true
 +store b {"n1":2}
 `},
-		{"apply equal", apply("b", 13, 2, VersionVector{"n1": 1}), skipped, ""},
-		{"apply older", apply("c", 14, 5, VersionVector{"n1": 1, "n2": 2}), skipped, ""},
-		{"apply concurrent", apply("c", 15, 5, VersionVector{"n1": 3, "n2": 1}), skipped, ""},
-		{"apply unknown", apply("ghost", 16, 2, VersionVector{"n1": 2}), skipped, ""},
-		{"delete known", del("c", VersionVector{"n1": 3, "n2": 2}), applied,
+		{"apply equal", apply("b", 13, 2, VersionVector{{Node: "n1", Count: 1}}), skipped, ""},
+		{"apply older", apply("c", 14, 5, VersionVector{{Node: "n1", Count: 1}, {Node: "n2", Count: 2}}), skipped, ""},
+		{"apply concurrent", apply("c", 15, 5, VersionVector{{Node: "n1", Count: 3}, {Node: "n2", Count: 1}}), skipped, ""},
+		{"apply unknown", apply("ghost", 16, 2, VersionVector{{Node: "n1", Count: 2}}), skipped, ""},
+		{"delete known", del("c", VersionVector{{Node: "n1", Count: 3}, {Node: "n2", Count: 2}}), applied,
 			`-replica c Flight v4 {"sold":3} {"n1":2,"n2":2} home=n1 [n1 n2] registry=true
 -store c {"n1":2,"n2":2}
 +tombstone c {"n1":3,"n2":2}
 `},
-		{"delete unknown", del("never", VersionVector{"n1": 1}), applied,
+		{"delete unknown", del("never", VersionVector{{Node: "n1", Count: 1}}), applied,
 			`+tombstone never {"n1":1}
 `},
-		{"delete tombstoned", del("gone", VersionVector{"n3": 1}), applied,
+		{"delete tombstoned", del("gone", VersionVector{{Node: "n3", Count: 1}}), applied,
 			`-tombstone gone {"n1":2}
 +tombstone gone {"n1":2,"n3":1}
 `},
@@ -552,10 +552,10 @@ func TestBatchOneOpCasesMatchRecorded(t *testing.T) {
 			h := newHarness(t, 2, PrimaryPerPartition{})
 			dst := h.node("n2")
 			setup := &batchMsg{Ops: []batchOp{
-				create("a", 1, 1, VersionVector{"n1": 1}, info),
-				create("b", 2, 1, VersionVector{"n1": 1}, info),
-				create("c", 3, 4, VersionVector{"n1": 2, "n2": 2}, info),
-				del("gone", VersionVector{"n1": 2}),
+				create("a", 1, 1, VersionVector{{Node: "n1", Count: 1}}, info),
+				create("b", 2, 1, VersionVector{{Node: "n1", Count: 1}}, info),
+				create("c", 3, 4, VersionVector{{Node: "n1", Count: 2}, {Node: "n2", Count: 2}}, info),
+				del("gone", VersionVector{{Node: "n1", Count: 2}}),
 			}}
 			if _, err := dst.mgr.handleBatch("n1", setup); err != nil {
 				t.Fatal(err)

@@ -19,7 +19,7 @@ import (
 // soldOp builds the create (n == 1) or apply (n > 1) of the n-th event on an
 // object written by n1 alone: vector {n1:n}, state sold=n, version n.
 func (h *harness) soldOp(id object.ID, n int64) batchOp {
-	st, vv := object.State{"sold": n}, VersionVector{"n1": n}
+	st, vv := object.State{"sold": n}, VersionVector{{Node: "n1", Count: n}}
 	if n == 1 {
 		return batchOp{Kind: msgCreate, Create: createMsg{ID: id, Class: "Flight", State: st, Version: n, VV: vv, Info: Info{Home: "n1", Replicas: h.ids}}}
 	}
@@ -71,7 +71,7 @@ func raceEvents(t *testing.T, first, last int64, rounds int) {
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
-		if sold := e.GetInt("sold"); sold != vv["n1"] || (first > 1 && sold != last) {
+		if sold := e.GetInt("sold"); sold != vv.Get("n1") || (first > 1 && sold != last) {
 			t.Fatalf("round %d: state sold=%d under vector %v", round, sold, vv)
 		}
 	}
@@ -96,7 +96,7 @@ func TestStaleCreateKeepsNewerState(t *testing.T) {
 	create := h.soldOp("f1", 1)
 	create.Create.State = object.State{"sold": int64(0)}
 	dst.deliver(t, create)
-	dst.deliver(t, batchOp{Kind: msgApply, Apply: applyMsg{ID: "f1", State: object.State{"sold": int64(7)}, Version: 2, VV: VersionVector{"n1": 2}}})
+	dst.deliver(t, batchOp{Kind: msgApply, Apply: applyMsg{ID: "f1", State: object.State{"sold": int64(7)}, Version: 2, VV: VersionVector{{Node: "n1", Count: 2}}}})
 	dst.deliver(t, create)
 	e, _ := dst.reg.Get("f1")
 	vv, _ := dst.mgr.VersionVector("f1")

@@ -565,7 +565,7 @@ func (m *Manager) Create(t *tx.Tx, e *object.Entity, info Info) error {
 	// zero would sit under the one the other replicas still hold, and the
 	// next reconciliation would revert the creation.
 	tomb, recreated := m.tombstones[id]
-	vv := VersionVector{m.self: 0}
+	vv := VersionVector{{Node: m.self}}
 	if recreated {
 		vv = tomb
 		delete(m.tombstones, id)
@@ -648,13 +648,14 @@ func (m *Manager) Commit(t *tx.Tx) error {
 			view, degraded = m.view(), m.Degraded()
 		}
 		writes++
-		s, ship, err := m.stage(w, view, degraded)
+		staged = append(staged, stagedOp{})
+		ship, err := m.stage(w, view, degraded, &staged[len(staged)-1])
 		if err != nil {
 			m.propErrors.Inc()
 			errs = append(errs, fmt.Errorf("%s: %w", w.ID, err))
 		}
-		if ship {
-			staged = append(staged, s)
+		if !ship {
+			staged = staged[:len(staged)-1]
 		}
 	})
 	if sp == nil {
@@ -675,21 +676,23 @@ func (m *Manager) Commit(t *tx.Tx) error {
 }
 
 // stage does the coordinator's bookkeeping for one entry of the write set and
-// returns the operation to ship; ship is false when there is none.
-func (m *Manager) stage(w tx.Write, view group.View, degraded bool) (s stagedOp, ship bool, err error) {
+// puts the operation to ship in s, its slot in the staging buffer; ship is
+// false when there is none.
+func (m *Manager) stage(w tx.Write, view group.View, degraded bool, s *stagedOp) (ship bool, err error) {
 	switch w.Kind {
 	case tx.Deleted:
-		s, ship = m.stageDelete(w.ID, view)
-		return s, ship, nil
+		*s, ship = m.stageDelete(w.ID, view)
+		return ship, nil
 	case tx.Created:
 		if rc, remote := w.Payload.(remoteCreate); remote {
-			return m.stageCreateRemote(rc, view), true, nil
+			*s = m.stageCreateRemote(rc, view)
+			return true, nil
 		}
-		s, err = m.stageCreate(w.ID, view, degraded)
+		*s, err = m.stageCreate(w.ID, view, degraded)
 	default:
-		s, err = m.stageUpdate(w.ID, view, degraded)
+		err = m.stageUpdate(w.ID, view, degraded, s)
 	}
-	return s, err == nil, err
+	return err == nil, err
 }
 
 // commitBatched ships the staged operations in one multicast round: each
@@ -916,39 +919,40 @@ func (m *Manager) stageCreate(id object.ID, view group.View, degraded bool) (sta
 // vector starts at one creation event from the coordinator, matching what a
 // member creator's bumped vector would carry.
 func (m *Manager) stageCreateRemote(rc remoteCreate, view group.View) stagedOp {
-	msg := createMsg{ID: rc.entity.ID(), Class: rc.entity.Class(), VV: VersionVector{m.self: 1}, Info: rc.info}
+	msg := createMsg{ID: rc.entity.ID(), Class: rc.entity.Class(), VV: VersionVector{{Node: m.self, Count: 1}}, Info: rc.info}
 	msg.State, msg.Version = rc.entity.Share()
 	return stagedOp{op: batchOp{Kind: msgCreate, Create: msg}, dests: rc.info.reachableReplicas(view), replicas: len(rc.info.Replicas)}
 }
 
 // stageUpdate does the coordinator's bookkeeping for an updated object —
 // version-vector bump, persisted vector, degraded-mode history, estimator
-// observation — and returns the staged apply.
-func (m *Manager) stageUpdate(id object.ID, view group.View, degraded bool) (stagedOp, error) {
+// observation — and stages the apply in s, where its store write points.
+func (m *Manager) stageUpdate(id object.ID, view group.View, degraded bool, s *stagedOp) error {
 	e, err := m.registry.Get(id)
 	if err != nil {
-		return stagedOp{}, fmt.Errorf("replication: propagate update %s: %w", id, err)
+		return fmt.Errorf("replication: propagate update %s: %w", id, err)
 	}
 	m.mu.Lock()
 	rs, ok := m.meta[id]
 	if !ok {
 		m.mu.Unlock()
-		return stagedOp{}, fmt.Errorf("%w: %s", ErrUnknownObject, id)
+		return fmt.Errorf("%w: %s", ErrUnknownObject, id)
 	}
 	rs.vv = rs.vv.Bumped(m.self)
 	// The entity's map is shipped as it is: the remote applies and the history
 	// entry read it after the transaction's lock is gone, and the entity's next
 	// Set copies.
-	msg := applyMsg{ID: id, VV: rs.vv}
+	*s = stagedOp{op: batchOp{Kind: msgApply, Apply: applyMsg{ID: id, VV: rs.vv}}, dests: rs.info.reachableReplicas(view), replicas: len(rs.info.Replicas)}
+	msg := &s.op.Apply
 	msg.State, msg.Version = e.Share()
 	info := rs.info
 	m.mu.Unlock()
-	if err := m.store.Put(tableReplicaMeta, string(id), msg.VV); err != nil {
-		return stagedOp{}, err
+	if err := m.store.Put(tableReplicaMeta, string(id), &msg.VV); err != nil {
+		return err
 	}
 	m.recordHistory(id, msg.State, msg.Version, msg.VV, m.effectiveDegraded(info, degraded))
 	m.observe(id)
-	return stagedOp{op: batchOp{Kind: msgApply, Apply: msg}, dests: info.reachableReplicas(view), replicas: len(info.Replicas)}, nil
+	return nil
 }
 
 // deleteDests computes the destinations and replica count of a delete, whose
@@ -1022,7 +1026,7 @@ func (m *Manager) stageState(id object.ID, out *repairs) error {
 	if err != nil {
 		return err
 	}
-	if err := m.store.Put(tableReplicaMeta, string(id), op.Apply.VV); err != nil {
+	if err := m.store.Put(tableReplicaMeta, string(id), &op.Apply.VV); err != nil {
 		return err
 	}
 	for _, d := range info.reachableReplicas(m.view()) {
@@ -1165,10 +1169,10 @@ func (m *Manager) applyOps(ops []batchOp) (applied, skipped int, err error) {
 		var perr error
 		switch op := &ops[i]; op.Kind {
 		case msgCreate:
-			perr = m.store.Put(tableReplicaMeta, string(op.Create.ID), op.Create.VV)
+			perr = m.store.Put(tableReplicaMeta, string(op.Create.ID), &op.Create.VV)
 		case msgApply:
 			m.observe(op.Apply.ID)
-			perr = m.store.Put(tableReplicaMeta, string(op.Apply.ID), op.Apply.VV)
+			perr = m.store.Put(tableReplicaMeta, string(op.Apply.ID), &op.Apply.VV)
 		case msgDelete:
 			m.store.Delete(tableReplicaMeta, string(op.Delete.ID))
 		}

@@ -386,56 +386,58 @@ func ProtocolByName(name string, quorumThreshold int) (Protocol, error) {
 
 // VersionVector counts, per coordinating node, how many committed updates an
 // object replica has absorbed. Vectors detect missed updates and write-write
-// conflicts across partitions.
+// conflicts across partitions. Its components are sorted by node, one per
+// node; an absent node counts 0, so a zero component equals an absent one.
 //
 // A vector is never written after it is built: no method writes its receiver
-// or its argument, Bumped and Merged return the successor as a new map, and
+// or its argument, Bumped and Merged return the successor as a new slice, and
 // the manager advances a replica by reassigning it under its lock. The
 // replica table, tombstones, messages, records, digests and history entries
 // therefore share vectors by reference, across goroutines and (on the
 // simulator) across nodes; Clone is for a vector handed to code outside that
-// rule.
-type VersionVector map[transport.NodeID]int64
+// rule. Nor is a vector converted to any, which allocates (DESIGN.md §15).
+type VersionVector []Component
+
+// Component is one node's count in a VersionVector.
+type Component struct {
+	Node  transport.NodeID
+	Count int64
+}
+
+// Get returns the node's count.
+func (v VersionVector) Get(n transport.NodeID) int64 {
+	for _, c := range v {
+		if c.Node == n {
+			return c.Count
+		}
+	}
+	return 0
+}
 
 // Clone copies the vector.
 func (v VersionVector) Clone() VersionVector { return v.grown(0) }
 
 // grown returns a copy of the vector with room for extra more components.
 func (v VersionVector) grown(extra int) VersionVector {
-	out := make(VersionVector, len(v)+extra)
-	for k, n := range v {
-		out[k] = n
-	}
-	return out
+	return append(make(VersionVector, 0, len(v)+extra), v...)
 }
 
 // AppendJSON appends the vector's JSON encoding to dst, byte for byte what
-// encoding/json writes for the underlying map (keys in byte order, its string
+// encoding/json writes for the equivalent map (keys in byte order, its string
 // escaping), without the reflection: replica metadata is three of the four
 // store writes of a replicated commit.
 func (v VersionVector) AppendJSON(dst []byte) ([]byte, error) {
 	if v == nil {
 		return append(dst, "null"...), nil
 	}
-	var buf [8]transport.NodeID
 	dst = append(dst, '{')
-	for i, k := range v.sortedNodes(buf[:0]) {
+	for i, c := range v {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = strconv.AppendInt(append(persistence.AppendString(dst, string(k)), ':'), v[k], 10)
+		dst = strconv.AppendInt(append(persistence.AppendString(dst, string(c.Node)), ':'), c.Count, 10)
 	}
 	return append(dst, '}'), nil
-}
-
-// sortedNodes appends the vector's node IDs to buf (the caller's stack space)
-// in byte order, the order both encoders write them in.
-func (v VersionVector) sortedNodes(buf []transport.NodeID) []transport.NodeID {
-	for k := range v {
-		buf = append(buf, k)
-	}
-	slices.Sort(buf)
-	return buf
 }
 
 // MarshalJSON is AppendJSON for encoding/json, which needs it where a vector
@@ -447,9 +449,16 @@ func (v VersionVector) MarshalJSON() ([]byte, error) {
 // Bumped returns a copy of the vector with the component of the coordinating
 // node incremented.
 func (v VersionVector) Bumped(n transport.NodeID) VersionVector {
-	out := v.grown(1)
-	out[n]++
-	return out
+	i := 0
+	for i < len(v) && v[i].Node < n {
+		i++
+	}
+	if i < len(v) && v[i].Node == n {
+		out := v.grown(0)
+		out[i].Count++
+		return out
+	}
+	return slices.Insert(v.grown(1), i, Component{Node: n, Count: 1})
 }
 
 // Compare returns the ordering of two vectors:
@@ -458,15 +467,18 @@ func (v VersionVector) Bumped(n transport.NodeID) VersionVector {
 //	and ok=false when the vectors are concurrent (write-write conflict).
 func (v VersionVector) Compare(o VersionVector) (cmp int, ok bool) {
 	less, greater := false, false
-	for k, n := range v {
-		if n > o[k] {
-			greater = true
+	for i, j := 0, 0; i < len(v) || j < len(o); {
+		var a, b int64 // the counts of the next node in either list
+		switch {
+		case j == len(o) || i < len(v) && v[i].Node < o[j].Node:
+			a, i = v[i].Count, i+1
+		case i == len(v) || o[j].Node < v[i].Node:
+			b, j = o[j].Count, j+1
+		default:
+			a, b, i, j = v[i].Count, o[j].Count, i+1, j+1
 		}
-	}
-	for k, n := range o {
-		if n > v[k] {
-			less = true
-		}
+		greater = greater || a > b
+		less = less || b > a
 	}
 	switch {
 	case less && greater:
@@ -483,23 +495,29 @@ func (v VersionVector) Compare(o VersionVector) (cmp int, ok bool) {
 // Merged returns the component-wise maximum of the two vectors: v itself when
 // o adds nothing to it, a new vector otherwise.
 func (v VersionVector) Merged(o VersionVector) VersionVector {
-	out, own := v, false
-	for k, n := range o {
-		if n > out[k] {
-			if !own {
-				out, own = v.grown(0), true
-			}
-			out[k] = n
-		}
+	if cmp, ok := v.Compare(o); ok && cmp >= 0 {
+		return v
 	}
-	return out
+	out, i := make(VersionVector, 0, len(v)+len(o)), 0
+	for _, c := range o {
+		for ; i < len(v) && v[i].Node < c.Node; i++ {
+			out = append(out, v[i])
+		}
+		if i < len(v) && v[i].Node == c.Node {
+			c.Count, i = max(c.Count, v[i].Count), i+1
+		} else if c.Count <= 0 {
+			continue // a count not above the absent 0 adds nothing
+		}
+		out = append(out, c)
+	}
+	return append(out, v[i:]...)
 }
 
 // Total returns the sum of all components (the total update count).
 func (v VersionVector) Total() int64 {
 	var t int64
-	for _, n := range v {
-		t += n
+	for _, c := range v {
+		t += c.Count
 	}
 	return t
 }

@@ -263,7 +263,7 @@ func TestQuorumPerObjectShortfall(t *testing.T) {
 	h.net.Crash("n4")
 	h.net.Crash("n5")
 	apply := func(id object.ID) batchOp {
-		return batchOp{Kind: msgApply, Apply: applyMsg{ID: id, Version: 1, VV: VersionVector{"n1": 1}}}
+		return batchOp{Kind: msgApply, Apply: applyMsg{ID: id, Version: 1, VV: VersionVector{{Node: "n1", Count: 1}}}}
 	}
 	staged := []stagedOp{
 		{op: apply("a"), dests: []transport.NodeID{"n1", "n2", "n3"}, replicas: 3},

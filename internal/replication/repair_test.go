@@ -149,14 +149,14 @@ func TestRepairBatchEqualsOneOpBatches(t *testing.T) {
 	for i := int64(0); i < 5; i++ {
 		known, fresh, gone := object.ID(fmt.Sprintf("k%d", i)), object.ID(fmt.Sprintf("f%d", i)), object.ID(fmt.Sprintf("g%d", i))
 		ops = append(ops,
-			create(fresh, i, 1, VersionVector{"n1": 1}),                       // new object
-			create(known, 10+i, 3, VersionVector{"n1": 1, "n3": 1}),           // known: merges
-			apply(known, 20+i, 4, VersionVector{"n1": 2, "n3": 1}),            // accepted
-			apply(known, 30+i, 2, VersionVector{"n1": 1}),                     // stale
-			apply(known, 20+i, 4, VersionVector{"n1": 2, "n3": 1}),            // duplicate
-			apply(object.ID(fmt.Sprintf("ghost%d", i)), 1, 1, nil),            // unknown
-			del(gone, VersionVector{"n1": 2}),                                 // known
-			del(object.ID(fmt.Sprintf("never%d", i)), VersionVector{"n3": 1}), // unknown
+			create(fresh, i, 1, VersionVector{{Node: "n1", Count: 1}}),                            // new object
+			create(known, 10+i, 3, VersionVector{{Node: "n1", Count: 1}, {Node: "n3", Count: 1}}), // known: merges
+			apply(known, 20+i, 4, VersionVector{{Node: "n1", Count: 2}, {Node: "n3", Count: 1}}),  // accepted
+			apply(known, 30+i, 2, VersionVector{{Node: "n1", Count: 1}}),                          // stale
+			apply(known, 20+i, 4, VersionVector{{Node: "n1", Count: 2}, {Node: "n3", Count: 1}}),  // duplicate
+			apply(object.ID(fmt.Sprintf("ghost%d", i)), 1, 1, nil),                                // unknown
+			del(gone, VersionVector{{Node: "n1", Count: 2}}),                                      // known
+			del(object.ID(fmt.Sprintf("never%d", i)), VersionVector{{Node: "n3", Count: 1}}),      // unknown
 		)
 	}
 	if len(ops) != 40 {
@@ -167,8 +167,8 @@ func TestRepairBatchEqualsOneOpBatches(t *testing.T) {
 		var setup []batchOp
 		for i := 0; i < 5; i++ {
 			setup = append(setup,
-				create(object.ID(fmt.Sprintf("k%d", i)), 0, 1, VersionVector{"n1": 1}),
-				create(object.ID(fmt.Sprintf("g%d", i)), 0, 1, VersionVector{"n1": 1}))
+				create(object.ID(fmt.Sprintf("k%d", i)), 0, 1, VersionVector{{Node: "n1", Count: 1}}),
+				create(object.ID(fmt.Sprintf("g%d", i)), 0, 1, VersionVector{{Node: "n1", Count: 1}}))
 		}
 		env.deliver(t, setup...)
 		return env

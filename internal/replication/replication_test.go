@@ -469,7 +469,7 @@ func TestReconciliationRePropagatesDeletes(t *testing.T) {
 	if cmp, ok := d1.VV.Compare(d2.VV); !ok || cmp != 0 {
 		t.Fatalf("tombstone vectors differ after one pass: n1 %v, n2 %v", d1.VV, d2.VV)
 	}
-	if want := (VersionVector{"n1": 1, "n2": 1}); !reflect.DeepEqual(d1.VV, want) {
+	if want := (VersionVector{{Node: "n1", Count: 1}, {Node: "n2", Count: 1}}); !reflect.DeepEqual(d1.VV, want) {
 		t.Fatalf("tombstone vector = %v, want %v", d1.VV, want)
 	}
 }
@@ -613,8 +613,8 @@ func TestDegradedHistoryRecording(t *testing.T) {
 }
 
 func TestVersionVectorCompare(t *testing.T) {
-	a := VersionVector{"n1": 2, "n2": 1}
-	b := VersionVector{"n1": 2, "n2": 1}
+	a := VersionVector{{Node: "n1", Count: 2}, {Node: "n2", Count: 1}}
+	b := VersionVector{{Node: "n1", Count: 2}, {Node: "n2", Count: 1}}
 	if cmp, ok := a.Compare(b); !ok || cmp != 0 {
 		t.Fatalf("equal compare = %d, %v", cmp, ok)
 	}
@@ -637,8 +637,8 @@ func TestVersionVectorCompare(t *testing.T) {
 		t.Fatalf("total = %d", a.Total())
 	}
 	c := a.Clone()
-	c["n9"]++
-	if _, ok := a["n9"]; ok {
+	c[0].Count++
+	if a[0].Count != 3 {
 		t.Fatal("clone aliased original")
 	}
 }

@@ -2,13 +2,17 @@ package replication
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"dedisys/internal/persistence"
 	"dedisys/internal/transport"
@@ -17,13 +21,22 @@ import (
 // Property-based tests of the version vector algebra, which the whole
 // missed-update and conflict-detection machinery rests on.
 
-var vvNodes = []transport.NodeID{"a", "b", "c"}
+var vvNodes = []transport.NodeID{"a", "b", "c", "d"}
 
+// vvGen draws a vector over vvNodes, each node present with half a chance and
+// a count of 0 to 3, so zero components occur; one in ten is nil and one in
+// ten empty.
 func vvGen(r *rand.Rand) VersionVector {
+	switch r.Intn(10) {
+	case 0:
+		return nil
+	case 1:
+		return VersionVector{}
+	}
 	vv := VersionVector{}
 	for _, n := range vvNodes {
 		if r.Intn(2) == 0 {
-			vv[n] = int64(r.Intn(4))
+			vv = append(vv, Component{Node: n, Count: int64(r.Intn(4))})
 		}
 	}
 	return vv
@@ -37,6 +50,216 @@ func vvConfig() *quick.Config {
 				vals[i] = reflect.ValueOf(vvGen(r))
 			}
 		},
+	}
+}
+
+// vvMap is the reference model of a vector: the map a vector was before it
+// became a sorted list, nil for nil.
+func vvMap(v VersionVector) map[transport.NodeID]int64 {
+	if v == nil {
+		return nil
+	}
+	m := make(map[transport.NodeID]int64, len(v))
+	for _, c := range v {
+		m[c.Node] = c.Count
+	}
+	return m
+}
+
+// vvFromMap builds the vector a model map stands for.
+func vvFromMap(m map[transport.NodeID]int64) VersionVector {
+	if m == nil {
+		return nil
+	}
+	v := make(VersionVector, 0, len(m))
+	for n, c := range m {
+		v = append(v, Component{Node: n, Count: c})
+	}
+	slices.SortFunc(v, func(a, b Component) int { return cmp.Compare(a.Node, b.Node) })
+	return v
+}
+
+// The model's operations: the map-based vector's methods as they were.
+
+func modelCopy(m map[transport.NodeID]int64) map[transport.NodeID]int64 {
+	out := make(map[transport.NodeID]int64, len(m))
+	for k, n := range m {
+		out[k] = n
+	}
+	return out
+}
+
+func modelBumped(m map[transport.NodeID]int64, n transport.NodeID) map[transport.NodeID]int64 {
+	out := modelCopy(m)
+	out[n]++
+	return out
+}
+
+// modelMerged also reports whether o added nothing, when the result is m.
+func modelMerged(m, o map[transport.NodeID]int64) (out map[transport.NodeID]int64, same bool) {
+	out, same = m, true
+	for k, n := range o {
+		if n > out[k] {
+			if same {
+				out, same = modelCopy(m), false
+			}
+			out[k] = n
+		}
+	}
+	return out, same
+}
+
+func modelCompare(m, o map[transport.NodeID]int64) (int, bool) {
+	less, greater := false, false
+	for k, n := range m {
+		greater = greater || n > o[k]
+	}
+	for k, n := range o {
+		less = less || n > m[k]
+	}
+	switch {
+	case less && greater:
+		return 0, false
+	case greater:
+		return 1, true
+	case less:
+		return -1, true
+	}
+	return 0, true
+}
+
+func modelTotal(m map[transport.NodeID]int64) int64 {
+	var t int64
+	for _, n := range m {
+		t += n
+	}
+	return t
+}
+
+// modelWire is the self-encoded form the map-based vector wrote: a map header,
+// then ID and counter per component in byte order of the IDs.
+func modelWire(m map[transport.NodeID]int64) []byte {
+	out := transport.AppendWireMapLen(nil, len(m), m == nil)
+	keys := make([]transport.NodeID, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		out = binary.AppendVarint(transport.AppendWireString(out, string(k)), m[k])
+	}
+	return out
+}
+
+// wellFormed reports whether the vector's nodes strictly ascend: sorted and
+// free of duplicates.
+func wellFormed(v VersionVector) bool {
+	for i := 1; i < len(v); i++ {
+		if v[i].Node <= v[i-1].Node {
+			return false
+		}
+	}
+	return true
+}
+
+// sameVector reports whether two non-empty vectors are one slice, not merely
+// equal ones.
+func sameVector(a, b VersionVector) bool {
+	return len(a) > 0 && len(a) == len(b) && unsafe.SliceData(a) == unsafe.SliceData(b)
+}
+
+// TestVectorMatchesMapModel checks every method of the sorted-list vector
+// against the map it replaced, over fixed edge cases — nil and empty, zero
+// components, a node that sorts before every other — paired with each other
+// and with seeded random vectors: the results, the encodings (the stored JSON
+// and the wire bytes must not change), the order and uniqueness of every
+// result, and that no method writes its receiver or its argument.
+func TestVectorMatchesMapModel(t *testing.T) {
+	fixed := []VersionVector{
+		nil,
+		{},
+		{{Node: "a", Count: 0}},
+		{{Node: "b", Count: 1}},
+		{{Node: "b", Count: 0}, {Node: "d", Count: 2}},
+		{{Node: "a", Count: 1}, {Node: "c", Count: 0}},
+		{{Node: "a", Count: 3}, {Node: "b", Count: 3}, {Node: "c", Count: 3}, {Node: "d", Count: 3}},
+	}
+	r := rand.New(rand.NewSource(1))
+	var pairs [][2]VersionVector
+	for _, a := range fixed {
+		for _, b := range fixed {
+			pairs = append(pairs, [2]VersionVector{a, b})
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		pairs = append(pairs, [2]VersionVector{vvGen(r), vvGen(r)})
+	}
+	probes := append([]transport.NodeID{"", "0", "e"}, vvNodes...) // "" and "0" sort first, "e" last
+	for _, p := range pairs {
+		a, b := p[0], p[1]
+		a0, b0 := slices.Clone(a), slices.Clone(b)
+		ma, mb := vvMap(a), vvMap(b)
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("a=%v b=%v: %s", a, b, fmt.Sprintf(format, args...))
+		}
+
+		for _, n := range probes {
+			if got := a.Get(n); got != ma[n] {
+				fail("Get(%q) = %d, model %d", n, got, ma[n])
+			}
+			bumped := a.Bumped(n)
+			if !wellFormed(bumped) || !reflect.DeepEqual(vvMap(bumped), modelBumped(ma, n)) || sameVector(bumped, a) {
+				fail("Bumped(%q) = %v, model %v", n, bumped, modelBumped(ma, n))
+			}
+		}
+		merged := a.Merged(b)
+		want, same := modelMerged(ma, mb)
+		if !wellFormed(merged) || !reflect.DeepEqual(vvMap(merged), want) {
+			fail("Merged = %v, model %v", merged, want)
+		}
+		// The receiver itself when the argument adds nothing, nil included; a
+		// slice of its own otherwise.
+		if same && ((merged == nil) != (a == nil) || len(merged) != len(a) || len(a) > 0 && !sameVector(merged, a)) {
+			fail("Merged that adds nothing returned %v, not the receiver", merged)
+		}
+		if !same && (sameVector(merged, a) || sameVector(merged, b)) {
+			fail("Merged that adds shares an operand's slice")
+		}
+		order, ok := a.Compare(b)
+		if wantOrder, wantOK := modelCompare(ma, mb); order != wantOrder || ok != wantOK {
+			fail("Compare = %d,%v, model %d,%v", order, ok, wantOrder, wantOK)
+		}
+		if got := a.Total(); got != modelTotal(ma) {
+			fail("Total = %d, model %d", got, modelTotal(ma))
+		}
+		clone := a.Clone()
+		if clone == nil || !reflect.DeepEqual(vvMap(clone), modelCopy(ma)) || sameVector(clone, a) {
+			fail("Clone = %#v", clone)
+		}
+
+		data := a.appendWire(nil)
+		if !bytes.Equal(data, modelWire(ma)) {
+			fail("appendWire = %x, model %x", data, modelWire(ma))
+		}
+		var wr transport.WireReader
+		wr.Reset(data)
+		back := readVectorWire(&wr)
+		if wr.Err() != nil || wr.Len() != 0 {
+			fail("readVectorWire: %v, %d bytes left", wr.Err(), wr.Len())
+		}
+		if len(a) == 0 && back != nil || len(a) > 0 && !reflect.DeepEqual(back, a) {
+			fail("wire round trip = %#v", back) // an empty vector decodes nil, as through gob
+		}
+		gotJSON, err := a.AppendJSON(nil)
+		wantJSON, _ := json.Marshal(ma)
+		if err != nil || !bytes.Equal(gotJSON, wantJSON) {
+			fail("AppendJSON = %s, %v; json.Marshal of the map %s", gotJSON, err, wantJSON)
+		}
+
+		if !reflect.DeepEqual(a, a0) || !reflect.DeepEqual(b, b0) {
+			fail("a method wrote an operand: a=%v b=%v after", a, b)
+		}
 	}
 }
 
@@ -118,12 +341,12 @@ func TestQuickBumpStrictlyDominates(t *testing.T) {
 
 // TestQuickVectorMethodsWriteNothing is the never-written rule as a property:
 // no method writes its receiver or its argument, the result of Bumped is a
-// map of its own, and Merged returns the receiver itself exactly when the
+// slice of its own, and Merged returns the receiver itself exactly when the
 // argument adds nothing to it. reflect.DeepEqual against copies taken before
-// the call also catches a zero component added to either map.
+// the call also catches a zero component added to either vector.
 func TestQuickVectorMethodsWriteNothing(t *testing.T) {
 	f := func(a, b VersionVector) bool {
-		a0, b0 := a.Clone(), b.Clone()
+		a0, b0 := slices.Clone(a), slices.Clone(b)
 		bumped := a.Bumped("b")
 		merged := a.Merged(b)
 		a.Compare(b)
@@ -134,19 +357,23 @@ func TestQuickVectorMethodsWriteNothing(t *testing.T) {
 		if !reflect.DeepEqual(a, a0) || !reflect.DeepEqual(b, b0) {
 			return false
 		}
-		if sameMap(bumped, a) {
+		if sameVector(bumped, a) {
 			return false
 		}
 		cmp, ok := b.Compare(a)
 		adds := !ok || cmp > 0
-		if sameMap(merged, a) == adds || sameMap(merged, b) {
+		if adds == (len(merged) == len(a) && (len(a) == 0 || sameVector(merged, a))) || sameVector(merged, b) {
 			return false
 		}
 		// The results are as free of their operands as the operands are of
 		// them: writing a result leaves both operands alone.
-		bumped["c"] += 7
+		for i := range bumped {
+			bumped[i].Count += 7
+		}
 		if adds {
-			merged["c"] += 7
+			for i := range merged {
+				merged[i].Count += 7
+			}
 		}
 		return reflect.DeepEqual(a, a0) && reflect.DeepEqual(b, b0)
 	}
@@ -154,10 +381,10 @@ func TestQuickVectorMethodsWriteNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	var none VersionVector
-	if got := none.Bumped("a"); !reflect.DeepEqual(got, VersionVector{"a": 1}) {
+	if got := none.Bumped("a"); !reflect.DeepEqual(got, VersionVector{{Node: "a", Count: 1}}) {
 		t.Fatalf("nil.Bumped = %v", got)
 	}
-	if got := none.Merged(VersionVector{"a": 2}); !reflect.DeepEqual(got, VersionVector{"a": 2}) {
+	if got := none.Merged(VersionVector{{Node: "a", Count: 2}}); !reflect.DeepEqual(got, VersionVector{{Node: "a", Count: 2}}) {
 		t.Fatalf("nil.Merged = %v", got)
 	}
 	if got := none.Merged(nil); got != nil {
@@ -180,26 +407,28 @@ func TestQuickCompareConsistentWithTotals(t *testing.T) {
 }
 
 // TestVersionVectorJSONMatchesEncodingJSON holds the hand-written encoder to
-// encoding/json's output for the underlying map, byte for byte — the stored
+// encoding/json's output for the equivalent map, byte for byte — the stored
 // replica-meta records must not change — directly, appended after a prefix,
-// through the store's self-encoding path, and embedded in a struct; and the
-// store must decode what it stored.
+// through the store's self-encoding path (handed a pointer, as the manager
+// hands it), and embedded in a struct; and what the store holds must decode
+// to the map.
 func TestVersionVectorJSONMatchesEncodingJSON(t *testing.T) {
-	nine := VersionVector{}
+	nine := map[transport.NodeID]int64{}
 	for i := 0; i < 9; i++ {
 		nine[transport.NodeID(fmt.Sprintf("n%d", 9-i))] = int64(i) * 1_000_000_007
 	}
-	cases := map[string]VersionVector{
+	cases := map[string]map[transport.NodeID]int64{
 		"nil":      nil,
 		"empty":    {},
 		"one":      {"n1": 1},
 		"three":    {"n3": 3, "n1": -1, "n2": math.MaxInt64},
 		"nine":     nine,
-		"escaping": {`q"uote`: 1, `back\slash`: 2, "<lt": 3, "gt>": 4, "a&b": 5, "ünï": 6, "\x00\x1f\n\t\b\f\r": 7, "  ": 8, "bad\xffutf8": 9, "\x7f": 10, "": 11},
+		"escaping": {`q"uote`: 1, `back\slash`: 2, "<lt": 3, "gt>": 4, "a&b": 5, "ünï": 6, "\x00\x1f\n\t\b\f\r": 7, "  ": 8, "bad\xffutf8": 9, "\x7f": 10, "": 11},
 	}
 	store := persistence.NewStore()
-	for name, vv := range cases {
-		want, err := json.Marshal(map[transport.NodeID]int64(vv))
+	for name, model := range cases {
+		vv := vvFromMap(model)
+		want, err := json.Marshal(model)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -214,7 +443,7 @@ func TestVersionVectorJSONMatchesEncodingJSON(t *testing.T) {
 		if got, err := vv.AppendJSON([]byte(prefix)); err != nil || string(got) != prefix+string(want) {
 			t.Errorf("%s: AppendJSON after %s\n got %s, %v\nwant %s%s", name, prefix, got, err, prefix, want)
 		}
-		if err := store.Put("t", name, vv); err != nil {
+		if err := store.Put("t", name, &vv); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		var raw json.RawMessage
@@ -224,13 +453,13 @@ func TestVersionVectorJSONMatchesEncodingJSON(t *testing.T) {
 		if !bytes.Equal(raw, want) {
 			t.Errorf("%s: stored\n got %s\nwant %s", name, raw, want)
 		}
-		var back VersionVector
+		var back map[transport.NodeID]int64
 		if err := store.Get("t", name, &back); err != nil {
 			t.Fatalf("%s: decode: %v", name, err)
 		}
 		// Invalid UTF-8 in a key does not survive any JSON round trip.
-		if name != "escaping" && !reflect.DeepEqual(back, vv) {
-			t.Errorf("%s: decoded %v, want %v", name, back, vv)
+		if name != "escaping" && !reflect.DeepEqual(back, model) {
+			t.Errorf("%s: decoded %v, want %v", name, back, model)
 		}
 		if name == "escaping" && len(back) != len(vv) {
 			t.Errorf("%s: decoded %d entries, want %d", name, len(back), len(vv))
@@ -241,6 +470,64 @@ func TestVersionVectorJSONMatchesEncodingJSON(t *testing.T) {
 		}
 		if wantEntry := fmt.Sprintf(`{"state":null,"version":7,"vv":%s}`, want); string(entry) != wantEntry {
 			t.Errorf("%s: embedded\n got %s\nwant %s", name, entry, wantEntry)
+		}
+	}
+}
+
+// vvSink keeps what TestVectorAllocs measures on the heap, where the manager's
+// vectors live.
+var vvSink VersionVector
+
+// TestVectorAllocs pins what the vector costs: one allocation for a bump, for
+// a merge that adds a component and for a decode, none for anything that only
+// reads. It also pins the store writes of replica metadata at 0 — counted
+// with the conversion to any at the call site, made as applyOps and Commit
+// make it, a pointer to the vector where it lives — and shows the trap: the
+// same write handed the vector itself boxes its three-word header. Skipped
+// under -race, whose runtime allocates on paths the production build does not.
+func TestVectorAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race build: allocation count skipped")
+	}
+	v := VersionVector{{Node: "n1", Count: 8}, {Node: "n3", Count: 2}}
+	adds := VersionVector{{Node: "n2", Count: 1}}
+	data := v.appendWire(nil)
+	buf := make([]byte, 0, 64)
+	var r transport.WireReader
+	r.Reset(data)
+	readVectorWire(&r) // the link's name table learns the node IDs
+	store := persistence.NewStore()
+	ops := []batchOp{{Kind: msgApply, Apply: applyMsg{ID: "f1", VV: v}}}
+	staged := []stagedOp{{op: ops[0]}}
+	for _, c := range []struct {
+		name string
+		want float64
+		f    func()
+	}{
+		{"Bumped", 1, func() { vvSink = v.Bumped("n2") }},
+		{"Bumped of a present node", 1, func() { vvSink = v.Bumped("n3") }},
+		{"Merged that adds a component", 1, func() { vvSink = v.Merged(adds) }},
+		{"Merged that adds nothing", 0, func() { vvSink = v.Merged(v[:1]) }},
+		{"Compare", 0, func() { v.Compare(adds) }},
+		{"Get", 0, func() { v.Get("n3") }},
+		{"Total", 0, func() { v.Total() }},
+		{"AppendJSON", 0, func() { buf, _ = v.AppendJSON(buf[:0]) }},
+		{"appendWire", 0, func() { buf = v.appendWire(buf[:0]) }},
+		{"readVectorWire", 1, func() { r.Reset(data); vvSink = readVectorWire(&r) }},
+		{"replica-meta Put as applyOps makes it", 0, func() {
+			op := &ops[0]
+			_ = store.Put(tableReplicaMeta, string(op.Apply.ID), &op.Apply.VV)
+		}},
+		{"replica-meta Put as Commit makes it", 0, func() {
+			s := &staged[0]
+			_ = store.Put(tableReplicaMeta, "f1", &s.op.Apply.VV)
+		}},
+		{"replica-meta Put of the vector itself (boxed)", 1, func() {
+			_ = store.Put(tableReplicaMeta, "f1", ops[0].Apply.VV)
+		}},
+	} {
+		if got := testing.AllocsPerRun(200, c.f); got != c.want {
+			t.Errorf("%s = %v allocs, want %v", c.name, got, c.want)
 		}
 	}
 }

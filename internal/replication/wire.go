@@ -157,27 +157,29 @@ func readAckWire(r *transport.WireReader) any {
 }
 
 // appendWire writes a map header (nil and empty stay apart), then node ID and
-// counter per component in sortedNodes order.
+// counter per component.
 func (v VersionVector) appendWire(dst []byte) []byte {
-	var buf [8]transport.NodeID
 	dst = transport.AppendWireMapLen(dst, len(v), v == nil)
-	for _, k := range v.sortedNodes(buf[:0]) {
-		dst = binary.AppendVarint(transport.AppendWireString(dst, string(k)), v[k])
+	for _, c := range v {
+		dst = binary.AppendVarint(transport.AppendWireString(dst, string(c.Node)), c.Count)
 	}
 	return dst
 }
 
 // readVectorWire decodes a vector of its own: the replica installs it by
-// reference (see VersionVector).
+// reference (see VersionVector). Like gob it leaves an empty vector nil; a
+// repeated or descending node fails the reader.
 func readVectorWire(r *transport.WireReader) VersionVector {
-	n, isNil := r.MapLen(2) // a component is at least an ID length and a counter
-	if isNil {
+	n, _ := r.MapLen(2) // a component is at least an ID length and a counter
+	if n == 0 {
 		return nil
 	}
 	v := make(VersionVector, n)
-	for ; n > 0 && r.Err() == nil; n-- {
-		k := transport.NodeID(r.Name())
-		v[k] = r.Varint()
+	for i := range v {
+		v[i] = Component{Node: transport.NodeID(r.Name()), Count: r.Varint()}
+		if i > 0 && v[i].Node <= v[i-1].Node {
+			r.Fail("replication: vector node %q after %q", v[i].Node, v[i-1].Node)
+		}
 	}
 	return v
 }

@@ -39,12 +39,19 @@ func Charge(d time.Duration) {
 // hop or per-link latency therefore cannot outlive its caller: an abandoned
 // send stops paying simulated time the moment the context dies. The spin
 // path polls the context coarsely (every few iterations' worth of clock
-// reads) so the sub-millisecond cost calibration is unaffected.
+// reads) so the sub-millisecond cost calibration is unaffected. A context
+// that can never be cancelled (a nil Done channel, as context.Background's)
+// is Charge: the sleep parks on the goroutine's own runtime timer, where a
+// timer to select on would cost three allocations per charge.
 func ChargeCtx(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return nil
 	}
-	if ctx == nil {
+	var done <-chan struct{}
+	if ctx != nil {
+		done = ctx.Done()
+	}
+	if done == nil {
 		Charge(d)
 		return nil
 	}
@@ -54,14 +61,13 @@ func ChargeCtx(ctx context.Context, d time.Duration) error {
 		select {
 		case <-timer.C:
 			return nil
-		case <-ctx.Done():
+		case <-done:
 			return ctx.Err()
 		}
 	}
 	end := time.Now().Add(d)
-	done := ctx.Done()
 	for i := 0; time.Now().Before(end); i++ {
-		if done != nil && i%64 == 0 {
+		if i%64 == 0 {
 			select {
 			case <-done:
 				return ctx.Err()

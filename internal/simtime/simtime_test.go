@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"context"
 	"testing"
 	"time"
 )
@@ -35,5 +36,42 @@ func TestChargeAboveThresholdSleeps(t *testing.T) {
 	Charge(d)
 	if elapsed := time.Since(start); elapsed < d {
 		t.Fatalf("charged %s, want at least %s", elapsed, d)
+	}
+}
+
+// TestChargeCtxUncancellableAllocatesNothing: a hop charged under a context
+// that can never be cancelled — every benchmark operation's and every
+// ctx-less invocation's — sleeps on the goroutine's own runtime timer, made on
+// the goroutine's first sleep, and allocates nothing after it. A timer to
+// select on costs three allocations a charge.
+func TestChargeCtxUncancellableAllocatesNothing(t *testing.T) {
+	ctx := context.Background()
+	if got := testing.AllocsPerRun(20, func() { _ = ChargeCtx(ctx, time.Millisecond) }); got != 0 {
+		t.Fatalf("a 1 ms charge under context.Background = %v allocs, want 0", got)
+	}
+}
+
+// TestChargeCtxCancelledReturnsEarly: a cancellable context still ends the
+// charge — one cancelled before it, on the sleep and on the spin path, and one
+// whose deadline passes during it — with the context's error, long before d.
+func TestChargeCtxCancelledReturnsEarly(t *testing.T) {
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	for _, c := range []struct {
+		name string
+		ctx  context.Context
+		d    time.Duration
+	}{
+		{"cancelled, sleep path", cancelled, time.Second},
+		{"cancelled, spin path", cancelled, 900 * time.Microsecond},
+		{"deadline during the charge", expired, time.Second},
+	} {
+		start := time.Now()
+		err := ChargeCtx(c.ctx, c.d)
+		if elapsed := time.Since(start); err == nil || err != c.ctx.Err() || elapsed > c.d/2 {
+			t.Errorf("%s: ChargeCtx(%s) = %v after %s, want %v well before %s", c.name, c.d, err, elapsed, c.ctx.Err(), c.d)
+		}
 	}
 }
