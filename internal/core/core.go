@@ -37,7 +37,6 @@ const (
 const (
 	keyNegHandler = "ccm.negotiation-handler"
 	keyPending    = "ccm.pending-invariants"
-	keyCleared    = "ccm.cleared-threats"
 )
 
 // Sentinel errors of the constraint consistency manager.
@@ -128,8 +127,9 @@ type Config struct {
 	// DefaultMinDegree is the application-wide minimum satisfaction degree
 	// used when a constraint's metadata does not configure one (§3.2.1).
 	DefaultMinDegree constraint.Degree
-	// ReplicateThreats propagates accepted threats to partition members
-	// (threat data is replicated too, §5.1). Disable for single-node setups.
+	// ReplicateThreats propagates the threats a transaction accepts and the
+	// identities it clears to partition members (threat data is replicated
+	// too, §5.1). Disable for single-node setups.
 	ReplicateThreats bool
 	// Obs is the shared observability scope; nil observes into a private
 	// registry.
@@ -252,11 +252,8 @@ func (m *Manager) handleThreatAdd(from transport.NodeID, payload any) (any, erro
 	if !ok {
 		return nil, fmt.Errorf("core: bad threat payload %T", payload)
 	}
-	for _, th := range ths {
-		th.Seq = 0 // local store assigns its own sequence
-		if _, _, err := m.threats.Add(th); err != nil {
-			return nil, err
-		}
+	if err := m.threats.Replicate(nil, ths); err != nil {
+		return nil, err
 	}
 	return "ack", nil
 }
@@ -272,9 +269,7 @@ func (m *Manager) handleThreatRemove(from transport.NodeID, payload any) (any, e
 	if !ok {
 		return nil, fmt.Errorf("core: bad threat removal payload %T", payload)
 	}
-	for _, ident := range idents {
-		m.threats.RemoveIdentity(ident)
-	}
+	_ = m.threats.Replicate(idents, nil) // only an addition can fail
 	return "ack", nil
 }
 

@@ -266,7 +266,7 @@ func newReplEnv(t *testing.T) *replEnv {
 	env.repl = repl
 	ccm, err := New(Config{
 		Self: "n1", Net: net, GMS: gms, Registry: env.reg,
-		Repl: repl, Repo: env.repo, Threats: env.ths,
+		Repl: repl, Repo: env.repo, Threats: env.ths, ReplicateThreats: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -275,14 +275,15 @@ func newReplEnv(t *testing.T) *replEnv {
 	env.txm.RegisterResource(repl)
 	env.txm.RegisterResource(ccm)
 
-	// Register remote handlers for n2 so multicasts succeed.
+	// Register remote handlers for n2 so multicasts succeed; the threats of
+	// n1's commits reach n2's store inside the repl.batch.
 	reg2 := object.NewRegistry()
+	env.ths2 = threat.NewStore(persistence.NewStore(), threat.IdenticalOnce)
 	if _, err := replication.NewManager(replication.Config{
-		Self: "n2", Net: net, GMS: gms, Registry: reg2, Store: persistence.NewStore(),
+		Self: "n2", Net: net, GMS: gms, Registry: reg2, Store: persistence.NewStore(), Threats: env.ths2,
 	}); err != nil {
 		t.Fatal(err)
 	}
-	env.ths2 = threat.NewStore(persistence.NewStore(), threat.IdenticalOnce)
 	if _, err := New(Config{
 		Self: "n2", Net: net, GMS: gms, Registry: reg2,
 		Repo: repository.New(), Threats: env.ths2,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"dedisys/internal/constraint"
 	"dedisys/internal/invocation"
@@ -11,6 +12,7 @@ import (
 	"dedisys/internal/obs"
 	"dedisys/internal/repository"
 	"dedisys/internal/threat"
+	"dedisys/internal/transport"
 	"dedisys/internal/tx"
 )
 
@@ -222,23 +224,29 @@ func (m *Manager) Prepare(t *tx.Tx) error {
 	return m.awaitDeferredNegotiations(t)
 }
 
-// Commit implements tx.Resource: the threat identities the transaction's
-// operations cleared are announced to the peers, and accepted threats
-// collected during the transaction are replicated to the partition members
-// (§5.1: threat data is replicated too). A rolled-back transaction announces
-// nothing; its undo restored the local records.
+// Commit implements tx.Resource: the identities the transaction cleared and
+// the threats it accepted reach each view member once (§5.1) — in the
+// repl.batch replication's commit sent, or here. A rolled-back transaction
+// announces nothing; its undo restored the local records.
 func (m *Manager) Commit(t *tx.Tx) error {
-	cleared, _ := t.Value(keyCleared).([]string)
-	m.announceRemoved(t.Context(), &cleared)
-	if !m.replicateThreats || m.comm == nil {
+	cleared, _ := t.Value(threat.KeyCleared).([]string)
+	accepted, _ := t.Value(threat.KeyAccepted).([]threat.Threat)
+	if len(cleared) == 0 && len(accepted) == 0 || m.comm == nil {
 		return nil
 	}
-	accepted, _ := t.Value("ccm.accepted-threats").([]threat.Threat)
-	if len(accepted) == 0 {
+	shipped, _ := t.Value(threat.KeyShipped).([]transport.NodeID)
+	rest := slices.DeleteFunc(slices.Clone(m.gms.ViewOf(m.self).Members), func(p transport.NodeID) bool {
+		return p == m.self || slices.Contains(shipped, p)
+	})
+	if len(rest) == 0 {
 		return nil
 	}
-	// Peers out of reach replicate during reconciliation.
-	m.comm.Multicast(t.Context(), m.self, m.gms.ViewOf(m.self).Members, msgThreatAdd, accepted)
+	if len(cleared) > 0 {
+		m.comm.Multicast(t.Context(), m.self, rest, msgThreatRemove, cleared)
+	}
+	if len(accepted) > 0 {
+		m.comm.Multicast(t.Context(), m.self, rest, msgThreatAdd, accepted)
+	}
 	return nil
 }
 
@@ -327,8 +335,10 @@ func (m *Manager) clearSatisfiedThreats(t *tx.Tx, meta constraint.Meta, ctx *val
 		return
 	}
 	m.threats.RemoveIdentity(ident)
-	cleared, _ := t.Value(keyCleared).([]string)
-	t.Put(keyCleared, append(cleared, ident))
+	if m.replicateThreats {
+		cleared, _ := t.Value(threat.KeyCleared).([]string)
+		t.Put(threat.KeyCleared, append(cleared, ident))
+	}
 	t.RecordUndo(func() {
 		for _, old := range removed {
 			old.Seq = 0
@@ -425,11 +435,10 @@ func (m *Manager) storeThreat(t *tx.Tx, th threat.Threat) error {
 	}
 	seq := stored.Seq
 	t.RecordUndo(func() { m.threats.Remove(seq) })
-	var accepted []threat.Threat
-	if v, ok := t.Value("ccm.accepted-threats").([]threat.Threat); ok {
-		accepted = v
+	if m.replicateThreats {
+		accepted, _ := t.Value(threat.KeyAccepted).([]threat.Threat)
+		t.Put(threat.KeyAccepted, append(accepted, stored))
 	}
-	t.Put("ccm.accepted-threats", append(accepted, stored))
 	return nil
 }
 

@@ -5,28 +5,30 @@ import (
 	"testing/quick"
 )
 
+// evalCases are expressions with an environment and their value.
+var evalCases = []struct {
+	src  string
+	env  Env
+	want int64
+}{
+	{"1 + 2", nil, 3},
+	{"5 - 2 - 1", nil, 2},
+	{"load <= maxLoad", Env{"load": 3, "maxLoad": 5}, 1},
+	{"load <= maxLoad", Env{"load": 7, "maxLoad": 5}, 0},
+	{"a > 0 && a <= b", Env{"a": 2, "b": 3}, 1},
+	{"a > 0 && a <= b", Env{"a": 0, "b": 3}, 0},
+	{"a == 0 || b >= 0", Env{"a": 5, "b": 1}, 1},
+	{"(1 + 2) == 3", nil, 1},
+	{"x < 2", Env{"x": 1}, 1},
+	{"x > 2", Env{"x": 1}, 0},
+	{"x != 2", Env{"x": 1}, 1},
+	{"x != 1", Env{"x": 1}, 0},
+	{"old_load + arg0 == load", Env{"old_load": 2, "arg0": 3, "load": 5}, 1},
+	{"a.b == 1", Env{"a.b": 1}, 1}, // dotted navigation names
+}
+
 func TestParserAndEval(t *testing.T) {
-	cases := []struct {
-		src  string
-		env  Env
-		want int64
-	}{
-		{"1 + 2", nil, 3},
-		{"5 - 2 - 1", nil, 2},
-		{"load <= maxLoad", Env{"load": 3, "maxLoad": 5}, 1},
-		{"load <= maxLoad", Env{"load": 7, "maxLoad": 5}, 0},
-		{"a > 0 && a <= b", Env{"a": 2, "b": 3}, 1},
-		{"a > 0 && a <= b", Env{"a": 0, "b": 3}, 0},
-		{"a == 0 || b >= 0", Env{"a": 5, "b": 1}, 1},
-		{"(1 + 2) == 3", nil, 1},
-		{"x < 2", Env{"x": 1}, 1},
-		{"x > 2", Env{"x": 1}, 0},
-		{"x != 2", Env{"x": 1}, 1},
-		{"x != 1", Env{"x": 1}, 0},
-		{"old_load + arg0 == load", Env{"old_load": 2, "arg0": 3, "load": 5}, 1},
-		{"a.b == 1", Env{"a.b": 1}, 1}, // dotted navigation names
-	}
-	for _, c := range cases {
+	for _, c := range evalCases {
 		e, err := Parse(c.src)
 		if err != nil {
 			t.Fatalf("parse %q: %v", c.src, err)
@@ -41,9 +43,11 @@ func TestParserAndEval(t *testing.T) {
 	}
 }
 
+// badSources are expressions Parse rejects.
+var badSources = []string{"", "1 +", "(1", "1 ~ 2", "== 3", "1 2"}
+
 func TestParseErrors(t *testing.T) {
-	bad := []string{"", "1 +", "(1", "1 ~ 2", "== 3", "1 2"}
-	for _, src := range bad {
+	for _, src := range badSources {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("parse %q: expected error", src)
 		}
@@ -100,4 +104,29 @@ func TestQuickComparisons(t *testing.T) {
 	if err := quick.Check(g, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzExprParse feeds arbitrary text to the parser, seeded with the tables
+// above. Parse must return, never panic, and an expression it accepts must
+// evaluate without error once every name Vars reports is bound.
+func FuzzExprParse(f *testing.F) {
+	for _, c := range evalCases {
+		f.Add(c.src)
+	}
+	for _, src := range badSources {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		e, err := Parse(src)
+		if err != nil {
+			return
+		}
+		env := Env{}
+		for i, name := range Vars(e) {
+			env[name] = int64(i) - 1
+		}
+		if _, err := e.Eval(env); err != nil {
+			t.Fatalf("%q under %v: %v", src, env, err)
+		}
+	})
 }

@@ -217,6 +217,7 @@ func New(opts Options) (*Node, error) {
 			Protocol:    opts.Protocol,
 			KeepHistory: opts.KeepHistory,
 			Placement:   ring,
+			Threats:     n.Threats,
 			Obs:         scoped,
 		})
 		if err != nil {

@@ -1,0 +1,238 @@
+package node_test
+
+// A commit's threats ride its repl.batch (§5.1: threat data is replicated
+// too). Every member of the coordinator's view receives each threat it
+// accepts and each identity it clears once: inside the batch where the
+// commit's round reaches the member, in a ccm.threat.add / ccm.threat.remove
+// of its own where it does not. A replica that answered the batch holds the
+// threat when the commit returns.
+
+import (
+	"fmt"
+	"reflect"
+	"slices"
+	"sync"
+	"testing"
+
+	"dedisys/internal/chaos"
+	"dedisys/internal/constraint"
+	"dedisys/internal/node"
+	"dedisys/internal/object"
+	"dedisys/internal/placement"
+	"dedisys/internal/threat"
+	"dedisys/internal/transport"
+)
+
+// sends is what the network delivered, per destination and kind.
+type sends map[transport.NodeID]map[string]int
+
+// sendTally counts the messages the simulated network delivers. It taps the
+// drop hook, which every send to a reachable destination passes, and drops
+// nothing.
+type sendTally struct {
+	mu   sync.Mutex
+	sent sends
+}
+
+func tapSends(t *testing.T, net *transport.Network) *sendTally {
+	t.Helper()
+	s := &sendTally{sent: sends{}}
+	net.SetDrop(func(_, to transport.NodeID, kind string) bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if s.sent[to] == nil {
+			s.sent[to] = map[string]int{}
+		}
+		s.sent[to][kind]++
+		return false
+	})
+	t.Cleanup(func() { net.SetDrop(nil) })
+	return s
+}
+
+// take returns what was sent since the last take.
+func (s *sendTally) take() sends {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := s.sent
+	s.sent = sends{}
+	return out
+}
+
+// newRegCluster builds a cluster of Reg objects under the tradeable
+// NonNegative constraint, which a degraded write accepts as a threat and a
+// healthy one satisfies.
+func newRegCluster(t *testing.T, size int, opts ...node.ClusterOption) *node.Cluster {
+	t.Helper()
+	c, err := node.NewCluster(size, nil, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range c.Nodes {
+		n.RegisterSchema(chaos.Schema())
+		if err := n.DeployConstraints([]constraint.Configured{chaos.TradeableConstraint()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c
+}
+
+func setValue(t *testing.T, n *node.Node, id object.ID, v int64) {
+	t.Helper()
+	if _, err := n.Invoke(id, "SetValue", v); err != nil {
+		t.Fatalf("%s sets %s: %v", n.ID, id, err)
+	}
+}
+
+func expectSends(t *testing.T, what string, got, want sends) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s sent %v, want %v", what, got, want)
+	}
+}
+
+// holds reports whether the node's store holds a threat of the identity.
+func holds(n *node.Node, ident string) bool { return len(n.Threats.ByIdentity(ident)) > 0 }
+
+// TestThreatRidesTheBatch is the paper's setting: four nodes under P4, cut
+// into {n1,n2} | {n3,n4}. A write that accepts the first threat of an
+// identity sends its peer one message, the repl.batch, and the peer holds the
+// threat when the commit returns; a separate ccm.threat.add made it two. A
+// write whose threat folds into the stored one sends one as before. Healed,
+// a write that satisfies the constraint clears the identity with one message
+// per peer, where a ccm.threat.remove beside the batch made it two.
+func TestThreatRidesTheBatch(t *testing.T) {
+	c := newRegCluster(t, 4)
+	n1, n2 := c.Node(0), c.Node(1)
+	if err := n1.Create("Reg", "o1", object.State{"value": int64(0)}, c.AllReplicas("n1")); err != nil {
+		t.Fatal(err)
+	}
+	const ident = "NonNegative|o1"
+	c.Partition([]transport.NodeID{"n1", "n2"}, []transport.NodeID{"n3", "n4"})
+	tally := tapSends(t, c.Net)
+	batch := map[string]int{"repl.batch": 1}
+
+	setValue(t, n1, "o1", 1)
+	expectSends(t, "a first-threat write", tally.take(), sends{"n2": batch})
+	if !holds(n1, ident) || !holds(n2, ident) {
+		t.Fatalf("after the first-threat write n1 holds %v, n2 %v; want both", n1.Threats.All(), n2.Threats.All())
+	}
+
+	setValue(t, n1, "o1", 2)
+	expectSends(t, "a folded write", tally.take(), sends{"n2": batch})
+	if n1.Threats.Len() != 1 || n2.Threats.Len() != 1 {
+		t.Fatalf("after the folded write n1 holds %d threats, n2 %d; want 1 and 1", n1.Threats.Len(), n2.Threats.Len())
+	}
+
+	c.Heal()
+	setValue(t, n1, "o1", 3)
+	expectSends(t, "a healthy write that clears the threat", tally.take(), sends{"n2": batch, "n3": batch, "n4": batch})
+	for _, n := range c.Nodes {
+		if n.Threats.Len() != 0 {
+			t.Fatalf("%s holds %v after the clearing commit returned", n.ID, n.Threats.All())
+		}
+	}
+}
+
+// groupObjects returns n object IDs the ring places in group g.
+func groupObjects(t *testing.T, ring *placement.Ring, g, n int) []object.ID {
+	t.Helper()
+	var ids []object.ID
+	for i := 0; len(ids) < n && i < 10_000; i++ {
+		if id := object.ID(fmt.Sprintf("reg-%d", i)); ring.GroupOf(id) == g {
+			ids = append(ids, id)
+		}
+	}
+	if len(ids) < n {
+		t.Fatalf("found %d object IDs in group %d, want %d", len(ids), g, n)
+	}
+	return ids
+}
+
+// TestShardedThreatReachesTheViewOnce: six nodes in two replica groups of
+// three, and a cut whose coordinator side holds the coordinator, a peer of
+// its object's group and a node outside that group. A first-threat write
+// sends the group peer one repl.batch that carries the threat and the
+// outsider one ccm.threat.add, and all three stores hold the identity. An
+// object no remote replica of which is reachable makes no round at all; the
+// view still hears of its threat in one ccm.threat.add.
+func TestShardedThreatReachesTheViewOnce(t *testing.T) {
+	c := newRegCluster(t, 6, func(o *node.Options) { o.Groups, o.ReplicationFactor = 2, 3 })
+	ids := groupObjects(t, c.Ring, 0, 2)
+	group := c.Ring.GroupReplicas(0)
+	home, peer := group[0], group[1]
+	var outsider transport.NodeID
+	for _, id := range c.Ring.GroupReplicas(1) {
+		if !slices.Contains(group, id) {
+			outsider = id
+			break
+		}
+	}
+	if outsider == "" {
+		t.Skip("ring layout puts every node of group 1 in group 0")
+	}
+	h := c.ByID(home)
+	for _, id := range ids {
+		if err := h.Create("Reg", id, object.State{"value": int64(0)}, c.AllReplicas(home)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cut := func(side ...transport.NodeID) {
+		var rest []transport.NodeID
+		for _, id := range c.IDs() {
+			if !slices.Contains(side, id) {
+				rest = append(rest, id)
+			}
+		}
+		c.Heal()
+		c.Partition(side, rest)
+	}
+	tally := tapSends(t, c.Net)
+
+	cut(home, peer, outsider)
+	setValue(t, h, ids[0], 1)
+	expectSends(t, "a first-threat write", tally.take(), sends{
+		peer:     {"repl.batch": 1},
+		outsider: {"ccm.threat.add": 1},
+	})
+	ident := "NonNegative|" + string(ids[0])
+	for _, id := range []transport.NodeID{home, peer, outsider} {
+		if !holds(c.ByID(id), ident) {
+			t.Fatalf("%s does not hold %s: %v", id, ident, c.ByID(id).Threats.All())
+		}
+	}
+
+	cut(home, outsider)
+	setValue(t, h, ids[1], 1)
+	expectSends(t, "a write with no reachable remote replica", tally.take(), sends{
+		outsider: {"ccm.threat.add": 1},
+	})
+	if !holds(c.ByID(outsider), "NonNegative|"+string(ids[1])) {
+		t.Fatalf("%s does not hold the second threat: %v", outsider, c.ByID(outsider).Threats.All())
+	}
+}
+
+// TestNoReplicationAnnouncesNoRemoval: nodes built without replication never
+// feed each other's threat stores, so a commit that clears a stored threat
+// tells nobody — no ccm.threat.remove leaves it, and the peer keeps its own
+// threat of the same identity. The removal used to be announced before the
+// check that gates replicated additions.
+func TestNoReplicationAnnouncesNoRemoval(t *testing.T) {
+	c := newRegCluster(t, 2, func(o *node.Options) { o.DisableReplication = true })
+	th := threat.Threat{Constraint: "NonNegative", ContextID: "o1", Degree: constraint.PossiblySatisfied}
+	for _, n := range c.Nodes {
+		if err := n.Create("Reg", "o1", object.State{"value": int64(0)}, c.AllReplicas(n.ID)); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := n.Threats.Add(th); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tally := tapSends(t, c.Net)
+	n1, n2 := c.Node(0), c.Node(1)
+	setValue(t, n1, "o1", 1)
+	expectSends(t, "a clearing commit without replication", tally.take(), sends{})
+	if n1.Threats.Len() != 0 || n2.Threats.Len() != 1 {
+		t.Fatalf("n1 holds %d threats, n2 %d; want 0 and 1", n1.Threats.Len(), n2.Threats.Len())
+	}
+}

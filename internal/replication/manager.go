@@ -15,6 +15,7 @@ import (
 	"dedisys/internal/obs"
 	"dedisys/internal/persistence"
 	"dedisys/internal/placement"
+	"dedisys/internal/threat"
 	"dedisys/internal/transport"
 	"dedisys/internal/tx"
 )
@@ -85,6 +86,15 @@ type batchMsg struct {
 	Ops []batchOp
 }
 
+// threatBatch is the repl.batch of a transaction that accepted or cleared
+// threats (§5.1). It rides gob: threat fields on batchMsg would grow every
+// decoded batch, and embedding batchMsg would lend it a form without them.
+type threatBatch struct {
+	Ops     []batchOp
+	Added   []threat.Threat
+	Removed []string
+}
+
 // batchAck is the reply to a batchMsg: how many of its ops the replica
 // applied (creates, accepted applies, deletes) and how many it skipped as
 // duplicate, older, concurrent or for an object it does not know.
@@ -133,6 +143,8 @@ type Config struct {
 	// decisions run against group membership. Nil keeps the seed's
 	// full-replication behaviour bit-for-bit.
 	Placement *placement.Ring
+	// Threats stores the threats a received batch carries; nil drops them.
+	Threats *threat.Store
 	// Obs is the shared observability scope; nil observes into a private
 	// registry.
 	Obs *obs.Observer
@@ -152,6 +164,7 @@ type Manager struct {
 	protocol    Protocol
 	keepHistory bool
 	placement   *placement.Ring // nil = full replication
+	threats     *threat.Store
 	obs         *obs.Observer
 
 	propagations *obs.Counter
@@ -220,6 +233,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		protocol:    cfg.Protocol,
 		keepHistory: cfg.KeepHistory,
 		placement:   cfg.Placement,
+		threats:     cfg.Threats,
 		obs:         cfg.Obs,
 		meta:        make(map[object.ID]*replicaState),
 		tombstones:  make(map[object.ID]VersionVector),
@@ -663,7 +677,7 @@ func (m *Manager) Commit(t *tx.Tx) error {
 	}
 	m.propagations.Add(writes)
 	if len(staged) > 0 {
-		if err := m.commitBatched(t.Context(), staged); err != nil {
+		if err := m.commitBatched(t, staged); err != nil {
 			errs = append(errs, err)
 		}
 	}
@@ -695,14 +709,15 @@ func (m *Manager) stage(w tx.Write, view group.View, degraded bool, s *stagedOp)
 	return err == nil, err
 }
 
-// commitBatched ships the staged operations in one multicast round: each
+// commitBatched ships the staged operations of t in one multicast round: each
 // remote destination receives one message holding the ops whose objects it
 // replicates (deletes address every view member under full replication, the
 // ring-derived replica group under sharded placement), in sorted destination
-// order. A commit whose replicas are all local (single-node, or the
-// coordinator is the only reachable replica) makes no round at all — the
-// round is allocated at the first remote destination found.
-func (m *Manager) commitBatched(ctx context.Context, staged []stagedOp) error {
+// order, and the threats t accepted and cleared. A commit whose replicas are
+// all local (single-node, or the coordinator is the only reachable replica)
+// makes no round at all — the round is allocated at the first remote
+// destination found.
+func (m *Manager) commitBatched(t *tx.Tx, staged []stagedOp) error {
 	var r *commitRound
 	total := 0
 	for k := range staged {
@@ -780,10 +795,20 @@ func (m *Manager) commitBatched(ctx context.Context, staged []stagedOp) error {
 			}
 		}
 	}
+	added, _ := t.Value(threat.KeyAccepted).([]threat.Threat)
+	removed, _ := t.Value(threat.KeyCleared).([]string)
+	if len(added) > 0 || len(removed) > 0 {
+		r.threats = &threatBatch{Ops: r.shared.Ops, Added: added, Removed: removed}
+		t.Put(threat.KeyShipped, r.To) // the CCMgr's commit tells the rest of the view
+	}
 	m.batchRounds.Inc()
 	m.batchSize.Add(int64(len(staged)))
 	m.propagation.Add(1)
-	if err := m.comm.Run(ctx, &r.Round, r); err != nil {
+	err := m.comm.Run(t.Context(), &r.Round, r)
+	if r.threats != nil {
+		r.Wait() // as the threat multicast this replaces did, after an early release too
+	}
+	if err != nil {
 		m.quorumShort.Inc()
 		m.propErrors.Inc()
 		return fmt.Errorf("replication: quorum commit: %w", err)
@@ -836,6 +861,9 @@ type commitRound struct {
 	// otherwise.
 	shared  batchMsg
 	batches []batchMsg
+	// threats, set when the batch carries any, is what every destination is
+	// sent in place of shared (one pointer: the round stays in 288 bytes).
+	threats *threatBatch
 	// all is the batch's one account when the destinations are shared — the
 	// plain count — and objects the per-object accounts of a mixed batch:
 	// the commit is satisfied when every object has its own quorum, hopeless
@@ -848,10 +876,15 @@ type commitRound struct {
 
 // Payload implements group.Owner.
 func (r *commitRound) Payload(i int) any {
-	if r.batches == nil {
+	switch {
+	case r.threats == nil && r.batches == nil:
 		return &r.shared
+	case r.threats == nil:
+		return &r.batches[i]
+	case r.batches == nil:
+		return r.threats
 	}
-	return &r.batches[i]
+	return &threatBatch{Ops: r.batches[i].Ops, Added: r.threats.Added, Removed: r.threats.Removed}
 }
 
 // Answered implements group.Owner. Send failures are non-fatal — unreachable
@@ -1060,13 +1093,22 @@ func (m *Manager) localApply(id object.ID, bump bool) (batchOp, Info, error) {
 
 // --- message handlers (executed on the receiving node) ---
 
-// handleBatch applies one transaction batch and acks with its counts.
+// handleBatch applies one transaction batch, stores its threats, and acks.
 func (m *Manager) handleBatch(from transport.NodeID, payload any) (any, error) {
-	b, ok := payload.(*batchMsg)
-	if !ok {
+	var th *threatBatch
+	var ops []batchOp
+	switch b := payload.(type) {
+	case *batchMsg:
+		ops = b.Ops
+	case *threatBatch:
+		th, ops = b, b.Ops
+	default:
 		return nil, fmt.Errorf("replication: bad batch payload %T", payload)
 	}
-	applied, skipped, err := m.applyOps(b.Ops)
+	applied, skipped, err := m.applyOps(ops)
+	if err == nil && th != nil && m.threats != nil {
+		err = m.threats.Replicate(th.Removed, th.Added)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -9,6 +9,7 @@ import (
 	"dedisys/internal/group"
 	"dedisys/internal/object"
 	"dedisys/internal/transport"
+	"dedisys/internal/tx"
 )
 
 func TestQuorumCommitAcks(t *testing.T) {
@@ -270,7 +271,7 @@ func TestQuorumPerObjectShortfall(t *testing.T) {
 		{op: apply("b"), dests: []transport.NodeID{"n1", "n4", "n5"}, replicas: 3},
 	}
 	mgr := h.node("n1").mgr
-	err := mgr.commitBatched(context.Background(), staged)
+	err := mgr.commitBatched(tx.NewManager().Begin(), staged)
 	mgr.WaitPropagation()
 	if !errors.Is(err, group.ErrThresholdShort) {
 		t.Fatalf("commit with one object's quorum unreachable = %v, want ErrThresholdShort", err)
@@ -282,7 +283,7 @@ func TestQuorumPerObjectShortfall(t *testing.T) {
 	// The same two objects with one replica of each group down: both have
 	// their majority, and the commit says so.
 	h.net.Recover("n5")
-	if err := mgr.commitBatched(context.Background(), staged); err != nil {
+	if err := mgr.commitBatched(tx.NewManager().Begin(), staged); err != nil {
 		t.Fatalf("commit with a majority of each group = %v", err)
 	}
 	mgr.WaitPropagation()

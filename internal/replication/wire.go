@@ -28,12 +28,14 @@ import (
 // tested against.
 //
 // A batch travels as *batchMsg — a commit's round hands its senders pointers
-// into its own memory — and handleBatch accepts nothing else, so both bodies
-// deliver the pointer: registered under the name gob.Register would give the
-// value type, the pointer puts the same bytes on the wire and is what a gob
-// frame decodes to.
+// into its own memory — and handleBatch takes no batchMsg value, so both
+// bodies deliver the pointer: registered under the name gob.Register would
+// give the value type, the pointer puts the same bytes on the wire and is what
+// a gob frame decodes to. A batch that carries its transaction's threats
+// travels as *threatBatch, which has no form of its own and always rides gob.
 func init() {
 	gob.RegisterName("dedisys/internal/replication.batchMsg", &batchMsg{})
+	gob.Register(&threatBatch{})
 	gob.RegisterName("repl.ack", batchAck{})
 	gob.Register(fetchReply{})
 	gob.Register(Record{})

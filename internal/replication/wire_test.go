@@ -11,8 +11,11 @@ import (
 	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 
+	"dedisys/internal/constraint"
 	"dedisys/internal/object"
+	"dedisys/internal/threat"
 	"dedisys/internal/transport"
 	"dedisys/internal/wiretransport"
 )
@@ -105,6 +108,16 @@ func wireCases() []wireCase {
 		{name: "nested map declines", payload: applyOf(object.State{"v": int64(1), "nested": map[string]any{"k": "v"}})},
 		{name: "nested list declines", payload: applyOf(object.State{"list": []any{"a", int64(1)}})},
 		{name: "bad op kind declines", payload: &batchMsg{Ops: []batchOp{{Kind: msgApply, Apply: apply}, {Kind: "repl.bogus"}}}},
+		// A batch that carries its transaction's threats has no form of its own.
+		{name: "threats in the batch", payload: &threatBatch{Ops: four, Added: []threat.Threat{{
+			Seq: 4, Constraint: "NonNegative", ContextID: "o1", Degree: constraint.PossiblySatisfied, Count: 1, TxID: 12, UID: "a#4",
+			Affected: []threat.AffectedObject{
+				{ID: "o1", Class: "Account", Staleness: constraint.Staleness{PossiblyStale: true, Version: 3, EstimatedLatest: 5}, State: st},
+				{ID: "o2", Class: "Account", Staleness: constraint.Staleness{Version: 7, EstimatedLatest: 7}},
+			},
+			AppData:      map[string]string{"operator": "alice"},
+			Instructions: constraint.ReconciliationInstructions{AllowRollback: true},
+		}}, Removed: []string{"NonNegative|o2", "Ticket|"}}},
 		// Handler acks that cross back as responses.
 		{name: "ack", self: true, payload: batchAck{Applied: 1}},
 		{name: "all-zero ack", self: true, payload: batchAck{}}, // gob sends no field, the type must still arrive
@@ -281,6 +294,20 @@ func TestBatchDecodeAllocs(t *testing.T) {
 	t.Logf("decoding a one-apply batch = %.0f allocs", allocs)
 	if allocs > 8 {
 		t.Fatalf("decoding a one-apply batch = %.0f allocs, want <= 8", allocs)
+	}
+}
+
+// TestBatchSizes holds the sizes every replicated write pays for: the
+// commit's round, which one word more moves from the 288-byte size class into
+// the 320-byte one, and the batch a frame decodes to, which one field more
+// moves from 24 bytes into 32. A commit's threats ride in a threatBatch of
+// their own, behind one pointer on the round.
+func TestBatchSizes(t *testing.T) {
+	if size := unsafe.Sizeof(commitRound{}); size > 288 {
+		t.Errorf("commitRound is %d bytes, want <= 288", size)
+	}
+	if size := unsafe.Sizeof(batchMsg{}); size != 24 {
+		t.Errorf("batchMsg is %d bytes, want 24", size)
 	}
 }
 

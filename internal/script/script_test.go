@@ -5,6 +5,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"unicode"
 )
 
 func runScript(t *testing.T, src string) (string, error) {
@@ -64,14 +65,16 @@ func TestFlightStoryScript(t *testing.T) {
 	}
 }
 
+// failingAssertions are scripts whose last line is an assertion that fails.
+var failingAssertions = []string{
+	"cluster 1\ncreate n1 b1 v=1\nexpect n1 b1 v 2",
+	"cluster 1\ncreate n1 b1 v=1\nthreats n1 5",
+	"cluster 1\nmode n1 degraded",
+	"constraint C HARD RELAXABLE UNCHECKABLE v <= 5\ncluster 1\ncreate n1 b1 v=0\nfail set n1 b1 v 3",
+}
+
 func TestAssertionFailures(t *testing.T) {
-	cases := []string{
-		"cluster 1\ncreate n1 b1 v=1\nexpect n1 b1 v 2",
-		"cluster 1\ncreate n1 b1 v=1\nthreats n1 5",
-		"cluster 1\nmode n1 degraded",
-		"constraint C HARD RELAXABLE UNCHECKABLE v <= 5\ncluster 1\ncreate n1 b1 v=0\nfail set n1 b1 v 3",
-	}
-	for i, src := range cases {
+	for i, src := range failingAssertions {
 		_, err := runScript(t, src)
 		if !errors.Is(err, ErrAssertion) {
 			t.Errorf("case %d: err = %v, want assertion failure", i, err)
@@ -120,31 +123,33 @@ fail set n1 b1 v 2
 	}
 }
 
+// badScripts are scripts that parse but fail to run.
+var badScripts = []string{
+	"bogus",
+	"cluster x",
+	"cluster 2 unknown-protocol",
+	"cluster 1\ncluster 1",
+	"create n1 b1",                   // no cluster... actually create needs cluster first
+	"cluster 1\ncreate n9 b1",        // unknown node
+	"cluster 1\ncreate n1 b1 broken", // bad attr
+	"cluster 1\ncreate n1 b1 v=x",    // bad int
+	"cluster 1\npartition n1",        // one group
+	"cluster 1\nset n1",              // arity
+	"cluster 1\nfail echo hi",        // fail without set
+	"constraint C HARD RELAXABLE BOGUS v <= 1",
+	"constraint C BOGUS RELAXABLE UNCHECKABLE v <= 1",
+	"constraint C HARD BOGUS UNCHECKABLE v <= 1",
+	"constraint C HARD RELAXABLE UNCHECKABLE ((",
+	"set n1 b1 v 1", // no cluster
+	"reconcile",     // arity
+	"mode n1 sideways",
+	"crash",
+	"recover",
+	"threats n1",
+}
+
 func TestScriptErrors(t *testing.T) {
-	cases := []string{
-		"bogus",
-		"cluster x",
-		"cluster 2 unknown-protocol",
-		"cluster 1\ncluster 1",
-		"create n1 b1",                   // no cluster... actually create needs cluster first
-		"cluster 1\ncreate n9 b1",        // unknown node
-		"cluster 1\ncreate n1 b1 broken", // bad attr
-		"cluster 1\ncreate n1 b1 v=x",    // bad int
-		"cluster 1\npartition n1",        // one group
-		"cluster 1\nset n1",              // arity
-		"cluster 1\nfail echo hi",        // fail without set
-		"constraint C HARD RELAXABLE BOGUS v <= 1",
-		"constraint C BOGUS RELAXABLE UNCHECKABLE v <= 1",
-		"constraint C HARD BOGUS UNCHECKABLE v <= 1",
-		"constraint C HARD RELAXABLE UNCHECKABLE ((",
-		"set n1 b1 v 1", // no cluster
-		"reconcile",     // arity
-		"mode n1 sideways",
-		"crash",
-		"recover",
-		"threats n1",
-	}
-	for i, src := range cases {
+	for i, src := range badScripts {
 		if _, err := runScript(t, src); err == nil {
 			t.Errorf("case %d (%q): expected error", i, src)
 		}
@@ -201,4 +206,32 @@ func TestSleepAndAwaitErrors(t *testing.T) {
 	if _, err := runScript(t, "cluster 1\nawait n1 bogus\n"); err == nil {
 		t.Fatal("bad await mode accepted")
 	}
+}
+
+// FuzzScriptParse feeds arbitrary text to the script parser, seeded with the
+// scripts above. Parse must return, never panic, and every command it
+// returns must come from a later line than the one before, with an
+// operation that is not a comment and no white space inside a field.
+func FuzzScriptParse(f *testing.F) {
+	for _, src := range append(append([]string{flightStory, detectorStory}, failingAssertions...), badScripts...) {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		cmds, err := Parse(strings.NewReader(src))
+		if err != nil {
+			return
+		}
+		line := 0
+		for _, c := range cmds {
+			if c.Line <= line || c.Op == "" || strings.HasPrefix(c.Op, "#") {
+				t.Fatalf("command %+v after line %d", c, line)
+			}
+			line = c.Line
+			for _, field := range append([]string{c.Op}, c.Args...) {
+				if field == "" || strings.ContainsFunc(field, unicode.IsSpace) {
+					t.Fatalf("command %+v has field %q", c, field)
+				}
+			}
+		}
+	})
 }

@@ -19,6 +19,15 @@ import (
 // table is the persistence table holding accepted consistency threats.
 const table = "threats"
 
+// Transaction-scoped keys (tx.Tx.Put) of the threats a transaction accepted
+// ([]Threat) and the identities it cleared ([]string), which its repl.batch
+// carries, and of the destinations that batch reached ([]transport.NodeID).
+const (
+	KeyAccepted = "threat.accepted"
+	KeyCleared  = "threat.cleared"
+	KeyShipped  = "threat.shipped"
+)
+
 // AffectedObject pairs an accessed object with its staleness at validation
 // time (the gathered affected objects of Figure 4.4).
 type AffectedObject struct {
@@ -294,6 +303,21 @@ func (s *Store) RemoveIdentity(ident string) int {
 	}
 	s.removed.Add(int64(len(seqs)))
 	return len(seqs)
+}
+
+// Replicate applies a peer's removals, then its additions, each under this
+// store's own sequence number.
+func (s *Store) Replicate(removed []string, added []Threat) error {
+	for _, ident := range removed {
+		s.RemoveIdentity(ident)
+	}
+	for _, t := range added {
+		t.Seq = 0
+		if _, _, err := s.Add(t); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Remove deletes a single threat record by sequence number.
