@@ -59,13 +59,14 @@ const (
 // ceilings: what is measured plus six for CI's Go 1.22, whose maps allocate
 // differently.
 //
-// The quorum write's 13.9, by site: the multicast round 6 (the commitRound
+// The quorum write's 11.9, by site: the multicast round 4 (the commitRound
 // that is round, destinations and message in one; the ops run; the engine's
-// wake-up channel; the senders' one function value; the two replicas' boxed
-// acks), the coordinator's copy-on-write of the state map 2 and of the bumped
-// vector 1, the transaction 1, its undo record 1, the invocation 1, the
-// caller's boxed argument 1.4, map growth the rest. The wait-all write's 14.9
-// has a third replica's ack box on top. A closure, a boxed message or a copy
+// wake-up channel; the senders' one function value), the coordinator's
+// copy-on-write of the state map 2 and of the bumped vector 1, the
+// transaction 1, its undo record 1, the invocation 1, the caller's boxed
+// argument 1.4, map growth the rest. A replica whose ops all landed answers
+// with the shared ackAll, so the wait-all write, a third replica on top, reads
+// the same 11.9; a boxed ack is +1 a replica. A closure, a boxed message or a copy
 // of the ops per destination is +2 or more on either; of the write's store
 // writes, one allocating its record again (a vector handed over by value, not
 // by pointer) is +1 and the CMP put back on the reflective encoder +4; the
@@ -74,9 +75,9 @@ const (
 // maps have used the headroom up.
 const (
 	baselineReplicatedCommitAllocs = 41.88
-	replicatedCommitAllocCeiling   = 20.0
+	replicatedCommitAllocCeiling   = 18.0
 	baselineWaitAllCommitAllocs    = 24.88 // at the commit before the fan-out engine; first counted then
-	waitAllCommitAllocCeiling      = 21.0
+	waitAllCommitAllocCeiling      = 18.0
 )
 
 // The clusters a replicated write's allocations are counted on: the quorum

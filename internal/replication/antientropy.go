@@ -107,7 +107,8 @@ func (m *Manager) MergeRecords(ctx context.Context, peer transport.NodeID, recor
 // tombstone — and vectors of concurrent deletions merge, so tombstone sets
 // converge regardless of exchange order.
 func (m *Manager) AdoptTombstone(id object.ID, vv VersionVector) {
-	_, _, _ = m.applyOps([]batchOp{{Kind: msgDelete, Delete: deleteMsg{ID: id, VV: vv}}})
+	var res [1]opResult
+	_, _ = m.applyOps([]batchOp{{Kind: msgDelete, Delete: deleteMsg{ID: id, VV: vv}}}, res[:0])
 }
 
 // TombstoneCount reports how many deletions the node remembers — the chaos

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -159,8 +160,9 @@ func TestBatchMidCommitPartitionThenReconcile(t *testing.T) {
 }
 
 // TestBatchDuplicateDeliveryIdempotent redelivers an already-applied batch:
-// the applies are skipped by version-vector comparison, the create merges,
-// the delete re-tombstones — no state changes.
+// the apply is skipped by version-vector comparison, the create merges
+// nothing, the delete re-tombstones — no state changes. Each is a duplicate:
+// landed, so the replica answers ackAll and counts nothing skipped.
 func TestBatchDuplicateDeliveryIdempotent(t *testing.T) {
 	h := newHarness(t, 2, PrimaryPerPartition{})
 	h.create(t, "n1", "Flight", "f1", object.State{"sold": int64(1)})
@@ -184,8 +186,8 @@ func TestBatchDuplicateDeliveryIdempotent(t *testing.T) {
 		if err != nil {
 			t.Fatalf("delivery %d: %v", round, err)
 		}
-		if resp != (batchAck{Applied: 1, Skipped: 1}) { // the create merges, the apply is a duplicate
-			t.Fatalf("delivery %d response = %#v", round, resp)
+		if resp != any(ackAll) {
+			t.Fatalf("delivery %d response = %#v, want ackAll", round, resp)
 		}
 		if e, _ := h.node("n2").reg.Get("f1"); e.GetInt("sold") != 5 || e.Version() != e1.Version() {
 			t.Fatalf("delivery %d state = %d v%d", round, e.GetInt("sold"), e.Version())
@@ -195,18 +197,22 @@ func TestBatchDuplicateDeliveryIdempotent(t *testing.T) {
 			t.Fatalf("delivery %d vv = %v, want %v", round, vvGot, vv1)
 		}
 	}
-	if got := dst.batchSkipped.Load() - skippedBefore; got != 2 {
-		t.Fatalf("replication.batch.skipped delta = %d, want 2 (one duplicate apply per delivery)", got)
+	if got := dst.batchSkipped.Load() - skippedBefore; got != 0 {
+		t.Fatalf("replication.batch.skipped delta = %d, want 0 (a duplicate is not skipped)", got)
+	}
+	if res, err := dst.applyOps(batch.Ops, nil); err != nil || !slices.Equal(res, []opResult{opDuplicate, opDuplicate}) {
+		t.Fatalf("redelivered create and apply = %v, %v; want both duplicate", res, err)
 	}
 
-	// A redelivered delete keeps the object tombstoned.
-	del := &batchMsg{Ops: []batchOp{{Kind: msgDelete, Delete: deleteMsg{ID: "f2", VV: vv2}}}}
-	for round := 1; round <= 2; round++ {
-		if _, err := dst.handleBatch("n1", del); err != nil {
-			t.Fatalf("delete delivery %d: %v", round, err)
+	// A redelivered delete keeps the object tombstoned: the first drops the
+	// replica, every later one is a duplicate.
+	del := []batchOp{{Kind: msgDelete, Delete: deleteMsg{ID: "f2", VV: vv2}}}
+	for round, want := range []opResult{opApplied, opDuplicate, opDuplicate} {
+		if res, err := dst.applyOps(del, nil); err != nil || !slices.Equal(res, []opResult{want}) {
+			t.Fatalf("delete delivery %d = %v, %v; want %v", round+1, res, err, want)
 		}
 		if h.node("n2").reg.Has("f2") {
-			t.Fatalf("delete delivery %d: replica resurrected", round)
+			t.Fatalf("delete delivery %d: replica resurrected", round+1)
 		}
 	}
 }
@@ -230,8 +236,8 @@ func TestBatchUnknownApplySkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp != (batchAck{Applied: 1, Skipped: 1}) {
-		t.Fatalf("response = %#v", resp)
+	if want := (&batchAck{Results: []opResult{opUnknown, opApplied}}); !reflect.DeepEqual(resp, want) {
+		t.Fatalf("response = %#v, want %#v", resp, want)
 	}
 	if got := dst.batchSkipped.Load() - skippedBefore; got != 1 {
 		t.Fatalf("replication.batch.skipped delta = %d, want 1", got)
@@ -407,7 +413,7 @@ func TestBatchMixedEffectsMatchRecorded(t *testing.T) {
 		create("outside", 4, 1, VersionVector{{Node: "n1", Count: 1}}),
 	}}
 	setup.Ops[3].Create.Info = Info{Home: "n1", Replicas: []transport.NodeID{"n1"}}
-	if resp, err := dst.mgr.handleBatch("n1", setup); err != nil || resp != (batchAck{Applied: 4}) {
+	if resp, err := dst.mgr.handleBatch("n1", setup); err != nil || resp != any(ackAll) {
 		t.Fatalf("setup: %v, %v", resp, err)
 	}
 	before := dst.dump(t)
@@ -438,8 +444,9 @@ func TestBatchMixedEffectsMatchRecorded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp != (batchAck{Applied: 6, Skipped: 2}) {
-		t.Errorf("ack = %#v", resp)
+	want := &batchAck{Results: []opResult{opApplied, opApplied, opApplied, opUnknown, opDuplicate, opApplied, opApplied, opApplied}}
+	if !reflect.DeepEqual(resp, want) {
+		t.Errorf("ack = %#v, want %#v", resp, want)
 	}
 	const recorded = `replica a Flight v3 {"sold":11} {"n1":2,"n3":1} home=n1 [n1 n2] registry=true
 replica b Flight v2 {"sold":12,"tag":"x\u003cy"} {"n1":2} home=n1 [n1 n2] registry=true
@@ -483,12 +490,14 @@ func delta(before, after string) string {
 // the retired per-kind handlers used to serve — the ops a reconcile push, a
 // forced state install or a re-propagated delete puts into a pass's batch
 // (TestRepairBatchEqualsOneOpBatches: K of them in one batch do what they do
-// one by one). Ack text and the
-// change to replica table, registry, tombstones and stored bytes are the ones
-// recorded from handleBatch at the parent of the commit that retired those
-// handlers, with one named exception: a delete meeting an existing tombstone
-// merges the two vectors where it used to overwrite (recorded there:
-// `+tombstone gone {"n3":1}`).
+// one by one). The change to replica table, registry, tombstones and stored
+// bytes is the one recorded from handleBatch at the parent of the commit that
+// retired those handlers, with one named exception: a delete meeting an
+// existing tombstone merges the two vectors where it used to overwrite
+// (recorded there: `+tombstone gone {"n3":1}`). Each op's result is what
+// handleBatch's ack reports of it: applied and duplicate land, the rest are
+// skipped. A create or a delete that adds nothing to what the replica holds
+// is a duplicate (it was counted applied before the ack listed results).
 func TestBatchOneOpCasesMatchRecorded(t *testing.T) {
 	info := Info{Home: "n1", Replicas: []transport.NodeID{"n1", "n2"}}
 	create := func(id object.ID, sold, version int64, vv VersionVector, in Info) batchOp {
@@ -500,11 +509,11 @@ func TestBatchOneOpCasesMatchRecorded(t *testing.T) {
 	del := func(id object.ID, vv VersionVector) batchOp {
 		return batchOp{Kind: msgDelete, Delete: deleteMsg{ID: id, VV: vv}}
 	}
-	applied, skipped := batchAck{Applied: 1}, batchAck{Skipped: 1}
+	applied, duplicate := opApplied, opDuplicate
 	cases := []struct {
 		name  string
 		op    batchOp
-		ack   batchAck
+		res   opResult
 		delta string
 	}{
 		{"create unknown", create("d", 5, 1, VersionVector{{Node: "n1", Count: 1}}, info), applied,
@@ -530,10 +539,11 @@ func TestBatchOneOpCasesMatchRecorded(t *testing.T) {
 +replica b Flight v2 {"sold":12} {"n1":2} home=n1 [n1 n2] registry=true
 +store b {"n1":2}
 `},
-		{"apply equal", apply("b", 13, 2, VersionVector{{Node: "n1", Count: 1}}), skipped, ""},
-		{"apply older", apply("c", 14, 5, VersionVector{{Node: "n1", Count: 1}, {Node: "n2", Count: 2}}), skipped, ""},
-		{"apply concurrent", apply("c", 15, 5, VersionVector{{Node: "n1", Count: 3}, {Node: "n2", Count: 1}}), skipped, ""},
-		{"apply unknown", apply("ghost", 16, 2, VersionVector{{Node: "n1", Count: 2}}), skipped, ""},
+		{"create covered", create("c", 7, 2, VersionVector{{Node: "n1", Count: 1}, {Node: "n2", Count: 2}}, info), duplicate, ""},
+		{"apply equal", apply("b", 13, 2, VersionVector{{Node: "n1", Count: 1}}), duplicate, ""},
+		{"apply older", apply("c", 14, 5, VersionVector{{Node: "n1", Count: 1}, {Node: "n2", Count: 2}}), duplicate, ""},
+		{"apply concurrent", apply("c", 15, 5, VersionVector{{Node: "n1", Count: 3}, {Node: "n2", Count: 1}}), opConcurrent, ""},
+		{"apply unknown", apply("ghost", 16, 2, VersionVector{{Node: "n1", Count: 2}}), opUnknown, ""},
 		{"delete known", del("c", VersionVector{{Node: "n1", Count: 3}, {Node: "n2", Count: 2}}), applied,
 			`-replica c Flight v4 {"sold":3} {"n1":2,"n2":2} home=n1 [n1 n2] registry=true
 -store c {"n1":2,"n2":2}
@@ -546,6 +556,7 @@ func TestBatchOneOpCasesMatchRecorded(t *testing.T) {
 			`-tombstone gone {"n1":2}
 +tombstone gone {"n1":2,"n3":1}
 `},
+		{"delete covered", del("gone", VersionVector{{Node: "n1", Count: 1}}), duplicate, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -561,12 +572,12 @@ func TestBatchOneOpCasesMatchRecorded(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := dst.dump(t)
-			resp, err := dst.mgr.handleBatch("n1", &batchMsg{Ops: []batchOp{tc.op}})
+			res, err := dst.mgr.applyOps([]batchOp{tc.op}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if resp != tc.ack {
-				t.Errorf("ack = %#v, recorded %#v", resp, tc.ack)
+			if !slices.Equal(res, []opResult{tc.res}) {
+				t.Errorf("result = %v, want %v", res, tc.res)
 			}
 			if got := delta(before, dst.dump(t)); got != tc.delta {
 				t.Errorf("state change:\n%s\nrecorded:\n%s", got, tc.delta)

@@ -67,7 +67,7 @@ type batchOp struct {
 }
 
 // id returns the object the operation concerns.
-func (op batchOp) id() object.ID {
+func (op *batchOp) id() object.ID {
 	switch op.Kind {
 	case msgCreate:
 		return op.Create.ID
@@ -95,11 +95,43 @@ type threatBatch struct {
 	Removed []string
 }
 
-// batchAck is the reply to a batchMsg: how many of its ops the replica
-// applied (creates, accepted applies, deletes) and how many it skipped as
-// duplicate, older, concurrent or for an object it does not know.
+// opResult is what a replica made of one op of a batch.
+type opResult byte
+
+const (
+	opApplied    opResult = iota // installed, created or tombstoned
+	opDuplicate                  // the local vector already equals or dominates the op's
+	opConcurrent                 // the op's vector and the local one are concurrent: skipped
+	opUnknown                    // an apply whose create never arrived: skipped
+	numOpResults                 // the first code that is none; the wire rejects it and above
+)
+
+// landed reports whether the replica holds what the op carried: only then
+// does its ack count toward the op's object.
+func (c opResult) landed() bool { return c <= opDuplicate }
+
+// batchAck is the reply to a batch: one result per op, or none when every op
+// landed. A replica answers such a batch with ackAll.
 type batchAck struct {
-	Applied, Skipped int
+	Results []opResult
+}
+
+// ackAll is the reply to every batch whose ops all landed; nothing writes it.
+var ackAll = &batchAck{}
+
+// ackOf reads a destination's reply to a batch: its ack, or nil when the send
+// failed or the reply is none.
+func ackOf(reply any, err error) *batchAck {
+	if a, ok := reply.(*batchAck); ok && err == nil {
+		return a
+	}
+	return nil
+}
+
+// landed reports whether the ack says op i of its batch landed; a nil ack
+// says no op did.
+func (a *batchAck) landed(i int) bool {
+	return a != nil && (len(a.Results) == 0 || i < len(a.Results) && a.Results[i].landed())
 }
 
 type fetchReply struct {
@@ -789,7 +821,7 @@ func (m *Manager) commitBatched(t *tx.Tx, staged []stagedOp) error {
 				if r.objects == nil {
 					r.objects = make([]objectAcks, 0, len(staged)-k)
 				}
-				r.objects = append(r.objects, objectAcks{dests: s.dests, tally: t})
+				r.objects = append(r.objects, objectAcks{id: s.op.id(), tally: t})
 			case t.missing > r.all.missing:
 				r.all = t // shared destinations: the strictest object decides
 			}
@@ -843,9 +875,10 @@ func (t *tally) verdict() group.Verdict {
 }
 
 // objectAcks is one object's account in a mixed batch: an ack counts toward
-// the object only from a destination whose batch carried it.
+// the object only from a destination whose batch carried it, and only if the
+// object's op landed there.
 type objectAcks struct {
-	dests []transport.NodeID
+	id object.ID
 	tally
 }
 
@@ -887,22 +920,36 @@ func (r *commitRound) Payload(i int) any {
 	return &threatBatch{Ops: r.batches[i].Ops, Added: r.threats.Added, Removed: r.threats.Removed}
 }
 
-// Answered implements group.Owner. Send failures are non-fatal — unreachable
-// replicas catch up during reconciliation — but visible: each is counted in
-// replication.propagation_errors, stragglers' included.
-func (r *commitRound) Answered(i int, _ any, err error) group.Verdict {
+// Answered implements group.Owner. A destination's ack counts toward an
+// object only if the object's op landed there: a replica that skipped it holds
+// nothing the quorum could be made of. Send failures are non-fatal —
+// unreachable replicas catch up during reconciliation — but visible: each is
+// counted in replication.propagation_errors, stragglers' included.
+func (r *commitRound) Answered(i int, reply any, err error) group.Verdict {
 	if err != nil {
 		r.m.propErrors.Inc()
 	}
+	ack := ackOf(reply, err)
 	if r.objects == nil {
-		return r.all.answer(err == nil)
+		acked := ack != nil
+		for k := range r.shared.Ops {
+			acked = acked && ack.landed(k)
+		}
+		return r.all.answer(acked)
 	}
-	v := group.Satisfied
+	// The objects and the destination's ops are both in staging order, so
+	// each object's op is searched for after the last one found.
+	ops := r.batches[i].Ops
+	v, at := group.Satisfied, 0
 	for k := range r.objects {
 		o := &r.objects[k]
 		ov := o.verdict()
-		if slices.Contains(o.dests, r.To[i]) {
-			ov = o.answer(err == nil)
+		j := at
+		for j < len(ops) && ops[j].id() != o.id {
+			j++
+		}
+		if j < len(ops) {
+			ov, at = o.answer(ack.landed(j)), j+1
 		}
 		switch {
 		case ov == group.Hopeless:
@@ -1093,7 +1140,9 @@ func (m *Manager) localApply(id object.ID, bump bool) (batchOp, Info, error) {
 
 // --- message handlers (executed on the receiving node) ---
 
-// handleBatch applies one transaction batch, stores its threats, and acks.
+// handleBatch applies one transaction batch, stores its threats, and acks:
+// with ackAll when every op landed, which allocates nothing, and otherwise
+// with each op's result.
 func (m *Manager) handleBatch(from transport.NodeID, payload any) (any, error) {
 	var th *threatBatch
 	var ops []batchOp
@@ -1105,14 +1154,20 @@ func (m *Manager) handleBatch(from transport.NodeID, payload any) (any, error) {
 	default:
 		return nil, fmt.Errorf("replication: bad batch payload %T", payload)
 	}
-	applied, skipped, err := m.applyOps(ops)
+	var buf [8]opResult // a write's batch fits
+	res, err := m.applyOps(ops, buf[:0])
 	if err == nil && th != nil && m.threats != nil {
 		err = m.threats.Replicate(th.Removed, th.Added)
 	}
 	if err != nil {
 		return nil, err
 	}
-	return batchAck{Applied: applied, Skipped: skipped}, nil
+	for _, c := range res {
+		if !c.landed() {
+			return &batchAck{Results: append([]opResult(nil), res...)}, nil
+		}
+	}
+	return ackAll, nil
 }
 
 // applyOps is the one place a replica decides what a shipped operation does
@@ -1130,15 +1185,16 @@ func (m *Manager) handleBatch(from transport.NodeID, payload any) (any, error) {
 // op is idempotent — duplicate deliveries are skipped by version-vector
 // comparison, a create that adds nothing to a known object installs nothing,
 // duplicate deletes merge into the tombstone — so a redelivered batch is
-// harmless. Per-object staleness semantics (PossiblyStale, degraded-mode
-// history on the coordinator) are untouched: the batch is a wire format, not
-// a protocol change.
-func (m *Manager) applyOps(ops []batchOp) (applied, skipped int, err error) {
+// harmless. Each op's result is appended to res, which the caller sizes: a
+// stack array holds a write's batch. Per-object staleness semantics
+// (PossiblyStale, degraded-mode history on the coordinator) are untouched:
+// the batch is a wire format, not a protocol change.
+func (m *Manager) applyOps(ops []batchOp, res []opResult) ([]opResult, error) {
 	for i := range ops {
 		switch op := &ops[i]; op.Kind {
 		case msgCreate, msgApply, msgDelete:
 		default:
-			return 0, 0, fmt.Errorf("replication: bad batch op kind %q for %s", op.Kind, op.id())
+			return nil, fmt.Errorf("replication: bad batch op kind %q for %s", op.Kind, op.id())
 		}
 	}
 	// One flag per op: it changed what the replica-meta table must hold, so
@@ -1146,10 +1202,11 @@ func (m *Manager) applyOps(ops []batchOp) (applied, skipped int, err error) {
 	// A write's batch fits the stack-backed array.
 	var buf [8]bool
 	after := buf[:0]
+	skipped := 0
 	var errs []error
 	m.mu.Lock()
 	for i := range ops {
-		ok := false
+		ok, c := false, opApplied
 		switch op := &ops[i]; op.Kind {
 		case msgCreate:
 			msg := &op.Create
@@ -1160,6 +1217,8 @@ func (m *Manager) applyOps(ops []batchOp) (applied, skipped int, err error) {
 				if cmp, comparable := msg.VV.Compare(rs.vv); !comparable || cmp > 0 {
 					rs.vv = rs.vv.Merged(msg.VV)
 					m.installLocked(msg.ID, msg.State, msg.Version)
+				} else {
+					c = opDuplicate
 				}
 			} else {
 				m.meta[msg.ID] = &replicaState{info: msg.Info, vv: msg.VV}
@@ -1174,31 +1233,37 @@ func (m *Manager) applyOps(ops []batchOp) (applied, skipped int, err error) {
 					}
 				}
 			}
-			applied++
 		case msgApply:
 			msg := &op.Apply
 			rs, known := m.meta[msg.ID]
 			if !known {
-				skipped++ // missed the create; reconciliation catches up
+				c = opUnknown // missed the create; reconciliation catches up
 				break
 			}
-			cmp, comparable := msg.VV.Compare(rs.vv)
-			if !comparable || cmp <= 0 {
-				skipped++ // duplicate, older or concurrent: ignore (idempotence)
-				break
-			}
-			rs.vv = msg.VV
-			m.installLocked(msg.ID, msg.State, msg.Version)
-			ok = true
-			applied++
-		case msgDelete:
-			if m.tombstone(op.Delete.ID, op.Delete.VV) {
-				_ = m.registry.Remove(op.Delete.ID)
+			switch cmp, comparable := msg.VV.Compare(rs.vv); {
+			case !comparable:
+				c = opConcurrent // reconciliation resolves the conflict
+			case cmp <= 0:
+				c = opDuplicate // equal or older: ignore (idempotence)
+			default:
+				rs.vv = msg.VV
+				m.installLocked(msg.ID, msg.State, msg.Version)
 				ok = true
 			}
-			applied++
+		case msgDelete:
+			dropped, covered := m.tombstone(op.Delete.ID, op.Delete.VV)
+			if dropped {
+				_ = m.registry.Remove(op.Delete.ID)
+				ok = true
+			} else if covered {
+				c = opDuplicate
+			}
+		}
+		if !c.landed() {
+			skipped++
 		}
 		after = append(after, ok)
+		res = append(res, c)
 	}
 	m.mu.Unlock()
 	m.batchSkipped.Add(int64(skipped))
@@ -1222,7 +1287,7 @@ func (m *Manager) applyOps(ops []batchOp) (applied, skipped int, err error) {
 			errs = append(errs, perr)
 		}
 	}
-	return applied, skipped, errors.Join(errs...)
+	return res, errors.Join(errs...)
 }
 
 // installLocked hands a shipped state to the local entity, if this node hosts
@@ -1235,18 +1300,21 @@ func (m *Manager) installLocked(id object.ID, st object.State, version int64) {
 }
 
 // tombstone records a deletion learned from a peer and reports whether a
-// live replica was dropped for it; callers hold m.mu. The tombstone wins over
+// live replica was dropped for it and whether the tombstone it already held
+// covered the deletion's vector; callers hold m.mu. The tombstone wins over
 // any live replica state, and vectors of concurrent deletions merge, so
 // tombstone sets converge regardless of delivery order.
-func (m *Manager) tombstone(id object.ID, vv VersionVector) (known bool) {
-	_, known = m.meta[id]
+func (m *Manager) tombstone(id object.ID, vv VersionVector) (dropped, covered bool) {
+	_, dropped = m.meta[id]
 	delete(m.meta, id)
 	if old, ok := m.tombstones[id]; ok {
+		cmp, comparable := vv.Compare(old)
+		covered = comparable && cmp <= 0
 		m.tombstones[id] = old.Merged(vv)
 	} else {
 		m.tombstones[id] = vv
 	}
-	return known
+	return dropped, covered
 }
 
 func (m *Manager) handleFetch(from transport.NodeID, payload any) (any, error) {

@@ -3,6 +3,7 @@ package replication
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -198,7 +199,7 @@ func TestQuorumCommitDecouplesFromSlowLink(t *testing.T) {
 // TestQuorumDuplicateBatchIdempotent redelivers a quorum-committed batch —
 // the transport-level duplicate a retried straggler send would produce —
 // and asserts the replica neither reapplies state nor advances its vector,
-// answering with an all-skipped ack both times.
+// answering each time with ackAll: a duplicate has landed.
 func TestQuorumDuplicateBatchIdempotent(t *testing.T) {
 	h := newHarness(t, 3, Quorum{})
 	h.create(t, "n1", "Flight", "f1", object.State{"sold": int64(70)})
@@ -224,9 +225,9 @@ func TestQuorumDuplicateBatchIdempotent(t *testing.T) {
 			t.Fatalf("delivery %d: %v", round, err)
 		}
 		// The first delivery already happened during commit, so every
-		// direct redelivery is a duplicate ack: nothing applied.
-		if resp != (batchAck{Skipped: 1}) {
-			t.Fatalf("delivery %d response = %#v, want duplicate-ack (0 applied)", round, resp)
+		// direct redelivery is a duplicate.
+		if resp != any(ackAll) {
+			t.Fatalf("delivery %d response = %#v, want ackAll", round, resp)
 		}
 		if e, _ := h.node("n2").reg.Get("f1"); e.GetInt("sold") != 77 || e.Version() != e1.Version() {
 			t.Fatalf("delivery %d mutated the replica: %d v%d", round, e.GetInt("sold"), e.Version())
@@ -263,12 +264,14 @@ func TestQuorumPerObjectShortfall(t *testing.T) {
 	h := newHarness(t, 5, Quorum{})
 	h.net.Crash("n4")
 	h.net.Crash("n5")
-	apply := func(id object.ID) batchOp {
-		return batchOp{Kind: msgApply, Apply: applyMsg{ID: id, Version: 1, VV: VersionVector{{Node: "n1", Count: 1}}}}
+	// Creates: a replica that receives one holds it (an apply of an object it
+	// never saw would be unknown there, and its ack would not count).
+	create := func(id object.ID) batchOp {
+		return batchOp{Kind: msgCreate, Create: createMsg{ID: id, Version: 1, VV: VersionVector{{Node: "n1", Count: 1}}}}
 	}
 	staged := []stagedOp{
-		{op: apply("a"), dests: []transport.NodeID{"n1", "n2", "n3"}, replicas: 3},
-		{op: apply("b"), dests: []transport.NodeID{"n1", "n4", "n5"}, replicas: 3},
+		{op: create("a"), dests: []transport.NodeID{"n1", "n2", "n3"}, replicas: 3},
+		{op: create("b"), dests: []transport.NodeID{"n1", "n4", "n5"}, replicas: 3},
 	}
 	mgr := h.node("n1").mgr
 	err := mgr.commitBatched(tx.NewManager().Begin(), staged)
@@ -287,4 +290,100 @@ func TestQuorumPerObjectShortfall(t *testing.T) {
 		t.Fatalf("commit with a majority of each group = %v", err)
 	}
 	mgr.WaitPropagation()
+}
+
+// TestSkippedApplyIsNoQuorumAck: R = 3 under Quorum{} needs the coordinator
+// and one remote replica. n2 has lost the object's replica metadata, so it
+// answers the write's apply unknown, and every repl.batch to n3 is lost after
+// CheckWrite passed (the view still holds n3). The write is on the
+// coordinator alone and the commit must say so; when a nil-error ack counted
+// whatever the replica did with the op, n2's skip made the quorum.
+func TestSkippedApplyIsNoQuorumAck(t *testing.T) {
+	h := newHarness(t, 3, Quorum{})
+	h.create(t, "n1", "Flight", "f1", object.State{"sold": int64(70)})
+	h.node("n1").mgr.WaitPropagation()
+	n2 := h.node("n2").mgr
+	n2.mu.Lock()
+	delete(n2.meta, "f1")
+	n2.mu.Unlock()
+	h.net.SetDrop(func(_, to transport.NodeID, kind string) bool { return to == "n3" && kind == msgBatch })
+
+	err := h.tryWrite("n1", "f1", "sold", int64(77))
+	h.node("n1").mgr.WaitPropagation()
+	if !errors.Is(err, group.ErrThresholdShort) {
+		t.Fatalf("commit acked only by a replica that skipped the op = %v, want ErrThresholdShort", err)
+	}
+	if got := n2.batchSkipped.Load(); got != 1 {
+		t.Fatalf("n2 replication.batch.skipped = %d, want 1", got)
+	}
+
+	// With n3 back, its ack is the quorum's one remote replica.
+	h.net.SetDrop(nil)
+	if err := h.tryWrite("n1", "f1", "sold", int64(78)); err != nil {
+		t.Fatalf("commit acked by n3 = %v", err)
+	}
+	h.node("n1").mgr.WaitPropagation()
+}
+
+// TestAnsweredCountsLandedOps answers one destination of a two-destination
+// threshold round, each of whose objects needs one remote ack, with every
+// result code for the first object's op. Uniform: both destinations carry
+// both objects and share one account, so the ack counts only if both ops
+// landed; the round stays open on the other destination otherwise. Mixed:
+// the first destination alone carries the first object, so an ack that does
+// not count for it makes the round hopeless. A send error, and a reply that
+// is no ack, count for nothing.
+func TestAnsweredCountsLandedOps(t *testing.T) {
+	h := newHarness(t, 1, Quorum{})
+	apply := func(id object.ID) batchOp { return batchOp{Kind: msgApply, Apply: applyMsg{ID: id}} }
+	a, b := apply("a"), apply("b")
+	uniform := func() *commitRound {
+		r := &commitRound{m: h.node("n1").mgr, all: tally{missing: 1, open: 2}}
+		r.To, r.shared.Ops = []transport.NodeID{"n2", "n3"}, []batchOp{a, b}
+		return r
+	}
+	mixed := func() *commitRound {
+		r := &commitRound{m: h.node("n1").mgr, batches: []batchMsg{{Ops: []batchOp{a, b}}, {Ops: []batchOp{b}}},
+			objects: []objectAcks{{id: "a", tally: tally{missing: 1, open: 1}}, {id: "b", tally: tally{missing: 1, open: 2}}}}
+		r.To = []transport.NodeID{"n2", "n3"}
+		return r
+	}
+	type answerCase struct {
+		name   string
+		reply  any
+		err    error
+		landed bool
+	}
+	cases := []answerCase{
+		{name: "ackAll", reply: ackAll, landed: true},
+		{name: "send error", err: errors.New("link down")},
+		{name: "no ack", reply: "ok"},
+	}
+	for c := opApplied; c < numOpResults; c++ {
+		cases = append(cases, answerCase{name: fmt.Sprintf("code %d", c), reply: &batchAck{Results: []opResult{c, opApplied}}, landed: c.landed()})
+	}
+	for _, tc := range cases {
+		wantUniform, wantMixed := group.Satisfied, group.Satisfied
+		if !tc.landed {
+			wantUniform, wantMixed = group.Open, group.Hopeless
+		}
+		if got := uniform().Answered(0, tc.reply, tc.err); got != wantUniform {
+			t.Errorf("%s, uniform batch: verdict %v, want %v", tc.name, got, wantUniform)
+		}
+		if got := mixed().Answered(0, tc.reply, tc.err); got != wantMixed {
+			t.Errorf("%s, mixed batch: verdict %v, want %v", tc.name, got, wantMixed)
+		}
+	}
+
+	// Mixed, the code on the second object's op: the first object has its
+	// ack either way, the second waits for n3 when its op did not land.
+	for c := opApplied; c < numOpResults; c++ {
+		want := group.Satisfied
+		if !c.landed() {
+			want = group.Open
+		}
+		if got := mixed().Answered(0, &batchAck{Results: []opResult{opApplied, c}}, nil); got != want {
+			t.Errorf("code %d on the second op, mixed batch: verdict %v, want %v", c, got, want)
+		}
+	}
 }

@@ -172,6 +172,7 @@ func (r *repairs) Drained() {}
 // mergeRecords folds one peer's replica table into the local one and stages
 // what the merge finds the peers are owed.
 func (m *Manager) mergeRecords(peer transport.NodeID, records []Record, resolve ConflictResolver, report *ReconcileReport, out *repairs) error {
+	var res [1]opResult // what an adoption's one op did
 	for _, rec := range records {
 		m.mu.Lock()
 		if tomb, dead := m.tombstones[rec.ID]; dead {
@@ -193,7 +194,7 @@ func (m *Manager) mergeRecords(peer transport.NodeID, records []Record, resolve 
 
 		if !known {
 			// Object created in the other partition: adopt it.
-			if _, _, err := m.applyOps([]batchOp{{Kind: msgCreate, Create: createFromRecord(rec)}}); err != nil {
+			if _, err := m.applyOps([]batchOp{{Kind: msgCreate, Create: createFromRecord(rec)}}, res[:0]); err != nil {
 				return err
 			}
 			report.Created++
@@ -206,12 +207,14 @@ func (m *Manager) mergeRecords(peer transport.NodeID, records []Record, resolve 
 			// Peer dominates: adopt its state — an apply like any other,
 			// decided again under the replica lock, so a local commit that
 			// landed since the comparison above is not overwritten.
-			adopted, _, err := m.applyOps([]batchOp{{Kind: msgApply,
-				Apply: applyMsg{ID: rec.ID, State: rec.State, Version: rec.Version, VV: rec.VV}}})
+			got, err := m.applyOps([]batchOp{{Kind: msgApply,
+				Apply: applyMsg{ID: rec.ID, State: rec.State, Version: rec.Version, VV: rec.VV}}}, res[:0])
 			if err != nil {
 				return err
 			}
-			report.Adopted += adopted
+			if got[0] == opApplied {
+				report.Adopted++
+			}
 		case comparable && cmp < 0:
 			// We dominate: the peer is owed our state. One that dropped the
 			// object in the meantime skips it, as it would a commit's apply.

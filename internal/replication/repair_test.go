@@ -3,6 +3,7 @@ package replication
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -132,7 +133,7 @@ func TestRepairCreateTakesLaterState(t *testing.T) {
 // of known objects, accepted, stale, duplicate and unknown applies, deletes of
 // known and unknown objects — to one replica as a single batch and to another
 // one op per batch, in order: replica table, tombstones, registry, stored
-// replica-meta bytes and the ack counts come out the same. 40 ops spill
+// replica-meta bytes and the per-op results come out the same. 40 ops spill
 // applyOps' stack-backed flag array, which a commit's batch never does.
 func TestRepairBatchEqualsOneOpBatches(t *testing.T) {
 	info := Info{Home: "n1", Replicas: []transport.NodeID{"n1", "n2"}}
@@ -173,25 +174,27 @@ func TestRepairBatchEqualsOneOpBatches(t *testing.T) {
 		env.deliver(t, setup...)
 		return env
 	}
-	sum := func(env *nodeEnv, batches ...[]batchOp) (total batchAck) {
+	results := func(env *nodeEnv, batches ...[]batchOp) (all []opResult) {
 		for _, b := range batches {
-			resp, err := env.mgr.handleBatch("n1", &batchMsg{Ops: b})
+			res, err := env.mgr.applyOps(b, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			total.Applied += resp.(batchAck).Applied
-			total.Skipped += resp.(batchAck).Skipped
+			all = append(all, res...)
 		}
-		return total
+		return all
 	}
 	whole, single := replica(), replica()
 	var oneByOne [][]batchOp
 	for i := range ops {
 		oneByOne = append(oneByOne, ops[i:i+1])
 	}
-	ackWhole, ackSingle := sum(whole, ops), sum(single, oneByOne...)
-	if ackWhole != ackSingle || ackWhole != (batchAck{Applied: 25, Skipped: 15}) {
-		t.Errorf("acks: one batch %+v, one op per batch %+v, want 25 applied and 15 skipped", ackWhole, ackSingle)
+	var want []opResult
+	for i := 0; i < 5; i++ {
+		want = append(want, opApplied, opApplied, opApplied, opDuplicate, opDuplicate, opUnknown, opApplied, opApplied)
+	}
+	if resWhole, resSingle := results(whole, ops), results(single, oneByOne...); !slices.Equal(resWhole, want) || !slices.Equal(resSingle, want) {
+		t.Errorf("results: one batch %v, one op per batch %v, want %v", resWhole, resSingle, want)
 	}
 	if a, b := whole.dump(t), single.dump(t); a != b {
 		t.Errorf("one batch:\n%s\none op per batch:\n%s", a, b)

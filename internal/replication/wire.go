@@ -17,8 +17,8 @@ import (
 // The ack goes under a short name: gob writes the registered name in front of
 // every interface value and the decoder allocates a buffer for it per
 // message, so under the default (import path and type name, 36 bytes) the
-// two-integer reply would weigh more on the wire and on the heap than the
-// text it replaces.
+// reply, most often empty, would weigh more on the wire and on the heap than
+// the text it replaces.
 //
 // The batch and its ack are every frame of a replicated write, so they also
 // encode themselves (transport.WirePayload, the forms below) and a frame that
@@ -33,10 +33,12 @@ import (
 // give the value type, the pointer puts the same bytes on the wire and is what
 // a gob frame decodes to. A batch that carries its transaction's threats
 // travels as *threatBatch, which has no form of its own and always rides gob.
+// An ack is a *batchAck on every path for the same reason — ackAll is one —
+// so it is registered as the pointer too, and Answered reads one type.
 func init() {
 	gob.RegisterName("dedisys/internal/replication.batchMsg", &batchMsg{})
 	gob.Register(&threatBatch{})
-	gob.RegisterName("repl.ack", batchAck{})
+	gob.RegisterName("repl.ack", &batchAck{})
 	gob.Register(fetchReply{})
 	gob.Register(Record{})
 	gob.Register([]Record(nil))
@@ -147,15 +149,37 @@ func readBatchWire(r *transport.WireReader) any {
 	return &batchMsg{Ops: ops}
 }
 
-func (batchAck) WireTag() byte { return wireTagAck }
+func (*batchAck) WireTag() byte { return wireTagAck }
 
-func (a batchAck) AppendWire(dst []byte) ([]byte, bool) {
-	return binary.AppendVarint(binary.AppendVarint(dst, int64(a.Applied)), int64(a.Skipped)), true
+// AppendWire writes the result count, then one byte per result: count 0 is
+// ackAll. It declines a code that is none, which gob then carries.
+func (a *batchAck) AppendWire(dst []byte) ([]byte, bool) {
+	out := binary.AppendUvarint(dst, uint64(len(a.Results)))
+	for _, c := range a.Results {
+		if c >= numOpResults {
+			return dst, false
+		}
+		out = append(out, byte(c))
+	}
+	return out, true
 }
 
+// readAckWire is batchAck.AppendWire's inverse. The all-landed form decodes
+// to ackAll itself and allocates nothing; a code that is none fails the
+// reader.
 func readAckWire(r *transport.WireReader) any {
-	applied := r.Varint()
-	return batchAck{Applied: int(applied), Skipped: int(r.Varint())}
+	n := r.Count(1)
+	if n == 0 {
+		return ackAll
+	}
+	res := make([]opResult, n)
+	for i := range res {
+		if res[i] = opResult(r.Byte()); res[i] >= numOpResults {
+			r.Fail("replication: unknown op result %d", res[i])
+			return nil
+		}
+	}
+	return &batchAck{Results: res}
 }
 
 // appendWire writes a map header (nil and empty stay apart), then node ID and

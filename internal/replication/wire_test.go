@@ -119,9 +119,12 @@ func wireCases() []wireCase {
 			Instructions: constraint.ReconciliationInstructions{AllowRollback: true},
 		}}, Removed: []string{"NonNegative|o2", "Ticket|"}}},
 		// Handler acks that cross back as responses.
-		{name: "ack", self: true, payload: batchAck{Applied: 1}},
-		{name: "all-zero ack", self: true, payload: batchAck{}}, // gob sends no field, the type must still arrive
-		{name: "ack extremes", self: true, payload: batchAck{Applied: math.MaxInt, Skipped: math.MinInt}},
+		{name: "ack", self: true, payload: ackAll},
+		{name: "all-zero ack", self: true, payload: &batchAck{}}, // gob sends no field, the type must still arrive
+		{name: "mixed ack", self: true, payload: &batchAck{Results: []opResult{opApplied, opUnknown, opDuplicate, opConcurrent}}},
+		{name: "ack extremes", self: true, payload: &batchAck{Results: everyResult}}, // a two-byte count
+		{name: "empty result list", self: true, lossy: true, payload: &batchAck{Results: []opResult{}}},
+		{name: "result that is none declines", payload: &batchAck{Results: []opResult{opApplied, numOpResults}}},
 		// The kinds that have no form of their own and stay on gob.
 		{name: "fetch reply", payload: fetchReply{Class: "Account", State: st, Version: 6, Stale: true}},
 		{name: "records", payload: []Record{{
@@ -236,9 +239,97 @@ func TestBatchWireGolden(t *testing.T) {
 	if !ok || hex.EncodeToString(got) != want {
 		t.Fatalf("batch wire form (accepted %v):\n got  %x\n want %s", ok, got, want)
 	}
-	ack, _ := batchAck{Applied: 2, Skipped: -1}.AppendWire(nil)
-	if hex.EncodeToString(ack) != "0401" {
-		t.Fatalf("ack wire form = %x, want 0401", ack)
+	for _, tc := range []struct {
+		ack  *batchAck
+		want string
+	}{
+		{ackAll, "00"}, // every op landed
+		{&batchAck{Results: []opResult{opApplied, opUnknown, opDuplicate, opConcurrent}}, "04" + "00" + "03" + "01" + "02"},
+	} {
+		if got, ok := tc.ack.AppendWire(nil); !ok || hex.EncodeToString(got) != tc.want {
+			t.Errorf("ack wire form of %v (accepted %v) = %x, want %s", tc.ack.Results, ok, got, tc.want)
+		}
+	}
+}
+
+// everyResult is a 200-op ack that lists every code, several times over.
+var everyResult = func() []opResult {
+	res := make([]opResult, 200)
+	for i := range res {
+		res[i] = opResult(i) % numOpResults
+	}
+	return res
+}()
+
+// malformedAckFrames are repl.ack bodies the decoder must reject.
+func malformedAckFrames() map[string]string {
+	return map[string]string{
+		"count beyond the bytes": "05" + "00" + "01",
+		"code that is none":      "02" + "00" + "04",
+		"last code is none":      "01" + "ff",
+		"truncated count":        "80",
+		"huge count":             "ffffffffffffffffff01",
+	}
+}
+
+// FuzzDecodeAck feeds arbitrary bytes to the ack decoder, seeded with the
+// table's encodings and the malformed frames. It must fail the reader or
+// return — never panic — every code it accepts must be one, the all-landed
+// form must decode to ackAll itself, and whatever it accepts must be a fixed
+// point: it re-encodes (never declining) to bytes that decode to the same ack
+// and encode to the same bytes.
+func FuzzDecodeAck(f *testing.F) {
+	for _, tc := range wireCases() {
+		if a, ok := tc.payload.(*batchAck); ok && tc.self {
+			data, _ := a.AppendWire(nil)
+			f.Add(data)
+		}
+	}
+	for _, frame := range malformedAckFrames() {
+		data, _ := hex.DecodeString(frame)
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var r transport.WireReader
+		r.Reset(data)
+		got := readAckWire(&r)
+		if r.Err() != nil {
+			return
+		}
+		ack := got.(*batchAck)
+		for _, c := range ack.Results {
+			if c >= numOpResults {
+				t.Fatalf("accepted code %d", c)
+			}
+		}
+		if len(ack.Results) == 0 && ack != ackAll {
+			t.Fatalf("the all-landed form decoded to %p, not ackAll", ack)
+		}
+		again, ok := ack.AppendWire(nil)
+		if !ok {
+			t.Fatalf("decoded ack %v declines to encode", ack.Results)
+		}
+		r.Reset(again)
+		back := readAckWire(&r)
+		if r.Err() != nil || r.Len() != 0 || !reflect.DeepEqual(back, got) {
+			t.Fatalf("re-encoded ack decodes to %#v, %v, %d bytes left", back, r.Err(), r.Len())
+		}
+		if final, _ := back.(*batchAck).AppendWire(nil); !bytes.Equal(final, again) {
+			t.Fatalf("not a fixed point:\n first  %x\n second %x", again, final)
+		}
+	})
+}
+
+// TestDecodeRejectsMalformedAck: a count the input cannot hold, or a code
+// that is none, fails the reader.
+func TestDecodeRejectsMalformedAck(t *testing.T) {
+	for name, frame := range malformedAckFrames() {
+		data, _ := hex.DecodeString(frame)
+		var r transport.WireReader
+		r.Reset(data)
+		if got := readAckWire(&r); r.Err() == nil {
+			t.Errorf("%s: decoded %#v", name, got)
+		}
 	}
 }
 
@@ -294,6 +385,61 @@ func TestBatchDecodeAllocs(t *testing.T) {
 	t.Logf("decoding a one-apply batch = %.0f allocs", allocs)
 	if allocs > 8 {
 		t.Fatalf("decoding a one-apply batch = %.0f allocs, want <= 8", allocs)
+	}
+}
+
+// TestAckAllocs holds the reply to a batch whose every op landed — every
+// write's, but for a replica that skips — at no allocation on either side:
+// handleBatch adds none to applyOps' (the shared ackAll, where a boxed
+// two-integer ack was one), its form encodes into a reused buffer without
+// one, and readAckWire decodes it to ackAll itself.
+func TestAckAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on paths the production build does not")
+	}
+	h := newHarness(t, 2, PrimaryPerPartition{})
+	h.create(t, "n1", "Flight", "f1", object.State{"sold": int64(0)})
+	dst := h.node("n2").mgr
+	// Every batch is an apply whose vector dominates the one before.
+	const runs = 200
+	batches := make([]batchMsg, 2*(runs+1))
+	vv, _ := h.node("n1").mgr.VersionVector("f1")
+	for i := range batches {
+		vv = vv.Bumped("n1")
+		batches[i].Ops = []batchOp{{Kind: msgApply, Apply: applyMsg{ID: "f1", State: object.State{"sold": int64(i + 1)}, Version: int64(i + 2), VV: vv}}}
+	}
+	next := 0
+	var res [8]opResult
+	apply := testing.AllocsPerRun(runs, func() {
+		if got, err := dst.applyOps(batches[next].Ops, res[:0]); err != nil || got[0] != opApplied {
+			t.Fatalf("apply %d: %v, %v", next, got, err)
+		}
+		next++
+	})
+	var reply any
+	handle := testing.AllocsPerRun(runs, func() {
+		reply, _ = dst.handleBatch("n1", &batches[next])
+		next++
+	})
+	if e, _ := h.node("n2").reg.Get("f1"); reply != any(ackAll) || e.GetInt("sold") != int64(next) {
+		t.Fatalf("last reply %#v, sold %d; want ackAll and %d", reply, e.GetInt("sold"), next)
+	}
+
+	buf := make([]byte, 0, 16)
+	var data []byte
+	encode := testing.AllocsPerRun(runs, func() { data, _ = ackAll.AppendWire(buf[:0]) })
+	var r transport.WireReader
+	var got any
+	decode := testing.AllocsPerRun(runs, func() {
+		r.Reset(data)
+		got = readAckWire(&r)
+	})
+	if r.Err() != nil || got != any(ackAll) {
+		t.Fatalf("the all-landed form decoded to %#v, %v", got, r.Err())
+	}
+	t.Logf("applyOps %.0f, handleBatch %.0f, encode %.0f, decode %.0f allocs", apply, handle, encode, decode)
+	if handle != apply || encode != 0 || decode != 0 {
+		t.Fatalf("all-landed ack: handleBatch %.0f allocs over applyOps' %.0f, encode %.0f, decode %.0f; want 0 added, 0, 0", handle, apply, encode, decode)
 	}
 }
 
