@@ -82,16 +82,18 @@ func TestWireExperiment(t *testing.T) {
 
 // wireSendAllocCeiling bounds the allocations of one request/response round
 // trip of a replica write over an idle link, both endpoints counted. Request
-// and ack encode themselves (transport.WirePayload) and measure 9: the reply
-// channel 2, the handler goroutine 1, the batch decoded into fresh memory 6
-// (op slice, object ID, state map 2, the vector's one slice, the batch's box;
-// the recorded value is a small integer, which boxes for free — a larger one
-// is +1); the all-landed ack decodes to the shared ackAll (a boxed ack was +1).
-// The headroom of 3 is for the map under CI's Go 1.22. What it catches: either
-// direction back on gob is +6 or more (a string ack over gob measured 17, both
-// directions on gob 42, a codec rebuilt per frame 683), a reader that stops
-// interning names is +6, and the vector back in a map +1.
-const wireSendAllocCeiling = 12
+// and ack encode themselves (transport.WirePayload) and measure 5, all of
+// them the batch decoded into fresh memory: the batch's box with its one op
+// inline 1, object ID 1, state map 2, the vector's one slice 1 (the recorded
+// value is a small integer, which boxes for free — a larger one is +1). The
+// all-landed ack decodes to the shared ackAll (a boxed ack was +1), the reply
+// channel is one the link has used before (a new one per send was +2), and a
+// server parked on the link serves the request (a goroutine per request was
+// +1). The headroom of 3 is for the map under CI's Go 1.22. What it catches:
+// either direction back on gob is +6 or more (a string ack over gob measured
+// 17, both directions on gob 42, a codec rebuilt per frame 683), a reader that
+// stops interning names is +6, and the vector back in a map +1.
+const wireSendAllocCeiling = 8
 
 // recordedBatch returns a repl.batch request as the replication layer ships
 // it for a single-object commit, captured on its way to one replica of a

@@ -102,17 +102,31 @@ func (b *batchMsg) AppendWire(dst []byte) ([]byte, bool) {
 	return out, true
 }
 
+// oneOpBatch is a decoded batch of one op, every write's, with the op inline:
+// the box and the op list are one allocation.
+type oneOpBatch struct {
+	batchMsg
+	op [1]batchOp
+}
+
 // readBatchWire is batchMsg.AppendWire's inverse; like every sender it hands
 // over a *batchMsg. Object IDs and attribute
 // values are fresh strings; class names and node IDs come out of the link's
 // name table. Like gob it leaves an empty op or replica list nil.
 func readBatchWire(r *transport.WireReader) any {
-	var ops []batchOp
-	if n := r.Count(3); n > 0 { // the smallest op, a delete: kind, ID length, vector count
-		ops = make([]batchOp, n)
+	var b *batchMsg
+	switch n := r.Count(3); { // the smallest op, a delete: kind, ID length, vector count
+	case n == 1:
+		one := new(oneOpBatch)
+		one.Ops = one.op[:]
+		b = &one.batchMsg
+	case n > 1:
+		b = &batchMsg{Ops: make([]batchOp, n)}
+	default:
+		b = new(batchMsg)
 	}
-	for i := range ops {
-		switch op, kind := &ops[i], r.Byte(); kind {
+	for i := range b.Ops {
+		switch op, kind := &b.Ops[i], r.Byte(); kind {
 		case wireOpCreate:
 			m := &op.Create
 			op.Kind = msgCreate
@@ -146,7 +160,7 @@ func readBatchWire(r *transport.WireReader) any {
 			return nil
 		}
 	}
-	return &batchMsg{Ops: ops}
+	return b
 }
 
 func (*batchAck) WireTag() byte { return wireTagAck }

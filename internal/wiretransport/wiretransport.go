@@ -74,21 +74,29 @@
 // Each peer is served by one link per direction: the first Send to a peer
 // lazily dials its address; inbound connections are accepted by Start. A
 // link is a connection, a write mutex and a reader goroutine that routes
-// response frames to pending requests and dispatches request frames to the
-// node's handlers. Any read, write or decode error kills the link: in-flight
-// requests on it fail with transport.ErrUnreachable and the next Send dials
+// response frames to pending requests and hands request frames to the
+// link's servers, goroutines that run the node's handlers. A server that
+// finishes parks on the link for the next request, and the reader starts a
+// new one only when none is parked, so a steady stream of requests starts no
+// goroutine and a blocked handler still delays no other. Any read, write or
+// decode error kills the link: in-flight requests on it fail with
+// transport.ErrUnreachable, its parked servers exit, and the next Send dials
 // anew. A crashed peer therefore fails fast (connection refused) and a
 // restarted one is reached again without any explicit rejoin step.
 //
 // # Correlation and deadlines
 //
 // Requests carry process-unique correlation IDs; responses echo them. A
-// sender waits for its ID under the caller's context: cancellation or
-// expiry abandons the request (the response, if it ever arrives, is
-// discarded) and fails the send with ErrUnreachable wrapping the context
-// error, matching the simulated transport's semantics. The installed
-// RetryPolicy re-dials and re-sends on transient unreachability with real
-// (not simulated) backoff sleeps.
+// sender waits for its ID on a reply channel of the link's, taken from the
+// link's idle ones when there is one, under the caller's context:
+// cancellation or expiry abandons the request (the response, if it ever
+// arrives, is discarded) and fails the send with ErrUnreachable wrapping the
+// context error, matching the simulated transport's semantics. A channel goes
+// back to the idle ones only when no reply can still land in it — its sender
+// received the reply, or abandoned the request before the reader took the
+// channel to deliver — so a late reply never reaches another request. The
+// installed RetryPolicy re-dials and re-sends on transient unreachability
+// with real (not simulated) backoff sleeps.
 package wiretransport
 
 import (
@@ -136,6 +144,11 @@ const reqFlag = 1
 // or larger than maxFrame once encoded: a permanent, caller-side error that
 // must neither kill the link nor be retried.
 var errEncode = errors.New("wiretransport: payload cannot be framed")
+
+// errUnsent marks a request whose caller's deadline passed before the first
+// byte of its frame was written: it fails its caller alone, and the link,
+// whose stream saw none of it, survives.
+var errUnsent = errors.New("wiretransport: deadline passed before the frame was written")
 
 // wireFrame is the unit of exchange. Req distinguishes requests from
 // responses; responses echo the request's ID. ErrKind spreads a handler
@@ -444,24 +457,26 @@ func (w *Wire) sendOnce(ctx context.Context, to transport.NodeID, kind string, p
 		return nil, fmt.Errorf("%w: %s -> %s: %v", transport.ErrUnreachable, w.self, to, err)
 	}
 	id := w.nextID.Add(1)
-	ch := make(chan wireFrame, 1)
-	if !l.register(id, ch) {
+	ch, ok := l.register(id)
+	if !ok {
 		w.failures.Inc()
 		return nil, fmt.Errorf("%w: %s -> %s: connection lost", transport.ErrUnreachable, w.self, to)
 	}
 	req := wireFrame{ID: id, Req: true, From: w.self, Kind: kind, Payload: payload}
 	if werr := l.write(ctx, req); werr != nil {
-		l.unregister(id)
+		l.unregister(id, ch)
 		if errors.Is(werr, errEncode) {
 			return nil, werr // permanent, link intact
 		}
-		l.drop()
+		if !errors.Is(werr, errUnsent) {
+			l.drop()
+		}
 		w.failures.Inc()
 		return nil, fmt.Errorf("%w: %s -> %s: %v", transport.ErrUnreachable, w.self, to, werr)
 	}
 	select {
 	case <-ctx.Done():
-		l.unregister(id)
+		l.unregister(id, ch)
 		w.failures.Inc()
 		return nil, fmt.Errorf("%w: %s -> %s: %w", transport.ErrUnreachable, w.self, to, ctx.Err())
 	case rf, ok := <-ch:
@@ -469,6 +484,7 @@ func (w *Wire) sendOnce(ctx context.Context, to transport.NodeID, kind string, p
 			w.failures.Inc()
 			return nil, fmt.Errorf("%w: %s -> %s: connection lost", transport.ErrUnreachable, w.self, to)
 		}
+		l.release(ch)
 		switch rf.ErrKind {
 		case errKindNoHandler:
 			return nil, fmt.Errorf("%w: %s on %s", transport.ErrNoHandler, kind, to)
@@ -569,8 +585,8 @@ func (w *Wire) WaitPeers(ctx context.Context) error {
 	return nil
 }
 
-// link is one connection to a peer: a write mutex serialising frames out
-// and a reader goroutine routing frames in.
+// link is one connection to a peer: a write mutex serialising frames out,
+// a reader goroutine routing frames in, and the servers it hands requests to.
 type link struct {
 	w    *Wire
 	conn net.Conn
@@ -581,13 +597,19 @@ type link struct {
 	writeMu sync.Mutex
 	fw      frameWriter
 
+	// work hands a request to a parked server. It is unbuffered, so only a
+	// server that is idle right now can take one, and readLoop, its only
+	// sender, closes it when the link dies.
+	work chan wireFrame
+
 	mu      sync.Mutex
 	pending map[uint64]chan wireFrame
+	idle    []chan wireFrame // empty reply channels no deliverer can hold
 	dead    bool
 }
 
 func newLink(w *Wire, conn net.Conn) *link {
-	return &link{w: w, conn: conn, pending: make(map[uint64]chan wireFrame)}
+	return &link{w: w, conn: conn, work: make(chan wireFrame), pending: make(map[uint64]chan wireFrame)}
 }
 
 // drop forgets the link and then kills it — in that order, so that a sender
@@ -597,21 +619,45 @@ func (l *link) drop() {
 	l.fail()
 }
 
-// register records a pending request; reports false when the link is
-// already dead.
-func (l *link) register(id uint64, ch chan wireFrame) bool {
+// register records a pending request and returns the channel its reply
+// arrives on: an idle one of the link's if there is one, else a new one.
+// It reports false when the link is already dead.
+func (l *link) register(id uint64) (chan wireFrame, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.dead {
-		return false
+		return nil, false
+	}
+	var ch chan wireFrame
+	if n := len(l.idle); n > 0 {
+		ch, l.idle = l.idle[n-1], l.idle[:n-1]
+	} else {
+		ch = make(chan wireFrame, 1)
 	}
 	l.pending[id] = ch
-	return true
+	return ch, true
 }
 
-func (l *link) unregister(id uint64) {
+// unregister abandons a pending request. Its channel is reused only if the
+// entry was still there: then no deliverer took it, and none ever will. One
+// that deliver or fail took may yet receive, or already holds, a reply or a
+// close, and is left to the collector.
+func (l *link) unregister(id uint64, ch chan wireFrame) {
 	l.mu.Lock()
-	delete(l.pending, id)
+	defer l.mu.Unlock()
+	if l.pending[id] == ch {
+		delete(l.pending, id)
+		l.idle = append(l.idle, ch)
+	}
+}
+
+// release returns the channel of a request whose reply its sender received:
+// deliver deleted the entry before its one send, so nobody else holds it.
+func (l *link) release(ch chan wireFrame) {
+	l.mu.Lock()
+	if !l.dead {
+		l.idle = append(l.idle, ch)
+	}
 	l.mu.Unlock()
 }
 
@@ -647,7 +693,10 @@ func (l *link) fail() {
 
 // write frames one message into the link's scratch and sends it. Nothing
 // touches the connection before the frame is complete, so a payload that
-// cannot be framed fails cleanly (errEncode) and the link survives.
+// cannot be framed fails cleanly (errEncode) and the link survives. So does a
+// frame the caller's deadline stopped before its first byte (errUnsent); as
+// after a failed encode, the next gob frame opens a new stream, since this
+// one may have carried type descriptors.
 func (l *link) write(ctx context.Context, f wireFrame) error {
 	l.writeMu.Lock()
 	defer l.writeMu.Unlock()
@@ -660,7 +709,11 @@ func (l *link) write(ctx context.Context, f wireFrame) error {
 	} else {
 		l.conn.SetWriteDeadline(time.Time{})
 	}
-	_, err = l.conn.Write(b)
+	n, err := l.conn.Write(b)
+	if n == 0 && errors.Is(err, os.ErrDeadlineExceeded) {
+		l.fw.enc = nil
+		return fmt.Errorf("%w: %v", errUnsent, err)
+	}
 	return err
 }
 
@@ -870,22 +923,42 @@ func (fr *frameReader) selfFrame(body []byte) (wireFrame, error) {
 }
 
 // readLoop routes inbound frames until the connection dies or sends a frame
-// that does not decode, then drops the link.
+// that does not decode, then drops the link and closes work, which sends
+// every parked server away with it.
+//
+// Handlers run on servers of their own, so a slow handler never blocks
+// response routing for requests pipelined on this link. A request goes to a
+// server parked on work if one is idle, else to a new one; a server that
+// finishes parks for the next. Only an idle server can take a request, so a
+// handler that blocks delays no other, and the link keeps as many servers as
+// it has had requests in service at once.
 func (l *link) readLoop() {
 	fr := frameReader{r: l.conn}
 	for {
 		f, err := fr.next()
 		if err != nil {
 			l.drop()
+			close(l.work)
 			return
 		}
-		if f.Req {
-			// Handlers run in their own goroutine so a slow handler never
-			// blocks response routing for requests pipelined on this link.
-			go l.serve(f)
-		} else {
+		if !f.Req {
 			l.deliver(f)
+			continue
 		}
+		select {
+		case l.work <- f:
+		default:
+			go l.serveLoop(f)
+		}
+	}
+}
+
+// serveLoop serves f, then every request handed to it while it is parked on
+// work, until the link dies.
+func (l *link) serveLoop(f wireFrame) {
+	l.serve(f)
+	for f := range l.work {
+		l.serve(f)
 	}
 }
 
