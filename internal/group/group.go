@@ -444,6 +444,11 @@ type Comm struct {
 	thresholdRounds     *obs.Counter
 	thresholdEarly      *obs.Counter
 	thresholdStragglers *obs.Counter
+
+	// wakes are the idle wake-up channels of waiting callers: one is back
+	// here only once no sender can still send on it (Run).
+	wakeMu sync.Mutex
+	wakes  []chan struct{}
 }
 
 // CommOption configures a Comm.
@@ -532,7 +537,7 @@ type Round struct {
 	comm  *Comm
 	ctx   context.Context
 	owner Owner
-	wake  chan struct{} // carries the one wake-up of a caller that waits
+	wake  chan struct{} // carries the one wake-up of a caller that waits; the Comm's, lent
 
 	mu       sync.Mutex
 	done     chan struct{} // made by a Wait that finds sends in flight
@@ -551,10 +556,15 @@ var ErrThresholdShort = errors.New("group: threshold multicast fell short")
 // — a round costs one network hop of simulated time whatever the destination
 // and core counts — each reporting to the owner as it completes, and the
 // caller released as r.Until says. The sender that completes decides under
-// the round's lock whether the caller is to be woken, so a round costs its
-// caller one channel and the senders one function value between them. The one
-// destination of an OnDrain round is sent to on the caller's goroutine: there
-// is nothing to overlap with.
+// the round's lock whether the caller is to be woken, so a round costs the
+// senders one function value between them and its caller nothing: a caller
+// that waits takes its wake-up channel from the Comm's idle list and puts it
+// back once no sender can still send on it — when it received the wake-up, or
+// when its dead context released it before any sender did. A caller that
+// leaves on a dead context after a sender released it leaves the channel to
+// that sender's send and to the collector. The one destination of an OnDrain
+// round is sent to on the caller's goroutine: there is nothing to overlap
+// with.
 //
 // A dead context aborts every destination not yet attempted without a send.
 // The error is nil unless an OnVerdict round was left unsatisfied: then it
@@ -586,7 +596,7 @@ func (c *Comm) Run(ctx context.Context, r *Round, o Owner) error {
 		r.send()
 	} else {
 		if waits {
-			r.wake = make(chan struct{}, 1)
+			r.wake = c.takeWake()
 		}
 		send := r.send
 		for range r.To {
@@ -600,12 +610,17 @@ func (c *Comm) Run(ctx context.Context, r *Round, o Owner) error {
 		}
 		select {
 		case <-r.wake:
+			c.putWake(r.wake) // the one send is done
 		case <-dead:
 			r.mu.Lock()
-			if !r.released {
+			mine := !r.released
+			if mine {
 				r.released, r.left = true, n-r.answered
 			}
 			r.mu.Unlock()
+			if mine {
+				c.putWake(r.wake) // no sender will send
+			}
 		}
 	}
 	var err error
@@ -622,6 +637,25 @@ func (c *Comm) Run(ctx context.Context, r *Round, o Owner) error {
 	}
 	c.duration.Observe(time.Since(start))
 	return err
+}
+
+// takeWake returns an idle wake-up channel, or a new one when none is idle.
+func (c *Comm) takeWake() chan struct{} {
+	c.wakeMu.Lock()
+	defer c.wakeMu.Unlock()
+	if k := len(c.wakes); k > 0 {
+		w := c.wakes[k-1]
+		c.wakes = c.wakes[:k-1]
+		return w
+	}
+	return make(chan struct{}, 1)
+}
+
+// putWake makes an empty wake-up channel no sender can still send on idle.
+func (c *Comm) putWake(w chan struct{}) {
+	c.wakeMu.Lock()
+	c.wakes = append(c.wakes, w)
+	c.wakeMu.Unlock()
 }
 
 // send is one destination's sender.

@@ -561,6 +561,71 @@ func TestMulticastEachCancelledContextTable(t *testing.T) {
 	}
 }
 
+// answerCounter is a round that ships one payload to everybody, rules every
+// answer alike and counts the Answered calls its owner receives.
+type answerCounter struct {
+	Round
+	payload any
+	answers atomic.Int32
+	ruling  Verdict
+}
+
+func (a *answerCounter) Payload(int) any { return a.payload }
+
+func (a *answerCounter) Answered(int, any, error) Verdict {
+	a.answers.Add(1)
+	return a.ruling
+}
+
+func (a *answerCounter) Drained() {}
+
+// TestLateWakeNeverReachesAnotherRound races a round's wake-up against its
+// dead context, then runs a round on the same Comm that must wait for both of
+// its destinations. The first is an OnVerdict round to one peer whose handler
+// cancels the round's context and then acks, so the sender's wake-up and the
+// caller's exit on the dead context race; the second is an OnDrain round to
+// two peers that answer after ~200 µs. A wake-up channel recycled while its
+// sender could still send — the caller left on the dead context after the
+// sender released it — would carry that late wake-up into the second round,
+// which would return before its answers: the caller may put the channel back
+// only when it received the wake-up or released the round itself.
+func TestLateWakeNeverReachesAnotherRound(t *testing.T) {
+	net := fourNodes(t)
+	if err := net.Handle("n2", "cancel", func(_ transport.NodeID, payload any) (any, error) {
+		payload.(context.CancelFunc)()
+		return "ack", nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []transport.NodeID{"n3", "n4"} {
+		if err := net.Handle(id, "slow", func(transport.NodeID, any) (any, error) {
+			time.Sleep(200 * time.Microsecond)
+			return "ack", nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	comm := NewComm(net)
+	for i := 0; i < 2000; i++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		raced := &answerCounter{payload: cancel, ruling: Satisfied}
+		raced.From, raced.To, raced.Kind, raced.Until = "n1", []transport.NodeID{"n2"}, "cancel", OnVerdict
+		_ = comm.Run(ctx, &raced.Round, raced) // satisfied or aborted: either is the race's
+		cancel()
+
+		drain := &answerCounter{ruling: Open}
+		drain.From, drain.To, drain.Kind, drain.Until = "n1", []transport.NodeID{"n3", "n4"}, "slow", OnDrain
+		if err := comm.Run(context.Background(), &drain.Round, drain); err != nil {
+			t.Fatal(err)
+		}
+		if got := drain.answers.Load(); got != 2 {
+			drain.Wait()
+			t.Fatalf("iteration %d: an OnDrain round returned after %d of 2 answers", i, got)
+		}
+		raced.Wait()
+	}
+}
+
 func fourNodes(t *testing.T) *transport.Network {
 	t.Helper()
 	net := transport.NewNetwork()

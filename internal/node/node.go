@@ -432,8 +432,8 @@ func (n *Node) InvokeCtx(ctx context.Context, target object.ID, method string, a
 		return nil, fmt.Errorf("%w: %s", replication.ErrNoReplica, target)
 	}
 
-	t := n.BeginCtx(ctx)
-	res, err := n.InvokeTx(t, target, method, args...)
+	t, inv := tx.BeginWith[invocation.Invocation](n.TxMgr, ctx)
+	res, err := n.invokeTx(t, inv, target, method, args)
 	if err != nil {
 		if t.Status() == tx.Active {
 			_ = t.Rollback()
@@ -464,6 +464,12 @@ func (n *Node) InvokeNamedCtx(ctx context.Context, name, method string, args ...
 // InvokeTx performs a business operation within an existing transaction.
 // The calling node must be the object's coordinator for write operations.
 func (n *Node) InvokeTx(t *tx.Tx, target object.ID, method string, args ...any) (any, error) {
+	return n.invokeTx(t, new(invocation.Invocation), target, method, args)
+}
+
+// invokeTx is InvokeTx dispatching through inv, a zero invocation: InvokeCtx's
+// was allocated with its transaction.
+func (n *Node) invokeTx(t *tx.Tx, inv *invocation.Invocation, target object.ID, method string, args []any) (any, error) {
 	kind, class, err := n.methodKind(t.Context(), target, method)
 	if err != nil {
 		return nil, err
@@ -483,7 +489,7 @@ func (n *Node) InvokeTx(t *tx.Tx, target object.ID, method string, args ...any) 
 	if err := t.Lock(target); err != nil {
 		return nil, err
 	}
-	inv := &invocation.Invocation{
+	*inv = invocation.Invocation{
 		Node:   n.ID,
 		Target: target,
 		Class:  class,

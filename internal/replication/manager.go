@@ -761,8 +761,8 @@ func (m *Manager) commitBatched(t *tx.Tx, staged []stagedOp) error {
 			}
 			s.remote++
 			if r == nil {
-				r = &commitRound{m: m}
-				r.From, r.Kind, r.To = m.self, msgBatch, r.room[:0]
+				r = newCommitRound(len(staged))
+				r.m, r.From, r.Kind, r.To = m, m.self, msgBatch, r.room[:0]
 			}
 			if !slices.Contains(r.To, d) {
 				r.To = append(r.To, d)
@@ -778,14 +778,16 @@ func (m *Manager) commitBatched(t *tx.Tx, staged []stagedOp) error {
 	// remote destinations as their union: every single-group commit — all of
 	// them are sent the same ops, so one run and one message serve the round.
 	// Otherwise the batches are contiguous runs of one backing array. Nothing
-	// writes to either after this block.
+	// writes to either after this block. A one-op commit is always uniform,
+	// and its run was allocated with the round.
 	uniform := total == len(staged)*len(r.To)
 	if uniform {
-		ops := make([]batchOp, len(staged))
-		for k := range staged {
-			ops[k] = staged[k].op
+		if r.shared.Ops == nil {
+			r.shared.Ops = make([]batchOp, len(staged))
 		}
-		r.shared.Ops = ops
+		for k := range staged {
+			r.shared.Ops[k] = staged[k].op
+		}
 	} else {
 		r.batches = make([]batchMsg, len(r.To))
 		ops := make([]batchOp, 0, total)
@@ -884,8 +886,10 @@ type objectAcks struct {
 
 // commitRound is one commit's multicast round and its owner: what each
 // destination is sent, and when the commit may return. It is the commit's
-// one allocation besides the ops; the background straggler sends hold it, so
-// it is never recycled (the staging buffer, which it does not reference, is).
+// one allocation besides the ops — and a one-op commit's only one, its op
+// living beside it in a oneOpRound; the background straggler sends hold it,
+// so it is never recycled (the staging buffer, which it does not reference,
+// is).
 type commitRound struct {
 	group.Round
 	m *Manager
@@ -905,6 +909,25 @@ type commitRound struct {
 	all     tally
 	objects []objectAcks
 	room    [3]transport.NodeID // To's backing, up to a replica group's usual remotes
+}
+
+// oneOpRound is the round of a commit that ships one op, with the op's run
+// in the same block: 512 bytes, what the round and a separate one-op run
+// took in two.
+type oneOpRound struct {
+	commitRound
+	op [1]batchOp
+}
+
+// newCommitRound allocates the round of a commit staging n ops; a one-op
+// round comes with its shared run.
+func newCommitRound(n int) *commitRound {
+	if n != 1 {
+		return new(commitRound)
+	}
+	one := new(oneOpRound)
+	one.shared.Ops = one.op[:]
+	return &one.commitRound
 }
 
 // Payload implements group.Owner.

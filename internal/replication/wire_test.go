@@ -445,12 +445,17 @@ func TestAckAllocs(t *testing.T) {
 
 // TestBatchSizes holds the sizes every replicated write pays for: the
 // commit's round, which one word more moves from the 288-byte size class into
-// the 320-byte one, and the batch a frame decodes to, which one field more
-// moves from 24 bytes into 32. A commit's threats ride in a threatBatch of
-// their own, behind one pointer on the round.
+// the 320-byte one; a one-op commit's round with its op, which must stay in
+// the 512 bytes the round and a separate one-op run took between them; and
+// the batch a frame decodes to, which one field more moves from 24 bytes into
+// 32. A commit's threats ride in a threatBatch of their own, behind one
+// pointer on the round.
 func TestBatchSizes(t *testing.T) {
 	if size := unsafe.Sizeof(commitRound{}); size > 288 {
 		t.Errorf("commitRound is %d bytes, want <= 288", size)
+	}
+	if size := unsafe.Sizeof(oneOpRound{}); size > 512 {
+		t.Errorf("oneOpRound is %d bytes, want <= 512", size)
 	}
 	if size := unsafe.Sizeof(batchMsg{}); size != 24 {
 		t.Errorf("batchMsg is %d bytes, want 24", size)

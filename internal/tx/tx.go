@@ -140,6 +140,27 @@ func (m *Manager) Begin() *Tx { return m.BeginCtx(context.Background()) }
 // Commit/Rollback — but every blocking operation inside the transaction
 // observes it.
 func (m *Manager) BeginCtx(ctx context.Context) *Tx {
+	t := new(Tx)
+	m.begin(ctx, t)
+	return t
+}
+
+// BeginWith is BeginCtx for a caller that keeps per-transaction state of its
+// own: the transaction and a zero T are allocated in one block, so the state
+// costs no allocation of its own and lives exactly as long as the transaction
+// is referenced. An operation in its own transaction (Node.InvokeCtx) begins
+// with its invocation beside it.
+func BeginWith[T any](m *Manager, ctx context.Context) (*Tx, *T) {
+	b := new(struct {
+		t Tx
+		x T
+	})
+	m.begin(ctx, &b.t)
+	return &b.t, &b.x
+}
+
+// begin starts the zero transaction t.
+func (m *Manager) begin(ctx context.Context, t *Tx) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -150,13 +171,7 @@ func (m *Manager) BeginCtx(ctx context.Context) *Tx {
 	global := m.resources
 	m.mu.Unlock()
 	m.begun.Inc()
-	return &Tx{
-		id:        m.seq.Add(1),
-		mgr:       m,
-		ctx:       ctx,
-		status:    Active,
-		resources: global,
-	}
+	t.id, t.mgr, t.ctx, t.status, t.resources = m.seq.Add(1), m, ctx, Active, global
 }
 
 // Tx is one transaction. A Tx must be driven by a single goroutine; the
@@ -180,8 +195,10 @@ type Tx struct {
 	hasHeld0 bool
 	held     map[object.ID]struct{} // locks beyond the first
 	// undo is the rollback log and, read through Writes, the write set. Tx
-	// keeps nothing else about what it wrote: every read allocates one Tx, and
-	// a field more would push it out of its 160-byte size class.
+	// keeps nothing else about what it wrote: every operation allocates a Tx,
+	// and the 152 bytes of one begun with its 152-byte invocation (BeginWith)
+	// fill a 304-byte block of the 320-byte size class; three words more
+	// would push it into the next.
 	undo []undoRecord
 }
 

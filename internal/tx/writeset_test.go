@@ -204,7 +204,7 @@ func TestWriteSetReadInPlace(t *testing.T) {
 
 func TestTxStaysInItsSizeClass(t *testing.T) {
 	if size := unsafe.Sizeof(Tx{}); size > 160 {
-		t.Fatalf("Tx is %d bytes, over the 160-byte size class: every read allocates one Tx, so the next class (176) is paid on each of them — keep what a transaction wrote in the undo log, not in new fields", size)
+		t.Fatalf("Tx is %d bytes, over the 160-byte size class: every operation allocates one Tx, so an explicit transaction pays the next class (176), and one begun with its 152-byte invocation (BeginWith) soon leaves its 320-byte block — keep what a transaction wrote in the undo log, not in new fields", size)
 	}
 	if size := unsafe.Sizeof(undoRecord{}); size > 56 {
 		t.Fatalf("undoRecord is %d bytes, over 56: a 4-object transaction grows the log through 1, 2 and 4 records, and every 8 bytes on the record is 48 on that transaction", size)
