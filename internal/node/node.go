@@ -366,6 +366,21 @@ type remoteInvokePayload struct {
 	Args   []any
 }
 
+// invokeReply is the reply to a forwarded invocation: the method's result and,
+// when the commit left the requester out of its round, the batch the
+// requester's replica applies instead (replication.Forwarded).
+type invokeReply struct {
+	Result any
+	Apply  any
+}
+
+// forwardedCall is a forwarded invocation's one allocation on the node that
+// runs it: the invocation's context, which names the requester, and the reply.
+type forwardedCall struct {
+	replication.Forwarded
+	reply invokeReply
+}
+
 func (n *Node) handleRemoteInvoke(from transport.NodeID, payload any) (any, error) {
 	p, ok := payload.(remoteInvokePayload)
 	if !ok {
@@ -373,8 +388,33 @@ func (n *Node) handleRemoteInvoke(from transport.NodeID, payload any) (any, erro
 	}
 	// The caller's context does not cross the simulated wire: the remote
 	// node executes under its own background context, like a real RPC server
-	// that received no deadline metadata.
-	return n.Invoke(p.Target, p.Method, p.Args...)
+	// that received no deadline metadata. A commit that fails sends no batch
+	// back: the requester is stale as after a failed send of the round.
+	c := &forwardedCall{Forwarded: replication.Forwarded{Context: context.Background(), Requester: from}}
+	res, err := n.InvokeCtx(&c.Forwarded, p.Target, p.Method, p.Args...)
+	if err != nil {
+		return nil, err
+	}
+	c.reply = invokeReply{Result: res, Apply: c.Apply}
+	return &c.reply, nil
+}
+
+// forward runs an invocation on node to. A batch the reply carries is applied
+// before forward returns, so a forwarded write, like a local one, returns
+// with this node's replica holding it.
+func (n *Node) forward(ctx context.Context, to transport.NodeID, target object.ID, method string, args []any) (any, error) {
+	reply, err := n.net.Send(ctx, n.ID, to, msgInvoke, remoteInvokePayload{Target: target, Method: method, Args: args})
+	if err != nil {
+		return nil, err
+	}
+	r, ok := reply.(*invokeReply)
+	if !ok {
+		return nil, fmt.Errorf("node %s: bad invoke reply %T", n.ID, reply)
+	}
+	if r.Apply != nil {
+		n.Repl.ApplyForwarded(to, r.Apply)
+	}
+	return r.Result, nil
 }
 
 func (n *Node) handleRemoteDelete(from transport.NodeID, payload any) (any, error) {
@@ -413,7 +453,7 @@ func (n *Node) InvokeCtx(ctx context.Context, target object.ID, method string, a
 			return nil, err
 		}
 		if coord != n.ID {
-			return n.net.Send(ctx, n.ID, coord, msgInvoke, remoteInvokePayload{Target: target, Method: method, Args: args})
+			return n.forward(ctx, coord, target, method, args)
 		}
 	}
 	if kind == object.Read && n.Repl != nil && !n.Repl.HasLocalReplica(target) {
@@ -426,7 +466,7 @@ func (n *Node) InvokeCtx(ctx context.Context, target object.ID, method string, a
 		view := n.gms.ViewOf(n.ID)
 		for _, r := range info.Replicas {
 			if r != n.ID && view.Contains(r) {
-				return n.net.Send(ctx, n.ID, r, msgInvoke, remoteInvokePayload{Target: target, Method: method, Args: args})
+				return n.forward(ctx, r, target, method, args)
 			}
 		}
 		return nil, fmt.Errorf("%w: %s", replication.ErrNoReplica, target)

@@ -741,22 +741,36 @@ func (m *Manager) stage(w tx.Write, view group.View, degraded bool, s *stagedOp)
 	return err == nil, err
 }
 
+// Forwarded is the context of an invocation a node runs for the node that
+// forwarded it and waits on the reply (§4.3: a write is routed to the
+// object's primary). When the commit may (replyTo), it leaves the requester
+// out of its round and puts in Apply the batch it would have been sent, for
+// the reply to carry back (ApplyForwarded).
+type Forwarded struct {
+	context.Context
+	Requester transport.NodeID
+	Apply     any // *batchMsg or *threatBatch; nil when the round reached the requester or nothing was written
+}
+
 // commitBatched ships the staged operations of t in one multicast round: each
 // remote destination receives one message holding the ops whose objects it
 // replicates (deletes address every view member under full replication, the
 // ring-derived replica group under sharded placement), in sorted destination
-// order, and the threats t accepted and cleared. A commit whose replicas are
-// all local (single-node, or the coordinator is the only reachable replica)
-// makes no round at all — the round is allocated at the first remote
-// destination found.
+// order, and the threats t accepted and cleared. The requester of a forwarded
+// commit gets its message in the reply instead (replyTo). A commit whose
+// replicas are all local (single-node, or the coordinator is the only
+// reachable replica) makes no round at all — the round is allocated at the
+// first remote destination found.
 func (m *Manager) commitBatched(t *tx.Tx, staged []stagedOp) error {
+	fw, _ := t.Context().(*Forwarded)
+	requester := m.replyTo(fw, staged)
 	var r *commitRound
 	total := 0
 	for k := range staged {
 		s := &staged[k]
 		s.remote = 0
 		for _, d := range s.dests {
-			if d == m.self {
+			if d == m.self || d == requester {
 				continue
 			}
 			s.remote++
@@ -770,7 +784,22 @@ func (m *Manager) commitBatched(t *tx.Tx, staged []stagedOp) error {
 		}
 		total += int(s.remote)
 	}
+	if r == nil && requester == "" {
+		return nil
+	}
+	added, _ := t.Value(threat.KeyAccepted).([]threat.Threat)
+	removed, _ := t.Value(threat.KeyCleared).([]string)
+	threats := len(added) > 0 || len(removed) > 0
 	if r == nil {
+		// The requester was the only remote destination: the reply is the
+		// commit's one message, and its one-op batch takes the round's place.
+		one := &oneOpBatch{op: [1]batchOp{staged[0].op}}
+		one.Ops = one.op[:]
+		fw.Apply = &one.batchMsg
+		if threats {
+			fw.Apply = &threatBatch{Ops: one.Ops, Added: added, Removed: removed}
+			t.Put(threat.KeyShipped, []transport.NodeID{requester})
+		}
 		return nil
 	}
 	slices.Sort(r.To)
@@ -829,11 +858,16 @@ func (m *Manager) commitBatched(t *tx.Tx, staged []stagedOp) error {
 			}
 		}
 	}
-	added, _ := t.Value(threat.KeyAccepted).([]threat.Threat)
-	removed, _ := t.Value(threat.KeyCleared).([]string)
-	if len(added) > 0 || len(removed) > 0 {
+	if threats {
 		r.threats = &threatBatch{Ops: r.shared.Ops, Added: added, Removed: removed}
-		t.Put(threat.KeyShipped, r.To) // the CCMgr's commit tells the rest of the view
+		shipped := r.To
+		if requester != "" {
+			shipped = append(slices.Clip(shipped), requester)
+		}
+		t.Put(threat.KeyShipped, shipped) // the CCMgr's commit tells the rest of the view
+	}
+	if requester != "" {
+		fw.Apply = r.Payload(0) // one op: every destination is sent the same message
 	}
 	m.batchRounds.Inc()
 	m.batchSize.Add(int64(len(staged)))
@@ -848,6 +882,29 @@ func (m *Manager) commitBatched(t *tx.Tx, staged []stagedOp) error {
 		return fmt.Errorf("replication: quorum commit: %w", err)
 	}
 	return nil
+}
+
+// replyTo names the requester of a forwarded commit when its batch can ride
+// the invocation's reply: the commit ships one op (a forwarded invocation
+// writes its target alone), the requester is one of its destinations, and
+// under a threshold protocol the other destinations can still make the
+// quorum — the commit returns before the reply lands, so the requester's
+// apply cannot be one of its acks. Otherwise it names nobody.
+func (m *Manager) replyTo(fw *Forwarded, staged []stagedOp) transport.NodeID {
+	if fw == nil || len(staged) != 1 || !slices.Contains(staged[0].dests, fw.Requester) {
+		return ""
+	}
+	if tp, isThreshold := m.protocol.(ThresholdPolicy); isThreshold {
+		s := &staged[0]
+		others := len(s.dests) - 1 // remote destinations but the requester
+		if slices.Contains(s.dests, m.self) {
+			others--
+		}
+		if tp.CommitAcks(s.replicas)-1 > others {
+			return ""
+		}
+	}
+	return fw.Requester
 }
 
 // tally is the ack account of a threshold commit: of one object, or of the
@@ -1191,6 +1248,17 @@ func (m *Manager) handleBatch(from transport.NodeID, payload any) (any, error) {
 		}
 	}
 	return ackAll, nil
+}
+
+// ApplyForwarded applies the batch a coordinator handed back in its reply to
+// an invocation this node forwarded (Forwarded.Apply) through handleBatch, as
+// if the commit's round had sent it. A batch that does not apply counts in
+// replication.propagation_errors, as the round's failed send would have;
+// reconciliation repairs the replica.
+func (m *Manager) ApplyForwarded(from transport.NodeID, apply any) {
+	if _, err := m.handleBatch(from, apply); err != nil {
+		m.propErrors.Inc()
+	}
 }
 
 // applyOps is the one place a replica decides what a shipped operation does

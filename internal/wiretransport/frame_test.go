@@ -9,8 +9,10 @@ import (
 	"io"
 	"net"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -450,10 +452,25 @@ func (tp *tap) streams() [][]byte {
 	return [][]byte{bytes.Clone(tp.requests.Bytes()), bytes.Clone(tp.replies.Bytes())}
 }
 
+// batchSends counts the repl.batch requests its endpoint sends.
+type batchSends struct {
+	*Wire
+	n atomic.Int32
+}
+
+func (w *batchSends) Send(ctx context.Context, from, to transport.NodeID, kind string, payload any) (any, error) {
+	if kind == "repl.batch" {
+		w.n.Add(1)
+	}
+	return w.Wire.Send(ctx, from, to, kind, payload)
+}
+
 // recordStreams runs two middleware nodes over the wire — the
 // cmd/dedisys-node assembly — with a tap on the a->b link, drives liveness
 // probes, replicated creates and writes, a forwarded invocation and a gossip
 // exchange over it, and returns the link's request and reply byte streams.
+// The write a forwards to b sends no repl.batch back: b's commit returns a's
+// batch in the reply.
 func recordStreams(t testing.TB) [][]byte {
 	t.Helper()
 	dir := t.TempDir()
@@ -469,16 +486,17 @@ func recordStreams(t testing.TB) [][]byte {
 		return "ok", nil
 	})
 	nodes := map[transport.NodeID]*node.Node{}
-	wires := map[transport.NodeID]*Wire{}
+	wires := map[transport.NodeID]*batchSends{}
 	for _, id := range []transport.NodeID{"a", "b"} {
-		w, err := New(id, peersOf[id])
+		inner, err := New(id, peersOf[id])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := w.Start(); err != nil {
+		if err := inner.Start(); err != nil {
 			t.Fatal(err)
 		}
-		defer w.Close()
+		defer inner.Close()
+		w := &batchSends{Wire: inner}
 		n, err := node.New(node.Options{ID: id, Net: w, GMS: group.NewMembership(w), Gossip: &gossip.Config{Manual: true}})
 		if err != nil {
 			t.Fatal(err)
@@ -504,8 +522,15 @@ func recordStreams(t testing.TB) [][]byte {
 	for i := 1; i <= 3; i++ {
 		_, err := a.InvokeCtx(ctx, "x", "Set", int64(i)) // repl.batch a->b
 		check(err)
-		_, err = a.InvokeCtx(ctx, "y", "Set", int64(i)) // node.invoke a->b
+		before := wires["b"].n.Load()
+		_, err = a.InvokeCtx(ctx, "y", "Set", int64(i)) // node.invoke a->b, a's batch in the reply
 		check(err)
+		if sent := wires["b"].n.Load() - before; sent != 0 {
+			t.Fatalf("the write a forwarded to b sent %d repl.batch b->a; want 0", sent)
+		}
+		if e, err := a.Registry.Get("y"); err != nil || e.GetInt("v") != int64(i) {
+			t.Fatalf("a's replica of y after its forwarded write %d: %v, %v", i, e, err)
+		}
 	}
 	_, err := a.Gossip.GossipWith(ctx, "b")
 	check(err)
@@ -514,14 +539,27 @@ func recordStreams(t testing.TB) [][]byte {
 	return tp.streams()
 }
 
+// carriesApply reports whether a frame is the reply to a forwarded invocation
+// that hands its requester a batch to apply.
+func carriesApply(f wireFrame) bool {
+	v := reflect.ValueOf(f.Payload)
+	if f.Req || f.Kind != "node.invoke" || v.Kind() != reflect.Pointer || v.Elem().Kind() != reflect.Struct {
+		return false
+	}
+	apply := v.Elem().FieldByName("Apply")
+	return apply.IsValid() && !apply.IsNil()
+}
+
 // TestRecordedStreams checks the fuzz seeds against the reader they seed:
 // both directions of a real link decode to the end, carry the kinds the
-// middleware puts on the wire, each in the frame body it should have, and open
-// their gob stream exactly once — only the first gob frame of a healthy
-// connection carries type descriptors.
+// middleware puts on the wire, each in the frame body it should have — the
+// replies to the three forwarded writes with their batches — and open their
+// gob stream exactly once — only the first gob frame of a healthy connection
+// carries type descriptors.
 func TestRecordedStreams(t *testing.T) {
 	// Frames per kind and body; a reply carries its request's kind.
 	self, viaGob := map[string]int{}, map[string]int{}
+	applies := 0
 	for dir, stream := range recordStreams(t) {
 		fr := frameReader{r: bytes.NewReader(stream)}
 		frames, opens := 0, 0
@@ -540,6 +578,9 @@ func TestRecordedStreams(t *testing.T) {
 			} else {
 				viaGob[f.Kind]++
 			}
+			if carriesApply(f) {
+				applies++
+			}
 		}
 		if _, err := fr.next(); err != io.EOF {
 			t.Fatalf("stream %d: after its %d frames: %v, want EOF", dir, frames, err)
@@ -557,6 +598,9 @@ func TestRecordedStreams(t *testing.T) {
 		if viaGob[kind] == 0 || self[kind] != 0 {
 			t.Fatalf("%s: %d gob frames, %d self-encoded; want all on gob", kind, viaGob[kind], self[kind])
 		}
+	}
+	if applies != 3 {
+		t.Fatalf("%d node.invoke replies carry a batch to apply, want 3", applies)
 	}
 }
 
