@@ -232,7 +232,6 @@ func Registry() []Experiment {
 		{ID: "exp-shard", Title: "Sharded placement: per-node replica footprint and commit fan-out vs full replication", Run: runShard},
 		{ID: "exp-wire", Title: "Real-wire backend: commit latency over unix sockets vs the simulated hop", Run: runWire},
 		{ID: "exp-gossip", Title: "Anti-entropy gossip vs heal reconciliation: rounds and bytes to converge a heal storm", Run: runGossip},
-		{ID: "exp-allocs", Title: "Hot-path allocations per operation: invoke, single-node commit, replicated quorum and wait-all commits", Run: runAllocs},
 	}
 }
 

@@ -8,10 +8,9 @@ import (
 
 	"dedisys/internal/constraint"
 	"dedisys/internal/object"
-	"dedisys/internal/replication"
 )
 
-// TestShardedQuorumStress is the repo's many-client mixed run on the gate
+// TestShardedQuorumStress is the repo's many-client mixed run on the quorum
 // cluster (8 nodes, G=4, R=3, quorum commit): 4×GOMAXPROCS closed-loop
 // clients walk their stride of one seeded operation list — 90 % Value reads
 // rotating over the object's replicas, 10 % SetValue at the object's home —
@@ -38,12 +37,7 @@ func TestShardedQuorumStress(t *testing.T) {
 		ops = 20_000
 	}
 
-	c, err := newBenchCluster(QuickConfig(), clusterOpts{
-		size:     gateClusterSize,
-		groups:   gateGroups,
-		rf:       gateRF,
-		protocol: replication.Quorum{},
-	}, constraint.AsyncInvariant)
+	c, err := newBenchCluster(QuickConfig(), quorumCluster, constraint.AsyncInvariant)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"testing"
+	"unsafe"
 
 	"dedisys/internal/constraint"
 	"dedisys/internal/invocation"
@@ -50,6 +51,9 @@ var unresolvableContexts = []struct {
 // cannot be resolved is uncheckable under the ID the preparer named, and
 // reconciliation re-evaluates that object, not the Alarm.
 func TestHardInvariantUnresolvableContext(t *testing.T) {
+	if size := unsafe.Sizeof(valContext{}); size > 208 {
+		t.Errorf("valContext is %d B; the first access inline keeps it in the 208 B size class", size)
+	}
 	for _, tc := range unresolvableContexts {
 		env := newLocalEnv(t)
 		env.registerReportFiled(t, constraint.HardInvariant)

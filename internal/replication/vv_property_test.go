@@ -473,61 +473,3 @@ func TestVersionVectorJSONMatchesEncodingJSON(t *testing.T) {
 		}
 	}
 }
-
-// vvSink keeps what TestVectorAllocs measures on the heap, where the manager's
-// vectors live.
-var vvSink VersionVector
-
-// TestVectorAllocs pins what the vector costs: one allocation for a bump, for
-// a merge that adds a component and for a decode, none for anything that only
-// reads. It also pins the store writes of replica metadata at 0 — counted
-// with the conversion to any at the call site, made as applyOps and Commit
-// make it, a pointer to the vector where it lives — and shows the trap: the
-// same write handed the vector itself boxes its three-word header. Skipped
-// under -race, whose runtime allocates on paths the production build does not.
-func TestVectorAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race build: allocation count skipped")
-	}
-	v := VersionVector{{Node: "n1", Count: 8}, {Node: "n3", Count: 2}}
-	adds := VersionVector{{Node: "n2", Count: 1}}
-	data := v.appendWire(nil)
-	buf := make([]byte, 0, 64)
-	var r transport.WireReader
-	r.Reset(data)
-	readVectorWire(&r) // the link's name table learns the node IDs
-	store := persistence.NewStore()
-	ops := []batchOp{{Kind: msgApply, Apply: applyMsg{ID: "f1", VV: v}}}
-	staged := []stagedOp{{op: ops[0]}}
-	for _, c := range []struct {
-		name string
-		want float64
-		f    func()
-	}{
-		{"Bumped", 1, func() { vvSink = v.Bumped("n2") }},
-		{"Bumped of a present node", 1, func() { vvSink = v.Bumped("n3") }},
-		{"Merged that adds a component", 1, func() { vvSink = v.Merged(adds) }},
-		{"Merged that adds nothing", 0, func() { vvSink = v.Merged(v[:1]) }},
-		{"Compare", 0, func() { v.Compare(adds) }},
-		{"Get", 0, func() { v.Get("n3") }},
-		{"Total", 0, func() { v.Total() }},
-		{"AppendJSON", 0, func() { buf, _ = v.AppendJSON(buf[:0]) }},
-		{"appendWire", 0, func() { buf = v.appendWire(buf[:0]) }},
-		{"readVectorWire", 1, func() { r.Reset(data); vvSink = readVectorWire(&r) }},
-		{"replica-meta Put as applyOps makes it", 0, func() {
-			op := &ops[0]
-			_ = store.Put(tableReplicaMeta, string(op.Apply.ID), &op.Apply.VV)
-		}},
-		{"replica-meta Put as Commit makes it", 0, func() {
-			s := &staged[0]
-			_ = store.Put(tableReplicaMeta, "f1", &s.op.Apply.VV)
-		}},
-		{"replica-meta Put of the vector itself (boxed)", 1, func() {
-			_ = store.Put(tableReplicaMeta, "f1", ops[0].Apply.VV)
-		}},
-	} {
-		if got := testing.AllocsPerRun(200, c.f); got != c.want {
-			t.Errorf("%s = %v allocs, want %v", c.name, got, c.want)
-		}
-	}
-}

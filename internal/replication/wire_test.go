@@ -359,90 +359,6 @@ func TestDecodeRejectsMalformedVector(t *testing.T) {
 	}
 }
 
-// TestBatchDecodeAllocs bounds what decoding the batch of a single-object
-// write allocates: the box around the batch with its one op inline, the
-// object ID, the state map and its boxed value, the vector's one slice — 6 on
-// Go 1.24, one more where the runtime's maps take two allocations (an op
-// slice apart from the box was +1). A decoder that went back to reflection,
-// or stopped interning attribute and node names, would show here first.
-func TestBatchDecodeAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race runtime allocates on paths the production build does not")
-	}
-	batch := &batchMsg{Ops: []batchOp{{Kind: msgApply, Apply: applyMsg{
-		ID: "bean000001", State: object.State{"value": int64(1 << 40)}, Version: 9, VV: VersionVector{{Node: "n1", Count: 8}},
-	}}}}
-	data, _ := batch.AppendWire(nil)
-	var r transport.WireReader
-	var got any
-	allocs := testing.AllocsPerRun(200, func() {
-		r.Reset(data)
-		got = readBatchWire(&r)
-	})
-	if r.Err() != nil || !reflect.DeepEqual(got, batch) {
-		t.Fatalf("decoded %#v, %v", got, r.Err())
-	}
-	t.Logf("decoding a one-apply batch = %.0f allocs", allocs)
-	if allocs > 7 {
-		t.Fatalf("decoding a one-apply batch = %.0f allocs, want <= 7", allocs)
-	}
-}
-
-// TestAckAllocs holds the reply to a batch whose every op landed — every
-// write's, but for a replica that skips — at no allocation on either side:
-// handleBatch adds none to applyOps' (the shared ackAll, where a boxed
-// two-integer ack was one), its form encodes into a reused buffer without
-// one, and readAckWire decodes it to ackAll itself.
-func TestAckAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race runtime allocates on paths the production build does not")
-	}
-	h := newHarness(t, 2, PrimaryPerPartition{})
-	h.create(t, "n1", "Flight", "f1", object.State{"sold": int64(0)})
-	dst := h.node("n2").mgr
-	// Every batch is an apply whose vector dominates the one before.
-	const runs = 200
-	batches := make([]batchMsg, 2*(runs+1))
-	vv, _ := h.node("n1").mgr.VersionVector("f1")
-	for i := range batches {
-		vv = vv.Bumped("n1")
-		batches[i].Ops = []batchOp{{Kind: msgApply, Apply: applyMsg{ID: "f1", State: object.State{"sold": int64(i + 1)}, Version: int64(i + 2), VV: vv}}}
-	}
-	next := 0
-	var res [8]opResult
-	apply := testing.AllocsPerRun(runs, func() {
-		if got, err := dst.applyOps(batches[next].Ops, res[:0]); err != nil || got[0] != opApplied {
-			t.Fatalf("apply %d: %v, %v", next, got, err)
-		}
-		next++
-	})
-	var reply any
-	handle := testing.AllocsPerRun(runs, func() {
-		reply, _ = dst.handleBatch("n1", &batches[next])
-		next++
-	})
-	if e, _ := h.node("n2").reg.Get("f1"); reply != any(ackAll) || e.GetInt("sold") != int64(next) {
-		t.Fatalf("last reply %#v, sold %d; want ackAll and %d", reply, e.GetInt("sold"), next)
-	}
-
-	buf := make([]byte, 0, 16)
-	var data []byte
-	encode := testing.AllocsPerRun(runs, func() { data, _ = ackAll.AppendWire(buf[:0]) })
-	var r transport.WireReader
-	var got any
-	decode := testing.AllocsPerRun(runs, func() {
-		r.Reset(data)
-		got = readAckWire(&r)
-	})
-	if r.Err() != nil || got != any(ackAll) {
-		t.Fatalf("the all-landed form decoded to %#v, %v", got, r.Err())
-	}
-	t.Logf("applyOps %.0f, handleBatch %.0f, encode %.0f, decode %.0f allocs", apply, handle, encode, decode)
-	if handle != apply || encode != 0 || decode != 0 {
-		t.Fatalf("all-landed ack: handleBatch %.0f allocs over applyOps' %.0f, encode %.0f, decode %.0f; want 0 added, 0, 0", handle, apply, encode, decode)
-	}
-}
-
 // TestBatchSizes holds the sizes every replicated write pays for: the
 // commit's round, which one word more moves from the 288-byte size class into
 // the 320-byte one; a one-op commit's round with its op, which must stay in

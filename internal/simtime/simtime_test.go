@@ -39,18 +39,6 @@ func TestChargeAboveThresholdSleeps(t *testing.T) {
 	}
 }
 
-// TestChargeCtxUncancellableAllocatesNothing: a hop charged under a context
-// that can never be cancelled — every benchmark operation's and every
-// ctx-less invocation's — sleeps on the goroutine's own runtime timer, made on
-// the goroutine's first sleep, and allocates nothing after it. A timer to
-// select on costs three allocations a charge.
-func TestChargeCtxUncancellableAllocatesNothing(t *testing.T) {
-	ctx := context.Background()
-	if got := testing.AllocsPerRun(20, func() { _ = ChargeCtx(ctx, time.Millisecond) }); got != 0 {
-		t.Fatalf("a 1 ms charge under context.Background = %v allocs, want 0", got)
-	}
-}
-
 // TestChargeCtxCancelledReturnsEarly: a cancellable context still ends the
 // charge — one cancelled before it, on the sleep and on the spin path, and one
 // whose deadline passes during it — with the context's error, long before d.

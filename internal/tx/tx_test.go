@@ -1,6 +1,7 @@
 package tx
 
 import (
+	"context"
 	"errors"
 	"reflect"
 	"sync"
@@ -48,6 +49,36 @@ func TestCommitHappyPath(t *testing.T) {
 	}
 	if err := txn.Commit(); !errors.Is(err, ErrNotActive) {
 		t.Fatalf("double commit err = %v", err)
+	}
+
+	// A transaction begun with a value beside it is the transaction BeginCtx
+	// makes: a zero value, an id after the last one either way handed out, the
+	// registered resources driven through commit and rollback.
+	ctx := context.Background()
+	first := m.BeginCtx(ctx)
+	txn, x := BeginWith[[64]byte](m, ctx)
+	if *x != ([64]byte{}) {
+		t.Fatalf("the value begun beside the transaction is not zero: %v", *x)
+	}
+	last := m.BeginCtx(ctx)
+	if !(first.ID() < txn.ID() && txn.ID() < last.ID()) {
+		t.Fatalf("ids %d, %d, %d do not increase across BeginCtx and BeginWith", first.ID(), txn.ID(), last.ID())
+	}
+	if txn.Status() != Active || txn.Context() != ctx {
+		t.Fatalf("begun with status %v, context %v", txn.Status(), txn.Context())
+	}
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if r.prepared != 2 || r.committed != 2 || r.rolledBack != 0 {
+		t.Fatalf("after BeginWith's Commit: resource calls = %+v", r)
+	}
+	txn, _ = BeginWith[[64]byte](m, ctx)
+	if err := txn.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+	if r.prepared != 2 || r.committed != 2 || r.rolledBack != 1 {
+		t.Fatalf("after BeginWith's Rollback: resource calls = %+v", r)
 	}
 }
 
