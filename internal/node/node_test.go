@@ -552,17 +552,29 @@ func TestCaptureAffectedStateWithThreat(t *testing.T) {
 	}
 }
 
-// TestCommitStoresEntityAndVectorBytes reads back what one replicated write
-// leaves in the store. The entities record is written from the live entity and
-// the replica-meta record by the version vector's own encoder; both must hold
-// exactly the bytes json.Marshal produces for a snapshot and for the plain
-// map, HTML escaping included, and must still decode.
+// TestCommitStoresEntityAndVectorBytes reads back what a create and one
+// replicated write leave in the store. The coordinator's create record is
+// the create it ships, written by encoding/json, and must stay the bytes of
+// the literal below. After the write the entities record is written from the
+// live entity and the replica-meta record by the version vector's own
+// encoder; both must hold exactly the bytes json.Marshal produces for a
+// snapshot and for the plain map, HTML escaping included, and must still
+// decode.
 func TestCommitStoresEntityAndVectorBytes(t *testing.T) {
 	c := newFlightCluster(t, 3)
 	n1 := c.Node(0)
 	state := object.State{"seats": int64(80), "sold": int64(0), "route": "VIE<->GRZ & back", "crew": []string{"a", "b"}}
 	if err := n1.Create("Flight", "f1", state, c.AllReplicas(n1.ID)); err != nil {
 		t.Fatal(err)
+	}
+	var raw json.RawMessage
+	if err := n1.Store.Get("replica-meta", "f1", &raw); err != nil {
+		t.Fatal(err)
+	}
+	const wantCreate = `{"ID":"f1","Class":"Flight","State":{"crew":["a","b"],"route":"VIE\u003c-\u003eGRZ \u0026 back","seats":80,"sold":0},` +
+		`"Version":1,"VV":{"n1":1},"Info":{"home":"n1","replicas":["n1","n2","n3"]}}`
+	if string(raw) != wantCreate {
+		t.Errorf("n1 replica-meta/f1 after the create = %s, want %s", raw, wantCreate)
 	}
 	if _, err := n1.Invoke("f1", "SellTickets", int64(3)); err != nil {
 		t.Fatal(err)
@@ -581,7 +593,6 @@ func TestCommitStoresEntityAndVectorBytes(t *testing.T) {
 			plain[c.Node] = c.Count
 		}
 		wantMeta, _ := json.Marshal(plain)
-		var raw json.RawMessage
 		if err := n.Store.Get("replica-meta", "f1", &raw); err != nil {
 			t.Fatal(err)
 		}

@@ -134,7 +134,7 @@ func TestAliasFailover(t *testing.T) {
 }
 
 // TestAliasBareSet (guards the shared marks a commit leaves behind —
-// ApplyState's on the replicas, stageUpdate's on the coordinator): a Set
+// ApplyState's on the replicas, localOp's on the coordinator): a Set
 // with no transaction around it — application code holding an entity, a test
 // — on a replica-installed entity, then on the coordinator's, changes neither
 // the other replica nor the degraded-mode history entry of that write.
@@ -208,7 +208,7 @@ type vectorLog struct {
 
 func (l *vectorLog) add(vv VersionVector) {
 	if vv == nil {
-		return // the two unused messages of an op
+		return // an op shipped without a vector
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -228,9 +228,7 @@ func (l *vectorLog) tap(t *testing.T, h *harness) {
 			// know would otherwise pass as "no vectors shipped".
 			if b, ok := payload.(*batchMsg); ok {
 				for i := range b.Ops {
-					l.add(b.Ops[i].Create.VV)
-					l.add(b.Ops[i].Apply.VV)
-					l.add(b.Ops[i].Delete.VV)
+					l.add(b.Ops[i].VV)
 				}
 			} else {
 				t.Errorf("%s payload from %s is a %T, want *batchMsg", msgBatch, from, payload)
@@ -268,7 +266,7 @@ func TestAliasVectorsNeverWritten(t *testing.T) {
 	}
 	// Create over a known object: n2 merges a foreign line into the vector it
 	// installed from the last apply.
-	send(h, "n3", "n2", batchOp{Kind: msgCreate, Create: createMsg{ID: "f1", Class: "Flight", State: object.State{"sold": int64(20)}, Version: 20, VV: VersionVector{{Node: "n9", Count: 4}}}})
+	send(h, "n3", "n2", batchOp{Kind: opCreate, ID: "f1", Class: "Flight", State: object.State{"sold": int64(20)}, Version: 20, VV: VersionVector{{Node: "n9", Count: 4}}})
 	h.write(t, "n2", "f1", "sold", int64(21))
 
 	// Delete, then a second delete over the tombstone with a foreign line.
@@ -280,8 +278,8 @@ func TestAliasVectorsNeverWritten(t *testing.T) {
 	if err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	send(h, "n3", "n2", batchOp{Kind: msgDelete, Delete: deleteMsg{ID: "f3", VV: VersionVector{{Node: "n9", Count: 2}}}})
-	send(h, "n3", "n1", batchOp{Kind: msgDelete, Delete: deleteMsg{ID: "f3", VV: VersionVector{{Node: "n8", Count: 1}}}})
+	send(h, "n3", "n2", batchOp{Kind: opDelete, ID: "f3", VV: VersionVector{{Node: "n9", Count: 2}}})
+	send(h, "n3", "n1", batchOp{Kind: opDelete, ID: "f3", VV: VersionVector{{Node: "n8", Count: 1}}})
 
 	// A split with a write-write conflict, a missed create and a deletion of
 	// an object the other side keeps writing; then the heal, both ways.

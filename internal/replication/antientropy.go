@@ -2,6 +2,7 @@ package replication
 
 import (
 	"context"
+	"slices"
 	"sort"
 
 	"dedisys/internal/object"
@@ -51,12 +52,7 @@ func (m *Manager) Digest(peer transport.NodeID) map[object.ID]DigestEntry {
 // re-derived from the ring.
 func (m *Manager) hostsLocked(id object.ID, peer transport.NodeID) bool {
 	_, replicas := m.placement.Place(id)
-	for _, r := range replicas {
-		if r == peer {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(replicas, peer)
 }
 
 // RecordsByID exports full records (state, version vector, info, history)
@@ -94,7 +90,7 @@ func (m *Manager) MergeRecords(ctx context.Context, peer transport.NodeID, recor
 	}
 	var report ReconcileReport
 	out := repairs{m: m}
-	err := m.mergeRecords(peer, records, resolve, &report, &out)
+	err := m.mergeRecords([]transport.NodeID{peer}, records, resolve, &report, &out)
 	if ferr := out.flush(ctx); err == nil {
 		err = ferr
 	}
@@ -108,7 +104,7 @@ func (m *Manager) MergeRecords(ctx context.Context, peer transport.NodeID, recor
 // converge regardless of exchange order.
 func (m *Manager) AdoptTombstone(id object.ID, vv VersionVector) {
 	var res [1]opResult
-	_, _ = m.applyOps([]batchOp{{Kind: msgDelete, Delete: deleteMsg{ID: id, VV: vv}}}, res[:0])
+	_, _ = m.applyOps([]batchOp{{Kind: opDelete, ID: id, VV: vv}}, res[:0])
 }
 
 // TombstoneCount reports how many deletions the node remembers — the chaos

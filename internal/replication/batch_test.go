@@ -175,8 +175,8 @@ func TestBatchDuplicateDeliveryIdempotent(t *testing.T) {
 	vv2, _ := src.mgr.VersionVector("f2")
 	e2, _ := src.reg.Get("f2")
 	batch := &batchMsg{Ops: []batchOp{
-		{Kind: msgCreate, Create: createMsg{ID: "f2", Class: "Flight", State: e2.Snapshot(), Version: e2.Version(), VV: vv2, Info: Info{Home: "n1", Replicas: h.ids}}},
-		{Kind: msgApply, Apply: applyMsg{ID: "f1", State: e1.Snapshot(), Version: e1.Version(), VV: vv1}},
+		{Kind: opCreate, ID: "f2", Class: "Flight", State: e2.Snapshot(), Version: e2.Version(), VV: vv2, Info: Info{Home: "n1", Replicas: h.ids}},
+		{Kind: opApply, ID: "f1", State: e1.Snapshot(), Version: e1.Version(), VV: vv1},
 	}}
 
 	dst := h.node("n2").mgr
@@ -206,7 +206,7 @@ func TestBatchDuplicateDeliveryIdempotent(t *testing.T) {
 
 	// A redelivered delete keeps the object tombstoned: the first drops the
 	// replica, every later one is a duplicate.
-	del := []batchOp{{Kind: msgDelete, Delete: deleteMsg{ID: "f2", VV: vv2}}}
+	del := []batchOp{{Kind: opDelete, ID: "f2", VV: vv2}}
 	for round, want := range []opResult{opApplied, opDuplicate, opDuplicate} {
 		if res, err := dst.applyOps(del, nil); err != nil || !slices.Equal(res, []opResult{want}) {
 			t.Fatalf("delete delivery %d = %v, %v; want %v", round+1, res, err, want)
@@ -227,8 +227,8 @@ func TestBatchUnknownApplySkipped(t *testing.T) {
 	vv1, _ := h.node("n1").mgr.VersionVector("f1")
 	vv1 = vv1.Bumped("n1")
 	batch := &batchMsg{Ops: []batchOp{
-		{Kind: msgApply, Apply: applyMsg{ID: "ghost", State: object.State{"sold": int64(9)}, Version: 9, VV: VersionVector{{Node: "n1", Count: 9}}}},
-		{Kind: msgApply, Apply: applyMsg{ID: "f1", State: object.State{"sold": int64(8)}, Version: e1.Version() + 1, VV: vv1}},
+		{Kind: opApply, ID: "ghost", State: object.State{"sold": int64(9)}, Version: 9, VV: VersionVector{{Node: "n1", Count: 9}}},
+		{Kind: opApply, ID: "f1", State: object.State{"sold": int64(8)}, Version: e1.Version() + 1, VV: vv1},
 	}}
 	dst := h.node("n2").mgr
 	skippedBefore := dst.batchSkipped.Load()
@@ -255,8 +255,8 @@ func TestBatchUnknownApplySkipped(t *testing.T) {
 func TestBatchMalformedOpRejectedAtomically(t *testing.T) {
 	h := newHarness(t, 2, PrimaryPerPartition{})
 	batch := &batchMsg{Ops: []batchOp{
-		{Kind: msgCreate, Create: createMsg{ID: "fx", Class: "Flight", State: object.State{"sold": int64(1)}, Version: 1, VV: VersionVector{{Node: "n1", Count: 1}}, Info: Info{Home: "n1", Replicas: h.ids}}},
-		{Kind: "repl.bogus"},
+		{Kind: opCreate, ID: "fx", Class: "Flight", State: object.State{"sold": int64(1)}, Version: 1, VV: VersionVector{{Node: "n1", Count: 1}}, Info: Info{Home: "n1", Replicas: h.ids}},
+		{Kind: opDelete + 1}, // the first kind that is none
 	}}
 	if _, err := h.node("n2").mgr.handleBatch("n1", batch); err == nil {
 		t.Fatal("malformed batch accepted")
@@ -401,10 +401,10 @@ func TestBatchMixedEffectsMatchRecorded(t *testing.T) {
 	dst := h.node("n2")
 	info := Info{Home: "n1", Replicas: h.ids}
 	create := func(id object.ID, sold, version int64, vv VersionVector) batchOp {
-		return batchOp{Kind: msgCreate, Create: createMsg{ID: id, Class: "Flight", State: object.State{"sold": sold}, Version: version, VV: vv, Info: info}}
+		return batchOp{Kind: opCreate, ID: id, Class: "Flight", State: object.State{"sold": sold}, Version: version, VV: vv, Info: info}
 	}
 	apply := func(id object.ID, sold, version int64, vv VersionVector) batchOp {
-		return batchOp{Kind: msgApply, Apply: applyMsg{ID: id, State: object.State{"sold": sold, "tag": "x<y"}, Version: version, VV: vv}}
+		return batchOp{Kind: opApply, ID: id, State: object.State{"sold": sold, "tag": "x<y"}, Version: version, VV: vv}
 	}
 	setup := &batchMsg{Ops: []batchOp{
 		create("a", 1, 1, VersionVector{{Node: "n1", Count: 1}}),
@@ -412,7 +412,7 @@ func TestBatchMixedEffectsMatchRecorded(t *testing.T) {
 		create("c", 3, 4, VersionVector{{Node: "n1", Count: 2}, {Node: "n2", Count: 2}}),
 		create("outside", 4, 1, VersionVector{{Node: "n1", Count: 1}}),
 	}}
-	setup.Ops[3].Create.Info = Info{Home: "n1", Replicas: []transport.NodeID{"n1"}}
+	setup.Ops[3].Info = Info{Home: "n1", Replicas: []transport.NodeID{"n1"}}
 	if resp, err := dst.mgr.handleBatch("n1", setup); err != nil || resp != any(ackAll) {
 		t.Fatalf("setup: %v, %v", resp, err)
 	}
@@ -420,10 +420,10 @@ func TestBatchMixedEffectsMatchRecorded(t *testing.T) {
 
 	bad := &batchMsg{Ops: []batchOp{
 		apply("b", 9, 9, VersionVector{{Node: "n1", Count: 9}}),
-		{Kind: "repl.bogus", Delete: deleteMsg{ID: "zz"}},
+		{Kind: opDelete + 1, ID: "zz"},
 	}}
 	_, err := dst.mgr.handleBatch("n1", bad)
-	if err == nil || err.Error() != `replication: bad batch op kind "repl.bogus" for zz` {
+	if err == nil || err.Error() != `replication: bad batch op kind 4 for zz` {
 		t.Fatalf("malformed batch: %v", err)
 	}
 	if after := dst.dump(t); after != before {
@@ -436,8 +436,8 @@ func TestBatchMixedEffectsMatchRecorded(t *testing.T) {
 		apply("b", 12, 2, VersionVector{{Node: "n1", Count: 2}}),
 		apply("ghost", 13, 2, VersionVector{{Node: "n1", Count: 2}}),
 		apply("c", 14, 5, VersionVector{{Node: "n1", Count: 2}, {Node: "n2", Count: 2}}),
-		{Kind: msgDelete, Delete: deleteMsg{ID: "c", VV: VersionVector{{Node: "n1", Count: 3}, {Node: "n2", Count: 2}}}},
-		{Kind: msgDelete, Delete: deleteMsg{ID: "never", VV: VersionVector{{Node: "n1", Count: 1}}}},
+		{Kind: opDelete, ID: "c", VV: VersionVector{{Node: "n1", Count: 3}, {Node: "n2", Count: 2}}},
+		{Kind: opDelete, ID: "never", VV: VersionVector{{Node: "n1", Count: 1}}},
 		apply("outside", 15, 2, VersionVector{{Node: "n1", Count: 2}}),
 	}}
 	resp, err := dst.mgr.handleBatch("n1", mixed)
@@ -463,7 +463,7 @@ store outside {"n1":2}
 		t.Errorf("state after the mixed batch:\n%s\nrecorded:\n%s", got, recorded)
 	}
 	// The payload is shared with the sender's other destinations: read-only.
-	if mixed.Ops[2].Apply.State["sold"] != int64(12) || len(mixed.Ops[1].Create.VV) != 2 {
+	if mixed.Ops[2].State["sold"] != int64(12) || len(mixed.Ops[1].VV) != 2 {
 		t.Error("handleBatch modified its payload")
 	}
 }
@@ -501,13 +501,13 @@ func delta(before, after string) string {
 func TestBatchOneOpCasesMatchRecorded(t *testing.T) {
 	info := Info{Home: "n1", Replicas: []transport.NodeID{"n1", "n2"}}
 	create := func(id object.ID, sold, version int64, vv VersionVector, in Info) batchOp {
-		return batchOp{Kind: msgCreate, Create: createMsg{ID: id, Class: "Flight", State: object.State{"sold": sold}, Version: version, VV: vv, Info: in}}
+		return batchOp{Kind: opCreate, ID: id, Class: "Flight", State: object.State{"sold": sold}, Version: version, VV: vv, Info: in}
 	}
 	apply := func(id object.ID, sold, version int64, vv VersionVector) batchOp {
-		return batchOp{Kind: msgApply, Apply: applyMsg{ID: id, State: object.State{"sold": sold}, Version: version, VV: vv}}
+		return batchOp{Kind: opApply, ID: id, State: object.State{"sold": sold}, Version: version, VV: vv}
 	}
 	del := func(id object.ID, vv VersionVector) batchOp {
-		return batchOp{Kind: msgDelete, Delete: deleteMsg{ID: id, VV: vv}}
+		return batchOp{Kind: opDelete, ID: id, VV: vv}
 	}
 	applied, duplicate := opApplied, opDuplicate
 	cases := []struct {

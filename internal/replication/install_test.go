@@ -21,9 +21,9 @@ import (
 func (h *harness) soldOp(id object.ID, n int64) batchOp {
 	st, vv := object.State{"sold": n}, VersionVector{{Node: "n1", Count: n}}
 	if n == 1 {
-		return batchOp{Kind: msgCreate, Create: createMsg{ID: id, Class: "Flight", State: st, Version: n, VV: vv, Info: Info{Home: "n1", Replicas: h.ids}}}
+		return batchOp{Kind: opCreate, ID: id, Class: "Flight", State: st, Version: n, VV: vv, Info: Info{Home: "n1", Replicas: h.ids}}
 	}
-	return batchOp{Kind: msgApply, Apply: applyMsg{ID: id, State: st, Version: n, VV: vv}}
+	return batchOp{Kind: opApply, ID: id, State: st, Version: n, VV: vv}
 }
 
 // deliver hands the ops to the replica as one batch.
@@ -94,9 +94,9 @@ func TestStaleCreateKeepsNewerState(t *testing.T) {
 	h := newHarness(t, 2, PrimaryPerPartition{})
 	dst := h.node("n2")
 	create := h.soldOp("f1", 1)
-	create.Create.State = object.State{"sold": int64(0)}
+	create.State = object.State{"sold": int64(0)}
 	dst.deliver(t, create)
-	dst.deliver(t, batchOp{Kind: msgApply, Apply: applyMsg{ID: "f1", State: object.State{"sold": int64(7)}, Version: 2, VV: VersionVector{{Node: "n1", Count: 2}}}})
+	dst.deliver(t, batchOp{Kind: opApply, ID: "f1", State: object.State{"sold": int64(7)}, Version: 2, VV: VersionVector{{Node: "n1", Count: 2}}})
 	dst.deliver(t, create)
 	e, _ := dst.reg.Get("f1")
 	vv, _ := dst.mgr.VersionVector("f1")

@@ -22,12 +22,9 @@ import (
 
 // Message kinds used between replication managers.
 const (
-	msgCreate = "repl.create"
-	msgApply  = "repl.apply"
-	msgDelete = "repl.delete"
-	msgFetch  = "repl.fetch"
-	msgPull   = "repl.pull"
-	msgBatch  = "repl.batch"
+	msgFetch = "repl.fetch"
+	msgPull  = "repl.pull"
+	msgBatch = "repl.batch"
 )
 
 // Persistence tables used by the replication service.
@@ -36,46 +33,31 @@ const (
 	tableHistory     = "replica-history"
 )
 
-type createMsg struct {
+// opKind says what a replica op does; its values are the kind bytes of the
+// batch's wire form, and zero is none.
+type opKind byte
+
+const (
+	opCreate opKind = 1 + iota // ID, state, version, vector, class and placement
+	opApply                    // ID, state, version and vector
+	opDelete                   // ID and vector
+)
+
+// known reports whether the kind is one of the three.
+func (k opKind) known() bool { return opCreate <= k && k <= opDelete }
+
+// batchOp is one replica operation, shipped at commit and at reconciliation
+// alike: Kind says which of the fields it carries. The coordinator stores a
+// create as its replica record, so the fields after Kind are the record's, in
+// its order.
+type batchOp struct {
+	Kind    opKind `json:"-"`
 	ID      object.ID
 	Class   string
 	State   object.State
 	Version int64
 	VV      VersionVector
 	Info    Info
-}
-
-type applyMsg struct {
-	ID      object.ID
-	State   object.State
-	Version int64
-	VV      VersionVector
-}
-
-type deleteMsg struct {
-	ID object.ID
-	VV VersionVector
-}
-
-// batchOp is one operation of a transaction batch; Kind selects which of the
-// embedded messages is meaningful.
-type batchOp struct {
-	Kind   string // msgCreate, msgApply or msgDelete
-	Create createMsg
-	Apply  applyMsg
-	Delete deleteMsg
-}
-
-// id returns the object the operation concerns.
-func (op *batchOp) id() object.ID {
-	switch op.Kind {
-	case msgCreate:
-		return op.Create.ID
-	case msgApply:
-		return op.Apply.ID
-	default:
-		return op.Delete.ID
-	}
 }
 
 // batchMsg carries all of one transaction's replica operations relevant to a
@@ -226,12 +208,13 @@ type replicaState struct {
 	history []HistoryEntry
 }
 
-// stagedOp is one staged batch operation awaiting the commit multicast.
+// stagedOp is one staged batch operation awaiting its round (route): a
+// commit's, or a reconciliation pass's, whose ops have one destination each.
 type stagedOp struct {
 	op       batchOp
 	dests    []transport.NodeID
 	replicas int   // full replica count, the quorum denominator
-	remote   int32 // dests without this node, counted by commitBatched
+	remote   int32 // dests without this node, counted by route
 }
 
 // stagedPool recycles the staging buffer of commitBatched; the buffer never
@@ -328,14 +311,6 @@ func (m *Manager) observe(id object.ID) {
 	}
 }
 
-// SetKeepHistory toggles degraded-mode state history (used by the Figure 5.6
-// and 5.8 experiments to compare reconciliation policies).
-func (m *Manager) SetKeepHistory(keep bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.keepHistory = keep
-}
-
 // Degraded reports whether this node currently perceives the system as
 // degraded.
 func (m *Manager) Degraded() bool { return m.gms.Degraded(m.self) }
@@ -387,13 +362,8 @@ func (m *Manager) effectiveDegraded(info Info, global bool) bool {
 func (m *Manager) placedInfo(id object.ID, preferred transport.NodeID) Info {
 	_, replicas := m.placement.Place(id)
 	home := replicas[0]
-	if preferred != "" {
-		for _, r := range replicas {
-			if r == preferred {
-				home = preferred
-				break
-			}
-		}
+	if preferred != "" && slices.Contains(replicas, preferred) {
+		home = preferred
 	}
 	return NewInfo(home, replicas)
 }
@@ -734,9 +704,9 @@ func (m *Manager) stage(w tx.Write, view group.View, degraded bool, s *stagedOp)
 			*s = m.stageCreateRemote(rc, view)
 			return true, nil
 		}
-		*s, err = m.stageCreate(w.ID, view, degraded)
+		err = m.stageLocal(w.ID, opCreate, view, degraded, s)
 	default:
-		err = m.stageUpdate(w.ID, view, degraded, s)
+		err = m.stageLocal(w.ID, opApply, view, degraded, s)
 	}
 	return err == nil, err
 }
@@ -752,38 +722,13 @@ type Forwarded struct {
 	Apply     any // *batchMsg or *threatBatch; nil when the round reached the requester or nothing was written
 }
 
-// commitBatched ships the staged operations of t in one multicast round: each
-// remote destination receives one message holding the ops whose objects it
-// replicates (deletes address every view member under full replication, the
-// ring-derived replica group under sharded placement), in sorted destination
-// order, and the threats t accepted and cleared. The requester of a forwarded
-// commit gets its message in the reply instead (replyTo). A commit whose
-// replicas are all local (single-node, or the coordinator is the only
-// reachable replica) makes no round at all — the round is allocated at the
-// first remote destination found.
+// commitBatched ships the staged operations of t in one multicast round, the
+// one route builds, with the threats t accepted and cleared. The requester of
+// a forwarded commit gets its message in the reply instead (replyTo).
 func (m *Manager) commitBatched(t *tx.Tx, staged []stagedOp) error {
 	fw, _ := t.Context().(*Forwarded)
 	requester := m.replyTo(fw, staged)
-	var r *commitRound
-	total := 0
-	for k := range staged {
-		s := &staged[k]
-		s.remote = 0
-		for _, d := range s.dests {
-			if d == m.self || d == requester {
-				continue
-			}
-			s.remote++
-			if r == nil {
-				r = newCommitRound(len(staged))
-				r.m, r.From, r.Kind, r.To = m, m.self, msgBatch, r.room[:0]
-			}
-			if !slices.Contains(r.To, d) {
-				r.To = append(r.To, d)
-			}
-		}
-		total += int(s.remote)
-	}
+	r, uniform := m.route(nil, staged, requester)
 	if r == nil && requester == "" {
 		return nil
 	}
@@ -801,34 +746,6 @@ func (m *Manager) commitBatched(t *tx.Tx, staged []stagedOp) error {
 			t.Put(threat.KeyShipped, []transport.NodeID{requester})
 		}
 		return nil
-	}
-	slices.Sort(r.To)
-	// When every destination replicates every object — each op has as many
-	// remote destinations as their union: every single-group commit — all of
-	// them are sent the same ops, so one run and one message serve the round.
-	// Otherwise the batches are contiguous runs of one backing array. Nothing
-	// writes to either after this block. A one-op commit is always uniform,
-	// and its run was allocated with the round.
-	uniform := total == len(staged)*len(r.To)
-	if uniform {
-		if r.shared.Ops == nil {
-			r.shared.Ops = make([]batchOp, len(staged))
-		}
-		for k := range staged {
-			r.shared.Ops[k] = staged[k].op
-		}
-	} else {
-		r.batches = make([]batchMsg, len(r.To))
-		ops := make([]batchOp, 0, total)
-		for i, d := range r.To {
-			first := len(ops)
-			for k := range staged {
-				if slices.Contains(staged[k].dests, d) {
-					ops = append(ops, staged[k].op)
-				}
-			}
-			r.batches[i].Ops = ops[first:len(ops):len(ops)]
-		}
 	}
 	if tp, isThreshold := m.protocol.(ThresholdPolicy); isThreshold {
 		// Threshold commit: the round returns once every object of the batch
@@ -852,7 +769,7 @@ func (m *Manager) commitBatched(t *tx.Tx, staged []stagedOp) error {
 				if r.objects == nil {
 					r.objects = make([]objectAcks, 0, len(staged)-k)
 				}
-				r.objects = append(r.objects, objectAcks{id: s.op.id(), tally: t})
+				r.objects = append(r.objects, objectAcks{id: s.op.ID, tally: t})
 			case t.missing > r.all.missing:
 				r.all = t // shared destinations: the strictest object decides
 			}
@@ -882,6 +799,68 @@ func (m *Manager) commitBatched(t *tx.Tx, staged []stagedOp) error {
 		return fmt.Errorf("replication: quorum commit: %w", err)
 	}
 	return nil
+}
+
+// route builds the round that ships the staged ops — a commit's, and a
+// reconciliation's repairs — in r, or, when r is nil, in a round it allocates
+// at the first remote destination found: a commit whose replicas are all local
+// (single-node, or the coordinator is the only reachable replica) makes none,
+// and route returns nil. Every destination of an op but this node and skip is
+// sent one message holding, in staging order, the ops addressed to it (a
+// commit's deletes address every view member under full replication, the
+// ring-derived replica group under sharded placement); To is sorted. uniform
+// reports that every destination is sent every op.
+func (m *Manager) route(r *commitRound, staged []stagedOp, skip transport.NodeID) (_ *commitRound, uniform bool) {
+	total := 0
+	for k := range staged {
+		s := &staged[k]
+		s.remote = 0
+		for _, d := range s.dests {
+			if d == m.self || d == skip {
+				continue
+			}
+			s.remote++
+			if r == nil {
+				r = newCommitRound(m, len(staged))
+			}
+			if !slices.Contains(r.To, d) {
+				r.To = append(r.To, d)
+			}
+		}
+		total += int(s.remote)
+	}
+	if r == nil {
+		return nil, false
+	}
+	slices.Sort(r.To)
+	// When every destination replicates every object — each op has as many
+	// remote destinations as their union: every single-group commit — all of
+	// them are sent the same ops, so one run and one message serve the round.
+	// Otherwise the batches are contiguous runs of one backing array. Nothing
+	// writes to either after this block. A one-op commit is always uniform,
+	// and its run was allocated with the round.
+	uniform = total == len(staged)*len(r.To)
+	if uniform {
+		if r.shared.Ops == nil {
+			r.shared.Ops = make([]batchOp, len(staged))
+		}
+		for k := range staged {
+			r.shared.Ops[k] = staged[k].op
+		}
+	} else {
+		r.batches = make([]batchMsg, len(r.To))
+		ops := make([]batchOp, 0, total)
+		for i, d := range r.To {
+			first := len(ops)
+			for k := range staged {
+				if slices.Contains(staged[k].dests, d) {
+					ops = append(ops, staged[k].op)
+				}
+			}
+			r.batches[i].Ops = ops[first:len(ops):len(ops)]
+		}
+	}
+	return r, uniform
 }
 
 // replyTo names the requester of a forwarded commit when its batch can ride
@@ -946,7 +925,7 @@ type objectAcks struct {
 // one allocation besides the ops — and a one-op commit's only one, its op
 // living beside it in a oneOpRound; the background straggler sends hold it,
 // so it is never recycled (the staging buffer, which it does not reference,
-// is).
+// is). A reconciliation's repairs leave in one too (repairRound).
 type commitRound struct {
 	group.Round
 	m *Manager
@@ -969,7 +948,7 @@ type commitRound struct {
 }
 
 // oneOpRound is the round of a commit that ships one op, with the op's run
-// in the same block: 512 bytes, what the round and a separate one-op run
+// in the same block: 416 bytes, less than the round and a separate one-op run
 // took in two.
 type oneOpRound struct {
 	commitRound
@@ -978,13 +957,19 @@ type oneOpRound struct {
 
 // newCommitRound allocates the round of a commit staging n ops; a one-op
 // round comes with its shared run.
-func newCommitRound(n int) *commitRound {
+func newCommitRound(m *Manager, n int) *commitRound {
 	if n != 1 {
-		return new(commitRound)
+		return new(commitRound).init(m)
 	}
 	one := new(oneOpRound)
 	one.shared.Ops = one.op[:]
-	return &one.commitRound
+	return one.init(m)
+}
+
+// init makes r a round of m's repl.batch with no destination yet.
+func (r *commitRound) init(m *Manager) *commitRound {
+	r.m, r.From, r.Kind, r.To = m, m.self, msgBatch, r.room[:0]
+	return r
 }
 
 // Payload implements group.Owner.
@@ -1025,7 +1010,7 @@ func (r *commitRound) Answered(i int, reply any, err error) group.Verdict {
 		o := &r.objects[k]
 		ov := o.verdict()
 		j := at
-		for j < len(ops) && ops[j].id() != o.id {
+		for j < len(ops) && ops[j].ID != o.id {
 			j++
 		}
 		if j < len(ops) {
@@ -1045,31 +1030,31 @@ func (r *commitRound) Answered(i int, reply any, err error) group.Verdict {
 // straggler's, after a threshold return — has finished.
 func (r *commitRound) Drained() { r.m.propagation.Done() }
 
-// stageCreate does the coordinator's bookkeeping for a created object —
-// first version-vector event, persisted replica descriptor (JNDI name, primary
-// key and the serialized creation request in the prototype, §5.1), degraded-
-// mode history — and returns the staged create.
-func (m *Manager) stageCreate(id object.ID, view group.View, degraded bool) (stagedOp, error) {
-	e, err := m.registry.Get(id)
+// stageLocal does the coordinator's bookkeeping for an object the
+// transaction created or updated — version-vector bump, persisted record,
+// degraded-mode history — and stages the op in s, where its store write
+// points. A create's record is the whole op (JNDI name, primary key and the
+// serialized creation request in the prototype, §5.1), an apply's its vector;
+// an apply is also observed by the estimator.
+func (m *Manager) stageLocal(id object.ID, kind opKind, view group.View, degraded bool, s *stagedOp) error {
+	info, err := m.localOp(id, kind, true, &s.op)
 	if err != nil {
-		return stagedOp{}, fmt.Errorf("replication: propagate create %s: %w", id, err)
+		return err
 	}
-	m.mu.Lock()
-	rs, ok := m.meta[id]
-	if !ok {
-		m.mu.Unlock()
-		return stagedOp{}, fmt.Errorf("%w: %s", ErrUnknownObject, id)
+	s.dests, s.replicas = info.reachableReplicas(view), len(info.Replicas)
+	op := &s.op
+	var record any = &op.VV
+	if kind == opCreate {
+		record = op
 	}
-	rs.vv = rs.vv.Bumped(m.self)
-	info := rs.info
-	msg := createMsg{ID: id, Class: e.Class(), VV: rs.vv, Info: info}
-	msg.State, msg.Version = e.Share()
-	m.mu.Unlock()
-	if err := m.store.Put(tableReplicaMeta, string(id), msg); err != nil {
-		return stagedOp{}, err
+	if err := m.store.Put(tableReplicaMeta, string(id), record); err != nil {
+		return err
 	}
-	m.recordHistory(id, msg.State, msg.Version, msg.VV, m.effectiveDegraded(info, degraded))
-	return stagedOp{op: batchOp{Kind: msgCreate, Create: msg}, dests: info.reachableReplicas(view), replicas: len(info.Replicas)}, nil
+	m.recordHistory(id, op.State, op.Version, op.VV, m.effectiveDegraded(info, degraded))
+	if kind == opApply {
+		m.observe(id)
+	}
+	return nil
 }
 
 // stageCreateRemote builds the staged create for an object this node does
@@ -1079,40 +1064,36 @@ func (m *Manager) stageCreate(id object.ID, view group.View, degraded bool) (sta
 // vector starts at one creation event from the coordinator, matching what a
 // member creator's bumped vector would carry.
 func (m *Manager) stageCreateRemote(rc remoteCreate, view group.View) stagedOp {
-	msg := createMsg{ID: rc.entity.ID(), Class: rc.entity.Class(), VV: VersionVector{{Node: m.self, Count: 1}}, Info: rc.info}
-	msg.State, msg.Version = rc.entity.Share()
-	return stagedOp{op: batchOp{Kind: msgCreate, Create: msg}, dests: rc.info.reachableReplicas(view), replicas: len(rc.info.Replicas)}
+	op := batchOp{Kind: opCreate, ID: rc.entity.ID(), Class: rc.entity.Class(), VV: VersionVector{{Node: m.self, Count: 1}}, Info: rc.info}
+	op.State, op.Version = rc.entity.Share()
+	return stagedOp{op: op, dests: rc.info.reachableReplicas(view), replicas: len(rc.info.Replicas)}
 }
 
-// stageUpdate does the coordinator's bookkeeping for an updated object —
-// version-vector bump, persisted vector, degraded-mode history, estimator
-// observation — and stages the apply in s, where its store write points.
-func (m *Manager) stageUpdate(id object.ID, view group.View, degraded bool, s *stagedOp) error {
+// localOp builds in dst the op of the given kind that carries the object's
+// local state and vector, read in one hold — a create adds its class and
+// placement — and returns the placement; bump advances the vector first. The
+// entity's map is shipped as it is: remote applies and history entries read
+// it after the transaction's lock is gone, and the entity's next Set copies.
+func (m *Manager) localOp(id object.ID, kind opKind, bump bool, dst *batchOp) (Info, error) {
 	e, err := m.registry.Get(id)
 	if err != nil {
-		return fmt.Errorf("replication: propagate update %s: %w", id, err)
+		return Info{}, fmt.Errorf("replication: local state of %s: %w", id, err)
 	}
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	rs, ok := m.meta[id]
 	if !ok {
-		m.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrUnknownObject, id)
+		return Info{}, fmt.Errorf("%w: %s", ErrUnknownObject, id)
 	}
-	rs.vv = rs.vv.Bumped(m.self)
-	// The entity's map is shipped as it is: the remote applies and the history
-	// entry read it after the transaction's lock is gone, and the entity's next
-	// Set copies.
-	*s = stagedOp{op: batchOp{Kind: msgApply, Apply: applyMsg{ID: id, VV: rs.vv}}, dests: rs.info.reachableReplicas(view), replicas: len(rs.info.Replicas)}
-	msg := &s.op.Apply
-	msg.State, msg.Version = e.Share()
-	info := rs.info
-	m.mu.Unlock()
-	if err := m.store.Put(tableReplicaMeta, string(id), &msg.VV); err != nil {
-		return err
+	if bump {
+		rs.vv = rs.vv.Bumped(m.self)
 	}
-	m.recordHistory(id, msg.State, msg.Version, msg.VV, m.effectiveDegraded(info, degraded))
-	m.observe(id)
-	return nil
+	*dst = batchOp{Kind: kind, ID: id, VV: rs.vv}
+	dst.State, dst.Version = e.Share()
+	if kind == opCreate {
+		dst.Class, dst.Info = e.Class(), rs.info
+	}
+	return rs.info, nil
 }
 
 // deleteDests computes the destinations and replica count of a delete, whose
@@ -1139,7 +1120,7 @@ func (m *Manager) stageDelete(id object.ID, view group.View) (s stagedOp, ship b
 	}
 	m.store.Delete(tableReplicaMeta, string(id))
 	dests, replicas := m.deleteDests(id, view)
-	return stagedOp{op: batchOp{Kind: msgDelete, Delete: deleteMsg{ID: id, VV: vv}}, dests: dests, replicas: replicas}, true
+	return stagedOp{op: batchOp{Kind: opDelete, ID: id, VV: vv}, dests: dests, replicas: replicas}, true
 }
 
 // WaitPropagation blocks until every background straggler send of earlier
@@ -1182,40 +1163,21 @@ func (m *Manager) PropagateState(ctx context.Context, id object.ID) error {
 // stageState stages, for every other reachable replica, the apply that
 // installs the current local state over everything this node has seen.
 func (m *Manager) stageState(id object.ID, out *repairs) error {
-	op, info, err := m.localApply(id, true)
+	var op batchOp
+	info, err := m.localOp(id, opApply, true, &op)
 	if err != nil {
 		return err
 	}
-	if err := m.store.Put(tableReplicaMeta, string(id), &op.Apply.VV); err != nil {
+	if err := m.store.Put(tableReplicaMeta, string(id), &op.VV); err != nil {
 		return err
 	}
-	for _, d := range info.reachableReplicas(m.view()) {
-		if d != m.self {
-			out.stage(d, op)
+	to := info.reachableReplicas(m.view())
+	for i := range to {
+		if to[i] != m.self {
+			out.stage(to[i:i+1], op)
 		}
 	}
 	return nil
-}
-
-// localApply builds the apply that carries the object's local state and
-// vector, read in one hold; bump advances the vector first.
-func (m *Manager) localApply(id object.ID, bump bool) (batchOp, Info, error) {
-	e, err := m.registry.Get(id)
-	if err != nil {
-		return batchOp{}, Info{}, fmt.Errorf("replication: local state of %s: %w", id, err)
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	rs, ok := m.meta[id]
-	if !ok {
-		return batchOp{}, Info{}, fmt.Errorf("%w: %s", ErrUnknownObject, id)
-	}
-	if bump {
-		rs.vv = rs.vv.Bumped(m.self)
-	}
-	op := batchOp{Kind: msgApply, Apply: applyMsg{ID: id, VV: rs.vv}}
-	op.Apply.State, op.Apply.Version = e.Share()
-	return op, rs.info, nil
 }
 
 // --- message handlers (executed on the receiving node) ---
@@ -1282,10 +1244,8 @@ func (m *Manager) ApplyForwarded(from transport.NodeID, apply any) {
 // the batch is a wire format, not a protocol change.
 func (m *Manager) applyOps(ops []batchOp, res []opResult) ([]opResult, error) {
 	for i := range ops {
-		switch op := &ops[i]; op.Kind {
-		case msgCreate, msgApply, msgDelete:
-		default:
-			return nil, fmt.Errorf("replication: bad batch op kind %q for %s", op.Kind, op.id())
+		if op := &ops[i]; !op.Kind.known() {
+			return nil, fmt.Errorf("replication: bad batch op kind %d for %s", op.Kind, op.ID)
 		}
 	}
 	// One flag per op: it changed what the replica-meta table must hold, so
@@ -1299,52 +1259,50 @@ func (m *Manager) applyOps(ops []batchOp, res []opResult) ([]opResult, error) {
 	for i := range ops {
 		ok, c := false, opApplied
 		switch op := &ops[i]; op.Kind {
-		case msgCreate:
-			msg := &op.Create
-			if rs, known := m.meta[msg.ID]; known {
+		case opCreate:
+			if rs, known := m.meta[op.ID]; known {
 				// The replica has the object. A straggler create whose vector
 				// the local one already covers must not bring its state back;
 				// one that adds to it merges, and as ever stores nothing.
-				if cmp, comparable := msg.VV.Compare(rs.vv); !comparable || cmp > 0 {
-					rs.vv = rs.vv.Merged(msg.VV)
-					m.installLocked(msg.ID, msg.State, msg.Version)
+				if cmp, comparable := op.VV.Compare(rs.vv); !comparable || cmp > 0 {
+					rs.vv = rs.vv.Merged(op.VV)
+					m.installLocked(op.ID, op.State, op.Version)
 				} else {
 					c = opDuplicate
 				}
 			} else {
-				m.meta[msg.ID] = &replicaState{info: msg.Info, vv: msg.VV}
-				delete(m.tombstones, msg.ID)
+				m.meta[op.ID] = &replicaState{info: op.Info, vv: op.VV}
+				delete(m.tombstones, op.ID)
 				ok = true
-				if msg.Info.HasReplica(m.self) {
-					e := object.New(msg.Class, msg.ID, nil)
-					e.Restore(msg.State, msg.Version)
+				if op.Info.HasReplica(m.self) {
+					e := object.New(op.Class, op.ID, nil)
+					e.Restore(op.State, op.Version)
 					if err := m.registry.Add(e); err != nil {
 						errs = append(errs, fmt.Errorf("replication: batch create: %w", err))
 						ok = false
 					}
 				}
 			}
-		case msgApply:
-			msg := &op.Apply
-			rs, known := m.meta[msg.ID]
+		case opApply:
+			rs, known := m.meta[op.ID]
 			if !known {
 				c = opUnknown // missed the create; reconciliation catches up
 				break
 			}
-			switch cmp, comparable := msg.VV.Compare(rs.vv); {
+			switch cmp, comparable := op.VV.Compare(rs.vv); {
 			case !comparable:
 				c = opConcurrent // reconciliation resolves the conflict
 			case cmp <= 0:
 				c = opDuplicate // equal or older: ignore (idempotence)
 			default:
-				rs.vv = msg.VV
-				m.installLocked(msg.ID, msg.State, msg.Version)
+				rs.vv = op.VV
+				m.installLocked(op.ID, op.State, op.Version)
 				ok = true
 			}
-		case msgDelete:
-			dropped, covered := m.tombstone(op.Delete.ID, op.Delete.VV)
+		case opDelete:
+			dropped, covered := m.tombstone(op.ID, op.VV)
 			if dropped {
-				_ = m.registry.Remove(op.Delete.ID)
+				_ = m.registry.Remove(op.ID)
 				ok = true
 			} else if covered {
 				c = opDuplicate
@@ -1364,18 +1322,16 @@ func (m *Manager) applyOps(ops []batchOp, res []opResult) ([]opResult, error) {
 		}
 		// Backups persist replica details too (update applied within the
 		// primary's transaction in the prototype, §4.3).
-		var perr error
-		switch op := &ops[i]; op.Kind {
-		case msgCreate:
-			perr = m.store.Put(tableReplicaMeta, string(op.Create.ID), &op.Create.VV)
-		case msgApply:
-			m.observe(op.Apply.ID)
-			perr = m.store.Put(tableReplicaMeta, string(op.Apply.ID), &op.Apply.VV)
-		case msgDelete:
-			m.store.Delete(tableReplicaMeta, string(op.Delete.ID))
+		op := &ops[i]
+		if op.Kind == opDelete {
+			m.store.Delete(tableReplicaMeta, string(op.ID))
+			continue
 		}
-		if perr != nil {
-			errs = append(errs, perr)
+		if op.Kind == opApply {
+			m.observe(op.ID)
+		}
+		if err := m.store.Put(tableReplicaMeta, string(op.ID), &op.VV); err != nil {
+			errs = append(errs, err)
 		}
 	}
 	return res, errors.Join(errs...)

@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 
 	"dedisys/internal/group"
@@ -64,27 +63,14 @@ type Info struct {
 // enforced rather than assumed. Home is not implicitly added to the replica
 // set: a caller may deliberately designate a non-hosting home.
 func NewInfo(home transport.NodeID, replicas []transport.NodeID) Info {
-	out := make([]transport.NodeID, 0, len(replicas))
-	seen := make(map[transport.NodeID]struct{}, len(replicas))
-	for _, r := range replicas {
-		if _, dup := seen[r]; dup {
-			continue
-		}
-		seen[r] = struct{}{}
-		out = append(out, r)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return Info{Home: home, Replicas: out}
+	out := append(make([]transport.NodeID, 0, len(replicas)), replicas...)
+	slices.Sort(out)
+	return Info{Home: home, Replicas: slices.Compact(out)}
 }
 
 // HasReplica reports whether a node hosts a copy.
 func (i Info) HasReplica(n transport.NodeID) bool {
-	for _, r := range i.Replicas {
-		if r == n {
-			return true
-		}
-	}
-	return false
+	return slices.Contains(i.Replicas, n)
 }
 
 // reachableReplicas returns the replica nodes present in the view, sorted.

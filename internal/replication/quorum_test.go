@@ -215,7 +215,7 @@ func TestQuorumDuplicateBatchIdempotent(t *testing.T) {
 	e1, _ := src.reg.Get("f1")
 	vv1, _ := src.mgr.VersionVector("f1")
 	batch := &batchMsg{Ops: []batchOp{
-		{Kind: msgApply, Apply: applyMsg{ID: "f1", State: e1.Snapshot(), Version: e1.Version(), VV: vv1}},
+		{Kind: opApply, ID: "f1", State: e1.Snapshot(), Version: e1.Version(), VV: vv1},
 	}}
 
 	dst := h.node("n2").mgr
@@ -267,7 +267,7 @@ func TestQuorumPerObjectShortfall(t *testing.T) {
 	// Creates: a replica that receives one holds it (an apply of an object it
 	// never saw would be unknown there, and its ack would not count).
 	create := func(id object.ID) batchOp {
-		return batchOp{Kind: msgCreate, Create: createMsg{ID: id, Version: 1, VV: VersionVector{{Node: "n1", Count: 1}}}}
+		return batchOp{Kind: opCreate, ID: id, Version: 1, VV: VersionVector{{Node: "n1", Count: 1}}}
 	}
 	staged := []stagedOp{
 		{op: create("a"), dests: []transport.NodeID{"n1", "n2", "n3"}, replicas: 3},
@@ -335,7 +335,7 @@ func TestSkippedApplyIsNoQuorumAck(t *testing.T) {
 // is no ack, count for nothing.
 func TestAnsweredCountsLandedOps(t *testing.T) {
 	h := newHarness(t, 1, Quorum{})
-	apply := func(id object.ID) batchOp { return batchOp{Kind: msgApply, Apply: applyMsg{ID: id}} }
+	apply := func(id object.ID) batchOp { return batchOp{Kind: opApply, ID: id} }
 	a, b := apply("a"), apply("b")
 	uniform := func() *commitRound {
 		r := &commitRound{m: h.node("n1").mgr, all: tally{missing: 1, open: 2}}

@@ -88,13 +88,13 @@ func (m *Manager) ReconcileWith(ctx context.Context, peers []transport.NodeID, r
 			// Peer unreachable again: postpone (still degraded w.r.t. it).
 			continue
 		}
-		peer := res.Node
 		report.PeersContacted++
 		records, ok := res.Response.([]Record)
 		if !ok {
-			err = fmt.Errorf("replication: bad pull response %T from %s", res.Response, peer)
+			err = fmt.Errorf("replication: bad pull response %T from %s", res.Response, res.Node)
 			break
 		}
+		peer := peers[slices.Index(peers, res.Node):][:1]
 		if err = m.mergeRecords(peer, records, resolve, &report, &out); err != nil {
 			break
 		}
@@ -107,41 +107,44 @@ func (m *Manager) ReconcileWith(ctx context.Context, peers []transport.NodeID, r
 	return report, err
 }
 
-// repairs is what one pass owes its peers, and the round that delivers it: per
-// destination the ops of one repl.batch, at most one per object — a later
-// repair of an object replaces the earlier one in place. A repair overtaken by
-// a commit between staging and flush is skipped at the receiver by its vector,
+// repairs is what one pass owes its peers: ops staged as a commit stages
+// them, each for one destination, at most one per object and destination — a
+// later repair of an object replaces the earlier one in place. They leave as
+// a commit's round, one repl.batch per destination. A repair overtaken by a
+// commit between staging and flush is skipped at the receiver by its vector,
 // like any duplicate.
 type repairs struct {
-	group.Round
-	m       *Manager
-	batches []batchMsg          // batches[i] is what To[i] is sent
-	at      []map[object.ID]int // at[i][id]: where the op on the object sits in batches[i].Ops
-	err     error               // the first failed send's
+	m      *Manager
+	staged []stagedOp
+	at     map[repairKey]int // where the op on the object for the destination sits in staged
 }
 
-// stage owes the destination the op and reports whether the object is new to
-// its batch. It is not when a conflict against one peer's record was resolved
-// for everybody and the next peer's record, pulled before, reads "we dominate".
-func (r *repairs) stage(dst transport.NodeID, op batchOp) bool {
-	i := slices.Index(r.To, dst)
-	if i < 0 {
-		i = len(r.To)
-		r.To, r.batches, r.at = append(r.To, dst), append(r.batches, batchMsg{}), append(r.at, map[object.ID]int{})
-	}
-	b, id := &r.batches[i], op.id()
-	k, staged := r.at[i][id]
+type repairKey struct {
+	to transport.NodeID
+	id object.ID
+}
+
+// stage owes to, one destination, the op and reports whether the object is
+// new to its batch. It is not when a conflict against one peer's record was
+// resolved for everybody and the next peer's record, pulled before, reads "we
+// dominate".
+func (r *repairs) stage(to []transport.NodeID, op batchOp) bool {
+	key := repairKey{to[0], op.ID}
+	k, staged := r.at[key]
 	switch {
 	case !staged:
-		r.at[i][id] = len(b.Ops)
-		b.Ops = append(b.Ops, op)
-	case b.Ops[k].Kind == msgCreate && op.Kind == msgApply:
+		if r.at == nil {
+			r.at = make(map[repairKey]int)
+		}
+		r.at[key] = len(r.staged)
+		r.staged = append(r.staged, stagedOp{op: op, dests: to})
+	case r.staged[k].op.Kind == opCreate && op.Kind == opApply:
 		// The destination has never seen the object and would skip an apply:
 		// the create it is owed takes the newer state.
-		c := &b.Ops[k].Create
-		c.State, c.Version, c.VV = op.Apply.State, op.Apply.Version, op.Apply.VV
+		c := &r.staged[k].op
+		c.State, c.Version, c.VV = op.State, op.Version, op.VV
 	default:
-		b.Ops[k] = op
+		r.staged[k].op = op
 	}
 	return !staged
 }
@@ -149,29 +152,36 @@ func (r *repairs) stage(dst transport.NodeID, op batchOp) bool {
 // flush ships what was staged: one wait-for-all round, one batch per
 // destination, every destination attempted.
 func (r *repairs) flush(ctx context.Context) error {
-	r.From, r.Kind = r.m.self, msgBatch
-	_ = r.m.comm.Run(ctx, &r.Round, r) // only an OnVerdict round reports an error
-	return r.err
+	if len(r.staged) == 0 {
+		return nil
+	}
+	round := new(repairRound)
+	r.m.route(round.init(r.m), r.staged, "")
+	_ = r.m.comm.Run(ctx, &round.Round, round) // only an OnVerdict round reports an error
+	return round.err
 }
 
-// Payload, Answered and Drained implement group.Owner.
-func (r *repairs) Payload(i int) any { return &r.batches[i] }
+// repairRound is a repair flush's round: a commit's, released when every
+// send is done, which keeps the first failed destination's error.
+type repairRound struct {
+	commitRound
+	err error
+}
 
-func (r *repairs) Answered(i int, _ any, err error) group.Verdict {
-	if err != nil {
-		r.m.propErrors.Inc()
-		if r.err == nil {
-			r.err = fmt.Errorf("replication: repair batch of %d ops to %s: %w", len(r.batches[i].Ops), r.To[i], err)
-		}
+func (r *repairRound) Answered(i int, reply any, err error) group.Verdict {
+	if r.commitRound.Answered(i, reply, err); err != nil && r.err == nil {
+		r.err = fmt.Errorf("replication: repair batch of %d ops to %s: %w", len(r.Payload(i).(*batchMsg).Ops), r.To[i], err)
 	}
 	return group.Open
 }
 
-func (r *repairs) Drained() {}
+// Drained overrides the commit's: no straggler of a repair is waited for.
+func (r *repairRound) Drained() {}
 
 // mergeRecords folds one peer's replica table into the local one and stages
-// what the merge finds the peers are owed.
-func (m *Manager) mergeRecords(peer transport.NodeID, records []Record, resolve ConflictResolver, report *ReconcileReport, out *repairs) error {
+// what the merge finds the peers are owed; peer is the one-element slice of
+// the peer.
+func (m *Manager) mergeRecords(peer []transport.NodeID, records []Record, resolve ConflictResolver, report *ReconcileReport, out *repairs) error {
 	var res [1]opResult // what an adoption's one op did
 	for _, rec := range records {
 		m.mu.Lock()
@@ -182,7 +192,7 @@ func (m *Manager) mergeRecords(peer transport.NodeID, records []Record, resolve 
 			tomb = tomb.Merged(rec.VV)
 			m.tombstones[rec.ID] = tomb
 			m.mu.Unlock()
-			out.stage(peer, batchOp{Kind: msgDelete, Delete: deleteMsg{ID: rec.ID, VV: tomb}})
+			out.stage(peer, batchOp{Kind: opDelete, ID: rec.ID, VV: tomb})
 			continue
 		}
 		rs, known := m.meta[rec.ID]
@@ -194,7 +204,8 @@ func (m *Manager) mergeRecords(peer transport.NodeID, records []Record, resolve 
 
 		if !known {
 			// Object created in the other partition: adopt it.
-			if _, err := m.applyOps([]batchOp{{Kind: msgCreate, Create: createFromRecord(rec)}}, res[:0]); err != nil {
+			create := batchOp{Kind: opCreate, ID: rec.ID, Class: rec.Class, State: rec.State, Version: rec.Version, VV: rec.VV, Info: rec.Info}
+			if _, err := m.applyOps([]batchOp{create}, res[:0]); err != nil {
 				return err
 			}
 			report.Created++
@@ -207,8 +218,7 @@ func (m *Manager) mergeRecords(peer transport.NodeID, records []Record, resolve 
 			// Peer dominates: adopt its state — an apply like any other,
 			// decided again under the replica lock, so a local commit that
 			// landed since the comparison above is not overwritten.
-			got, err := m.applyOps([]batchOp{{Kind: msgApply,
-				Apply: applyMsg{ID: rec.ID, State: rec.State, Version: rec.Version, VV: rec.VV}}}, res[:0])
+			got, err := m.applyOps([]batchOp{{Kind: opApply, ID: rec.ID, State: rec.State, Version: rec.Version, VV: rec.VV}}, res[:0])
 			if err != nil {
 				return err
 			}
@@ -218,8 +228,8 @@ func (m *Manager) mergeRecords(peer transport.NodeID, records []Record, resolve 
 		case comparable && cmp < 0:
 			// We dominate: the peer is owed our state. One that dropped the
 			// object in the meantime skips it, as it would a commit's apply.
-			op, _, err := m.localApply(rec.ID, false)
-			if err != nil {
+			var op batchOp
+			if _, err := m.localOp(rec.ID, opApply, false, &op); err != nil {
 				return err
 			}
 			if out.stage(peer, op) {
@@ -233,7 +243,7 @@ func (m *Manager) mergeRecords(peer transport.NodeID, records []Record, resolve 
 			report.ConflictIDs = append(report.ConflictIDs, rec.ID)
 			m.conflicts.Inc()
 			if m.obs.Tracing() {
-				m.obs.Emit(obs.EventReplicaConflict, fmt.Sprintf("%s with %s", rec.ID, peer))
+				m.obs.Emit(obs.EventReplicaConflict, fmt.Sprintf("%s with %s", rec.ID, peer[0]))
 			}
 			if err := m.resolveConflict(rec, resolve, out); err != nil {
 				return err
@@ -241,10 +251,6 @@ func (m *Manager) mergeRecords(peer transport.NodeID, records []Record, resolve 
 		}
 	}
 	return nil
-}
-
-func createFromRecord(rec Record) createMsg {
-	return createMsg{ID: rec.ID, Class: rec.Class, State: rec.State, Version: rec.Version, VV: rec.VV, Info: rec.Info}
 }
 
 // resolveConflict lets the application (or the generic rule) choose a state,
@@ -296,7 +302,7 @@ func (m *Manager) resolveConflict(rec Record, resolve ConflictResolver, out *rep
 // (created in our partition during the split). Under sharded placement only
 // objects the peer replicates are pushed: a heal between nodes of different
 // groups moves no object state.
-func (m *Manager) pushMissing(peer transport.NodeID, peerRecords []Record, report *ReconcileReport, out *repairs) {
+func (m *Manager) pushMissing(peer []transport.NodeID, peerRecords []Record, report *ReconcileReport, out *repairs) {
 	seen := make(map[object.ID]struct{}, len(peerRecords))
 	for _, rec := range peerRecords {
 		seen[rec.ID] = struct{}{}
@@ -304,7 +310,7 @@ func (m *Manager) pushMissing(peer transport.NodeID, peerRecords []Record, repor
 	m.mu.Lock()
 	var missing []object.ID
 	for id := range m.meta {
-		if m.placement != nil && !m.meta[id].info.HasReplica(peer) {
+		if m.placement != nil && !m.meta[id].info.HasReplica(peer[0]) {
 			continue
 		}
 		if _, ok := seen[id]; !ok {
@@ -314,20 +320,10 @@ func (m *Manager) pushMissing(peer transport.NodeID, peerRecords []Record, repor
 	m.mu.Unlock()
 	sort.Slice(missing, func(i, j int) bool { return missing[i] < missing[j] })
 	for _, id := range missing {
-		e, err := m.registry.Get(id)
-		if err != nil {
-			continue // no local copy to ship; the peer pulls from a replica later
-		}
-		m.mu.Lock()
-		rs, ok := m.meta[id]
-		if !ok {
-			m.mu.Unlock()
-			continue
-		}
-		op := batchOp{Kind: msgCreate, Create: createMsg{ID: id, Class: e.Class(), VV: rs.vv, Info: rs.info}}
-		op.Create.State, op.Create.Version = e.Share()
-		m.mu.Unlock()
-		if out.stage(peer, op) {
+		// An object gone from the registry or the table since has no local
+		// copy to ship; the peer pulls it from a replica later.
+		var op batchOp
+		if _, err := m.localOp(id, opCreate, false, &op); err == nil && out.stage(peer, op) {
 			report.Pushed++
 		}
 	}

@@ -76,7 +76,7 @@ func TestReconcileConflictPushedOnce(t *testing.T) {
 	carrying := 0
 	for _, ops := range *atN4 {
 		for _, op := range ops {
-			if op.id() == "f1" {
+			if op.ID == "f1" {
 				carrying++
 			}
 		}
@@ -115,7 +115,7 @@ func TestRepairCreateTakesLaterState(t *testing.T) {
 	if report.Conflicts != 1 || report.Pushed != 1 {
 		t.Errorf("report = %+v, want 1 conflict, 1 pushed (the create)", report)
 	}
-	if len(*atN2) != 1 || len((*atN2)[0]) != 1 || (*atN2)[0][0].Kind != msgCreate {
+	if len(*atN2) != 1 || len((*atN2)[0]) != 1 || (*atN2)[0][0].Kind != opCreate {
 		t.Fatalf("n2 received %+v, want one batch of one create", *atN2)
 	}
 	want := h.node("n1").table(t)
@@ -138,13 +138,13 @@ func TestRepairCreateTakesLaterState(t *testing.T) {
 func TestRepairBatchEqualsOneOpBatches(t *testing.T) {
 	info := Info{Home: "n1", Replicas: []transport.NodeID{"n1", "n2"}}
 	create := func(id object.ID, sold, version int64, vv VersionVector) batchOp {
-		return batchOp{Kind: msgCreate, Create: createMsg{ID: id, Class: "Flight", State: object.State{"sold": sold}, Version: version, VV: vv, Info: info}}
+		return batchOp{Kind: opCreate, ID: id, Class: "Flight", State: object.State{"sold": sold}, Version: version, VV: vv, Info: info}
 	}
 	apply := func(id object.ID, sold, version int64, vv VersionVector) batchOp {
-		return batchOp{Kind: msgApply, Apply: applyMsg{ID: id, State: object.State{"sold": sold}, Version: version, VV: vv}}
+		return batchOp{Kind: opApply, ID: id, State: object.State{"sold": sold}, Version: version, VV: vv}
 	}
 	del := func(id object.ID, vv VersionVector) batchOp {
-		return batchOp{Kind: msgDelete, Delete: deleteMsg{ID: id, VV: vv}}
+		return batchOp{Kind: opDelete, ID: id, VV: vv}
 	}
 	var ops []batchOp
 	for i := int64(0); i < 5; i++ {

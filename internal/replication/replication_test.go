@@ -516,8 +516,8 @@ func TestReconciliationPushToDroppedObjectSkipped(t *testing.T) {
 // TestReplicaWritesCrossOnlyAsBatches records every message kind the
 // replication service sends through a P4 commit, a quorum commit, a forced
 // state install and a heal that meets a conflict, a missed create and a
-// tombstone: replica writes cross as repl.batch only, and the retired
-// per-kind messages have no handler left to receive them.
+// tombstone: replica writes cross as repl.batch only, beside the fetch and
+// the pull.
 func TestReplicaWritesCrossOnlyAsBatches(t *testing.T) {
 	var mu sync.Mutex
 	seen := make(map[string]int)
@@ -579,18 +579,12 @@ func TestReplicaWritesCrossOnlyAsBatches(t *testing.T) {
 		}
 	}
 	mu.Unlock()
-	for _, kind := range []string{msgCreate, msgApply, msgDelete} {
-		if _, err := h.net.Send(ctx, "n1", "n2", kind, nil); !errors.Is(err, transport.ErrNoHandler) {
-			t.Errorf("%s still has a handler: %v", kind, err)
-		}
-	}
 }
 
 func TestDegradedHistoryRecording(t *testing.T) {
-	h := newHarness(t, 2, PrimaryPerPartition{})
+	h := newHarness(t, 2, PrimaryPerPartition{}, func(c *Config) { c.KeepHistory = true })
 	h.create(t, "n1", "Flight", "f1", object.State{"sold": int64(0)})
 	mgr := h.node("n1").mgr
-	mgr.SetKeepHistory(true)
 	// Healthy writes record no history.
 	h.write(t, "n1", "f1", "sold", int64(1))
 	if got := mgr.History("f1"); len(got) != 0 {

@@ -52,51 +52,36 @@ const (
 	wireTagAck
 )
 
-// Op kinds of a batch's wire form, one byte for batchOp.Kind.
-const (
-	wireOpCreate byte = 1 + iota
-	wireOpApply
-	wireOpDelete
-)
-
 func (*batchMsg) WireTag() byte { return wireTagBatch }
 
-// AppendWire writes the op count, then per op its kind byte and the fields of
-// the one message that kind selects: ID, state, version and vector for create
-// and apply, then class and placement for create; ID and vector for delete.
-// It declines a state the State form declines and an op kind it does not
-// know, which then reaches applyOps' own rejection through gob as before.
+// AppendWire writes the op count, then per op its kind byte, the ID, state
+// and version unless it is a delete, the vector, and class and placement if
+// it is a create. It declines a state the State form declines and an op kind
+// it does not know, which then reaches applyOps' own rejection through gob as
+// before.
 func (b *batchMsg) AppendWire(dst []byte) ([]byte, bool) {
 	out := binary.AppendUvarint(dst, uint64(len(b.Ops)))
 	for i := range b.Ops {
-		ok := true
-		switch op := &b.Ops[i]; op.Kind {
-		case msgCreate:
-			m := &op.Create
-			out = transport.AppendWireString(append(out, wireOpCreate), string(m.ID))
-			if out, ok = m.State.AppendWire(out); ok {
-				out = m.VV.appendWire(binary.AppendVarint(out, m.Version))
-				out = transport.AppendWireString(out, m.Class)
-				out = transport.AppendWireString(out, string(m.Info.Home))
-				out = binary.AppendUvarint(out, uint64(len(m.Info.Replicas)))
-				for _, r := range m.Info.Replicas {
-					out = transport.AppendWireString(out, string(r))
-				}
-			}
-		case msgApply:
-			m := &op.Apply
-			out = transport.AppendWireString(append(out, wireOpApply), string(m.ID))
-			if out, ok = m.State.AppendWire(out); ok {
-				out = m.VV.appendWire(binary.AppendVarint(out, m.Version))
-			}
-		case msgDelete:
-			out = transport.AppendWireString(append(out, wireOpDelete), string(op.Delete.ID))
-			out = op.Delete.VV.appendWire(out)
-		default:
-			ok = false
-		}
-		if !ok {
+		op := &b.Ops[i]
+		if !op.Kind.known() {
 			return dst, false
+		}
+		out = transport.AppendWireString(append(out, byte(op.Kind)), string(op.ID))
+		if op.Kind != opDelete {
+			var ok bool
+			if out, ok = op.State.AppendWire(out); !ok {
+				return dst, false
+			}
+			out = binary.AppendVarint(out, op.Version)
+		}
+		out = op.VV.appendWire(out)
+		if op.Kind == opCreate {
+			out = transport.AppendWireString(out, op.Class)
+			out = transport.AppendWireString(out, string(op.Info.Home))
+			out = binary.AppendUvarint(out, uint64(len(op.Info.Replicas)))
+			for _, r := range op.Info.Replicas {
+				out = transport.AppendWireString(out, string(r))
+			}
 		}
 	}
 	return out, true
@@ -126,35 +111,26 @@ func readBatchWire(r *transport.WireReader) any {
 		b = new(batchMsg)
 	}
 	for i := range b.Ops {
-		switch op, kind := &b.Ops[i], r.Byte(); kind {
-		case wireOpCreate:
-			m := &op.Create
-			op.Kind = msgCreate
-			m.ID = object.ID(r.String())
-			m.State = object.ReadStateWire(r)
-			m.Version = r.Varint()
-			m.VV = readVectorWire(r)
-			m.Class = r.Name()
-			m.Info.Home = transport.NodeID(r.Name())
+		op := &b.Ops[i]
+		if op.Kind = opKind(r.Byte()); !op.Kind.known() {
+			r.Fail("replication: unknown batch op kind %d", op.Kind)
+			return nil
+		}
+		op.ID = object.ID(r.String())
+		if op.Kind != opDelete {
+			op.State = object.ReadStateWire(r)
+			op.Version = r.Varint()
+		}
+		op.VV = readVectorWire(r)
+		if op.Kind == opCreate {
+			op.Class = r.Name()
+			op.Info.Home = transport.NodeID(r.Name())
 			if n := r.Count(1); n > 0 {
-				m.Info.Replicas = make([]transport.NodeID, n)
+				op.Info.Replicas = make([]transport.NodeID, n)
 			}
-			for j := range m.Info.Replicas {
-				m.Info.Replicas[j] = transport.NodeID(r.Name())
+			for j := range op.Info.Replicas {
+				op.Info.Replicas[j] = transport.NodeID(r.Name())
 			}
-		case wireOpApply:
-			m := &op.Apply
-			op.Kind = msgApply
-			m.ID = object.ID(r.String())
-			m.State = object.ReadStateWire(r)
-			m.Version = r.Varint()
-			m.VV = readVectorWire(r)
-		case wireOpDelete:
-			op.Kind = msgDelete
-			op.Delete.ID = object.ID(r.String())
-			op.Delete.VV = readVectorWire(r)
-		default:
-			r.Fail("replication: unknown batch op kind %d", kind)
 		}
 		if r.Err() != nil {
 			return nil

@@ -46,11 +46,11 @@ func wireCases() []wireCase {
 	}
 	vv := VersionVector{{Node: "a", Count: 3}, {Node: "b", Count: 1}}
 	info := NewInfo("a", []transport.NodeID{"a", "b", "c"})
-	create := createMsg{ID: "acct-1", Class: "Account", State: st, Version: 4, VV: vv, Info: info}
-	apply := applyMsg{ID: "acct-1", State: st, Version: 5, VV: vv}
-	del := deleteMsg{ID: "acct-1", VV: vv}
+	create := batchOp{Kind: opCreate, ID: "acct-1", Class: "Account", State: st, Version: 4, VV: vv, Info: info}
+	apply := batchOp{Kind: opApply, ID: "acct-1", State: st, Version: 5, VV: vv}
+	del := batchOp{Kind: opDelete, ID: "acct-1", VV: vv}
 	applyOf := func(st object.State) *batchMsg {
-		return &batchMsg{Ops: []batchOp{{Kind: msgApply, Apply: applyMsg{ID: "x", State: st, Version: 2, VV: vv}}}}
+		return &batchMsg{Ops: []batchOp{{Kind: opApply, ID: "x", State: st, Version: 2, VV: vv}}}
 	}
 
 	var four []batchOp
@@ -58,9 +58,9 @@ func wireCases() []wireCase {
 	for i := 0; i < 12; i++ {
 		wide[fmt.Sprintf("attr%02d", i)] = int64(i)
 		if i < 4 {
-			four = append(four, batchOp{Kind: msgApply, Apply: applyMsg{
+			four = append(four, batchOp{Kind: opApply,
 				ID: object.ID(fmt.Sprintf("o%d", i)), State: object.State{"value": int64(i)}, Version: int64(i + 2), VV: VersionVector{{Node: "a", Count: int64(i + 1)}},
-			}})
+			})
 		}
 	}
 	// What a reconciliation pass owes one peer: every kind, many times over.
@@ -69,30 +69,30 @@ func wireCases() []wireCase {
 		id, vv := object.ID(fmt.Sprintf("r%03d", i)), VersionVector{{Node: "a", Count: int64(i)}, {Node: "b", Count: int64(100 - i)}}
 		switch i % 3 {
 		case 0:
-			repair = append(repair, batchOp{Kind: msgApply, Apply: applyMsg{ID: id, State: st, Version: int64(i), VV: vv}})
+			repair = append(repair, batchOp{Kind: opApply, ID: id, State: st, Version: int64(i), VV: vv})
 		case 1:
-			repair = append(repair, batchOp{Kind: msgCreate, Create: createMsg{ID: id, Class: "Account", State: object.State{"n": int64(i)}, Version: 1, VV: vv, Info: info}})
+			repair = append(repair, batchOp{Kind: opCreate, ID: id, Class: "Account", State: object.State{"n": int64(i)}, Version: 1, VV: vv, Info: info})
 		default:
-			repair = append(repair, batchOp{Kind: msgDelete, Delete: deleteMsg{ID: id, VV: vv}})
+			repair = append(repair, batchOp{Kind: opDelete, ID: id, VV: vv})
 		}
 	}
 	return []wireCase{
 		{name: "a pass's repairs: 100 mixed ops", self: true, payload: &batchMsg{Ops: repair}},
 		{name: "create, apply and delete in one batch", self: true, payload: &batchMsg{Ops: []batchOp{
-			{Kind: msgCreate, Create: create},
-			{Kind: msgApply, Apply: apply},
-			{Kind: msgDelete, Delete: del},
+			create,
+			apply,
+			del,
 		}}},
 		{name: "four applies", self: true, payload: &batchMsg{Ops: four}},
 		{name: "nil state, vector and replicas", self: true, payload: &batchMsg{Ops: []batchOp{
-			{Kind: msgCreate, Create: createMsg{ID: "n"}},
-			{Kind: msgApply, Apply: applyMsg{ID: "n"}},
-			{Kind: msgDelete, Delete: deleteMsg{ID: "n"}},
+			{Kind: opCreate, ID: "n"},
+			{Kind: opApply, ID: "n"},
+			{Kind: opDelete, ID: "n"},
 		}}},
 		{name: "empty state, vector, replicas and lists", self: true, lossy: true, payload: &batchMsg{Ops: []batchOp{
-			{Kind: msgCreate, Create: createMsg{ID: "e", State: object.State{}, VV: VersionVector{}, Info: Info{Replicas: []transport.NodeID{}}}},
-			{Kind: msgApply, Apply: applyMsg{ID: "e", State: object.State{"refs": []object.ID{}, "tags": []string{}}, VV: VersionVector{}}},
-			{Kind: msgDelete, Delete: deleteMsg{ID: "e", VV: VersionVector{}}},
+			{Kind: opCreate, ID: "e", State: object.State{}, VV: VersionVector{}, Info: Info{Replicas: []transport.NodeID{}}},
+			{Kind: opApply, ID: "e", State: object.State{"refs": []object.ID{}, "tags": []string{}}, VV: VersionVector{}},
+			{Kind: opDelete, ID: "e", VV: VersionVector{}},
 		}}},
 		{name: "no ops", self: true, payload: &batchMsg{}},
 		{name: "empty op list", self: true, lossy: true, payload: &batchMsg{Ops: []batchOp{}}},
@@ -101,13 +101,13 @@ func wireCases() []wireCase {
 			"int": 7, "int64": int64(7), "float": 7.0, "negzero": math.Copysign(0, -1), "big": 1e21, "inf": math.Inf(-1),
 			"maxint": math.MaxInt, "minint": math.MinInt, "max64": int64(math.MaxInt64), "min64": int64(math.MinInt64),
 		})},
-		{name: "empty and non-UTF-8 strings", self: true, payload: &batchMsg{Ops: []batchOp{{Kind: msgApply, Apply: applyMsg{
+		{name: "empty and non-UTF-8 strings", self: true, payload: &batchMsg{Ops: []batchOp{{Kind: opApply,
 			ID: "\xff\x00id", State: object.State{"": "", "\xfe": "\xff\xfe\x00", "id": object.ID(""), "ids": []object.ID{"", "\x80"}},
 			Version: math.MinInt64, VV: VersionVector{{Node: "", Count: math.MaxInt64}, {Node: "\xff", Count: -1}},
-		}}}}},
+		}}}},
 		{name: "nested map declines", payload: applyOf(object.State{"v": int64(1), "nested": map[string]any{"k": "v"}})},
 		{name: "nested list declines", payload: applyOf(object.State{"list": []any{"a", int64(1)}})},
-		{name: "bad op kind declines", payload: &batchMsg{Ops: []batchOp{{Kind: msgApply, Apply: apply}, {Kind: "repl.bogus"}}}},
+		{name: "bad op kind declines", payload: &batchMsg{Ops: []batchOp{apply, {Kind: opDelete + 1}}}},
 		// A batch that carries its transaction's threats has no form of its own.
 		{name: "threats in the batch", payload: &threatBatch{Ops: four, Added: []threat.Threat{{
 			Seq: 4, Constraint: "NonNegative", ContextID: "o1", Degree: constraint.PossiblySatisfied, Count: 1, TxID: 12, UID: "a#4",
@@ -202,7 +202,7 @@ func TestWireCodecReplicationPayloads(t *testing.T) {
 // applyOps on the receiving replica, atomically, as on the simulator.
 func TestBadOpKindCrossesWireToApplyOps(t *testing.T) {
 	h := newHarness(t, 1, PrimaryPerPartition{})
-	sent := &batchMsg{Ops: []batchOp{{Kind: "repl.bogus"}}}
+	sent := &batchMsg{Ops: []batchOp{{Kind: opDelete + 1}}}
 	got, self, err := wiretransport.RoundTripFrame(sent)
 	if err != nil || self {
 		t.Fatalf("frame round trip: self-encoded = %v, err = %v", self, err)
@@ -219,10 +219,10 @@ func TestBadOpKindCrossesWireToApplyOps(t *testing.T) {
 // the class, home and replica list; strings as length and bytes.
 func TestBatchWireGolden(t *testing.T) {
 	batch := &batchMsg{Ops: []batchOp{
-		{Kind: msgCreate, Create: createMsg{ID: "o1", Class: "C", State: object.State{"n": int64(-2), "b": true, "a": "x"}, Version: 3,
-			VV: VersionVector{{Node: "n1", Count: 2}, {Node: "n2", Count: 1}}, Info: NewInfo("n1", []transport.NodeID{"n2", "n1"})}},
-		{Kind: msgApply, Apply: applyMsg{ID: "o1", State: object.State{"f": 1.5, "r": []object.ID{"o2"}}, Version: 4, VV: VersionVector{{Node: "n1", Count: 3}}}},
-		{Kind: msgDelete, Delete: deleteMsg{ID: "o1"}},
+		{Kind: opCreate, ID: "o1", Class: "C", State: object.State{"n": int64(-2), "b": true, "a": "x"}, Version: 3,
+			VV: VersionVector{{Node: "n1", Count: 2}, {Node: "n2", Count: 1}}, Info: NewInfo("n1", []transport.NodeID{"n2", "n1"})},
+		{Kind: opApply, ID: "o1", State: object.State{"f": 1.5, "r": []object.ID{"o2"}}, Version: 4, VV: VersionVector{{Node: "n1", Count: 3}}},
+		{Kind: opDelete, ID: "o1"},
 	}}
 	const want = "03" + // three ops
 		"01" + "026f31" + // create o1
@@ -359,19 +359,29 @@ func TestDecodeRejectsMalformedVector(t *testing.T) {
 	}
 }
 
-// TestBatchSizes holds the sizes every replicated write pays for: the
-// commit's round, which one word more moves from the 288-byte size class into
-// the 320-byte one; a one-op commit's round with its op, which must stay in
-// the 512 bytes the round and a separate one-op run took between them; and
-// the batch a frame decodes to, which one field more moves from 24 bytes into
-// 32. A commit's threats ride in a threatBatch of their own, behind one
-// pointer on the round.
+// TestBatchSizes holds the sizes every replicated write pays for, each
+// against the allocator's size class it fills: the op, 120 bytes, which every
+// size below carries once; the commit's round, which one word more moves from
+// the 288-byte class into the 320-byte one; a one-op commit's round with its
+// op, in the 416-byte class; the one-op batch a frame decodes to, in the
+// 144-byte class; a staged op, in the 160-byte class the commit's pooled
+// buffer holds per op; and the batch a frame decodes to, which one field more
+// moves from 24 bytes into 32. A commit's threats ride in a threatBatch of
+// their own, behind one pointer on the round.
 func TestBatchSizes(t *testing.T) {
-	if size := unsafe.Sizeof(commitRound{}); size > 288 {
-		t.Errorf("commitRound is %d bytes, want <= 288", size)
-	}
-	if size := unsafe.Sizeof(oneOpRound{}); size > 512 {
-		t.Errorf("oneOpRound is %d bytes, want <= 512", size)
+	for _, c := range []struct {
+		name       string
+		size, most uintptr
+	}{
+		{"batchOp", unsafe.Sizeof(batchOp{}), 120},
+		{"commitRound", unsafe.Sizeof(commitRound{}), 288},
+		{"oneOpRound", unsafe.Sizeof(oneOpRound{}), 416},
+		{"oneOpBatch", unsafe.Sizeof(oneOpBatch{}), 144},
+		{"stagedOp", unsafe.Sizeof(stagedOp{}), 160},
+	} {
+		if c.size > c.most {
+			t.Errorf("%s is %d bytes, want <= %d", c.name, c.size, c.most)
+		}
 	}
 	if size := unsafe.Sizeof(batchMsg{}); size != 24 {
 		t.Errorf("batchMsg is %d bytes, want 24", size)
@@ -402,10 +412,8 @@ func FuzzDecodeBatch(f *testing.F) {
 			return
 		}
 		for _, op := range got.(*batchMsg).Ops {
-			for _, vv := range []VersionVector{op.Create.VV, op.Apply.VV, op.Delete.VV} {
-				if !wellFormed(vv) {
-					t.Fatalf("accepted vector %v does not strictly ascend", vv)
-				}
+			if !wellFormed(op.VV) {
+				t.Fatalf("accepted vector %v does not strictly ascend", op.VV)
 			}
 		}
 		again, ok := got.(*batchMsg).AppendWire(nil)
