@@ -60,6 +60,7 @@ var ledgerPaths = []struct {
 	{"commit", 1000, func(t *testing.T) func(int) error { return newWriter(t, clusterOpts{size: 1}, nil).write }},
 	{"quorum-write", 1000, func(t *testing.T) func(int) error { return newWriter(t, quorumCluster, nil).write }},
 	{"p4-write", 1000, func(t *testing.T) func(int) error { return newWriter(t, p4Cluster, nil).write }},
+	{"p4-degraded-write", 1000, newDegradedWrite},
 	{"validated-write/called-object", 1000, func(t *testing.T) func(int) error {
 		return newWriter(t, clusterOpts{size: 1}, constraint.CalledObjectIsContext{}).write
 	}},
@@ -299,6 +300,7 @@ func siteOf(stack []uintptr) (key, where string) {
 
 // writer drives one bean through Node.Invoke at its home node.
 type writer struct {
+	c   *node.Cluster
 	n   *node.Node
 	oid object.ID
 }
@@ -329,7 +331,7 @@ func newWriter(t *testing.T, shape clusterOpts, prep constraint.ContextPreparer)
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Stop)
-	w := writer{oid: "hot000"}
+	w := writer{c: c, oid: "hot000"}
 	w.n = shardHome(c, w.oid)
 	state := object.State{"value": int64(0)}
 	if prep != nil {
@@ -357,6 +359,17 @@ func newWriter(t *testing.T, shape clusterOpts, prep constraint.ContextPreparer)
 		t.Fatal(err)
 	}
 	return w
+}
+
+// newDegradedWrite is a P4 write at n1 while the cluster is split {n1,n2} |
+// {n3,n4}, validated against a tradeable hard invariant on the written bean:
+// the bean is possibly stale, so every write is a threat. The warm-up's first
+// write stores it; every measured one folds into it.
+func newDegradedWrite(t *testing.T) func(int) error {
+	w := newWriter(t, p4Cluster, constraint.CalledObjectIsContext{})
+	ids := w.c.IDs()
+	w.c.Partition(ids[:2], ids[2:])
+	return w.write
 }
 
 // recordedBatch returns the repl.batch a single-object write ships, captured

@@ -330,11 +330,10 @@ func (m *Manager) clearSatisfiedThreats(t *tx.Tx, meta constraint.Meta, ctx *val
 		th.ContextID = ctx.contextObj.ID()
 	}
 	ident := th.Identity()
-	removed := m.threats.ByIdentity(ident)
+	removed := m.threats.RemoveIdentity(ident)
 	if len(removed) == 0 {
 		return
 	}
-	m.threats.RemoveIdentity(ident)
 	if m.replicateThreats {
 		cleared, _ := t.Value(threat.KeyCleared).([]string)
 		t.Put(threat.KeyCleared, append(cleared, ident))
@@ -348,37 +347,38 @@ func (m *Manager) clearSatisfiedThreats(t *tx.Tx, meta constraint.Meta, ctx *val
 }
 
 // negotiateThreat runs the negotiation of Figure 3.3 and stores accepted
-// threats.
+// threats. The accessed list is read in place: without a handler the
+// negotiation context stays on the stack, and the threat store copies the
+// list only into a new record, so a folded repeat costs no allocation here.
+// What a handler is given it may keep, so it gets a copy.
 func (m *Manager) negotiateThreat(t *tx.Tx, reg *repository.Registered, ctx *valContext, degree constraint.Degree) error {
 	m.threatsDetected.Add(1)
 	if m.obs.Tracing() {
 		m.obs.Emit(obs.EventThreatDetected, fmt.Sprintf("%s (%s)", reg.Meta.Name, degree))
 	}
-	// The negotiation context, the stored threat and the commit's multicast
-	// outlive the validation context, so the accessed list is copied once.
-	affected := append([]threat.AffectedObject(nil), ctx.accessed...)
-	if reg.Meta.CaptureAffectedState {
-		for i := range affected {
-			if e, err := m.registry.Get(affected[i].ID); err == nil {
-				affected[i].State = e.Snapshot()
-			}
-		}
-	}
-	nc := &threat.NegotiationContext{
+	nc := threat.NegotiationContext{
 		Constraint:      reg.Meta,
 		Degree:          degree,
 		ContextID:       ctx.contextID,
-		Affected:        affected,
+		Affected:        ctx.accessed,
 		PartitionWeight: m.partitionWeight(),
 	}
 	if nc.ContextID == "" && ctx.called != nil {
 		nc.ContextID = ctx.called.ID()
 	}
+	if reg.Meta.CaptureAffectedState {
+		nc.Affected = slices.Clone(nc.Affected)
+		for i := range nc.Affected {
+			if e, err := m.registry.Get(nc.Affected[i].ID); err == nil {
+				nc.Affected[i].State = e.Snapshot()
+			}
+		}
+	}
 	th := threat.Threat{
 		Constraint:   reg.Meta.Name,
 		ContextID:    nc.ContextID,
 		Degree:       degree,
-		Affected:     affected,
+		Affected:     nc.Affected,
 		Instructions: reg.Meta.Instructions,
 		TxID:         t.ID(),
 	}
@@ -386,17 +386,21 @@ func (m *Manager) negotiateThreat(t *tx.Tx, reg *repository.Registered, ctx *val
 		th.ContextID = ""
 	}
 
-	// Deferred mode (§5.4): run the decision in parallel and continue the
-	// operation under the assumption that the threat will be accepted.
-	if m.deferNegotiation(t, reg, nc, th) {
-		return nil
+	var decision threat.Decision
+	if dynamic, _ := t.Value(keyNegHandler).(threat.Handler); dynamic == nil {
+		decision = threat.NegotiateStatic(&nc, m.defaultMinDegree)
+	} else {
+		hc := nc
+		hc.Affected = slices.Clone(nc.Affected)
+		th.Affected = hc.Affected
+		// Deferred mode (§5.4): run the decision in parallel and continue the
+		// operation under the assumption that the threat will be accepted.
+		if m.deferNegotiation(t, reg, &hc, th) {
+			return nil
+		}
+		decision = threat.Negotiate(&hc, dynamic, m.defaultMinDegree)
+		th.AppData = hc.AppData
 	}
-
-	var dynamic threat.Handler
-	if h, ok := t.Value(keyNegHandler).(threat.Handler); ok {
-		dynamic = h
-	}
-	decision := threat.Negotiate(nc, dynamic, m.defaultMinDegree)
 	if decision != threat.Accept {
 		m.threatsRejected.Add(1)
 		if m.obs.Tracing() {
@@ -417,7 +421,6 @@ func (m *Manager) negotiateThreat(t *tx.Tx, reg *repository.Registered, ctx *val
 	if reg.Meta.Type == constraint.Pre || reg.Meta.Type == constraint.Post {
 		return nil
 	}
-	th.AppData = nc.AppData
 	return m.storeThreat(t, th)
 }
 

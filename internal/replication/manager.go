@@ -496,7 +496,10 @@ func (m *Manager) Lookup(ctx context.Context, id object.ID) (*object.Entity, con
 		return e, st, nil
 	}
 	// Remote read from the first reachable replica.
-	for _, r := range info.reachableReplicas(view) {
+	for _, r := range info.Replicas {
+		if !view.Contains(r) {
+			continue
+		}
 		resp, err := m.comm.Send(ctx, m.self, r, msgFetch, id)
 		if err != nil {
 			continue

@@ -59,9 +59,9 @@ type Info struct {
 // sorted. Every producer of placement metadata — the manager's Create path,
 // placement-derived Infos and tests — goes through this constructor, so the
 // "Replicas is sorted" property downstream code relies on (temporary-primary
-// election picks reachableReplicas[0]; every node must pick the same one) is
-// enforced rather than assumed. Home is not implicitly added to the replica
-// set: a caller may deliberately designate a non-hosting home.
+// election picks the first reachable replica; every node must pick the same
+// one) is enforced rather than assumed. Home is not implicitly added to the
+// replica set: a caller may deliberately designate a non-hosting home.
 func NewInfo(home transport.NodeID, replicas []transport.NodeID) Info {
 	out := append(make([]transport.NodeID, 0, len(replicas)), replicas...)
 	slices.Sort(out)
@@ -73,36 +73,45 @@ func (i Info) HasReplica(n transport.NodeID) bool {
 	return slices.Contains(i.Replicas, n)
 }
 
-// reachableReplicas returns the replica nodes present in the view, sorted.
-// View.Members are sorted by construction; Info literals are normalized
-// through NewInfo when the manager first records them, so the sorted order
-// holds for every Info the protocols see even when a caller hands the
-// manager an unsorted Replicas slice.
-func (i Info) reachableReplicas(view group.View) []transport.NodeID {
-	// Fast path: with every replica in view (the healthy steady state) the
-	// replica slice itself is the answer. Callers treat the result as
-	// read-only; the cap clamp makes an append reallocate rather than write
-	// into the shared Info.
-	all := true
-	for _, r := range i.Replicas {
-		if !view.Contains(r) {
-			all = false
-			break
-		}
-	}
-	if all {
-		return i.Replicas[:len(i.Replicas):len(i.Replicas)]
-	}
-	var out []transport.NodeID
+// reachable counts the replica nodes present in the view.
+func (i Info) reachable(view group.View) int {
+	n := 0
 	for _, r := range i.Replicas {
 		if view.Contains(r) {
-			if out == nil {
-				out = make([]transport.NodeID, 0, len(i.Replicas)-1)
-			}
-			out = append(out, r)
+			n++
 		}
 	}
-	return out
+	return n
+}
+
+// reachableReplicas returns the replica nodes present in the view, sorted,
+// for the staging paths that address them. View.Members are sorted by
+// construction; Info literals are normalized through NewInfo when the manager
+// first records them, so the sorted order holds for every Info the protocols
+// see even when a caller hands the manager an unsorted Replicas slice. When
+// one list is a subset of the other — every replica in view (the healthy
+// steady state), or every member a replica (a partition under full
+// replication, a filtered view) — that list is the intersection and is
+// returned itself: callers treat the result as read-only, and the cap clamp
+// makes an append reallocate rather than write into the shared Info or the
+// published view, whose Members are never written.
+func (i Info) reachableReplicas(view group.View) []transport.NodeID {
+	switch n := i.reachable(view); n {
+	case 0:
+		return nil
+	case len(i.Replicas):
+		return i.Replicas[:n:n]
+	case len(view.Members):
+		return view.Members[:n:n]
+	default:
+		out := make([]transport.NodeID, 0, n)
+		for _, r := range i.Replicas {
+			if view.Contains(r) {
+				out = append(out, r)
+			}
+		}
+		return out
+	}
 }
 
 // Protocol is a replica-control strategy.
@@ -129,23 +138,24 @@ func homeOrFirstReachable(info Info, view group.View) (transport.NodeID, error) 
 	if view.Contains(info.Home) {
 		return info.Home, nil
 	}
-	reachable := info.reachableReplicas(view)
-	if len(reachable) == 0 {
-		return "", fmt.Errorf("%w: object home %s", ErrNoReplica, info.Home)
+	for _, r := range info.Replicas {
+		if view.Contains(r) {
+			return r, nil
+		}
 	}
-	return reachable[0], nil
+	return "", fmt.Errorf("%w: object home %s", ErrNoReplica, info.Home)
 }
 
 // replicaUnreachable is the staleness rule of the primary-based protocols: a
 // view that misses any replica may miss that replica's writes.
 func replicaUnreachable(info Info, view group.View) bool {
-	return len(info.reachableReplicas(view)) < len(info.Replicas)
+	return info.reachable(view) < len(info.Replicas)
 }
 
 // majorityUnreachable is the staleness rule of the voting protocols: reads
 // are reliable only with a strict majority of the replicas in view.
 func majorityUnreachable(info Info, view group.View) bool {
-	return 2*len(info.reachableReplicas(view)) <= len(info.Replicas)
+	return 2*info.reachable(view) <= len(info.Replicas)
 }
 
 // PrimaryBackup is the traditional protocol: the designated primary
@@ -259,7 +269,7 @@ func (AdaptiveVoting) Coordinator(info Info, view group.View) (transport.NodeID,
 // WriteAllowed implements Protocol: some replica must be reachable; the
 // adaptive quorum admits sub-majority writes (they surface as threats).
 func (AdaptiveVoting) WriteAllowed(info Info, view group.View, _ float64) error {
-	if len(info.reachableReplicas(view)) == 0 {
+	if info.reachable(view) == 0 {
 		return fmt.Errorf("%w: object home %s", ErrNoReplica, info.Home)
 	}
 	return nil
@@ -333,7 +343,7 @@ func (Quorum) Coordinator(info Info, view group.View) (transport.NodeID, error) 
 // WriteAllowed implements Protocol: the commit quorum must be reachable —
 // a partition that cannot possibly gather CommitAcks acks is read-only.
 func (q Quorum) WriteAllowed(info Info, view group.View, _ float64) error {
-	reachable := len(info.reachableReplicas(view))
+	reachable := info.reachable(view)
 	if reachable == 0 {
 		return fmt.Errorf("%w: object home %s", ErrNoReplica, info.Home)
 	}

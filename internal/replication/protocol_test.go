@@ -2,6 +2,7 @@ package replication
 
 import (
 	"errors"
+	"slices"
 	"testing"
 
 	"dedisys/internal/group"
@@ -84,6 +85,39 @@ func TestCoordinatorRule(t *testing.T) {
 			got, err := p.Coordinator(info, v.view)
 			if got != v.want || !errors.Is(err, v.err) {
 				t.Errorf("%s, %s: coordinator = %q, %v; want %q, %v", p.Name(), v.name, got, err, v.want, v.err)
+			}
+		}
+	}
+}
+
+// TestReachableReplicasSharesASubsetList pins the staging rule: when every
+// replica is in view, or every view member is a replica, that list is the
+// intersection and is handed out itself, cap-clamped so that an append
+// reallocates; only a view that both misses a replica and holds a foreign
+// node builds a slice.
+func TestReachableReplicasSharesASubsetList(t *testing.T) {
+	info := Info{Home: "n1", Replicas: []transport.NodeID{"n1", "n2", "n3", "n4"}}
+	superset, subset := view("n1", "n2", "n3", "n4", "n5"), view("n1", "n2")
+	for _, c := range []struct {
+		name   string
+		view   group.View
+		want   []transport.NodeID
+		shares []transport.NodeID // the list the result is, nil for a built one
+	}{
+		{"every replica in view", superset, info.Replicas, info.Replicas},
+		{"every member a replica", subset, subset.Members, subset.Members},
+		{"neither", view("n2", "n3", "n9"), []transport.NodeID{"n2", "n3"}, nil},
+		{"no replica in view", view("n9"), nil, nil},
+	} {
+		got := info.reachableReplicas(c.view)
+		if !slices.Equal(got, c.want) || cap(got) != len(got) {
+			t.Errorf("%s: %v (cap %d), want %v", c.name, got, cap(got), c.want)
+			continue
+		}
+		for _, list := range [][]transport.NodeID{info.Replicas, c.view.Members} {
+			shared := len(got) > 0 && &got[0] == &list[0]
+			if want := c.shares != nil && &c.shares[0] == &list[0]; shared != want {
+				t.Errorf("%s: shares %v: %v, want %v", c.name, list, shared, want)
 			}
 		}
 	}

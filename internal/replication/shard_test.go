@@ -354,7 +354,8 @@ func TestSharedReplicaSlicesAreGuarded(t *testing.T) {
 		}
 	}
 
-	// Degraded: the slow paths build their own slices, sized for the result.
+	// Degraded: the filtered view holds only replicas, so the reachable list
+	// is the view's own, sized for the result and apart from the replica slice.
 	var rest []transport.NodeID
 	for _, id := range h.ids {
 		if id != want[len(want)-1] {

@@ -7,7 +7,9 @@ package threat
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 
 	"dedisys/internal/constraint"
@@ -76,7 +78,14 @@ type Threat struct {
 // when they refer to the same constraint and the same context object
 // (§3.2.2).
 func (t Threat) Identity() string {
-	return t.Constraint + "|" + string(t.ContextID)
+	var buf [64]byte
+	return string(t.appendIdentity(buf[:0]))
+}
+
+// appendIdentity appends the identity to dst: Add looks it up without
+// building a string, and builds one only for a new identity.
+func (t *Threat) appendIdentity(dst []byte) []byte {
+	return append(append(append(dst, t.Constraint...), '|'), t.ContextID...)
 }
 
 // StorePolicy selects how identical threats are persisted.
@@ -110,6 +119,12 @@ func (p StorePolicy) String() string {
 // its affected-object set, and its application data), each additional
 // identical occurrence under FullHistory writes two more records, while
 // under IdenticalOnce it costs a single read.
+//
+// A record's writes and deletes happen under the store's lock, so the table
+// holds exactly the records the store's maps name, and a record is encoded
+// while nothing can fold into it. A stored record owns its affected list; the
+// only field that changes after it is stored is an identical-once record's
+// Count, under the lock.
 type Store struct {
 	backing *persistence.Store
 	obs     *obs.Observer
@@ -185,7 +200,8 @@ func (s *Store) SetPolicy(p StorePolicy) {
 
 // Add stores an accepted consistency threat. It returns the stored record
 // (with its sequence number) and whether a new persistent record was
-// created (false when folded into an identical threat).
+// created (false when folded into an identical threat). A new record copies
+// t.Affected; a folded occurrence keeps nothing of t.
 func (s *Store) Add(t Threat) (Threat, bool, error) {
 	s.mu.Lock()
 	// A replicated record that already arrived is folded silently.
@@ -197,53 +213,75 @@ func (s *Store) Add(t Threat) (Threat, bool, error) {
 			return copyOf, false, nil
 		}
 	}
-	policy := s.policy
-	existing := s.byIdent[t.Identity()]
-	if policy == IdenticalOnce && len(existing) > 0 {
+	var ib [64]byte
+	ident := t.appendIdentity(ib[:0])
+	existing := s.byIdent[string(ident)]
+	if s.policy == IdenticalOnce && len(existing) > 0 {
 		first := s.byID[existing[0]]
 		first.Count++
 		folded := *first
 		s.mu.Unlock()
 		s.folded.Inc()
 		// Detecting the duplicate costs a read on the database (§5.5.1).
-		_ = s.backing.Has(table, key(folded.Seq))
+		var kb [keyCap]byte
+		_ = s.backing.Has(table, string(appendKey(kb[:0], folded.Seq)))
 		return folded, false, nil
 	}
+	defer s.mu.Unlock()
 	s.seq++
-	t.Seq = s.seq
-	if t.Count == 0 {
-		t.Count = 1
-	}
-	if t.UID == "" && s.owner != "" {
-		t.UID = fmt.Sprintf("%s#%d", s.owner, t.Seq)
-	}
 	stored := t
-	s.byID[t.Seq] = &stored
-	s.byIdent[t.Identity()] = append(s.byIdent[t.Identity()], t.Seq)
-	if t.UID != "" {
-		s.byUID[t.UID] = t.Seq
+	stored.Seq = s.seq
+	stored.Affected = slices.Clone(t.Affected)
+	if stored.Count == 0 {
+		stored.Count = 1
 	}
-	isRepeat := len(existing) > 0
-	s.mu.Unlock()
+	if stored.UID == "" && s.owner != "" {
+		var ub [64]byte
+		stored.UID = string(strconv.AppendInt(append(append(ub[:0], s.owner...), '#'), stored.Seq, 10))
+	}
+	s.byID[stored.Seq] = &stored
+	s.byIdent[string(ident)] = append(existing, stored.Seq)
+	if stored.UID != "" {
+		s.byUID[stored.UID] = stored.Seq
+	}
 	s.stored.Inc()
 
 	// Persist: three records for a first occurrence, two for an additional
-	// identical occurrence under FullHistory (§5.2).
-	if err := s.backing.Put(table, key(t.Seq), stored); err != nil {
+	// identical occurrence under FullHistory (§5.2). The store keeps the keys.
+	var kb [keyCap]byte
+	k := appendKey(kb[:0], stored.Seq)
+	if err := s.backing.Put(table, string(k), &stored); err != nil {
 		return stored, false, err
 	}
-	if err := s.backing.Put(table, key(t.Seq)+"/affected", stored.Affected); err != nil {
+	if err := s.backing.Put(table, string(append(k, suffixAffected...)), (*affectedList)(&stored.Affected)); err != nil {
 		return stored, false, err
 	}
-	if !isRepeat {
-		if err := s.backing.Put(table, key(t.Seq)+"/appdata", stored.AppData); err != nil {
+	if len(existing) == 0 {
+		if err := s.backing.Put(table, string(append(k, suffixAppData...)), appData(stored.AppData)); err != nil {
 			return stored, false, err
 		}
 	}
 	return stored, true, nil
 }
 
-func key(seq int64) string { return fmt.Sprintf("t%08d", seq) }
+// A threat's records are keyed "t%08d" by its sequence number, the threat
+// itself, and that key with a suffix for its affected objects and its
+// application data. keyCap holds the longest: an int64 of 19 digits and the
+// longer suffix.
+const (
+	suffixAffected = "/affected"
+	suffixAppData  = "/appdata"
+	keyCap         = 1 + 19 + len(suffixAffected)
+)
+
+// appendKey appends the key of the threat record seq (seq >= 0) to dst.
+func appendKey(dst []byte, seq int64) []byte {
+	dst = append(dst, 't')
+	for p := int64(10000000); p > 1 && seq < p; p /= 10 {
+		dst = append(dst, '0')
+	}
+	return strconv.AppendInt(dst, seq, 10)
+}
 
 // All returns all stored threats ordered by sequence number.
 func (s *Store) All() []Threat {
@@ -284,25 +322,34 @@ func (s *Store) ByIdentity(ident string) []Threat {
 }
 
 // RemoveIdentity deletes a threat and all identical threats (the
-// "remove the threat and all identical threats" step of §3.3).
-func (s *Store) RemoveIdentity(ident string) int {
+// "remove the threat and all identical threats" step of §3.3) and returns
+// the records it removed, ordered by sequence, taken under the same hold
+// that removed them.
+func (s *Store) RemoveIdentity(ident string) []Threat {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	seqs := s.byIdent[ident]
+	if len(seqs) == 0 {
+		return nil
+	}
 	delete(s.byIdent, ident)
+	removed := make([]Threat, 0, len(seqs))
 	for _, seq := range seqs {
-		if t, ok := s.byID[seq]; ok && t.UID != "" {
+		t := s.byID[seq]
+		removed = append(removed, *t)
+		if t.UID != "" {
 			delete(s.byUID, t.UID)
 		}
 		delete(s.byID, seq)
-	}
-	s.mu.Unlock()
-	for _, seq := range seqs {
-		s.backing.Delete(table, key(seq))
-		s.backing.Delete(table, key(seq)+"/affected")
-		s.backing.Delete(table, key(seq)+"/appdata")
+		// The store keeps no key it deletes: the keys stay on the stack.
+		var kb [keyCap]byte
+		k := appendKey(kb[:0], seq)
+		s.backing.Delete(table, string(k))
+		s.backing.Delete(table, string(append(k, suffixAffected...)))
+		s.backing.Delete(table, string(append(k, suffixAppData...)))
 	}
 	s.removed.Add(int64(len(seqs)))
-	return len(seqs)
+	return removed
 }
 
 // Replicate applies a peer's removals, then its additions, each under this
@@ -323,29 +370,29 @@ func (s *Store) Replicate(removed []string, added []Threat) error {
 // Remove deletes a single threat record by sequence number.
 func (s *Store) Remove(seq int64) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	t, ok := s.byID[seq]
-	if ok {
-		if t.UID != "" {
-			delete(s.byUID, t.UID)
-		}
-		delete(s.byID, seq)
-		ident := t.Identity()
-		seqs := s.byIdent[ident]
-		for i, v := range seqs {
-			if v == seq {
-				s.byIdent[ident] = append(seqs[:i], seqs[i+1:]...)
-				break
-			}
-		}
-		if len(s.byIdent[ident]) == 0 {
-			delete(s.byIdent, ident)
+	if !ok {
+		return
+	}
+	if t.UID != "" {
+		delete(s.byUID, t.UID)
+	}
+	delete(s.byID, seq)
+	ident := t.Identity()
+	seqs := s.byIdent[ident]
+	for i, v := range seqs {
+		if v == seq {
+			s.byIdent[ident] = append(seqs[:i], seqs[i+1:]...)
+			break
 		}
 	}
-	s.mu.Unlock()
-	if ok {
-		s.backing.Delete(table, key(seq))
-		s.removed.Inc()
+	if len(s.byIdent[ident]) == 0 {
+		delete(s.byIdent, ident)
 	}
+	var kb [keyCap]byte
+	s.backing.Delete(table, string(appendKey(kb[:0], seq)))
+	s.removed.Inc()
 }
 
 // Len returns the number of stored threat records.
@@ -358,10 +405,10 @@ func (s *Store) Len() int {
 // Clear drops all stored threats.
 func (s *Store) Clear() {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.byID = make(map[int64]*Threat)
 	s.byIdent = make(map[string][]int64)
 	s.byUID = make(map[string]int64)
-	s.mu.Unlock()
 	s.backing.DropTable(table)
 }
 
@@ -408,12 +455,19 @@ type Handler func(nc *NegotiationContext) Decision
 // static declarative configuration, which is preferred over the
 // application-wide default minimum satisfaction degree (§3.2.1).
 func Negotiate(nc *NegotiationContext, dynamic Handler, defaultMin constraint.Degree) Decision {
+	if dynamic == nil || nc.Constraint.Priority == constraint.NonTradeable {
+		return NegotiateStatic(nc, defaultMin)
+	}
+	return dynamic(nc)
+}
+
+// NegotiateStatic is Negotiate without a dynamic handler. It keeps no
+// reference to nc, so a caller may build the context on its stack and point
+// it at memory that does not outlive the call.
+func NegotiateStatic(nc *NegotiationContext, defaultMin constraint.Degree) Decision {
 	// Non-tradeable constraints reject automatically (§3.2).
 	if nc.Constraint.Priority == constraint.NonTradeable {
 		return Reject
-	}
-	if dynamic != nil {
-		return dynamic(nc)
 	}
 	min := nc.Constraint.MinDegree
 	if min == 0 {

@@ -1,6 +1,7 @@
 package threat
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -120,8 +121,8 @@ func TestRemoveIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	removed := s.RemoveIdentity(sample("C1", "f1").Identity())
-	if removed != 3 {
-		t.Fatalf("removed = %d", removed)
+	if len(removed) != 3 || removed[0].Seq != 1 || removed[2].Seq != 3 {
+		t.Fatalf("removed = %+v", removed)
 	}
 	if s.Len() != 1 {
 		t.Fatalf("len = %d", s.Len())
@@ -290,5 +291,116 @@ func TestStringers(t *testing.T) {
 	}
 	if StorePolicy(0).String() == "" {
 		t.Fatal("unknown policy string empty")
+	}
+}
+
+// TestThreatStoreCosts pins §5.2's cost model, which Figures 5.6 and 5.8
+// measure: a new threat writes its three records, an identical-once repeat
+// folds at the price of exactly one read, and a full-history repeat writes two
+// records.
+func TestThreatStoreCosts(t *testing.T) {
+	for _, c := range []struct {
+		policy              StorePolicy
+		repeatReads, repeat int64
+	}{
+		{IdenticalOnce, 1, 0},
+		{FullHistory, 0, 2},
+	} {
+		backing := persistence.NewStore()
+		s := NewStore(backing, c.policy)
+		cost := func(th Threat) (reads, writes int64) {
+			before := backing.Stats()
+			if _, _, err := s.Add(th); err != nil {
+				t.Fatal(err)
+			}
+			after := backing.Stats()
+			return after.Reads - before.Reads, after.Writes - before.Writes
+		}
+		if r, w := cost(sample("C1", "f1")); r != 0 || w != 3 {
+			t.Errorf("%v: new threat: %d reads, %d writes; want 0, 3", c.policy, r, w)
+		}
+		for i := 0; i < 3; i++ {
+			if r, w := cost(sample("C1", "f1")); r != c.repeatReads || w != c.repeat {
+				t.Errorf("%v: repeat %d: %d reads, %d writes; want %d, %d", c.policy, i, r, w, c.repeatReads, c.repeat)
+			}
+		}
+		if r, w := cost(sample("C1", "f2")); r != 0 || w != 3 {
+			t.Errorf("%v: another identity: %d reads, %d writes; want 0, 3", c.policy, r, w)
+		}
+	}
+}
+
+// TestConcurrentAddAndRemoveIdentity races adders of one identity against
+// removers of it. A removal returns the records it took under the hold that
+// took them, so a clearing transaction's undo can restore exactly those: every
+// record an Add created is either returned by one removal or still in the
+// store, never both and never lost, and the table holds the three records of
+// each threat still in the store and nothing else.
+func TestConcurrentAddAndRemoveIdentity(t *testing.T) {
+	backing := persistence.NewStore()
+	s := NewStore(backing, IdenticalOnce)
+	s.SetOwner("n1")
+	ident := sample("C1", "f1").Identity()
+	const adders, removers, rounds = 4, 2, 200
+	var (
+		mu      sync.Mutex
+		added   = map[int64]bool{}
+		removed = map[int64]int{}
+		wg      sync.WaitGroup
+	)
+	for i := 0; i < adders; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < rounds; j++ {
+				th, isNew, err := s.Add(sample("C1", "f1"))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if isNew {
+					mu.Lock()
+					added[th.Seq] = true
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	for i := 0; i < removers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < rounds; j++ {
+				for _, th := range s.RemoveIdentity(ident) {
+					mu.Lock()
+					removed[th.Seq]++
+					mu.Unlock()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	left := map[int64]bool{}
+	for _, th := range s.All() {
+		left[th.Seq] = true
+	}
+	for seq := range added {
+		if n := removed[seq]; n > 1 || n == 1 && left[seq] || n == 0 && !left[seq] {
+			t.Errorf("record %d: removed %d times, in the store %v", seq, n, left[seq])
+		}
+	}
+	for seq := range removed {
+		if !added[seq] {
+			t.Errorf("record %d removed but never added", seq)
+		}
+	}
+	for seq := range left {
+		if !added[seq] {
+			t.Errorf("record %d in the store but never added", seq)
+		}
+	}
+	if got, want := backing.Len(table), 3*len(left); got != want {
+		t.Errorf("table holds %d records, want %d for %d threats", got, want, len(left))
 	}
 }
