@@ -346,15 +346,19 @@ func (g *Manager) GossipWith(ctx context.Context, peer transport.NodeID) (Exchan
 
 	// Decide per delta entry: adopt tombstones directly, pull everything
 	// whose vector is unknown, divergent, or locally tombstoned (the merge
-	// re-propagates our deletion to the peer in that last case).
-	var want []object.ID
+	// re-creates the object from a newer record, or re-propagates our
+	// deletion to the peer).
+	var want, give []object.ID
 	for id, ent := range reply.Delta {
 		le, have := local[id]
 		switch {
 		case ent.Deleted:
-			// The tombstone wins over any live local state (the same rule
-			// mergeRecords applies); concurrent deletions merge vectors.
-			g.repl.AdoptTombstone(id, ent.VV)
+			// The one replica rule decides: the tombstone buries a live state
+			// it is newer than or concurrent with, and a re-create newer than
+			// it, or another incarnation of the ID, is pushed to the peer.
+			if g.repl.AdoptTombstone(id, ent.VV) {
+				give = append(give, id)
+			}
 		case have && le.Deleted:
 			want = append(want, id)
 		case !have:
@@ -385,9 +389,8 @@ func (g *Manager) GossipWith(ctx context.Context, peer transport.NodeID) (Exchan
 	}
 
 	// Push live entries the peer's filter provably lacks. Entries already in
-	// the delta map were handled by the pull merge (which pushes back our
-	// state when we dominate), so only truly unseen objects ship here.
-	var give []object.ID
+	// the delta map were handled above (the pull merge pushes back our state
+	// when we dominate), so only truly unseen objects join them here.
 	for id, le := range local {
 		if le.Deleted {
 			continue

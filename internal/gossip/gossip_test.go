@@ -325,3 +325,44 @@ func TestGossipDeltaMergePushesBackOneBatch(t *testing.T) {
 		t.Fatalf("the round sent %v, want one %s and one repl.batch for the %d records it dominated", kinds, gossip.MsgPull, len(ids))
 	}
 }
+
+// A tombstone holder and a node that re-created the object after the
+// deletion meet in one exchange, whichever of them opens it: the re-create is
+// newer than the deletion, so it ends live on both (the opener adopts it from
+// the pulled record, or pushes it when the peer's tombstone turns out
+// covered), and the next exchange finds the pair in sync.
+func TestGossipReCreateBeatsTombstone(t *testing.T) {
+	for _, opener := range []int{0, 1} {
+		c := newGossipCluster(t, 2, true)
+		n1, n2 := c.Node(0), c.Node(1)
+		if err := n1.Create("Reg", "f1", object.State{"value": int64(1)}, c.AllReplicas("n1")); err != nil {
+			t.Fatal(err)
+		}
+		if err := n1.Delete("f1"); err != nil {
+			t.Fatal(err)
+		}
+		c.Partition([]transport.NodeID{"n1"}, []transport.NodeID{"n2"})
+		if err := n1.Create("Reg", "f1", object.State{"value": int64(2)}, c.AllReplicas("n1")); err != nil {
+			t.Fatal(err)
+		}
+		c.Heal()
+		if n2.Registry.Has("f1") {
+			t.Fatal("the re-create crossed the partition")
+		}
+		from, to := c.Node(opener), c.Node(1-opener)
+		if _, err := from.Gossip.GossipWith(context.Background(), to.ID); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range c.Nodes {
+			if e, err := n.Registry.Get("f1"); err != nil || e.GetInt("value") != 2 {
+				t.Fatalf("%s opened: %s holds %v, %v; want the re-created value 2", from.ID, n.ID, e, err)
+			}
+		}
+		if err := converged(c, []object.ID{"f1"}); err != nil {
+			t.Fatalf("%s opened: %v", from.ID, err)
+		}
+		if ex, err := from.Gossip.GossipWith(context.Background(), to.ID); err != nil || !ex.InSync {
+			t.Fatalf("%s opened: the next exchange = %+v, %v; want in sync", from.ID, ex, err)
+		}
+	}
+}

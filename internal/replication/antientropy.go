@@ -76,10 +76,11 @@ func (m *Manager) RecordsByID(ids []object.ID) []Record {
 }
 
 // MergeRecords folds peer records into the local replica table through the
-// reconciliation merge: unknown objects are adopted, dominated states are
-// overwritten, dominating states are pushed back to the peer, concurrent
-// lines go through conflict resolution, and records of locally tombstoned
-// objects re-propagate the deletion — what a destination is owed leaving as one
+// reconciliation merge, each record decided by the rule a shipped create
+// meets (decide): unknown objects are adopted, dominated states overwritten,
+// a record newer than the local tombstone re-creates the object, dominating
+// states and tombstones are pushed back to the peer, and concurrent live lines
+// go through conflict resolution — what a destination is owed leaving as one
 // repl.batch before the call returns. nil resolver uses MostUpdatesResolver.
 func (m *Manager) MergeRecords(ctx context.Context, peer transport.NodeID, records []Record, resolve ConflictResolver) (ReconcileReport, error) {
 	if ctx == nil {
@@ -97,14 +98,18 @@ func (m *Manager) MergeRecords(ctx context.Context, peer transport.NodeID, recor
 	return report, err
 }
 
-// AdoptTombstone applies a remotely learned deletion locally, as the delete
-// op of a batch would: the tombstone wins over any live replica state — the
-// same deterministic rule mergeRecords applies when a record meets a local
-// tombstone — and vectors of concurrent deletions merge, so tombstone sets
-// converge regardless of exchange order.
-func (m *Manager) AdoptTombstone(id object.ID, vv VersionVector) {
+// AdoptTombstone applies a remotely learned deletion locally as the delete op
+// of a batch does (decide): it buries a replica it is newer than or concurrent
+// with, merging the vectors of concurrent sides, and is a duplicate where the
+// local vector or tombstone covers it; a live replica it shares no event with
+// is another incarnation, which it leaves. It reports whether the local
+// replica is owed to the peer: a re-create it has not seen, or another
+// incarnation.
+func (m *Manager) AdoptTombstone(id object.ID, vv VersionVector) (owed bool) {
 	var res [1]opResult
-	_, _ = m.applyOps([]batchOp{{Kind: opDelete, ID: id, VV: vv}}, res[:0])
+	var d decision
+	_, _ = m.applyOps([]batchOp{{Kind: opDelete, ID: id, VV: vv}}, res[:0], &d)
+	return d.owed == opApply
 }
 
 // TombstoneCount reports how many deletions the node remembers — the chaos

@@ -200,15 +200,16 @@ func TestBatchDuplicateDeliveryIdempotent(t *testing.T) {
 	if got := dst.batchSkipped.Load() - skippedBefore; got != 0 {
 		t.Fatalf("replication.batch.skipped delta = %d, want 0 (a duplicate is not skipped)", got)
 	}
-	if res, err := dst.applyOps(batch.Ops, nil); err != nil || !slices.Equal(res, []opResult{opDuplicate, opDuplicate}) {
+	if res, err := dst.applyOps(batch.Ops, nil, nil); err != nil || !slices.Equal(res, []opResult{opDuplicate, opDuplicate}) {
 		t.Fatalf("redelivered create and apply = %v, %v; want both duplicate", res, err)
 	}
 
 	// A redelivered delete keeps the object tombstoned: the first drops the
-	// replica, every later one is a duplicate.
-	del := []batchOp{{Kind: opDelete, ID: "f2", VV: vv2}}
+	// replica, every later one is a duplicate. A deletion is an event, so its
+	// vector is the replica's bumped, as Delete ships it.
+	del := []batchOp{{Kind: opDelete, ID: "f2", VV: vv2.Bumped("n1")}}
 	for round, want := range []opResult{opApplied, opDuplicate, opDuplicate} {
-		if res, err := dst.applyOps(del, nil); err != nil || !slices.Equal(res, []opResult{want}) {
+		if res, err := dst.applyOps(del, nil, nil); err != nil || !slices.Equal(res, []opResult{want}) {
 			t.Fatalf("delete delivery %d = %v, %v; want %v", round+1, res, err, want)
 		}
 		if h.node("n2").reg.Has("f2") {
@@ -395,7 +396,9 @@ func (env *nodeEnv) dump(t *testing.T) string {
 // skipped), a delete of a known and of an unknown object — and, before it, a
 // batch with a malformed kind. The replica table, tombstones, stored bytes,
 // ack and error texts are the ones recorded from the closure-based handler
-// before the effects became value records.
+// before the effects became value records, with one exception: a create that
+// installs over a known object stores the vector it installs, as an apply
+// does, where it used to leave the stored one (`store a {"n1":1}`).
 func TestBatchMixedEffectsMatchRecorded(t *testing.T) {
 	h := newHarness(t, 2, PrimaryPerPartition{})
 	dst := h.node("n2")
@@ -454,7 +457,7 @@ replica d Flight v1 {"sold":5} {"n1":1} home=n1 [n1 n2] registry=true
 replica outside  v0 null {"n1":2} home=n1 [n1] registry=false
 tombstone c {"n1":3,"n2":2}
 tombstone never {"n1":1}
-store a {"n1":1}
+store a {"n1":2,"n3":1}
 store b {"n1":2}
 store d {"n1":1}
 store outside {"n1":2}
@@ -492,9 +495,11 @@ func delta(before, after string) string {
 // (TestRepairBatchEqualsOneOpBatches: K of them in one batch do what they do
 // one by one). The change to replica table, registry, tombstones and stored
 // bytes is the one recorded from handleBatch at the parent of the commit that
-// retired those handlers, with one named exception: a delete meeting an
+// retired those handlers, with two named exceptions: a delete meeting an
 // existing tombstone merges the two vectors where it used to overwrite
-// (recorded there: `+tombstone gone {"n3":1}`). Each op's result is what
+// (recorded there: `+tombstone gone {"n3":1}`), and a create installing over
+// a known object stores its vector, as an apply does (recorded there without
+// the store lines). Each op's result is what
 // handleBatch's ack reports of it: applied and duplicate land, the rest are
 // skipped. A create or a delete that adds nothing to what the replica holds
 // is a duplicate (it was counted applied before the ack listed results).
@@ -522,7 +527,9 @@ func TestBatchOneOpCasesMatchRecorded(t *testing.T) {
 `},
 		{"create known", create("a", 11, 3, VersionVector{{Node: "n1", Count: 2}, {Node: "n3", Count: 1}}, info), applied,
 			`-replica a Flight v1 {"sold":1} {"n1":1} home=n1 [n1 n2] registry=true
+-store a {"n1":1}
 +replica a Flight v3 {"sold":11} {"n1":2,"n3":1} home=n1 [n1 n2] registry=true
++store a {"n1":2,"n3":1}
 `},
 		{"create non-replica", create("out", 4, 1, VersionVector{{Node: "n1", Count: 1}}, Info{Home: "n1", Replicas: []transport.NodeID{"n1"}}), applied,
 			`+replica out  v0 null {"n1":1} home=n1 [n1] registry=false
@@ -572,7 +579,7 @@ func TestBatchOneOpCasesMatchRecorded(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := dst.dump(t)
-			res, err := dst.mgr.applyOps([]batchOp{tc.op}, nil)
+			res, err := dst.mgr.applyOps([]batchOp{tc.op}, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -1,12 +1,14 @@
 package replication
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"sync"
 	"testing"
 
 	"dedisys/internal/object"
+	"dedisys/internal/transport"
 )
 
 // These tests hold applyOps to "decide and install under one lock": whatever
@@ -108,7 +110,8 @@ func TestStaleCreateKeepsNewerState(t *testing.T) {
 // TestDeliveryOrderDoesNotMatter is the sequential net under the concurrent
 // tests: the create, then applies 2…5 in every order, then the whole sequence
 // a second time (duplicates, the stale create included) always ends on the
-// same replica table, registry and stored bytes.
+// same replica table, registry and stored bytes. TestReplicaRuleExhaustive
+// generalises it to deletes, re-creates and two coordinators.
 func TestDeliveryOrderDoesNotMatter(t *testing.T) {
 	const want = `replica o Flight v5 {"sold":5} {"n1":5} home=n1 [n1 n2] registry=true
 store o {"n1":5}
@@ -134,6 +137,84 @@ store o {"n1":5}
 		}
 	}
 	permute([]int64{1}, []int64{2, 3, 4, 5})
+}
+
+// TestStaleCreateStaysDeleted: a deletion {n1:2} that overtook the create
+// {n1:1} it follows covers it. The straggler create is a duplicate and brings
+// nothing back; it used to drop the tombstone and revive the object at {n1:1}.
+func TestStaleCreateStaysDeleted(t *testing.T) {
+	h := newHarness(t, 2, PrimaryPerPartition{})
+	dst := h.node("n2")
+	dst.deliver(t, batchOp{Kind: opDelete, ID: "f1", VV: VersionVector{{Node: "n1", Count: 2}}})
+	dst.deliver(t, h.soldOp("f1", 1))
+	if got, want := dst.dump(t), "tombstone f1 {\"n1\":2}\n"; got != want {
+		t.Fatalf("after the delete and its stale create:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestCommittedReCreateSurvivesReconciliation: n1 deletes f1, n2 applies the
+// deletion, and then n1 re-creates f1 in a partition n2 is not in. Whichever
+// node runs the reconciliation, both end with the re-created object: it is
+// newer than the deletion. It used to be deleted on both when n2 ran it.
+func TestCommittedReCreateSurvivesReconciliation(t *testing.T) {
+	for _, puller := range []transport.NodeID{"n1", "n2"} {
+		h := newHarness(t, 2, PrimaryPerPartition{})
+		h.create(t, "n1", "Flight", "f1", object.State{"sold": int64(1)})
+		env := h.node("n1")
+		txn := env.txm.Begin()
+		if err := env.mgr.Delete(txn, "f1"); err != nil {
+			t.Fatal(err)
+		}
+		if err := txn.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		h.net.Partition([]transport.NodeID{"n1"}, []transport.NodeID{"n2"})
+		h.create(t, "n1", "Flight", "f1", object.State{"sold": int64(2)})
+		h.net.Heal()
+		peer := transport.NodeID("n1")
+		if puller == "n1" {
+			peer = "n2"
+		}
+		if _, err := h.node(puller).mgr.ReconcileWith(context.Background(), []transport.NodeID{peer}, nil); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range h.ids {
+			if e, err := h.node(id).reg.Get("f1"); err != nil || e.GetInt("sold") != 2 {
+				t.Fatalf("%s pulled: %s holds %v, %v; want the re-created sold=2", puller, id, e, err)
+			}
+		}
+		if a, b := h.node("n1").table(t), h.node("n2").table(t); a != b {
+			t.Fatalf("%s pulled: n1 holds\n%s\nn2 holds\n%s", puller, a, b)
+		}
+	}
+}
+
+// TestDeleteKeepsTheVectorItMet: n1's deletion {n1:2} meets a replica live at
+// {n1:1,n3:1}, a write it never saw. Shipped in a batch or re-propagated by a
+// merge, it leaves the same tombstone, both vectors merged; the batch used to
+// leave the deletion's own {n1:2}.
+func TestDeleteKeepsTheVectorItMet(t *testing.T) {
+	h := newHarness(t, 3, PrimaryPerPartition{})
+	met := VersionVector{{Node: "n1", Count: 1}, {Node: "n3", Count: 1}}
+	del := batchOp{Kind: opDelete, ID: "f1", VV: VersionVector{{Node: "n1", Count: 2}}}
+	const want = "tombstone f1 {\"n1\":2,\"n3\":1}\n"
+
+	shipped := h.node("n2")
+	shipped.deliver(t, h.soldOp("f1", 1), batchOp{Kind: opApply, ID: "f1", State: object.State{"sold": int64(3)}, Version: 2, VV: met})
+	shipped.deliver(t, del)
+	if got := shipped.dump(t); got != want {
+		t.Errorf("shipped deletion leaves:\n%s\nwant:\n%s", got, want)
+	}
+
+	merged := h.node("n1")
+	merged.deliver(t, del)
+	rec := Record{ID: "f1", Class: "Flight", State: object.State{"sold": int64(3)}, Version: 2, VV: met, Info: Info{Home: "n1", Replicas: h.ids}}
+	if _, err := merged.mgr.MergeRecords(context.Background(), "n3", []Record{rec}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := merged.dump(t); got != want {
+		t.Errorf("merged deletion leaves:\n%s\nwant:\n%s", got, want)
+	}
 }
 
 // TestRecordsDuringLocalWrites: a reconcile pull or a gossip delta exports the

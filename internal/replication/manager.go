@@ -185,7 +185,7 @@ type Manager struct {
 	conflicts    *obs.Counter
 	batchSize    *obs.Counter // objects shipped through batched rounds
 	batchRounds  *obs.Counter // commit-time multicast rounds issued
-	batchSkipped *obs.Counter // shipped ops a replica skipped (duplicate, older, concurrent, unknown object)
+	batchSkipped *obs.Counter // shipped ops that did not land at a replica (concurrent, buried, unknown object)
 	propErrors   *obs.Counter // per-object/per-destination propagation failures
 	pullParallel *obs.Counter // reconciliation passes that pulled >1 peer concurrently
 	quorumRounds *obs.Counter // commit rounds shipped with threshold-return semantics
@@ -581,8 +581,8 @@ func (m *Manager) Create(t *tx.Tx, e *object.Entity, info Info) error {
 	}
 	m.mu.Lock()
 	// Re-creating a deleted ID continues its history: a vector restarted at
-	// zero would sit under the one the other replicas still hold, and the
-	// next reconciliation would revert the creation.
+	// zero would sit under the tombstone the other replicas hold, and they
+	// would take the creation for a duplicate (decide).
 	tomb, recreated := m.tombstones[id]
 	vv := VersionVector{{Node: m.self}}
 	if recreated {
@@ -613,7 +613,9 @@ func (m *Manager) Delete(t *tx.Tx, id object.ID) error {
 	info := rs.info
 	vv := rs.vv
 	delete(m.meta, id)
-	m.tombstones[id] = vv
+	// The deletion is an event: a re-create after it and a write it never
+	// saw then reach vectors that tell them apart (decide).
+	m.tombstones[id] = vv.Bumped(m.self)
 	m.mu.Unlock()
 
 	if info.HasReplica(m.self) {
@@ -1200,19 +1202,24 @@ func (m *Manager) handleBatch(from transport.NodeID, payload any) (any, error) {
 		return nil, fmt.Errorf("replication: bad batch payload %T", payload)
 	}
 	var buf [8]opResult // a write's batch fits
-	res, err := m.applyOps(ops, buf[:0])
+	res, err := m.applyOps(ops, buf[:0], nil)
 	if err == nil && th != nil && m.threats != nil {
 		err = m.threats.Replicate(th.Removed, th.Added)
 	}
 	if err != nil {
 		return nil, err
 	}
+	skipped := 0
 	for _, c := range res {
 		if !c.landed() {
-			return &batchAck{Results: append([]opResult(nil), res...)}, nil
+			skipped++
 		}
 	}
-	return ackAll, nil
+	if skipped == 0 {
+		return ackAll, nil
+	}
+	m.batchSkipped.Add(int64(skipped))
+	return &batchAck{Results: append([]opResult(nil), res...)}, nil
 }
 
 // ApplyForwarded applies the batch a coordinator handed back in its reply to
@@ -1226,145 +1233,186 @@ func (m *Manager) ApplyForwarded(from transport.NodeID, apply any) {
 	}
 }
 
-// applyOps is the one place a replica decides what a shipped operation does
-// — create, merge into a known object, apply, skip, or tombstone — and the one
-// place it does it: the ops are validated before anything mutates (a
-// malformed op rejects them all with no state change), and then everything a
-// reader or a reconcile pull can see changes under a single hold of the
-// replica lock — each op's version-vector decision, the entity install of an
-// accepted apply, the registry entry of a new or deleted object — so a vector
-// never says "current" over a state that is not, two batches for one object
-// install in the order of their vectors, and a pull sees a batch's states and
-// vectors all-or-nothing. What must not run under a node-wide mutex follows
-// the unlock, for the ops flagged under it: the replica-meta store write
-// (which charges simulated time) and the estimator's observe callback. Each
-// op is idempotent — duplicate deliveries are skipped by version-vector
-// comparison, a create that adds nothing to a known object installs nothing,
-// duplicate deletes merge into the tombstone — so a redelivered batch is
-// harmless. Each op's result is appended to res, which the caller sizes: a
-// stack array holds a write's batch. Per-object staleness semantics
-// (PossiblyStale, degraded-mode history on the coordinator) are untouched:
-// the batch is a wire format, not a protocol change.
-func (m *Manager) applyOps(ops []batchOp, res []opResult) ([]opResult, error) {
+// decision is what one incoming op does to a replica (decide). The effect is
+// the op the replica carries out on itself — a create, an apply (install) or
+// a delete (bury) — or none.
+type decision struct {
+	eff  opKind
+	vv   VersionVector // the vector the replica holds after it
+	res  opResult
+	owed opKind // what the replica owes the op's sender when newer or of another incarnation: opApply (its state), opDelete (its tombstone) or none
+}
+
+// decide is the one rule of what an op does to a replica that holds have —
+// nothing, a live replica (opApply) or a tombstone (opDelete) — at vector
+// local: a shipped op (applyOps), a pulled record (mergeRecords, as the create
+// it would ship) and a gossiped tombstone (AdoptTombstone) meet it and nothing
+// else. A deletion is an event of its own (Delete bumps the vector), so a
+// re-create after it and a write it never saw can be told apart:
+//   - an op the replica's vector or tombstone covers is a duplicate, and a
+//     strictly newer replica is owed to the sender;
+//   - a strictly newer op wins: a delete buries the replica, a live op
+//     installs, or creates over a tombstone (a re-create);
+//   - two concurrent live sides are concurrent: reconciliation's conflict;
+//   - a deletion wins over a concurrent side that shares an event with it,
+//     with both vectors merged. A live side that shares none is another
+//     incarnation of the ID, created where the deletion was never seen: a
+//     create is created under the merged vector, a live replica skips the
+//     delete, and either is owed to the sender;
+//   - an absent object is created or buried. An apply whose create the
+//     replica lacks — absent, or newer than its tombstone — is unknown.
+func decide(have opKind, local VersionVector, kind opKind, vv VersionVector) decision {
+	if have == 0 {
+		if kind == opApply {
+			return decision{res: opUnknown}
+		}
+		return decision{eff: kind, vv: vv}
+	}
+	cmp, comparable := vv.Compare(local)
+	switch {
+	case comparable && cmp < 0:
+		return decision{vv: local, res: opDuplicate, owed: have}
+	case comparable && cmp == 0:
+		return decision{vv: local, res: opDuplicate}
+	case comparable && kind == opDelete:
+		return decision{eff: opDelete, vv: vv}
+	case comparable && have == opApply:
+		return decision{eff: opApply, vv: vv}
+	case comparable && kind == opCreate:
+		return decision{eff: opCreate, vv: vv}
+	case comparable:
+		return decision{res: opUnknown}
+	case kind != opDelete && have != opDelete:
+		return decision{res: opConcurrent}
+	}
+	// A deletion and a concurrent side: a node both count is counted once in
+	// the merged vector, so its total falls short of the two when they share
+	// an event.
+	merged := vv.Merged(local)
+	switch {
+	case kind == have || merged.Total() < vv.Total()+local.Total():
+		return decision{eff: opDelete, vv: merged, owed: opDelete}
+	case kind == opCreate:
+		return decision{eff: opCreate, vv: merged, owed: opApply}
+	case kind == opDelete:
+		return decision{vv: local, res: opConcurrent, owed: opApply}
+	}
+	return decision{res: opUnknown}
+}
+
+// decideLocked decides the op against what the replica holds of its object;
+// callers hold m.mu.
+func (m *Manager) decideLocked(op *batchOp) decision {
+	if rs, ok := m.meta[op.ID]; ok {
+		return decide(opApply, rs.vv, op.Kind, op.VV)
+	}
+	if tomb, ok := m.tombstones[op.ID]; ok {
+		return decide(opDelete, tomb, op.Kind, op.VV)
+	}
+	return decide(0, nil, op.Kind, op.VV)
+}
+
+// applyOps is the one place a replica carries out what decide says shipped
+// operations do — create, install, skip or tombstone: the ops are validated
+// before anything mutates (a malformed op rejects them all with no state
+// change), and then everything a reader or a reconcile pull can see changes
+// under a single hold of the replica lock — each op's decision, the entity
+// install, the registry entry of a new or deleted object — so a vector never
+// says "current" over a state that is not, two batches for one object install
+// in the order of their vectors, and a pull sees a batch's states and vectors
+// all-or-nothing. What must not run under a node-wide mutex follows the
+// unlock: the replica-meta store write (which charges simulated time) and an
+// install's estimator observation. An op the replica already covers changes
+// nothing, so a redelivered batch is harmless. Each op's result is appended to
+// res, which the caller sizes (a stack array holds a write's batch); when last
+// is not nil it receives the last op's decision, which a one-op caller reads.
+func (m *Manager) applyOps(ops []batchOp, res []opResult, last *decision) ([]opResult, error) {
 	for i := range ops {
 		if op := &ops[i]; !op.Kind.known() {
 			return nil, fmt.Errorf("replication: bad batch op kind %d for %s", op.Kind, op.ID)
 		}
 	}
-	// One flag per op: it changed what the replica-meta table must hold, so
-	// its store write (and an apply's observation) is due after the unlock.
-	// A write's batch fits the stack-backed array.
-	var buf [8]bool
-	after := buf[:0]
-	skipped := 0
+	// Per op, the effect whose store write is due after the unlock: a burial
+	// that dropped no replica and a create that failed have none. A write's
+	// batch fits the stack-backed array.
+	var buf [8]opKind
+	due := buf[:0]
+	var own []VersionVector // per op, the vector a create over another incarnation's tombstone stores
 	var errs []error
 	m.mu.Lock()
 	for i := range ops {
-		ok, c := false, opApplied
-		switch op := &ops[i]; op.Kind {
-		case opCreate:
-			if rs, known := m.meta[op.ID]; known {
-				// The replica has the object. A straggler create whose vector
-				// the local one already covers must not bring its state back;
-				// one that adds to it merges, and as ever stores nothing.
-				if cmp, comparable := op.VV.Compare(rs.vv); !comparable || cmp > 0 {
-					rs.vv = rs.vv.Merged(op.VV)
-					m.installLocked(op.ID, op.State, op.Version)
-				} else {
-					c = opDuplicate
-				}
-			} else {
-				m.meta[op.ID] = &replicaState{info: op.Info, vv: op.VV}
-				delete(m.tombstones, op.ID)
-				ok = true
-				if op.Info.HasReplica(m.self) {
-					e := object.New(op.Class, op.ID, nil)
-					e.Restore(op.State, op.Version)
-					if err := m.registry.Add(e); err != nil {
-						errs = append(errs, fmt.Errorf("replication: batch create: %w", err))
-						ok = false
-					}
-				}
-			}
+		op := &ops[i]
+		d := m.decideLocked(op)
+		eff := d.eff
+		switch eff {
 		case opApply:
-			rs, known := m.meta[op.ID]
-			if !known {
-				c = opUnknown // missed the create; reconciliation catches up
-				break
+			m.meta[op.ID].vv = d.vv
+			m.installLocked(op.ID, op.State, op.Version)
+		case opCreate:
+			m.meta[op.ID] = &replicaState{info: op.Info, vv: d.vv}
+			delete(m.tombstones, op.ID)
+			if d.owed == opApply {
+				if own == nil {
+					own = make([]VersionVector, len(ops))
+				}
+				own[i] = d.vv
 			}
-			switch cmp, comparable := op.VV.Compare(rs.vv); {
-			case !comparable:
-				c = opConcurrent // reconciliation resolves the conflict
-			case cmp <= 0:
-				c = opDuplicate // equal or older: ignore (idempotence)
-			default:
-				rs.vv = op.VV
-				m.installLocked(op.ID, op.State, op.Version)
-				ok = true
+			if op.Info.HasReplica(m.self) {
+				e := object.New(op.Class, op.ID, nil)
+				e.Restore(op.State, op.Version)
+				if err := m.registry.Add(e); err != nil {
+					errs = append(errs, fmt.Errorf("replication: batch create: %w", err))
+					eff = 0
+				}
 			}
 		case opDelete:
-			dropped, covered := m.tombstone(op.ID, op.VV)
-			if dropped {
+			if _, dropped := m.meta[op.ID]; dropped {
+				delete(m.meta, op.ID)
 				_ = m.registry.Remove(op.ID)
-				ok = true
-			} else if covered {
-				c = opDuplicate
+			} else {
+				eff = 0 // no replica, so no stored record to drop
 			}
+			m.tombstones[op.ID] = d.vv
 		}
-		if !c.landed() {
-			skipped++
+		if last != nil {
+			*last = d
 		}
-		after = append(after, ok)
-		res = append(res, c)
+		due = append(due, eff)
+		res = append(res, d.res)
 	}
 	m.mu.Unlock()
-	m.batchSkipped.Add(int64(skipped))
-	for i, ok := range after {
-		if !ok {
-			continue
-		}
+	for i, eff := range due {
 		// Backups persist replica details too (update applied within the
 		// primary's transaction in the prototype, §4.3).
 		op := &ops[i]
-		if op.Kind == opDelete {
+		switch eff {
+		case 0:
+			continue
+		case opDelete:
 			m.store.Delete(tableReplicaMeta, string(op.ID))
 			continue
-		}
-		if op.Kind == opApply {
+		case opApply:
 			m.observe(op.ID)
 		}
-		if err := m.store.Put(tableReplicaMeta, string(op.ID), &op.VV); err != nil {
+		vv := &op.VV
+		if own != nil && own[i] != nil {
+			vv = &own[i]
+		}
+		if err := m.store.Put(tableReplicaMeta, string(op.ID), vv); err != nil {
 			errs = append(errs, err)
 		}
 	}
 	return res, errors.Join(errs...)
 }
 
-// installLocked hands a shipped state to the local entity, if this node hosts
-// one (a metadata-only holder does not); callers hold m.mu, which is what
-// orders one object's installs like their vectors.
+// installLocked hands a shipped state and its version to the local entity, if
+// this node hosts one (a metadata-only holder does not); callers hold m.mu,
+// which is what orders one object's installs like their vectors. A re-create
+// restarts the version, so the replica takes the shipped one as it is.
 func (m *Manager) installLocked(id object.ID, st object.State, version int64) {
 	if e, err := m.registry.Get(id); err == nil {
-		e.ApplyState(st, version)
+		e.Restore(st, version)
 	}
-}
-
-// tombstone records a deletion learned from a peer and reports whether a
-// live replica was dropped for it and whether the tombstone it already held
-// covered the deletion's vector; callers hold m.mu. The tombstone wins over
-// any live replica state, and vectors of concurrent deletions merge, so
-// tombstone sets converge regardless of delivery order.
-func (m *Manager) tombstone(id object.ID, vv VersionVector) (dropped, covered bool) {
-	_, dropped = m.meta[id]
-	delete(m.meta, id)
-	if old, ok := m.tombstones[id]; ok {
-		cmp, comparable := vv.Compare(old)
-		covered = comparable && cmp <= 0
-		m.tombstones[id] = old.Merged(vv)
-	} else {
-		m.tombstones[id] = vv
-	}
-	return dropped, covered
 }
 
 func (m *Manager) handleFetch(from transport.NodeID, payload any) (any, error) {

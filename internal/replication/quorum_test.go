@@ -204,9 +204,9 @@ func TestQuorumDuplicateBatchIdempotent(t *testing.T) {
 	h := newHarness(t, 3, Quorum{})
 	h.create(t, "n1", "Flight", "f1", object.State{"sold": int64(70)})
 	// Let the create's straggler reach n2 before writing: a write batch that
-	// overtakes it is skipped there as an unknown object yet still acked
-	// (ROADMAP item 3(a)), and the first "redelivery" below would then be the
-	// real apply.
+	// overtakes it is skipped there as an unknown object, which is no quorum
+	// ack (ROADMAP item 1), and the first "redelivery" below would then be
+	// the real apply.
 	h.node("n1").mgr.WaitPropagation()
 	h.write(t, "n1", "f1", "sold", int64(77))
 	h.node("n1").mgr.WaitPropagation()

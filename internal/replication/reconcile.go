@@ -180,65 +180,27 @@ func (r *repairRound) Drained() {}
 
 // mergeRecords folds one peer's replica table into the local one and stages
 // what the merge finds the peers are owed; peer is the one-element slice of
-// the peer.
+// the peer. Each record is decided under the replica lock as the create it
+// would ship (decide): adopted, skipped, or buried under a concurrent
+// tombstone of its incarnation. A strictly newer local side is owed to the
+// peer — our state, or our tombstone — and two concurrent live sides are a
+// write-write conflict.
 func (m *Manager) mergeRecords(peer []transport.NodeID, records []Record, resolve ConflictResolver, report *ReconcileReport, out *repairs) error {
-	var res [1]opResult // what an adoption's one op did
+	var res [1]opResult
+	var one [1]batchOp // every record's op: the store write makes it escape
 	for _, rec := range records {
-		m.mu.Lock()
-		if tomb, dead := m.tombstones[rec.ID]; dead {
-			// We deleted the object; re-propagate the deletion. The tombstone
-			// absorbs the peer's live vector first, so both sides end up
-			// holding the same one.
-			tomb = tomb.Merged(rec.VV)
-			m.tombstones[rec.ID] = tomb
-			m.mu.Unlock()
-			out.stage(peer, batchOp{Kind: opDelete, ID: rec.ID, VV: tomb})
-			continue
+		var d decision
+		op := &one[0]
+		*op = batchOp{Kind: opCreate, ID: rec.ID, Class: rec.Class, State: rec.State, Version: rec.Version, VV: rec.VV, Info: rec.Info}
+		if _, err := m.applyOps(one[:], res[:0], &d); err != nil {
+			return err
 		}
-		rs, known := m.meta[rec.ID]
-		var local VersionVector
-		if known {
-			local = rs.vv
-		}
-		m.mu.Unlock()
-
-		if !known {
-			// Object created in the other partition: adopt it.
-			create := batchOp{Kind: opCreate, ID: rec.ID, Class: rec.Class, State: rec.State, Version: rec.Version, VV: rec.VV, Info: rec.Info}
-			if _, err := m.applyOps([]batchOp{create}, res[:0]); err != nil {
-				return err
-			}
-			report.Created++
-			continue
-		}
-
-		cmp, comparable := rec.VV.Compare(local)
 		switch {
-		case comparable && cmp > 0:
-			// Peer dominates: adopt its state — an apply like any other,
-			// decided again under the replica lock, so a local commit that
-			// landed since the comparison above is not overwritten.
-			got, err := m.applyOps([]batchOp{{Kind: opApply, ID: rec.ID, State: rec.State, Version: rec.Version, VV: rec.VV}}, res[:0])
-			if err != nil {
-				return err
-			}
-			if got[0] == opApplied {
-				report.Adopted++
-			}
-		case comparable && cmp < 0:
-			// We dominate: the peer is owed our state. One that dropped the
-			// object in the meantime skips it, as it would a commit's apply.
-			var op batchOp
-			if _, err := m.localOp(rec.ID, opApply, false, &op); err != nil {
-				return err
-			}
-			if out.stage(peer, op) {
-				report.Pushed++
-			}
-		case comparable:
-			// Equal: already consistent.
-		default:
-			// Concurrent: write-write conflict.
+		case d.eff == opCreate:
+			report.Created++
+		case d.eff == opApply:
+			report.Adopted++
+		case d.res == opConcurrent:
 			report.Conflicts++
 			report.ConflictIDs = append(report.ConflictIDs, rec.ID)
 			m.conflicts.Inc()
@@ -248,6 +210,19 @@ func (m *Manager) mergeRecords(peer []transport.NodeID, records []Record, resolv
 			if err := m.resolveConflict(rec, resolve, out); err != nil {
 				return err
 			}
+		}
+		switch d.owed {
+		case opApply:
+			// One that dropped the object in the meantime decides our apply
+			// against its tombstone, as it would a commit's.
+			if _, err := m.localOp(rec.ID, opApply, false, op); err != nil {
+				return err
+			}
+			if out.stage(peer, *op) {
+				report.Pushed++
+			}
+		case opDelete:
+			out.stage(peer, batchOp{Kind: opDelete, ID: rec.ID, VV: d.vv})
 		}
 	}
 	return nil

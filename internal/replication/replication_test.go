@@ -440,8 +440,9 @@ func TestReconciliationAdoptsObjectsCreatedElsewhere(t *testing.T) {
 
 // TestReconciliationRePropagatesDeletes deletes an object in one partition
 // while the other keeps writing it. One pass after the heal the deletion has
-// won on both sides, and both hold the same tombstone vector — the deleter's
-// merged with the peer's live one — so a gossip digest finds them in sync.
+// won on both sides, and both hold the same tombstone vector — the deletion
+// event's, {n1:2}, merged with the peer's live {n1:1,n2:1} — so a gossip
+// digest finds them in sync.
 func TestReconciliationRePropagatesDeletes(t *testing.T) {
 	h := newHarness(t, 2, PrimaryPerPartition{})
 	h.create(t, "n1", "Flight", "f1", object.State{"sold": int64(0)})
@@ -469,16 +470,16 @@ func TestReconciliationRePropagatesDeletes(t *testing.T) {
 	if cmp, ok := d1.VV.Compare(d2.VV); !ok || cmp != 0 {
 		t.Fatalf("tombstone vectors differ after one pass: n1 %v, n2 %v", d1.VV, d2.VV)
 	}
-	if want := (VersionVector{{Node: "n1", Count: 1}, {Node: "n2", Count: 1}}); !reflect.DeepEqual(d1.VV, want) {
+	if want := (VersionVector{{Node: "n1", Count: 2}, {Node: "n2", Count: 1}}); !reflect.DeepEqual(d1.VV, want) {
 		t.Fatalf("tombstone vector = %v, want %v", d1.VV, want)
 	}
 }
 
 // TestReconciliationPushToDroppedObjectSkipped merges a peer's records after
 // the peer dropped one of the objects in the meantime: the push of the
-// dominating local state is skipped there, as a commit-time apply for an
-// unknown object is, instead of failing the pass midway — the records after
-// it still merge.
+// dominating local state meets the peer's tombstone there, whose concurrent
+// deletion wins as it would over a commit-time apply (decide), instead of
+// failing the pass midway — the records after it still merge.
 func TestReconciliationPushToDroppedObjectSkipped(t *testing.T) {
 	h := newHarness(t, 2, PrimaryPerPartition{})
 	h.create(t, "n1", "Flight", "f1", object.State{"sold": int64(1)})

@@ -372,3 +372,68 @@ func TestSharedReplicaSlicesAreGuarded(t *testing.T) {
 		t.Fatal("degraded result shares the replica slice")
 	}
 }
+
+// TestOutsiderReCreatesDeletedObject: an object deleted in its group and
+// created again by a node outside the group, which never saw the deletion,
+// is live on every replica. The outsider's create shares no event with the
+// group's tombstone — another incarnation of the ID — so it is created under
+// the merged vector. A replica that had lost the tombstone (a restart) keeps
+// the object when the tombstone reaches it, and one reconciliation brings it
+// the merged vector.
+func TestOutsiderReCreatesDeletedObject(t *testing.T) {
+	ring, _ := shardRing(t, 6, 2, 3)
+	h := newHarness(t, 6, PrimaryPerPartition{}, func(cfg *Config) { cfg.Placement = ring })
+	oid := idInGroup(t, ring, 0)
+	_, replicas := ring.Place(oid)
+	h.create(t, replicas[0], "Flight", oid, object.State{"sold": int64(70)})
+	deleter := h.node(replicas[0])
+	txn := deleter.txm.Begin()
+	if err := deleter.mgr.Delete(txn, oid); err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	deleter.mgr.mu.Lock()
+	tomb := deleter.mgr.tombstones[oid]
+	deleter.mgr.mu.Unlock()
+	restarted := h.node(replicas[2]).mgr
+	restarted.mu.Lock()
+	delete(restarted.tombstones, oid)
+	restarted.mu.Unlock()
+
+	outsider := nodeOutsideAllGroups(t, ring, h.ids)
+	h.create(t, outsider, "Flight", oid, object.State{"sold": int64(9)})
+	if owed := restarted.AdoptTombstone(oid, tomb); !owed {
+		t.Fatal("the re-created replica is not owed to the tombstone's sender")
+	}
+	if _, err := restarted.ReconcileWith(context.Background(), replicas[:1], nil); err != nil {
+		t.Fatal(err)
+	}
+	var want VersionVector
+	for _, id := range replicas {
+		env := h.node(id)
+		e, err := env.reg.Get(oid)
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		if got := e.GetInt("sold"); got != 9 {
+			t.Fatalf("%s: sold = %d, want 9", id, got)
+		}
+		if got := env.mgr.batchSkipped.Load(); got != 0 {
+			t.Fatalf("%s skipped %d ops", id, got)
+		}
+		env.mgr.mu.Lock()
+		vv, held := env.mgr.meta[oid].vv, env.mgr.tombstones[oid]
+		env.mgr.mu.Unlock()
+		if held != nil {
+			t.Fatalf("%s keeps the tombstone %v beside the live replica", id, held)
+		}
+		if want == nil {
+			want = vv
+		}
+		if cmp, ok := vv.Compare(tomb); !ok || cmp <= 0 || !reflect.DeepEqual(vv, want) {
+			t.Fatalf("%s holds %v, want %v above the tombstone %v", id, vv, want, tomb)
+		}
+	}
+}

@@ -341,12 +341,7 @@ func (s *Store) RemoveIdentity(ident string) []Threat {
 			delete(s.byUID, t.UID)
 		}
 		delete(s.byID, seq)
-		// The store keeps no key it deletes: the keys stay on the stack.
-		var kb [keyCap]byte
-		k := appendKey(kb[:0], seq)
-		s.backing.Delete(table, string(k))
-		s.backing.Delete(table, string(append(k, suffixAffected...)))
-		s.backing.Delete(table, string(append(k, suffixAppData...)))
+		s.dropRecords(seq)
 	}
 	s.removed.Add(int64(len(seqs)))
 	return removed
@@ -367,7 +362,18 @@ func (s *Store) Replicate(removed []string, added []Threat) error {
 	return nil
 }
 
-// Remove deletes a single threat record by sequence number.
+// dropRecords deletes the three stored records of one threat; callers hold
+// s.mu. The store keeps no key it deletes: the keys stay on the stack.
+func (s *Store) dropRecords(seq int64) {
+	var kb [keyCap]byte
+	k := appendKey(kb[:0], seq)
+	s.backing.Delete(table, string(k))
+	s.backing.Delete(table, string(append(k, suffixAffected...)))
+	s.backing.Delete(table, string(append(k, suffixAppData...)))
+}
+
+// Remove deletes a single threat — all three of its stored records — by
+// sequence number: the undo of a newly stored threat.
 func (s *Store) Remove(seq int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -390,8 +396,7 @@ func (s *Store) Remove(seq int64) {
 	if len(s.byIdent[ident]) == 0 {
 		delete(s.byIdent, ident)
 	}
-	var kb [keyCap]byte
-	s.backing.Delete(table, string(appendKey(kb[:0], seq)))
+	s.dropRecords(seq)
 	s.removed.Inc()
 }
 

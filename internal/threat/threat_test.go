@@ -1,6 +1,7 @@
 package threat
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -149,6 +150,32 @@ func TestRemoveSingle(t *testing.T) {
 		t.Fatal("identity map not cleaned")
 	}
 	s.Remove(999) // missing is a no-op
+}
+
+// TestRolledBackNewThreatLeavesNoRecord: Remove is the undo of a newly stored
+// threat when its transaction rolls back. It deletes the three records Add
+// wrote, at the price of three deletes and no read, and the table keeps only
+// the records of the other threat.
+func TestRolledBackNewThreatLeavesNoRecord(t *testing.T) {
+	backing := persistence.NewStore()
+	s := NewStore(backing, IdenticalOnce)
+	if _, _, err := s.Add(sample("C2", "f2")); err != nil {
+		t.Fatal(err)
+	}
+	kept := backing.Keys(table)
+	added, isNew, err := s.Add(sample("C1", "f1"))
+	if err != nil || !isNew {
+		t.Fatalf("add = %v, %v", isNew, err)
+	}
+	before := backing.Stats()
+	s.Remove(added.Seq)
+	after := backing.Stats()
+	if r, w := after.Reads-before.Reads, after.Writes-before.Writes; r != 0 || w != 3 {
+		t.Errorf("rollback: %d reads, %d writes; want 0, 3", r, w)
+	}
+	if got := backing.Keys(table); !slices.Equal(got, kept) {
+		t.Errorf("table after the rollback = %v, want the other threat's %v", got, kept)
+	}
 }
 
 func TestClear(t *testing.T) {
