@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"dedisys/internal/constraint"
@@ -91,6 +92,9 @@ type clusterOpts struct {
 	rf     int
 	// gossip enables the anti-entropy loop on every node (exp-gossip).
 	gossip *gossip.Config
+	// meter, when set, sizes every message the nodes send into it
+	// (meteredNet, exp-gossip).
+	meter *atomic.Int64
 }
 
 func newBenchCluster(cfg Config, o clusterOpts, threatType constraint.Type) (*node.Cluster, error) {
@@ -122,6 +126,9 @@ func newBenchCluster(cfg Config, o clusterOpts, threatType constraint.Type) (*no
 		opt.StoreCost = persistence.CostModel{PerWrite: cfg.StoreCost}
 		opt.Obs = cfg.Obs
 		opt.Gossip = o.gossip
+		if o.meter != nil {
+			opt.Net = meteredNet{opt.Net, o.meter}
+		}
 		if o.lockTimeout > 0 {
 			opt.LockTimeout = o.lockTimeout
 		}

@@ -3,6 +3,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"dedisys/internal/chaos"
 	"dedisys/internal/constraint"
@@ -16,11 +17,13 @@ import (
 
 // Anti-entropy experiment: the same heal storm — an 8-node sharded cluster
 // (G=4, R=3) partitioned in half with concurrent writes on both sides —
-// repaired by gossip rounds versus by driver-led heal reconciliation.
-// Gossip converges in a bounded number of O(digest) rounds and, once in
-// sync, keeps shipping only digests; a reconcile pass always pulls the full
-// replica table from every peer, so its steady-state cost stays
-// proportional to the object population.
+// repaired by gossip rounds versus by driver-led heal reconciliation. Both
+// arms run the one repair exchange (ReconcileWith); they differ in who
+// drives it with whom: a gossip round is every node exchanging with a
+// sampled fanout of co-group peers, a reconcile sweep every node driving a
+// pass with every other node. Every message of either arm is sized on the
+// way (meteredNet); once in sync an exchange moves no record and its bytes
+// are the digest's.
 
 const (
 	gossipBenchSize   = 8
@@ -43,25 +46,31 @@ func gossipBenchObjects(cfg Config) int {
 	return n
 }
 
-// gossipCounterSum sums a per-node gossip metric across the cluster's
-// shared registry (node scopes prefix metrics with "<id>.").
-func gossipCounterSum(c *node.Cluster, name string) int64 {
-	var total int64
-	for _, n := range c.Nodes {
-		total += c.Obs.Counter(string(n.ID) + "." + name).Load()
-	}
-	return total
+// meteredNet is one node's view of the network that adds the gob size
+// (gossip.WireSize) of every request it sends, and of the reply, to a counter
+// the cluster's nodes share: what the traffic weighs on the wire, whichever
+// transport carried it.
+type meteredNet struct {
+	transport.Transport
+	bytes *atomic.Int64
+}
+
+func (n meteredNet) Send(ctx context.Context, from, to transport.NodeID, kind string, payload any) (any, error) {
+	reply, err := n.Transport.Send(ctx, from, to, kind, payload)
+	n.bytes.Add(gossip.WireSize(payload) + gossip.WireSize(reply))
+	return reply, err
 }
 
 // gossipStorm builds the cluster, creates the population, splits the
 // cluster in half, writes on both sides, and heals — leaving a genuinely
 // divergent cluster for the repair mechanism under test.
-func gossipStorm(cfg Config, withGossip bool) (*node.Cluster, []object.ID, error) {
+func gossipStorm(cfg Config, withGossip bool, meter *atomic.Int64) (*node.Cluster, []object.ID, error) {
 	opts := clusterOpts{
 		size:       gossipBenchSize,
 		disableCCM: true, // pure replication cost; P4 keeps both sides writable
 		groups:     gossipBenchGroups,
 		rf:         gossipBenchRF,
+		meter:      meter,
 	}
 	if withGossip {
 		fanout := cfg.GossipFanout
@@ -96,21 +105,6 @@ func gossipStorm(cfg Config, withGossip bool) (*node.Cluster, []object.ID, error
 	return c, ids, nil
 }
 
-// reconcilePassBytes measures what one driver-led heal pass ships: every
-// peer answers the driver's pull with its full record table for the driver
-// (the reconcile wire behaviour), measured in gob-encoded bytes.
-func reconcilePassBytes(c *node.Cluster, driver *node.Node) (records int64, bytes int64) {
-	for _, n := range c.Nodes {
-		if n.ID == driver.ID {
-			continue
-		}
-		recs := n.Repl.RecordsFor(driver.ID)
-		records += int64(len(recs))
-		bytes += gossip.WireSize(recs)
-	}
-	return records, bytes
-}
-
 func runGossip(cfg Config) (*Result, error) {
 	cfg = cfg.normalize()
 	if cfg.Obs == nil {
@@ -127,96 +121,107 @@ func runGossip(cfg Config) (*Result, error) {
 	ctx := context.Background()
 
 	// Case 1: gossip-only repair.
-	gc, ids, err := gossipStorm(cfg, true)
+	var gBytes atomic.Int64
+	gc, ids, err := gossipStorm(cfg, true, &gBytes)
 	if err != nil {
 		return nil, err
 	}
 	defer gc.Stop()
+	// round runs one gossip round on every node and returns the records the
+	// exchanges moved: pulled from a peer or owed to one.
+	round := func() (records int64, err error) {
+		for _, n := range gc.Nodes {
+			exs, err := n.Gossip.RunRound(ctx)
+			if err != nil {
+				return 0, fmt.Errorf("gossip round: %w", err)
+			}
+			for _, ex := range exs {
+				records += int64(ex.Pulled + ex.Pushed)
+			}
+		}
+		return records, nil
+	}
+	gBytes.Store(0) // the storm's own traffic is not the repair's
+	var recordsShipped int64
 	rounds := 0
 	for ; rounds < gossipMaxRounds; rounds++ {
 		if len(chaos.CheckConverged(gc, ids)) == 0 {
 			break
 		}
-		for _, n := range gc.Nodes {
-			if _, err := n.Gossip.RunRound(ctx); err != nil {
-				return nil, fmt.Errorf("gossip round: %w", err)
-			}
+		r, err := round()
+		if err != nil {
+			return nil, err
 		}
+		recordsShipped += r
 	}
 	if len(chaos.CheckConverged(gc, ids)) != 0 {
 		return nil, fmt.Errorf("gossip did not converge within %d rounds: %v", gossipMaxRounds, chaos.CheckConverged(gc, ids))
 	}
-	recordsShipped := gossipCounterSum(gc, "gossip.deltas_pulled") + gossipCounterSum(gc, "gossip.pushed")
-	bytesShipped := gossipCounterSum(gc, "gossip.digest_bytes") + gossipCounterSum(gc, "gossip.delta_bytes")
+	bytesShipped := gBytes.Swap(0)
 
-	// Steady state: extra rounds on the converged cluster must ship digests
-	// only — records stop moving, digest bytes keep a flat per-round cost.
-	digestBefore := gossipCounterSum(gc, "gossip.digest_bytes")
-	deltaBefore := gossipCounterSum(gc, "gossip.delta_bytes")
-	recordsBefore := recordsShipped
+	// Steady state: extra rounds on the converged cluster move no record;
+	// what they ship is digests.
+	var steadyRecords int64
 	for r := 0; r < gossipSteadyRound; r++ {
-		for _, n := range gc.Nodes {
-			if _, err := n.Gossip.RunRound(ctx); err != nil {
-				return nil, fmt.Errorf("steady gossip round: %w", err)
-			}
+		n, err := round()
+		if err != nil {
+			return nil, err
 		}
+		steadyRecords += n
 	}
-	steadyRecords := gossipCounterSum(gc, "gossip.deltas_pulled") + gossipCounterSum(gc, "gossip.pushed") - recordsBefore
-	steadyBytes := (gossipCounterSum(gc, "gossip.digest_bytes") - digestBefore +
-		gossipCounterSum(gc, "gossip.delta_bytes") - deltaBefore) / gossipSteadyRound
 	res.AddRow("gossip (anti-entropy)",
 		float64(rounds), float64(recordsShipped), float64(bytesShipped),
-		float64(steadyRecords)/float64(gossipSteadyRound), float64(steadyBytes))
+		float64(steadyRecords)/float64(gossipSteadyRound), float64(gBytes.Load())/gossipSteadyRound)
 
 	// Case 2: driver-led heal reconciliation on an identical storm. A
 	// driver pass only repairs the objects that driver hosts, so under
 	// sharded placement converging the whole cluster takes one pass per
 	// node — that full sweep is the unit comparable to one gossip round
 	// (which also touches every node once).
-	rc, rids, err := gossipStorm(cfg, false)
+	var rBytes atomic.Int64
+	rc, rids, err := gossipStorm(cfg, false, &rBytes)
 	if err != nil {
 		return nil, err
 	}
 	defer rc.Stop()
-	reconcileSweep := func(run bool) (records int64, bytes int64, err error) {
+	sweep := func() (records int64, err error) {
 		for _, driver := range rc.Nodes {
-			r, b := reconcilePassBytes(rc, driver)
-			records += r
-			bytes += b
-			if !run {
-				continue
-			}
 			var peers []transport.NodeID
 			for _, id := range rc.IDs() {
 				if id != driver.ID {
 					peers = append(peers, id)
 				}
 			}
-			if _, err := reconcile.Run(ctx, driver, peers, reconcile.Handlers{}); err != nil {
-				return 0, 0, fmt.Errorf("reconcile from %s: %w", driver.ID, err)
+			rep, err := reconcile.Run(ctx, driver, peers, reconcile.Handlers{})
+			if err != nil {
+				return 0, fmt.Errorf("reconcile from %s: %w", driver.ID, err)
 			}
+			records += int64(rep.Replica.Pulled + rep.Replica.Pushed)
 		}
-		return records, bytes, nil
+		return records, nil
 	}
-	recRecords, recBytes, err := reconcileSweep(true)
+	rBytes.Store(0)
+	recRecords, err := sweep()
 	if err != nil {
 		return nil, err
 	}
+	recBytes := rBytes.Swap(0)
 	if v := chaos.CheckConverged(rc, rids); len(v) != 0 {
 		res.AddNote("heal-reconcile left divergence after a full sweep: %v", v)
 	}
-	// Steady state for reconciliation: a sweep over an already-converged
-	// cluster still pulls every peer's full table for every driver.
-	steadyRecRecords, steadyRecBytes, err := reconcileSweep(false)
+	// Steady state for reconciliation: a sweep over the converged cluster,
+	// every driver exchanging digests with every other node.
+	steadyRecRecords, err := sweep()
 	if err != nil {
 		return nil, err
 	}
 	res.AddRow("heal-reconcile",
 		1, float64(recRecords), float64(recBytes),
-		float64(steadyRecRecords), float64(steadyRecBytes))
+		float64(steadyRecRecords), float64(rBytes.Load()))
 
 	res.AddNote("%d objects; heal storm = half/half partition with concurrent writes on both sides", gossipBenchObjects(cfg))
 	res.AddNote("rounds: full cluster sweeps until every replica matched state+VV (gossip) / driver passes (reconcile)")
-	res.AddNote("steady state: per-round traffic after convergence — gossip ships digests only")
+	res.AddNote("records: pulled from a peer or owed to one; bytes: gob size of every request and reply sent, naming sync of a heal pass included")
+	res.AddNote("steady state: per-round traffic after convergence — digests only, no record moves")
 	return res, nil
 }

@@ -138,28 +138,34 @@ func TestGossipConvergesPartitionHealWithoutReconcile(t *testing.T) {
 	}
 	t.Logf("converged in %d rounds", roundsUsed)
 
-	// Steady state: in-sync rounds exchange digests only. Records stop
-	// moving entirely while digest bytes keep accruing.
-	pulled, pushed := counterSum(c, "gossip.deltas_pulled"), counterSum(c, "gossip.pushed")
-	digestBefore := counterSum(c, "gossip.digest_bytes")
-	runRounds(c, 3)
-	if d := counterSum(c, "gossip.deltas_pulled") - pulled; d != 0 {
-		t.Fatalf("steady-state rounds pulled %d records", d)
+	// Steady state: in-sync rounds exchange digests only — every exchange
+	// in sync, no record moved, one request per exchange and no repl.batch.
+	kinds := countKinds(c)
+	for r := 0; r < 3; r++ {
+		for _, n := range c.Nodes {
+			exs, err := n.Gossip.RunRound(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ex := range exs {
+				if !ex.InSync || ex.Pulled != 0 || ex.Pushed != 0 {
+					t.Fatalf("steady-state exchange %s -> %+v", n.ID, ex)
+				}
+			}
+		}
 	}
-	if d := counterSum(c, "gossip.pushed") - pushed; d != 0 {
-		t.Fatalf("steady-state rounds pushed %d records", d)
-	}
-	if counterSum(c, "gossip.digest_bytes") == digestBefore {
-		t.Fatal("steady-state rounds shipped no digests")
+	c.Net.SetDrop(nil)
+	if kinds["repl.pull"] == 0 || len(kinds) != 1 {
+		t.Fatalf("steady-state rounds sent %v, want exchange requests only", kinds)
 	}
 	if counterSum(c, "gossip.insync") == 0 {
 		t.Fatal("no in-sync exchanges recorded")
 	}
 }
 
-// Deletions must travel through digests: a tombstone created while a node
-// was isolated removes the object there after heal, and tombstone knowledge
-// itself converges (no resurrection through later exchanges).
+// Deletions must travel through the exchange: a tombstone created while a
+// node was isolated removes the object there after heal, and tombstone
+// knowledge itself converges (no resurrection through later exchanges).
 func TestGossipPropagatesTombstones(t *testing.T) {
 	c := newGossipCluster(t, 3, true)
 	n1 := c.Node(0)
@@ -286,10 +292,24 @@ func TestGossipBackgroundLoop(t *testing.T) {
 	}
 }
 
-// A delta merge's push-backs leave like a reconciliation pass's repairs: the
-// initiator pulls the K records its digest disagreed on, finds it dominates
-// all of them, and answers with one repl.batch of K ops — not K one-op ones.
-func TestGossipDeltaMergePushesBackOneBatch(t *testing.T) {
+// countKinds counts, until the drop hook is cleared, the messages the
+// cluster sends by kind.
+func countKinds(c *node.Cluster) map[string]int {
+	var mu sync.Mutex
+	kinds := make(map[string]int)
+	c.Net.SetDrop(func(_, _ transport.NodeID, kind string) bool {
+		mu.Lock()
+		kinds[kind]++
+		mu.Unlock()
+		return false
+	})
+	return kinds
+}
+
+// An exchange is one request and at most one repl.batch: the initiator
+// learns from the reply that it dominates the peer on K objects and ships
+// the K states in one batch — not K one-op ones, and no second request.
+func TestGossipOneRequestAndOneBatch(t *testing.T) {
 	c := newGossipCluster(t, 2, true)
 	var ids []object.ID
 	for i := 0; i < 5; i++ {
@@ -306,14 +326,7 @@ func TestGossipDeltaMergePushesBackOneBatch(t *testing.T) {
 		}
 	}
 	c.Heal()
-	var mu sync.Mutex
-	kinds := make(map[string]int)
-	c.Net.SetDrop(func(_, _ transport.NodeID, kind string) bool {
-		mu.Lock()
-		kinds[kind]++
-		mu.Unlock()
-		return false
-	})
+	kinds := countKinds(c)
 	if _, err := c.Node(0).Gossip.RunRound(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -321,8 +334,73 @@ func TestGossipDeltaMergePushesBackOneBatch(t *testing.T) {
 	if err := converged(c, ids); err != nil {
 		t.Fatalf("one round from the dominating side: %v", err)
 	}
-	if kinds[gossip.MsgPull] != 1 || kinds["repl.batch"] != 1 {
-		t.Fatalf("the round sent %v, want one %s and one repl.batch for the %d records it dominated", kinds, gossip.MsgPull, len(ids))
+	if kinds["repl.pull"] != 1 || kinds["repl.batch"] != 1 || len(kinds) != 2 {
+		t.Fatalf("the round sent %v, want one repl.pull and one repl.batch for the %d records it dominated", kinds, len(ids))
+	}
+}
+
+// A replica that never saw a deleted object holds its tombstone after one
+// exchange opened by the tombstone holder, the same tombstone: the next
+// exchange finds the pair in sync. The responder used to be the only side a
+// tombstone left.
+func TestGossipDeliversTombstoneFromTheOpener(t *testing.T) {
+	c := newGossipCluster(t, 3, true)
+	n1, n3 := c.Node(0), c.Node(2)
+	c.Partition([]transport.NodeID{"n1", "n2"}, []transport.NodeID{"n3"})
+	if err := n1.Create("Reg", "x", object.State{"value": int64(1)}, c.AllReplicas("n1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := n1.Delete("x"); err != nil {
+		t.Fatal(err)
+	}
+	c.Heal()
+	if n3.Repl.TombstoneCount() != 0 || n3.Registry.Has("x") {
+		t.Fatal("the partition let x reach n3")
+	}
+	if _, err := n1.Gossip.GossipWith(context.Background(), n3.ID); err != nil {
+		t.Fatal(err)
+	}
+	if got := n3.Repl.TombstoneCount(); got != 1 || n3.Registry.Has("x") {
+		t.Fatalf("n3 holds %d tombstones (x live: %v), want x's", got, n3.Registry.Has("x"))
+	}
+	if ex, err := n3.Gossip.GossipWith(context.Background(), n1.ID); err != nil || !ex.InSync {
+		t.Fatalf("the next exchange = %+v, %v; want in sync", ex, err)
+	}
+}
+
+// One exchange converges every object two replicas diverged on, however
+// many: n2 is newer on all 256 objects of the benchmark's table size, and one
+// exchange opened by n1 adopts all 256 and sends n2 nothing but the request —
+// no record n2 dominates. The 512-bit bloom filter the exchange used to
+// carry saturated at this size and left 95 objects divergent.
+func TestGossipExchangeConvergesEveryDivergedObject(t *testing.T) {
+	c := newGossipCluster(t, 2, true)
+	var ids []object.ID
+	for i := 0; i < 256; i++ {
+		id := object.ID(fmt.Sprintf("o%03d", i))
+		if err := c.Node(0).Create("Reg", id, object.State{"value": int64(0)}, c.AllReplicas("n1")); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	c.Partition([]transport.NodeID{"n1"}, []transport.NodeID{"n2"})
+	for i, id := range ids {
+		if _, err := c.Node(1).Invoke(id, "SetValue", int64(1000+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Heal()
+	kinds := countKinds(c)
+	ex, err := c.Node(0).Gossip.GossipWith(context.Background(), "n2")
+	c.Net.SetDrop(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := converged(c, ids); err != nil {
+		t.Fatalf("one exchange over 256 diverged objects: %v", err)
+	}
+	if ex.Pulled != len(ids) || ex.Pushed != 0 || len(kinds) != 1 || kinds["repl.pull"] != 1 {
+		t.Fatalf("exchange %+v sent %v; want 256 records pulled, nothing pushed, one request", ex, kinds)
 	}
 }
 

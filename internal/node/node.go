@@ -729,7 +729,9 @@ func NewCluster(size int, netOpts []transport.Option, opts ...ClusterOption) (*C
 		for _, fn := range opts {
 			fn(&o)
 		}
-		o.ID, o.Net, o.GMS = id, net, gms // per-node identity is fixed
+		// Per-node identity is fixed; an option may wrap the node's view of
+		// the network (a wrapper that meters what the node sends).
+		o.ID, o.GMS = id, gms
 		o.Obs = base
 		if c.Ring != nil {
 			o.Placement = c.Ring

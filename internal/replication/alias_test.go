@@ -171,7 +171,7 @@ func TestAliasBareSet(t *testing.T) {
 }
 
 // TestAliasRecordsExport (guards the shared mark Share leaves when a record is
-// built): a reconcile pull or gossip delta exports the entity's own map, not
+// built): a reconcile pull's reply exports the entity's own map, not
 // a copy, and the local writes that follow — a bare Set, then a transaction —
 // leave the exported record as it was.
 func TestAliasRecordsExport(t *testing.T) {
@@ -181,7 +181,7 @@ func TestAliasRecordsExport(t *testing.T) {
 		// The map is the entity's own again: only the export marks it.
 		h.entityOf(t, "n1", id).Set("sold", int64(2))
 	}
-	recs := h.node("n1").mgr.Records()
+	recs := h.node("n1").records(t, "n2")
 	if state, version := h.entityOf(t, "n1", "control").Share(); !sameMap(recs[0].State, state) || recs[0].Version != version {
 		t.Fatalf("the export copied the state: %v v%d, entity %v v%d", recs[0].State, recs[0].Version, state, version)
 	}

@@ -1,49 +1,44 @@
 package replication
 
 import (
-	"context"
+	"cmp"
+	"encoding/binary"
 	"slices"
-	"sort"
 
 	"dedisys/internal/object"
 	"dedisys/internal/transport"
 )
 
-// This file is the replication manager's surface for the continuous
-// anti-entropy layer (internal/gossip). Reconciliation (reconcile.go) ships
-// the whole co-hosted replica table at heal time; gossip instead exchanges
-// compact per-object digests and pulls only divergent records, funnelling
-// them through the same mergeRecords machinery so both paths converge to
-// identical outcomes.
+// This file is the digest of the one repair exchange (ReconcileWith, which
+// heal reconciliation and the gossip layer both run): a replica table, as far
+// as a peer replicates it, summed up as one salted 64-bit fingerprint per live
+// replica and per tombstone, sorted. Two nodes whose tables agree send each
+// other equal lists, so an in-sync peer answers a pass with an empty reply;
+// otherwise the walk of the two sorted lists names exactly the entries either
+// side lacks. A digest never carries state: its size is one word per object.
 
-// DigestEntry summarises one object for an anti-entropy digest: its version
-// vector, or its tombstone. Digests deliberately omit state payloads — a
-// digest's size is O(objects · vector width), never O(state).
-type DigestEntry struct {
-	VV      VersionVector
-	Deleted bool
+// digestEntry is one live replica or tombstone of a digest: its fingerprint
+// under the pass's salt, and the object it stands for.
+type digestEntry struct {
+	print uint64
+	id    object.ID
 }
 
-// Digest exports the per-object version-vector summary of the local replica
-// table — live objects and tombstones — restricted to objects the peer
-// replicates. Two nodes with identical tables produce identical digests for
-// each other, so an in-sync pair can prove it without shipping any state.
-func (m *Manager) Digest(peer transport.NodeID) map[object.ID]DigestEntry {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[object.ID]DigestEntry, len(m.meta)+len(m.tombstones))
+// digestLocked returns the digest of the replicas and tombstones the peer
+// replicates, sorted by fingerprint; callers hold m.mu.
+func (m *Manager) digestLocked(peer transport.NodeID, salt uint64) []digestEntry {
+	out := make([]digestEntry, 0, len(m.meta)+len(m.tombstones))
 	for id, rs := range m.meta {
-		if m.placement != nil && !rs.info.HasReplica(peer) {
-			continue
+		if m.placement == nil || rs.info.HasReplica(peer) {
+			out = append(out, digestEntry{fingerprint(salt, id, rs.vv, false), id})
 		}
-		out[id] = DigestEntry{VV: rs.vv}
 	}
 	for id, vv := range m.tombstones {
-		if m.placement != nil && !m.hostsLocked(id, peer) {
-			continue
+		if m.placement == nil || m.hostsLocked(id, peer) {
+			out = append(out, digestEntry{fingerprint(salt, id, vv, true), id})
 		}
-		out[id] = DigestEntry{VV: vv, Deleted: true}
 	}
+	slices.SortFunc(out, func(a, b digestEntry) int { return cmp.Compare(a.print, b.print) })
 	return out
 }
 
@@ -55,61 +50,52 @@ func (m *Manager) hostsLocked(id object.ID, peer transport.NodeID) bool {
 	return slices.Contains(replicas, peer)
 }
 
-// RecordsByID exports full records (state, version vector, info, history)
-// for exactly the requested objects — the delta a gossip exchange pulls
-// after the digests disagreed. Unknown or tombstoned IDs are skipped; the
-// digest path handles deletions separately.
-func (m *Manager) RecordsByID(ids []object.ID) []Record {
-	sorted := append([]object.ID(nil), ids...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	recs := make([]Record, 0, len(sorted))
-	for _, id := range sorted {
-		rs, ok := m.meta[id]
-		if !ok {
+// fingerprint hashes one digest entry — object ID, vector in node order and
+// tombstone flag — under the pass's salt. Identical entries produce identical
+// fingerprints on both sides; any difference in the vector or the deletion
+// status changes it. A zero component hashes as an absent one. The salt
+// changes every pass, so a 64-bit collision that masks one divergence does
+// not mask it twice.
+func fingerprint(salt uint64, id object.ID, vv VersionVector, deleted bool) uint64 {
+	h := hashString(offset64, string(id))
+	var buf [8]byte
+	for _, c := range vv {
+		if c.Count == 0 {
 			continue
 		}
-		recs = append(recs, m.recordLocked(id, rs))
+		h = hashString(h, string(c.Node))
+		binary.LittleEndian.PutUint64(buf[:], uint64(c.Count))
+		h = hashString(h, string(buf[:]))
 	}
-	return recs
+	if deleted {
+		h = hashString(h, "\xff")
+	}
+	return mix64(h ^ salt)
 }
 
-// MergeRecords folds peer records into the local replica table through the
-// reconciliation merge, each record decided by the rule a shipped create
-// meets (decide): unknown objects are adopted, dominated states overwritten,
-// a record newer than the local tombstone re-creates the object, dominating
-// states and tombstones are pushed back to the peer, and concurrent live lines
-// go through conflict resolution — what a destination is owed leaving as one
-// repl.batch before the call returns. nil resolver uses MostUpdatesResolver.
-func (m *Manager) MergeRecords(ctx context.Context, peer transport.NodeID, records []Record, resolve ConflictResolver) (ReconcileReport, error) {
-	if ctx == nil {
-		ctx = context.Background()
+// FNV-1a, 64 bits.
+const (
+	offset64 = 14695981039346656037
+	prime64  = 1099511628211
+)
+
+func hashString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h ^= uint64(s[i])
+		h *= prime64
 	}
-	if resolve == nil {
-		resolve = MostUpdatesResolver
-	}
-	var report ReconcileReport
-	out := repairs{m: m}
-	err := m.mergeRecords([]transport.NodeID{peer}, records, resolve, &report, &out)
-	if ferr := out.flush(ctx); err == nil {
-		err = ferr
-	}
-	return report, err
+	return h
 }
 
-// AdoptTombstone applies a remotely learned deletion locally as the delete op
-// of a batch does (decide): it buries a replica it is newer than or concurrent
-// with, merging the vectors of concurrent sides, and is a duplicate where the
-// local vector or tombstone covers it; a live replica it shares no event with
-// is another incarnation, which it leaves. It reports whether the local
-// replica is owed to the peer: a re-create it has not seen, or another
-// incarnation.
-func (m *Manager) AdoptTombstone(id object.ID, vv VersionVector) (owed bool) {
-	var res [1]opResult
-	var d decision
-	_, _ = m.applyOps([]batchOp{{Kind: opDelete, ID: id, VV: vv}}, res[:0], &d)
-	return d.owed == opApply
+// mix64 is the fmix64 finalizer (MurmurHash3): full avalanche, so salted
+// fingerprints and the salts themselves are well distributed.
+func mix64(h uint64) uint64 {
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return h
 }
 
 // TombstoneCount reports how many deletions the node remembers — the chaos

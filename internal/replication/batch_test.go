@@ -365,7 +365,10 @@ func TestPropagationErrorMetricCountsSendFailures(t *testing.T) {
 func (env *nodeEnv) dump(t *testing.T) string {
 	t.Helper()
 	var b strings.Builder
-	for _, rec := range env.mgr.Records() {
+	for _, rec := range env.records(t, env.id) {
+		if rec.Deleted {
+			continue // listed below with the stored bytes' order
+		}
 		st, _ := json.Marshal(rec.State)
 		vv, _ := json.Marshal(vvMap(rec.VV))
 		fmt.Fprintf(&b, "replica %s %s v%d %s %s home=%s %v registry=%v\n",

@@ -18,14 +18,15 @@ import (
 // history of up to four operations on one object — create, apply, delete and
 // re-create, from up to two coordinators, connected or split — is delivered to
 // a replica in every order with one duplicate; then replicas holding what the
-// deliveries left part-way are reconciled in one round.
+// deliveries left part-way, beside one that never saw the object, are
+// reconciled in one round, in both driver orders.
 
 // enumObject is the object every history writes.
 const enumObject object.ID = "o"
 
 // enumReplicas are the object's replicas: the coordinators n1 and n2, which
-// ship the history, and the receivers n3–n5, which the orders reach.
-var enumReplicas = []transport.NodeID{"n1", "n2", "n3", "n4", "n5"}
+// ship the history, and the receivers n3–n6, which the orders reach.
+var enumReplicas = []transport.NodeID{"n1", "n2", "n3", "n4", "n5", "n6"}
 
 // event is one coordinator operation of a history; the zero event partitions
 // the coordinators from there on.
@@ -270,11 +271,13 @@ func (env *nodeEnv) deliverSeq(t *testing.T, ops []batchOp, seq []int, d *delive
 //     with one its vector extends only by deletions of another incarnation,
 //     and none that a tombstone it held covers;
 //   - after one reconciliation round — each of three replicas, holding any
-//     states the deliveries passed through, reconciles with the other two in
-//     turn — every replica holds the same live state, or none; it dominates
-//     every op that had landed anywhere, is no live state a held tombstone
-//     covers and, when the round resolved no conflict, is what delivering the
-//     ops that had landed to one replica leaves.
+//     states the deliveries passed through, and a fourth that never saw the
+//     object reconciles with the other three in turn, first to last and last
+//     to first — every replica holds the same thing, stored record and
+//     tombstone vector included; it dominates every op that had landed
+//     anywhere, is no live state a held tombstone covers and, when the round
+//     resolved no conflict, is what delivering the ops that had landed to one
+//     replica leaves.
 func TestReplicaRuleExhaustive(t *testing.T) {
 	start := time.Now()
 	max := 4
@@ -288,14 +291,14 @@ func TestReplicaRuleExhaustive(t *testing.T) {
 	}
 	var deliveries, rounds atomic.Int64
 	t.Run("workers", func(t *testing.T) {
-		// Two workers, each with three receivers of its own, split the
+		// Two workers, each with four receivers of its own, split the
 		// histories.
 		for w := range 2 {
 			t.Run(strconv.Itoa(w), func(t *testing.T) {
 				t.Parallel()
-				rh := newHarness(t, 5, PrimaryPerPartition{})
-				rh.net.Partition([]transport.NodeID{"n1", "n2"}, []transport.NodeID{"n3", "n4", "n5"})
-				receivers := []*nodeEnv{rh.node("n3"), rh.node("n4"), rh.node("n5")}
+				rh := newHarness(t, 6, PrimaryPerPartition{})
+				rh.net.Partition([]transport.NodeID{"n1", "n2"}, []transport.NodeID{"n3", "n4", "n5", "n6"})
+				receivers := []*nodeEnv{rh.node("n3"), rh.node("n4"), rh.node("n5"), rh.node("n6")}
 				for i := w; i < len(hs) && !t.Failed(); i += 2 {
 					d, r := checkHistory(t, hs[i], seqs[len(hs[i])], receivers)
 					deliveries.Add(d)
@@ -309,7 +312,8 @@ func TestReplicaRuleExhaustive(t *testing.T) {
 
 // checkHistory delivers the history's ops to the first receiver in every
 // order, then reconciles the receivers from every three states the
-// deliveries passed through, and returns how many of each it ran.
+// deliveries passed through and none, in both driver orders, and returns how
+// many of each it ran.
 func checkHistory(t *testing.T, ops []batchOp, seqs [][]int, receivers []*nodeEnv) (deliveries, rounds int64) {
 	t.Helper()
 	r := receivers[0]
@@ -336,19 +340,25 @@ func checkHistory(t *testing.T, ops []batchOp, seqs [][]int, receivers []*nodeEn
 	for key := range passed {
 		keys = append(keys, key)
 	}
-	// Descending: tombstones first, then live states, then none. The first
-	// receiver drives the round first, so a tombstone meets the live records
-	// before a push can reach it.
 	slices.Sort(keys)
-	slices.Reverse(keys)
+	envs, prefixes := make([]*nodeEnv, len(receivers)), make([][]int, len(receivers))
 	for a := range keys {
 		for b := a; b < len(keys); b++ {
 			for c := b; c < len(keys); c++ {
-				rounds++
-				prefixes := [][]int{passed[keys[a]], passed[keys[b]], passed[keys[c]]}
-				got, landed, conflicts := mergeRound(t, ops, receivers, prefixes)
-				if want, ok := byLanded[landed]; ok && conflicts == 0 && got != visible(want) {
-					t.Fatalf("%v from %v: the round ends on %s, delivering what had landed on %s", ops, prefixes, got, want)
+				set := [][]int{passed[keys[a]], passed[keys[b]], passed[keys[c]], nil}
+				for _, rev := range []bool{false, true} {
+					rounds++
+					for k := range envs {
+						o := k
+						if rev {
+							o = len(envs) - 1 - k
+						}
+						envs[k], prefixes[k] = receivers[o], set[o]
+					}
+					got, landed, conflicts := mergeRound(t, ops, envs, prefixes)
+					if want, ok := byLanded[landed]; ok && conflicts == 0 && got != want {
+						t.Fatalf("%v from %v: the round ends on %s, delivering what had landed on %s", ops, prefixes, got, want)
+					}
 				}
 			}
 		}
@@ -356,19 +366,12 @@ func checkHistory(t *testing.T, ops []batchOp, seqs [][]int, receivers []*nodeEn
 	return deliveries, rounds
 }
 
-// visible is the part of a stored key a reconciliation round agrees on: the
-// live replica, or none.
-func visible(key string) string {
-	if key[0] != '0'+byte(opApply) {
-		return "none"
-	}
-	return key
-}
-
 // mergeRound loads each receiver with its prefix of the history's ops, runs
-// one reconciliation round and checks that the receivers agree on a state
-// that dominates every op that had landed and resurrects no tombstone. It
-// returns that state, the ops that had landed and the conflicts resolved.
+// one reconciliation round — each receiver drives a pass with the others, in
+// their order — and checks that the receivers agree on what they store, and
+// that it dominates every op that had landed and resurrects no tombstone. It
+// returns that stored key, the ops that had landed and the conflicts
+// resolved.
 func mergeRound(t *testing.T, ops []batchOp, receivers []*nodeEnv, prefixes [][]int) (string, uint, int) {
 	t.Helper()
 	var all delivery
@@ -393,34 +396,25 @@ func mergeRound(t *testing.T, ops []batchOp, receivers []*nodeEnv, prefixes [][]
 		}
 		conflicts += report.Conflicts
 	}
-	key := visible(receivers[0].stored(enumObject))
+	key := receivers[0].stored(enumObject)
 	for _, env := range receivers[1:] {
-		if other := visible(env.stored(enumObject)); other != key {
+		if other := env.stored(enumObject); other != key {
 			t.Fatalf("%v from %v: after the round %s holds %s, %s holds %s", ops, prefixes, receivers[0].id, key, env.id, other)
 		}
 	}
-	// What had landed is under the live vector, or under a tombstone.
-	var ends []VersionVector
-	for _, env := range receivers {
-		if have, vv, _ := env.held(enumObject); have == opApply || have == opDelete && key == "none" {
-			ends = append(ends, vv)
-		}
-	}
+	// What had landed is under the vector every receiver holds.
+	have, end, _ := receivers[0].held(enumObject)
 	for i, op := range ops {
 		if all.landed&(1<<i) == 0 {
 			continue
 		}
-		dominated := false
-		for _, end := range ends {
-			dominated = dominated || covers(end, op.VV)
-		}
-		if !dominated {
+		if !covers(end, op.VV) {
 			t.Fatalf("%v from %v: op %d had landed, the round ends on %s", ops, prefixes, i, key)
 		}
 	}
-	if key != "none" {
+	if have == opApply {
 		for _, tomb := range all.tombs {
-			if covers(tomb, ends[0]) {
+			if covers(tomb, end) {
 				t.Fatalf("%v from %v: the round ends live on %s under the held tombstone %v", ops, prefixes, key, tomb)
 			}
 		}

@@ -209,7 +209,7 @@ func TestDeleteKeepsTheVectorItMet(t *testing.T) {
 	merged := h.node("n1")
 	merged.deliver(t, del)
 	rec := Record{ID: "f1", Class: "Flight", State: object.State{"sold": int64(3)}, Version: 2, VV: met, Info: Info{Home: "n1", Replicas: h.ids}}
-	if _, err := merged.mgr.MergeRecords(context.Background(), "n3", []Record{rec}, nil); err != nil {
+	if _, err := merged.merge("n3", []Record{rec}); err != nil {
 		t.Fatal(err)
 	}
 	if got := merged.dump(t); got != want {
@@ -217,8 +217,8 @@ func TestDeleteKeepsTheVectorItMet(t *testing.T) {
 	}
 }
 
-// TestRecordsDuringLocalWrites: a reconcile pull or a gossip delta exports the
-// replica table while a local transaction is writing one of its entities. The
+// TestRecordsDuringLocalWrites: a reconcile pull's reply exports the replica
+// table while a local transaction is writing one of its entities. The
 // export takes no lock the writer holds, so the entity must keep one call
 // whole by itself: the exported state is the one of the exported version (the
 // transaction's writes land a, b, c in turn, so the version says how far each
@@ -254,7 +254,7 @@ func TestRecordsDuringLocalWrites(t *testing.T) {
 	}()
 	defer func() { close(stop); <-done }()
 	for ; exports > 0; exports-- {
-		rec := env.mgr.Records()[0]
+		rec := env.records(t, "n1")[0]
 		sets := rec.Version - 1
 		full, part := sets/3, sets%3
 		want := object.State{"a": full, "b": full, "c": full}

@@ -8,6 +8,7 @@ import (
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"dedisys/internal/constraint"
 	"dedisys/internal/group"
@@ -123,7 +124,8 @@ type fetchReply struct {
 	Stale   bool
 }
 
-// Record is the full replica descriptor exchanged during reconciliation.
+// Record is the replica descriptor a reconciliation pull carries: a live
+// replica, or a tombstone (Deleted, with its vector and nothing else).
 type Record struct {
 	ID      object.ID
 	Class   string
@@ -132,6 +134,7 @@ type Record struct {
 	VV      VersionVector
 	Info    Info
 	History []HistoryEntry
+	Deleted bool
 }
 
 // Estimator predicts the latest version of a possibly stale object
@@ -187,13 +190,14 @@ type Manager struct {
 	batchRounds  *obs.Counter // commit-time multicast rounds issued
 	batchSkipped *obs.Counter // shipped ops that did not land at a replica (concurrent, buried, unknown object)
 	propErrors   *obs.Counter // per-object/per-destination propagation failures
-	pullParallel *obs.Counter // reconciliation passes that pulled >1 peer concurrently
 	quorumRounds *obs.Counter // commit rounds shipped with threshold-return semantics
 	quorumShort  *obs.Counter // threshold rounds that fell short of the quorum
 
 	// propagation tracks in-flight background straggler sends of threshold
 	// commits; WaitPropagation joins them.
 	propagation sync.WaitGroup
+
+	salt atomic.Uint64 // advanced by every reconciliation pass: its digest's salt
 
 	mu         sync.Mutex
 	meta       map[object.ID]*replicaState
@@ -266,7 +270,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	m.batchRounds = m.obs.Counter("replication.batch.rounds")
 	m.batchSkipped = m.obs.Counter("replication.batch.skipped")
 	m.propErrors = m.obs.Counter("replication.propagation_errors")
-	m.pullParallel = m.obs.Counter("reconcile.pull.concurrent")
 	m.quorumRounds = m.obs.Counter("replication.quorum.rounds")
 	m.quorumShort = m.obs.Counter("replication.quorum.short")
 	for kind, h := range map[string]transport.Handler{
@@ -1245,10 +1248,10 @@ type decision struct {
 
 // decide is the one rule of what an op does to a replica that holds have —
 // nothing, a live replica (opApply) or a tombstone (opDelete) — at vector
-// local: a shipped op (applyOps), a pulled record (mergeRecords, as the create
-// it would ship) and a gossiped tombstone (AdoptTombstone) meet it and nothing
-// else. A deletion is an event of its own (Delete bumps the vector), so a
-// re-create after it and a write it never saw can be told apart:
+// local: a shipped op (applyOps) and a pulled record (mergeRecords, as the
+// create or delete it would ship) meet it and nothing else. A deletion is an
+// event of its own (Delete bumps the vector), so a re-create after it and a
+// write it never saw can be told apart:
 //   - an op the replica's vector or tombstone covers is a duplicate, and a
 //     strictly newer replica is owed to the sender;
 //   - a strictly newer op wins: a delete buries the replica, a live op
@@ -1438,48 +1441,14 @@ func (m *Manager) handleFetch(from transport.NodeID, payload any) (any, error) {
 	return fetchReply{Class: e.Class(), State: state, Version: version, Stale: stale}, nil
 }
 
-func (m *Manager) handlePull(from transport.NodeID, payload any) (any, error) {
-	if m.placement != nil {
-		// Sharded reconciliation: the pulling peer only cares about the
-		// objects it replicates — heal pulls iterate group-resident objects,
-		// not the whole namespace.
-		return m.RecordsFor(from), nil
+// recordLocked builds the record of one live replica or tombstone, as a
+// pull reply carries it; callers hold m.mu. A replica without a local entity
+// (a non-hosting metadata holder) exports metadata only.
+func (m *Manager) recordLocked(id object.ID) Record {
+	rs, live := m.meta[id]
+	if !live {
+		return Record{ID: id, VV: m.tombstones[id], Deleted: true}
 	}
-	return m.Records(), nil
-}
-
-// Records exports this node's full replica table for reconciliation.
-func (m *Manager) Records() []Record {
-	return m.records(func(Info) bool { return true })
-}
-
-// RecordsFor exports the subset of the replica table whose objects the peer
-// replicates — what a sharded reconciliation pull from that peer returns.
-func (m *Manager) RecordsFor(peer transport.NodeID) []Record {
-	return m.records(func(info Info) bool { return info.HasReplica(peer) })
-}
-
-func (m *Manager) records(keep func(Info) bool) []Record {
-	m.mu.Lock()
-	ids := make([]object.ID, 0, len(m.meta))
-	for id := range m.meta {
-		if keep(m.meta[id].info) {
-			ids = append(ids, id)
-		}
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	recs := make([]Record, 0, len(ids))
-	for _, id := range ids {
-		recs = append(recs, m.recordLocked(id, m.meta[id]))
-	}
-	m.mu.Unlock()
-	return recs
-}
-
-// recordLocked builds the reconciliation record of one replica; callers hold
-// m.mu. A replica without a local entity (a non-hosting metadata holder)
-// exports metadata only.
-func (m *Manager) recordLocked(id object.ID, rs *replicaState) Record {
 	rec := Record{ID: id, VV: rs.vv, Info: rs.info}
 	rec.History = append(rec.History, rs.history...)
 	if e, err := m.registry.Get(id); err == nil {

@@ -1,10 +1,10 @@
 package replication
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 
 	"dedisys/internal/group"
 	"dedisys/internal/object"
@@ -45,6 +45,8 @@ func MostUpdatesResolver(c Conflict) (object.State, error) {
 // ReconcileReport summarises one replica reconciliation pass.
 type ReconcileReport struct {
 	PeersContacted int
+	InSync         int // peers whose digest matched ours: nothing moved either way
+	Pulled         int // records the peers sent
 	Pushed         int // local states the pass found peers owed (a restatement of one is not counted again)
 	Adopted        int // remote states adopted locally
 	Conflicts      int // write-write conflicts resolved
@@ -57,18 +59,30 @@ type ReconcileReport struct {
 
 // ReconcileWith propagates missed updates between this node and the given
 // peers and resolves write-write conflicts through the resolver (nil uses
-// MostUpdatesResolver). It is driven by the reconciliation orchestrator
-// after a view change re-unites partitions (§4.4). The context bounds the
-// whole pass: the pull round and the repair round inherit it.
+// MostUpdatesResolver). It is the one repair exchange: the reconciliation
+// orchestrator drives it with every peer that re-joined the view after a
+// partition (§4.4), and the gossip layer with the peer it sampled. The context
+// bounds the whole pass: the request round and the repair round inherit it.
 //
-// A pass is two rounds whatever the table sizes. The pulls fan out as one
-// multicast round; the merge runs sequentially in peer order, so the outcome
-// is deterministic, and sends nothing: what it finds the peers are owed is
+// Per peer, the exchange is one request and one reply. The request is this
+// node's digest for the peer: the sorted salted fingerprints of the replicas
+// and tombstones the peer replicates (digestLocked). A peer whose digest is
+// the same answers with an empty reply; otherwise it returns its records —
+// live or tombstone — whose fingerprints the request lacks, and the request's
+// fingerprints that match none of its own (handlePull). Each record is merged
+// through the replica rule, and an object behind an unmatched fingerprint that
+// came back in no record is one the peer lacks: it is owed our create or our
+// tombstone.
+//
+// A pass is two rounds whatever the table sizes. The requests fan out as one
+// round; the merge runs sequentially in peer order, so the outcome is
+// deterministic, and sends nothing: what it finds the peers are owed is
 // staged (repairs) and leaves as one repl.batch per destination after the last
 // peer's merge, before the pass returns — the constraint phase that follows
 // sees a finished replica phase. Every destination is attempted: a failed one
 // counts in replication.propagation_errors and the pass returns an error
-// naming the first, so a dead peer does not starve the peers after it.
+// naming the first, so a dead peer does not starve the peers after it. A peer
+// that cannot be reached is skipped: it is not counted in PeersContacted.
 func (m *Manager) ReconcileWith(ctx context.Context, peers []transport.NodeID, resolve ConflictResolver) (ReconcileReport, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -76,35 +90,148 @@ func (m *Manager) ReconcileWith(ctx context.Context, peers []transport.NodeID, r
 	if resolve == nil {
 		resolve = MostUpdatesResolver
 	}
-	var report ReconcileReport
-	results := m.comm.Multicast(ctx, m.self, peers, msgPull, nil)
-	if len(results) > 1 {
-		m.pullParallel.Inc()
+	round := &pullRound{Round: group.Round{From: m.self, Kind: msgPull}}
+	salt := mix64(m.salt.Add(0x9e3779b97f4a7c15))
+	m.mu.Lock()
+	for _, p := range peers {
+		if p == m.self {
+			continue
+		}
+		d := m.digestLocked(p, salt)
+		req := pullMsg{Salt: salt, Prints: make([]uint64, len(d))}
+		for k := range d {
+			req.Prints[k] = d[k].print
+		}
+		round.To, round.digests, round.reqs = append(round.To, p), append(round.digests, d), append(round.reqs, req)
 	}
+	m.mu.Unlock()
+	round.results = make([]group.Result, len(round.To))
+	_ = m.comm.Run(ctx, &round.Round, round) // only an OnVerdict round reports an error
+
+	var report ReconcileReport
 	out := repairs{m: m}
 	var err error
-	for _, res := range results {
+	for i, res := range round.results {
 		if res.Err != nil {
 			// Peer unreachable again: postpone (still degraded w.r.t. it).
 			continue
 		}
 		report.PeersContacted++
-		records, ok := res.Response.([]Record)
+		reply, ok := res.Response.(pullReply)
 		if !ok {
-			err = fmt.Errorf("replication: bad pull response %T from %s", res.Response, res.Node)
+			err = fmt.Errorf("replication: bad pull reply %T from %s", res.Response, res.Node)
 			break
 		}
-		peer := peers[slices.Index(peers, res.Node):][:1]
-		if err = m.mergeRecords(peer, records, resolve, &report, &out); err != nil {
+		if len(reply.Records) == 0 && len(reply.Unmatched) == 0 {
+			report.InSync++
+			continue
+		}
+		report.Pulled += len(reply.Records)
+		one := round.To[i : i+1]
+		if err = m.mergeRecords(one, reply.Records, resolve, &report, &out); err != nil {
 			break
 		}
-		m.pushMissing(peer, records, &report, &out)
+		m.stageMissing(one, round.digests[i], reply, &report, &out)
 	}
 	// What was staged before a failed merge is still owed.
 	if ferr := out.flush(ctx); err == nil {
 		err = ferr
 	}
 	return report, err
+}
+
+// pullMsg is a pass's request to one peer: the salt and the sorted
+// fingerprints of this node's digest for the peer.
+type pullMsg struct {
+	Salt   uint64
+	Prints []uint64
+}
+
+// pullReply is a peer's answer to a pullMsg; both lists are empty when the
+// digests agree.
+type pullReply struct {
+	Records   []Record // the peer's live replicas and tombstones whose fingerprints the request lacks, by ID
+	Unmatched []uint64 // the request's fingerprints that match none of the peer's own
+}
+
+// pullRound is a pass's request round: each peer is sent its own request,
+// and each reply is kept for the sequential merge.
+type pullRound struct {
+	group.Round
+	digests [][]digestEntry // per peer, what its request was built from
+	reqs    []pullMsg
+	results []group.Result
+}
+
+func (r *pullRound) Payload(i int) any { return r.reqs[i] }
+
+func (r *pullRound) Answered(i int, reply any, err error) group.Verdict {
+	r.results[i] = group.Result{Node: r.To[i], Response: reply, Err: err}
+	return group.Open
+}
+
+func (r *pullRound) Drained() {}
+
+// handlePull answers a pass's request: it walks its own digest for the
+// requester, taken under the same salt, beside the request's, and returns
+// what either side lacks — its records, in one hold with the digest, and the
+// request's fingerprints it has no entry for.
+func (m *Manager) handlePull(from transport.NodeID, payload any) (any, error) {
+	req, ok := payload.(pullMsg)
+	if !ok {
+		return nil, fmt.Errorf("replication: bad pull payload %T", payload)
+	}
+	var reply pullReply
+	m.mu.Lock()
+	own := m.digestLocked(from, req.Salt)
+	i, j := 0, 0
+	for i < len(own) || j < len(req.Prints) {
+		switch {
+		case j == len(req.Prints) || i < len(own) && own[i].print < req.Prints[j]:
+			reply.Records = append(reply.Records, m.recordLocked(own[i].id))
+			i++
+		case i == len(own) || req.Prints[j] < own[i].print:
+			reply.Unmatched = append(reply.Unmatched, req.Prints[j])
+			j++
+		default:
+			i, j = i+1, j+1
+		}
+	}
+	m.mu.Unlock()
+	slices.SortFunc(reply.Records, func(a, b Record) int { return cmp.Compare(a.ID, b.ID) })
+	return reply, nil
+}
+
+// stageMissing stages, for the peer, the objects behind the request's
+// fingerprints it matched none of its entries with and returned no record
+// for: it lacks them, and is owed our create, or our tombstone. The local
+// side is read as it is now — the merges before may have changed it.
+func (m *Manager) stageMissing(peer []transport.NodeID, sent []digestEntry, reply pullReply, report *ReconcileReport, out *repairs) {
+	for _, h := range reply.Unmatched {
+		k, found := slices.BinarySearchFunc(sent, h, func(e digestEntry, h uint64) int { return cmp.Compare(e.print, h) })
+		if !found {
+			continue
+		}
+		id := sent[k].id
+		if _, returned := slices.BinarySearchFunc(reply.Records, id, func(r Record, id object.ID) int { return cmp.Compare(r.ID, id) }); returned {
+			continue
+		}
+		// An object gone from the registry or the table since has no local
+		// copy to ship; the peer pulls it from a replica later.
+		var op batchOp
+		if _, err := m.localOp(id, opCreate, false, &op); err == nil {
+			if out.stage(peer, op) {
+				report.Pushed++
+			}
+			continue
+		}
+		m.mu.Lock()
+		vv, dead := m.tombstones[id]
+		m.mu.Unlock()
+		if dead {
+			out.stage(peer, batchOp{Kind: opDelete, ID: id, VV: vv})
+		}
+	}
 }
 
 // repairs is what one pass owes its peers: ops staged as a commit stages
@@ -178,20 +305,25 @@ func (r *repairRound) Answered(i int, reply any, err error) group.Verdict {
 // Drained overrides the commit's: no straggler of a repair is waited for.
 func (r *repairRound) Drained() {}
 
-// mergeRecords folds one peer's replica table into the local one and stages
-// what the merge finds the peers are owed; peer is the one-element slice of
-// the peer. Each record is decided under the replica lock as the create it
-// would ship (decide): adopted, skipped, or buried under a concurrent
-// tombstone of its incarnation. A strictly newer local side is owed to the
-// peer — our state, or our tombstone — and two concurrent live sides are a
-// write-write conflict.
+// mergeRecords folds records of one peer's replica table into the local one
+// and stages what the merge finds the peers are owed; peer is the one-element
+// slice of the peer. Each record is decided under the replica lock as the op
+// it would ship (decide) — a live one as its create, a tombstone as its
+// delete: adopted, buried, skipped, or buried under a concurrent tombstone of
+// its incarnation. A strictly newer local side is owed to the peer — our
+// state, or our tombstone — and two concurrent live sides are a write-write
+// conflict.
 func (m *Manager) mergeRecords(peer []transport.NodeID, records []Record, resolve ConflictResolver, report *ReconcileReport, out *repairs) error {
 	var res [1]opResult
 	var one [1]batchOp // every record's op: the store write makes it escape
 	for _, rec := range records {
 		var d decision
 		op := &one[0]
-		*op = batchOp{Kind: opCreate, ID: rec.ID, Class: rec.Class, State: rec.State, Version: rec.Version, VV: rec.VV, Info: rec.Info}
+		if rec.Deleted {
+			*op = batchOp{Kind: opDelete, ID: rec.ID, VV: rec.VV}
+		} else {
+			*op = batchOp{Kind: opCreate, ID: rec.ID, Class: rec.Class, State: rec.State, Version: rec.Version, VV: rec.VV, Info: rec.Info}
+		}
 		if _, err := m.applyOps(one[:], res[:0], &d); err != nil {
 			return err
 		}
@@ -200,7 +332,7 @@ func (m *Manager) mergeRecords(peer []transport.NodeID, records []Record, resolv
 			report.Created++
 		case d.eff == opApply:
 			report.Adopted++
-		case d.res == opConcurrent:
+		case d.res == opConcurrent && !rec.Deleted:
 			report.Conflicts++
 			report.ConflictIDs = append(report.ConflictIDs, rec.ID)
 			m.conflicts.Inc()
@@ -213,9 +345,14 @@ func (m *Manager) mergeRecords(peer []transport.NodeID, records []Record, resolv
 		}
 		switch d.owed {
 		case opApply:
-			// One that dropped the object in the meantime decides our apply
-			// against its tombstone, as it would a commit's.
-			if _, err := m.localOp(rec.ID, opApply, false, op); err != nil {
+			// Only a create lands on a peer that holds a tombstone. One that
+			// dropped the object in the meantime decides our apply against
+			// its tombstone, as it would a commit's.
+			kind := opApply
+			if rec.Deleted {
+				kind = opCreate
+			}
+			if _, err := m.localOp(rec.ID, kind, false, op); err != nil {
 				return err
 			}
 			if out.stage(peer, *op) {
@@ -271,35 +408,4 @@ func (m *Manager) resolveConflict(rec Record, resolve ConflictResolver, out *rep
 	e.ApplyState(chosen, max(conflict.LocalVersion, conflict.RemoteVersion)+1)
 	m.mu.Unlock()
 	return m.stageState(rec.ID, out)
-}
-
-// pushMissing stages the creation, on the peer, of objects it has never seen
-// (created in our partition during the split). Under sharded placement only
-// objects the peer replicates are pushed: a heal between nodes of different
-// groups moves no object state.
-func (m *Manager) pushMissing(peer []transport.NodeID, peerRecords []Record, report *ReconcileReport, out *repairs) {
-	seen := make(map[object.ID]struct{}, len(peerRecords))
-	for _, rec := range peerRecords {
-		seen[rec.ID] = struct{}{}
-	}
-	m.mu.Lock()
-	var missing []object.ID
-	for id := range m.meta {
-		if m.placement != nil && !m.meta[id].info.HasReplica(peer[0]) {
-			continue
-		}
-		if _, ok := seen[id]; !ok {
-			missing = append(missing, id)
-		}
-	}
-	m.mu.Unlock()
-	sort.Slice(missing, func(i, j int) bool { return missing[i] < missing[j] })
-	for _, id := range missing {
-		// An object gone from the registry or the table since has no local
-		// copy to ship; the peer pulls it from a replica later.
-		var op batchOp
-		if _, err := m.localOp(id, opCreate, false, &op); err == nil && out.stage(peer, op) {
-			report.Pushed++
-		}
-	}
 }

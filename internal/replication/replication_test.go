@@ -441,8 +441,8 @@ func TestReconciliationAdoptsObjectsCreatedElsewhere(t *testing.T) {
 // TestReconciliationRePropagatesDeletes deletes an object in one partition
 // while the other keeps writing it. One pass after the heal the deletion has
 // won on both sides, and both hold the same tombstone vector — the deletion
-// event's, {n1:2}, merged with the peer's live {n1:1,n2:1} — so a gossip
-// digest finds them in sync.
+// event's, {n1:2}, merged with the peer's live {n1:1,n2:1} — so the next
+// exchange finds them in sync.
 func TestReconciliationRePropagatesDeletes(t *testing.T) {
 	h := newHarness(t, 2, PrimaryPerPartition{})
 	h.create(t, "n1", "Flight", "f1", object.State{"sold": int64(0)})
@@ -463,15 +463,19 @@ func TestReconciliationRePropagatesDeletes(t *testing.T) {
 	if h.node("n2").reg.Has("f1") {
 		t.Fatal("delete not re-propagated during reconciliation")
 	}
-	d1, d2 := h.node("n1").mgr.Digest("n2")["f1"], h.node("n2").mgr.Digest("n1")["f1"]
-	if !d1.Deleted || !d2.Deleted {
-		t.Fatalf("tombstones: n1 %+v, n2 %+v", d1, d2)
+	h1, v1, _ := h.node("n1").held("f1")
+	h2, v2, _ := h.node("n2").held("f1")
+	if h1 != opDelete || h2 != opDelete {
+		t.Fatalf("tombstones: n1 holds %d %v, n2 %d %v", h1, v1, h2, v2)
 	}
-	if cmp, ok := d1.VV.Compare(d2.VV); !ok || cmp != 0 {
-		t.Fatalf("tombstone vectors differ after one pass: n1 %v, n2 %v", d1.VV, d2.VV)
+	if cmp, ok := v1.Compare(v2); !ok || cmp != 0 {
+		t.Fatalf("tombstone vectors differ after one pass: n1 %v, n2 %v", v1, v2)
 	}
-	if want := (VersionVector{{Node: "n1", Count: 2}, {Node: "n2", Count: 1}}); !reflect.DeepEqual(d1.VV, want) {
-		t.Fatalf("tombstone vector = %v, want %v", d1.VV, want)
+	if want := (VersionVector{{Node: "n1", Count: 2}, {Node: "n2", Count: 1}}); !reflect.DeepEqual(v1, want) {
+		t.Fatalf("tombstone vector = %v, want %v", v1, want)
+	}
+	if report, err := h.node("n2").mgr.ReconcileWith(context.Background(), []transport.NodeID{"n1"}, nil); err != nil || report.InSync != 1 {
+		t.Fatalf("the next exchange = %+v, %v; want in sync", report, err)
 	}
 }
 
@@ -487,7 +491,7 @@ func TestReconciliationPushToDroppedObjectSkipped(t *testing.T) {
 	h.net.Partition([]transport.NodeID{"n1"}, []transport.NodeID{"n2"})
 	h.write(t, "n1", "f1", "sold", int64(11)) // n1 dominates on f1
 	h.write(t, "n2", "f2", "sold", int64(22)) // n2 dominates on f2
-	pulled := h.node("n2").mgr.Records()
+	pulled := h.node("n2").records(t, "n1")
 	// n2 drops f1 after answering the pull.
 	env := h.node("n2")
 	txn := env.txm.Begin()
@@ -499,7 +503,7 @@ func TestReconciliationPushToDroppedObjectSkipped(t *testing.T) {
 	}
 	h.net.Heal()
 
-	report, err := h.node("n1").mgr.MergeRecords(context.Background(), "n2", pulled, nil)
+	report, err := h.node("n1").merge("n2", pulled)
 	if err != nil {
 		t.Fatalf("pass aborted: %v", err)
 	}

@@ -283,14 +283,17 @@ func TestShardedReconcileFiltersByGroup(t *testing.T) {
 	}
 
 	// Pull filtering: records are scoped to what the peer replicates.
-	if recs := h.node(pureA).mgr.RecordsFor(pureB); len(recs) != 0 {
+	if recs := h.node(pureA).records(t, pureB); len(recs) != 0 {
 		t.Fatalf("%s served %d records to foreign-group %s", pureA, len(recs), pureB)
 	}
-	for _, rec := range h.node(pureA).mgr.Records() {
-		if g := ring.GroupOf(rec.ID); g != 0 {
-			t.Fatalf("%s holds record %s of group %d", pureA, rec.ID, g)
+	a := h.node(pureA).mgr
+	a.mu.Lock()
+	for id := range a.meta {
+		if g := ring.GroupOf(id); g != 0 {
+			t.Errorf("%s holds record %s of group %d", pureA, id, g)
 		}
 	}
+	a.mu.Unlock()
 
 	// A cross-group reconcile pass is a no-op: nothing pulled, adopted,
 	// pushed or created.
@@ -404,8 +407,8 @@ func TestOutsiderReCreatesDeletedObject(t *testing.T) {
 
 	outsider := nodeOutsideAllGroups(t, ring, h.ids)
 	h.create(t, outsider, "Flight", oid, object.State{"sold": int64(9)})
-	if owed := restarted.AdoptTombstone(oid, tomb); !owed {
-		t.Fatal("the re-created replica is not owed to the tombstone's sender")
+	if report, err := h.node(replicas[2]).merge(replicas[0], []Record{{ID: oid, VV: tomb, Deleted: true}}); err != nil || report.Pushed != 1 {
+		t.Fatalf("merging the tombstone = %+v, %v; want the re-created replica owed to its sender", report, err)
 	}
 	if _, err := restarted.ReconcileWith(context.Background(), replicas[:1], nil); err != nil {
 		t.Fatal(err)

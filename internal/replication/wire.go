@@ -10,7 +10,7 @@ import (
 
 // Wire payload registration: every value the replication service puts into an
 // interface-typed transport payload slot — the batch request and its ack, the
-// fetch reply and the reconciliation pull reply — must have its concrete type
+// fetch reply, and the reconciliation pull request and its reply — must have its concrete type
 // registered with gob before it can cross the real wire. Each package
 // registers exactly the types it owns.
 //
@@ -40,8 +40,8 @@ func init() {
 	gob.Register(&threatBatch{})
 	gob.RegisterName("repl.ack", &batchAck{})
 	gob.Register(fetchReply{})
-	gob.Register(Record{})
-	gob.Register([]Record(nil))
+	gob.Register(pullMsg{})
+	gob.Register(pullReply{})
 	transport.RegisterWire(wireTagBatch, readBatchWire)
 	transport.RegisterWire(wireTagAck, readAckWire)
 }

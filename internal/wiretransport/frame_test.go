@@ -594,7 +594,7 @@ func TestRecordedStreams(t *testing.T) {
 	if self["repl.batch"] < 2 || viaGob["repl.batch"] != 0 {
 		t.Fatalf("repl.batch: %d self-encoded frames, %d gob frames; want requests and acks all self-encoded", self["repl.batch"], viaGob["repl.batch"])
 	}
-	for _, kind := range []string{kindPing, "node.invoke", "gossip.digest"} {
+	for _, kind := range []string{kindPing, "node.invoke", "repl.pull"} {
 		if viaGob[kind] == 0 || self[kind] != 0 {
 			t.Fatalf("%s: %d gob frames, %d self-encoded; want all on gob", kind, viaGob[kind], self[kind])
 		}
