@@ -20,7 +20,7 @@
 //	view                          this node's membership view
 //	mode                          consistency mode (normal/degraded)
 //	reconcile                     pull + merge replica state from all peers
-//	stats                         transport delivery counters
+//	stats                         the registry's counters, sorted: name=value ...
 //	exit                          leave (EOF works too)
 //
 // Values parse as int, float or bool when they look like one, else string.
@@ -123,6 +123,7 @@ func run(args []string) error {
 		ReplicationFactor: *rf,
 		Detect:            detectCfg,
 		Gossip:            gossipCfg,
+		Obs:               wire.Observer(),
 	})
 	if err != nil {
 		return err
@@ -239,8 +240,18 @@ func execute(n *node.Node, wire *wiretransport.Wire, fields []string, timeout ti
 		return fmt.Sprintf("ok created=%d adopted=%d pushed=%d conflicts=%d reevaluated=%d",
 			rep.Replica.Created, rep.Replica.Adopted, rep.Replica.Pushed, rep.Replica.Conflicts, rep.Constraint.Reevaluated)
 	case "stats":
-		s := wire.Stats()
-		return fmt.Sprintf("ok messages=%d failures=%d retries=%d", s.Messages, s.Failures, s.Retries)
+		counters := n.Obs.Snapshot().Counters
+		names := make([]string, 0, len(counters))
+		for name := range counters {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		var b strings.Builder
+		b.WriteString("ok")
+		for _, name := range names {
+			fmt.Fprintf(&b, " %s=%d", name, counters[name])
+		}
+		return b.String()
 	default:
 		return fmt.Sprintf("err: unknown command %q", cmd)
 	}

@@ -7,6 +7,8 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -56,6 +58,26 @@ func TestWireClusterSmoke(t *testing.T) {
 	// replica catches up through the background straggler send, so the
 	// remote read polls for convergence instead of asserting immediately.
 	c.expectEventually(t, "get acct-1 balance", "ok 150")
+
+	// stats prints the node's registry, counters sorted by name; a's
+	// writes crossed the wire.
+	a.send(t, "stats")
+	stats := strings.Fields(a.expect(t, "ok "))[1:]
+	names := make([]string, len(stats))
+	var msgs int64
+	for i, kv := range stats {
+		name, v, _ := strings.Cut(kv, "=")
+		names[i] = name
+		if name == "transport.messages" {
+			msgs, _ = strconv.ParseInt(v, 10, 64)
+		}
+	}
+	if !sort.StringsAreSorted(names) {
+		t.Fatalf("stats not sorted by name: %q", stats)
+	}
+	if msgs <= 0 {
+		t.Fatalf("stats = %q, want a positive transport.messages", stats)
+	}
 
 	// Kill one replica. A strict-majority quorum commit (2 of 3, incl. the
 	// coordinator) must still succeed for the survivors.

@@ -90,11 +90,18 @@ func TestHealthyEnforcement(t *testing.T) {
 	}
 	// Changing only the description triggers no constraint (§1.6: affected
 	// methods avoid unnecessary validations).
-	before := c.Node(0).CCM.Stats().Validations
+	validations := func() int64 {
+		v, ok := c.Obs.Snapshot().Counters["n1.core.validations"]
+		if !ok {
+			t.Fatal("n1.core.validations is not registered")
+		}
+		return v
+	}
+	before := validations()
 	if _, err := c.Node(0).Invoke("a1", "SetDescription", "smoke observed"); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Node(0).CCM.Stats().Validations; got != before {
+	if got := validations(); got != before {
 		t.Fatalf("SetDescription triggered %d validations", got-before)
 	}
 }

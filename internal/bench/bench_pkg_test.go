@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"dedisys/internal/obs"
 )
 
 func TestRegistryAndByID(t *testing.T) {
@@ -247,6 +249,26 @@ func TestDetectShape(t *testing.T) {
 		}
 		if hb, ok := res.Cell(policy, "heartbeats"); !ok || hb <= 0 {
 			t.Errorf("%s: no heartbeats recorded", policy)
+		}
+	}
+}
+
+// TestSharedObserverKeepsRowsApart runs abl-repocache with and without a
+// shared observer (what -metrics and -trace install): every cluster of the
+// run then counts into one registry, and a row must still read its own
+// case's searches, not every earlier case's too.
+func TestSharedObserverKeepsRowsApart(t *testing.T) {
+	shared := QuickConfig()
+	shared.Obs = obs.New()
+	for _, cfg := range []Config{QuickConfig(), shared} {
+		res, err := runAblRepoCache(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, row := range []string{"optimized (cached)", "linear search"} {
+			if got, _ := res.Cell(row, "repo_searches"); got != 360 {
+				t.Errorf("shared observer %t: %s repo_searches = %v, want 360", cfg.Obs != nil, row, got)
+			}
 		}
 	}
 }

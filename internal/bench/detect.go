@@ -6,6 +6,7 @@ import (
 
 	"dedisys/internal/detect"
 	"dedisys/internal/node"
+	"dedisys/internal/obs"
 	"dedisys/internal/transport"
 )
 
@@ -43,10 +44,21 @@ func runDetectCase(cfg Config, res *Result, interval time.Duration, pol detect.P
 	if cfg.NetCost > 0 {
 		netOpts = append(netOpts, transport.WithCost(transport.CostModel{PerMessage: cfg.NetCost}))
 	}
+	// A shared cfg.Obs already holds the earlier cases' counts: each row is
+	// the difference of two registry reads.
+	base := cfg.Obs
+	if base == nil {
+		base = obs.New()
+	}
+	counters := []string{".detect.heartbeats_sent", ".detect.suspicions", ".detect.false_suspicions"}
+	before := make([]int64, len(counters))
+	for i, name := range counters {
+		before[i] = sumCounters(base, name)
+	}
 	c, err := node.NewCluster(3, netOpts, func(o *node.Options) {
 		o.DisableCCM = true
 		o.DisableReplication = true
-		o.Obs = cfg.Obs
+		o.Obs = base
 		o.Detect = &detect.Config{Interval: interval, Policy: pol}
 	})
 	if err != nil {
@@ -70,20 +82,14 @@ func runDetectCase(cfg Config, res *Result, interval time.Duration, pol detect.P
 		return err
 	}
 
-	var total detect.Stats
-	for _, n := range c.Nodes {
-		s := n.Detector.Stats()
-		total.HeartbeatsSent += s.HeartbeatsSent
-		total.Suspicions += s.Suspicions
-		total.FalseSuspicions += s.FalseSuspicions
+	cells := []float64{
+		float64(detectLat) / float64(time.Millisecond),
+		float64(rejoinLat) / float64(time.Millisecond),
 	}
-	res.AddRow(pol.Name(),
-		float64(detectLat)/float64(time.Millisecond),
-		float64(rejoinLat)/float64(time.Millisecond),
-		float64(total.HeartbeatsSent),
-		float64(total.Suspicions),
-		float64(total.FalseSuspicions),
-	)
+	for i, name := range counters {
+		cells = append(cells, float64(sumCounters(base, name)-before[i]))
+	}
+	res.AddRow(pol.Name(), cells...)
 	return nil
 }
 

@@ -60,7 +60,8 @@ func measureShard(cfg Config, size, groups, rf, entities, ops int) (shardMeasure
 	}
 	m.ObjectsPerNode = float64(total) / float64(size)
 
-	sent := c.Net.Stats().Messages
+	msgs := c.Net.Observer().Counter("transport.messages")
+	sent := msgs.Load()
 	start := time.Now()
 	for i := 0; i < ops; i++ {
 		id := beanID(i % entities)
@@ -69,7 +70,7 @@ func measureShard(cfg Config, size, groups, rf, entities, ops int) (shardMeasure
 		}
 	}
 	m.PerCommit = time.Since(start) / time.Duration(ops)
-	m.MsgsPerCommit = float64(c.Net.Stats().Messages-sent) / float64(ops)
+	m.MsgsPerCommit = float64(msgs.Load()-sent) / float64(ops)
 	return m, nil
 }
 

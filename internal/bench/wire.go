@@ -179,7 +179,7 @@ func measureWire(cfg Config, iters int) (wireMeasurement, error) {
 		return wireMeasurement{}, err
 	}
 	m := summarize(samples)
-	m.Messages = c.wires[0].Stats().Messages
+	m.Messages = c.wires[0].Observer().Counter("transport.messages").Load()
 	return m, nil
 }
 
@@ -196,9 +196,7 @@ func measureSimHop(cfg Config, iters int) (wireMeasurement, error) {
 	if err != nil {
 		return wireMeasurement{}, err
 	}
-	m := summarize(samples)
-	m.Messages = c.Net.Stats().Messages
-	return m, nil
+	return summarize(samples), nil
 }
 
 // wireBenchIters bounds the sample count: real sockets cost real wall-clock,

@@ -104,17 +104,6 @@ func (m Mode) String() string {
 	}
 }
 
-// Stats counts CCMgr activity for the evaluation chapters.
-type Stats struct {
-	Validations      int64
-	Violations       int64
-	ThreatsDetected  int64
-	ThreatsAccepted  int64
-	ThreatsRejected  int64
-	AsyncShortcuts   int64 // async constraints skipped in degraded mode
-	IntraObjectSaves int64 // threats avoided by the intra-object rule
-}
-
 // Config assembles a CCMgr's dependencies.
 type Config struct {
 	Self     transport.NodeID
@@ -224,19 +213,6 @@ func (m *Manager) Mode() Mode {
 		return Degraded
 	}
 	return Healthy
-}
-
-// Stats returns a snapshot of the CCMgr's counters.
-func (m *Manager) Stats() Stats {
-	return Stats{
-		Validations:      m.validations.Load(),
-		Violations:       m.violations.Load(),
-		ThreatsDetected:  m.threatsDetected.Load(),
-		ThreatsAccepted:  m.threatsAccepted.Load(),
-		ThreatsRejected:  m.threatsRejected.Load(),
-		AsyncShortcuts:   m.asyncShortcuts.Load(),
-		IntraObjectSaves: m.intraObjectSaves.Load(),
-	}
 }
 
 // RegisterNegotiationHandler binds a dynamic negotiation handler to the

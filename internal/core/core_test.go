@@ -10,6 +10,7 @@ import (
 	"dedisys/internal/group"
 	"dedisys/internal/invocation"
 	"dedisys/internal/object"
+	"dedisys/internal/obs"
 	"dedisys/internal/persistence"
 	"dedisys/internal/replication"
 	"dedisys/internal/repository"
@@ -17,6 +18,17 @@ import (
 	"dedisys/internal/transport"
 	"dedisys/internal/tx"
 )
+
+// counter reads a counter of o's registry; a name nothing registered fails
+// the test instead of reading 0.
+func counter(t *testing.T, o *obs.Observer, name string) int64 {
+	t.Helper()
+	v, ok := o.Snapshot().Counters[name]
+	if !ok {
+		t.Fatalf("no counter %q registered", name)
+	}
+	return v
+}
 
 // localEnv is a single-node CCMgr without network or replication, testing
 // the pure constraint-consistency logic.
@@ -26,6 +38,7 @@ type localEnv struct {
 	ths  *threat.Store
 	txm  *tx.Manager
 	ccm  *Manager
+	obs  *obs.Observer // the CCMgr's
 }
 
 func newLocalEnv(t *testing.T) *localEnv {
@@ -34,6 +47,7 @@ func newLocalEnv(t *testing.T) *localEnv {
 		reg:  object.NewRegistry(),
 		repo: repository.New(repository.WithCache()),
 		txm:  tx.NewManager(),
+		obs:  obs.New(),
 	}
 	env.ths = threat.NewStore(persistence.NewStore(), threat.IdenticalOnce)
 	ccm, err := New(Config{
@@ -41,6 +55,7 @@ func newLocalEnv(t *testing.T) *localEnv {
 		Registry: env.reg,
 		Repo:     env.repo,
 		Threats:  env.ths,
+		Obs:      env.obs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -205,15 +220,15 @@ func TestStatsAndReset(t *testing.T) {
 	if err := env.invoke(t, "f1", "SetSold", int64(1)); err != nil {
 		t.Fatal(err)
 	}
-	st := env.ccm.Stats()
-	if st.Validations != 1 {
-		t.Fatalf("stats = %+v", st)
+	validations := counter(t, env.obs, "core.validations")
+	if validations != 1 {
+		t.Fatalf("validations = %d, want 1", validations)
 	}
 	if err := env.invoke(t, "f1", "SetSold", int64(2)); err != nil {
 		t.Fatal(err)
 	}
-	if after := env.ccm.Stats(); after.Validations-st.Validations != 1 {
-		t.Fatalf("stats before = %+v, after one more invocation = %+v", st, after)
+	if after := counter(t, env.obs, "core.validations"); after-validations != 1 {
+		t.Fatalf("validations before = %d, after one more invocation = %d", validations, after)
 	}
 }
 
@@ -237,6 +252,7 @@ type replEnv struct {
 	txm  *tx.Manager
 	repl *replication.Manager
 	ccm  *Manager
+	obs  *obs.Observer // n1's CCMgr's
 }
 
 func newReplEnv(t *testing.T) *replEnv {
@@ -254,6 +270,7 @@ func newReplEnv(t *testing.T) *replEnv {
 		reg:  object.NewRegistry(),
 		repo: repository.New(repository.WithCache()),
 		txm:  tx.NewManager(),
+		obs:  obs.New(),
 	}
 	store := persistence.NewStore()
 	env.ths = threat.NewStore(store, threat.IdenticalOnce)
@@ -267,6 +284,7 @@ func newReplEnv(t *testing.T) *replEnv {
 	ccm, err := New(Config{
 		Self: "n1", Net: net, GMS: gms, Registry: env.reg,
 		Repl: repl, Repo: env.repo, Threats: env.ths, ReplicateThreats: true,
+		Obs: env.obs,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -342,9 +360,8 @@ func TestIntraObjectScopeKeepsReliableResult(t *testing.T) {
 	if err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	st := env.ccm.Stats()
-	if st.IntraObjectSaves != 1 || st.ThreatsDetected != 0 {
-		t.Fatalf("stats = %+v", st)
+	if saves, detected := counter(t, env.obs, "core.intra_object_saves"), counter(t, env.obs, "core.threats.detected"); saves != 1 || detected != 0 {
+		t.Fatalf("intra-object saves = %d, threats detected = %d; want 1, 0", saves, detected)
 	}
 	// And a violated intra-object constraint aborts reliably even degraded.
 	txn2 := env.txm.Begin()

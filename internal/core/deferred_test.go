@@ -70,9 +70,8 @@ func TestDeferredNegotiationAccepted(t *testing.T) {
 	if env.ths.Len() != 1 {
 		t.Fatalf("threats stored = %d", env.ths.Len())
 	}
-	st := env.ccm.Stats()
-	if st.ThreatsAccepted != 1 || st.ThreatsRejected != 0 {
-		t.Fatalf("stats = %+v", st)
+	if accepted, rejected := counter(t, env.obs, "core.threats.accepted"), counter(t, env.obs, "core.threats.rejected"); accepted != 1 || rejected != 0 {
+		t.Fatalf("threats accepted = %d, rejected = %d; want 1, 0", accepted, rejected)
 	}
 }
 

@@ -88,7 +88,7 @@ func TestWireCodecCorePayloads(t *testing.T) {
 			}
 		})
 	}
-	if s := wires["a"].Stats(); s.Failures != 0 {
-		t.Fatalf("failures = %d: a payload killed the link", s.Failures)
+	if got := counter(t, wires["a"].Observer(), "transport.failures"); got != 0 {
+		t.Fatalf("failures = %d: a payload killed the link", got)
 	}
 }

@@ -480,30 +480,6 @@ func (d *Detector) Suspects() []transport.NodeID {
 	return out
 }
 
-// Stats is a snapshot of the detector's metrics.
-type Stats struct {
-	HeartbeatsSent   int64
-	Suspicions       int64
-	FalseSuspicions  int64
-	DetectionSamples int64
-	DetectionLatency time.Duration // mean
-	RejoinSamples    int64
-	RejoinLatency    time.Duration // mean
-}
-
-// Stats returns the detector's counters and mean latencies.
-func (d *Detector) Stats() Stats {
-	return Stats{
-		HeartbeatsSent:   d.heartbeatsSent.Load(),
-		Suspicions:       d.suspicions.Load(),
-		FalseSuspicions:  d.falseSuspicions.Load(),
-		DetectionSamples: d.detectionLatency.Count(),
-		DetectionLatency: d.detectionLatency.Mean(),
-		RejoinSamples:    d.rejoinLatency.Count(),
-		RejoinLatency:    d.rejoinLatency.Mean(),
-	}
-}
-
 func equalIDs(a, b []transport.NodeID) bool {
 	if len(a) != len(b) {
 		return false

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"dedisys/internal/obs"
 	"dedisys/internal/transport"
 )
 
@@ -42,6 +43,17 @@ func startDetectors(t *testing.T, net *transport.Network, ids []transport.NodeID
 	return ds
 }
 
+// counter reads a counter of o's registry; a name nothing registered fails
+// the test instead of reading 0.
+func counter(t *testing.T, o *obs.Observer, name string) int64 {
+	t.Helper()
+	v, ok := o.Snapshot().Counters[name]
+	if !ok {
+		t.Fatalf("no counter %q registered", name)
+	}
+	return v
+}
+
 // waitFor polls cond until it holds or the deadline passes.
 func waitFor(t *testing.T, timeout time.Duration, cond func() bool, msg string) {
 	t.Helper()
@@ -75,9 +87,11 @@ func TestInitialViewSeedsAllPeers(t *testing.T) {
 func TestCrashSuspicionAndRejoin(t *testing.T) {
 	net, ids := newDetectorNet(t, 3)
 	ds := startDetectors(t, net, ids, Config{Interval: 2 * time.Millisecond})
+	// The detectors inherit the network's observer and count into it.
+	o := net.Observer()
 
 	// Let a few heartbeat rounds establish freshness.
-	waitFor(t, 2*time.Second, func() bool { return ds[0].Stats().HeartbeatsSent >= 4 }, "heartbeats flowing")
+	waitFor(t, 2*time.Second, func() bool { return counter(t, o, "detect.heartbeats_sent") >= 4 }, "heartbeats flowing")
 
 	net.Crash("n3")
 	start := time.Now()
@@ -88,16 +102,14 @@ func TestCrashSuspicionAndRejoin(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("detection took %s, want well under 1s at 2ms interval", elapsed)
 	}
-	s := ds[0].Stats()
-	if s.Suspicions < 1 {
-		t.Fatalf("suspicions = %d, want >= 1", s.Suspicions)
+	if got := counter(t, o, "detect.suspicions"); got < 1 {
+		t.Fatalf("suspicions = %d, want >= 1", got)
 	}
-	if s.FalseSuspicions != 0 {
-		t.Fatalf("false suspicions = %d for a real crash", s.FalseSuspicions)
+	if got := counter(t, o, "detect.false_suspicions"); got != 0 {
+		t.Fatalf("false suspicions = %d for a real crash", got)
 	}
-	if s.DetectionSamples < 1 || s.DetectionLatency < 2*time.Millisecond {
-		t.Fatalf("detection latency = %s over %d samples, want >= one interval",
-			s.DetectionLatency, s.DetectionSamples)
+	if h := o.Snapshot().Histograms["detect.detection_latency"]; h.Count < 1 || h.Mean < 2*time.Millisecond {
+		t.Fatalf("detection latency = %s over %d samples, want >= one interval", h.Mean, h.Count)
 	}
 
 	net.Recover("n3")
@@ -105,10 +117,8 @@ func TestCrashSuspicionAndRejoin(t *testing.T) {
 		_, v := ds[0].Current()
 		return contains(v, "n3")
 	}, "n1 re-admits recovered n3")
-	s = ds[0].Stats()
-	if s.RejoinSamples < 1 || s.RejoinLatency <= 0 {
-		t.Fatalf("rejoin latency = %s over %d samples, want a positive sample",
-			s.RejoinLatency, s.RejoinSamples)
+	if h := o.Snapshot().Histograms["detect.rejoin_latency"]; h.Count < 1 || h.Mean <= 0 {
+		t.Fatalf("rejoin latency = %s over %d samples, want a positive sample", h.Mean, h.Count)
 	}
 }
 
@@ -130,8 +140,8 @@ func TestLossyLinkCausesFalseSuspicion(t *testing.T) {
 		_, v := ds[0].Current()
 		return !contains(v, "n2") && contains(v, "n3")
 	}, "n1 drops n2 under full heartbeat loss and keeps n3, whose heartbeats were not dropped")
-	if s := ds[0].Stats(); s.FalseSuspicions < 1 {
-		t.Fatalf("false suspicions = %d, want n2's counted: the topology still reaches it", s.FalseSuspicions)
+	if got := counter(t, net.Observer(), "detect.false_suspicions"); got < 1 {
+		t.Fatalf("false suspicions = %d, want n2's counted: the topology still reaches it", got)
 	}
 
 	// The link recovers: the false suspicion must heal into a re-admission.
@@ -300,15 +310,16 @@ func TestPhiAccrualFallbackBeforeHistory(t *testing.T) {
 func TestStopTerminatesHeartbeats(t *testing.T) {
 	net, ids := newDetectorNet(t, 2)
 	ds := startDetectors(t, net, ids, Config{Interval: time.Millisecond})
-	waitFor(t, 2*time.Second, func() bool { return ds[0].Stats().HeartbeatsSent >= 2 }, "heartbeats flowing")
+	o := net.Observer()
+	waitFor(t, 2*time.Second, func() bool { return counter(t, o, "detect.heartbeats_sent") >= 2 }, "heartbeats flowing")
 	// Both detectors share the network's observer and thus one counter; stop
 	// both before asserting it stays put.
 	for _, d := range ds {
 		d.Stop()
 	}
-	sent := ds[0].Stats().HeartbeatsSent
+	sent := counter(t, o, "detect.heartbeats_sent")
 	time.Sleep(20 * time.Millisecond)
-	if after := ds[0].Stats().HeartbeatsSent; after != sent {
+	if after := counter(t, o, "detect.heartbeats_sent"); after != sent {
 		t.Fatalf("heartbeats kept flowing after Stop: %d -> %d", sent, after)
 	}
 	ds[0].Stop() // idempotent
@@ -332,7 +343,7 @@ func TestConcurrentViewReads(t *testing.T) {
 				}
 				d.Current()
 				d.Suspects()
-				d.Stats()
+				net.Observer().Snapshot()
 			}
 		}()
 	}

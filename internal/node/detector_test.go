@@ -75,13 +75,12 @@ func TestDetectorCrashSuspicionRejoinRoundTrip(t *testing.T) {
 	waitUntil(t, time.Second, func() bool { return n1.Mode() == core.Degraded },
 		"n1 classifies itself degraded")
 
-	s := n1.Detector.Stats()
-	if s.DetectionSamples < 1 || s.DetectionLatency < interval || s.DetectionLatency > time.Second {
-		t.Fatalf("detector-measured latency = %s over %d samples, want within [%s, 1s]",
-			s.DetectionLatency, s.DetectionSamples, interval)
+	h := c.Obs.Snapshot().Histograms["n1.detect.detection_latency"]
+	if h.Count < 1 || h.Mean < interval || h.Mean > time.Second {
+		t.Fatalf("detector-measured latency = %s over %d samples, want within [%s, 1s]", h.Mean, h.Count, interval)
 	}
-	if s.FalseSuspicions != 0 {
-		t.Fatalf("false suspicions = %d for a genuine crash", s.FalseSuspicions)
+	if got := counter(t, c.Obs, "n1.detect.false_suspicions"); got != 0 {
+		t.Fatalf("false suspicions = %d for a genuine crash", got)
 	}
 
 	recoverStart := time.Now()
@@ -92,9 +91,8 @@ func TestDetectorCrashSuspicionRejoinRoundTrip(t *testing.T) {
 	if wallRejoin := time.Since(recoverStart); wallRejoin > time.Second {
 		t.Fatalf("rejoin took %s, want well under 1s", wallRejoin)
 	}
-	s = n1.Detector.Stats()
-	if s.RejoinSamples < 1 || s.RejoinLatency <= 0 {
-		t.Fatalf("rejoin latency = %s over %d samples, want a positive sample", s.RejoinLatency, s.RejoinSamples)
+	if h := c.Obs.Snapshot().Histograms["n1.detect.rejoin_latency"]; h.Count < 1 || h.Mean <= 0 {
+		t.Fatalf("rejoin latency = %s over %d samples, want a positive sample", h.Mean, h.Count)
 	}
 }
 
@@ -113,7 +111,7 @@ func TestDetectorFalseSuspicionRecovers(t *testing.T) {
 		return (from == "n1" && to == "n2") || (from == "n2" && to == "n1")
 	})
 	waitUntil(t, 5*time.Second, func() bool {
-		return n1.Detector.Stats().FalseSuspicions >= 1
+		return counter(t, c.Obs, "n1.detect.false_suspicions") >= 1
 	}, "heartbeat loss on a live link yields a false suspicion")
 	waitUntil(t, time.Second, func() bool { return !c.GMS.ViewOf(n1.ID).Contains("n2") },
 		"false suspicion shrinks n1's view")

@@ -58,8 +58,8 @@ func TestLostPropagationRepairedByReconciliation(t *testing.T) {
 	if e3.GetInt("value") != 0 {
 		t.Fatalf("n3 should have missed the update, value = %d", e3.GetInt("value"))
 	}
-	if c.Net.Stats().Dropped != 1 {
-		t.Fatalf("dropped = %d", c.Net.Stats().Dropped)
+	if got := c.Obs.Snapshot().Counters["transport.dropped"]; got != 1 {
+		t.Fatalf("dropped = %d", got)
 	}
 
 	// The version vectors expose the miss; reconciliation pushes the state.

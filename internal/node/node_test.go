@@ -9,10 +9,23 @@ import (
 	"dedisys/internal/constraint"
 	"dedisys/internal/core"
 	"dedisys/internal/object"
+	"dedisys/internal/obs"
 	"dedisys/internal/replication"
 	"dedisys/internal/threat"
 	"dedisys/internal/transport"
 )
+
+// counter reads a counter of o's registry; a name nothing registered fails
+// the test instead of reading 0. A node's own counters carry its ID as a
+// prefix ("n1.core.validations"); the network's carry none.
+func counter(t *testing.T, o *obs.Observer, name string) int64 {
+	t.Helper()
+	v, ok := o.Snapshot().Counters[name]
+	if !ok {
+		t.Fatalf("no counter %q registered", name)
+	}
+	return v
+}
 
 // flightSchema builds the Flight class of the running example (§1.3).
 func flightSchema() *object.Schema {
@@ -109,9 +122,8 @@ func TestHealthyConstraintEnforcement(t *testing.T) {
 			t.Fatalf("node %s sold after abort = %d", n.ID, e.GetInt("sold"))
 		}
 	}
-	st := n1.CCM.Stats()
-	if st.Violations != 1 || st.Validations < 2 {
-		t.Fatalf("ccm stats = %+v", st)
+	if violations, validations := counter(t, c.Obs, "n1.core.violations"), counter(t, c.Obs, "n1.core.validations"); violations != 1 || validations < 2 {
+		t.Fatalf("violations = %d, validations = %d; want 1, >= 2", violations, validations)
 	}
 }
 
@@ -145,12 +157,12 @@ func TestReadsServedLocally(t *testing.T) {
 	if err := n1.Create("Flight", "f1", object.State{"seats": int64(80), "sold": int64(7)}, c.AllReplicas("n1")); err != nil {
 		t.Fatal(err)
 	}
-	before := c.Net.Stats().Messages
+	before := counter(t, c.Obs, "transport.messages")
 	got, err := c.Node(2).Invoke("f1", "Sold")
 	if err != nil || got.(int64) != 7 {
 		t.Fatalf("read = %v, %v", got, err)
 	}
-	if msgs := c.Net.Stats().Messages - before; msgs != 0 {
+	if msgs := counter(t, c.Obs, "transport.messages") - before; msgs != 0 {
 		t.Fatalf("local read used %d network messages", msgs)
 	}
 }
@@ -171,9 +183,8 @@ func TestDegradedThreatAcceptedAndStored(t *testing.T) {
 	if _, err := n1.Invoke("f1", "SellTickets", int64(7)); err != nil {
 		t.Fatal(err)
 	}
-	st := n1.CCM.Stats()
-	if st.ThreatsDetected != 1 || st.ThreatsAccepted != 1 {
-		t.Fatalf("stats = %+v", st)
+	if detected, accepted := counter(t, c.Obs, "n1.core.threats.detected"), counter(t, c.Obs, "n1.core.threats.accepted"); detected != 1 || accepted != 1 {
+		t.Fatalf("threats detected = %d, accepted = %d; want 1, 1", detected, accepted)
 	}
 	if n1.Threats.Len() != 1 {
 		t.Fatalf("threats stored = %d", n1.Threats.Len())
@@ -332,9 +343,8 @@ func TestAsyncConstraintSkipsValidationWhenDegraded(t *testing.T) {
 	if _, err := n1.Invoke("f1", "SellTickets", int64(5)); err != nil {
 		t.Fatalf("degraded async op err = %v", err)
 	}
-	st := n1.CCM.Stats()
-	if st.AsyncShortcuts != 1 {
-		t.Fatalf("async shortcuts = %d", st.AsyncShortcuts)
+	if got := counter(t, c.Obs, "n1.core.async_shortcuts"); got != 1 {
+		t.Fatalf("async shortcuts = %d", got)
 	}
 	if n1.Threats.Len() != 1 {
 		t.Fatalf("threats = %d", n1.Threats.Len())

@@ -454,11 +454,12 @@ func TestReferenceContextCostsOneFetch(t *testing.T) {
 		return false
 	})
 	defer c.Net.SetDrop(nil)
-	before := n.CCM.Stats().Validations
+	validations := string(n.ID) + ".core.validations"
+	before := counter(t, c.Obs, validations)
 	if _, err := n.Invoke(flight, "SellTickets", int64(1)); err != nil {
 		t.Fatal(err)
 	}
-	if v := n.CCM.Stats().Validations - before; v != 1 {
+	if v := counter(t, c.Obs, validations) - before; v != 1 {
 		t.Fatalf("validations = %d, want 1", v)
 	}
 	if got := fetches.Load(); got != 1 {

@@ -6,9 +6,9 @@
 // Adaptive dependability requires the middleware to observe its own health —
 // mode transitions, threat counts, staleness, reconciliation progress — to
 // trade integrity against availability. Every layer (transport, group,
-// replication, core, threat, tx, reconcile) emits through this package; the
-// per-package Stats accessors are views over registry-backed counters, so
-// the Chapter 5 experiment tables and a process-wide registry dump always
+// replication, core, threat, tx, reconcile) emits through this package, and
+// the registry is the one way to read a count: the Chapter 5 experiment
+// tables read it, as a process-wide registry dump does, so the two always
 // agree.
 //
 // Cost discipline: metric updates are single atomic operations, permitted on

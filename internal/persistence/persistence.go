@@ -26,12 +26,6 @@ import (
 // ErrNotFound reports a missing record.
 var ErrNotFound = errors.New("persistence: record not found")
 
-// Stats counts store operations.
-type Stats struct {
-	Reads  int64
-	Writes int64 // puts and deletes
-}
-
 // CostModel simulates the latency of synchronous database access.
 type CostModel struct {
 	// PerWrite is charged on every Put and Delete.
@@ -220,9 +214,4 @@ func (s *Store) DropTable(table string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	delete(s.tables, table)
-}
-
-// Stats returns the operation counters.
-func (s *Store) Stats() Stats {
-	return Stats{Reads: s.reads.Load(), Writes: s.writes.Load()}
 }

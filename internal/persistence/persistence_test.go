@@ -9,11 +9,24 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"dedisys/internal/obs"
 )
 
 type record struct {
 	Name  string `json:"name"`
 	Count int    `json:"count"`
+}
+
+// counter reads a counter of o's registry; a name nothing registered fails
+// the test instead of reading 0.
+func counter(t *testing.T, o *obs.Observer, name string) int64 {
+	t.Helper()
+	v, ok := o.Snapshot().Counters[name]
+	if !ok {
+		t.Fatalf("no counter %q registered", name)
+	}
+	return v
 }
 
 func TestPutGetDelete(t *testing.T) {
@@ -75,23 +88,24 @@ func TestKeysSortedAndLen(t *testing.T) {
 }
 
 func TestStats(t *testing.T) {
-	s := NewStore()
+	o := obs.New()
+	s := NewStore(WithObserver(o))
 	if err := s.Put("t", "k", 1); err != nil {
 		t.Fatal(err)
 	}
 	var v int
 	_ = s.Get("t", "k", &v)
 	s.Delete("t", "k")
-	st := s.Stats()
-	if st.Writes != 2 || st.Reads != 1 {
-		t.Fatalf("stats = %+v", st)
+	writes, reads := counter(t, o, "persistence.writes"), counter(t, o, "persistence.reads")
+	if writes != 2 || reads != 1 {
+		t.Fatalf("writes = %d, reads = %d; want 2, 1", writes, reads)
 	}
 	if err := s.Put("t", "k", 2); err != nil {
 		t.Fatal(err)
 	}
 	_ = s.Get("t", "k", &v)
-	if after := s.Stats(); after.Writes-st.Writes != 1 || after.Reads-st.Reads != 1 {
-		t.Fatalf("stats before = %+v, after one more put and get = %+v", st, after)
+	if w, r := counter(t, o, "persistence.writes"), counter(t, o, "persistence.reads"); w-writes != 1 || r-reads != 1 {
+		t.Fatalf("writes %d -> %d, reads %d -> %d after one more put and get", writes, w, reads, r)
 	}
 }
 
@@ -177,7 +191,8 @@ func rawAt(t *testing.T, s *Store, table, key string) string {
 // half way through its record fails the Put without writing or counting
 // anything, on a new key and on a live one.
 func TestPutStoresSelfEncodedRecordsAsReturned(t *testing.T) {
-	s := NewStore()
+	o := obs.New()
+	s := NewStore(WithObserver(o))
 	const first = `{"name":"n","count":2}`
 	if err := s.Put("t", "k", selfEncoded{json: first}); err != nil {
 		t.Fatal(err)
@@ -190,13 +205,13 @@ func TestPutStoresSelfEncodedRecordsAsReturned(t *testing.T) {
 		t.Fatalf("decoded %+v, %v", out, err)
 	}
 	boom := errors.New("boom")
-	writes := s.Stats().Writes
+	writes := counter(t, o, "persistence.writes")
 	for _, key := range []string{"bad", "k"} {
 		if err := s.Put("t", key, selfEncoded{json: `{"name":"other","count":3}`, err: boom}); !errors.Is(err, boom) {
 			t.Fatalf("%s: err = %v, want it to wrap %v", key, err, boom)
 		}
 	}
-	if s.Has("t", "bad") || s.Stats().Writes != writes {
+	if s.Has("t", "bad") || counter(t, o, "persistence.writes") != writes {
 		t.Fatal("failed Put left a record or counted a write")
 	}
 	if got := rawAt(t, s, "t", "k"); got != first {

@@ -449,12 +449,17 @@ func TestReconcileMessagesDoNotGrowWithObjects(t *testing.T) {
 			}
 		}
 		c.Heal()
-		before := c.Net.Stats()
+		before := c.Net.Observer().Snapshot().Counters
 		report, err := Run(context.Background(), n1, []transport.NodeID{"n2", "n3", "n4"}, Handlers{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		after := c.Net.Stats()
+		after := c.Net.Observer().Snapshot().Counters
+		for _, name := range []string{"transport.failures", "transport.messages"} {
+			if _, ok := after[name]; !ok {
+				t.Fatalf("no counter %q registered", name)
+			}
+		}
 		if report.Replica.Conflicts != flights || report.Constraint.Removed != flights {
 			t.Fatalf("%d flights: report = %+v / %+v, want a conflict and a removed threat each", flights, report.Replica, report.Constraint)
 		}
@@ -468,10 +473,10 @@ func TestReconcileMessagesDoNotGrowWithObjects(t *testing.T) {
 				}
 			}
 		}
-		if after.Failures != before.Failures {
-			t.Errorf("%d flights: %d sends failed", flights, after.Failures-before.Failures)
+		if failed := after["transport.failures"] - before["transport.failures"]; failed != 0 {
+			t.Errorf("%d flights: %d sends failed", flights, failed)
 		}
-		return after.Messages - before.Messages
+		return after["transport.messages"] - before["transport.messages"]
 	}
 	few, many := pass(8), pass(64)
 	t.Logf("messages: %d and %d", few, many)

@@ -40,14 +40,6 @@ type Registered struct {
 // Enabled reports whether the constraint currently participates in lookups.
 func (r *Registered) Enabled() bool { return r.enabled.Load() }
 
-// Stats counts repository operations, used by the Chapter 2 and Chapter 5
-// evaluations to verify workload parity between validation approaches.
-type Stats struct {
-	Searches  int64 // LookupAffected calls
-	CacheHits int64
-	Scanned   int64 // registrations examined by linear scans
-}
-
 // Option configures a Repository.
 type Option func(*Repository)
 
@@ -291,15 +283,6 @@ func (r *Repository) InvariantsOfClass(class string) []*Registered {
 		}
 	}
 	return out
-}
-
-// Stats returns a snapshot of the repository's operation counters.
-func (r *Repository) Stats() Stats {
-	return Stats{
-		Searches:  r.searches.Load(),
-		CacheHits: r.cacheHits.Load(),
-		Scanned:   r.scanned.Load(),
-	}
 }
 
 func (r *Repository) invalidateLocked() {

@@ -7,7 +7,19 @@ import (
 	"testing/quick"
 
 	"dedisys/internal/constraint"
+	"dedisys/internal/obs"
 )
+
+// counter reads a counter of o's registry; a name nothing registered fails
+// the test instead of reading 0.
+func counter(t *testing.T, o *obs.Observer, name string) int64 {
+	t.Helper()
+	v, ok := o.Snapshot().Counters[name]
+	if !ok {
+		t.Fatalf("no counter %q registered", name)
+	}
+	return v
+}
 
 func meta(name, class, method string, t constraint.Type) constraint.Meta {
 	return constraint.Meta{
@@ -31,12 +43,12 @@ func TestRegisterLookup(t *testing.T) {
 	for _, cached := range []bool{false, true} {
 		name := fmt.Sprintf("cached=%v", cached)
 		t.Run(name, func(t *testing.T) {
-			var r *Repository
+			o := obs.New()
+			opts := []Option{WithObserver(o)}
 			if cached {
-				r = New(WithCache())
-			} else {
-				r = New()
+				opts = append(opts, WithCache())
 			}
+			r := New(opts...)
 			if r.Cached() != cached {
 				t.Fatalf("Cached() = %v", r.Cached())
 			}
@@ -69,23 +81,22 @@ func TestRegisterLookup(t *testing.T) {
 					t.Fatalf("repeat lookup = %v", names(got))
 				}
 			}
-			st := r.Stats()
-			if st.Searches != 6 {
-				t.Fatalf("searches = %d, want 6", st.Searches)
+			searches, hits := counter(t, o, "repository.searches"), counter(t, o, "repository.cache_hits")
+			if searches != 6 {
+				t.Fatalf("searches = %d, want 6", searches)
 			}
-			if cached && st.CacheHits != 3 {
-				t.Fatalf("cache hits = %d, want 3", st.CacheHits)
+			if cached && hits != 3 {
+				t.Fatalf("cache hits = %d, want 3", hits)
 			}
-			if !cached && st.CacheHits != 0 {
-				t.Fatalf("cache hits = %d, want 0", st.CacheHits)
+			if !cached && hits != 0 {
+				t.Fatalf("cache hits = %d, want 0", hits)
 			}
 			r.LookupAffected("Flight", "SellTickets", constraint.HardInvariant)
-			after := r.Stats()
-			if after.Searches-st.Searches != 1 {
-				t.Fatalf("searches before = %d, after one more lookup = %d", st.Searches, after.Searches)
+			if after := counter(t, o, "repository.searches"); after-searches != 1 {
+				t.Fatalf("searches before = %d, after one more lookup = %d", searches, after)
 			}
-			if hits := after.CacheHits - st.CacheHits; cached && hits != 1 || !cached && hits != 0 {
-				t.Fatalf("cache hits before = %d, after one more lookup = %d", st.CacheHits, after.CacheHits)
+			if after := counter(t, o, "repository.cache_hits"); cached && after-hits != 1 || !cached && after != hits {
+				t.Fatalf("cache hits before = %d, after one more lookup = %d", hits, after)
 			}
 		})
 	}

@@ -8,8 +8,20 @@ import (
 
 	"dedisys/internal/constraint"
 	"dedisys/internal/object"
+	"dedisys/internal/obs"
 	"dedisys/internal/persistence"
 )
+
+// counter reads a counter of o's registry; a name nothing registered fails
+// the test instead of reading 0.
+func counter(t *testing.T, o *obs.Observer, name string) int64 {
+	t.Helper()
+	v, ok := o.Snapshot().Counters[name]
+	if !ok {
+		t.Fatalf("no counter %q registered", name)
+	}
+	return v
+}
 
 func sample(name string, ctx object.ID) Threat {
 	return Threat{
@@ -38,7 +50,8 @@ func TestIdentity(t *testing.T) {
 }
 
 func TestIdenticalOncePolicy(t *testing.T) {
-	backing := persistence.NewStore()
+	o := obs.New()
+	backing := persistence.NewStore(persistence.WithObserver(o))
 	s := NewStore(backing, IdenticalOnce)
 	if s.Policy() != IdenticalOnce {
 		t.Fatalf("policy = %v", s.Policy())
@@ -51,7 +64,7 @@ func TestIdenticalOncePolicy(t *testing.T) {
 	if first.Seq != 1 || first.Count != 1 {
 		t.Fatalf("first = %+v", first)
 	}
-	writesAfterFirst := backing.Stats().Writes
+	writesAfterFirst := counter(t, o, "persistence.writes")
 	if writesAfterFirst != 3 {
 		t.Fatalf("first add writes = %d, want 3", writesAfterFirst)
 	}
@@ -63,11 +76,10 @@ func TestIdenticalOncePolicy(t *testing.T) {
 	if second.Count != 2 || second.Seq != 1 {
 		t.Fatalf("folded = %+v", second)
 	}
-	st := backing.Stats()
-	if st.Writes != writesAfterFirst {
-		t.Fatalf("identical add wrote %d records", st.Writes-writesAfterFirst)
+	if w := counter(t, o, "persistence.writes"); w != writesAfterFirst {
+		t.Fatalf("identical add wrote %d records", w-writesAfterFirst)
 	}
-	if st.Reads == 0 {
+	if counter(t, o, "persistence.reads") == 0 {
 		t.Fatal("identical add should read to detect the duplicate")
 	}
 	if s.Len() != 1 {
@@ -84,19 +96,19 @@ func TestIdenticalOncePolicy(t *testing.T) {
 }
 
 func TestFullHistoryPolicy(t *testing.T) {
-	backing := persistence.NewStore()
-	s := NewStore(backing, FullHistory)
+	o := obs.New()
+	s := NewStore(persistence.NewStore(persistence.WithObserver(o)), FullHistory)
 	if _, isNew, err := s.Add(sample("C1", "f1")); err != nil || !isNew {
 		t.Fatalf("first: %v %v", isNew, err)
 	}
-	w1 := backing.Stats().Writes
+	w1 := counter(t, o, "persistence.writes")
 	if w1 != 3 {
 		t.Fatalf("first add writes = %d, want 3", w1)
 	}
 	if _, isNew, err := s.Add(sample("C1", "f1")); err != nil || !isNew {
 		t.Fatalf("second: %v %v", isNew, err)
 	}
-	w2 := backing.Stats().Writes - w1
+	w2 := counter(t, o, "persistence.writes") - w1
 	if w2 != 2 {
 		t.Fatalf("identical add writes = %d, want 2", w2)
 	}
@@ -157,7 +169,8 @@ func TestRemoveSingle(t *testing.T) {
 // wrote, at the price of three deletes and no read, and the table keeps only
 // the records of the other threat.
 func TestRolledBackNewThreatLeavesNoRecord(t *testing.T) {
-	backing := persistence.NewStore()
+	o := obs.New()
+	backing := persistence.NewStore(persistence.WithObserver(o))
 	s := NewStore(backing, IdenticalOnce)
 	if _, _, err := s.Add(sample("C2", "f2")); err != nil {
 		t.Fatal(err)
@@ -167,10 +180,9 @@ func TestRolledBackNewThreatLeavesNoRecord(t *testing.T) {
 	if err != nil || !isNew {
 		t.Fatalf("add = %v, %v", isNew, err)
 	}
-	before := backing.Stats()
+	reads, writes := counter(t, o, "persistence.reads"), counter(t, o, "persistence.writes")
 	s.Remove(added.Seq)
-	after := backing.Stats()
-	if r, w := after.Reads-before.Reads, after.Writes-before.Writes; r != 0 || w != 3 {
+	if r, w := counter(t, o, "persistence.reads")-reads, counter(t, o, "persistence.writes")-writes; r != 0 || w != 3 {
 		t.Errorf("rollback: %d reads, %d writes; want 0, 3", r, w)
 	}
 	if got := backing.Keys(table); !slices.Equal(got, kept) {
@@ -333,15 +345,14 @@ func TestThreatStoreCosts(t *testing.T) {
 		{IdenticalOnce, 1, 0},
 		{FullHistory, 0, 2},
 	} {
-		backing := persistence.NewStore()
-		s := NewStore(backing, c.policy)
+		o := obs.New()
+		s := NewStore(persistence.NewStore(persistence.WithObserver(o)), c.policy)
 		cost := func(th Threat) (reads, writes int64) {
-			before := backing.Stats()
+			reads, writes = counter(t, o, "persistence.reads"), counter(t, o, "persistence.writes")
 			if _, _, err := s.Add(th); err != nil {
 				t.Fatal(err)
 			}
-			after := backing.Stats()
-			return after.Reads - before.Reads, after.Writes - before.Writes
+			return counter(t, o, "persistence.reads") - reads, counter(t, o, "persistence.writes") - writes
 		}
 		if r, w := cost(sample("C1", "f1")); r != 0 || w != 3 {
 			t.Errorf("%v: new threat: %d reads, %d writes; want 0, 3", c.policy, r, w)

@@ -58,8 +58,6 @@ type Transport interface {
 	// Observer returns the transport's observability scope; components
 	// built over the transport inherit it by default.
 	Observer() *obs.Observer
-	// Stats returns delivery counters.
-	Stats() Stats
 }
 
 // Oracle is the simulation-only ground-truth topology surface. Only the

@@ -48,14 +48,6 @@ var (
 // Handler processes one request message and produces a response.
 type Handler func(from NodeID, payload any) (any, error)
 
-// Stats counts transport activity.
-type Stats struct {
-	Messages int64 // successfully delivered requests
-	Failures int64 // sends that failed with ErrUnreachable
-	Dropped  int64 // messages lost by the drop injector
-	Retries  int64 // re-sends performed by the retry policy
-}
-
 // CostModel simulates the time cost of one network hop. The zero value costs
 // nothing (unit tests); experiments use a calibrated cost to reproduce the
 // shape of the paper's 100 Mbit LAN numbers.
@@ -454,14 +446,4 @@ func (n *Network) SetLatency(l LatencyFunc) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.latency = l
-}
-
-// Stats returns delivery counters.
-func (n *Network) Stats() Stats {
-	return Stats{
-		Messages: n.messages.Load(),
-		Failures: n.failures.Load(),
-		Dropped:  n.dropped.Load(),
-		Retries:  n.retries.Load(),
-	}
 }

@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"dedisys/internal/obs"
 )
 
 func newThreeNodeNet(t *testing.T) *Network {
@@ -19,6 +21,17 @@ func newThreeNodeNet(t *testing.T) *Network {
 		}
 	}
 	return n
+}
+
+// counter reads a counter of o's registry; a name nothing registered fails
+// the test instead of reading 0.
+func counter(t *testing.T, o *obs.Observer, name string) int64 {
+	t.Helper()
+	v, ok := o.Snapshot().Counters[name]
+	if !ok {
+		t.Fatalf("no counter %q registered", name)
+	}
+	return v
 }
 
 func TestJoinAndNodes(t *testing.T) {
@@ -55,9 +68,8 @@ func TestSendAndHandlers(t *testing.T) {
 	if err := n.Handle("ghost", "ping", nil); !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("Handle unknown err = %v", err)
 	}
-	st := n.Stats()
-	if st.Messages != 1 {
-		t.Fatalf("messages = %d", st.Messages)
+	if got := counter(t, n.Observer(), "transport.messages"); got != 1 {
+		t.Fatalf("messages = %d", got)
 	}
 }
 
@@ -76,8 +88,8 @@ func TestPartitionBlocksTraffic(t *testing.T) {
 	if _, err := n.Send(context.Background(), "n1", "n3", "ping", nil); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("cross-partition send err = %v", err)
 	}
-	if n.Stats().Failures != 1 {
-		t.Fatalf("failures = %d", n.Stats().Failures)
+	if got := counter(t, n.Observer(), "transport.failures"); got != 1 {
+		t.Fatalf("failures = %d", got)
 	}
 	n.Heal()
 	if !n.Connected("n1", "n3") {
@@ -269,8 +281,8 @@ func TestSendCancelledContext(t *testing.T) {
 	if delivered.Load() != 0 {
 		t.Fatal("cancelled send was delivered")
 	}
-	if n.Stats().Failures != 1 {
-		t.Fatalf("failures = %d, want 1", n.Stats().Failures)
+	if got := counter(t, n.Observer(), "transport.failures"); got != 1 {
+		t.Fatalf("failures = %d, want 1", got)
 	}
 }
 
@@ -322,9 +334,10 @@ func TestRetryMasksTransientDrop(t *testing.T) {
 	if resp != "ok" {
 		t.Fatalf("resp = %v", resp)
 	}
-	st := n.Stats()
-	if st.Retries != 1 || st.Dropped != 1 || st.Messages != 1 {
-		t.Fatalf("stats = %+v, want 1 retry, 1 drop, 1 message", st)
+	o := n.Observer()
+	retries, drops, msgs := counter(t, o, "transport.retries"), counter(t, o, "transport.dropped"), counter(t, o, "transport.messages")
+	if retries != 1 || drops != 1 || msgs != 1 {
+		t.Fatalf("retries %d, dropped %d, messages %d; want 1 each", retries, drops, msgs)
 	}
 }
 
@@ -368,14 +381,14 @@ func TestRetryDoesNotMaskPersistentPartition(t *testing.T) {
 	if _, err := n.Send(context.Background(), "a", "b", "k", nil); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("err = %v", err)
 	}
-	if st := n.Stats(); st.Retries != 2 || st.Failures != 3 {
-		t.Fatalf("stats = %+v, want 2 retries / 3 failures", st)
+	if retries, failures := counter(t, n.Observer(), "transport.retries"), counter(t, n.Observer(), "transport.failures"); retries != 2 || failures != 3 {
+		t.Fatalf("retries %d, failures %d; want 2 / 3", retries, failures)
 	}
 }
 
 // TestStatsDifferenceCountsDropped: the counters only grow, so a reader
-// measures an interval as a difference of two Stats — every field, the dropped
-// counter included, moves by exactly what happened in between.
+// measures an interval as a difference of two registry reads — every counter,
+// the dropped one included, moves by exactly what happened in between.
 func TestStatsDifferenceCountsDropped(t *testing.T) {
 	n := newThreeNodeNet(t)
 	if err := n.Handle("n2", "k", func(NodeID, any) (any, error) { return nil, nil }); err != nil {
@@ -385,16 +398,21 @@ func TestStatsDifferenceCountsDropped(t *testing.T) {
 	if _, err := n.Send(context.Background(), "n1", "n2", "k", nil); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("dropped send err = %v", err)
 	}
-	before := n.Stats()
-	if before.Dropped != 1 {
-		t.Fatalf("dropped = %d, want 1", before.Dropped)
+	before := n.Observer().Snapshot().Counters
+	if before["transport.dropped"] != 1 {
+		t.Fatalf("dropped = %d, want 1", before["transport.dropped"])
 	}
 	if _, err := n.Send(context.Background(), "n1", "n2", "k", nil); !errors.Is(err, ErrUnreachable) {
 		t.Fatalf("dropped send err = %v", err)
 	}
-	after := n.Stats()
-	if after.Dropped-before.Dropped != 1 || after.Failures-before.Failures != 1 || after.Messages != before.Messages || after.Retries != before.Retries {
-		t.Fatalf("stats before = %+v, after one more dropped send = %+v", before, after)
+	after := n.Observer().Snapshot().Counters
+	for name, want := range map[string]int64{"transport.dropped": 1, "transport.failures": 1, "transport.messages": 0, "transport.retries": 0} {
+		if _, ok := after[name]; !ok {
+			t.Fatalf("no counter %q registered", name)
+		}
+		if got := after[name] - before[name]; got != want {
+			t.Errorf("%s moved by %d over one more dropped send, want %d", name, got, want)
+		}
 	}
 }
 
@@ -406,12 +424,13 @@ func TestStatsDifference(t *testing.T) {
 	if _, err := n.Send(context.Background(), "n1", "n2", "k", nil); err != nil {
 		t.Fatal(err)
 	}
-	before := n.Stats()
+	o := n.Observer()
+	msgs, failures := counter(t, o, "transport.messages"), counter(t, o, "transport.failures")
 	if _, err := n.Send(context.Background(), "n1", "n2", "k", nil); err != nil {
 		t.Fatal(err)
 	}
-	if after := n.Stats(); after.Messages-before.Messages != 1 || after.Failures != before.Failures {
-		t.Fatalf("stats before = %+v, after one more send = %+v", before, after)
+	if m, f := counter(t, o, "transport.messages"), counter(t, o, "transport.failures"); m-msgs != 1 || f != failures {
+		t.Fatalf("messages %d -> %d, failures %d -> %d after one more send", msgs, m, failures, f)
 	}
 }
 

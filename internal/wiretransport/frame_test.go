@@ -321,7 +321,7 @@ func TestMalformedFrameKillsOnlyThatLink(t *testing.T) {
 			if err := echo(); err != nil {
 				t.Fatalf("send after the case's frame: %v", err)
 			}
-			if got := wa.Stats().Failures; got != wantFailures {
+			if got := counter(t, wa.Observer(), "transport.failures"); got != wantFailures {
 				t.Fatalf("failures = %d, want %d", got, wantFailures)
 			}
 			if got := peer.connections(); got != wantConns {
@@ -389,8 +389,8 @@ func TestOversizedSendFailsOnlyItsCaller(t *testing.T) {
 	if resp, err := wa.Send(ctx, "a", "b", "echo", "after"); err != nil || resp != "after" {
 		t.Fatalf("send after the oversized one = %v, %v", resp, err)
 	}
-	if s := wa.Stats(); s.Failures != 0 || s.Retries != 0 {
-		t.Fatalf("failures = %d, retries = %d; want 0, 0", s.Failures, s.Retries)
+	if f, r := counter(t, wa.Observer(), "transport.failures"), counter(t, wa.Observer(), "transport.retries"); f != 0 || r != 0 {
+		t.Fatalf("failures = %d, retries = %d; want 0, 0", f, r)
 	}
 }
 

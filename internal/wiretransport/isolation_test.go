@@ -122,10 +122,10 @@ func TestEncodeFailureIsolation(t *testing.T) {
 		good(fresh)
 		good(isoGood{N: -round})
 	}
-	if got := wa.Stats().Failures; got != 0 {
+	if got := counter(t, wa.Observer(), "transport.failures"); got != 0 {
 		t.Fatalf("failures = %d, want 0: an encode failure killed the link", got)
 	}
-	if got := wa.Stats().Retries; got != 0 {
+	if got := counter(t, wa.Observer(), "transport.retries"); got != 0 {
 		t.Fatalf("retries = %d, want 0", got)
 	}
 }
@@ -200,8 +200,8 @@ func TestInterleavedFrameBodies(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if s := wa.Stats(); s.Failures != 0 || s.Retries != 0 {
-		t.Fatalf("failures = %d, retries = %d; want 0, 0", s.Failures, s.Retries)
+	if f, r := counter(t, wa.Observer(), "transport.failures"), counter(t, wa.Observer(), "transport.retries"); f != 0 || r != 0 {
+		t.Fatalf("failures = %d, retries = %d; want 0, 0", f, r)
 	}
 	const sends = 1 + workers*rounds*3
 	const wantSelf = workers * (rounds + rounds/2) // every first payload, every other third

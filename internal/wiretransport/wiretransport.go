@@ -383,16 +383,6 @@ func (w *Wire) SetRetry(p transport.RetryPolicy) {
 // Observer returns the transport's observability scope.
 func (w *Wire) Observer() *obs.Observer { return w.obs }
 
-// Stats returns delivery counters (Dropped is always zero: the wire has no
-// loss injector).
-func (w *Wire) Stats() transport.Stats {
-	return transport.Stats{
-		Messages: w.messages.Load(),
-		Failures: w.failures.Load(),
-		Retries:  w.retries.Load(),
-	}
-}
-
 // Send delivers a request and returns the response, bounded by ctx. Failed
 // dials, broken links and context expiry surface as ErrUnreachable; the
 // installed retry policy re-tries exactly those, sleeping its Backoff in

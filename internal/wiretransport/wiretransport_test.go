@@ -11,8 +11,20 @@ import (
 	"testing"
 	"time"
 
+	"dedisys/internal/obs"
 	"dedisys/internal/transport"
 )
+
+// counter reads a counter of o's registry; a name nothing registered fails
+// the test instead of reading 0.
+func counter(t *testing.T, o *obs.Observer, name string) int64 {
+	t.Helper()
+	v, ok := o.Snapshot().Counters[name]
+	if !ok {
+		t.Fatalf("no counter %q registered", name)
+	}
+	return v
+}
 
 // pair builds two started endpoints over unix sockets in a test temp dir.
 func pair(t *testing.T) (*Wire, *Wire) {
@@ -54,7 +66,7 @@ func TestRequestResponse(t *testing.T) {
 	if resp != "a said hi" {
 		t.Fatalf("resp = %v", resp)
 	}
-	if got := wa.Stats().Messages; got != 1 {
+	if got := counter(t, wa.Observer(), "transport.messages"); got != 1 {
 		t.Fatalf("messages = %d, want 1", got)
 	}
 }
@@ -80,7 +92,7 @@ func TestNoHandlerIsPermanent(t *testing.T) {
 	if !errors.Is(err, transport.ErrNoHandler) {
 		t.Fatalf("err = %v, want ErrNoHandler", err)
 	}
-	if got := wa.Stats().Retries; got != 0 {
+	if got := counter(t, wa.Observer(), "transport.retries"); got != 0 {
 		t.Fatalf("retries = %d, want 0 (ErrNoHandler is permanent)", got)
 	}
 }
@@ -189,7 +201,7 @@ func TestRetryMasksTransientFailure(t *testing.T) {
 	if _, err := wa.Send(context.Background(), "a", "b", "echo", "x"); err != nil {
 		t.Fatalf("send with retry: %v", err)
 	}
-	if wa.Stats().Retries == 0 {
+	if counter(t, wa.Observer(), "transport.retries") == 0 {
 		t.Fatal("expected at least one retry")
 	}
 }
