@@ -20,7 +20,7 @@
 //	view                          this node's membership view
 //	mode                          consistency mode (normal/degraded)
 //	reconcile                     pull + merge replica state from all peers
-//	stats                         the registry's counters, sorted: name=value ...
+//	stats                         the registry's counters and gauges, sorted: name=value ...
 //	exit                          leave (EOF works too)
 //
 // Values parse as int, float or bool when they look like one, else string.
@@ -240,16 +240,20 @@ func execute(n *node.Node, wire *wiretransport.Wire, fields []string, timeout ti
 		return fmt.Sprintf("ok created=%d adopted=%d pushed=%d conflicts=%d reevaluated=%d",
 			rep.Replica.Created, rep.Replica.Adopted, rep.Replica.Pushed, rep.Replica.Conflicts, rep.Constraint.Reevaluated)
 	case "stats":
-		counters := n.Obs.Snapshot().Counters
-		names := make([]string, 0, len(counters))
-		for name := range counters {
+		snap := n.Obs.Snapshot()
+		values := snap.Counters
+		for name, v := range snap.Gauges {
+			values[name] = v
+		}
+		names := make([]string, 0, len(values))
+		for name := range values {
 			names = append(names, name)
 		}
 		sort.Strings(names)
 		var b strings.Builder
 		b.WriteString("ok")
 		for _, name := range names {
-			fmt.Fprintf(&b, " %s=%d", name, counters[name])
+			fmt.Fprintf(&b, " %s=%d", name, values[name])
 		}
 		return b.String()
 	default:

@@ -5,18 +5,21 @@
 // (§5.5.2), and a synchronous multicast primitive used by the replication
 // service for update propagation.
 //
-// Every multicast is one round on one fan-out engine, Comm.Run: a Round value
-// the caller fills in and may embed in its own per-round struct, an Owner the
-// engine calls back on — what destination i is sent, what it answered and
-// whether that settles the round, that the last send has finished — and one
-// sender per destination, all started at once. Propagating an update to N
-// reachable replicas therefore costs ~1 network hop of simulated time instead
-// of N, on any number of cores. A round differs from another only in when its
-// caller is released: with the last send (the synchronous multicast), at the
-// owner's verdict (the quorum commit, decoupled from its slowest link while
-// the stragglers complete in the background), or at once. The caller's
-// context bounds the round: destinations not yet attempted when it dies are
-// aborted without a send.
+// Every multicast is one round: a Round value the caller fills in and may
+// embed in its own per-round struct, and an Owner the round calls back on —
+// what destination i is sent, what it answered and whether that settles the
+// round, that the last answer is in. A round differs from another only in
+// when its caller is released: with the last answer (the synchronous
+// multicast), at the owner's verdict (a threshold round, decoupled from its
+// slowest link while the stragglers complete in the background), or at once.
+//
+// Who sends is the caller's choice. Comm.Run is the fan-out engine: one sender
+// per destination, all started at once, so a round to N destinations costs ~1
+// network hop of simulated time instead of N on any number of cores; the
+// caller's context bounds the round, and destinations not yet attempted when
+// it dies are aborted without a send. Comm.Post hands the sends to a
+// Dispatcher that makes them elsewhere — the replication service's one sender
+// per peer — and keeps the rest: the release, the verdict and the counts.
 //
 // Multicast (one payload, every result in destination order) and
 // MulticastThreshold (a payload function and a count of acks) are adapters
@@ -486,8 +489,8 @@ const (
 	Hopeless                 // it can no longer get it, whatever the rest answer
 )
 
-// Release says when Run lets its caller go. Sends that have not finished by
-// then — the stragglers — complete in the background.
+// Release says when Run or Post lets its caller go. Sends that have not
+// finished by then — the stragglers — complete in the background.
 type Release uint8
 
 const (
@@ -507,7 +510,7 @@ const (
 // own per-round struct and implements Owner on that struct pays for neither a
 // closure nor a boxed value per round.
 type Owner interface {
-	// Payload returns what destination To[i] is sent. It is called once per
+	// Payload returns what destination To[i] is sent. Run calls it once per
 	// destination that is attempted, from that destination's sender, so
 	// concurrently with the others. What it returns is the receiver's to
 	// keep: round memory is never recycled.
@@ -523,9 +526,18 @@ type Owner interface {
 	Drained()
 }
 
+// Dispatcher is an Owner that makes its round's sends itself (Post): it is
+// called once the round is open, and the outcome of the send to each To[i]
+// must then reach the round's Answer exactly once, from any goroutine, before
+// or after Dispatch returns.
+type Dispatcher interface {
+	Owner
+	Dispatch()
+}
+
 // Round is one multicast round. The caller fills in the exported fields and
-// hands it to Run once; To must not contain From and is read until the round
-// has drained. The rest is the engine's (the counters are narrow because a
+// hands it to Run or Post once; To must not contain From and is read until the
+// round has drained. The rest is the engine's (the counters are narrow because a
 // round is embedded in what every replicated write allocates).
 type Round struct {
 	From  transport.NodeID
@@ -555,62 +567,94 @@ var ErrThresholdShort = errors.New("group: threshold multicast fell short")
 // Run is the fan-out engine: one sender per destination, all started at once
 // — a round costs one network hop of simulated time whatever the destination
 // and core counts — each reporting to the owner as it completes, and the
-// caller released as r.Until says. The sender that completes decides under
-// the round's lock whether the caller is to be woken, so a round costs the
-// senders one function value between them and its caller nothing: a caller
-// that waits takes its wake-up channel from the Comm's idle list and puts it
-// back once no sender can still send on it — when it received the wake-up, or
-// when its dead context released it before any sender did. A caller that
-// leaves on a dead context after a sender released it leaves the channel to
-// that sender's send and to the collector. The one destination of an OnDrain
-// round is sent to on the caller's goroutine: there is nothing to overlap
-// with.
+// caller released as r.Until says. The one destination of an OnDrain round is
+// sent to on the caller's goroutine: there is nothing to overlap with. The
+// senders cost one function value between them. Run carries Multicast,
+// MulticastThreshold and the replication service's reconciliation requests;
+// a commit's batches leave through Post.
 //
 // A dead context aborts every destination not yet attempted without a send.
 // The error is nil unless an OnVerdict round was left unsatisfied: then it
 // wraps the context's when the context is dead, ErrThresholdShort otherwise.
 func (c *Comm) Run(ctx context.Context, r *Round, o Owner) error {
+	start := time.Now()
+	inline := r.Until == OnDrain && len(r.To) == 1
+	if c.open(ctx, r, o, inline) {
+		if inline {
+			r.send()
+		} else {
+			if r.Until == OnDrain {
+				c.concurrent.Inc()
+			}
+			send := r.send
+			for range r.To {
+				go send()
+			}
+		}
+	}
+	return c.await(r, start)
+}
+
+// Post runs the round as Run does, but d makes its sends: Post calls
+// d.Dispatch once in place of starting a sender per destination, and the
+// caller is released as r.Until says while the outcomes reach r.Answer. A
+// dead context releases an OnVerdict round's caller as under Run; aborting a
+// destination not yet sent to is d's (Context).
+func (c *Comm) Post(ctx context.Context, r *Round, d Dispatcher) error {
+	start := time.Now()
+	if c.open(ctx, r, d, false) {
+		d.Dispatch()
+	}
+	return c.await(r, start)
+}
+
+// open readies the round for its sends and reports whether it has any: one
+// without destinations is drained at once. The caller of an inline round
+// makes its one send itself and waits for no wake-up; any other caller that
+// waits takes its wake-up channel from the Comm's idle list, and puts it back
+// once nobody can still send on it (await).
+func (c *Comm) open(ctx context.Context, r *Round, o Owner, inline bool) bool {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	n := int32(len(r.To))
 	if n == 0 {
 		o.Drained()
-		return nil
+		return false
 	}
 	r.comm, r.ctx, r.owner = c, ctx, o
-	start := time.Now()
-	inline := r.Until == OnDrain && n == 1
-	switch {
-	case r.Until != OnDrain:
+	if r.Until != OnDrain {
 		c.thresholdRounds.Inc()
-	case !inline:
-		c.concurrent.Inc()
 	}
 	if r.Until == AtOnce {
 		r.left = n
 	}
-	waits := !inline && r.Until != AtOnce
-	r.released = !waits
-	if inline {
-		r.send()
-	} else {
-		if waits {
-			r.wake = c.takeWake()
-		}
-		send := r.send
-		for range r.To {
-			go send()
-		}
+	r.released = inline || r.Until == AtOnce
+	if !r.released {
+		r.wake = c.takeWake()
 	}
-	if waits {
+	return true
+}
+
+// await releases the caller of an open round as r.Until says. Whoever answers
+// decides under the round's lock whether the caller is to be woken, so a
+// round costs its caller nothing: the caller puts its wake-up channel back
+// when it received the wake-up, or when its dead context released it before
+// any answer did. A caller that leaves on a dead context after an answer
+// released it leaves the channel to that answer's send and to the collector.
+func (c *Comm) await(r *Round, start time.Time) error {
+	n := int32(len(r.To))
+	if n == 0 {
+		return nil
+	}
+	if r.wake != nil {
 		var dead <-chan struct{}
 		if r.Until == OnVerdict {
-			dead = ctx.Done()
+			dead = r.ctx.Done()
 		}
 		select {
 		case <-r.wake:
-			c.putWake(r.wake) // the one send is done
+			c.putWake(r.wake) // the one wake-up is done
 		case <-dead:
 			r.mu.Lock()
 			mine := !r.released
@@ -619,13 +663,13 @@ func (c *Comm) Run(ctx context.Context, r *Round, o Owner) error {
 			}
 			r.mu.Unlock()
 			if mine {
-				c.putWake(r.wake) // no sender will send
+				c.putWake(r.wake) // no answer will send
 			}
 		}
 	}
 	var err error
 	if r.Until == OnVerdict && r.verdict != Satisfied {
-		if cerr := ctx.Err(); cerr != nil {
+		if cerr := r.ctx.Err(); cerr != nil {
 			err = fmt.Errorf("group: threshold multicast aborted: %w", cerr)
 		} else {
 			err = fmt.Errorf("%w: %d of %d destinations had answered", ErrThresholdShort, n-r.left, n)
@@ -658,7 +702,7 @@ func (c *Comm) putWake(w chan struct{}) {
 	c.wakeMu.Unlock()
 }
 
-// send is one destination's sender.
+// send is one destination's sender under Run.
 func (r *Round) send() {
 	i := int(r.next.Add(1)) - 1
 	dst := r.To[i]
@@ -669,6 +713,25 @@ func (r *Round) send() {
 	} else {
 		reply, err = r.comm.net.Send(r.ctx, r.From, dst, r.Kind, r.owner.Payload(i))
 	}
+	r.Answer(i, reply, err)
+}
+
+// Context returns the context the round runs under: a Dispatcher answers a
+// destination it has not sent to yet with its error once it is dead.
+func (r *Round) Context() context.Context { return r.ctx }
+
+// Released reports whether the round's caller was let go: the sends still to
+// answer are stragglers nobody waits for.
+func (r *Round) Released() bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.released
+}
+
+// Answer books the outcome of the send to To[i] — through the owner's
+// Answered, under the round's lock — wakes the caller when that releases it,
+// and runs Drained after the last one. Each destination is answered once.
+func (r *Round) Answer(i int, reply any, err error) {
 	r.mu.Lock()
 	v := r.owner.Answered(i, reply, err)
 	r.answered++

@@ -980,3 +980,49 @@ func TestMulticastThresholdRoundTable(t *testing.T) {
 		}
 	}
 }
+
+// dispatched is a recorder whose sends the test makes itself (Post).
+type dispatched struct {
+	recorder
+	posted chan struct{}
+}
+
+func (d *dispatched) Dispatch() { close(d.posted) }
+
+// TestPostReleasesOnAnswersMadeElsewhere: a round whose Dispatcher makes its
+// sends releases an OnVerdict caller at the verdict while a destination is
+// still unanswered, books the straggler's answer after the release, and
+// drains once, after it.
+func TestPostReleasesOnAnswersMadeElsewhere(t *testing.T) {
+	d := &dispatched{posted: make(chan struct{})}
+	d.From, d.To, d.Kind, d.Until = "src", []transport.NodeID{"a", "b", "c"}, "k", OnVerdict
+	d.need, d.results, d.drained = 2, make([]Result, 3), make(chan struct{})
+	go func() {
+		<-d.posted
+		d.Answer(0, "ok", nil)
+		d.Answer(2, "ok", nil)
+	}()
+	if err := NewComm(transport.NewNetwork()).Post(context.Background(), &d.Round, d); err != nil {
+		t.Fatalf("Post = %v, want the verdict's nil", err)
+	}
+	if !d.Released() {
+		t.Fatal("Post returned with its caller not released")
+	}
+	select {
+	case <-d.drained:
+		t.Fatal("the round drained before its straggler answered")
+	default:
+	}
+	d.Answer(1, nil, errors.New("late"))
+	select {
+	case <-d.drained:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the round never drained")
+	}
+	if n := d.drains.Load(); n != 1 {
+		t.Fatalf("Drained ran %d times, want 1", n)
+	}
+	if d.results[1].Err == nil || d.results[0].Response != "ok" {
+		t.Fatalf("results = %+v, want the straggler's error booked", d.results)
+	}
+}

@@ -299,8 +299,8 @@ func New(opts Options) (*Node, error) {
 	return n, nil
 }
 
-// Stop shuts down the node's background services (failure detector and
-// gossip loop); safe on nodes without them.
+// Stop shuts down the node's background services (failure detector, gossip
+// loop and the replication senders); safe on nodes without them.
 func (n *Node) Stop() {
 	if n.Detector != nil {
 		n.Detector.Stop()
@@ -309,9 +309,9 @@ func (n *Node) Stop() {
 		n.Gossip.Stop()
 	}
 	if n.Repl != nil {
-		// Join the background straggler sends of threshold commits so a
-		// stopped node leaves no propagation in flight.
-		n.Repl.WaitPropagation()
+		// Join the background straggler sends of threshold commits and the
+		// peers' senders, so a stopped node leaves nothing in flight.
+		n.Repl.Stop()
 	}
 }
 

@@ -192,10 +192,17 @@ type Manager struct {
 	propErrors   *obs.Counter // per-object/per-destination propagation failures
 	quorumRounds *obs.Counter // commit rounds shipped with threshold-return semantics
 	quorumShort  *obs.Counter // threshold rounds that fell short of the quorum
+	backlog      *obs.Gauge   // ops queued or in flight to the peers (peer)
 
 	// propagation tracks in-flight background straggler sends of threshold
 	// commits; WaitPropagation joins them.
 	propagation sync.WaitGroup
+
+	// peers are the senders of repl.batch, one per node ever sent one; their
+	// goroutines are joined by senders.
+	peersMu sync.Mutex
+	peers   map[transport.NodeID]*peer
+	senders sync.WaitGroup
 
 	salt atomic.Uint64 // advanced by every reconciliation pass: its digest's salt
 
@@ -256,6 +263,7 @@ func NewManager(cfg Config) (*Manager, error) {
 		obs:         cfg.Obs,
 		meta:        make(map[object.ID]*replicaState),
 		tombstones:  make(map[object.ID]VersionVector),
+		peers:       make(map[transport.NodeID]*peer),
 		estimator:   func(_ object.ID, v int64) int64 { return v },
 	}
 	if m.obs == nil {
@@ -272,6 +280,7 @@ func NewManager(cfg Config) (*Manager, error) {
 	m.propErrors = m.obs.Counter("replication.propagation_errors")
 	m.quorumRounds = m.obs.Counter("replication.quorum.rounds")
 	m.quorumShort = m.obs.Counter("replication.quorum.short")
+	m.backlog = m.obs.Gauge("replication.backlog")
 	for kind, h := range map[string]transport.Handler{
 		msgBatch: m.handleBatch,
 		msgFetch: m.handleFetch,
@@ -649,10 +658,11 @@ func (m *Manager) Prepare(t *tx.Tx) error { return nil }
 // coordinator to all reachable replicas, persistence of replica metadata,
 // and degraded-mode history recording. The transaction's write set (in
 // first-touch order) becomes one batch per destination, shipped in a single
-// concurrent multicast round: a K-object commit costs ~1 simulated network
-// hop instead of ~K. Sender-side bookkeeping — version-vector bumps, replica
-// metadata persistence, degraded-mode history, estimator observation —
-// happens per object while staging. Per-object preparation failures are
+// round through the destinations' senders (peer), which send in parallel: a
+// K-object commit costs ~1 simulated network hop instead of ~K. Sender-side
+// bookkeeping — version-vector bumps, replica metadata persistence,
+// degraded-mode history, estimator observation — happens per object while
+// staging. Per-object preparation failures are
 // joined into the returned error and counted, together with per-destination
 // send failures, in replication.propagation_errors. A transaction that wrote
 // nothing takes no lock and reads no view.
@@ -797,7 +807,7 @@ func (m *Manager) commitBatched(t *tx.Tx, staged []stagedOp) error {
 	m.batchRounds.Inc()
 	m.batchSize.Add(int64(len(staged)))
 	m.propagation.Add(1)
-	err := m.comm.Run(t.Context(), &r.Round, r)
+	err := m.comm.Post(t.Context(), &r.Round, r)
 	if r.threats != nil {
 		r.Wait() // as the threat multicast this replaces did, after an early release too
 	}
@@ -873,12 +883,13 @@ func (m *Manager) route(r *commitRound, staged []stagedOp, skip transport.NodeID
 
 // replyTo names the requester of a forwarded commit when its batch can ride
 // the invocation's reply: the commit ships one op (a forwarded invocation
-// writes its target alone), the requester is one of its destinations, and
-// under a threshold protocol the other destinations can still make the
-// quorum — the commit returns before the reply lands, so the requester's
+// writes its target alone), the requester is one of its destinations, no op
+// on the object is queued or in flight to it — the reply would overtake that
+// op — and under a threshold protocol the other destinations can still make
+// the quorum — the commit returns before the reply lands, so the requester's
 // apply cannot be one of its acks. Otherwise it names nobody.
 func (m *Manager) replyTo(fw *Forwarded, staged []stagedOp) transport.NodeID {
-	if fw == nil || len(staged) != 1 || !slices.Contains(staged[0].dests, fw.Requester) {
+	if fw == nil || len(staged) != 1 || !slices.Contains(staged[0].dests, fw.Requester) || m.queues(fw.Requester, staged[0].op.ID) {
 		return ""
 	}
 	if tp, isThreshold := m.protocol.(ThresholdPolicy); isThreshold {
@@ -978,6 +989,22 @@ func newCommitRound(m *Manager, n int) *commitRound {
 func (r *commitRound) init(m *Manager) *commitRound {
 	r.m, r.From, r.Kind, r.To = m, m.self, msgBatch, r.room[:0]
 	return r
+}
+
+// ops returns the ops destination i is sent.
+func (r *commitRound) ops(i int) []batchOp {
+	if r.batches != nil {
+		return r.batches[i].Ops
+	}
+	return r.shared.Ops
+}
+
+// Dispatch implements group.Dispatcher: each destination's batch joins the
+// queue of its peer's sender.
+func (r *commitRound) Dispatch() {
+	for i, to := range r.To {
+		r.m.peerFor(to).post(r, i)
+	}
 }
 
 // Payload implements group.Owner.
@@ -1190,22 +1217,30 @@ func (m *Manager) stageState(id object.ID, out *repairs) error {
 
 // --- message handlers (executed on the receiving node) ---
 
-// handleBatch applies one transaction batch, stores its threats, and acks:
-// with ackAll when every op landed, which allocates nothing, and otherwise
-// with each op's result.
+// handleBatch applies one transaction batch, or the batches a peer's sender
+// coalesced, stores its threats, and acks: with ackAll when every op landed,
+// which allocates nothing, and otherwise with each op's result.
 func (m *Manager) handleBatch(from transport.NodeID, payload any) (any, error) {
 	var th *threatBatch
 	var ops []batchOp
+	var parts []*batchMsg
 	switch b := payload.(type) {
 	case *batchMsg:
 		ops = b.Ops
 	case *threatBatch:
 		th, ops = b, b.Ops
+	case *coalescedBatch:
+		parts = b.Parts
 	default:
 		return nil, fmt.Errorf("replication: bad batch payload %T", payload)
 	}
 	var buf [8]opResult // a write's batch fits
 	res, err := m.applyOps(ops, buf[:0], nil)
+	for _, p := range parts {
+		if err == nil {
+			res, err = m.applyOps(p.Ops, res, nil)
+		}
+	}
 	if err == nil && th != nil && m.threats != nil {
 		err = m.threats.Replicate(th.Removed, th.Added)
 	}

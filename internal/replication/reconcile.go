@@ -284,7 +284,7 @@ func (r *repairs) flush(ctx context.Context) error {
 	}
 	round := new(repairRound)
 	r.m.route(round.init(r.m), r.staged, "")
-	_ = r.m.comm.Run(ctx, &round.Round, round) // only an OnVerdict round reports an error
+	_ = r.m.comm.Post(ctx, &round.Round, round) // only an OnVerdict round reports an error
 	return round.err
 }
 

@@ -28,7 +28,9 @@ import (
 // tested against.
 //
 // A batch travels as *batchMsg — a commit's round hands its senders pointers
-// into its own memory — and handleBatch takes no batchMsg value, so both
+// into its own memory; batches that queued for one peer together travel as
+// *coalescedBatch, the rounds' pointers in one message, with a form of its
+// own — and handleBatch takes no batchMsg value, so both
 // bodies deliver the pointer: registered under the name gob.Register would
 // give the value type, the pointer puts the same bytes on the wire and is what
 // a gob frame decodes to. A batch that carries its transaction's threats
@@ -38,18 +40,21 @@ import (
 func init() {
 	gob.RegisterName("dedisys/internal/replication.batchMsg", &batchMsg{})
 	gob.Register(&threatBatch{})
+	gob.Register(&coalescedBatch{})
 	gob.RegisterName("repl.ack", &batchAck{})
 	gob.Register(fetchReply{})
 	gob.Register(pullMsg{})
 	gob.Register(pullReply{})
 	transport.RegisterWire(wireTagBatch, readBatchWire)
 	transport.RegisterWire(wireTagAck, readAckWire)
+	transport.RegisterWire(wireTagCoalesced, readCoalescedWire)
 }
 
 // Payload tags of the self-encoded forms.
 const (
 	wireTagBatch byte = 1 + iota
 	wireTagAck
+	wireTagCoalesced
 )
 
 func (*batchMsg) WireTag() byte { return wireTagBatch }
@@ -137,6 +142,34 @@ func readBatchWire(r *transport.WireReader) any {
 		}
 	}
 	return b
+}
+
+func (*coalescedBatch) WireTag() byte { return wireTagCoalesced }
+
+// AppendWire writes the part count, then each part's batch form; it declines
+// when a part does.
+func (c *coalescedBatch) AppendWire(dst []byte) ([]byte, bool) {
+	out := binary.AppendUvarint(dst, uint64(len(c.Parts)))
+	for _, p := range c.Parts {
+		var ok bool
+		if out, ok = p.AppendWire(out); !ok {
+			return dst, false
+		}
+	}
+	return out, true
+}
+
+// readCoalescedWire is coalescedBatch.AppendWire's inverse.
+func readCoalescedWire(r *transport.WireReader) any {
+	c := &coalescedBatch{Parts: make([]*batchMsg, r.Count(1))} // a part is at least its op count
+	for i := range c.Parts {
+		p, _ := readBatchWire(r).(*batchMsg)
+		if p == nil || r.Err() != nil {
+			return nil
+		}
+		c.Parts[i] = p
+	}
+	return c
 }
 
 func (*batchAck) WireTag() byte { return wireTagAck }

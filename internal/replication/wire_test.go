@@ -84,6 +84,12 @@ func wireCases() []wireCase {
 			del,
 		}}},
 		{name: "four applies", self: true, payload: &batchMsg{Ops: four}},
+		{name: "three rounds' batches coalesced", self: true, payload: &coalescedBatch{Parts: []*batchMsg{
+			{Ops: four[:1]}, {Ops: []batchOp{create, del}}, {Ops: four[1:]},
+		}}},
+		{name: "a coalesced batch whose part declines rides gob", payload: &coalescedBatch{Parts: []*batchMsg{
+			{Ops: four[:1]}, applyOf(object.State{"list": []any{"a", int64(1)}}),
+		}}},
 		{name: "nil state, vector and replicas", self: true, payload: &batchMsg{Ops: []batchOp{
 			{Kind: opCreate, ID: "n"},
 			{Kind: opApply, ID: "n"},
