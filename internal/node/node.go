@@ -118,7 +118,10 @@ type Node struct {
 // touched by a transaction is written to the node's persistent store at
 // commit, the way the prototype's entity beans were persisted through
 // CMP/BMP into MySQL (Figure 4.1). It keeps no per-transaction state: what
-// was touched is the transaction's own write set.
+// was touched is the transaction's own write set. Only a node without
+// replication registers it: with replication on, each replica's one record
+// (the replication manager's, table replica-meta) holds the entity's state
+// with its version, vector and placement, and nothing writes this table.
 type cmpResource struct {
 	store *persistence.Store
 	reg   *object.Registry
@@ -141,7 +144,7 @@ func (c *cmpResource) Commit(t *tx.Tx) error {
 		}
 		e, err := c.reg.Get(w.ID)
 		if err != nil {
-			return // coordinated for a replica group this node is outside of: no local state
+			return // nothing in the registry: no state to persist
 		}
 		// The entity encodes its own attributes: the transaction still holds
 		// its lock, so no snapshot is needed just to feed the encoder.
@@ -189,7 +192,9 @@ func New(opts Options) (*Node, error) {
 	n.Repo = repository.New(repoOpts...)
 	n.Threats = threat.NewStore(n.Store, opts.ThreatPolicy, threat.WithObserver(scoped))
 	n.Threats.SetOwner(string(opts.ID))
-	n.TxMgr.RegisterResource(&cmpResource{store: n.Store, reg: n.Registry})
+	if opts.DisableReplication {
+		n.TxMgr.RegisterResource(&cmpResource{store: n.Store, reg: n.Registry})
+	}
 
 	ring := opts.Placement
 	if ring == nil && opts.Groups > 0 {

@@ -563,13 +563,12 @@ func TestCaptureAffectedStateWithThreat(t *testing.T) {
 }
 
 // TestCommitStoresEntityAndVectorBytes reads back what a create and one
-// replicated write leave in the store. The coordinator's create record is
-// the create it ships, written by encoding/json, and must stay the bytes of
-// the literal below. After the write the entities record is written from the
-// live entity and the replica-meta record by the version vector's own
-// encoder; both must hold exactly the bytes json.Marshal produces for a
-// snapshot and for the plain map, HTML escaping included, and must still
-// decode.
+// replicated write leave in the store: each replica's one record, written by
+// the record's own encoder from the entity and the replica table. The
+// coordinator's record after the create must stay the bytes of the literal
+// below; after the write, every replica's record must hold exactly the bytes
+// json.Marshal produces for a snapshot of its entity and its plain vector map,
+// HTML escaping included, and must still decode.
 func TestCommitStoresEntityAndVectorBytes(t *testing.T) {
 	c := newFlightCluster(t, 3)
 	n1 := c.Node(0)
@@ -581,7 +580,7 @@ func TestCommitStoresEntityAndVectorBytes(t *testing.T) {
 	if err := n1.Store.Get("replica-meta", "f1", &raw); err != nil {
 		t.Fatal(err)
 	}
-	const wantCreate = `{"ID":"f1","Class":"Flight","State":{"crew":["a","b"],"route":"VIE\u003c-\u003eGRZ \u0026 back","seats":80,"sold":0},` +
+	const wantCreate = `{"Class":"Flight","State":{"crew":["a","b"],"route":"VIE\u003c-\u003eGRZ \u0026 back","seats":80,"sold":0},` +
 		`"Version":1,"VV":{"n1":1},"Info":{"home":"n1","replicas":["n1","n2","n3"]}}`
 	if string(raw) != wantCreate {
 		t.Errorf("n1 replica-meta/f1 after the create = %s, want %s", raw, wantCreate)
@@ -590,38 +589,16 @@ func TestCommitStoresEntityAndVectorBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, n := range c.Nodes {
-		e, err := n.Registry.Get("f1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		vv, err := n.Repl.VersionVector("f1")
-		if err != nil {
-			t.Fatal(err)
-		}
-		plain := map[transport.NodeID]int64{}
-		for _, c := range vv {
-			plain[c.Node] = c.Count
-		}
-		wantMeta, _ := json.Marshal(plain)
+		want, _ := json.Marshal(heldRecord(t, n, "f1"))
 		if err := n.Store.Get("replica-meta", "f1", &raw); err != nil {
 			t.Fatal(err)
 		}
-		if string(raw) != string(wantMeta) {
-			t.Errorf("%s replica-meta/f1 = %s, want %s", n.ID, raw, wantMeta)
+		if string(raw) != string(want) {
+			t.Errorf("%s replica-meta/f1 = %s, want %s", n.ID, raw, want)
 		}
-		if n != n1 {
-			continue // CMP persists at the coordinator
-		}
-		wantEntity, _ := json.Marshal(map[string]any(e.Snapshot()))
-		if err := n.Store.Get(cmpTable, "f1", &raw); err != nil {
-			t.Fatal(err)
-		}
-		if string(raw) != string(wantEntity) {
-			t.Errorf("entities/f1 = %s, want %s", raw, wantEntity)
-		}
-		var back object.State
-		if err := n.Store.Get(cmpTable, "f1", &back); err != nil || back["sold"] != float64(3) {
-			t.Errorf("decoded entity = %v, %v", back, err)
+		var back replicaRecord
+		if err := n.Store.Get("replica-meta", "f1", &back); err != nil || back.State["sold"] != float64(3) || back.State["route"] != "VIE<->GRZ & back" {
+			t.Errorf("%s: decoded record = %+v, %v", n.ID, back, err)
 		}
 	}
 }

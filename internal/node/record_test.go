@@ -1,0 +1,187 @@
+package node
+
+import (
+	"encoding/json"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"dedisys/internal/object"
+	"dedisys/internal/replication"
+	"dedisys/internal/transport"
+)
+
+// replicaRecord is the replication manager's stored record of one replica
+// (table replica-meta, keyed by the object ID) in plain types: what
+// json.Marshal writes for it is what the record's own encoder must write.
+type replicaRecord struct {
+	Class   string         `json:",omitempty"`
+	State   map[string]any `json:",omitempty"`
+	Version int64          `json:",omitempty"`
+	VV      map[transport.NodeID]int64
+	Info    replication.Info
+}
+
+// heldRecord renders what the node holds of the object in memory — class,
+// state and version of its entity, vector and placement — as its record.
+func heldRecord(t *testing.T, n *Node, id object.ID) replicaRecord {
+	t.Helper()
+	info, err := n.Repl.Info(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vv, err := n.Repl.VersionVector(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := replicaRecord{VV: map[transport.NodeID]int64{}, Info: info}
+	for _, c := range vv {
+		rec.VV[c.Node] = c.Count
+	}
+	if e, err := n.Registry.Get(id); err == nil {
+		rec.Class, rec.State, rec.Version = e.Class(), map[string]any(e.Snapshot()), e.Version()
+	}
+	return rec
+}
+
+// expectRecords checks every replica's stored record of the object against
+// what the replica holds in memory: the stored bytes are json.Marshal's of it,
+// and they decode to its class, placement, version and vector.
+func expectRecords(t *testing.T, c *Cluster, id object.ID) {
+	t.Helper()
+	for _, n := range c.Nodes {
+		held := heldRecord(t, n, id)
+		want, err := json.Marshal(held)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var raw json.RawMessage
+		if err := n.Store.Get("replica-meta", string(id), &raw); err != nil {
+			t.Fatalf("%s: %v", n.ID, err)
+		}
+		if string(raw) != string(want) {
+			t.Errorf("%s replica-meta/%s = %s, want %s", n.ID, id, raw, want)
+		}
+		var back replicaRecord
+		if err := json.Unmarshal(raw, &back); err != nil {
+			t.Fatalf("%s replica-meta/%s does not decode: %v", n.ID, id, err)
+		}
+		if back.Class != held.Class || back.Version != held.Version || !reflect.DeepEqual(back.VV, held.VV) || !reflect.DeepEqual(back.Info, held.Info) || len(back.State) != len(held.State) {
+			t.Errorf("%s replica-meta/%s decodes to %+v, holds %+v", n.ID, id, back, held)
+		}
+	}
+}
+
+// storeWrites sums persistence.writes over the cluster's nodes.
+func storeWrites(t *testing.T, c *Cluster) int64 {
+	t.Helper()
+	var sum int64
+	for _, n := range c.Nodes {
+		sum += counter(t, c.Obs, string(n.ID)+".persistence.writes")
+	}
+	return sum
+}
+
+// TestStoreWritesPerCommitEqualReplicas runs a create, a write, a 4-object
+// transaction and a delete on three full replicas, under P4 and under a
+// quorum (after its stragglers landed): every replica makes exactly one store
+// write per object and commit — its record, or the record's deletion — so
+// the cluster makes 3, 3, 12 and 3. With the coordinator's entity stored apart
+// from its vector it made 4, 4, 16 and 4. After each commit every replica's
+// record is what it holds.
+func TestStoreWritesPerCommitEqualReplicas(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opts []ClusterOption
+	}{
+		{"p4", nil},
+		{"quorum", []ClusterOption{func(o *Options) { o.Protocol = replication.Quorum{} }}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := newFlightCluster(t, 3, tc.opts...)
+			defer c.Stop()
+			n1 := c.Node(0)
+			commit := func(what string, want int64, run func() error) {
+				t.Helper()
+				before := storeWrites(t, c)
+				if err := run(); err != nil {
+					t.Fatalf("%s: %v", what, err)
+				}
+				n1.Repl.WaitPropagation()
+				if got := storeWrites(t, c) - before; got != want {
+					t.Errorf("%s: %d store writes, want %d", what, got, want)
+				}
+			}
+			ids := []object.ID{"f1", "f2", "f3", "f4"}
+			commit("create", 3, func() error {
+				return n1.Create("Flight", "f1", object.State{"sold": int64(0)}, c.AllReplicas("n1"))
+			})
+			expectRecords(t, c, "f1")
+			commit("write", 3, func() error {
+				_, err := n1.Invoke("f1", "SellTickets", int64(1))
+				return err
+			})
+			expectRecords(t, c, "f1")
+			for _, id := range ids[1:] {
+				if err := n1.Create("Flight", id, object.State{"sold": int64(0)}, c.AllReplicas("n1")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			n1.Repl.WaitPropagation()
+			commit("4-object transaction", 12, func() error {
+				txn := n1.Begin()
+				for i, id := range ids {
+					if _, err := n1.InvokeTx(txn, id, "SellTickets", int64(i+1)); err != nil {
+						_ = txn.Rollback()
+						return fmt.Errorf("%s: %w", id, err)
+					}
+				}
+				return txn.Commit()
+			})
+			for _, id := range ids {
+				expectRecords(t, c, id)
+			}
+			commit("delete", 3, func() error { return n1.Delete("f1") })
+			for _, n := range c.Nodes {
+				if n.Store.Has("replica-meta", "f1") {
+					t.Errorf("%s still stores the deleted f1", n.ID)
+				}
+				if got := n.Store.Len(cmpTable); got != 0 {
+					t.Errorf("%s: %d entities records under replication", n.ID, got)
+				}
+			}
+		})
+	}
+}
+
+// TestUnreplicatedNodeStoresItsEntities: a node built without replication has
+// no replica record, so CMP stores the entity's state at commit, one write
+// per object, and drops it with the object.
+func TestUnreplicatedNodeStoresItsEntities(t *testing.T) {
+	c := newFlightCluster(t, 1, func(o *Options) { o.DisableReplication = true })
+	defer c.Stop()
+	n := c.Node(0)
+	if err := n.Create("Flight", "f1", object.State{"sold": int64(0)}, replication.Info{}); err != nil {
+		t.Fatal(err)
+	}
+	before := storeWrites(t, c)
+	if _, err := n.Invoke("f1", "SellTickets", int64(2)); err != nil {
+		t.Fatal(err)
+	}
+	if got := storeWrites(t, c) - before; got != 1 {
+		t.Errorf("write: %d store writes, want 1", got)
+	}
+	var stored object.State
+	if err := n.Store.Get(cmpTable, "f1", &stored); err != nil {
+		t.Fatal(err)
+	}
+	if stored["sold"] != float64(2) {
+		t.Errorf("entities/f1 = %v, want sold 2", stored)
+	}
+	if err := n.Delete("f1"); err != nil {
+		t.Fatal(err)
+	}
+	if n.Store.Has(cmpTable, "f1") {
+		t.Error("entities/f1 outlived its object")
+	}
+}

@@ -31,8 +31,8 @@ func newCounterCluster(t *testing.T) *Cluster {
 }
 
 // expectAgreement checks the committed state of c1 everywhere it lives: the
-// entity on every replica, the coordinator's entities table, and vectors that
-// are equal across replicas and strictly above the one before the transaction.
+// entity and the stored record on every replica, and vectors that are equal
+// across replicas and strictly above the one before the transaction.
 func expectAgreement(t *testing.T, c *Cluster, want int64, before replication.VersionVector) {
 	t.Helper()
 	coordVV, err := c.Node(0).Repl.VersionVector("c1")
@@ -57,14 +57,15 @@ func expectAgreement(t *testing.T, c *Cluster, want int64, before replication.Ve
 		if cmp, ok := vv.Compare(coordVV); !ok || cmp != 0 {
 			t.Errorf("%s vector %v, coordinator %v", n.ID, vv, coordVV)
 		}
+		var stored replicaRecord
+		if err := n.Store.Get("replica-meta", "c1", &stored); err != nil {
+			t.Fatal(err)
+		}
+		if stored.State["value"] != float64(want) {
+			t.Errorf("%s replica-meta/c1 = %+v, want value %d", n.ID, stored, want)
+		}
 	}
-	var stored object.State
-	if err := c.Node(0).Store.Get(cmpTable, "c1", &stored); err != nil {
-		t.Fatal(err)
-	}
-	if stored["value"] != float64(want) {
-		t.Errorf("entities/c1 = %v, want value %d", stored, want)
-	}
+	expectRecords(t, c, "c1")
 }
 
 // TestDeleteThenCreateSameTx: one transaction deletes an object and creates

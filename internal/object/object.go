@@ -80,8 +80,9 @@ func (s State) Clone() State {
 // AppendJSON appends the state's JSON encoding to dst, byte for byte what
 // encoding/json writes for the same data held as a plain map[string]any (keys
 // in byte order, its string escaping), without the reflection or the boxing
-// of every key and value: entity state is one of the four store writes of a
-// replicated commit. The value kinds State documents are written directly;
+// of every key and value: entity state is in every replica's record, the
+// store write each replica makes per replicated commit. The value kinds State
+// documents are written directly;
 // any other value goes through json.Marshal by itself. On error dst is
 // returned as it came.
 func (s State) AppendJSON(dst []byte) ([]byte, error) {

@@ -30,7 +30,7 @@ func (m *Manager) digestLocked(peer transport.NodeID, salt uint64) []digestEntry
 	out := make([]digestEntry, 0, len(m.meta)+len(m.tombstones))
 	for id, rs := range m.meta {
 		if m.placement == nil || rs.info.HasReplica(peer) {
-			out = append(out, digestEntry{fingerprint(salt, id, rs.vv, false), id})
+			out = append(out, digestEntry{placedPrint(fingerprint(salt, id, rs.vv, false), rs.info), id})
 		}
 	}
 	for id, vv := range m.tombstones {
@@ -71,6 +71,18 @@ func fingerprint(salt uint64, id object.ID, vv VersionVector, deleted bool) uint
 		h = hashString(h, "\xff")
 	}
 	return mix64(h ^ salt)
+}
+
+// placedPrint folds a live replica's placement into its fingerprint: two
+// replicas at one vector can hold the placements of two incarnations (an
+// apply of the later one overtook its create at one of them), and the pass
+// that finds them apart hands the newer to both (placeLocked).
+func placedPrint(print uint64, info Info) uint64 {
+	h := hashString(print, string(info.Home))
+	for _, r := range info.Replicas {
+		h = hashString(hashString(h, "\x00"), string(r))
+	}
+	return mix64(h)
 }
 
 // FNV-1a, 64 bits.

@@ -205,7 +205,7 @@ func TestHealDeliversTombstoneToReplicaThatNeverSawTheObject(t *testing.T) {
 			h.create(t, "n1", "Flight", "f1", object.State{"sold": int64(1)})
 			n1, n3 := h.node("n1"), h.node("n3")
 			var create batchOp
-			if _, err := n1.mgr.localOp("f1", opCreate, false, &create); err != nil {
+			if _, _, err := n1.mgr.localOp("f1", opCreate, false, &create); err != nil {
 				t.Fatal(err)
 			}
 			txn := n1.txm.Begin()

@@ -360,8 +360,8 @@ func TestPropagationErrorMetricCountsSendFailures(t *testing.T) {
 }
 
 // dump renders everything handleBatch can change on a node — the replica
-// table, the tombstones and the raw stored bytes of every replica-meta
-// record — in a fixed order, for comparison against a recorded text.
+// table, the tombstones and the raw stored bytes of every replica's record —
+// in a fixed order, for comparison against a recorded text.
 func (env *nodeEnv) dump(t *testing.T) string {
 	t.Helper()
 	var b strings.Builder
@@ -399,9 +399,12 @@ func (env *nodeEnv) dump(t *testing.T) string {
 // skipped), a delete of a known and of an unknown object — and, before it, a
 // batch with a malformed kind. The replica table, tombstones, stored bytes,
 // ack and error texts are the ones recorded from the closure-based handler
-// before the effects became value records, with one exception: a create that
-// installs over a known object stores the vector it installs, as an apply
-// does, where it used to leave the stored one (`store a {"n1":1}`).
+// before the effects became value records, with two exceptions: a create that
+// installs over a known object stores what it installs, as an apply does,
+// where it used to leave the stored record (`store a {"n1":1}`); and each
+// stored record is the replica's whole record — class, state, version,
+// vector and placement, the last two alone for a metadata-only holder — where
+// it used to be the vector alone (`store b {"n1":2}`).
 func TestBatchMixedEffectsMatchRecorded(t *testing.T) {
 	h := newHarness(t, 2, PrimaryPerPartition{})
 	dst := h.node("n2")
@@ -460,10 +463,10 @@ replica d Flight v1 {"sold":5} {"n1":1} home=n1 [n1 n2] registry=true
 replica outside  v0 null {"n1":2} home=n1 [n1] registry=false
 tombstone c {"n1":3,"n2":2}
 tombstone never {"n1":1}
-store a {"n1":2,"n3":1}
-store b {"n1":2}
-store d {"n1":1}
-store outside {"n1":2}
+store a {"Class":"Flight","State":{"sold":11},"Version":3,"VV":{"n1":2,"n3":1},"Info":{"home":"n1","replicas":["n1","n2"]}}
+store b {"Class":"Flight","State":{"sold":12,"tag":"x\u003cy"},"Version":2,"VV":{"n1":2},"Info":{"home":"n1","replicas":["n1","n2"]}}
+store d {"Class":"Flight","State":{"sold":5},"Version":1,"VV":{"n1":1},"Info":{"home":"n1","replicas":["n1","n2"]}}
+store outside {"VV":{"n1":2},"Info":{"home":"n1","replicas":["n1"]}}
 `
 	if got := dst.dump(t); got != recorded {
 		t.Errorf("state after the mixed batch:\n%s\nrecorded:\n%s", got, recorded)
@@ -498,13 +501,16 @@ func delta(before, after string) string {
 // (TestRepairBatchEqualsOneOpBatches: K of them in one batch do what they do
 // one by one). The change to replica table, registry, tombstones and stored
 // bytes is the one recorded from handleBatch at the parent of the commit that
-// retired those handlers, with two named exceptions: a delete meeting an
+// retired those handlers, with three named exceptions: a delete meeting an
 // existing tombstone merges the two vectors where it used to overwrite
-// (recorded there: `+tombstone gone {"n3":1}`), and a create installing over
-// a known object stores its vector, as an apply does (recorded there without
-// the store lines). Each op's result is what
-// handleBatch's ack reports of it: applied and duplicate land, the rest are
-// skipped. A create or a delete that adds nothing to what the replica holds
+// (recorded there: `+tombstone gone {"n3":1}`); a create installing over a
+// known object stores what it installs, as an apply does (recorded there
+// without the store lines); and each stored record is the replica's whole
+// record where it used to be the vector alone. Two cases are new: a newer
+// create of another placement or class installs it with its state, where it
+// used to keep the replica's (the create was installed as an apply). Each
+// op's result is what handleBatch's ack reports of it: applied and duplicate
+// land, the rest are skipped. A create or a delete that adds nothing to what the replica holds
 // is a duplicate (it was counted applied before the ack listed results).
 func TestBatchOneOpCasesMatchRecorded(t *testing.T) {
 	info := Info{Home: "n1", Replicas: []transport.NodeID{"n1", "n2"}}
@@ -526,28 +532,44 @@ func TestBatchOneOpCasesMatchRecorded(t *testing.T) {
 	}{
 		{"create unknown", create("d", 5, 1, VersionVector{{Node: "n1", Count: 1}}, info), applied,
 			`+replica d Flight v1 {"sold":5} {"n1":1} home=n1 [n1 n2] registry=true
-+store d {"n1":1}
++store d {"Class":"Flight","State":{"sold":5},"Version":1,"VV":{"n1":1},"Info":{"home":"n1","replicas":["n1","n2"]}}
 `},
 		{"create known", create("a", 11, 3, VersionVector{{Node: "n1", Count: 2}, {Node: "n3", Count: 1}}, info), applied,
 			`-replica a Flight v1 {"sold":1} {"n1":1} home=n1 [n1 n2] registry=true
--store a {"n1":1}
+-store a {"Class":"Flight","State":{"sold":1},"Version":1,"VV":{"n1":1},"Info":{"home":"n1","replicas":["n1","n2"]}}
 +replica a Flight v3 {"sold":11} {"n1":2,"n3":1} home=n1 [n1 n2] registry=true
-+store a {"n1":2,"n3":1}
++store a {"Class":"Flight","State":{"sold":11},"Version":3,"VV":{"n1":2,"n3":1},"Info":{"home":"n1","replicas":["n1","n2"]}}
+`},
+		{"create known, placed elsewhere", create("a", 11, 3, VersionVector{{Node: "n1", Count: 2}, {Node: "n2", Count: 1}}, Info{Home: "n2", Replicas: []transport.NodeID{"n1", "n2"}}), applied,
+			`-replica a Flight v1 {"sold":1} {"n1":1} home=n1 [n1 n2] registry=true
+-store a {"Class":"Flight","State":{"sold":1},"Version":1,"VV":{"n1":1},"Info":{"home":"n1","replicas":["n1","n2"]}}
++replica a Flight v3 {"sold":11} {"n1":2,"n2":1} home=n2 [n1 n2] registry=true
++store a {"Class":"Flight","State":{"sold":11},"Version":3,"VV":{"n1":2,"n2":1},"Info":{"home":"n2","replicas":["n1","n2"]}}
+`},
+		{"create known, another class", func() batchOp {
+			op := create("a", 11, 3, VersionVector{{Node: "n1", Count: 2}, {Node: "n3", Count: 1}}, info)
+			op.Class = "Train"
+			return op
+		}(), applied,
+			`-replica a Flight v1 {"sold":1} {"n1":1} home=n1 [n1 n2] registry=true
+-store a {"Class":"Flight","State":{"sold":1},"Version":1,"VV":{"n1":1},"Info":{"home":"n1","replicas":["n1","n2"]}}
++replica a Train v3 {"sold":11} {"n1":2,"n3":1} home=n1 [n1 n2] registry=true
++store a {"Class":"Train","State":{"sold":11},"Version":3,"VV":{"n1":2,"n3":1},"Info":{"home":"n1","replicas":["n1","n2"]}}
 `},
 		{"create non-replica", create("out", 4, 1, VersionVector{{Node: "n1", Count: 1}}, Info{Home: "n1", Replicas: []transport.NodeID{"n1"}}), applied,
 			`+replica out  v0 null {"n1":1} home=n1 [n1] registry=false
-+store out {"n1":1}
++store out {"VV":{"n1":1},"Info":{"home":"n1","replicas":["n1"]}}
 `},
 		{"create tombstoned", create("gone", 6, 2, VersionVector{{Node: "n1", Count: 3}}, info), applied,
 			`-tombstone gone {"n1":2}
 +replica gone Flight v2 {"sold":6} {"n1":3} home=n1 [n1 n2] registry=true
-+store gone {"n1":3}
++store gone {"Class":"Flight","State":{"sold":6},"Version":2,"VV":{"n1":3},"Info":{"home":"n1","replicas":["n1","n2"]}}
 `},
 		{"apply newer", apply("b", 12, 2, VersionVector{{Node: "n1", Count: 2}}), applied,
 			`-replica b Flight v1 {"sold":2} {"n1":1} home=n1 [n1 n2] registry=true
--store b {"n1":1}
+-store b {"Class":"Flight","State":{"sold":2},"Version":1,"VV":{"n1":1},"Info":{"home":"n1","replicas":["n1","n2"]}}
 +replica b Flight v2 {"sold":12} {"n1":2} home=n1 [n1 n2] registry=true
-+store b {"n1":2}
++store b {"Class":"Flight","State":{"sold":12},"Version":2,"VV":{"n1":2},"Info":{"home":"n1","replicas":["n1","n2"]}}
 `},
 		{"create covered", create("c", 7, 2, VersionVector{{Node: "n1", Count: 1}, {Node: "n2", Count: 2}}, info), duplicate, ""},
 		{"apply equal", apply("b", 13, 2, VersionVector{{Node: "n1", Count: 1}}), duplicate, ""},
@@ -556,7 +578,7 @@ func TestBatchOneOpCasesMatchRecorded(t *testing.T) {
 		{"apply unknown", apply("ghost", 16, 2, VersionVector{{Node: "n1", Count: 2}}), opUnknown, ""},
 		{"delete known", del("c", VersionVector{{Node: "n1", Count: 3}, {Node: "n2", Count: 2}}), applied,
 			`-replica c Flight v4 {"sold":3} {"n1":2,"n2":2} home=n1 [n1 n2] registry=true
--store c {"n1":2,"n2":2}
+-store c {"Class":"Flight","State":{"sold":3},"Version":4,"VV":{"n1":2,"n2":2},"Info":{"home":"n1","replicas":["n1","n2"]}}
 +tombstone c {"n1":3,"n2":2}
 `},
 		{"delete unknown", del("never", VersionVector{{Node: "n1", Count: 1}}), applied,

@@ -79,7 +79,7 @@ func replay(t *testing.T, h *harness, events []event) ([]batchOp, bool) {
 			env.mgr.mu.Lock()
 			op.VV = env.mgr.tombstones[enumObject]
 			env.mgr.mu.Unlock()
-		} else if _, err := env.mgr.localOp(enumObject, ev.kind, false, &op); err != nil {
+		} else if _, _, err := env.mgr.localOp(enumObject, ev.kind, false, &op); err != nil {
 			t.Fatal(err)
 		}
 		ops = append(ops, op)
@@ -165,11 +165,13 @@ func (env *nodeEnv) forget(id object.ID) {
 }
 
 // held reads what the replica holds of the object — a live replica or a
-// tombstone, at vv — and renders it with the state and version of a live one.
+// tombstone, at vv — and renders it with the placement, state and version of
+// a live one.
 func (env *nodeEnv) held(id object.ID) (have opKind, vv VersionVector, key string) {
+	var home transport.NodeID
 	env.mgr.mu.Lock()
 	if rs, ok := env.mgr.meta[id]; ok {
-		have, vv = opApply, rs.vv
+		have, vv, home = opApply, rs.vv, rs.info.Home
 	} else if tomb, ok := env.mgr.tombstones[id]; ok {
 		have, vv = opDelete, tomb
 	}
@@ -180,6 +182,7 @@ func (env *nodeEnv) held(id object.ID) (have opKind, vv VersionVector, key strin
 		b = strconv.AppendInt(b, c.Count, 10)
 	}
 	if have == opApply {
+		b = append(append(b, " home="...), home...)
 		if e, err := env.reg.Get(id); err == nil {
 			b = strconv.AppendInt(append(b, " v"...), e.Version(), 10)
 			b = strconv.AppendInt(append(b, " sold="...), e.GetInt("sold"), 10)
@@ -263,9 +266,10 @@ func (env *nodeEnv) deliverSeq(t *testing.T, ops []batchOp, seq []int, d *delive
 }
 
 // TestReplicaRuleExhaustive checks, over every small history and order:
-//   - strong eventual consistency: a replica's state, vector, tombstone and
-//     stored record depend only on which of the ops landed, not on the order
-//     or a duplicate (an op that did not land is still owed by its sender);
+//   - strong eventual consistency: a replica's state, placement, vector,
+//     tombstone and stored record depend only on which of the ops landed,
+//     not on the order or a duplicate (an op that did not land is still owed
+//     by its sender);
 //   - an op that landed is installed or dominated;
 //   - a replica holds live only a state that was shipped with its vector, or
 //     with one its vector extends only by deletions of another incarnation,
@@ -273,8 +277,8 @@ func (env *nodeEnv) deliverSeq(t *testing.T, ops []batchOp, seq []int, d *delive
 //   - after one reconciliation round — each of three replicas, holding any
 //     states the deliveries passed through, and a fourth that never saw the
 //     object reconciles with the other three in turn, first to last and last
-//     to first — every replica holds the same thing, stored record and
-//     tombstone vector included; it dominates every op that had landed
+//     to first — every replica holds the same thing, placement, stored
+//     record and tombstone vector included; it dominates every op that had landed
 //     anywhere, is no live state a held tombstone covers and, when the round
 //     resolved no conflict, is what delivering the ops that had landed to one
 //     replica leaves.

@@ -85,9 +85,10 @@ func TestRateEstimatorAttachedToManager(t *testing.T) {
 // n1's reconcile pass adopts n2's dominating record. The adoption goes
 // through applyOps like any other apply, so a RateEstimator attached to n1
 // sees exactly one update of the object (the retired adopt() notified
-// nobody), while replica table, entity and persisted replica-meta row change
-// exactly as recorded from adopt() at the parent of the commit that retired
-// it.
+// nobody), while replica table and entity change exactly as recorded from
+// adopt() at the parent of the commit that retired it, and the stored record
+// is the replica's whole record before and after (it was the coordinator's
+// create record, then the adopted vector).
 func TestAdoptionIsAnObservedApply(t *testing.T) {
 	h := newHarness(t, 2, PrimaryPerPartition{})
 	h.create(t, "n1", "Flight", "f1", object.State{"sold": int64(70)})
@@ -114,9 +115,9 @@ func TestAdoptionIsAnObservedApply(t *testing.T) {
 		t.Errorf("estimator saw %d updates of %d objects, want exactly one, of f1", observes, len(est.stats))
 	}
 	const recorded = `-replica f1 Flight v1 {"sold":70} {"n1":1} home=n1 [n1 n2] registry=true
--store f1 {"ID":"f1","Class":"Flight","State":{"sold":70},"Version":1,"VV":{"n1":1},"Info":{"home":"n1","replicas":["n1","n2"]}}
+-store f1 {"Class":"Flight","State":{"sold":70},"Version":1,"VV":{"n1":1},"Info":{"home":"n1","replicas":["n1","n2"]}}
 +replica f1 Flight v3 {"sold":78} {"n1":1,"n2":2} home=n1 [n1 n2] registry=true
-+store f1 {"n1":1,"n2":2}
++store f1 {"Class":"Flight","State":{"sold":78},"Version":3,"VV":{"n1":1,"n2":2},"Info":{"home":"n1","replicas":["n1","n2"]}}
 `
 	if got := delta(before, n1.dump(t)); got != recorded {
 		t.Errorf("state change:\n%s\nrecorded:\n%s", got, recorded)

@@ -114,7 +114,7 @@ func TestStaleCreateKeepsNewerState(t *testing.T) {
 // generalises it to deletes, re-creates and two coordinators.
 func TestDeliveryOrderDoesNotMatter(t *testing.T) {
 	const want = `replica o Flight v5 {"sold":5} {"n1":5} home=n1 [n1 n2] registry=true
-store o {"n1":5}
+store o {"Class":"Flight","State":{"sold":5},"Version":5,"VV":{"n1":5},"Info":{"home":"n1","replicas":["n1","n2"]}}
 `
 	var permute func(done, rest []int64)
 	permute = func(done, rest []int64) {
@@ -137,6 +137,75 @@ store o {"n1":5}
 		}
 	}
 	permute([]int64{1}, []int64{2, 3, 4, 5})
+}
+
+// reCreateOps is a history of f1 across two incarnations: created at n1
+// {n1:1}, deleted {n1:2}, re-created at n2 {n1:2,n2:1} with home n2, and
+// written at n1 {n1:3,n2:1}.
+func reCreateOps() []batchOp {
+	all := []transport.NodeID{"n1", "n2"}
+	return []batchOp{
+		{Kind: opCreate, ID: "f1", Class: "Flight", State: object.State{"sold": int64(1)}, Version: 1, VV: VersionVector{{Node: "n1", Count: 1}}, Info: NewInfo("n1", all)},
+		{Kind: opDelete, ID: "f1", VV: VersionVector{{Node: "n1", Count: 2}}},
+		{Kind: opCreate, ID: "f1", Class: "Flight", State: object.State{"sold": int64(3)}, Version: 1, VV: VersionVector{{Node: "n1", Count: 2}, {Node: "n2", Count: 1}}, Info: NewInfo("n2", all)},
+		{Kind: opApply, ID: "f1", State: object.State{"sold": int64(4)}, Version: 2, VV: VersionVector{{Node: "n1", Count: 3}, {Node: "n2", Count: 1}}},
+	}
+}
+
+// reCreateHeld is what a replica holds after every op of reCreateOps.
+const reCreateHeld = `replica f1 Flight v2 {"sold":4} {"n1":3,"n2":1} home=n2 [n1 n2] registry=true
+store f1 {"Class":"Flight","State":{"sold":4},"Version":2,"VV":{"n1":3,"n2":1},"Info":{"home":"n2","replicas":["n1","n2"]}}
+`
+
+// TestReCreateTakesItsPlacementInEveryOrder hands a replica the ops of
+// reCreateOps in several orders, each landing every op (none hands the write
+// over before a create). Whatever the order, it ends on the re-creation's
+// placement: a newer create installs its placement with its state, and one
+// that a later write overtook brings it alone. The order create, re-create,
+// delete used to keep home n1, and so did the write ahead of the delete and
+// the re-create; both replicas stored the same vector, so nothing told them
+// apart.
+func TestReCreateTakesItsPlacementInEveryOrder(t *testing.T) {
+	ops := reCreateOps()
+	for _, order := range [][]int{{0, 1, 2, 3}, {0, 2, 1, 3}, {0, 3, 1, 2}, {0, 3, 2, 1}, {1, 2, 3, 0}, {2, 3, 0, 1}} {
+		h := newHarness(t, 2, PrimaryPerPartition{})
+		dst := h.node("n2")
+		for _, i := range order {
+			dst.deliver(t, ops[i])
+		}
+		if got := dst.dump(t); got != reCreateHeld {
+			t.Errorf("order %v:\n%s\nwant:\n%s", order, got, reCreateHeld)
+		}
+	}
+}
+
+// TestReconciliationCarriesTheNewerPlacement: n1 took the create, the
+// delete and the re-create of reCreateOps, n2 the first create and the
+// write, which overtook the other two. n2 holds the newer state under the
+// first incarnation's placement, n1 an older state under the re-creation's.
+// One pass, whichever node drives it, leaves both on the newer state and the
+// newer placement: a pulled record brings its placement when that was set at
+// a newer vector, and a driver whose placement is newer owes the peer its
+// create even where the peer's state is as new or newer.
+func TestReconciliationCarriesTheNewerPlacement(t *testing.T) {
+	ops := reCreateOps()
+	for _, driver := range []transport.NodeID{"n1", "n2"} {
+		h := newHarness(t, 2, PrimaryPerPartition{})
+		h.node("n1").deliver(t, ops[0], ops[1], ops[2])
+		h.node("n2").deliver(t, ops[0], ops[3])
+		peer := transport.NodeID("n2")
+		if driver == "n2" {
+			peer = "n1"
+		}
+		if _, err := h.node(driver).mgr.ReconcileWith(context.Background(), []transport.NodeID{peer}, nil); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range h.ids {
+			if got := h.node(id).dump(t); got != reCreateHeld {
+				t.Errorf("%s drove: %s holds\n%s\nwant:\n%s", driver, id, got, reCreateHeld)
+			}
+		}
+	}
 }
 
 // TestStaleCreateStaysDeleted: a deletion {n1:2} that overtook the create

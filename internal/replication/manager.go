@@ -48,11 +48,9 @@ const (
 func (k opKind) known() bool { return opCreate <= k && k <= opDelete }
 
 // batchOp is one replica operation, shipped at commit and at reconciliation
-// alike: Kind says which of the fields it carries. The coordinator stores a
-// create as its replica record, so the fields after Kind are the record's, in
-// its order.
+// alike: Kind says which of the fields it carries.
 type batchOp struct {
-	Kind    opKind `json:"-"`
+	Kind    opKind
 	ID      object.ID
 	Class   string
 	State   object.State
@@ -126,6 +124,7 @@ type fetchReply struct {
 
 // Record is the replica descriptor a reconciliation pull carries: a live
 // replica, or a tombstone (Deleted, with its vector and nothing else).
+// Placed is the vector the live replica's placement was set at.
 type Record struct {
 	ID      object.ID
 	Class   string
@@ -133,6 +132,7 @@ type Record struct {
 	Version int64
 	VV      VersionVector
 	Info    Info
+	Placed  VersionVector
 	History []HistoryEntry
 	Deleted bool
 }
@@ -211,12 +211,6 @@ type Manager struct {
 	tombstones map[object.ID]VersionVector
 	estimator  Estimator
 	observer   func(object.ID)
-}
-
-type replicaState struct {
-	info    Info
-	vv      VersionVector
-	history []HistoryEntry
 }
 
 // stagedOp is one staged batch operation awaiting its round (route): a
@@ -583,11 +577,13 @@ func (m *Manager) Create(t *tx.Tx, e *object.Entity, info Info) error {
 		}
 		info = NewInfo(info.Home, info.Replicas)
 	}
+	var hosted *object.Entity
 	if info.HasReplica(m.self) {
 		if err := m.registry.Add(e); err != nil {
 			return fmt.Errorf("replication: create %s: %w", id, err)
 		}
 		t.RecordCreate(m.registry, id)
+		hosted = e
 	} else {
 		t.RecordWrite(tx.Created, id, nil)
 	}
@@ -601,7 +597,7 @@ func (m *Manager) Create(t *tx.Tx, e *object.Entity, info Info) error {
 		vv = tomb
 		delete(m.tombstones, id)
 	}
-	m.meta[id] = &replicaState{info: info, vv: vv}
+	m.meta[id] = m.newReplica(hosted, info, vv)
 	m.mu.Unlock()
 	t.RecordUndo(func() {
 		m.mu.Lock()
@@ -623,11 +619,10 @@ func (m *Manager) Delete(t *tx.Tx, id object.ID) error {
 		return fmt.Errorf("%w: %s", ErrUnknownObject, id)
 	}
 	info := rs.info
-	vv := rs.vv
 	delete(m.meta, id)
 	// The deletion is an event: a re-create after it and a write it never
 	// saw then reach vectors that tell them apart (decide).
-	m.tombstones[id] = vv.Bumped(m.self)
+	m.tombstones[id] = rs.vv.Bumped(m.self)
 	m.mu.Unlock()
 
 	if info.HasReplica(m.self) {
@@ -644,7 +639,7 @@ func (m *Manager) Delete(t *tx.Tx, id object.ID) error {
 	}
 	t.RecordUndo(func() {
 		m.mu.Lock()
-		m.meta[id] = &replicaState{info: info, vv: vv}
+		m.meta[id] = rs
 		delete(m.tombstones, id)
 		m.mu.Unlock()
 	})
@@ -655,13 +650,13 @@ func (m *Manager) Delete(t *tx.Tx, id object.ID) error {
 func (m *Manager) Prepare(t *tx.Tx) error { return nil }
 
 // Commit implements tx.Resource: synchronous update propagation from the
-// coordinator to all reachable replicas, persistence of replica metadata,
-// and degraded-mode history recording. The transaction's write set (in
+// coordinator to all reachable replicas, persistence of the coordinator's
+// replica records, and degraded-mode history recording. The transaction's write set (in
 // first-touch order) becomes one batch per destination, shipped in a single
 // round through the destinations' senders (peer), which send in parallel: a
 // K-object commit costs ~1 simulated network hop instead of ~K. Sender-side
-// bookkeeping — version-vector bumps, replica metadata persistence,
-// degraded-mode history, estimator observation — happens per object while
+// bookkeeping — version-vector bumps, the replica's record, degraded-mode
+// history, estimator observation — happens per object while
 // staging. Per-object preparation failures are
 // joined into the returned error and counted, together with per-destination
 // send failures, in replication.propagation_errors. A transaction that wrote
@@ -1066,23 +1061,19 @@ func (r *commitRound) Answered(i int, reply any, err error) group.Verdict {
 func (r *commitRound) Drained() { r.m.propagation.Done() }
 
 // stageLocal does the coordinator's bookkeeping for an object the
-// transaction created or updated — version-vector bump, persisted record,
-// degraded-mode history — and stages the op in s, where its store write
-// points. A create's record is the whole op (JNDI name, primary key and the
-// serialized creation request in the prototype, §5.1), an apply's its vector;
-// an apply is also observed by the estimator.
+// transaction created or updated — version-vector bump, the replica's record
+// (its one store write: class, state, version, vector and placement, like
+// the JNDI name, primary key and serialized creation request the prototype
+// stored, §5.1), degraded-mode history — and stages the op in s. An apply is
+// also observed by the estimator.
 func (m *Manager) stageLocal(id object.ID, kind opKind, view group.View, degraded bool, s *stagedOp) error {
-	info, err := m.localOp(id, kind, true, &s.op)
+	rs, info, err := m.localOp(id, kind, true, &s.op)
 	if err != nil {
 		return err
 	}
 	s.dests, s.replicas = info.reachableReplicas(view), len(info.Replicas)
 	op := &s.op
-	var record any = &op.VV
-	if kind == opCreate {
-		record = op
-	}
-	if err := m.store.Put(tableReplicaMeta, string(id), record); err != nil {
+	if err := m.store.Put(tableReplicaMeta, string(id), rs); err != nil {
 		return err
 	}
 	m.recordHistory(id, op.State, op.Version, op.VV, m.effectiveDegraded(info, degraded))
@@ -1106,29 +1097,33 @@ func (m *Manager) stageCreateRemote(rc remoteCreate, view group.View) stagedOp {
 
 // localOp builds in dst the op of the given kind that carries the object's
 // local state and vector, read in one hold — a create adds its class and
-// placement — and returns the placement; bump advances the vector first. The
-// entity's map is shipped as it is: remote applies and history entries read
-// it after the transaction's lock is gone, and the entity's next Set copies.
-func (m *Manager) localOp(id object.ID, kind opKind, bump bool, dst *batchOp) (Info, error) {
-	e, err := m.registry.Get(id)
-	if err != nil {
-		return Info{}, fmt.Errorf("replication: local state of %s: %w", id, err)
-	}
+// placement — and returns the replica's table entry and placement; bump
+// advances the vector first. The entity's map is shipped as it is: remote
+// applies and history entries read it after the transaction's lock is gone,
+// and the entity's next Set copies.
+func (m *Manager) localOp(id object.ID, kind opKind, bump bool, dst *batchOp) (*replicaState, Info, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	rs, ok := m.meta[id]
 	if !ok {
-		return Info{}, fmt.Errorf("%w: %s", ErrUnknownObject, id)
+		return nil, Info{}, fmt.Errorf("%w: %s", ErrUnknownObject, id)
+	}
+	e := rs.e
+	if e == nil {
+		return nil, Info{}, fmt.Errorf("replication: local state of %s: %w", id, object.ErrNotFound)
 	}
 	if bump {
 		rs.vv = rs.vv.Bumped(m.self)
+		if kind == opCreate {
+			rs.placed = rs.vv // the placement is set at the create's vector
+		}
 	}
 	*dst = batchOp{Kind: kind, ID: id, VV: rs.vv}
 	dst.State, dst.Version = e.Share()
 	if kind == opCreate {
 		dst.Class, dst.Info = e.Class(), rs.info
 	}
-	return rs.info, nil
+	return rs, rs.info, nil
 }
 
 // deleteDests computes the destinations and replica count of a delete, whose
@@ -1195,15 +1190,18 @@ func (m *Manager) PropagateState(ctx context.Context, id object.ID) error {
 	return nil
 }
 
-// stageState stages, for every other reachable replica, the apply that
-// installs the current local state over everything this node has seen.
+// stageState stages, for every other reachable replica, the create that
+// installs the current local state and placement over everything this node
+// has seen: its vector, bumped, dominates whatever the replica holds of the
+// object, and the placement is set again at it (a conflict between two
+// incarnations leaves one placement).
 func (m *Manager) stageState(id object.ID, out *repairs) error {
 	var op batchOp
-	info, err := m.localOp(id, opApply, true, &op)
+	rs, info, err := m.localOp(id, opCreate, true, &op)
 	if err != nil {
 		return err
 	}
-	if err := m.store.Put(tableReplicaMeta, string(id), &op.VV); err != nil {
+	if err := m.store.Put(tableReplicaMeta, string(id), rs); err != nil {
 		return err
 	}
 	to := info.reachableReplicas(m.view())
@@ -1355,102 +1353,176 @@ func (m *Manager) decideLocked(op *batchOp) decision {
 // before anything mutates (a malformed op rejects them all with no state
 // change), and then everything a reader or a reconcile pull can see changes
 // under a single hold of the replica lock — each op's decision, the entity
-// install, the registry entry of a new or deleted object — so a vector never
-// says "current" over a state that is not, two batches for one object install
-// in the order of their vectors, and a pull sees a batch's states and vectors
-// all-or-nothing. What must not run under a node-wide mutex follows the
-// unlock: the replica-meta store write (which charges simulated time) and an
-// install's estimator observation. An op the replica already covers changes
-// nothing, so a redelivered batch is harmless. Each op's result is appended to
-// res, which the caller sizes (a stack array holds a write's batch); when last
-// is not nil it receives the last op's decision, which a one-op caller reads.
-func (m *Manager) applyOps(ops []batchOp, res []opResult, last *decision) ([]opResult, error) {
+// install, a create's placement (placeLocked), the registry entry of a new or
+// deleted object — so a vector never says "current" over a state that is not,
+// two batches for one object install in the order of their vectors, and a
+// pull sees a batch's states and vectors all-or-nothing. What must not run
+// under a node-wide mutex follows the unlock: the replica's one store write
+// (which charges simulated time) — its record, or the record's deletion — and
+// an install's estimator observation. An op the replica already covers
+// changes nothing but, for a create, the placement, so a redelivered batch is
+// harmless. Each op's result is appended to res, which the caller sizes (a
+// stack array holds a write's batch). A one-op caller that merges a pulled
+// record passes pulled: the vector the record's placement was set at goes in,
+// and the op's decision comes out.
+func (m *Manager) applyOps(ops []batchOp, res []opResult, pulled *merge) ([]opResult, error) {
 	for i := range ops {
 		if op := &ops[i]; !op.Kind.known() {
 			return nil, fmt.Errorf("replication: bad batch op kind %d for %s", op.Kind, op.ID)
 		}
 	}
-	// Per op, the effect whose store write is due after the unlock: a burial
-	// that dropped no replica and a create that failed have none. A write's
-	// batch fits the stack-backed array.
-	var buf [8]opKind
+	// Per op, the effect whose store write is due after the unlock and the
+	// replica whose record it writes: a burial that dropped no replica and a
+	// create that failed have none. A write's batch fits the stack-backed
+	// array.
+	var buf [8]storeWrite
 	due := buf[:0]
-	var own []VersionVector // per op, the vector a create over another incarnation's tombstone stores
 	var errs []error
 	m.mu.Lock()
 	for i := range ops {
 		op := &ops[i]
 		d := m.decideLocked(op)
-		eff := d.eff
-		switch eff {
+		w := storeWrite{eff: d.eff}
+		placed := op.VV // a create's placement is set at its own vector
+		if pulled != nil {
+			placed = pulled.placed
+		}
+		switch w.eff {
 		case opApply:
-			m.meta[op.ID].vv = d.vv
-			m.installLocked(op.ID, op.State, op.Version)
-		case opCreate:
-			m.meta[op.ID] = &replicaState{info: op.Info, vv: d.vv}
-			delete(m.tombstones, op.ID)
-			if d.owed == opApply {
-				if own == nil {
-					own = make([]VersionVector, len(ops))
-				}
-				own[i] = d.vv
+			w.rs = m.meta[op.ID]
+			w.rs.vv = d.vv
+			if op.Kind == opCreate {
+				m.placeLocked(w.rs, op, placed)
 			}
-			if op.Info.HasReplica(m.self) {
-				e := object.New(op.Class, op.ID, nil)
-				e.Restore(op.State, op.Version)
-				if err := m.registry.Add(e); err != nil {
-					errs = append(errs, fmt.Errorf("replication: batch create: %w", err))
-					eff = 0
+			if err := m.installLocked(w.rs, op); err != nil {
+				errs = append(errs, err)
+			}
+		case opCreate:
+			if tomb, buried := m.tombstones[op.ID]; buried {
+				// Over another incarnation's tombstone the placement is set
+				// after the deletion it outlives too.
+				if cmp, comparable := tomb.Compare(placed); !comparable || cmp > 0 {
+					placed = placed.Merged(tomb)
 				}
+				delete(m.tombstones, op.ID)
+			}
+			w.rs = m.newReplica(nil, op.Info, d.vv)
+			w.rs.placed = placed
+			m.meta[op.ID] = w.rs
+			if err := m.installLocked(w.rs, op); err != nil {
+				errs = append(errs, err)
+				w.eff = 0
+			}
+		case 0:
+			// A create that installs no state may still bring a newer
+			// placement: one whose state a later write overtook.
+			if rs, live := m.meta[op.ID]; live && op.Kind == opCreate && m.placeLocked(rs, op, placed) {
+				w.eff, w.rs = opCreate, rs
 			}
 		case opDelete:
 			if _, dropped := m.meta[op.ID]; dropped {
 				delete(m.meta, op.ID)
 				_ = m.registry.Remove(op.ID)
 			} else {
-				eff = 0 // no replica, so no stored record to drop
+				w.eff = 0 // no replica, so no stored record to drop
 			}
 			m.tombstones[op.ID] = d.vv
 		}
-		if last != nil {
-			*last = d
+		if pulled != nil {
+			pulled.d = d
 		}
-		due = append(due, eff)
+		due = append(due, w)
 		res = append(res, d.res)
 	}
 	m.mu.Unlock()
-	for i, eff := range due {
-		// Backups persist replica details too (update applied within the
+	for i, w := range due {
+		// Backups persist the replica too (update applied within the
 		// primary's transaction in the prototype, §4.3).
-		op := &ops[i]
-		switch eff {
+		id := string(ops[i].ID)
+		switch w.eff {
 		case 0:
 			continue
 		case opDelete:
-			m.store.Delete(tableReplicaMeta, string(op.ID))
+			m.store.Delete(tableReplicaMeta, id)
 			continue
 		case opApply:
-			m.observe(op.ID)
+			m.observe(ops[i].ID)
 		}
-		vv := &op.VV
-		if own != nil && own[i] != nil {
-			vv = &own[i]
-		}
-		if err := m.store.Put(tableReplicaMeta, string(op.ID), vv); err != nil {
+		if err := m.store.Put(tableReplicaMeta, id, w.rs); err != nil {
 			errs = append(errs, err)
 		}
 	}
 	return res, errors.Join(errs...)
 }
 
-// installLocked hands a shipped state and its version to the local entity, if
-// this node hosts one (a metadata-only holder does not); callers hold m.mu,
-// which is what orders one object's installs like their vectors. A re-create
-// restarts the version, so the replica takes the shipped one as it is.
-func (m *Manager) installLocked(id object.ID, st object.State, version int64) {
-	if e, err := m.registry.Get(id); err == nil {
-		e.Restore(st, version)
+// storeWrite is the store write one op of a batch owes after the unlock: its
+// effect, and the replica whose record it writes.
+type storeWrite struct {
+	eff opKind
+	rs  *replicaState
+}
+
+// merge is a pulled record's passage through applyOps (mergeRecords): the
+// vector the record's placement was set at goes in, the decision comes out.
+type merge struct {
+	placed VersionVector
+	d      decision
+}
+
+// placeLocked gives a live replica the placement of a create, and its class
+// if that differs, when the create's placement was set at a vector newer than
+// the replica's own: the create is of a later incarnation of the object,
+// re-created after a delete the replica may never have seen, and a replica
+// holds the placement of the newest incarnation it knows of, whatever the
+// order that told it. A placement that no longer names this node drops the
+// entity, and another class takes over its state in an entity of its own; an
+// entity a placement newly names this node for comes with an install
+// (installLocked). A record of a metadata-only holder names no class. It
+// reports whether placement or class changed; callers hold m.mu.
+func (m *Manager) placeLocked(rs *replicaState, op *batchOp, placed VersionVector) bool {
+	if cmp, comparable := placed.Compare(rs.placed); !comparable || cmp <= 0 {
+		return false
 	}
+	rs.placed = placed
+	changed := rs.info.Home != op.Info.Home || !slices.Equal(rs.info.Replicas, op.Info.Replicas)
+	rs.info = op.Info
+	switch {
+	case rs.e == nil:
+	case !rs.info.HasReplica(m.self):
+		_ = m.registry.Remove(op.ID)
+		rs.e, changed = nil, true
+	case op.Class != "" && op.Class != rs.e.Class():
+		e := object.New(op.Class, op.ID, nil)
+		e.Restore(rs.e.Share())
+		_ = m.registry.Remove(op.ID)
+		_ = m.registry.Add(e) // the ID was removed a line above
+		rs.e, changed = e, true
+	}
+	return changed
+}
+
+// installLocked hands a shipped state and its version to the replica's
+// entity — a create adds one of its class when the placement names this node
+// and the replica hosts none; a metadata-only holder installs nothing.
+// Callers hold m.mu, which is what orders one object's installs like their
+// vectors. A re-create restarts the version, so the replica takes the shipped
+// one as it is.
+func (m *Manager) installLocked(rs *replicaState, op *batchOp) error {
+	if rs.e != nil {
+		rs.e.Restore(op.State, op.Version)
+		return nil
+	}
+	if op.Kind != opCreate || !rs.info.HasReplica(m.self) {
+		return nil
+	}
+	// Restored before it is registered: a registry reader never sees it empty.
+	e := object.New(op.Class, op.ID, nil)
+	e.Restore(op.State, op.Version)
+	if err := m.registry.Add(e); err != nil {
+		return fmt.Errorf("replication: batch create: %w", err)
+	}
+	rs.e = e
+	return nil
 }
 
 func (m *Manager) handleFetch(from transport.NodeID, payload any) (any, error) {
@@ -1484,11 +1556,11 @@ func (m *Manager) recordLocked(id object.ID) Record {
 	if !live {
 		return Record{ID: id, VV: m.tombstones[id], Deleted: true}
 	}
-	rec := Record{ID: id, VV: rs.vv, Info: rs.info}
+	rec := Record{ID: id, VV: rs.vv, Info: rs.info, Placed: rs.placed}
 	rec.History = append(rec.History, rs.history...)
-	if e, err := m.registry.Get(id); err == nil {
-		rec.Class = e.Class()
-		rec.State, rec.Version = e.Share()
+	if rs.e != nil {
+		rec.Class = rs.e.Class()
+		rec.State, rec.Version = rs.e.Share()
 	}
 	return rec
 }

@@ -420,8 +420,8 @@ func (v VersionVector) grown(extra int) VersionVector {
 
 // AppendJSON appends the vector's JSON encoding to dst, byte for byte what
 // encoding/json writes for the equivalent map (keys in byte order, its string
-// escaping), without the reflection: replica metadata is three of the four
-// store writes of a replicated commit.
+// escaping), without the reflection: the vector is in every replica's record,
+// the store write each replica makes per replicated commit.
 func (v VersionVector) AppendJSON(dst []byte) ([]byte, error) {
 	if v == nil {
 		return append(dst, "null"...), nil

@@ -219,7 +219,7 @@ func (m *Manager) stageMissing(peer []transport.NodeID, sent []digestEntry, repl
 		// An object gone from the registry or the table since has no local
 		// copy to ship; the peer pulls it from a replica later.
 		var op batchOp
-		if _, err := m.localOp(id, opCreate, false, &op); err == nil {
+		if _, _, err := m.localOp(id, opCreate, false, &op); err == nil {
 			if out.stage(peer, op) {
 				report.Pushed++
 			}
@@ -258,29 +258,32 @@ type repairKey struct {
 func (r *repairs) stage(to []transport.NodeID, op batchOp) bool {
 	key := repairKey{to[0], op.ID}
 	k, staged := r.at[key]
-	switch {
-	case !staged:
-		if r.at == nil {
-			r.at = make(map[repairKey]int)
-		}
-		r.at[key] = len(r.staged)
-		r.staged = append(r.staged, stagedOp{op: op, dests: to})
-	case r.staged[k].op.Kind == opCreate && op.Kind == opApply:
-		// The destination has never seen the object and would skip an apply:
-		// the create it is owed takes the newer state.
-		c := &r.staged[k].op
-		c.State, c.Version, c.VV = op.State, op.Version, op.VV
-	default:
+	if staged {
 		r.staged[k].op = op
+		return false
 	}
-	return !staged
+	if r.at == nil {
+		r.at = make(map[repairKey]int)
+	}
+	r.at[key] = len(r.staged)
+	r.staged = append(r.staged, stagedOp{op: op, dests: to})
+	return true
 }
 
 // flush ships what was staged: one wait-for-all round, one batch per
-// destination, every destination attempted.
+// destination, every destination attempted. A create leaves with the local
+// replica as the pass leaves it: one staged before a later merge adopted a
+// newer state or placement ships that too, so every repair of an object
+// carries the newest placement the pass has seen (a receiver takes a create's
+// placement as set at the create's vector).
 func (r *repairs) flush(ctx context.Context) error {
 	if len(r.staged) == 0 {
 		return nil
+	}
+	for k := range r.staged {
+		if op := &r.staged[k].op; op.Kind == opCreate {
+			_, _, _ = r.m.localOp(op.ID, opCreate, false, op) // a replica gone since ships as staged
+		}
 	}
 	round := new(repairRound)
 	r.m.route(round.init(r.m), r.staged, "")
@@ -310,21 +313,23 @@ func (r *repairRound) Drained() {}
 // slice of the peer. Each record is decided under the replica lock as the op
 // it would ship (decide) — a live one as its create, a tombstone as its
 // delete: adopted, buried, skipped, or buried under a concurrent tombstone of
-// its incarnation. A strictly newer local side is owed to the peer — our
-// state, or our tombstone — and two concurrent live sides are a write-write
-// conflict.
+// its incarnation — and a live one brings its placement when that was set at
+// a newer vector than ours (placeLocked). A strictly newer local side is owed
+// to the peer — our state, or our tombstone, or our placement — and two
+// concurrent live sides are a write-write conflict.
 func (m *Manager) mergeRecords(peer []transport.NodeID, records []Record, resolve ConflictResolver, report *ReconcileReport, out *repairs) error {
 	var res [1]opResult
-	var one [1]batchOp // every record's op: the store write makes it escape
+	var one [1]batchOp
 	for _, rec := range records {
-		var d decision
+		pulled := merge{placed: rec.Placed}
+		d := &pulled.d
 		op := &one[0]
 		if rec.Deleted {
 			*op = batchOp{Kind: opDelete, ID: rec.ID, VV: rec.VV}
 		} else {
 			*op = batchOp{Kind: opCreate, ID: rec.ID, Class: rec.Class, State: rec.State, Version: rec.Version, VV: rec.VV, Info: rec.Info}
 		}
-		if _, err := m.applyOps(one[:], res[:0], &d); err != nil {
+		if _, err := m.applyOps(one[:], res[:0], &pulled); err != nil {
 			return err
 		}
 		switch {
@@ -343,16 +348,17 @@ func (m *Manager) mergeRecords(peer []transport.NodeID, records []Record, resolv
 				return err
 			}
 		}
-		switch d.owed {
+		owed := d.owed
+		if owed == 0 && !rec.Deleted && m.placedAfter(rec.ID, rec.Placed) {
+			owed = opApply
+		}
+		switch owed {
 		case opApply:
-			// Only a create lands on a peer that holds a tombstone. One that
-			// dropped the object in the meantime decides our apply against
-			// its tombstone, as it would a commit's.
-			kind := opApply
-			if rec.Deleted {
-				kind = opCreate
-			}
-			if _, err := m.localOp(rec.ID, kind, false, op); err != nil {
+			// The peer is owed our create: on its tombstone only a create
+			// lands, and on its live replica the create installs our
+			// placement with our state (placeLocked), where an apply would
+			// leave it the placement of the incarnation it holds.
+			if _, _, err := m.localOp(rec.ID, opCreate, false, op); err != nil {
 				return err
 			}
 			if out.stage(peer, *op) {
@@ -365,18 +371,32 @@ func (m *Manager) mergeRecords(peer []transport.NodeID, records []Record, resolv
 	return nil
 }
 
+// placedAfter reports whether the local replica of the object holds a
+// placement set at a vector newer than placed.
+func (m *Manager) placedAfter(id object.ID, placed VersionVector) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	rs, live := m.meta[id]
+	if !live {
+		return false
+	}
+	cmp, comparable := rs.placed.Compare(placed)
+	return comparable && cmp > 0
+}
+
 // resolveConflict lets the application (or the generic rule) choose a state,
 // then installs it everywhere with a vector dominating both divergent lines.
 func (m *Manager) resolveConflict(rec Record, resolve ConflictResolver, out *repairs) error {
-	e, err := m.registry.Get(rec.ID)
-	if err != nil {
-		return fmt.Errorf("replication: conflict on %s: %w", rec.ID, err)
-	}
 	m.mu.Lock()
 	rs, ok := m.meta[rec.ID]
 	if !ok {
 		m.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrUnknownObject, rec.ID)
+	}
+	e := rs.e
+	if e == nil {
+		m.mu.Unlock()
+		return fmt.Errorf("replication: conflict on %s: %w", rec.ID, object.ErrNotFound)
 	}
 	// The Conflict goes to application code, which is outside the sharing
 	// rules: it gets its own copy of the local state and of both vectors.

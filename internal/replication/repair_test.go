@@ -133,7 +133,7 @@ func TestRepairCreateTakesLaterState(t *testing.T) {
 // of known objects, accepted, stale, duplicate and unknown applies, deletes of
 // known and unknown objects — to one replica as a single batch and to another
 // one op per batch, in order: replica table, tombstones, registry, stored
-// replica-meta bytes and the per-op results come out the same. 40 ops spill
+// record bytes and the per-op results come out the same. 40 ops spill
 // applyOps' stack-backed flag array, which a commit's batch never does.
 func TestRepairBatchEqualsOneOpBatches(t *testing.T) {
 	info := Info{Home: "n1", Replicas: []transport.NodeID{"n1", "n2"}}
@@ -198,7 +198,7 @@ func TestRepairBatchEqualsOneOpBatches(t *testing.T) {
 	}
 	if a, b := whole.dump(t), single.dump(t); a != b {
 		t.Errorf("one batch:\n%s\none op per batch:\n%s", a, b)
-	} else if !strings.Contains(a, "tombstone never4") || !strings.Contains(a, `store k4 {"n1":2,"n3":1}`) {
+	} else if !strings.Contains(a, "tombstone never4") || !strings.Contains(a, `store k4 {"Class":"Flight","State":{"sold":24},"Version":4,"VV":{"n1":2,"n3":1},`) {
 		t.Errorf("the batch's last ops left no trace:\n%s", a)
 	}
 }

@@ -147,7 +147,7 @@ func exchangeCases() []wireCase {
 	vv := VersionVector{{Node: "n1", Count: 3}, {Node: "n2", Count: 7}}
 	live := Record{
 		ID: "o1", Class: "Reg", State: object.State{"value": int64(9)}, Version: 4, VV: vv,
-		Info: Info{Home: "n1", Replicas: []transport.NodeID{"n1", "n2"}},
+		Info: Info{Home: "n1", Replicas: []transport.NodeID{"n1", "n2"}}, Placed: VersionVector{{Node: "n1", Count: 1}},
 	}
 	return []wireCase{
 		{name: "pull request", payload: pullMsg{Salt: 0x1234, Prints: []uint64{7, 0xabcdef, 1 << 63}}},
@@ -464,6 +464,58 @@ func FuzzDecodeBatch(f *testing.F) {
 			t.Fatalf("re-encoded batch does not decode: %v, %d bytes left", r.Err(), r.Len())
 		}
 		if final, _ := back.(*batchMsg).AppendWire(nil); !bytes.Equal(final, again) {
+			t.Fatalf("not a fixed point:\n first  %x\n second %x", again, final)
+		}
+	})
+}
+
+// FuzzDecodeCoalesced feeds arbitrary bytes to the decoder registered for
+// the coalesced batch's wire tag, seeded with the table's coalesced encodings
+// and those same encodings cut short. It must fail the reader or return —
+// never panic — every part it accepts must be a batch whose vectors strictly
+// ascend, and whatever it accepts must be a fixed point: it re-encodes (never
+// declining) to bytes that decode to the same parts and encode to the same
+// bytes.
+func FuzzDecodeCoalesced(f *testing.F) {
+	decode := transport.WireDecoderFor((*coalescedBatch)(nil).WireTag())
+	for _, tc := range wireCases() {
+		if c, ok := tc.payload.(*coalescedBatch); ok && tc.self {
+			data, _ := c.AppendWire(nil)
+			f.Add(data)
+			f.Add(data[:len(data)/2])
+		}
+	}
+	for _, data := range malformedVectorFrames() {
+		f.Add(append([]byte{1}, data...)) // one part: the batch with the bad vector
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var r transport.WireReader
+		r.Reset(data)
+		got := decode(&r)
+		if r.Err() != nil {
+			return
+		}
+		c := got.(*coalescedBatch)
+		for _, p := range c.Parts {
+			if p == nil {
+				t.Fatal("accepted a nil part")
+			}
+			for _, op := range p.Ops {
+				if !wellFormed(op.VV) {
+					t.Fatalf("accepted vector %v does not strictly ascend", op.VV)
+				}
+			}
+		}
+		again, ok := c.AppendWire(nil)
+		if !ok {
+			t.Fatalf("decoded batch %#v declines to encode", c)
+		}
+		r.Reset(again)
+		back := decode(&r)
+		if r.Err() != nil || r.Len() != 0 || len(back.(*coalescedBatch).Parts) != len(c.Parts) {
+			t.Fatalf("re-encoded batch does not decode to its parts: %v, %d bytes left", r.Err(), r.Len())
+		}
+		if final, _ := back.(*coalescedBatch).AppendWire(nil); !bytes.Equal(final, again) {
 			t.Fatalf("not a fixed point:\n first  %x\n second %x", again, final)
 		}
 	})
