@@ -250,18 +250,6 @@ func ByID(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("bench: unknown experiment %q (known: %s)", id, strings.Join(known, ", "))
 }
 
-// RunAll executes every experiment, printing each result.
-func RunAll(w io.Writer, cfg Config) error {
-	for _, e := range Registry() {
-		res, err := e.Run(cfg)
-		if err != nil {
-			return fmt.Errorf("bench: %s: %w", e.ID, err)
-		}
-		res.Print(w)
-	}
-	return nil
-}
-
 // opsPerSecond converts a duration for n operations into ops/s.
 func opsPerSecond(n int, d time.Duration) float64 {
 	if d <= 0 {

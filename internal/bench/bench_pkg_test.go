@@ -95,8 +95,8 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 			}
 			var buf bytes.Buffer
 			res.Print(&buf)
-			if buf.Len() == 0 {
-				t.Fatal("empty output")
+			if !strings.Contains(buf.String(), "== "+e.ID+" ") {
+				t.Fatalf("output has no %s header:\n%s", e.ID, buf.String())
 			}
 		})
 	}

@@ -176,32 +176,6 @@ func (d Degree) IsThreat() bool {
 	return d == PossiblySatisfied || d == PossiblyViolated || d == Uncheckable
 }
 
-// Combine merges the validation results of two constraints into the result
-// for the set, per the rules of §3.1: Violated dominates everything,
-// otherwise Uncheckable dominates, otherwise the worse of the possibly-*
-// degrees, otherwise Satisfied.
-func Combine(a, b Degree) Degree {
-	if a == Violated || b == Violated {
-		return Violated
-	}
-	if a == Uncheckable || b == Uncheckable {
-		return Uncheckable
-	}
-	if a < b {
-		return a
-	}
-	return b
-}
-
-// CombineAll folds Combine over a set of degrees. The empty set is Satisfied.
-func CombineAll(ds ...Degree) Degree {
-	out := Satisfied
-	for _, d := range ds {
-		out = Combine(out, d)
-	}
-	return out
-}
-
 // ErrUncheckable signals that a constraint could not be validated because at
 // least one affected object is unreachable (no replica accessible). Validate
 // implementations return it (possibly wrapped) to yield the Uncheckable

@@ -27,7 +27,6 @@ import (
 
 // ExprConstraint is a runtime constraint compiled from an expression.
 type ExprConstraint struct {
-	src  string
 	expr expr.Expr
 	vars []string
 }
@@ -42,7 +41,7 @@ func FromExpr(src string) (*ExprConstraint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("constraint: declarative %q: %w", src, err)
 	}
-	return &ExprConstraint{src: src, expr: e, vars: expr.Vars(e)}, nil
+	return &ExprConstraint{expr: e, vars: expr.Vars(e)}, nil
 }
 
 // MustFromExpr compiles or panics; for package-level constraint tables.
@@ -53,9 +52,6 @@ func MustFromExpr(src string) *ExprConstraint {
 	}
 	return c
 }
-
-// Source returns the constraint's specification text.
-func (c *ExprConstraint) Source() string { return c.src }
 
 // Validate implements Constraint: it binds the referenced variables from
 // the context object (navigating one reference hop where needed) and

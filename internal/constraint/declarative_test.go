@@ -36,9 +36,6 @@ func TestFromExprTicketConstraint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Source() != "sold <= seats" {
-		t.Fatalf("source = %s", c.Source())
-	}
 	flight := object.New("Flight", "f1", object.State{"sold": int64(70), "seats": int64(80)})
 	ok, err := c.Validate(&declCtx{obj: flight})
 	if err != nil || !ok {

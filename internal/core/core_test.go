@@ -134,7 +134,7 @@ func TestHardInvariantViolationLocal(t *testing.T) {
 	if !errors.As(err, &verr) || verr.Constraint != "C1" {
 		t.Fatalf("err = %v", err)
 	}
-	if !IsViolation(err) || IsThreatRejected(err) {
+	if !IsViolation(err) || errors.Is(err, ErrThreatRejected) {
 		t.Fatal("error classification wrong")
 	}
 	e, _ := env.reg.Get("f1")

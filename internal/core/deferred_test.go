@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -77,7 +78,7 @@ func TestDeferredNegotiationAccepted(t *testing.T) {
 
 func TestDeferredNegotiationRejectedVetoesCommit(t *testing.T) {
 	env, err, _ := runDeferredOp(t, threat.Reject, 10*time.Millisecond)
-	if !IsThreatRejected(err) {
+	if !errors.Is(err, ErrThreatRejected) {
 		t.Fatalf("commit err = %v", err)
 	}
 	// The optimistic write was rolled back.
@@ -119,7 +120,7 @@ func TestDeferredFallsBackForNonTradeable(t *testing.T) {
 		return nil, nil
 	}, env.ccm.Interceptor())
 	// Non-tradeable threats reject immediately, even in deferred mode.
-	if _, err := chain.Dispatch(inv); !IsThreatRejected(err) {
+	if _, err := chain.Dispatch(inv); !errors.Is(err, ErrThreatRejected) {
 		t.Fatalf("err = %v", err)
 	}
 	_ = txn.Rollback()

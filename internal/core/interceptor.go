@@ -462,6 +462,3 @@ func (m *Manager) ValidateNew(t *tx.Tx, e *object.Entity) error {
 
 // IsViolation reports whether the error is a constraint violation.
 func IsViolation(err error) bool { return errors.Is(err, ErrConstraintViolated) }
-
-// IsThreatRejected reports whether the error is a rejected threat.
-func IsThreatRejected(err error) bool { return errors.Is(err, ErrThreatRejected) }

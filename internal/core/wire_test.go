@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/gob"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -14,11 +16,12 @@ import (
 	"dedisys/internal/wiretransport"
 )
 
-// TestWireCodecCorePayloads pushes what the CCM puts on the wire — the threat
-// list of ccm.threat.add (and of ccm.threat.pull's reply), the identity list
-// of ccm.threat.remove — through gob, through a frame (neither has a form of
-// its own: both ride gob) and through a real link whose far end echoes it.
-func TestWireCodecCorePayloads(t *testing.T) {
+// corePayloads are the payloads the CCM puts on the wire, named by what
+// sends them.
+func corePayloads() []struct {
+	name    string
+	payload any
+} {
 	th := threat.Threat{
 		Seq: 7, Constraint: "TicketConstraint", ContextID: "f1", Degree: constraint.PossiblyViolated,
 		Affected: []threat.AffectedObject{{
@@ -31,7 +34,22 @@ func TestWireCodecCorePayloads(t *testing.T) {
 		Count:        3, TxID: 99, UID: "n1#7",
 	}
 	other := threat.Threat{Constraint: "Ghost", Degree: constraint.Uncheckable, UID: "n2#1"}
+	return []struct {
+		name    string
+		payload any
+	}{
+		{"one accepted threat (a commit's)", []threat.Threat{th}},
+		{"a store (a pass's)", []threat.Threat{th, other, th}},
+		{"one identity (a satisfying business operation's)", []string{th.Identity()}},
+		{"a pass's identities", []string{th.Identity(), other.Identity(), ""}},
+	}
+}
 
+// TestWireCodecCorePayloads pushes what the CCM puts on the wire — the threat
+// list of ccm.threat.add (and of ccm.threat.pull's reply), the identity list
+// of ccm.threat.remove — through gob, through a frame (neither has a form of
+// its own: both ride gob) and through a real link whose far end echoes it.
+func TestWireCodecCorePayloads(t *testing.T) {
 	dir := t.TempDir()
 	peers := map[transport.NodeID]string{
 		"a": "unix:" + filepath.Join(dir, "a.sock"),
@@ -55,15 +73,7 @@ func TestWireCodecCorePayloads(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
-	for _, tc := range []struct {
-		name    string
-		payload any
-	}{
-		{"one accepted threat (a commit's)", []threat.Threat{th}},
-		{"a store (a pass's)", []threat.Threat{th, other, th}},
-		{"one identity (a satisfying business operation's)", []string{th.Identity()}},
-		{"a pass's identities", []string{th.Identity(), other.Identity(), ""}},
-	} {
+	for _, tc := range corePayloads() {
 		t.Run(tc.name, func(t *testing.T) {
 			viaGob, err := wiretransport.RoundTrip(tc.payload)
 			if err != nil {
@@ -91,4 +101,38 @@ func TestWireCodecCorePayloads(t *testing.T) {
 	if got := counter(t, wires["a"].Observer(), "transport.failures"); got != 0 {
 		t.Fatalf("failures = %d: a payload killed the link", got)
 	}
+}
+
+// FuzzThreatExchange feeds the threat exchange arbitrary bytes, seeded with
+// the gob encodings of corePayloads. Bytes that gob-decode into a threat list
+// go to the ccm.threat.add handler and come back as a peer's reply to
+// PullThreats; bytes that decode into an identity list go to the
+// ccm.threat.remove handler. None of them may panic the node. n1's store
+// holds one threat of its own, so a removal and a fold have a record to meet.
+func FuzzThreatExchange(f *testing.F) {
+	for _, tc := range corePayloads() {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(tc.payload); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		env := newReplEnv(t)
+		if _, _, err := env.ths.Add(corePayloads()[0].payload.([]threat.Threat)[0]); err != nil {
+			t.Fatal(err)
+		}
+		var ths []threat.Threat
+		if gob.NewDecoder(bytes.NewReader(data)).Decode(&ths) == nil {
+			_, _ = env.ccm.handleThreatAdd("n2", ths)
+			if err := env.net.Handle("n2", msgThreatPull, func(transport.NodeID, any) (any, error) { return ths, nil }); err != nil {
+				t.Fatal(err)
+			}
+			_, _ = env.ccm.PullThreats(context.Background(), []transport.NodeID{"n2"})
+		}
+		var idents []string
+		if gob.NewDecoder(bytes.NewReader(data)).Decode(&idents) == nil {
+			_, _ = env.ccm.handleThreatRemove("n2", idents)
+		}
+	})
 }

@@ -50,9 +50,6 @@ type Config struct {
 	// Placement scopes peer sampling to co-group nodes; nil gossips with
 	// every node (full replication).
 	Placement *placement.Ring
-	// Resolver handles write-write conflicts an exchange surfaces (nil uses
-	// replication.MostUpdatesResolver).
-	Resolver replication.ConflictResolver
 }
 
 // normalize fills defaults.
@@ -98,7 +95,6 @@ type Manager struct {
 	ring     *placement.Ring
 	interval time.Duration
 	fanout   int
-	resolve  replication.ConflictResolver
 	obs      *obs.Observer
 
 	// ctx bounds every exchange issued by the background loop; Stop cancels
@@ -137,7 +133,6 @@ func New(net transport.Transport, self transport.NodeID, repl *replication.Manag
 		ring:     cfg.Placement,
 		interval: cfg.Interval,
 		fanout:   cfg.Fanout,
-		resolve:  cfg.Resolver,
 		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		streak:   make(map[transport.NodeID]int64),
 		stop:     make(chan struct{}),
@@ -278,10 +273,11 @@ func (g *Manager) RunRound(ctx context.Context) ([]Exchange, error) {
 
 // GossipWith runs the repair exchange (replication.Manager.ReconcileWith)
 // with the peer: one request and one reply, then at most one repl.batch of
-// what the peer is owed.
+// what the peer is owed. A write-write conflict it surfaces goes to
+// replication.MostUpdatesResolver.
 func (g *Manager) GossipWith(ctx context.Context, peer transport.NodeID) (Exchange, error) {
 	g.exchanges.Inc()
-	rep, err := g.repl.ReconcileWith(ctx, []transport.NodeID{peer}, g.resolve)
+	rep, err := g.repl.ReconcileWith(ctx, []transport.NodeID{peer}, replication.MostUpdatesResolver)
 	ex := Exchange{Peer: peer, InSync: rep.InSync == 1, Pulled: rep.Pulled, Pushed: rep.Pushed}
 	if err == nil && rep.PeersContacted == 0 {
 		err = fmt.Errorf("gossip: exchange with %s: %w", peer, transport.ErrUnreachable)

@@ -121,12 +121,6 @@ type Membership struct {
 // Option configures a Membership.
 type Option func(*Membership)
 
-// WithObserver attaches the membership service to a shared observability
-// scope; without it the service inherits the network's scope.
-func WithObserver(o *obs.Observer) Option {
-	return func(m *Membership) { m.obs = o }
-}
-
 // WithDetector switches the membership service from the topology oracle to
 // detector-driven views: per-node views are only installed when that node's
 // failure detector publishes them, so degraded-mode entry and exit carry
@@ -151,6 +145,7 @@ func WithDetector(srcs ...ViewSource) Option {
 func NewMembership(net transport.Transport, opts ...Option) *Membership {
 	m := &Membership{
 		net:       net,
+		obs:       net.Observer(),
 		oracle:    true,
 		weights:   make(map[transport.NodeID]float64),
 		views:     make(map[transport.NodeID]View),
@@ -158,9 +153,6 @@ func NewMembership(net transport.Transport, opts ...Option) *Membership {
 	}
 	for _, o := range opts {
 		o(m)
-	}
-	if m.obs == nil {
-		m.obs = net.Observer()
 	}
 	m.viewChanges = m.obs.Counter("group.view_changes")
 	m.truth, _ = net.(transport.Oracle)

@@ -5,10 +5,9 @@
 // prototype's JNDI, the service favours availability (lookups are always
 // local) over binding consistency.
 //
-// Under sharded placement (WithPlacement) the binding table stays full-mesh —
-// every node can resolve every name — but each binding records the replica
-// group owning its object, so resolvers know which group to route the
-// invocation to without consulting the ring again.
+// Under sharded placement the binding table stays full-mesh — every node can
+// resolve every name. A binding records only the object; the invocation finds
+// the object's replica group through the placement ring as any other does.
 package naming
 
 import (
@@ -20,7 +19,6 @@ import (
 
 	"dedisys/internal/group"
 	"dedisys/internal/object"
-	"dedisys/internal/placement"
 	"dedisys/internal/transport"
 )
 
@@ -44,7 +42,6 @@ type binding struct {
 	ID    object.ID
 	Epoch int64
 	Dead  bool // tombstone after unbind
-	Group int  // owning replica group under sharded placement, -1 otherwise
 }
 
 // supersedes reports whether the incoming binding replaces the existing one.
@@ -66,38 +63,24 @@ func supersedes(incoming, existing binding) bool {
 
 // Service is the per-node naming service.
 type Service struct {
-	self  transport.NodeID
-	net   transport.Transport
-	gms   *group.Membership
-	comm  *group.Comm
-	place *placement.Ring // nil under full replication
+	self transport.NodeID
+	net  transport.Transport
+	gms  *group.Membership
+	comm *group.Comm
 
 	mu       sync.Mutex
 	epoch    int64
 	bindings map[string]binding
 }
 
-// Option configures a naming service.
-type Option func(*Service)
-
-// WithPlacement makes the service record, on every binding, the replica
-// group the placement ring assigns to the bound object. A nil ring is
-// ignored.
-func WithPlacement(r *placement.Ring) Option {
-	return func(s *Service) { s.place = r }
-}
-
 // New creates a naming service and registers its handlers.
-func New(self transport.NodeID, net transport.Transport, gms *group.Membership, opts ...Option) (*Service, error) {
+func New(self transport.NodeID, net transport.Transport, gms *group.Membership) (*Service, error) {
 	s := &Service{
 		self:     self,
 		net:      net,
 		gms:      gms,
 		comm:     group.NewComm(net),
 		bindings: make(map[string]binding),
-	}
-	for _, opt := range opts {
-		opt(s)
 	}
 	for kind, h := range map[string]transport.Handler{
 		msgBind:   s.handleBind,
@@ -120,27 +103,18 @@ func (s *Service) Bind(name string, id object.ID) error {
 		return fmt.Errorf("%w: %s", ErrAlreadyBound, name)
 	}
 	s.epoch++
-	b := binding{ID: id, Epoch: s.epoch, Group: s.groupOf(id)}
+	b := binding{ID: id, Epoch: s.epoch}
 	s.bindings[name] = b
 	s.mu.Unlock()
 	s.broadcast(msgBind, bindMsg{Name: name, Binding: b})
 	return nil
 }
 
-// groupOf resolves the owning replica group of an object, -1 when the
-// service runs without sharded placement.
-func (s *Service) groupOf(id object.ID) int {
-	if s.place == nil {
-		return -1
-	}
-	return s.place.GroupOf(id)
-}
-
 // Rebind associates a name with an object, replacing any existing binding.
 func (s *Service) Rebind(name string, id object.ID) {
 	s.mu.Lock()
 	s.epoch++
-	b := binding{ID: id, Epoch: s.epoch, Group: s.groupOf(id)}
+	b := binding{ID: id, Epoch: s.epoch}
 	s.bindings[name] = b
 	s.mu.Unlock()
 	s.broadcast(msgBind, bindMsg{Name: name, Binding: b})
@@ -156,7 +130,7 @@ func (s *Service) Unbind(name string) error {
 		return fmt.Errorf("%w: %s", ErrNotBound, name)
 	}
 	s.epoch++
-	dead := binding{ID: b.ID, Epoch: s.epoch, Dead: true, Group: b.Group}
+	dead := binding{ID: b.ID, Epoch: s.epoch, Dead: true}
 	s.bindings[name] = dead
 	s.mu.Unlock()
 	s.broadcast(msgUnbind, bindMsg{Name: name, Binding: dead})
@@ -174,19 +148,6 @@ func (s *Service) Lookup(name string) (object.ID, error) {
 	return b.ID, nil
 }
 
-// Resolve is Lookup plus routing metadata: it returns the bound object and
-// the replica group owning it (-1 without sharded placement), so callers can
-// direct the invocation to the group without re-deriving the placement.
-func (s *Service) Resolve(name string) (object.ID, int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	b, ok := s.bindings[name]
-	if !ok || b.Dead {
-		return "", -1, fmt.Errorf("%w: %s", ErrNotBound, name)
-	}
-	return b.ID, b.Group, nil
-}
-
 // Names returns all bound names, sorted.
 func (s *Service) Names() []string {
 	s.mu.Lock()
@@ -199,17 +160,6 @@ func (s *Service) Names() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// SyncWith pulls a peer's bindings and merges them (used after partitions
-// re-unify; newer epochs win, tombstones included). The context bounds the
-// pull.
-func (s *Service) SyncWith(ctx context.Context, peer transport.NodeID) error {
-	resp, err := s.comm.Send(ctx, s.self, peer, msgPull, nil)
-	if err != nil {
-		return fmt.Errorf("naming: sync with %s: %w", peer, err)
-	}
-	return s.mergeResponse(resp)
 }
 
 // SyncResult is the per-peer outcome of one SyncAll pass.

@@ -103,10 +103,10 @@ func TestPartitionAndSync(t *testing.T) {
 	}
 
 	net.Heal()
-	if err := s1.SyncWith(context.Background(), "n2"); err != nil {
+	if err := syncWith(s1, "n2"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.SyncWith(context.Background(), "n1"); err != nil {
+	if err := syncWith(s2, "n1"); err != nil {
 		t.Fatal(err)
 	}
 	for _, s := range []*Service{s1, s2} {
@@ -130,7 +130,7 @@ func TestUnbindTombstoneWinsAfterSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	net.Heal()
-	if err := s2.SyncWith(context.Background(), "n1"); err != nil {
+	if err := syncWith(s2, "n1"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s2.Lookup("x"); !errors.Is(err, ErrNotBound) {
@@ -141,9 +141,14 @@ func TestUnbindTombstoneWinsAfterSync(t *testing.T) {
 func TestSyncUnreachablePeer(t *testing.T) {
 	net, s1, _ := twoServices(t)
 	net.Partition([]transport.NodeID{"n1"}, []transport.NodeID{"n2"})
-	if err := s1.SyncWith(context.Background(), "n2"); err == nil {
+	if err := syncWith(s1, "n2"); err == nil {
 		t.Fatal("sync across partition should fail")
 	}
+}
+
+// syncWith merges one peer's bindings into s: a SyncAll pass over that peer.
+func syncWith(s *Service, peer transport.NodeID) error {
+	return s.SyncAll(context.Background(), []transport.NodeID{peer})[0].Err
 }
 
 // TestSyncAllMergesAllPeers checks that a single SyncAll pass pulls every

@@ -1,13 +1,9 @@
 package naming
 
 import (
-	"context"
 	"errors"
-	"fmt"
 	"testing"
 
-	"dedisys/internal/group"
-	"dedisys/internal/placement"
 	"dedisys/internal/transport"
 )
 
@@ -17,10 +13,10 @@ import (
 func syncBoth(t *testing.T, net *transport.Network, s1, s2 *Service) {
 	t.Helper()
 	net.Heal()
-	if err := s1.SyncWith(context.Background(), "n2"); err != nil {
+	if err := syncWith(s1, "n2"); err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.SyncWith(context.Background(), "n1"); err != nil {
+	if err := syncWith(s2, "n1"); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -98,54 +94,5 @@ func TestSupersedesTotalOrder(t *testing.T) {
 	}
 	if supersedes(live, live) {
 		t.Fatal("a binding must not supersede itself")
-	}
-}
-
-// TestResolveRecordsOwningGroup: with a placement ring the bindings carry
-// the owning replica group; without one Resolve reports -1.
-func TestResolveRecordsOwningGroup(t *testing.T) {
-	net := transport.NewNetwork()
-	var ids []transport.NodeID
-	for i := 1; i <= 4; i++ {
-		id := transport.NodeID(fmt.Sprintf("n%d", i))
-		ids = append(ids, id)
-		if err := net.Join(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	gms := group.NewMembership(net)
-	ring, err := placement.New(ids, placement.Config{Groups: 2, ReplicationFactor: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err := New("n1", net, gms, WithPlacement(ring))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := New("n2", net, gms, WithPlacement(ring))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s1.Bind("flights/LH1234", "f1"); err != nil {
-		t.Fatal(err)
-	}
-	want := ring.GroupOf("f1")
-	for i, s := range []*Service{s1, s2} {
-		id, grp, err := s.Resolve("flights/LH1234")
-		if err != nil || id != "f1" {
-			t.Fatalf("s%d: resolve = %s, %v", i+1, id, err)
-		}
-		if grp != want {
-			t.Fatalf("s%d: group = %d, want %d", i+1, grp, want)
-		}
-	}
-
-	// Unplaced services report no group.
-	_, plain, _ := twoServices(t)
-	if err := plain.Bind("a", "x"); err != nil {
-		t.Fatal(err)
-	}
-	if _, grp, err := plain.Resolve("a"); err != nil || grp != -1 {
-		t.Fatalf("unplaced resolve group = %d, %v; want -1", grp, err)
 	}
 }

@@ -19,8 +19,8 @@ func roundTrip(t *testing.T, payload any) {
 }
 
 func TestWireCodecNamingPayloads(t *testing.T) {
-	live := binding{ID: "acct-1", Epoch: 7, Group: 2}
-	dead := binding{ID: "acct-2", Epoch: 9, Dead: true, Group: -1}
+	live := binding{ID: "acct-1", Epoch: 7}
+	dead := binding{ID: "acct-2", Epoch: 9, Dead: true}
 	roundTrip(t, bindMsg{Name: "accounts/alice", Binding: live})
 	roundTrip(t, bindMsg{Name: "accounts/bob", Binding: dead})
 	// The sync pull reply ships the full table.

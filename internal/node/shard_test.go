@@ -135,10 +135,11 @@ func TestShardedInvokeAcrossGroups(t *testing.T) {
 	if err := c.ByID(home).Naming.Bind("flights/X", oid); err != nil {
 		t.Fatal(err)
 	}
-	if _, grp, err := outsider.Naming.Resolve("flights/X"); err != nil || grp != 0 {
-		t.Fatalf("resolve on outsider = group %d, %v; want 0", grp, err)
+	id, err := outsider.Naming.Lookup("flights/X")
+	if err != nil || id != oid {
+		t.Fatalf("lookup on outsider = %s, %v; want %s", id, err, oid)
 	}
-	got, err := outsider.InvokeNamed("flights/X", "Sold")
+	got, err := outsider.Invoke(id, "Sold")
 	if err != nil || got.(int64) != want {
 		t.Fatalf("named read on outsider = %v, %v", got, err)
 	}

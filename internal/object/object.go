@@ -387,19 +387,6 @@ func (e *Entity) Set(name string, value any) {
 	e.version++
 }
 
-// AttrNames returns the sorted attribute names, mainly for deterministic
-// iteration in tests and diagnostics.
-func (e *Entity) AttrNames() []string {
-	e.mu.Lock()
-	names := make([]string, 0, len(e.attrs))
-	for k := range e.attrs {
-		names = append(names, k)
-	}
-	e.mu.Unlock()
-	sort.Strings(names)
-	return names
-}
-
 // Snapshot returns a deep copy of the entity's attributes, private to the
 // caller: the form for state that leaves for code outside the sharing rules
 // (see State), such as application code.
@@ -526,16 +513,6 @@ func (s *Schema) Method(name string) (MethodSpec, error) {
 		return MethodSpec{}, fmt.Errorf("%w: %s.%s", ErrNoSuchMethod, s.Class, name)
 	}
 	return m, nil
-}
-
-// MethodNames returns the sorted method names of the schema.
-func (s *Schema) MethodNames() []string {
-	names := make([]string, 0, len(s.methods))
-	for k := range s.methods {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
 }
 
 func isWriteName(name string) bool {

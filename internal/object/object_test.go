@@ -364,18 +364,23 @@ func TestQuickVersionMonotone(t *testing.T) {
 	}
 }
 
+// TestAttrAndMethodNames: an entity holds exactly the attributes it was
+// created with, and a schema answers for exactly the methods defined on it.
 func TestAttrAndMethodNames(t *testing.T) {
 	e := New("T", "t1", State{"b": 1, "a": 2})
-	names := e.AttrNames()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("AttrNames = %v", names)
+	if st := e.Snapshot(); len(st) != 2 || st["a"] != 2 || st["b"] != 1 {
+		t.Fatalf("attributes = %v", st)
 	}
 	s := NewSchema("T")
 	s.Define("SetX", func(e *Entity, args []any) (any, error) { return nil, nil })
 	s.Define("GetX", func(e *Entity, args []any) (any, error) { return nil, nil })
-	mn := s.MethodNames()
-	if len(mn) != 2 || mn[0] != "GetX" || mn[1] != "SetX" {
-		t.Fatalf("MethodNames = %v", mn)
+	for _, name := range []string{"GetX", "SetX"} {
+		if _, err := s.Method(name); err != nil {
+			t.Fatalf("Method(%s): %v", name, err)
+		}
+	}
+	if _, err := s.Method("X"); !errors.Is(err, ErrNoSuchMethod) {
+		t.Fatalf("Method(X) = %v, want ErrNoSuchMethod", err)
 	}
 }
 
@@ -505,8 +510,8 @@ func TestConcurrentAccess(t *testing.T) {
 	})
 	run(func(int64) {
 		v, err := e.Get("n")
-		if names := e.AttrNames(); err != nil || v.(int64) < 1 || e.GetInt("n") < 1 || len(names) != 1 || e.Version() < 1 {
-			t.Errorf("Get %v, %v, attributes %v", v, err, names)
+		if st := e.Snapshot(); err != nil || v.(int64) < 1 || e.GetInt("n") < 1 || len(st) != 1 || e.Version() < 1 {
+			t.Errorf("Get %v, %v, attributes %v", v, err, st)
 		}
 	})
 	wg.Wait()

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -340,11 +339,4 @@ func (s Snapshot) WriteText(w io.Writer) {
 		}
 		fmt.Fprintln(w)
 	}
-}
-
-// WriteJSON renders the snapshot as indented JSON.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
 }

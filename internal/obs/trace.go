@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -74,49 +73,10 @@ func (e Event) String() string {
 	return fmt.Sprintf("%8d %s %-4s %-18s %s", e.Seq, e.Time.Format("15:04:05.000000"), node, e.Type, e.Detail)
 }
 
-// Sink receives every emitted event, e.g. to stream a live trace to a writer.
-// Sinks run synchronously inside Emit and must be fast and safe for
-// concurrent use.
-type Sink interface {
-	Emit(Event)
-}
-
-// WriterSink streams events as text lines to an io.Writer.
-type WriterSink struct {
-	mu sync.Mutex
-	W  io.Writer
-}
-
-// Emit implements Sink.
-func (s *WriterSink) Emit(e Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	fmt.Fprintln(s.W, e.String())
-}
-
-// JSONSink streams events as one JSON object per line.
-type JSONSink struct {
-	mu sync.Mutex
-	W  io.Writer
-}
-
-// Emit implements Sink.
-func (s *JSONSink) Emit(e Event) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	data, err := json.Marshal(e)
-	if err != nil {
-		return
-	}
-	data = append(data, '\n')
-	_, _ = s.W.Write(data)
-}
-
 // DefaultTraceCapacity is the default ring-buffer size of a tracer.
 const DefaultTraceCapacity = 4096
 
-// Tracer records structured events into a bounded ring buffer and forwards
-// them to registered sinks. Emission is disabled by default: a disabled
+// Tracer records structured events into a bounded ring buffer. Emission is disabled by default: a disabled
 // tracer costs one atomic load per emission site, keeping hot paths within
 // noise when tracing is off.
 type Tracer struct {
@@ -127,7 +87,6 @@ type Tracer struct {
 	ring  []Event
 	next  int // ring index of the next write
 	total int // events ever recorded (caps at len(ring) for wrap detection)
-	sinks []Sink
 }
 
 // NewTracer creates a tracer with the given ring capacity (0 uses
@@ -146,13 +105,6 @@ func (t *Tracer) SetEnabled(enabled bool) { t.enabled.Store(enabled) }
 // check it before building event detail strings.
 func (t *Tracer) Enabled() bool { return t.enabled.Load() }
 
-// AddSink registers a sink receiving every future event.
-func (t *Tracer) AddSink(s Sink) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.sinks = append(t.sinks, s)
-}
-
 // Emit records one event when the tracer is enabled.
 func (t *Tracer) Emit(node string, typ EventType, detail string) {
 	if !t.enabled.Load() {
@@ -160,15 +112,11 @@ func (t *Tracer) Emit(node string, typ EventType, detail string) {
 	}
 	e := Event{Seq: t.seq.Add(1), Time: time.Now(), Node: node, Type: typ, Detail: detail}
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	t.ring[t.next] = e
 	t.next = (t.next + 1) % len(t.ring)
 	if t.total < len(t.ring) {
 		t.total++
-	}
-	sinks := t.sinks
-	t.mu.Unlock()
-	for _, s := range sinks {
-		s.Emit(e)
 	}
 }
 
@@ -194,7 +142,7 @@ func (t *Tracer) Len() int {
 	return t.total
 }
 
-// Reset drops all recorded events (sinks already notified are unaffected).
+// Reset drops all recorded events.
 func (t *Tracer) Reset() {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -26,12 +26,12 @@ import (
 // ErrNotFound reports a missing record.
 var ErrNotFound = errors.New("persistence: record not found")
 
-// CostModel simulates the latency of synchronous database access.
+// CostModel simulates the latency of synchronous database access. Only
+// writes cost time: the experiments charge the synchronous commit-time
+// writes, and reads stay free.
 type CostModel struct {
 	// PerWrite is charged on every Put and Delete.
 	PerWrite time.Duration
-	// PerRead is charged on every Get and List.
-	PerRead time.Duration
 }
 
 // Store is a node-local persistent store. It is safe for concurrent use.
@@ -147,7 +147,6 @@ func (s *Store) Put(table, key string, v any) error {
 // whatever the target keeps (strings, json.RawMessage), so nothing decoded
 // points into it.
 func (s *Store) Get(table, key string, out any) error {
-	simtime.Charge(s.cost.PerRead)
 	s.reads.Add(1)
 	buf := scratch.Get().(*[]byte)
 	defer scratch.Put(buf)
@@ -168,7 +167,6 @@ func (s *Store) Get(table, key string, out any) error {
 
 // Has reports whether a record exists without decoding it.
 func (s *Store) Has(table, key string) bool {
-	simtime.Charge(s.cost.PerRead)
 	s.reads.Add(1)
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -188,7 +186,6 @@ func (s *Store) Delete(table, key string) {
 
 // Keys returns the sorted keys of a table.
 func (s *Store) Keys(table string) []string {
-	simtime.Charge(s.cost.PerRead)
 	s.reads.Add(1)
 	s.mu.RLock()
 	defer s.mu.RUnlock()

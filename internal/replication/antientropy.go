@@ -110,8 +110,8 @@ func mix64(h uint64) uint64 {
 	return h
 }
 
-// TombstoneCount reports how many deletions the node remembers — the chaos
-// checker compares tombstone knowledge across replicas after quiescence.
+// TombstoneCount reports how many deletions the node remembers; tests
+// compare it across replicas after quiescence.
 func (m *Manager) TombstoneCount() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()

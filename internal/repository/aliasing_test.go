@@ -121,7 +121,7 @@ func TestSetEnabledInvalidatesSharedView(t *testing.T) {
 	}
 }
 
-// -race coverage: concurrent Register/Unregister/SetEnabled/LookupAffected
+// -race coverage: concurrent Register/SetEnabled/LookupAffected
 // over both repository variants. Results are read-only views, so readers
 // only iterate them.
 func TestConcurrentRepositoryAccess(t *testing.T) {
@@ -147,8 +147,8 @@ func TestConcurrentRepositoryAccess(t *testing.T) {
 				wg.Add(1)
 				go func(w int) {
 					defer wg.Done()
-					churn := fmt.Sprintf("churn%d", w)
 					for i := 0; i < iters; i++ {
+						churn := fmt.Sprintf("churn%d-%d", w, i/4)
 						switch i % 4 {
 						case 0:
 							_ = r.Register(meta(churn, "F", "SetX", constraint.HardInvariant), trueConstraint())
@@ -161,7 +161,7 @@ func TestConcurrentRepositoryAccess(t *testing.T) {
 								}
 							}
 						case 3:
-							_ = r.Unregister(churn)
+							_ = r.SetEnabled(churn, false)
 						}
 					}
 				}(w)

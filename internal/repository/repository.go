@@ -149,24 +149,6 @@ func (r *Repository) RegisterAll(cs []constraint.Configured) error {
 	return nil
 }
 
-// Unregister removes a constraint by name.
-func (r *Repository) Unregister(name string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.byName[name]; !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, name)
-	}
-	delete(r.byName, name)
-	for i, reg := range r.all {
-		if reg.Meta.Name == name {
-			r.all = append(r.all[:i], r.all[i+1:]...)
-			break
-		}
-	}
-	r.invalidateLocked()
-	return nil
-}
-
 // SetEnabled enables or disables a constraint at runtime (§2.1.4). Disabled
 // constraints are skipped by lookups without being removed.
 func (r *Repository) SetEnabled(name string, enabled bool) error {

@@ -110,6 +110,8 @@ func names(regs []*Registered) []string {
 	return out
 }
 
+// TestDuplicateAndUnregister: a second registration under a taken name is
+// refused and leaves the first in place.
 func TestDuplicateAndUnregister(t *testing.T) {
 	r := New()
 	m := meta("C1", "F", "SetX", constraint.HardInvariant)
@@ -122,14 +124,8 @@ func TestDuplicateAndUnregister(t *testing.T) {
 	if r.Len() != 1 {
 		t.Fatalf("len = %d", r.Len())
 	}
-	if err := r.Unregister("C1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Unregister("C1"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("missing unregister err = %v", err)
-	}
-	if got := r.LookupAffected("F", "SetX", constraint.HardInvariant); len(got) != 0 {
-		t.Fatalf("lookup after unregister = %v", names(got))
+	if got := r.LookupAffected("F", "SetX", constraint.HardInvariant); len(got) != 1 || got[0].Meta.Name != "C1" {
+		t.Fatalf("lookup after duplicate = %v, want [C1]", names(got))
 	}
 }
 
@@ -190,11 +186,11 @@ func TestRegistrationInvalidatesCache(t *testing.T) {
 	if got := r.LookupAffected("F", "SetX", constraint.HardInvariant); len(got) != 2 {
 		t.Fatalf("stale cache after register: %v", names(got))
 	}
-	if err := r.Unregister("C1"); err != nil {
+	if err := r.SetEnabled("C1", false); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.LookupAffected("F", "SetX", constraint.HardInvariant); len(got) != 1 || got[0].Meta.Name != "C2" {
-		t.Fatalf("stale cache after unregister: %v", names(got))
+		t.Fatalf("stale cache after disable: %v", names(got))
 	}
 }
 

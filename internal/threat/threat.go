@@ -184,19 +184,8 @@ func (s *Store) SetOwner(owner string) {
 	s.owner = owner
 }
 
-// Policy returns the active storage policy.
-func (s *Store) Policy() StorePolicy {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.policy
-}
-
-// SetPolicy switches the storage policy (experiments toggle this).
-func (s *Store) SetPolicy(p StorePolicy) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.policy = p
-}
+// Policy returns the storage policy the store was created with.
+func (s *Store) Policy() StorePolicy { return s.policy }
 
 // Add stores an accepted consistency threat. It returns the stored record
 // (with its sequence number) and whether a new persistent record was

@@ -204,10 +204,6 @@ func TestDefaultPolicy(t *testing.T) {
 	if s.Policy() != IdenticalOnce {
 		t.Fatalf("default policy = %v", s.Policy())
 	}
-	s.SetPolicy(FullHistory)
-	if s.Policy() != FullHistory {
-		t.Fatalf("policy after set = %v", s.Policy())
-	}
 }
 
 func negCtx(prio constraint.Priority, min, degree constraint.Degree) *NegotiationContext {

@@ -26,10 +26,12 @@ import (
 //     cancelled or expired context fails the send with ErrUnreachable
 //     (context error in the wrap chain) without a handler result.
 //   - Unreachable destinations (partitioned, crashed, connection refused,
-//     lost message) fail with ErrUnreachable; the installed RetryPolicy
-//     re-tries exactly those failures.
+//     lost message) fail with ErrUnreachable.
+//   - Every Send is one attempt: nothing below the caller re-sends, since a
+//     request that failed "connection lost" may already have run. What a
+//     lost message missed, reconciliation repairs.
 //   - Handlers are registered per (node, kind); a send for an unregistered
-//     kind fails with ErrNoHandler (permanent, never retried).
+//     kind fails with ErrNoHandler.
 //   - Watch callbacks fire after every membership epoch change, serialised
 //     and monotone in epoch. A static-membership transport may never fire
 //     them.
@@ -52,9 +54,6 @@ type Transport interface {
 	Watch(fn func(epoch int64))
 	// Epoch returns the current membership epoch.
 	Epoch() int64
-	// SetRetry installs (or clears, with the zero value) the send retry
-	// policy masking transient unreachability.
-	SetRetry(p RetryPolicy)
 	// Observer returns the transport's observability scope; components
 	// built over the transport inherit it by default.
 	Observer() *obs.Observer

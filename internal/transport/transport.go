@@ -7,10 +7,11 @@
 // update propagation of the dissertation's replication protocol (§4.3), but
 // every send is bounded by a context.Context: a cancelled or expired context
 // fails the send like ErrUnreachable without delivering the message, which is
-// what bounded blocking during partitions requires. An optional retry policy
-// masks transient message drops of the paper's lossy-link model (§1.1), and
-// an optional per-link latency injector (LatencyFunc) adds jitter on top of
-// the fixed cost model for tail-latency experiments.
+// what bounded blocking during partitions requires. Nothing below the caller
+// re-sends: a dropped message of the paper's lossy-link model (§1.1) fails
+// its send, and reconciliation repairs what it missed. An optional per-link
+// latency injector (LatencyFunc) adds jitter on top of the fixed cost model
+// for tail-latency experiments.
 // Partitions are injected with Partition and repaired with Heal; topology
 // watchers (the group membership service) are notified on every change in
 // epoch order.
@@ -56,16 +57,6 @@ type CostModel struct {
 	PerMessage time.Duration
 }
 
-// RetryPolicy masks transient message loss (§1.1: links "may fail by losing
-// some messages") by re-sending failed messages. Attempts is the total number
-// of tries (values below 1 mean a single try); Backoff is the simulated cost
-// charged before every re-send, so retried messages pay realistic latency
-// under the calibrated cost model.
-type RetryPolicy struct {
-	Attempts int
-	Backoff  time.Duration
-}
-
 // DropFunc decides whether one message is lost in transit (the paper's link
 // model: links "may fail by losing some messages", §1.1). Dropped messages
 // fail with ErrUnreachable at the sender, like a timed-out request.
@@ -92,7 +83,6 @@ type Network struct {
 	watchers []func(epoch int64)
 	drop     DropFunc
 	latency  LatencyFunc
-	retry    RetryPolicy
 
 	// notifyMu serialises watcher notification outside n.mu; lastNotified
 	// keeps notifications monotone in epoch when topology changes overlap.
@@ -102,7 +92,6 @@ type Network struct {
 	messages *obs.Counter
 	failures *obs.Counter
 	dropped  *obs.Counter
-	retries  *obs.Counter
 	sendTime *obs.Histogram
 }
 
@@ -118,11 +107,6 @@ type Option func(*Network)
 // WithCost installs a per-hop cost model.
 func WithCost(c CostModel) Option {
 	return func(n *Network) { n.cost = c }
-}
-
-// WithRetry installs a send retry policy.
-func WithRetry(p RetryPolicy) Option {
-	return func(n *Network) { n.retry = p }
 }
 
 // WithObserver attaches the fabric to a shared observability scope; without
@@ -146,20 +130,12 @@ func NewNetwork(opts ...Option) *Network {
 	n.messages = n.obs.Counter("transport.messages")
 	n.failures = n.obs.Counter("transport.failures")
 	n.dropped = n.obs.Counter("transport.dropped")
-	n.retries = n.obs.Counter("transport.retries")
 	n.sendTime = n.obs.Histogram("transport.send.duration")
 	return n
 }
 
 // Observer returns the network's observability scope.
 func (n *Network) Observer() *obs.Observer { return n.obs }
-
-// SetRetry installs (or clears, with the zero value) the send retry policy.
-func (n *Network) SetRetry(p RetryPolicy) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.retry = p
-}
 
 // Join adds a node to the fabric (initially in the common partition).
 func (n *Network) Join(id NodeID) error {
@@ -203,40 +179,13 @@ func (n *Network) Handle(id NodeID, kind string, h Handler) error {
 
 // Send delivers a request from one node to another and returns the response.
 // It fails with ErrUnreachable when the nodes are in different partitions,
-// the destination is crashed, or the context is cancelled or past its
-// deadline (the message is then not delivered). When a retry policy is
-// installed, transiently failed sends are re-tried up to Attempts times with
-// the policy's Backoff charged as simulated cost before each re-send.
+// the destination is crashed, the message is dropped, or the context is
+// cancelled or past its deadline (the message is then not delivered). Each
+// call is one delivery attempt: nothing below the caller re-sends.
 func (n *Network) Send(ctx context.Context, from, to NodeID, kind string, payload any) (any, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	n.mu.RLock()
-	retry := n.retry
-	n.mu.RUnlock()
-	attempts := retry.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	var resp any
-	var err error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			n.retries.Inc()
-			simtime.Charge(retry.Backoff)
-		}
-		resp, err = n.sendOnce(ctx, from, to, kind, payload)
-		if err == nil || !errors.Is(err, ErrUnreachable) || ctx.Err() != nil {
-			// Only transient unreachability is worth re-trying; unknown nodes,
-			// missing handlers and cancelled contexts fail permanently.
-			return resp, err
-		}
-	}
-	return resp, err
-}
-
-// sendOnce performs one delivery attempt.
-func (n *Network) sendOnce(ctx context.Context, from, to NodeID, kind string, payload any) (any, error) {
 	if cerr := ctx.Err(); cerr != nil {
 		n.failures.Inc()
 		return nil, fmt.Errorf("%w: %s -> %s: %w", ErrUnreachable, from, to, cerr)

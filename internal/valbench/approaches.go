@@ -50,11 +50,6 @@ func runScenario(w *World, spec Spec, call func(target any, class, method string
 	return nil
 }
 
-// Calls returns the number of method invocations one scenario run performs.
-func (s Spec) Calls() int {
-	return s.Steps * (3*s.Employees + 3*s.Projects)
-}
-
 // rawCall invokes the business method without any checks.
 func rawCall(target any, method string, arg int) {
 	switch t := target.(type) {

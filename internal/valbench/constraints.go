@@ -187,21 +187,3 @@ func init() {
 		}
 	}
 }
-
-// ConstraintBindings counts the repository registrations: each invariant is
-// bound to every public method of its class, plus the pre- and
-// postconditions. The dissertation's application registers 78 constraints;
-// this study registers the same order of magnitude.
-func ConstraintBindings() int {
-	n := 0
-	for class, invs := range classInvariants {
-		n += len(invs) * len(classMethods[class])
-	}
-	for _, cs := range preConditions {
-		n += len(cs)
-	}
-	for _, cs := range postConditions {
-		n += len(cs)
-	}
-	return n
-}

@@ -343,7 +343,6 @@ func TestOversizedSendFailsOnlyItsCaller(t *testing.T) {
 	release := make(chan struct{})
 	wb.Handle("b", "slow", func(_ transport.NodeID, p any) (any, error) { <-release; return p, nil })
 	wb.Handle("b", "echo", func(_ transport.NodeID, p any) (any, error) { return p, nil })
-	wa.SetRetry(transport.RetryPolicy{Attempts: 3})
 	ctx := contextWithTimeout(t, 30*time.Second)
 
 	if _, err := wa.Send(ctx, "a", "b", "echo", "warm"); err != nil {
@@ -389,8 +388,8 @@ func TestOversizedSendFailsOnlyItsCaller(t *testing.T) {
 	if resp, err := wa.Send(ctx, "a", "b", "echo", "after"); err != nil || resp != "after" {
 		t.Fatalf("send after the oversized one = %v, %v", resp, err)
 	}
-	if f, r := counter(t, wa.Observer(), "transport.failures"), counter(t, wa.Observer(), "transport.retries"); f != 0 || r != 0 {
-		t.Fatalf("failures = %d, retries = %d; want 0, 0", f, r)
+	if got := counter(t, wa.Observer(), "transport.failures"); got != 0 {
+		t.Fatalf("failures = %d, want 0", got)
 	}
 }
 

@@ -94,9 +94,9 @@
 // context error, matching the simulated transport's semantics. A channel goes
 // back to the idle ones only when no reply can still land in it — its sender
 // received the reply, or abandoned the request before the reader took the
-// channel to deliver — so a late reply never reaches another request. The
-// installed RetryPolicy re-dials and re-sends on transient unreachability
-// with real (not simulated) backoff sleeps.
+// channel to deliver — so a late reply never reaches another request. A send
+// is one attempt: a request that failed "connection lost" may already have
+// run on its destination, so nothing below the caller re-sends it.
 package wiretransport
 
 import (
@@ -142,7 +142,7 @@ const reqFlag = 1
 
 // errEncode marks a payload that could not be framed — not gob-encodable,
 // or larger than maxFrame once encoded: a permanent, caller-side error that
-// must neither kill the link nor be retried.
+// must not kill the link and is no ErrUnreachable.
 var errEncode = errors.New("wiretransport: payload cannot be framed")
 
 // errUnsent marks a request whose caller's deadline passed before the first
@@ -195,13 +195,11 @@ type Wire struct {
 	handlers map[string]transport.Handler
 	out      map[transport.NodeID]*link
 	inbound  map[*link]struct{}
-	retry    transport.RetryPolicy
 	ln       net.Listener
 	closed   bool
 
 	messages *obs.Counter
 	failures *obs.Counter
-	retries  *obs.Counter
 }
 
 var _ transport.Transport = (*Wire)(nil)
@@ -235,7 +233,6 @@ func New(self transport.NodeID, peers map[transport.NodeID]string, opts ...Optio
 	}
 	w.messages = w.obs.Counter("transport.messages")
 	w.failures = w.obs.Counter("transport.failures")
-	w.retries = w.obs.Counter("transport.retries")
 	return w, nil
 }
 
@@ -373,20 +370,11 @@ func (w *Wire) Watch(fn func(epoch int64)) {}
 // Epoch implements transport.Transport: the static configuration is epoch 1.
 func (w *Wire) Epoch() int64 { return 1 }
 
-// SetRetry installs (or clears, with the zero value) the send retry policy.
-func (w *Wire) SetRetry(p transport.RetryPolicy) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.retry = p
-}
-
 // Observer returns the transport's observability scope.
 func (w *Wire) Observer() *obs.Observer { return w.obs }
 
 // Send delivers a request and returns the response, bounded by ctx. Failed
-// dials, broken links and context expiry surface as ErrUnreachable; the
-// installed retry policy re-tries exactly those, sleeping its Backoff in
-// real time between attempts.
+// dials, broken links and context expiry surface as ErrUnreachable.
 func (w *Wire) Send(ctx context.Context, from, to transport.NodeID, kind string, payload any) (any, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -397,38 +385,6 @@ func (w *Wire) Send(ctx context.Context, from, to transport.NodeID, kind string,
 	if _, ok := w.addrs[to]; !ok {
 		return nil, fmt.Errorf("%w: %s", transport.ErrUnknownNode, to)
 	}
-	w.mu.Lock()
-	retry := w.retry
-	w.mu.Unlock()
-	attempts := retry.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	var resp any
-	var err error
-	for attempt := 0; attempt < attempts; attempt++ {
-		if attempt > 0 {
-			w.retries.Inc()
-			if retry.Backoff > 0 {
-				t := time.NewTimer(retry.Backoff)
-				select {
-				case <-ctx.Done():
-					t.Stop()
-					w.failures.Inc()
-					return nil, fmt.Errorf("%w: %s -> %s: %w", transport.ErrUnreachable, w.self, to, ctx.Err())
-				case <-t.C:
-				}
-			}
-		}
-		resp, err = w.sendOnce(ctx, to, kind, payload)
-		if err == nil || !errors.Is(err, transport.ErrUnreachable) || ctx.Err() != nil {
-			return resp, err
-		}
-	}
-	return resp, err
-}
-
-func (w *Wire) sendOnce(ctx context.Context, to transport.NodeID, kind string, payload any) (any, error) {
 	if cerr := ctx.Err(); cerr != nil {
 		w.failures.Inc()
 		return nil, fmt.Errorf("%w: %s -> %s: %w", transport.ErrUnreachable, w.self, to, cerr)

@@ -87,13 +87,12 @@ func TestHandlerErrorCrossesWire(t *testing.T) {
 
 func TestNoHandlerIsPermanent(t *testing.T) {
 	wa, _ := pair(t)
-	wa.SetRetry(transport.RetryPolicy{Attempts: 3})
 	_, err := wa.Send(context.Background(), "a", "b", "nosuch", nil)
 	if !errors.Is(err, transport.ErrNoHandler) {
 		t.Fatalf("err = %v, want ErrNoHandler", err)
 	}
-	if got := counter(t, wa.Observer(), "transport.retries"); got != 0 {
-		t.Fatalf("retries = %d, want 0 (ErrNoHandler is permanent)", got)
+	if errors.Is(err, transport.ErrUnreachable) {
+		t.Fatalf("err = %v: a missing handler must not look unreachable", err)
 	}
 }
 
@@ -171,38 +170,6 @@ func TestDeadPeerFailsFastAndReconnects(t *testing.T) {
 	}
 	if lastErr != nil {
 		t.Fatalf("send after peer restart: %v", lastErr)
-	}
-}
-
-func TestRetryMasksTransientFailure(t *testing.T) {
-	dir := t.TempDir()
-	peers := map[transport.NodeID]string{
-		"a": "unix:" + filepath.Join(dir, "a.sock"),
-		"b": "unix:" + filepath.Join(dir, "b.sock"),
-	}
-	wa, _ := New("a", peers)
-	if err := wa.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer wa.Close()
-	wa.SetRetry(transport.RetryPolicy{Attempts: 40, Backoff: 25 * time.Millisecond})
-
-	// Start the peer concurrently with the first (failing) attempts: the
-	// retry policy must bridge the gap.
-	go func() {
-		time.Sleep(150 * time.Millisecond)
-		wb, err := New("b", peers)
-		if err != nil {
-			return
-		}
-		wb.Handle("b", "echo", func(_ transport.NodeID, p any) (any, error) { return p, nil })
-		wb.Start()
-	}()
-	if _, err := wa.Send(context.Background(), "a", "b", "echo", "x"); err != nil {
-		t.Fatalf("send with retry: %v", err)
-	}
-	if counter(t, wa.Observer(), "transport.retries") == 0 {
-		t.Fatal("expected at least one retry")
 	}
 }
 
