@@ -30,7 +30,10 @@ import (
 const ledgerFile = "../../BENCH_allocs.json"
 
 // ledgerTable is what one operation of each path allocates, by site: the
-// innermost function of this module on the allocation's stack.
+// innermost function of this module on the allocation's stack. A row holds
+// the path's allocations and bytes per operation and its allocations by
+// site; the bytes are the size classes the profile saw, so a value that
+// grows into the next class moves them although no count moves.
 type ledgerTable struct {
 	Go    string               `json:"go"` // the language version it was recorded on
 	Paths map[string]ledgerRow `json:"paths"`
@@ -38,6 +41,7 @@ type ledgerTable struct {
 
 type ledgerRow struct {
 	Total float64            `json:"total"`
+	Bytes float64            `json:"bytes"`
 	Sites map[string]float64 `json:"sites"`
 }
 
@@ -81,8 +85,8 @@ var ledgerPaths = []struct {
 
 // TestAllocLedger holds every path's allocations to the table in
 // BENCH_allocs.json, site by site. A site the table lacks fails with its
-// file:line, a count that moved fails, and a site that no longer allocates
-// fails until the table drops it. The profile does not see an object the tiny
+// file:line, a count that moved fails, a site that no longer allocates fails
+// until the table drops it, and so do bytes per operation that moved. The profile does not see an object the tiny
 // allocator packs into a block it already has, so a path also fails on every
 // such allocation MemStats counts. When BENCH_ALLOCS_JSON names a file, the
 // measured table is written there: name BENCH_allocs.json itself to re-record
@@ -129,13 +133,14 @@ func TestAllocLedger(t *testing.T) {
 			for key, s := range sites {
 				row.Sites[key] = s.perOp
 				row.Total += s.perOp
+				row.Bytes += s.bytesPerOp
 			}
 			got.Paths[p.name] = row
-			diffs := ledgerDiff(want.Paths[p.name], sites)
+			diffs := ledgerDiff(want.Paths[p.name], row.Bytes, sites)
 			if residual != 0 {
 				diffs = append(diffs, fmt.Sprintf("%g allocations/op the profile cannot see: tiny objects packed into one block", residual))
 			}
-			t.Logf("%g allocs/op", row.Total)
+			t.Logf("%g allocs/op, %g B/op", row.Total, row.Bytes)
 			for _, d := range diffs {
 				if foreign {
 					t.Log(d)
@@ -163,9 +168,18 @@ func TestAllocLedger(t *testing.T) {
 	}
 }
 
-// ledgerDiff lists how measured sites differ from a path's table row.
-func ledgerDiff(want ledgerRow, got map[string]site) []string {
+// ledgerDiff lists how measured sites and bytes differ from a path's table
+// row.
+func ledgerDiff(want ledgerRow, bytes float64, got map[string]site) []string {
 	var diffs []string
+	if bytes != want.Bytes {
+		var by []string
+		for key, s := range got {
+			by = append(by, fmt.Sprintf("%s %g", key, s.bytesPerOp))
+		}
+		sort.Strings(by)
+		diffs = append(diffs, fmt.Sprintf("%g B/op, the table says %g (by site: %s)", bytes, want.Bytes, strings.Join(by, ", ")))
+	}
 	for key, s := range got {
 		switch w, ok := want.Sites[key]; {
 		case !ok:
@@ -183,12 +197,12 @@ func ledgerDiff(want ledgerRow, got map[string]site) []string {
 	return diffs
 }
 
-// site is one allocating function: its allocations in the second window less
-// the first, per operation, and where one of them is made.
+// site is one allocating function: its allocations and their bytes in the
+// second window less the first, per operation, and where one of them is made.
 type site struct {
-	count int64
-	perOp float64
-	where string
+	count, bytes      int64
+	perOp, bytesPerOp float64
+	where             string
 }
 
 // measureSites runs op in two windows, n operations and then 2n, each closed
@@ -249,20 +263,25 @@ func measureSites(n int, op func(i int) error) (map[string]site, float64, error)
 	}
 
 	// Per stack, the second window less the first: p2 - p1 - (p1 - p0).
-	net := map[[32]uintptr]int64{}
+	type objects struct{ count, bytes int64 }
+	net := map[[32]uintptr]objects{}
 	for i, weight := range []int64{1, -2, 1} {
 		for _, r := range profiles[i] {
-			net[r.Stack0] += weight * r.AllocObjects
+			o := net[r.Stack0]
+			o.count += weight * r.AllocObjects
+			o.bytes += weight * r.AllocBytes
+			net[r.Stack0] = o
 		}
 	}
 	sites := map[string]site{}
-	for stack, count := range net {
-		if count == 0 {
+	for stack, o := range net {
+		if o.count == 0 {
 			continue
 		}
 		if key, where := siteOf(stack[:]); key != "" {
 			s := sites[key]
-			s.count += count
+			s.count += o.count
+			s.bytes += o.bytes
 			if s.where == "" {
 				s.where = where
 			}
@@ -271,6 +290,7 @@ func measureSites(n int, op func(i int) error) (map[string]site, float64, error)
 	}
 	for key, s := range sites {
 		s.perOp = float64(s.count) / float64(n)
+		s.bytesPerOp = float64(s.bytes) / float64(n)
 		sites[key] = s
 	}
 	return sites, float64(int64(unseen[1]-unseen[0])) / float64(n), nil

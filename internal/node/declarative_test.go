@@ -57,7 +57,7 @@ func TestDeclarativeConstraintEndToEnd(t *testing.T) {
 	// hand-written constraint.
 	c.Partition([]transport.NodeID{"n1"}, []transport.NodeID{"n2"})
 	e, _ := n1.Registry.Get("f1")
-	e.Restore(object.State{"sold": int64(0), "seats": int64(80)}, e.Version())
+	e.Restore(object.AttrsOf(object.State{"sold": int64(0), "seats": int64(80)}), e.Version())
 	if _, err := n1.Invoke("f1", "SellTickets", int64(5)); err != nil {
 		t.Fatalf("degraded sale: %v", err)
 	}

@@ -8,6 +8,7 @@ import (
 	"dedisys/internal/constraint"
 	"dedisys/internal/core"
 	"dedisys/internal/node"
+	"dedisys/internal/object"
 	"dedisys/internal/transport"
 )
 
@@ -45,7 +46,7 @@ func Example() {
 	// the configured tolerance accepts the threat and the sale proceeds.
 	cluster.Partition([]transport.NodeID{"n1"}, []transport.NodeID{"n2"})
 	e, _ := n.Registry.Get("LH1234")
-	e.Restore(flight.New(80, 0), e.Version()) // fresh plane in this partition
+	e.Restore(object.AttrsOf(flight.New(80, 0)), e.Version()) // fresh plane in this partition
 	if _, err := n.Invoke("LH1234", "SellTickets", int64(2)); err != nil {
 		fmt.Println("unexpected:", err)
 	}

@@ -71,7 +71,7 @@ func ticketConstraint(minDegree constraint.Degree, prio constraint.Priority, cty
 	}
 }
 
-func newFlightCluster(t *testing.T, size int, opts ...ClusterOption) *Cluster {
+func newFlightCluster(t testing.TB, size int, opts ...ClusterOption) *Cluster {
 	t.Helper()
 	c, err := NewCluster(size, nil, opts...)
 	if err != nil {
@@ -83,7 +83,7 @@ func newFlightCluster(t *testing.T, size int, opts ...ClusterOption) *Cluster {
 	return c
 }
 
-func deployTicket(t *testing.T, c *Cluster, cfg constraint.Configured) {
+func deployTicket(t testing.TB, c *Cluster, cfg constraint.Configured) {
 	t.Helper()
 	for _, n := range c.Nodes {
 		if err := n.DeployConstraints([]constraint.Configured{cfg}); err != nil {

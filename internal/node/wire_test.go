@@ -1,6 +1,8 @@
 package node
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"reflect"
 	"testing"
@@ -34,28 +36,81 @@ func TestWireCodecNodePayloads(t *testing.T) {
 	roundTripPayload(t, object.ID("acct-1"))
 
 	// The reply to a forwarded write carries the requester's batch, as a
-	// commit made it: the round's own batch while healthy, and a batch with
-	// the accepted threat from a degraded first-threat write that made no
-	// round. Both ride gob, nested in the reply.
+	// commit made it. It rides gob, the batch nested in the reply.
+	replies := forwardedReplies(t)
+	for i, want := range []string{"*replication.batchMsg", "*replication.threatBatch"} {
+		if got := fmt.Sprintf("%T", replies[i].Apply); got != want {
+			t.Fatalf("reply %#v, want an *invokeReply whose Apply is a %s", replies[i], want)
+		}
+		roundTripPayload(t, replies[i])
+	}
+}
+
+// forwardedReplies returns the replies n1 gives to n2's forwarded SellTickets
+// on a flight both replicate, as a commit makes them: the round's own batch
+// while healthy, and a batch with the accepted threat from a degraded
+// first-threat write that made no round.
+func forwardedReplies(t testing.TB) []*invokeReply {
+	t.Helper()
 	c := newFlightCluster(t, 3)
+	defer c.Stop()
 	deployTicket(t, c, ticketConstraint(constraint.Uncheckable, constraint.Tradeable, constraint.HardInvariant))
 	n1 := c.Node(0)
 	if err := n1.Create("Flight", "f1", object.State{"seats": int64(80), "sold": int64(70)}, c.AllReplicas("n1")); err != nil {
 		t.Fatal(err)
 	}
-	forwarded := func(want string) {
+	forwarded := func() *invokeReply {
 		t.Helper()
 		reply, err := n1.handleRemoteInvoke("n2", remoteInvokePayload{Target: "f1", Method: "SellTickets", Args: []any{int64(1)}})
 		if err != nil {
 			t.Fatal(err)
 		}
 		r, ok := reply.(*invokeReply)
-		if !ok || fmt.Sprintf("%T", r.Apply) != want {
-			t.Fatalf("reply %#v, want an *invokeReply whose Apply is a %s", reply, want)
+		if !ok {
+			t.Fatalf("reply %#v, want an *invokeReply", reply)
 		}
-		roundTripPayload(t, reply)
+		return r
 	}
-	forwarded("*replication.batchMsg")
+	healthy := forwarded()
 	c.Partition([]transport.NodeID{"n1", "n2"}, []transport.NodeID{"n3"})
-	forwarded("*replication.threatBatch")
+	return []*invokeReply{healthy, forwarded()}
+}
+
+// FuzzInvokeReply feeds arbitrary bytes through gob into the reply to a
+// forwarded invocation (node.invoke), seeded with the gob encodings of real
+// replies. A reply that decodes is handled as forward handles it: its batch
+// is applied to the forwarding node's replicas. That must not panic, and
+// every entity the node holds afterwards has its attributes in name order —
+// gob checks no order, applyOps does — and encodes.
+func FuzzInvokeReply(f *testing.F) {
+	for _, reply := range forwardedReplies(f) {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(reply); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var reply invokeReply
+		if gob.NewDecoder(bytes.NewReader(data)).Decode(&reply) != nil || reply.Apply == nil {
+			return
+		}
+		c := newFlightCluster(t, 3)
+		defer c.Stop()
+		n1, n2 := c.Node(0), c.Node(1)
+		if err := n1.Create("Flight", "f1", object.State{"seats": int64(80), "sold": int64(70)}, c.AllReplicas("n1")); err != nil {
+			t.Fatal(err)
+		}
+		n2.Repl.ApplyForwarded(n1.ID, reply.Apply)
+		for _, id := range n2.Registry.IDs() {
+			e, err := n2.Registry.Get(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if attrs, _ := e.Share(); !attrs.Sorted() {
+				t.Fatalf("%s holds %#v: names out of order", id, attrs)
+			}
+			_, _ = e.AppendJSON(nil) // a value JSON cannot carry fails, never panics
+		}
+	})
 }

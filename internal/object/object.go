@@ -2,11 +2,14 @@
 // system: attribute-based entities with monotonically increasing versions,
 // per-class schemas with method tables, and a per-node object registry.
 //
-// Entities deliberately store their state in an attribute map rather than in
-// struct fields. This mirrors the role of EJB entity beans with container
-// managed persistence in the original prototype: the middleware (replication,
-// undo logging, reconciliation) can snapshot, transfer, and restore entity
-// state generically, while applications interact through registered methods.
+// Entities deliberately store their state as a list of named attributes
+// rather than in struct fields. This mirrors the role of EJB entity beans
+// with container managed persistence in the original prototype: the
+// middleware (replication, undo logging, reconciliation) can snapshot,
+// transfer, and restore entity state generically, while applications
+// interact through registered methods. The middleware holds and ships the
+// attributes as an Attrs, a name-sorted list; applications build and receive
+// them as a State, a map.
 package object
 
 import (
@@ -18,6 +21,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 
 	"dedisys/internal/persistence"
@@ -42,16 +46,12 @@ var (
 	ErrNoSuchAttribute = errors.New("object: no such attribute")
 )
 
-// State is a snapshot of an entity's attributes. Values are restricted to
-// JSON-representable scalars plus []ID references so that snapshots can be
-// serialized for replication and persistence.
-//
-// A State is written only by the code that built it, and only until it is
-// published: once it has been handed to an entity (Restore, ApplyState), taken
-// from one (Share), or put in an undo record, a message, a record or a history
-// entry, nobody writes it again — nested slices included — so all holders
-// share the one map. Whoever needs to change a published State copies it
-// first (Clone); Entity.Set does that by itself.
+// State is an entity's attributes as a map: the form applications build and
+// receive (New, a node's Create, Snapshot, a conflict resolver's states).
+// Values are restricted to JSON-representable scalars plus []ID references so
+// that they can be serialized for replication and persistence. Inside the
+// middleware the attributes are an Attrs; AttrsOf and Attrs.Map convert at
+// that edge.
 type State map[string]any
 
 // Clone returns a deep copy of the state. Reference slices are copied.
@@ -61,78 +61,90 @@ func (s State) Clone() State {
 	}
 	out := make(State, len(s))
 	for k, v := range s {
-		switch vv := v.(type) {
-		case []ID:
-			cp := make([]ID, len(vv))
-			copy(cp, vv)
-			out[k] = cp
-		case []string:
-			cp := make([]string, len(vv))
-			copy(cp, vv)
-			out[k] = cp
-		default:
-			out[k] = v
-		}
+		out[k] = copyValue(v)
 	}
 	return out
+}
+
+// copyValue returns v with a reference or string list copied, so that the
+// copy and the original share no memory anybody may write; the copy has no
+// spare capacity, so an append to it never writes where another list reads.
+func copyValue(v any) any {
+	switch vv := v.(type) {
+	case []ID:
+		return copyList(vv)
+	case []string:
+		return copyList(vv)
+	default:
+		return v
+	}
+}
+
+func copyList[S ~string](list []S) []S {
+	cp := make([]S, len(list))
+	copy(cp, list)
+	return cp
 }
 
 // AppendJSON appends the state's JSON encoding to dst, byte for byte what
 // encoding/json writes for the same data held as a plain map[string]any (keys
 // in byte order, its string escaping), without the reflection or the boxing
-// of every key and value: entity state is in every replica's record, the
-// store write each replica makes per replicated commit. The value kinds State
-// documents are written directly;
-// any other value goes through json.Marshal by itself. On error dst is
-// returned as it came.
+// of every key and value. Attrs.AppendJSON writes the same bytes for the same
+// attributes. On error dst is returned as it came.
 func (s State) AppendJSON(dst []byte) ([]byte, error) {
 	if s == nil {
 		return append(dst, "null"...), nil
 	}
 	var buf [8]string
+	keys := buf[:0]
+	for k := range s {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
 	out := append(dst, '{')
-	for i, k := range s.sortedKeys(buf[:0]) {
+	for i, k := range keys {
 		if i > 0 {
 			out = append(out, ',')
 		}
-		out = append(persistence.AppendString(out, k), ':')
-		switch v := s[k].(type) {
-		case nil:
-			out = append(out, "null"...)
-		case bool:
-			out = strconv.AppendBool(out, v)
-		case string:
-			out = persistence.AppendString(out, v)
-		case int:
-			out = strconv.AppendInt(out, int64(v), 10)
-		case int64:
-			out = strconv.AppendInt(out, v, 10)
-		case ID:
-			out = persistence.AppendString(out, string(v))
-		case []ID:
-			out = appendStrings(out, v)
-		case []string:
-			out = appendStrings(out, v)
-		default: // float64 after a JSON round trip, nested values
-			b, err := json.Marshal(v)
-			if err != nil {
-				return dst, err
-			}
-			out = append(out, b...)
+		var err error
+		if out, err = appendJSONValue(append(persistence.AppendString(out, k), ':'), s[k]); err != nil {
+			return dst, err
 		}
 	}
 	return append(out, '}'), nil
 }
 
-// sortedKeys appends the attribute names to buf in byte order, the order both
-// encoders write them in so that equal states give equal bytes. buf is the
-// caller's stack space for the usual handful of attributes.
-func (s State) sortedKeys(buf []string) []string {
-	for k := range s {
-		buf = append(buf, k)
+// MarshalJSON is AppendJSON for encoding/json, which needs it where a State
+// nests in a message or record that json.Marshal encodes.
+func (s State) MarshalJSON() ([]byte, error) {
+	return s.AppendJSON(make([]byte, 0, 2+32*len(s)))
+}
+
+// appendJSONValue appends one attribute value as encoding/json writes it. The
+// value kinds State documents are written directly; any other value goes
+// through json.Marshal by itself.
+func appendJSONValue(out []byte, value any) ([]byte, error) {
+	switch v := value.(type) {
+	case nil:
+		return append(out, "null"...), nil
+	case bool:
+		return strconv.AppendBool(out, v), nil
+	case string:
+		return persistence.AppendString(out, v), nil
+	case int:
+		return strconv.AppendInt(out, int64(v), 10), nil
+	case int64:
+		return strconv.AppendInt(out, v, 10), nil
+	case ID:
+		return persistence.AppendString(out, string(v)), nil
+	case []ID:
+		return appendStrings(out, v), nil
+	case []string:
+		return appendStrings(out, v), nil
+	default: // float64 after a JSON round trip, nested values
+		b, err := json.Marshal(v)
+		return append(out, b...), err
 	}
-	slices.Sort(buf)
-	return buf
 }
 
 // appendStrings appends a reference or string list as a JSON array, null for
@@ -151,15 +163,125 @@ func appendStrings[S ~string](dst []byte, list []S) []byte {
 	return append(dst, ']')
 }
 
-// MarshalJSON is AppendJSON for encoding/json, which needs it where a State
-// nests in a message or record that json.Marshal encodes.
-func (s State) MarshalJSON() ([]byte, error) {
-	return s.AppendJSON(make([]byte, 0, 2+32*len(s)))
+// Attr is one attribute of an entity: its name and its value.
+type Attr struct {
+	Name  string
+	Value any
 }
 
-// Value kinds of a State's wire form: one byte in front of every attribute
-// value, naming its exact dynamic type so that it comes back as what it was
-// (an int stays an int, an ID an ID).
+// Attrs is an entity's attributes in the one form the middleware holds,
+// shares and ships them in (entity, undo record, message, replica record,
+// history entry): a list sorted by name in byte order, each name once. A
+// State costs a map of at least 336 bytes whatever it holds; an Attrs costs
+// 32 bytes per attribute and one allocation.
+//
+// An Attrs is written only by the code that built it, and only until it is
+// published: once it has been handed to an entity (Restore, ApplyState), taken
+// from one (Share), or put in an undo record, a message, a record or a history
+// entry, nobody writes it again — nested slices included — so all holders
+// share the one list. Whoever needs another list builds a new one; Entity.Set
+// does that by itself. nil and an empty list stay apart where an Attrs is
+// encoded, as a map's nil and empty did; a decoder, like gob, gives nil for
+// both.
+type Attrs []Attr
+
+// AttrsOf returns s as an Attrs of its own: sorted, reference and string
+// lists copied. nil gives nil, an empty map an empty list.
+func AttrsOf(s State) Attrs {
+	if s == nil {
+		return nil
+	}
+	a := make(Attrs, 0, len(s))
+	for k, v := range s {
+		a = append(a, Attr{Name: k, Value: copyValue(v)})
+	}
+	slices.SortFunc(a, func(x, y Attr) int { return strings.Compare(x.Name, y.Name) })
+	return a
+}
+
+// Map returns the attributes as a State of the caller's own, reference and
+// string lists copied; never nil, so that an entity created with no
+// attributes reads the same on every replica whatever its list went through.
+func (a Attrs) Map() State {
+	s := make(State, len(a))
+	for _, at := range a {
+		s[at.Name] = copyValue(at.Value)
+	}
+	return s
+}
+
+// Get returns the named attribute's value and whether it is present.
+func (a Attrs) Get(name string) (any, bool) {
+	if i, ok := a.index(name); ok {
+		return a[i].Value, true
+	}
+	return nil, false
+}
+
+// Sorted reports whether the names strictly ascend, as in every Attrs the
+// middleware builds. A list gob decoded is what its sender wrote, in any
+// order; ReadAttrsWire checks the order by itself.
+func (a Attrs) Sorted() bool {
+	for i := 1; i < len(a); i++ {
+		if a[i-1].Name >= a[i].Name {
+			return false
+		}
+	}
+	return true
+}
+
+// index returns where name is in a, or where it would go.
+func (a Attrs) index(name string) (int, bool) {
+	return slices.BinarySearchFunc(a, name, func(at Attr, name string) int { return strings.Compare(at.Name, name) })
+}
+
+// with returns a new list that is a with the named attribute set to value,
+// in one allocation sized for an insert when the name is new; a is left as
+// it was.
+func (a Attrs) with(name string, value any) Attrs {
+	i, found := a.index(name)
+	rest := a[i:]
+	if found {
+		rest = a[i+1:]
+	}
+	out := make(Attrs, i+1+len(rest))
+	copy(out, a[:i])
+	out[i] = Attr{Name: name, Value: value}
+	copy(out[i+1:], rest)
+	return out
+}
+
+// AppendJSON appends the attributes' JSON encoding to dst: a JSON object,
+// byte for byte what encoding/json writes for the same data held as a plain
+// map[string]any, without the reflection or the boxing of every key and
+// value. Entity state is in every replica's record, the store write each
+// replica makes per replicated commit. On error dst is returned as it came.
+func (a Attrs) AppendJSON(dst []byte) ([]byte, error) {
+	if a == nil {
+		return append(dst, "null"...), nil
+	}
+	out := append(dst, '{')
+	for i, at := range a {
+		if i > 0 {
+			out = append(out, ',')
+		}
+		var err error
+		if out, err = appendJSONValue(append(persistence.AppendString(out, at.Name), ':'), at.Value); err != nil {
+			return dst, err
+		}
+	}
+	return append(out, '}'), nil
+}
+
+// MarshalJSON is AppendJSON for encoding/json, which needs it where an Attrs
+// nests in a message or record that json.Marshal encodes.
+func (a Attrs) MarshalJSON() ([]byte, error) {
+	return a.AppendJSON(make([]byte, 0, 2+32*len(a)))
+}
+
+// Value kinds of the attributes' wire form: one byte in front of every
+// attribute value, naming its exact dynamic type so that it comes back as
+// what it was (an int stays an int, an ID an ID).
 const (
 	wireNil byte = iota
 	wireFalse
@@ -173,19 +295,18 @@ const (
 	wireStrings
 )
 
-// AppendWire appends the state's form on the real wire (see
-// transport.WirePayload; a State travels inside the replication messages, it
-// is no payload of its own): a map header (nil and empty stay apart), then
-// name, kind byte and value per attribute in sortedKeys order. It
-// carries exactly the kinds AppendJSON names; for a state holding anything
-// else it reports false and returns dst as it came, and the message goes
-// through gob. ReadStateWire is its inverse.
-func (s State) AppendWire(dst []byte) ([]byte, bool) {
-	var buf [8]string
-	out := transport.AppendWireMapLen(dst, len(s), s == nil)
-	for _, k := range s.sortedKeys(buf[:0]) {
-		out = transport.AppendWireString(out, k)
-		switch v := s[k].(type) {
+// AppendWire appends the attributes' form on the real wire (see
+// transport.WirePayload; an Attrs travels inside the replication messages,
+// it is no payload of its own): a map header (nil and empty stay apart), then
+// name, kind byte and value per attribute in list order. It carries exactly
+// the kinds AppendJSON names; for a list holding anything else it reports
+// false and returns dst as it came, and the message goes through gob.
+// ReadAttrsWire is its inverse.
+func (a Attrs) AppendWire(dst []byte) ([]byte, bool) {
+	out := transport.AppendWireMapLen(dst, len(a), a == nil)
+	for _, at := range a {
+		out = transport.AppendWireString(out, at.Name)
+		switch v := at.Value.(type) {
 		case nil:
 			out = append(out, wireNil)
 		case bool:
@@ -223,45 +344,51 @@ func appendWireStrings[S ~string](dst []byte, list []S) []byte {
 	return dst
 }
 
-// ReadStateWire decodes what AppendWire wrote into a State of its own: the
+// ReadAttrsWire decodes what AppendWire wrote into a list of its own: the
 // receiver installs it by reference, so nothing is shared with the reader or
 // with any other message. Attribute names go through the link's name table,
-// values never do. Malformed input fails the reader. It installs what gob
-// would have: an empty map stays empty, an empty list comes back nil.
-func ReadStateWire(r *transport.WireReader) State {
-	n, isNil := r.MapLen(2) // an attribute is at least a name length and a kind
-	if isNil {
+// values never do. Malformed input fails the reader, and so does a name that
+// does not follow the one before it in byte order: the list is no Attrs.
+// It installs what gob would have: an empty list or state comes back nil.
+func ReadAttrsWire(r *transport.WireReader) Attrs {
+	n, _ := r.MapLen(2) // an attribute is at least a name length and a kind
+	if n == 0 {
 		return nil
 	}
-	s := make(State, n)
-	for ; n > 0 && r.Err() == nil; n-- {
-		k := r.Name()
+	a := make(Attrs, n)
+	for i := range a {
+		at := &a[i]
+		if at.Name = r.Name(); i > 0 && at.Name <= a[i-1].Name {
+			r.Fail("object: attribute %q after %q", at.Name, a[i-1].Name)
+		}
 		switch kind := r.Byte(); kind {
 		case wireNil:
-			s[k] = nil
 		case wireFalse:
-			s[k] = false
+			at.Value = false
 		case wireTrue:
-			s[k] = true
+			at.Value = true
 		case wireString:
-			s[k] = r.String()
+			at.Value = r.String()
 		case wireInt:
-			s[k] = int(r.Varint())
+			at.Value = int(r.Varint())
 		case wireInt64:
-			s[k] = r.Varint()
+			at.Value = r.Varint()
 		case wireFloat64:
-			s[k] = math.Float64frombits(r.Uint64())
+			at.Value = math.Float64frombits(r.Uint64())
 		case wireID:
-			s[k] = ID(r.String())
+			at.Value = ID(r.String())
 		case wireIDs:
-			s[k] = readWireStrings[ID](r)
+			at.Value = readWireStrings[ID](r)
 		case wireStrings:
-			s[k] = readWireStrings[string](r)
+			at.Value = readWireStrings[string](r)
 		default:
 			r.Fail("object: unknown state value kind %d", kind)
 		}
+		if r.Err() != nil {
+			return nil
+		}
 	}
-	return s
+	return a
 }
 
 func readWireStrings[S ~string](r *transport.WireReader) []S {
@@ -287,25 +414,26 @@ func readWireStrings[S ~string](r *transport.WireReader) []S {
 // this package is called while it is held, so it nests under any other lock.
 // id and class never change and are read without it.
 //
-// The attribute map is copy-on-write. While shared is false the map is the
-// entity's own and Set writes it in place. Share, Restore and ApplyState set
-// the mark: from then on the same map is also held by an undo record, a
-// message in flight, another node's replica or a history entry, which read it
-// without any lock, so the next Set copies the map first and writes the copy.
+// The attribute list is copy-on-write. While shared is false the list is the
+// entity's own and Set replaces a present attribute's value in place. Share,
+// Restore, ApplyState and Clone set the mark: from then on the same list is
+// also held by an undo record, a message in flight, another node's replica
+// or a history entry, which read it without any lock, so the next Set builds
+// a new list and leaves the published one as it was.
 type Entity struct {
 	id    ID
 	class string
 
 	mu      sync.Mutex
 	version int64
-	attrs   State
-	shared  bool // attrs is published (see State): Set must copy before writing
+	attrs   Attrs
+	shared  bool // attrs is published (see Attrs): Set must not write it
 }
 
 // New creates an entity of the given class with initial attributes.
 // The initial version is 1 so that "unreplicated/unknown" can use zero.
 func New(class string, id ID, attrs State) *Entity {
-	return &Entity{id: id, class: class, version: 1, attrs: attrs.Clone()}
+	return &Entity{id: id, class: class, version: 1, attrs: AttrsOf(attrs)}
 }
 
 // ID returns the logical object identifier.
@@ -325,7 +453,7 @@ func (e *Entity) Version() int64 {
 // Get returns the named attribute value.
 func (e *Entity) Get(name string) (any, error) {
 	e.mu.Lock()
-	v, ok := e.attrs[name]
+	v, ok := e.attrs.Get(name)
 	e.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: %s.%s", ErrNoSuchAttribute, e.class, name)
@@ -338,7 +466,8 @@ func (e *Entity) Get(name string) (any, error) {
 func (e *Entity) MustGet(name string) any {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.attrs[name]
+	v, _ := e.attrs.Get(name)
+	return v
 }
 
 // GetString returns a string attribute, or "" if absent or non-string.
@@ -374,34 +503,36 @@ func (e *Entity) GetRef(name string) ID {
 	}
 }
 
-// Set updates one attribute and bumps the version. On an entity whose
-// attributes are shared it first replaces them with a private deep copy — the
-// one copy a write makes — so the published map is left as it was.
+// Set updates one attribute and bumps the version. On an entity whose list
+// is its own it replaces a present attribute's value in place; otherwise —
+// the list is shared, or the name is new — it builds the new list in one
+// allocation, so a published list is left as it was.
 func (e *Entity) Set(name string, value any) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.shared {
-		e.attrs, e.shared = e.attrs.Clone(), false
+	if i, ok := e.attrs.index(name); ok && !e.shared {
+		e.attrs[i].Value = value
+	} else {
+		e.attrs, e.shared = e.attrs.with(name, value), false
 	}
-	e.attrs[name] = value
 	e.version++
 }
 
-// Snapshot returns a deep copy of the entity's attributes, private to the
-// caller: the form for state that leaves for code outside the sharing rules
-// (see State), such as application code.
+// Snapshot returns the entity's attributes as a State private to the caller:
+// the form for state that leaves for code outside the sharing rules (see
+// Attrs), such as application code.
 func (e *Entity) Snapshot() State {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.attrs.Clone()
+	return e.attrs.Map()
 }
 
 // Share returns the entity's attributes without copying them, and the version
-// they belong to, and marks the entity shared, so the returned State stays as
-// it is now: the entity's next Set writes a copy. The result is published
-// (see State) — read it, never write it. State and version leave in one call
-// so that no install or Set can come between the two.
-func (e *Entity) Share() (State, int64) {
+// they belong to, and marks the entity shared, so the returned list stays as
+// it is now: the entity's next Set builds a new one. The result is published
+// (see Attrs) — read it, never write it. Attributes and version leave in one
+// call so that no install or Set can come between the two.
+func (e *Entity) Share() (Attrs, int64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.shared = true
@@ -410,48 +541,51 @@ func (e *Entity) Share() (State, int64) {
 
 // AppendJSON encodes the entity as its attribute state, exactly as
 // json.Marshal(e.Snapshot()) would, without the copy: the encoder runs after
-// the entity's lock is released, on a map that Share has made read-only.
+// the entity's lock is released, on a list that Share has made read-only.
 func (e *Entity) AppendJSON(dst []byte) ([]byte, error) {
-	st, _ := e.Share()
-	return st.AppendJSON(dst)
+	a, _ := e.Share()
+	return a.AppendJSON(dst)
 }
 
 // MarshalJSON is AppendJSON for encoding/json.
 func (e *Entity) MarshalJSON() ([]byte, error) {
-	st, _ := e.Share()
-	return st.MarshalJSON()
+	a, _ := e.Share()
+	return a.MarshalJSON()
 }
 
 // Restore replaces the entity's attributes and version, used by undo logging
-// and replica state transfer. The entity adopts s by reference and marks
-// itself shared: s is published by this call (see State), the caller may keep
+// and replica state transfer. The entity adopts a by reference and marks
+// itself shared: a is published by this call (see Attrs), the caller may keep
 // reading it and must not write it afterwards.
-func (e *Entity) Restore(s State, version int64) {
+func (e *Entity) Restore(a Attrs, version int64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.attrs, e.shared = s, true
+	e.attrs, e.shared = a, true
 	e.version = version
 }
 
-// ApplyState overwrites attributes with s but, unlike Restore, keeps the
+// ApplyState overwrites attributes with a but, unlike Restore, keeps the
 // larger of the current and supplied version. Used when applying propagated
 // updates that may arrive out of order during reconciliation. Like Restore it
-// adopts s by reference and marks the entity shared.
-func (e *Entity) ApplyState(s State, version int64) {
+// adopts a by reference and marks the entity shared.
+func (e *Entity) ApplyState(a Attrs, version int64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.attrs, e.shared = s, true
+	e.attrs, e.shared = a, true
 	if version > e.version {
 		e.version = version
 	}
 }
 
 // Clone returns an independent copy of the entity (same ID and class), built
-// field by field: an Entity holds a lock and is never copied by value.
+// field by field: an Entity holds a lock and is never copied by value. The
+// two share the attribute list, both marked shared, so either one's next Set
+// builds a list of its own.
 func (e *Entity) Clone() *Entity {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return &Entity{id: e.id, class: e.class, version: e.version, attrs: e.attrs.Clone()}
+	e.shared = true
+	return &Entity{id: e.id, class: e.class, version: e.version, attrs: e.attrs, shared: true}
 }
 
 // MethodKind classifies methods for the replication layer: write methods

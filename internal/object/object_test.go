@@ -7,9 +7,12 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEntityBasics(t *testing.T) {
@@ -80,63 +83,64 @@ func TestSnapshotRestoreIsolation(t *testing.T) {
 	if live[0] != "a" {
 		t.Fatalf("snapshot slice aliased live state")
 	}
-	e.Restore(snap, 7)
+	e.Restore(AttrsOf(snap), 7)
 	if e.GetString("name") != "Ann" || e.Version() != 7 {
 		t.Fatalf("restore failed: %s v%d", e.GetString("name"), e.Version())
 	}
 }
 
 // TestShareSetIsolation is the mirror of TestSnapshotRestoreIsolation for the
-// uncopied accessor: the State Share hands out is the entity's own map, and
-// the entity's next Set leaves it — nested slices included — as it was.
+// uncopied accessor: the list Share hands out is the entity's own, and the
+// entity's next Sets — of a present name and of a new one — leave it as it
+// was.
 func TestShareSetIsolation(t *testing.T) {
 	e := New("Person", "p1", State{"name": "Ann", "tags": []string{"a"}, "refs": []ID{"r1"}})
 	shared, version := e.Share()
-	if !sameMap(shared, e.attrs) || version != 1 {
+	if !sameList(shared, e.attrs) || version != 1 {
 		t.Fatalf("Share copied the attributes or lost the version (v%d)", version)
 	}
-	want := shared.Clone()
+	want := shared.Map()
 	e.Set("name", "Bob")
 	e.Set("extra", int64(1))
-	// After the copy the entity owns its slices too.
-	e.MustGet("tags").([]string)[0] = "z"
-	e.MustGet("refs").([]ID)[0] = "r9"
-	if !reflect.DeepEqual(shared, want) {
+	e.Set("tags", []string{"z"})
+	if !reflect.DeepEqual(shared.Map(), want) {
 		t.Fatalf("Set after Share wrote the shared state: %v, want %v", shared, want)
 	}
-	if e.GetString("name") != "Bob" || e.GetInt("extra") != 1 || e.Version() != 3 {
+	if e.GetString("name") != "Bob" || e.GetInt("extra") != 1 || e.MustGet("tags").([]string)[0] != "z" || e.Version() != 4 {
 		t.Fatalf("entity lost its writes: %v v%d", e.Snapshot(), e.Version())
 	}
-	// One copy per sharing, not one per Set: the second Set wrote in place.
+	// A new list per sharing, not one per Set: a present name on a list the
+	// entity owns is written in place.
 	private := e.attrs
 	e.Set("name", "Cy")
-	if sameMap(private, shared) || !sameMap(private, e.attrs) {
-		t.Fatal("Set must copy a shared state once and then write its copy in place")
+	if sameList(private, shared) || !sameList(private, e.attrs) {
+		t.Fatal("Set must build a new list once after a Share and then write its own list in place")
 	}
 }
 
-// sameMap reports whether two states are one map, not merely equal ones.
-func sameMap(a, b State) bool {
-	return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
+// sameList reports whether two non-empty attribute lists are one list, not
+// merely equal ones.
+func sameList(a, b Attrs) bool {
+	return len(a) > 0 && len(a) == len(b) && unsafe.SliceData(a) == unsafe.SliceData(b)
 }
 
 // TestAdoptedStateIsCopiedOnWrite pins what Restore and ApplyState take
-// ownership of: the given map itself, marked shared, so that a Set on the
+// ownership of: the given list itself, marked shared, so that a Set on the
 // entity — inside a transaction or not — never reaches the other holders.
 func TestAdoptedStateIsCopiedOnWrite(t *testing.T) {
-	for name, adopt := range map[string]func(*Entity, State){
-		"Restore":    func(e *Entity, s State) { e.Restore(s, 4) },
-		"ApplyState": func(e *Entity, s State) { e.ApplyState(s, 4) },
+	for name, adopt := range map[string]func(*Entity, Attrs){
+		"Restore":    func(e *Entity, a Attrs) { e.Restore(a, 4) },
+		"ApplyState": func(e *Entity, a Attrs) { e.ApplyState(a, 4) },
 	} {
-		given := State{"a": int64(1), "refs": []ID{"x"}}
-		want := given.Clone()
+		given := AttrsOf(State{"a": int64(1), "refs": []ID{"x"}})
+		want := given.Map()
 		e := New("X", "x1", nil)
 		adopt(e, given)
-		if !sameMap(e.attrs, given) {
+		if !sameList(e.attrs, given) {
 			t.Fatalf("%s copied the state", name)
 		}
 		e.Set("a", int64(2))
-		if !reflect.DeepEqual(given, want) {
+		if !reflect.DeepEqual(given.Map(), want) {
 			t.Fatalf("%s: Set reached the adopted state: %v", name, given)
 		}
 		if e.GetInt("a") != 2 || e.Version() != 5 {
@@ -148,11 +152,11 @@ func TestAdoptedStateIsCopiedOnWrite(t *testing.T) {
 func TestApplyStateKeepsNewestVersion(t *testing.T) {
 	e := New("X", "x1", State{"a": 1})
 	e.Set("a", 2) // version 2
-	e.ApplyState(State{"a": 9}, 1)
+	e.ApplyState(AttrsOf(State{"a": 9}), 1)
 	if e.Version() != 2 {
 		t.Fatalf("ApplyState lowered version to %d", e.Version())
 	}
-	e.ApplyState(State{"a": 10}, 5)
+	e.ApplyState(AttrsOf(State{"a": 10}), 5)
 	if e.Version() != 5 {
 		t.Fatalf("ApplyState did not raise version: %d", e.Version())
 	}
@@ -324,7 +328,7 @@ func TestQuickSnapshotRoundTrip(t *testing.T) {
 		e := New("Q", "q1", st)
 		snap := e.Snapshot()
 		e.Set("mutation", extra)
-		e.Restore(snap, 99)
+		e.Restore(AttrsOf(snap), 99)
 		if e.Version() != 99 {
 			return false
 		}
@@ -387,7 +391,8 @@ func TestAttrAndMethodNames(t *testing.T) {
 // TestStateJSONMatchesEncodingJSON holds the hand-written state encoder to
 // encoding/json's output for the same data held as a plain map[string]any,
 // byte for byte — the stored entity records must not change — appended to
-// nothing and after a prefix, through State's and Entity's MarshalJSON, and
+// nothing and after a prefix, through State's, Attrs' and Entity's
+// MarshalJSON, and
 // nested in a struct json.Marshal encodes.
 func TestStateJSONMatchesEncodingJSON(t *testing.T) {
 	var roundTripped map[string]any
@@ -418,8 +423,9 @@ func TestStateJSONMatchesEncodingJSON(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		list := listOf(st)
 		e := New("C", "id", nil)
-		e.Restore(st, 1)
+		e.Restore(list, 1)
 		wantNested, err := json.Marshal(struct{ S map[string]any }{st})
 		if err != nil {
 			t.Fatal(err)
@@ -427,6 +433,8 @@ func TestStateJSONMatchesEncodingJSON(t *testing.T) {
 		for form, encode := range map[string]func() ([]byte, error){
 			"State.AppendJSON(nil)": func() ([]byte, error) { return st.AppendJSON(nil) },
 			"State.MarshalJSON":     st.MarshalJSON,
+			"Attrs.AppendJSON(nil)": func() ([]byte, error) { return list.AppendJSON(nil) },
+			"Attrs.MarshalJSON":     list.MarshalJSON,
 			"Entity.AppendJSON":     func() ([]byte, error) { return e.AppendJSON(nil) },
 			"Entity.MarshalJSON":    e.MarshalJSON,
 		} {
@@ -441,6 +449,20 @@ func TestStateJSONMatchesEncodingJSON(t *testing.T) {
 			t.Errorf("%s: nested in a struct\n got %s, %v\nwant %s", name, got, err, wantNested)
 		}
 	}
+}
+
+// listOf returns s as a list holding s's own values, uncopied: what a
+// decoder hands over, so that an encoder meets exactly the data of s.
+func listOf(s State) Attrs {
+	if s == nil {
+		return nil
+	}
+	a := Attrs{}
+	for k, v := range s {
+		a = append(a, Attr{Name: k, Value: v})
+	}
+	slices.SortFunc(a, func(x, y Attr) int { return strings.Compare(x.Name, y.Name) })
+	return a
 }
 
 // TestStateJSONUnencodableValue: a value encoding/json rejects fails the
@@ -467,7 +489,7 @@ func TestStateJSONUnencodableValue(t *testing.T) {
 // TestConcurrentAccess hammers one entity from goroutines that share no other
 // lock — the shape of a replica-local read, a local write, a remote install
 // and a table export meeting on a backup. The entity's own lock must keep
-// every call whole (run with -race), and a State that Share handed out must
+// every call whole (run with -race), and a list that Share handed out must
 // stay as it was whatever Set, ApplyState and Restore do afterwards.
 func TestConcurrentAccess(t *testing.T) {
 	const rounds = 2000
@@ -483,13 +505,14 @@ func TestConcurrentAccess(t *testing.T) {
 		}()
 	}
 	run(func(i int64) { e.Set("n", i) })
-	run(func(i int64) { e.ApplyState(State{"n": i}, i) })
-	run(func(i int64) { e.Restore(State{"n": i}, i) })
+	run(func(i int64) { e.ApplyState(AttrsOf(State{"n": i}), i) })
+	run(func(i int64) { e.Restore(AttrsOf(State{"n": i}), i) })
 	run(func(int64) {
 		st, version := e.Share()
-		n, ok := st["n"].(int64)
+		v, _ := st.Get("n")
+		n, ok := v.(int64)
 		runtime.Gosched()
-		if !ok || n < 1 || version < 1 || len(st) != 1 || st["n"] != n {
+		if again, _ := st.Get("n"); !ok || n < 1 || version < 1 || len(st) != 1 || again != n {
 			t.Errorf("shared state was n=%d v%d and is now %v", n, version, st)
 		}
 	})

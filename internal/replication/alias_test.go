@@ -7,21 +7,22 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"dedisys/internal/object"
 	"dedisys/internal/transport"
 )
 
 // The tests in this file guard the copy-on-write rule of the replicated
-// write: on the simulator a commit hands the coordinator's own attribute map
+// write: on the simulator a commit hands the coordinator's own attribute list
 // and version vector to every replica, the undo log and the history, so each
 // test lets one holder write and requires every other holder unchanged. Each
 // fails when the step it names is taken out.
 
-// sameMap reports whether two states, or two vectors, are one map, not
+// sameList reports whether two non-empty attribute lists are one list, not
 // merely equal ones.
-func sameMap[M ~map[K]V, K comparable, V any](a, b M) bool {
-	return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
+func sameList(a, b object.Attrs) bool {
+	return len(a) > 0 && len(a) == len(b) && unsafe.SliceData(a) == unsafe.SliceData(b)
 }
 
 // entityOf returns a node's replica of the object.
@@ -35,15 +36,15 @@ func (h *harness) entityOf(t *testing.T, node transport.NodeID, id object.ID) *o
 }
 
 // requireShared fails the test unless every given node's replica of the
-// object is backed by one attribute map: without that the test around it
+// object is backed by one attribute list: without that the test around it
 // would guard nothing. Looking marks the entities shared, so tests look at a
 // control object written the same way as the one they then assert on.
-func (h *harness) requireShared(t *testing.T, id object.ID, nodes ...transport.NodeID) object.State {
+func (h *harness) requireShared(t *testing.T, id object.ID, nodes ...transport.NodeID) object.Attrs {
 	t.Helper()
 	first, _ := h.entityOf(t, nodes[0], id).Share()
 	for _, n := range nodes[1:] {
-		if other, _ := h.entityOf(t, n, id).Share(); !sameMap(first, other) {
-			t.Fatalf("%s and %s hold different maps of %s: the commit copied the state", nodes[0], n, id)
+		if other, _ := h.entityOf(t, n, id).Share(); !sameList(first, other) {
+			t.Fatalf("%s and %s hold different lists of %s: the commit copied the state", nodes[0], n, id)
 		}
 	}
 	return first
@@ -51,7 +52,7 @@ func (h *harness) requireShared(t *testing.T, id object.ID, nodes ...transport.N
 
 // TestAliasStragglerSim (guards Entity.Set's copy and the bump by
 // reassignment): a quorum commit returns at the majority ack while the batch
-// for the third replica is still in flight, holding the coordinator's map
+// for the third replica is still in flight, holding the coordinator's list
 // and vector. The coordinator rewrites the object at once; the straggler must
 // still install the first write.
 func TestAliasStragglerSim(t *testing.T) {
@@ -110,7 +111,7 @@ func TestAliasStragglerSim(t *testing.T) {
 // TestAliasFailover (guards Entity.Set's copy on a replica-installed entity;
 // the mark it acts on is set by ApplyState and again by the transaction's
 // undo record): after a healthy write all three replicas hold the
-// coordinator's map. A partition makes n2 the temporary primary of its own
+// coordinator's list. A partition makes n2 the temporary primary of its own
 // partition under P4; its write must not show on the two nodes it cannot
 // reach.
 func TestAliasFailover(t *testing.T) {
@@ -147,14 +148,14 @@ func TestAliasBareSet(t *testing.T) {
 	for _, id := range []object.ID{"control", "f1"} {
 		h.write(t, "n1", id, "sold", int64(5))
 	}
-	if hist := h.node("n1").mgr.History("control"); len(hist) != 1 || !sameMap(hist[0].State, h.requireShared(t, "control", "n1", "n2")) {
+	if hist := h.node("n1").mgr.History("control"); len(hist) != 1 || !sameList(hist[0].State, h.requireShared(t, "control", "n1", "n2")) {
 		t.Fatalf("history %v does not share the committed state", hist)
 	}
 	history := h.node("n1").mgr.History("f1")
 	if len(history) != 1 {
 		t.Fatalf("history = %v", history)
 	}
-	want := history[0].State.Clone()
+	want := history[0].State.Map()
 
 	h.entityOf(t, "n2", "f1").Set("sold", int64(6))
 	h.entityOf(t, "n2", "f1").Set("refs", []object.ID{"r2"})
@@ -165,32 +166,32 @@ func TestAliasBareSet(t *testing.T) {
 	if got := h.entityOf(t, "n2", "f1").GetInt("sold"); got != 6 {
 		t.Fatalf("a bare Set on n1 changed n2's replica: sold = %d", got)
 	}
-	if !reflect.DeepEqual(history[0].State, want) {
+	if !reflect.DeepEqual(history[0].State.Map(), want) {
 		t.Fatalf("bare Sets changed the history entry: %v, want %v", history[0].State, want)
 	}
 }
 
 // TestAliasRecordsExport (guards the shared mark Share leaves when a record is
-// built): a reconcile pull's reply exports the entity's own map, not
+// built): a reconcile pull's reply exports the entity's own list, not
 // a copy, and the local writes that follow — a bare Set, then a transaction —
 // leave the exported record as it was.
 func TestAliasRecordsExport(t *testing.T) {
 	h := newHarness(t, 2, PrimaryPerPartition{})
 	for _, id := range []object.ID{"control", "f1"} {
 		h.create(t, "n1", "Flight", id, object.State{"sold": int64(1), "refs": []object.ID{"r1"}})
-		// The map is the entity's own again: only the export marks it.
+		// The list is the entity's own again: only the export marks it.
 		h.entityOf(t, "n1", id).Set("sold", int64(2))
 	}
 	recs := h.node("n1").records(t, "n2")
-	if state, version := h.entityOf(t, "n1", "control").Share(); !sameMap(recs[0].State, state) || recs[0].Version != version {
+	if state, version := h.entityOf(t, "n1", "control").Share(); !sameList(recs[0].State, state) || recs[0].Version != version {
 		t.Fatalf("the export copied the state: %v v%d, entity %v v%d", recs[0].State, recs[0].Version, state, version)
 	}
 	rec, e := recs[1], h.entityOf(t, "n1", "f1")
-	want := rec.State.Clone()
+	want := rec.State.Map()
 	e.Set("sold", int64(3))
 	e.Set("refs", []object.ID{"r2"})
 	h.write(t, "n1", "f1", "sold", int64(4))
-	if !reflect.DeepEqual(rec.State, want) {
+	if !reflect.DeepEqual(rec.State.Map(), want) {
 		t.Fatalf("local writes changed the exported record: %v, want %v", rec.State, want)
 	}
 	if got := e.GetInt("sold"); got != 4 {
@@ -266,7 +267,7 @@ func TestAliasVectorsNeverWritten(t *testing.T) {
 	}
 	// Create over a known object: n2 merges a foreign line into the vector it
 	// installed from the last apply.
-	send(h, "n3", "n2", batchOp{Kind: opCreate, ID: "f1", Class: "Flight", State: object.State{"sold": int64(20)}, Version: 20, VV: VersionVector{{Node: "n9", Count: 4}}})
+	send(h, "n3", "n2", batchOp{Kind: opCreate, ID: "f1", Class: "Flight", State: object.AttrsOf(object.State{"sold": int64(20)}), Version: 20, VV: VersionVector{{Node: "n9", Count: 4}}})
 	h.write(t, "n2", "f1", "sold", int64(21))
 
 	// Delete, then a second delete over the tombstone with a foreign line.

@@ -175,8 +175,8 @@ func TestBatchDuplicateDeliveryIdempotent(t *testing.T) {
 	vv2, _ := src.mgr.VersionVector("f2")
 	e2, _ := src.reg.Get("f2")
 	batch := &batchMsg{Ops: []batchOp{
-		{Kind: opCreate, ID: "f2", Class: "Flight", State: e2.Snapshot(), Version: e2.Version(), VV: vv2, Info: Info{Home: "n1", Replicas: h.ids}},
-		{Kind: opApply, ID: "f1", State: e1.Snapshot(), Version: e1.Version(), VV: vv1},
+		{Kind: opCreate, ID: "f2", Class: "Flight", State: object.AttrsOf(e2.Snapshot()), Version: e2.Version(), VV: vv2, Info: Info{Home: "n1", Replicas: h.ids}},
+		{Kind: opApply, ID: "f1", State: object.AttrsOf(e1.Snapshot()), Version: e1.Version(), VV: vv1},
 	}}
 
 	dst := h.node("n2").mgr
@@ -228,8 +228,8 @@ func TestBatchUnknownApplySkipped(t *testing.T) {
 	vv1, _ := h.node("n1").mgr.VersionVector("f1")
 	vv1 = vv1.Bumped("n1")
 	batch := &batchMsg{Ops: []batchOp{
-		{Kind: opApply, ID: "ghost", State: object.State{"sold": int64(9)}, Version: 9, VV: VersionVector{{Node: "n1", Count: 9}}},
-		{Kind: opApply, ID: "f1", State: object.State{"sold": int64(8)}, Version: e1.Version() + 1, VV: vv1},
+		{Kind: opApply, ID: "ghost", State: object.AttrsOf(object.State{"sold": int64(9)}), Version: 9, VV: VersionVector{{Node: "n1", Count: 9}}},
+		{Kind: opApply, ID: "f1", State: object.AttrsOf(object.State{"sold": int64(8)}), Version: e1.Version() + 1, VV: vv1},
 	}}
 	dst := h.node("n2").mgr
 	skippedBefore := dst.batchSkipped.Load()
@@ -256,7 +256,7 @@ func TestBatchUnknownApplySkipped(t *testing.T) {
 func TestBatchMalformedOpRejectedAtomically(t *testing.T) {
 	h := newHarness(t, 2, PrimaryPerPartition{})
 	batch := &batchMsg{Ops: []batchOp{
-		{Kind: opCreate, ID: "fx", Class: "Flight", State: object.State{"sold": int64(1)}, Version: 1, VV: VersionVector{{Node: "n1", Count: 1}}, Info: Info{Home: "n1", Replicas: h.ids}},
+		{Kind: opCreate, ID: "fx", Class: "Flight", State: object.AttrsOf(object.State{"sold": int64(1)}), Version: 1, VV: VersionVector{{Node: "n1", Count: 1}}, Info: Info{Home: "n1", Replicas: h.ids}},
 		{Kind: opDelete + 1}, // the first kind that is none
 	}}
 	if _, err := h.node("n2").mgr.handleBatch("n1", batch); err == nil {
@@ -410,10 +410,10 @@ func TestBatchMixedEffectsMatchRecorded(t *testing.T) {
 	dst := h.node("n2")
 	info := Info{Home: "n1", Replicas: h.ids}
 	create := func(id object.ID, sold, version int64, vv VersionVector) batchOp {
-		return batchOp{Kind: opCreate, ID: id, Class: "Flight", State: object.State{"sold": sold}, Version: version, VV: vv, Info: info}
+		return batchOp{Kind: opCreate, ID: id, Class: "Flight", State: object.AttrsOf(object.State{"sold": sold}), Version: version, VV: vv, Info: info}
 	}
 	apply := func(id object.ID, sold, version int64, vv VersionVector) batchOp {
-		return batchOp{Kind: opApply, ID: id, State: object.State{"sold": sold, "tag": "x<y"}, Version: version, VV: vv}
+		return batchOp{Kind: opApply, ID: id, State: object.AttrsOf(object.State{"sold": sold, "tag": "x<y"}), Version: version, VV: vv}
 	}
 	setup := &batchMsg{Ops: []batchOp{
 		create("a", 1, 1, VersionVector{{Node: "n1", Count: 1}}),
@@ -472,7 +472,7 @@ store outside {"VV":{"n1":2},"Info":{"home":"n1","replicas":["n1"]}}
 		t.Errorf("state after the mixed batch:\n%s\nrecorded:\n%s", got, recorded)
 	}
 	// The payload is shared with the sender's other destinations: read-only.
-	if mixed.Ops[2].State["sold"] != int64(12) || len(mixed.Ops[1].VV) != 2 {
+	if mixed.Ops[2].State.Map()["sold"] != int64(12) || len(mixed.Ops[1].VV) != 2 {
 		t.Error("handleBatch modified its payload")
 	}
 }
@@ -515,10 +515,10 @@ func delta(before, after string) string {
 func TestBatchOneOpCasesMatchRecorded(t *testing.T) {
 	info := Info{Home: "n1", Replicas: []transport.NodeID{"n1", "n2"}}
 	create := func(id object.ID, sold, version int64, vv VersionVector, in Info) batchOp {
-		return batchOp{Kind: opCreate, ID: id, Class: "Flight", State: object.State{"sold": sold}, Version: version, VV: vv, Info: in}
+		return batchOp{Kind: opCreate, ID: id, Class: "Flight", State: object.AttrsOf(object.State{"sold": sold}), Version: version, VV: vv, Info: in}
 	}
 	apply := func(id object.ID, sold, version int64, vv VersionVector) batchOp {
-		return batchOp{Kind: opApply, ID: id, State: object.State{"sold": sold}, Version: version, VV: vv}
+		return batchOp{Kind: opApply, ID: id, State: object.AttrsOf(object.State{"sold": sold}), Version: version, VV: vv}
 	}
 	del := func(id object.ID, vv VersionVector) batchOp {
 		return batchOp{Kind: opDelete, ID: id, VV: vv}

@@ -252,7 +252,7 @@ func (env *nodeEnv) deliverSeq(t *testing.T, ops []batchOp, seq []int, d *delive
 			e, _ := env.reg.Get(enumObject)
 			for _, op := range ops {
 				if op.Kind != opDelete && covers(vv, op.VV) && covers(op.VV.Merged(deaths), vv) {
-					shipped = shipped || op.Version == e.Version() && op.State["sold"] == e.GetInt("sold")
+					shipped = shipped || op.Version == e.Version() && op.State.Map()["sold"] == e.GetInt("sold")
 				}
 			}
 			if !shipped {

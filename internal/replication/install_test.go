@@ -23,9 +23,9 @@ import (
 func (h *harness) soldOp(id object.ID, n int64) batchOp {
 	st, vv := object.State{"sold": n}, VersionVector{{Node: "n1", Count: n}}
 	if n == 1 {
-		return batchOp{Kind: opCreate, ID: id, Class: "Flight", State: st, Version: n, VV: vv, Info: Info{Home: "n1", Replicas: h.ids}}
+		return batchOp{Kind: opCreate, ID: id, Class: "Flight", State: object.AttrsOf(st), Version: n, VV: vv, Info: Info{Home: "n1", Replicas: h.ids}}
 	}
-	return batchOp{Kind: opApply, ID: id, State: st, Version: n, VV: vv}
+	return batchOp{Kind: opApply, ID: id, State: object.AttrsOf(st), Version: n, VV: vv}
 }
 
 // deliver hands the ops to the replica as one batch.
@@ -96,9 +96,9 @@ func TestStaleCreateKeepsNewerState(t *testing.T) {
 	h := newHarness(t, 2, PrimaryPerPartition{})
 	dst := h.node("n2")
 	create := h.soldOp("f1", 1)
-	create.State = object.State{"sold": int64(0)}
+	create.State = object.AttrsOf(object.State{"sold": int64(0)})
 	dst.deliver(t, create)
-	dst.deliver(t, batchOp{Kind: opApply, ID: "f1", State: object.State{"sold": int64(7)}, Version: 2, VV: VersionVector{{Node: "n1", Count: 2}}})
+	dst.deliver(t, batchOp{Kind: opApply, ID: "f1", State: object.AttrsOf(object.State{"sold": int64(7)}), Version: 2, VV: VersionVector{{Node: "n1", Count: 2}}})
 	dst.deliver(t, create)
 	e, _ := dst.reg.Get("f1")
 	vv, _ := dst.mgr.VersionVector("f1")
@@ -145,10 +145,10 @@ store o {"Class":"Flight","State":{"sold":5},"Version":5,"VV":{"n1":5},"Info":{"
 func reCreateOps() []batchOp {
 	all := []transport.NodeID{"n1", "n2"}
 	return []batchOp{
-		{Kind: opCreate, ID: "f1", Class: "Flight", State: object.State{"sold": int64(1)}, Version: 1, VV: VersionVector{{Node: "n1", Count: 1}}, Info: NewInfo("n1", all)},
+		{Kind: opCreate, ID: "f1", Class: "Flight", State: object.AttrsOf(object.State{"sold": int64(1)}), Version: 1, VV: VersionVector{{Node: "n1", Count: 1}}, Info: NewInfo("n1", all)},
 		{Kind: opDelete, ID: "f1", VV: VersionVector{{Node: "n1", Count: 2}}},
-		{Kind: opCreate, ID: "f1", Class: "Flight", State: object.State{"sold": int64(3)}, Version: 1, VV: VersionVector{{Node: "n1", Count: 2}, {Node: "n2", Count: 1}}, Info: NewInfo("n2", all)},
-		{Kind: opApply, ID: "f1", State: object.State{"sold": int64(4)}, Version: 2, VV: VersionVector{{Node: "n1", Count: 3}, {Node: "n2", Count: 1}}},
+		{Kind: opCreate, ID: "f1", Class: "Flight", State: object.AttrsOf(object.State{"sold": int64(3)}), Version: 1, VV: VersionVector{{Node: "n1", Count: 2}, {Node: "n2", Count: 1}}, Info: NewInfo("n2", all)},
+		{Kind: opApply, ID: "f1", State: object.AttrsOf(object.State{"sold": int64(4)}), Version: 2, VV: VersionVector{{Node: "n1", Count: 3}, {Node: "n2", Count: 1}}},
 	}
 }
 
@@ -269,7 +269,7 @@ func TestDeleteKeepsTheVectorItMet(t *testing.T) {
 	const want = "tombstone f1 {\"n1\":2,\"n3\":1}\n"
 
 	shipped := h.node("n2")
-	shipped.deliver(t, h.soldOp("f1", 1), batchOp{Kind: opApply, ID: "f1", State: object.State{"sold": int64(3)}, Version: 2, VV: met})
+	shipped.deliver(t, h.soldOp("f1", 1), batchOp{Kind: opApply, ID: "f1", State: object.AttrsOf(object.State{"sold": int64(3)}), Version: 2, VV: met})
 	shipped.deliver(t, del)
 	if got := shipped.dump(t); got != want {
 		t.Errorf("shipped deletion leaves:\n%s\nwant:\n%s", got, want)
@@ -277,7 +277,7 @@ func TestDeleteKeepsTheVectorItMet(t *testing.T) {
 
 	merged := h.node("n1")
 	merged.deliver(t, del)
-	rec := Record{ID: "f1", Class: "Flight", State: object.State{"sold": int64(3)}, Version: 2, VV: met, Info: Info{Home: "n1", Replicas: h.ids}}
+	rec := Record{ID: "f1", Class: "Flight", State: object.AttrsOf(object.State{"sold": int64(3)}), Version: 2, VV: met, Info: Info{Home: "n1", Replicas: h.ids}}
 	if _, err := merged.merge("n3", []Record{rec}); err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestRecordsDuringLocalWrites(t *testing.T) {
 		if part == 2 {
 			want["b"] = full + 1
 		}
-		if !reflect.DeepEqual(rec.State, want) {
+		if !reflect.DeepEqual(rec.State.Map(), want) {
 			t.Fatalf("exported v%d with state %v, want %v", rec.Version, rec.State, want)
 		}
 	}

@@ -53,7 +53,7 @@ type batchOp struct {
 	Kind    opKind
 	ID      object.ID
 	Class   string
-	State   object.State
+	State   object.Attrs
 	Version int64
 	VV      VersionVector
 	Info    Info
@@ -117,7 +117,7 @@ func (a *batchAck) landed(i int) bool {
 
 type fetchReply struct {
 	Class   string
-	State   object.State
+	State   object.Attrs
 	Version int64
 	Stale   bool
 }
@@ -128,7 +128,7 @@ type fetchReply struct {
 type Record struct {
 	ID      object.ID
 	Class   string
-	State   object.State
+	State   object.Attrs
 	Version int64
 	VV      VersionVector
 	Info    Info
@@ -1164,7 +1164,7 @@ func (m *Manager) WaitPropagation() { m.propagation.Wait() }
 // compensations in the undo log, and nothing else is kept per transaction.
 func (m *Manager) Rollback(t *tx.Tx) error { return nil }
 
-func (m *Manager) recordHistory(id object.ID, st object.State, version int64, vv VersionVector, degraded bool) {
+func (m *Manager) recordHistory(id object.ID, st object.Attrs, version int64, vv VersionVector, degraded bool) {
 	if !degraded || !m.keepHistory {
 		return
 	}
@@ -1369,6 +1369,8 @@ func (m *Manager) applyOps(ops []batchOp, res []opResult, pulled *merge) ([]opRe
 	for i := range ops {
 		if op := &ops[i]; !op.Kind.known() {
 			return nil, fmt.Errorf("replication: bad batch op kind %d for %s", op.Kind, op.ID)
+		} else if !op.State.Sorted() {
+			return nil, fmt.Errorf("replication: attributes of %s not in name order", op.ID)
 		}
 	}
 	// Per op, the effect whose store write is due after the unlock and the

@@ -521,7 +521,7 @@ func (v VersionVector) Total() int64 {
 // HistoryEntry is one intermediate state recorded during degraded mode for
 // rollback-based reconciliation (§4.3).
 type HistoryEntry struct {
-	State   object.State  `json:"state"`
+	State   object.Attrs  `json:"state"`
 	Version int64         `json:"version"`
 	VV      VersionVector `json:"vv"`
 }

@@ -215,7 +215,7 @@ func TestQuorumDuplicateBatchIdempotent(t *testing.T) {
 	e1, _ := src.reg.Get("f1")
 	vv1, _ := src.mgr.VersionVector("f1")
 	batch := &batchMsg{Ops: []batchOp{
-		{Kind: opApply, ID: "f1", State: e1.Snapshot(), Version: e1.Version(), VV: vv1},
+		{Kind: opApply, ID: "f1", State: object.AttrsOf(e1.Snapshot()), Version: e1.Version(), VV: vv1},
 	}}
 
 	dst := h.node("n2").mgr

@@ -399,13 +399,14 @@ func (m *Manager) resolveConflict(rec Record, resolve ConflictResolver, out *rep
 		return fmt.Errorf("replication: conflict on %s: %w", rec.ID, object.ErrNotFound)
 	}
 	// The Conflict goes to application code, which is outside the sharing
-	// rules: it gets its own copy of the local state and of both vectors.
+	// rules: it gets both states as maps of its own, and its own copy of both
+	// vectors.
 	local, localVersion := e.Share()
 	conflict := Conflict{
 		ID:            rec.ID,
 		Class:         e.Class(),
-		Local:         local.Clone(),
-		Remote:        rec.State,
+		Local:         local.Map(),
+		Remote:        rec.State.Map(),
 		LocalVersion:  localVersion,
 		RemoteVersion: rec.Version,
 		LocalVV:       rs.vv.Clone(),
@@ -425,7 +426,7 @@ func (m *Manager) resolveConflict(rec Record, resolve ConflictResolver, out *rep
 	// then dominates both, so the resolution propagates.
 	m.mu.Lock()
 	rs.vv = rs.vv.Merged(rec.VV)
-	e.ApplyState(chosen, max(conflict.LocalVersion, conflict.RemoteVersion)+1)
+	e.ApplyState(object.AttrsOf(chosen), max(conflict.LocalVersion, conflict.RemoteVersion)+1)
 	m.mu.Unlock()
 	return m.stageState(rec.ID, out)
 }

@@ -17,7 +17,7 @@ import (
 // bytes on every replica.
 type replicaRecord struct {
 	Class   string       `json:",omitempty"`
-	State   object.State `json:",omitempty"`
+	State   object.Attrs `json:",omitempty"`
 	Version int64        `json:",omitempty"`
 	VV      VersionVector
 	Info    Info

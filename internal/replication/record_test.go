@@ -48,7 +48,7 @@ func TestReplicaRecordJSONMatchesEncodingJSON(t *testing.T) {
 	store := persistence.NewStore()
 	var mu sync.Mutex
 	for name, model := range cases {
-		rec := replicaRecord{Class: model.Class, State: object.State(model.State), Version: model.Version, VV: vvFromMap(model.VV), Info: model.Info}
+		rec := replicaRecord{Class: model.Class, State: object.AttrsOf(object.State(model.State)), Version: model.Version, VV: vvFromMap(model.VV), Info: model.Info}
 		want, err := json.Marshal(model)
 		if err != nil {
 			t.Fatal(err)
@@ -89,7 +89,7 @@ func TestReplicaRecordJSONMatchesEncodingJSON(t *testing.T) {
 	}
 	// A state that does not encode fails the record, and dst comes back as it
 	// was handed in.
-	bad := replicaRecord{Class: "C", State: object.State{"ch": make(chan int)}, VV: VersionVector{{Node: "n1", Count: 1}}}
+	bad := replicaRecord{Class: "C", State: object.AttrsOf(object.State{"ch": make(chan int)}), VV: VersionVector{{Node: "n1", Count: 1}}}
 	if got, err := bad.AppendJSON([]byte("prefix")); err == nil || string(got) != "prefix" {
 		t.Errorf("unencodable state: AppendJSON = %q, %v; want the prefix back and an error", got, err)
 	}

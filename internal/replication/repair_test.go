@@ -138,10 +138,10 @@ func TestRepairCreateTakesLaterState(t *testing.T) {
 func TestRepairBatchEqualsOneOpBatches(t *testing.T) {
 	info := Info{Home: "n1", Replicas: []transport.NodeID{"n1", "n2"}}
 	create := func(id object.ID, sold, version int64, vv VersionVector) batchOp {
-		return batchOp{Kind: opCreate, ID: id, Class: "Flight", State: object.State{"sold": sold}, Version: version, VV: vv, Info: info}
+		return batchOp{Kind: opCreate, ID: id, Class: "Flight", State: object.AttrsOf(object.State{"sold": sold}), Version: version, VV: vv, Info: info}
 	}
 	apply := func(id object.ID, sold, version int64, vv VersionVector) batchOp {
-		return batchOp{Kind: opApply, ID: id, State: object.State{"sold": sold}, Version: version, VV: vv}
+		return batchOp{Kind: opApply, ID: id, State: object.AttrsOf(object.State{"sold": sold}), Version: version, VV: vv}
 	}
 	del := func(id object.ID, vv VersionVector) batchOp {
 		return batchOp{Kind: opDelete, ID: id, VV: vv}

@@ -602,7 +602,7 @@ func TestDegradedHistoryRecording(t *testing.T) {
 	if len(hist) != 2 {
 		t.Fatalf("degraded history = %d entries", len(hist))
 	}
-	if hist[0].State["sold"].(int64) != 2 || hist[1].State["sold"].(int64) != 3 {
+	if hist[0].State.Map()["sold"] != int64(2) || hist[1].State.Map()["sold"] != int64(3) {
 		t.Fatalf("history states = %v", hist)
 	}
 	mgr.ClearHistory()

@@ -61,7 +61,7 @@ func (*batchMsg) WireTag() byte { return wireTagBatch }
 
 // AppendWire writes the op count, then per op its kind byte, the ID, state
 // and version unless it is a delete, the vector, and class and placement if
-// it is a create. It declines a state the State form declines and an op kind
+// it is a create. It declines a state the Attrs form declines and an op kind
 // it does not know, which then reaches applyOps' own rejection through gob as
 // before.
 func (b *batchMsg) AppendWire(dst []byte) ([]byte, bool) {
@@ -123,7 +123,7 @@ func readBatchWire(r *transport.WireReader) any {
 		}
 		op.ID = object.ID(r.String())
 		if op.Kind != opDelete {
-			op.State = object.ReadStateWire(r)
+			op.State = object.ReadAttrsWire(r)
 			op.Version = r.Varint()
 		}
 		op.VV = readVectorWire(r)

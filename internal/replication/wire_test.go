@@ -46,11 +46,11 @@ func wireCases() []wireCase {
 	}
 	vv := VersionVector{{Node: "a", Count: 3}, {Node: "b", Count: 1}}
 	info := NewInfo("a", []transport.NodeID{"a", "b", "c"})
-	create := batchOp{Kind: opCreate, ID: "acct-1", Class: "Account", State: st, Version: 4, VV: vv, Info: info}
-	apply := batchOp{Kind: opApply, ID: "acct-1", State: st, Version: 5, VV: vv}
+	create := batchOp{Kind: opCreate, ID: "acct-1", Class: "Account", State: object.AttrsOf(st), Version: 4, VV: vv, Info: info}
+	apply := batchOp{Kind: opApply, ID: "acct-1", State: object.AttrsOf(st), Version: 5, VV: vv}
 	del := batchOp{Kind: opDelete, ID: "acct-1", VV: vv}
 	applyOf := func(st object.State) *batchMsg {
-		return &batchMsg{Ops: []batchOp{{Kind: opApply, ID: "x", State: st, Version: 2, VV: vv}}}
+		return &batchMsg{Ops: []batchOp{{Kind: opApply, ID: "x", State: object.AttrsOf(st), Version: 2, VV: vv}}}
 	}
 
 	var four []batchOp
@@ -59,7 +59,7 @@ func wireCases() []wireCase {
 		wide[fmt.Sprintf("attr%02d", i)] = int64(i)
 		if i < 4 {
 			four = append(four, batchOp{Kind: opApply,
-				ID: object.ID(fmt.Sprintf("o%d", i)), State: object.State{"value": int64(i)}, Version: int64(i + 2), VV: VersionVector{{Node: "a", Count: int64(i + 1)}},
+				ID: object.ID(fmt.Sprintf("o%d", i)), State: object.AttrsOf(object.State{"value": int64(i)}), Version: int64(i + 2), VV: VersionVector{{Node: "a", Count: int64(i + 1)}},
 			})
 		}
 	}
@@ -69,9 +69,9 @@ func wireCases() []wireCase {
 		id, vv := object.ID(fmt.Sprintf("r%03d", i)), VersionVector{{Node: "a", Count: int64(i)}, {Node: "b", Count: int64(100 - i)}}
 		switch i % 3 {
 		case 0:
-			repair = append(repair, batchOp{Kind: opApply, ID: id, State: st, Version: int64(i), VV: vv})
+			repair = append(repair, batchOp{Kind: opApply, ID: id, State: object.AttrsOf(st), Version: int64(i), VV: vv})
 		case 1:
-			repair = append(repair, batchOp{Kind: opCreate, ID: id, Class: "Account", State: object.State{"n": int64(i)}, Version: 1, VV: vv, Info: info})
+			repair = append(repair, batchOp{Kind: opCreate, ID: id, Class: "Account", State: object.AttrsOf(object.State{"n": int64(i)}), Version: 1, VV: vv, Info: info})
 		default:
 			repair = append(repair, batchOp{Kind: opDelete, ID: id, VV: vv})
 		}
@@ -96,8 +96,8 @@ func wireCases() []wireCase {
 			{Kind: opDelete, ID: "n"},
 		}}},
 		{name: "empty state, vector, replicas and lists", self: true, lossy: true, payload: &batchMsg{Ops: []batchOp{
-			{Kind: opCreate, ID: "e", State: object.State{}, VV: VersionVector{}, Info: Info{Replicas: []transport.NodeID{}}},
-			{Kind: opApply, ID: "e", State: object.State{"refs": []object.ID{}, "tags": []string{}}, VV: VersionVector{}},
+			{Kind: opCreate, ID: "e", State: object.AttrsOf(object.State{}), VV: VersionVector{}, Info: Info{Replicas: []transport.NodeID{}}},
+			{Kind: opApply, ID: "e", State: object.AttrsOf(object.State{"refs": []object.ID{}, "tags": []string{}}), VV: VersionVector{}},
 			{Kind: opDelete, ID: "e", VV: VersionVector{}},
 		}}},
 		{name: "no ops", self: true, payload: &batchMsg{}},
@@ -108,7 +108,7 @@ func wireCases() []wireCase {
 			"maxint": math.MaxInt, "minint": math.MinInt, "max64": int64(math.MaxInt64), "min64": int64(math.MinInt64),
 		})},
 		{name: "empty and non-UTF-8 strings", self: true, payload: &batchMsg{Ops: []batchOp{{Kind: opApply,
-			ID: "\xff\x00id", State: object.State{"": "", "\xfe": "\xff\xfe\x00", "id": object.ID(""), "ids": []object.ID{"", "\x80"}},
+			ID: "\xff\x00id", State: object.AttrsOf(object.State{"": "", "\xfe": "\xff\xfe\x00", "id": object.ID(""), "ids": []object.ID{"", "\x80"}}),
 			Version: math.MinInt64, VV: VersionVector{{Node: "", Count: math.MaxInt64}, {Node: "\xff", Count: -1}},
 		}}}},
 		{name: "nested map declines", payload: applyOf(object.State{"v": int64(1), "nested": map[string]any{"k": "v"}})},
@@ -132,10 +132,10 @@ func wireCases() []wireCase {
 		{name: "empty result list", self: true, lossy: true, payload: &batchAck{Results: []opResult{}}},
 		{name: "result that is none declines", payload: &batchAck{Results: []opResult{opApplied, numOpResults}}},
 		// The kinds that have no form of their own and stay on gob.
-		{name: "fetch reply", payload: fetchReply{Class: "Account", State: st, Version: 6, Stale: true}},
+		{name: "fetch reply", payload: fetchReply{Class: "Account", State: object.AttrsOf(st), Version: 6, Stale: true}},
 		{name: "records", payload: pullReply{Records: []Record{{
-			ID: "acct-1", Class: "Account", State: st, Version: 6, VV: vv, Info: info,
-			History: []HistoryEntry{{State: st, Version: 5, VV: vv}},
+			ID: "acct-1", Class: "Account", State: object.AttrsOf(st), Version: 6, VV: vv, Info: info,
+			History: []HistoryEntry{{State: object.AttrsOf(st), Version: 5, VV: vv}},
 		}, {ID: "acct-2", VV: vv, Deleted: true}}, Unmatched: []uint64{42}}},
 		{name: "bare ID (repl.fetch request)", payload: object.ID("acct-1")},
 	}
@@ -146,7 +146,7 @@ func wireCases() []wireCase {
 func exchangeCases() []wireCase {
 	vv := VersionVector{{Node: "n1", Count: 3}, {Node: "n2", Count: 7}}
 	live := Record{
-		ID: "o1", Class: "Reg", State: object.State{"value": int64(9)}, Version: 4, VV: vv,
+		ID: "o1", Class: "Reg", State: object.AttrsOf(object.State{"value": int64(9)}), Version: 4, VV: vv,
 		Info: Info{Home: "n1", Replicas: []transport.NodeID{"n1", "n2"}}, Placed: VersionVector{{Node: "n1", Count: 1}},
 	}
 	return []wireCase{
@@ -250,6 +250,27 @@ func TestBadOpKindCrossesWireToApplyOps(t *testing.T) {
 	}
 }
 
+// TestUnsortedStateCrossesGobToApplyOps: gob carries an attribute list in
+// whatever order its sender wrote, so applyOps on the receiving replica
+// rejects a batch with one out of name order, atomically, as the wire
+// decoder rejects its frame.
+func TestUnsortedStateCrossesGobToApplyOps(t *testing.T) {
+	h := newHarness(t, 1, PrimaryPerPartition{})
+	h.create(t, "n1", "Flight", "f1", object.State{"sold": int64(1)})
+	vv, _ := h.node("n1").mgr.VersionVector("f1")
+	unsorted := object.Attrs{{Name: "sold", Value: int64(2)}, {Name: "seats", Value: int64(80)}}
+	got, err := wiretransport.RoundTrip(&batchMsg{Ops: []batchOp{{Kind: opApply, ID: "f1", State: unsorted, Version: 2, VV: vv.Bumped("n2")}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.node("n1").mgr.handleBatch("n2", got); err == nil {
+		t.Fatal("a batch with attributes out of name order was accepted")
+	}
+	if e := h.entityOf(t, "n1", "f1"); e.GetInt("sold") != 1 || e.Version() != 1 {
+		t.Fatalf("the rejected batch changed the replica: %v v%d", e.Snapshot(), e.Version())
+	}
+}
+
 // TestBatchWireGolden pins the layout of the self-encoded forms: op count;
 // per op a kind byte, the ID, the state (count+1, then name, value kind and
 // value in byte order of the names), the version as a signed varint, the
@@ -257,9 +278,9 @@ func TestBadOpKindCrossesWireToApplyOps(t *testing.T) {
 // the class, home and replica list; strings as length and bytes.
 func TestBatchWireGolden(t *testing.T) {
 	batch := &batchMsg{Ops: []batchOp{
-		{Kind: opCreate, ID: "o1", Class: "C", State: object.State{"n": int64(-2), "b": true, "a": "x"}, Version: 3,
+		{Kind: opCreate, ID: "o1", Class: "C", State: object.AttrsOf(object.State{"n": int64(-2), "b": true, "a": "x"}), Version: 3,
 			VV: VersionVector{{Node: "n1", Count: 2}, {Node: "n2", Count: 1}}, Info: NewInfo("n1", []transport.NodeID{"n2", "n1"})},
-		{Kind: opApply, ID: "o1", State: object.State{"f": 1.5, "r": []object.ID{"o2"}}, Version: 4, VV: VersionVector{{Node: "n1", Count: 3}}},
+		{Kind: opApply, ID: "o1", State: object.AttrsOf(object.State{"f": 1.5, "r": []object.ID{"o2"}}), Version: 4, VV: VersionVector{{Node: "n1", Count: 3}}},
 		{Kind: opDelete, ID: "o1"},
 	}}
 	const want = "03" + // three ops
@@ -397,25 +418,53 @@ func TestDecodeRejectsMalformedVector(t *testing.T) {
 	}
 }
 
+// malformedStateFrames are repl.batch frames whose one op, an apply, carries
+// an attribute list that is not one: a name twice, and two names in
+// descending order. The map decoder kept the last of two duplicates.
+func malformedStateFrames() map[string][]byte {
+	frame := func(state string) []byte {
+		data, _ := hex.DecodeString("01" + "02" + "026f31" + state + "02" + "00") // one op: apply o1 at version 1, nil vector
+		return data
+	}
+	return map[string][]byte{
+		"repeated attribute":   frame("03" + "0161" + "04" + "02" + "0161" + "04" + "04"), // a=int(1) a=int(2)
+		"descending attribute": frame("03" + "0162" + "00" + "0161" + "00"),               // b=nil a=nil
+	}
+}
+
+// TestDecodeRejectsMalformedState: an attribute list whose names do not
+// strictly ascend fails the reader. It is no attribute list: every lookup in
+// one assumes one attribute per name, in order.
+func TestDecodeRejectsMalformedState(t *testing.T) {
+	for name, data := range malformedStateFrames() {
+		var r transport.WireReader
+		r.Reset(data)
+		if got := readBatchWire(&r); r.Err() == nil {
+			t.Errorf("%s: decoded %#v", name, got)
+		}
+	}
+}
+
 // TestBatchSizes holds the sizes every replicated write pays for, each
-// against the allocator's size class it fills: the op, 120 bytes, which every
-// size below carries once; the commit's round, which one word more moves from
-// the 288-byte class into the 320-byte one; a one-op commit's round with its
-// op, in the 416-byte class; the one-op batch a frame decodes to, in the
-// 144-byte class; a staged op, in the 160-byte class the commit's pooled
-// buffer holds per op; and the batch a frame decodes to, which one field more
-// moves from 24 bytes into 32. A commit's threats ride in a threatBatch of
-// their own, behind one pointer on the round.
+// against the allocator's size class it fills: the op, 136 bytes with its
+// 24-byte attribute list, which every size below carries once; the commit's
+// round, which one word more moves from the 288-byte class into the 320-byte
+// one; a one-op commit's round with its op, in the 448-byte class; the one-op
+// batch a frame decodes to, in the 160-byte class; a staged op, in the
+// 176-byte class the commit's pooled buffer holds per op; and the batch a
+// frame decodes to, which one field more moves from 24 bytes into 32. A
+// commit's threats ride in a threatBatch of their own, behind one pointer on
+// the round.
 func TestBatchSizes(t *testing.T) {
 	for _, c := range []struct {
 		name       string
 		size, most uintptr
 	}{
-		{"batchOp", unsafe.Sizeof(batchOp{}), 120},
+		{"batchOp", unsafe.Sizeof(batchOp{}), 136},
 		{"commitRound", unsafe.Sizeof(commitRound{}), 288},
-		{"oneOpRound", unsafe.Sizeof(oneOpRound{}), 416},
-		{"oneOpBatch", unsafe.Sizeof(oneOpBatch{}), 144},
-		{"stagedOp", unsafe.Sizeof(stagedOp{}), 160},
+		{"oneOpRound", unsafe.Sizeof(oneOpRound{}), 448},
+		{"oneOpBatch", unsafe.Sizeof(oneOpBatch{}), 160},
+		{"stagedOp", unsafe.Sizeof(stagedOp{}), 176},
 	} {
 		if c.size > c.most {
 			t.Errorf("%s is %d bytes, want <= %d", c.name, c.size, c.most)
@@ -427,8 +476,9 @@ func TestBatchSizes(t *testing.T) {
 }
 
 // FuzzDecodeBatch feeds arbitrary bytes to the batch decoder, seeded with the
-// table's encodings and the malformed vectors. It must fail the reader or
-// return — never panic — every vector it accepts must strictly ascend, and
+// table's encodings and the malformed vectors and states. It must fail the
+// reader or return — never panic — every vector and every attribute list it
+// accepts must strictly ascend, and
 // whatever it accepts must be a fixed point: it re-encodes (never declining)
 // to bytes that decode to the same batch. The comparison is on the canonical
 // bytes, not DeepEqual, because a NaN attribute is not equal to itself.
@@ -442,6 +492,9 @@ func FuzzDecodeBatch(f *testing.F) {
 	for _, data := range malformedVectorFrames() {
 		f.Add(data)
 	}
+	for _, data := range malformedStateFrames() {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var r transport.WireReader
 		r.Reset(data)
@@ -452,6 +505,11 @@ func FuzzDecodeBatch(f *testing.F) {
 		for _, op := range got.(*batchMsg).Ops {
 			if !wellFormed(op.VV) {
 				t.Fatalf("accepted vector %v does not strictly ascend", op.VV)
+			}
+			for i := 1; i < len(op.State); i++ {
+				if op.State[i-1].Name >= op.State[i].Name {
+					t.Fatalf("accepted attribute %q after %q", op.State[i].Name, op.State[i-1].Name)
+				}
 			}
 		}
 		again, ok := got.(*batchMsg).AppendWire(nil)

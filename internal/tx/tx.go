@@ -225,20 +225,22 @@ type Write struct {
 // write set: the undo log is the only record of what the transaction wrote.
 // Typed fields instead of a captured closure: recording an update on the
 // write hot path stores a value in the undo slice without allocating a
-// closure per mutation. What differs by kind shares the aux word (a state, a
-// registry and a func are pointer-shaped, so storing them allocates nothing),
-// which keeps the record at 56 bytes: a 4-object transaction grows the log
-// through 1, 2 and 4 records, and eight bytes more on the record are 48 more
-// on that transaction.
+// closure per mutation. The attributes an update restores have a field of
+// their own, since a list put in the aux word would box its header (DESIGN.md
+// §15, eighth rule); what else differs by kind shares the aux word (a registry
+// and a func are pointer-shaped, so storing them allocates nothing). That
+// makes the record 80 bytes: a 4-object transaction grows the log through 1,
+// 2 and 4 records, and eight bytes more on the record are 48 more on that
+// transaction.
 type undoRecord struct {
 	kind    WriteKind      // zero: a bare compensation, not a write
 	local   bool           // the write changed this node's registry or entity and apply undoes it
 	id      object.ID      // the object written
 	entity  *object.Entity // update: restore target; delete: the entity to re-add
 	version int64          // update: pre-version
-	// aux is the object.State an update restores (shared with the entity,
-	// never written), the *object.Registry a local create or delete is undone
-	// in, the func() of a compensation, or the payload of a RecordWrite.
+	state   object.Attrs   // update: the pre-state (shared with the entity, never written)
+	// aux is the *object.Registry a local create or delete is undone in, the
+	// func() of a compensation, or the payload of a RecordWrite.
 	aux any
 }
 
@@ -249,7 +251,7 @@ func (u *undoRecord) apply() {
 	case !u.local:
 		// RecordWrite: nothing on this node to undo.
 	case u.kind == Updated:
-		u.entity.Restore(u.aux.(object.State), u.version)
+		u.entity.Restore(u.state, u.version)
 	case u.kind == Created:
 		_ = u.aux.(*object.Registry).Remove(u.id)
 	case u.kind == Deleted:
@@ -343,9 +345,9 @@ func (t *Tx) HoldsLock(id object.ID) bool {
 // RecordUpdate saves the entity's pre-state for rollback and marks the
 // object written. Call before a mutation of the entity within this
 // transaction, holding its object lock. The record shares the entity's
-// attribute map instead of copying it (object.Entity.Share): the first Set
-// that follows makes the one copy, and rollback hands the shared pre-image
-// back. A call whose entity the log already restores, or whose object this
+// attribute list instead of copying it (object.Entity.Share): the first Set
+// that follows builds the one new list, and rollback hands the shared
+// pre-image back. A call whose entity the log already restores, or whose object this
 // transaction created, is a no-op wherever in the log that record lies — K
 // writes to one object keep the first pre-image and copy the state once,
 // whatever else the transaction wrote in between.
@@ -363,7 +365,7 @@ func (t *Tx) RecordUpdate(e *object.Entity) {
 		}
 	}
 	state, version := e.Share()
-	t.undo = append(t.undo, undoRecord{kind: Updated, local: true, id: e.ID(), entity: e, version: version, aux: state})
+	t.undo = append(t.undo, undoRecord{kind: Updated, local: true, id: e.ID(), entity: e, version: version, state: state})
 }
 
 // RecordCreate marks the object created and registers an undo that removes

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"dedisys/internal/object"
 )
@@ -314,14 +315,15 @@ func TestConcurrentTransactionsOnDistinctObjects(t *testing.T) {
 	}
 }
 
-// sameMap reports whether two states are one map, not merely equal ones.
-func sameMap(a, b object.State) bool {
-	return reflect.ValueOf(a).Pointer() == reflect.ValueOf(b).Pointer()
+// sameList reports whether two non-empty attribute lists are one list, not
+// merely equal ones.
+func sameList(a, b object.Attrs) bool {
+	return len(a) > 0 && len(a) == len(b) && unsafe.SliceData(a) == unsafe.SliceData(b)
 }
 
 // TestAliasRollback covers the undo record's side of the copy-on-write rule:
-// the record holds the entity's own pre-image map (no copy), the writes that
-// follow land in a copy, rollback hands the same map back, and a later write —
+// the record holds the entity's own pre-image list (no copy), the writes that
+// follow land in a new list, rollback hands the same list back, and a later write —
 // in a transaction or bare — still leaves it alone, because a restored entity
 // is a shared one.
 func TestAliasRollback(t *testing.T) {
@@ -335,22 +337,22 @@ func TestAliasRollback(t *testing.T) {
 			t.Fatal(err)
 		}
 		txn.RecordUpdate(e)
-		pre := txn.undo[0].aux.(object.State)
+		pre := txn.undo[0].state
 		for i := 0; i < writes; i++ {
 			e.Set("sold", int64(71+i))
 			e.Set("tags", []string{"b"})
 		}
-		if !reflect.DeepEqual(pre, want) {
+		if !reflect.DeepEqual(pre.Map(), want) {
 			t.Fatalf("%d writes reached the undo record's pre-image: %v", writes, pre)
 		}
 		if err := txn.Rollback(); err != nil {
 			t.Fatal(err)
 		}
-		if got, version := e.Share(); !sameMap(got, pre) || !reflect.DeepEqual(pre, want) || version != 1 {
+		if got, version := e.Share(); !sameList(got, pre) || !reflect.DeepEqual(pre.Map(), want) || version != 1 {
 			t.Fatalf("rollback after %d writes: entity %v v%d, pre-image %v", writes, e.Snapshot(), e.Version(), pre)
 		}
 
-		// The restored map is still the earlier record's: neither a
+		// The restored list is still the earlier record's: neither a
 		// transactional nor a bare write may disturb it.
 		next := m.Begin()
 		if err := next.Lock("f1"); err != nil {
@@ -361,12 +363,12 @@ func TestAliasRollback(t *testing.T) {
 		if err := next.Commit(); err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(pre, want) || e.GetInt("sold") != 99 {
+		if !reflect.DeepEqual(pre.Map(), want) || e.GetInt("sold") != 99 {
 			t.Fatalf("write after rollback: pre-image %v, entity %v", pre, e.Snapshot())
 		}
 		e.Restore(pre, 1)
 		e.Set("sold", int64(98))
-		if !reflect.DeepEqual(pre, want) {
+		if !reflect.DeepEqual(pre.Map(), want) {
 			t.Fatalf("bare write after restore reached the pre-image: %v", pre)
 		}
 		e.Restore(pre, 1)

@@ -58,7 +58,7 @@
 // cost it has is paid per frame, and no other kind is on a write's path — for
 // errors, for payloads nested in other payloads, and for a payload that
 // declines: a batch whose state holds a value outside the kinds
-// object.State's form names goes through gob exactly as before.
+// object.Attrs' form names goes through gob exactly as before.
 //
 // Either body is built in the link's one scratch buffer before anything
 // touches the connection, and leaves in one Write. A payload that cannot be
