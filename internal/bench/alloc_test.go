@@ -77,6 +77,7 @@ var ledgerPaths = []struct {
 	{"batch-decode", 1000, newBatchDecode},
 	{"ack", 1000, newAckRoundTrip},
 	{"store-put", 1000, newStorePut},
+	{"store-write", 1000, newStoreWrite},
 	{"threshold-round/engine", 1000, func(t *testing.T) func(int) error { return newThresholdRound(t).engine }},
 	{"threshold-round/adapter", 1000, func(t *testing.T) func(int) error { return newThresholdRound(t).adapter }},
 	{"charge-ctx", 10, func(*testing.T) func(int) error { return chargeHop }},
@@ -525,6 +526,18 @@ func newStorePut(t *testing.T) func(int) error {
 		}
 		return nil
 	}
+}
+
+// newStoreWrite writes four live records in one store write, as a replica
+// stores a 4-object commit: the encoding buffer and every key's buffer are
+// the store's own and keep what they grew, so it allocates nothing.
+func newStoreWrite(t *testing.T) func(int) error {
+	store := persistence.NewStore()
+	e := object.New(beanClass, "hot000", object.State{"value": int64(42), "owner": object.ID("acct-1"), "tag": "plain"})
+	vv := replication.VersionVector{{Node: "n1", Count: 1 << 40}, {Node: "n2", Count: 1}, {Node: "n3", Count: 12}}
+	state, _ := e.Share()
+	changes := []persistence.Change{{Key: "vector", Value: &vv}, {Key: "entity", Value: e}, {Key: "state", Value: e.Snapshot()}, {Key: "attrs", Value: state}}
+	return func(int) error { return store.Write("t", changes) }
 }
 
 // thresholdRound multicasts to two echo peers, released at the first ack,

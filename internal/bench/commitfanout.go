@@ -16,8 +16,9 @@ import (
 // objects in one transaction pays one round of simulated network time where
 // K one-object transactions pay K. This experiment runs both shapes of the
 // same K writes through the one commit path and reports the wall-clock spent
-// committing, the commit-time multicast rounds (the deterministic cost-model
-// view, independent of host jitter) and the resulting speedup.
+// committing, the commit-time multicast rounds and store writes (the
+// deterministic cost-model view, independent of host jitter) and the
+// resulting speedup.
 
 // fanOutID names the i-th object of the fan-out workload.
 func fanOutID(i int) object.ID { return object.ID(fmt.Sprintf("fan%04d", i)) }
@@ -78,13 +79,15 @@ type fanOutMeasurement struct {
 	PerCommit time.Duration // mean wall-clock committing one write of all k objects
 	Rounds    int64         // commit-time multicast rounds over all writes
 	BatchSize int64         // total ops shipped through batch rounds
+	Writes    int64         // store writes over all nodes and writes: one per replica and commit
 }
 
 // measureCommitFanOut times iters writes of k objects on a size-node cluster,
 // each write split into transactions of txSize objects: k for the batched
-// arm, 1 for the per-object arm. The rounds count comes from the
-// replication.batch.rounds counters and is deterministic: one per commit, so
-// one per write in the batched arm and k in the per-object arm.
+// arm, 1 for the per-object arm. The rounds and store-write counts come from
+// the replication.batch.rounds and persistence.writes counters and are
+// deterministic: one round per commit, so one per write in the batched arm
+// and k in the per-object arm, and one store write per replica and commit.
 func measureCommitFanOut(cfg Config, size, k, iters, txSize int) (fanOutMeasurement, error) {
 	var m fanOutMeasurement
 	// A private observer isolates the round counters from other experiments
@@ -98,6 +101,7 @@ func measureCommitFanOut(cfg Config, size, k, iters, txSize int) (fanOutMeasurem
 
 	roundsBefore := sumCounters(cfg.Obs, ".replication.batch.rounds")
 	sizeBefore := sumCounters(cfg.Obs, ".replication.batch.size")
+	writesBefore := sumCounters(cfg.Obs, ".persistence.writes")
 	var total time.Duration
 	for i := 0; i < iters; i++ {
 		d, err := fanOutWrite(n, ids, i, txSize)
@@ -109,6 +113,7 @@ func measureCommitFanOut(cfg Config, size, k, iters, txSize int) (fanOutMeasurem
 	m.PerCommit = total / time.Duration(iters)
 	m.Rounds = sumCounters(cfg.Obs, ".replication.batch.rounds") - roundsBefore
 	m.BatchSize = sumCounters(cfg.Obs, ".replication.batch.size") - sizeBefore
+	m.Writes = sumCounters(cfg.Obs, ".persistence.writes") - writesBefore
 	return m, nil
 }
 
@@ -129,7 +134,7 @@ func runCommitFanOut(cfg Config) (*Result, error) {
 	cfg = cfg.normalize()
 	const size = 4
 	res := &Result{ID: "exp-batch", Title: "commit fan-out: one K-object transaction vs K one-object transactions",
-		Columns: []string{"batched_us", "per_object_us", "speedup", "rounds_batched", "rounds_per_object"}}
+		Columns: []string{"batched_us", "per_object_us", "speedup", "rounds_batched", "rounds_per_object", "writes_batched", "writes_per_object"}}
 	iters := cfg.Runs
 	if iters < 2 {
 		iters = 2
@@ -152,9 +157,12 @@ func runCommitFanOut(cfg Config) (*Result, error) {
 			float64(perObject.PerCommit.Nanoseconds())/1e3,
 			speedup,
 			float64(batched.Rounds),
-			float64(perObject.Rounds))
+			float64(perObject.Rounds),
+			float64(batched.Writes),
+			float64(perObject.Writes))
 	}
-	res.AddNote("%d nodes, %d writes of K objects per case, simulated per-message cost %s", size, iters, cfg.NetCost)
+	res.AddNote("%d nodes, %d writes of K objects per case, simulated per-message cost %s, per-store-write cost %s", size, iters, cfg.NetCost, cfg.StoreCost)
 	res.AddNote("rounds are commit-time multicast rounds, one per commit: K one-object transactions pay K, one K-object transaction pays 1")
+	res.AddNote("writes are store writes summed over the nodes, one per replica and commit: K one-object transactions pay K per replica, one K-object transaction pays 1")
 	return res, nil
 }

@@ -42,8 +42,8 @@ func BenchmarkCommitFanOut(b *testing.B) {
 // TestCommitFanOutSpeedup is the CI gate for the batching optimisation at
 // K=8 dirty objects on a 4-node cluster: one 8-object transaction against 8
 // one-object transactions, both through the one commit path. The primary
-// assertion is on the deterministic cost model — commit-time multicast rounds
-// — so it cannot flake; the wall-clock assertion uses a network cost large
+// assertions are on the deterministic cost model — commit-time multicast
+// rounds and store writes — so they cannot flake; the wall-clock assertion uses a network cost large
 // enough that sleep-based simulated time dominates host jitter. When
 // BENCH_COMMIT_JSON names a file, the measurements are written there for the
 // CI artifact.
@@ -77,6 +77,14 @@ func TestCommitFanOutSpeedup(t *testing.T) {
 	}
 	if batched.BatchSize != k*iters {
 		t.Errorf("batched ops shipped = %d, want %d", batched.BatchSize, k*iters)
+	}
+	// Every replica stores a commit in one write, however many objects it
+	// wrote.
+	if batched.Writes != iters*size {
+		t.Errorf("batched store writes = %d, want %d (one per replica and commit)", batched.Writes, iters*size)
+	}
+	if perObject.Writes != k*iters*size {
+		t.Errorf("per-object store writes = %d, want %d (one per replica and commit)", perObject.Writes, k*iters*size)
 	}
 
 	speedup := float64(perObject.PerCommit) / float64(batched.PerCommit)

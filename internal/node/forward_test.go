@@ -75,6 +75,29 @@ func TestForwardedWriteRidesTheReply(t *testing.T) {
 	}
 }
 
+// TestForwardedReplyIsOneStoreWrite: the requester of a forwarded write
+// stores the batch its reply carried in one write, as a replica stores a
+// received repl.batch, and the write sends no repl.batch at all.
+func TestForwardedReplyIsOneStoreWrite(t *testing.T) {
+	c := newRegCluster(t, 2)
+	n1, n2 := c.Node(0), c.Node(1)
+	if err := n1.Create("Reg", "o1", object.State{"value": int64(0)}, c.AllReplicas("n1")); err != nil {
+		t.Fatal(err)
+	}
+	tally := tapSends(t, c.Net)
+	writes, records := metric(t, c, "n2.persistence.writes"), metric(t, c, "n2.persistence.records")
+	setValue(t, n2, "o1", 1)
+	expectSends(t, "a forwarded write", tally.take(), sends{"n1": {"node.invoke": 1}})
+	if got := metric(t, c, "n2.persistence.writes") - writes; got != 1 {
+		t.Errorf("the requester made %d store writes, want 1", got)
+	}
+	if got := metric(t, c, "n2.persistence.records") - records; got != 1 {
+		t.Errorf("the requester stored %d records, want 1", got)
+	}
+	expectValue(t, n2, "o1", 1)
+	expectConverged(t, "after the forwarded write", "o1", n1, n2)
+}
+
 // TestForwardedQuorumWriteWaitsForItsQuorum: of two replicas a majority quorum
 // is both, so when the requester is the only other replica its ack is the one
 // the commit needs, and the commit's round must reach it: the reply lands

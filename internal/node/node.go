@@ -133,13 +133,14 @@ const cmpTable = "entities"
 // Prepare implements tx.Resource.
 func (c *cmpResource) Prepare(t *tx.Tx) error { return nil }
 
-// Commit implements tx.Resource: persist what the transaction wrote, one
-// store operation per object.
+// Commit implements tx.Resource: persist what the transaction wrote in one
+// store write, a record or its deletion per object.
 func (c *cmpResource) Commit(t *tx.Tx) error {
-	var firstErr error
+	var buf [8]persistence.Change // a transaction's write set usually fits
+	changes := buf[:0]
 	t.Writes(func(w tx.Write) {
 		if w.Kind == tx.Deleted {
-			c.store.Delete(cmpTable, string(w.ID))
+			changes = append(changes, persistence.Change{Key: string(w.ID), Delete: true})
 			return
 		}
 		e, err := c.reg.Get(w.ID)
@@ -148,11 +149,12 @@ func (c *cmpResource) Commit(t *tx.Tx) error {
 		}
 		// The entity encodes its own attributes: the transaction still holds
 		// its lock, so no snapshot is needed just to feed the encoder.
-		if err := c.store.Put(cmpTable, string(w.ID), e); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		changes = append(changes, persistence.Change{Key: string(w.ID), Value: e})
 	})
-	return firstErr
+	if len(changes) == 0 {
+		return nil
+	}
+	return c.store.Write(cmpTable, changes)
 }
 
 // Rollback implements tx.Resource: the undo log restored memory and nothing

@@ -73,22 +73,30 @@ func expectRecords(t *testing.T, c *Cluster, id object.ID) {
 }
 
 // storeWrites sums persistence.writes over the cluster's nodes.
-func storeWrites(t *testing.T, c *Cluster) int64 {
+func storeWrites(t *testing.T, c *Cluster) int64 { return storeSum(t, c, "persistence.writes") }
+
+// storeRecords sums persistence.records, the records the writes touched, over
+// the cluster's nodes.
+func storeRecords(t *testing.T, c *Cluster) int64 { return storeSum(t, c, "persistence.records") }
+
+func storeSum(t *testing.T, c *Cluster, name string) int64 {
 	t.Helper()
 	var sum int64
 	for _, n := range c.Nodes {
-		sum += counter(t, c.Obs, string(n.ID)+".persistence.writes")
+		sum += counter(t, c.Obs, string(n.ID)+"."+name)
 	}
 	return sum
 }
 
 // TestStoreWritesPerCommitEqualReplicas runs a create, a write, a 4-object
 // transaction and a delete on three full replicas, under P4 and under a
-// quorum (after its stragglers landed): every replica makes exactly one store
-// write per object and commit — its record, or the record's deletion — so
-// the cluster makes 3, 3, 12 and 3. With the coordinator's entity stored apart
-// from its vector it made 4, 4, 16 and 4. After each commit every replica's
-// record is what it holds.
+// quorum (after its stragglers landed): every replica stores what a commit
+// changed in exactly one store write, so the cluster makes 3 writes per
+// commit, and that write holds one record per object — the replica's record,
+// or its deletion — so the cluster touches 3, 3, 12 and 3 records. With one
+// write per record the 4-object transaction made 12 writes; with the
+// coordinator's entity stored apart from its vector the commits made 4, 4, 16
+// and 4. After each commit every replica's record is what it holds.
 func TestStoreWritesPerCommitEqualReplicas(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -101,15 +109,18 @@ func TestStoreWritesPerCommitEqualReplicas(t *testing.T) {
 			c := newFlightCluster(t, 3, tc.opts...)
 			defer c.Stop()
 			n1 := c.Node(0)
-			commit := func(what string, want int64, run func() error) {
+			commit := func(what string, records int64, run func() error) {
 				t.Helper()
-				before := storeWrites(t, c)
+				writes, recs := storeWrites(t, c), storeRecords(t, c)
 				if err := run(); err != nil {
 					t.Fatalf("%s: %v", what, err)
 				}
 				n1.Repl.WaitPropagation()
-				if got := storeWrites(t, c) - before; got != want {
-					t.Errorf("%s: %d store writes, want %d", what, got, want)
+				if got := storeWrites(t, c) - writes; got != 3 {
+					t.Errorf("%s: %d store writes, want 3", what, got)
+				}
+				if got := storeRecords(t, c) - recs; got != records {
+					t.Errorf("%s: %d records stored, want %d", what, got, records)
 				}
 			}
 			ids := []object.ID{"f1", "f2", "f3", "f4"}
@@ -183,5 +194,45 @@ func TestUnreplicatedNodeStoresItsEntities(t *testing.T) {
 	}
 	if n.Store.Has(cmpTable, "f1") {
 		t.Error("entities/f1 outlived its object")
+	}
+}
+
+// TestUnreplicatedTransactionIsOneStoreWrite: without replication CMP stores
+// what a transaction wrote in one write, one record per object, and every
+// record is the entity's state.
+func TestUnreplicatedTransactionIsOneStoreWrite(t *testing.T) {
+	c := newFlightCluster(t, 1, func(o *Options) { o.DisableReplication = true })
+	defer c.Stop()
+	n := c.Node(0)
+	ids := []object.ID{"f1", "f2", "f3", "f4"}
+	for _, id := range ids {
+		if err := n.Create("Flight", id, object.State{"sold": int64(0)}, replication.Info{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writes, records := storeWrites(t, c), storeRecords(t, c)
+	txn := n.Begin()
+	for i, id := range ids {
+		if _, err := n.InvokeTx(txn, id, "SellTickets", int64(i+1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := storeWrites(t, c) - writes; got != 1 {
+		t.Errorf("4-object transaction: %d store writes, want 1", got)
+	}
+	if got := storeRecords(t, c) - records; got != 4 {
+		t.Errorf("4-object transaction: %d records stored, want 4", got)
+	}
+	for i, id := range ids {
+		var stored object.State
+		if err := n.Store.Get(cmpTable, string(id), &stored); err != nil {
+			t.Fatal(err)
+		}
+		if stored["sold"] != float64(i+1) {
+			t.Errorf("entities/%s = %v, want sold %d", id, stored, i+1)
+		}
 	}
 }

@@ -216,19 +216,13 @@ func TestStalledPeerQueueIsBounded(t *testing.T) {
 	expectValue(t, c.Node(2), "o1", v)
 }
 
-// TestQueuedBatchesLeaveAsOne: while a batch to n2 is in flight, the batches
-// of two more commits queue behind it and leave as one repl.batch when it
-// returns; each commit reads its own part of the one ack, and both replicas
-// end with every write.
-func TestQueuedBatchesLeaveAsOne(t *testing.T) {
-	c := newRegCluster(t, 2)
-	n1, n2 := c.Node(0), c.Node(1)
-	ids := []object.ID{"o1", "o2", "o3"}
-	for _, id := range ids {
-		if err := n1.Create("Reg", id, object.State{"value": int64(0)}, c.AllReplicas("n1")); err != nil {
-			t.Fatal(err)
-		}
-	}
+// queueBehindOne has n1 write each of ids to its one peer, n2, in a commit of
+// its own, and holds the first batch to n2 in flight until the others queued
+// behind it: they leave as one coalesced repl.batch when it returns. It
+// returns what the writes sent.
+func queueBehindOne(t *testing.T, c *node.Cluster, ids []object.ID) sends {
+	t.Helper()
+	n1 := c.Node(0)
 	release := make(chan struct{})
 	var held atomic.Bool
 	c.Net.SetLatency(func(_, to transport.NodeID, kind string) time.Duration {
@@ -259,7 +253,31 @@ func TestQueuedBatchesLeaveAsOne(t *testing.T) {
 	}
 	close(release)
 	wg.Wait()
-	if got := tally.take(); got["n2"]["repl.batch"] != 2 {
+	return tally.take()
+}
+
+// newQueueCluster builds two nodes with the objects ids replicated on both and
+// created by n1.
+func newQueueCluster(t *testing.T, ids []object.ID) *node.Cluster {
+	t.Helper()
+	c := newRegCluster(t, 2)
+	for _, id := range ids {
+		if err := c.Node(0).Create("Reg", id, object.State{"value": int64(0)}, c.AllReplicas("n1")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return c
+}
+
+// TestQueuedBatchesLeaveAsOne: while a batch to n2 is in flight, the batches
+// of two more commits queue behind it and leave as one repl.batch when it
+// returns; each commit reads its own part of the one ack, and both replicas
+// end with every write.
+func TestQueuedBatchesLeaveAsOne(t *testing.T) {
+	ids := []object.ID{"o1", "o2", "o3"}
+	c := newQueueCluster(t, ids)
+	n2 := c.Node(1)
+	if got := queueBehindOne(t, c, ids); got["n2"]["repl.batch"] != 2 {
 		t.Fatalf("three writes sent %v, want two repl.batch to n2, the second carrying two commits", got)
 	}
 	if got := metric(t, c, "n2.replication.batch.skipped"); got != 0 {
@@ -267,6 +285,29 @@ func TestQueuedBatchesLeaveAsOne(t *testing.T) {
 	}
 	for k, id := range ids {
 		expectValue(t, n2, id, int64(k+1))
+		expectConverged(t, "after the writes", id, c.Nodes...)
+	}
+}
+
+// TestCoalescedBatchIsOneStoreWrite: the receiver stores what a coalesced
+// repl.batch changed in one write, whatever the number of commits in it —
+// here one batch alone and three commits coalesced make two writes at n2,
+// of one record per commit.
+func TestCoalescedBatchIsOneStoreWrite(t *testing.T) {
+	ids := []object.ID{"o1", "o2", "o3", "o4"}
+	c := newQueueCluster(t, ids)
+	writes, records := metric(t, c, "n2.persistence.writes"), metric(t, c, "n2.persistence.records")
+	if got := queueBehindOne(t, c, ids); got["n2"]["repl.batch"] != 2 {
+		t.Fatalf("four writes sent %v, want two repl.batch to n2, the second carrying three commits", got)
+	}
+	if got := metric(t, c, "n2.persistence.writes") - writes; got != 2 {
+		t.Errorf("n2 made %d store writes for two repl.batch, want 2", got)
+	}
+	if got := metric(t, c, "n2.persistence.records") - records; got != int64(len(ids)) {
+		t.Errorf("n2 stored %d records, want %d", got, len(ids))
+	}
+	for k, id := range ids {
+		expectValue(t, c.Node(1), id, int64(k+1))
 		expectConverged(t, "after the writes", id, c.Nodes...)
 	}
 }

@@ -4,17 +4,32 @@
 // the evaluation reproduces the shape of database-bound operations
 // (persisting consistency threats, replica metadata, and state history).
 //
-// A record's bytes are the store's own. Put copies the encoding into the
-// buffer the key already holds, so rewriting a live key allocates nothing
-// and the record written last time is overwritten, not left as garbage;
-// Get copies the record out before it decodes. No byte of a stored buffer is
-// ever handed to a caller, which is what makes writing it in place safe.
+// Records change through one write path, Write: an ordered list of puts and
+// deletes on one table, applied all or nothing in one hold of the store lock,
+// charged as one synchronous write and counted once in persistence.writes
+// (and per record in persistence.records), as one database transaction of
+// the prototype would be. Put and Delete are its one-record calls. A replica
+// stores what one commit, or one received batch, changed in one write.
+//
+// A record's bytes are the store's own. A write encodes its records under
+// the store lock into the store's one encoding buffer and copies each into
+// the buffer its key already holds, so rewriting a live key allocates
+// nothing and the record written last time is overwritten, not left as
+// garbage; and of two writes of one key, the one that takes the lock last
+// stores what its value holds then. Get copies the record out before it
+// decodes. No byte of a stored buffer is ever handed to a caller, which is
+// what makes writing it in place safe.
+//
+// Lock order: the store lock comes before any lock a record's encoder takes
+// (a replica's record reads it under the replication manager's lock), so no
+// code may call the store while it holds such a lock.
 package persistence
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -30,7 +45,7 @@ var ErrNotFound = errors.New("persistence: record not found")
 // writes cost time: the experiments charge the synchronous commit-time
 // writes, and reads stay free.
 type CostModel struct {
-	// PerWrite is charged on every Put and Delete.
+	// PerWrite is charged once per write, however many records it changes.
 	PerWrite time.Duration
 }
 
@@ -39,11 +54,16 @@ type Store struct {
 	cost CostModel
 	obs  *obs.Observer
 
+	// mu guards tables and the encoding scratch. It is taken before any lock
+	// a record's encoder takes (see the package doc).
 	mu     sync.RWMutex
 	tables map[string]map[string][]byte
+	enc    []byte // a write's records, encoded back to back; it keeps what it grew
+	ends   []int  // where each change's encoding ends in enc
 
-	reads  *obs.Counter
-	writes *obs.Counter
+	reads   *obs.Counter
+	writes  *obs.Counter
+	records *obs.Counter
 }
 
 // Option configures a Store.
@@ -71,6 +91,7 @@ func NewStore(opts ...Option) *Store {
 	}
 	s.reads = s.obs.Counter("persistence.reads")
 	s.writes = s.obs.Counter("persistence.writes")
+	s.records = s.obs.Counter("persistence.records")
 	return s
 }
 
@@ -83,10 +104,10 @@ type appender interface {
 	AppendJSON(dst []byte) ([]byte, error)
 }
 
-// scratch holds the buffers a record is encoded into on its way in and copied
-// into on its way out: encoding and decoding run outside the store lock, on
-// any number of goroutines at once, so the buffer cannot be a field of the
-// Store, and a fresh one per call is the allocation Put exists to avoid.
+// scratch holds the buffers a record is copied into on its way out: decoding
+// runs outside the store lock, on any number of goroutines at once, so the
+// buffer cannot be a field of the Store, and a fresh one per call is the
+// allocation Get would make.
 var scratch = sync.Pool{New: func() any { return new([]byte) }}
 
 // AppendString appends s to dst as the JSON string encoding/json writes for
@@ -104,40 +125,107 @@ func AppendString(dst []byte, s string) []byte {
 	return append(append(append(dst, '"'), s...), '"')
 }
 
-// Put stores the JSON encoding of v under (table, key). A record type with an
-// AppendJSON method (see appender) encodes itself into a recycled buffer,
-// skipping json.Marshal's reflection, its re-scan of the result and its fresh
-// result slice; anything else goes through json.Marshal. Either way the
-// encoding happens before the lock is taken, a failed one leaves the store
-// and its counters as they were, and the bytes are then copied over the
-// record the key already holds: the store keeps its own buffer per key and
-// the caller's value is not referenced after Put returns.
-func (s *Store) Put(table, key string, v any) error {
-	var data []byte
-	var err error
-	if a, ok := v.(appender); ok {
-		buf := scratch.Get().(*[]byte)
-		defer scratch.Put(buf)
-		if data, err = a.AppendJSON((*buf)[:0]); err == nil {
-			*buf = data // keep what the encoder grew
-		}
-	} else {
-		data, err = json.Marshal(v)
+// Change is one record change of a Write: Value's JSON encoding stored under
+// Key, or with Delete set the record at Key removed (deleting a missing record
+// is not an error). A Value with an AppendJSON method (see appender) encodes
+// itself, skipping json.Marshal's reflection, its re-scan of the result and
+// its fresh result slice; anything else goes through json.Marshal.
+type Change struct {
+	Key    string
+	Value  any
+	Delete bool
+}
+
+// Write applies the changes to table in order, all or nothing: every value
+// is encoded first, under the store lock, and a failed encoding leaves the
+// table and the counters as they were. Each encoding is then copied over the
+// record its key already holds; the store keeps its own buffer per key and
+// no value is referenced after Write returns. The write is charged PerWrite
+// once, after the lock is released, and counts one persistence.writes and
+// len(changes) persistence.records.
+func (s *Store) Write(table string, changes []Change) error {
+	if err := s.apply(table, changes); err != nil {
+		return err
 	}
-	if err != nil {
-		return fmt.Errorf("persistence: encode %s/%s: %w", table, key, err)
-	}
-	simtime.Charge(s.cost.PerWrite)
-	s.writes.Add(1)
+	s.wrote(len(changes))
+	return nil
+}
+
+// apply encodes the changes and applies them to table in one hold of s.mu.
+func (s *Store) apply(table string, changes []Change) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	t, ok := s.tables[table]
-	if !ok {
-		t = make(map[string][]byte)
-		s.tables[table] = t
+	if err := s.encodeLocked(table, changes); err != nil {
+		return err
 	}
-	t[key] = append(t[key][:0], data...)
+	t := s.tables[table]
+	from := 0
+	for i, c := range changes {
+		to := s.ends[i]
+		switch {
+		case c.Delete:
+			delete(t, c.Key)
+		case t == nil:
+			t = make(map[string][]byte)
+			s.tables[table] = t
+			fallthrough
+		default:
+			t[c.Key] = append(t[c.Key][:0], s.enc[from:to]...)
+		}
+		from = to
+	}
 	return nil
+}
+
+// encodeLocked encodes the values of changes back to back into s.enc and
+// records where each ends in s.ends; callers hold s.mu.
+func (s *Store) encodeLocked(table string, changes []Change) error {
+	s.enc, s.ends = s.enc[:0], s.ends[:0]
+	if len(changes) > 2 {
+		// A write of many records (a merged pull reply, a batch of repairs)
+		// grows the buffer once, to a little more than the records it
+		// rewrites hold now, not by append's steps of a quarter.
+		t, n := s.tables[table], 0
+		for _, c := range changes {
+			n += len(t[c.Key])
+		}
+		s.enc = slices.Grow(s.enc, n+n/8)
+	}
+	for _, c := range changes {
+		if !c.Delete {
+			var err error
+			if a, ok := c.Value.(appender); ok {
+				var out []byte
+				if out, err = a.AppendJSON(s.enc); err == nil {
+					s.enc = out
+				}
+			} else {
+				var data []byte
+				if data, err = json.Marshal(c.Value); err == nil {
+					s.enc = append(s.enc, data...)
+				}
+			}
+			if err != nil {
+				return fmt.Errorf("persistence: encode %s/%s: %w", table, c.Key, err)
+			}
+		}
+		s.ends = append(s.ends, len(s.enc))
+	}
+	return nil
+}
+
+// wrote charges and counts one write of n records.
+func (s *Store) wrote(n int) {
+	simtime.Charge(s.cost.PerWrite)
+	s.writes.Add(1)
+	s.records.Add(int64(n))
+}
+
+// Put stores the JSON encoding of v under (table, key): a Write of one
+// change.
+func (s *Store) Put(table, key string, v any) error {
+	c := [1]Change{{Key: key, Value: v}}
+	return s.Write(table, c[:])
 }
 
 // Get decodes the record at (table, key) into out. The record is copied out
@@ -174,14 +262,11 @@ func (s *Store) Has(table, key string) bool {
 	return ok
 }
 
-// Delete removes the record at (table, key). Deleting a missing record is
-// not an error.
+// Delete removes the record at (table, key): a Write of one change.
+// Deleting a missing record is not an error.
 func (s *Store) Delete(table, key string) {
-	simtime.Charge(s.cost.PerWrite)
-	s.writes.Add(1)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.tables[table], key)
+	c := [1]Change{{Key: key, Delete: true}}
+	_ = s.Write(table, c[:]) // a deletion encodes nothing, so it cannot fail
 }
 
 // Keys returns the sorted keys of a table.
@@ -204,11 +289,11 @@ func (s *Store) Len(table string) int {
 	return len(s.tables[table])
 }
 
-// DropTable removes a whole table.
+// DropTable removes a whole table, a write of the records it held.
 func (s *Store) DropTable(table string) {
-	simtime.Charge(s.cost.PerWrite)
-	s.writes.Add(1)
 	s.mu.Lock()
-	defer s.mu.Unlock()
+	n := len(s.tables[table])
 	delete(s.tables, table)
+	s.mu.Unlock()
+	s.wrote(n)
 }

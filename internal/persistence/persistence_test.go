@@ -100,6 +100,16 @@ func TestStats(t *testing.T) {
 	if writes != 2 || reads != 1 {
 		t.Fatalf("writes = %d, reads = %d; want 2, 1", writes, reads)
 	}
+	if records := counter(t, o, "persistence.records"); records != 2 {
+		t.Fatalf("records = %d after a put and a delete, want 2", records)
+	}
+	if err := s.Write("t", []Change{{Key: "a", Value: 1}, {Key: "b", Value: 2}, {Key: "a", Delete: true}}); err != nil {
+		t.Fatal(err)
+	}
+	if w, r := counter(t, o, "persistence.writes"), counter(t, o, "persistence.records"); w != 3 || r != 5 {
+		t.Fatalf("writes = %d, records = %d after a 3-record write; want 3, 5", w, r)
+	}
+	writes = 3
 	if err := s.Put("t", "k", 2); err != nil {
 		t.Fatal(err)
 	}
@@ -109,6 +119,8 @@ func TestStats(t *testing.T) {
 	}
 }
 
+// TestWriteCostCharged: every write is charged PerWrite once, however many
+// records it changes.
 func TestWriteCostCharged(t *testing.T) {
 	s := NewStore(WithCost(CostModel{PerWrite: 200 * time.Microsecond}))
 	start := time.Now()
@@ -119,6 +131,22 @@ func TestWriteCostCharged(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed < 3*time.Millisecond {
 		t.Fatalf("write cost not charged: %v", elapsed)
+	}
+
+	const perWrite = 25 * time.Millisecond
+	s = NewStore(WithCost(CostModel{PerWrite: perWrite}))
+	changes := make([]Change, 8)
+	for i := range changes {
+		changes[i] = Change{Key: strconv.Itoa(i), Value: i}
+	}
+	start = time.Now()
+	if err := s.Write("t", changes); err != nil {
+		t.Fatal(err)
+	}
+	// One charge is 25 ms and one per record would be 200 ms; the bound
+	// leaves three charges of slack for a loaded host.
+	if elapsed := time.Since(start); elapsed < perWrite || elapsed >= 4*perWrite {
+		t.Fatalf("an 8-record write took %v, want one charge of %v", elapsed, perWrite)
 	}
 }
 
@@ -365,5 +393,134 @@ func TestAppendStringMatchesEncodingJSON(t *testing.T) {
 		if got := AppendString([]byte("k:"), s); string(got) != "k:"+string(want) {
 			t.Errorf("%q: got %s, want k:%s", s, got, want)
 		}
+	}
+}
+
+// TestWriteIsAllOrNothing: a write whose second record fails to encode
+// changes nothing — not the new key before it, not the live key it would
+// delete or rewrite — and counts no write and no record.
+func TestWriteIsAllOrNothing(t *testing.T) {
+	o := obs.New()
+	s := NewStore(WithObserver(o))
+	const live = `{"name":"live","count":1}`
+	if err := s.Put("t", "live", selfEncoded{json: live}); err != nil {
+		t.Fatal(err)
+	}
+	writes, records := counter(t, o, "persistence.writes"), counter(t, o, "persistence.records")
+	boom := errors.New("boom")
+	err := s.Write("t", []Change{
+		{Key: "new", Value: selfEncoded{json: `{"name":"new","count":2}`}},
+		{Key: "live", Value: selfEncoded{json: `{"name":"torn","count":3}`, err: boom}},
+		{Key: "live", Delete: true},
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want it to wrap %v", err, boom)
+	}
+	if s.Has("t", "new") || rawAt(t, s, "t", "live") != live {
+		t.Fatalf("a failed write changed the table: new stored %v, live = %s", s.Has("t", "new"), rawAt(t, s, "t", "live"))
+	}
+	if w, r := counter(t, o, "persistence.writes"), counter(t, o, "persistence.records"); w != writes || r != records {
+		t.Fatalf("a failed write moved the counters: writes %d -> %d, records %d -> %d", writes, w, records, r)
+	}
+	// A json.Marshal failure is the same.
+	if err := s.Write("t", []Change{{Key: "new", Value: 1}, {Key: "bad", Value: make(chan int)}}); err == nil || s.Has("t", "new") {
+		t.Fatalf("an unencodable record: err = %v, new stored %v", err, s.Has("t", "new"))
+	}
+}
+
+// TestWriteAppliesInOrder: the changes of one write apply in their order, so
+// a put then a delete of one key leaves none, a delete then a put leaves the
+// put, and two puts leave the second.
+func TestWriteAppliesInOrder(t *testing.T) {
+	s := NewStore()
+	for _, key := range []string{"gone", "back"} {
+		if err := s.Put("t", key, selfEncoded{json: `"old"`}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	err := s.Write("t", []Change{
+		{Key: "gone", Value: selfEncoded{json: `"put"`}},
+		{Key: "gone", Delete: true},
+		{Key: "back", Delete: true},
+		{Key: "back", Value: selfEncoded{json: `"put"`}},
+		{Key: "twice", Value: selfEncoded{json: `"first"`}},
+		{Key: "twice", Value: `second`},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Has("t", "gone") {
+		t.Errorf("put then delete left %s", rawAt(t, s, "t", "gone"))
+	}
+	if got := rawAt(t, s, "t", "back"); got != `"put"` {
+		t.Errorf("delete then put left %s", got)
+	}
+	if got := rawAt(t, s, "t", "twice"); got != `"second"` {
+		t.Errorf("two puts left %s", got)
+	}
+	// A write to a table nobody wrote creates it; a deletion alone does not.
+	s.Delete("none", "k")
+	if err := s.Write("fresh", []Change{{Key: "k", Delete: true}, {Key: "k", Value: 1}}); err != nil || rawAt(t, s, "fresh", "k") != "1" {
+		t.Fatalf("write to a new table: %v", err)
+	}
+}
+
+// shared is a value two writers encode from.
+type shared struct {
+	mu sync.Mutex
+	v  string
+}
+
+func (v *shared) set(s string) {
+	v.mu.Lock()
+	v.v = s
+	v.mu.Unlock()
+}
+
+// gated encodes what its source holds when its encoder runs; with read set,
+// it then closes read and waits for release before it returns.
+type gated struct {
+	src           *shared
+	read, release chan struct{}
+}
+
+func (g gated) AppendJSON(dst []byte) ([]byte, error) {
+	g.src.mu.Lock()
+	v := g.src.v
+	g.src.mu.Unlock()
+	if g.read != nil {
+		close(g.read)
+		<-g.release
+	}
+	return AppendString(dst, v), nil
+}
+
+// TestLaterWriteStoresNewerRecord: writer A's encoder reads v1 and blocks;
+// B sets v2 and writes, and the test waits for B to finish or 50 ms; then A
+// is released. The record stored is v2. Records are encoded under the store
+// lock, so B cannot encode before A stored; a store that encoded before
+// taking its lock let B store v2 and A then store its older v1 over it.
+func TestLaterWriteStoresNewerRecord(t *testing.T) {
+	s := NewStore()
+	src := &shared{v: "v1"}
+	a := gated{src: src, read: make(chan struct{}), release: make(chan struct{})}
+	aDone, bDone := make(chan error, 1), make(chan error, 1)
+	go func() { aDone <- s.Put("t", "k", a) }()
+	<-a.read
+	src.set("v2")
+	go func() { bDone <- s.Put("t", "k", gated{src: src}) }()
+	select {
+	case err := <-bDone:
+		bDone <- err
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(a.release)
+	for _, done := range []chan error{aDone, bDone} {
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := rawAt(t, s, "t", "k"); got != `"v2"` {
+		t.Fatalf("stored %s after the later write of v2", got)
 	}
 }

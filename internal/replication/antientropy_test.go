@@ -231,7 +231,7 @@ func TestHealDeliversTombstoneToReplicaThatNeverSawTheObject(t *testing.T) {
 			if _, _, key := n3.held("f1"); key != "3 n1:2" || n3.mgr.TombstoneCount() != 1 {
 				t.Fatalf("n3 holds %q (%d tombstones), want n1's tombstone %v", key, n3.mgr.TombstoneCount(), want)
 			}
-			res, err := n3.mgr.applyOps([]batchOp{create}, nil, nil)
+			res, err := n3.mgr.applyStored([]batchOp{create}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,6 +3,7 @@ package replication
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
 	"slices"
@@ -200,7 +201,7 @@ func TestBatchDuplicateDeliveryIdempotent(t *testing.T) {
 	if got := dst.batchSkipped.Load() - skippedBefore; got != 0 {
 		t.Fatalf("replication.batch.skipped delta = %d, want 0 (a duplicate is not skipped)", got)
 	}
-	if res, err := dst.applyOps(batch.Ops, nil, nil); err != nil || !slices.Equal(res, []opResult{opDuplicate, opDuplicate}) {
+	if res, err := dst.applyStored(batch.Ops, nil); err != nil || !slices.Equal(res, []opResult{opDuplicate, opDuplicate}) {
 		t.Fatalf("redelivered create and apply = %v, %v; want both duplicate", res, err)
 	}
 
@@ -209,7 +210,7 @@ func TestBatchDuplicateDeliveryIdempotent(t *testing.T) {
 	// vector is the replica's bumped, as Delete ships it.
 	del := []batchOp{{Kind: opDelete, ID: "f2", VV: vv2.Bumped("n1")}}
 	for round, want := range []opResult{opApplied, opDuplicate, opDuplicate} {
-		if res, err := dst.applyOps(del, nil, nil); err != nil || !slices.Equal(res, []opResult{want}) {
+		if res, err := dst.applyStored(del, nil); err != nil || !slices.Equal(res, []opResult{want}) {
 			t.Fatalf("delete delivery %d = %v, %v; want %v", round+1, res, err, want)
 		}
 		if h.node("n2").reg.Has("f2") {
@@ -604,7 +605,7 @@ func TestBatchOneOpCasesMatchRecorded(t *testing.T) {
 				t.Fatal(err)
 			}
 			before := dst.dump(t)
-			res, err := dst.mgr.applyOps([]batchOp{tc.op}, nil, nil)
+			res, err := dst.mgr.applyStored([]batchOp{tc.op}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -616,4 +617,11 @@ func TestBatchOneOpCasesMatchRecorded(t *testing.T) {
 			}
 		})
 	}
+}
+
+// applyStored applies ops at the replica as a received batch does: their
+// record changes are stored in one write after the apply.
+func (m *Manager) applyStored(ops []batchOp, res []opResult) ([]opResult, error) {
+	res, records, err := m.applyOps(ops, res, nil, nil)
+	return res, errors.Join(err, m.storeRecords(records))
 }

@@ -220,7 +220,7 @@ func (env *nodeEnv) deliverSeq(t *testing.T, ops []batchOp, seq []int, d *delive
 	t.Helper()
 	var buf [1]opResult
 	for j, i := range seq {
-		res, err := env.mgr.applyOps(ops[i:i+1], buf[:0], nil)
+		res, err := env.mgr.applyStored(ops[i:i+1], buf[:0])
 		if err != nil {
 			t.Fatalf("%v order %v: %v", ops, seq, err)
 		}

@@ -206,6 +206,10 @@ type Manager struct {
 
 	salt atomic.Uint64 // advanced by every reconciliation pass: its digest's salt
 
+	// mu guards the replica table. Lock order: the store's lock, then mu — a
+	// replica's record (replicaState.AppendJSON) reads the replica under mu
+	// while the store encodes it under its own lock — so no code calls the
+	// store while it holds mu.
 	mu         sync.Mutex
 	meta       map[object.ID]*replicaState
 	tombstones map[object.ID]VersionVector
@@ -222,10 +226,16 @@ type stagedOp struct {
 	remote   int32 // dests without this node, counted by route
 }
 
-// stagedPool recycles the staging buffer of commitBatched; the buffer never
+// staging is a commit's scratch: the ops it ships and the replica records it
+// stores, in one write (storeRecords). stagingPool recycles it; neither list
 // escapes the commit (background straggler sends hold the commit's round and
 // its copy of the ops, not the staging slice).
-var stagedPool = sync.Pool{New: func() any { return new([]stagedOp) }}
+type staging struct {
+	ops     []stagedOp
+	records []persistence.Change
+}
+
+var stagingPool = sync.Pool{New: func() any { return new(staging) }}
 
 // remoteCreate is a creation coordinated by a node outside the object's
 // replica group: the entity never enters the local registry or replica
@@ -432,10 +442,10 @@ func (m *Manager) History(id object.ID) []HistoryEntry {
 // ClearHistory drops all degraded-mode history (after reconciliation).
 func (m *Manager) ClearHistory() {
 	m.mu.Lock()
-	defer m.mu.Unlock()
 	for _, rs := range m.meta {
 		rs.history = nil
 	}
+	m.mu.Unlock()
 	m.store.DropTable(tableHistory)
 }
 
@@ -655,71 +665,118 @@ func (m *Manager) Prepare(t *tx.Tx) error { return nil }
 // first-touch order) becomes one batch per destination, shipped in a single
 // round through the destinations' senders (peer), which send in parallel: a
 // K-object commit costs ~1 simulated network hop instead of ~K. Sender-side
-// bookkeeping — version-vector bumps, the replica's record, degraded-mode
-// history, estimator observation — happens per object while
-// staging. Per-object preparation failures are
+// bookkeeping — version-vector bumps, degraded-mode history, estimator
+// observation — happens per object while staging, and the replica's records
+// of all objects are stored in one write before the round is posted.
+// Per-object preparation failures are
 // joined into the returned error and counted, together with per-destination
 // send failures, in replication.propagation_errors. A transaction that wrote
 // nothing takes no lock and reads no view.
 func (m *Manager) Commit(t *tx.Tx) error {
 	var (
-		sp       *[]stagedOp
-		staged   []stagedOp
+		st       *staging
 		view     group.View
 		degraded bool
 		writes   int64
 		errs     []error
 	)
 	t.Writes(func(w tx.Write) {
-		if sp == nil {
-			sp = stagedPool.Get().(*[]stagedOp)
-			staged = (*sp)[:0]
+		if st == nil {
+			st = stagingPool.Get().(*staging)
 			view, degraded = m.view(), m.Degraded()
 		}
 		writes++
-		staged = append(staged, stagedOp{})
-		ship, err := m.stage(w, view, degraded, &staged[len(staged)-1])
+		st.ops = append(st.ops, stagedOp{})
+		ship, err := m.stage(w, view, degraded, st)
 		if err != nil {
 			m.propErrors.Inc()
 			errs = append(errs, fmt.Errorf("%s: %w", w.ID, err))
 		}
 		if !ship {
-			staged = staged[:len(staged)-1]
+			st.ops = st.ops[:len(st.ops)-1]
 		}
 	})
-	if sp == nil {
+	if st == nil {
 		return nil
 	}
 	m.propagations.Add(writes)
-	if len(staged) > 0 {
-		if err := m.commitBatched(t, staged); err != nil {
+	// The replica's records go to the store in one write before the round is
+	// posted. A commit whose records cannot be stored ships nothing: no
+	// replica is sent what its coordinator did not store, and reconciliation
+	// repairs them all.
+	if err := m.storeRecords(st.records); err != nil {
+		m.propErrors.Inc()
+		errs = append(errs, err)
+		st.ops = st.ops[:0]
+	}
+	if len(st.ops) > 0 {
+		if err := m.commitBatched(t, st.ops); err != nil {
 			errs = append(errs, err)
 		}
 	}
-	// The staging buffer never escapes the commit (background straggler sends
-	// hold the per-destination batches), so it can be reused.
-	clear(staged) // drop op payload references before pooling
-	*sp = staged[:0]
-	stagedPool.Put(sp)
+	// The staging never escapes the commit (background straggler sends hold
+	// the per-destination batches), so it can be reused; clearing drops the
+	// payload and replica references before pooling.
+	clear(st.ops)
+	clear(st.records)
+	st.ops, st.records = st.ops[:0], st.records[:0]
+	stagingPool.Put(st)
 	return errors.Join(errs...)
 }
 
-// stage does the coordinator's bookkeeping for one entry of the write set and
-// puts the operation to ship in s, its slot in the staging buffer; ship is
-// false when there is none.
-func (m *Manager) stage(w tx.Write, view group.View, degraded bool, s *stagedOp) (ship bool, err error) {
+// recordsPool recycles the record lists of coalesced batches and merged pull
+// replies, which outgrow a stack array; a list never outlives the write that
+// stores it.
+var recordsPool = sync.Pool{New: func() any { return new([]persistence.Change) }}
+
+// getRecords draws from recordsPool an empty list with room for n records:
+// an op owes at most one, so a batch's list never grows.
+func getRecords(n int) *[]persistence.Change {
+	rp := recordsPool.Get().(*[]persistence.Change)
+	*rp = slices.Grow((*rp)[:0], n)
+	return rp
+}
+
+// putRecords drops the replica references of the first n records of rp's
+// list and returns it to recordsPool. The list goes back as it was drawn, not
+// as its user last held it: a stack array a handler used instead must not
+// flow into the pool.
+func putRecords(rp *[]persistence.Change, n int) {
+	clear((*rp)[:n])
+	recordsPool.Put(rp)
+}
+
+// storeRecords stores the replica-meta changes of one unit of work — a
+// commit, a received batch, a merged pull reply — in one store write; none
+// makes no write.
+func (m *Manager) storeRecords(records []persistence.Change) error {
+	if len(records) == 0 {
+		return nil
+	}
+	return m.store.Write(tableReplicaMeta, records)
+}
+
+// stage does the coordinator's bookkeeping for one entry of the write set:
+// it puts the operation to ship in the last slot of st.ops and the record
+// change the replica owes in st.records; ship is false when there is no
+// operation.
+func (m *Manager) stage(w tx.Write, view group.View, degraded bool, st *staging) (ship bool, err error) {
+	s := &st.ops[len(st.ops)-1]
 	switch w.Kind {
 	case tx.Deleted:
 		*s, ship = m.stageDelete(w.ID, view)
+		if ship {
+			st.records = append(st.records, persistence.Change{Key: string(w.ID), Delete: true})
+		}
 		return ship, nil
 	case tx.Created:
 		if rc, remote := w.Payload.(remoteCreate); remote {
 			*s = m.stageCreateRemote(rc, view)
 			return true, nil
 		}
-		err = m.stageLocal(w.ID, opCreate, view, degraded, s)
+		err = m.stageLocal(w.ID, opCreate, view, degraded, s, &st.records)
 	default:
-		err = m.stageLocal(w.ID, opApply, view, degraded, s)
+		err = m.stageLocal(w.ID, opApply, view, degraded, s, &st.records)
 	}
 	return err == nil, err
 }
@@ -1062,20 +1119,19 @@ func (r *commitRound) Drained() { r.m.propagation.Done() }
 
 // stageLocal does the coordinator's bookkeeping for an object the
 // transaction created or updated — version-vector bump, the replica's record
-// (its one store write: class, state, version, vector and placement, like
-// the JNDI name, primary key and serialized creation request the prototype
-// stored, §5.1), degraded-mode history — and stages the op in s. An apply is
-// also observed by the estimator.
-func (m *Manager) stageLocal(id object.ID, kind opKind, view group.View, degraded bool, s *stagedOp) error {
+// appended to records (class, state, version, vector and placement, like the
+// JNDI name, primary key and serialized creation request the prototype
+// stored, §5.1; the commit stores them all in one write), degraded-mode
+// history — and stages the op in s. An apply is also observed by the
+// estimator.
+func (m *Manager) stageLocal(id object.ID, kind opKind, view group.View, degraded bool, s *stagedOp, records *[]persistence.Change) error {
 	rs, info, err := m.localOp(id, kind, true, &s.op)
 	if err != nil {
 		return err
 	}
 	s.dests, s.replicas = info.reachableReplicas(view), len(info.Replicas)
 	op := &s.op
-	if err := m.store.Put(tableReplicaMeta, string(id), rs); err != nil {
-		return err
-	}
+	*records = append(*records, persistence.Change{Key: string(id), Value: rs})
 	m.recordHistory(id, op.State, op.Version, op.VV, m.effectiveDegraded(info, degraded))
 	if kind == opApply {
 		m.observe(id)
@@ -1138,9 +1194,9 @@ func (m *Manager) deleteDests(id object.ID, view group.View) ([]transport.NodeID
 	return info.reachableReplicas(view), len(info.Replicas)
 }
 
-// stageDelete drops the deleted object's persisted metadata and returns the
-// staged delete carrying its tombstone vector; ship is false when the
-// tombstone is already gone (nothing to send).
+// stageDelete returns the staged delete carrying the deleted object's
+// tombstone vector; ship is false when the tombstone is already gone
+// (nothing to send, and no record to drop).
 func (m *Manager) stageDelete(id object.ID, view group.View) (s stagedOp, ship bool) {
 	m.mu.Lock()
 	vv, ok := m.tombstones[id]
@@ -1148,7 +1204,6 @@ func (m *Manager) stageDelete(id object.ID, view group.View) (s stagedOp, ship b
 	if !ok {
 		return stagedOp{}, false
 	}
-	m.store.Delete(tableReplicaMeta, string(id))
 	dests, replicas := m.deleteDests(id, view)
 	return stagedOp{op: batchOp{Kind: opDelete, ID: id, VV: vv}, dests: dests, replicas: replicas}, true
 }
@@ -1216,7 +1271,8 @@ func (m *Manager) stageState(id object.ID, out *repairs) error {
 // --- message handlers (executed on the receiving node) ---
 
 // handleBatch applies one transaction batch, or the batches a peer's sender
-// coalesced, stores its threats, and acks: with ackAll when every op landed,
+// coalesced, stores the replica records they changed in one write and then
+// its threats, and acks: with ackAll when every op landed,
 // which allocates nothing, and otherwise with each op's result.
 func (m *Manager) handleBatch(from transport.NodeID, payload any) (any, error) {
 	var th *threatBatch
@@ -1233,11 +1289,28 @@ func (m *Manager) handleBatch(from transport.NodeID, payload any) (any, error) {
 		return nil, fmt.Errorf("replication: bad batch payload %T", payload)
 	}
 	var buf [8]opResult // a write's batch fits
-	res, err := m.applyOps(ops, buf[:0], nil)
+	// So do its records; a coalesced batch's come from recordsPool.
+	var rbuf [8]persistence.Change
+	records, rp, n := rbuf[:0], (*[]persistence.Change)(nil), len(ops)
+	for _, p := range parts {
+		n += len(p.Ops)
+	}
+	if n > len(rbuf) {
+		rp = getRecords(n)
+		records = *rp
+	}
+	res, records, err := m.applyOps(ops, buf[:0], records, nil)
 	for _, p := range parts {
 		if err == nil {
-			res, err = m.applyOps(p.Ops, res, nil)
+			res, records, err = m.applyOps(p.Ops, res, records, nil)
 		}
+	}
+	// What the batch changed is stored in one write before the ack.
+	if serr := m.storeRecords(records); err == nil {
+		err = serr
+	}
+	if rp != nil {
+		putRecords(rp, len(records))
 	}
 	if err == nil && th != nil && m.threats != nil {
 		err = m.threats.Replicate(th.Removed, th.Added)
@@ -1356,24 +1429,26 @@ func (m *Manager) decideLocked(op *batchOp) decision {
 // install, a create's placement (placeLocked), the registry entry of a new or
 // deleted object — so a vector never says "current" over a state that is not,
 // two batches for one object install in the order of their vectors, and a
-// pull sees a batch's states and vectors all-or-nothing. What must not run
-// under a node-wide mutex follows the unlock: the replica's one store write
-// (which charges simulated time) — its record, or the record's deletion — and
-// an install's estimator observation. An op the replica already covers
-// changes nothing but, for a create, the placement, so a redelivered batch is
-// harmless. Each op's result is appended to res, which the caller sizes (a
-// stack array holds a write's batch). A one-op caller that merges a pulled
-// record passes pulled: the vector the record's placement was set at goes in,
-// and the op's decision comes out.
-func (m *Manager) applyOps(ops []batchOp, res []opResult, pulled *merge) ([]opResult, error) {
+// pull sees a batch's states and vectors all-or-nothing. An install's
+// estimator observation follows the unlock, and so does, in the caller, the
+// store write (which charges simulated time) of the record change each op
+// owes — the replica's record, or its deletion — which applyOps appends to
+// records: the caller stores what one unit of work changed in one write
+// (storeRecords). An op the replica already covers changes nothing but, for a
+// create, the placement, so a redelivered batch is harmless. Each op's result
+// is appended to res; the caller sizes both lists (stack arrays hold a
+// write's batch). A one-op caller that merges a pulled record passes pulled:
+// the vector the record's placement was set at goes in, and the op's
+// decision comes out.
+func (m *Manager) applyOps(ops []batchOp, res []opResult, records []persistence.Change, pulled *merge) ([]opResult, []persistence.Change, error) {
 	for i := range ops {
 		if op := &ops[i]; !op.Kind.known() {
-			return nil, fmt.Errorf("replication: bad batch op kind %d for %s", op.Kind, op.ID)
+			return nil, records, fmt.Errorf("replication: bad batch op kind %d for %s", op.Kind, op.ID)
 		} else if !op.State.Sorted() {
-			return nil, fmt.Errorf("replication: attributes of %s not in name order", op.ID)
+			return nil, records, fmt.Errorf("replication: attributes of %s not in name order", op.ID)
 		}
 	}
-	// Per op, the effect whose store write is due after the unlock and the
+	// Per op, the effect whose record change is due after the unlock and the
 	// replica whose record it writes: a burial that dropped no replica and a
 	// create that failed have none. A write's batch fits the stack-backed
 	// array.
@@ -1440,25 +1515,22 @@ func (m *Manager) applyOps(ops []batchOp, res []opResult, pulled *merge) ([]opRe
 	for i, w := range due {
 		// Backups persist the replica too (update applied within the
 		// primary's transaction in the prototype, §4.3).
-		id := string(ops[i].ID)
+		c := persistence.Change{Key: string(ops[i].ID), Value: w.rs}
 		switch w.eff {
 		case 0:
 			continue
 		case opDelete:
-			m.store.Delete(tableReplicaMeta, id)
-			continue
+			c = persistence.Change{Key: c.Key, Delete: true}
 		case opApply:
 			m.observe(ops[i].ID)
 		}
-		if err := m.store.Put(tableReplicaMeta, id, w.rs); err != nil {
-			errs = append(errs, err)
-		}
+		records = append(records, c)
 	}
-	return res, errors.Join(errs...)
+	return res, records, errors.Join(errs...)
 }
 
-// storeWrite is the store write one op of a batch owes after the unlock: its
-// effect, and the replica whose record it writes.
+// storeWrite is the record change one op of a batch owes after the unlock:
+// its effect, and the replica whose record it writes.
 type storeWrite struct {
 	eff opKind
 	rs  *replicaState

@@ -3,6 +3,7 @@ package replication
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -317,9 +318,17 @@ func (r *repairRound) Drained() {}
 // a newer vector than ours (placeLocked). A strictly newer local side is owed
 // to the peer — our state, or our tombstone, or our placement — and two
 // concurrent live sides are a write-write conflict.
-func (m *Manager) mergeRecords(peer []transport.NodeID, records []Record, resolve ConflictResolver, report *ReconcileReport, out *repairs) error {
+func (m *Manager) mergeRecords(peer []transport.NodeID, records []Record, resolve ConflictResolver, report *ReconcileReport, out *repairs) (err error) {
 	var res [1]opResult
 	var one [1]batchOp
+	// What the reply changed is stored in one write, also when a record
+	// fails half way: the ones before it are installed.
+	rp := getRecords(len(records))
+	changed := *rp
+	defer func() {
+		err = errors.Join(err, m.storeRecords(changed))
+		putRecords(rp, len(changed))
+	}()
 	for _, rec := range records {
 		pulled := merge{placed: rec.Placed}
 		d := &pulled.d
@@ -329,7 +338,7 @@ func (m *Manager) mergeRecords(peer []transport.NodeID, records []Record, resolv
 		} else {
 			*op = batchOp{Kind: opCreate, ID: rec.ID, Class: rec.Class, State: rec.State, Version: rec.Version, VV: rec.VV, Info: rec.Info}
 		}
-		if _, err := m.applyOps(one[:], res[:0], &pulled); err != nil {
+		if _, changed, err = m.applyOps(one[:], res[:0], changed, &pulled); err != nil {
 			return err
 		}
 		switch {

@@ -8,9 +8,9 @@ import (
 	"dedisys/internal/persistence"
 )
 
-// replicaRecord is the durable record of one replica, the one store write a
-// replica makes per object and commit (table replica-meta, keyed by the
-// object ID): the class, state and version of its entity, its vector and its
+// replicaRecord is the durable record of one replica, one per object in the
+// one store write a replica makes per commit or received batch (table
+// replica-meta, keyed by the object ID): the class, state and version of its entity, its vector and its
 // placement. A metadata-only holder hosts no entity, so its record has
 // placement and vector only. Every replica stores what it holds after the
 // op that changed it, whatever the op's kind, so equal holdings are equal
@@ -80,11 +80,11 @@ func (m *Manager) newReplica(e *object.Entity, info Info, vv VersionVector) *rep
 // AppendJSON appends the replica's record (replicaRecord) as the replica
 // holds it now, read in one hold of the manager lock: state, version and
 // vector are installed together under that lock, so the record is
-// self-consistent. The store encodes it outside its own lock and after the
-// caller released the manager's, so every put site hands the store the table
-// entry itself — a pointer, which boxes for free — and no record is built
-// for the write. Two back-to-back writes of one replica may still land in
-// either order.
+// self-consistent. The store encodes it under its own lock, taken before the
+// manager's (the caller released that), so every put site hands the store
+// the table entry itself — a pointer, which boxes for free — no record is
+// built for the write, and of two writes of one replica the one that stores
+// last stores what the replica holds then.
 func (rs *replicaState) AppendJSON(dst []byte) ([]byte, error) {
 	rs.mu.Lock()
 	rec := replicaRecord{VV: rs.vv, Info: rs.info}

@@ -176,7 +176,7 @@ func TestRepairBatchEqualsOneOpBatches(t *testing.T) {
 	}
 	results := func(env *nodeEnv, batches ...[]batchOp) (all []opResult) {
 		for _, b := range batches {
-			res, err := env.mgr.applyOps(b, nil, nil)
+			res, err := env.mgr.applyStored(b, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -237,16 +237,15 @@ func (s *Store) Add(t Threat) (Threat, bool, error) {
 
 	// Persist: three records for a first occurrence, two for an additional
 	// identical occurrence under FullHistory (§5.2). The store keeps the keys.
-	var kb [keyCap]byte
-	k := appendKey(kb[:0], stored.Seq)
-	if err := s.backing.Put(table, string(k), &stored); err != nil {
+	rec, affected, data := recordKeys(stored.Seq)
+	if err := s.backing.Put(table, rec, &stored); err != nil {
 		return stored, false, err
 	}
-	if err := s.backing.Put(table, string(append(k, suffixAffected...)), (*affectedList)(&stored.Affected)); err != nil {
+	if err := s.backing.Put(table, affected, (*affectedList)(&stored.Affected)); err != nil {
 		return stored, false, err
 	}
 	if len(existing) == 0 {
-		if err := s.backing.Put(table, string(append(k, suffixAppData...)), appData(stored.AppData)); err != nil {
+		if err := s.backing.Put(table, data, appData(stored.AppData)); err != nil {
 			return stored, false, err
 		}
 	}
@@ -262,6 +261,18 @@ const (
 	suffixAppData  = "/appdata"
 	keyCap         = 1 + 19 + len(suffixAffected)
 )
+
+// recordKeys returns the keys of threat seq's three records: the threat's,
+// its affected list's and its application data's. They are cut from one
+// string, so the three cost one allocation: the store may keep a key it is
+// handed, so none can live on the caller's stack.
+func recordKeys(seq int64) (rec, affected, data string) {
+	var kb [2 * keyCap]byte
+	k := appendKey(kb[:0], seq)
+	n := len(k)
+	all := string(append(append(append(k, suffixAffected...), k[:n]...), suffixAppData...))
+	return all[:n], all[:n+len(suffixAffected)], all[n+len(suffixAffected):]
+}
 
 // appendKey appends the key of the threat record seq (seq >= 0) to dst.
 func appendKey(dst []byte, seq int64) []byte {
@@ -352,13 +363,12 @@ func (s *Store) Replicate(removed []string, added []Threat) error {
 }
 
 // dropRecords deletes the three stored records of one threat; callers hold
-// s.mu. The store keeps no key it deletes: the keys stay on the stack.
+// s.mu.
 func (s *Store) dropRecords(seq int64) {
-	var kb [keyCap]byte
-	k := appendKey(kb[:0], seq)
-	s.backing.Delete(table, string(k))
-	s.backing.Delete(table, string(append(k, suffixAffected...)))
-	s.backing.Delete(table, string(append(k, suffixAppData...)))
+	rec, affected, data := recordKeys(seq)
+	s.backing.Delete(table, rec)
+	s.backing.Delete(table, affected)
+	s.backing.Delete(table, data)
 }
 
 // Remove deletes a single threat — all three of its stored records — by
