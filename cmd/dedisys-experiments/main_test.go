@@ -33,7 +33,7 @@ func TestRunFlagOverrides(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real experiment")
 	}
-	if err := run([]string{"-ops", "30", "-runs", "1", "-netcost", "0s", "-storecost", "0s", "exp-avail"}); err != nil {
+	if err := run([]string{"-ops", "30", "-runs", "1", "-netcost", "0s", "-storecost", "0s", "exp-trade"}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -49,14 +49,14 @@ func TestRunCSVOutput(t *testing.T) {
 		t.Skip("runs a real experiment")
 	}
 	dir := t.TempDir()
-	if err := run([]string{"-quick", "-csv", dir, "exp-avail"}); err != nil {
+	if err := run([]string{"-quick", "-csv", dir, "exp-trade"}); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(filepath.Join(dir, "exp-avail.csv"))
+	data, err := os.ReadFile(filepath.Join(dir, "exp-trade.csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), "case,success_fraction") {
+	if !strings.Contains(string(data), "case,clean,with_threat,rejected") {
 		t.Fatalf("csv = %s", data)
 	}
 }

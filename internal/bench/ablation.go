@@ -12,76 +12,10 @@ import (
 	"dedisys/internal/transport"
 )
 
-// Ablation experiments for the design choices called out in DESIGN.md:
-// the replica-control protocol, the intra-object constraint classification
-// (§3.1), and the optimized constraint repository inside the middleware.
-
-// runAblProtocols compares write/read throughput and degraded-mode write
-// availability across the four replica-control protocols.
-func runAblProtocols(cfg Config) (*Result, error) {
-	cfg = cfg.normalize()
-	res := &Result{ID: "abl-protocols", Title: "replica-control protocol ablation",
-		Columns: []string{"setter_healthy", "getter_healthy", "degraded_write_ok_frac"}}
-	protocols := []replication.Protocol{
-		replication.PrimaryPerPartition{},
-		replication.PrimaryBackup{},
-		replication.PrimaryPartition{},
-		replication.AdaptiveVoting{},
-	}
-	for _, proto := range protocols {
-		proto := proto
-		netOpts := []transport.Option{}
-		if cfg.NetCost > 0 {
-			netOpts = append(netOpts, transport.WithCost(transport.CostModel{PerMessage: cfg.NetCost}))
-		}
-		c, err := node.NewCluster(3, netOpts, func(o *node.Options) {
-			o.RepoCache = true
-			o.Protocol = proto
-			o.ThreatPolicy = threat.IdenticalOnce
-			o.StoreCost = persistence.CostModel{PerWrite: cfg.StoreCost}
-			o.Obs = cfg.Obs
-		})
-		if err != nil {
-			return nil, err
-		}
-		for _, n := range c.Nodes {
-			n.RegisterSchema(beanSchema())
-			if err := n.DeployConstraints(benchConstraints(constraint.HardInvariant)); err != nil {
-				return nil, err
-			}
-		}
-		n1 := c.Node(0)
-		if err := n1.Create(beanClass, beanID(0), object.State{"value": int64(0)}, c.AllReplicas("n1")); err != nil {
-			return nil, err
-		}
-		setter, err := timeOps(cfg.Ops, func(i int) error {
-			_, err := n1.Invoke(beanID(0), "SetValue", int64(i))
-			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s setter: %w", proto.Name(), err)
-		}
-		getter, err := timeOps(cfg.Ops, func(i int) error {
-			_, err := c.Node(2).Invoke(beanID(0), "Value")
-			return err
-		})
-		if err != nil {
-			return nil, fmt.Errorf("%s getter: %w", proto.Name(), err)
-		}
-		// Degraded-mode write availability across both partitions.
-		c.Partition([]transport.NodeID{"n1", "n2"}, []transport.NodeID{"n3"})
-		ok := 0
-		for i := 0; i < cfg.Ops; i++ {
-			n := c.Node(i % 3)
-			if _, err := n.Invoke(beanID(0), "SetValue", int64(i)); err == nil {
-				ok++
-			}
-		}
-		res.AddRow(proto.Name(), setter, getter, float64(ok)/float64(cfg.Ops))
-	}
-	res.AddNote("P4 and adaptive voting keep minority partitions writable; the conventional protocols do not")
-	return res, nil
-}
+// Ablation experiments for the design choices called out in DESIGN.md: the
+// intra-object constraint classification (§3.1) and the optimized constraint
+// repository inside the middleware. The replica-control protocol is compared
+// by exp-trade.
 
 // runAblIntra ablates the intra-object constraint classification of §3.1:
 // with the classification, degraded-mode validations on single-object
@@ -107,23 +41,9 @@ func runAblIntra(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		cc := constraint.Configured{
-			Meta: constraint.Meta{
-				Name: "ValueBound", Type: constraint.HardInvariant,
-				Priority: constraint.Tradeable, MinDegree: constraint.Uncheckable,
-				Scope: scope, NeedsContext: true, ContextClass: beanClass,
-				Affected: []constraint.AffectedMethod{
-					{Class: beanClass, Method: "SetValue", Prep: constraint.CalledObjectIsContext{}},
-				},
-				SkipOnCreate: true,
-			},
-			Impl: constraint.Func(func(ctx constraint.Context) (bool, error) {
-				return ctx.ContextObject().GetInt("value") >= 0, nil
-			}),
-		}
 		for _, n := range c.Nodes {
 			n.RegisterSchema(beanSchema())
-			if err := n.DeployConstraints([]constraint.Configured{cc}); err != nil {
+			if err := n.DeployConstraints([]constraint.Configured{valueBound(scope)}); err != nil {
 				return nil, err
 			}
 		}

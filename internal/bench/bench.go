@@ -222,9 +222,8 @@ func Registry() []Experiment {
 		{ID: "fig5.8", Title: "Improvement through reduced consistency threat history", Run: runFig58},
 		{ID: "exp-async", Title: "Asynchronous constraints vs soft constraints in degraded mode (§5.5.3)", Run: runAsync},
 		{ID: "exp-psc", Title: "Partition-sensitive ticket constraint (§5.5.2)", Run: runPSC},
-		{ID: "exp-avail", Title: "Availability during partitions: P4 + trading vs primary partition", Run: runAvail},
+		{ID: "exp-trade", Title: "Availability under partition, paid in threats and repaid at reconciliation, per protocol", Run: runTrade},
 		{ID: "exp-detect", Title: "Failure detection and rejoin latency by suspicion policy", Run: runDetect},
-		{ID: "abl-protocols", Title: "Ablation: replica-control protocols", Run: runAblProtocols},
 		{ID: "abl-intra", Title: "Ablation: intra-object constraint classification (§3.1)", Run: runAblIntra},
 		{ID: "abl-repocache", Title: "Ablation: constraint repository cache in the middleware", Run: runAblRepoCache},
 		{ID: "exp-batch", Title: "Commit fan-out: batched vs per-object propagation (K dirty objects)", Run: runCommitFanOut},

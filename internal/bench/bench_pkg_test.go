@@ -83,6 +83,7 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 		t.Skip("experiments take a few seconds")
 	}
 	cfg := QuickConfig()
+	results := map[string]*Result{}
 	for _, e := range Registry() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -98,8 +99,41 @@ func TestAllExperimentsRunQuick(t *testing.T) {
 			if !strings.Contains(buf.String(), "== "+e.ID+" ") {
 				t.Fatalf("output has no %s header:\n%s", e.ID, buf.String())
 			}
+			results[e.ID] = res
 		})
 	}
+	// exp-avail and abl-protocols were merged into exp-trade; each half of
+	// the trade keeps its smoke check under the old experiment's name.
+	trade := func(t *testing.T) *Result {
+		res := results["exp-trade"]
+		if res == nil || len(res.Rows) != 5 {
+			t.Fatal("exp-trade has no row per protocol")
+		}
+		return res
+	}
+	t.Run("exp-avail", func(t *testing.T) {
+		res := trade(t)
+		for _, row := range res.Rows {
+			var sum float64
+			for _, column := range []string{"clean", "with_threat", "rejected"} {
+				v, _ := res.Cell(row.Label, column)
+				sum += v
+			}
+			if sum != float64(cfg.Ops) {
+				t.Errorf("%s: %v partitioned writes counted, want %d", row.Label, sum, cfg.Ops)
+			}
+		}
+	})
+	t.Run("abl-protocols", func(t *testing.T) {
+		res := trade(t)
+		for _, row := range res.Rows {
+			for _, column := range []string{"setter_healthy", "getter_healthy"} {
+				if v, ok := res.Cell(row.Label, column); !ok || v <= 0 {
+					t.Errorf("%s: %s = %v", row.Label, column, v)
+				}
+			}
+		}
+	})
 }
 
 func TestFig21Shape(t *testing.T) {
@@ -156,27 +190,78 @@ func TestFig22Shape(t *testing.T) {
 	}
 }
 
-func TestAvailabilityShape(t *testing.T) {
+// TestTradeShape checks exp-trade's counts, never a rate, in thirds of the
+// writes: the {n1,n2}|{n3} split sends two of every three writes to the
+// majority side.
+func TestTradeShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measurement test")
 	}
-	res, err := runAvail(Config{Ops: 90})
+	cfg := QuickConfig()
+	res, err := runTrade(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p4, ok := res.Cell("P4 + trading", "success_fraction")
-	if !ok {
-		t.Fatal("P4 row missing")
+	third := float64(cfg.Ops / 3)
+	// clean, with_threat, rejected
+	want := map[string][3]float64{
+		"P4":             {0, 3 * third, 0},
+		"primary-backup": {2 * third, 0, third},
+		// Not the paper's shape, where the primary partition is never stale:
+		// PrimaryPartition.PossiblyStale is replicaUnreachable and, without
+		// the partition weight, cannot tell the primary partition apart, so
+		// the majority's accepted writes carry threats too.
+		"primary-partition": {0, 2 * third, third},
+		"adaptive-voting":   {2 * third, third, 0},
+		"quorum":            {2 * third, 0, third},
 	}
-	pp, ok := res.Cell("primary partition", "success_fraction")
-	if !ok {
-		t.Fatal("primary partition row missing")
+	for label, w := range want {
+		cell := func(column string) float64 {
+			v, ok := res.Cell(label, column)
+			if !ok {
+				t.Fatalf("%s: no %s cell", label, column)
+			}
+			return v
+		}
+		if got := [3]float64{cell("clean"), cell("with_threat"), cell("rejected")}; got != w {
+			t.Errorf("%s: clean/with_threat/rejected = %v, want %v", label, got, w)
+		}
+		if stored, with := cell("threats_stored"), cell("with_threat"); stored < with {
+			t.Errorf("%s: %v threats stored for %v writes accepted with a threat", label, stored, with)
+		}
+		if left := cell("threats_left"); left != 0 {
+			t.Errorf("%s: %v threats left after reconciliation", label, left)
+		}
 	}
-	if p4 != 1.0 {
-		t.Errorf("P4 success fraction = %.2f, want 1.0 (all partitions writable)", p4)
+	// Both sides wrote under these two; the most-updates resolver keeps the
+	// majority's state and discards the minority's third.
+	for _, label := range []string{"P4", "adaptive-voting"} {
+		if conflicts, _ := res.Cell(label, "conflicts"); conflicts < 1 {
+			t.Errorf("%s: conflicts = %v, want >= 1", label, conflicts)
+		}
+		if lost, _ := res.Cell(label, "writes_lost"); lost != third {
+			t.Errorf("%s: writes_lost = %v, want the minority's %v", label, lost, third)
+		}
 	}
-	if pp >= p4 {
-		t.Errorf("primary partition (%.2f) should lose to P4 (%.2f)", pp, p4)
+}
+
+// TestAblIntraShape checks abl-intra's stored threats: declared intra-object,
+// ValueBound stays reliable on the partitioned replica and stores none;
+// declared inter-object, every write stores one (full history).
+func TestAblIntraShape(t *testing.T) {
+	if testing.Short() {
+		t.Skip("measurement test")
+	}
+	cfg := QuickConfig()
+	res, err := runAblIntra(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := res.Cell("declared intra-object", "threats_stored"); got != 0 {
+		t.Errorf("intra-object threats_stored = %v, want 0", got)
+	}
+	if got, _ := res.Cell("declared inter-object (default)", "threats_stored"); got != float64(cfg.Ops) {
+		t.Errorf("inter-object threats_stored = %v, want %d", got, cfg.Ops)
 	}
 }
 

@@ -64,6 +64,27 @@ func fixedConstraint(name, method string, verdict bool, ctype constraint.Type) c
 	}
 }
 
+// valueBound is the tradeable constraint on SetValue: the called bean's value
+// stays non-negative. Declared inter-object, a validation on a possibly stale
+// replica is only possibly satisfied and the write carries a threat; declared
+// intra-object, it stays reliable (§3.1).
+func valueBound(scope constraint.Scope) constraint.Configured {
+	return constraint.Configured{
+		Meta: constraint.Meta{
+			Name: "ValueBound", Type: constraint.HardInvariant,
+			Priority: constraint.Tradeable, MinDegree: constraint.Uncheckable,
+			Scope: scope, NeedsContext: true, ContextClass: beanClass,
+			Affected: []constraint.AffectedMethod{
+				{Class: beanClass, Method: "SetValue", Prep: constraint.CalledObjectIsContext{}},
+			},
+			SkipOnCreate: true,
+		},
+		Impl: constraint.Func(func(ctx constraint.Context) (bool, error) {
+			return ctx.ContextObject().GetInt("value") >= 0, nil
+		}),
+	}
+}
+
 // benchConstraints is the constraint deployment shared by all workloads.
 func benchConstraints(threatType constraint.Type) []constraint.Configured {
 	return []constraint.Configured{
@@ -642,36 +663,29 @@ func runAsync(cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// runAvail measures availability during a partition: the fraction of write
-// attempts (spread over all nodes) that succeed under P4 with integrity
-// trading versus the conventional primary-partition protocol.
-func runAvail(cfg Config) (*Result, error) {
+// runTrade measures the paper's trade (§1, §5.2) under every replica-control
+// protocol: cfg.Ops round-robin writes into a {n1,n2}|{n3} partition, each
+// under the tradeable ValueBound constraint, are accepted clean, accepted with
+// a consistency threat or rejected; the heal's reconciliation then counts the
+// conflicts, the accepted writes whose side the resolver discarded and the
+// threats it could not clear. The healthy setter and getter rates show what
+// each protocol costs before the partition.
+func runTrade(cfg Config) (*Result, error) {
 	cfg = cfg.normalize()
-	res := &Result{ID: "exp-avail", Title: "availability under partition",
-		Columns: []string{"success_fraction", "ok", "failed"}}
-	protocols := []struct {
-		name string
-		p    replication.Protocol
-	}{
-		{"P4 + trading", replication.PrimaryPerPartition{}},
-		{"primary partition", replication.PrimaryPartition{}},
-		{"primary backup", replication.PrimaryBackup{}},
-	}
-	for _, proto := range protocols {
-		proto := proto
-		netOpts := []transport.Option{}
-		c, err := node.NewCluster(3, netOpts, func(opt *node.Options) {
-			opt.RepoCache = true
-			opt.Protocol = proto.p
-			opt.ThreatPolicy = threat.IdenticalOnce
-			opt.Obs = cfg.Obs
-		})
+	res := &Result{ID: "exp-trade", Title: "writes under partition and what each cost at reconciliation",
+		Columns: []string{"clean", "with_threat", "rejected", "threats_stored", "conflicts", "writes_lost",
+			"threats_left", "reconcile_s", "setter_healthy", "getter_healthy"}}
+	for _, name := range []string{"P4", "primary-backup", "primary-partition", "adaptive-voting", "quorum"} {
+		proto, err := replication.ProtocolByName(name, cfg.QuorumThreshold)
+		if err != nil {
+			return nil, err
+		}
+		c, err := newBenchCluster(cfg, clusterOpts{size: 3, threatPolicy: threat.FullHistory, protocol: proto}, constraint.HardInvariant)
 		if err != nil {
 			return nil, err
 		}
 		for _, n := range c.Nodes {
-			n.RegisterSchema(beanSchema())
-			if err := n.DeployConstraints(benchConstraints(constraint.HardInvariant)); err != nil {
+			if err := n.DeployConstraints([]constraint.Configured{valueBound(constraint.InterObject)}); err != nil {
 				return nil, err
 			}
 		}
@@ -679,18 +693,78 @@ func runAvail(cfg Config) (*Result, error) {
 		if err := n1.Create(beanClass, beanID(0), object.State{"value": int64(0)}, c.AllReplicas("n1")); err != nil {
 			return nil, err
 		}
+		setter, err := timeOps(cfg.Ops, func(i int) error {
+			_, err := n1.Invoke(beanID(0), "SetValue", int64(i))
+			return err
+		})
+		if err != nil {
+			return nil, fmt.Errorf("%s setter: %w", name, err)
+		}
+		// The getter reads where the setter wrote: a quorum commit returns
+		// before its straggler replica has the object.
+		getter, err := timeOps(cfg.Ops, func(i int) error {
+			_, err := n1.Invoke(beanID(0), "Value")
+			return err
+		})
+		if err != nil {
+			return nil, fmt.Errorf("%s getter: %w", name, err)
+		}
+		// sum reads a counter summed over the nodes: a forwarded write
+		// validates, and its threat is stored, away from where it was issued.
+		sum := func(counter string) (total int64) {
+			for _, n := range c.Nodes {
+				total += n.Obs.Counter(counter).Load()
+			}
+			return total
+		}
+		storedBefore := sum("threat.stored")
 		c.Partition([]transport.NodeID{"n1", "n2"}, []transport.NodeID{"n3"})
-		ok, failed := 0, 0
+		var clean, withThreat, rejected int
+		// Per side ({n1,n2}, {n3}): the accepted writes and the last value
+		// one of them wrote.
+		accepted, last := [2]int{}, [2]int64{}
 		for i := 0; i < cfg.Ops; i++ {
-			n := c.Node(i % 3)
-			if _, err := n.Invoke(beanID(0), "SetValue", int64(i)); err != nil {
-				failed++
+			threats := sum("core.threats.accepted")
+			if _, err := c.Node(i%3).Invoke(beanID(0), "SetValue", int64(i)); err != nil {
+				rejected++
+				continue
+			}
+			if sum("core.threats.accepted") > threats {
+				withThreat++
 			} else {
-				ok++
+				clean++
+			}
+			side := i % 3 / 2
+			accepted[side]++
+			last[side] = int64(i)
+		}
+		stored := sum("threat.stored") - storedBefore
+		c.Heal()
+		start := time.Now()
+		report, err := reconcile.Run(context.Background(), n1, []transport.NodeID{"n2", "n3"}, reconcile.Handlers{})
+		if err != nil {
+			return nil, fmt.Errorf("%s reconcile: %w", name, err)
+		}
+		reconcileS := time.Since(start).Seconds()
+		e, err := n1.Registry.Get(beanID(0))
+		if err != nil {
+			return nil, err
+		}
+		final, lost := e.GetInt("value"), 0
+		for side, n := range accepted {
+			if n > 0 && last[side] != final {
+				lost += n
 			}
 		}
-		res.AddRow(proto.name, float64(ok)/float64(ok+failed), float64(ok), float64(failed))
+		left := 0
+		for _, n := range c.Nodes {
+			left += n.Threats.Len()
+		}
+		c.Stop()
+		res.AddRow(proto.Name(), float64(clean), float64(withThreat), float64(rejected), float64(stored),
+			float64(report.Replica.Conflicts), float64(lost), float64(left), reconcileS, setter, getter)
 	}
-	res.AddNote("P4 keeps every partition writable; primary partition blocks the minority")
+	res.AddNote("P4 and adaptive voting keep the minority writable and pay in threats and lost writes; primary-backup and quorum reject it")
+	res.AddNote("primary-partition's staleness check ignores the partition weight, so the majority's writes carry threats too")
 	return res, nil
 }

@@ -241,8 +241,11 @@ func (PrimaryPartition) WriteAllowed(info Info, view group.View, weight float64)
 	return fmt.Errorf("%w: partition weight %.2f is not a majority", ErrWriteNotAllowed, weight)
 }
 
-// PossiblyStale implements Protocol: the primary partition is never stale;
-// minority partitions read possibly stale data.
+// PossiblyStale implements Protocol: an object is possibly stale wherever one
+// of its replicas is unreachable, the primary partition included. The
+// question carries no partition weight, so it cannot tell the primary
+// partition apart, and a write the majority accepts still carries a threat
+// (exp-trade's primary-partition row).
 func (PrimaryPartition) PossiblyStale(info Info, view group.View) bool {
 	return replicaUnreachable(info, view)
 }

@@ -7,9 +7,11 @@
 //
 // Script language (one command per line, '#' starts a comment):
 //
-//	cluster N [p4|primary-backup|primary-partition|adaptive-voting|quorum[=K]]
-//	        [detector[=fixed|phi]] [groups=G] [rf=R]
+//	cluster N [PROTOCOL|quorum=K] [detector[=fixed|phi]] [groups=G] [rf=R]
 //	        [gossip=DUR|manual] [gossip-fanout=K]
+//	    PROTOCOL is a name replication.ProtocolByName knows (p4,
+//	    primary-backup, primary-partition, adaptive-voting, quorum, or an
+//	    alias); quorum=K sets the quorum's commit threshold;
 //	    detector runs heartbeat failure detection instead of the topology
 //	    oracle: views lag real failures and scripts must 'sleep' or 'await'
 //	    before asserting on modes; groups=G shards the object space across G
@@ -281,16 +283,6 @@ func (e *Engine) cmdCluster(args []string) error {
 	}
 	for _, a := range args[1:] {
 		switch {
-		case a == "p4":
-			proto = replication.PrimaryPerPartition{}
-		case a == "primary-backup":
-			proto = replication.PrimaryBackup{}
-		case a == "primary-partition":
-			proto = replication.PrimaryPartition{}
-		case a == "adaptive-voting":
-			proto = replication.AdaptiveVoting{}
-		case a == "quorum":
-			proto = replication.Quorum{}
 		case strings.HasPrefix(a, "quorum="):
 			k, err := strconv.Atoi(strings.TrimPrefix(a, "quorum="))
 			if err != nil || k < 1 {
@@ -345,7 +337,11 @@ func (e *Engine) cmdCluster(args []string) error {
 			}
 			gossipCfg.Fanout = k
 		default:
-			return fmt.Errorf("unknown cluster option %q", a)
+			p, err := replication.ProtocolByName(a, 0)
+			if err != nil {
+				return fmt.Errorf("unknown cluster option %q", a)
+			}
+			proto = p
 		}
 	}
 	c, err := node.NewCluster(size, nil, func(o *node.Options) {

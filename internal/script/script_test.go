@@ -157,13 +157,16 @@ func TestScriptErrors(t *testing.T) {
 }
 
 func TestProtocolSelection(t *testing.T) {
-	for _, proto := range []string{"p4", "primary-backup", "primary-partition", "adaptive-voting"} {
-		out, err := runScript(t, "cluster 2 "+proto+"\n")
+	for token, name := range map[string]string{
+		"p4": "P4", "primary-backup": "primary-backup", "primary-partition": "primary-partition",
+		"adaptive-voting": "adaptive-voting", "quorum": "quorum", "quorum=2": "quorum", "pp": "primary-partition",
+	} {
+		out, err := runScript(t, "cluster 2 "+token+"\n")
 		if err != nil {
-			t.Fatalf("%s: %v", proto, err)
+			t.Fatalf("%s: %v", token, err)
 		}
-		if !strings.Contains(out, "cluster of 2 nodes") {
-			t.Fatalf("%s: output = %s", proto, out)
+		if !strings.Contains(out, "cluster of 2 nodes ("+name) {
+			t.Fatalf("%s: output = %s", token, out)
 		}
 	}
 }
