@@ -205,15 +205,15 @@ func TestTradeShape(t *testing.T) {
 	third := float64(cfg.Ops / 3)
 	// clean, with_threat, rejected
 	want := map[string][3]float64{
-		"P4":             {0, 3 * third, 0},
-		"primary-backup": {2 * third, 0, third},
-		// Not the paper's shape, where the primary partition is never stale:
-		// PrimaryPartition.PossiblyStale is replicaUnreachable and, without
-		// the partition weight, cannot tell the primary partition apart, so
-		// the majority's accepted writes carry threats too.
-		"primary-partition": {0, 2 * third, third},
+		"P4":                {0, 3 * third, 0},
+		"primary-backup":    {2 * third, 0, third},
+		"primary-partition": {2 * third, 0, third},
 		"adaptive-voting":   {2 * third, third, 0},
 		"quorum":            {2 * third, 0, third},
+	}
+	// The primary partition is never stale, so it stores no threat.
+	if stored, _ := res.Cell("primary-partition", "threats_stored"); stored != 0 {
+		t.Errorf("primary-partition: %v threats stored, want 0", stored)
 	}
 	for label, w := range want {
 		cell := func(column string) float64 {

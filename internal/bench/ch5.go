@@ -764,7 +764,6 @@ func runTrade(cfg Config) (*Result, error) {
 		res.AddRow(proto.Name(), float64(clean), float64(withThreat), float64(rejected), float64(stored),
 			float64(report.Replica.Conflicts), float64(lost), float64(left), reconcileS, setter, getter)
 	}
-	res.AddNote("P4 and adaptive voting keep the minority writable and pay in threats and lost writes; primary-backup and quorum reject it")
-	res.AddNote("primary-partition's staleness check ignores the partition weight, so the majority's writes carry threats too")
+	res.AddNote("P4 and adaptive voting keep the minority writable and pay in threats and lost writes; primary-backup, primary-partition and quorum reject it")
 	return res, nil
 }

@@ -26,11 +26,12 @@ import (
 	"dedisys/internal/tx"
 )
 
-// Message kinds used between constraint consistency managers.
+// Message kinds used between constraint consistency managers: a threat
+// change (threat.Delta) and a reconciliation's store exchange ([]threat.Threat
+// each way).
 const (
-	msgThreatAdd    = "ccm.threat.add"
-	msgThreatRemove = "ccm.threat.remove"
-	msgThreatPull   = "ccm.threat.pull"
+	msgThreats    = "ccm.threats"
+	msgThreatSync = "ccm.threat.sync"
 )
 
 // Transaction-scoped payload keys.
@@ -116,10 +117,6 @@ type Config struct {
 	// DefaultMinDegree is the application-wide minimum satisfaction degree
 	// used when a constraint's metadata does not configure one (§3.2.1).
 	DefaultMinDegree constraint.Degree
-	// ReplicateThreats propagates the threats a transaction accepts and the
-	// identities it clears to partition members (threat data is replicated
-	// too, §5.1). Disable for single-node setups.
-	ReplicateThreats bool
 	// Obs is the shared observability scope; nil observes into a private
 	// registry.
 	Obs *obs.Observer
@@ -128,7 +125,6 @@ type Config struct {
 // Manager is the constraint consistency manager.
 type Manager struct {
 	self             transport.NodeID
-	net              transport.Transport
 	gms              *group.Membership
 	registry         *object.Registry
 	repl             *replication.Manager
@@ -136,7 +132,6 @@ type Manager struct {
 	threats          *threat.Store
 	comm             *group.Comm
 	defaultMinDegree constraint.Degree
-	replicateThreats bool
 	obs              *obs.Observer
 
 	reconciling atomic.Bool
@@ -162,14 +157,12 @@ var _ tx.Resource = (*Manager)(nil)
 func New(cfg Config) (*Manager, error) {
 	m := &Manager{
 		self:             cfg.Self,
-		net:              cfg.Net,
 		gms:              cfg.GMS,
 		registry:         cfg.Registry,
 		repl:             cfg.Repl,
 		repo:             cfg.Repo,
 		threats:          cfg.Threats,
 		defaultMinDegree: cfg.DefaultMinDegree,
-		replicateThreats: cfg.ReplicateThreats,
 		obs:              cfg.Obs,
 		replicaConflicts: make(map[object.ID]struct{}),
 	}
@@ -185,14 +178,11 @@ func New(cfg Config) (*Manager, error) {
 	m.intraObjectSaves = m.obs.Counter("core.intra_object_saves")
 	if cfg.Net != nil {
 		m.comm = group.NewComm(cfg.Net)
-		if err := cfg.Net.Handle(cfg.Self, msgThreatAdd, m.handleThreatAdd); err != nil {
+		if err := cfg.Net.Handle(cfg.Self, msgThreats, m.handleThreats); err != nil {
 			return nil, fmt.Errorf("core: register threat handler: %w", err)
 		}
-		if err := cfg.Net.Handle(cfg.Self, msgThreatRemove, m.handleThreatRemove); err != nil {
-			return nil, fmt.Errorf("core: register threat removal handler: %w", err)
-		}
-		if err := cfg.Net.Handle(cfg.Self, msgThreatPull, m.handleThreatPull); err != nil {
-			return nil, fmt.Errorf("core: register threat pull handler: %w", err)
+		if err := cfg.Net.Handle(cfg.Self, msgThreatSync, m.handleThreatSync); err != nil {
+			return nil, fmt.Errorf("core: register threat sync handler: %w", err)
 		}
 	}
 	return m, nil
@@ -222,31 +212,31 @@ func (m *Manager) RegisterNegotiationHandler(t *tx.Tx, h threat.Handler) {
 	t.Put(keyNegHandler, h)
 }
 
-// handleThreatAdd stores the threats replicated from a partition peer.
-func (m *Manager) handleThreatAdd(from transport.NodeID, payload any) (any, error) {
-	ths, ok := payload.([]threat.Threat)
+// handleThreats applies a threat change a peer made.
+func (m *Manager) handleThreats(from transport.NodeID, payload any) (any, error) {
+	d, ok := payload.(threat.Delta)
 	if !ok {
-		return nil, fmt.Errorf("core: bad threat payload %T", payload)
+		return nil, fmt.Errorf("core: bad threat change payload %T", payload)
 	}
-	if err := m.threats.Replicate(nil, ths); err != nil {
+	if err := m.threats.Replicate(d); err != nil {
 		return nil, err
 	}
 	return "ack", nil
 }
 
-// handleThreatPull exports this node's stored threats to a reconciling peer.
-func (m *Manager) handleThreatPull(from transport.NodeID, payload any) (any, error) {
-	return m.threats.All(), nil
-}
-
-// handleThreatRemove drops the threat identities a peer removed.
-func (m *Manager) handleThreatRemove(from transport.NodeID, payload any) (any, error) {
-	idents, ok := payload.([]string)
+// handleThreatSync merges a reconciling peer's store and answers with this
+// node's store as it was before the merge, so nothing the peer sent echoes
+// back.
+func (m *Manager) handleThreatSync(from transport.NodeID, payload any) (any, error) {
+	ths, ok := payload.([]threat.Threat)
 	if !ok {
-		return nil, fmt.Errorf("core: bad threat removal payload %T", payload)
+		return nil, fmt.Errorf("core: bad threat sync payload %T", payload)
 	}
-	_ = m.threats.Replicate(idents, nil) // only an addition can fail
-	return "ack", nil
+	mine := m.threats.All()
+	if err := m.threats.Replicate(threat.Delta{Added: ths}); err != nil {
+		return nil, err
+	}
+	return mine, nil
 }
 
 // announceRemoved tells all reachable view members, in one message, to drop
@@ -255,7 +245,7 @@ func (m *Manager) handleThreatRemove(from transport.NodeID, payload any) (any, e
 // their next reconciliation.
 func (m *Manager) announceRemoved(callCtx context.Context, idents *[]string) {
 	if len(*idents) > 0 && m.comm != nil && m.gms != nil {
-		m.comm.Multicast(callCtx, m.self, m.gms.ViewOf(m.self).Members, msgThreatRemove, *idents)
+		m.comm.Multicast(callCtx, m.self, m.gms.ViewOf(m.self).Members, msgThreats, threat.Delta{Removed: *idents})
 	}
 	*idents = nil
 }

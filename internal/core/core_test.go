@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"dedisys/internal/constraint"
@@ -283,7 +284,7 @@ func newReplEnv(t *testing.T) *replEnv {
 	env.repl = repl
 	ccm, err := New(Config{
 		Self: "n1", Net: net, GMS: gms, Registry: env.reg,
-		Repl: repl, Repo: env.repo, Threats: env.ths, ReplicateThreats: true,
+		Repl: repl, Repo: env.repo, Threats: env.ths,
 		Obs: env.obs,
 	})
 	if err != nil {
@@ -413,10 +414,12 @@ func TestPartitionWeightInContext(t *testing.T) {
 	}
 }
 
-// TestHandleThreatAddBadPayload: ccm.threat.add accepts a threat list and
-// ccm.threat.remove an identity list, and nothing else — the retired
-// one-threat and one-identity payloads included.
-func TestHandleThreatAddBadPayload(t *testing.T) {
+// TestThreatKindsRejectBadPayloads: ccm.threats accepts a threat.Delta and
+// ccm.threat.sync a threat list, and nothing else — a bare threat list or
+// identity list on ccm.threats included. A change applies its removals, then
+// its additions; a sync merges the request and answers with the store as it
+// was before.
+func TestThreatKindsRejectBadPayloads(t *testing.T) {
 	env := newReplEnv(t)
 	ctx := context.Background()
 	th := threat.Threat{Constraint: "C1", ContextID: "f1", Degree: constraint.PossiblySatisfied}
@@ -424,30 +427,47 @@ func TestHandleThreatAddBadPayload(t *testing.T) {
 		kind    string
 		payload any
 	}{
-		{"ccm.threat.add", "not a threat"},
-		{"ccm.threat.add", th},
-		{"ccm.threat.add", []string{th.Identity()}},
-		{"ccm.threat.add", nil},
-		{"ccm.threat.remove", th.Identity()},
-		{"ccm.threat.remove", []threat.Threat{th}},
-		{"ccm.threat.remove", nil},
+		{"ccm.threats", "not a threat"},
+		{"ccm.threats", th},
+		{"ccm.threats", []threat.Threat{th}},
+		{"ccm.threats", []string{th.Identity()}},
+		{"ccm.threats", &threat.Delta{}},
+		{"ccm.threats", nil},
+		{"ccm.threat.sync", th},
+		{"ccm.threat.sync", threat.Delta{Added: []threat.Threat{th}}},
+		{"ccm.threat.sync", []string{th.Identity()}},
+		{"ccm.threat.sync", nil},
 	} {
 		if _, err := env.net.Send(ctx, "n2", "n1", bad.kind, bad.payload); err == nil {
 			t.Fatalf("%s accepted a %T", bad.kind, bad.payload)
 		}
 	}
+	if env.ths.Len() != 0 {
+		t.Fatalf("a rejected payload stored %v", env.ths.All())
+	}
 	other := threat.Threat{Constraint: "C1", ContextID: "f2", Degree: constraint.Uncheckable, Seq: 9}
-	if _, err := env.net.Send(ctx, "n2", "n1", "ccm.threat.add", []threat.Threat{th, other, th}); err != nil {
+	if _, err := env.net.Send(ctx, "n2", "n1", "ccm.threats", threat.Delta{Added: []threat.Threat{th, other, th}}); err != nil {
 		t.Fatal(err)
 	}
 	if env.ths.Len() != 2 {
 		t.Fatalf("threats = %d, want the two identities", env.ths.Len())
 	}
-	if _, err := env.net.Send(ctx, "n2", "n1", "ccm.threat.remove", []string{th.Identity(), "unknown", other.Identity()}); err != nil {
+	change := threat.Delta{Removed: []string{th.Identity(), "unknown", other.Identity()}, Added: []threat.Threat{th}}
+	if _, err := env.net.Send(ctx, "n2", "n1", "ccm.threats", change); err != nil {
 		t.Fatal(err)
 	}
-	if env.ths.Len() != 0 {
-		t.Fatalf("threats after removal = %d", env.ths.Len())
+	if got := env.ths.Identities(); !slices.Equal(got, []string{th.Identity()}) {
+		t.Fatalf("identities after the change = %v, want only the re-added %s", got, th.Identity())
+	}
+	reply, err := env.net.Send(ctx, "n2", "n1", "ccm.threat.sync", []threat.Threat{other})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if before, ok := reply.([]threat.Threat); !ok || len(before) != 1 || before[0].Identity() != th.Identity() {
+		t.Fatalf("sync reply = %#v, want the store before the merge: %s alone", reply, th.Identity())
+	}
+	if env.ths.Len() != 2 {
+		t.Fatalf("threats after the sync = %d, want 2", env.ths.Len())
 	}
 }
 

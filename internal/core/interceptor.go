@@ -224,28 +224,21 @@ func (m *Manager) Prepare(t *tx.Tx) error {
 	return m.awaitDeferredNegotiations(t)
 }
 
-// Commit implements tx.Resource: the identities the transaction cleared and
-// the threats it accepted reach each view member once (§5.1) — in the
-// repl.batch replication's commit sent, or here. A rolled-back transaction
-// announces nothing; its undo restored the local records.
+// Commit implements tx.Resource: the transaction's threat change reaches
+// each view member once (§5.1) — in the repl.batch replication's commit sent,
+// or here in one ccm.threats. A rolled-back transaction announces nothing;
+// its undo restored the local records.
 func (m *Manager) Commit(t *tx.Tx) error {
-	cleared, _ := t.Value(threat.KeyCleared).([]string)
-	accepted, _ := t.Value(threat.KeyAccepted).([]threat.Threat)
-	if len(cleared) == 0 && len(accepted) == 0 || m.comm == nil {
+	d, _ := t.Value(threat.KeyDelta).(*threat.Delta)
+	if d == nil || m.comm == nil {
 		return nil
 	}
 	shipped, _ := t.Value(threat.KeyShipped).([]transport.NodeID)
 	rest := slices.DeleteFunc(slices.Clone(m.gms.ViewOf(m.self).Members), func(p transport.NodeID) bool {
 		return p == m.self || slices.Contains(shipped, p)
 	})
-	if len(rest) == 0 {
-		return nil
-	}
-	if len(cleared) > 0 {
-		m.comm.Multicast(t.Context(), m.self, rest, msgThreatRemove, cleared)
-	}
-	if len(accepted) > 0 {
-		m.comm.Multicast(t.Context(), m.self, rest, msgThreatAdd, accepted)
+	if len(rest) > 0 {
+		m.comm.Multicast(t.Context(), m.self, rest, msgThreats, *d)
 	}
 	return nil
 }
@@ -334,9 +327,8 @@ func (m *Manager) clearSatisfiedThreats(t *tx.Tx, meta constraint.Meta, ctx *val
 	if len(removed) == 0 {
 		return
 	}
-	if m.replicateThreats {
-		cleared, _ := t.Value(threat.KeyCleared).([]string)
-		t.Put(threat.KeyCleared, append(cleared, ident))
+	if d := m.delta(t); d != nil {
+		d.Removed = append(d.Removed, ident)
 	}
 	t.RecordUndo(func() {
 		for _, old := range removed {
@@ -438,11 +430,24 @@ func (m *Manager) storeThreat(t *tx.Tx, th threat.Threat) error {
 	}
 	seq := stored.Seq
 	t.RecordUndo(func() { m.threats.Remove(seq) })
-	if m.replicateThreats {
-		accepted, _ := t.Value(threat.KeyAccepted).([]threat.Threat)
-		t.Put(threat.KeyAccepted, append(accepted, stored))
+	if d := m.delta(t); d != nil {
+		d.Added = append(d.Added, stored)
 	}
 	return nil
+}
+
+// delta returns the threat change t's commit ships, recorded under
+// threat.KeyDelta; nil without replication, which ships none.
+func (m *Manager) delta(t *tx.Tx) *threat.Delta {
+	if m.repl == nil {
+		return nil
+	}
+	d, _ := t.Value(threat.KeyDelta).(*threat.Delta)
+	if d == nil {
+		d = new(threat.Delta)
+		t.Put(threat.KeyDelta, d)
+	}
+	return d
 }
 
 // ValidateNew validates the hard invariants of a newly created entity

@@ -59,52 +59,30 @@ func (m *Manager) NoteReplicaConflicts(ids []object.ID) {
 	}
 }
 
-// PropagateThreats ships all locally stored consistency threats to the
-// given peers, one message per peer, and returns how many threats were
-// delivered. The replication service propagates missed updates "including
-// consistency threats" when partitions re-unify (§5.2); the reconciliation
-// orchestrator calls this as part of the replica phase, which is why that
-// phase scales with the number of stored threat records (Figure 5.6).
-func (m *Manager) PropagateThreats(ctx context.Context, peers []transport.NodeID) (int, error) {
-	if m.comm == nil || m.threats.Len() == 0 {
-		return 0, nil
-	}
-	all, sent := m.threats.All(), 0
-	for _, res := range m.comm.Multicast(ctx, m.self, peers, msgThreatAdd, all) {
-		if res.Err == nil { // else unreachable again: it will catch up next time
-			sent += len(all)
-		}
-	}
-	return sent, nil
-}
-
-// PullThreats imports the threats stored on the given peers — threats
-// recorded in other partitions during the degraded period that this node
-// has not seen yet (missed updates include threat data, §5.2). The pulls are
-// one round; the replies merge in peer order.
-func (m *Manager) PullThreats(ctx context.Context, peers []transport.NodeID) (int, error) {
+// SyncThreats exchanges threat stores with the given peers in one round:
+// missed updates include the threats recorded during the degraded period
+// (§5.2). The request carries this node's store; each peer merges it and
+// replies with its store as it was before, which merges here in peer order.
+// The reconciliation orchestrator calls this as part of the replica phase,
+// which is why that phase scales with the number of stored threat records
+// (Figure 5.6). An unreachable peer catches up at the next pass.
+func (m *Manager) SyncThreats(ctx context.Context, peers []transport.NodeID) error {
 	if m.comm == nil {
-		return 0, nil
+		return nil
 	}
-	imported := 0
-	for _, res := range m.comm.Multicast(ctx, m.self, peers, msgThreatPull, nil) {
+	for _, res := range m.comm.Multicast(ctx, m.self, peers, msgThreatSync, m.threats.All()) {
 		if res.Err != nil {
-			continue // unreachable again; next reconciliation catches up
+			continue
 		}
 		remote, ok := res.Response.([]threat.Threat)
 		if !ok {
-			return imported, fmt.Errorf("core: bad threat pull response %T from %s", res.Response, res.Node)
+			return fmt.Errorf("core: bad threat sync response %T from %s", res.Response, res.Node)
 		}
-		for _, th := range remote {
-			th.Seq = 0
-			if _, isNew, err := m.threats.Add(th); err != nil {
-				return imported, err
-			} else if isNew {
-				imported++
-			}
+		if err := m.threats.Replicate(threat.Delta{Added: remote}); err != nil {
+			return err
 		}
 	}
-	return imported, nil
+	return nil
 }
 
 // ThreatReport summarises one constraint reconciliation pass (§5.2).

@@ -38,17 +38,18 @@ func corePayloads() []struct {
 		name    string
 		payload any
 	}{
-		{"one accepted threat (a commit's)", []threat.Threat{th}},
+		{"one accepted threat (a commit's)", threat.Delta{Added: []threat.Threat{th}}},
 		{"a store (a pass's)", []threat.Threat{th, other, th}},
-		{"one identity (a satisfying business operation's)", []string{th.Identity()}},
-		{"a pass's identities", []string{th.Identity(), other.Identity(), ""}},
+		{"one identity (a satisfying business operation's)", threat.Delta{Removed: []string{th.Identity()}}},
+		{"a pass's identities", threat.Delta{Removed: []string{th.Identity(), other.Identity(), ""}}},
+		{"a cleared identity and an accepted threat (a commit's)", threat.Delta{Removed: []string{other.Identity()}, Added: []threat.Threat{th}}},
 	}
 }
 
-// TestWireCodecCorePayloads pushes what the CCM puts on the wire — the threat
-// list of ccm.threat.add (and of ccm.threat.pull's reply), the identity list
-// of ccm.threat.remove — through gob, through a frame (neither has a form of
-// its own: both ride gob) and through a real link whose far end echoes it.
+// TestWireCodecCorePayloads pushes what the CCM puts on the wire — the change
+// of ccm.threats, the store of ccm.threat.sync and its reply — through gob,
+// through a frame (neither has a form of its own: both ride gob) and through
+// a real link whose far end echoes it.
 func TestWireCodecCorePayloads(t *testing.T) {
 	dir := t.TempDir()
 	peers := map[transport.NodeID]string{
@@ -104,11 +105,11 @@ func TestWireCodecCorePayloads(t *testing.T) {
 }
 
 // FuzzThreatExchange feeds the threat exchange arbitrary bytes, seeded with
-// the gob encodings of corePayloads. Bytes that gob-decode into a threat list
-// go to the ccm.threat.add handler and come back as a peer's reply to
-// PullThreats; bytes that decode into an identity list go to the
-// ccm.threat.remove handler. None of them may panic the node. n1's store
-// holds one threat of its own, so a removal and a fold have a record to meet.
+// the gob encodings of corePayloads. Bytes that gob-decode into a change go to
+// the ccm.threats handler; bytes that decode into a threat list go to the
+// ccm.threat.sync handler and come back as a peer's reply to SyncThreats.
+// None of them may panic the node. n1's store holds one threat of its own, so
+// a removal and a fold have a record to meet.
 func FuzzThreatExchange(f *testing.F) {
 	for _, tc := range corePayloads() {
 		var buf bytes.Buffer
@@ -119,20 +120,20 @@ func FuzzThreatExchange(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		env := newReplEnv(t)
-		if _, _, err := env.ths.Add(corePayloads()[0].payload.([]threat.Threat)[0]); err != nil {
+		if _, _, err := env.ths.Add(corePayloads()[0].payload.(threat.Delta).Added[0]); err != nil {
 			t.Fatal(err)
+		}
+		var d threat.Delta
+		if gob.NewDecoder(bytes.NewReader(data)).Decode(&d) == nil {
+			_, _ = env.ccm.handleThreats("n2", d)
 		}
 		var ths []threat.Threat
 		if gob.NewDecoder(bytes.NewReader(data)).Decode(&ths) == nil {
-			_, _ = env.ccm.handleThreatAdd("n2", ths)
-			if err := env.net.Handle("n2", msgThreatPull, func(transport.NodeID, any) (any, error) { return ths, nil }); err != nil {
+			_, _ = env.ccm.handleThreatSync("n2", ths)
+			if err := env.net.Handle("n2", msgThreatSync, func(transport.NodeID, any) (any, error) { return ths, nil }); err != nil {
 				t.Fatal(err)
 			}
-			_, _ = env.ccm.PullThreats(context.Background(), []transport.NodeID{"n2"})
-		}
-		var idents []string
-		if gob.NewDecoder(bytes.NewReader(data)).Decode(&idents) == nil {
-			_, _ = env.ccm.handleThreatRemove("n2", idents)
+			_ = env.ccm.SyncThreats(context.Background(), []transport.NodeID{"n2"})
 		}
 	})
 }

@@ -1,9 +1,9 @@
 // Package naming provides the naming service (NS) of Figure 4.1 — the JNDI
 // analogue: name-to-object bindings that applications use to locate their
 // entity objects. Bindings are replicated to all reachable nodes when they
-// are created and lazily synchronised when partitions re-unify; like the
-// prototype's JNDI, the service favours availability (lookups are always
-// local) over binding consistency.
+// are created and lazily synchronised, both ways, when partitions re-unify;
+// like the prototype's JNDI, the service favours availability (lookups are
+// always local) over binding consistency.
 //
 // Under sharded placement the binding table stays full-mesh — every node can
 // resolve every name. A binding records only the object; the invocation finds
@@ -22,11 +22,11 @@ import (
 	"dedisys/internal/transport"
 )
 
-// Message kinds of the naming service.
+// Message kinds of the naming service: one binding (a tombstone included),
+// and a whole table each way.
 const (
-	msgBind   = "naming.bind"
-	msgUnbind = "naming.unbind"
-	msgPull   = "naming.pull"
+	msgBind = "naming.bind"
+	msgSync = "naming.sync"
 )
 
 // Errors of the naming service.
@@ -64,7 +64,6 @@ func supersedes(incoming, existing binding) bool {
 // Service is the per-node naming service.
 type Service struct {
 	self transport.NodeID
-	net  transport.Transport
 	gms  *group.Membership
 	comm *group.Comm
 
@@ -77,15 +76,13 @@ type Service struct {
 func New(self transport.NodeID, net transport.Transport, gms *group.Membership) (*Service, error) {
 	s := &Service{
 		self:     self,
-		net:      net,
 		gms:      gms,
 		comm:     group.NewComm(net),
 		bindings: make(map[string]binding),
 	}
 	for kind, h := range map[string]transport.Handler{
-		msgBind:   s.handleBind,
-		msgUnbind: s.handleUnbind,
-		msgPull:   s.handlePull,
+		msgBind: s.handleBind,
+		msgSync: s.handleSync,
 	} {
 		if err := net.Handle(self, kind, h); err != nil {
 			return nil, fmt.Errorf("naming: register %s: %w", kind, err)
@@ -106,7 +103,7 @@ func (s *Service) Bind(name string, id object.ID) error {
 	b := binding{ID: id, Epoch: s.epoch}
 	s.bindings[name] = b
 	s.mu.Unlock()
-	s.broadcast(msgBind, bindMsg{Name: name, Binding: b})
+	s.broadcast(name, b)
 	return nil
 }
 
@@ -117,7 +114,7 @@ func (s *Service) Rebind(name string, id object.ID) {
 	b := binding{ID: id, Epoch: s.epoch}
 	s.bindings[name] = b
 	s.mu.Unlock()
-	s.broadcast(msgBind, bindMsg{Name: name, Binding: b})
+	s.broadcast(name, b)
 }
 
 // Unbind removes a name, leaving a tombstone so the removal wins over stale
@@ -133,7 +130,7 @@ func (s *Service) Unbind(name string) error {
 	dead := binding{ID: b.ID, Epoch: s.epoch, Dead: true}
 	s.bindings[name] = dead
 	s.mu.Unlock()
-	s.broadcast(msgUnbind, bindMsg{Name: name, Binding: dead})
+	s.broadcast(name, dead)
 	return nil
 }
 
@@ -168,19 +165,20 @@ type SyncResult struct {
 	Err  error // nil when the peer's bindings were merged
 }
 
-// SyncAll pulls bindings from every peer concurrently — one multicast round,
-// one sender per peer — and merges the responses in peer order, so the
-// merged result is deterministic regardless of response arrival. Unreachable
-// peers report their error in the result slice and are skipped (they
-// synchronise on a later pass); the slice preserves the Multicast
-// destination order.
+// SyncAll exchanges binding tables with every peer in one multicast round,
+// one sender per peer: the request carries this node's table, each peer
+// merges it and replies with its table as it was before the merge, and the
+// replies merge here in peer order, so both sides converge in one exchange
+// and the result does not depend on response arrival. Unreachable peers
+// report their error in the result slice and are skipped (they synchronise
+// on a later pass); the slice preserves the Multicast destination order.
 func (s *Service) SyncAll(ctx context.Context, peers []transport.NodeID) []SyncResult {
-	results := s.comm.Multicast(ctx, s.self, peers, msgPull, nil)
+	results := s.comm.Multicast(ctx, s.self, peers, msgSync, s.table())
 	out := make([]SyncResult, len(results))
 	for i, res := range results {
 		sr := SyncResult{Peer: res.Node, Err: res.Err}
 		if sr.Err == nil {
-			sr.Err = s.mergeResponse(res.Response)
+			sr.Err = s.merge(res.Response)
 		}
 		if sr.Err != nil {
 			sr.Err = fmt.Errorf("naming: sync with %s: %w", res.Node, sr.Err)
@@ -190,25 +188,39 @@ func (s *Service) SyncAll(ctx context.Context, peers []transport.NodeID) []SyncR
 	return out
 }
 
-// mergeResponse folds one peer's pulled binding table into the local one
-// (newer epochs win, tombstones included).
-func (s *Service) mergeResponse(resp any) error {
-	remote, ok := resp.(map[string]binding)
+// table copies the binding table.
+func (s *Service) table() map[string]binding {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make(map[string]binding, len(s.bindings))
+	for k, v := range s.bindings {
+		out[k] = v
+	}
+	return out
+}
+
+// merge folds a peer's binding table into the local one (newer epochs win,
+// tombstones included).
+func (s *Service) merge(payload any) error {
+	remote, ok := payload.(map[string]binding)
 	if !ok {
-		return fmt.Errorf("naming: bad pull response %T", resp)
+		return fmt.Errorf("naming: bad sync payload %T", payload)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for name, rb := range remote {
-		lb, exists := s.bindings[name]
-		if !exists || supersedes(rb, lb) {
-			s.bindings[name] = rb
-			if rb.Epoch > s.epoch {
-				s.epoch = rb.Epoch
-			}
-		}
+	for name, b := range remote {
+		s.adopt(name, b)
 	}
 	return nil
+}
+
+// adopt installs b under name if it supersedes the local entry; callers hold
+// s.mu.
+func (s *Service) adopt(name string, b binding) {
+	if lb, exists := s.bindings[name]; !exists || supersedes(b, lb) {
+		s.bindings[name] = b
+		s.epoch = max(s.epoch, b.Epoch)
+	}
 }
 
 type bindMsg struct {
@@ -216,45 +228,33 @@ type bindMsg struct {
 	Binding binding
 }
 
-func (s *Service) broadcast(kind string, msg bindMsg) {
+func (s *Service) broadcast(name string, b binding) {
 	// Bind/Rebind/Unbind stay context-free convenience APIs; their fan-out
 	// runs under a background context like the prototype's JNDI writes.
 	members := s.gms.ViewOf(s.self).Members
-	for _, res := range s.comm.Multicast(context.Background(), s.self, members, kind, msg) {
+	for _, res := range s.comm.Multicast(context.Background(), s.self, members, msgBind, bindMsg{Name: name, Binding: b}) {
 		_ = res // unreachable nodes synchronise on heal
 	}
 }
 
+// handleBind applies a peer's binding, a live one or a tombstone.
 func (s *Service) handleBind(from transport.NodeID, payload any) (any, error) {
-	return s.applyRemote(payload)
-}
-
-func (s *Service) handleUnbind(from transport.NodeID, payload any) (any, error) {
-	return s.applyRemote(payload)
-}
-
-func (s *Service) applyRemote(payload any) (any, error) {
 	msg, ok := payload.(bindMsg)
 	if !ok {
 		return nil, fmt.Errorf("naming: bad payload %T", payload)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if lb, exists := s.bindings[msg.Name]; !exists || supersedes(msg.Binding, lb) {
-		s.bindings[msg.Name] = msg.Binding
-		if msg.Binding.Epoch > s.epoch {
-			s.epoch = msg.Binding.Epoch
-		}
-	}
+	s.adopt(msg.Name, msg.Binding)
 	return "ack", nil
 }
 
-func (s *Service) handlePull(from transport.NodeID, payload any) (any, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[string]binding, len(s.bindings))
-	for k, v := range s.bindings {
-		out[k] = v
+// handleSync merges a peer's table and answers with this node's table as it
+// was before the merge, so nothing the peer sent echoes back.
+func (s *Service) handleSync(from transport.NodeID, payload any) (any, error) {
+	mine := s.table()
+	if err := s.merge(payload); err != nil {
+		return nil, err
 	}
-	return out, nil
+	return mine, nil
 }

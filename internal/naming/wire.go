@@ -2,8 +2,8 @@ package naming
 
 import "encoding/gob"
 
-// Wire payload registration: bind/unbind broadcasts carry bindMsg and the
-// sync pull reply carries the full binding table. Each package registers
+// Wire payload registration: bind broadcasts carry bindMsg, and a sync
+// request and its reply the full binding table. Each package registers
 // exactly the types it owns.
 func init() {
 	gob.Register(bindMsg{})

@@ -27,15 +27,15 @@ func TestWireCodecNamingPayloads(t *testing.T) {
 	dead := binding{ID: "acct-2", Epoch: 9, Dead: true}
 	roundTrip(t, bindMsg{Name: "accounts/alice", Binding: live})
 	roundTrip(t, bindMsg{Name: "accounts/bob", Binding: dead})
-	// The sync pull reply ships the full table.
+	// A sync request and its reply ship the full table.
 	roundTrip(t, map[string]binding{"accounts/alice": live, "accounts/bob": dead})
 	roundTrip(t, "ack")
 }
 
 // FuzzNamingExchange feeds gob bytes to the naming service's wire kinds,
-// seeded with the gob encodings of two bind messages and a pulled binding
-// table. Bytes that decode into a bindMsg go to handleBind and handleUnbind;
-// bytes that decode into a table are merged as a peer's pull reply. Neither
+// seeded with the gob encodings of two bind messages and a binding table.
+// Bytes that decode into a bindMsg go to handleBind; bytes that decode into a
+// table go to handleSync and are merged as a peer's reply to SyncAll. Neither
 // may panic, and the service's epoch must stay at least every binding's, so
 // that its next local bind supersedes what it took in.
 func FuzzNamingExchange(f *testing.F) {
@@ -60,11 +60,13 @@ func FuzzNamingExchange(f *testing.F) {
 		var msg bindMsg
 		if gob.NewDecoder(bytes.NewReader(data)).Decode(&msg) == nil {
 			_, _ = s.handleBind("n2", msg)
-			_, _ = s.handleUnbind("n2", msg)
 		}
 		var table map[string]binding
 		if gob.NewDecoder(bytes.NewReader(data)).Decode(&table) == nil {
-			if err := net.Handle("n2", msgPull, func(transport.NodeID, any) (any, error) { return table, nil }); err != nil {
+			if _, err := s.handleSync("n2", table); err != nil {
+				t.Fatal(err)
+			}
+			if err := net.Handle("n2", msgSync, func(transport.NodeID, any) (any, error) { return table, nil }); err != nil {
 				t.Fatal(err)
 			}
 			for _, res := range s.SyncAll(context.Background(), []transport.NodeID{"n2"}) {

@@ -244,7 +244,6 @@ func New(opts Options) (*Node, error) {
 			Repo:             n.Repo,
 			Threats:          n.Threats,
 			DefaultMinDegree: opts.DefaultMinDegree,
-			ReplicateThreats: !opts.DisableReplication,
 			Obs:              scoped,
 		})
 		if err != nil {

@@ -3,8 +3,8 @@ package node_test
 // A commit's threats ride its repl.batch (§5.1: threat data is replicated
 // too). Every member of the coordinator's view receives each threat it
 // accepts and each identity it clears once: inside the batch where the
-// commit's round reaches the member, in a ccm.threat.add / ccm.threat.remove
-// of its own where it does not. A replica that answered the batch holds the
+// commit's round reaches the member, in one ccm.threats of its own where it
+// does not. A replica that answered the batch holds the
 // threat when the commit returns.
 
 import (
@@ -97,10 +97,10 @@ func holds(n *node.Node, ident string) bool { return len(n.Threats.ByIdentity(id
 // TestThreatRidesTheBatch is the paper's setting: four nodes under P4, cut
 // into {n1,n2} | {n3,n4}. A write that accepts the first threat of an
 // identity sends its peer one message, the repl.batch, and the peer holds the
-// threat when the commit returns; a separate ccm.threat.add made it two. A
+// threat when the commit returns; a separate threat message made it two. A
 // write whose threat folds into the stored one sends one as before. Healed,
 // a write that satisfies the constraint clears the identity with one message
-// per peer, where a ccm.threat.remove beside the batch made it two.
+// per peer, where a removal message beside the batch made it two.
 func TestThreatRidesTheBatch(t *testing.T) {
 	c := newRegCluster(t, 4)
 	n1, n2 := c.Node(0), c.Node(1)
@@ -153,9 +153,9 @@ func groupObjects(t *testing.T, ring *placement.Ring, g, n int) []object.ID {
 // three, and a cut whose coordinator side holds the coordinator, a peer of
 // its object's group and a node outside that group. A first-threat write
 // sends the group peer one repl.batch that carries the threat and the
-// outsider one ccm.threat.add, and all three stores hold the identity. An
+// outsider one ccm.threats, and all three stores hold the identity. An
 // object no remote replica of which is reachable makes no round at all; the
-// view still hears of its threat in one ccm.threat.add.
+// view still hears of its threat in one ccm.threats.
 func TestShardedThreatReachesTheViewOnce(t *testing.T) {
 	c := newRegCluster(t, 6, func(o *node.Options) { o.Groups, o.ReplicationFactor = 2, 3 })
 	ids := groupObjects(t, c.Ring, 0, 2)
@@ -193,7 +193,7 @@ func TestShardedThreatReachesTheViewOnce(t *testing.T) {
 	setValue(t, h, ids[0], 1)
 	expectSends(t, "a first-threat write", tally.take(), sends{
 		peer:     {"repl.batch": 1},
-		outsider: {"ccm.threat.add": 1},
+		outsider: {"ccm.threats": 1},
 	})
 	ident := "NonNegative|" + string(ids[0])
 	for _, id := range []transport.NodeID{home, peer, outsider} {
@@ -205,16 +205,81 @@ func TestShardedThreatReachesTheViewOnce(t *testing.T) {
 	cut(home, outsider)
 	setValue(t, h, ids[1], 1)
 	expectSends(t, "a write with no reachable remote replica", tally.take(), sends{
-		outsider: {"ccm.threat.add": 1},
+		outsider: {"ccm.threats": 1},
 	})
 	if !holds(c.ByID(outsider), "NonNegative|"+string(ids[1])) {
 		t.Fatalf("%s does not hold the second threat: %v", outsider, c.ByID(outsider).Threats.All())
 	}
 }
 
+// TestShardedChangeReachesAnOutsiderOnce: six nodes in two replica groups of
+// three that share one node, the coordinator. One transaction writes an
+// object of each group while a member of the second group is cut away: the
+// first write satisfies the constraint and clears its stored threat, the
+// second accepts a new one. A view member outside both groups is sent the
+// whole change as one ccm.threats, and every node of the coordinator's side
+// ends without the cleared identity and with the accepted one.
+func TestShardedChangeReachesAnOutsiderOnce(t *testing.T) {
+	c := newRegCluster(t, 6, func(o *node.Options) { o.Groups, o.ReplicationFactor = 2, 3 })
+	g0, g1 := c.Ring.GroupReplicas(0), c.Ring.GroupReplicas(1)
+	var coord, outsider, cutOff transport.NodeID
+	for _, id := range c.IDs() {
+		switch in0, in1 := slices.Contains(g0, id), slices.Contains(g1, id); {
+		case in0 && in1:
+			coord = id
+		case !in0 && !in1:
+			outsider = id
+		case in1:
+			cutOff = id
+		}
+	}
+	if coord == "" || outsider == "" || cutOff == "" {
+		t.Fatalf("groups %v and %v leave no shared node, outsider or second-group-only node", g0, g1)
+	}
+	cleared, accepted := groupObjects(t, c.Ring, 0, 1)[0], groupObjects(t, c.Ring, 1, 1)[0]
+	h := c.ByID(coord)
+	for _, id := range []object.ID{cleared, accepted} {
+		if err := h.Create("Reg", id, object.State{"value": int64(0)}, c.AllReplicas(coord)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	clearedIdent, acceptedIdent := "NonNegative|"+string(cleared), "NonNegative|"+string(accepted)
+	for _, n := range c.Nodes {
+		if _, _, err := n.Threats.Add(threat.Threat{Constraint: "NonNegative", ContextID: cleared, Degree: constraint.PossiblySatisfied}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var side []transport.NodeID
+	for _, id := range c.IDs() {
+		if id != cutOff {
+			side = append(side, id)
+		}
+	}
+	c.Partition(side, []transport.NodeID{cutOff})
+	tally := tapSends(t, c.Net)
+
+	txn := h.Begin()
+	for _, id := range []object.ID{cleared, accepted} {
+		if _, err := h.InvokeTx(txn, id, "SetValue", int64(1)); err != nil {
+			t.Fatalf("%s sets %s: %v", coord, id, err)
+		}
+	}
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := tally.take()[outsider]; !reflect.DeepEqual(got, map[string]int{"ccm.threats": 1}) {
+		t.Fatalf("the commit sent outsider %s %v, want one ccm.threats", outsider, got)
+	}
+	for _, id := range side {
+		if n := c.ByID(id); holds(n, clearedIdent) || !holds(n, acceptedIdent) {
+			t.Errorf("%s holds %v; want %s and not %s", id, n.Threats.All(), acceptedIdent, clearedIdent)
+		}
+	}
+}
+
 // TestNoReplicationAnnouncesNoRemoval: nodes built without replication never
 // feed each other's threat stores, so a commit that clears a stored threat
-// tells nobody — no ccm.threat.remove leaves it, and the peer keeps its own
+// tells nobody — no ccm.threats leaves it, and the peer keeps its own
 // threat of the same identity. The removal used to be announced before the
 // check that gates replicated additions.
 func TestNoReplicationAnnouncesNoRemoval(t *testing.T) {

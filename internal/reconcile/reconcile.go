@@ -76,22 +76,18 @@ func Run(ctx context.Context, n *node.Node, peers []transport.NodeID, h Handlers
 		return report, fmt.Errorf("reconcile: replica phase: %w", err)
 	}
 	// Missed updates include the consistency threats recorded during the
-	// degraded period (§5.2); shipping them — in both directions — is part
-	// of this phase's cost.
+	// degraded period (§5.2); exchanging them — one round, both directions —
+	// is part of this phase's cost.
 	if n.CCM != nil {
-		if _, err := n.CCM.PropagateThreats(ctx, peers); err != nil {
+		if err := n.CCM.SyncThreats(ctx, peers); err != nil {
 			report.ReplicaDuration = time.Since(start)
-			return report, fmt.Errorf("reconcile: threat propagation: %w", err)
-		}
-		if _, err := n.CCM.PullThreats(ctx, peers); err != nil {
-			report.ReplicaDuration = time.Since(start)
-			return report, fmt.Errorf("reconcile: threat pull: %w", err)
+			return report, fmt.Errorf("reconcile: threat sync: %w", err)
 		}
 	}
 	// Naming bindings created in other partitions are synchronised as part
-	// of the missed-update propagation. The pulls fan out concurrently over
-	// the peers; skipped peers (unreachable again) catch up on a later pass
-	// and are surfaced as events rather than silently dropped.
+	// of the missed-update propagation, both ways in one round. Skipped peers
+	// (unreachable again) catch up on a later pass and are surfaced as events
+	// rather than silently dropped.
 	if n.Naming != nil {
 		for _, sr := range n.Naming.SyncAll(ctx, peers) {
 			if sr.Err != nil {

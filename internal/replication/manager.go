@@ -67,13 +67,12 @@ type batchMsg struct {
 	Ops []batchOp
 }
 
-// threatBatch is the repl.batch of a transaction that accepted or cleared
-// threats (§5.1). It rides gob: threat fields on batchMsg would grow every
-// decoded batch, and embedding batchMsg would lend it a form without them.
+// threatBatch is the repl.batch of a transaction that changed threats
+// (§5.1). It rides gob: threat fields on batchMsg would grow every decoded
+// batch, and embedding batchMsg would lend it a form without them.
 type threatBatch struct {
-	Ops     []batchOp
-	Added   []threat.Threat
-	Removed []string
+	Ops []batchOp
+	threat.Delta
 }
 
 // opResult is what a replica made of one op of a batch.
@@ -498,7 +497,7 @@ func (m *Manager) Lookup(ctx context.Context, id object.ID) (*object.Entity, con
 		}
 	}
 	view := m.viewFor(info)
-	stale := m.protocol.PossiblyStale(info, view)
+	stale := replicaUnreachable(info, view) && m.protocol.PossiblyStale(info, view, m.weightFor(info))
 	if info.HasReplica(m.self) {
 		e, err := m.registry.Get(id)
 		if err != nil {
@@ -793,7 +792,7 @@ type Forwarded struct {
 }
 
 // commitBatched ships the staged operations of t in one multicast round, the
-// one route builds, with the threats t accepted and cleared. The requester of
+// one route builds, with the threat change t made. The requester of
 // a forwarded commit gets its message in the reply instead (replyTo).
 func (m *Manager) commitBatched(t *tx.Tx, staged []stagedOp) error {
 	fw, _ := t.Context().(*Forwarded)
@@ -802,17 +801,15 @@ func (m *Manager) commitBatched(t *tx.Tx, staged []stagedOp) error {
 	if r == nil && requester == "" {
 		return nil
 	}
-	added, _ := t.Value(threat.KeyAccepted).([]threat.Threat)
-	removed, _ := t.Value(threat.KeyCleared).([]string)
-	threats := len(added) > 0 || len(removed) > 0
+	delta, _ := t.Value(threat.KeyDelta).(*threat.Delta)
 	if r == nil {
 		// The requester was the only remote destination: the reply is the
 		// commit's one message, and its one-op batch takes the round's place.
 		one := &oneOpBatch{op: [1]batchOp{staged[0].op}}
 		one.Ops = one.op[:]
 		fw.Apply = &one.batchMsg
-		if threats {
-			fw.Apply = &threatBatch{Ops: one.Ops, Added: added, Removed: removed}
+		if delta != nil {
+			fw.Apply = &threatBatch{Ops: one.Ops, Delta: *delta}
 			t.Put(threat.KeyShipped, []transport.NodeID{requester})
 		}
 		return nil
@@ -845,8 +842,8 @@ func (m *Manager) commitBatched(t *tx.Tx, staged []stagedOp) error {
 			}
 		}
 	}
-	if threats {
-		r.threats = &threatBatch{Ops: r.shared.Ops, Added: added, Removed: removed}
+	if delta != nil {
+		r.threats = &threatBatch{Ops: r.shared.Ops, Delta: *delta}
 		shipped := r.To
 		if requester != "" {
 			shipped = append(slices.Clip(shipped), requester)
@@ -1069,7 +1066,7 @@ func (r *commitRound) Payload(i int) any {
 	case r.batches == nil:
 		return r.threats
 	}
-	return &threatBatch{Ops: r.batches[i].Ops, Added: r.threats.Added, Removed: r.threats.Removed}
+	return &threatBatch{Ops: r.batches[i].Ops, Delta: r.threats.Delta}
 }
 
 // Answered implements group.Owner. A destination's ack counts toward an
@@ -1313,7 +1310,7 @@ func (m *Manager) handleBatch(from transport.NodeID, payload any) (any, error) {
 		putRecords(rp, len(records))
 	}
 	if err == nil && th != nil && m.threats != nil {
-		err = m.threats.Replicate(th.Removed, th.Added)
+		err = m.threats.Replicate(th.Delta)
 	}
 	if err != nil {
 		return nil, err
@@ -1618,7 +1615,8 @@ func (m *Manager) handleFetch(from transport.NodeID, payload any) (any, error) {
 	}
 	state, version := e.Share()
 	m.mu.Unlock()
-	stale := known && m.protocol.PossiblyStale(info, m.viewFor(info))
+	view := m.viewFor(info)
+	stale := known && replicaUnreachable(info, view) && m.protocol.PossiblyStale(info, view, m.weightFor(info))
 	return fetchReply{Class: e.Class(), State: state, Version: version, Stale: stale}, nil
 }
 

@@ -125,8 +125,9 @@ type Protocol interface {
 	// object in the given view; weight is the partition weight fraction.
 	WriteAllowed(info Info, view group.View, weight float64) error
 	// PossiblyStale reports whether local reads of the object may miss
-	// updates applied in other partitions.
-	PossiblyStale(info Info, view group.View) bool
+	// updates applied in other partitions, asked only while a replica is out
+	// of view (none is stale otherwise); weight is as for WriteAllowed.
+	PossiblyStale(info Info, view group.View, weight float64) bool
 }
 
 // homeOrFirstReachable is the coordinator rule of every protocol but
@@ -184,7 +185,7 @@ func (p PrimaryBackup) WriteAllowed(info Info, view group.View, _ float64) error
 // PossiblyStale implements Protocol: a read is reliable only when served
 // while the primary is reachable (backups are synchronously maintained), so
 // staleness arises exactly when the primary is outside the view.
-func (PrimaryBackup) PossiblyStale(info Info, view group.View) bool {
+func (PrimaryBackup) PossiblyStale(info Info, view group.View, _ float64) bool {
 	return !view.Contains(info.Home)
 }
 
@@ -214,7 +215,7 @@ func (p PrimaryPerPartition) WriteAllowed(info Info, view group.View, _ float64)
 // PossiblyStale implements Protocol: under P4, objects are possibly stale in
 // every partition that does not see the full replica set, because another
 // partition may have a temporary primary of its own (§3.1).
-func (PrimaryPerPartition) PossiblyStale(info Info, view group.View) bool {
+func (PrimaryPerPartition) PossiblyStale(info Info, view group.View, _ float64) bool {
 	return replicaUnreachable(info, view)
 }
 
@@ -241,13 +242,11 @@ func (PrimaryPartition) WriteAllowed(info Info, view group.View, weight float64)
 	return fmt.Errorf("%w: partition weight %.2f is not a majority", ErrWriteNotAllowed, weight)
 }
 
-// PossiblyStale implements Protocol: an object is possibly stale wherever one
-// of its replicas is unreachable, the primary partition included. The
-// question carries no partition weight, so it cannot tell the primary
-// partition apart, and a write the majority accepts still carries a threat
-// (exp-trade's primary-partition row).
-func (PrimaryPartition) PossiblyStale(info Info, view group.View) bool {
-	return replicaUnreachable(info, view)
+// PossiblyStale implements Protocol: the primary partition is never stale,
+// since only it writes; elsewhere an object is possibly stale wherever one of
+// its replicas is unreachable.
+func (PrimaryPartition) PossiblyStale(info Info, view group.View, weight float64) bool {
+	return weight <= 0.5 && replicaUnreachable(info, view)
 }
 
 // AdaptiveVoting is the quorum protocol whose write quorum adapts to the
@@ -280,7 +279,7 @@ func (AdaptiveVoting) WriteAllowed(info Info, view group.View, _ float64) error 
 
 // PossiblyStale implements Protocol: reads are reliable only with a strict
 // majority read quorum of replicas reachable.
-func (AdaptiveVoting) PossiblyStale(info Info, view group.View) bool {
+func (AdaptiveVoting) PossiblyStale(info Info, view group.View, _ float64) bool {
 	return majorityUnreachable(info, view)
 }
 
@@ -360,7 +359,7 @@ func (q Quorum) WriteAllowed(info Info, view group.View, _ float64) error {
 // majority of replicas reachable — any smaller partition may have missed a
 // quorum commit gathered elsewhere, and even within the write partition a
 // replica may be a straggler the threshold round did not wait for.
-func (Quorum) PossiblyStale(info Info, view group.View) bool {
+func (Quorum) PossiblyStale(info Info, view group.View, _ float64) bool {
 	return majorityUnreachable(info, view)
 }
 

@@ -35,32 +35,46 @@ func TestProtocolNames(t *testing.T) {
 func TestPrimaryBackupStaleness(t *testing.T) {
 	p := PrimaryBackup{}
 	info := threeReplicaInfo()
-	if p.PossiblyStale(info, view("n1", "n2", "n3")) {
+	if p.PossiblyStale(info, view("n1", "n2", "n3"), 1) {
 		t.Error("healthy view stale")
 	}
 	// Primary reachable: reads reliable even if a backup is missing.
-	if p.PossiblyStale(info, view("n1", "n2")) {
+	if p.PossiblyStale(info, view("n1", "n2"), 2.0/3) {
 		t.Error("primary-reachable view stale")
 	}
 	// Primary gone: stale.
-	if !p.PossiblyStale(info, view("n2", "n3")) {
+	if !p.PossiblyStale(info, view("n2", "n3"), 2.0/3) {
 		t.Error("primary-less view not stale")
 	}
 }
 
+// TestPrimaryPartitionStalenessAndCoordinator: the primary partition is never
+// stale, since only it writes; a minority partition that misses a replica is.
 func TestPrimaryPartitionStalenessAndCoordinator(t *testing.T) {
 	p := PrimaryPartition{}
 	info := threeReplicaInfo()
-	if p.PossiblyStale(info, view("n1", "n2", "n3")) {
+	if p.PossiblyStale(info, view("n1", "n2", "n3"), 1) {
 		t.Error("full view stale")
 	}
-	if !p.PossiblyStale(info, view("n2", "n3")) {
-		t.Error("partial view not stale")
+	if p.PossiblyStale(info, view("n2", "n3"), 2.0/3) {
+		t.Error("majority view stale")
+	}
+	if !p.PossiblyStale(info, view("n1"), 1.0/3) {
+		t.Error("minority view not stale")
+	}
+	// An even split is no majority: it may not write, and so its reads are
+	// possibly stale, however many replicas it holds. Its view here holds
+	// two of the three replicas; its weight (0.5) counts every node.
+	if !p.PossiblyStale(info, view("n2", "n3"), 0.5) {
+		t.Error("even-split view not stale")
 	}
 	// The minority partition has a coordinator (TestCoordinatorRule) and
 	// still may not write.
 	if err := p.WriteAllowed(info, view("n2", "n3"), 0.5); err == nil {
-		t.Error("non-majority write allowed")
+		t.Error("even-split write allowed")
+	}
+	if err := p.WriteAllowed(info, view("n1"), 1.0/3); err == nil {
+		t.Error("minority write allowed")
 	}
 }
 
@@ -127,11 +141,11 @@ func TestAdaptiveVotingEdges(t *testing.T) {
 	p := AdaptiveVoting{}
 	info := threeReplicaInfo()
 	// 2 of 3 reachable: read quorum holds.
-	if p.PossiblyStale(info, view("n1", "n2")) {
+	if p.PossiblyStale(info, view("n1", "n2"), 2.0/3) {
 		t.Error("majority view stale")
 	}
 	// 1 of 3: below read quorum.
-	if !p.PossiblyStale(info, view("n3")) {
+	if !p.PossiblyStale(info, view("n3"), 1.0/3) {
 		t.Error("minority view not stale")
 	}
 	if err := p.WriteAllowed(info, view("n9"), 1); err == nil {

@@ -45,7 +45,7 @@ func TestQuorumProtocolSemantics(t *testing.T) {
 	if err := q.WriteAllowed(info, view("n1", "n2", "n3"), 1); err != nil {
 		t.Errorf("healthy write blocked: %v", err)
 	}
-	if q.PossiblyStale(info, view("n1", "n2", "n3")) {
+	if q.PossiblyStale(info, view("n1", "n2", "n3"), 1) {
 		t.Error("healthy view stale")
 	}
 
@@ -58,7 +58,7 @@ func TestQuorumProtocolSemantics(t *testing.T) {
 	if err := q.WriteAllowed(info, view("n2", "n3"), 0.66); err != nil {
 		t.Errorf("majority write blocked: %v", err)
 	}
-	if q.PossiblyStale(info, view("n1", "n2")) {
+	if q.PossiblyStale(info, view("n1", "n2"), 2.0/3) {
 		t.Error("majority view stale")
 	}
 
@@ -66,7 +66,7 @@ func TestQuorumProtocolSemantics(t *testing.T) {
 	if err := q.WriteAllowed(info, view("n3"), 0.33); !errors.Is(err, ErrWriteNotAllowed) {
 		t.Errorf("sub-quorum write: err = %v, want ErrWriteNotAllowed", err)
 	}
-	if !q.PossiblyStale(info, view("n3")) {
+	if !q.PossiblyStale(info, view("n3"), 1.0/3) {
 		t.Error("minority view not stale")
 	}
 

@@ -115,7 +115,7 @@ func wireCases() []wireCase {
 		{name: "nested list declines", payload: applyOf(object.State{"list": []any{"a", int64(1)}})},
 		{name: "bad op kind declines", payload: &batchMsg{Ops: []batchOp{apply, {Kind: opDelete + 1}}}},
 		// A batch that carries its transaction's threats has no form of its own.
-		{name: "threats in the batch", payload: &threatBatch{Ops: four, Added: []threat.Threat{{
+		{name: "threats in the batch", payload: &threatBatch{Ops: four, Delta: threat.Delta{Added: []threat.Threat{{
 			Seq: 4, Constraint: "NonNegative", ContextID: "o1", Degree: constraint.PossiblySatisfied, Count: 1, TxID: 12, UID: "a#4",
 			Affected: []threat.AffectedObject{
 				{ID: "o1", Class: "Account", Staleness: constraint.Staleness{PossiblyStale: true, Version: 3, EstimatedLatest: 5}, State: st},
@@ -123,7 +123,7 @@ func wireCases() []wireCase {
 			},
 			AppData:      map[string]string{"operator": "alice"},
 			Instructions: constraint.ReconciliationInstructions{AllowRollback: true},
-		}}, Removed: []string{"NonNegative|o2", "Ticket|"}}},
+		}}, Removed: []string{"NonNegative|o2", "Ticket|"}}}},
 		// Handler acks that cross back as responses.
 		{name: "ack", self: true, payload: ackAll},
 		{name: "all-zero ack", self: true, payload: &batchAck{}}, // gob sends no field, the type must still arrive

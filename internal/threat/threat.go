@@ -21,14 +21,20 @@ import (
 // table is the persistence table holding accepted consistency threats.
 const table = "threats"
 
-// Transaction-scoped keys (tx.Tx.Put) of the threats a transaction accepted
-// ([]Threat) and the identities it cleared ([]string), which its repl.batch
-// carries, and of the destinations that batch reached ([]transport.NodeID).
+// Transaction-scoped keys (tx.Tx.Put) of the threat change a transaction
+// made (*Delta), which its repl.batch carries, and of the destinations that
+// batch reached ([]transport.NodeID).
 const (
-	KeyAccepted = "threat.accepted"
-	KeyCleared  = "threat.cleared"
-	KeyShipped  = "threat.shipped"
+	KeyDelta   = "threat.delta"
+	KeyShipped = "threat.shipped"
 )
+
+// Delta is one change of a threat store, the one shape every threat change
+// travels in: the identities removed and the threats added.
+type Delta struct {
+	Removed []string
+	Added   []Threat
+}
 
 // AffectedObject pairs an accessed object with its staleness at validation
 // time (the gathered affected objects of Figure 4.4).
@@ -347,13 +353,13 @@ func (s *Store) RemoveIdentity(ident string) []Threat {
 	return removed
 }
 
-// Replicate applies a peer's removals, then its additions, each under this
-// store's own sequence number.
-func (s *Store) Replicate(removed []string, added []Threat) error {
-	for _, ident := range removed {
+// Replicate applies a peer's change: its removals, then its additions, each
+// under this store's own sequence number.
+func (s *Store) Replicate(d Delta) error {
+	for _, ident := range d.Removed {
 		s.RemoveIdentity(ident)
 	}
-	for _, t := range added {
+	for _, t := range d.Added {
 		t.Seq = 0
 		if _, _, err := s.Add(t); err != nil {
 			return err

@@ -39,9 +39,8 @@ func TestWireCodecThreatPayloads(t *testing.T) {
 		UID:          "a#7",
 	}
 	roundTrip(t, th)
-	// ccm.threat.add and the pull reply ship lists.
+	// ccm.threat.sync and its reply ship lists.
 	roundTrip(t, []Threat{th})
-	// Threat removals broadcast identity strings (as a list: core's
-	// TestWireCodecCorePayloads).
-	roundTrip(t, th.Identity())
+	// ccm.threats ships a change.
+	roundTrip(t, Delta{Removed: []string{th.Identity()}, Added: []Threat{th}})
 }
