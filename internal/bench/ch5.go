@@ -700,10 +700,9 @@ func runTrade(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s setter: %w", name, err)
 		}
-		// The getter reads where the setter wrote: a quorum commit returns
-		// before its straggler replica has the object.
+		n3 := c.Node(2)
 		getter, err := timeOps(cfg.Ops, func(i int) error {
-			_, err := n1.Invoke(beanID(0), "Value")
+			_, err := n3.Invoke(beanID(0), "Value")
 			return err
 		})
 		if err != nil {

@@ -206,7 +206,10 @@ func (s Staleness) MissedEstimate() int64 {
 // Context is the ConstraintValidationContext handed to Validate (§4.2.1).
 // Lookups through the context are recorded so the middleware can gather the
 // accessed objects and consult the replication layer about staleness
-// (Figure 4.4 "gather affected objects").
+// (Figure 4.4 "gather affected objects"). A context, and the map PreState
+// returns, are valid only during the call they were passed to (for a
+// postcondition, from BeforeInvocation to Validate): the middleware reuses
+// them for later validations.
 type Context interface {
 	// ContextObject returns the invariant constraint's starting object, or
 	// nil for query-based invariants, pre- and postconditions without one.

@@ -33,20 +33,19 @@ type valContext struct {
 
 var _ constraint.Context = (*valContext)(nil)
 
+// newContext takes a context from the free list, or allocates one: a reused
+// context keeps its access list's array and its pre-state map's storage.
 func (m *Manager) newContext(callCtx context.Context, contextObj, called *object.Entity, method string, args []any, result *any) *valContext {
 	if callCtx == nil {
 		callCtx = context.Background()
 	}
-	ctx := &valContext{
-		ccm:        m,
-		callCtx:    callCtx,
-		contextObj: contextObj,
-		called:     called,
-		method:     method,
-		args:       args,
-		result:     result,
+	ctx, _ := m.contexts.Get().(*valContext)
+	if ctx == nil {
+		ctx = new(valContext)
+		ctx.accessed = ctx.first[:0]
 	}
-	ctx.accessed = ctx.first[:0]
+	ctx.ccm, ctx.callCtx, ctx.contextObj, ctx.called = m, callCtx, contextObj, called
+	ctx.method, ctx.args, ctx.result = method, args, result
 	if contextObj != nil {
 		ctx.contextID = contextObj.ID()
 	}
@@ -58,6 +57,17 @@ func (m *Manager) newContext(callCtx context.Context, contextObj, called *object
 		ctx.recordLocal(contextObj)
 	}
 	return ctx
+}
+
+// release puts ctx back on the free list, emptied. Only a validation that
+// handed nothing of its context out may release it: one that reached
+// negotiation leaves it to the collector, since a deferred handler's
+// goroutine may outlive the operation (DESIGN.md §15, ninth rule).
+func (m *Manager) release(ctx *valContext) {
+	clear(ctx.accessed)
+	clear(ctx.pre)
+	*ctx = valContext{accessed: ctx.accessed[:0], pre: ctx.pre}
+	m.contexts.Put(ctx)
 }
 
 // setContext names the context object and resolves it once: the called

@@ -135,6 +135,7 @@ type Manager struct {
 	obs              *obs.Observer
 
 	reconciling atomic.Bool
+	contexts    sync.Pool // validation contexts a validation handed nothing of (newContext, release)
 
 	mu                    sync.Mutex
 	reconciliationHandler ReconciliationHandler

@@ -11,6 +11,7 @@ import (
 	"dedisys/internal/object"
 	"dedisys/internal/threat"
 	"dedisys/internal/transport"
+	"dedisys/internal/tx"
 )
 
 // deferredEnv drives a degraded-mode invocation with a deferred handler.
@@ -164,5 +165,96 @@ func TestDeferredNegotiationCarriesAppData(t *testing.T) {
 	ths := env.ths.All()
 	if len(ths) != 1 || ths[0].AppData["operator"] != "bob" {
 		t.Fatalf("threats = %+v", ths)
+	}
+}
+
+// TestNegotiatedContextIsNotRecycled: a deferred handler still running after
+// its operation failed reads what its own validation gathered, however many
+// validations ran in the meantime on contexts that went back to the free list.
+func TestNegotiatedContextIsNotRecycled(t *testing.T) {
+	env := newReplEnv(t)
+	env.createFlight(t, "f1", 0, 10)
+	env.createFlight(t, "f2", 0, 10)
+	for _, c := range []struct {
+		name, method string
+		scope        constraint.Scope
+		valid        func(e *object.Entity) bool
+	}{
+		// Inter-object: possibly satisfied in a partition, so negotiated.
+		{"Negotiated", "SetSold", constraint.InterObject, func(*object.Entity) bool { return true }},
+		// Intra-object: a reliable verdict in a partition, so its context is
+		// released, satisfied or violated.
+		{"Reliable", "SetSeats", constraint.IntraObject, func(e *object.Entity) bool { return e.GetInt("seats") >= 0 }},
+	} {
+		meta := constraint.Meta{
+			Name: c.name, Type: constraint.HardInvariant, Scope: c.scope,
+			Priority: constraint.Tradeable, MinDegree: constraint.Satisfied,
+			NeedsContext: true, ContextClass: "Flight",
+			Affected: []constraint.AffectedMethod{{Class: "Flight", Method: c.method, Prep: constraint.CalledObjectIsContext{}}},
+		}
+		valid := c.valid
+		if err := env.repo.Register(meta, constraint.Func(func(ctx constraint.Context) (bool, error) {
+			return valid(ctx.ContextObject()), nil
+		})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	env.net.Partition([]transport.NodeID{"n1"}, []transport.NodeID{"n2"})
+	chain := invocation.NewChain(func(inv *invocation.Invocation) (any, error) {
+		e, err := env.reg.Get(inv.Target)
+		if err != nil {
+			return nil, err
+		}
+		inv.Tx.RecordUpdate(e)
+		e.Set(map[string]string{"SetSold": "sold", "SetSeats": "seats"}[inv.Method], inv.Args[0])
+		return nil, nil
+	}, env.ccm.Interceptor())
+	invoke := func(txn *tx.Tx, target object.ID, method string, v int64) error {
+		_, err := chain.Dispatch(&invocation.Invocation{Node: "n1", Target: target, Class: "Flight", Method: method, Kind: object.Write, Args: []any{v}, Tx: txn})
+		return err
+	}
+
+	gate := make(chan struct{})
+	read := make(chan threat.NegotiationContext, 1)
+	txn := env.txm.Begin()
+	env.ccm.RegisterDeferredNegotiationHandler(txn, func(nc *threat.NegotiationContext) threat.Decision {
+		<-gate
+		seen := *nc
+		seen.Affected = append([]threat.AffectedObject(nil), nc.Affected...)
+		read <- seen
+		return threat.Accept
+	})
+	if err := invoke(txn, "f1", "SetSold", 1); err != nil {
+		t.Fatalf("the negotiated write did not continue: %v", err)
+	}
+	if err := invoke(txn, "f1", "SetSeats", -1); !IsViolation(err) {
+		t.Fatalf("the violating write: err = %v, want a violation", err)
+	}
+	if err := txn.Rollback(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Validations of another object, each on a released context.
+	before := counter(t, env.obs, "core.validations")
+	for i := int64(0); i < 64; i++ {
+		later := env.txm.Begin()
+		if err := invoke(later, "f2", "SetSeats", i); err != nil {
+			t.Fatal(err)
+		}
+		if err := later.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := counter(t, env.obs, "core.validations") - before; n != 64 {
+		t.Fatalf("%d later validations, want 64", n)
+	}
+
+	close(gate)
+	nc := <-read
+	if nc.Constraint.Name != "Negotiated" || nc.ContextID != "f1" || len(nc.Affected) != 1 {
+		t.Fatalf("the handler read %s on %q with %d affected objects, want Negotiated on f1 with 1", nc.Constraint.Name, nc.ContextID, len(nc.Affected))
+	}
+	if a := nc.Affected[0]; a.ID != "f1" || a.Class != "Flight" || !a.Staleness.PossiblyStale {
+		t.Fatalf("the handler read affected object %+v, want f1 of Flight, possibly stale", a)
 	}
 }

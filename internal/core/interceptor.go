@@ -248,7 +248,8 @@ func (m *Manager) Rollback(t *tx.Tx) error { return nil }
 
 // validateOne triggers one constraint validation and processes the result
 // per Figure 4.4: reliable violation aborts, threats are negotiated,
-// accepted threats are remembered.
+// accepted threats are remembered. It takes ctx over: the caller reads it no
+// more, and a reliable verdict puts it back on the free list.
 func (m *Manager) validateOne(t *tx.Tx, reg *repository.Registered, ctx *valContext, method string) error {
 	m.validations.Add(1)
 	ok, verr := reg.Impl.Validate(ctx)
@@ -262,8 +263,10 @@ func (m *Manager) validateOne(t *tx.Tx, reg *repository.Registered, ctx *valCont
 		// by a business operation" and removes the threat from persistent
 		// storage (§4.4 deferred reconciliation).
 		m.clearSatisfiedThreats(t, reg.Meta, ctx)
+		m.release(ctx)
 		return nil
 	case constraint.Violated:
+		m.release(ctx)
 		m.violations.Add(1)
 		if m.obs.Tracing() {
 			m.obs.Emit(obs.EventConstraintViolated, fmt.Sprintf("%s by %s (tx %d)", reg.Meta.Name, method, t.ID()))

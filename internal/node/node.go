@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"dedisys/internal/constraint"
@@ -446,7 +447,7 @@ func (n *Node) InvokeCtx(ctx context.Context, target object.ID, method string, a
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	kind, _, err := n.methodKind(ctx, target, method)
+	kind, class, err := n.methodKind(ctx, target, method)
 	if err != nil {
 		return nil, err
 	}
@@ -463,44 +464,72 @@ func (n *Node) InvokeCtx(ctx context.Context, target object.ID, method string, a
 		}
 	}
 	if kind == object.Read && n.Repl != nil && !n.Repl.HasLocalReplica(target) {
-		// RouteInfo lets a node outside the object's replica group derive
-		// the placement from the ring; under full replication it is Info.
-		info, err := n.Repl.RouteInfo(target)
-		if err != nil {
-			return nil, err
-		}
-		view := n.gms.ViewOf(n.ID)
-		for _, r := range info.Replicas {
-			if r != n.ID && view.Contains(r) {
-				return n.forward(ctx, r, target, method, args)
-			}
-		}
-		return nil, fmt.Errorf("%w: %s", replication.ErrNoReplica, target)
+		return n.forwardRead(ctx, target, method, args)
 	}
 
-	t, inv := tx.BeginWith[invocation.Invocation](n.TxMgr, ctx)
-	res, err := n.invokeTx(t, inv, target, method, args)
-	if err != nil {
-		if t.Status() == tx.Active {
-			_ = t.Rollback()
-		}
-		return nil, err
+	b := opBlocks.Get().(*opBlock)
+	n.TxMgr.BeginInto(ctx, &b.Tx)
+	res, err := n.invokeTx(&b.Tx, &b.Invocation, kind, class, target, method, args)
+	if err == nil {
+		err = b.Tx.Commit()
+	} else if b.Tx.Status() == tx.Active {
+		_ = b.Tx.Rollback()
 	}
-	if err := t.Commit(); err != nil {
+	b.release()
+	if err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
+// opBlock is the memory of one operation in its own transaction: nothing the
+// operation hands out points into it, so it goes back to opBlocks when the
+// operation returns (DESIGN.md §15, ninth rule).
+type opBlock struct {
+	tx.Tx
+	invocation.Invocation
+}
+
+var opBlocks = sync.Pool{New: func() any { return new(opBlock) }}
+
+// release puts b back on the free list. The invocation is zeroed: it holds the
+// caller's arguments and result. The finished transaction holds no record.
+func (b *opBlock) release() {
+	b.Invocation = invocation.Invocation{}
+	opBlocks.Put(b)
+}
+
+// forwardRead serves a read of an object this node holds no replica of at a
+// replica in view that holds it: one of the object's replicas, or any member
+// of the view while this node has not heard of the object (a member the
+// create has not reached). A replica that cannot serve it passes the read to
+// the next; a forwarded read is never forwarded again.
+func (n *Node) forwardRead(ctx context.Context, target object.ID, method string, args []any) (any, error) {
+	if _, forwarded := ctx.(*replication.Forwarded); forwarded {
+		return nil, fmt.Errorf("node %s: %w: %s", n.ID, replication.ErrUnknownObject, target)
+	}
+	info, _, err := n.Repl.ReadInfo(target)
+	if err != nil {
+		return nil, err
+	}
+	view := n.gms.ViewOf(n.ID)
+	for _, r := range info.Replicas {
+		if r != n.ID && view.Contains(r) {
+			var res any
+			if res, err = n.forward(ctx, r, target, method, args); err == nil {
+				return res, nil
+			}
+		}
+	}
+	if err == nil {
+		err = fmt.Errorf("%w: %s", replication.ErrNoReplica, target)
+	}
+	return nil, err
+}
+
 // InvokeTx performs a business operation within an existing transaction.
 // The calling node must be the object's coordinator for write operations.
 func (n *Node) InvokeTx(t *tx.Tx, target object.ID, method string, args ...any) (any, error) {
-	return n.invokeTx(t, new(invocation.Invocation), target, method, args)
-}
-
-// invokeTx is InvokeTx dispatching through inv, a zero invocation: InvokeCtx's
-// was allocated with its transaction.
-func (n *Node) invokeTx(t *tx.Tx, inv *invocation.Invocation, target object.ID, method string, args []any) (any, error) {
 	kind, class, err := n.methodKind(t.Context(), target, method)
 	if err != nil {
 		return nil, err
@@ -517,6 +546,14 @@ func (n *Node) invokeTx(t *tx.Tx, inv *invocation.Invocation, target object.ID, 
 			return nil, err
 		}
 	}
+	b := opBlocks.Get().(*opBlock)
+	defer b.release()
+	return n.invokeTx(t, &b.Invocation, kind, class, target, method, args)
+}
+
+// invokeTx dispatches a routed invocation of the given kind and class through
+// inv, a zero invocation.
+func (n *Node) invokeTx(t *tx.Tx, inv *invocation.Invocation, kind object.MethodKind, class string, target object.ID, method string, args []any) (any, error) {
 	if err := t.Lock(target); err != nil {
 		return nil, err
 	}

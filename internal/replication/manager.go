@@ -308,6 +308,15 @@ func (m *Manager) SetEstimator(e Estimator) {
 	}
 }
 
+// estimate is the installed estimator's latest version of an object whose
+// replica is possibly stale at version v.
+func (m *Manager) estimate(id object.ID, v int64) int64 {
+	m.mu.Lock()
+	est := m.estimator
+	m.mu.Unlock()
+	return est(id, v)
+}
+
 // setObserver installs a callback notified of every update this replica
 // applies or propagates (used by the rate estimator).
 func (m *Manager) setObserver(fn func(object.ID)) {
@@ -470,35 +479,40 @@ func (m *Manager) CheckWrite(id object.ID) error {
 	return m.protocol.WriteAllowed(info, m.viewFor(info), m.weightFor(info))
 }
 
-// Lookup resolves an object for reading, preferring the local replica (reads
-// are always local under P4, §4.3). For objects without a local replica the
-// state is fetched from a reachable replica. The returned staleness reflects
-// the protocol's judgement in the current view.
-func (m *Manager) Lookup(ctx context.Context, id object.ID) (*object.Entity, constraint.Staleness, error) {
+// ReadInfo is the placement a read of an object goes by: its metadata, or,
+// without metadata, the replicas that may hold it. That is the ring's group
+// for a node outside it or a member the create has not reached, and under
+// full replication any member of the view. An object this node deleted or
+// saw deleted, whose tombstone it holds, is unknown: a replica the delete has
+// not reached yet would serve its old state.
+func (m *Manager) ReadInfo(id object.ID) (info Info, known bool, err error) {
 	m.mu.Lock()
 	rs, known := m.meta[id]
-	var info Info
-	if known {
-		info = rs.info
-	}
-	est := m.estimator
+	_, deleted := m.tombstones[id]
 	m.mu.Unlock()
-	if !known {
-		// Under sharded placement a node outside the object's group holds no
-		// metadata; the ring supplies it so the read can be fetched from the
-		// group. A group member without metadata has genuinely never seen the
-		// object.
-		if m.placement == nil {
-			return nil, constraint.Staleness{}, fmt.Errorf("%w: %s", ErrUnknownObject, id)
-		}
-		info = m.placedInfo(id, "")
-		if info.HasReplica(m.self) {
-			return nil, constraint.Staleness{}, fmt.Errorf("%w: %s", ErrUnknownObject, id)
-		}
+	switch {
+	case known:
+		return rs.info, true, nil
+	case deleted:
+		return Info{}, false, fmt.Errorf("%w: %s", ErrUnknownObject, id)
+	case m.placement != nil:
+		return m.placedInfo(id, ""), false, nil
+	}
+	return Info{Replicas: m.view().Members}, false, nil
+}
+
+// Lookup resolves an object for reading, preferring the local replica (reads
+// are always local under P4, §4.3). For objects without a local replica the
+// state is fetched from a reachable replica (ReadInfo). The returned
+// staleness reflects the protocol's judgement in the current view.
+func (m *Manager) Lookup(ctx context.Context, id object.ID) (*object.Entity, constraint.Staleness, error) {
+	info, known, err := m.ReadInfo(id)
+	if err != nil {
+		return nil, constraint.Staleness{}, err
 	}
 	view := m.viewFor(info)
 	stale := replicaUnreachable(info, view) && m.protocol.PossiblyStale(info, view, m.weightFor(info))
-	if info.HasReplica(m.self) {
+	if known && info.HasReplica(m.self) {
 		e, err := m.registry.Get(id)
 		if err != nil {
 			return nil, constraint.Staleness{}, fmt.Errorf("replication: local replica of %s: %w", id, err)
@@ -506,13 +520,13 @@ func (m *Manager) Lookup(ctx context.Context, id object.ID) (*object.Entity, con
 		v := e.Version()
 		st := constraint.Staleness{PossiblyStale: stale, Version: v, EstimatedLatest: v}
 		if stale {
-			st.EstimatedLatest = est(id, v)
+			st.EstimatedLatest = m.estimate(id, v)
 		}
 		return e, st, nil
 	}
 	// Remote read from the first reachable replica.
 	for _, r := range info.Replicas {
-		if !view.Contains(r) {
+		if r == m.self || !view.Contains(r) {
 			continue
 		}
 		resp, err := m.comm.Send(ctx, m.self, r, msgFetch, id)
@@ -527,7 +541,7 @@ func (m *Manager) Lookup(ctx context.Context, id object.ID) (*object.Entity, con
 		e.Restore(fr.State, fr.Version)
 		st := constraint.Staleness{PossiblyStale: stale || fr.Stale, Version: fr.Version, EstimatedLatest: fr.Version}
 		if st.PossiblyStale {
-			st.EstimatedLatest = est(id, fr.Version)
+			st.EstimatedLatest = m.estimate(id, fr.Version)
 		}
 		return e, st, nil
 	}

@@ -145,21 +145,21 @@ func (m *Manager) BeginCtx(ctx context.Context) *Tx {
 	return t
 }
 
-// BeginWith is BeginCtx for a caller that keeps per-transaction state of its
-// own: the transaction and a zero T are allocated in one block, so the state
-// costs no allocation of its own and lives exactly as long as the transaction
-// is referenced. An operation in its own transaction (Node.InvokeCtx) begins
-// with its invocation beside it.
-func BeginWith[T any](m *Manager, ctx context.Context) (*Tx, *T) {
-	b := new(struct {
-		t Tx
-		x T
-	})
-	m.begin(ctx, &b.t)
-	return &b.t, &b.x
+// BeginInto begins t, a zero transaction or one that finished, in place: a
+// fresh id, no lock, no rollback-only flag, an empty write set and no values.
+// The undo log's array and the value map's storage are kept, so an operation
+// whose transaction nobody else references (Node.InvokeCtx) reuses its memory.
+// A transaction still active must not be begun again.
+func (m *Manager) BeginInto(ctx context.Context, t *Tx) {
+	if t.status == Active {
+		panic("tx: BeginInto on an active transaction")
+	}
+	clear(t.vals)
+	*t = Tx{undo: t.undo[:0], vals: t.vals}
+	m.begin(ctx, t)
 }
 
-// begin starts the zero transaction t.
+// begin starts t, which holds no lock, no flag and no write.
 func (m *Manager) begin(ctx context.Context, t *Tx) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -194,10 +194,9 @@ type Tx struct {
 	hasHeld0 bool
 	held     map[object.ID]struct{} // locks beyond the first
 	// undo is the rollback log and, read through Writes, the write set. Tx
-	// keeps nothing else about what it wrote: every operation allocates a Tx,
-	// and the 152 bytes of one begun with its 152-byte invocation (BeginWith)
-	// fill a 304-byte block of the 320-byte size class; three words more
-	// would push it into the next.
+	// keeps nothing else about what it wrote: an explicit transaction
+	// (BeginCtx) allocates a Tx, and its 152 bytes fill the 160-byte size
+	// class; two words more would push it into the next.
 	undo []undoRecord
 }
 
@@ -508,7 +507,10 @@ func (t *Tx) finish(s Status) {
 		t.mgr.locks.release(id, t.id)
 	}
 	t.held = nil
-	t.undo = nil
+	// The records go, the array stays: a transaction begun again in place
+	// (BeginInto) appends into it.
+	clear(t.undo)
+	t.undo = t.undo[:0]
 }
 
 // lockTable implements per-object exclusive locks with timeout.

@@ -52,34 +52,89 @@ func TestCommitHappyPath(t *testing.T) {
 		t.Fatalf("double commit err = %v", err)
 	}
 
-	// A transaction begun with a value beside it is the transaction BeginCtx
-	// makes: a zero value, an id after the last one either way handed out, the
-	// registered resources driven through commit and rollback.
+	// A transaction begun in place is the transaction BeginCtx makes: an id
+	// after the last one either way handed out, the registered resources
+	// driven through commit and rollback, and begun again after either.
 	ctx := context.Background()
 	first := m.BeginCtx(ctx)
-	txn, x := BeginWith[[64]byte](m, ctx)
-	if *x != ([64]byte{}) {
-		t.Fatalf("the value begun beside the transaction is not zero: %v", *x)
-	}
+	var inPlace Tx
+	m.BeginInto(ctx, &inPlace)
 	last := m.BeginCtx(ctx)
-	if !(first.ID() < txn.ID() && txn.ID() < last.ID()) {
-		t.Fatalf("ids %d, %d, %d do not increase across BeginCtx and BeginWith", first.ID(), txn.ID(), last.ID())
+	if !(first.ID() < inPlace.ID() && inPlace.ID() < last.ID()) {
+		t.Fatalf("ids %d, %d, %d do not increase across BeginCtx and BeginInto", first.ID(), inPlace.ID(), last.ID())
 	}
-	if txn.Status() != Active || txn.Context() != ctx {
-		t.Fatalf("begun with status %v, context %v", txn.Status(), txn.Context())
+	if inPlace.Status() != Active || inPlace.Context() != ctx {
+		t.Fatalf("begun with status %v, context %v", inPlace.Status(), inPlace.Context())
 	}
-	if err := txn.Commit(); err != nil {
+	if err := inPlace.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	if r.prepared != 2 || r.committed != 2 || r.rolledBack != 0 {
-		t.Fatalf("after BeginWith's Commit: resource calls = %+v", r)
+		t.Fatalf("after BeginInto's Commit: resource calls = %+v", r)
 	}
-	txn, _ = BeginWith[[64]byte](m, ctx)
-	if err := txn.Rollback(); err != nil {
+	m.BeginInto(ctx, &inPlace)
+	if err := inPlace.Rollback(); err != nil {
 		t.Fatal(err)
 	}
 	if r.prepared != 2 || r.committed != 2 || r.rolledBack != 1 {
-		t.Fatalf("after BeginWith's Rollback: resource calls = %+v", r)
+		t.Fatalf("after BeginInto's Rollback: resource calls = %+v", r)
+	}
+}
+
+// TestReusedTxStartsClean: a transaction begun again in place keeps nothing of
+// the operation before it but memory — a new id, no lock, no write, no value
+// and no rollback-only flag — and the lock it released is free for another.
+func TestReusedTxStartsClean(t *testing.T) {
+	m := NewManager(WithLockTimeout(50 * time.Millisecond))
+	reg := object.NewRegistry()
+	a := object.New("C", "a", object.State{"v": int64(1)})
+	if err := reg.Add(a); err != nil {
+		t.Fatal(err)
+	}
+	var reused Tx
+	for round, end := range []func(*Tx) error{(*Tx).Commit, (*Tx).Rollback} {
+		m.BeginInto(context.Background(), &reused)
+		old := reused.ID()
+		for _, id := range []object.ID{"a", "b"} {
+			if err := reused.Lock(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		reused.RecordUpdate(a)
+		reused.RecordCreate(reg, "b")
+		reused.Put("k", round)
+		reused.SetRollbackOnly(errors.New("veto"))
+		undo := &reused.undo[:1][0]
+		_ = end(&reused)
+
+		m.BeginInto(context.Background(), &reused)
+		if reused.ID() == old || reused.Status() != Active {
+			t.Fatalf("round %d: begun again as tx %d (was %d), status %v", round, reused.ID(), old, reused.Status())
+		}
+		if reused.HoldsLock("a") || reused.HoldsLock("b") {
+			t.Fatalf("round %d: the reused transaction holds a lock of the last one", round)
+		}
+		var writes []Write
+		reused.Writes(func(w Write) { writes = append(writes, w) })
+		if len(writes) != 0 || reused.Value("k") != nil || reused.rollbackOnly || reused.rbReason != nil {
+			t.Fatalf("round %d: reused transaction starts with writes %v, value %v, rollback-only %v (%v)",
+				round, writes, reused.Value("k"), reused.rollbackOnly, reused.rbReason)
+		}
+		if undo.kind != 0 || undo.entity != nil || undo.state != nil || undo.aux != nil || &reused.undo[:1][0] != undo {
+			t.Fatalf("round %d: the undo log's array was not cleared and kept", round)
+		}
+		other := m.Begin()
+		for _, id := range []object.ID{"a", "b"} {
+			if err := other.Lock(id); err != nil {
+				t.Fatalf("round %d: the lock the last operation held: %v", round, err)
+			}
+		}
+		if err := other.Rollback(); err != nil {
+			t.Fatal(err)
+		}
+		if err := reused.Rollback(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -204,7 +204,7 @@ func TestWriteSetReadInPlace(t *testing.T) {
 
 func TestTxStaysInItsSizeClass(t *testing.T) {
 	if size := unsafe.Sizeof(Tx{}); size > 160 {
-		t.Fatalf("Tx is %d bytes, over the 160-byte size class: every operation allocates one Tx, so an explicit transaction pays the next class (176), and one begun with its 152-byte invocation (BeginWith) soon leaves its 320-byte block — keep what a transaction wrote in the undo log, not in new fields", size)
+		t.Fatalf("Tx is %d bytes, over the 160-byte size class: every explicit transaction (BeginCtx) allocates one Tx and would pay the next class (176), and an operation's reused block of transaction and invocation grows with it — keep what a transaction wrote in the undo log, not in new fields", size)
 	}
 	if size := unsafe.Sizeof(undoRecord{}); size > 80 {
 		t.Fatalf("undoRecord is %d bytes, over 80: a 4-object transaction grows the log through 1, 2 and 4 records, and every 8 bytes on the record is 48 on that transaction", size)
