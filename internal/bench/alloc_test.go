@@ -395,8 +395,10 @@ func newDegradedWrite(t *testing.T) func(int) error {
 
 // recordedBatch returns the repl.batch a single-object write ships, captured
 // on its way to one replica of a simulated three-node cluster, and the ack the
-// other replica's handler gives it. The object's ID is 16 bytes or longer, so
-// its decoded copy is no tiny allocation and the profile sees it.
+// other replica's handler gives it. The batch is the sender's, which reuses it
+// once its sends are answered, so the handler keeps a copy. The object's ID is
+// 16 bytes or longer, so its decoded copy is no tiny allocation and the
+// profile sees it.
 func recordedBatch(t *testing.T) (batch, ack any) {
 	c, err := newBenchCluster(QuickConfig(), clusterOpts{size: 3, disableCCM: true}, constraint.HardInvariant)
 	if err != nil {
@@ -405,8 +407,9 @@ func recordedBatch(t *testing.T) (batch, ack any) {
 	defer c.Stop()
 	ids := c.IDs()
 	err = c.Net.Handle(ids[2], "repl.batch", func(_ transport.NodeID, p any) (any, error) {
-		batch = p
-		return nil, nil
+		var err error
+		batch, err = wiretransport.RoundTrip(p)
+		return nil, err
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -472,9 +475,10 @@ func selfEncoded(t *testing.T, p any) ([]byte, transport.WireDecoder) {
 	return data, transport.WireDecoderFor(wp.WireTag())
 }
 
-// newBatchDecode decodes the recorded repl.batch from its wire form, as the
-// receiving end of a wire send does; a decode that differs from the batch sent
-// fails before the path is measured.
+// newBatchDecode decodes the recorded repl.batch from its wire form and
+// releases it, as the receiving end of a wire send does once the handler
+// returned; a decode that differs from the batch sent fails before the path is
+// measured.
 func newBatchDecode(t *testing.T) func(int) error {
 	batch, _ := recordedBatch(t)
 	data, dec := selfEncoded(t, batch)
@@ -485,8 +489,12 @@ func newBatchDecode(t *testing.T) func(int) error {
 	}
 	return func(int) error {
 		r.Reset(data)
-		dec(&r)
-		return r.Err()
+		got := dec(&r)
+		if err := r.Err(); err != nil {
+			return err
+		}
+		got.(transport.Releaser).Release()
+		return nil
 	}
 }
 

@@ -504,8 +504,10 @@ const (
 type Owner interface {
 	// Payload returns what destination To[i] is sent. Run calls it once per
 	// destination that is attempted, from that destination's sender, so
-	// concurrently with the others. What it returns is the receiver's to
-	// keep: round memory is never recycled.
+	// concurrently with the others. What it returns is the sender's: the
+	// transport, a receiver's handler and a decorator may read it until
+	// their Send returns, and copy whatever they keep. An owner may reuse a
+	// round's memory once the round has drained.
 	Payload(i int) any
 	// Answered reports the outcome of the send to To[i] — a send aborted by
 	// a dead context included — and returns the round's standing after it.
@@ -528,9 +530,10 @@ type Dispatcher interface {
 }
 
 // Round is one multicast round. The caller fills in the exported fields and
-// hands it to Run or Post once; To must not contain From and is read until the
-// round has drained. The rest is the engine's (the counters are narrow because a
-// round is embedded in what every replicated write allocates).
+// hands it to Run or Post once — an owner that reuses it zeroes it first; To
+// must not contain From and is read until the round has drained. The rest is
+// the engine's (the counters are narrow because a round is embedded in what
+// every replicated write allocates).
 type Round struct {
 	From  transport.NodeID
 	To    []transport.NodeID

@@ -375,10 +375,13 @@ type remoteInvokePayload struct {
 
 // invokeReply is the reply to a forwarded invocation: the method's result and,
 // when the commit left the requester out of its round, the batch the
-// requester's replica applies instead (replication.Forwarded).
+// requester's replica applies instead (replication.Forwarded). Unknown is the
+// refusal of a node that has not heard of the target, where nothing ran: a
+// flag, because an error crosses a wire as its text.
 type invokeReply struct {
-	Result any
-	Apply  any
+	Result  any
+	Apply   any
+	Unknown bool
 }
 
 // forwardedCall is a forwarded invocation's one allocation on the node that
@@ -399,6 +402,10 @@ func (n *Node) handleRemoteInvoke(from transport.NodeID, payload any) (any, erro
 	// back: the requester is stale as after a failed send of the round.
 	c := &forwardedCall{Forwarded: replication.Forwarded{Context: context.Background(), Requester: from}}
 	res, err := n.InvokeCtx(&c.Forwarded, p.Target, p.Method, p.Args...)
+	if errors.Is(err, replication.ErrUnknownObject) {
+		c.reply.Unknown = true
+		return &c.reply, nil
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -417,6 +424,9 @@ func (n *Node) forward(ctx context.Context, to transport.NodeID, target object.I
 	r, ok := reply.(*invokeReply)
 	if !ok {
 		return nil, fmt.Errorf("node %s: bad invoke reply %T", n.ID, reply)
+	}
+	if r.Unknown {
+		return nil, fmt.Errorf("node %s: %w: %s", to, replication.ErrUnknownObject, target)
 	}
 	if r.Apply != nil {
 		n.Repl.ApplyForwarded(to, r.Apply)
@@ -453,6 +463,9 @@ func (n *Node) InvokeCtx(ctx context.Context, target object.ID, method string, a
 	}
 	if kind == object.Write && n.Repl != nil {
 		coord, err := n.Repl.Coordinator(target)
+		if errors.Is(err, replication.ErrUnknownObject) {
+			return n.forwardToHolder(ctx, kind, target, method, args)
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -464,7 +477,7 @@ func (n *Node) InvokeCtx(ctx context.Context, target object.ID, method string, a
 		}
 	}
 	if kind == object.Read && n.Repl != nil && !n.Repl.HasLocalReplica(target) {
-		return n.forwardRead(ctx, target, method, args)
+		return n.forwardToHolder(ctx, kind, target, method, args)
 	}
 
 	b := opBlocks.Get().(*opBlock)
@@ -499,12 +512,16 @@ func (b *opBlock) release() {
 	opBlocks.Put(b)
 }
 
-// forwardRead serves a read of an object this node holds no replica of at a
-// replica in view that holds it: one of the object's replicas, or any member
-// of the view while this node has not heard of the object (a member the
-// create has not reached). A replica that cannot serve it passes the read to
-// the next; a forwarded read is never forwarded again.
-func (n *Node) forwardRead(ctx context.Context, target object.ID, method string, args []any) (any, error) {
+// forwardToHolder serves an invocation this node cannot serve at a replica in
+// view that can: a read of an object this node holds no replica of, or a write
+// of one it has not heard of — a member the create has not reached — whose
+// holder routes it on to its coordinator. The candidates are one of the
+// object's replicas, or any member of the view while this node has not heard
+// of the object. A replica that cannot serve a read passes it to the next; a
+// write passes only from a replica that has not heard of the object either,
+// where nothing ran. An invocation that was forwarded here is refused rather
+// than passed on.
+func (n *Node) forwardToHolder(ctx context.Context, kind object.MethodKind, target object.ID, method string, args []any) (any, error) {
 	if _, forwarded := ctx.(*replication.Forwarded); forwarded {
 		return nil, fmt.Errorf("node %s: %w: %s", n.ID, replication.ErrUnknownObject, target)
 	}
@@ -514,11 +531,15 @@ func (n *Node) forwardRead(ctx context.Context, target object.ID, method string,
 	}
 	view := n.gms.ViewOf(n.ID)
 	for _, r := range info.Replicas {
-		if r != n.ID && view.Contains(r) {
-			var res any
-			if res, err = n.forward(ctx, r, target, method, args); err == nil {
-				return res, nil
-			}
+		if r == n.ID || !view.Contains(r) {
+			continue
+		}
+		var res any
+		if res, err = n.forward(ctx, r, target, method, args); err == nil {
+			return res, nil
+		}
+		if kind == object.Write && !errors.Is(err, replication.ErrUnknownObject) {
+			return nil, err
 		}
 	}
 	if err == nil {

@@ -2,7 +2,9 @@ package node_test
 
 // An operation in its own transaction reuses its memory: the transaction and
 // the invocation go back to a free list when the operation returns, so
-// nothing the operation handed out may point into them.
+// nothing the operation handed out may point into them. So does a commit's
+// round once its sends are answered: a request is its sender's until its Send
+// returns.
 
 import (
 	"bytes"
@@ -10,6 +12,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -54,6 +57,105 @@ func TestMemberReadsBeforeItsCreateArrives(t *testing.T) {
 	expectSends(t, "n3's read", tally.take(), sends{"n1": {"repl.fetch": 1, "node.invoke": 1}})
 	n1.Repl.WaitPropagation()
 	expectValue(t, n3, "o1", 7)
+}
+
+// TestMemberWritesBeforeItsCreateArrives: under a quorum a create commits
+// before its straggler reaches the third replica. A write there is forwarded
+// to a replica that holds the object, which routes it to its coordinator; the
+// write reaches n3 behind its create.
+func TestMemberWritesBeforeItsCreateArrives(t *testing.T) {
+	c := newRegCluster(t, 3, func(o *node.Options) { o.Protocol = replication.Quorum{} })
+	defer c.Stop()
+	n1, n3 := c.Node(0), c.Node(2)
+	c.Net.SetLatency(func(from, to transport.NodeID, kind string) time.Duration {
+		if from == "n1" && to == "n3" && kind == "repl.batch" {
+			return 200 * time.Millisecond
+		}
+		return 0
+	})
+	defer c.Net.SetLatency(nil)
+	if err := n1.Create("Reg", "o1", object.State{"value": int64(7)}, c.AllReplicas("n1")); err != nil {
+		t.Fatal(err)
+	}
+	if n3.Repl.HasLocalReplica("o1") {
+		t.Fatal("the create reached n3 before the write: nothing tested")
+	}
+	if _, err := n3.Invoke("o1", "SetValue", int64(8)); err != nil {
+		t.Fatalf("n3 writes o1 before its create arrived: %v", err)
+	}
+	n1.Repl.WaitPropagation()
+	for _, n := range c.Nodes {
+		expectValue(t, n, "o1", 8)
+	}
+}
+
+// TestForwardedWriteIsNotForwardedAgain: five quorum nodes, and n1 and n3
+// both lag behind n5's create. n3's write goes to n1 first, which has not
+// heard of the object either and refuses it instead of forwarding it on; n3
+// then forwards it to n2, which routes it to the coordinator, n5. It does so
+// also over a network that carries errors as their text, as a wire does.
+func TestForwardedWriteIsNotForwardedAgain(t *testing.T) {
+	for _, textErrors := range []bool{false, true} {
+		t.Run(fmt.Sprintf("textErrors=%v", textErrors), func(t *testing.T) {
+			c := newRegCluster(t, 5, func(o *node.Options) {
+				o.Protocol = replication.Quorum{}
+				if textErrors {
+					o.Net = textErrNet{o.Net}
+				}
+			})
+			defer c.Stop()
+			n3, n5 := c.Node(2), c.Node(4)
+			c.Net.SetLatency(func(from, to transport.NodeID, kind string) time.Duration {
+				if from == "n5" && (to == "n1" || to == "n3") && kind == "repl.batch" {
+					return 200 * time.Millisecond
+				}
+				return 0
+			})
+			defer c.Net.SetLatency(nil)
+			if err := n5.Create("Reg", "o1", object.State{"value": int64(7)}, c.AllReplicas("n5")); err != nil {
+				t.Fatal(err)
+			}
+			if c.Node(0).Repl.HasLocalReplica("o1") || n3.Repl.HasLocalReplica("o1") {
+				t.Fatal("the create reached n1 or n3 before the write: nothing tested")
+			}
+			var mu sync.Mutex
+			var invokes []string // sender>destination of each node.invoke
+			c.Net.SetDrop(func(from, to transport.NodeID, kind string) bool {
+				if kind == "node.invoke" {
+					mu.Lock()
+					invokes = append(invokes, string(from)+">"+string(to))
+					mu.Unlock()
+				}
+				return false
+			})
+			defer c.Net.SetDrop(nil)
+			if _, err := n3.Invoke("o1", "SetValue", int64(8)); err != nil {
+				t.Fatalf("n3 writes o1 before its create arrived: %v", err)
+			}
+			mu.Lock()
+			got := invokes
+			mu.Unlock()
+			if want := []string{"n3>n1", "n3>n2", "n2>n5"}; !reflect.DeepEqual(got, want) {
+				t.Fatalf("node.invoke sent %v, want %v", got, want)
+			}
+			n5.Repl.WaitPropagation()
+			for _, n := range c.Nodes {
+				expectValue(t, n, "o1", 8)
+			}
+		})
+	}
+}
+
+// textErrNet carries a failed send's error as its text, as the wire transport
+// does: no sentinel survives it.
+type textErrNet struct{ transport.Transport }
+
+func (n textErrNet) Send(ctx context.Context, from, to transport.NodeID, kind string, payload any) (any, error) {
+	reply, err := n.Transport.Send(ctx, from, to, kind, payload)
+	if err != nil {
+		err = errors.New(err.Error())
+	}
+	return reply, err
 }
 
 // TestDeletedObjectIsNotReadBack: under a quorum a delete commits while n3,
@@ -132,35 +234,45 @@ func TestInvariantDoesNotSeeAnObjectDeletedInItsTransaction(t *testing.T) {
 	}
 }
 
-// keptSend is one request or reply a node sent, and its gob encoding then.
+// keptSend is one reply a node got, and its gob encoding then.
 type keptSend struct {
 	kind    string
 	payload any
 	enc     []byte
 }
 
-// keepingNet is one node's view of the network that keeps every payload it
-// sends and every reply it gets, with its encoding at that moment.
+// keepingNet is one node's view of the network under the send-lifetime rule.
+// A request is its sender's, to be read until its Send returns: it must then
+// still encode as it did when it was sent. A reply is the requester's to
+// keep: every one is kept with its encoding at that moment.
 type keepingNet struct {
 	transport.Transport
-	mu   *sync.Mutex
-	kept *[]keptSend
-}
-
-func (n keepingNet) keep(kind string, v any) {
-	if v == nil {
-		return
-	}
-	enc := encodeSent(v)
-	n.mu.Lock()
-	*n.kept = append(*n.kept, keptSend{kind: kind, payload: v, enc: enc})
-	n.mu.Unlock()
+	mu      *sync.Mutex
+	kept    *[]keptSend
+	sent    *int     // requests checked when their Send returned
+	changed *[]error // requests that did not read as sent then
 }
 
 func (n keepingNet) Send(ctx context.Context, from, to transport.NodeID, kind string, payload any) (any, error) {
-	n.keep(kind, payload)
+	enc := encodeSent(payload)
 	reply, err := n.Transport.Send(ctx, from, to, kind, payload)
-	n.keep(kind+" reply", reply)
+	var changed error
+	if enc != nil && !bytes.Equal(encodeSent(payload), enc) {
+		changed = fmt.Errorf("a %s request changed before its send to %s returned: %#v", kind, to, payload)
+	}
+	var replyEnc []byte
+	if reply != nil {
+		replyEnc = encodeSent(reply)
+	}
+	n.mu.Lock()
+	*n.sent++
+	if changed != nil {
+		*n.changed = append(*n.changed, changed)
+	}
+	if reply != nil {
+		*n.kept = append(*n.kept, keptSend{kind: kind + " reply", payload: reply, enc: replyEnc})
+	}
+	n.mu.Unlock()
 	return reply, err
 }
 
@@ -176,21 +288,25 @@ func encodeSent(v any) []byte {
 
 // TestRecycledOperationIsNotReadLater: operations run concurrently at three
 // quorum nodes (local writes, forwarded writes, reads, and reads at a replica
-// its creates reach late), and every message any of them sent, or got as a
-// reply, still reads as it was sent while later operations reuse the memory
-// of the ones that returned, and after all of them did.
+// its creates reach late). Every request any of them sent reads as it was
+// sent until its Send returns — also a straggler's, whose round the commit
+// has returned from — and every reply any of them got still reads as it was
+// while later operations reuse the memory of the ones that returned, and
+// after all of them did.
 func TestRecycledOperationIsNotReadLater(t *testing.T) {
 	const (
 		workers = 6
 		ops     = 40
 	)
 	var (
-		mu   sync.Mutex
-		kept []keptSend
+		mu      sync.Mutex
+		kept    []keptSend
+		sent    int
+		changed []error
 	)
 	c := newRegCluster(t, 3, func(o *node.Options) {
 		o.Protocol = replication.Quorum{}
-		o.Net = keepingNet{Transport: o.Net, mu: &mu, kept: &kept}
+		o.Net = keepingNet{Transport: o.Net, mu: &mu, kept: &kept, sent: &sent, changed: &changed}
 	})
 	defer c.Stop()
 	c.Net.SetLatency(func(_, to transport.NodeID, kind string) time.Duration {
@@ -201,11 +317,19 @@ func TestRecycledOperationIsNotReadLater(t *testing.T) {
 	})
 	defer c.Net.SetLatency(nil)
 
-	// recheck compares every kept message with its encoding when sent.
+	// recheck fails on the first request that changed in its send, and
+	// compares every kept reply with its encoding when it came.
 	recheck := func() error {
 		mu.Lock()
 		snapshot := append([]keptSend(nil), kept...)
+		var first error
+		if len(changed) > 0 {
+			first = changed[0]
+		}
 		mu.Unlock()
+		if first != nil {
+			return first
+		}
 		for _, k := range snapshot {
 			if k.enc == nil {
 				continue
@@ -293,9 +417,9 @@ func TestRecycledOperationIsNotReadLater(t *testing.T) {
 		t.Fatal(err)
 	}
 	mu.Lock()
-	n := len(kept)
+	n := sent
 	mu.Unlock()
 	if n < workers*ops {
-		t.Fatalf("only %d messages kept: the operations did not cross the network", n)
+		t.Fatalf("only %d requests sent: the operations did not cross the network", n)
 	}
 }

@@ -816,14 +816,20 @@ func (m *Manager) commitBatched(t *tx.Tx, staged []stagedOp) error {
 		return nil
 	}
 	delta, _ := t.Value(threat.KeyDelta).(*threat.Delta)
-	if r == nil {
-		// The requester was the only remote destination: the reply is the
-		// commit's one message, and its one-op batch takes the round's place.
+	if requester != "" {
+		// The reply carries the requester's one-op batch in memory of its own:
+		// the round's is reused once its sends drain.
 		one := &oneOpBatch{op: [1]batchOp{staged[0].op}}
 		one.Ops = one.op[:]
 		fw.Apply = &one.batchMsg
 		if delta != nil {
 			fw.Apply = &threatBatch{Ops: one.Ops, Delta: *delta}
+		}
+	}
+	if r == nil {
+		// The requester was the only remote destination: the reply is the
+		// commit's one message.
+		if delta != nil {
 			t.Put(threat.KeyShipped, []transport.NodeID{requester})
 		}
 		return nil
@@ -847,7 +853,7 @@ func (m *Manager) commitBatched(t *tx.Tx, staged []stagedOp) error {
 			r.Until = group.OnVerdict
 			switch {
 			case !uniform:
-				if r.objects == nil {
+				if cap(r.objects) == 0 {
 					r.objects = make([]objectAcks, 0, len(staged)-k)
 				}
 				r.objects = append(r.objects, objectAcks{id: s.op.ID, tally: t})
@@ -857,16 +863,19 @@ func (m *Manager) commitBatched(t *tx.Tx, staged []stagedOp) error {
 		}
 	}
 	if delta != nil {
-		r.threats = &threatBatch{Ops: r.shared.Ops, Delta: *delta}
-		shipped := r.To
-		if requester != "" {
-			shipped = append(slices.Clip(shipped), requester)
+		r.threats = &threatBatch{Delta: *delta}
+		if uniform {
+			r.threats.Ops = r.shared.Ops
 		}
-		t.Put(threat.KeyShipped, shipped) // the CCMgr's commit tells the rest of the view
+		// The CCMgr's commit tells the rest of the view, after the round is
+		// reused: it reads a copy of To.
+		shipped := append(make([]transport.NodeID, 0, len(r.To)+1), r.To...)
+		if requester != "" {
+			shipped = append(shipped, requester)
+		}
+		t.Put(threat.KeyShipped, shipped)
 	}
-	if requester != "" {
-		fw.Apply = r.Payload(0) // one op: every destination is sent the same message
-	}
+	r.holds.Store(2) // this commit and the round's sends
 	m.batchRounds.Inc()
 	m.batchSize.Add(int64(len(staged)))
 	m.propagation.Add(1)
@@ -874,6 +883,7 @@ func (m *Manager) commitBatched(t *tx.Tx, staged []stagedOp) error {
 	if r.threats != nil {
 		r.Wait() // as the threat multicast this replaces did, after an early release too
 	}
+	r.let()
 	if err != nil {
 		m.quorumShort.Inc()
 		m.propErrors.Inc()
@@ -917,20 +927,25 @@ func (m *Manager) route(r *commitRound, staged []stagedOp, skip transport.NodeID
 	// When every destination replicates every object — each op has as many
 	// remote destinations as their union: every single-group commit — all of
 	// them are sent the same ops, so one run and one message serve the round.
-	// Otherwise the batches are contiguous runs of one backing array. Nothing
-	// writes to either after this block. A one-op commit is always uniform,
-	// and its run was allocated with the round.
+	// Otherwise the batches are contiguous runs of one backing array. Either
+	// is shared.Ops, which nothing writes to after this block. A reused round
+	// keeps the capacity of its arrays, and a one-op round has its op's room
+	// inline: a one-op commit is always uniform.
 	uniform = total == len(staged)*len(r.To)
+	n := total
 	if uniform {
-		if r.shared.Ops == nil {
-			r.shared.Ops = make([]batchOp, len(staged))
-		}
+		n = len(staged)
+	}
+	ops := r.shared.Ops[:0]
+	if cap(ops) < n {
+		ops = make([]batchOp, 0, n)
+	}
+	if uniform {
 		for k := range staged {
-			r.shared.Ops[k] = staged[k].op
+			ops = append(ops, staged[k].op)
 		}
 	} else {
-		r.batches = make([]batchMsg, len(r.To))
-		ops := make([]batchOp, 0, total)
+		r.batches = slices.Grow(r.batches[:0], len(r.To))[:len(r.To)]
 		for i, d := range r.To {
 			first := len(ops)
 			for k := range staged {
@@ -941,6 +956,7 @@ func (m *Manager) route(r *commitRound, staged []stagedOp, skip transport.NodeID
 			r.batches[i].Ops = ops[first:len(ops):len(ops)]
 		}
 	}
+	r.shared.Ops = ops
 	return r, uniform
 }
 
@@ -1003,17 +1019,18 @@ type objectAcks struct {
 }
 
 // commitRound is one commit's multicast round and its owner: what each
-// destination is sent, and when the commit may return. It is the commit's
-// one allocation besides the ops — and a one-op commit's only one, its op
-// living beside it in a oneOpRound; the background straggler sends hold it,
-// so it is never recycled (the staging buffer, which it does not reference,
-// is). A reconciliation's repairs leave in one too (repairRound).
+// destination is sent, and when the commit may return. It hands out nothing,
+// so it is reused (DESIGN.md §15): its two holders are the commit, until
+// commitBatched returns, and its sends, until the round drains, and whichever
+// lets go last puts it back on rounds. A one-op commit's round is allocated
+// with its op (oneOpRound). A reconciliation's repairs leave in one too
+// (repairRound), which is never reused.
 type commitRound struct {
 	group.Round
 	m *Manager
 	// shared is what every destination is sent when all of them replicate
 	// every object of the batch; batches, one per destination, is set
-	// otherwise.
+	// otherwise, each a run of shared.Ops.
 	shared  batchMsg
 	batches []batchMsg
 	// threats, set when the batch carries any, is what every destination is
@@ -1026,20 +1043,26 @@ type commitRound struct {
 	// neither is set and the verdicts go unread.
 	all     tally
 	objects []objectAcks
-	room    [3]transport.NodeID // To's backing, up to a replica group's usual remotes
+	holds   atomic.Int32 // of this round's memory (let)
 }
 
 // oneOpRound is the round of a commit that ships one op, with the op's run
-// in the same block: 416 bytes, less than the round and a separate one-op run
+// in the same block: 384 bytes, less than the round and a separate one-op run
 // took in two.
 type oneOpRound struct {
 	commitRound
 	op [1]batchOp
 }
 
-// newCommitRound allocates the round of a commit staging n ops; a one-op
-// round comes with its shared run.
+// rounds is the free list of commit rounds (commitRound.let).
+var rounds sync.Pool
+
+// newCommitRound returns the round of a commit staging n ops: a reused one,
+// or a new one, which for one op comes with its shared run.
 func newCommitRound(m *Manager, n int) *commitRound {
+	if r, ok := rounds.Get().(*commitRound); ok {
+		return r.init(m)
+	}
 	if n != 1 {
 		return new(commitRound).init(m)
 	}
@@ -1050,13 +1073,31 @@ func newCommitRound(m *Manager, n int) *commitRound {
 
 // init makes r a round of m's repl.batch with no destination yet.
 func (r *commitRound) init(m *Manager) *commitRound {
-	r.m, r.From, r.Kind, r.To = m, m.self, msgBatch, r.room[:0]
+	r.m, r.From, r.Kind = m, m.self, msgBatch
 	return r
+}
+
+// let is one holder letting go of the round. The last puts it on rounds,
+// zeroing every reference it holds — the ops, the destinations, the manager,
+// and the context and owner the engine kept — and keeping its arrays'
+// capacity: a one-op round's op stays its shared run.
+func (r *commitRound) let() {
+	if r.holds.Add(-1) != 0 {
+		return
+	}
+	clear(r.shared.Ops)
+	clear(r.batches)
+	clear(r.objects)
+	clear(r.To)
+	to := r.To[:0]
+	*r = commitRound{shared: batchMsg{Ops: r.shared.Ops[:0]}, batches: r.batches[:0], objects: r.objects[:0]}
+	r.To = to
+	rounds.Put(r)
 }
 
 // ops returns the ops destination i is sent.
 func (r *commitRound) ops(i int) []batchOp {
-	if r.batches != nil {
+	if len(r.batches) != 0 {
 		return r.batches[i].Ops
 	}
 	return r.shared.Ops
@@ -1073,11 +1114,11 @@ func (r *commitRound) Dispatch() {
 // Payload implements group.Owner.
 func (r *commitRound) Payload(i int) any {
 	switch {
-	case r.threats == nil && r.batches == nil:
+	case r.threats == nil && len(r.batches) == 0:
 		return &r.shared
 	case r.threats == nil:
 		return &r.batches[i]
-	case r.batches == nil:
+	case len(r.batches) == 0:
 		return r.threats
 	}
 	return &threatBatch{Ops: r.batches[i].Ops, Delta: r.threats.Delta}
@@ -1093,9 +1134,9 @@ func (r *commitRound) Answered(i int, reply any, err error) group.Verdict {
 		r.m.propErrors.Inc()
 	}
 	ack := ackOf(reply, err)
-	if r.objects == nil {
+	if len(r.objects) == 0 {
 		acked := ack != nil
-		for k := range r.shared.Ops {
+		for k := range r.ops(i) {
 			acked = acked && ack.landed(k)
 		}
 		return r.all.answer(acked)
@@ -1125,8 +1166,14 @@ func (r *commitRound) Answered(i int, reply any, err error) group.Verdict {
 }
 
 // Drained implements group.Owner: the round's last send — a background
-// straggler's, after a threshold return — has finished.
-func (r *commitRound) Drained() { r.m.propagation.Done() }
+// straggler's, after a threshold return — has finished. A round the commit
+// has let go of goes back on the free list before the propagation is done, so
+// WaitPropagation implies that no round is still being cleared.
+func (r *commitRound) Drained() {
+	m := r.m
+	r.let()
+	m.propagation.Done()
+}
 
 // stageLocal does the coordinator's bookkeeping for an object the
 // transaction created or updated — version-vector bump, the replica's record

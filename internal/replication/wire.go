@@ -3,6 +3,7 @@ package replication
 import (
 	"encoding/binary"
 	"encoding/gob"
+	"sync"
 
 	"dedisys/internal/object"
 	"dedisys/internal/transport"
@@ -28,9 +29,10 @@ import (
 // tested against.
 //
 // A batch travels as *batchMsg — a commit's round hands its senders pointers
-// into its own memory; batches that queued for one peer together travel as
-// *coalescedBatch, the rounds' pointers in one message, with a form of its
-// own — and handleBatch takes no batchMsg value, so both
+// into its own memory, which the round reuses once its sends are answered;
+// batches that queued for one peer together travel as *coalescedBatch, the
+// rounds' pointers in one message, with a form of its own — and handleBatch
+// takes no batchMsg value, so both
 // bodies deliver the pointer: registered under the name gob.Register would
 // give the value type, the pointer puts the same bytes on the wire and is what
 // a gob frame decodes to. A batch that carries its transaction's threats
@@ -99,21 +101,41 @@ type oneOpBatch struct {
 	op [1]batchOp
 }
 
+// decoded is the free list of batches the wire decoded and released.
+var decoded sync.Pool
+
+// Release implements transport.Releaser: the wire transport calls it on a
+// batch it decoded once the batch's handler has returned. The ops are zeroed
+// and their array, a one-op batch's inline op included, is kept for the next
+// decode; the states, vectors and placements the ops pointed to are the
+// replica's now, and no decode writes to them.
+func (b *batchMsg) Release() {
+	clear(b.Ops)
+	b.Ops = b.Ops[:0]
+	decoded.Put(b)
+}
+
 // readBatchWire is batchMsg.AppendWire's inverse; like every sender it hands
-// over a *batchMsg. Object IDs and attribute
+// over a *batchMsg, a released one when there is one. Object IDs and attribute
 // values are fresh strings; class names and node IDs come out of the link's
 // name table. Like gob it leaves an empty op or replica list nil.
 func readBatchWire(r *transport.WireReader) any {
-	var b *batchMsg
-	switch n := r.Count(3); { // the smallest op, a delete: kind, ID length, vector count
+	n := r.Count(3) // the smallest op, a delete: kind, ID length, vector count
+	if n == 0 {
+		return new(batchMsg)
+	}
+	b, _ := decoded.Get().(*batchMsg)
+	switch {
+	case b != nil && cap(b.Ops) >= n:
+		b.Ops = b.Ops[:n]
+	case b != nil:
+		b.Ops = make([]batchOp, n)
 	case n == 1:
 		one := new(oneOpBatch)
 		one.Ops = one.op[:]
 		b = &one.batchMsg
-	case n > 1:
-		b = &batchMsg{Ops: make([]batchOp, n)}
 	default:
-		b = new(batchMsg)
+		b = &batchMsg{Ops: make([]batchOp, n)}
 	}
 	for i := range b.Ops {
 		op := &b.Ops[i]
@@ -170,6 +192,15 @@ func readCoalescedWire(r *transport.WireReader) any {
 		c.Parts[i] = p
 	}
 	return c
+}
+
+// Release implements transport.Releaser: a decoded coalesced batch releases
+// its parts.
+func (c *coalescedBatch) Release() {
+	for _, p := range c.Parts {
+		p.Release()
+	}
+	clear(c.Parts)
 }
 
 func (*batchAck) WireTag() byte { return wireTagAck }

@@ -9,12 +9,16 @@ import (
 	"math"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 	"unsafe"
 
 	"dedisys/internal/constraint"
+	"dedisys/internal/group"
 	"dedisys/internal/object"
+	"dedisys/internal/persistence"
 	"dedisys/internal/threat"
 	"dedisys/internal/transport"
 	"dedisys/internal/wiretransport"
@@ -448,8 +452,9 @@ func TestDecodeRejectsMalformedState(t *testing.T) {
 // TestBatchSizes holds the sizes every replicated write pays for, each
 // against the allocator's size class it fills: the op, 136 bytes with its
 // 24-byte attribute list, which every size below carries once; the commit's
-// round, which one word more moves from the 288-byte class into the 320-byte
-// one; a one-op commit's round with its op, in the 448-byte class; the one-op
+// round, 248 bytes within the 288-byte class (a reused round keeps its
+// destinations' array, so it carries no room for them); a one-op commit's
+// round with its op, 384 bytes within the 448-byte class; the one-op
 // batch a frame decodes to, in the 160-byte class; a staged op, in the
 // 176-byte class the commit's pooled buffer holds per op; and the batch a
 // frame decodes to, which one field more moves from 24 bytes into 32. A
@@ -621,4 +626,76 @@ func FuzzPullExchange(f *testing.F) {
 			_, _ = n1.mgr.ReconcileWith(context.Background(), []transport.NodeID{"n2"}, nil)
 		}
 	})
+}
+
+// TestDecodedBatchIsReusedAfterItsHandler sends creates over a real link to a
+// replica, one batch at a time on one core, until a decode reuses the memory
+// of a batch the replica handled and the wire released. Every replica the
+// batches created — the first's included — still holds the state, vector and
+// placement its create carried: the replica keeps those, and the release and
+// the next decode write none of them.
+func TestDecodedBatchIsReusedAfterItsHandler(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // a free list is per core
+	dir := t.TempDir()
+	peers := map[transport.NodeID]string{
+		"a": "unix:" + filepath.Join(dir, "a.sock"),
+		"b": "unix:" + filepath.Join(dir, "b.sock"),
+	}
+	wires := map[transport.NodeID]*wiretransport.Wire{}
+	for id := range peers {
+		w, err := wiretransport.New(id, peers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		wires[id] = w
+	}
+	m, err := NewManager(Config{Self: "b", Net: wires["b"], GMS: group.NewMembership(wires["b"]), Registry: object.NewRegistry(), Store: persistence.NewStore()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	handled := map[*batchMsg]bool{} // the batches the handler saw
+	reused := false
+	if err := wires["b"].Handle("b", msgBatch, func(from transport.NodeID, p any) (any, error) {
+		mu.Lock()
+		reused = reused || handled[p.(*batchMsg)]
+		handled[p.(*batchMsg)] = true
+		mu.Unlock()
+		return m.handleBatch(from, p)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	info := NewInfo("a", []transport.NodeID{"a", "b"})
+	id := func(k int) object.ID { return object.ID(fmt.Sprintf("flight-%04d", k)) }
+	sent := 0
+	for done := false; sent < 200 && !done; sent++ {
+		op := batchOp{Kind: opCreate, ID: id(sent), Class: "Flight", State: object.AttrsOf(object.State{"sold": int64(sent)}), Version: 1, VV: VersionVector{{Node: "a", Count: int64(sent + 1)}}, Info: info}
+		if _, err := wires["a"].Send(ctx, "a", "b", msgBatch, &batchMsg{Ops: []batchOp{op}}); err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		done = reused
+		mu.Unlock()
+	}
+	if sent == 200 {
+		t.Fatalf("%d decoded batches, none reused a released one", sent)
+	}
+	t.Logf("batch %d reused a released one", sent)
+	for k := 0; k < sent; k++ {
+		e, err := m.registry.Get(id(k))
+		if err != nil {
+			t.Fatalf("create %d: %v", k, err)
+		}
+		vv, _ := m.VersionVector(id(k))
+		got, _ := m.Info(id(k))
+		if e.GetInt("sold") != int64(k) || !reflect.DeepEqual(vv, VersionVector{{Node: "a", Count: int64(k + 1)}}) || !reflect.DeepEqual(got, info) {
+			t.Fatalf("create %d of %d: the replica holds sold=%d, %v, %v", k, sent, e.GetInt("sold"), vv, got)
+		}
+	}
 }

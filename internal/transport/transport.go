@@ -46,7 +46,9 @@ var (
 	ErrNoHandler = errors.New("transport: no handler for message kind")
 )
 
-// Handler processes one request message and produces a response.
+// Handler processes one request message and produces a response. The payload
+// is its sender's: a handler, like a decorator of a Transport, may read it
+// until it returns (until its Send returns), and copies whatever it keeps.
 type Handler func(from NodeID, payload any) (any, error)
 
 // CostModel simulates the time cost of one network hop. The zero value costs

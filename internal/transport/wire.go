@@ -24,11 +24,21 @@ type WirePayload interface {
 
 // WireDecoder rebuilds a payload from what its AppendWire wrote, as the same
 // dynamic type the sender passed to Send. Receivers install decoded state by
-// reference and handlers outlive the frame they arrived in, so everything the
-// decoder returns is freshly allocated: nothing may alias the reader's bytes.
-// Malformed input is reported through the reader (Fail), whose result is then
-// discarded.
+// reference and the frame's bytes are overwritten by the next, so nothing the
+// decoder returns may alias the reader's bytes. What a receiver keeps — state,
+// vectors, names — is freshly allocated; the payload's own block may come from
+// its decoder's free list, when the payload is a Releaser. Malformed input is
+// reported through the reader (Fail), whose result is then discarded.
 type WireDecoder func(r *WireReader) any
+
+// Releaser is a payload whose memory its decoder reuses. The wire transport
+// calls Release on a request it decoded once the handler has returned and the
+// response is written: the payload was the handler's to read until then
+// (Handler). The simulated Network delivers the sender's own payload and never
+// calls it.
+type Releaser interface {
+	Release()
+}
 
 // wireDecoders is filled by init functions only and read afterwards.
 var wireDecoders [256]WireDecoder

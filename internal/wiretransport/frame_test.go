@@ -188,7 +188,7 @@ func TestFrameReader(t *testing.T) {
 			}
 			stream = append(stream, tc.mangle(freshFrame(t, reply))...)
 
-			fr := frameReader{r: bytes.NewReader(stream)}
+			fr := newFrameReader(bytes.NewReader(stream))
 			for k := 0; k < tc.at+max(tc.frames, 1)-1; k++ {
 				if _, err := fr.next(); err != nil {
 					t.Fatalf("frame %d: %v", k, err)
@@ -248,7 +248,7 @@ func startScriptedPeer(t *testing.T, addr string, at int, mangle func([]byte) []
 			go func() {
 				defer p.wg.Done()
 				defer conn.Close()
-				fr := frameReader{r: conn}
+				fr := newFrameReader(conn)
 				for k := 0; ; k++ {
 					req, err := fr.next()
 					if err != nil {
@@ -560,7 +560,7 @@ func TestRecordedStreams(t *testing.T) {
 	self, viaGob := map[string]int{}, map[string]int{}
 	applies := 0
 	for dir, stream := range recordStreams(t) {
-		fr := frameReader{r: bytes.NewReader(stream)}
+		fr := newFrameReader(bytes.NewReader(stream))
 		frames, opens := 0, 0
 		for off := 0; off < len(stream); frames++ {
 			prefix := binary.BigEndian.Uint32(stream[off:])
@@ -613,7 +613,7 @@ func FuzzReadFrame(f *testing.F) {
 		f.Add(stream[:4+int(binary.BigEndian.Uint32(stream)&^prefixFlags)])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr := frameReader{r: bytes.NewReader(data)}
+		fr := newFrameReader(bytes.NewReader(data))
 		for {
 			if _, err := fr.next(); err != nil {
 				break

@@ -3,9 +3,12 @@ package wiretransport
 import (
 	"context"
 	"errors"
+	"net"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -190,4 +193,77 @@ func TestLinkServersExitWithTheLink(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// countingConn counts the reads made on a connection.
+type countingConn struct {
+	net.Conn
+	reads *atomic.Int32
+}
+
+func (c countingConn) Read(p []byte) (int, error) {
+	c.reads.Add(1)
+	return c.Conn.Read(p)
+}
+
+// TestQueuedFramesCostFewReads: requests already queued at a link's receiver
+// are read in far fewer reads than two per frame, a prefix and a body, which
+// is what an unbuffered reader makes. Each is served and answered in turn.
+func TestQueuedFramesCostFewReads(t *testing.T) {
+	const frames = 64
+	path := filepath.Join(t.TempDir(), "b.sock")
+	w, err := New("b", map[transport.NodeID]string{"b": "unix:" + path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	w.Handle("b", "echo", func(_ transport.NodeID, p any) (any, error) { return p, nil })
+	ln, err := net.Listen("unix", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	client, err := net.Dial("unix", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	server, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fw frameWriter
+	for i := 0; i < frames; i++ {
+		b, err := fw.frame(wireFrame{ID: uint64(i + 1), Req: true, From: "a", Kind: "echo", Payload: int64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := client.Write(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var reads atomic.Int32
+	l := newLink(w, countingConn{Conn: server, reads: &reads})
+	go l.readLoop()
+	defer l.fail()
+	client.SetReadDeadline(time.Now().Add(10 * time.Second))
+	fr := newFrameReader(client)
+	got := map[uint64]any{}
+	for i := 0; i < frames; i++ {
+		f, err := fr.next()
+		if err != nil {
+			t.Fatalf("reply %d: %v", i, err)
+		}
+		got[f.ID] = f.Payload
+	}
+	for i := 0; i < frames; i++ {
+		if p := got[uint64(i+1)]; p != int64(i) {
+			t.Fatalf("request %d answered with %v", i+1, p)
+		}
+	}
+	n := reads.Load()
+	if n > frames/8 {
+		t.Fatalf("%d queued frames took %d reads, want at most %d", frames, n, frames/8)
+	}
+	t.Logf("%d queued frames, %d reads", frames, n)
 }

@@ -49,8 +49,9 @@
 // the same wire.go) asks for — node IDs, class and attribute names, never
 // object IDs or values — in a bounded per-link table, and everything else a
 // decoder returns is fresh memory: replicas install decoded state and vectors
-// by reference, and a handler outlives the frame it arrived in, so nothing of
-// a decoded message is recycled. Every count is checked against the bytes
+// by reference. Only the payload's own block may be reused: a request whose
+// payload is a transport.Releaser is released once its handler has returned
+// and the response is written. Every count is checked against the bytes
 // that remain before it sizes an allocation; a truncated header, an unknown
 // tag, flag, op or value kind, and bytes left over after the payload each
 // kill the link. Self-encoded frames touch neither gob stream, so the two
@@ -73,8 +74,9 @@
 //
 // Each peer is served by one link per direction: the first Send to a peer
 // lazily dials its address; inbound connections are accepted by Start. A
-// link is a connection, a write mutex and a reader goroutine that routes
-// response frames to pending requests and hands request frames to the
+// link is a connection, a write mutex and a reader goroutine that reads
+// through one buffer, so frames already queued cost one read between them,
+// routes response frames to pending requests and hands request frames to the
 // link's servers, goroutines that run the node's handlers. A server that
 // finishes parks on the link for the next request, and the reader starts a
 // new one only when none is parked, so a steady stream of requests starts no
@@ -100,6 +102,7 @@
 package wiretransport
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -773,24 +776,32 @@ func RoundTripFrame(payload any) (out any, self bool, err error) {
 	if err != nil {
 		return nil, false, fmt.Errorf("encode: %w", err)
 	}
-	fr := frameReader{r: bytes.NewReader(b)}
-	f, err := fr.next()
+	f, err := newFrameReader(bytes.NewReader(b)).next()
 	if err != nil {
 		return nil, false, fmt.Errorf("decode: %w", err)
 	}
 	return f.Payload, binary.BigEndian.Uint32(b)&selfEncoded != 0, nil
 }
 
-// frameReader is the inbound half of a link's codec: a body buffer that is
-// refilled frame by frame, the gob stream's decoder over it, and the cursor
-// and name table self-encoded frames are read with.
+// frameReader is the inbound half of a link's codec: a buffered reader over
+// the connection, a body buffer that is refilled frame by frame, the gob
+// stream's decoder over it, and the cursor and name table self-encoded frames
+// are read with. A body is copied out of the read buffer, so nothing decoded
+// aliases it.
 type frameReader struct {
-	r    io.Reader
+	r    *bufio.Reader
 	hdr  [4]byte
 	body []byte
 	src  bytes.Reader
 	dec  *gob.Decoder
 	wr   transport.WireReader
+}
+
+// newFrameReader reads frames from r through a read buffer of its own: the
+// frames already queued at the receiver, up to the buffer's 4 KiB, cost one
+// read between them.
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{r: bufio.NewReader(r)}
 }
 
 // next reads one length-prefixed frame and decodes it as its prefix says.
@@ -879,7 +890,7 @@ func (fr *frameReader) selfFrame(body []byte) (wireFrame, error) {
 // handler that blocks delays no other, and the link keeps as many servers as
 // it has had requests in service at once.
 func (l *link) readLoop() {
-	fr := frameReader{r: l.conn}
+	fr := newFrameReader(l.conn)
 	for {
 		f, err := fr.next()
 		if err != nil {
@@ -909,8 +920,12 @@ func (l *link) serveLoop(f wireFrame) {
 }
 
 // serve dispatches one request and writes the response back on the same
-// link the request arrived on.
+// link the request arrived on. Then nothing reads the request any more, and
+// a payload whose decoder reuses its memory is released.
 func (l *link) serve(f wireFrame) {
+	if p, ok := f.Payload.(transport.Releaser); ok {
+		defer p.Release()
+	}
 	resp, err := l.w.dispatch(f.From, f.Kind, f.Payload)
 	rf := wireFrame{ID: f.ID, From: l.w.self, Kind: f.Kind, Payload: resp}
 	if err != nil {
