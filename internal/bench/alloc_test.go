@@ -515,20 +515,15 @@ func newAckRoundTrip(t *testing.T) func(int) error {
 	}
 }
 
-// newStorePut rewrites live keys with the records a write stores, each
-// encoding itself: the vector of a replica's meta record, the entity, and a
-// bare state as the benchmark's probe puts it.
+// newStorePut rewrites live keys with the records production stores, each
+// encoding itself: an entity (CMP's record), a state (as the benchmark's
+// probe puts it) and an attribute list.
 func newStorePut(t *testing.T) func(int) error {
 	store := persistence.NewStore()
-	e := object.New(beanClass, "hot000", object.State{"value": int64(42), "owner": object.ID("acct-1"), "tag": "plain"})
-	vv := replication.VersionVector{{Node: "n1", Count: 1 << 40}, {Node: "n2", Count: 1}, {Node: "n3", Count: 12}}
-	recs := []struct {
-		key string
-		rec any
-	}{{"vector", &vv}, {"entity", e}, {"state", e.Snapshot()}}
+	changes := storedRecords()
 	return func(int) error {
-		for _, r := range recs {
-			if err := store.Put("t", r.key, r.rec); err != nil {
+		for _, c := range changes {
+			if err := store.Put("t", c.Key, c.Value); err != nil {
 				return err
 			}
 		}
@@ -536,16 +531,22 @@ func newStorePut(t *testing.T) func(int) error {
 	}
 }
 
-// newStoreWrite writes four live records in one store write, as a replica
-// stores a 4-object commit: the encoding buffer and every key's buffer are
-// the store's own and keep what they grew, so it allocates nothing.
+// newStoreWrite writes the same live records in one store write, as a replica
+// stores a multi-object commit: the encoding buffer and every key's buffer
+// are the store's own and keep what they grew, so it allocates nothing.
 func newStoreWrite(t *testing.T) func(int) error {
 	store := persistence.NewStore()
-	e := object.New(beanClass, "hot000", object.State{"value": int64(42), "owner": object.ID("acct-1"), "tag": "plain"})
-	vv := replication.VersionVector{{Node: "n1", Count: 1 << 40}, {Node: "n2", Count: 1}, {Node: "n3", Count: 12}}
-	state, _ := e.Share()
-	changes := []persistence.Change{{Key: "vector", Value: &vv}, {Key: "entity", Value: e}, {Key: "state", Value: e.Snapshot()}, {Key: "attrs", Value: state}}
+	changes := storedRecords()
 	return func(int) error { return store.Write("t", changes) }
+}
+
+// storedRecords are the records of the store rows: an entity, a state and an
+// attribute list, each boxed once here, as a production write's are before
+// the write.
+func storedRecords() []persistence.Change {
+	e := object.New(beanClass, "hot000", object.State{"value": int64(42), "owner": object.ID("acct-1"), "tag": "plain"})
+	attrs, _ := e.Share()
+	return []persistence.Change{{Key: "entity", Value: e}, {Key: "state", Value: e.Snapshot()}, {Key: "attrs", Value: attrs}}
 }
 
 // thresholdRound multicasts to two echo peers, released at the first ack,

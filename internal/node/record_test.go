@@ -1,30 +1,19 @@
 package node
 
 import (
-	"encoding/json"
 	"fmt"
 	"reflect"
 	"testing"
 
 	"dedisys/internal/object"
 	"dedisys/internal/replication"
-	"dedisys/internal/transport"
 )
 
-// replicaRecord is the replication manager's stored record of one replica
-// (table replica-meta, keyed by the object ID) in plain types: what
-// json.Marshal writes for it is what the record's own encoder must write.
-type replicaRecord struct {
-	Class   string         `json:",omitempty"`
-	State   map[string]any `json:",omitempty"`
-	Version int64          `json:",omitempty"`
-	VV      map[transport.NodeID]int64
-	Info    replication.Info
-}
-
-// heldRecord renders what the node holds of the object in memory — class,
-// state and version of its entity, vector and placement — as its record.
-func heldRecord(t *testing.T, n *Node, id object.ID) replicaRecord {
+// heldRecord is what the node holds of the object in memory — its entity's
+// class, state and version, its vector and placement — as the
+// replication.Record its stored record (table replica-meta, keyed by the
+// object ID) reads back as: empty lists nil, as the wire decoder has them.
+func heldRecord(t *testing.T, n *Node, id object.ID) replication.Record {
 	t.Helper()
 	info, err := n.Repl.Info(id)
 	if err != nil {
@@ -34,40 +23,34 @@ func heldRecord(t *testing.T, n *Node, id object.ID) replicaRecord {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := replicaRecord{VV: map[transport.NodeID]int64{}, Info: info}
-	for _, c := range vv {
-		rec.VV[c.Node] = c.Count
+	if len(info.Replicas) == 0 {
+		info.Replicas = nil
+	}
+	rec := replication.Record{ID: id, VV: vv, Info: info}
+	if len(vv) == 0 {
+		rec.VV = nil
 	}
 	if e, err := n.Registry.Get(id); err == nil {
-		rec.Class, rec.State, rec.Version = e.Class(), map[string]any(e.Snapshot()), e.Version()
+		rec.Class, rec.State, rec.Version = e.Class(), object.AttrsOf(e.Snapshot()), e.Version()
+		if len(rec.State) == 0 {
+			rec.State = nil
+		}
 	}
 	return rec
 }
 
 // expectRecords checks every replica's stored record of the object against
-// what the replica holds in memory: the stored bytes are json.Marshal's of it,
-// and they decode to its class, placement, version and vector.
+// what the replica holds in memory: the record, read back through
+// replication.Record's reader — the batch decoder's own — is what it holds.
 func expectRecords(t *testing.T, c *Cluster, id object.ID) {
 	t.Helper()
 	for _, n := range c.Nodes {
-		held := heldRecord(t, n, id)
-		want, err := json.Marshal(held)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var raw json.RawMessage
-		if err := n.Store.Get("replica-meta", string(id), &raw); err != nil {
+		var back replication.Record
+		if err := n.Store.Get("replica-meta", string(id), &back); err != nil {
 			t.Fatalf("%s: %v", n.ID, err)
 		}
-		if string(raw) != string(want) {
-			t.Errorf("%s replica-meta/%s = %s, want %s", n.ID, id, raw, want)
-		}
-		var back replicaRecord
-		if err := json.Unmarshal(raw, &back); err != nil {
-			t.Fatalf("%s replica-meta/%s does not decode: %v", n.ID, id, err)
-		}
-		if back.Class != held.Class || back.Version != held.Version || !reflect.DeepEqual(back.VV, held.VV) || !reflect.DeepEqual(back.Info, held.Info) || len(back.State) != len(held.State) {
-			t.Errorf("%s replica-meta/%s decodes to %+v, holds %+v", n.ID, id, back, held)
+		if held := heldRecord(t, n, id); !reflect.DeepEqual(back, held) {
+			t.Errorf("%s replica-meta/%s reads back as\n %+v\nholds %+v", n.ID, id, back, held)
 		}
 	}
 }
@@ -186,7 +169,7 @@ func TestUnreplicatedNodeStoresItsEntities(t *testing.T) {
 	if err := n.Store.Get(cmpTable, "f1", &stored); err != nil {
 		t.Fatal(err)
 	}
-	if stored["sold"] != float64(2) {
+	if stored["sold"] != int64(2) {
 		t.Errorf("entities/f1 = %v, want sold 2", stored)
 	}
 	if err := n.Delete("f1"); err != nil {
@@ -231,7 +214,7 @@ func TestUnreplicatedTransactionIsOneStoreWrite(t *testing.T) {
 		if err := n.Store.Get(cmpTable, string(id), &stored); err != nil {
 			t.Fatal(err)
 		}
-		if stored["sold"] != float64(i+1) {
+		if stored["sold"] != int64(i+1) {
 			t.Errorf("entities/%s = %v, want sold %d", id, stored, i+1)
 		}
 	}

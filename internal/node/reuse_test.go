@@ -38,13 +38,17 @@ func TestMemberReadsBeforeItsCreateArrives(t *testing.T) {
 		return 0
 	})
 	defer c.Net.SetLatency(nil)
+	tally := tapSends(t, c.Net)
 	if err := n1.Create("Reg", "o1", object.State{"value": int64(7)}, c.AllReplicas("n1")); err != nil {
 		t.Fatal(err)
 	}
 	if n3.Repl.HasLocalReplica("o1") {
 		t.Fatal("the create reached n3 before the read: nothing tested")
 	}
-	tally := tapSends(t, c.Net)
+	// The create returns on n2's ack, and its straggler may leave n1 only
+	// after that: the read's tally starts once it is on its way.
+	tally.await(t, "n3", "repl.batch")
+	tally.take()
 	got, err := n3.Invoke("o1", "Value")
 	if err != nil {
 		t.Fatalf("n3 reads o1 before its create arrived: %v", err)

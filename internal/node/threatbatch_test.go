@@ -13,6 +13,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"time"
 
 	"dedisys/internal/chaos"
 	"dedisys/internal/constraint"
@@ -48,6 +49,22 @@ func tapSends(t *testing.T, net *transport.Network) *sendTally {
 	})
 	t.Cleanup(func() { net.SetDrop(nil) })
 	return s
+}
+
+// await waits until a message of kind has been sent to the node.
+func (s *sendTally) await(t *testing.T, to transport.NodeID, kind string) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(100 * time.Microsecond) {
+		s.mu.Lock()
+		n := s.sent[to][kind]
+		s.mu.Unlock()
+		if n > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no %s sent to %s", kind, to)
+		}
+	}
 }
 
 // take returns what was sent since the last take.

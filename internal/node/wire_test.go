@@ -110,7 +110,7 @@ func FuzzInvokeReply(f *testing.F) {
 			if attrs, _ := e.Share(); !attrs.Sorted() {
 				t.Fatalf("%s holds %#v: names out of order", id, attrs)
 			}
-			_, _ = e.AppendJSON(nil) // a value JSON cannot carry fails, never panics
+			_, _ = e.AppendWire(nil) // a value the wire form cannot carry declines, never panics
 		}
 	})
 }

@@ -57,11 +57,11 @@ func expectAgreement(t *testing.T, c *Cluster, want int64, before replication.Ve
 		if cmp, ok := vv.Compare(coordVV); !ok || cmp != 0 {
 			t.Errorf("%s vector %v, coordinator %v", n.ID, vv, coordVV)
 		}
-		var stored replicaRecord
+		var stored replication.Record
 		if err := n.Store.Get("replica-meta", "c1", &stored); err != nil {
 			t.Fatal(err)
 		}
-		if stored.State["value"] != float64(want) {
+		if value, _ := stored.State.Get("value"); value != want {
 			t.Errorf("%s replica-meta/c1 = %+v, want value %d", n.ID, stored, want)
 		}
 	}

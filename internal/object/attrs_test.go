@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"encoding/hex"
-	"encoding/json"
 	"math"
 	"math/rand/v2"
 	"os"
@@ -38,7 +37,7 @@ var drawStrings = []string{"", "x", "alice", "VIE<->GRZ & back", "\x00\x1f\n", "
 
 // drawState draws one state: nil or empty one time in ten each, otherwise
 // one to ten attributes of every value kind State documents, and now and
-// then a nested value, which only the JSON form carries.
+// then a nested value, which the wire form declines.
 func drawState(r *rand.Rand) State {
 	switch r.IntN(10) {
 	case 0:
@@ -157,10 +156,10 @@ func orEmpty(s State) State {
 // TestAttrsMatchesMapModel checks every Attrs method against the map it
 // replaced, over seeded random states (nil, empty, and one to ten attributes
 // of every documented value kind): the list's order, Get and Map, a Set on a
-// fresh and on a shared entity, the JSON encoding against encoding/json's
-// encoding of the map, the wire bytes against the golden table the map's
-// encoder wrote, the wire round trip, and gob, which must carry the list as
-// it carried the map.
+// fresh and on a shared entity, the wire bytes against the golden table the
+// map's encoder wrote — from the list, from the map (State.AppendWire) and
+// from an entity — the wire round trip to the list and to the map, and gob,
+// which must carry the list as it carried the map.
 func TestAttrsMatchesMapModel(t *testing.T) {
 	golden := readGolden(t)
 	r := rand.New(rand.NewPCG(modelSeed, modelSeed))
@@ -204,18 +203,16 @@ func TestAttrsMatchesMapModel(t *testing.T) {
 			t.Fatalf("draw %d: Set on the entity that shares the list wrote it: %#v", i, a)
 		}
 
-		// JSON: the bytes encoding/json writes for the map.
-		want, wantErr := json.Marshal(map[string]any(held))
-		got, err := a.AppendJSON([]byte("x"))
-		if (err != nil) != (wantErr != nil) || err == nil && string(got) != "x"+string(want) {
-			t.Fatalf("draw %d: AppendJSON = %s, %v; json.Marshal = %s, %v", i, got, err, want, wantErr)
-		}
-		if got, err := a.MarshalJSON(); err == nil && string(got) != string(want) {
-			t.Fatalf("draw %d: MarshalJSON = %s, want %s", i, got, want)
-		}
-
-		// Wire: the map's bytes, and back to the list (an empty one nil).
+		// Wire: the map's bytes, from the list, the map and an entity holding
+		// the list, and back to the list (an empty one nil) and to the map.
 		wire, ok := a.AppendWire([]byte("x"))
+		holder := New("C", "id", nil)
+		holder.Restore(a, 1)
+		for form, encode := range map[string]func([]byte) ([]byte, bool){"State": s.AppendWire, "Entity": holder.AppendWire} {
+			if got, ok2 := encode([]byte("x")); ok2 != ok || string(got) != string(wire) {
+				t.Fatalf("draw %d: %s.AppendWire = %x, %v; Attrs.AppendWire = %x, %v", i, form, got, ok2, wire, ok)
+			}
+		}
 		if golden[i] == "declined" {
 			if ok || string(wire) != "x" {
 				t.Fatalf("draw %d: AppendWire accepted %#v, which the map form declined", i, a)
@@ -224,6 +221,10 @@ func TestAttrsMatchesMapModel(t *testing.T) {
 			if !ok || hex.EncodeToString(wire[1:]) != golden[i] {
 				t.Fatalf("draw %d: AppendWire = %x, %v\n the map form wrote %s", i, wire[1:], ok, golden[i])
 			}
+			var sr transport.WireReader
+			sr.Reset(wire[1:])
+			var st State
+			st.ReadWire(&sr)
 			var rd transport.WireReader
 			rd.Reset(wire[1:])
 			back := ReadAttrsWire(&rd)
@@ -231,6 +232,13 @@ func TestAttrsMatchesMapModel(t *testing.T) {
 			gobRoundTrip(t, struct{ A Attrs }{a}, &gobBack)
 			if rd.Err() != nil || rd.Len() != 0 || !reflect.DeepEqual(back, gobBack.A) {
 				t.Fatalf("draw %d: the wire gives %#v (%v, %d bytes left), gob %#v", i, back, rd.Err(), rd.Len(), gobBack.A)
+			}
+			var wantState State // what the list gives an application (nil for none)
+			if back != nil {
+				wantState = back.Map()
+			}
+			if sr.Err() != nil || sr.Len() != 0 || !reflect.DeepEqual(st, wantState) {
+				t.Fatalf("draw %d: State.ReadWire gives %#v (%v, %d bytes left), the list %#v", i, st, sr.Err(), sr.Len(), back)
 			}
 		}
 

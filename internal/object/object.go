@@ -14,17 +14,14 @@ package object
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
-	"dedisys/internal/persistence"
 	"dedisys/internal/transport"
 )
 
@@ -48,10 +45,11 @@ var (
 
 // State is an entity's attributes as a map: the form applications build and
 // receive (New, a node's Create, Snapshot, a conflict resolver's states).
-// Values are restricted to JSON-representable scalars plus []ID references so
-// that they can be serialized for replication and persistence. Inside the
-// middleware the attributes are an Attrs; AttrsOf and Attrs.Map convert at
-// that edge.
+// A value is one of the kinds the wire form carries, so that it can be
+// replicated and stored: nil, bool, string, int, int64, float64, ID, []ID
+// and []string. A state holding any other kind fails the store write that
+// meets it, and a batch carrying it falls back to gob. Inside the middleware
+// the attributes are an Attrs; AttrsOf and Attrs.Map convert at that edge.
 type State map[string]any
 
 // Clone returns a deep copy of the state. Reference slices are copied.
@@ -86,81 +84,33 @@ func copyList[S ~string](list []S) []S {
 	return cp
 }
 
-// AppendJSON appends the state's JSON encoding to dst, byte for byte what
-// encoding/json writes for the same data held as a plain map[string]any (keys
-// in byte order, its string escaping), without the reflection or the boxing
-// of every key and value. Attrs.AppendJSON writes the same bytes for the same
-// attributes. On error dst is returned as it came.
-func (s State) AppendJSON(dst []byte) ([]byte, error) {
-	if s == nil {
-		return append(dst, "null"...), nil
-	}
+// AppendWire appends the bytes Attrs.AppendWire writes for the same
+// attributes, without building the list; it declines, returning dst, a value
+// of a kind the form does not carry (see State).
+func (s State) AppendWire(dst []byte) ([]byte, bool) {
 	var buf [8]string
 	keys := buf[:0]
 	for k := range s {
 		keys = append(keys, k)
 	}
 	slices.Sort(keys)
-	out := append(dst, '{')
-	for i, k := range keys {
-		if i > 0 {
-			out = append(out, ',')
-		}
-		var err error
-		if out, err = appendJSONValue(append(persistence.AppendString(out, k), ':'), s[k]); err != nil {
-			return dst, err
+	out := transport.AppendWireMapLen(dst, len(s), s == nil)
+	for _, k := range keys {
+		var ok bool
+		if out, ok = appendWireValue(transport.AppendWireString(out, k), s[k]); !ok {
+			return dst, false
 		}
 	}
-	return append(out, '}'), nil
+	return out, true
 }
 
-// MarshalJSON is AppendJSON for encoding/json, which needs it where a State
-// nests in a message or record that json.Marshal encodes.
-func (s State) MarshalJSON() ([]byte, error) {
-	return s.AppendJSON(make([]byte, 0, 2+32*len(s)))
-}
-
-// appendJSONValue appends one attribute value as encoding/json writes it. The
-// value kinds State documents are written directly; any other value goes
-// through json.Marshal by itself.
-func appendJSONValue(out []byte, value any) ([]byte, error) {
-	switch v := value.(type) {
-	case nil:
-		return append(out, "null"...), nil
-	case bool:
-		return strconv.AppendBool(out, v), nil
-	case string:
-		return persistence.AppendString(out, v), nil
-	case int:
-		return strconv.AppendInt(out, int64(v), 10), nil
-	case int64:
-		return strconv.AppendInt(out, v, 10), nil
-	case ID:
-		return persistence.AppendString(out, string(v)), nil
-	case []ID:
-		return appendStrings(out, v), nil
-	case []string:
-		return appendStrings(out, v), nil
-	default: // float64 after a JSON round trip, nested values
-		b, err := json.Marshal(v)
-		return append(out, b...), err
+// ReadWire decodes what AppendWire (or Attrs' or Entity's) wrote into a state
+// of the caller's own; an empty one comes back nil, as from ReadAttrsWire.
+func (s *State) ReadWire(r *transport.WireReader) {
+	*s = nil
+	if a := ReadAttrsWire(r); a != nil {
+		*s = a.Map()
 	}
-}
-
-// appendStrings appends a reference or string list as a JSON array, null for
-// a nil one as encoding/json has it.
-func appendStrings[S ~string](dst []byte, list []S) []byte {
-	if list == nil {
-		return append(dst, "null"...)
-	}
-	dst = append(dst, '[')
-	for i, s := range list {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = persistence.AppendString(dst, string(s))
-	}
-	return append(dst, ']')
 }
 
 // Attr is one attribute of an entity: its name and its value.
@@ -251,34 +201,6 @@ func (a Attrs) with(name string, value any) Attrs {
 	return out
 }
 
-// AppendJSON appends the attributes' JSON encoding to dst: a JSON object,
-// byte for byte what encoding/json writes for the same data held as a plain
-// map[string]any, without the reflection or the boxing of every key and
-// value. Entity state is in every replica's record, the store write each
-// replica makes per replicated commit. On error dst is returned as it came.
-func (a Attrs) AppendJSON(dst []byte) ([]byte, error) {
-	if a == nil {
-		return append(dst, "null"...), nil
-	}
-	out := append(dst, '{')
-	for i, at := range a {
-		if i > 0 {
-			out = append(out, ',')
-		}
-		var err error
-		if out, err = appendJSONValue(append(persistence.AppendString(out, at.Name), ':'), at.Value); err != nil {
-			return dst, err
-		}
-	}
-	return append(out, '}'), nil
-}
-
-// MarshalJSON is AppendJSON for encoding/json, which needs it where an Attrs
-// nests in a message or record that json.Marshal encodes.
-func (a Attrs) MarshalJSON() ([]byte, error) {
-	return a.AppendJSON(make([]byte, 0, 2+32*len(a)))
-}
-
 // Value kinds of the attributes' wire form: one byte in front of every
 // attribute value, naming its exact dynamic type so that it comes back as
 // what it was (an int stays an int, an ID an ID).
@@ -295,45 +217,50 @@ const (
 	wireStrings
 )
 
-// AppendWire appends the attributes' form on the real wire (see
-// transport.WirePayload; an Attrs travels inside the replication messages,
-// it is no payload of its own): a map header (nil and empty stay apart), then
-// name, kind byte and value per attribute in list order. It carries exactly
-// the kinds AppendJSON names; for a list holding anything else it reports
-// false and returns dst as it came, and the message goes through gob.
-// ReadAttrsWire is its inverse.
+// AppendWire appends the attributes' wire form (see transport.WirePayload;
+// an Attrs travels inside replication messages and records): a map header
+// (nil and empty stay apart), then name, kind byte and value per attribute in
+// list order. It carries exactly the kinds State names and declines anything
+// else, returning dst; ReadAttrsWire is its inverse.
 func (a Attrs) AppendWire(dst []byte) ([]byte, bool) {
 	out := transport.AppendWireMapLen(dst, len(a), a == nil)
 	for _, at := range a {
-		out = transport.AppendWireString(out, at.Name)
-		switch v := at.Value.(type) {
-		case nil:
-			out = append(out, wireNil)
-		case bool:
-			if v {
-				out = append(out, wireTrue)
-			} else {
-				out = append(out, wireFalse)
-			}
-		case string:
-			out = transport.AppendWireString(append(out, wireString), v)
-		case int:
-			out = binary.AppendVarint(append(out, wireInt), int64(v))
-		case int64:
-			out = binary.AppendVarint(append(out, wireInt64), v)
-		case float64:
-			out = binary.BigEndian.AppendUint64(append(out, wireFloat64), math.Float64bits(v))
-		case ID:
-			out = transport.AppendWireString(append(out, wireID), string(v))
-		case []ID:
-			out = appendWireStrings(append(out, wireIDs), v)
-		case []string:
-			out = appendWireStrings(append(out, wireStrings), v)
-		default:
+		var ok bool
+		if out, ok = appendWireValue(transport.AppendWireString(out, at.Name), at.Value); !ok {
 			return dst, false
 		}
 	}
 	return out, true
+}
+
+// appendWireValue appends one attribute value's kind byte and value, or
+// reports false for a kind the form does not carry.
+func appendWireValue(out []byte, value any) ([]byte, bool) {
+	switch v := value.(type) {
+	case nil:
+		return append(out, wireNil), true
+	case bool:
+		if v {
+			return append(out, wireTrue), true
+		}
+		return append(out, wireFalse), true
+	case string:
+		return transport.AppendWireString(append(out, wireString), v), true
+	case int:
+		return binary.AppendVarint(append(out, wireInt), int64(v)), true
+	case int64:
+		return binary.AppendVarint(append(out, wireInt64), v), true
+	case float64:
+		return binary.BigEndian.AppendUint64(append(out, wireFloat64), math.Float64bits(v)), true
+	case ID:
+		return transport.AppendWireString(append(out, wireID), string(v)), true
+	case []ID:
+		return appendWireStrings(append(out, wireIDs), v), true
+	case []string:
+		return appendWireStrings(append(out, wireStrings), v), true
+	default:
+		return out, false
+	}
 }
 
 func appendWireStrings[S ~string](dst []byte, list []S) []byte {
@@ -477,7 +404,7 @@ func (e *Entity) GetString(name string) string {
 }
 
 // GetInt returns an integer attribute, accepting int, int64 and float64
-// representations (the latter appears after JSON round trips).
+// representations.
 func (e *Entity) GetInt(name string) int64 {
 	switch v := e.MustGet(name).(type) {
 	case int:
@@ -539,18 +466,11 @@ func (e *Entity) Share() (Attrs, int64) {
 	return e.attrs, e.version
 }
 
-// AppendJSON encodes the entity as its attribute state, exactly as
-// json.Marshal(e.Snapshot()) would, without the copy: the encoder runs after
-// the entity's lock is released, on a list that Share has made read-only.
-func (e *Entity) AppendJSON(dst []byte) ([]byte, error) {
+// AppendWire writes the entity's attributes, its record in the store, from
+// the list Share made read-only: it encodes after the lock, copying nothing.
+func (e *Entity) AppendWire(dst []byte) ([]byte, bool) {
 	a, _ := e.Share()
-	return a.AppendJSON(dst)
-}
-
-// MarshalJSON is AppendJSON for encoding/json.
-func (e *Entity) MarshalJSON() ([]byte, error) {
-	a, _ := e.Share()
-	return a.MarshalJSON()
+	return a.AppendWire(dst)
 }
 
 // Restore replaces the entity's attributes and version, used by undo logging

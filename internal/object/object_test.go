@@ -2,7 +2,6 @@ package object
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"math"
 	"reflect"
@@ -13,6 +12,8 @@ import (
 	"testing"
 	"testing/quick"
 	"unsafe"
+
+	"dedisys/internal/transport"
 )
 
 func TestEntityBasics(t *testing.T) {
@@ -388,65 +389,75 @@ func TestAttrAndMethodNames(t *testing.T) {
 	}
 }
 
-// TestStateJSONMatchesEncodingJSON holds the hand-written state encoder to
-// encoding/json's output for the same data held as a plain map[string]any,
-// byte for byte — the stored entity records must not change — appended to
-// nothing and after a prefix, through State's, Attrs' and Entity's
-// MarshalJSON, and
-// nested in a struct json.Marshal encodes.
-func TestStateJSONMatchesEncodingJSON(t *testing.T) {
-	var roundTripped map[string]any
-	if err := json.Unmarshal([]byte(`{"sold":70,"price":12.5,"tags":["a","b"],"nested":{"k":null}}`), &roundTripped); err != nil {
-		t.Fatal(err)
-	}
+// TestStateWireMatchesAttrs: a state writes the bytes its attribute list
+// writes — State's own encoder, the list's and an entity's, appended to
+// nothing and after a prefix — and ReadWire reads them back. A state holding
+// a kind the form does not carry is declined by all three, and the caller
+// gets its buffer back as it handed it in.
+func TestStateWireMatchesAttrs(t *testing.T) {
 	cases := map[string]State{
 		"nil":   nil,
 		"empty": {},
 		"one":   {"value": int64(42)},
 		"ten keys": {"k9": 9, "k0": 0, "k5": 5, "k2": 2, "k7": 7, "k1": 1, "k8": 8, "k3": 3, "k6": 6, "k4": 4,
 			"K": "upper sorts first", "": "empty key"},
-		"escaped keys": {`q"uote`: 1, `back\slash`: 2, "<lt": 3, "gt>": 4, "a&b": 5, "ünï": 6,
-			"\x00\x1f\n\t\b\f\r": 7, "line\u2028sep\u2029": 8, "bad\xffutf8": 9, "\x7f": 10},
-		"escaped strings": {"a": `q"uote`, "b": `back\slash`, "c": "VIE<->GRZ & back", "d": "ünï",
-			"e": "\x00\x1f\n\t\b\f\r", "f": "line\u2028sep\u2029", "g": "bad\xffutf8", "h": "\x7f", "i": ""},
-		"ints":   {"min": math.MinInt, "max": math.MaxInt, "min64": int64(math.MinInt64), "max64": int64(math.MaxInt64), "zero": 0},
-		"floats": {"zero": 0.0, "negzero": math.Copysign(0, -1), "big": 1e21, "small": 1e-7, "whole": float64(70), "frac": 12.5},
+		"odd keys": {`q"uote`: 1, `back\slash`: 2, "<lt": 3, "ünï": 6, "\x00\x1f\n\t\b\f\r": 7, "bad\xffutf8": 9, "\x7f": 10},
+		"ints":     {"min": math.MinInt, "max": math.MaxInt, "min64": int64(math.MinInt64), "max64": int64(math.MaxInt64), "zero": 0},
+		"floats":   {"zero": 0.0, "negzero": math.Copysign(0, -1), "big": 1e21, "small": 1e-7, "whole": float64(70), "frac": 12.5},
 		"scalars": {"nil": nil, "yes": true, "no": false, "ref": ID("f<1>"), "refs": []ID{"a", `b"c`, ""},
-			"names": []string{"x", "y&z"}, "no refs": []ID(nil), "zero refs": []ID{}, "no names": []string(nil), "zero names": []string{}},
-		"other kinds": {"i32": int32(-3), "u8": uint8(200), "bytes": []byte("raw"), "list": []any{1, "two", nil, []ID{"r"}},
-			"map": map[string]any{"z": 1, "a": []string{"<"}}, "ptr": &struct{ A int }{7}},
-		"from a json round trip": roundTripped,
+			"names": []string{"x", "y&z"}, "no refs": []ID(nil), "no names": []string(nil)},
 	}
-	const prefix = `{"state":`
+	declined := map[string]State{
+		"a nested map": {"a": int64(1), "map": map[string]any{"k": nil}},
+		"an int32":     {"i32": int32(-3)},
+		"a byte slice": {"bytes": []byte("raw")},
+		"a list":       {"list": []any{1, "two"}},
+	}
+	const prefix = "prefix"
 	for name, st := range cases {
-		want, err := json.Marshal(map[string]any(st))
-		if err != nil {
-			t.Fatal(err)
+		want, ok := listOf(st).AppendWire([]byte(prefix))
+		if !ok {
+			t.Fatalf("%s: the list declined", name)
 		}
-		list := listOf(st)
 		e := New("C", "id", nil)
-		e.Restore(list, 1)
-		wantNested, err := json.Marshal(struct{ S map[string]any }{st})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for form, encode := range map[string]func() ([]byte, error){
-			"State.AppendJSON(nil)": func() ([]byte, error) { return st.AppendJSON(nil) },
-			"State.MarshalJSON":     st.MarshalJSON,
-			"Attrs.AppendJSON(nil)": func() ([]byte, error) { return list.AppendJSON(nil) },
-			"Attrs.MarshalJSON":     list.MarshalJSON,
-			"Entity.AppendJSON":     func() ([]byte, error) { return e.AppendJSON(nil) },
-			"Entity.MarshalJSON":    e.MarshalJSON,
-		} {
-			if got, err := encode(); err != nil || !bytes.Equal(got, want) {
-				t.Errorf("%s: %s\n got %s, %v\nwant %s", name, form, got, err, want)
+		e.Restore(listOf(st), 1)
+		for form, encode := range map[string]func([]byte) ([]byte, bool){"State": st.AppendWire, "Entity": e.AppendWire} {
+			if got, ok := encode([]byte(prefix)); !ok || !bytes.Equal(got, want) {
+				t.Errorf("%s: %s.AppendWire\n got %x, %v\nwant %x", name, form, got, ok, want)
 			}
 		}
-		if got, err := st.AppendJSON([]byte(prefix)); err != nil || string(got) != prefix+string(want) {
-			t.Errorf("%s: AppendJSON after %s\n got %s, %v\nwant %s%s", name, prefix, got, err, prefix, want)
+		var back State
+		var r transport.WireReader
+		r.Reset(want[len(prefix):])
+		var wantBack State // what Snapshot would give an application; nil for none
+		if len(st) > 0 {
+			wantBack = AttrsOf(st).Map()
 		}
-		if got, err := json.Marshal(struct{ S State }{st}); err != nil || !bytes.Equal(got, wantNested) {
-			t.Errorf("%s: nested in a struct\n got %s, %v\nwant %s", name, got, err, wantNested)
+		if back.ReadWire(&r); r.Err() != nil || r.Len() != 0 || !reflect.DeepEqual(back, wantBack) {
+			t.Fatalf("%s: ReadWire gives %#v (%v, %d bytes left), want %#v", name, back, r.Err(), r.Len(), wantBack)
+		}
+	}
+	for name, st := range declined {
+		e := New("C", "id", st)
+		for form, encode := range map[string]func([]byte) ([]byte, bool){"State": st.AppendWire, "Attrs": listOf(st).AppendWire, "Entity": e.AppendWire} {
+			if got, ok := encode([]byte(prefix)); ok || string(got) != prefix {
+				t.Errorf("%s: %s.AppendWire = %q, %v; want the prefix back, declined", name, form, got, ok)
+			}
+		}
+	}
+}
+
+// TestStateJSONUnencodableValue: a value the stored form cannot carry (a
+// channel) fails the whole state, not just its own attribute: the state, its
+// attribute list and an entity holding it all decline, and the caller gets
+// its buffer back as it handed it in, with nothing of "a" written before it.
+func TestStateJSONUnencodableValue(t *testing.T) {
+	st := State{"a": int64(1), "ch": make(chan int), "z": "after"}
+	const prefix = `{"state":`
+	e := New("C", "id", st)
+	for form, encode := range map[string]func([]byte) ([]byte, bool){"State": st.AppendWire, "Attrs": listOf(st).AppendWire, "Entity": e.AppendWire} {
+		if got, ok := encode([]byte(prefix)); ok || string(got) != prefix {
+			t.Fatalf("%s.AppendWire = %q, %v; want the prefix back, declined", form, got, ok)
 		}
 	}
 }
@@ -463,27 +474,6 @@ func listOf(s State) Attrs {
 	}
 	slices.SortFunc(a, func(x, y Attr) int { return strings.Compare(x.Name, y.Name) })
 	return a
-}
-
-// TestStateJSONUnencodableValue: a value encoding/json rejects fails the
-// whole state, and the caller gets its buffer back as it handed it in.
-func TestStateJSONUnencodableValue(t *testing.T) {
-	st := State{"a": int64(1), "ch": make(chan int), "z": "after"}
-	const prefix = `{"state":`
-	got, err := st.AppendJSON([]byte(prefix))
-	if err == nil || string(got) != prefix {
-		t.Fatalf("AppendJSON = %q, %v; want the prefix back and an error", got, err)
-	}
-	if _, err := st.MarshalJSON(); err == nil {
-		t.Fatal("MarshalJSON encoded a channel")
-	}
-	e := New("C", "id", st)
-	if _, err := e.MarshalJSON(); err == nil {
-		t.Fatal("Entity.MarshalJSON encoded a channel")
-	}
-	if _, err := json.Marshal(struct{ S State }{st}); err == nil {
-		t.Fatal("json.Marshal encoded a state holding a channel")
-	}
 }
 
 // TestConcurrentAccess hammers one entity from goroutines that share no other
@@ -524,11 +514,12 @@ func TestConcurrentAccess(t *testing.T) {
 		}
 	})
 	run(func(int64) {
-		for _, encode := range []func() ([]byte, error){func() ([]byte, error) { return e.AppendJSON(nil) }, e.MarshalJSON} {
-			var got struct{ N int64 }
-			if b, err := encode(); err != nil || json.Unmarshal(b, &got) != nil || got.N < 1 {
-				t.Errorf("encoded %s, %v", b, err)
-			}
+		b, ok := e.AppendWire(nil)
+		var got State
+		var r transport.WireReader
+		r.Reset(b)
+		if got.ReadWire(&r); !ok || r.Err() != nil || len(got) != 1 || got["n"].(int64) < 1 {
+			t.Errorf("encoded %x, %v: %v, %v", b, ok, got, r.Err())
 		}
 	})
 	run(func(int64) {

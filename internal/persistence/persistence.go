@@ -1,15 +1,18 @@
 // Package persistence provides the per-node persistent store of Figure 4.1,
-// replacing the prototype's MySQL database. It stores JSON-encoded records
-// in named tables and charges a configurable synchronous write cost so that
-// the evaluation reproduces the shape of database-bound operations
-// (persisting consistency threats, replica metadata, and state history).
+// replacing the prototype's MySQL database. It stores records in named tables,
+// each in its type's wire form (a Record: the codec the real wire has, with
+// its strict decode rules; a value the form cannot carry fails its write),
+// and charges a configurable synchronous write cost so that the evaluation
+// reproduces the shape of database-bound operations (persisting consistency
+// threats, replica metadata, and state history).
 //
 // Records change through one write path, Write: an ordered list of puts and
 // deletes on one table, applied all or nothing in one hold of the store lock,
 // charged as one synchronous write and counted once in persistence.writes
-// (and per record in persistence.records), as one database transaction of
-// the prototype would be. Put and Delete are its one-record calls. A replica
-// stores what one commit, or one received batch, changed in one write.
+// (per record in persistence.records, per byte stored in persistence.bytes),
+// as one database transaction of the prototype would be. Put and Delete are
+// its one-record calls. A replica stores what one commit, or one received
+// batch, changed in one write.
 //
 // A record's bytes are the store's own. A write encodes its records under
 // the store lock into the store's one encoding buffer and copies each into
@@ -26,7 +29,6 @@
 package persistence
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"slices"
@@ -36,6 +38,7 @@ import (
 
 	"dedisys/internal/obs"
 	"dedisys/internal/simtime"
+	"dedisys/internal/transport"
 )
 
 // ErrNotFound reports a missing record.
@@ -64,6 +67,7 @@ type Store struct {
 	reads   *obs.Counter
 	writes  *obs.Counter
 	records *obs.Counter
+	bytes   *obs.Counter
 }
 
 // Option configures a Store.
@@ -92,47 +96,29 @@ func NewStore(opts ...Option) *Store {
 	s.reads = s.obs.Counter("persistence.reads")
 	s.writes = s.obs.Counter("persistence.writes")
 	s.records = s.obs.Counter("persistence.records")
+	s.bytes = s.obs.Counter("persistence.bytes")
 	return s
 }
 
-// appender is a record type that encodes itself: AppendJSON appends the
-// record's JSON to dst and returns the extended slice, or an error, in which
-// case what it returns is not used. It must append exactly what json.Marshal
-// would store — compact, HTML-escaped, object keys in byte order — and must
-// not keep dst.
-type appender interface {
-	AppendJSON(dst []byte) ([]byte, error)
+// Record is a value the store holds: AppendWire appends its wire form to dst
+// and returns the extended slice, or reports false for a value the form
+// cannot carry (and what it returns is not used). It must not keep dst.
+type Record interface {
+	AppendWire(dst []byte) ([]byte, bool)
 }
 
-// scratch holds the buffers a record is copied into on its way out: decoding
-// runs outside the store lock, on any number of goroutines at once, so the
-// buffer cannot be a field of the Store, and a fresh one per call is the
-// allocation Get would make.
-var scratch = sync.Pool{New: func() any { return new([]byte) }}
-
-// AppendString appends s to dst as the JSON string encoding/json writes for
-// it, object keys included. Self-encoding record types quote through it so
-// that the escaping rule of the stored format has one copy.
-func AppendString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		// Anything but printable ASCII other than the quote, the backslash
-		// and <, >, & may need escaping; such strings are rare in records.
-		if c := s[i]; c < 0x20 || c >= 0x7f || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // a string always encodes
-			return append(dst, q...)
-		}
-	}
-	return append(append(append(dst, '"'), s...), '"')
+// Reader is where Get decodes a record: ReadWire reads what its type's
+// AppendWire wrote and reports malformed input through r.
+type Reader interface {
+	ReadWire(r *transport.WireReader)
 }
 
-// Change is one record change of a Write: Value's JSON encoding stored under
-// Key, or with Delete set the record at Key removed (deleting a missing record
-// is not an error). A Value with an AppendJSON method (see appender) encodes
-// itself, skipping json.Marshal's reflection, its re-scan of the result and
-// its fresh result slice; anything else goes through json.Marshal.
+// Change is one record change of a Write: Value's wire form stored under Key,
+// or with Delete set the record at Key removed (deleting a missing record is
+// not an error).
 type Change struct {
 	Key    string
-	Value  any
+	Value  Record
 	Delete bool
 }
 
@@ -141,22 +127,25 @@ type Change struct {
 // table and the counters as they were. Each encoding is then copied over the
 // record its key already holds; the store keeps its own buffer per key and
 // no value is referenced after Write returns. The write is charged PerWrite
-// once, after the lock is released, and counts one persistence.writes and
-// len(changes) persistence.records.
+// once, after the lock is released, and counts one persistence.writes,
+// len(changes) persistence.records and the bytes it stored in
+// persistence.bytes.
 func (s *Store) Write(table string, changes []Change) error {
-	if err := s.apply(table, changes); err != nil {
+	n, err := s.apply(table, changes)
+	if err != nil {
 		return err
 	}
-	s.wrote(len(changes))
+	s.wrote(len(changes), n)
 	return nil
 }
 
-// apply encodes the changes and applies them to table in one hold of s.mu.
-func (s *Store) apply(table string, changes []Change) error {
+// apply encodes the changes and applies them to table in one hold of s.mu;
+// it returns the number of bytes it stored.
+func (s *Store) apply(table string, changes []Change) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.encodeLocked(table, changes); err != nil {
-		return err
+		return 0, err
 	}
 	t := s.tables[table]
 	from := 0
@@ -174,7 +163,7 @@ func (s *Store) apply(table string, changes []Change) error {
 		}
 		from = to
 	}
-	return nil
+	return len(s.enc), nil
 }
 
 // encodeLocked encodes the values of changes back to back into s.enc and
@@ -193,61 +182,50 @@ func (s *Store) encodeLocked(table string, changes []Change) error {
 	}
 	for _, c := range changes {
 		if !c.Delete {
-			var err error
-			if a, ok := c.Value.(appender); ok {
-				var out []byte
-				if out, err = a.AppendJSON(s.enc); err == nil {
-					s.enc = out
-				}
-			} else {
-				var data []byte
-				if data, err = json.Marshal(c.Value); err == nil {
-					s.enc = append(s.enc, data...)
-				}
+			out, ok := c.Value.AppendWire(s.enc)
+			if !ok {
+				return fmt.Errorf("persistence: encode %s/%s: a %T holds a value its wire form cannot carry", table, c.Key, c.Value)
 			}
-			if err != nil {
-				return fmt.Errorf("persistence: encode %s/%s: %w", table, c.Key, err)
-			}
+			s.enc = out
 		}
 		s.ends = append(s.ends, len(s.enc))
 	}
 	return nil
 }
 
-// wrote charges and counts one write of n records.
-func (s *Store) wrote(n int) {
+// wrote charges and counts one write of n records, size bytes in all.
+func (s *Store) wrote(n, size int) {
 	simtime.Charge(s.cost.PerWrite)
 	s.writes.Add(1)
 	s.records.Add(int64(n))
+	s.bytes.Add(int64(size))
 }
 
-// Put stores the JSON encoding of v under (table, key): a Write of one
-// change.
-func (s *Store) Put(table, key string, v any) error {
+// Put stores v's wire form under (table, key): a Write of one change.
+func (s *Store) Put(table, key string, v Record) error {
 	c := [1]Change{{Key: key, Value: v}}
 	return s.Write(table, c[:])
 }
 
-// Get decodes the record at (table, key) into out. The record is copied out
-// under the read lock and the copy is decoded after it: a concurrent Put
-// rewrites the stored buffer in place, so decoding it directly would read a
-// torn record. The copy lives in a recycled buffer; encoding/json copies
-// whatever the target keeps (strings, json.RawMessage), so nothing decoded
-// points into it.
-func (s *Store) Get(table, key string, out any) error {
+// Get decodes the record at (table, key) into out, which must read the whole
+// record: bytes left over fail it as malformed input does. The record is
+// copied out under the read lock, as a concurrent Put rewrites the stored
+// buffer in place, and the copy, the caller's own, is decoded after it.
+func (s *Store) Get(table, key string, out Reader) error {
 	s.reads.Add(1)
-	buf := scratch.Get().(*[]byte)
-	defer scratch.Put(buf)
 	s.mu.RLock()
 	data, ok := s.tables[table][key]
-	if ok {
-		*buf = append((*buf)[:0], data...)
-	}
+	data = slices.Clone(data)
 	s.mu.RUnlock()
 	if !ok {
 		return fmt.Errorf("%w: %s/%s", ErrNotFound, table, key)
 	}
-	if err := json.Unmarshal(*buf, out); err != nil {
+	var r transport.WireReader
+	r.Reset(data)
+	if out.ReadWire(&r); r.Err() == nil && r.Len() > 0 {
+		r.Fail("%d bytes after the record", r.Len())
+	}
+	if err := r.Err(); err != nil {
 		return fmt.Errorf("persistence: decode %s/%s: %w", table, key, err)
 	}
 	return nil
@@ -295,5 +273,5 @@ func (s *Store) DropTable(table string) {
 	n := len(s.tables[table])
 	delete(s.tables, table)
 	s.mu.Unlock()
-	s.wrote(n)
+	s.wrote(n, 0)
 }

@@ -1,7 +1,7 @@
 package persistence
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"strconv"
 	"strings"
@@ -10,13 +10,40 @@ import (
 	"testing/quick"
 	"time"
 
+	"dedisys/internal/object"
 	"dedisys/internal/obs"
+	"dedisys/internal/transport"
 )
 
+// record is a test record in the wire's primitives: a name and a count.
 type record struct {
-	Name  string `json:"name"`
-	Count int    `json:"count"`
+	Name  string
+	Count int
 }
+
+func (r record) AppendWire(dst []byte) ([]byte, bool) {
+	return binary.AppendVarint(transport.AppendWireString(dst, r.Name), int64(r.Count)), true
+}
+
+func (r *record) ReadWire(rd *transport.WireReader) {
+	*r = record{Name: rd.String(), Count: int(rd.Varint())}
+}
+
+// num is a one-varint record.
+type num int
+
+func (n num) AppendWire(dst []byte) ([]byte, bool) { return binary.AppendVarint(dst, int64(n)), true }
+
+func (n *num) ReadWire(r *transport.WireReader) { *n = num(r.Varint()) }
+
+// str is a one-string record.
+type str string
+
+func (s str) AppendWire(dst []byte) ([]byte, bool) {
+	return transport.AppendWireString(dst, string(s)), true
+}
+
+func (s *str) ReadWire(r *transport.WireReader) { *s = str(r.String()) }
 
 // counter reads a counter of o's registry; a name nothing registered fails
 // the test instead of reading 0.
@@ -60,17 +87,39 @@ func TestGetMissingTable(t *testing.T) {
 	}
 }
 
+// TestPutRejectsUnencodable: a state holding a kind its wire form does not
+// carry fails the Put and stores nothing.
 func TestPutRejectsUnencodable(t *testing.T) {
 	s := NewStore()
-	if err := s.Put("t", "k", make(chan int)); err == nil {
-		t.Fatal("unencodable value accepted")
+	if err := s.Put("t", "k", object.State{"ch": make(chan int)}); err == nil || s.Has("t", "k") {
+		t.Fatalf("unencodable value: err = %v, stored %v", err, s.Has("t", "k"))
+	}
+}
+
+// TestGetRejectsMalformedRecords: Get reads a record whole with the wire's
+// strict rules — a reader that finds too few bytes, or leaves bytes over,
+// fails it.
+func TestGetRejectsMalformedRecords(t *testing.T) {
+	s := NewStore()
+	if err := s.Put("t", "k", record{Name: "n", Count: 1}); err != nil {
+		t.Fatal(err)
+	}
+	var short str
+	if err := s.Get("t", "k", &short); err == nil || !strings.Contains(err.Error(), "after the record") {
+		t.Fatalf("a reader that leaves bytes over: %v", err)
+	}
+	if err := s.Put("t", "k", raw("\x05ab")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Get("t", "k", &short); err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Fatalf("a record shorter than its string: %v", err)
 	}
 }
 
 func TestKeysSortedAndLen(t *testing.T) {
 	s := NewStore()
 	for _, k := range []string{"c", "a", "b"} {
-		if err := s.Put("t", k, 1); err != nil {
+		if err := s.Put("t", k, num(1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -90,10 +139,10 @@ func TestKeysSortedAndLen(t *testing.T) {
 func TestStats(t *testing.T) {
 	o := obs.New()
 	s := NewStore(WithObserver(o))
-	if err := s.Put("t", "k", 1); err != nil {
+	if err := s.Put("t", "k", num(1)); err != nil {
 		t.Fatal(err)
 	}
-	var v int
+	var v num
 	_ = s.Get("t", "k", &v)
 	s.Delete("t", "k")
 	writes, reads := counter(t, o, "persistence.writes"), counter(t, o, "persistence.reads")
@@ -103,14 +152,18 @@ func TestStats(t *testing.T) {
 	if records := counter(t, o, "persistence.records"); records != 2 {
 		t.Fatalf("records = %d after a put and a delete, want 2", records)
 	}
-	if err := s.Write("t", []Change{{Key: "a", Value: 1}, {Key: "b", Value: 2}, {Key: "a", Delete: true}}); err != nil {
+	// One byte each: a varint below 64, and a deletion stores nothing.
+	if bytes := counter(t, o, "persistence.bytes"); bytes != 1 {
+		t.Fatalf("bytes = %d after a one-byte put and a delete, want 1", bytes)
+	}
+	if err := s.Write("t", []Change{{Key: "a", Value: num(1)}, {Key: "b", Value: str("two")}, {Key: "a", Delete: true}}); err != nil {
 		t.Fatal(err)
 	}
-	if w, r := counter(t, o, "persistence.writes"), counter(t, o, "persistence.records"); w != 3 || r != 5 {
-		t.Fatalf("writes = %d, records = %d after a 3-record write; want 3, 5", w, r)
+	if w, r, b := counter(t, o, "persistence.writes"), counter(t, o, "persistence.records"), counter(t, o, "persistence.bytes"); w != 3 || r != 5 || b != 1+1+4 {
+		t.Fatalf("writes = %d, records = %d, bytes = %d after a 3-record write; want 3, 5, 6", w, r, b)
 	}
 	writes = 3
-	if err := s.Put("t", "k", 2); err != nil {
+	if err := s.Put("t", "k", num(2)); err != nil {
 		t.Fatal(err)
 	}
 	_ = s.Get("t", "k", &v)
@@ -125,7 +178,7 @@ func TestWriteCostCharged(t *testing.T) {
 	s := NewStore(WithCost(CostModel{PerWrite: 200 * time.Microsecond}))
 	start := time.Now()
 	for i := 0; i < 20; i++ {
-		if err := s.Put("t", "k", i); err != nil {
+		if err := s.Put("t", "k", num(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -137,7 +190,7 @@ func TestWriteCostCharged(t *testing.T) {
 	s = NewStore(WithCost(CostModel{PerWrite: perWrite}))
 	changes := make([]Change, 8)
 	for i := range changes {
-		changes[i] = Change{Key: strconv.Itoa(i), Value: i}
+		changes[i] = Change{Key: strconv.Itoa(i), Value: num(i)}
 	}
 	start = time.Now()
 	if err := s.Write("t", changes); err != nil {
@@ -159,8 +212,8 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			key := string(rune('a' + w))
 			for i := 0; i < 100; i++ {
-				_ = s.Put("t", key, i)
-				var v int
+				_ = s.Put("t", key, num(i))
+				var v num
 				_ = s.Get("t", key, &v)
 				_ = s.Keys("t")
 			}
@@ -176,109 +229,102 @@ func TestConcurrentAccess(t *testing.T) {
 func TestQuickRoundTrip(t *testing.T) {
 	s := NewStore()
 	f := func(key, val string) bool {
-		if err := s.Put("q", key, val); err != nil {
+		if err := s.Put("q", key, str(val)); err != nil {
 			return false
 		}
-		var out string
+		var out str
 		if err := s.Get("q", key, &out); err != nil {
 			return false
 		}
-		return out == val
+		return string(out) == val
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// selfEncoded is a record type that encodes itself; with err set it writes
-// half of its record into the buffer and then fails.
-type selfEncoded struct {
-	json string
-	err  error
+// raw is a record of exactly its bytes, written and read as they are.
+type raw string
+
+func (b raw) AppendWire(dst []byte) ([]byte, bool) { return append(dst, b...), true }
+
+func (b *raw) ReadWire(r *transport.WireReader) {
+	var out []byte
+	for r.Len() > 0 {
+		out = append(out, r.Byte())
+	}
+	*b = raw(out)
 }
 
-func (s selfEncoded) AppendJSON(dst []byte) ([]byte, error) {
-	if s.err != nil {
-		return append(dst, s.json[:len(s.json)/2]...), s.err
-	}
-	return append(dst, s.json...), nil
-}
+// failing writes half of its bytes into the buffer and then declines.
+type failing string
+
+func (f failing) AppendWire(dst []byte) ([]byte, bool) { return append(dst, f[:len(f)/2]...), false }
 
 // rawAt reads the stored bytes of a record.
 func rawAt(t *testing.T, s *Store, table, key string) string {
 	t.Helper()
-	var raw json.RawMessage
-	if err := s.Get(table, key, &raw); err != nil {
+	var b raw
+	if err := s.Get(table, key, &b); err != nil {
 		t.Fatalf("get %s/%s: %v", table, key, err)
 	}
-	return string(raw)
+	return string(b)
 }
 
-// TestPutStoresSelfEncodedRecordsAsReturned covers the store's fast path: what
-// an AppendJSON method appends is stored as it is, and an encoder that fails
-// half way through its record fails the Put without writing or counting
-// anything, on a new key and on a live one.
+// TestPutStoresSelfEncodedRecordsAsReturned: what an AppendWire method
+// appends is stored as it is, and an encoder that declines half way through
+// its record fails the Put without writing or counting anything, on a new
+// key and on a live one.
 func TestPutStoresSelfEncodedRecordsAsReturned(t *testing.T) {
 	o := obs.New()
 	s := NewStore(WithObserver(o))
-	const first = `{"name":"n","count":2}`
-	if err := s.Put("t", "k", selfEncoded{json: first}); err != nil {
+	first, _ := record{Name: "n", Count: 2}.AppendWire(nil)
+	if err := s.Put("t", "k", raw(first)); err != nil {
 		t.Fatal(err)
 	}
-	if got := rawAt(t, s, "t", "k"); got != first {
-		t.Fatalf("stored %s", got)
+	if got := rawAt(t, s, "t", "k"); got != string(first) {
+		t.Fatalf("stored %x", got)
 	}
 	var out record
 	if err := s.Get("t", "k", &out); err != nil || out != (record{Name: "n", Count: 2}) {
 		t.Fatalf("decoded %+v, %v", out, err)
 	}
-	boom := errors.New("boom")
-	writes := counter(t, o, "persistence.writes")
+	writes, bytes := counter(t, o, "persistence.writes"), counter(t, o, "persistence.bytes")
 	for _, key := range []string{"bad", "k"} {
-		if err := s.Put("t", key, selfEncoded{json: `{"name":"other","count":3}`, err: boom}); !errors.Is(err, boom) {
-			t.Fatalf("%s: err = %v, want it to wrap %v", key, err, boom)
+		if err := s.Put("t", key, failing("a record of some length")); err == nil {
+			t.Fatalf("%s: a declined record was stored", key)
 		}
 	}
-	if s.Has("t", "bad") || counter(t, o, "persistence.writes") != writes {
+	if s.Has("t", "bad") || counter(t, o, "persistence.writes") != writes || counter(t, o, "persistence.bytes") != bytes {
 		t.Fatal("failed Put left a record or counted a write")
 	}
-	if got := rawAt(t, s, "t", "k"); got != first {
-		t.Fatalf("failed Put changed the live record to %s", got)
+	if got := rawAt(t, s, "t", "k"); got != string(first) {
+		t.Fatalf("failed Put changed the live record to %x", got)
 	}
 	// The buffer the failed encoder scribbled into is reused by the next Put.
-	if err := s.Put("t", "k2", selfEncoded{json: `[1]`}); err != nil || rawAt(t, s, "t", "k2") != `[1]` {
+	if err := s.Put("t", "k2", raw("[1]")); err != nil || rawAt(t, s, "t", "k2") != "[1]" {
 		t.Fatalf("put after a failed one stored %s, %v", rawAt(t, s, "t", "k2"), err)
 	}
 }
 
 // TestOverwriteShorterThenLonger rewrites one key in place with a shorter and
-// then a longer record, through both encoding paths: Get returns exactly the
-// last one each time, with nothing left over from its predecessor.
+// then a longer record: Get returns exactly the last one each time, with
+// nothing left over from its predecessor.
 func TestOverwriteShorterThenLonger(t *testing.T) {
 	s := NewStore()
-	long := record{Name: strings.Repeat("x", 300), Count: 1}
-	longJSON, _ := json.Marshal(long)
-	for i, v := range []any{
-		selfEncoded{json: `{"name":"medium","count":22}`}, selfEncoded{json: `{}`}, selfEncoded{json: string(longJSON)},
-		record{Name: "s"}, long, record{},
+	for i, v := range []record{
+		{Name: "medium", Count: 22}, {}, {Name: strings.Repeat("x", 300), Count: 1}, {Name: "s"}, {Name: strings.Repeat("y", 200), Count: -1 << 40}, {},
 	} {
 		if err := s.Put("t", "k", v); err != nil {
 			t.Fatal(err)
 		}
-		var want string
-		if enc, ok := v.(selfEncoded); ok {
-			want = enc.json
-		} else {
-			data, _ := json.Marshal(v)
-			want = string(data)
+		want, _ := v.AppendWire(nil)
+		if got := rawAt(t, s, "t", "k"); got != string(want) {
+			t.Fatalf("write %d: stored %x, want %x", i, got, want)
 		}
-		if got := rawAt(t, s, "t", "k"); got != want {
-			t.Fatalf("write %d: stored %s, want %s", i, got, want)
-		}
-		var wantRec, out record
-		_ = json.Unmarshal([]byte(want), &wantRec)
-		if err := s.Get("t", "k", &out); err != nil || out != wantRec {
-			t.Fatalf("write %d: decoded %+v, %v, want %+v", i, out, err, wantRec)
+		var out record
+		if err := s.Get("t", "k", &out); err != nil || out != v {
+			t.Fatalf("write %d: decoded %+v, %v, want %+v", i, out, err, v)
 		}
 	}
 	if s.Len("t") != 1 {
@@ -286,41 +332,42 @@ func TestOverwriteShorterThenLonger(t *testing.T) {
 	}
 }
 
-// TestGetResultIsTheCallersOwn: bytes a Get handed out stay as they were when
-// the key is rewritten, and when it is deleted and other records are written
+// TestGetResultIsTheCallersOwn: what a Get decoded stays as it was when the
+// key is rewritten, and when it is deleted and other records are written
 // through the buffers the store recycles.
 func TestGetResultIsTheCallersOwn(t *testing.T) {
 	s := NewStore()
-	const first = `{"name":"first","count":1}`
-	if err := s.Put("t", "k", selfEncoded{json: first}); err != nil {
+	first := record{Name: "first", Count: 1}
+	if err := s.Put("t", "k", first); err != nil {
 		t.Fatal(err)
 	}
-	var raw json.RawMessage
-	if err := s.Get("t", "k", &raw); err != nil {
+	var b raw
+	if err := s.Get("t", "k", &b); err != nil {
 		t.Fatal(err)
 	}
-	var name struct{ Name string }
-	if err := s.Get("t", "k", &name); err != nil {
+	var got record
+	if err := s.Get("t", "k", &got); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Put("t", "k", selfEncoded{json: `{"name":"SECOND","count":2}`}); err != nil {
+	want, _ := first.AppendWire(nil)
+	if err := s.Put("t", "k", record{Name: "SECOND", Count: 2}); err != nil {
 		t.Fatal(err)
 	}
-	if string(raw) != first || name.Name != "first" {
-		t.Fatalf("after the rewrite the earlier Get reads %s / %q", raw, name.Name)
+	if string(b) != string(want) || got != first {
+		t.Fatalf("after the rewrite the earlier Get reads %x / %+v", b, got)
 	}
 	s.Delete("t", "k")
 	for _, key := range []string{"other", "k"} {
-		if err := s.Put("t", key, selfEncoded{json: `{"name":"THIRD!","count":3}`}); err != nil {
+		if err := s.Put("t", key, record{Name: "THIRD!", Count: 3}); err != nil {
 			t.Fatal(err)
 		}
-		var sink json.RawMessage
+		var sink record
 		if err := s.Get("t", key, &sink); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if string(raw) != first || name.Name != "first" {
-		t.Fatalf("after delete and reuse the earlier Get reads %s / %q", raw, name.Name)
+	if string(b) != string(want) || got != first {
+		t.Fatalf("after delete and reuse the earlier Get reads %x / %+v", b, got)
 	}
 }
 
@@ -328,28 +375,28 @@ func TestGetResultIsTheCallersOwn(t *testing.T) {
 // so a reader can tell a record some Put wrote in full from a torn one or a
 // mix of two.
 type filled struct {
-	Writer int    `json:"writer"`
-	Seq    int    `json:"seq"`
-	Fill   string `json:"fill"`
+	Writer int
+	Seq    int
+	Fill   string
 }
 
 func newFilled(writer, seq int) filled {
 	return filled{Writer: writer, Seq: seq, Fill: strings.Repeat(string(rune('a'+writer)), 1+(seq*7+writer*13)%90)}
 }
 
-// selfFilled is filled encoding itself.
-type selfFilled filled
-
-func (f selfFilled) AppendJSON(dst []byte) ([]byte, error) {
-	dst = strconv.AppendInt(append(dst, `{"writer":`...), int64(f.Writer), 10)
-	dst = strconv.AppendInt(append(dst, `,"seq":`...), int64(f.Seq), 10)
-	return append(AppendString(append(dst, `,"fill":`...), f.Fill), '}'), nil
+func (f filled) AppendWire(dst []byte) ([]byte, bool) {
+	dst = binary.AppendVarint(binary.AppendVarint(dst, int64(f.Writer)), int64(f.Seq))
+	return transport.AppendWireString(dst, f.Fill), true
 }
 
-// TestConcurrentPutGetOneKey has eight goroutines rewrite and read one key,
-// half of them through the self-encoding path, with records of differing
-// lengths: every Get must decode to a record one Put wrote in full. Run with
-// -race it also checks that no decode reads a buffer a Put is writing.
+func (f *filled) ReadWire(r *transport.WireReader) {
+	*f = filled{Writer: int(r.Varint()), Seq: int(r.Varint()), Fill: r.String()}
+}
+
+// TestConcurrentPutGetOneKey has eight goroutines rewrite and read one key
+// with records of differing lengths: every Get must decode to a record one
+// Put wrote in full. Run with -race it also checks that no decode reads a
+// buffer a Put is writing.
 func TestConcurrentPutGetOneKey(t *testing.T) {
 	s := NewStore()
 	if err := s.Put("t", "k", newFilled(0, 0)); err != nil {
@@ -361,11 +408,7 @@ func TestConcurrentPutGetOneKey(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 1; i <= 200; i++ {
-				var v any = newFilled(w, i)
-				if w%2 == 0 {
-					v = selfFilled(newFilled(w, i))
-				}
-				if err := s.Put("t", "k", v); err != nil {
+				if err := s.Put("t", "k", newFilled(w, i)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -384,47 +427,44 @@ func TestConcurrentPutGetOneKey(t *testing.T) {
 	wg.Wait()
 }
 
-// TestAppendStringMatchesEncodingJSON holds the string rule self-encoding
-// records share to encoding/json's, byte for byte, after a prefix.
-func TestAppendStringMatchesEncodingJSON(t *testing.T) {
-	for _, s := range []string{"", "plain", "sp ace~", `q"uote`, `back\slash`, "<", ">", "&", "\x00", "\x1f", "\n\t\b\f\r",
-		"\x7f", "\x80", "ünï", "\u2028\u2029", "bad\xffutf8", "\xc3", "日本語", "tail\\"} {
-		want, _ := json.Marshal(s)
-		if got := AppendString([]byte("k:"), s); string(got) != "k:"+string(want) {
-			t.Errorf("%q: got %s, want k:%s", s, got, want)
-		}
-	}
-}
-
 // TestWriteIsAllOrNothing: a write whose second record fails to encode
 // changes nothing — not the new key before it, not the live key it would
-// delete or rewrite — and counts no write and no record.
+// delete or rewrite — and counts no write, no record and no byte. A record
+// fails when its encoder declines, and when it holds a value of a kind the
+// wire form does not carry (object.State's list) — a channel, or a nested
+// map, which encoding/json used to accept — whether it is a state, an
+// attribute list or an entity.
 func TestWriteIsAllOrNothing(t *testing.T) {
 	o := obs.New()
 	s := NewStore(WithObserver(o))
-	const live = `{"name":"live","count":1}`
-	if err := s.Put("t", "live", selfEncoded{json: live}); err != nil {
+	live := record{Name: "live", Count: 1}
+	if err := s.Put("t", "live", live); err != nil {
 		t.Fatal(err)
 	}
-	writes, records := counter(t, o, "persistence.writes"), counter(t, o, "persistence.records")
-	boom := errors.New("boom")
-	err := s.Write("t", []Change{
-		{Key: "new", Value: selfEncoded{json: `{"name":"new","count":2}`}},
-		{Key: "live", Value: selfEncoded{json: `{"name":"torn","count":3}`, err: boom}},
-		{Key: "live", Delete: true},
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v, want it to wrap %v", err, boom)
+	liveBytes, _ := live.AppendWire(nil)
+	bad := map[string]Record{"a record that declines": failing("torn record")}
+	for kind, v := range map[string]any{"channel": make(chan int), "nested map": map[string]any{"k": int64(1)}} {
+		st := object.State{"a": int64(1), "bad": v, "z": "after"}
+		bad["a state holding a "+kind] = st
+		bad["an attribute list holding a "+kind] = object.AttrsOf(st)
+		bad["an entity holding a "+kind] = object.New("C", "id", st)
 	}
-	if s.Has("t", "new") || rawAt(t, s, "t", "live") != live {
-		t.Fatalf("a failed write changed the table: new stored %v, live = %s", s.Has("t", "new"), rawAt(t, s, "t", "live"))
-	}
-	if w, r := counter(t, o, "persistence.writes"), counter(t, o, "persistence.records"); w != writes || r != records {
-		t.Fatalf("a failed write moved the counters: writes %d -> %d, records %d -> %d", writes, w, records, r)
-	}
-	// A json.Marshal failure is the same.
-	if err := s.Write("t", []Change{{Key: "new", Value: 1}, {Key: "bad", Value: make(chan int)}}); err == nil || s.Has("t", "new") {
-		t.Fatalf("an unencodable record: err = %v, new stored %v", err, s.Has("t", "new"))
+	for name, v := range bad {
+		writes, records, bytes := counter(t, o, "persistence.writes"), counter(t, o, "persistence.records"), counter(t, o, "persistence.bytes")
+		err := s.Write("t", []Change{
+			{Key: "new", Value: record{Name: "new", Count: 2}},
+			{Key: "live", Value: v},
+			{Key: "live", Delete: true},
+		})
+		if err == nil {
+			t.Fatalf("%s: the write succeeded", name)
+		}
+		if s.Has("t", "new") || rawAt(t, s, "t", "live") != string(liveBytes) {
+			t.Fatalf("%s: a failed write changed the table: new stored %v, live = %x", name, s.Has("t", "new"), rawAt(t, s, "t", "live"))
+		}
+		if w, r, b := counter(t, o, "persistence.writes"), counter(t, o, "persistence.records"), counter(t, o, "persistence.bytes"); w != writes || r != records || b != bytes {
+			t.Fatalf("%s: a failed write moved the counters: writes %d -> %d, records %d -> %d, bytes %d -> %d", name, writes, w, records, r, bytes, b)
+		}
 	}
 }
 
@@ -434,17 +474,17 @@ func TestWriteIsAllOrNothing(t *testing.T) {
 func TestWriteAppliesInOrder(t *testing.T) {
 	s := NewStore()
 	for _, key := range []string{"gone", "back"} {
-		if err := s.Put("t", key, selfEncoded{json: `"old"`}); err != nil {
+		if err := s.Put("t", key, raw("old")); err != nil {
 			t.Fatal(err)
 		}
 	}
 	err := s.Write("t", []Change{
-		{Key: "gone", Value: selfEncoded{json: `"put"`}},
+		{Key: "gone", Value: raw("put")},
 		{Key: "gone", Delete: true},
 		{Key: "back", Delete: true},
-		{Key: "back", Value: selfEncoded{json: `"put"`}},
-		{Key: "twice", Value: selfEncoded{json: `"first"`}},
-		{Key: "twice", Value: `second`},
+		{Key: "back", Value: raw("put")},
+		{Key: "twice", Value: raw("first")},
+		{Key: "twice", Value: raw("second")},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -452,15 +492,15 @@ func TestWriteAppliesInOrder(t *testing.T) {
 	if s.Has("t", "gone") {
 		t.Errorf("put then delete left %s", rawAt(t, s, "t", "gone"))
 	}
-	if got := rawAt(t, s, "t", "back"); got != `"put"` {
+	if got := rawAt(t, s, "t", "back"); got != "put" {
 		t.Errorf("delete then put left %s", got)
 	}
-	if got := rawAt(t, s, "t", "twice"); got != `"second"` {
+	if got := rawAt(t, s, "t", "twice"); got != "second" {
 		t.Errorf("two puts left %s", got)
 	}
 	// A write to a table nobody wrote creates it; a deletion alone does not.
 	s.Delete("none", "k")
-	if err := s.Write("fresh", []Change{{Key: "k", Delete: true}, {Key: "k", Value: 1}}); err != nil || rawAt(t, s, "fresh", "k") != "1" {
+	if err := s.Write("fresh", []Change{{Key: "k", Delete: true}, {Key: "k", Value: raw("1")}}); err != nil || rawAt(t, s, "fresh", "k") != "1" {
 		t.Fatalf("write to a new table: %v", err)
 	}
 }
@@ -484,7 +524,7 @@ type gated struct {
 	read, release chan struct{}
 }
 
-func (g gated) AppendJSON(dst []byte) ([]byte, error) {
+func (g gated) AppendWire(dst []byte) ([]byte, bool) {
 	g.src.mu.Lock()
 	v := g.src.v
 	g.src.mu.Unlock()
@@ -492,7 +532,7 @@ func (g gated) AppendJSON(dst []byte) ([]byte, error) {
 		close(g.read)
 		<-g.release
 	}
-	return AppendString(dst, v), nil
+	return append(dst, v...), true
 }
 
 // TestLaterWriteStoresNewerRecord: writer A's encoder reads v1 and blocks;
@@ -520,7 +560,7 @@ func TestLaterWriteStoresNewerRecord(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := rawAt(t, s, "t", "k"); got != `"v2"` {
+	if got := rawAt(t, s, "t", "k"); got != "v2" {
 		t.Fatalf("stored %s after the later write of v2", got)
 	}
 }

@@ -361,8 +361,8 @@ func TestPropagationErrorMetricCountsSendFailures(t *testing.T) {
 }
 
 // dump renders everything handleBatch can change on a node — the replica
-// table, the tombstones and the raw stored bytes of every replica's record —
-// in a fixed order, for comparison against a recorded text.
+// table, the tombstones and every replica's stored record, read back
+// (storedText) — in a fixed order, for comparison against a recorded text.
 func (env *nodeEnv) dump(t *testing.T) string {
 	t.Helper()
 	var b strings.Builder
@@ -370,7 +370,10 @@ func (env *nodeEnv) dump(t *testing.T) string {
 		if rec.Deleted {
 			continue // listed below with the stored bytes' order
 		}
-		st, _ := json.Marshal(rec.State)
+		st := []byte("null")
+		if rec.State != nil {
+			st, _ = json.Marshal(rec.State.Map())
+		}
 		vv, _ := json.Marshal(vvMap(rec.VV))
 		fmt.Fprintf(&b, "replica %s %s v%d %s %s home=%s %v registry=%v\n",
 			rec.ID, rec.Class, rec.Version, st, vv, rec.Info.Home, rec.Info.Replicas, env.reg.Has(rec.ID))
@@ -385,11 +388,7 @@ func (env *nodeEnv) dump(t *testing.T) string {
 	sort.Strings(dead)
 	b.WriteString(strings.Join(dead, ""))
 	for _, key := range env.store.Keys(tableReplicaMeta) {
-		var raw json.RawMessage
-		if err := env.store.Get(tableReplicaMeta, key, &raw); err != nil {
-			t.Fatal(err)
-		}
-		fmt.Fprintf(&b, "store %s %s\n", key, raw)
+		fmt.Fprintf(&b, "store %s %s\n", key, storedText(t, env.store, key))
 	}
 	return b.String()
 }

@@ -2,7 +2,7 @@ package replication
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"slices"
 	"strconv"
@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"dedisys/internal/object"
+	"dedisys/internal/persistence"
 	"dedisys/internal/transport"
 )
 
@@ -192,11 +193,15 @@ func (env *nodeEnv) held(id object.ID) (have opKind, vv VersionVector, key strin
 }
 
 // stored renders what the replica holds of the object with its stored record.
-func (env *nodeEnv) stored(id object.ID) string {
-	var raw json.RawMessage
-	_ = env.store.Get(tableReplicaMeta, string(id), &raw)
+func (env *nodeEnv) stored(t *testing.T, id object.ID) string {
 	_, _, key := env.held(id)
-	return key + " store=" + string(raw)
+	var rec Record
+	if err := env.store.Get(tableReplicaMeta, string(id), &rec); errors.Is(err, persistence.ErrNotFound) {
+		return key + " store="
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf("%s store=%v", key, rec)
 }
 
 // covers reports whether a is equal to or newer than b.
@@ -334,7 +339,7 @@ func checkHistory(t *testing.T, ops []batchOp, seqs [][]int, receivers []*nodeEn
 				passed[key] = append([]int(nil), prefix...)
 			}
 		})
-		key := r.stored(enumObject)
+		key := r.stored(t, enumObject)
 		if prev, ok := byLanded[d.landed]; ok && prev != key {
 			t.Fatalf("%v: order %v leaves %s, another order landing the same ops %s", ops, seq, key, prev)
 		}
@@ -400,9 +405,9 @@ func mergeRound(t *testing.T, ops []batchOp, receivers []*nodeEnv, prefixes [][]
 		}
 		conflicts += report.Conflicts
 	}
-	key := receivers[0].stored(enumObject)
+	key := receivers[0].stored(t, enumObject)
 	for _, env := range receivers[1:] {
-		if other := env.stored(enumObject); other != key {
+		if other := env.stored(t, enumObject); other != key {
 			t.Fatalf("%v from %v: after the round %s holds %s, %s holds %s", ops, prefixes, receivers[0].id, key, env.id, other)
 		}
 	}

@@ -206,7 +206,7 @@ type Manager struct {
 	salt atomic.Uint64 // advanced by every reconciliation pass: its digest's salt
 
 	// mu guards the replica table. Lock order: the store's lock, then mu — a
-	// replica's record (replicaState.AppendJSON) reads the replica under mu
+	// replica's record (replicaState.AppendWire) reads the replica under mu
 	// while the store encodes it under its own lock — so no code calls the
 	// store while it holds mu.
 	mu         sync.Mutex
@@ -620,7 +620,7 @@ func (m *Manager) Create(t *tx.Tx, e *object.Entity, info Info) error {
 		vv = tomb
 		delete(m.tombstones, id)
 	}
-	m.meta[id] = m.newReplica(hosted, info, vv)
+	m.meta[id] = m.newReplica(id, hosted, info, vv)
 	m.mu.Unlock()
 	t.RecordUndo(func() {
 		m.mu.Lock()
@@ -1277,17 +1277,18 @@ func (m *Manager) WaitPropagation() { m.propagation.Wait() }
 // compensations in the undo log, and nothing else is kept per transaction.
 func (m *Manager) Rollback(t *tx.Tx) error { return nil }
 
+// recordHistory keeps a degraded write's state in the replica's history and
+// stores it as the update that installs it, keyed by object and version.
 func (m *Manager) recordHistory(id object.ID, st object.Attrs, version int64, vv VersionVector, degraded bool) {
 	if !degraded || !m.keepHistory {
 		return
 	}
-	entry := HistoryEntry{State: st, Version: version, VV: vv}
 	m.mu.Lock()
 	if rs, ok := m.meta[id]; ok {
-		rs.history = append(rs.history, entry)
+		rs.history = append(rs.history, HistoryEntry{State: st, Version: version, VV: vv})
 	}
 	m.mu.Unlock()
-	_ = m.store.Put(tableHistory, string(id)+"#"+strconv.FormatInt(version, 10), entry)
+	_ = m.store.Put(tableHistory, string(id)+"#"+strconv.FormatInt(version, 10), &batchOp{Kind: opApply, ID: id, State: st, Version: version, VV: vv})
 }
 
 // PropagateState force-propagates the current local replica state to all
@@ -1541,7 +1542,7 @@ func (m *Manager) applyOps(ops []batchOp, res []opResult, records []persistence.
 				}
 				delete(m.tombstones, op.ID)
 			}
-			w.rs = m.newReplica(nil, op.Info, d.vv)
+			w.rs = m.newReplica(op.ID, nil, op.Info, d.vv)
 			w.rs.placed = placed
 			m.meta[op.ID] = w.rs
 			if err := m.installLocked(w.rs, op); err != nil {

@@ -27,11 +27,9 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strconv"
 
 	"dedisys/internal/group"
 	"dedisys/internal/object"
-	"dedisys/internal/persistence"
 	"dedisys/internal/transport"
 )
 
@@ -50,9 +48,9 @@ var (
 // Info is the replica placement metadata of one logical object.
 type Info struct {
 	// Home is the designated primary node.
-	Home transport.NodeID `json:"home"`
+	Home transport.NodeID
 	// Replicas are all nodes hosting a copy (including Home).
-	Replicas []transport.NodeID `json:"replicas"`
+	Replicas []transport.NodeID
 }
 
 // NewInfo builds a normalized Info: the replica set is deduplicated and
@@ -420,30 +418,6 @@ func (v VersionVector) grown(extra int) VersionVector {
 	return append(make(VersionVector, 0, len(v)+extra), v...)
 }
 
-// AppendJSON appends the vector's JSON encoding to dst, byte for byte what
-// encoding/json writes for the equivalent map (keys in byte order, its string
-// escaping), without the reflection: the vector is in every replica's record,
-// the store write each replica makes per replicated commit.
-func (v VersionVector) AppendJSON(dst []byte) ([]byte, error) {
-	if v == nil {
-		return append(dst, "null"...), nil
-	}
-	dst = append(dst, '{')
-	for i, c := range v {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = strconv.AppendInt(append(persistence.AppendString(dst, string(c.Node)), ':'), c.Count, 10)
-	}
-	return append(dst, '}'), nil
-}
-
-// MarshalJSON is AppendJSON for encoding/json, which needs it where a vector
-// nests in a message or record that json.Marshal encodes.
-func (v VersionVector) MarshalJSON() ([]byte, error) {
-	return v.AppendJSON(make([]byte, 0, 2+32*len(v)))
-}
-
 // Bumped returns a copy of the vector with the component of the coordinating
 // node incremented.
 func (v VersionVector) Bumped(n transport.NodeID) VersionVector {
@@ -523,7 +497,7 @@ func (v VersionVector) Total() int64 {
 // HistoryEntry is one intermediate state recorded during degraded mode for
 // rollback-based reconciliation (§4.3).
 type HistoryEntry struct {
-	State   object.Attrs  `json:"state"`
-	Version int64         `json:"version"`
-	VV      VersionVector `json:"vv"`
+	State   object.Attrs
+	Version int64
+	VV      VersionVector
 }

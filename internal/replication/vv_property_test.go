@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -14,7 +12,6 @@ import (
 	"testing/quick"
 	"unsafe"
 
-	"dedisys/internal/persistence"
 	"dedisys/internal/transport"
 )
 
@@ -171,9 +168,9 @@ func sameVector(a, b VersionVector) bool {
 // TestVectorMatchesMapModel checks every method of the sorted-list vector
 // against the map it replaced, over fixed edge cases — nil and empty, zero
 // components, a node that sorts before every other — paired with each other
-// and with seeded random vectors: the results, the encodings (the stored JSON
-// and the wire bytes must not change), the order and uniqueness of every
-// result, and that no method writes its receiver or its argument.
+// and with seeded random vectors: the results, the wire bytes (which must not
+// change: they are in every replica record too), the order and uniqueness of
+// every result, and that no method writes its receiver or its argument.
 func TestVectorMatchesMapModel(t *testing.T) {
 	fixed := []VersionVector{
 		nil,
@@ -250,11 +247,6 @@ func TestVectorMatchesMapModel(t *testing.T) {
 		}
 		if len(a) == 0 && back != nil || len(a) > 0 && !reflect.DeepEqual(back, a) {
 			fail("wire round trip = %#v", back) // an empty vector decodes nil, as through gob
-		}
-		gotJSON, err := a.AppendJSON(nil)
-		wantJSON, _ := json.Marshal(ma)
-		if err != nil || !bytes.Equal(gotJSON, wantJSON) {
-			fail("AppendJSON = %s, %v; json.Marshal of the map %s", gotJSON, err, wantJSON)
 		}
 
 		if !reflect.DeepEqual(a, a0) || !reflect.DeepEqual(b, b0) {
@@ -351,9 +343,7 @@ func TestQuickVectorMethodsWriteNothing(t *testing.T) {
 		merged := a.Merged(b)
 		a.Compare(b)
 		a.Total()
-		if _, err := a.MarshalJSON(); err != nil {
-			return false
-		}
+		a.appendWire(nil)
 		if !reflect.DeepEqual(a, a0) || !reflect.DeepEqual(b, b0) {
 			return false
 		}
@@ -403,73 +393,5 @@ func TestQuickCompareConsistentWithTotals(t *testing.T) {
 	}
 	if err := quick.Check(f, vvConfig()); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestVersionVectorJSONMatchesEncodingJSON holds the hand-written encoder to
-// encoding/json's output for the equivalent map, byte for byte — the stored
-// replica-meta records must not change — directly, appended after a prefix,
-// through the store's self-encoding path (handed a pointer, as the manager
-// hands it), and embedded in a struct; and what the store holds must decode
-// to the map.
-func TestVersionVectorJSONMatchesEncodingJSON(t *testing.T) {
-	nine := map[transport.NodeID]int64{}
-	for i := 0; i < 9; i++ {
-		nine[transport.NodeID(fmt.Sprintf("n%d", 9-i))] = int64(i) * 1_000_000_007
-	}
-	cases := map[string]map[transport.NodeID]int64{
-		"nil":      nil,
-		"empty":    {},
-		"one":      {"n1": 1},
-		"three":    {"n3": 3, "n1": -1, "n2": math.MaxInt64},
-		"nine":     nine,
-		"escaping": {`q"uote`: 1, `back\slash`: 2, "<lt": 3, "gt>": 4, "a&b": 5, "ünï": 6, "\x00\x1f\n\t\b\f\r": 7, "  ": 8, "bad\xffutf8": 9, "\x7f": 10, "": 11},
-	}
-	store := persistence.NewStore()
-	for name, model := range cases {
-		vv := vvFromMap(model)
-		want, err := json.Marshal(model)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := vv.MarshalJSON()
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: MarshalJSON\n got %s\nwant %s", name, got, want)
-		}
-		const prefix = `{"vv":`
-		if got, err := vv.AppendJSON([]byte(prefix)); err != nil || string(got) != prefix+string(want) {
-			t.Errorf("%s: AppendJSON after %s\n got %s, %v\nwant %s%s", name, prefix, got, err, prefix, want)
-		}
-		if err := store.Put("t", name, &vv); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		var raw json.RawMessage
-		if err := store.Get("t", name, &raw); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !bytes.Equal(raw, want) {
-			t.Errorf("%s: stored\n got %s\nwant %s", name, raw, want)
-		}
-		var back map[transport.NodeID]int64
-		if err := store.Get("t", name, &back); err != nil {
-			t.Fatalf("%s: decode: %v", name, err)
-		}
-		// Invalid UTF-8 in a key does not survive any JSON round trip.
-		if name != "escaping" && !reflect.DeepEqual(back, model) {
-			t.Errorf("%s: decoded %v, want %v", name, back, model)
-		}
-		if name == "escaping" && len(back) != len(vv) {
-			t.Errorf("%s: decoded %d entries, want %d", name, len(back), len(vv))
-		}
-		entry, err := json.Marshal(HistoryEntry{Version: 7, VV: vv})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if wantEntry := fmt.Sprintf(`{"state":null,"version":7,"vv":%s}`, want); string(entry) != wantEntry {
-			t.Errorf("%s: embedded\n got %s\nwant %s", name, entry, wantEntry)
-		}
 	}
 }

@@ -61,37 +61,71 @@ const (
 
 func (*batchMsg) WireTag() byte { return wireTagBatch }
 
-// AppendWire writes the op count, then per op its kind byte, the ID, state
-// and version unless it is a delete, the vector, and class and placement if
-// it is a create. It declines a state the Attrs form declines and an op kind
-// it does not know, which then reaches applyOps' own rejection through gob as
-// before.
+// AppendWire writes the op count, then each op's form. It declines what an op
+// declines, which then reaches applyOps' own rejection through gob as before.
 func (b *batchMsg) AppendWire(dst []byte) ([]byte, bool) {
 	out := binary.AppendUvarint(dst, uint64(len(b.Ops)))
 	for i := range b.Ops {
-		op := &b.Ops[i]
-		if !op.Kind.known() {
+		var ok bool
+		if out, ok = b.Ops[i].AppendWire(out); !ok {
 			return dst, false
-		}
-		out = transport.AppendWireString(append(out, byte(op.Kind)), string(op.ID))
-		if op.Kind != opDelete {
-			var ok bool
-			if out, ok = op.State.AppendWire(out); !ok {
-				return dst, false
-			}
-			out = binary.AppendVarint(out, op.Version)
-		}
-		out = op.VV.appendWire(out)
-		if op.Kind == opCreate {
-			out = transport.AppendWireString(out, op.Class)
-			out = transport.AppendWireString(out, string(op.Info.Home))
-			out = binary.AppendUvarint(out, uint64(len(op.Info.Replicas)))
-			for _, r := range op.Info.Replicas {
-				out = transport.AppendWireString(out, string(r))
-			}
 		}
 	}
 	return out, true
+}
+
+// AppendWire writes one op — its kind byte, the ID, state and version unless
+// it is a delete, the vector, and class and placement if it is a create — as
+// a batch carries it and the store keeps it (a replica's record, a history
+// entry). It declines, returning dst, an unknown kind or a state Attrs does.
+func (op *batchOp) AppendWire(dst []byte) ([]byte, bool) {
+	if !op.Kind.known() {
+		return dst, false
+	}
+	out := transport.AppendWireString(append(dst, byte(op.Kind)), string(op.ID))
+	if op.Kind != opDelete {
+		var ok bool
+		if out, ok = op.State.AppendWire(out); !ok {
+			return dst, false
+		}
+		out = binary.AppendVarint(out, op.Version)
+	}
+	out = op.VV.appendWire(out)
+	if op.Kind == opCreate {
+		out = transport.AppendWireString(out, op.Class)
+		out = transport.AppendWireString(out, string(op.Info.Home))
+		out = binary.AppendUvarint(out, uint64(len(op.Info.Replicas)))
+		for _, r := range op.Info.Replicas {
+			out = transport.AppendWireString(out, string(r))
+		}
+	}
+	return out, true
+}
+
+// ReadWire is AppendWire's inverse, for a batch's op and a stored record
+// alike, over the whole op. IDs and attribute values are fresh strings, class
+// and node names come from r's name table; an empty replica list stays nil.
+func (op *batchOp) ReadWire(r *transport.WireReader) {
+	if *op = (batchOp{Kind: opKind(r.Byte())}); !op.Kind.known() {
+		r.Fail("replication: unknown batch op kind %d", op.Kind)
+		return
+	}
+	op.ID = object.ID(r.String())
+	if op.Kind != opDelete {
+		op.State = object.ReadAttrsWire(r)
+		op.Version = r.Varint()
+	}
+	op.VV = readVectorWire(r)
+	if op.Kind == opCreate {
+		op.Class = r.Name()
+		op.Info.Home = transport.NodeID(r.Name())
+		if n := r.Count(1); n > 0 {
+			op.Info.Replicas = make([]transport.NodeID, n)
+		}
+		for j := range op.Info.Replicas {
+			op.Info.Replicas[j] = transport.NodeID(r.Name())
+		}
+	}
 }
 
 // oneOpBatch is a decoded batch of one op, every write's, with the op inline:
@@ -116,9 +150,8 @@ func (b *batchMsg) Release() {
 }
 
 // readBatchWire is batchMsg.AppendWire's inverse; like every sender it hands
-// over a *batchMsg, a released one when there is one. Object IDs and attribute
-// values are fresh strings; class names and node IDs come out of the link's
-// name table. Like gob it leaves an empty op or replica list nil.
+// over a *batchMsg, a released one when there is one, and reads each op with
+// batchOp.ReadWire. Like gob it leaves an empty op list nil.
 func readBatchWire(r *transport.WireReader) any {
 	n := r.Count(3) // the smallest op, a delete: kind, ID length, vector count
 	if n == 0 {
@@ -138,28 +171,7 @@ func readBatchWire(r *transport.WireReader) any {
 		b = &batchMsg{Ops: make([]batchOp, n)}
 	}
 	for i := range b.Ops {
-		op := &b.Ops[i]
-		if op.Kind = opKind(r.Byte()); !op.Kind.known() {
-			r.Fail("replication: unknown batch op kind %d", op.Kind)
-			return nil
-		}
-		op.ID = object.ID(r.String())
-		if op.Kind != opDelete {
-			op.State = object.ReadAttrsWire(r)
-			op.Version = r.Varint()
-		}
-		op.VV = readVectorWire(r)
-		if op.Kind == opCreate {
-			op.Class = r.Name()
-			op.Info.Home = transport.NodeID(r.Name())
-			if n := r.Count(1); n > 0 {
-				op.Info.Replicas = make([]transport.NodeID, n)
-			}
-			for j := range op.Info.Replicas {
-				op.Info.Replicas[j] = transport.NodeID(r.Name())
-			}
-		}
-		if r.Err() != nil {
+		if b.Ops[i].ReadWire(r); r.Err() != nil {
 			return nil
 		}
 	}

@@ -481,10 +481,10 @@ func TestBatchSizes(t *testing.T) {
 }
 
 // FuzzDecodeBatch feeds arbitrary bytes to the batch decoder, seeded with the
-// table's encodings and the malformed vectors and states. It must fail the
-// reader or return — never panic — every vector and every attribute list it
-// accepts must strictly ascend, and
-// whatever it accepts must be a fixed point: it re-encodes (never declining)
+// table's encodings, stored replica records and a history entry (each one
+// op's form), and the malformed vectors and states. It must fail the reader
+// or return — never panic — every vector and every attribute list it accepts
+// must strictly ascend, and whatever it accepts must be a fixed point: it re-encodes (never declining)
 // to bytes that decode to the same batch. The comparison is on the canonical
 // bytes, not DeepEqual, because a NaN attribute is not equal to itself.
 func FuzzDecodeBatch(f *testing.F) {
@@ -500,6 +500,16 @@ func FuzzDecodeBatch(f *testing.F) {
 	for _, data := range malformedStateFrames() {
 		f.Add(data)
 	}
+	// A stored record is one op's form: behind an op count of one it is a
+	// batch of a create (a metadata-only holder's with no class and no
+	// state), or of a history entry's update.
+	var mu sync.Mutex
+	for _, rec := range recordCases() {
+		data, _ := entryOf(&mu, rec).AppendWire([]byte{1})
+		f.Add(data)
+	}
+	data, _ := historyEntry().AppendWire([]byte{1})
+	f.Add(data)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var r transport.WireReader
 		r.Reset(data)

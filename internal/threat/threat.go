@@ -39,14 +39,14 @@ type Delta struct {
 // AffectedObject pairs an accessed object with its staleness at validation
 // time (the gathered affected objects of Figure 4.4).
 type AffectedObject struct {
-	ID        object.ID            `json:"id"`
-	Class     string               `json:"class"`
-	Staleness constraint.Staleness `json:"staleness"`
+	ID        object.ID
+	Class     string
+	Staleness constraint.Staleness
 	// State optionally captures the object's serialized state at the time
 	// the threat occurred (§3.2.2: threat information "can be further
 	// enriched by storing ... even the serialized state of affected
 	// objects"), enabling richer reconciliation diagnostics.
-	State object.State `json:"state,omitempty"`
+	State object.State
 }
 
 // Threat is one consistency threat: a constraint whose validation was not
@@ -54,30 +54,30 @@ type AffectedObject struct {
 // during reconciliation.
 type Threat struct {
 	// Seq is the unique sequence number assigned by the store.
-	Seq int64 `json:"seq"`
+	Seq int64
 	// Constraint is the unique name of the threatened constraint.
-	Constraint string `json:"constraint"`
+	Constraint string
 	// ContextID identifies the context object for invariant constraints
 	// validated from a starting object; empty for query-based constraints
 	// (§3.2.2's two re-evaluation cases).
-	ContextID object.ID `json:"contextId"`
+	ContextID object.ID
 	// Degree is the satisfaction degree observed at validation time.
-	Degree constraint.Degree `json:"degree"`
+	Degree constraint.Degree
 	// Affected lists the objects accessed by the validation.
-	Affected []AffectedObject `json:"affected"`
+	Affected []AffectedObject
 	// AppData carries application-specific data stored with the threat.
-	AppData map[string]string `json:"appData,omitempty"`
+	AppData map[string]string
 	// Instructions are the constraint's reconciliation instructions.
-	Instructions constraint.ReconciliationInstructions `json:"instructions"`
+	Instructions constraint.ReconciliationInstructions
 	// Count is the number of identical occurrences folded into this record
 	// (identical-once policy).
-	Count int `json:"count"`
+	Count int
 	// TxID is the transaction that produced the (first) occurrence.
-	TxID int64 `json:"txId"`
+	TxID int64
 	// UID identifies the record globally ("<origin-node>#<seq>"): replicated
 	// copies keep the originator's UID so repeated propagation (e.g. across
 	// several reconciliation passes) never duplicates records.
-	UID string `json:"uid,omitempty"`
+	UID string
 }
 
 // Identity returns the identity key of the threat: two threats are identical
