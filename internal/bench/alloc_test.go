@@ -64,6 +64,7 @@ var ledgerPaths = []struct {
 	{"commit", 1000, func(t *testing.T) func(int) error { return newWriter(t, clusterOpts{size: 1}, nil).write }},
 	{"quorum-write", 1000, func(t *testing.T) func(int) error { return newWriter(t, quorumCluster, nil).write }},
 	{"p4-write", 1000, func(t *testing.T) func(int) error { return newWriter(t, p4Cluster, nil).write }},
+	{"tx4", 1000, newTx4},
 	{"p4-degraded-write", 1000, newDegradedWrite},
 	{"validated-write/called-object", 1000, func(t *testing.T) func(int) error {
 		return newWriter(t, clusterOpts{size: 1}, constraint.CalledObjectIsContext{}).write
@@ -380,6 +381,41 @@ func newWriter(t *testing.T, shape clusterOpts, prep constraint.ContextPreparer)
 		t.Fatal(err)
 	}
 	return w
+}
+
+// newTx4 is sim-write's four-object write: an explicit transaction (BeginCtx)
+// that sets four beans their home coordinates, one InvokeTx each, and commits,
+// its straggler sends joined.
+func newTx4(t *testing.T) func(int) error {
+	cfg := QuickConfig()
+	cfg.NetCost, cfg.StoreCost = 0, 0
+	c, err := newBenchCluster(cfg, quorumCluster, constraint.AsyncInvariant)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Stop)
+	n := shardHome(c, "hot000")
+	var ids []object.ID
+	for i := 0; len(ids) < 4; i++ {
+		if id := beanID(i); shardHome(c, id) == n {
+			if err := n.Create(beanClass, id, object.State{"value": int64(0)}, c.AllReplicas(n.ID)); err != nil {
+				t.Fatal(err)
+			}
+			ids = append(ids, id)
+		}
+	}
+	return func(i int) error {
+		txn := n.BeginCtx(context.Background())
+		for _, id := range ids {
+			if _, err := n.InvokeTx(txn, id, "SetValue", int64(i&0xff)); err != nil {
+				_ = txn.Rollback()
+				return err
+			}
+		}
+		err := txn.Commit()
+		n.Repl.WaitPropagation()
+		return err
+	}
 }
 
 // newDegradedWrite is a P4 write at n1 while the cluster is split {n1,n2} |

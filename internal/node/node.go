@@ -483,21 +483,15 @@ func (n *Node) InvokeCtx(ctx context.Context, target object.ID, method string, a
 	b := opBlocks.Get().(*opBlock)
 	n.TxMgr.BeginInto(ctx, &b.Tx)
 	res, err := n.invokeTx(&b.Tx, &b.Invocation, kind, class, target, method, args)
-	if err == nil {
-		err = b.Tx.Commit()
-	} else if b.Tx.Status() == tx.Active {
-		_ = b.Tx.Rollback()
-	}
-	b.release()
-	if err != nil {
+	if err := b.end(err); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// opBlock is the memory of one operation in its own transaction: nothing the
-// operation hands out points into it, so it goes back to opBlocks when the
-// operation returns (DESIGN.md §15, ninth rule).
+// opBlock is the memory of one operation in its own transaction (InvokeCtx,
+// CreateCtx, DeleteCtx): nothing the operation hands out points into it, so it
+// goes back to opBlocks when the operation returns (DESIGN.md §15, ninth rule).
 type opBlock struct {
 	tx.Tx
 	invocation.Invocation
@@ -510,6 +504,19 @@ var opBlocks = sync.Pool{New: func() any { return new(opBlock) }}
 func (b *opBlock) release() {
 	b.Invocation = invocation.Invocation{}
 	opBlocks.Put(b)
+}
+
+// end finishes the operation begun in b's transaction, whose work returned
+// err: it commits after no error and rolls back after one, puts b back, and
+// returns the operation's error or the commit's.
+func (b *opBlock) end(err error) error {
+	if err == nil {
+		err = b.Tx.Commit()
+	} else if b.Tx.Status() == tx.Active {
+		_ = b.Tx.Rollback()
+	}
+	b.release()
+	return err
 }
 
 // forwardToHolder serves an invocation this node cannot serve at a replica in
@@ -625,12 +632,9 @@ func (n *Node) Create(class string, id object.ID, attrs object.State, info repli
 
 // CreateCtx is Create bounded by the caller's context.
 func (n *Node) CreateCtx(ctx context.Context, class string, id object.ID, attrs object.State, info replication.Info) error {
-	t := n.BeginCtx(ctx)
-	if err := n.CreateTx(t, class, id, attrs, info); err != nil {
-		_ = t.Rollback()
-		return err
-	}
-	return t.Commit()
+	b := opBlocks.Get().(*opBlock)
+	n.TxMgr.BeginInto(ctx, &b.Tx)
+	return b.end(n.CreateTx(&b.Tx, class, id, attrs, info))
 }
 
 // CreateTx materialises a new entity within an existing transaction.
@@ -676,12 +680,9 @@ func (n *Node) DeleteCtx(ctx context.Context, id object.ID) error {
 			return err
 		}
 	}
-	t := n.BeginCtx(ctx)
-	if err := n.DeleteTx(t, id); err != nil {
-		_ = t.Rollback()
-		return err
-	}
-	return t.Commit()
+	b := opBlocks.Get().(*opBlock)
+	n.TxMgr.BeginInto(ctx, &b.Tx)
+	return b.end(n.DeleteTx(&b.Tx, id))
 }
 
 // DeleteTx removes an entity within an existing transaction.

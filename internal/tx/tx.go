@@ -10,6 +10,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -147,19 +148,18 @@ func (m *Manager) BeginCtx(ctx context.Context) *Tx {
 
 // BeginInto begins t, a zero transaction or one that finished, in place: a
 // fresh id, no lock, no rollback-only flag, an empty write set and no values.
-// The undo log's array and the value map's storage are kept, so an operation
-// whose transaction nobody else references (Node.InvokeCtx) reuses its memory.
-// A transaction still active must not be begun again.
+// An operation whose transaction nobody else references (Node.InvokeCtx) so
+// reuses its Tx; the log, locks and values it borrows as every transaction
+// does (txMem). A transaction still active must not be begun again.
 func (m *Manager) BeginInto(ctx context.Context, t *Tx) {
 	if t.status == Active {
 		panic("tx: BeginInto on an active transaction")
 	}
-	clear(t.vals)
-	*t = Tx{undo: t.undo[:0], vals: t.vals}
 	m.begin(ctx, t)
 }
 
-// begin starts t, which holds no lock, no flag and no write.
+// begin starts t afresh: a new id, the registered resources, and nothing of
+// what t was before.
 func (m *Manager) begin(ctx context.Context, t *Tx) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -170,7 +170,7 @@ func (m *Manager) begin(ctx context.Context, t *Tx) {
 	global := m.resources
 	m.mu.Unlock()
 	m.begun.Inc()
-	t.id, t.mgr, t.ctx, t.status, t.resources = m.seq.Add(1), m, ctx, Active, global
+	*t = Tx{id: m.seq.Add(1), mgr: m, ctx: ctx, status: Active, resources: global}
 }
 
 // Tx is one transaction. A Tx must be driven by a single goroutine; the
@@ -185,19 +185,54 @@ type Tx struct {
 	rbReason     error
 
 	resources []Resource
-	vals      map[string]any // lazy: most transactions store no values
+	// mem is what the transaction locked, wrote and stored, borrowed from
+	// txMems at its first lock, record or Put and handed back when it
+	// finishes; nil before and after. An explicit transaction (BeginCtx)
+	// allocates the Tx alone, and its 96 bytes fill the 96-byte size class;
+	// one word more would push it into the next.
+	mem *txMem
+}
 
-	// Most transactions lock exactly one object (a single-target
-	// invocation), so the first held lock lives inline and the overflow map
-	// is allocated only for multi-object transactions.
-	held0    object.ID
-	hasHeld0 bool
-	held     map[object.ID]struct{} // locks beyond the first
-	// undo is the rollback log and, read through Writes, the write set. Tx
-	// keeps nothing else about what it wrote: an explicit transaction
-	// (BeginCtx) allocates a Tx, and its 152 bytes fill the 160-byte size
-	// class; two words more would push it into the next.
+// txMem is the memory a transaction borrows from txMems and finish clears and
+// hands back, on the commit and the rollback path alike (DESIGN.md §15, ninth
+// rule). Nothing a transaction hands out points into it, and a finished
+// transaction reads none of it: its write set, locks and values are empty.
+type txMem struct {
+	// undo is the rollback log and, read through Writes, the write set: the
+	// transaction keeps nothing else about what it wrote.
 	undo []undoRecord
+	held []object.ID    // the objects whose lock the transaction holds
+	vals map[string]any // lazy: most transactions store no values
+}
+
+// txMems is the free list of what transactions borrow, one for every manager
+// in the process: a list per manager would be refilled after each collection
+// once per node of a simulated cluster.
+var txMems = sync.Pool{New: func() any { return new(txMem) }}
+
+// memory returns what t borrowed, borrowing it first if t is active and has
+// none yet; nil once t finished.
+func (t *Tx) memory() *txMem {
+	if t.mem == nil && t.status == Active {
+		t.mem = txMems.Get().(*txMem)
+	}
+	return t.mem
+}
+
+// log returns t's undo log: empty before its first record and once it
+// finished.
+func (t *Tx) log() []undoRecord {
+	if t.mem == nil {
+		return nil
+	}
+	return t.mem.undo
+}
+
+// record appends u to the undo log; a finished transaction records nothing.
+func (t *Tx) record(u undoRecord) {
+	if mem := t.memory(); mem != nil {
+		mem.undo = append(mem.undo, u)
+	}
 }
 
 // WriteKind says what a transaction did to one object.
@@ -228,9 +263,9 @@ type Write struct {
 // their own, since a list put in the aux word would box its header (DESIGN.md
 // §15, eighth rule); what else differs by kind shares the aux word (a registry
 // and a func are pointer-shaped, so storing them allocates nothing). That
-// makes the record 80 bytes: a 4-object transaction grows the log through 1,
-// 2 and 4 records, and eight bytes more on the record are 48 more on that
-// transaction.
+// makes the record 80 bytes. The log's array is borrowed (txMem) and keeps
+// what it grew to, so a larger record costs no allocation once the free list
+// is warm, but it is copied on every record and scanned on every write.
 type undoRecord struct {
 	kind    WriteKind      // zero: a bare compensation, not a write
 	local   bool           // the write changed this node's registry or entity and apply undoes it
@@ -274,16 +309,25 @@ func (t *Tx) Context() context.Context {
 func (t *Tx) Status() Status { return t.status }
 
 // Put stores a transaction-scoped value, e.g. the registered negotiation
-// handler of §3.2.1.
+// handler of §3.2.1. A finished transaction stores nothing.
 func (t *Tx) Put(key string, v any) {
-	if t.vals == nil {
-		t.vals = make(map[string]any)
+	mem := t.memory()
+	if mem == nil {
+		return
 	}
-	t.vals[key] = v
+	if mem.vals == nil {
+		mem.vals = make(map[string]any)
+	}
+	mem.vals[key] = v
 }
 
-// Value retrieves a transaction-scoped value.
-func (t *Tx) Value(key string) any { return t.vals[key] }
+// Value retrieves a transaction-scoped value; a finished transaction has none.
+func (t *Tx) Value(key string) any {
+	if t.mem == nil {
+		return nil
+	}
+	return t.mem.vals[key]
+}
 
 // SetRollbackOnly marks the transaction so it can no longer commit. The
 // first reason is retained and returned from Commit.
@@ -321,24 +365,15 @@ func (t *Tx) Lock(id object.ID) error {
 		}
 		return err
 	}
-	if !t.hasHeld0 {
-		t.hasHeld0, t.held0 = true, id
-	} else {
-		if t.held == nil {
-			t.held = make(map[object.ID]struct{})
-		}
-		t.held[id] = struct{}{}
-	}
+	mem := t.memory()
+	mem.held = append(mem.held, id)
 	return nil
 }
 
-// HoldsLock reports whether this transaction owns the object's lock.
+// HoldsLock reports whether this transaction owns the object's lock. The set
+// is scanned: a transaction locks a few objects.
 func (t *Tx) HoldsLock(id object.ID) bool {
-	if t.hasHeld0 && t.held0 == id {
-		return true
-	}
-	_, ok := t.held[id]
-	return ok
+	return t.mem != nil && slices.Contains(t.mem.held, id)
 }
 
 // RecordUpdate saves the entity's pre-state for rollback and marks the
@@ -349,10 +384,15 @@ func (t *Tx) HoldsLock(id object.ID) bool {
 // pre-image back. A call whose entity the log already restores, or whose object this
 // transaction created, is a no-op wherever in the log that record lies — K
 // writes to one object keep the first pre-image and copy the state once,
-// whatever else the transaction wrote in between.
+// whatever else the transaction wrote in between. A finished transaction
+// records nothing.
 func (t *Tx) RecordUpdate(e *object.Entity) {
-	for i := range t.undo {
-		switch u := &t.undo[i]; u.kind {
+	mem := t.memory()
+	if mem == nil {
+		return
+	}
+	for i := range mem.undo {
+		switch u := &mem.undo[i]; u.kind {
 		case Updated:
 			if u.entity == e {
 				return
@@ -364,32 +404,32 @@ func (t *Tx) RecordUpdate(e *object.Entity) {
 		}
 	}
 	state, version := e.Share()
-	t.undo = append(t.undo, undoRecord{kind: Updated, local: true, id: e.ID(), entity: e, version: version, state: state})
+	mem.undo = append(mem.undo, undoRecord{kind: Updated, local: true, id: e.ID(), entity: e, version: version, state: state})
 }
 
 // RecordCreate marks the object created and registers an undo that removes
 // the entity again.
 func (t *Tx) RecordCreate(reg *object.Registry, id object.ID) {
-	t.undo = append(t.undo, undoRecord{kind: Created, local: true, id: id, aux: reg})
+	t.record(undoRecord{kind: Created, local: true, id: id, aux: reg})
 }
 
 // RecordDelete marks the object deleted and registers an undo that re-adds
 // the entity.
 func (t *Tx) RecordDelete(reg *object.Registry, e *object.Entity) {
-	t.undo = append(t.undo, undoRecord{kind: Deleted, local: true, id: e.ID(), entity: e, aux: reg})
+	t.record(undoRecord{kind: Deleted, local: true, id: e.ID(), entity: e, aux: reg})
 }
 
 // RecordWrite marks an object created or deleted by a node that holds no copy
 // of it: there is nothing local to undo, but the write still belongs to the
 // write set, and payload rides on it to the resource that ships it at commit.
 func (t *Tx) RecordWrite(kind WriteKind, id object.ID, payload any) {
-	t.undo = append(t.undo, undoRecord{kind: kind, id: id, aux: payload})
+	t.record(undoRecord{kind: kind, id: id, aux: payload})
 }
 
 // RecordUndo registers an arbitrary compensation to run on rollback. It is
 // not a write.
 func (t *Tx) RecordUndo(fn func()) {
-	t.undo = append(t.undo, undoRecord{aux: fn})
+	t.record(undoRecord{aux: fn})
 }
 
 // Writes calls fn once per object the transaction wrote, in the order the
@@ -399,14 +439,15 @@ func (t *Tx) RecordUndo(fn func()) {
 // without either it is an update (a create absorbs the updates that follow
 // it). After the transaction finished the set is empty.
 func (t *Tx) Writes(fn func(Write)) {
-	for i := range t.undo {
-		u := &t.undo[i]
-		if u.kind == 0 || t.wroteBefore(i, u.id) {
+	undo := t.log()
+	for i := range undo {
+		u := &undo[i]
+		if u.kind == 0 || wroteBefore(undo[:i], u.id) {
 			continue
 		}
 		last := u
-		for j := i + 1; j < len(t.undo); j++ {
-			if v := &t.undo[j]; (v.kind == Created || v.kind == Deleted) && v.id == u.id {
+		for j := i + 1; j < len(undo); j++ {
+			if v := &undo[j]; (v.kind == Created || v.kind == Deleted) && v.id == u.id {
 				last = v
 			}
 		}
@@ -418,11 +459,11 @@ func (t *Tx) Writes(fn func(Write)) {
 	}
 }
 
-// wroteBefore reports whether a record before index i already put the object
-// in the write set.
-func (t *Tx) wroteBefore(i int, id object.ID) bool {
-	for j := 0; j < i; j++ {
-		if u := &t.undo[j]; u.kind != 0 && u.id == id {
+// wroteBefore reports whether a record of undo already put the object in the
+// write set.
+func wroteBefore(undo []undoRecord, id object.ID) bool {
+	for j := range undo {
+		if u := &undo[j]; u.kind != 0 && u.id == id {
 			return true
 		}
 	}
@@ -480,8 +521,9 @@ func (t *Tx) Rollback() error {
 }
 
 func (t *Tx) rollback() {
-	for i := len(t.undo) - 1; i >= 0; i-- {
-		t.undo[i].apply()
+	undo := t.log()
+	for i := len(undo) - 1; i >= 0; i-- {
+		undo[i].apply()
 	}
 	for _, r := range t.resources {
 		// Resource rollback errors cannot change the outcome; participants
@@ -499,18 +541,20 @@ func (t *Tx) finish(s Status) {
 	case RolledBack:
 		t.mgr.rolledBack.Inc()
 	}
-	if t.hasHeld0 {
-		t.mgr.locks.release(t.held0, t.id)
-		t.hasHeld0 = false
+	mem := t.mem
+	if mem == nil {
+		return
 	}
-	for id := range t.held {
-		t.mgr.locks.release(id, t.id)
-	}
-	t.held = nil
-	// The records go, the array stays: a transaction begun again in place
-	// (BeginInto) appends into it.
-	clear(t.undo)
-	t.undo = t.undo[:0]
+	// Every resource has read the log by now. The records, locks and values
+	// go, the arrays and the map stay for the next transaction to borrow.
+	t.mem = nil
+	t.mgr.locks.release(mem.held, t.id)
+	clear(mem.undo)
+	mem.undo = mem.undo[:0]
+	clear(mem.held)
+	mem.held = mem.held[:0]
+	clear(mem.vals)
+	txMems.Put(mem)
 }
 
 // lockTable implements per-object exclusive locks with timeout.
@@ -573,11 +617,22 @@ func (lt *lockTable) acquire(ctx context.Context, id object.ID, txID int64, time
 	}
 }
 
-func (lt *lockTable) release(id object.ID, txID int64) {
+// release frees the locks of ids that txID owns, under one hold of the table
+// and with one wake-up.
+func (lt *lockTable) release(ids []object.ID, txID int64) {
+	if len(ids) == 0 {
+		return
+	}
 	lt.mu.Lock()
 	defer lt.mu.Unlock()
-	if lt.owner[id] == txID {
-		delete(lt.owner, id)
+	freed := false
+	for _, id := range ids {
+		if lt.owner[id] == txID {
+			delete(lt.owner, id)
+			freed = true
+		}
+	}
+	if freed {
 		lt.cond.Broadcast()
 	}
 }
@@ -585,11 +640,7 @@ func (lt *lockTable) release(id object.ID, txID int64) {
 // waitWithTimeout waits on cond for at most d. The caller must hold the
 // cond's lock; the lock is held again on return.
 func waitWithTimeout(cond *sync.Cond, d time.Duration) {
-	done := make(chan struct{})
-	timer := time.AfterFunc(d, func() {
-		cond.Broadcast()
-		close(done)
-	})
+	timer := time.AfterFunc(d, cond.Broadcast)
 	cond.Wait()
 	timer.Stop()
 }

@@ -82,8 +82,9 @@ func TestCommitHappyPath(t *testing.T) {
 }
 
 // TestReusedTxStartsClean: a transaction begun again in place keeps nothing of
-// the operation before it but memory — a new id, no lock, no write, no value
-// and no rollback-only flag — and the lock it released is free for another.
+// the operation before it — a new id, no lock, no write, no value and no
+// rollback-only flag — and the lock it released is free for another. What it
+// locked, wrote and stored went back to the manager cleared when it finished.
 func TestReusedTxStartsClean(t *testing.T) {
 	m := NewManager(WithLockTimeout(50 * time.Millisecond))
 	reg := object.NewRegistry()
@@ -104,8 +105,12 @@ func TestReusedTxStartsClean(t *testing.T) {
 		reused.RecordCreate(reg, "b")
 		reused.Put("k", round)
 		reused.SetRollbackOnly(errors.New("veto"))
-		undo := &reused.undo[:1][0]
+		mem := reused.mem
 		_ = end(&reused)
+		if reused.mem != nil {
+			t.Fatalf("round %d: the finished transaction kept its memory", round)
+		}
+		assertCleared(t, mem)
 
 		m.BeginInto(context.Background(), &reused)
 		if reused.ID() == old || reused.Status() != Active {
@@ -116,12 +121,9 @@ func TestReusedTxStartsClean(t *testing.T) {
 		}
 		var writes []Write
 		reused.Writes(func(w Write) { writes = append(writes, w) })
-		if len(writes) != 0 || reused.Value("k") != nil || reused.rollbackOnly || reused.rbReason != nil {
-			t.Fatalf("round %d: reused transaction starts with writes %v, value %v, rollback-only %v (%v)",
-				round, writes, reused.Value("k"), reused.rollbackOnly, reused.rbReason)
-		}
-		if undo.kind != 0 || undo.entity != nil || undo.state != nil || undo.aux != nil || &reused.undo[:1][0] != undo {
-			t.Fatalf("round %d: the undo log's array was not cleared and kept", round)
+		if len(writes) != 0 || reused.Value("k") != nil || reused.rollbackOnly || reused.rbReason != nil || reused.mem != nil {
+			t.Fatalf("round %d: reused transaction starts with writes %v, value %v, rollback-only %v (%v), memory %p",
+				round, writes, reused.Value("k"), reused.rollbackOnly, reused.rbReason, reused.mem)
 		}
 		other := m.Begin()
 		for _, id := range []object.ID{"a", "b"} {
@@ -392,7 +394,7 @@ func TestAliasRollback(t *testing.T) {
 			t.Fatal(err)
 		}
 		txn.RecordUpdate(e)
-		pre := txn.undo[0].state
+		pre := txn.log()[0].state
 		for i := 0; i < writes; i++ {
 			e.Set("sold", int64(71+i))
 			e.Set("tags", []string{"b"})
@@ -445,15 +447,15 @@ func TestRecordUpdateConsecutiveIsNoOp(t *testing.T) {
 		txn.RecordUpdate(e)
 		e.Set("sold", int64(i))
 	}
-	if len(txn.undo) != 1 {
-		t.Fatalf("8 writes to one object left %d undo records, want 1", len(txn.undo))
+	if len(txn.log()) != 1 {
+		t.Fatalf("8 writes to one object left %d undo records, want 1", len(txn.log()))
 	}
 	txn.RecordUpdate(other)
 	other.Set("sold", int64(1))
 	txn.RecordUpdate(e)
 	e.Set("sold", int64(9))
-	if len(txn.undo) != 2 {
-		t.Fatalf("interleaved writes left %d undo records, want 2", len(txn.undo))
+	if len(txn.log()) != 2 {
+		t.Fatalf("interleaved writes left %d undo records, want 2", len(txn.log()))
 	}
 	if err := txn.Rollback(); err != nil {
 		t.Fatal(err)
@@ -477,7 +479,7 @@ func TestRecordUpdateConsecutiveIsNoOp(t *testing.T) {
 			}
 		}
 	}
-	one, eight := testing.AllocsPerRun(200, run(1)), testing.AllocsPerRun(200, run(8))
+	one, eight := fewestAllocs(20, run(1)), fewestAllocs(20, run(8))
 	if eight != one {
 		t.Fatalf("a transaction of 8 writes to one object allocates %.1f, one write %.1f: the state is copied more than once", eight, one)
 	}

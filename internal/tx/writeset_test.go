@@ -104,8 +104,8 @@ func TestWriteSet(t *testing.T) {
 			if tc.records == 0 {
 				tc.records = len(strings.Fields(tc.script))
 			}
-			if len(env.txn.undo) != tc.records {
-				t.Errorf("%d undo records, want %d", len(env.txn.undo), tc.records)
+			if len(env.txn.log()) != tc.records {
+				t.Errorf("%d undo records, want %d", len(env.txn.log()), tc.records)
 			}
 			// However the records merged, rollback returns the registry to
 			// where it started.
@@ -149,7 +149,7 @@ func TestWriteSetInterleavedCopiesOnce(t *testing.T) {
 			}
 		}
 	}
-	ab, aba := testing.AllocsPerRun(100, run("u:a u:b")), testing.AllocsPerRun(100, run("u:a u:b u:a"))
+	ab, aba := fewestAllocs(20, run("u:a u:b")), fewestAllocs(20, run("u:a u:b u:a"))
 	// The script split is the same one allocation either way.
 	if aba != ab {
 		t.Fatalf("A,B,A allocates %.1f, A,B %.1f: the second visit to A recorded or copied again", aba, ab)
@@ -203,10 +203,10 @@ func TestWriteSetReadInPlace(t *testing.T) {
 }
 
 func TestTxStaysInItsSizeClass(t *testing.T) {
-	if size := unsafe.Sizeof(Tx{}); size > 160 {
-		t.Fatalf("Tx is %d bytes, over the 160-byte size class: every explicit transaction (BeginCtx) allocates one Tx and would pay the next class (176), and an operation's reused block of transaction and invocation grows with it — keep what a transaction wrote in the undo log, not in new fields", size)
+	if size := unsafe.Sizeof(Tx{}); size > 96 {
+		t.Fatalf("Tx is %d bytes, over the 96-byte size class: every explicit transaction (BeginCtx) allocates one Tx and would pay the next class (112), and an operation's reused block of transaction and invocation grows with it — keep what a transaction locks, writes and stores in the memory it borrows (txMem), not in new fields", size)
 	}
 	if size := unsafe.Sizeof(undoRecord{}); size > 80 {
-		t.Fatalf("undoRecord is %d bytes, over 80: a 4-object transaction grows the log through 1, 2 and 4 records, and every 8 bytes on the record is 48 on that transaction", size)
+		t.Fatalf("undoRecord is %d bytes, over 80: every record is copied into the log and every write scans it", size)
 	}
 }
