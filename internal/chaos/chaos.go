@@ -38,12 +38,13 @@ func (m Mode) String() string {
 	return "reconcile"
 }
 
-// Options configures Execute. Zero value = ModeReconcile with defaults.
+// Options configures Execute. Zero value = ModeReconcile.
 type Options struct {
-	Mode            Mode
-	MaxGossipRounds int                  // gossip budget per quiesce, default 24
-	Cluster         []node.ClusterOption // extra per-node options, applied last
+	Mode Mode
 }
+
+// maxGossipRounds is the gossip budget per quiesce (ModeGossip).
+const maxGossipRounds = 24
 
 // Result is the outcome of executing one schedule.
 type Result struct {
@@ -128,20 +129,15 @@ func (h *history) reset() {
 // invariant violation found. It never calls t.Fatal — callers decide how to
 // report, and the soak test prints the schedule text for replay.
 func Execute(sched Schedule, opts Options) (Result, error) {
-	if opts.MaxGossipRounds <= 0 {
-		opts.MaxGossipRounds = 24
-	}
 	res := Result{Seed: sched.Seed, Schedule: sched}
 
-	copts := []node.ClusterOption{func(o *node.Options) {
+	c, err := node.NewCluster(sched.Nodes, nil, func(o *node.Options) {
 		o.RepoCache = true
 		if opts.Mode == ModeGossip {
 			o.DisableCCM = true
 			o.Gossip = &gossip.Config{Manual: true, Interval: 2 * time.Millisecond, Fanout: 2}
 		}
-	}}
-	copts = append(copts, opts.Cluster...)
-	c, err := node.NewCluster(sched.Nodes, nil, copts...)
+	})
 	if err != nil {
 		return res, fmt.Errorf("chaos: cluster: %w", err)
 	}
@@ -253,7 +249,7 @@ func Execute(sched Schedule, opts Options) (Result, error) {
 				}
 			case ModeGossip:
 				converged := false
-				for r := 0; r < opts.MaxGossipRounds; r++ {
+				for r := 0; r < maxGossipRounds; r++ {
 					for _, n := range c.Nodes {
 						if _, err := n.Gossip.RunRound(ctx); err != nil {
 							return res, fmt.Errorf("chaos: step %d gossip round: %w", i, err)
@@ -266,7 +262,7 @@ func Execute(sched Schedule, opts Options) (Result, error) {
 					}
 				}
 				if !converged {
-					violate(i, "gossip did not converge within %d rounds", opts.MaxGossipRounds)
+					violate(i, "gossip did not converge within %d rounds", maxGossipRounds)
 				}
 			}
 			// Naming settles by pulling from every peer twice: the second

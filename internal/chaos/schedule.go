@@ -76,26 +76,24 @@ type Schedule struct {
 
 // GenConfig parameterises Generate. Zero fields take defaults.
 type GenConfig struct {
-	Seed           int64
-	Nodes          int  // default 3
-	Objects        int  // default 5
-	Rounds         int  // default 8 quiesce rounds
-	WritesPerRound int  // default 10
-	Naming         bool // interleave bind/unbind operations
+	Seed   int64
+	Nodes  int  // default 3
+	Rounds int  // default 8 quiesce rounds
+	Naming bool // interleave bind/unbind operations
 }
+
+// A schedule's objects, and the writes of each of its rounds.
+const (
+	objects        = 5
+	writesPerRound = 10
+)
 
 func (g *GenConfig) normalize() {
 	if g.Nodes <= 0 {
 		g.Nodes = 3
 	}
-	if g.Objects <= 0 {
-		g.Objects = 5
-	}
 	if g.Rounds <= 0 {
 		g.Rounds = 8
-	}
-	if g.WritesPerRound <= 0 {
-		g.WritesPerRound = 10
 	}
 }
 
@@ -105,7 +103,7 @@ func (g *GenConfig) normalize() {
 func Generate(cfg GenConfig) Schedule {
 	cfg.normalize()
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	s := Schedule{Seed: cfg.Seed, Nodes: cfg.Nodes, Objects: cfg.Objects}
+	s := Schedule{Seed: cfg.Seed, Nodes: cfg.Nodes, Objects: objects}
 	names := []string{"svc/a", "svc/b", "svc/c"}
 	for round := 0; round < cfg.Rounds; round++ {
 		switch rng.Intn(6) {
@@ -124,11 +122,11 @@ func Generate(cfg GenConfig) Schedule {
 		}
 		// A crashed or dropping fabric still sees the full write burst: the
 		// executor tolerates rejections and records them as maybe-committed.
-		for op := 0; op < cfg.WritesPerRound; op++ {
+		for op := 0; op < writesPerRound; op++ {
 			s.Steps = append(s.Steps, Step{
 				Kind:   KindWrite,
 				Node:   rng.Intn(cfg.Nodes),
-				Object: rng.Intn(cfg.Objects),
+				Object: rng.Intn(objects),
 				Value:  int64(rng.Intn(100000)),
 			})
 		}
@@ -137,7 +135,7 @@ func Generate(cfg GenConfig) Schedule {
 			if rng.Intn(3) == 0 {
 				s.Steps = append(s.Steps, Step{Kind: KindUnbind, Node: rng.Intn(cfg.Nodes), Name: name})
 			} else {
-				s.Steps = append(s.Steps, Step{Kind: KindBind, Node: rng.Intn(cfg.Nodes), Object: rng.Intn(cfg.Objects), Name: name})
+				s.Steps = append(s.Steps, Step{Kind: KindBind, Node: rng.Intn(cfg.Nodes), Object: rng.Intn(objects), Name: name})
 			}
 		}
 		s.Steps = append(s.Steps, Step{Kind: KindQuiesce})

@@ -26,13 +26,10 @@ import (
 	"dedisys/internal/tx"
 )
 
-// Message kinds used between constraint consistency managers: a threat
-// change (threat.Delta) and a reconciliation's store exchange ([]threat.Threat
-// each way).
-const (
-	msgThreats    = "ccm.threats"
-	msgThreatSync = "ccm.threat.sync"
-)
+// msgThreatSync is the one message kind between constraint consistency
+// managers: a reconciliation's store exchange ([]threat.Threat each way). A
+// threat change travels with replication's batches (Commit, announceRemoved).
+const msgThreatSync = "ccm.threat.sync"
 
 // Transaction-scoped payload keys.
 const (
@@ -114,9 +111,6 @@ type Config struct {
 	Repl     *replication.Manager
 	Repo     *repository.Repository
 	Threats  *threat.Store
-	// DefaultMinDegree is the application-wide minimum satisfaction degree
-	// used when a constraint's metadata does not configure one (§3.2.1).
-	DefaultMinDegree constraint.Degree
 	// Obs is the shared observability scope; nil observes into a private
 	// registry.
 	Obs *obs.Observer
@@ -124,15 +118,14 @@ type Config struct {
 
 // Manager is the constraint consistency manager.
 type Manager struct {
-	self             transport.NodeID
-	gms              *group.Membership
-	registry         *object.Registry
-	repl             *replication.Manager
-	repo             *repository.Repository
-	threats          *threat.Store
-	comm             *group.Comm
-	defaultMinDegree constraint.Degree
-	obs              *obs.Observer
+	self     transport.NodeID
+	gms      *group.Membership
+	registry *object.Registry
+	repl     *replication.Manager
+	repo     *repository.Repository
+	threats  *threat.Store
+	comm     *group.Comm
+	obs      *obs.Observer
 
 	reconciling atomic.Bool
 	contexts    sync.Pool // validation contexts a validation handed nothing of (newContext, release)
@@ -163,7 +156,6 @@ func New(cfg Config) (*Manager, error) {
 		repl:             cfg.Repl,
 		repo:             cfg.Repo,
 		threats:          cfg.Threats,
-		defaultMinDegree: cfg.DefaultMinDegree,
 		obs:              cfg.Obs,
 		replicaConflicts: make(map[object.ID]struct{}),
 	}
@@ -179,9 +171,6 @@ func New(cfg Config) (*Manager, error) {
 	m.intraObjectSaves = m.obs.Counter("core.intra_object_saves")
 	if cfg.Net != nil {
 		m.comm = group.NewComm(cfg.Net)
-		if err := cfg.Net.Handle(cfg.Self, msgThreats, m.handleThreats); err != nil {
-			return nil, fmt.Errorf("core: register threat handler: %w", err)
-		}
 		if err := cfg.Net.Handle(cfg.Self, msgThreatSync, m.handleThreatSync); err != nil {
 			return nil, fmt.Errorf("core: register threat sync handler: %w", err)
 		}
@@ -213,18 +202,6 @@ func (m *Manager) RegisterNegotiationHandler(t *tx.Tx, h threat.Handler) {
 	t.Put(keyNegHandler, h)
 }
 
-// handleThreats applies a threat change a peer made.
-func (m *Manager) handleThreats(from transport.NodeID, payload any) (any, error) {
-	d, ok := payload.(threat.Delta)
-	if !ok {
-		return nil, fmt.Errorf("core: bad threat change payload %T", payload)
-	}
-	if err := m.threats.Replicate(d); err != nil {
-		return nil, err
-	}
-	return "ack", nil
-}
-
 // handleThreatSync merges a reconciling peer's store and answers with this
 // node's store as it was before the merge, so nothing the peer sent echoes
 // back.
@@ -240,13 +217,16 @@ func (m *Manager) handleThreatSync(from transport.NodeID, payload any) (any, err
 	return mine, nil
 }
 
-// announceRemoved tells all reachable view members, in one message, to drop
-// the threat identities this node has removed, keeping the replicated threat
-// stores convergent, and empties the list; unreachable members converge at
-// their next reconciliation.
+// announceRemoved tells all reachable view members, in one message each, to
+// drop the threat identities this node has removed, keeping the replicated
+// threat stores convergent, and empties the list; unreachable members
+// converge at their next reconciliation. The message leaves through
+// replication's sender to each peer, behind every batch — and every threat
+// it carries — queued there before. Without replication nothing is sent: no
+// threat change reaches a peer then.
 func (m *Manager) announceRemoved(callCtx context.Context, idents *[]string) {
-	if len(*idents) > 0 && m.comm != nil && m.gms != nil {
-		m.comm.Multicast(callCtx, m.self, m.gms.ViewOf(m.self).Members, msgThreats, threat.Delta{Removed: *idents})
+	if len(*idents) > 0 && m.repl != nil {
+		m.repl.AnnounceThreats(callCtx, threat.Delta{Removed: *idents})
 	}
 	*idents = nil
 }

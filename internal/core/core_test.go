@@ -414,51 +414,25 @@ func TestPartitionWeightInContext(t *testing.T) {
 	}
 }
 
-// TestThreatKindsRejectBadPayloads: ccm.threats accepts a threat.Delta and
-// ccm.threat.sync a threat list, and nothing else — a bare threat list or
-// identity list on ccm.threats included. A change applies its removals, then
-// its additions; a sync merges the request and answers with the store as it
-// was before.
+// TestThreatKindsRejectBadPayloads: ccm.threat.sync accepts a threat list
+// and nothing else; a sync merges the request and answers with the store as
+// it was before.
 func TestThreatKindsRejectBadPayloads(t *testing.T) {
 	env := newReplEnv(t)
 	ctx := context.Background()
 	th := threat.Threat{Constraint: "C1", ContextID: "f1", Degree: constraint.PossiblySatisfied}
-	for _, bad := range []struct {
-		kind    string
-		payload any
-	}{
-		{"ccm.threats", "not a threat"},
-		{"ccm.threats", th},
-		{"ccm.threats", []threat.Threat{th}},
-		{"ccm.threats", []string{th.Identity()}},
-		{"ccm.threats", &threat.Delta{}},
-		{"ccm.threats", nil},
-		{"ccm.threat.sync", th},
-		{"ccm.threat.sync", threat.Delta{Added: []threat.Threat{th}}},
-		{"ccm.threat.sync", []string{th.Identity()}},
-		{"ccm.threat.sync", nil},
-	} {
-		if _, err := env.net.Send(ctx, "n2", "n1", bad.kind, bad.payload); err == nil {
-			t.Fatalf("%s accepted a %T", bad.kind, bad.payload)
+	for _, bad := range []any{"not a threat", th, threat.Delta{Added: []threat.Threat{th}}, []string{th.Identity()}, nil} {
+		if _, err := env.net.Send(ctx, "n2", "n1", "ccm.threat.sync", bad); err == nil {
+			t.Fatalf("ccm.threat.sync accepted a %T", bad)
 		}
 	}
 	if env.ths.Len() != 0 {
 		t.Fatalf("a rejected payload stored %v", env.ths.All())
 	}
+	if _, _, err := env.ths.Add(th); err != nil {
+		t.Fatal(err)
+	}
 	other := threat.Threat{Constraint: "C1", ContextID: "f2", Degree: constraint.Uncheckable, Seq: 9}
-	if _, err := env.net.Send(ctx, "n2", "n1", "ccm.threats", threat.Delta{Added: []threat.Threat{th, other, th}}); err != nil {
-		t.Fatal(err)
-	}
-	if env.ths.Len() != 2 {
-		t.Fatalf("threats = %d, want the two identities", env.ths.Len())
-	}
-	change := threat.Delta{Removed: []string{th.Identity(), "unknown", other.Identity()}, Added: []threat.Threat{th}}
-	if _, err := env.net.Send(ctx, "n2", "n1", "ccm.threats", change); err != nil {
-		t.Fatal(err)
-	}
-	if got := env.ths.Identities(); !slices.Equal(got, []string{th.Identity()}) {
-		t.Fatalf("identities after the change = %v, want only the re-added %s", got, th.Identity())
-	}
 	reply, err := env.net.Send(ctx, "n2", "n1", "ccm.threat.sync", []threat.Threat{other})
 	if err != nil {
 		t.Fatal(err)
@@ -468,6 +442,35 @@ func TestThreatKindsRejectBadPayloads(t *testing.T) {
 	}
 	if env.ths.Len() != 2 {
 		t.Fatalf("threats after the sync = %d, want 2", env.ths.Len())
+	}
+}
+
+// TestAnnouncedChangeRemovesThenAdds: a threat change announced with no ops
+// reaches the view member as one repl.batch, which folds identical additions
+// and applies a change's removals before its additions. repl.batch takes no
+// bare change, threat list or identity list.
+func TestAnnouncedChangeRemovesThenAdds(t *testing.T) {
+	env := newReplEnv(t)
+	ctx := context.Background()
+	th := threat.Threat{Constraint: "C1", ContextID: "f1", Degree: constraint.PossiblySatisfied}
+	other := threat.Threat{Constraint: "C1", ContextID: "f2", Degree: constraint.Uncheckable, Seq: 9}
+	for _, bad := range []any{"not a threat", threat.Delta{Added: []threat.Threat{th}}, &threat.Delta{}, []threat.Threat{th}, []string{th.Identity()}, nil} {
+		if _, err := env.net.Send(ctx, "n1", "n2", "repl.batch", bad); err == nil {
+			t.Fatalf("repl.batch accepted a %T", bad)
+		}
+	}
+	messages := func() int64 { return env.net.Observer().Snapshot().Counters["transport.messages"] }
+	before := messages()
+	env.repl.AnnounceThreats(ctx, threat.Delta{Added: []threat.Threat{th, other, th}})
+	if env.ths2.Len() != 2 {
+		t.Fatalf("threats = %d, want the two identities", env.ths2.Len())
+	}
+	env.repl.AnnounceThreats(ctx, threat.Delta{Removed: []string{th.Identity(), "unknown", other.Identity()}, Added: []threat.Threat{th}})
+	if got := env.ths2.Identities(); !slices.Equal(got, []string{th.Identity()}) {
+		t.Fatalf("identities after the change = %v, want only the re-added %s", got, th.Identity())
+	}
+	if sent := messages() - before; sent != 2 {
+		t.Fatalf("two changes cost %d messages, want one each", sent)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"dedisys/internal/obs"
 	"dedisys/internal/repository"
 	"dedisys/internal/threat"
-	"dedisys/internal/transport"
 	"dedisys/internal/tx"
 )
 
@@ -224,24 +223,9 @@ func (m *Manager) Prepare(t *tx.Tx) error {
 	return m.awaitDeferredNegotiations(t)
 }
 
-// Commit implements tx.Resource: the transaction's threat change reaches
-// each view member once (§5.1) — in the repl.batch replication's commit sent,
-// or here in one ccm.threats. A rolled-back transaction announces nothing;
-// its undo restored the local records.
-func (m *Manager) Commit(t *tx.Tx) error {
-	d, _ := t.Value(threat.KeyDelta).(*threat.Delta)
-	if d == nil || m.comm == nil {
-		return nil
-	}
-	shipped, _ := t.Value(threat.KeyShipped).([]transport.NodeID)
-	rest := slices.DeleteFunc(slices.Clone(m.gms.ViewOf(m.self).Members), func(p transport.NodeID) bool {
-		return p == m.self || slices.Contains(shipped, p)
-	})
-	if len(rest) > 0 {
-		m.comm.Multicast(t.Context(), m.self, rest, msgThreats, *d)
-	}
-	return nil
-}
+// Commit implements tx.Resource; replication's commit ships the
+// transaction's threat change (threat.KeyDelta) with its batches (§5.1).
+func (m *Manager) Commit(t *tx.Tx) error { return nil }
 
 // Rollback implements tx.Resource; threat undo is recorded per store.
 func (m *Manager) Rollback(t *tx.Tx) error { return nil }
@@ -381,9 +365,11 @@ func (m *Manager) negotiateThreat(t *tx.Tx, reg *repository.Registered, ctx *val
 		th.ContextID = ""
 	}
 
+	// No application-wide default minimum degree (0) backs the declarative
+	// one: the repository registers no constraint without it.
 	var decision threat.Decision
 	if dynamic, _ := t.Value(keyNegHandler).(threat.Handler); dynamic == nil {
-		decision = threat.NegotiateStatic(&nc, m.defaultMinDegree)
+		decision = threat.NegotiateStatic(&nc, 0)
 	} else {
 		hc := nc
 		hc.Affected = slices.Clone(nc.Affected)
@@ -393,7 +379,7 @@ func (m *Manager) negotiateThreat(t *tx.Tx, reg *repository.Registered, ctx *val
 		if m.deferNegotiation(t, reg, &hc, th) {
 			return nil
 		}
-		decision = threat.Negotiate(&hc, dynamic, m.defaultMinDegree)
+		decision = threat.Negotiate(&hc, dynamic, 0)
 		th.AppData = hc.AppData
 	}
 	if decision != threat.Accept {

@@ -16,8 +16,9 @@ import (
 	"dedisys/internal/wiretransport"
 )
 
-// corePayloads are the payloads the CCM puts on the wire, named by what
-// sends them.
+// corePayloads are the payloads the CCM puts on the wire — a store, as
+// ccm.threat.sync's request and its reply — named by what sends them. A
+// threat change rides replication's repl.batch.
 func corePayloads() []struct {
 	name    string
 	payload any
@@ -38,18 +39,18 @@ func corePayloads() []struct {
 		name    string
 		payload any
 	}{
-		{"one accepted threat (a commit's)", threat.Delta{Added: []threat.Threat{th}}},
 		{"a store (a pass's)", []threat.Threat{th, other, th}},
-		{"one identity (a satisfying business operation's)", threat.Delta{Removed: []string{th.Identity()}}},
-		{"a pass's identities", threat.Delta{Removed: []string{th.Identity(), other.Identity(), ""}}},
-		{"a cleared identity and an accepted threat (a commit's)", threat.Delta{Removed: []string{other.Identity()}, Added: []threat.Threat{th}}},
+		{"a peer's store (its reply)", []threat.Threat{other, th}},
+		{"one threat with every field", []threat.Threat{th}},
+		{"one threat with none but its constraint, degree and UID", []threat.Threat{other}},
+		{"an empty store (the reply of a peer that holds none)", []threat.Threat(nil)},
 	}
 }
 
-// TestWireCodecCorePayloads pushes what the CCM puts on the wire — the change
-// of ccm.threats, the store of ccm.threat.sync and its reply — through gob,
-// through a frame (neither has a form of its own: both ride gob) and through
-// a real link whose far end echoes it.
+// TestWireCodecCorePayloads pushes what the CCM puts on the wire — the store
+// of ccm.threat.sync and of its reply — through gob, through a frame (it has
+// no form of its own: it rides gob) and through a real link whose far end
+// echoes it.
 func TestWireCodecCorePayloads(t *testing.T) {
 	dir := t.TempDir()
 	peers := map[transport.NodeID]string{
@@ -105,11 +106,10 @@ func TestWireCodecCorePayloads(t *testing.T) {
 }
 
 // FuzzThreatExchange feeds the threat exchange arbitrary bytes, seeded with
-// the gob encodings of corePayloads. Bytes that gob-decode into a change go to
-// the ccm.threats handler; bytes that decode into a threat list go to the
-// ccm.threat.sync handler and come back as a peer's reply to SyncThreats.
-// None of them may panic the node. n1's store holds one threat of its own, so
-// a removal and a fold have a record to meet.
+// the gob encodings of corePayloads. Bytes that gob-decode into a threat list
+// go to the ccm.threat.sync handler and come back as a peer's reply to
+// SyncThreats. None of them may panic the node. n1's store holds one threat
+// of its own, so a fold has a record to meet.
 func FuzzThreatExchange(f *testing.F) {
 	for _, tc := range corePayloads() {
 		var buf bytes.Buffer
@@ -119,21 +119,18 @@ func FuzzThreatExchange(f *testing.F) {
 		f.Add(buf.Bytes())
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		var ths []threat.Threat
+		if gob.NewDecoder(bytes.NewReader(data)).Decode(&ths) != nil {
+			return
+		}
 		env := newReplEnv(t)
-		if _, _, err := env.ths.Add(corePayloads()[0].payload.(threat.Delta).Added[0]); err != nil {
+		if _, _, err := env.ths.Add(corePayloads()[2].payload.([]threat.Threat)[0]); err != nil {
 			t.Fatal(err)
 		}
-		var d threat.Delta
-		if gob.NewDecoder(bytes.NewReader(data)).Decode(&d) == nil {
-			_, _ = env.ccm.handleThreats("n2", d)
+		_, _ = env.ccm.handleThreatSync("n2", ths)
+		if err := env.net.Handle("n2", msgThreatSync, func(transport.NodeID, any) (any, error) { return ths, nil }); err != nil {
+			t.Fatal(err)
 		}
-		var ths []threat.Threat
-		if gob.NewDecoder(bytes.NewReader(data)).Decode(&ths) == nil {
-			_, _ = env.ccm.handleThreatSync("n2", ths)
-			if err := env.net.Handle("n2", msgThreatSync, func(transport.NodeID, any) (any, error) { return ths, nil }); err != nil {
-				t.Fatal(err)
-			}
-			_ = env.ccm.SyncThreats(context.Background(), []transport.NodeID{"n2"})
-		}
+		_ = env.ccm.SyncThreats(context.Background(), []transport.NodeID{"n2"})
 	})
 }

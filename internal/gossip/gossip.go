@@ -39,10 +39,6 @@ type Config struct {
 	// Fanout is the number of random peers gossiped with per round
 	// (default 2, clamped to the peer count).
 	Fanout int
-	// Seed makes peer sampling deterministic; 0 derives a stable seed from
-	// the node ID, so repeated runs of the same cluster pick the same peers.
-	// Never time-based: chaos schedules must replay bit-for-bit.
-	Seed int64
 	// Manual disables the background loop; rounds run only through RunRound
 	// or GossipWith (deterministic tests, scripted scenarios, the chaos
 	// harness and exp-gossip all drive rounds explicitly).
@@ -53,21 +49,24 @@ type Config struct {
 }
 
 // normalize fills defaults.
-func (c Config) normalize(self transport.NodeID) Config {
+func (c Config) normalize() Config {
 	if c.Interval <= 0 {
 		c.Interval = 10 * time.Millisecond
 	}
 	if c.Fanout <= 0 {
 		c.Fanout = 2
 	}
-	if c.Seed == 0 {
-		// Stable per-node seed: nodes of one cluster sample different peer
-		// permutations, but every run of the same cluster repeats them.
-		h := fnv.New64a()
-		h.Write([]byte(self))
-		c.Seed = int64(h.Sum64())
-	}
 	return c
+}
+
+// seedOf is the seed of a node's peer sampling, derived from its ID and
+// never from the time: nodes of one cluster sample different peer
+// permutations, but every run of the same cluster repeats them, so chaos
+// schedules replay bit-for-bit.
+func seedOf(self transport.NodeID) int64 {
+	h := fnv.New64a()
+	h.Write([]byte(self))
+	return int64(h.Sum64())
 }
 
 // Option configures a Manager.
@@ -125,7 +124,7 @@ func New(net transport.Transport, self transport.NodeID, repl *replication.Manag
 	if net == nil || repl == nil {
 		return nil, errors.New("gossip: transport and replication manager are required")
 	}
-	cfg = cfg.normalize(self)
+	cfg = cfg.normalize()
 	g := &Manager{
 		self:     self,
 		net:      net,
@@ -133,7 +132,7 @@ func New(net transport.Transport, self transport.NodeID, repl *replication.Manag
 		ring:     cfg.Placement,
 		interval: cfg.Interval,
 		fanout:   cfg.Fanout,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		rng:      rand.New(rand.NewSource(seedOf(self))),
 		streak:   make(map[transport.NodeID]int64),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),

@@ -54,8 +54,6 @@ type Options struct {
 	ThreatPolicy threat.StorePolicy
 	// KeepHistory records degraded-mode state history.
 	KeepHistory bool
-	// DefaultMinDegree is the application-wide negotiation default.
-	DefaultMinDegree constraint.Degree
 	// RepoCache enables the optimized constraint repository.
 	RepoCache bool
 	// StoreCost models database latency.
@@ -237,15 +235,14 @@ func New(opts Options) (*Node, error) {
 
 	if !opts.DisableCCM {
 		ccm, err := core.New(core.Config{
-			Self:             opts.ID,
-			Net:              opts.Net,
-			GMS:              opts.GMS,
-			Registry:         n.Registry,
-			Repl:             n.Repl,
-			Repo:             n.Repo,
-			Threats:          n.Threats,
-			DefaultMinDegree: opts.DefaultMinDegree,
-			Obs:              scoped,
+			Self:     opts.ID,
+			Net:      opts.Net,
+			GMS:      opts.GMS,
+			Registry: n.Registry,
+			Repl:     n.Repl,
+			Repo:     n.Repo,
+			Threats:  n.Threats,
+			Obs:      scoped,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("node %s: %w", opts.ID, err)

@@ -1,13 +1,15 @@
 package node_test
 
 // A commit's threats ride its repl.batch (§5.1: threat data is replicated
-// too). Every member of the coordinator's view receives each threat it
-// accepts and each identity it clears once: inside the batch where the
-// commit's round reaches the member, in one ccm.threats of its own where it
-// does not. A replica that answered the batch holds the
-// threat when the commit returns.
+// too). Every member of the view the commit staged under receives each threat
+// it accepts and each identity it clears once: inside the batch where the
+// commit's round reaches the member, in a repl.batch of its own with no ops
+// where it does not, through the same per-peer sender. Every member that
+// answered holds the threat when the commit returns, and a reconciliation
+// pass's removal, sent through those senders too, never overtakes it.
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"slices"
@@ -170,9 +172,9 @@ func groupObjects(t *testing.T, ring *placement.Ring, g, n int) []object.ID {
 // three, and a cut whose coordinator side holds the coordinator, a peer of
 // its object's group and a node outside that group. A first-threat write
 // sends the group peer one repl.batch that carries the threat and the
-// outsider one ccm.threats, and all three stores hold the identity. An
-// object no remote replica of which is reachable makes no round at all; the
-// view still hears of its threat in one ccm.threats.
+// outsider one repl.batch with no ops, and all three stores hold the
+// identity. An object no remote replica of which is reachable makes no round
+// at all; the view still hears of its threat in one repl.batch.
 func TestShardedThreatReachesTheViewOnce(t *testing.T) {
 	c := newRegCluster(t, 6, func(o *node.Options) { o.Groups, o.ReplicationFactor = 2, 3 })
 	ids := groupObjects(t, c.Ring, 0, 2)
@@ -210,7 +212,7 @@ func TestShardedThreatReachesTheViewOnce(t *testing.T) {
 	setValue(t, h, ids[0], 1)
 	expectSends(t, "a first-threat write", tally.take(), sends{
 		peer:     {"repl.batch": 1},
-		outsider: {"ccm.threats": 1},
+		outsider: {"repl.batch": 1},
 	})
 	ident := "NonNegative|" + string(ids[0])
 	for _, id := range []transport.NodeID{home, peer, outsider} {
@@ -222,7 +224,7 @@ func TestShardedThreatReachesTheViewOnce(t *testing.T) {
 	cut(home, outsider)
 	setValue(t, h, ids[1], 1)
 	expectSends(t, "a write with no reachable remote replica", tally.take(), sends{
-		outsider: {"ccm.threats": 1},
+		outsider: {"repl.batch": 1},
 	})
 	if !holds(c.ByID(outsider), "NonNegative|"+string(ids[1])) {
 		t.Fatalf("%s does not hold the second threat: %v", outsider, c.ByID(outsider).Threats.All())
@@ -234,7 +236,7 @@ func TestShardedThreatReachesTheViewOnce(t *testing.T) {
 // object of each group while a member of the second group is cut away: the
 // first write satisfies the constraint and clears its stored threat, the
 // second accepts a new one. A view member outside both groups is sent the
-// whole change as one ccm.threats, and every node of the coordinator's side
+// whole change as one repl.batch with no ops, and every node of the coordinator's side
 // ends without the cleared identity and with the accepted one.
 func TestShardedChangeReachesAnOutsiderOnce(t *testing.T) {
 	c := newRegCluster(t, 6, func(o *node.Options) { o.Groups, o.ReplicationFactor = 2, 3 })
@@ -284,8 +286,8 @@ func TestShardedChangeReachesAnOutsiderOnce(t *testing.T) {
 	if err := txn.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if got := tally.take()[outsider]; !reflect.DeepEqual(got, map[string]int{"ccm.threats": 1}) {
-		t.Fatalf("the commit sent outsider %s %v, want one ccm.threats", outsider, got)
+	if got := tally.take()[outsider]; !reflect.DeepEqual(got, map[string]int{"repl.batch": 1}) {
+		t.Fatalf("the commit sent outsider %s %v, want one repl.batch", outsider, got)
 	}
 	for _, id := range side {
 		if n := c.ByID(id); holds(n, clearedIdent) || !holds(n, acceptedIdent) {
@@ -296,7 +298,7 @@ func TestShardedChangeReachesAnOutsiderOnce(t *testing.T) {
 
 // TestNoReplicationAnnouncesNoRemoval: nodes built without replication never
 // feed each other's threat stores, so a commit that clears a stored threat
-// tells nobody — no ccm.threats leaves it, and the peer keeps its own
+// tells nobody — no message leaves it, and the peer keeps its own
 // threat of the same identity. The removal used to be announced before the
 // check that gates replicated additions.
 func TestNoReplicationAnnouncesNoRemoval(t *testing.T) {
@@ -316,5 +318,60 @@ func TestNoReplicationAnnouncesNoRemoval(t *testing.T) {
 	expectSends(t, "a clearing commit without replication", tally.take(), sends{})
 	if n1.Threats.Len() != 0 || n2.Threats.Len() != 1 {
 		t.Fatalf("n1 holds %d threats, n2 %d; want 0 and 1", n1.Threats.Len(), n2.Threats.Len())
+	}
+}
+
+// TestRemovalDoesNotOvertakeItsAdd: four nodes under P4, cut into {n1,n2} |
+// {n3,n4}, and every repl.batch from n1 to n2 held 200 ms on the link. A
+// write at n1 accepts a threat; while its batch is on the way to n2 the
+// cluster heals and n1's reconciliation pass finds the constraint satisfied,
+// drops the threat and tells the view. The removal leaves through the same
+// sender as the commit's batch, so n2 applies the add before the removal, and
+// once the commit and the pass have returned no node holds the threat. A
+// removal sent beside the senders overtook the add at n2, and the commit's
+// late announcement to the grown view re-added it at n3 and n4.
+func TestRemovalDoesNotOvertakeItsAdd(t *testing.T) {
+	c := newRegCluster(t, 4)
+	n1 := c.Node(0)
+	if err := n1.Create("Reg", "o1", object.State{"value": int64(0)}, c.AllReplicas("n1")); err != nil {
+		t.Fatal(err)
+	}
+	c.Partition([]transport.NodeID{"n1", "n2"}, []transport.NodeID{"n3", "n4"})
+	inFlight := make(chan struct{})
+	var once sync.Once
+	c.Net.SetLatency(func(from, to transport.NodeID, kind string) time.Duration {
+		if from != "n1" || to != "n2" || kind != "repl.batch" {
+			return 0
+		}
+		once.Do(func() { close(inFlight) })
+		return 200 * time.Millisecond
+	})
+	t.Cleanup(func() { c.Net.SetLatency(nil) })
+
+	committed := make(chan error, 1)
+	go func() {
+		_, err := n1.Invoke("o1", "SetValue", int64(1))
+		committed <- err
+	}()
+	select {
+	case <-inFlight:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the write's batch never left for n2")
+	}
+	c.Heal()
+	report, err := n1.CCM.ReconcileThreats(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-committed; err != nil {
+		t.Fatal(err)
+	}
+	if report.Removed != 1 {
+		t.Fatalf("the pass reports %+v, want the write's threat removed", report)
+	}
+	for _, n := range c.Nodes {
+		if n.Threats.Len() != 0 {
+			t.Errorf("%s holds %v after the commit and the pass returned", n.ID, n.Threats.All())
+		}
 	}
 }

@@ -76,14 +76,27 @@ func forwardedReplies(t testing.TB) []*invokeReply {
 	return []*invokeReply{healthy, forwarded()}
 }
 
+// threatChangeReply returns a reply whose batch is a threat change with no
+// ops — a removal and the degraded reply's accepted threat — of the type the
+// degraded reply's batch has: the repl.batch a view member no commit round
+// reaches is sent, and a reconciliation pass's removals.
+func threatChangeReply(degraded *invokeReply) *invokeReply {
+	b := reflect.New(reflect.TypeOf(degraded.Apply).Elem()).Elem()
+	b.FieldByName("Added").Set(reflect.ValueOf(degraded.Apply).Elem().FieldByName("Added"))
+	b.FieldByName("Removed").Set(reflect.ValueOf([]string{"TicketConstraint|f2"}))
+	return &invokeReply{Apply: b.Addr().Interface()}
+}
+
 // FuzzInvokeReply feeds arbitrary bytes through gob into the reply to a
 // forwarded invocation (node.invoke), seeded with the gob encodings of real
-// replies. A reply that decodes is handled as forward handles it: its batch
-// is applied to the forwarding node's replicas. That must not panic, and
+// replies and of a threat change with no ops. A reply that decodes is handled
+// as forward handles it: its batch — ops, threats or both — is applied to the
+// forwarding node's replicas and threat store. That must not panic, and
 // every entity the node holds afterwards has its attributes in name order —
 // gob checks no order, applyOps does — and encodes.
 func FuzzInvokeReply(f *testing.F) {
-	for _, reply := range forwardedReplies(f) {
+	replies := forwardedReplies(f)
+	for _, reply := range append(replies, threatChangeReply(replies[1])) {
 		var buf bytes.Buffer
 		if err := gob.NewEncoder(&buf).Encode(reply); err != nil {
 			f.Fatal(err)

@@ -31,10 +31,10 @@ import (
 	"dedisys/internal/transport"
 )
 
-// DefaultVirtualNodes is the per-node virtual point count when
-// Config.VirtualNodes is zero. 64 points keep the group→node assignment
-// well mixed at single-digit cluster sizes without noticeable build cost.
-const DefaultVirtualNodes = 64
+// virtualNodes is the number of ring points per node. 64 points keep the
+// group→node assignment well mixed at single-digit cluster sizes without
+// noticeable build cost.
+const virtualNodes = 64
 
 // Config sizes a placement ring.
 type Config struct {
@@ -45,9 +45,6 @@ type Config struct {
 	// 0 or anything >= the node count places every group on all nodes
 	// (full replication within the group structure).
 	ReplicationFactor int
-	// VirtualNodes is the number of ring points per node (default
-	// DefaultVirtualNodes). More points smooth the group→node assignment.
-	VirtualNodes int
 }
 
 // point is one virtual node on the ring.
@@ -76,9 +73,6 @@ func New(nodes []transport.NodeID, cfg Config) (*Ring, error) {
 	if cfg.ReplicationFactor < 0 {
 		return nil, fmt.Errorf("placement: ReplicationFactor must be >= 0, got %d", cfg.ReplicationFactor)
 	}
-	if cfg.VirtualNodes <= 0 {
-		cfg.VirtualNodes = DefaultVirtualNodes
-	}
 	uniq := make([]transport.NodeID, 0, len(nodes))
 	seen := make(map[transport.NodeID]struct{}, len(nodes))
 	for _, n := range nodes {
@@ -99,9 +93,9 @@ func New(nodes []transport.NodeID, cfg Config) (*Ring, error) {
 		cfg.ReplicationFactor = len(uniq)
 	}
 	r := &Ring{cfg: cfg, nodes: uniq}
-	r.points = make([]point, 0, len(uniq)*cfg.VirtualNodes)
+	r.points = make([]point, 0, len(uniq)*virtualNodes)
 	for _, n := range uniq {
-		for i := 0; i < cfg.VirtualNodes; i++ {
+		for i := 0; i < virtualNodes; i++ {
 			r.points = append(r.points, point{hash: hash64(fmt.Sprintf("%s#%d", n, i)), node: n})
 		}
 	}

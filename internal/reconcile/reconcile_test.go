@@ -416,10 +416,11 @@ func TestDisableViolatedConstraintsAlternative(t *testing.T) {
 // flight — heals, and counts the messages of one pass from n1, whether 8
 // flights diverged or 64. Each peer is sent five: the record pull
 // (repl.pull), the repairs (repl.batch), the threat exchange
-// (ccm.threat.sync), the naming exchange (naming.sync) and the removals
-// (ccm.threats). Per-object sends would add some ten messages a flight: its
-// resolution to three peers and once more to the last, its threat to three,
-// its removal to three.
+// (ccm.threat.sync), the naming exchange (naming.sync) and the removals (a
+// repl.batch with no ops, behind the repairs on the peer's sender).
+// Per-object sends would add some ten messages a flight: its resolution to
+// three peers and once more to the last, its threat to three, its removal to
+// three.
 func TestReconcileMessagesDoNotGrowWithObjects(t *testing.T) {
 	pass := func(flights int) int64 {
 		c, err := node.NewCluster(4, nil)

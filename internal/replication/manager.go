@@ -680,11 +680,12 @@ func (m *Manager) Prepare(t *tx.Tx) error { return nil }
 // K-object commit costs ~1 simulated network hop instead of ~K. Sender-side
 // bookkeeping — version-vector bumps, degraded-mode history, estimator
 // observation — happens per object while staging, and the replica's records
-// of all objects are stored in one write before the round is posted.
-// Per-object preparation failures are
+// of all objects are stored in one write before the round is posted. The
+// threat change the transaction made (threat.KeyDelta) leaves with it
+// (commitBatched). Per-object preparation failures are
 // joined into the returned error and counted, together with per-destination
 // send failures, in replication.propagation_errors. A transaction that wrote
-// nothing takes no lock and reads no view.
+// nothing and changed no threat takes no lock and reads no view.
 func (m *Manager) Commit(t *tx.Tx) error {
 	var (
 		st       *staging
@@ -709,7 +710,11 @@ func (m *Manager) Commit(t *tx.Tx) error {
 			st.ops = st.ops[:len(st.ops)-1]
 		}
 	})
+	delta, _ := t.Value(threat.KeyDelta).(*threat.Delta)
 	if st == nil {
+		if delta != nil {
+			m.AnnounceThreats(t.Context(), *delta)
+		}
 		return nil
 	}
 	m.propagations.Add(writes)
@@ -722,8 +727,8 @@ func (m *Manager) Commit(t *tx.Tx) error {
 		errs = append(errs, err)
 		st.ops = st.ops[:0]
 	}
-	if len(st.ops) > 0 {
-		if err := m.commitBatched(t, st.ops); err != nil {
+	if len(st.ops) > 0 || delta != nil {
+		if err := m.commitBatched(t, st.ops, view.Members, delta); err != nil {
 			errs = append(errs, err)
 		}
 	}
@@ -806,16 +811,15 @@ type Forwarded struct {
 }
 
 // commitBatched ships the staged operations of t in one multicast round, the
-// one route builds, with the threat change t made. The requester of
-// a forwarded commit gets its message in the reply instead (replyTo).
-func (m *Manager) commitBatched(t *tx.Tx, staged []stagedOp) error {
+// one route builds, and delta, the threat change t made, to every member of
+// the view the commit staged under: inside the round's batches where the
+// round reaches the member, in the reply to the requester of a forwarded
+// commit (replyTo), and in a batch of its own with no ops (announce)
+// everywhere else.
+func (m *Manager) commitBatched(t *tx.Tx, staged []stagedOp, members []transport.NodeID, delta *threat.Delta) error {
 	fw, _ := t.Context().(*Forwarded)
 	requester := m.replyTo(fw, staged)
 	r, uniform := m.route(nil, staged, requester)
-	if r == nil && requester == "" {
-		return nil
-	}
-	delta, _ := t.Value(threat.KeyDelta).(*threat.Delta)
 	if requester != "" {
 		// The reply carries the requester's one-op batch in memory of its own:
 		// the round's is reused once its sends drain.
@@ -827,10 +831,9 @@ func (m *Manager) commitBatched(t *tx.Tx, staged []stagedOp) error {
 		}
 	}
 	if r == nil {
-		// The requester was the only remote destination: the reply is the
-		// commit's one message.
+		// Nothing but the requester's reply, if anything, carries the change.
 		if delta != nil {
-			t.Put(threat.KeyShipped, []transport.NodeID{requester})
+			m.announce(t.Context(), members, nil, requester, *delta)
 		}
 		return nil
 	}
@@ -867,13 +870,6 @@ func (m *Manager) commitBatched(t *tx.Tx, staged []stagedOp) error {
 		if uniform {
 			r.threats.Ops = r.shared.Ops
 		}
-		// The CCMgr's commit tells the rest of the view, after the round is
-		// reused: it reads a copy of To.
-		shipped := append(make([]transport.NodeID, 0, len(r.To)+1), r.To...)
-		if requester != "" {
-			shipped = append(shipped, requester)
-		}
-		t.Put(threat.KeyShipped, shipped)
 	}
 	r.holds.Store(2) // this commit and the round's sends
 	m.batchRounds.Inc()
@@ -881,7 +877,8 @@ func (m *Manager) commitBatched(t *tx.Tx, staged []stagedOp) error {
 	m.propagation.Add(1)
 	err := m.comm.Post(t.Context(), &r.Round, r)
 	if r.threats != nil {
-		r.Wait() // as the threat multicast this replaces did, after an early release too
+		m.announce(t.Context(), members, r.To, requester, r.threats.Delta)
+		r.Wait() // every member holds the change when the commit returns, after an early release too
 	}
 	r.let()
 	if err != nil {
@@ -890,6 +887,39 @@ func (m *Manager) commitBatched(t *tx.Tx, staged []stagedOp) error {
 		return fmt.Errorf("replication: quorum commit: %w", err)
 	}
 	return nil
+}
+
+// AnnounceThreats ships a threat change — a reconciliation pass's removals —
+// to every other member of this node's view, as a commit ships one to the
+// members its round does not reach, and returns once each has answered.
+func (m *Manager) AnnounceThreats(ctx context.Context, d threat.Delta) {
+	m.announce(ctx, m.view().Members, nil, "", d)
+}
+
+// announce ships the threat change d in a batch with no ops to each of
+// members but this node, the requester and those in reached, through their
+// peers' senders: behind every batch posted to the peer before, and, as a
+// batch that carries threats travels alone, overtaken by none posted after.
+// It returns once each has answered.
+func (m *Manager) announce(ctx context.Context, members, reached []transport.NodeID, requester transport.NodeID, d threat.Delta) {
+	var r *commitRound
+	for _, p := range members {
+		if p == m.self || p == requester || slices.Contains(reached, p) {
+			continue
+		}
+		if r == nil {
+			r = newCommitRound(m, 0)
+			r.threats = &threatBatch{Delta: d}
+		}
+		r.To = append(r.To, p)
+	}
+	if r == nil {
+		return
+	}
+	r.holds.Store(2) // this call and the round's sends
+	m.propagation.Add(1)
+	_ = m.comm.Post(ctx, &r.Round, r) // released on the last answer: reports no error
+	r.let()
 }
 
 // route builds the round that ships the staged ops — a commit's, and a
@@ -1023,8 +1053,9 @@ type objectAcks struct {
 // so it is reused (DESIGN.md §15): its two holders are the commit, until
 // commitBatched returns, and its sends, until the round drains, and whichever
 // lets go last puts it back on rounds. A one-op commit's round is allocated
-// with its op (oneOpRound). A reconciliation's repairs leave in one too
-// (repairRound), which is never reused.
+// with its op (oneOpRound). A threat change for the members a commit's round
+// does not reach leaves in one with no ops (announce). A reconciliation's
+// repairs leave in one too (repairRound), which is never reused.
 type commitRound struct {
 	group.Round
 	m *Manager

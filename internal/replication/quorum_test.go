@@ -274,7 +274,7 @@ func TestQuorumPerObjectShortfall(t *testing.T) {
 		{op: create("b"), dests: []transport.NodeID{"n1", "n4", "n5"}, replicas: 3},
 	}
 	mgr := h.node("n1").mgr
-	err := mgr.commitBatched(tx.NewManager().Begin(), staged)
+	err := mgr.commitBatched(tx.NewManager().Begin(), staged, nil, nil)
 	mgr.WaitPropagation()
 	if !errors.Is(err, group.ErrThresholdShort) {
 		t.Fatalf("commit with one object's quorum unreachable = %v, want ErrThresholdShort", err)
@@ -286,7 +286,7 @@ func TestQuorumPerObjectShortfall(t *testing.T) {
 	// The same two objects with one replica of each group down: both have
 	// their majority, and the commit says so.
 	h.net.Recover("n5")
-	if err := mgr.commitBatched(tx.NewManager().Begin(), staged); err != nil {
+	if err := mgr.commitBatched(tx.NewManager().Begin(), staged, nil, nil); err != nil {
 		t.Fatalf("commit with a majority of each group = %v", err)
 	}
 	mgr.WaitPropagation()

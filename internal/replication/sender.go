@@ -34,8 +34,10 @@ var errBacklog = errors.New("replication: peer queue full")
 // batch in flight at a time. What queues while a batch is in flight leaves,
 // when it returns, as one repl.batch (natural batching: no timer, no window),
 // and each round then reads its own slice of the ack. A batch that carries
-// threats (threatBatch) travels alone: its adds and removes are ordered
-// within one transaction. Delivery is therefore FIFO on every transport,
+// threats (threatBatch) — a commit's, or a threat change with no ops
+// (announce) — travels alone: its adds and removes are ordered within one
+// transaction, and no threat change overtakes one posted before it. Delivery
+// is therefore FIFO on every transport,
 // whatever the receiver's concurrency, and an op never overtakes the create
 // it follows.
 //

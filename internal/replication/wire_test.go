@@ -128,6 +128,12 @@ func wireCases() []wireCase {
 			AppData:      map[string]string{"operator": "alice"},
 			Instructions: constraint.ReconciliationInstructions{AllowRollback: true},
 		}}, Removed: []string{"NonNegative|o2", "Ticket|"}}}},
+		// A change for a view member no round reaches, or a pass's removals,
+		// travels in a threat batch with no ops (announce).
+		{name: "a threat change with no ops", payload: &threatBatch{Delta: threat.Delta{
+			Removed: []string{"NonNegative|o2"},
+			Added:   []threat.Threat{{Seq: 5, Constraint: "NonNegative", ContextID: "o1", Degree: constraint.PossiblyViolated, Count: 1, TxID: 13, UID: "a#5"}},
+		}}},
 		// Handler acks that cross back as responses.
 		{name: "ack", self: true, payload: ackAll},
 		{name: "all-zero ack", self: true, payload: &batchAck{}}, // gob sends no field, the type must still arrive

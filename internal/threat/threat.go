@@ -21,13 +21,9 @@ import (
 // table is the persistence table holding accepted consistency threats.
 const table = "threats"
 
-// Transaction-scoped keys (tx.Tx.Put) of the threat change a transaction
-// made (*Delta), which its repl.batch carries, and of the destinations that
-// batch reached ([]transport.NodeID).
-const (
-	KeyDelta   = "threat.delta"
-	KeyShipped = "threat.shipped"
-)
+// KeyDelta is the transaction-scoped key (tx.Tx.Put) of the threat change a
+// transaction made (*Delta), which replication ships at commit.
+const KeyDelta = "threat.delta"
 
 // Delta is one change of a threat store, the one shape every threat change
 // travels in: the identities removed and the threats added.

@@ -10,13 +10,13 @@ import (
 	"dedisys/internal/transport"
 )
 
-// Wire payload registration: the CCM ships a threat change as a Delta
-// (ccm.threats) and a whole store as a threat list (ccm.threat.sync and its
-// reply). Each package registers exactly the types it owns.
+// Wire payload registration: the CCM ships a whole store as a threat list
+// (ccm.threat.sync and its reply). A threat change (Delta) never travels
+// bare: it rides a field of replication's batch, which needs no registration.
+// Each package registers exactly the types it owns.
 func init() {
 	gob.Register(Threat{})
 	gob.Register([]Threat(nil))
-	gob.Register(Delta{})
 }
 
 // AppendWire appends the first of a threat's three records (Store.Add), its

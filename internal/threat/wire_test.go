@@ -39,8 +39,7 @@ func TestWireCodecThreatPayloads(t *testing.T) {
 		UID:          "a#7",
 	}
 	roundTrip(t, th)
-	// ccm.threat.sync and its reply ship lists.
+	// ccm.threat.sync and its reply ship lists. A change (Delta) never
+	// travels bare: replication's batch embeds it.
 	roundTrip(t, []Threat{th})
-	// ccm.threats ships a change.
-	roundTrip(t, Delta{Removed: []string{th.Identity()}, Added: []Threat{th}})
 }
