@@ -23,8 +23,6 @@ var unusedAPIAllowlist = map[string]string{
 	"replication.NewRateEstimator":                    "paper: update-rate staleness estimator (§4.2.1)",
 	"replication.RateEstimator.Attach":                "paper: update-rate staleness estimator (§4.2.1)",
 	"replication.RateEstimator.Forget":                "paper: update-rate staleness estimator (§4.2.1)",
-	"webcb.NewStreamBridge":                           "paper: the persistent-connection web callbacks of §6.4 (beside §4.5)",
-	"webcb.StreamClient.Connect":                      "paper: the persistent-connection web callbacks of §6.4 (beside §4.5)",
 	"core.Manager.RegisterDeferredNegotiationHandler": "paper: deferred threat negotiation (§5.4)",
 	"core.Manager.SetDisableViolatedConstraints":      "paper: disabling violated constraints at reconciliation (§3.3)",
 	"wiretransport.RoundTripFrame":                    "ROADMAP 2(e): the benchmark's codec probes will frame through it",
@@ -54,6 +52,11 @@ var implicitMethods = map[string]bool{
 // package); a method by its name alone, which errs towards "referenced" for
 // interface calls and names that several types share. A method an interface
 // declares counts as called.
+//
+// The name match is a blind spot: a method no code calls passes when a
+// method of any other type with the same name is referenced. Only a
+// type-resolved scan (go/types over the packages' export data) sees such a
+// method as unused.
 func TestUnusedProductionAPI(t *testing.T) {
 	type decl struct {
 		name string // pkg.Name or pkg.Type.Name

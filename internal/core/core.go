@@ -178,12 +178,6 @@ func New(cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// Repository returns the constraint repository.
-func (m *Manager) Repository() *repository.Repository { return m.repo }
-
-// Threats returns the threat store.
-func (m *Manager) Threats() *threat.Store { return m.threats }
-
 // Mode returns this node's current major system state.
 func (m *Manager) Mode() Mode {
 	if m.reconciling.Load() {

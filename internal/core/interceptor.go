@@ -227,9 +227,6 @@ func (m *Manager) Prepare(t *tx.Tx) error {
 // transaction's threat change (threat.KeyDelta) with its batches (§5.1).
 func (m *Manager) Commit(t *tx.Tx) error { return nil }
 
-// Rollback implements tx.Resource; threat undo is recorded per store.
-func (m *Manager) Rollback(t *tx.Tx) error { return nil }
-
 // validateOne triggers one constraint validation and processes the result
 // per Figure 4.4: reliable violation aborts, threats are negotiated,
 // accepted threats are remembered. It takes ctx over: the caller reads it no

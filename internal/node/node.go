@@ -156,10 +156,6 @@ func (c *cmpResource) Commit(t *tx.Tx) error {
 	return c.store.Write(cmpTable, changes)
 }
 
-// Rollback implements tx.Resource: the undo log restored memory and nothing
-// was persisted.
-func (c *cmpResource) Rollback(t *tx.Tx) error { return nil }
-
 var _ tx.Resource = (*cmpResource)(nil)
 
 // New builds a node and registers its network handlers.

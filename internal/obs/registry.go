@@ -93,18 +93,6 @@ func (h *Histogram) Observe(d time.Duration) {
 // Count returns the number of recorded samples.
 func (h *Histogram) Count() int64 { return h.count.Load() }
 
-// Sum returns the total of all recorded samples.
-func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
-
-// Mean returns the average sample, or 0 without samples.
-func (h *Histogram) Mean() time.Duration {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(h.sum.Load() / n)
-}
-
 // Reset zeroes the histogram.
 func (h *Histogram) Reset() {
 	h.count.Store(0)

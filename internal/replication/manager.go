@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -296,9 +295,6 @@ func NewManager(cfg Config) (*Manager, error) {
 	return m, nil
 }
 
-// Protocol returns the active replica-control protocol.
-func (m *Manager) Protocol() Protocol { return m.protocol }
-
 // SetEstimator installs a staleness estimator.
 func (m *Manager) SetEstimator(e Estimator) {
 	m.mu.Lock()
@@ -341,9 +337,6 @@ func (m *Manager) Degraded() bool { return m.gms.Degraded(m.self) }
 
 // view returns this node's current view.
 func (m *Manager) view() group.View { return m.gms.ViewOf(m.self) }
-
-// Placement returns the sharding ring, nil under full replication.
-func (m *Manager) Placement() *placement.Ring { return m.placement }
 
 // viewFor returns the view a protocol decision about the object consults:
 // the full node view under full replication, the view filtered to the
@@ -554,18 +547,6 @@ func (m *Manager) HasLocalReplica(id object.ID) bool {
 	defer m.mu.Unlock()
 	rs, ok := m.meta[id]
 	return ok && rs.info.HasReplica(m.self)
-}
-
-// Objects returns all object IDs known to this node's replication metadata.
-func (m *Manager) Objects() []object.ID {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	ids := make([]object.ID, 0, len(m.meta))
-	for id := range m.meta {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
 }
 
 // Create materialises a new replicated entity. The creation is propagated to
@@ -837,7 +818,7 @@ func (m *Manager) commitBatched(t *tx.Tx, staged []stagedOp, members []transport
 		}
 		return nil
 	}
-	if tp, isThreshold := m.protocol.(ThresholdPolicy); isThreshold {
+	if q, isQuorum := m.protocol.(Quorum); isQuorum {
 		// Threshold commit: the round returns once every object of the batch
 		// has its own quorum. The coordinator's own apply is an object's first
 		// ack, so its remote requirement is one less; it can never exceed the
@@ -849,7 +830,7 @@ func (m *Manager) commitBatched(t *tx.Tx, staged []stagedOp, members []transport
 		r.Until = group.AtOnce
 		for k := range staged {
 			s := &staged[k]
-			t := tally{missing: min(int32(tp.CommitAcks(s.replicas))-1, s.remote), open: s.remote}
+			t := tally{missing: min(int32(q.CommitAcks(s.replicas))-1, s.remote), open: s.remote}
 			if t.missing <= 0 {
 				continue
 			}
@@ -994,20 +975,20 @@ func (m *Manager) route(r *commitRound, staged []stagedOp, skip transport.NodeID
 // the invocation's reply: the commit ships one op (a forwarded invocation
 // writes its target alone), the requester is one of its destinations, no op
 // on the object is queued or in flight to it — the reply would overtake that
-// op — and under a threshold protocol the other destinations can still make
-// the quorum — the commit returns before the reply lands, so the requester's
-// apply cannot be one of its acks. Otherwise it names nobody.
+// op — and under Quorum the other destinations can still make the quorum —
+// the commit returns before the reply lands, so the requester's apply cannot
+// be one of its acks. Otherwise it names nobody.
 func (m *Manager) replyTo(fw *Forwarded, staged []stagedOp) transport.NodeID {
 	if fw == nil || len(staged) != 1 || !slices.Contains(staged[0].dests, fw.Requester) || m.queues(fw.Requester, staged[0].op.ID) {
 		return ""
 	}
-	if tp, isThreshold := m.protocol.(ThresholdPolicy); isThreshold {
+	if q, isQuorum := m.protocol.(Quorum); isQuorum {
 		s := &staged[0]
 		others := len(s.dests) - 1 // remote destinations but the requester
 		if slices.Contains(s.dests, m.self) {
 			others--
 		}
-		if tp.CommitAcks(s.replicas)-1 > others {
+		if q.CommitAcks(s.replicas)-1 > others {
 			return ""
 		}
 	}
@@ -1298,15 +1279,11 @@ func (m *Manager) stageDelete(id object.ID, view group.View) (s stagedOp, ship b
 }
 
 // WaitPropagation blocks until every background straggler send of earlier
-// threshold commits has drained. Under a non-threshold protocol it returns
+// threshold commits has drained. Under any protocol but Quorum it returns
 // immediately. Shutdown paths and tests that assert replica convergence
 // right after a quorum commit must call it first: a threshold commit only
 // guarantees the quorum, the remaining replicas are still being written.
 func (m *Manager) WaitPropagation() { m.propagation.Wait() }
-
-// Rollback implements tx.Resource: Create and Delete registered their own
-// compensations in the undo log, and nothing else is kept per transaction.
-func (m *Manager) Rollback(t *tx.Tx) error { return nil }
 
 // recordHistory keeps a degraded write's state in the replica's history and
 // stores it as the update that installs it, keyed by object and version.

@@ -281,25 +281,14 @@ func (AdaptiveVoting) PossiblyStale(info Info, view group.View, _ float64) bool 
 	return majorityUnreachable(info, view)
 }
 
-// ThresholdPolicy is implemented by protocols whose commit propagation may
-// return after a threshold of replica acks instead of a full round: the
-// manager then runs the commit's multicast round with release on verdict
-// (group.OnVerdict; every object of the batch needs its own CommitAcks), the
-// straggler sends complete in the background, and replicas that missed the
-// round catch up through version-vector reconciliation.
-type ThresholdPolicy interface {
-	// CommitAcks returns how many replica acks — counting the coordinator's
-	// own local apply — a commit must gather before it returns, for an
-	// object with the given replica count.
-	CommitAcks(replicas int) int
-}
-
 // Quorum is the threshold-commit protocol (§4.3's adaptive-voting write
 // path, the Prop/Ack shape of threshold witnessing): a commit is durable
 // once a configurable number of replicas acked — by default a strict
-// majority — and returns without waiting for the slowest link. Stragglers
-// receive the batch in the background; replicas that miss it converge via
-// reconciliation. Writes require the quorum to be reachable, so unlike
+// majority — and returns without waiting for the slowest link. The manager
+// runs the commit's multicast round with release on verdict (group.OnVerdict;
+// every object of the batch needs its own CommitAcks), the straggler sends
+// complete in the background, and replicas that missed the round converge
+// via reconciliation. Writes require the quorum to be reachable, so unlike
 // AdaptiveVoting, sub-quorum partitions are read-only.
 type Quorum struct {
 	// Threshold is the total number of replica acks (including the
@@ -310,12 +299,13 @@ type Quorum struct {
 }
 
 var _ Protocol = Quorum{}
-var _ ThresholdPolicy = Quorum{}
 
 // Name implements Protocol.
 func (Quorum) Name() string { return "quorum" }
 
-// CommitAcks implements ThresholdPolicy.
+// CommitAcks returns how many replica acks — counting the coordinator's own
+// local apply — a commit must gather before it returns, for an object with
+// the given replica count.
 func (q Quorum) CommitAcks(replicas int) int {
 	if replicas < 1 {
 		return 0

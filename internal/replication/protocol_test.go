@@ -156,14 +156,18 @@ func TestAdaptiveVotingEdges(t *testing.T) {
 func TestManagerAccessors(t *testing.T) {
 	h := newHarness(t, 2, PrimaryPerPartition{})
 	mgr := h.node("n1").mgr
-	if mgr.Protocol().Name() != "P4" {
-		t.Errorf("protocol = %s", mgr.Protocol().Name())
+	if mgr.protocol.Name() != "P4" {
+		t.Errorf("protocol = %s", mgr.protocol.Name())
 	}
 	h.create(t, "n1", "Flight", "f2", nil)
 	h.create(t, "n1", "Flight", "f1", nil)
-	ids := mgr.Objects()
-	if len(ids) != 2 || ids[0] != "f1" || ids[1] != "f2" {
-		t.Errorf("objects = %v", ids)
+	mgr.mu.Lock()
+	_, f1 := mgr.meta["f1"]
+	_, f2 := mgr.meta["f2"]
+	known := len(mgr.meta)
+	mgr.mu.Unlock()
+	if known != 2 || !f1 || !f2 {
+		t.Errorf("replication metadata holds %d objects (f1 %v, f2 %v), want f1 and f2", known, f1, f2)
 	}
 	if !mgr.HasLocalReplica("f1") || mgr.HasLocalReplica("ghost") {
 		t.Error("HasLocalReplica wrong")

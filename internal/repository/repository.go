@@ -115,9 +115,6 @@ func New(opts ...Option) *Repository {
 	return r
 }
 
-// Cached reports whether the optimized lookup cache is active.
-func (r *Repository) Cached() bool { return r.cached }
-
 // Register adds a constraint. The constraint starts enabled.
 func (r *Repository) Register(meta constraint.Meta, impl constraint.Constraint) error {
 	if err := meta.Validate(); err != nil {

@@ -49,8 +49,8 @@ func TestRegisterLookup(t *testing.T) {
 				opts = append(opts, WithCache())
 			}
 			r := New(opts...)
-			if r.Cached() != cached {
-				t.Fatalf("Cached() = %v", r.Cached())
+			if r.cached != cached {
+				t.Fatalf("cached = %v", r.cached)
 			}
 			if err := r.Register(meta("C1", "Flight", "SellTickets", constraint.HardInvariant), trueConstraint()); err != nil {
 				t.Fatal(err)

@@ -186,9 +186,6 @@ func (s *Store) SetOwner(owner string) {
 	s.owner = owner
 }
 
-// Policy returns the storage policy the store was created with.
-func (s *Store) Policy() StorePolicy { return s.policy }
-
 // Add stores an accepted consistency threat. It returns the stored record
 // (with its sequence number) and whether a new persistent record was
 // created (false when folded into an identical threat). A new record copies

@@ -53,8 +53,8 @@ func TestIdenticalOncePolicy(t *testing.T) {
 	o := obs.New()
 	backing := persistence.NewStore(persistence.WithObserver(o))
 	s := NewStore(backing, IdenticalOnce)
-	if s.Policy() != IdenticalOnce {
-		t.Fatalf("policy = %v", s.Policy())
+	if s.policy != IdenticalOnce {
+		t.Fatalf("policy = %v", s.policy)
 	}
 
 	first, isNew, err := s.Add(sample("C1", "f1"))
@@ -201,8 +201,8 @@ func TestClear(t *testing.T) {
 
 func TestDefaultPolicy(t *testing.T) {
 	s := NewStore(persistence.NewStore(), 0)
-	if s.Policy() != IdenticalOnce {
-		t.Fatalf("default policy = %v", s.Policy())
+	if s.policy != IdenticalOnce {
+		t.Fatalf("default policy = %v", s.policy)
 	}
 }
 

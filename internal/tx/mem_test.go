@@ -136,33 +136,32 @@ func TestExplicitTxBorrowsItsMemory(t *testing.T) {
 	}
 }
 
-// writeSetChecker checks, in Commit and in Rollback, that a transaction's
-// write set is exactly what the test says it wrote.
+// writeSetChecker checks, in Commit, that a transaction's write set is
+// exactly what the test says it wrote.
 type writeSetChecker struct {
 	want sync.Map // transaction ID → []Write
 	mu   sync.Mutex
 	errs []error
 }
 
-func (c *writeSetChecker) check(t *Tx, phase string) {
+func (c *writeSetChecker) Prepare(*Tx) error { return nil }
+
+func (c *writeSetChecker) Commit(t *Tx) error {
 	var got []Write
 	t.Writes(func(w Write) { got = append(got, w) })
 	want, _ := c.want.Load(t.ID())
 	if !reflect.DeepEqual(got, want) {
 		c.mu.Lock()
-		c.errs = append(c.errs, fmt.Errorf("tx %d read %+v in %s, want %+v", t.ID(), got, phase, want))
+		c.errs = append(c.errs, fmt.Errorf("tx %d read %+v in Commit, want %+v", t.ID(), got, want))
 		c.mu.Unlock()
 	}
+	return nil
 }
-
-func (c *writeSetChecker) Prepare(*Tx) error    { return nil }
-func (c *writeSetChecker) Commit(t *Tx) error   { c.check(t, "Commit"); return nil }
-func (c *writeSetChecker) Rollback(t *Tx) error { c.check(t, "Rollback"); return nil }
 
 // TestConcurrentExplicitTxWriteSets: goroutines commit and roll back explicit
 // transactions of one to four objects, each on objects of its own, while their
-// memory passes between them; every resource reads exactly the writes of the
-// transaction it is driven by.
+// memory passes between them; every resource's Commit reads exactly the writes
+// of the transaction it is driven by.
 func TestConcurrentExplicitTxWriteSets(t *testing.T) {
 	const (
 		workers = 8

@@ -57,14 +57,14 @@ func (s Status) String() string {
 }
 
 // Resource is a transactional participant in the two-phase commit, e.g. the
-// constraint consistency manager or a replication protocol.
+// constraint consistency manager or a replication protocol. A resource has
+// no rollback step: whatever it must undo it records in the transaction's
+// undo log (RecordUndo), which an abort replays.
 type Resource interface {
 	// Prepare votes on the outcome. Any error aborts the transaction.
 	Prepare(t *Tx) error
 	// Commit finalises; called only after all participants prepared.
 	Commit(t *Tx) error
-	// Rollback undoes resource-side effects of the transaction.
-	Rollback(t *Tx) error
 }
 
 // Manager creates transactions and owns the lock table. One Manager exists
@@ -524,11 +524,6 @@ func (t *Tx) rollback() {
 	undo := t.log()
 	for i := len(undo) - 1; i >= 0; i-- {
 		undo[i].apply()
-	}
-	for _, r := range t.resources {
-		// Resource rollback errors cannot change the outcome; participants
-		// must tolerate re-delivery.
-		_ = r.Rollback(t)
 	}
 	t.finish(RolledBack)
 }
