@@ -294,6 +294,31 @@ func TestPSCShape(t *testing.T) {
 	}
 }
 
+// TestFig56Shape holds fig5.6's counts at the §5.2 setup (1000 degraded
+// operations on 200 objects): identical-once stores 200 threat records and
+// full history 1000, and the constraint phase pays one store write per
+// removed record at each of the two nodes, 400 and 2000 (three writes per
+// record made them 1200 and 6000), so full history costs 5x identical-once.
+func TestFig56Shape(t *testing.T) {
+	res, err := runFig56(Config{Ops: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []struct {
+		policy          string
+		records, writes float64
+	}{
+		{"identical-once", 200, 400},
+		{"full-history", 1000, 2000},
+	} {
+		records, _ := res.Cell(want.policy, "threat_records")
+		writes, _ := res.Cell(want.policy, "constraint_writes")
+		if records != want.records || writes != want.writes {
+			t.Errorf("%s: %v threat records, %v constraint writes; want %v, %v", want.policy, records, writes, want.records, want.writes)
+		}
+	}
+}
+
 func TestFig58Shape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("measurement test")

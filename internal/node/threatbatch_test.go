@@ -375,3 +375,63 @@ func TestRemovalDoesNotOvertakeItsAdd(t *testing.T) {
 		}
 	}
 }
+
+// TestReconciledThreatIsOneStoreWrite: four nodes under P4, cut into
+// {n1,n2} | {n3,n4}, and a threat-storing write on each side, on an object of
+// its own. Healed, n1 runs the replica phase (its repairs and the threat
+// exchange), then its constraint pass, which finds both constraints
+// satisfied and announces both removals. During that pass every store write
+// in the cluster is a removed threat leaving: writes summed over the nodes
+// equal threat.removed summed over them, and each write deletes the threat's
+// three records. One write per record made it three writes per threat.
+func TestReconciledThreatIsOneStoreWrite(t *testing.T) {
+	c := newRegCluster(t, 4)
+	n1, n3 := c.Node(0), c.Node(2)
+	for _, w := range []struct {
+		n  *node.Node
+		id object.ID
+	}{{n1, "o1"}, {n3, "o3"}} {
+		if err := w.n.Create("Reg", w.id, object.State{"value": int64(0)}, c.AllReplicas(w.n.ID)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Partition([]transport.NodeID{"n1", "n2"}, []transport.NodeID{"n3", "n4"})
+	setValue(t, n1, "o1", 1)
+	setValue(t, n3, "o3", 1)
+	c.Heal()
+	ctx := context.Background()
+	peers := []transport.NodeID{"n2", "n3", "n4"}
+	if _, err := n1.Repl.ReconcileWith(ctx, peers, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := n1.CCM.SyncThreats(ctx, peers); err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range c.Nodes {
+		n.Repl.WaitPropagation()
+	}
+	sum := func(name string) int64 {
+		var total int64
+		for _, n := range c.Nodes {
+			total += metric(t, c, string(n.ID)+"."+name)
+		}
+		return total
+	}
+	writes, records, removed := sum("persistence.writes"), sum("persistence.records"), sum("threat.removed")
+	report, err := n1.CCM.ReconcileThreats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Removed != 2 {
+		t.Fatalf("the pass reports %+v, want both identities removed", report)
+	}
+	w, r, d := sum("persistence.writes")-writes, sum("persistence.records")-records, sum("threat.removed")-removed
+	if d < 2 || w != d || r != 3*d {
+		t.Errorf("the pass removed %d threats with %d store writes of %d records; want one write of three records each", d, w, r)
+	}
+	for _, n := range c.Nodes {
+		if n.Threats.Len() != 0 {
+			t.Errorf("%s holds %v after the pass", n.ID, n.Threats.All())
+		}
+	}
+}

@@ -10,9 +10,10 @@
 // deletes on one table, applied all or nothing in one hold of the store lock,
 // charged as one synchronous write and counted once in persistence.writes
 // (per record in persistence.records, per byte stored in persistence.bytes),
-// as one database transaction of the prototype would be. Put and Delete are
-// its one-record calls. A replica stores what one commit, or one received
-// batch, changed in one write.
+// as one database transaction of the prototype would be. Put is its
+// one-record call; a deletion is a Change with Delete set. A replica stores
+// what one commit, or one received batch, changed in one write, and the
+// threat store removes a threat's three records in one.
 //
 // A record's bytes are the store's own. A write encodes its records under
 // the store lock into the store's one encoding buffer and copies each into
@@ -238,13 +239,6 @@ func (s *Store) Has(table, key string) bool {
 	defer s.mu.RUnlock()
 	_, ok := s.tables[table][key]
 	return ok
-}
-
-// Delete removes the record at (table, key): a Write of one change.
-// Deleting a missing record is not an error.
-func (s *Store) Delete(table, key string) {
-	c := [1]Change{{Key: key, Delete: true}}
-	_ = s.Write(table, c[:]) // a deletion encodes nothing, so it cannot fail
 }
 
 // Keys returns the sorted keys of a table.

@@ -56,6 +56,12 @@ func counter(t *testing.T, o *obs.Observer, name string) int64 {
 	return v
 }
 
+// del removes the record at (table, key): a Write of one deletion, which
+// encodes nothing and so cannot fail.
+func del(s *Store, table, key string) {
+	_ = s.Write(table, []Change{{Key: key, Delete: true}})
+}
+
 func TestPutGetDelete(t *testing.T) {
 	s := NewStore()
 	in := record{Name: "threat", Count: 3}
@@ -72,11 +78,11 @@ func TestPutGetDelete(t *testing.T) {
 	if !s.Has("threats", "t1") || s.Has("threats", "t2") {
 		t.Fatal("Has wrong")
 	}
-	s.Delete("threats", "t1")
+	del(s, "threats", "t1")
 	if err := s.Get("threats", "t1", &out); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("get deleted err = %v", err)
 	}
-	s.Delete("threats", "t1") // idempotent
+	del(s, "threats", "t1") // idempotent
 }
 
 func TestGetMissingTable(t *testing.T) {
@@ -144,7 +150,7 @@ func TestStats(t *testing.T) {
 	}
 	var v num
 	_ = s.Get("t", "k", &v)
-	s.Delete("t", "k")
+	del(s, "t", "k")
 	writes, reads := counter(t, o, "persistence.writes"), counter(t, o, "persistence.reads")
 	if writes != 2 || reads != 1 {
 		t.Fatalf("writes = %d, reads = %d; want 2, 1", writes, reads)
@@ -356,7 +362,7 @@ func TestGetResultIsTheCallersOwn(t *testing.T) {
 	if string(b) != string(want) || got != first {
 		t.Fatalf("after the rewrite the earlier Get reads %x / %+v", b, got)
 	}
-	s.Delete("t", "k")
+	del(s, "t", "k")
 	for _, key := range []string{"other", "k"} {
 		if err := s.Put("t", key, record{Name: "THIRD!", Count: 3}); err != nil {
 			t.Fatal(err)
@@ -499,7 +505,7 @@ func TestWriteAppliesInOrder(t *testing.T) {
 		t.Errorf("two puts left %s", got)
 	}
 	// A write to a table nobody wrote creates it; a deletion alone does not.
-	s.Delete("none", "k")
+	del(s, "none", "k")
 	if err := s.Write("fresh", []Change{{Key: "k", Delete: true}, {Key: "k", Value: raw("1")}}); err != nil || rawAt(t, s, "fresh", "k") != "1" {
 		t.Fatalf("write to a new table: %v", err)
 	}

@@ -38,6 +38,9 @@ type Handlers struct {
 	// DropHistoryAfter clears the degraded-mode state history once
 	// reconciliation finished.
 	DropHistoryAfter bool
+	// BeforeConstraints, when set, is called as the constraint phase starts,
+	// once the replica phase's time is taken (fig5.6 reads the store counters).
+	BeforeConstraints func()
 }
 
 // Report summarises a full reconciliation pass with per-phase timing
@@ -110,6 +113,9 @@ func Run(ctx context.Context, n *node.Node, peers []transport.NodeID, h Handlers
 		n.CCM.SetReconciliationHandler(h.ConstraintHandler)
 		n.CCM.SetConflictNotifier(h.ConflictNotifier)
 		n.CCM.NoteReplicaConflicts(replicaReport.ConflictIDs)
+		if h.BeforeConstraints != nil {
+			h.BeforeConstraints()
+		}
 		start = time.Now()
 		threatReport, err := n.CCM.ReconcileThreats(ctx)
 		report.Constraint = threatReport

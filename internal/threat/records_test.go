@@ -1,6 +1,7 @@
 package threat
 
 import (
+	"bytes"
 	"encoding/hex"
 	"fmt"
 	"os"
@@ -30,16 +31,7 @@ func (b *rawRecord) ReadWire(r *transport.WireReader) {
 // outgrows its padding; their bytes are the ones testdata/threat_records.golden
 // captured when the records left JSON for their binary form.
 func TestThreatRecordsGolden(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "threat_records.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden := map[string]string{}
-	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		if key, bytes, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
-			golden[key] = bytes
-		}
-	}
+	golden := goldenRecords(t)
 	seen := 0
 	for _, seq := range []int64{1, 123456789} {
 		backing := persistence.NewStore()
@@ -72,6 +64,23 @@ func TestThreatRecordsGolden(t *testing.T) {
 	if seen != len(golden) {
 		t.Errorf("the golden table has %d records, the threats %d", len(golden), seen)
 	}
+}
+
+// goldenRecords reads testdata/threat_records.golden: each record's hex
+// under its key.
+func goldenRecords(tb testing.TB) map[string]string {
+	tb.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "threat_records.golden"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	golden := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		if key, hexed, ok := strings.Cut(line, " "); ok && !strings.HasPrefix(line, "#") {
+			golden[key] = hexed
+		}
+	}
+	return golden
 }
 
 // TestThreatRecordsRoundTrip: each of a threat's three records, read back
@@ -173,3 +182,69 @@ func TestThreatRecordsRejectMalformedInput(t *testing.T) {
 type rawBytes []byte
 
 func (b rawBytes) AppendWire(dst []byte) ([]byte, bool) { return append(dst, b...), true }
+
+// storedRecord is one of a threat's three records: what Add writes and a
+// store rebuilt from its table would read back.
+type storedRecord interface {
+	persistence.Record
+	persistence.Reader
+}
+
+// readWhole reads data into rec and reports whether it read cleanly and to
+// the end, as Get demands.
+func readWhole(rec storedRecord, data []byte) bool {
+	var r transport.WireReader
+	r.Reset(data)
+	rec.ReadWire(&r)
+	return r.Err() == nil && r.Len() == 0
+}
+
+// FuzzThreatRecords feeds arbitrary bytes to the readers of a threat's three
+// records, kind choosing the reader (the threat, its affected list, its
+// application data), seeded with the records of
+// testdata/threat_records.golden. A reader must fail or return, never panic,
+// and a record it reads whole must be a fixed point: it re-encodes (never
+// declining) to bytes that read back whole into an equal record, one that
+// encodes to the same bytes. Equal is on the bytes, not DeepEqual, because a
+// NaN attribute of a captured state is not equal to itself.
+func FuzzThreatRecords(f *testing.F) {
+	for key, hexed := range goldenRecords(f) {
+		data, err := hex.DecodeString(hexed)
+		if err != nil {
+			f.Fatalf("%s: %v", key, err)
+		}
+		kind := uint8(0)
+		if strings.HasSuffix(key, suffixAffected) {
+			kind = 1
+		} else if strings.HasSuffix(key, suffixAppData) {
+			kind = 2
+		}
+		f.Add(kind, data)
+	}
+	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
+		fresh := func() storedRecord {
+			switch kind % 3 {
+			case 1:
+				return new(affectedList)
+			case 2:
+				return new(appData)
+			}
+			return new(Threat)
+		}
+		got := fresh()
+		if !readWhole(got, data) {
+			return
+		}
+		again, ok := got.AppendWire(nil)
+		if !ok {
+			t.Fatalf("read record %#v declines to encode", got)
+		}
+		back := fresh()
+		if !readWhole(back, again) {
+			t.Fatalf("re-encoded record %x does not read back whole", again)
+		}
+		if final, _ := back.AppendWire(nil); !bytes.Equal(final, again) {
+			t.Fatalf("not a fixed point:\n first  %x\n second %x", again, final)
+		}
+	})
+}

@@ -120,7 +120,11 @@ func (p StorePolicy) String() string {
 // cost model follows §5.2: a new threat writes three records (the threat,
 // its affected-object set, and its application data), each additional
 // identical occurrence under FullHistory writes two more records, while
-// under IdenticalOnce it costs a single read.
+// under IdenticalOnce it costs a single read. A removed threat leaves in one
+// write that deletes its three records together, so no threat is ever half
+// on disk. The stored Count is the count at storage time: an identical-once
+// fold changes the record in memory only, so folds live in memory alone
+// until a node can rebuild its threat store from the table.
 //
 // A record's writes and deletes happen under the store's lock, so the table
 // holds exactly the records the store's maps name, and a record is encoded
@@ -361,13 +365,12 @@ func (s *Store) Replicate(d Delta) error {
 	return nil
 }
 
-// dropRecords deletes the three stored records of one threat; callers hold
-// s.mu.
+// dropRecords deletes the three stored records of one threat in one store
+// write, all or nothing; callers hold s.mu.
 func (s *Store) dropRecords(seq int64) {
 	rec, affected, data := recordKeys(seq)
-	s.backing.Delete(table, rec)
-	s.backing.Delete(table, affected)
-	s.backing.Delete(table, data)
+	c := [3]persistence.Change{{Key: rec, Delete: true}, {Key: affected, Delete: true}, {Key: data, Delete: true}}
+	_ = s.backing.Write(table, c[:]) // a deletion encodes nothing, so it cannot fail
 }
 
 // Remove deletes a single threat — all three of its stored records — by

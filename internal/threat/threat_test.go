@@ -166,8 +166,8 @@ func TestRemoveSingle(t *testing.T) {
 
 // TestRolledBackNewThreatLeavesNoRecord: Remove is the undo of a newly stored
 // threat when its transaction rolls back. It deletes the three records Add
-// wrote, at the price of three deletes and no read, and the table keeps only
-// the records of the other threat.
+// wrote in one store write of three deletions and no read, and the table
+// keeps only the records of the other threat.
 func TestRolledBackNewThreatLeavesNoRecord(t *testing.T) {
 	o := obs.New()
 	backing := persistence.NewStore(persistence.WithObserver(o))
@@ -180,13 +180,47 @@ func TestRolledBackNewThreatLeavesNoRecord(t *testing.T) {
 	if err != nil || !isNew {
 		t.Fatalf("add = %v, %v", isNew, err)
 	}
-	reads, writes := counter(t, o, "persistence.reads"), counter(t, o, "persistence.writes")
+	reads, writes, records := counter(t, o, "persistence.reads"), counter(t, o, "persistence.writes"), counter(t, o, "persistence.records")
 	s.Remove(added.Seq)
-	if r, w := counter(t, o, "persistence.reads")-reads, counter(t, o, "persistence.writes")-writes; r != 0 || w != 3 {
-		t.Errorf("rollback: %d reads, %d writes; want 0, 3", r, w)
+	r, w, n := counter(t, o, "persistence.reads")-reads, counter(t, o, "persistence.writes")-writes, counter(t, o, "persistence.records")-records
+	if r != 0 || w != 1 || n != 3 {
+		t.Errorf("rollback: %d reads, %d writes, %d records; want 0, 1, 3", r, w, n)
 	}
 	if got := backing.Keys(table); !slices.Equal(got, kept) {
 		t.Errorf("table after the rollback = %v, want the other threat's %v", got, kept)
+	}
+}
+
+// TestRemovedThreatIsOneWrite: under FullHistory an identity holds one
+// record per occurrence, and RemoveIdentity pays one store write per removed
+// threat, each deleting that threat's three records, whatever the identity
+// holds; no key of a removed threat stays in the table, and the other
+// identity's records do.
+func TestRemovedThreatIsOneWrite(t *testing.T) {
+	for _, k := range []int{1, 2, 5} {
+		o := obs.New()
+		backing := persistence.NewStore(persistence.WithObserver(o))
+		s := NewStore(backing, FullHistory)
+		if _, _, err := s.Add(sample("C2", "f2")); err != nil {
+			t.Fatal(err)
+		}
+		kept := backing.Keys(table)
+		for i := 0; i < k; i++ {
+			if _, _, err := s.Add(sample("C1", "f1")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		writes, records := counter(t, o, "persistence.writes"), counter(t, o, "persistence.records")
+		removed := s.RemoveIdentity(sample("C1", "f1").Identity())
+		if len(removed) != k {
+			t.Fatalf("k=%d: removed %d threats", k, len(removed))
+		}
+		if w, n := counter(t, o, "persistence.writes")-writes, counter(t, o, "persistence.records")-records; w != int64(k) || n != int64(3*k) {
+			t.Errorf("k=%d: %d writes, %d records; want %d, %d", k, w, n, k, 3*k)
+		}
+		if got := backing.Keys(table); !slices.Equal(got, kept) {
+			t.Errorf("k=%d: table after the removal = %v, want the other threat's %v", k, got, kept)
+		}
 	}
 }
 

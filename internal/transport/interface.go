@@ -36,10 +36,6 @@ import (
 //     and monotone in epoch. A static-membership transport may never fire
 //     them.
 type Transport interface {
-	// Join adds a node to the fabric. Wire transports with static,
-	// configuration-derived membership accept re-joins of configured nodes
-	// as no-ops and reject unknown ones.
-	Join(id NodeID) error
 	// Handle registers the handler for one message kind on a node. A wire
 	// transport only accepts registrations for its own node.
 	Handle(id NodeID, kind string, h Handler) error

@@ -334,15 +334,6 @@ func (w *Wire) Close() error {
 	return nil
 }
 
-// Join implements transport.Transport. Membership is fixed by the peer
-// list: configured nodes re-join as a no-op, unknown ones are rejected.
-func (w *Wire) Join(id transport.NodeID) error {
-	if _, ok := w.addrs[id]; ok {
-		return nil
-	}
-	return fmt.Errorf("%w: %s (wire membership is fixed by the peer list)", transport.ErrUnknownNode, id)
-}
-
 // Nodes returns the configured universe, sorted — identical in every
 // process of the deployment.
 func (w *Wire) Nodes() []transport.NodeID {

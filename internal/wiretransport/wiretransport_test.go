@@ -239,12 +239,6 @@ func TestStaticMembershipSurface(t *testing.T) {
 	if len(nodes) != 2 || nodes[0] != "a" || nodes[1] != "b" {
 		t.Fatalf("nodes = %v", nodes)
 	}
-	if err := wa.Join("a"); err != nil {
-		t.Fatalf("re-join configured node: %v", err)
-	}
-	if err := wa.Join("z"); !errors.Is(err, transport.ErrUnknownNode) {
-		t.Fatalf("join unknown = %v, want ErrUnknownNode", err)
-	}
 	if err := wa.Handle("b", "x", func(transport.NodeID, any) (any, error) { return nil, nil }); err == nil {
 		t.Fatal("handler registration for a foreign node must fail")
 	}
