@@ -573,7 +573,7 @@ func newStorePut(t *testing.T) func(int) error {
 func newStoreWrite(t *testing.T) func(int) error {
 	store := persistence.NewStore()
 	changes := storedRecords()
-	return func(int) error { return store.Write("t", changes) }
+	return func(int) error { return store.Write(changes) }
 }
 
 // storedRecords are the records of the store rows: an entity, a state and an
@@ -582,7 +582,7 @@ func newStoreWrite(t *testing.T) func(int) error {
 func storedRecords() []persistence.Change {
 	e := object.New(beanClass, "hot000", object.State{"value": int64(42), "owner": object.ID("acct-1"), "tag": "plain"})
 	attrs, _ := e.Share()
-	return []persistence.Change{{Key: "entity", Value: e}, {Key: "state", Value: e.Snapshot()}, {Key: "attrs", Value: attrs}}
+	return []persistence.Change{{Table: "t", Key: "entity", Value: e}, {Table: "t", Key: "state", Value: e.Snapshot()}, {Table: "t", Key: "attrs", Value: attrs}}
 }
 
 // thresholdRound multicasts to two echo peers, released at the first ack,

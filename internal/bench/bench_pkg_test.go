@@ -294,11 +294,38 @@ func TestPSCShape(t *testing.T) {
 	}
 }
 
+// TestFig53Shape holds fig5.3's store-write counts, the mechanism behind the
+// paper's "degraded writes can be faster" (§5.1): a healthy write on three
+// nodes is one store write at each replica, three, and a degraded write on
+// the two nodes of a partition under KeepHistory one at each of the two, its
+// history entry in its commit's write; that entry was a write of its own,
+// three in all. The single node without DeDiSys writes its entity once.
+func TestFig53Shape(t *testing.T) {
+	res, err := runFig53(Config{Ops: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []struct {
+		row    string
+		writes float64
+	}{
+		{"No DeDiSys (1 node)", 1},
+		{"DeDiSys healthy (3 nodes)", 3},
+		{"DeDiSys degraded (2 nodes in partition)", 2},
+	} {
+		if got, ok := res.Cell(want.row, "setter_writes"); !ok || got != want.writes {
+			t.Errorf("%s: %v store writes per setter, want %v", want.row, got, want.writes)
+		}
+	}
+}
+
 // TestFig56Shape holds fig5.6's counts at the §5.2 setup (1000 degraded
 // operations on 200 objects): identical-once stores 200 threat records and
 // full history 1000, and the constraint phase pays one store write per
-// removed record at each of the two nodes, 400 and 2000 (three writes per
-// record made them 1200 and 6000), so full history costs 5x identical-once.
+// removed record at the reconciling node and one at its peer, which stores
+// the announced removals in one write: 201 and 1001, so full history costs
+// 5x identical-once (one write per record at both nodes made them 400 and
+// 2000, three writes per record 1200 and 6000).
 func TestFig56Shape(t *testing.T) {
 	res, err := runFig56(Config{Ops: 1000})
 	if err != nil {
@@ -308,8 +335,8 @@ func TestFig56Shape(t *testing.T) {
 		policy          string
 		records, writes float64
 	}{
-		{"identical-once", 200, 400},
-		{"full-history", 1000, 2000},
+		{"identical-once", 200, 201},
+		{"full-history", 1000, 1001},
 	} {
 		records, _ := res.Cell(want.policy, "threat_records")
 		writes, _ := res.Cell(want.policy, "constraint_writes")

@@ -192,12 +192,14 @@ func timeOpsAllowFail(n int, op func(i int) error) float64 {
 }
 
 // workload measures the §5.1 operation mix on one node and returns a row of
-// ops/s values: create, setter, getter, empty, satisfied, violated, delete.
+// ops/s values: create, setter, getter, empty, satisfied, violated, delete;
+// and the store writes a setter cost, summed over the nodes.
 type workloadResult struct {
 	create, setter, getter, empty float64
 	satisfied, violated           float64
 	threatIdent, threatDistinct   float64
 	del                           float64
+	setterWrites                  float64
 }
 
 // runWorkload executes the §5.1 test case: create entities, hit them with
@@ -220,6 +222,7 @@ func runWorkload(c *node.Cluster, n *node.Node, cfg Config, degraded bool) (work
 		return res, fmt.Errorf("create: %w", err)
 	}
 
+	writes := sumCounters(c.Obs, ".persistence.writes")
 	same, err := timeOps(ops, func(i int) error {
 		_, err := n.Invoke(beanID(0), "SetValue", int64(i))
 		return err
@@ -235,6 +238,7 @@ func runWorkload(c *node.Cluster, n *node.Node, cfg Config, degraded bool) (work
 		return res, fmt.Errorf("setter diff: %w", err)
 	}
 	res.setter = (same + diff) / 2
+	res.setterWrites = float64(sumCounters(c.Obs, ".persistence.writes")-writes) / float64(2*ops)
 
 	// Reads are fast; sample more of them for a stable estimate.
 	readOps := ops * 5
@@ -329,10 +333,10 @@ func runThreatCases(n *node.Node, cfg Config, entities int) (ident, distinct flo
 }
 
 func addWorkloadRow(res *Result, label string, w workloadResult) {
-	res.AddRow(label, w.create, w.setter, w.getter, w.empty, w.satisfied, w.violated, w.threatIdent, w.threatDistinct, w.del)
+	res.AddRow(label, w.create, w.setter, w.getter, w.empty, w.satisfied, w.violated, w.threatIdent, w.threatDistinct, w.del, w.setterWrites)
 }
 
-var workloadColumns = []string{"create", "setter", "getter", "empty", "satisfied", "violated", "threat_x1", "threat_xN", "delete"}
+var workloadColumns = []string{"create", "setter", "getter", "empty", "satisfied", "violated", "threat_x1", "threat_xN", "delete", "setter_writes"}
 
 // runFig51 regenerates Figure 5.1: the overhead of explicit constraint
 // consistency management on a single unreplicated node (paper: 87–99% of
@@ -548,7 +552,7 @@ func runFig56(cfg Config) (*Result, error) {
 			float64(records), float64(writes))
 	}
 	res.AddNote("paper: replica reconciliation scales worse with full history; constraint re-evaluation once per identity")
-	res.AddNote("constraint_writes: one store write per removed threat record at each node")
+	res.AddNote("constraint_writes: one store write per removed threat record at n1, one for all the removals n1 announces to n2")
 	return res, nil
 }
 

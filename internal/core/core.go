@@ -205,10 +205,21 @@ func (m *Manager) handleThreatSync(from transport.NodeID, payload any) (any, err
 		return nil, fmt.Errorf("core: bad threat sync payload %T", payload)
 	}
 	mine := m.threats.All()
-	if err := m.threats.Replicate(threat.Delta{Added: ths}); err != nil {
+	if err := m.mergeThreats(ths); err != nil {
 		return nil, err
 	}
 	return mine, nil
+}
+
+// mergeThreats stores a peer's threats, one Add each: §5.2's cost, which
+// makes Figure 5.6's replica phase scale with the threat records.
+func (m *Manager) mergeThreats(ths []threat.Threat) error {
+	for _, t := range ths {
+		if _, _, err := m.threats.Add(t); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // announceRemoved tells all reachable view members, in one message each, to

@@ -78,7 +78,7 @@ func (m *Manager) SyncThreats(ctx context.Context, peers []transport.NodeID) err
 		if !ok {
 			return fmt.Errorf("core: bad threat sync response %T from %s", res.Response, res.Node)
 		}
-		if err := m.threats.Replicate(threat.Delta{Added: remote}); err != nil {
+		if err := m.mergeThreats(remote); err != nil {
 			return err
 		}
 	}

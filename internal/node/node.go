@@ -139,7 +139,7 @@ func (c *cmpResource) Commit(t *tx.Tx) error {
 	changes := buf[:0]
 	t.Writes(func(w tx.Write) {
 		if w.Kind == tx.Deleted {
-			changes = append(changes, persistence.Change{Key: string(w.ID), Delete: true})
+			changes = append(changes, persistence.Change{Table: cmpTable, Key: string(w.ID), Delete: true})
 			return
 		}
 		e, err := c.reg.Get(w.ID)
@@ -148,12 +148,9 @@ func (c *cmpResource) Commit(t *tx.Tx) error {
 		}
 		// The entity encodes its own attributes: the transaction still holds
 		// its lock, so no snapshot is needed just to feed the encoder.
-		changes = append(changes, persistence.Change{Key: string(w.ID), Value: e})
+		changes = append(changes, persistence.Change{Table: cmpTable, Key: string(w.ID), Value: e})
 	})
-	if len(changes) == 0 {
-		return nil
-	}
-	return c.store.Write(cmpTable, changes)
+	return c.store.Write(changes)
 }
 
 var _ tx.Resource = (*cmpResource)(nil)
@@ -320,7 +317,13 @@ func (n *Node) Stop() {
 // before a write method runs is the write mark: persistence and replication
 // read the transaction's undo log at commit and ship what memory then holds,
 // so a method that mutates and then fails inside a transaction its caller
-// commits anyway still leaves memory, store and replicas in agreement.
+// commits anyway still leaves memory, store and replicas in agreement. A read
+// method has no write mark, so it must not write: dispatch publishes the
+// entity's attributes before it runs, and when a Set changed them meanwhile
+// (the transaction's lock on the target keeps every other method out), puts
+// them back and fails the call. The change would otherwise stay at this
+// replica alone, outside the undo log, the store and replication. A replica
+// install between the two can hide such a Set; it never fails a read.
 func (n *Node) dispatch(inv *invocation.Invocation) (any, error) {
 	e, err := n.Registry.Get(inv.Target)
 	if err != nil {
@@ -337,7 +340,16 @@ func (n *Node) dispatch(inv *invocation.Invocation) (any, error) {
 	if spec.Kind == object.Write && inv.Tx != nil {
 		inv.Tx.RecordUpdate(e)
 	}
+	var before object.Attrs
+	var version int64
+	if spec.Kind == object.Read {
+		before, version = e.Share()
+	}
 	res, err := spec.Fn(e, inv.Args)
+	if spec.Kind == object.Read && e.Written() {
+		e.Restore(before, version)
+		return nil, fmt.Errorf("node %s: read method %s changed %s", n.ID, inv.Method, inv.Target)
+	}
 	if err != nil {
 		return nil, err
 	}

@@ -610,3 +610,54 @@ func (b *rawRecord) ReadWire(r *transport.WireReader) {
 		*b = append(*b, r.Byte())
 	}
 }
+
+// TestReadMethodCannotWrite: "Peek" is a read by its name, and it sets its
+// object's balance. A read has no write mark, so its change would escape the
+// undo log, the store and replication: the coordinator alone held -30 at
+// version 2, every other replica 50 at version 1, and the call returned nil.
+// Now the call fails and no replica changes; a write after it replicates as
+// before.
+func TestReadMethodCannotWrite(t *testing.T) {
+	c, err := NewCluster(3, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := object.NewSchema("Acct")
+	s.Define("SetBal", func(e *object.Entity, args []any) (any, error) {
+		e.Set("bal", args[0])
+		return nil, nil
+	})
+	s.Define("Peek", func(e *object.Entity, args []any) (any, error) {
+		e.Set("bal", int64(-30))
+		return e.GetInt("bal"), nil
+	})
+	for _, n := range c.Nodes {
+		n.RegisterSchema(s)
+	}
+	n1 := c.Node(0)
+	if err := n1.Create("Acct", "a", object.State{"bal": int64(50)}, c.AllReplicas("n1")); err != nil {
+		t.Fatal(err)
+	}
+	expect := func(what string, bal, version int64) {
+		t.Helper()
+		for _, n := range c.Nodes {
+			e, err := n.Registry.Get("a")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, v := e.GetInt("bal"), e.Version(); got != bal || v != version {
+				t.Errorf("%s: %s holds %d at version %d, want %d at %d", what, n.ID, got, v, bal, version)
+			}
+		}
+	}
+	for _, n := range c.Nodes {
+		if res, err := n.Invoke("a", "Peek"); err == nil {
+			t.Errorf("a read method that writes returned %v at %s", res, n.ID)
+		}
+	}
+	expect("after the writing reads", 50, 1)
+	if _, err := n1.Invoke("a", "SetBal", int64(70)); err != nil {
+		t.Fatal(err)
+	}
+	expect("after a write", 70, 2)
+}

@@ -153,6 +153,63 @@ func TestThreatRidesTheBatch(t *testing.T) {
 	}
 }
 
+// TestBackupStoresAThreatBatchInOneWrite: four nodes under P4, cut into
+// {n1,n2} | {n3,n4}. A degraded write that stores a new threat costs its
+// backup n2 one store write of four records, the replica's and the threat's
+// three, as the prototype's backup applies a commit inside the primary's
+// transaction (§4.3); the threat was three writes after the record's, four in
+// all. So does a forwarded one, whose batch the reply brings back to n2. A
+// write whose threat folds costs n2 one write of its record, and healed, a
+// write that clears both identities one write of the record and the six
+// deletions.
+func TestBackupStoresAThreatBatchInOneWrite(t *testing.T) {
+	c := newRegCluster(t, 4)
+	n1, n2 := c.Node(0), c.Node(1)
+	for _, id := range []object.ID{"o1", "o2"} {
+		if err := n1.Create("Reg", id, object.State{"value": int64(0)}, c.AllReplicas("n1")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Partition([]transport.NodeID{"n1", "n2"}, []transport.NodeID{"n3", "n4"})
+	for _, w := range []struct {
+		what             string
+		at               *node.Node
+		id               object.ID
+		writes, records  int64
+		threatsAfterward int
+	}{
+		{"a first-threat write", n1, "o1", 1, 4, 1},
+		{"a forwarded first-threat write", n2, "o2", 1, 4, 2},
+		{"a folded write", n1, "o1", 1, 1, 2},
+	} {
+		writes, records := metric(t, c, "n2.persistence.writes"), metric(t, c, "n2.persistence.records")
+		setValue(t, w.at, w.id, 1)
+		if got, gotR := metric(t, c, "n2.persistence.writes")-writes, metric(t, c, "n2.persistence.records")-records; got != w.writes || gotR != w.records {
+			t.Errorf("%s: the backup made %d store writes of %d records, want %d of %d", w.what, got, gotR, w.writes, w.records)
+		}
+		if n2.Threats.Len() != w.threatsAfterward {
+			t.Fatalf("%s: the backup holds %v", w.what, n2.Threats.All())
+		}
+	}
+	c.Heal()
+	writes, records := metric(t, c, "n2.persistence.writes"), metric(t, c, "n2.persistence.records")
+	tx := n1.Begin()
+	for _, id := range []object.ID{"o1", "o2"} {
+		if _, err := n1.InvokeTx(tx, id, "SetValue", int64(2)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got, gotR := metric(t, c, "n2.persistence.writes")-writes, metric(t, c, "n2.persistence.records")-records; got != 1 || gotR != 2+6 {
+		t.Errorf("a clearing write: the backup made %d store writes of %d records, want 1 of 8", got, gotR)
+	}
+	if n2.Threats.Len() != 0 {
+		t.Errorf("the backup holds %v after the clearing write", n2.Threats.All())
+	}
+}
+
 // groupObjects returns n object IDs the ring places in group g.
 func groupObjects(t *testing.T, ring *placement.Ring, g, n int) []object.ID {
 	t.Helper()
@@ -380,10 +437,12 @@ func TestRemovalDoesNotOvertakeItsAdd(t *testing.T) {
 // {n1,n2} | {n3,n4}, and a threat-storing write on each side, on an object of
 // its own. Healed, n1 runs the replica phase (its repairs and the threat
 // exchange), then its constraint pass, which finds both constraints
-// satisfied and announces both removals. During that pass every store write
-// in the cluster is a removed threat leaving: writes summed over the nodes
-// equal threat.removed summed over them, and each write deletes the threat's
-// three records. One write per record made it three writes per threat.
+// satisfied and announces both removals to each peer in one batch. During
+// that pass every store write in the cluster is a removed threat leaving: n1
+// makes one write per threat it removes, each deleting the threat's three
+// records, and each peer stores the announced batch, every removal in it, in
+// one write. One write per record made it three writes per threat, and a
+// peer that stored each removal apart one write per threat.
 func TestReconciledThreatIsOneStoreWrite(t *testing.T) {
 	c := newRegCluster(t, 4)
 	n1, n3 := c.Node(0), c.Node(2)
@@ -410,14 +469,14 @@ func TestReconciledThreatIsOneStoreWrite(t *testing.T) {
 	for _, n := range c.Nodes {
 		n.Repl.WaitPropagation()
 	}
-	sum := func(name string) int64 {
-		var total int64
+	read := func() (counts [][3]int64) {
 		for _, n := range c.Nodes {
-			total += metric(t, c, string(n.ID)+"."+name)
+			at := string(n.ID) + "."
+			counts = append(counts, [3]int64{metric(t, c, at+"persistence.writes"), metric(t, c, at+"persistence.records"), metric(t, c, at+"threat.removed")})
 		}
-		return total
+		return counts
 	}
-	writes, records, removed := sum("persistence.writes"), sum("persistence.records"), sum("threat.removed")
+	before := read()
 	report, err := n1.CCM.ReconcileThreats(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -425,9 +484,16 @@ func TestReconciledThreatIsOneStoreWrite(t *testing.T) {
 	if report.Removed != 2 {
 		t.Fatalf("the pass reports %+v, want both identities removed", report)
 	}
-	w, r, d := sum("persistence.writes")-writes, sum("persistence.records")-records, sum("threat.removed")-removed
-	if d < 2 || w != d || r != 3*d {
-		t.Errorf("the pass removed %d threats with %d store writes of %d records; want one write of three records each", d, w, r)
+	for i, after := range read() {
+		id := c.Nodes[i].ID
+		w, r, d := after[0]-before[i][0], after[1]-before[i][1], after[2]-before[i][2]
+		want := int64(1) // the announced batch
+		if id == n1.ID {
+			want = d
+		}
+		if d == 0 || w != want || r != 3*d {
+			t.Errorf("%s removed %d threats with %d store writes of %d records; want %d of three records a threat", id, d, w, r, want)
+		}
 	}
 	for _, n := range c.Nodes {
 		if n.Threats.Len() != 0 {

@@ -466,6 +466,15 @@ func (e *Entity) Share() (Attrs, int64) {
 	return e.attrs, e.version
 }
 
+// Written reports whether a Set changed the entity since its attributes were
+// last published (Share, Restore, ApplyState, Clone): only Set makes the list
+// the entity's own again.
+func (e *Entity) Written() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return !e.shared
+}
+
 // AppendWire writes the entity's attributes, its record in the store, from
 // the list Share made read-only: it encodes after the lock, copying nothing.
 func (e *Entity) AppendWire(dst []byte) ([]byte, bool) {

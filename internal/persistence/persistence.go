@@ -7,13 +7,16 @@
 // threats, replica metadata, and state history).
 //
 // Records change through one write path, Write: an ordered list of puts and
-// deletes on one table, applied all or nothing in one hold of the store lock,
-// charged as one synchronous write and counted once in persistence.writes
-// (per record in persistence.records, per byte stored in persistence.bytes),
-// as one database transaction of the prototype would be. Put is its
-// one-record call; a deletion is a Change with Delete set. A replica stores
-// what one commit, or one received batch, changed in one write, and the
-// threat store removes a threat's three records in one.
+// deletes, each naming its table, applied all or nothing in one hold of the
+// store lock, charged as one synchronous write and counted once in
+// persistence.writes (per record in persistence.records, per byte stored in
+// persistence.bytes), as one database transaction of the prototype would be,
+// whatever tables it spans. Put is its one-record call; a deletion is a
+// Change with Delete set. One unit of work is one write: a commit stores its
+// replica records with a degraded write's history entry, a backup a received
+// batch's records with the threat changes it carries, a merged pull reply its
+// records with its conflict resolutions, and the threat store removes a
+// threat's three records in one.
 //
 // A record's bytes are the store's own. A write encodes its records under
 // the store lock into the store's one encoding buffer and copies each into
@@ -114,25 +117,30 @@ type Reader interface {
 	ReadWire(r *transport.WireReader)
 }
 
-// Change is one record change of a Write: Value's wire form stored under Key,
-// or with Delete set the record at Key removed (deleting a missing record is
-// not an error).
+// Change is one record change of a Write: Value's wire form stored under
+// (Table, Key), or with Delete set the record there removed (deleting a
+// missing record is not an error).
 type Change struct {
+	Table  string
 	Key    string
 	Value  Record
 	Delete bool
 }
 
-// Write applies the changes to table in order, all or nothing: every value
-// is encoded first, under the store lock, and a failed encoding leaves the
-// table and the counters as they were. Each encoding is then copied over the
-// record its key already holds; the store keeps its own buffer per key and
-// no value is referenced after Write returns. The write is charged PerWrite
-// once, after the lock is released, and counts one persistence.writes,
-// len(changes) persistence.records and the bytes it stored in
-// persistence.bytes.
-func (s *Store) Write(table string, changes []Change) error {
-	n, err := s.apply(table, changes)
+// Write applies the changes in order, all or nothing, to whatever tables they
+// name: every value is encoded first, under the store lock, and a failed
+// encoding leaves every table and the counters as they were. Each encoding is
+// then copied over the record its key already holds; the store keeps its own
+// buffer per key and no value is referenced after Write returns. The write
+// is charged PerWrite once, after the lock is released, and counts one
+// persistence.writes, len(changes) persistence.records and the bytes it
+// stored in persistence.bytes. A write of no changes is none: it is neither
+// charged nor counted.
+func (s *Store) Write(changes []Change) error {
+	if len(changes) == 0 {
+		return nil
+	}
+	n, err := s.apply(changes)
 	if err != nil {
 		return err
 	}
@@ -140,17 +148,20 @@ func (s *Store) Write(table string, changes []Change) error {
 	return nil
 }
 
-// apply encodes the changes and applies them to table in one hold of s.mu;
-// it returns the number of bytes it stored.
-func (s *Store) apply(table string, changes []Change) (int, error) {
+// apply encodes the changes and applies them in one hold of s.mu; it returns
+// the number of bytes it stored.
+func (s *Store) apply(changes []Change) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.encodeLocked(table, changes); err != nil {
+	if err := s.encodeLocked(changes); err != nil {
 		return 0, err
 	}
-	t := s.tables[table]
-	from := 0
+	var t map[string][]byte
+	table, from := "", 0
 	for i, c := range changes {
+		if i == 0 || c.Table != table {
+			table, t = c.Table, s.tables[c.Table]
+		}
 		to := s.ends[i]
 		switch {
 		case c.Delete:
@@ -169,15 +180,15 @@ func (s *Store) apply(table string, changes []Change) (int, error) {
 
 // encodeLocked encodes the values of changes back to back into s.enc and
 // records where each ends in s.ends; callers hold s.mu.
-func (s *Store) encodeLocked(table string, changes []Change) error {
+func (s *Store) encodeLocked(changes []Change) error {
 	s.enc, s.ends = s.enc[:0], s.ends[:0]
 	if len(changes) > 2 {
 		// A write of many records (a merged pull reply, a batch of repairs)
 		// grows the buffer once, to a little more than the records it
 		// rewrites hold now, not by append's steps of a quarter.
-		t, n := s.tables[table], 0
+		n := 0
 		for _, c := range changes {
-			n += len(t[c.Key])
+			n += len(s.tables[c.Table][c.Key])
 		}
 		s.enc = slices.Grow(s.enc, n+n/8)
 	}
@@ -185,7 +196,7 @@ func (s *Store) encodeLocked(table string, changes []Change) error {
 		if !c.Delete {
 			out, ok := c.Value.AppendWire(s.enc)
 			if !ok {
-				return fmt.Errorf("persistence: encode %s/%s: a %T holds a value its wire form cannot carry", table, c.Key, c.Value)
+				return fmt.Errorf("persistence: encode %s/%s: a %T holds a value its wire form cannot carry", c.Table, c.Key, c.Value)
 			}
 			s.enc = out
 		}
@@ -204,8 +215,8 @@ func (s *Store) wrote(n, size int) {
 
 // Put stores v's wire form under (table, key): a Write of one change.
 func (s *Store) Put(table, key string, v Record) error {
-	c := [1]Change{{Key: key, Value: v}}
-	return s.Write(table, c[:])
+	c := [1]Change{{Table: table, Key: key, Value: v}}
+	return s.Write(c[:])
 }
 
 // Get decodes the record at (table, key) into out, which must read the whole
@@ -261,11 +272,14 @@ func (s *Store) Len(table string) int {
 	return len(s.tables[table])
 }
 
-// DropTable removes a whole table, a write of the records it held.
+// DropTable removes a whole table, a write of the records it held; a table
+// that does not exist is no write.
 func (s *Store) DropTable(table string) {
 	s.mu.Lock()
-	n := len(s.tables[table])
+	t, ok := s.tables[table]
 	delete(s.tables, table)
 	s.mu.Unlock()
-	s.wrote(n, 0)
+	if ok {
+		s.wrote(len(t), 0)
+	}
 }

@@ -59,7 +59,7 @@ func counter(t *testing.T, o *obs.Observer, name string) int64 {
 // del removes the record at (table, key): a Write of one deletion, which
 // encodes nothing and so cannot fail.
 func del(s *Store, table, key string) {
-	_ = s.Write(table, []Change{{Key: key, Delete: true}})
+	_ = s.Write([]Change{{Table: table, Key: key, Delete: true}})
 }
 
 func TestPutGetDelete(t *testing.T) {
@@ -162,7 +162,7 @@ func TestStats(t *testing.T) {
 	if bytes := counter(t, o, "persistence.bytes"); bytes != 1 {
 		t.Fatalf("bytes = %d after a one-byte put and a delete, want 1", bytes)
 	}
-	if err := s.Write("t", []Change{{Key: "a", Value: num(1)}, {Key: "b", Value: str("two")}, {Key: "a", Delete: true}}); err != nil {
+	if err := s.Write([]Change{{Table: "t", Key: "a", Value: num(1)}, {Table: "t", Key: "b", Value: str("two")}, {Table: "t", Key: "a", Delete: true}}); err != nil {
 		t.Fatal(err)
 	}
 	if w, r, b := counter(t, o, "persistence.writes"), counter(t, o, "persistence.records"), counter(t, o, "persistence.bytes"); w != 3 || r != 5 || b != 1+1+4 {
@@ -196,10 +196,10 @@ func TestWriteCostCharged(t *testing.T) {
 	s = NewStore(WithCost(CostModel{PerWrite: perWrite}))
 	changes := make([]Change, 8)
 	for i := range changes {
-		changes[i] = Change{Key: strconv.Itoa(i), Value: num(i)}
+		changes[i] = Change{Table: "t", Key: strconv.Itoa(i), Value: num(i)}
 	}
 	start = time.Now()
-	if err := s.Write("t", changes); err != nil {
+	if err := s.Write(changes); err != nil {
 		t.Fatal(err)
 	}
 	// One charge is 25 ms and one per record would be 200 ms; the bound
@@ -457,10 +457,10 @@ func TestWriteIsAllOrNothing(t *testing.T) {
 	}
 	for name, v := range bad {
 		writes, records, bytes := counter(t, o, "persistence.writes"), counter(t, o, "persistence.records"), counter(t, o, "persistence.bytes")
-		err := s.Write("t", []Change{
-			{Key: "new", Value: record{Name: "new", Count: 2}},
-			{Key: "live", Value: v},
-			{Key: "live", Delete: true},
+		err := s.Write([]Change{
+			{Table: "t", Key: "new", Value: record{Name: "new", Count: 2}},
+			{Table: "t", Key: "live", Value: v},
+			{Table: "t", Key: "live", Delete: true},
 		})
 		if err == nil {
 			t.Fatalf("%s: the write succeeded", name)
@@ -484,13 +484,13 @@ func TestWriteAppliesInOrder(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	err := s.Write("t", []Change{
-		{Key: "gone", Value: raw("put")},
-		{Key: "gone", Delete: true},
-		{Key: "back", Delete: true},
-		{Key: "back", Value: raw("put")},
-		{Key: "twice", Value: raw("first")},
-		{Key: "twice", Value: raw("second")},
+	err := s.Write([]Change{
+		{Table: "t", Key: "gone", Value: raw("put")},
+		{Table: "t", Key: "gone", Delete: true},
+		{Table: "t", Key: "back", Delete: true},
+		{Table: "t", Key: "back", Value: raw("put")},
+		{Table: "t", Key: "twice", Value: raw("first")},
+		{Table: "t", Key: "twice", Value: raw("second")},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -506,8 +506,81 @@ func TestWriteAppliesInOrder(t *testing.T) {
 	}
 	// A write to a table nobody wrote creates it; a deletion alone does not.
 	del(s, "none", "k")
-	if err := s.Write("fresh", []Change{{Key: "k", Delete: true}, {Key: "k", Value: raw("1")}}); err != nil || rawAt(t, s, "fresh", "k") != "1" {
+	if err := s.Write([]Change{{Table: "fresh", Key: "k", Delete: true}, {Table: "fresh", Key: "k", Value: raw("1")}}); err != nil || rawAt(t, s, "fresh", "k") != "1" {
 		t.Fatalf("write to a new table: %v", err)
+	}
+}
+
+// TestWriteSpansTables: one write changes records in several tables, all or
+// nothing. A write whose change to its second table cannot encode leaves both
+// tables and every counter as they were; one that encodes is one write of
+// all its records, whatever tables they are in.
+func TestWriteSpansTables(t *testing.T) {
+	o := obs.New()
+	s := NewStore(WithObserver(o))
+	for _, table := range []string{"a", "b"} {
+		if err := s.Put(table, "k", raw("old")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writes, records, bytes := counter(t, o, "persistence.writes"), counter(t, o, "persistence.records"), counter(t, o, "persistence.bytes")
+	err := s.Write([]Change{
+		{Table: "a", Key: "k", Value: raw("new")},
+		{Table: "a", Key: "added", Value: raw("new")},
+		{Table: "b", Key: "k", Delete: true},
+		{Table: "b", Key: "bad", Value: failing("b")},
+	})
+	if err == nil {
+		t.Fatal("a write with a change that cannot encode succeeded")
+	}
+	if rawAt(t, s, "a", "k") != "old" || s.Has("a", "added") || rawAt(t, s, "b", "k") != "old" || s.Has("b", "bad") {
+		t.Fatalf("a failed write changed a table: a = %v, b = %v", s.Keys("a"), s.Keys("b"))
+	}
+	if w, r, b := counter(t, o, "persistence.writes"), counter(t, o, "persistence.records"), counter(t, o, "persistence.bytes"); w != writes || r != records || b != bytes {
+		t.Fatalf("a failed write moved the counters: writes %d -> %d, records %d -> %d, bytes %d -> %d", writes, w, records, r, bytes, b)
+	}
+	err = s.Write([]Change{
+		{Table: "a", Key: "k", Value: raw("new")},
+		{Table: "b", Key: "k", Delete: true},
+		{Table: "c", Key: "k", Value: raw("c")},
+		{Table: "a", Key: "added", Value: raw("a2")},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rawAt(t, s, "a", "k") != "new" || rawAt(t, s, "a", "added") != "a2" || s.Has("b", "k") || rawAt(t, s, "c", "k") != "c" {
+		t.Fatalf("after a write across three tables: a = %v, b = %v, c = %v", s.Keys("a"), s.Keys("b"), s.Keys("c"))
+	}
+	if w, r, b := counter(t, o, "persistence.writes"), counter(t, o, "persistence.records"), counter(t, o, "persistence.bytes"); w != writes+1 || r != records+4 || b != bytes+3+1+2 {
+		t.Fatalf("a write of 4 records across three tables: writes %d -> %d, records %d -> %d, bytes %d -> %d; want one write of 4 records and 6 bytes", writes, w, records, r, bytes, b)
+	}
+}
+
+// TestNothingToWriteIsNoWrite: a write of no changes and the drop of a table
+// that does not exist change nothing, so neither is charged or counted; the
+// drop of a table that exists is one write of the records it held.
+func TestNothingToWriteIsNoWrite(t *testing.T) {
+	o := obs.New()
+	s := NewStore(WithObserver(o), WithCost(CostModel{PerWrite: 20 * time.Millisecond}))
+	start := time.Now()
+	if err := s.Write(nil); err != nil {
+		t.Fatal(err)
+	}
+	s.DropTable("never-written")
+	if elapsed := time.Since(start); elapsed >= 20*time.Millisecond {
+		t.Errorf("writing nothing was charged: %v", elapsed)
+	}
+	if w, r := counter(t, o, "persistence.writes"), counter(t, o, "persistence.records"); w != 0 || r != 0 {
+		t.Fatalf("writing nothing counted %d writes of %d records, want none", w, r)
+	}
+	for _, k := range []string{"a", "b"} {
+		if err := s.Put("t", k, raw(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.DropTable("t")
+	if w, r := counter(t, o, "persistence.writes"), counter(t, o, "persistence.records"); w != 3 || r != 4 {
+		t.Fatalf("two puts and a drop of their table counted %d writes of %d records, want 3 of 4", w, r)
 	}
 }
 

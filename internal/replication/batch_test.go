@@ -622,5 +622,5 @@ func TestBatchOneOpCasesMatchRecorded(t *testing.T) {
 // record changes are stored in one write after the apply.
 func (m *Manager) applyStored(ops []batchOp, res []opResult) ([]opResult, error) {
 	res, records, err := m.applyOps(ops, res, nil, nil)
-	return res, errors.Join(err, m.storeRecords(records))
+	return res, errors.Join(err, m.store.Write(records))
 }

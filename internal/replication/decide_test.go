@@ -162,7 +162,7 @@ func (env *nodeEnv) forget(id object.ID) {
 	delete(env.mgr.tombstones, id)
 	env.mgr.mu.Unlock()
 	_ = env.reg.Remove(id)
-	_ = env.store.Write(tableReplicaMeta, []persistence.Change{{Key: string(id), Delete: true}})
+	_ = env.store.Write([]persistence.Change{{Table: tableReplicaMeta, Key: string(id), Delete: true}})
 }
 
 // held reads what the replica holds of the object — a live replica or a

@@ -224,10 +224,11 @@ type stagedOp struct {
 	remote   int32 // dests without this node, counted by route
 }
 
-// staging is a commit's scratch: the ops it ships and the replica records it
-// stores, in one write (storeRecords). stagingPool recycles it; neither list
-// escapes the commit (background straggler sends hold the commit's round and
-// its copy of the ops, not the staging slice).
+// staging is a commit's scratch: the ops it ships and the records it stores
+// in one write, a record per replica and a degraded write's history entry.
+// stagingPool recycles it; neither list escapes the commit (background
+// straggler sends hold the commit's round and its copy of the ops, not the
+// staging slice).
 type staging struct {
 	ops     []stagedOp
 	records []persistence.Change
@@ -703,7 +704,7 @@ func (m *Manager) Commit(t *tx.Tx) error {
 	// posted. A commit whose records cannot be stored ships nothing: no
 	// replica is sent what its coordinator did not store, and reconciliation
 	// repairs them all.
-	if err := m.storeRecords(st.records); err != nil {
+	if err := m.store.Write(st.records); err != nil {
 		m.propErrors.Inc()
 		errs = append(errs, err)
 		st.ops = st.ops[:0]
@@ -729,7 +730,7 @@ func (m *Manager) Commit(t *tx.Tx) error {
 var recordsPool = sync.Pool{New: func() any { return new([]persistence.Change) }}
 
 // getRecords draws from recordsPool an empty list with room for n records:
-// an op owes at most one, so a batch's list never grows.
+// an op owes at most one, and so does a pulled record, but for a conflict.
 func getRecords(n int) *[]persistence.Change {
 	rp := recordsPool.Get().(*[]persistence.Change)
 	*rp = slices.Grow((*rp)[:0], n)
@@ -739,20 +740,10 @@ func getRecords(n int) *[]persistence.Change {
 // putRecords drops the replica references of the first n records of rp's
 // list and returns it to recordsPool. The list goes back as it was drawn, not
 // as its user last held it: a stack array a handler used instead must not
-// flow into the pool.
+// flow into the pool, and a list that outgrew it is left behind.
 func putRecords(rp *[]persistence.Change, n int) {
-	clear((*rp)[:n])
+	clear((*rp)[:min(n, cap(*rp))])
 	recordsPool.Put(rp)
-}
-
-// storeRecords stores the replica-meta changes of one unit of work — a
-// commit, a received batch, a merged pull reply — in one store write; none
-// makes no write.
-func (m *Manager) storeRecords(records []persistence.Change) error {
-	if len(records) == 0 {
-		return nil
-	}
-	return m.store.Write(tableReplicaMeta, records)
 }
 
 // stage does the coordinator's bookkeeping for one entry of the write set:
@@ -765,7 +756,7 @@ func (m *Manager) stage(w tx.Write, view group.View, degraded bool, st *staging)
 	case tx.Deleted:
 		*s, ship = m.stageDelete(w.ID, view)
 		if ship {
-			st.records = append(st.records, persistence.Change{Key: string(w.ID), Delete: true})
+			st.records = append(st.records, persistence.Change{Table: tableReplicaMeta, Key: string(w.ID), Delete: true})
 		}
 		return ship, nil
 	case tx.Created:
@@ -1192,8 +1183,8 @@ func (r *commitRound) Drained() {
 // appended to records (class, state, version, vector and placement, like the
 // JNDI name, primary key and serialized creation request the prototype
 // stored, §5.1; the commit stores them all in one write), degraded-mode
-// history — and stages the op in s. An apply is also observed by the
-// estimator.
+// history, whose entry goes in records too — and stages the op in s. An apply
+// is also observed by the estimator.
 func (m *Manager) stageLocal(id object.ID, kind opKind, view group.View, degraded bool, s *stagedOp, records *[]persistence.Change) error {
 	rs, info, err := m.localOp(id, kind, true, &s.op)
 	if err != nil {
@@ -1201,8 +1192,10 @@ func (m *Manager) stageLocal(id object.ID, kind opKind, view group.View, degrade
 	}
 	s.dests, s.replicas = info.reachableReplicas(view), len(info.Replicas)
 	op := &s.op
-	*records = append(*records, persistence.Change{Key: string(id), Value: rs})
-	m.recordHistory(id, op.State, op.Version, op.VV, m.effectiveDegraded(info, degraded))
+	*records = append(*records, persistence.Change{Table: tableReplicaMeta, Key: string(id), Value: rs})
+	if m.keepHistory && m.effectiveDegraded(info, degraded) {
+		m.recordHistory(id, op, records)
+	}
 	if kind == opApply {
 		m.observe(id)
 	}
@@ -1286,17 +1279,16 @@ func (m *Manager) stageDelete(id object.ID, view group.View) (s stagedOp, ship b
 func (m *Manager) WaitPropagation() { m.propagation.Wait() }
 
 // recordHistory keeps a degraded write's state in the replica's history and
-// stores it as the update that installs it, keyed by object and version.
-func (m *Manager) recordHistory(id object.ID, st object.Attrs, version int64, vv VersionVector, degraded bool) {
-	if !degraded || !m.keepHistory {
-		return
-	}
+// appends to records its entry: the update that installs it, keyed by object
+// and version.
+func (m *Manager) recordHistory(id object.ID, op *batchOp, records *[]persistence.Change) {
 	m.mu.Lock()
 	if rs, ok := m.meta[id]; ok {
-		rs.history = append(rs.history, HistoryEntry{State: st, Version: version, VV: vv})
+		rs.history = append(rs.history, HistoryEntry{State: op.State, Version: op.Version, VV: op.VV})
 	}
 	m.mu.Unlock()
-	_ = m.store.Put(tableHistory, string(id)+"#"+strconv.FormatInt(version, 10), &batchOp{Kind: opApply, ID: id, State: st, Version: version, VV: vv})
+	key := string(id) + "#" + strconv.FormatInt(op.Version, 10)
+	*records = append(*records, persistence.Change{Table: tableHistory, Key: key, Value: &batchOp{Kind: opApply, ID: id, State: op.State, Version: op.Version, VV: op.VV}})
 }
 
 // PropagateState force-propagates the current local replica state to all
@@ -1305,7 +1297,11 @@ func (m *Manager) recordHistory(id object.ID, st object.Attrs, version int64, vv
 // system-wide (§3.3).
 func (m *Manager) PropagateState(ctx context.Context, id object.ID) error {
 	out := repairs{m: m}
-	if err := m.stageState(id, &out); err != nil {
+	var records []persistence.Change
+	if err := m.stageState(id, &out, &records); err != nil {
+		return err
+	}
+	if err := m.store.Write(records); err != nil {
 		return err
 	}
 	_ = out.flush(ctx) // non-fatal and counted, as a commit's: see commitRound.Answered
@@ -1316,16 +1312,14 @@ func (m *Manager) PropagateState(ctx context.Context, id object.ID) error {
 // installs the current local state and placement over everything this node
 // has seen: its vector, bumped, dominates whatever the replica holds of the
 // object, and the placement is set again at it (a conflict between two
-// incarnations leaves one placement).
-func (m *Manager) stageState(id object.ID, out *repairs) error {
+// incarnations leaves one placement). The replica's record goes in records.
+func (m *Manager) stageState(id object.ID, out *repairs, records *[]persistence.Change) error {
 	var op batchOp
 	rs, info, err := m.localOp(id, opCreate, true, &op)
 	if err != nil {
 		return err
 	}
-	if err := m.store.Put(tableReplicaMeta, string(id), rs); err != nil {
-		return err
-	}
+	*records = append(*records, persistence.Change{Table: tableReplicaMeta, Key: string(id), Value: rs})
 	to := info.reachableReplicas(m.view())
 	for i := range to {
 		if to[i] != m.self {
@@ -1338,8 +1332,8 @@ func (m *Manager) stageState(id object.ID, out *repairs) error {
 // --- message handlers (executed on the receiving node) ---
 
 // handleBatch applies one transaction batch, or the batches a peer's sender
-// coalesced, stores the replica records they changed in one write and then
-// its threats, and acks: with ackAll when every op landed,
+// coalesced, stores the replica records they changed and the threat change
+// it carries in one write, and acks: with ackAll when every op landed,
 // which allocates nothing, and otherwise with each op's result.
 func (m *Manager) handleBatch(from transport.NodeID, payload any) (any, error) {
 	var th *threatBatch
@@ -1356,11 +1350,15 @@ func (m *Manager) handleBatch(from transport.NodeID, payload any) (any, error) {
 		return nil, fmt.Errorf("replication: bad batch payload %T", payload)
 	}
 	var buf [8]opResult // a write's batch fits
-	// So do its records; a coalesced batch's come from recordsPool.
+	// So do its records, with a threat's three; a coalesced batch's, and a
+	// batch's with more threat changes, come from recordsPool.
 	var rbuf [8]persistence.Change
 	records, rp, n := rbuf[:0], (*[]persistence.Change)(nil), len(ops)
 	for _, p := range parts {
 		n += len(p.Ops)
+	}
+	if th != nil {
+		n += 3 * (len(th.Added) + len(th.Removed))
 	}
 	if n > len(rbuf) {
 		rp = getRecords(n)
@@ -1372,15 +1370,15 @@ func (m *Manager) handleBatch(from transport.NodeID, payload any) (any, error) {
 			res, records, err = m.applyOps(p.Ops, res, records, nil)
 		}
 	}
-	// What the batch changed is stored in one write before the ack.
-	if serr := m.storeRecords(records); err == nil {
+	// What the batch changed is stored in one write before the ack, threats
+	// included unless an op failed.
+	if err == nil && th != nil && m.threats != nil {
+		err = m.threats.Replicate(th.Delta, records)
+	} else if serr := m.store.Write(records); err == nil {
 		err = serr
 	}
 	if rp != nil {
 		putRecords(rp, len(records))
-	}
-	if err == nil && th != nil && m.threats != nil {
-		err = m.threats.Replicate(th.Delta)
 	}
 	if err != nil {
 		return nil, err
@@ -1500,13 +1498,12 @@ func (m *Manager) decideLocked(op *batchOp) decision {
 // estimator observation follows the unlock, and so does, in the caller, the
 // store write (which charges simulated time) of the record change each op
 // owes — the replica's record, or its deletion — which applyOps appends to
-// records: the caller stores what one unit of work changed in one write
-// (storeRecords). An op the replica already covers changes nothing but, for a
-// create, the placement, so a redelivered batch is harmless. Each op's result
-// is appended to res; the caller sizes both lists (stack arrays hold a
-// write's batch). A one-op caller that merges a pulled record passes pulled:
-// the vector the record's placement was set at goes in, and the op's
-// decision comes out.
+// records: the caller stores what one unit of work changed in one write. An
+// op the replica already covers changes nothing but, for a create, the
+// placement, so a redelivered batch is harmless. Each op's result is
+// appended to res; the caller sizes both lists (stack arrays hold a write's
+// batch). A one-op caller that merges a pulled record passes pulled: the
+// vector the record's placement was set at goes in, the decision comes out.
 func (m *Manager) applyOps(ops []batchOp, res []opResult, records []persistence.Change, pulled *merge) ([]opResult, []persistence.Change, error) {
 	for i := range ops {
 		if op := &ops[i]; !op.Kind.known() {
@@ -1582,12 +1579,12 @@ func (m *Manager) applyOps(ops []batchOp, res []opResult, records []persistence.
 	for i, w := range due {
 		// Backups persist the replica too (update applied within the
 		// primary's transaction in the prototype, §4.3).
-		c := persistence.Change{Key: string(ops[i].ID), Value: w.rs}
+		c := persistence.Change{Table: tableReplicaMeta, Key: string(ops[i].ID), Value: w.rs}
 		switch w.eff {
 		case 0:
 			continue
 		case opDelete:
-			c = persistence.Change{Key: c.Key, Delete: true}
+			c.Value, c.Delete = nil, true
 		case opApply:
 			m.observe(ops[i].ID)
 		}

@@ -10,6 +10,7 @@ import (
 	"dedisys/internal/group"
 	"dedisys/internal/object"
 	"dedisys/internal/obs"
+	"dedisys/internal/persistence"
 	"dedisys/internal/transport"
 )
 
@@ -321,12 +322,13 @@ func (r *repairRound) Drained() {}
 func (m *Manager) mergeRecords(peer []transport.NodeID, records []Record, resolve ConflictResolver, report *ReconcileReport, out *repairs) (err error) {
 	var res [1]opResult
 	var one [1]batchOp
-	// What the reply changed is stored in one write, also when a record
-	// fails half way: the ones before it are installed.
+	// What the reply changed, its conflict resolutions too, is stored in one
+	// write, also when a record fails half way: the ones before it are
+	// installed.
 	rp := getRecords(len(records))
 	changed := *rp
 	defer func() {
-		err = errors.Join(err, m.storeRecords(changed))
+		err = errors.Join(err, m.store.Write(changed))
 		putRecords(rp, len(changed))
 	}()
 	for _, rec := range records {
@@ -353,7 +355,7 @@ func (m *Manager) mergeRecords(peer []transport.NodeID, records []Record, resolv
 			if m.obs.Tracing() {
 				m.obs.Emit(obs.EventReplicaConflict, fmt.Sprintf("%s with %s", rec.ID, peer[0]))
 			}
-			if err := m.resolveConflict(rec, resolve, out); err != nil {
+			if err := m.resolveConflict(rec, resolve, out, &changed); err != nil {
 				return err
 			}
 		}
@@ -394,8 +396,9 @@ func (m *Manager) placedAfter(id object.ID, placed VersionVector) bool {
 }
 
 // resolveConflict lets the application (or the generic rule) choose a state,
-// then installs it everywhere with a vector dominating both divergent lines.
-func (m *Manager) resolveConflict(rec Record, resolve ConflictResolver, out *repairs) error {
+// then installs it everywhere with a vector dominating both divergent lines;
+// the replica's record goes in records.
+func (m *Manager) resolveConflict(rec Record, resolve ConflictResolver, out *repairs, records *[]persistence.Change) error {
 	m.mu.Lock()
 	rs, ok := m.meta[rec.ID]
 	if !ok {
@@ -437,5 +440,5 @@ func (m *Manager) resolveConflict(rec Record, resolve ConflictResolver, out *rep
 	rs.vv = rs.vv.Merged(rec.VV)
 	e.ApplyState(object.AttrsOf(chosen), max(conflict.LocalVersion, conflict.RemoteVersion)+1)
 	m.mu.Unlock()
-	return m.stageState(rec.ID, out)
+	return m.stageState(rec.ID, out, records)
 }

@@ -257,3 +257,39 @@ func TestRepairFlushServesEveryPeer(t *testing.T) {
 		t.Errorf("n3 after the second pass:\n%s\nn1:\n%s", got, want)
 	}
 }
+
+// TestPullMergeIsOneStoreWrite: n1 and n2 each write K objects while cut
+// apart, and n2 alone writes one more. n1's pass pulls all K+1 records from
+// n2: it adopts one and resolves K conflicts, and stores all of it — the
+// adopted record and each resolution — in one write of K+1 records. Each
+// resolution was a write of its own: 1+K writes.
+func TestPullMergeIsOneStoreWrite(t *testing.T) {
+	const k = 3
+	h := newHarness(t, 2, PrimaryPerPartition{})
+	for i := 0; i <= k; i++ {
+		h.create(t, "n1", "Flight", object.ID(fmt.Sprint("f", i)), object.State{"sold": int64(0)})
+	}
+	h.net.Partition([]transport.NodeID{"n1"}, []transport.NodeID{"n2"})
+	for i := 0; i < k; i++ {
+		h.write(t, "n1", object.ID(fmt.Sprint("f", i)), "sold", int64(1))
+	}
+	for i := 0; i <= k; i++ {
+		h.write(t, "n2", object.ID(fmt.Sprint("f", i)), "sold", int64(2))
+	}
+	h.net.Heal()
+	env := h.node("n1")
+	w0, r0 := env.writes()
+	report, err := env.mgr.ReconcileWith(context.Background(), []transport.NodeID{"n2"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Conflicts != k || report.Adopted != 1 {
+		t.Fatalf("report = %+v, want %d conflicts and 1 adopted", report, k)
+	}
+	if w, r := env.writes(); w-w0 != 1 || r-r0 != k+1 {
+		t.Errorf("the merge made %d store writes of %d records, want 1 of %d", w-w0, r-r0, k+1)
+	}
+	if got, want := h.node("n2").table(t), env.table(t); got != want {
+		t.Errorf("n2 after the pass:\n%s\nn1:\n%s", got, want)
+	}
+}

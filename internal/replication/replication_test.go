@@ -10,6 +10,7 @@ import (
 
 	"dedisys/internal/group"
 	"dedisys/internal/object"
+	"dedisys/internal/obs"
 	"dedisys/internal/persistence"
 	"dedisys/internal/transport"
 	"dedisys/internal/tx"
@@ -27,8 +28,15 @@ type nodeEnv struct {
 	id    transport.NodeID
 	reg   *object.Registry
 	store *persistence.Store
+	obs   *obs.Observer // the store's counters
 	txm   *tx.Manager
 	mgr   *Manager
+}
+
+// writes returns how many store writes of how many records the node made.
+func (env *nodeEnv) writes() (writes, records int64) {
+	c := env.obs.Snapshot().Counters
+	return c["persistence.writes"], c["persistence.records"]
 }
 
 func newHarness(t *testing.T, n int, protocol Protocol, cfgMods ...func(*Config)) *harness {
@@ -47,11 +55,12 @@ func newHarness(t *testing.T, n int, protocol Protocol, cfgMods ...func(*Config)
 	h.gms = group.NewMembership(h.net)
 	for _, id := range h.ids {
 		env := &nodeEnv{
-			id:    id,
-			reg:   object.NewRegistry(),
-			store: persistence.NewStore(),
-			txm:   tx.NewManager(),
+			id:  id,
+			reg: object.NewRegistry(),
+			obs: obs.New(),
+			txm: tx.NewManager(),
 		}
+		env.store = persistence.NewStore(persistence.WithObserver(env.obs))
 		cfg := Config{
 			Self:     id,
 			Net:      h.net,
@@ -608,6 +617,40 @@ func TestDegradedHistoryRecording(t *testing.T) {
 	mgr.ClearHistory()
 	if got := mgr.History("f1"); len(got) != 0 {
 		t.Fatal("ClearHistory left entries")
+	}
+}
+
+// TestDegradedCommitIsOneStoreWrite: under KeepHistory a degraded write's
+// history entry is stored in its commit's one write, beside the replica's
+// record, and reads back as the update that installs the entry's state; it
+// was a write of its own. Clearing the history is one write, and clearing it
+// again, with no table left, none.
+func TestDegradedCommitIsOneStoreWrite(t *testing.T) {
+	h := newHarness(t, 2, PrimaryPerPartition{}, func(c *Config) { c.KeepHistory = true })
+	h.create(t, "n1", "Flight", "f1", object.State{"sold": int64(0)})
+	env := h.node("n1")
+	h.net.Partition([]transport.NodeID{"n1"}, []transport.NodeID{"n2"})
+	w0, r0 := env.writes()
+	h.write(t, "n1", "f1", "sold", int64(2))
+	if w, r := env.writes(); w-w0 != 1 || r-r0 != 2 {
+		t.Fatalf("a degraded commit made %d store writes of %d records, want 1 of 2", w-w0, r-r0)
+	}
+	hist := env.mgr.History("f1")
+	if len(hist) != 1 {
+		t.Fatalf("history = %v, want one entry", hist)
+	}
+	var op batchOp
+	if err := env.store.Get(tableHistory, "f1#"+fmt.Sprint(hist[0].Version), &op); err != nil {
+		t.Fatal(err)
+	}
+	if op.Kind != opApply || op.ID != "f1" || op.Version != hist[0].Version || !reflect.DeepEqual(op.VV, hist[0].VV) || !reflect.DeepEqual(op.State.Map(), object.State{"sold": int64(2)}) {
+		t.Fatalf("stored history entry %+v, want the update to %+v", op, hist[0])
+	}
+	w0, _ = env.writes()
+	env.mgr.ClearHistory()
+	env.mgr.ClearHistory()
+	if w, _ := env.writes(); w-w0 != 1 || env.store.Len(tableHistory) != 0 {
+		t.Fatalf("clearing the history twice made %d store writes and left %d entries, want 1 and none", w-w0, env.store.Len(tableHistory))
 	}
 }
 

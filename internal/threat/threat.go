@@ -117,18 +117,24 @@ func (p StorePolicy) String() string {
 }
 
 // Store persists accepted consistency threats on one node. The persistence
-// cost model follows §5.2: a new threat writes three records (the threat,
-// its affected-object set, and its application data), each additional
-// identical occurrence under FullHistory writes two more records, while
-// under IdenticalOnce it costs a single read. A removed threat leaves in one
-// write that deletes its three records together, so no threat is ever half
-// on disk. The stored Count is the count at storage time: an identical-once
-// fold changes the record in memory only, so folds live in memory alone
-// until a node can rebuild its threat store from the table.
+// cost model follows §5.2 where a threat is accepted or merged (Add): a new
+// threat writes three records (the threat, its affected-object set, and its
+// application data), a write each, each additional identical occurrence
+// under FullHistory writes two more records, while under IdenticalOnce it
+// costs a single read. A removed threat leaves in one write that deletes its
+// three records together, so no threat is ever half on disk. A peer's threat
+// change that a replicated batch carries (Replicate) is stored in the one
+// write that stores the batch, as the prototype's backup applies a commit
+// inside the primary's transaction (§4.3). The stored Count is the count at
+// storage time: an identical-once fold changes the record in memory only, so
+// folds live in memory alone until a node can rebuild its threat store from
+// the table.
 //
-// A record's writes and deletes happen under the store's lock, so the table
-// holds exactly the records the store's maps name, and a record is encoded
-// while nothing can fold into it. A stored record owns its affected list; the
+// A record's writes and deletes happen under the store's lock, taken before
+// the backing store's, so the table holds exactly the records the store's
+// maps name, and a record is encoded while nothing can fold into it. The maps
+// change before the write and are taken back when it fails, so a threat that
+// fails to store leaves no trace. A stored record owns its affected list; the
 // only field that changes after it is stored is an identical-once record's
 // Count, under the lock.
 type Store struct {
@@ -142,6 +148,7 @@ type Store struct {
 	byID    map[int64]*Threat
 	byIdent map[string][]int64
 	byUID   map[string]int64
+	steps   []step // what Replicate did until its write returned; it keeps what it grew
 
 	stored  *obs.Counter
 	folded  *obs.Counter
@@ -193,16 +200,41 @@ func (s *Store) SetOwner(owner string) {
 // Add stores an accepted consistency threat. It returns the stored record
 // (with its sequence number) and whether a new persistent record was
 // created (false when folded into an identical threat). A new record copies
-// t.Affected; a folded occurrence keeps nothing of t.
+// t.Affected; a folded occurrence keeps nothing of t. Each of a new record's
+// records is a store write of its own (§5.2's cost); when one fails, what
+// the others stored is deleted and the maps are taken back, so a threat that
+// fails to store leaves no trace.
 func (s *Store) Add(t Threat) (Threat, bool, error) {
 	s.mu.Lock()
-	// A replicated record that already arrived is folded silently.
+	defer s.mu.Unlock()
+	var buf [3]persistence.Change
+	seq := s.seq
+	rec, kind, changes := s.admitLocked(&t, buf[:0])
+	steps := []step{{rec, kind}}
+	for i := range changes {
+		if err := s.backing.Write(changes[i : i+1]); err != nil {
+			if i > 0 {
+				s.dropRecords(rec.Seq)
+			}
+			s.takeBack(steps, seq)
+			return Threat{}, false, err
+		}
+	}
+	s.counted(steps)
+	return *rec, kind == added, nil
+}
+
+// admitLocked does to the maps what storing t does and appends a new
+// record's changes to changes. A replicated copy whose UID is stored already
+// is known, and changes nothing; under IdenticalOnce a threat whose identity
+// is stored is folded into the identity's first record, raising its count in
+// memory at the price of one read (§5.5.1); any other is added as a new
+// record under the next sequence number. It returns the record t is now part
+// of and which of the three happened; callers hold s.mu.
+func (s *Store) admitLocked(t *Threat, changes []persistence.Change) (*Threat, stepKind, []persistence.Change) {
 	if t.UID != "" {
 		if seq, ok := s.byUID[t.UID]; ok {
-			copyOf := *s.byID[seq]
-			s.mu.Unlock()
-			s.folded.Inc()
-			return copyOf, false, nil
+			return s.byID[seq], known, changes
 		}
 	}
 	var ib [64]byte
@@ -211,17 +243,12 @@ func (s *Store) Add(t Threat) (Threat, bool, error) {
 	if s.policy == IdenticalOnce && len(existing) > 0 {
 		first := s.byID[existing[0]]
 		first.Count++
-		folded := *first
-		s.mu.Unlock()
-		s.folded.Inc()
-		// Detecting the duplicate costs a read on the database (§5.5.1).
 		var kb [keyCap]byte
-		_ = s.backing.Has(table, string(appendKey(kb[:0], folded.Seq)))
-		return folded, false, nil
+		_ = s.backing.Has(table, string(appendKey(kb[:0], first.Seq)))
+		return first, folded, changes
 	}
-	defer s.mu.Unlock()
 	s.seq++
-	stored := t
+	stored := *t
 	stored.Seq = s.seq
 	stored.Affected = slices.Clone(t.Affected)
 	if stored.Count == 0 {
@@ -236,23 +263,98 @@ func (s *Store) Add(t Threat) (Threat, bool, error) {
 	if stored.UID != "" {
 		s.byUID[stored.UID] = stored.Seq
 	}
-	s.stored.Inc()
+	return &stored, added, stored.appendRecords(changes, len(existing) == 0)
+}
 
-	// Persist: three records for a first occurrence, two for an additional
-	// identical occurrence under FullHistory (§5.2). The store keeps the keys.
-	rec, affected, data := recordKeys(stored.Seq)
-	if err := s.backing.Put(table, rec, &stored); err != nil {
-		return stored, false, err
+// appendRecords appends the changes that store a new record: three for the
+// first of its identity, two for a further one under FullHistory (§5.2). The
+// affected list, the one record whose encoding can fail, goes first.
+func (t *Threat) appendRecords(dst []persistence.Change, first bool) []persistence.Change {
+	rec, affected, data := recordKeys(t.Seq)
+	dst = append(dst,
+		persistence.Change{Table: table, Key: affected, Value: (*affectedList)(&t.Affected)},
+		persistence.Change{Table: table, Key: rec, Value: t})
+	if first {
+		dst = append(dst, persistence.Change{Table: table, Key: data, Value: appData(t.AppData)})
 	}
-	if err := s.backing.Put(table, affected, (*affectedList)(&stored.Affected)); err != nil {
-		return stored, false, err
-	}
-	if len(existing) == 0 {
-		if err := s.backing.Put(table, data, appData(stored.AppData)); err != nil {
-			return stored, false, err
+	return dst
+}
+
+// step is what one Add or Replicate did to the maps for one threat, kept
+// until its write succeeded, for a failed write to take back: the record it
+// removed, added, folded into or found known.
+type step struct {
+	t    *Threat
+	kind stepKind
+}
+
+type stepKind byte
+
+const (
+	removed stepKind = iota
+	added
+	folded
+	known
+)
+
+// takeBack undoes steps, last first, and restores the sequence number seq;
+// callers hold s.mu.
+func (s *Store) takeBack(steps []step, seq int64) {
+	for i := len(steps) - 1; i >= 0; i-- {
+		switch t := steps[i].t; steps[i].kind {
+		case folded:
+			t.Count--
+		case added:
+			s.unlink(t)
+		case removed:
+			// A removal takes a whole identity, so its records come back
+			// in their order.
+			s.byID[t.Seq] = t
+			if t.UID != "" {
+				s.byUID[t.UID] = t.Seq
+			}
+			ident := t.Identity()
+			s.byIdent[ident] = append(s.byIdent[ident], t.Seq)
 		}
 	}
-	return stored, true, nil
+	s.seq = seq
+}
+
+// counted counts what steps did, once their write succeeded.
+func (s *Store) counted(steps []step) {
+	for _, st := range steps {
+		switch st.kind {
+		case removed:
+			s.removed.Inc()
+		case added:
+			s.stored.Inc()
+		default:
+			s.folded.Inc()
+		}
+	}
+}
+
+// forget takes a record out of byID and byUID; callers hold s.mu.
+func (s *Store) forget(t *Threat) {
+	delete(s.byID, t.Seq)
+	if t.UID != "" {
+		delete(s.byUID, t.UID)
+	}
+}
+
+// unlink takes a record out of the maps; callers hold s.mu.
+func (s *Store) unlink(t *Threat) {
+	s.forget(t)
+	ident := t.Identity()
+	seqs := s.byIdent[ident]
+	if i := slices.Index(seqs, t.Seq); i >= 0 {
+		seqs = slices.Delete(seqs, i, i+1)
+	}
+	if len(seqs) == 0 {
+		delete(s.byIdent, ident)
+	} else {
+		s.byIdent[ident] = seqs
+	}
 }
 
 // A threat's records are keyed "t%08d" by its sequence number, the threat
@@ -325,9 +427,9 @@ func (s *Store) ByIdentity(ident string) []Threat {
 }
 
 // RemoveIdentity deletes a threat and all identical threats (the
-// "remove the threat and all identical threats" step of §3.3) and returns
-// the records it removed, ordered by sequence, taken under the same hold
-// that removed them.
+// "remove the threat and all identical threats" step of §3.3), one store
+// write per removed threat, and returns the records it removed, ordered by
+// sequence, taken under the same hold that removed them.
 func (s *Store) RemoveIdentity(ident string) []Threat {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -340,37 +442,66 @@ func (s *Store) RemoveIdentity(ident string) []Threat {
 	for _, seq := range seqs {
 		t := s.byID[seq]
 		removed = append(removed, *t)
-		if t.UID != "" {
-			delete(s.byUID, t.UID)
-		}
-		delete(s.byID, seq)
+		s.forget(t)
 		s.dropRecords(seq)
 	}
 	s.removed.Add(int64(len(seqs)))
 	return removed
 }
 
-// Replicate applies a peer's change: its removals, then its additions, each
-// under this store's own sequence number.
-func (s *Store) Replicate(d Delta) error {
+// Replicate applies a peer's change — its removals, then its additions, each
+// under this store's own sequence number and folded as Add folds it — and
+// stores it together with with, the other changes of the unit of work that
+// carried it (a received batch's replica records), in one write of the
+// backing store: the three deletions of each removed threat and the records
+// of each new one. The write happens under the store's lock, so the table
+// holds exactly the records the maps name, and a write that fails leaves the
+// maps as they were. The threat changes are appended to with, whose array
+// should have room for three per threat d names.
+func (s *Store) Replicate(d Delta, with []persistence.Change) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	steps, seq, changes := slices.Grow(s.steps[:0], len(d.Removed)+len(d.Added)), s.seq, with
 	for _, ident := range d.Removed {
-		s.RemoveIdentity(ident)
-	}
-	for _, t := range d.Added {
-		t.Seq = 0
-		if _, _, err := s.Add(t); err != nil {
-			return err
+		for _, n := range s.byIdent[ident] {
+			t := s.byID[n]
+			s.forget(t)
+			steps = append(steps, step{t, removed})
+			changes = appendDrops(changes, t.Seq)
 		}
+		delete(s.byIdent, ident)
 	}
-	return nil
+	for i := range d.Added {
+		var st step
+		st.t, st.kind, changes = s.admitLocked(&d.Added[i], changes)
+		steps = append(steps, st)
+	}
+	err := s.backing.Write(changes)
+	if err != nil {
+		s.takeBack(steps, seq)
+	} else {
+		s.counted(steps)
+	}
+	clear(changes[len(with):])
+	clear(steps)
+	s.steps = steps[:0]
+	return err
 }
 
 // dropRecords deletes the three stored records of one threat in one store
 // write, all or nothing; callers hold s.mu.
 func (s *Store) dropRecords(seq int64) {
+	var c [3]persistence.Change
+	_ = s.backing.Write(appendDrops(c[:0], seq)) // a deletion encodes nothing, so it cannot fail
+}
+
+// appendDrops appends the deletions of threat seq's three records.
+func appendDrops(dst []persistence.Change, seq int64) []persistence.Change {
 	rec, affected, data := recordKeys(seq)
-	c := [3]persistence.Change{{Key: rec, Delete: true}, {Key: affected, Delete: true}, {Key: data, Delete: true}}
-	_ = s.backing.Write(table, c[:]) // a deletion encodes nothing, so it cannot fail
+	return append(dst,
+		persistence.Change{Table: table, Key: rec, Delete: true},
+		persistence.Change{Table: table, Key: affected, Delete: true},
+		persistence.Change{Table: table, Key: data, Delete: true})
 }
 
 // Remove deletes a single threat — all three of its stored records — by
@@ -382,21 +513,7 @@ func (s *Store) Remove(seq int64) {
 	if !ok {
 		return
 	}
-	if t.UID != "" {
-		delete(s.byUID, t.UID)
-	}
-	delete(s.byID, seq)
-	ident := t.Identity()
-	seqs := s.byIdent[ident]
-	for i, v := range seqs {
-		if v == seq {
-			s.byIdent[ident] = append(seqs[:i], seqs[i+1:]...)
-			break
-		}
-	}
-	if len(s.byIdent[ident]) == 0 {
-		delete(s.byIdent, ident)
-	}
+	s.unlink(t)
 	s.dropRecords(seq)
 	s.removed.Inc()
 }

@@ -1,6 +1,7 @@
 package threat
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -470,5 +471,165 @@ func TestConcurrentAddAndRemoveIdentity(t *testing.T) {
 	}
 	if got, want := backing.Len(table), 3*len(left); got != want {
 		t.Errorf("table holds %d records, want %d for %d threats", got, want, len(left))
+	}
+}
+
+// storedKeys returns the keys of the records the maps name: three for each
+// record under IdenticalOnce, sorted as the table lists them.
+func storedKeys(s *Store) []string {
+	var keys []string
+	for _, th := range s.All() {
+		rec, affected, data := recordKeys(th.Seq)
+		keys = append(keys, rec, affected, data)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// unstorable is a threat whose affected object captured a state its wire
+// form cannot carry.
+func unstorable() Threat {
+	th := sample("C1", "f1")
+	th.Affected[0].State = object.State{"bad": struct{}{}}
+	return th
+}
+
+// TestUnstorableThreatLeavesNoTrace: an Add whose affected list cannot encode
+// fails and leaves the maps, the table, the sequence number and the counters
+// as they were, so the same threat stored later is new, under the first
+// sequence number, at its three writes; a fold into a ghost record was what
+// an Add that failed after the maps changed left.
+func TestUnstorableThreatLeavesNoTrace(t *testing.T) {
+	o := obs.New()
+	backing := persistence.NewStore(persistence.WithObserver(o))
+	s := NewStore(backing, IdenticalOnce, WithObserver(o))
+	if _, _, err := s.Add(unstorable()); err == nil {
+		t.Fatal("an unstorable threat was stored")
+	}
+	if n, keys := s.Len(), backing.Keys(table); n != 0 || len(keys) != 0 {
+		t.Fatalf("after the failed add: %d threats in memory, table %v", n, keys)
+	}
+	for _, name := range []string{"persistence.writes", "threat.stored", "threat.folded"} {
+		if v := counter(t, o, name); v != 0 {
+			t.Errorf("%s = %d after the failed add", name, v)
+		}
+	}
+	stored, isNew, err := s.Add(sample("C1", "f1"))
+	if err != nil || !isNew || stored.Seq != 1 || stored.Count != 1 {
+		t.Fatalf("the threat stored after the failure: %+v, new %v, %v", stored, isNew, err)
+	}
+	if w := counter(t, o, "persistence.writes"); w != 3 {
+		t.Errorf("a new threat made %d writes, want 3", w)
+	}
+}
+
+// TestReplicateIsOneWrite: a peer's change is stored with the records of the
+// batch that carried it in one write of the backing store — a removed
+// threat's three deletions, a new threat's three records, a fold's nothing —
+// and a change whose write fails leaves the maps, the table and the counters
+// as they were.
+func TestReplicateIsOneWrite(t *testing.T) {
+	o := obs.New()
+	backing := persistence.NewStore(persistence.WithObserver(o))
+	s := NewStore(backing, IdenticalOnce, WithObserver(o))
+	for _, ctx := range []object.ID{"f1", "f2"} {
+		if _, _, err := s.Add(sample("C1", ctx)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	all, keys := s.All(), storedKeys(s)
+	counts := func() []int64 {
+		var out []int64
+		for _, name := range []string{"persistence.writes", "persistence.records", "threat.stored", "threat.folded", "threat.removed"} {
+			out = append(out, counter(t, o, name))
+		}
+		return out
+	}
+	before := counts()
+	d := Delta{Removed: []string{sample("C1", "f1").Identity()}, Added: []Threat{sample("C1", "f3"), sample("C1", "f2"), unstorable()}}
+	d.Added[2].ContextID = "f4"
+	if err := s.Replicate(d, nil); err == nil {
+		t.Fatal("a change with an unstorable threat was stored")
+	}
+	if got := s.All(); !slices.EqualFunc(got, all, func(a, b Threat) bool { return a.Seq == b.Seq && a.Count == b.Count && a.Identity() == b.Identity() }) {
+		t.Fatalf("after a failed write the store holds %+v, want %+v", got, all)
+	}
+	if got := backing.Keys(table); !slices.Equal(got, keys) {
+		t.Fatalf("after a failed write the table holds %v, want %v", got, keys)
+	}
+	if got := counts(); !slices.Equal(got, before) {
+		t.Fatalf("a failed write moved the counters: %v -> %v", before, got)
+	}
+	d.Added = d.Added[:2]
+	with := []persistence.Change{{Table: "replica-meta", Key: "o1", Value: appData{"k": "v"}}}
+	if err := s.Replicate(d, with); err != nil {
+		t.Fatal(err)
+	}
+	got := counts()
+	if w, r := got[0]-before[0], got[1]-before[1]; w != 1 || r != 1+3+3 {
+		t.Errorf("the change made %d writes of %d records, want 1 of 7: the batch's record, 3 deletions and 3 new records", w, r)
+	}
+	if stored, folded, removed := got[2]-before[2], got[3]-before[3], got[4]-before[4]; stored != 1 || folded != 1 || removed != 1 {
+		t.Errorf("the change stored %d, folded %d and removed %d threats, want 1 each", stored, folded, removed)
+	}
+	if !backing.Has("replica-meta", "o1") {
+		t.Error("the batch's record is not stored")
+	}
+	if got, want := backing.Keys(table), storedKeys(s); !slices.Equal(got, want) {
+		t.Errorf("the table holds %v, the maps name %v", got, want)
+	}
+}
+
+// TestConcurrentReplicateAndRemoveIdentity races a backup's received batches,
+// which add threats of a few identities and remove some, against a local pass
+// that removes the same identities: the maps change and the table is written
+// under one hold of the store's lock, so afterwards the table holds exactly
+// the records the maps name, and every batch's replica record.
+func TestConcurrentReplicateAndRemoveIdentity(t *testing.T) {
+	backing := persistence.NewStore()
+	s := NewStore(backing, IdenticalOnce)
+	ctxs := []object.ID{"f1", "f2", "f3"}
+	const batches = 500
+	var wg sync.WaitGroup
+	for b := 0; b < 2; b++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < batches; i++ {
+				th := sample("C1", ctxs[i%len(ctxs)])
+				th.UID = fmt.Sprintf("n%d#%d", b+2, i)
+				d := Delta{Added: []Threat{th}}
+				if i%4 == 3 {
+					d.Removed = []string{sample("C1", ctxs[(i+1)%len(ctxs)]).Identity()}
+				}
+				with := []persistence.Change{{Table: "replica-meta", Key: th.UID, Value: appData(nil)}}
+				if err := s.Replicate(d, with); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	// The local pass removes the identities for as long as batches arrive.
+	done, passed := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(passed)
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+				s.RemoveIdentity(sample("C1", ctxs[i%len(ctxs)]).Identity())
+			}
+		}
+	}()
+	wg.Wait()
+	close(done)
+	<-passed
+	if got, want := backing.Keys(table), storedKeys(s); !slices.Equal(got, want) {
+		t.Errorf("the table holds %v, the maps name %v", got, want)
+	}
+	if n := backing.Len("replica-meta"); n != 2*batches {
+		t.Errorf("%d replica records stored, want %d", n, 2*batches)
 	}
 }
